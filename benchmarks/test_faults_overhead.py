@@ -26,7 +26,6 @@ from repro.trace import Space
 NUM_QUEUES = 4
 CAPACITY = 256
 RECORDS = 12000
-BATCH = 32
 LANES = 8
 REPEATS = 15
 MAX_NULL_FAULTS_OVERHEAD = 0.02
@@ -39,7 +38,7 @@ _QUIET_PLAN = FaultPlan(specs=(FaultSpec(
 
 
 class PrefaultQueueSet(QueueSet):
-    """The pre-fault-injection emit paths: no fault hook at all."""
+    """The pre-fault-injection emit path: no fault hook at all."""
 
     def emit(self, record):
         queue_index = self.queue_for_block(self._block_of(record))
@@ -57,9 +56,6 @@ class PrefaultQueueSet(QueueSet):
             if stall:
                 self._stall_hist.observe(stall, queue=label)
         return stall
-
-    def emit_batch(self, records):
-        return self._emit_batch_core(records)
 
 
 def _records():
@@ -85,11 +81,8 @@ def _run_load(records, make_queueset) -> float:
     drained = []
     qs = make_queueset(lambda s, i: drained.extend(s.queues[i].pop_batch(64)))
     start = time.perf_counter()
-    half = len(records) // 2
-    for record in records[:half]:
+    for record in records:
         qs.emit(record)
-    for index in range(half, len(records), BATCH):
-        qs.emit_batch(records[index:index + BATCH])
     drained.extend(qs.drain_round_robin(CAPACITY))
     while qs.pending():
         drained.extend(qs.drain_round_robin(CAPACITY))

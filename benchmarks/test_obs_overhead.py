@@ -19,7 +19,7 @@ import time
 
 from conftest import print_table
 
-from repro.events import LogRecord, RecordKind, record_to_ops
+from repro.events import LogRecord, RecordKind
 from repro.obs import make_observability
 from repro.runtime.host import HostDetector
 from repro.runtime.replay import record_line_to_record, save_capture
@@ -38,11 +38,9 @@ LAYOUT = GridLayout(num_blocks=4, threads_per_block=64, warp_size=32)
 class RegistrylessHostDetector(HostDetector):
     """The pre-observability consume loop: no instrument check at all."""
 
-    def consume(self, records):
-        for record in records:
-            self.records_processed += 1
-            for op in record_to_ops(record, self.layout, self.granularity):
-                self.detector.process(op)
+    def consume_columnar(self, batch):
+        self.records_processed += len(batch)
+        self.detector.process_columnar(batch, self.granularity)
 
 
 def _job_records(seed: int):

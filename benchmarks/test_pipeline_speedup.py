@@ -1,60 +1,38 @@
-"""Experiments E8/E9 — hot-path speedups on the Table 1 sweep.
+"""Experiment E8 — decoded-engine speedup on the Table 1 sweep.
 
-E8 (``test_pipeline_speedup``): the pre-decoding threaded-code engine
-(``repro.gpu.engine``) exists for one reason — end-to-end pipeline
-throughput.  It runs the full Table 1 workload sweep under both engines
-and holds the decoded engine to its acceptance bar (at least 2x faster
-end to end) while re-checking that the two engines report identical
-races.
+The pre-decoding threaded-code engine (``repro.gpu.engine``) exists for
+one reason — end-to-end pipeline throughput.  This runs the full Table 1
+workload sweep under both engines and holds the decoded engine to its
+acceptance bar (at least 2x faster end to end) while re-checking that
+the two engines report identical races.
 
-E9 (``test_columnar_pipeline_speedup``): the columnar offline pipeline
-— binary capture bytes through the fused ``process_columnar`` loop —
-against the per-record baseline (JSONL load + record-at-a-time replay)
-over the same workloads' captured streams.  The numpy-backed codec must
-clear 2x; the pure-Python fallback codec must at minimum not regress
-below the baseline.  Both variants must report byte-identical races and
-record counts to the baseline — the speedup may not come from doing
-different work.
+The offline (capture -> detector) pipeline's trajectory is the
+``replay_scale`` workload of ``benchmarks/ledger``.
 
-Methodology (both experiments): one untimed warmup sweep per
-configuration (primes the PTX parse memo and the operand/mask caches),
-then ``ROUNDS`` timed sweeps per configuration, interleaved so slow
-scheduler phases hit every configuration alike.  Each workload's figure
-is its *minimum* across rounds — the standard noise filter for
-wall-clock benchmarks: the minimum is the run with the least outside
-interference, and cannot be produced by measurement luck.  Taking the
-minimum per workload (rather than per whole sweep) rejects a noise
-spike that lands inside one round without discarding the rest of that
-round.
+Methodology: one untimed warmup sweep per engine (primes the PTX parse
+memo and the operand/mask caches), then ``ROUNDS`` timed sweeps per
+engine, interleaved so slow scheduler phases hit both engines alike.
+Each workload's figure is its *minimum* across rounds — the standard
+noise filter for wall-clock benchmarks: the minimum is the run with the
+least outside interference, and cannot be produced by measurement luck.
+Taking the minimum per workload (rather than per whole sweep) rejects a
+noise spike that lands inside one round without discarding the rest of
+that round.
 
-Emits ``BENCH_pipeline.json`` (version 2: one section per experiment)
-at the repository root, uploaded as a CI artifact.
+Emits ``BENCH_pipeline.json`` (``{"version": 2, "engine": {...}}``) at
+the repository root, uploaded as a CI artifact.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
 
 from conftest import print_table
 
-from repro import columnar
 from repro.bench import ALL_WORKLOADS, run_workload
-from repro.columnar import have_numpy
-from repro.core.detector import BarracudaDetector
-from repro.core.reference import DetectorConfig
 from repro.runtime import BarracudaSession
-from repro.runtime.replay import (
-    iter_binary_batches,
-    load_capture,
-    read_binary_header,
-    replay,
-    save_capture,
-    save_capture_binary,
-)
-from repro.trace.layout import GridLayout
 
 #: Timed sweeps per engine; the reported time is the per-engine minimum.
 ROUNDS = 3
@@ -62,39 +40,9 @@ ROUNDS = 3
 #: The acceptance bar from the engine's design brief.
 REQUIRED_SPEEDUP = 2.0
 
-#: Columnar pipeline acceptance bars: the numpy codec must clear 2x over
-#: the per-record baseline; the pure-Python fallback codec must never be
-#: slower than the baseline it replaces.
-REQUIRED_COLUMNAR_SPEEDUP = 2.0
-REQUIRED_PURE_SPEEDUP = 1.0
-
 _JSON_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_pipeline.json"
 )
-
-
-def _write_section(section: str, payload: dict) -> None:
-    """Read-modify-write one experiment's section of the benchmark JSON.
-
-    ``BENCH_pipeline.json`` is version 2: ``{"version": 2, "engine":
-    {...}, "columnar": {...}}``.  Either benchmark can run alone without
-    clobbering the other's most recent numbers; a missing, corrupt, or
-    pre-v2 file is replaced wholesale.
-    """
-    data: dict = {}
-    if os.path.exists(_JSON_PATH):
-        try:
-            with open(_JSON_PATH) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    if not isinstance(data, dict) or data.get("version") != 2:
-        data = {}
-    data["version"] = 2
-    data[section] = payload
-    with open(_JSON_PATH, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
 
 
 def _timed_sweep(engine: str):
@@ -201,7 +149,9 @@ def test_pipeline_speedup(benchmark):
         "total_records": sum(w["records"] for w in workloads),
         "workloads": workloads,
     }
-    _write_section("engine", payload)
+    with open(_JSON_PATH, "w") as handle:
+        json.dump({"version": 2, "engine": payload}, handle, indent=2)
+        handle.write("\n")
 
     table.append("-" * 52)
     table.append(
@@ -218,231 +168,3 @@ def test_pipeline_speedup(benchmark):
         f"(required {REQUIRED_SPEEDUP}x); round totals "
         f"naive={naive_totals} decoded={decoded_totals}"
     )
-
-
-# ---------------------------------------------------------------------------
-# E9 — columnar offline pipeline vs per-record replay
-# ---------------------------------------------------------------------------
-
-
-def _build_offline_captures():
-    """Capture every Table 1 workload's event stream in both formats.
-
-    Built once per battery (untimed): the offline pipeline's input is
-    capture bytes, so the simulator run that produces them is not part
-    of what E9 measures.
-    """
-    captures = []
-    for entry in ALL_WORKLOADS:
-        session = BarracudaSession(engine="decoded")
-        module = entry.compile()
-        session.register_module(module)
-        params = {}
-        for buffer in entry.buffers:
-            addr = session.device.alloc(buffer.words * 4)
-            values = list(buffer.init) + [0] * (buffer.words - len(buffer.init))
-            session.device.memcpy_to_device(addr, values)
-            params[buffer.name] = addr
-        for name, value in entry.scalars:
-            params[name] = value
-        launch = session.launch(
-            module.kernels[0].name,
-            grid=entry.grid,
-            block=entry.block,
-            warp_size=entry.warp_size,
-            params=params,
-            max_steps=entry.max_steps,
-            capture_records=True,
-        )
-        records = launch.captured_records or []
-        layout = GridLayout(
-            num_blocks=entry.grid,
-            threads_per_block=entry.block,
-            warp_size=entry.warp_size,
-        )
-        text = io.StringIO()
-        save_capture(text, layout, records, kernel=entry.name)
-        blob = io.BytesIO()
-        save_capture_binary(blob, layout, records, kernel=entry.name)
-        captures.append(
-            {"name": entry.name, "jsonl": text.getvalue(),
-             "binary": blob.getvalue()}
-        )
-    return captures
-
-
-def _sweep_baseline(captures):
-    """Per-record pipeline: JSONL text -> LogRecords -> replay."""
-    rows = []
-    for cap in captures:
-        start = time.perf_counter()
-        layout, _kernel, records = load_capture(io.StringIO(cap["jsonl"]))
-        reports = replay(layout, records)
-        wall = time.perf_counter() - start
-        rows.append(
-            {
-                "workload": cap["name"],
-                "wall_s": wall,
-                "records": len(records),
-                "races": sorted(str(race) for race in reports.races),
-            }
-        )
-    return rows
-
-
-def _sweep_columnar(captures):
-    """Fused pipeline: binary bytes -> ColumnarBatch -> process_columnar."""
-    granularity = DetectorConfig().granularity_bytes
-    rows = []
-    for cap in captures:
-        start = time.perf_counter()
-        stream = io.BytesIO(cap["binary"])
-        layout, _kernel = read_binary_header(stream)
-        detector = BarracudaDetector(layout)
-        count = 0
-        for batch in iter_binary_batches(stream):
-            detector.process_columnar(batch, granularity)
-            count += len(batch)
-        wall = time.perf_counter() - start
-        rows.append(
-            {
-                "workload": cap["name"],
-                "wall_s": wall,
-                "records": count,
-                "races": sorted(str(race) for race in detector.reports.races),
-            }
-        )
-    return rows
-
-
-def _sweep_columnar_pure(captures):
-    """The fused pipeline with the numpy codec forced off.
-
-    Swapping ``columnar._np`` is exactly what ``REPRO_NO_NUMPY=1`` does
-    at import time; the decoded column lists are bit-identical, so the
-    detection loop is untouched — only the codec differs.
-    """
-    saved = columnar._np
-    columnar._np = None
-    try:
-        return _sweep_columnar(captures)
-    finally:
-        columnar._np = saved
-
-
-def _columnar_battery():
-    """Warmup + interleaved timed rounds over the three pipelines."""
-    captures = _build_offline_captures()
-    pipelines = {"baseline": _sweep_baseline, "pure": _sweep_columnar_pure}
-    if have_numpy():
-        pipelines["numpy"] = _sweep_columnar
-    for sweep in pipelines.values():
-        sweep(captures)  # untimed warmup: loader and detector caches
-    sweeps = {name: [] for name in pipelines}
-    for _ in range(ROUNDS):
-        for name, sweep in pipelines.items():
-            sweeps[name].append(sweep(captures))
-    best = {}
-    for name, rounds in sweeps.items():
-        rows = [
-            min(per_workload, key=lambda row: row["wall_s"])
-            for per_workload in zip(*rounds)
-        ]
-        best[name] = (sum(row["wall_s"] for row in rows), rows)
-    return best
-
-
-def test_columnar_pipeline_speedup(benchmark):
-    best = benchmark.pedantic(_columnar_battery, rounds=1, iterations=1)
-    baseline_total, baseline_rows = best["baseline"]
-    pure_total, pure_rows = best["pure"]
-    numpy_rows = best["numpy"][1] if "numpy" in best else None
-    numpy_total = best["numpy"][0] if "numpy" in best else None
-
-    table = []
-    workloads = []
-    for index, base_row in enumerate(baseline_rows):
-        pure_row = pure_rows[index]
-        np_row = numpy_rows[index] if numpy_rows else None
-        # Identical work across pipelines: same record volume, same
-        # race reports — the columnar paths may not drop or invent
-        # anything to go faster.
-        for other in filter(None, (pure_row, np_row)):
-            assert other["workload"] == base_row["workload"]
-            assert other["records"] == base_row["records"]
-            assert other["races"] == base_row["races"]
-        np_wall = np_row["wall_s"] if np_row else None
-        ratio_np = (
-            base_row["wall_s"] / np_wall if np_wall else None
-        )
-        ratio_pure = (
-            base_row["wall_s"] / pure_row["wall_s"]
-            if pure_row["wall_s"] > 0
-            else float("inf")
-        )
-        workloads.append(
-            {
-                "workload": base_row["workload"],
-                "baseline_wall_s": round(base_row["wall_s"], 6),
-                "numpy_wall_s": (
-                    round(np_wall, 6) if np_wall is not None else None
-                ),
-                "pure_wall_s": round(pure_row["wall_s"], 6),
-                "speedup_numpy": (
-                    round(ratio_np, 3) if ratio_np is not None else None
-                ),
-                "speedup_pure": round(ratio_pure, 3),
-                "records": base_row["records"],
-            }
-        )
-        table.append(
-            f"{base_row['workload']:<22} {base_row['wall_s'] * 1e3:>9.2f} "
-            f"{(np_wall or 0) * 1e3:>9.2f} {pure_row['wall_s'] * 1e3:>9.2f} "
-            f"{(ratio_np or 0):>7.2f}x {ratio_pure:>7.2f}x"
-        )
-
-    speedup_numpy = (
-        baseline_total / numpy_total if numpy_total else None
-    )
-    speedup_pure = baseline_total / pure_total
-    payload = {
-        "rounds": ROUNDS,
-        "required_speedup_numpy": REQUIRED_COLUMNAR_SPEEDUP,
-        "required_speedup_pure": REQUIRED_PURE_SPEEDUP,
-        "numpy_available": have_numpy(),
-        "baseline_total_s": round(baseline_total, 6),
-        "numpy_total_s": (
-            round(numpy_total, 6) if numpy_total is not None else None
-        ),
-        "pure_total_s": round(pure_total, 6),
-        "speedup_numpy": (
-            round(speedup_numpy, 3) if speedup_numpy is not None else None
-        ),
-        "speedup_pure": round(speedup_pure, 3),
-        "total_records": sum(w["records"] for w in workloads),
-        "workloads": workloads,
-    }
-    _write_section("columnar", payload)
-
-    table.append("-" * 62)
-    table.append(
-        f"{'TOTAL (per-wl best)':<22} {baseline_total * 1e3:>9.2f} "
-        f"{(numpy_total or 0) * 1e3:>9.2f} {pure_total * 1e3:>9.2f} "
-        f"{(speedup_numpy or 0):>7.2f}x {speedup_pure:>7.2f}x"
-    )
-    print_table(
-        "Columnar offline pipeline vs per-record replay (Table 1 captures)",
-        f"{'workload':<22} {'base ms':>9} {'numpy ms':>9} {'pure ms':>9} "
-        f"{'np spd':>8} {'py spd':>8}",
-        table,
-    )
-    assert speedup_pure >= REQUIRED_PURE_SPEEDUP, (
-        f"pure-Python columnar pipeline is {speedup_pure:.2f}x the "
-        f"per-record baseline (must be >= {REQUIRED_PURE_SPEEDUP}x)"
-    )
-    if speedup_numpy is not None:
-        assert speedup_numpy >= REQUIRED_COLUMNAR_SPEEDUP, (
-            f"numpy columnar pipeline is only {speedup_numpy:.2f}x faster "
-            f"than the per-record baseline "
-            f"(required {REQUIRED_COLUMNAR_SPEEDUP}x)"
-        )

@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print a Prometheus-style metrics snapshot")
     parser.add_argument("--fault-plan", metavar="PLAN.json",
                         help="inject deterministic faults from a JSON fault "
-                        "plan (queue stalls, dropped commits, torn batches; "
-                        "see docs/robustness.md)")
+                        "plan (queue stalls, dropped commits; see "
+                        "docs/robustness.md)")
     from .gpu.scheduler import SCHEDULER_KINDS
 
     parser.add_argument("--scheduler", choices=SCHEDULER_KINDS,
@@ -158,17 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "legal schedules could exhibit (see docs/predictive.md)")
     parser.add_argument("--capture", metavar="PATH",
                         help="write the captured log-record stream to PATH "
-                        "(replayable later with 'repro replay')")
-    parser.add_argument("--capture-format",
-                        choices=("auto", "jsonl", "binary"), default="auto",
-                        help="format for --capture: 'auto' (default) picks "
-                        "binary for .bin/.bcap paths and JSONL otherwise; "
-                        "see docs/performance.md for the binary layout")
-    parser.add_argument("--columnar", action="store_true",
-                        help="run host-side detection over columnar "
-                        "warp-batches (the fused inner loop) instead of "
-                        "per-record operation expansion; reports and stats "
-                        "are bit-identical, only speed differs")
+                        "as a binary capture (replayable later with 'repro "
+                        "replay'; 'repro convert --to jsonl' for JSONL)")
     return parser
 
 
@@ -325,7 +316,6 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
         static_prune=args.prune_instrumentation,
         engine=args.engine,
         faults=fault_plan,
-        columnar_host=args.columnar,
     )
     handle = session.register_module(module)
     kernel = args.kernel or module.kernels[0].name
@@ -358,26 +348,18 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.capture:
         from .gpu.hierarchy import LaunchConfig
-        from .runtime.replay import save_capture, save_capture_binary
+        from .runtime.replay import save_capture_binary
 
         layout = LaunchConfig.of(args.grid, args.block, args.warp_size).layout()
         records = launch.captured_records or []
-        fmt = args.capture_format
-        if fmt == "auto":
-            fmt = ("binary" if args.capture.endswith((".bin", ".bcap"))
-                   else "jsonl")
         try:
-            if fmt == "binary":
-                with open(args.capture, "wb") as stream:
-                    save_capture_binary(stream, layout, records, kernel=kernel)
-            else:
-                with open(args.capture, "w", encoding="utf-8") as stream:
-                    save_capture(stream, layout, records, kernel=kernel)
+            with open(args.capture, "wb") as stream:
+                save_capture_binary(stream, layout, records, kernel=kernel)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"capture written to {args.capture} "
-              f"({len(records)} record(s), {fmt})", file=sys.stderr)
+              f"({len(records)} record(s), binary)", file=sys.stderr)
 
     if args.predict:
         from .gpu.hierarchy import LaunchConfig
@@ -619,10 +601,11 @@ def run_explain(argv: Optional[Sequence[str]] = None) -> int:
     source_lines: Dict[int, str] = {}
     try:
         if args.source.endswith((".jsonl", ".capture", ".bin", ".bcap")):
-            from .runtime.replay import load_capture_path, replay
+            from .runtime.replay import load_capture_path_batches, replay
 
-            layout, _kernel, records, _fmt = load_capture_path(args.source)
-            reports = replay(layout, records, config=config)
+            layout, _kernel, batches, _fmt = load_capture_path_batches(
+                args.source)
+            reports = replay(layout, batches, config=config)
         else:
             module = _load_module(args.source)
             session = BarracudaSession(
@@ -1252,9 +1235,6 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
                         "format is auto-detected from the magic bytes)")
     parser.add_argument("--reference", action="store_true",
                         help="use the uncompressed reference detector")
-    parser.add_argument("--columnar", action="store_true",
-                        help="replay through the detector's fused columnar "
-                        "batch loop (identical reports, faster)")
     parser.add_argument("--no-filter-same-value", action="store_true",
                         help="report benign same-value intra-warp stores too")
     parser.add_argument("--max-reports", type=int, default=10,
@@ -1279,7 +1259,7 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
     from .core.reference import DetectorConfig
     from .faults import NULL_FAULTS
     from .runtime.replay import (
-        detect_capture_format, load_capture_path, replay,
+        detect_capture_format, load_capture_path_batches, replay,
     )
 
     obs = make_observability(trace=bool(args.trace), metrics=args.metrics)
@@ -1291,17 +1271,17 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
                 print("warning: --fault-plan line faults apply to JSONL "
                       "captures only; ignored for this binary capture",
                       file=sys.stderr)
-            layout, kernel, records, _fmt = load_capture_path(
+            layout, kernel, batches, _fmt = load_capture_path_batches(
                 args.capture, faults=fault_plan if fault_plan is not None
                 else NULL_FAULTS)
-        with obs.tracer.span("replay", records=len(records)):
+        record_count = sum(len(batch) for batch in batches)
+        with obs.tracer.span("replay", records=record_count):
             reports = replay(
                 layout,
-                records,
+                batches,
                 config=DetectorConfig(
                     filter_same_value=not args.no_filter_same_value),
                 reference=args.reference,
-                columnar=args.columnar and not args.reference,
             )
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1310,7 +1290,7 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
     if obs.metrics.enabled:
         obs.metrics.counter(
             "repro_replay_records_total", "Records replayed offline"
-        ).inc(len(records))
+        ).inc(record_count)
         obs.metrics.counter(
             "repro_replay_races_total", "Races found by offline replay"
         ).inc(len(reports.races))
@@ -1320,7 +1300,8 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
         from .predict import predict_races, predicted_to_report, trace_from_records
         from .predict.sweep import race_key
 
-        with obs.tracer.span("predict", records=len(records)):
+        with obs.tracer.span("predict", records=record_count):
+            records = [r for batch in batches for r in batch.iter_records()]
             trace = trace_from_records(records, layout)
             prediction = predict_races(trace)
         observed = {race_key(race) for race in reports.races}
@@ -1335,7 +1316,7 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
     if args.stats:
         print("--------- statistics")
         print(f"  kernel                  : {kernel or '<unknown>'}")
-        print(f"  records replayed        : {len(records)}")
+        print(f"  records replayed        : {record_count}")
         print(f"  grid                    : {layout.num_blocks} block(s) x "
               f"{layout.threads_per_block} thread(s), warp {layout.warp_size}")
     if args.metrics:

@@ -9,12 +9,7 @@ interned active-mask pool, so the detector's fused inner loop
 (:meth:`repro.core.detector.BarracudaDetector.process_columnar`) walks
 plain integer lists instead of allocating objects, and the binary
 capture codec (:mod:`repro.runtime.replay`) serializes whole columns
-with one ``frombuffer``/``tobytes`` call per column.
-
-numpy accelerates the column codec when importable; the pure-Python
-fallback (stdlib ``array``) produces **bit-identical** bytes and decoded
-values.  Set ``REPRO_NO_NUMPY=1`` to force the fallback — CI runs the
-tier-1 suite both ways.
+with one stdlib ``array`` ``tobytes``/``frombytes`` call per column.
 
 Lossless by construction: every :class:`LogRecord` round-trips through
 :meth:`ColumnarBatch.from_records` / :meth:`ColumnarBatch.to_records`
@@ -26,7 +21,6 @@ as JSON, so even adversarial captures survive the trip.
 
 from __future__ import annotations
 
-import os
 import struct
 import sys
 from array import array
@@ -37,28 +31,11 @@ from .events import RECORD_BYTES, LogRecord, RecordKind, _sorted_mask
 from .trace.operations import Scope, Space
 
 
-def _load_numpy():
-    """Resolve the numpy backend once at import.
-
-    ``REPRO_NO_NUMPY`` forces the pure-Python path so the fallback is a
-    tested configuration, not an assumed one (tests also monkeypatch
-    ``repro.columnar._np`` directly to compare the two backends).
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-_np = _load_numpy()
-
-
 def have_numpy() -> bool:
-    """Whether the column codec is currently numpy-backed."""
-    return _np is not None
+    # The codec is stdlib-only.  benchmarks/ledger/run.py and
+    # codec_pure.py still read this; it goes when a ``benchmark`` issue
+    # drops the ledger's pure-codec child.
+    return False
 
 
 #: Record kinds by column code.  The hot memory kinds occupy codes 0-2 so
@@ -101,7 +78,7 @@ class ColumnarBatch:
     order :func:`repro.events.record_to_ops` expands.
 
     Columns are plain Python lists of ints: the fused detector loop
-    iterates them faster than numpy scalars, while the binary codec
+    iterates them directly, while the binary codec
     converts to/from flat buffers wholesale.
     """
 
@@ -395,15 +372,9 @@ def iter_batches(records: Sequence[LogRecord],
 
 # ----------------------------------------------------------------------
 # Column packing: the byte-level substrate of the binary capture format.
-# numpy (`frombuffer`/`tobytes`) and the stdlib ``array`` module produce
-# identical little-endian bytes; tests pin the two backends against each
-# other.
 # ----------------------------------------------------------------------
 def pack_i64(values: Sequence[int]) -> bytes:
     """Little-endian int64 column bytes."""
-    np = _np
-    if np is not None:
-        return np.asarray(values, dtype="<i8").tobytes()
     packed = array("q", values)
     if _BIG_ENDIAN:
         packed.byteswap()
@@ -415,9 +386,6 @@ def unpack_i64(data: bytes, count: int) -> List[int]:
     if len(data) < count * 8:
         raise ReproError(
             f"corrupt column: expected {count * 8} bytes, got {len(data)}")
-    np = _np
-    if np is not None:
-        return np.frombuffer(data, dtype="<i8", count=count).tolist()
     unpacked = array("q")
     unpacked.frombytes(data[: count * 8])
     if _BIG_ENDIAN:
@@ -454,7 +422,7 @@ def encode_batch(batch: ColumnarBatch) -> bytes:
     """Serialize one batch as self-contained little-endian column blobs.
 
     Layout (all sizes derivable from the fixed header, so decoding is a
-    single pass of column-wide ``frombuffer`` calls):
+    single pass of column-wide ``frombytes`` calls):
 
     ``u32×4`` rows/lanes/masks/extras counts; int64 columns ``warps``,
     ``pcs``, ``widths``, ``mask_ids``, ``then_mask_ids``,

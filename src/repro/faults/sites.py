@@ -14,8 +14,6 @@ site                      fault kinds
 ``queue.push``            ``ring-full`` (forced producer stall),
                           ``drop-commit`` (record written, commit withheld
                           until the next push — the §4.2 lost-commit hazard)
-``queue.push_batch``      the above plus ``torn-batch`` (only a prefix of the
-                          batch is written and committed)
 ``client.connect``        ``connect-fail`` (connection refused)
 ``client.send``           ``truncate-frame``, ``garbage-frame``,
                           ``duplicate-frame``, ``connection-reset``,
@@ -32,7 +30,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 QUEUE_PUSH = "queue.push"
-QUEUE_PUSH_BATCH = "queue.push_batch"
 CLIENT_CONNECT = "client.connect"
 CLIENT_SEND = "client.send"
 WORKER_BATCH = "worker.batch"
@@ -41,7 +38,6 @@ REPLAY_LINE = "replay.record_line"
 # Queue-layer kinds (paper §4.2's three-index ring protocol).
 RING_FULL = "ring-full"
 DROP_COMMIT = "drop-commit"
-TORN_BATCH = "torn-batch"
 
 # Client/wire kinds.
 CONNECT_FAIL = "connect-fail"
@@ -63,7 +59,6 @@ GARBAGE_LINE = "garbage-line"
 #: Every registered site, mapped to the fault kinds it understands.
 SITES: Dict[str, FrozenSet[str]] = {
     QUEUE_PUSH: frozenset({RING_FULL, DROP_COMMIT}),
-    QUEUE_PUSH_BATCH: frozenset({RING_FULL, DROP_COMMIT, TORN_BATCH}),
     CLIENT_CONNECT: frozenset({CONNECT_FAIL}),
     CLIENT_SEND: frozenset({
         TRUNCATE_FRAME, GARBAGE_FRAME, DUPLICATE_FRAME, CONNECTION_RESET,

@@ -26,9 +26,7 @@ Python closures — classic threaded code:
 * a ``_log`` slot is fused with the access it guards, so the
   record-and-access pair executes as one closure (the instrumenter
   always places ``_log`` immediately before its target, unpredicated —
-  see ``repro.instrument.passes``);
-* branch records popped during reconvergence are flushed through
-  :meth:`EventSink.emit_batch` instead of one ``emit`` per pop.
+  see ``repro.instrument.passes``).
 
 Decoding is deliberately defensive: any statement the specializer
 cannot handle (malformed operands, exotic opcodes, unknown symbols)
@@ -66,10 +64,6 @@ from .interpreter import (
     LOG_COST,
     WarpState,
 )
-
-#: The flyweight for "no threads" — what the naive ``_emit_branch``
-#: builds fresh for every reconvergence pop.
-_EMPTY_MASK: frozenset = frozenset()
 
 #: A decoded statement: ``op(warp, entry) -> bool``.  The closure does
 #: its own counter bookkeeping and PC update; a ``True`` return means
@@ -147,13 +141,10 @@ class DecodedKernelExecution(KernelExecution):
         """Execute one instruction slot of ``warp``.
 
         Mirrors ``KernelExecution.step`` exactly, but dispatches through
-        the decoded closure list and batches the BRANCH_ELSE/BRANCH_FI
-        records of reconvergence pops through ``emit_batch``.
+        the decoded closure list.
         """
         frames = warp.frames
-        emit_pops = self.sink is not None and self.instrumented
         while True:
-            pops: Optional[List[LogRecord]] = None
             while True:
                 frame = frames[-1]
                 stack = frame.stack
@@ -168,24 +159,9 @@ class DecodedKernelExecution(KernelExecution):
                         if len(frames) > 1:
                             frames.pop()
                             continue
-                        if pops:
-                            self._flush_pops(warp, pops)
                         self._finish_warp(warp)
                         return
-                    phase = stack.pop().phase
-                    if emit_pops and phase is not _Phase.BASE:
-                        kind = (
-                            RecordKind.BRANCH_ELSE
-                            if phase is _Phase.THEN
-                            else RecordKind.BRANCH_FI
-                        )
-                        record = LogRecord(
-                            kind=kind, warp=warp.warp, active=_EMPTY_MASK
-                        )
-                        if pops is None:
-                            pops = [record]
-                        else:
-                            pops.append(record)
+                    self._pop_path(warp)
                     continue
                 ops = ctx.decoded
                 if ops is None:
@@ -195,14 +171,8 @@ class DecodedKernelExecution(KernelExecution):
                     entry.pc += 1
                     continue
                 break
-            if pops:
-                self._flush_pops(warp, pops)
             if not op(warp, entry):
                 return
-
-    def _flush_pops(self, warp: WarpState, records: List[LogRecord]) -> None:
-        warp.cycles += self.sink.emit_batch(records)
-        self.result.records_emitted += len(records)
 
     # ------------------------------------------------------------------
     # Decoding

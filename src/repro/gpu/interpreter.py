@@ -193,15 +193,6 @@ class EventSink:
     def emit(self, record: LogRecord) -> int:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def emit_batch(self, records: List[LogRecord]) -> int:
-        """Emit ``records`` in order; returns the summed stall cycles.
-
-        Semantically equivalent to emitting one record at a time;
-        subclasses override it to amortize per-record bookkeeping.
-        """
-        emit = self.emit
-        return sum(emit(record) for record in records)
-
 
 class ListSink(EventSink):
     """Collects records in order; never stalls."""
@@ -211,10 +202,6 @@ class ListSink(EventSink):
 
     def emit(self, record: LogRecord) -> int:
         self.records.append(record)
-        return 0
-
-    def emit_batch(self, records: List[LogRecord]) -> int:
-        self.records.extend(records)
         return 0
 
 
@@ -1003,9 +990,10 @@ class KernelExecution:
         if include_uncommitted and warp.async_pending:
             records.extend(warp.async_pending)
             warp.async_pending = []
-        if not records or self.sink is None or not self.instrumented:
+        if self.sink is None or not self.instrumented:
             return
-        warp.cycles += self.sink.emit_batch(records)
+        for record in records:
+            warp.cycles += self.sink.emit(record)
         self.result.records_emitted += len(records)
 
     def _finish_warp(self, warp: WarpState) -> None:

@@ -2,8 +2,8 @@
 
 Each GPU queue is allocated a corresponding host consumer; queue draining
 mirrors the device logging algorithm, with the read head advancing over
-committed records.  Records are expanded back into §3.1 trace operations
-and fed to the BARRACUDA detector.
+committed records.  Records are packed into columnar warp-batches and
+fed to the BARRACUDA detector's fused loop.
 
 Two consumption modes are provided:
 
@@ -26,19 +26,11 @@ from ..core.reference import DetectorConfig
 from ..obs import NULL_OBS, Observability
 from ..trace.layout import GridLayout
 from .queue import QueueSet
-from ..events import LogRecord, record_to_ops
+from ..events import LogRecord
 
 
 class HostDetector:
-    """Consumes log records and runs the BARRACUDA analysis.
-
-    With ``columnar=True`` ingested records are packed into columnar
-    warp-batches and run through the detector's fused inner loop
-    (:meth:`BarracudaDetector.process_columnar`) instead of being
-    expanded into per-thread operation objects.  Reports, operation
-    accounting and metrics are bit-identical either way; only the speed
-    differs.
-    """
+    """Consumes log records and runs the BARRACUDA analysis."""
 
     def __init__(
         self,
@@ -48,7 +40,6 @@ class HostDetector:
         batch_size: int = 64,
         obs: Observability = NULL_OBS,
         kernel: str = "",
-        columnar: bool = False,
     ) -> None:
         self.layout = layout
         self.detector = BarracudaDetector(layout, config)
@@ -57,7 +48,6 @@ class HostDetector:
         self.batch_size = batch_size
         self.records_processed = 0
         self.kernel = kernel
-        self.columnar = columnar
         # Pre-resolved instruments; None when metrics are disabled so
         # the per-record hot path pays one is-None check.
         self._events_by_kind = self._hot_pcs = self._hot_addrs = None
@@ -82,23 +72,14 @@ class HostDetector:
     # Consumption
     # ------------------------------------------------------------------
     def consume(self, records: Iterable[LogRecord]) -> None:
-        if self.columnar:
-            for batch in iter_batches(records):
-                self.consume_columnar(batch)
-            return
-        for record in records:
-            self.records_processed += 1
-            if self._events_by_kind is not None:
-                self._observe_record(record)
-            for op in record_to_ops(record, self.layout, self.granularity):
-                self.detector.process(op)
+        for batch in iter_batches(records):
+            self.consume_columnar(batch)
 
     def consume_columnar(self, batch: ColumnarBatch) -> None:
         """Ingest one columnar warp-batch through the fused loop.
 
-        The batch form of :meth:`consume`: same reports, same
-        ``records_processed``, same metrics — metrics still observe per
-        record, materializing rows only when instrumentation is on.
+        Metrics observe per record, materializing rows only when
+        instrumentation is on.
         """
         self.records_processed += len(batch)
         if self._events_by_kind is not None:

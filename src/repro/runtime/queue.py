@@ -115,42 +115,6 @@ class LogQueue:
             self.stats.wraps += 1
         self.stats.sample_depth(self.write_head - self.read_head)
 
-    def push_batch(self, records: List[LogRecord], first_seq: int = 0) -> None:
-        """Push a run of records, stamped ``first_seq, first_seq+1, ...``.
-
-        Equivalent to calling :meth:`push` per record — same slots, same
-        commit stamps, and bit-identical :class:`QueueStats` (the depth
-        samples of the intermediate states are accounted in closed form)
-        — but the ring bookkeeping runs once per batch.  The caller must
-        ensure the whole batch fits; use :meth:`push` with a drain loop
-        otherwise.
-        """
-        count = len(records)
-        if count == 0:
-            return
-        if self.write_head + count - self.read_head > self.capacity:
-            raise QueueError("push_batch overflows queue; drain first")
-        cap = self.capacity
-        slots = self._slots
-        seqs = self._seqs
-        head = self.write_head
-        for offset, record in enumerate(records):
-            slot = (head + offset) % cap
-            slots[slot] = record
-            seqs[slot] = first_seq + offset
-        new_head = head + count
-        self.write_head = new_head
-        self.commit_index = new_head
-        stats = self.stats
-        stats.pushed += count
-        stats.wraps += new_head // cap - head // cap
-        depth0 = head - self.read_head
-        stats.depth_samples += count
-        # Depths after each push are depth0+1 .. depth0+count.
-        stats.depth_total += count * depth0 + count * (count + 1) // 2
-        if depth0 + count > stats.max_depth:
-            stats.max_depth = depth0 + count
-
     def push_uncommitted(self, record: LogRecord, seq: int = 0) -> None:
         """Write a slot and advance the write head *without* committing.
 
@@ -326,90 +290,6 @@ class QueueSet(EventSink):
         self._seq += 1
         queue.stats.stall_cycles += stall
         return stall
-
-    def _emit_batch_faulty(self, records: List[LogRecord], fault) -> int:
-        if fault.kind == fault_sites.TORN_BATCH:
-            # Only a prefix of the batch lands; the tail vanishes without
-            # an error — the silent tear the chaos suite must detect.
-            keep = int(fault.arg("keep", len(records) // 2))
-            keep = max(0, min(keep, len(records)))
-            return self._emit_batch_core(records[:keep])
-        if fault.kind == fault_sites.RING_FULL:
-            stall = 0
-            if records:
-                queue_index = self.queue_for_block(self._block_of(records[0]))
-                if self.on_full is not None:
-                    self.on_full(self, queue_index)
-                queue = self.queues[queue_index]
-                stall = int(fault.arg("stall_cycles", STALL_CYCLES_PER_RECORD))
-                queue.stats.stalls += 1
-                queue.stats.stall_cycles += stall
-            return stall + self._emit_batch_core(records)
-        # drop-commit: the whole batch is written but the final commit is
-        # withheld for the last record's queue.
-        stall = self._emit_batch_core(records)
-        if records:
-            queue_index = self.queue_for_block(self._block_of(records[-1]))
-            queue = self.queues[queue_index]
-            if queue.commit_index > queue.read_head:
-                queue.commit_index -= 1
-        return stall
-
-    def emit_batch(self, records: List[LogRecord]) -> int:
-        """Emit a run of records with the bookkeeping amortized.
-
-        Consecutive records bound for the same queue go through one
-        :meth:`LogQueue.push_batch`; a run that does not fit falls back
-        to per-record :meth:`emit` so the full-queue stall accounting
-        (and ``on_full`` draining) stays bit-identical to the unbatched
-        path.  Returns the summed stall cycles, like per-record emits.
-        """
-        if self._faults is not None:
-            fault = self._faults.check(
-                fault_sites.QUEUE_PUSH_BATCH, RECORD_BYTES * len(records))
-            if fault is not None:
-                return self._emit_batch_faulty(records, fault)
-        return self._emit_batch_core(records)
-
-    def emit_columnar(self, batch) -> int:
-        """Emit one columnar warp-batch (:class:`repro.columnar.ColumnarBatch`).
-
-        The batch's rows land in the same queues with the same commit
-        stamps as emitting its materialized records one by one, and the
-        :class:`QueueStats` accounting is exact: the per-queue runs go
-        through :meth:`LogQueue.push_batch`, whose depth/byte figures
-        are closed-form (``n`` records of ``RECORD_BYTES`` each raise
-        the depth ``depth0+1 .. depth0+n``), not per-record samples.
-        """
-        return self.emit_batch(batch.to_records())
-
-    def _emit_batch_core(self, records: List[LogRecord]) -> int:
-        total_stall = 0
-        queue_for = self.queue_for_block
-        block_of = self._block_of
-        index = 0
-        count = len(records)
-        while index < count:
-            queue_index = queue_for(block_of(records[index]))
-            end = index + 1
-            while end < count and queue_for(block_of(records[end])) == queue_index:
-                end += 1
-            queue = self.queues[queue_index]
-            run = records[index:end] if index or end < count else records
-            room = queue.capacity - (queue.write_head - queue.read_head)
-            if len(run) <= room:
-                queue.push_batch(run, first_seq=self._seq)
-                self._seq += len(run)
-                if self._depth_hist is not None:
-                    label = str(queue_index)
-                    base = queue.write_head - queue.read_head - len(run)
-                    for step in range(1, len(run) + 1):
-                        self._depth_hist.observe(base + step, queue=label)
-            else:
-                for record in run:
-                    total_stall += self.emit(record)
-            index = end
-        return total_stall
 
     # ------------------------------------------------------------------
     # Host-side draining

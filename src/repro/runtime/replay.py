@@ -62,12 +62,6 @@ class RecordingSink(EventSink):
             return self.inner.emit(record)
         return 0
 
-    def emit_batch(self, records: List[LogRecord]) -> int:
-        self.records.extend(records)
-        if self.inner is not None:
-            return self.inner.emit_batch(records)
-        return 0
-
 
 def _record_to_json(record: LogRecord) -> dict:
     payload = {
@@ -454,11 +448,7 @@ def replay_batches(
     batches: Iterable[ColumnarBatch],
     config: Optional[DetectorConfig] = None,
 ) -> DetectorReports:
-    """Run the production detector over columnar batches (fused path).
-
-    Byte-identical reports to :func:`replay` on the same records — the
-    differential-equivalence suite pins this across all 66 programs.
-    """
+    """Run the production detector over columnar batches (fused loop)."""
     from ..core.detector import BarracudaDetector
 
     resolved = config or DetectorConfig()
@@ -469,54 +459,46 @@ def replay_batches(
     return detector.reports
 
 
+def _as_batches(
+    items: Iterable[Union[LogRecord, ColumnarBatch]],
+) -> Iterator[ColumnarBatch]:
+    """Pack runs of plain records between already-columnar items."""
+    plain: List[LogRecord] = []
+    for item in items:
+        if isinstance(item, ColumnarBatch):
+            yield from iter_batches(plain)
+            plain = []
+            yield item
+        else:
+            plain.append(item)
+    yield from iter_batches(plain)
+
+
 def replay(
     layout: GridLayout,
-    records: Union[Iterable[LogRecord], Iterable[ColumnarBatch]],
+    records: Iterable[Union[LogRecord, ColumnarBatch]],
     config: Optional[DetectorConfig] = None,
     reference: bool = False,
-    columnar: bool = False,
 ) -> DetectorReports:
     """Run the detector over a captured record stream.
 
-    ``reference=True`` replays through the uncompressed reference
-    detector instead of the production one — the capture format is how
-    the two are cross-checked on real workloads, not just on random
-    traces.  ``records`` may mix plain :class:`LogRecord` items and
+    ``records`` may mix plain :class:`LogRecord` items and
     :class:`~repro.columnar.ColumnarBatch` items (the binary loader
-    yields the latter); ``columnar=True`` routes the production detector
-    through the fused batch loop, with identical reports either way.
+    yields the latter).  ``reference=True`` replays through the
+    uncompressed reference detector instead of the production one — the
+    capture format is how the two are cross-checked on real workloads,
+    not just on random traces.
     """
+    if not reference:
+        return replay_batches(layout, _as_batches(records), config)
+    from ..core.reference import ReferenceDetector
     from ..events import record_to_ops
 
     granularity = (config or DetectorConfig()).granularity_bytes
-    if reference:
-        from ..core.reference import ReferenceDetector
-
-        detector = ReferenceDetector(layout, config)
-    else:
-        from ..core.detector import BarracudaDetector
-
-        detector = BarracudaDetector(layout, config)
-        if columnar:
-            plain: List[LogRecord] = []
-            for item in records:
-                if isinstance(item, ColumnarBatch):
-                    if plain:
-                        for batch in iter_batches(plain):
-                            detector.process_columnar(batch, granularity)
-                        plain = []
-                    detector.process_columnar(item, granularity)
-                else:
-                    plain.append(item)
-            for batch in iter_batches(plain):
-                detector.process_columnar(batch, granularity)
-            return detector.reports
+    detector = ReferenceDetector(layout, config)
     for item in records:
-        if isinstance(item, ColumnarBatch):
-            for record in item.iter_records():
-                for op in record_to_ops(record, layout, granularity):
-                    detector.process(op)
-        else:
-            for op in record_to_ops(item, layout, granularity):
+        plain = item.iter_records() if isinstance(item, ColumnarBatch) else (item,)
+        for record in plain:
+            for op in record_to_ops(record, layout, granularity):
                 detector.process(op)
     return detector.reports

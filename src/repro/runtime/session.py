@@ -109,7 +109,6 @@ class BarracudaSession:
         static_prune: bool = False,
         engine: str = DEFAULT_ENGINE,
         faults=None,
-        columnar_host: bool = False,
     ) -> None:
         resolve_engine(engine)  # fail fast on unknown engine names
         self.engine = engine
@@ -126,9 +125,6 @@ class BarracudaSession:
         self.instrumenter = Instrumenter(prune=prune, static_prune=static_prune)
         self.detector_config = detector_config
         self.in_order_host = in_order_host
-        #: Route host-side consumption through the fused columnar
-        #: pipeline (bit-identical reports; see repro.columnar).
-        self.columnar_host = columnar_host
         self.obs = obs
         # handle -> (pristine module, instrumented module, report)
         self._binaries: Dict[int, tuple] = {}
@@ -239,7 +235,6 @@ class BarracudaSession:
             in_order=self.in_order_host,
             obs=self.obs,
             kernel=kernel_name,
-            columnar=self.columnar_host,
         )
         queues = QueueSet(
             num_queues=self.num_queues,

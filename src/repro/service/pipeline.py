@@ -44,7 +44,7 @@ from ..obs import (
     TraceContext,
 )
 from ..runtime.host import HostDetector
-from ..runtime.replay import record_line_to_record, record_lines_to_records
+from ..runtime.replay import record_lines_to_records
 from ..trace.layout import GridLayout
 from . import protocol
 from .stats import WorkerStats
@@ -68,9 +68,6 @@ class ShardCrashError(Exception):
 # single worker serializes all access.
 # ----------------------------------------------------------------------
 _WORKER_JOBS: Dict[str, HostDetector] = {}
-#: Per-job ingest mode, mirroring the execution-engine choice: jobs
-#: opened under the decoded engine decode record batches in one pass.
-_WORKER_ENGINES: Dict[str, str] = {}
 #: Per-job fault injector (from the service's ``--fault-plan``) and the
 #: inline flag that decides how a ``crash`` fault manifests.
 _WORKER_FAULTS: Dict[str, Tuple[FaultInjector, bool]] = {}
@@ -110,7 +107,6 @@ def _worker_open(job_id: str, layout: GridLayout,
         raise ReproError(f"job {job_id!r} already open on this shard")
     process = _worker_ident(shard)
     _WORKER_JOBS[job_id] = HostDetector(layout, config)
-    _WORKER_ENGINES[job_id] = engine
     context = TraceContext.from_payload(trace)
     if context is not None:
         _WORKER_SPANS[job_id] = SpanBuffer(process, context=context)
@@ -149,12 +145,10 @@ def _item_wire_size(item) -> int:
     return len(item) if isinstance(item, str) else len(item.get("batch", ""))
 
 
-def _consume_items(detector: HostDetector, items: Sequence,
-                   naive: bool) -> int:
+def _consume_items(detector: HostDetector, items: Sequence) -> int:
     """Feed a mixed line/binary-batch item sequence; returns records.
 
-    Runs of JSONL lines are ingested in one batched pass (the pipeline
-    analogue of the decoded engine's ``emit_batch``); binary batch
+    Runs of JSONL lines are decoded in one batched pass; binary batch
     frames decode straight into the columnar fused loop.  Same records,
     same order, same errors as the all-lines path.
     """
@@ -162,13 +156,9 @@ def _consume_items(detector: HostDetector, items: Sequence,
     lines: List[str] = []
 
     def flush() -> None:
-        if not lines:
-            return
-        if naive:
-            detector.consume(record_line_to_record(line) for line in lines)
-        else:
+        if lines:
             detector.consume(record_lines_to_records(lines))
-        del lines[:]
+            del lines[:]
 
     for item in items:
         if isinstance(item, str):
@@ -200,13 +190,12 @@ def _worker_batch(job_id: str, lines: Sequence) -> Tuple[int, float]:
         if fault is not None:
             _apply_worker_fault(fault, inline)
     spans = _WORKER_SPANS.get(job_id)
-    naive = _WORKER_ENGINES.get(job_id) == "naive"
     start = time.perf_counter()
     if spans is None:
-        count = _consume_items(detector, lines, naive)
+        count = _consume_items(detector, lines)
     else:
         with spans.span("shard-batch", job=job_id, records=len(lines)):
-            count = _consume_items(detector, lines, naive)
+            count = _consume_items(detector, lines)
     busy = time.perf_counter() - start
     _WORKER_BATCHES.inc()
     _WORKER_RECORDS.inc(count)
@@ -222,7 +211,6 @@ def _worker_close(job_id: str) -> dict:
     so report bytes stay independent of whether tracing was on.
     """
     detector = _WORKER_JOBS.pop(job_id, None)
-    _WORKER_ENGINES.pop(job_id, None)
     _WORKER_FAULTS.pop(job_id, None)
     spans = _WORKER_SPANS.pop(job_id, None)
     if detector is None:
@@ -237,7 +225,6 @@ def _worker_close(job_id: str) -> dict:
 
 
 def _worker_discard(job_id: str) -> bool:
-    _WORKER_ENGINES.pop(job_id, None)
     _WORKER_FAULTS.pop(job_id, None)
     _WORKER_SPANS.pop(job_id, None)
     dropped = _WORKER_JOBS.pop(job_id, None) is not None
@@ -256,7 +243,6 @@ def _worker_init() -> None:
     for the same per-pool-lifetime semantics.
     """
     _WORKER_JOBS.clear()
-    _WORKER_ENGINES.clear()
     _WORKER_FAULTS.clear()
     _WORKER_SPANS.clear()
     _WORKER_METRICS.reset(keep=(_WORKER_BATCHES.name, _WORKER_RECORDS.name,

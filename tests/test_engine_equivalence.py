@@ -6,12 +6,13 @@ reports, same instruction/cycle accounting, same failures.  This suite
 holds it to that claim across every suite program (with and without
 static instrumentation pruning) and every Table 1 workload.
 
-The capture-format axis rides the same programs: every captured stream
-is round-tripped through both persistence formats (JSONL and binary
-columnar) and replayed through both detector paths (per-record and
-fused columnar), and all four combinations must yield the baseline's
-reports exactly.  ``repro convert``'s underlying shim is held to
-losslessness on every one of those captures.
+The detector axis rides the same programs.  The per-record oracle
+(``tests/oracle.py``: ``record_to_ops`` → ``BarracudaDetector.process``,
+which no production path runs any more) must agree with the fused loop
+the live launch ran (races, barrier divergences, ``ops_processed``,
+``clocks.joins``) and with ``replay()`` of the launch's capture after a
+lossless round trip through both persistence formats (JSONL and binary
+columnar).
 """
 
 import io
@@ -21,8 +22,10 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.bench import ALL_WORKLOADS, run_workload
+from repro.core.detector import BarracudaDetector
 from repro.errors import SimulationError, StepLimitExceeded
 from repro.gpu.hierarchy import LaunchConfig
+from repro.obs import make_observability
 from repro.runtime import BarracudaSession
 from repro.runtime.replay import (
     load_capture,
@@ -33,15 +36,11 @@ from repro.runtime.replay import (
 )
 from repro.suite import ALL_PROGRAMS
 
+from oracle import per_record_oracle
 
-def _run_suite_program(program, engine: str, static_prune: bool) -> Tuple:
-    """One instrumented launch, summarized for exact comparison.
 
-    The returned tuple contains the full captured event stream, the
-    launch counters, and the report set — everything observable about a
-    launch short of wall-clock time.
-    """
-    session = BarracudaSession(engine=engine, static_prune=static_prune)
+def _launch(program, session: BarracudaSession):
+    """One capturing launch of a suite program or Table 1 workload."""
     module = program.compile()
     session.register_module(module)
     params: Dict[str, int] = {}
@@ -52,17 +51,28 @@ def _run_suite_program(program, engine: str, static_prune: bool) -> Tuple:
         params[buffer.name] = addr
     for name, value in program.scalars:
         params[name] = value
+    return session.launch(
+        module.kernels[0].name,
+        grid=program.grid,
+        block=program.block,
+        warp_size=program.warp_size,
+        params=params,
+        max_steps=program.max_steps,
+        capture_records=True,
+        cooperative=getattr(program, "cooperative", False),
+    )
+
+
+def _run_suite_program(program, engine: str, static_prune: bool) -> Tuple:
+    """One instrumented launch, summarized for exact comparison.
+
+    The returned tuple contains the full captured event stream, the
+    launch counters, and the report set — everything observable about a
+    launch short of wall-clock time.
+    """
+    session = BarracudaSession(engine=engine, static_prune=static_prune)
     try:
-        launch = session.launch(
-            module.kernels[0].name,
-            grid=program.grid,
-            block=program.block,
-            warp_size=program.warp_size,
-            params=params,
-            max_steps=program.max_steps,
-            capture_records=True,
-            cooperative=program.cooperative,
-        )
+        launch = _launch(program, session)
     except StepLimitExceeded:
         return ("hang",)
     except SimulationError as exc:
@@ -90,21 +100,35 @@ def test_suite_program_equivalence(program, static_prune):
     assert naive == decoded
 
 
-@pytest.mark.parametrize("program", ALL_PROGRAMS, ids=lambda p: p.name)
-def test_capture_format_equivalence(program):
-    """Every suite program × {jsonl, binary} × {per-record, columnar}.
+def _report_lines(reports) -> Tuple:
+    return (
+        sorted(str(race) for race in reports.races),
+        sorted(str(report) for report in reports.barrier_divergences),
+    )
 
-    The decoded engine's captured stream must survive both persistence
-    formats losslessly, and replaying any loaded form through either
-    detector path must reproduce the live launch's reports exactly.
-    """
-    outcome = _run_suite_program(program, "decoded", False)
-    if outcome[0] != "ok":
-        pytest.skip(f"program outcome {outcome[0]}: no capture to persist")
-    records = outcome[1]
-    races, divergences = outcome[3], outcome[4]
+
+def _assert_oracle_differential(program, static_prune: bool) -> None:
+    """Per-record oracle vs live launch vs replay of both capture formats."""
+    obs = make_observability(metrics=True)
+    session = BarracudaSession(static_prune=static_prune, obs=obs)
+    try:
+        launch = _launch(program, session)
+    except (StepLimitExceeded, SimulationError) as exc:
+        pytest.skip(f"{type(exc).__name__}: no capture to persist")
+    records = launch.captured_records
     layout = LaunchConfig.of(
         program.grid, program.block, program.warp_size).layout()
+
+    oracle = per_record_oracle(layout, records)
+    expected = _report_lines(oracle.reports)
+    counters = (oracle.ops_processed, oracle.clocks.joins)
+
+    metrics = obs.metrics.snapshot()
+    assert _report_lines(launch.reports) == expected
+    assert (
+        metrics["repro_detector_ops_total"]["values"][""],
+        metrics["repro_vector_clock_joins_total"]["values"][""],
+    ) == counters
 
     text = io.StringIO()
     save_capture(text, layout, records, kernel=program.name)
@@ -112,6 +136,7 @@ def test_capture_format_equivalence(program):
     jsonl_layout, jsonl_kernel, jsonl_records = load_capture(text)
     assert (jsonl_layout, jsonl_kernel) == (layout, program.name)
     assert jsonl_records == records
+    assert _report_lines(replay(layout, jsonl_records)) == expected
 
     blob = io.BytesIO()
     save_capture_binary(blob, layout, records, kernel=program.name,
@@ -119,19 +144,26 @@ def test_capture_format_equivalence(program):
     blob.seek(0)
     bin_layout, bin_kernel, batches = load_capture_binary(blob)
     assert (bin_layout, bin_kernel) == (layout, program.name)
-    bin_records = [r for batch in batches for r in batch.iter_records()]
-    assert bin_records == records
+    assert [r for batch in batches for r in batch.iter_records()] == records
+    assert _report_lines(replay(layout, batches)) == expected
+    fused = BarracudaDetector(layout)
+    for batch in batches:
+        fused.process_columnar(batch)
+    assert (fused.ops_processed, fused.clocks.joins) == counters
 
-    for loaded in (jsonl_records, bin_records):
-        for columnar in (False, True):
-            reports = replay(layout, loaded, columnar=columnar)
-            assert sorted(str(race) for race in reports.races) == races
-            assert sorted(
-                str(report) for report in reports.barrier_divergences
-            ) == divergences
-    # The binary loader's batches feed the fused loop directly too.
-    reports = replay(layout, batches, columnar=True)
-    assert sorted(str(race) for race in reports.races) == races
+
+@pytest.mark.parametrize("program", ALL_PROGRAMS, ids=lambda p: p.name)
+def test_capture_format_equivalence(program):
+    """Every suite program, with and without static pruning."""
+    for static_prune in (False, True):
+        _assert_oracle_differential(program, static_prune)
+
+
+@pytest.mark.parametrize("entry", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_workload_capture_format_equivalence(entry):
+    """Every Table 1 workload, with and without static pruning."""
+    for static_prune in (False, True):
+        _assert_oracle_differential(entry, static_prune)
 
 
 @pytest.mark.parametrize("entry", ALL_WORKLOADS, ids=lambda w: w.name)

@@ -221,34 +221,6 @@ class TestQueueFaults:
             qs.emit(_load(0, 0, 4 * i))
         assert [r.addrs[0][1] for r in qs.queues[0].pop_batch(10)] == [0, 4]
 
-    def test_torn_batch_keeps_only_prefix(self):
-        injector = FaultInjector(_plan(
-            FaultSpec(site=sites.QUEUE_PUSH_BATCH, kind=sites.TORN_BATCH,
-                      nth=1, payload={"keep": 2})))
-        qs = QueueSet(num_queues=1, capacity=16, faults=injector)
-        qs.emit_batch([_load(0, 0, 4 * i) for i in range(5)])
-        assert [r.addrs[0][1] for r in qs.queues[0].pop_batch(10)] == [0, 4]
-
-    def test_batch_drop_commit_hides_last_record(self):
-        injector = FaultInjector(_plan(
-            FaultSpec(site=sites.QUEUE_PUSH_BATCH, kind=sites.DROP_COMMIT,
-                      nth=1)))
-        qs = QueueSet(num_queues=1, capacity=16, faults=injector)
-        qs.emit_batch([_load(0, 0, 4 * i) for i in range(3)])
-        assert [r.addrs[0][1] for r in qs.queues[0].pop_batch(10)] == [0, 4]
-
-    def test_batch_ring_full_is_lossless(self):
-        injector = FaultInjector(_plan(
-            FaultSpec(site=sites.QUEUE_PUSH_BATCH, kind=sites.RING_FULL,
-                      nth=1, payload={"stall_cycles": 5})))
-        qs = QueueSet(num_queues=1, capacity=16,
-                      on_full=lambda s, i: s.queues[i].pop_batch(4),
-                      faults=injector)
-        stall = qs.emit_batch([_load(0, 0, 4 * i) for i in range(3)])
-        assert stall == 5
-        assert qs.queues[0].stats.stalls == 1
-        assert len(qs.queues[0].pop_batch(10)) == 3
-
 
 # ----------------------------------------------------------------------
 # Capture/replay line faults

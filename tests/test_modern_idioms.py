@@ -5,9 +5,10 @@ matrix the older suites established one axis at a time:
 
 * naive vs decoded engine — full record-stream, counter, and report
   equality;
-* per-record vs fused-columnar detection — report equality;
 * JSONL vs binary columnar capture (BCAP) — lossless round-trip and
-  replay equality.
+  replay equality against the live launch (the per-record oracle
+  differential over these same programs lives in
+  ``test_engine_equivalence.py``).
 
 On top of the matrix, property-based tests pin the semantics the new
 instructions claim: shuffles round-trip register values without emitting
@@ -94,10 +95,10 @@ def test_engine_equivalence(suite_program, static_prune):
 
 @pytest.mark.parametrize("suite_program", MODERN_PROGRAMS, ids=lambda p: p.name)
 def test_capture_and_detector_path_equivalence(suite_program):
-    """Each new program × {jsonl, bcap} × {per-record, columnar}: the
-    persisted stream is lossless and every replay path reproduces the
-    live reports exactly — including the grid-wide BARRIER records with
-    their ``warp = GRID_BARRIER_BLOCK`` sentinel."""
+    """Each new program × {jsonl, bcap}: the persisted stream is
+    lossless and its replay reproduces the live reports exactly —
+    including the grid-wide BARRIER records with their
+    ``warp = GRID_BARRIER_BLOCK`` sentinel."""
     outcome = _summarize(suite_program, "decoded", False)
     assert outcome[0] == "ok"
     records = outcome[1]
@@ -123,15 +124,12 @@ def test_capture_and_detector_path_equivalence(suite_program):
     bin_records = [r for batch in batches for r in batch.iter_records()]
     assert bin_records == records
 
-    for loaded in (jsonl_records, bin_records):
-        for columnar in (False, True):
-            reports = replay(layout, loaded, columnar=columnar)
-            assert sorted(str(race) for race in reports.races) == races
-            assert sorted(
-                str(report) for report in reports.barrier_divergences
-            ) == divergences
-    reports = replay(layout, batches, columnar=True)
-    assert sorted(str(race) for race in reports.races) == races
+    for loaded in (jsonl_records, batches):
+        reports = replay(layout, loaded)
+        assert sorted(str(race) for race in reports.races) == races
+        assert sorted(
+            str(report) for report in reports.barrier_divergences
+        ) == divergences
 
 
 def test_shuffle_programs_emit_no_warp_sync_memory_events():

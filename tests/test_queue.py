@@ -154,62 +154,3 @@ class TestQueueSet:
             queues.emit(record(block))
         assert queues.total_pushed == 4
         assert queues.total_bytes == 4 * RECORD_BYTES
-
-
-class TestEmitBatchEquivalence:
-    """``emit_batch`` must be observationally identical to per-record
-    ``emit`` — same slots, stamps, stalls, and ``QueueStats`` — whether
-    or not the stream hits the full-queue fallback path."""
-
-    @staticmethod
-    def _stats_tuple(queue):
-        stats = queue.stats
-        return (
-            stats.pushed,
-            stats.max_depth,
-            stats.stalls,
-            stats.stall_cycles,
-            stats.wraps,
-            stats.depth_samples,
-            stats.depth_total,
-        )
-
-    @given(
-        blocks=st.lists(st.integers(min_value=0, max_value=5), max_size=64),
-        num_queues=st.integers(min_value=1, max_value=3),
-        capacity=st.integers(min_value=1, max_value=8),
-    )
-    def test_emit_batch_matches_per_record_emit(
-        self, blocks, num_queues, capacity
-    ):
-        def build(consumed):
-            def on_full(queue_set, index):
-                consumed.append(queue_set.queues[index].pop())
-
-            return QueueSet(
-                num_queues=num_queues,
-                capacity=capacity,
-                block_of_record=lambda r: r.warp,
-                on_full=on_full,
-            )
-
-        records = [record(block) for block in blocks]
-        consumed_single = []
-        single = build(consumed_single)
-        stall_single = sum(single.emit(r) for r in records)
-
-        consumed_batched = []
-        batched = build(consumed_batched)
-        stall_batched = batched.emit_batch(records)
-
-        assert stall_batched == stall_single
-        assert consumed_batched == consumed_single
-        for queue_single, queue_batched in zip(single.queues, batched.queues):
-            assert queue_batched.write_head == queue_single.write_head
-            assert queue_batched.read_head == queue_single.read_head
-            assert queue_batched.commit_index == queue_single.commit_index
-            assert self._stats_tuple(queue_batched) == self._stats_tuple(
-                queue_single
-            )
-        assert batched.drain_in_order() == single.drain_in_order()
-        assert batched.total_pushed == single.total_pushed
