@@ -130,17 +130,12 @@ class GpuDevice:
         step = execution.step
         pick = scheduler.pick
         after_step = scheduler.after_step
-        while True:
-            try_release_barriers()
-            # One pass over the warps decides both "who can run" and
-            # "are we done" — ``runnable(w)`` is exactly this predicate.
-            runnable = [w for w in warps if not w.done and not w.at_barrier]
-            if not runnable:
-                if all(w.done for w in warps):
-                    break
-                raise DeadlockError(
-                    f"kernel {kernel_name!r}: no warp can make progress"
-                )
+        # The runnable set, ascending by warp id as ``Scheduler.pick``
+        # documents.  Only the warp that just stepped can leave it and
+        # only a barrier release can add to it, so it is edited in place
+        # and rebuilt on a release; nothing rescans the grid per step.
+        runnable = [w for w in warps if not w.done and not w.at_barrier]
+        while runnable:
             warp = pick(runnable)
             if tracing:
                 step_start = tracer.now_us()
@@ -162,6 +157,17 @@ class GpuDevice:
                     f"kernel {kernel_name!r} exceeded {max_steps} steps; "
                     "likely a hang (spinlock never released?)"
                 )
+            if warp.done or warp.at_barrier:
+                if try_release_barriers(warp):
+                    runnable = [
+                        w for w in warps if not w.done and not w.at_barrier
+                    ]
+                else:
+                    runnable.remove(warp)
+        if not all(w.done for w in warps):
+            raise DeadlockError(
+                f"kernel {kernel_name!r}: no warp can make progress"
+            )
         # Kernel completion is a device-wide synchronization point: all
         # pending stores become visible to the host and later kernels.
         self.global_mem.drain_all()

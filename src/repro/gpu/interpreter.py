@@ -135,9 +135,13 @@ class _Frame:
     params: Dict[str, Dict[int, object]] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(eq=False)
 class WarpState:
-    """Execution state of one warp."""
+    """Execution state of one warp.
+
+    Compared and hashed by identity: a warp is its own key, and a
+    field-by-field ``__eq__`` would walk frames and register files.
+    """
 
     warp: int
     block: int
@@ -275,6 +279,12 @@ class KernelExecution:
             )
             for w in self.layout.all_warps()
         ]
+        # Barrier bookkeeping, kept by ``try_release_barriers``: warps not
+        # yet done, warps parked at any barrier, and those of them parked
+        # at the grid-wide one.
+        self._live = len(self.warps)
+        self._waiting = 0
+        self._grid_waiting = 0
 
     def _context_for(self, body_kernel: Kernel) -> ExecContext:
         ctx = self._contexts.get(body_kernel.name)
@@ -360,12 +370,6 @@ class KernelExecution:
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def runnable(self, warp: WarpState) -> bool:
-        return not warp.done and not warp.at_barrier
-
-    def finished(self) -> bool:
-        return all(w.done for w in self.warps)
-
     def step(self, warp: WarpState) -> None:
         """Execute one instruction slot of ``warp``.
 
@@ -1084,57 +1088,57 @@ class KernelExecution:
     # ------------------------------------------------------------------
     # Barriers
     # ------------------------------------------------------------------
-    def try_release_barriers(self) -> bool:
-        """Release any block whose live warps have all arrived.
+    def try_release_barriers(self, warp: WarpState) -> bool:
+        """Release the barrier that ``warp`` parking or exiting completed.
+
+        A barrier's fate depends only on which warps are done, parked,
+        or parked grid-wide, and only the warp that just stepped changes
+        any of that — so the launch loop calls this once per warp that
+        parked or exited, and only that warp's block and the grid-wide
+        barrier are looked at.  Returns whether any warp was released.
 
         Emits the block-level BARRIER record (§3.1's ``bar(b)``) with the
         union of the arrived warps' active masks — a partial union is a
         barrier divergence bug that the detector reports.
         """
-        if not any(w.at_barrier for w in self.warps):
-            return False
-        released = False
+        if warp.done:
+            self._live -= 1
+            if not self._waiting:
+                return False
+        else:
+            self._waiting += 1
+            self._grid_waiting += warp.at_grid_barrier
         # Grid-wide (cooperative) barrier: released only when every live
         # warp of every block has arrived at it; one BARRIER record with
         # the grid sentinel block id carries the union of their masks.
-        live_all = [w for w in self.warps if not w.done]
-        if live_all and all(
-            w.at_barrier and w.at_grid_barrier for w in live_all
-        ):
-            masks = [self.frozen_active(w.frame.stack[-1]) for w in live_all]
-            active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
-            if self.sink is not None and self.instrumented:
-                record = LogRecord(
-                    kind=RecordKind.BARRIER,
-                    warp=GRID_BARRIER_BLOCK,
-                    active=active,
-                )
-                stall = self.sink.emit(record)
-                live_all[0].cycles += stall
-                self.result.records_emitted += 1
-            for w in live_all:
+        if self._grid_waiting and self._grid_waiting == self._live:
+            live = [w for w in self.warps if not w.done]
+            self._emit_barrier(GRID_BARRIER_BLOCK, live)
+            for w in live:
                 w.at_barrier = False
                 w.at_grid_barrier = False
+            self._waiting = self._grid_waiting = 0
             return True
-        for block in range(self.layout.num_blocks):
-            warps = [self.warps[w] for w in self.layout.block_warps(block)]
-            live = [w for w in warps if not w.done]
-            if live and all(
-                w.at_barrier and not w.at_grid_barrier for w in live
-            ):
-                masks = [self.frozen_active(w.frame.stack[-1]) for w in live]
-                active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
-                if self.sink is not None and self.instrumented:
-                    record = LogRecord(
-                        kind=RecordKind.BARRIER, warp=block, active=active
-                    )
-                    stall = self.sink.emit(record)
-                    live[0].cycles += stall
-                    self.result.records_emitted += 1
-                for w in live:
-                    w.at_barrier = False
-                released = True
-        return released
+        block_warps = [
+            self.warps[w] for w in self.layout.block_warps(warp.block)
+        ]
+        live = [w for w in block_warps if not w.done]
+        if live and all(w.at_barrier and not w.at_grid_barrier for w in live):
+            self._emit_barrier(warp.block, live)
+            for w in live:
+                w.at_barrier = False
+            self._waiting -= len(live)
+            return True
+        return False
+
+    def _emit_barrier(self, block: int, arrived: List[WarpState]) -> None:
+        if self.sink is None or not self.instrumented:
+            return
+        masks = [self.frozen_active(w.frame.stack[-1]) for w in arrived]
+        active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
+        record = LogRecord(kind=RecordKind.BARRIER, warp=block, active=active)
+        arrived[0].cycles += self.sink.emit(record)
+        self.result.records_emitted += 1
 
 
 # ----------------------------------------------------------------------

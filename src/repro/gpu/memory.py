@@ -97,7 +97,14 @@ class GlobalMemory:
     def __init__(self, arch: ArchProfile = MAXWELL_TITANX) -> None:
         self.arch = arch
         self.main = ByteStore()
+        #: Non-empty store queues only: a drained queue is dropped, so
+        #: every drain costs what is pending, not every block that ever
+        #: stored.
         self._queues: Dict[int, List[_QueuedStore]] = {}
+        #: Blocks ranked by their first store.  ``atomic`` and
+        #: ``drain_all`` visit queues in this order, which decides the
+        #: surviving value of a cross-block write-write race.
+        self._store_rank: Dict[int, int] = {}
         self._seq = 0
         self._alloc_cursor = GLOBAL_HEAP_BASE
         self._allocations: Dict[int, int] = {}
@@ -123,7 +130,10 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     def store(self, block: int, addr: int, width: int, value: int) -> None:
         """A device store from ``block``: enters the block's queue."""
-        queue = self._queues.setdefault(block, [])
+        queue = self._queues.get(block)
+        if queue is None:
+            queue = self._queues[block] = []
+            self._store_rank.setdefault(block, len(self._store_rank))
         queue.append(_QueuedStore(addr=addr, width=width, value=value, seq=self._seq))
         self._seq += 1
 
@@ -152,7 +162,7 @@ class GlobalMemory:
         then ``operation(old) -> new`` runs on main memory.  Returns the
         old value.
         """
-        for queue_block in list(self._queues):
+        for queue_block in self._pending_blocks():
             self._drain_address(queue_block, addr, width)
         old = self.main.read(addr, width)
         new = operation(old)
@@ -165,6 +175,10 @@ class GlobalMemory:
     # ------------------------------------------------------------------
     def _commit(self, entry: _QueuedStore) -> None:
         self.main.write(entry.addr, entry.width, entry.value)
+
+    def _pending_blocks(self) -> List[int]:
+        """Blocks with queued stores, in first-store order."""
+        return sorted(self._queues, key=self._store_rank.__getitem__)
 
     def _drain_address(self, block: int, addr: int, width: int) -> None:
         """Drain all queued stores of ``block`` overlapping an address
@@ -210,6 +224,8 @@ class GlobalMemory:
             for entry in queue[: last + 1]:
                 self._commit(entry)
             del queue[: last + 1]
+        if not queue:
+            del self._queues[block]
 
     def drain_one(self, block: int, rng: Optional[random.Random] = None) -> bool:
         """Drain one store of ``block``'s queue; returns False if empty.
@@ -237,20 +253,27 @@ class GlobalMemory:
             queue.remove(entry)
         else:
             entry = queue.pop(0)
+        if not queue:
+            del self._queues[block]
         self._commit(entry)
         return True
 
+    def drain_heads(self, num_blocks: int) -> None:
+        """Drain the FIFO head of every pending queue of the blocks below
+        ``num_blocks``, in ascending block order: the steady background
+        drain the fair schedulers apply between warp steps."""
+        if self._queues:
+            for block in sorted(b for b in self._queues if b < num_blocks):
+                self.drain_one(block)
+
     def drain_block(self, block: int) -> None:
         """Drain a block's whole queue in order (its own ``membar.gl``)."""
-        queue = self._queues.get(block)
-        if queue:
-            for entry in queue:
-                self._commit(entry)
-            queue.clear()
+        for entry in self._queues.pop(block, ()):
+            self._commit(entry)
 
     def drain_all(self) -> None:
         """A global fence by anyone drains every queue (see module doc)."""
-        for block in list(self._queues):
+        for block in self._pending_blocks():
             self.drain_block(block)
 
     def pending_stores(self) -> int:
@@ -268,6 +291,7 @@ class GlobalMemory:
     def restore(self, image: Dict[int, int]) -> None:
         """Restore a previously captured image (queues are dropped)."""
         self._queues.clear()
+        self._store_rank.clear()
         self.main._bytes = dict(image)
 
     # ------------------------------------------------------------------

@@ -51,6 +51,13 @@ class Scheduler:
     """Picks the next warp and applies inter-step memory effects."""
 
     def pick(self, runnable: List[WarpState]) -> WarpState:  # pragma: no cover
+        """Choose the warp that steps next.
+
+        ``runnable`` is non-empty, holds every warp that is neither done
+        nor parked at a barrier, and is ascending by warp id.  The device
+        owns it and edits it in place between calls: do not retain or
+        mutate it.
+        """
         raise NotImplementedError
 
     def after_step(self, execution: KernelExecution) -> None:
@@ -76,8 +83,7 @@ class RoundRobinScheduler(Scheduler):
     def after_step(self, execution: KernelExecution) -> None:
         self._steps += 1
         if self.drain_interval and self._steps % self.drain_interval == 0:
-            for block in range(execution.layout.num_blocks):
-                execution.global_mem.drain_one(block)
+            execution.global_mem.drain_heads(execution.layout.num_blocks)
 
 
 class RandomScheduler(Scheduler):
@@ -112,7 +118,7 @@ class WarpSerializingScheduler(Scheduler):
     """Run the lowest-index runnable warp until it blocks or finishes."""
 
     def pick(self, runnable: List[WarpState]) -> WarpState:
-        return min(runnable, key=lambda w: w.warp)
+        return runnable[0]
 
     def after_step(self, execution: KernelExecution) -> None:
         execution.global_mem.drain_all()
@@ -138,8 +144,7 @@ class SweepScheduler(Scheduler):
     def _steady_drain(self, execution: KernelExecution, interval: int = 4) -> None:
         self._steps += 1
         if self._steps % interval == 0:
-            for block in range(execution.layout.num_blocks):
-                execution.global_mem.drain_one(block)
+            execution.global_mem.drain_heads(execution.layout.num_blocks)
 
 
 class WarpOrderScheduler(SweepScheduler):
@@ -161,7 +166,7 @@ class WarpOrderScheduler(SweepScheduler):
 
     def pick(self, runnable: List[WarpState]) -> WarpState:
         priority = self._priority
-        for state in sorted(runnable, key=lambda w: w.warp):
+        for state in runnable:
             if state.warp not in priority:
                 priority[state.warp] = self._pick_rng.random()
         return min(runnable, key=lambda w: (priority[w.warp], w.warp))

@@ -119,6 +119,91 @@ class TestDraining:
         assert not GlobalMemory().drain_one(0)
 
 
+class TestPendingQueues:
+    """``_queues`` holds pending work only, and pruning it moves no
+    commit: the order blocks are visited in is part of the schedule."""
+
+    @pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+    @pytest.mark.parametrize(
+        "drain",
+        [
+            lambda mem: mem.drain_all(),
+            lambda mem: [mem.drain_block(block) for block in (0, 3, 5)],
+            lambda mem: [mem._drain_address(block, 0x10, 8) for block in (0, 3, 5)],
+            lambda mem: [mem.drain_heads(6) for _ in range(2)],
+            lambda mem: mem.atomic(1, 0x10, 8, lambda old: None),
+        ],
+        ids=["drain_all", "drain_block", "_drain_address", "drain_heads", "atomic"],
+    )
+    def test_no_empty_queue_is_kept(self, arch, drain):
+        mem = GlobalMemory(arch)
+        for block in (5, 0, 3):
+            mem.store(block, 0x10, 4, block)
+            mem.store(block, 0x14, 4, block)
+        drain(mem)
+        assert mem._queues == {}
+        assert mem.pending_stores() == 0
+
+    def test_partial_drains_keep_only_what_is_pending(self):
+        mem = GlobalMemory()
+        mem.store(0, 0x10, 4, 1)
+        mem.store(0, 0x20, 4, 2)
+        mem.store(1, 0x30, 4, 3)
+        mem.drain_heads(2)
+        assert {block: len(q) for block, q in mem._queues.items()} == {0: 1}
+        mem._drain_address(0, 0x40, 4)  # no overlap: nothing to do
+        assert mem.pending_stores() == 1
+
+    def test_drain_heads_commits_in_ascending_block_order(self):
+        mem = GlobalMemory()
+        reference = GlobalMemory()
+        for target in (mem, reference):
+            for block in (5, 0, 3):
+                target.store(block, 0x10, 4, 100 + block)
+                target.store(block, 0x20 + 4 * block, 4, block)
+        mem.drain_heads(6)
+        for block in range(6):  # the sweep drain_heads replaced
+            reference.drain_one(block)
+        assert mem.main.read(0x10, 4) == 105  # last writer: block 5
+        assert mem.main._bytes == reference.main._bytes
+        assert mem.pending_stores() == reference.pending_stores() == 3
+
+    def test_drain_heads_leaves_blocks_beyond_the_grid(self):
+        mem = GlobalMemory()
+        mem.store(1, 0x10, 4, 1)
+        mem.store(7, 0x10, 4, 7)  # left by an earlier, larger launch
+        mem.drain_heads(4)
+        assert mem.main.read(0x10, 4) == 1
+        assert list(mem._queues) == [7]
+        assert mem.load(7, 0x10, 4) == 7
+
+    def test_first_store_order_survives_pruning(self):
+        # Block 5 stored first, so drain_all and atomic visit it first
+        # and block 0's store is the one that survives — also after
+        # block 5's queue was emptied, dropped and created again.
+        for drain in (
+            lambda mem: mem.drain_all(),
+            lambda mem: mem.atomic(2, 0x10, 4, lambda old: None),
+        ):
+            mem = GlobalMemory()
+            mem.store(5, 0x20, 4, 1)
+            mem.store(0, 0x10, 4, 100)
+            mem.drain_block(5)
+            mem.store(5, 0x10, 4, 105)
+            drain(mem)
+            assert mem.main.read(0x10, 4) == 100
+
+    def test_restore_forgets_the_first_store_order(self):
+        mem = GlobalMemory()
+        image = mem.snapshot()
+        mem.store(5, 0x10, 4, 105)
+        mem.restore(image)
+        mem.store(0, 0x10, 4, 100)
+        mem.store(5, 0x10, 4, 105)
+        mem.drain_all()
+        assert mem.main.read(0x10, 4) == 105
+
+
 class TestAtomics:
     def test_atomic_sees_queued_stores_to_its_address(self):
         mem = GlobalMemory(MAXWELL_TITANX)
