@@ -133,19 +133,20 @@ PROFILE_BLOCK = 64
 PROFILE_REPEATS = 9
 
 
-def test_profiler_off_decode_path_is_free():
+def test_profiler_off_decode_path_is_free(monkeypatch):
     """The disabled profiler costs one is-None check per decoded
     statement; the dispatch loop is untouched.  Compare the shipped
-    decoded engine (profiler off) against a twin whose ``_decode_ctx``
-    has the hook edited out entirely."""
+    engine (profiler off) against a twin whose ``_decode_ctx`` has the
+    hook edited out entirely."""
     from repro.cudac import compile_cuda
-    from repro.gpu import GpuDevice
-    from repro.gpu.engine import ENGINES, DecodedKernelExecution
+    from repro.gpu import GpuDevice, KernelExecution
+    from repro.gpu import device as device_module
     from repro.obs import make_observability
     from repro.ptx.ast import Instruction
 
-    class HooklessDecodedExecution(DecodedKernelExecution):
-        """The pre-profiler decode loop: no hook check at all."""
+    class HooklessExecution(KernelExecution):
+        """The decode loop without the hook check (and, the kernel being
+        well-formed, without the malformed-statement deferral)."""
 
         def _decode_ctx(self, ctx):
             body = ctx.kernel.body
@@ -155,10 +156,9 @@ def test_profiler_off_decode_path_is_free():
                 stmt = body[pc]
                 if not isinstance(stmt, Instruction):
                     continue
-                try:
-                    op = self._decode_insn(ctx, pc, stmt, ops, conv)
-                except Exception:
-                    op = self._fallback_op(stmt)
+                op = self._DECODERS[stmt.opcode](self, ctx, pc, stmt)
+                if stmt.opcode == "_log":
+                    op = self._fuse_log(ctx, pc, op, ops, conv)
                 ops[pc] = op
             ctx.decoded = ops
             return ops
@@ -166,7 +166,7 @@ def test_profiler_off_decode_path_is_free():
     module = compile_cuda(LOOP_KERNEL)
     words = PROFILE_GRID * PROFILE_BLOCK
 
-    def launch_time(engine, obs=None):
+    def launch_time(obs=None):
         # Fresh device per run so every measurement includes a cold
         # decode (the only place the disabled hook lives at all).
         device = GpuDevice()
@@ -174,22 +174,16 @@ def test_profiler_off_decode_path_is_free():
         kwargs = {"obs": obs} if obs is not None else {}
         start = time.perf_counter()
         device.launch(module, "hotloop", grid=PROFILE_GRID,
-                      block=PROFILE_BLOCK, params={"data": data},
-                      engine=engine, **kwargs)
+                      block=PROFILE_BLOCK, params={"data": data}, **kwargs)
         return time.perf_counter() - start
 
-    ENGINES["hookless"] = HooklessDecodedExecution
-    try:
-        launch_time("hookless")  # warm caches outside the measurement
-        hookless = min(launch_time("hookless")
-                       for _ in range(PROFILE_REPEATS))
-        shipped = min(launch_time("decoded")
-                      for _ in range(PROFILE_REPEATS))
-        profiling = make_observability(profile=True)
-        enabled = min(launch_time("decoded", obs=profiling)
-                      for _ in range(PROFILE_REPEATS))
-    finally:
-        del ENGINES["hookless"]
+    with monkeypatch.context() as patch:
+        patch.setattr(device_module, "KernelExecution", HooklessExecution)
+        launch_time()  # warm caches outside the measurement
+        hookless = min(launch_time() for _ in range(PROFILE_REPEATS))
+    shipped = min(launch_time() for _ in range(PROFILE_REPEATS))
+    profiling = make_observability(profile=True)
+    enabled = min(launch_time(obs=profiling) for _ in range(PROFILE_REPEATS))
 
     overhead = shipped / hookless - 1.0
     print_table(

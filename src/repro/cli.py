@@ -38,7 +38,7 @@ ride on ``check``, ``sweep``, ``replay`` and ``lint``; ``submit
 shard worker's registry), ``submit --trace`` writes a merged
 client/server/shard distributed trace, ``submit --flight-dump`` and
 ``explain --flight`` expose the always-on flight recorder, and
-``profile`` renders decoded-engine hot paths (text/JSON/collapsed
+``profile`` renders the engine's hot paths (text/JSON/collapsed
 stacks).  See docs/observability.md.
 """
 
@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="NAME:VALUE", help="pass an integer parameter")
     parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx",
                         help="memory-model profile of the simulated GPU")
-    parser.add_argument("--engine", choices=("naive", "decoded"),
-                        default="decoded",
-                        help="execution engine: 'decoded' (pre-decoding "
-                        "threaded code, default) or 'naive' (the legacy "
-                        "re-decode-every-step interpreter); results are "
-                        "identical, only speed differs")
     parser.add_argument("--cooperative", action="store_true",
                         help="cooperative launch: permit grid-wide "
                         "synchronization (barrier.cluster / __grid_sync)")
@@ -314,10 +308,13 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
         ),
         obs=obs,
         static_prune=args.prune_instrumentation,
-        engine=args.engine,
         faults=fault_plan,
     )
-    handle = session.register_module(module)
+    try:
+        handle = session.register_module(module)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     kernel = args.kernel or module.kernels[0].name
     params, buffers = _alloc_params(session, args)
 
@@ -714,8 +711,6 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scalar", action="append", default=[],
                         type=_parse_scalar, metavar="NAME:VALUE")
     parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx")
-    parser.add_argument("--engine", choices=("naive", "decoded"),
-                        default="decoded")
     parser.add_argument("--cooperative", action="store_true",
                         help="cooperative launch: permit grid-wide "
                         "synchronization (barrier.cluster / __grid_sync)")
@@ -797,7 +792,6 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
                 spec,
                 schedules=args.schedules,
                 seed=args.seed,
-                engine=args.engine,
                 obs=obs,
             )
     except (OSError, ReproError) as exc:
@@ -910,8 +904,6 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--scalar", action="append", default=[],
                         type=_parse_scalar, metavar="NAME:VALUE")
     parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx")
-    parser.add_argument("--engine", choices=("naive", "decoded"),
-                        default="decoded")
     parser.add_argument("--max-steps", type=int, default=400_000)
     parser.add_argument("--max-candidates", type=int, default=16,
                         help="cap on synthesized candidate patches")
@@ -997,7 +989,6 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
                 max_candidates=args.max_candidates,
                 verify_schedules=args.verify_schedules,
                 seed=args.seed,
-                engine=args.engine,
                 obs=obs,
             )
     except (OSError, ReproError) as exc:
@@ -1065,10 +1056,6 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
     _add_endpoint_args(parser)
     parser.add_argument("--workers", type=int, default=2,
                         help="detector worker processes (0 = in-process)")
-    parser.add_argument("--engine", choices=("naive", "decoded"),
-                        default="decoded",
-                        help="worker ingest mode: 'decoded' batches record "
-                        "decoding (default), 'naive' decodes per record")
     parser.add_argument("--high-water", type=int, default=None,
                         help="per-job pending-record backpressure threshold")
     parser.add_argument("--job-timeout", type=float, default=None,
@@ -1096,7 +1083,6 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
             port=args.port,
             workers=args.workers,
             high_water=args.high_water or DEFAULT_HIGH_WATER,
-            engine=args.engine,
             job_timeout=(args.job_timeout if args.job_timeout is not None
                          else DEFAULT_JOB_TIMEOUT),
             max_requeues=(args.max_requeues if args.max_requeues is not None
@@ -1337,8 +1323,8 @@ def run_profile(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro profile",
         description="Profile the detection hot path per PTX opcode and "
-        "source line. Kernel sources (.cu/.ptx) run under the decoded "
-        "engine with its closure-dispatch profiler; replay captures "
+        "source line. Kernel sources (.cu/.ptx) run with the engine's "
+        "closure-dispatch profiler attached; replay captures "
         "(.jsonl/.capture/.bin/.bcap) are profiled through the detector's "
         "per-record consume path. The default text output is "
         "count-ordered and deterministic across repeated runs.",
@@ -1394,9 +1380,7 @@ def run_profile(argv: Optional[Sequence[str]] = None) -> int:
         else:
             obs = make_observability(profile=True)
             module = _load_module(args.source)
-            session = BarracudaSession(
-                arch=_ARCHES[args.arch], obs=obs, engine="decoded"
-            )
+            session = BarracudaSession(arch=_ARCHES[args.arch], obs=obs)
             handle = session.register_module(module)
             source_lines = _source_line_map(session.pristine_module(handle))
             kernel = args.kernel or module.kernels[0].name

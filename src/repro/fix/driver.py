@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ReproError
-from ..gpu.engine import DEFAULT_ENGINE
 from ..obs import NULL_OBS, Observability
 from ..ptx import parse_ptx
 from ..service import protocol
@@ -102,7 +101,6 @@ def plan_fix(
     max_candidates: int,
     verify_schedules: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> dict:
     """Stage one: baseline behavior plus synthesized candidate payloads.
@@ -110,8 +108,7 @@ def plan_fix(
     Repair targets are the base-schedule races plus every
     replay-confirmed predictive finding — a schedule-dependent race is
     as much a defect as a deterministic one."""
-    baseline = compute_baseline(spec_payload, verify_schedules, seed,
-                                engine=engine, obs=obs)
+    baseline = compute_baseline(spec_payload, verify_schedules, seed, obs=obs)
     module = parse_ptx(baseline["source"])
     races = [
         protocol.race_from_payload(p)
@@ -131,13 +128,11 @@ def verify_candidate(
     index: int,
     verify_schedules: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> dict:
     """Stage two: the full pipeline re-run behind one candidate."""
     return verify_candidate_payload(
-        spec_payload, baseline, candidate, index, verify_schedules, seed,
-        engine=engine, obs=obs,
+        spec_payload, baseline, candidate, index, verify_schedules, seed, obs=obs
     )
 
 
@@ -212,7 +207,6 @@ def run_fix(
     max_candidates: int = 16,
     verify_schedules: int = 4,
     seed: int = 0,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> FixResult:
     """The local driver: plan, verify serially, finalize.

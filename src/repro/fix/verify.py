@@ -26,7 +26,6 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import ReproError, SimulationError, StepLimitExceeded
-from ..gpu.engine import DEFAULT_ENGINE
 from ..gpu.memory import KEPLER_K520, MAXWELL_TITANX
 from ..obs import NULL_OBS, Observability
 from ..ptx import parse_ptx
@@ -68,16 +67,13 @@ def canonicalize(spec) -> Tuple[object, Module]:
     return replace(spec, source=str(module), is_ptx=True, kernel=kernel), module
 
 
-def run_with_outputs(
-    spec, scheduler=None, engine: str = DEFAULT_ENGINE,
-    obs: Observability = NULL_OBS,
-):
+def run_with_outputs(spec, scheduler=None, obs: Observability = NULL_OBS):
     """One launch of ``spec`` that also reads back every device buffer.
 
     Mirrors :func:`repro.predict.sweep.run_spec` but keeps the session
     so the final buffer contents — the reference outputs — can be
     compared bit-for-bit."""
-    session = BarracudaSession(arch=_ARCHES[spec.arch], engine=engine, obs=obs)
+    session = BarracudaSession(arch=_ARCHES[spec.arch], obs=obs)
     module = spec.compile()
     session.register_module(module)
     params: Dict[str, int] = {}
@@ -118,13 +114,12 @@ def _lint_summary(module: Module) -> Dict[str, int]:
     }
 
 
-def _sweep_keys(spec, verify_schedules: int, seed: int, engine: str,
+def _sweep_keys(spec, verify_schedules: int, seed: int,
                 obs: Observability = NULL_OBS):
     """The predictive sweep's race keys plus per-run health flags."""
     from ..predict.sweep import run_sweep
 
-    result = run_sweep(spec, schedules=verify_schedules, seed=seed,
-                       engine=engine, obs=obs)
+    result = run_sweep(spec, schedules=verify_schedules, seed=seed, obs=obs)
     keys: Set[PcKey] = set()
     for race in result.base_races:
         keys.add(pc_key(race))
@@ -140,7 +135,6 @@ def compute_baseline(
     spec_payload: dict,
     verify_schedules: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> dict:
     """The unpatched program's reference behavior, as a payload."""
@@ -148,10 +142,10 @@ def compute_baseline(
 
     spec = LaunchSpec.from_payload(spec_payload)
     cspec, module = canonicalize(spec)
-    launch, outputs = run_with_outputs(cspec, engine=engine, obs=obs)
+    launch, outputs = run_with_outputs(cspec, obs=obs)
     findings = run_lint(module)
     sweep, sweep_keys, unhealthy = _sweep_keys(
-        cspec, verify_schedules, seed, engine, obs
+        cspec, verify_schedules, seed, obs
     )
     races = sorted(launch.races, key=protocol.race_sort_key)
     confirmed = sorted(
@@ -180,7 +174,6 @@ def verify_candidate_payload(
     index: int,
     verify_schedules: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> dict:
     """Run the full verification pipeline over one candidate patch."""
@@ -220,7 +213,7 @@ def verify_candidate_payload(
     } - translated_targets
 
     try:
-        launch, outputs = run_with_outputs(pspec, engine=engine, obs=obs)
+        launch, outputs = run_with_outputs(pspec, obs=obs)
     except (StepLimitExceeded, SimulationError, ReproError) as exc:
         result["detail"] = f"patched base run failed: {exc}"
         return result
@@ -259,7 +252,7 @@ def verify_candidate_payload(
 
     try:
         _sweep, sweep_keys, unhealthy = _sweep_keys(
-            pspec, verify_schedules, seed, engine, obs
+            pspec, verify_schedules, seed, obs
         )
     except ReproError as exc:
         result["detail"] = f"patched sweep failed: {exc}"

@@ -1,7 +1,6 @@
 """The simulated GPU: thread hierarchy, memory model, SIMT interpreter."""
 
 from .device import DEFAULT_MAX_STEPS, GpuDevice
-from .engine import DecodedKernelExecution, DEFAULT_ENGINE, ENGINES, resolve_engine
 from .hierarchy import Dim3, LaunchConfig
 from .interpreter import (
     EventSink,

@@ -14,9 +14,8 @@ from typing import Dict, List, Optional
 from ..errors import DeadlockError, StepLimitExceeded
 from ..obs import NULL_OBS, Observability
 from ..ptx.ast import Module
-from .engine import DEFAULT_ENGINE, resolve_engine
 from .hierarchy import LaunchConfig
-from .interpreter import EventSink, LaunchResult
+from .interpreter import EventSink, KernelExecution, LaunchResult
 from .memory import ArchProfile, GlobalMemory, MAXWELL_TITANX
 from .scheduler import RoundRobinScheduler, Scheduler
 
@@ -81,15 +80,9 @@ class GpuDevice:
         scheduler: Optional[Scheduler] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         obs: Observability = NULL_OBS,
-        engine: str = DEFAULT_ENGINE,
         cooperative: bool = False,
     ) -> LaunchResult:
         """Run one kernel to completion and return its measurements.
-
-        ``engine`` selects the execution engine: ``"decoded"`` (the
-        pre-decoding threaded-code engine, default) or ``"naive"`` (the
-        legacy re-decode-every-step interpreter); both produce identical
-        results and event streams.
 
         ``cooperative`` launches the grid cooperatively (every block
         resident at once), which is what makes grid-wide
@@ -104,8 +97,7 @@ class GpuDevice:
             self.load_module(module)
         kernel = module.kernel(kernel_name)
         config = LaunchConfig.of(grid, block, warp_size)
-        execution_class = resolve_engine(engine)
-        execution = execution_class(
+        execution = KernelExecution(
             module=module,
             kernel=kernel,
             config=config,
@@ -117,8 +109,7 @@ class GpuDevice:
             cooperative=cooperative,
         )
         if obs.profiler.enabled:
-            # Hot-path profiling: the decoded engine wraps each closure
-            # at decode time; the naive engine ignores the attribute.
+            # Hot-path profiling: each closure is wrapped at decode time.
             execution.profiler = obs.profiler
         scheduler = scheduler or RoundRobinScheduler()
         tracer = obs.tracer

@@ -1,79 +1,36 @@
-"""Pre-decoded threaded-code execution engine.
+"""Decode-time compilers for instruction value semantics.
 
-:class:`repro.gpu.interpreter.KernelExecution` (the "naive" engine)
-re-examines every instruction on every dynamic step: the opcode string
-is compared against a chain, operands go through ``isinstance`` towers,
-predicates re-resolve their register, branch targets hit the label
-table, and each register access walks ``tid -> warp -> frame``.  For the
-pipeline benchmarks that dispatch overhead dwarfs the detector — the
-very thing BARRACUDA's streaming design (§4.2) is supposed to make the
-bottleneck.
+:class:`repro.gpu.interpreter.KernelExecution` compiles every statement
+once per launch into a closure; this module holds the part of that
+compilation that is pure value semantics and needs no execution state
+beyond operand access: the per-type wrap specializers, the arithmetic
+``compute(regs, tid)`` compilers (one per opcode, ``_ARITH_COMPILERS``),
+and the atomic read-modify-write table (``_ATOMIC_RMW``).
 
-:class:`DecodedKernelExecution` compiles each body **once per
-:class:`~repro.gpu.interpreter.ExecContext`** into a list of specialized
-Python closures — classic threaded code:
-
-* opcode dispatch happens at decode time; executing a step is one
-  indirect call;
-* branch targets, reconvergence PCs and symbol addresses are
-  pre-resolved to integers;
-* predicates are pre-bound to ``(register, negated)`` closures;
-* operand access compiles to ``fn(regs, tid)`` getters with the
-  register-file lookup hoisted out (every thread of a warp shares the
-  warp's top frame, so ``_frame_of`` never needs to run);
-* type wrapping is specialized per instruction
-  (:func:`_make_wrap`), with mask and sign bit precomputed;
-* a ``_log`` slot is fused with the access it guards, so the
-  record-and-access pair executes as one closure (the instrumenter
-  always places ``_log`` immediately before its target, unpredicated —
-  see ``repro.instrument.passes``).
-
-Decoding is deliberately defensive: any statement the specializer
-cannot handle (malformed operands, exotic opcodes, unknown symbols)
-falls back to a closure that calls the naive ``_execute``, so the
-decoded engine is *bit-identical* to the naive one by construction —
-the differential suite in ``tests/test_engine_equivalence.py`` holds
-both engines to identical reports, event streams and cycle counters.
+Adding an arithmetic instruction is one compiler here; its opcode then
+appears in ``KernelExecution._DECODERS`` by construction.  The
+per-thread handlers these compilers are held to bit-for-bit live with
+the oracle interpreter in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..errors import ReproError, SimulationError
-from ..events import LogRecord, RecordKind
+from ..errors import SimulationError
 from ..ptx.ast import (
     ImmOperand,
     Instruction,
-    MemOperand,
-    Operand,
     RegOperand,
     SpecialRegOperand,
     SymbolOperand,
-    VectorOperand,
 )
 from ..ptx.isa import FLOAT_TYPES, SIGNED_TYPES, type_width
-from ..trace.operations import Scope, Space
-from .interpreter import (
-    _COMPARES,
-    _CVT_TYPES,
-    _Phase,
-    _StackEntry,
-    ExecContext,
-    KernelExecution,
-    LOG_COST,
-    WarpState,
-)
-
-#: A decoded statement: ``op(warp, entry) -> bool``.  The closure does
-#: its own counter bookkeeping and PC update; a ``True`` return means
-#: the instruction slot is still open (a ``_log`` whose guarded access
-#: has not executed yet), ``False`` closes the slot.
-DecodedOp = Callable[[WarpState, _StackEntry], bool]
 
 
 def _make_wrap(type_name: Optional[str]) -> Callable:
-    """A specialized equivalent of :func:`repro.gpu.interpreter._wrap`.
+    """``wrap(value)``: a raw Python value wrapped to a PTX scalar type's
+    range.
 
     The type dispatch, bit mask and sign threshold are resolved once at
     decode time instead of per value.
@@ -119,684 +76,19 @@ def _wrap_plan(type_name: Optional[str]) -> Tuple:
     return ("unsigned", mask)
 
 
-class DecodedKernelExecution(KernelExecution):
-    """Threaded-code variant of :class:`KernelExecution`.
-
-    Bodies are decoded lazily on first entry (symbol addresses are only
-    final after ``__init__`` finishes laying out shared memory); the
-    decoded program is cached on the :class:`ExecContext`, so kernels
-    and device functions are compiled exactly once per launch.
-    """
-
-    #: Optional hot-path profiler (``repro.obs.profiler.Profiler``),
-    #: attached by ``GpuDevice.launch`` when profiling is enabled.  The
-    #: cost of a disabled profiler is this one is-None check per decoded
-    #: statement at decode time — the dispatch loop never changes.
-    profiler = None
-
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-    def step(self, warp: WarpState) -> None:
-        """Execute one instruction slot of ``warp``.
-
-        Mirrors ``KernelExecution.step`` exactly, but dispatches through
-        the decoded closure list.
-        """
-        frames = warp.frames
-        while True:
-            while True:
-                frame = frames[-1]
-                stack = frame.stack
-                entry = stack[-1]
-                ctx = frame.ctx
-                if (
-                    not entry.amask
-                    or entry.pc == entry.reconv_pc
-                    or entry.pc >= ctx.end_pc
-                ):
-                    if len(stack) == 1:
-                        if len(frames) > 1:
-                            frames.pop()
-                            continue
-                        self._finish_warp(warp)
-                        return
-                    self._pop_path(warp)
-                    continue
-                ops = ctx.decoded
-                if ops is None:
-                    ops = self._decode_ctx(ctx)
-                op = ops[entry.pc]
-                if op is None:  # Label: free, like the naive engine
-                    entry.pc += 1
-                    continue
-                break
-            if not op(warp, entry):
-                return
-
-    # ------------------------------------------------------------------
-    # Decoding
-    # ------------------------------------------------------------------
-    def _decode_ctx(self, ctx: ExecContext) -> List[Optional[DecodedOp]]:
-        body = ctx.kernel.body
-        ops: List[Optional[DecodedOp]] = [None] * len(body)
-        conv = set(ctx.cfg.convergence_points())
-        profiler = self.profiler
-        # Decode back-to-front so a ``_log`` can fuse with the already
-        # decoded closure of the access it guards.  Profiler wrapping
-        # happens here too, so a fusing ``_log`` captures the *wrapped*
-        # follower and per-opcode counts match dynamic instruction
-        # counts exactly.
-        for pc in range(len(body) - 1, -1, -1):
-            stmt = body[pc]
-            if not isinstance(stmt, Instruction):
-                continue
-            try:
-                op = self._decode_insn(ctx, pc, stmt, ops, conv)
-            except Exception:
-                op = self._fallback_op(stmt)
-            if profiler is not None:
-                op = profiler.wrap_op(op, stmt.opcode,
-                                      getattr(stmt, "line", 0))
-            ops[pc] = op
-        ctx.decoded = ops
-        return ops
-
-    def _fallback_op(self, insn: Instruction) -> DecodedOp:
-        """Run ``insn`` through the naive ``_execute`` path.
-
-        Used for anything the specializer does not handle; keeps decode
-        total (it never raises) and defers malformed-program errors to
-        execution time, exactly like the naive engine.
-        """
-        execute = self._execute
-        is_log = insn.opcode == "_log"
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            execute(warp, entry, insn)
-            return is_log and not warp.done and not warp.at_barrier
-
-        return op
-
-    def _decode_insn(
-        self,
-        ctx: ExecContext,
-        pc: int,
-        insn: Instruction,
-        ops: List[Optional[DecodedOp]],
-        conv: set,
-    ) -> DecodedOp:
-        opcode = insn.opcode
-        if opcode == "bra":
-            return self._decode_branch(ctx, pc, insn)
-        if opcode in ("ret", "exit", "call"):
-            # Once-per-warp control transfers: not worth specializing.
-            return self._fallback_op(insn)
-        if opcode == "bar":
-            return self._decode_bar(pc)
-        if opcode in ("membar", "fence"):
-            return self._decode_membar(pc, insn)
-        if opcode == "_log":
-            return self._decode_log(ctx, pc, insn, ops, conv)
-        if opcode in ("ld", "ldu"):
-            return self._decode_load(pc, insn)
-        if opcode == "st":
-            return self._decode_store(pc, insn)
-        if opcode in ("atom", "red"):
-            return self._decode_atomic(pc, insn)
-        return self._decode_arith(pc, insn)
-
-    # -- operand compilation -------------------------------------------
-    def _compile_value(self, operand: Operand) -> Callable:
-        """Compile an operand to ``get(regs, tid)``.
-
-        ``regs`` is the thread's register dict of the warp's top frame —
-        the ``tid -> warp -> frame`` walk of the naive ``_value`` is
-        hoisted into the enclosing loop.
-        """
-        if isinstance(operand, RegOperand):
-            name = operand.name
-            return lambda regs, tid: regs.get(name, 0)
-        if isinstance(operand, ImmOperand):
-            value = operand.value
-            return lambda regs, tid: value
-        if isinstance(operand, SpecialRegOperand):
-            specials = self._specials
-            key = (operand.name, operand.dim)
-            return lambda regs, tid: specials[tid][key]
-        if isinstance(operand, SymbolOperand):
-            addr = self._symbol_address(operand.name)
-            return lambda regs, tid: addr
-        raise SimulationError(f"cannot evaluate operand {operand!r}")
-
-    def _compile_address(self, operand: MemOperand) -> Callable:
-        """Compile ``[base+offset]`` to ``addr(regs, tid)``."""
-        base = operand.base
-        offset = operand.offset
-        if base.startswith("%"):
-            return lambda regs, tid: int(regs.get(base, 0)) + offset
-        addr = self._symbol_address(base) + offset
-        return lambda regs, tid: addr
-
-    # -- control flow ---------------------------------------------------
-    def _decode_branch(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        target_pc = ctx.labels[insn.branch_target()]
-        result = self.result
-        pred = insn.pred
-        if pred is None:
-
-            def op_uniform(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                entry.pc = target_pc
-                return False
-
-            return op_uniform
-
-        pname, pneg = pred
-        reconv = ctx.cfg.reconvergence_pc(pc)
-        next_pc = pc + 1
-        instrumented = self.sink is not None and self.instrumented
-        sink = self.sink
-        frozen_active = self.frozen_active
-        intern_mask = self.intern_mask
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            amask = entry.amask
-            regs_map = warp.frames[-1].regs
-            taken = {
-                t for t in amask if bool(regs_map[t].get(pname, 0)) != pneg
-            }
-            if len(taken) == len(amask):
-                entry.pc = target_pc
-                return False
-            if not taken:
-                entry.pc = next_pc
-                return False
-            not_taken = set(amask) - taken
-            if instrumented:
-                record = LogRecord(
-                    kind=RecordKind.BRANCH_IF,
-                    warp=warp.warp,
-                    active=frozen_active(entry),
-                    then_mask=intern_mask(sorted(not_taken)),
-                    pc=pc,
-                )
-                warp.cycles += sink.emit(record)
-                result.records_emitted += 1
-            entry.pc = reconv
-            stack = warp.frames[-1].stack
-            stack.append(
-                _StackEntry(
-                    amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE
-                )
-            )
-            stack.append(
-                _StackEntry(
-                    amask=not_taken, pc=next_pc, reconv_pc=reconv, phase=_Phase.THEN
-                )
-            )
-            return False
-
-        return op
-
-    def _decode_bar(self, pc: int) -> DecodedOp:
-        result = self.result
-        next_pc = pc + 1
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            entry.pc = next_pc
-            warp.at_barrier = True
-            return False
-
-        return op
-
-    def _decode_membar(self, pc: int, insn: Instruction) -> DecodedOp:
-        result = self.result
-        next_pc = pc + 1
-        drain = not insn.has_modifier("cta")
-        global_mem = self.global_mem
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            if drain:
-                global_mem.drain_all()
-            entry.pc = next_pc
-            return False
-
-        return op
-
-    # -- logging ---------------------------------------------------------
-    def _decode_log(
-        self,
-        ctx: ExecContext,
-        pc: int,
-        insn: Instruction,
-        ops: List[Optional[DecodedOp]],
-        conv: set,
-    ) -> DecodedOp:
-        log_op = self._decode_log_record(pc, insn)
-        # Fuse with the guarded access: the instrumenter always places
-        # ``_log`` directly before its target instruction with no label
-        # in between, so as long as pc+1 is a plain instruction and not
-        # a reconvergence point, the naive step loop is guaranteed to
-        # execute pc+1 immediately after the log within the same slot.
-        body = ctx.kernel.body
-        follower = ops[pc + 1] if pc + 1 < len(ops) else None
-        if (
-            follower is not None
-            and isinstance(body[pc + 1], Instruction)
-            and (pc + 1) not in conv
-        ):
-
-            def fused(warp: WarpState, entry: _StackEntry) -> bool:
-                log_op(warp, entry)
-                return follower(warp, entry)
-
-            return fused
-        return log_op
-
-    def _decode_log_record(self, pc: int, insn: Instruction) -> DecodedOp:
-        mods = insn.modifiers
-        category = mods[0] if mods else ""
-        result = self.result
-        next_pc = pc + 1
-        sink = self.sink
-        if sink is None or category in ("tid", "cvg", "bar"):
-
-            def op_silent(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += LOG_COST
-                result.instructions += 1
-                result.cycles += LOG_COST
-                entry.pc = next_pc
-                return True
-
-            return op_silent
-
-        if category == "mem":
-            kind = {
-                "ld": RecordKind.LOAD,
-                "st": RecordKind.STORE,
-                "atom": RecordKind.ATOMIC,
-            }[mods[1]]
-            scope = Scope.GLOBAL
-        elif category == "sync":
-            kind = {
-                "acq": RecordKind.ACQUIRE,
-                "rel": RecordKind.RELEASE,
-                "ar": RecordKind.ACQREL,
-            }[mods[1]]
-            scope = Scope.BLOCK if "cta" in mods else Scope.GLOBAL
-        else:
-            raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
-        space = Space.SHARED if "shared" in mods else Space.GLOBAL
-        width = type_width(insn.value_type()) if insn.value_type() else 4
-        width *= insn.vector_count()
-        addr_of = self._compile_address(insn.operands[0])
-        value_of = None
-        if kind is RecordKind.STORE and len(insn.operands) > 1:
-            value_of = self._compile_value(insn.operands[1])
-        pred = insn.pred
-        pc_line = insn.line
-        emit = sink.emit
-        frozen_active = self.frozen_active
-        intern_mask = self.intern_mask
-        is_sync = category == "sync"
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += LOG_COST
-            result.instructions += 1
-            result.cycles += LOG_COST
-            entry.pc = next_pc
-            regs_map = warp.frames[-1].regs
-            if pred is None:
-                tids = entry._sorted
-                if tids is None:
-                    tids = entry.sorted_active()
-                if not tids:
-                    return True
-                frozen = entry._frozen
-                if frozen is None:
-                    frozen = frozen_active(entry)
-            else:
-                pname, pneg = pred
-                tids = [
-                    t
-                    for t in entry.sorted_active()
-                    if bool(regs_map[t].get(pname, 0)) != pneg
-                ]
-                if not tids:
-                    return True
-                frozen = intern_mask(tids)
-            addrs = {t: (space, addr_of(regs_map[t], t)) for t in tids}
-            if value_of is None:
-                values: Dict[int, int] = {}
-            else:
-                values = {t: int(value_of(regs_map[t], t)) for t in tids}
-            if is_sync:
-                record = LogRecord(
-                    kind=kind,
-                    warp=warp.warp,
-                    active=frozen,
-                    addrs=addrs,
-                    scope=scope,
-                    width=width,
-                    pc=pc_line,
-                )
-            else:
-                record = LogRecord(
-                    kind=kind,
-                    warp=warp.warp,
-                    active=frozen,
-                    addrs=addrs,
-                    values=values,
-                    width=width,
-                    pc=pc_line,
-                )
-            warp.cycles += emit(record)
-            result.records_emitted += 1
-            return True
-
-        return op
-
-    # -- memory ----------------------------------------------------------
-    def _compile_raw_load(self, space: str, width: int) -> Callable:
-        """``load(block, tid, addr) -> raw`` for one state space."""
-        if space == "local":
-            local_store = self._local_store
-
-            def load_local(block, tid, addr):
-                return local_store(tid).load(0, addr, width)
-
-            return load_local
-        mem_load = (self.shared_mem if space == "shared" else self.global_mem).load
-
-        def load_mem(block, tid, addr):
-            return mem_load(block, addr, width)
-
-        return load_mem
-
-    def _compile_raw_store(self, space: str, width: int) -> Callable:
-        """``store(block, tid, addr, raw)`` for one state space."""
-        if space == "local":
-            local_store = self._local_store
-
-            def store_local(block, tid, addr, raw):
-                local_store(tid).store(0, addr, width, raw)
-
-            return store_local
-        mem_store = (self.shared_mem if space == "shared" else self.global_mem).store
-
-        def store_mem(block, tid, addr, raw):
-            mem_store(block, addr, width, raw)
-
-        return store_mem
-
-    def _decode_load(self, pc: int, insn: Instruction) -> DecodedOp:
-        dst, src = insn.operands
-        type_name = insn.value_type()
-        width = type_width(type_name) if type_name else 4
-        space = insn.state_space().value
-        wrap = _make_wrap(type_name)
-        result = self.result
-        next_pc = pc + 1
-        pred = insn.pred
-
-        if isinstance(dst, VectorOperand):
-            addr_of = self._compile_address(src)
-            lanes = tuple(
-                (lane_index * width, reg_name)
-                for lane_index, reg_name in enumerate(dst.regs)
-            )
-            load_raw = self._compile_raw_load(space, width)
-
-            def op_vec(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                regs_map = warp.frames[-1].regs
-                block = warp.block
-                for tid in _active_tids(entry, regs_map, pred):
-                    regs = regs_map[tid]
-                    addr = addr_of(regs, tid)
-                    for lane_offset, reg_name in lanes:
-                        regs[reg_name] = wrap(
-                            load_raw(block, tid, addr + lane_offset)
-                        )
-                entry.pc = next_pc
-                return False
-
-            return op_vec
-
-        dst_name = dst.name
-        if space == "param":
-            name = src.base if isinstance(src, MemOperand) else str(src)
-            launch_params = self.params
-
-            def op_param(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                frame = warp.frames[-1]
-                regs_map = frame.regs
-                binding = frame.params.get(name)
-                if binding is None:
-                    value = launch_params.get(name, 0)
-                    for tid in _active_tids(entry, regs_map, pred):
-                        regs_map[tid][dst_name] = wrap(value)
-                else:
-                    for tid in _active_tids(entry, regs_map, pred):
-                        regs_map[tid][dst_name] = wrap(binding.get(tid, 0))
-                entry.pc = next_pc
-                return False
-
-            return op_param
-
-        addr_of = self._compile_address(src)
-        load_raw = self._compile_raw_load(space, width)
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            block = warp.block
-            for tid in _active_tids(entry, regs_map, pred):
-                regs = regs_map[tid]
-                regs[dst_name] = wrap(load_raw(block, tid, addr_of(regs, tid)))
-            entry.pc = next_pc
-            return False
-
-        return op
-
-    def _decode_store(self, pc: int, insn: Instruction) -> DecodedOp:
-        dst, src = insn.operands
-        type_name = insn.value_type()
-        width = type_width(type_name) if type_name else 4
-        space = insn.state_space().value
-        result = self.result
-        next_pc = pc + 1
-        pred = insn.pred
-        umask = (1 << (width * 8)) - 1
-        addr_of = self._compile_address(dst)
-        store_raw = self._compile_raw_store(space, width)
-
-        if isinstance(src, VectorOperand):
-            lanes = tuple(
-                (lane_index * width, reg_name)
-                for lane_index, reg_name in enumerate(src.regs)
-            )
-
-            def op_vec(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                regs_map = warp.frames[-1].regs
-                block = warp.block
-                for tid in _active_tids(entry, regs_map, pred):
-                    regs = regs_map[tid]
-                    addr = addr_of(regs, tid)
-                    for lane_offset, reg_name in lanes:
-                        raw = int(regs.get(reg_name, 0)) & umask
-                        store_raw(block, tid, addr + lane_offset, raw)
-                entry.pc = next_pc
-                return False
-
-            return op_vec
-
-        value_of = self._compile_value(src)
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            block = warp.block
-            for tid in _active_tids(entry, regs_map, pred):
-                regs = regs_map[tid]
-                value = value_of(regs, tid)
-                if isinstance(value, float):
-                    # Modeled: float stores round toward zero (and are
-                    # deliberately not masked — naive-engine parity).
-                    raw = int(value)
-                else:
-                    raw = int(value) & umask
-                store_raw(block, tid, addr_of(regs, tid), raw)
-            entry.pc = next_pc
-            return False
-
-        return op
-
-    def _decode_atomic(self, pc: int, insn: Instruction) -> DecodedOp:
-        operation = insn.atomic_operation()
-        if operation is None:
-            raise SimulationError(f"atomic without operation: {insn}")
-        type_name = insn.value_type()
-        width = type_width(type_name) if type_name else 4
-        space = insn.state_space().value
-        umask = (1 << (width * 8)) - 1
-        rmw2 = _ATOMIC_RMW.get(operation)
-        if rmw2 is None:
-            raise SimulationError(f"unsupported atomic .{operation}")
-        rmw2 = rmw2(umask)
-        has_dst = insn.opcode == "atom"
-        operands = insn.operands
-        dst_name = operands[0].name if has_dst else None
-        mem_op = operands[1] if has_dst else operands[0]
-        src_gets = tuple(
-            self._compile_value(s) for s in (operands[2:] if has_dst else operands[1:])
-        )
-        addr_of = self._compile_address(mem_op)
-        wrap = _make_wrap(type_name)
-        atomic = (self.shared_mem if space == "shared" else self.global_mem).atomic
-        result = self.result
-        next_pc = pc + 1
-        pred = insn.pred
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            block = warp.block
-            for tid in _active_tids(entry, regs_map, pred):
-                regs = regs_map[tid]
-                addr = addr_of(regs, tid)
-                values = [int(g(regs, tid)) for g in src_gets]
-                old = atomic(
-                    block,
-                    addr,
-                    width,
-                    lambda o, _v=values: rmw2(o & umask, _v),
-                )
-                if dst_name is not None:
-                    regs[dst_name] = wrap(old)
-            entry.pc = next_pc
-            return False
-
-        return op
-
-    # -- arithmetic -------------------------------------------------------
-    def _decode_arith(self, pc: int, insn: Instruction) -> DecodedOp:
-        compiler = _ARITH_COMPILERS.get(insn.opcode)
-        if compiler is None:
-            # Unknown opcode: keep the naive engine's execute-time error
-            # (which only fires when active threads reach it).
-            return self._fallback_op(insn)
-        compute = compiler(self, insn)
-        dst_name = insn.operands[0].name
-        result = self.result
-        next_pc = pc + 1
-        pred = insn.pred
-        if pred is None:
-
-            def op(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                tids = entry._sorted
-                if tids is None:
-                    tids = entry.sorted_active()
-                regs_map = warp.frames[-1].regs
-                for tid in tids:
-                    regs = regs_map[tid]
-                    regs[dst_name] = compute(regs, tid)
-                entry.pc = next_pc
-                return False
-
-            return op
-
-        pname, pneg = pred
-
-        def op_pred(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            for tid in entry.sorted_active():
-                regs = regs_map[tid]
-                if bool(regs.get(pname, 0)) != pneg:
-                    regs[dst_name] = compute(regs, tid)
-            entry.pc = next_pc
-            return False
-
-        return op_pred
-
-
-def _active_tids(entry: _StackEntry, regs_map, pred) -> Tuple[int, ...]:
-    """The sorted active threads of ``entry``, predicate applied."""
-    tids = entry._sorted
-    if tids is None:
-        tids = entry.sorted_active()
-    if pred is None:
-        return tids
-    pname, pneg = pred
-    return tuple(
-        t for t in tids if bool(regs_map[t].get(pname, 0)) != pneg
-    )
+_COMPARES = {
+    "eq": lambda a, b: a == b,
+    "ne": lambda a, b: a != b,
+    "lt": lambda a, b: a < b,
+    "le": lambda a, b: a <= b,
+    "gt": lambda a, b: a > b,
+    "ge": lambda a, b: a >= b,
+}
+
+_CVT_TYPES = frozenset(
+    {"u8", "u16", "u32", "u64", "s8", "s16", "s32", "s64", "f32", "f64",
+     "b8", "b16", "b32", "b64"}
+)
 
 
 # ----------------------------------------------------------------------
@@ -804,12 +96,13 @@ def _active_tids(entry: _StackEntry, regs_map, pred) -> Tuple[int, ...]:
 #
 # Each returns ``compute(regs, tid)`` producing the value assigned to
 # the destination register — bit-for-bit the value the corresponding
-# naive handler in ``interpreter._ARITH`` would have written.
+# per-thread handler of the oracle (``tests/oracle.py``, ``_ARITH``)
+# would have written.
 #
 # The hot compilers constant-fold: operands whose value is fixed at
 # decode time (immediates, symbol addresses) are pre-wrapped once, and
 # register operands inline ``regs.get`` directly into the compute
-# closure instead of going through a per-operand getter call.  ``_wrap``
+# closure instead of going through a per-operand getter call.  The wrap
 # is pure and idempotent, so pre-wrapping at decode time is
 # bit-identical to wrapping at execute time.
 # ----------------------------------------------------------------------
@@ -884,7 +177,7 @@ def _raw_getter(exe, operand):
 
 
 def _compile_binop(fn):
-    def compiler(exe: DecodedKernelExecution, insn: Instruction):
+    def compiler(exe, insn: Instruction):
         _dst, a, b = insn.operands
         type_name = insn.value_type()
         wrap = _make_wrap(type_name)
@@ -1336,7 +629,7 @@ _ARITH_COMPILERS: Dict[str, Callable] = {
 
 
 # ``op(umask) -> rmw(old_unsigned, values) -> new | None`` — mirrors the
-# ``rmw`` closure in the naive ``_exec_atomic`` case for case.
+# ``rmw`` closure in the oracle's ``_exec_atomic`` case for case.
 _ATOMIC_RMW: Dict[str, Callable] = {
     "add": lambda umask: lambda old, vals: (old + vals[0]) & umask,
     "sub": lambda umask: lambda old, vals: (old - vals[0]) & umask,
@@ -1356,25 +649,3 @@ _ATOMIC_RMW: Dict[str, Callable] = {
         (vals[0] & umask) if old == 0 or old > (vals[0] & umask) else old - 1
     ),
 }
-
-
-# ----------------------------------------------------------------------
-# Engine registry
-# ----------------------------------------------------------------------
-ENGINES: Dict[str, type] = {
-    "naive": KernelExecution,
-    "decoded": DecodedKernelExecution,
-}
-
-#: The engine used when callers don't ask for one.
-DEFAULT_ENGINE = "decoded"
-
-
-def resolve_engine(name: str) -> type:
-    """Map an engine name to its :class:`KernelExecution` class."""
-    try:
-        return ENGINES[name]
-    except KeyError:
-        raise ReproError(
-            f"unknown engine {name!r}; expected one of {', '.join(sorted(ENGINES))}"
-        ) from None

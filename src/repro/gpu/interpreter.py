@@ -1,7 +1,7 @@
-"""A PTX interpreter with SIMT lockstep-warp execution.
+"""The SIMT device: a PTX engine with lockstep-warp execution.
 
-This is the device the reproduction runs kernels on.  Execution follows
-the paper's model of the hardware (§2, §3.3.1):
+This is the device the reproduction runs kernels on — the only one.
+Execution follows the paper's model of the hardware (§2, §3.3.1):
 
 * all instructions are warp-level; the active threads of a warp execute
   each instruction in lockstep;
@@ -18,6 +18,38 @@ When a kernel has been rewritten by the BARRACUDA instrumentation engine,
 its ``_log.*`` pseudo-instructions emit :class:`LogRecord` events into the
 GPU-side queues, and the SIMT machinery emits branch records at
 divergence points; a pristine kernel emits nothing (a "native" run).
+
+:class:`KernelExecution` is threaded code: each body is compiled **once
+per** :class:`ExecContext` into a list of specialized Python closures,
+and executing a step is one indirect call.
+
+* opcode dispatch happens at decode time, through one table
+  (``KernelExecution._DECODERS``) whose keys are opcodes of
+  :mod:`repro.ptx.isa` — adding an instruction is one entry there (and,
+  for arithmetic, one compiler in :mod:`repro.gpu.engine`);
+* branch targets, reconvergence PCs and symbol addresses are
+  pre-resolved to integers;
+* predicates are pre-bound to ``(register, negated)`` closures;
+* operand access compiles to ``fn(regs, tid)`` getters with the
+  register-file lookup hoisted out (every thread of a warp shares the
+  warp's top frame);
+* type wrapping is specialized per instruction
+  (:func:`repro.gpu.engine._make_wrap`), with mask and sign bit
+  precomputed;
+* a ``_log`` slot is fused with the access it guards, so the
+  record-and-access pair executes as one closure (the instrumenter
+  always places ``_log`` immediately before its target, unpredicated —
+  see ``repro.instrument.passes``).
+
+Decoding is total: a statement that cannot be compiled (an opcode with
+no table entry, a malformed operand list, an unknown symbol) decodes to
+a closure that raises only when an active thread reaches it, so dead
+code never fails a launch.
+
+The specification this engine is held to is the re-decode-every-step
+interpreter it replaced, which now lives in ``tests/oracle.py``
+(``NaiveKernelExecution``) and is substituted for this class by the
+differential suites in ``tests/test_engine_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -26,12 +58,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..errors import SimulationError
+from ..errors import ReproError, SimulationError
 from ..ptx.ast import (
     ImmOperand,
     Instruction,
     Kernel,
-    Label,
     MemOperand,
     Module,
     Operand,
@@ -41,34 +72,17 @@ from ..ptx.ast import (
     VectorOperand,
 )
 from ..ptx.cfg import CFG
-from ..ptx.isa import FLOAT_TYPES, SIGNED_TYPES, type_width
+from ..ptx.isa import type_width
 from ..events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
 from ..trace.layout import GridLayout
 from ..trace.operations import Scope, Space
+from .engine import _ARITH_COMPILERS, _ATOMIC_RMW, _make_wrap
 from .hierarchy import LaunchConfig
 from .memory import GlobalMemory, SharedMemory
 
 #: Modeled cost (in instruction slots) of one logging call: slot
 #: reservation, per-lane address stores, header fill and commit (§4.2).
 LOG_COST = 24
-
-
-def _wrap(value, type_name: Optional[str]):
-    """Wrap a raw Python value to a PTX scalar type's range."""
-    if type_name is None or type_name == "pred":
-        return value
-    if type_name in FLOAT_TYPES:
-        return float(value)
-    width = type_width(type_name) * 8
-    mask = (1 << width) - 1
-    value = int(value) & mask
-    if type_name in SIGNED_TYPES and value >= 1 << (width - 1):
-        value -= 1 << width
-    return value
-
-
-def _as_unsigned(value: int, width_bytes: int) -> int:
-    return int(value) & ((1 << (width_bytes * 8)) - 1)
 
 
 class _Phase(enum.Enum):
@@ -106,13 +120,9 @@ class ExecContext:
     cfg: CFG
     labels: Dict[str, int]
     end_pc: int
-    #: Slot for a pre-decoded program (one closure per statement); filled
-    #: lazily by :class:`repro.gpu.engine.DecodedKernelExecution`.
+    #: The decoded program (one closure per statement, ``None`` for a
+    #: label); filled on first entry by ``KernelExecution._decode_ctx``.
     decoded: Optional[List[Optional[Callable]]] = None
-
-
-#: Backwards-compatible alias (pre-engine name).
-_FuncContext = ExecContext
 
 
 @dataclass
@@ -209,8 +219,94 @@ class ListSink(EventSink):
         return 0
 
 
+#: A decoded statement: ``op(warp, entry) -> bool``.  The closure does
+#: its own counter bookkeeping and PC update; a ``True`` return means
+#: the instruction slot is still open (a ``_log`` whose guarded access
+#: has not executed yet), ``False`` closes the slot.
+DecodedOp = Callable[[WarpState, _StackEntry], bool]
+
+
+def _active_tids(entry: _StackEntry, regs_map, pred) -> Tuple[int, ...]:
+    """The sorted active threads of ``entry``, predicate applied."""
+    tids = entry._sorted
+    if tids is None:
+        tids = entry.sorted_active()
+    if pred is None:
+        return tids
+    pname, pneg = pred
+    return tuple(
+        t for t in tids if bool(regs_map[t].get(pname, 0)) != pneg
+    )
+
+
+#: What compiling a malformed statement raises (wrong operand count or
+#: kind, unknown label or type); ``_decode_ctx`` defers these to the
+#: moment a thread reaches the statement.
+_MALFORMED = (ValueError, LookupError, AttributeError, TypeError)
+
+
+def _transfer_decoder(execute: Callable) -> Callable:
+    """A table entry for an opcode whose implementation
+    ``execute(self, warp, entry, insn)`` owns the PC update
+    (``call``/``ret``/``exit``)."""
+
+    def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        result = self.result
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            execute(self, warp, entry, insn)
+            return False
+
+        return op
+
+    return decode
+
+
+def _warp_op_decoder(execute: Callable) -> Callable:
+    """A table entry for a warp-wide opcode implemented as
+    ``execute(self, warp, entry, insn, active)`` over the threads the
+    predicate leaves active (``shfl``/``vote``/``cp``)."""
+
+    def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        result = self.result
+        next_pc = pc + 1
+        pred = insn.pred
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            execute(
+                self, warp, entry, insn,
+                _active_tids(entry, warp.frames[-1].regs, pred),
+            )
+            entry.pc = next_pc
+            return False
+
+        return op
+
+    return decode
+
+
 class KernelExecution:
-    """One kernel launch in flight on the simulated device."""
+    """One kernel launch in flight on the simulated device.
+
+    Bodies are decoded lazily on first entry (symbol addresses are only
+    final after ``__init__`` finishes laying out shared memory); the
+    decoded program is cached on the :class:`ExecContext`, so kernels
+    and device functions are compiled exactly once per launch.
+    """
+
+    #: Optional hot-path profiler (``repro.obs.profiler.Profiler``),
+    #: attached by ``GpuDevice.launch`` when profiling is enabled.  The
+    #: cost of a disabled profiler is this one is-None check per decoded
+    #: statement at decode time — the dispatch loop never changes.
+    profiler = None
 
     def __init__(
         self,
@@ -381,9 +477,13 @@ class KernelExecution:
         adversarial interleaving could order an acquire's record before
         the release's record it synchronized with.
         """
+        frames = warp.frames
         while True:
             while True:
-                entry = warp.stack[-1]
+                frame = frames[-1]
+                stack = frame.stack
+                entry = stack[-1]
+                ctx = frame.ctx
                 # Reconvergence is reached on *arrival* at the IPDOM: the
                 # comparison must be equality, because a branch inside a
                 # loop can reconverge at the loop header, i.e. at a lower
@@ -391,25 +491,27 @@ class KernelExecution:
                 if (
                     not entry.amask
                     or entry.pc == entry.reconv_pc
-                    or entry.pc >= warp.frame.ctx.end_pc
+                    or entry.pc >= ctx.end_pc
                 ):
-                    if len(warp.stack) == 1:
-                        if len(warp.frames) > 1:
+                    if len(stack) == 1:
+                        if len(frames) > 1:
                             # Implicit return: the device function's body
                             # ran off its end; resume the caller.
-                            warp.frames.pop()
+                            frames.pop()
                             continue
                         self._finish_warp(warp)
                         return
                     self._pop_path(warp)
                     continue
-                statement = warp.frame.ctx.kernel.body[entry.pc]
-                if isinstance(statement, Label):
+                ops = ctx.decoded
+                if ops is None:
+                    ops = self._decode_ctx(ctx)
+                op = ops[entry.pc]
+                if op is None:  # Label: free
                     entry.pc += 1
                     continue
                 break
-            self._execute(warp, entry, statement)
-            if statement.opcode != "_log" or warp.done or warp.at_barrier:
+            if not op(warp, entry):
                 return
 
     def _pop_path(self, warp: WarpState) -> None:
@@ -440,104 +542,231 @@ class KernelExecution:
         self.result.records_emitted += 1
 
     # ------------------------------------------------------------------
-    # Instruction dispatch
+    # Decoding
     # ------------------------------------------------------------------
-    def _execute(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
-        warp.instructions += 1
-        warp.cycles += 1
-        self.result.instructions += 1
-        self.result.cycles += 1
-        opcode = insn.opcode
-        if opcode == "bra":
-            self._exec_branch(warp, entry, insn)
-            return
-        if opcode == "call":
-            self._exec_call(warp, entry, insn)
-            return
-        if opcode in ("ret", "exit"):
-            self._exec_ret(warp, entry, insn)
-            return
-        if opcode == "bar":
-            entry.pc += 1
-            warp.at_barrier = True
-            return
-        if opcode == "barrier":
-            # barrier.cluster.sync: grid-wide synchronization, only legal
-            # on a cooperative launch (every block resident at once).
-            if not self.cooperative:
-                raise SimulationError(
-                    f"{warp.frame.ctx.kernel.name!r}: {insn.full_opcode} at "
-                    f"pc {entry.pc} requires a cooperative launch "
-                    "(launch with cooperative=True)"
-                )
-            entry.pc += 1
-            warp.at_barrier = True
-            warp.at_grid_barrier = True
-            return
-        if opcode == "membar" or opcode == "fence":
-            if not insn.has_modifier("cta"):
-                self.global_mem.drain_all()
-            entry.pc += 1
-            return
-        if opcode == "_log":
-            self._exec_log(warp, entry, insn)
-            entry.pc += 1
-            return
+    def _decode_ctx(self, ctx: ExecContext) -> List[Optional[DecodedOp]]:
+        body = ctx.kernel.body
+        ops: List[Optional[DecodedOp]] = [None] * len(body)
+        conv = set(ctx.cfg.convergence_points())
+        profiler = self.profiler
+        unsupported = KernelExecution._decode_unsupported
+        # Decode back-to-front so a ``_log`` can fuse with the already
+        # decoded closure of the access it guards.  Profiler wrapping
+        # happens here too, so a fusing ``_log`` captures the *wrapped*
+        # follower and per-opcode counts match dynamic instruction
+        # counts exactly.
+        for pc in range(len(body) - 1, -1, -1):
+            stmt = body[pc]
+            if not isinstance(stmt, Instruction):
+                continue
+            decode = self._DECODERS.get(stmt.opcode, unsupported)
+            try:
+                op = decode(self, ctx, pc, stmt)
+                if stmt.opcode == "_log":
+                    op = self._fuse_log(ctx, pc, op, ops, conv)
+            except ReproError as exc:
+                op = self._raise_when_reached(pc, stmt, exc)
+            except _MALFORMED as exc:
+                op = self._raise_when_reached(pc, stmt, SimulationError(
+                    f"{ctx.kernel.name!r}: malformed instruction "
+                    f"{stmt.full_opcode!r} at pc {pc} (line {stmt.line}): {exc}"
+                ))
+            if profiler is not None:
+                op = profiler.wrap_op(op, stmt.opcode,
+                                      getattr(stmt, "line", 0))
+            ops[pc] = op
+        ctx.decoded = ops
+        return ops
+
+    def _raise_when_reached(
+        self, pc: int, insn: Instruction, error: ReproError
+    ) -> DecodedOp:
+        """A statement that cannot execute.
+
+        Keeps decode total: ``error`` is raised when the statement is
+        reached with at least one active thread and never before, so
+        dead or fully predicated-off code does not fail the launch.
+        """
+        result = self.result
+        next_pc = pc + 1
         pred = insn.pred
-        if pred is None:
-            active = entry.sorted_active()
-        else:
-            active = [t for t in entry.sorted_active() if self._pred_holds(t, pred)]
-        if opcode in ("ld", "ldu"):
-            self._exec_load(warp, insn, active)
-        elif opcode == "st":
-            self._exec_store(warp, insn, active)
-        elif opcode in ("atom", "red"):
-            self._exec_atomic(warp, insn, active)
-        elif opcode == "shfl":
-            self._exec_shfl(warp, entry, insn, active)
-        elif opcode == "vote":
-            self._exec_vote(warp, entry, insn, active)
-        elif opcode == "cp":
-            self._exec_cp(warp, entry, insn, active)
-        else:
-            self._exec_arith(insn, active)
-        entry.pc += 1
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            if _active_tids(entry, warp.frames[-1].regs, pred):
+                raise error
+            entry.pc = next_pc
+            return False
+
+        return op
+
+    def _decode_unsupported(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        """The decoder of every opcode ``_DECODERS`` has no entry for."""
+        return self._raise_when_reached(
+            pc, insn, SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+        )
+
+    # -- operand compilation -------------------------------------------
+    def _compile_value(self, operand: Operand) -> Callable:
+        """Compile an operand to ``get(regs, tid)``.
+
+        ``regs`` is the thread's register dict of the warp's top frame —
+        the ``tid -> warp -> frame`` walk of ``_value`` is hoisted into
+        the enclosing loop.
+        """
+        if isinstance(operand, RegOperand):
+            name = operand.name
+            return lambda regs, tid: regs.get(name, 0)
+        if isinstance(operand, ImmOperand):
+            value = operand.value
+            return lambda regs, tid: value
+        if isinstance(operand, SpecialRegOperand):
+            specials = self._specials
+            key = (operand.name, operand.dim)
+            return lambda regs, tid: specials[tid][key]
+        if isinstance(operand, SymbolOperand):
+            addr = self._symbol_address(operand.name)
+            return lambda regs, tid: addr
+        raise SimulationError(f"cannot evaluate operand {operand!r}")
+
+    def _compile_address(self, operand: MemOperand) -> Callable:
+        """Compile ``[base+offset]`` to ``addr(regs, tid)``."""
+        base = operand.base
+        offset = operand.offset
+        if base.startswith("%"):
+            return lambda regs, tid: int(regs.get(base, 0)) + offset
+        addr = self._symbol_address(base) + offset
+        return lambda regs, tid: addr
 
     # -- control flow ---------------------------------------------------
-    def _exec_branch(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
-        target_pc = warp.frame.ctx.labels[insn.branch_target()]
-        if insn.pred is None:
-            entry.pc = target_pc
-            return
-        taken = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
-        not_taken = set(entry.amask) - taken
-        if not not_taken:
-            entry.pc = target_pc
-            return
-        if not taken:
-            entry.pc += 1
-            return
-        # Divergence: fall-through path executes first (Figure 1), the
-        # taken path is pushed deeper; both reconverge at the IPDOM.
-        reconv = warp.frame.ctx.cfg.reconvergence_pc(entry.pc)
-        self._emit_branch(
-            warp,
-            RecordKind.BRANCH_IF,
-            active=self.frozen_active(entry),
-            then_mask=self.intern_mask(sorted(not_taken)),
-            pc=entry.pc,
-        )
-        branch_pc = entry.pc
-        entry.pc = reconv
-        warp.stack.append(
-            _StackEntry(amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE)
-        )
-        warp.stack.append(
-            _StackEntry(
-                amask=not_taken, pc=branch_pc + 1, reconv_pc=reconv, phase=_Phase.THEN
+    def _decode_branch(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        target_pc = ctx.labels[insn.branch_target()]
+        result = self.result
+        pred = insn.pred
+        if pred is None:
+
+            def op_uniform(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.instructions += 1
+                warp.cycles += 1
+                result.instructions += 1
+                result.cycles += 1
+                entry.pc = target_pc
+                return False
+
+            return op_uniform
+
+        pname, pneg = pred
+        reconv = ctx.cfg.reconvergence_pc(pc)
+        next_pc = pc + 1
+        instrumented = self.sink is not None and self.instrumented
+        sink = self.sink
+        frozen_active = self.frozen_active
+        intern_mask = self.intern_mask
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            amask = entry.amask
+            regs_map = warp.frames[-1].regs
+            taken = {
+                t for t in amask if bool(regs_map[t].get(pname, 0)) != pneg
+            }
+            if len(taken) == len(amask):
+                entry.pc = target_pc
+                return False
+            if not taken:
+                entry.pc = next_pc
+                return False
+            not_taken = set(amask) - taken
+            if instrumented:
+                record = LogRecord(
+                    kind=RecordKind.BRANCH_IF,
+                    warp=warp.warp,
+                    active=frozen_active(entry),
+                    then_mask=intern_mask(sorted(not_taken)),
+                    pc=pc,
+                )
+                warp.cycles += sink.emit(record)
+                result.records_emitted += 1
+            entry.pc = reconv
+            stack = warp.frames[-1].stack
+            stack.append(
+                _StackEntry(
+                    amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE
+                )
             )
-        )
+            stack.append(
+                _StackEntry(
+                    amask=not_taken, pc=next_pc, reconv_pc=reconv, phase=_Phase.THEN
+                )
+            )
+            return False
+
+        return op
+
+    def _decode_bar(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        result = self.result
+        next_pc = pc + 1
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            entry.pc = next_pc
+            warp.at_barrier = True
+            return False
+
+        return op
+
+    def _decode_grid_barrier(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        # barrier.cluster.sync: grid-wide synchronization, only legal
+        # on a cooperative launch (every block resident at once).
+        result = self.result
+        next_pc = pc + 1
+        cooperative = self.cooperative
+        name = ctx.kernel.name
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            if not cooperative:
+                raise SimulationError(
+                    f"{name!r}: {insn.full_opcode} at "
+                    f"pc {pc} requires a cooperative launch "
+                    "(launch with cooperative=True)"
+                )
+            entry.pc = next_pc
+            warp.at_barrier = True
+            warp.at_grid_barrier = True
+            return False
+
+        return op
+
+    def _decode_membar(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        result = self.result
+        next_pc = pc + 1
+        drain = not insn.has_modifier("cta")
+        global_mem = self.global_mem
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            if drain:
+                global_mem.drain_all()
+            entry.pc = next_pc
+            return False
+
+        return op
 
     def _exec_ret(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
         if insn.pred is not None:
@@ -609,135 +838,405 @@ class KernelExecution:
             )
         )
 
+    # -- logging ---------------------------------------------------------
+    def _fuse_log(
+        self,
+        ctx: ExecContext,
+        pc: int,
+        log_op: DecodedOp,
+        ops: List[Optional[DecodedOp]],
+        conv: set,
+    ) -> DecodedOp:
+        # Fuse with the guarded access: the instrumenter always places
+        # ``_log`` directly before its target instruction with no label
+        # in between, so as long as pc+1 is a plain instruction and not
+        # a reconvergence point, the step loop is guaranteed to execute
+        # pc+1 immediately after the log within the same slot.
+        body = ctx.kernel.body
+        follower = ops[pc + 1] if pc + 1 < len(ops) else None
+        if (
+            follower is not None
+            and isinstance(body[pc + 1], Instruction)
+            and (pc + 1) not in conv
+        ):
+
+            def fused(warp: WarpState, entry: _StackEntry) -> bool:
+                log_op(warp, entry)
+                return follower(warp, entry)
+
+            return fused
+        return log_op
+
+    def _decode_log(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        mods = insn.modifiers
+        category = mods[0] if mods else ""
+        result = self.result
+        next_pc = pc + 1
+        sink = self.sink
+        if sink is None or category in ("tid", "cvg", "bar"):
+
+            def op_silent(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.instructions += 1
+                warp.cycles += LOG_COST
+                result.instructions += 1
+                result.cycles += LOG_COST
+                entry.pc = next_pc
+                return True
+
+            return op_silent
+
+        if category == "mem":
+            kind = {
+                "ld": RecordKind.LOAD,
+                "st": RecordKind.STORE,
+                "atom": RecordKind.ATOMIC,
+            }[mods[1]]
+            scope = Scope.GLOBAL
+        elif category == "sync":
+            kind = {
+                "acq": RecordKind.ACQUIRE,
+                "rel": RecordKind.RELEASE,
+                "ar": RecordKind.ACQREL,
+            }[mods[1]]
+            scope = Scope.BLOCK if "cta" in mods else Scope.GLOBAL
+        else:
+            raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
+        space = Space.SHARED if "shared" in mods else Space.GLOBAL
+        width = type_width(insn.value_type()) if insn.value_type() else 4
+        width *= insn.vector_count()
+        addr_of = self._compile_address(insn.operands[0])
+        value_of = None
+        if kind is RecordKind.STORE and len(insn.operands) > 1:
+            value_of = self._compile_value(insn.operands[1])
+        pred = insn.pred
+        pc_line = insn.line
+        emit = sink.emit
+        frozen_active = self.frozen_active
+        intern_mask = self.intern_mask
+        is_sync = category == "sync"
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += LOG_COST
+            result.instructions += 1
+            result.cycles += LOG_COST
+            entry.pc = next_pc
+            regs_map = warp.frames[-1].regs
+            if pred is None:
+                tids = entry._sorted
+                if tids is None:
+                    tids = entry.sorted_active()
+                if not tids:
+                    return True
+                frozen = entry._frozen
+                if frozen is None:
+                    frozen = frozen_active(entry)
+            else:
+                pname, pneg = pred
+                tids = [
+                    t
+                    for t in entry.sorted_active()
+                    if bool(regs_map[t].get(pname, 0)) != pneg
+                ]
+                if not tids:
+                    return True
+                frozen = intern_mask(tids)
+            addrs = {t: (space, addr_of(regs_map[t], t)) for t in tids}
+            if value_of is None:
+                values: Dict[int, int] = {}
+            else:
+                values = {t: int(value_of(regs_map[t], t)) for t in tids}
+            if is_sync:
+                record = LogRecord(
+                    kind=kind,
+                    warp=warp.warp,
+                    active=frozen,
+                    addrs=addrs,
+                    scope=scope,
+                    width=width,
+                    pc=pc_line,
+                )
+            else:
+                record = LogRecord(
+                    kind=kind,
+                    warp=warp.warp,
+                    active=frozen,
+                    addrs=addrs,
+                    values=values,
+                    width=width,
+                    pc=pc_line,
+                )
+            warp.cycles += emit(record)
+            result.records_emitted += 1
+            return True
+
+        return op
+
     # -- memory ----------------------------------------------------------
-    def _space_of(self, insn: Instruction) -> Space:
-        space = insn.state_space()
-        if space.value == "shared":
-            return Space.SHARED
-        # Generic addresses are treated as global; local/param handled
-        # by their dedicated paths.
-        return Space.GLOBAL
+    def _compile_raw_load(self, space: str, width: int) -> Callable:
+        """``load(block, tid, addr) -> raw`` for one state space."""
+        if space == "local":
+            local_store = self._local_store
 
-    def _exec_load(self, warp: WarpState, insn: Instruction, active: Sequence[int]) -> None:
+            def load_local(block, tid, addr):
+                return local_store(tid).load(0, addr, width)
+
+            return load_local
+        mem_load = (self.shared_mem if space == "shared" else self.global_mem).load
+
+        def load_mem(block, tid, addr):
+            return mem_load(block, addr, width)
+
+        return load_mem
+
+    def _compile_raw_store(self, space: str, width: int) -> Callable:
+        """``store(block, tid, addr, raw)`` for one state space."""
+        if space == "local":
+            local_store = self._local_store
+
+            def store_local(block, tid, addr, raw):
+                local_store(tid).store(0, addr, width, raw)
+
+            return store_local
+        mem_store = (self.shared_mem if space == "shared" else self.global_mem).store
+
+        def store_mem(block, tid, addr, raw):
+            mem_store(block, addr, width, raw)
+
+        return store_mem
+
+    def _decode_load(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         dst, src = insn.operands
         type_name = insn.value_type()
         width = type_width(type_name) if type_name else 4
         space = insn.state_space().value
+        wrap = _make_wrap(type_name)
+        result = self.result
+        next_pc = pc + 1
+        pred = insn.pred
+
         if isinstance(dst, VectorOperand):
-            for tid in active:
-                addr = self._address(tid, src)
-                for lane_index, reg_name in enumerate(dst.regs):
-                    element = addr + lane_index * width
-                    if space == "shared":
-                        raw = self.shared_mem.load(warp.block, element, width)
-                    elif space == "local":
-                        raw = self._local_store(tid).load(0, element, width)
-                    else:
-                        raw = self.global_mem.load(warp.block, element, width)
-                    self._set_reg(tid, reg_name, _wrap(raw, type_name))
-            return
-        for tid in active:
-            if space == "param":
-                name = src.base if isinstance(src, MemOperand) else str(src)
-                frame_params = self._frame_of(tid).params
-                if name in frame_params:
-                    value = frame_params[name].get(tid, 0)
-                else:
-                    value = self.params.get(name, 0)
-            else:
-                addr = self._address(tid, src)
-                if space == "shared":
-                    raw = self.shared_mem.load(warp.block, addr, width)
-                elif space == "local":
-                    raw = self._local_store(tid).load(0, addr, width)
-                else:
-                    raw = self.global_mem.load(warp.block, addr, width)
-                value = _wrap(raw, type_name)
-            self._set_reg(tid, dst.name, _wrap(value, type_name))
+            addr_of = self._compile_address(src)
+            lanes = tuple(
+                (lane_index * width, reg_name)
+                for lane_index, reg_name in enumerate(dst.regs)
+            )
+            load_raw = self._compile_raw_load(space, width)
 
-    def _exec_store(self, warp: WarpState, insn: Instruction, active: Sequence[int]) -> None:
+            def op_vec(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.instructions += 1
+                warp.cycles += 1
+                result.instructions += 1
+                result.cycles += 1
+                regs_map = warp.frames[-1].regs
+                block = warp.block
+                for tid in _active_tids(entry, regs_map, pred):
+                    regs = regs_map[tid]
+                    addr = addr_of(regs, tid)
+                    for lane_offset, reg_name in lanes:
+                        regs[reg_name] = wrap(
+                            load_raw(block, tid, addr + lane_offset)
+                        )
+                entry.pc = next_pc
+                return False
+
+            return op_vec
+
+        dst_name = dst.name
+        if space == "param":
+            name = src.base if isinstance(src, MemOperand) else str(src)
+            launch_params = self.params
+
+            def op_param(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.instructions += 1
+                warp.cycles += 1
+                result.instructions += 1
+                result.cycles += 1
+                frame = warp.frames[-1]
+                regs_map = frame.regs
+                binding = frame.params.get(name)
+                if binding is None:
+                    value = launch_params.get(name, 0)
+                    for tid in _active_tids(entry, regs_map, pred):
+                        regs_map[tid][dst_name] = wrap(value)
+                else:
+                    for tid in _active_tids(entry, regs_map, pred):
+                        regs_map[tid][dst_name] = wrap(binding.get(tid, 0))
+                entry.pc = next_pc
+                return False
+
+            return op_param
+
+        addr_of = self._compile_address(src)
+        load_raw = self._compile_raw_load(space, width)
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            regs_map = warp.frames[-1].regs
+            block = warp.block
+            for tid in _active_tids(entry, regs_map, pred):
+                regs = regs_map[tid]
+                regs[dst_name] = wrap(load_raw(block, tid, addr_of(regs, tid)))
+            entry.pc = next_pc
+            return False
+
+        return op
+
+    def _decode_store(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         dst, src = insn.operands
         type_name = insn.value_type()
         width = type_width(type_name) if type_name else 4
         space = insn.state_space().value
-        if isinstance(src, VectorOperand):
-            for tid in active:
-                addr = self._address(tid, dst)
-                for lane_index, reg_name in enumerate(src.regs):
-                    element = addr + lane_index * width
-                    raw = _as_unsigned(int(self._reg(tid, reg_name)), width)
-                    if space == "shared":
-                        self.shared_mem.store(warp.block, element, width, raw)
-                    elif space == "local":
-                        self._local_store(tid).store(0, element, width, raw)
-                    else:
-                        self.global_mem.store(warp.block, element, width, raw)
-            return
-        for tid in active:
-            value = self._value(tid, src)
-            raw = _as_unsigned(int(value), width) if not isinstance(value, float) else 0
-            if isinstance(value, float):
-                raw = int(value)  # modeled: float stores round toward zero
-            addr = self._address(tid, dst)
-            if space == "shared":
-                self.shared_mem.store(warp.block, addr, width, raw)
-            elif space == "local":
-                self._local_store(tid).store(0, addr, width, raw)
-            else:
-                self.global_mem.store(warp.block, addr, width, raw)
+        result = self.result
+        next_pc = pc + 1
+        pred = insn.pred
+        umask = (1 << (width * 8)) - 1
+        addr_of = self._compile_address(dst)
+        store_raw = self._compile_raw_store(space, width)
 
-    def _exec_atomic(self, warp: WarpState, insn: Instruction, active: Sequence[int]) -> None:
+        if isinstance(src, VectorOperand):
+            lanes = tuple(
+                (lane_index * width, reg_name)
+                for lane_index, reg_name in enumerate(src.regs)
+            )
+
+            def op_vec(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.instructions += 1
+                warp.cycles += 1
+                result.instructions += 1
+                result.cycles += 1
+                regs_map = warp.frames[-1].regs
+                block = warp.block
+                for tid in _active_tids(entry, regs_map, pred):
+                    regs = regs_map[tid]
+                    addr = addr_of(regs, tid)
+                    for lane_offset, reg_name in lanes:
+                        raw = int(regs.get(reg_name, 0)) & umask
+                        store_raw(block, tid, addr + lane_offset, raw)
+                entry.pc = next_pc
+                return False
+
+            return op_vec
+
+        value_of = self._compile_value(src)
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            regs_map = warp.frames[-1].regs
+            block = warp.block
+            for tid in _active_tids(entry, regs_map, pred):
+                regs = regs_map[tid]
+                value = value_of(regs, tid)
+                if isinstance(value, float):
+                    # Modeled: float stores round toward zero (and are
+                    # deliberately not masked — oracle parity).
+                    raw = int(value)
+                else:
+                    raw = int(value) & umask
+                store_raw(block, tid, addr_of(regs, tid), raw)
+            entry.pc = next_pc
+            return False
+
+        return op
+
+    def _decode_atomic(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         operation = insn.atomic_operation()
         if operation is None:
             raise SimulationError(f"atomic without operation: {insn}")
         type_name = insn.value_type()
         width = type_width(type_name) if type_name else 4
         space = insn.state_space().value
+        umask = (1 << (width * 8)) - 1
+        rmw2 = _ATOMIC_RMW.get(operation)
+        if rmw2 is None:
+            raise SimulationError(f"unsupported atomic .{operation}")
+        rmw2 = rmw2(umask)
         has_dst = insn.opcode == "atom"
         operands = insn.operands
-        dst = operands[0] if has_dst else None
-        mem = operands[1] if has_dst else operands[0]
-        srcs = operands[2:] if has_dst else operands[1:]
-        for tid in active:
-            addr = self._address(tid, mem)
-            values = [int(self._value(tid, s)) for s in srcs]
+        dst_name = operands[0].name if has_dst else None
+        mem_op = operands[1] if has_dst else operands[0]
+        src_gets = tuple(
+            self._compile_value(s) for s in (operands[2:] if has_dst else operands[1:])
+        )
+        addr_of = self._compile_address(mem_op)
+        wrap = _make_wrap(type_name)
+        atomic = (self.shared_mem if space == "shared" else self.global_mem).atomic
+        result = self.result
+        next_pc = pc + 1
+        pred = insn.pred
 
-            def rmw(old: int) -> Optional[int]:
-                old = _as_unsigned(old, width)
-                if operation == "add":
-                    return _as_unsigned(old + values[0], width)
-                if operation == "sub":
-                    return _as_unsigned(old - values[0], width)
-                if operation == "exch":
-                    return _as_unsigned(values[0], width)
-                if operation == "cas":
-                    compare, new = values
-                    return _as_unsigned(new, width) if old == _as_unsigned(
-                        compare, width
-                    ) else None
-                if operation == "min":
-                    return min(old, _as_unsigned(values[0], width))
-                if operation == "max":
-                    return max(old, _as_unsigned(values[0], width))
-                if operation == "and":
-                    return old & values[0]
-                if operation == "or":
-                    return old | values[0]
-                if operation == "xor":
-                    return old ^ values[0]
-                if operation == "inc":
-                    return 0 if old >= _as_unsigned(values[0], width) else old + 1
-                if operation == "dec":
-                    limit = _as_unsigned(values[0], width)
-                    return limit if old == 0 or old > limit else old - 1
-                raise SimulationError(f"unsupported atomic .{operation}")
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            regs_map = warp.frames[-1].regs
+            block = warp.block
+            for tid in _active_tids(entry, regs_map, pred):
+                regs = regs_map[tid]
+                addr = addr_of(regs, tid)
+                values = [int(g(regs, tid)) for g in src_gets]
+                old = atomic(
+                    block,
+                    addr,
+                    width,
+                    lambda o, _v=values: rmw2(o & umask, _v),
+                )
+                if dst_name is not None:
+                    regs[dst_name] = wrap(old)
+            entry.pc = next_pc
+            return False
 
-            if space == "shared":
-                old = self.shared_mem.atomic(warp.block, addr, width, rmw)
-            else:
-                old = self.global_mem.atomic(warp.block, addr, width, rmw)
-            if dst is not None:
-                self._set_reg(tid, dst.name, _wrap(old, type_name))
+        return op
+
+    # -- arithmetic -------------------------------------------------------
+    def _decode_arith(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        compute = _ARITH_COMPILERS[insn.opcode](self, insn)
+        dst_name = insn.operands[0].name
+        result = self.result
+        next_pc = pc + 1
+        pred = insn.pred
+        if pred is None:
+
+            def op(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.instructions += 1
+                warp.cycles += 1
+                result.instructions += 1
+                result.cycles += 1
+                tids = entry._sorted
+                if tids is None:
+                    tids = entry.sorted_active()
+                regs_map = warp.frames[-1].regs
+                for tid in tids:
+                    regs = regs_map[tid]
+                    regs[dst_name] = compute(regs, tid)
+                entry.pc = next_pc
+                return False
+
+            return op
+
+        pname, pneg = pred
+
+        def op_pred(warp: WarpState, entry: _StackEntry) -> bool:
+            warp.instructions += 1
+            warp.cycles += 1
+            result.instructions += 1
+            result.cycles += 1
+            regs_map = warp.frames[-1].regs
+            for tid in entry.sorted_active():
+                regs = regs_map[tid]
+                if bool(regs.get(pname, 0)) != pneg:
+                    regs[dst_name] = compute(regs, tid)
+            entry.pc = next_pc
+            return False
+
+        return op_pred
 
     # -- warp-synchronous exchange (shfl.sync / vote.sync) ----------------
     def _warp_sync_lanes(
@@ -798,7 +1297,7 @@ class KernelExecution:
         dst, src, boff, cop, maskop = insn.operands
         required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
         lane_of = self.layout.lane_of
-        type_name = insn.value_type()
+        wrap = _make_wrap(insn.value_type())
         # Gather every source lane's value before any write: the exchange
         # is simultaneous across the warp.
         lane_values = {
@@ -836,7 +1335,7 @@ class KernelExecution:
             else:
                 results[tid] = own
         for tid, value in results.items():
-            self._set_reg(tid, dst.name, _wrap(value, type_name))
+            self._set_reg(tid, dst.name, wrap(value))
 
     def _exec_vote(
         self, warp: WarpState, entry: _StackEntry, insn: Instruction,
@@ -859,7 +1358,7 @@ class KernelExecution:
         dst, src, maskop = insn.operands
         required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
         lane_of = self.layout.lane_of
-        type_name = insn.value_type()
+        wrap = _make_wrap(insn.value_type())
         preds = {
             lane_of(t): bool(self._value(t, src))
             for t in active
@@ -886,7 +1385,7 @@ class KernelExecution:
                 value = 1
             else:
                 value = 1 if self._value(tid, src) else 0
-            self._set_reg(tid, dst.name, _wrap(value, type_name))
+            self._set_reg(tid, dst.name, wrap(value))
 
     # -- asynchronous copies (cp.async) -----------------------------------
     def _exec_cp(
@@ -1011,80 +1510,6 @@ class KernelExecution:
         warp.done = True
         self._flush_async(warp, 0, include_uncommitted=True)
 
-    # -- arithmetic -------------------------------------------------------
-    def _exec_arith(self, insn: Instruction, active: Sequence[int]) -> None:
-        opcode = insn.opcode
-        type_name = insn.value_type()
-        for tid in active:
-            handler = _ARITH.get(opcode)
-            if handler is None:
-                raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
-            handler(self, tid, insn, type_name)
-
-    # -- logging pseudo-instructions ---------------------------------------
-    def _exec_log(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
-        warp.cycles += LOG_COST - 1
-        self.result.cycles += LOG_COST - 1
-        mods = insn.modifiers
-        category = mods[0] if mods else ""
-        if self.sink is None or category in ("tid", "cvg", "bar"):
-            return
-        pred = insn.pred
-        if pred is None:
-            active = entry.sorted_active()
-            frozen = self.frozen_active(entry)
-        else:
-            active = [t for t in entry.sorted_active() if self._pred_holds(t, pred)]
-            frozen = self.intern_mask(active)
-        if not active:
-            return
-        width = type_width(insn.value_type()) if insn.value_type() else 4
-        width *= insn.vector_count()
-        if category == "mem":
-            kind = {
-                "ld": RecordKind.LOAD,
-                "st": RecordKind.STORE,
-                "atom": RecordKind.ATOMIC,
-            }[mods[1]]
-            space = Space.SHARED if "shared" in mods else Space.GLOBAL
-            mem = insn.operands[0]
-            addrs = {t: (space, self._address(t, mem)) for t in active}
-            values = {}
-            if kind is RecordKind.STORE and len(insn.operands) > 1:
-                values = {t: int(self._value(t, insn.operands[1])) for t in active}
-            record = LogRecord(
-                kind=kind,
-                warp=warp.warp,
-                active=frozen,
-                addrs=addrs,
-                values=values,
-                width=width,
-                pc=insn.line,
-            )
-        elif category == "sync":
-            kind = {
-                "acq": RecordKind.ACQUIRE,
-                "rel": RecordKind.RELEASE,
-                "ar": RecordKind.ACQREL,
-            }[mods[1]]
-            scope = Scope.BLOCK if "cta" in mods else Scope.GLOBAL
-            space = Space.SHARED if "shared" in mods else Space.GLOBAL
-            mem = insn.operands[0]
-            addrs = {t: (space, self._address(t, mem)) for t in active}
-            record = LogRecord(
-                kind=kind,
-                warp=warp.warp,
-                active=frozen,
-                addrs=addrs,
-                scope=scope,
-                width=width,
-                pc=insn.line,
-            )
-        else:
-            raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
-        warp.cycles += self.sink.emit(record)
-        self.result.records_emitted += 1
-
     # ------------------------------------------------------------------
     # Barriers
     # ------------------------------------------------------------------
@@ -1140,183 +1565,31 @@ class KernelExecution:
         arrived[0].cycles += self.sink.emit(record)
         self.result.records_emitted += 1
 
-
-# ----------------------------------------------------------------------
-# Arithmetic handlers
-# ----------------------------------------------------------------------
-def _binop(fn):
-    def handler(exe: KernelExecution, tid: int, insn: Instruction, type_name):
-        dst, a, b = insn.operands
-        # Normalize operands to the instruction's type first: a register
-        # written as .b32 holds an unsigned pattern, but e.g. min.s32
-        # must interpret it as signed.
-        lhs = _wrap(exe._value(tid, a), type_name)
-        rhs = _wrap(exe._value(tid, b), type_name)
-        exe._set_reg(tid, dst.name, _wrap(fn(lhs, rhs), type_name))
-
-    return handler
-
-
-def _exec_mov(exe, tid, insn, type_name):
-    dst, src = insn.operands
-    exe._set_reg(tid, dst.name, _wrap(exe._value(tid, src), type_name))
-
-
-def _exec_not(exe, tid, insn, type_name):
-    dst, src = insn.operands
-    value = exe._value(tid, src)
-    if type_name == "pred":
-        # not.pred is logical negation, not bitwise complement.
-        result = 0 if value else 1
-    else:
-        result = _wrap(~int(value), type_name)
-    exe._set_reg(tid, dst.name, result)
-
-
-def _exec_neg(exe, tid, insn, type_name):
-    dst, src = insn.operands
-    exe._set_reg(tid, dst.name, _wrap(-exe._value(tid, src), type_name))
-
-
-def _exec_abs(exe, tid, insn, type_name):
-    dst, src = insn.operands
-    exe._set_reg(tid, dst.name, _wrap(abs(exe._value(tid, src)), type_name))
-
-
-def _exec_cvt(exe, tid, insn, type_name):
-    # cvt.<dst_type>.<src_type> — wrap through the source type first.
-    dst, src = insn.operands
-    types = [m for m in insn.modifiers if m in _CVT_TYPES]
-    value = exe._value(tid, src)
-    if len(types) == 2:
-        value = _wrap(value, types[1])
-        value = _wrap(value, types[0])
-    else:
-        value = _wrap(value, type_name)
-    exe._set_reg(tid, dst.name, value)
-
-
-def _exec_cvta(exe, tid, insn, type_name):
-    # Address-space conversion is a no-op in our flat address model.
-    dst, src = insn.operands
-    exe._set_reg(tid, dst.name, exe._value(tid, src))
-
-
-def _exec_mad(exe, tid, insn, type_name):
-    dst, a, b, c = insn.operands
-    product = _wrap(exe._value(tid, a), type_name) * _wrap(exe._value(tid, b), type_name)
-    if insn.has_modifier("hi") and type_name and type_name not in FLOAT_TYPES:
-        product = int(product) >> (type_width(type_name) * 8)
-    exe._set_reg(tid, dst.name, _wrap(product + exe._value(tid, c), type_name))
-
-
-def _exec_fma(exe, tid, insn, type_name):
-    dst, a, b, c = insn.operands
-    result = exe._value(tid, a) * exe._value(tid, b) + exe._value(tid, c)
-    exe._set_reg(tid, dst.name, _wrap(result, type_name))
-
-
-def _exec_mul(exe, tid, insn, type_name):
-    dst, a, b = insn.operands
-    product = _wrap(exe._value(tid, a), type_name) * _wrap(exe._value(tid, b), type_name)
-    if insn.has_modifier("hi") and type_name and type_name not in FLOAT_TYPES:
-        product = int(product) >> (type_width(type_name) * 8)
-    exe._set_reg(tid, dst.name, _wrap(product, type_name))
-
-
-def _exec_div(exe, tid, insn, type_name):
-    dst, a, b = insn.operands
-    lhs = _wrap(exe._value(tid, a), type_name)
-    rhs = _wrap(exe._value(tid, b), type_name)
-    if type_name in FLOAT_TYPES:
-        result = lhs / rhs if rhs else float("inf")
-    elif not rhs:
-        result = 0  # modeled: integer division by zero yields 0
-    else:
-        result = int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs
-    exe._set_reg(tid, dst.name, _wrap(result, type_name))
-
-
-def _exec_rem(exe, tid, insn, type_name):
-    dst, a, b = insn.operands
-    lhs = int(_wrap(exe._value(tid, a), type_name))
-    rhs = int(_wrap(exe._value(tid, b), type_name))
-    if not rhs:
-        result = 0
-    else:
-        result = lhs - rhs * (int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs)
-    exe._set_reg(tid, dst.name, _wrap(result, type_name))
-
-
-_COMPARES = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-
-def _exec_setp(exe, tid, insn, type_name):
-    dst, a, b = insn.operands
-    compare = next(m for m in insn.modifiers if m in _COMPARES)
-    lhs = _wrap(exe._value(tid, a), type_name)
-    rhs = _wrap(exe._value(tid, b), type_name)
-    exe._set_reg(tid, dst.name, 1 if _COMPARES[compare](lhs, rhs) else 0)
-
-
-def _exec_selp(exe, tid, insn, type_name):
-    dst, a, b, pred = insn.operands
-    chosen = a if exe._value(tid, pred) else b
-    exe._set_reg(tid, dst.name, _wrap(exe._value(tid, chosen), type_name))
-
-
-def _exec_shl(exe, tid, insn, type_name):
-    dst, a, b = insn.operands
-    exe._set_reg(
-        tid, dst.name, _wrap(int(exe._value(tid, a)) << int(exe._value(tid, b)), type_name)
-    )
-
-
-def _exec_shr(exe, tid, insn, type_name):
-    dst, a, b = insn.operands
-    value = _wrap(exe._value(tid, a), type_name)
-    exe._set_reg(tid, dst.name, _wrap(int(value) >> int(exe._value(tid, b)), type_name))
-
-
-def _exec_popc(exe, tid, insn, type_name):
-    dst, src = insn.operands
-    exe._set_reg(tid, dst.name, bin(int(exe._value(tid, src)) & ((1 << 64) - 1)).count("1"))
-
-
-_CVT_TYPES = frozenset(
-    {"u8", "u16", "u32", "u64", "s8", "s16", "s32", "s64", "f32", "f64",
-     "b8", "b16", "b32", "b64"}
-)
-
-_ARITH: Dict[str, Callable] = {
-    "mov": _exec_mov,
-    "add": _binop(lambda a, b: a + b),
-    "sub": _binop(lambda a, b: a - b),
-    "mul": _exec_mul,
-    "mad": _exec_mad,
-    "fma": _exec_fma,
-    "div": _exec_div,
-    "rem": _exec_rem,
-    "min": _binop(min),
-    "max": _binop(max),
-    "and": _binop(lambda a, b: int(a) & int(b)),
-    "or": _binop(lambda a, b: int(a) | int(b)),
-    "xor": _binop(lambda a, b: int(a) ^ int(b)),
-    "not": _exec_not,
-    "neg": _exec_neg,
-    "abs": _exec_abs,
-    "cvt": _exec_cvt,
-    "cvta": _exec_cvta,
-    "setp": _exec_setp,
-    "selp": _exec_selp,
-    "shl": _exec_shl,
-    "shr": _exec_shr,
-    "popc": _exec_popc,
-}
+    # ------------------------------------------------------------------
+    # The instruction set
+    # ------------------------------------------------------------------
+    #: opcode -> ``decode(self, ctx, pc, insn) -> DecodedOp``: the one
+    #: statement of which instructions execute and how.  Every key is a
+    #: member of ``repro.ptx.isa.ALL_OPCODES`` (pinned by
+    #: ``tests/test_interpreter.py``); an opcode without an entry decodes
+    #: through ``_decode_unsupported``.
+    _DECODERS: Dict[str, Callable] = {
+        **dict.fromkeys(_ARITH_COMPILERS, _decode_arith),
+        "bra": _decode_branch,
+        "call": _transfer_decoder(_exec_call),
+        "ret": _transfer_decoder(_exec_ret),
+        "exit": _transfer_decoder(_exec_ret),
+        "bar": _decode_bar,
+        "barrier": _decode_grid_barrier,
+        "membar": _decode_membar,
+        "fence": _decode_membar,
+        "_log": _decode_log,
+        "ld": _decode_load,
+        "ldu": _decode_load,
+        "st": _decode_store,
+        "atom": _decode_atomic,
+        "red": _decode_atomic,
+        "shfl": _warp_op_decoder(_exec_shfl),
+        "vote": _warp_op_decoder(_exec_vote),
+        "cp": _warp_op_decoder(_exec_cp),
+    }

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..errors import InstrumentationError
 from ..ptx.ast import (
     ImmOperand,
     Instruction,
@@ -142,8 +143,19 @@ def _width_modifier(insn: Instruction) -> Tuple[str, ...]:
     return modifiers
 
 
+#: Operands a memory access must carry for its logging call to name the
+#: address (and, for scalar stores, the value).
+_LOGGED_OPERANDS = {"ld": 2, "ldu": 2, "st": 2, "atom": 2, "red": 1}
+
+
 def _log_for(insn: Instruction, classification: Classification) -> Optional[Instruction]:
     """Build the logging call for one classified instruction."""
+    needed = _LOGGED_OPERANDS.get(insn.opcode, 0)
+    if len(insn.operands) < needed:
+        raise InstrumentationError(
+            f"line {insn.line}: {insn} has {len(insn.operands)} operand(s); "
+            f"logging a {insn.opcode!r} needs {needed}"
+        )
     access = classification.access
     space = _space_modifier(insn)
     width = _width_modifier(insn)

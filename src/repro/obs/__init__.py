@@ -18,7 +18,7 @@ can import it without cycles.  It has six pillars:
   merged into one clock-normalized Chrome trace spanning client,
   server, and every shard;
 * :mod:`~repro.obs.profiler` — a counting profiler hooked into the
-  decoded engine's closure dispatch (per-opcode / per-source-line
+  engine's closure dispatch (per-opcode / per-source-line
   exclusive time), feeding ``repro profile``;
 * :mod:`~repro.obs.flight` — an always-on bounded ring of structured
   lifecycle events per process, dumped into degraded-job payloads and

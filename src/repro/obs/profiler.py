@@ -1,6 +1,6 @@
-"""Hot-path profiler for the decoded execution engine.
+"""Hot-path profiler for the execution engine.
 
-The decoded engine (`repro.gpu.engine.DecodedKernelExecution`) compiles
+The engine (`repro.gpu.interpreter.KernelExecution`) compiles
 each PTX statement into one closure and dispatches them from a tight
 loop — the perfect seam for a counting profiler: wrap each closure once
 at decode time and the dispatch loop itself never changes.  When
@@ -9,7 +9,7 @@ disabled profiler is one ``is None`` check per kernel *decode* (not per
 executed instruction); ``benchmarks/test_obs_overhead.py`` pins that
 at <2%.
 
-Wrapped closures charge **exclusive** time: the decoded engine fuses
+Wrapped closures charge **exclusive** time: the engine fuses
 ``_log`` closures with the access they instrument (the ``_log`` op
 tail-calls the follower), so a naive inclusive measurement would bill
 the access twice.  Each wrapper subtracts the time spent in closures it

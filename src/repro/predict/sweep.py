@@ -35,7 +35,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from ..core.races import RaceReport
 from ..cudac import compile_cuda
 from ..errors import ReproError, ScheduleDivergence, SimulationError, StepLimitExceeded
-from ..gpu.engine import DEFAULT_ENGINE
 from ..gpu.hierarchy import LaunchConfig
 from ..gpu.memory import KEPLER_K520, MAXWELL_TITANX, ArchProfile
 from ..gpu.scheduler import RecordingScheduler, SWEEP_KINDS, make_scheduler
@@ -183,11 +182,10 @@ def run_spec(
     spec: LaunchSpec,
     scheduler=None,
     capture: bool = False,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> SessionLaunch:
     """Execute one launch of ``spec`` under a fresh session."""
-    session = BarracudaSession(arch=ARCHES[spec.arch], engine=engine, obs=obs)
+    session = BarracudaSession(arch=ARCHES[spec.arch], obs=obs)
     module = spec.compile()
     session.register_module(module)
     params: Dict[str, int] = {}
@@ -279,7 +277,6 @@ def run_schedule(
     spec: LaunchSpec,
     index: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> SweepRun:
     """Execute sweep run ``index``, recording its decision trace.
@@ -295,7 +292,7 @@ def run_schedule(
     scheduler = RecordingScheduler(make_scheduler(kind, run_seed))
     run = SweepRun(index=index, kind=kind, seed=run_seed)
     try:
-        launch = run_spec(spec, scheduler=scheduler, engine=engine, obs=obs)
+        launch = run_spec(spec, scheduler=scheduler, obs=obs)
     except StepLimitExceeded:
         run.hung = True
         run.decisions = tuple(scheduler.decisions)
@@ -312,7 +309,6 @@ def run_schedule(
 def replay_witness(
     spec: LaunchSpec,
     witness: WitnessSchedule,
-    engine: str = DEFAULT_ENGINE,
 ) -> List[RaceReport]:
     """Re-execute a witness schedule; returns the races it reproduces.
 
@@ -321,7 +317,7 @@ def replay_witness(
     control-flow event.
     """
     try:
-        launch = run_spec(spec, scheduler=witness.build_scheduler(), engine=engine)
+        launch = run_spec(spec, scheduler=witness.build_scheduler())
     except (ScheduleDivergence, StepLimitExceeded):
         return []
     except (SimulationError, ReproError):
@@ -405,7 +401,6 @@ def finalize_sweep(
     runs: Sequence[SweepRun],
     schedules: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> SweepResult:
     """Run the base phase, predict, confirm, and merge deterministically.
@@ -416,7 +411,7 @@ def finalize_sweep(
     deterministically owns each finding's witness.
     """
     with obs.tracer.span("sweep-base", kernel=spec.kernel):
-        base_launch = run_spec(spec, capture=True, engine=engine)
+        base_launch = run_spec(spec, capture=True)
     base_races = list(base_launch.races)
     base_keys = {race_key(race) for race in base_races}
     kernel = spec.kernel or base_launch.kernel
@@ -456,7 +451,7 @@ def finalize_sweep(
                 if replayed_keys is None:
                     replayed_keys = {
                         race_key(r)
-                        for r in replay_witness(spec, witness, engine=engine)
+                        for r in replay_witness(spec, witness)
                     }
                 manifested_by_key[key] = replace(
                     race,
@@ -505,7 +500,6 @@ def run_sweep(
     spec: LaunchSpec,
     schedules: int,
     seed: int,
-    engine: str = DEFAULT_ENGINE,
     obs: Observability = NULL_OBS,
 ) -> SweepResult:
     """The local sweep driver: N seeded runs, then finalize."""
@@ -514,7 +508,7 @@ def run_sweep(
         for index in range(schedules):
             with obs.tracer.span("sweep-schedule", index=index,
                                  kind=kind_for(index)):
-                runs.append(run_schedule(spec, index, seed, engine=engine))
+                runs.append(run_schedule(spec, index, seed))
         return finalize_sweep(
-            spec, runs, schedules, seed, engine=engine, obs=obs
+            spec, runs, schedules, seed, obs=obs
         )

@@ -147,8 +147,8 @@ def record_lines_to_records(lines: Iterable[str],
 
     The batched equivalent of calling :func:`record_line_to_record` per
     line (same errors, same order) with the JSON decoder and record
-    constructor resolved once — the ingest path the decoded-engine
-    service workers use.
+    constructor resolved once — the ingest path the service workers
+    use.
     """
     injector = resolve_faults(faults)
     loads = json.loads

@@ -21,7 +21,6 @@ from ..core.races import BarrierDivergenceReport, DetectorReports, RaceReport
 from ..core.reference import DetectorConfig
 from ..errors import InstrumentationError
 from ..gpu.device import DEFAULT_MAX_STEPS, GpuDevice
-from ..gpu.engine import DEFAULT_ENGINE, resolve_engine
 from ..gpu.interpreter import LaunchResult
 from ..gpu.memory import ArchProfile, MAXWELL_TITANX
 from ..gpu.scheduler import Scheduler
@@ -107,11 +106,8 @@ class BarracudaSession:
         in_order_host: bool = True,
         obs: Observability = NULL_OBS,
         static_prune: bool = False,
-        engine: str = DEFAULT_ENGINE,
         faults=None,
     ) -> None:
-        resolve_engine(engine)  # fail fast on unknown engine names
-        self.engine = engine
         # Fault injection (repro.faults): a FaultPlan is instantiated
         # into one session-lifetime injector; an injector passes through.
         from ..faults import FaultInjector, FaultPlan, NULL_FAULTS
@@ -222,7 +218,6 @@ class BarracudaSession:
                 warp_size=warp_size,
                 scheduler=native_scheduler,
                 max_steps=max_steps,
-                engine=self.engine,
                 cooperative=cooperative,
             )
             self.device.global_mem.restore(image)
@@ -265,7 +260,6 @@ class BarracudaSession:
             scheduler=scheduler,
             max_steps=max_steps,
             obs=self.obs,
-            engine=self.engine,
             cooperative=cooperative,
         )
         with self.obs.tracer.span("queue-drain", kernel=kernel_name):

@@ -34,7 +34,6 @@ from ..core.reference import DetectorConfig
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultPlan
 from ..faults import sites as fault_sites
-from ..gpu.engine import DEFAULT_ENGINE, resolve_engine
 from ..obs import (
     NULL_OBS,
     FlightRecorder,
@@ -98,7 +97,6 @@ def _worker_ident(shard: int) -> str:
 
 def _worker_open(job_id: str, layout: GridLayout,
                  config: Optional[DetectorConfig],
-                 engine: str = DEFAULT_ENGINE,
                  fault_plan: Optional[dict] = None,
                  inline: bool = False,
                  trace: Optional[dict] = None,
@@ -118,8 +116,7 @@ def _worker_open(job_id: str, layout: GridLayout,
                           spans=_WORKER_SPANS.get(job_id)),
             inline,
         )
-    _WORKER_FLIGHT.record("job-open", job=job_id, engine=engine,
-                          traced=context is not None)
+    _WORKER_FLIGHT.record("job-open", job=job_id, traced=context is not None)
     return True
 
 
@@ -262,7 +259,6 @@ def _worker_flight_dump(shard: int = 0) -> dict:
 
 
 def _worker_sweep_run(spec_payload: dict, index: int, seed: int,
-                      engine: str = DEFAULT_ENGINE,
                       trace: Optional[dict] = None,
                       shard: int = 0) -> dict:
     """Execute one seeded schedule run of a predictive sweep.
@@ -280,20 +276,17 @@ def _worker_sweep_run(spec_payload: dict, index: int, seed: int,
     context = TraceContext.from_payload(trace)
     worker_obs = Observability(metrics=_WORKER_METRICS)
     if context is None:
-        return run_schedule(spec, index, seed, engine=engine,
-                            obs=worker_obs).to_payload()
+        return run_schedule(spec, index, seed, obs=worker_obs).to_payload()
     buffer = SpanBuffer(_worker_ident(shard), context=context)
     links = (context.parent_span_id,) if context.parent_span_id else ()
     with buffer.span("sweep-run", links=links, index=index, seed=seed):
-        payload = run_schedule(spec, index, seed, engine=engine,
-                               obs=worker_obs).to_payload()
+        payload = run_schedule(spec, index, seed, obs=worker_obs).to_payload()
     payload["spans"] = buffer.to_payloads()
     return payload
 
 
 def _worker_sweep_finalize(spec_payload: dict, run_payloads: Sequence[dict],
-                           schedules: int, seed: int,
-                           engine: str = DEFAULT_ENGINE) -> dict:
+                           schedules: int, seed: int) -> dict:
     """Finalize a sweep: base run, trace prediction, witness confirmation.
 
     Also stateless; the merge is deterministic in the (sorted) run
@@ -304,12 +297,11 @@ def _worker_sweep_finalize(spec_payload: dict, run_payloads: Sequence[dict],
 
     spec = LaunchSpec.from_payload(spec_payload)
     runs = [SweepRun.from_payload(payload) for payload in run_payloads]
-    return finalize_sweep(spec, runs, schedules, seed, engine=engine).to_payload()
+    return finalize_sweep(spec, runs, schedules, seed).to_payload()
 
 
 def _worker_fix_plan(spec_payload: dict, max_candidates: int,
                      verify_schedules: int, seed: int,
-                     engine: str = DEFAULT_ENGINE,
                      trace: Optional[dict] = None,
                      shard: int = 0) -> dict:
     """Stage one of a FIX job: baseline + candidate synthesis.
@@ -323,19 +315,18 @@ def _worker_fix_plan(spec_payload: dict, max_candidates: int,
     worker_obs = Observability(metrics=_WORKER_METRICS)
     if context is None:
         return plan_fix(spec_payload, max_candidates, verify_schedules, seed,
-                        engine=engine, obs=worker_obs)
+                        obs=worker_obs)
     buffer = SpanBuffer(_worker_ident(shard), context=context)
     links = (context.parent_span_id,) if context.parent_span_id else ()
     with buffer.span("fix-plan", links=links, candidates=max_candidates):
         plan = plan_fix(spec_payload, max_candidates, verify_schedules, seed,
-                        engine=engine, obs=worker_obs)
+                        obs=worker_obs)
     plan["spans"] = buffer.to_payloads()
     return plan
 
 
 def _worker_fix_verify(spec_payload: dict, baseline: dict, candidate: dict,
                        index: int, verify_schedules: int, seed: int,
-                       engine: str = DEFAULT_ENGINE,
                        trace: Optional[dict] = None,
                        shard: int = 0) -> dict:
     """Stage two of a FIX job: one candidate's full verification re-run."""
@@ -345,16 +336,14 @@ def _worker_fix_verify(spec_payload: dict, baseline: dict, candidate: dict,
     worker_obs = Observability(metrics=_WORKER_METRICS)
     if context is None:
         return verify_candidate(spec_payload, baseline, candidate, index,
-                                verify_schedules, seed, engine=engine,
-                                obs=worker_obs)
+                                verify_schedules, seed, obs=worker_obs)
     buffer = SpanBuffer(_worker_ident(shard), context=context)
     links = (context.parent_span_id,) if context.parent_span_id else ()
     strategy = str(candidate.get("patch", {}).get("strategy", ""))
     with buffer.span("fix-verify", links=links, index=index,
                      strategy=strategy):
         payload = verify_candidate(spec_payload, baseline, candidate, index,
-                                   verify_schedules, seed, engine=engine,
-                                   obs=worker_obs)
+                                   verify_schedules, seed, obs=worker_obs)
     payload["spans"] = buffer.to_payloads()
     return payload
 
@@ -390,14 +379,11 @@ class ShardedDetectorPool:
         self,
         workers: int = 2,
         obs: Observability = NULL_OBS,
-        engine: str = DEFAULT_ENGINE,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if workers < 0:
             raise ReproError(f"worker count must be >= 0, got {workers}")
-        resolve_engine(engine)  # fail fast on unknown engine names
         self.workers = workers
-        self.engine = engine
         # Shipped to workers as a plain dict; each shard process builds
         # its own injector per job so nth-hit counting is deterministic
         # regardless of which shard a job lands on.
@@ -468,7 +454,7 @@ class ShardedDetectorPool:
                  trace: Optional[dict] = None) -> Future:
         shard = self._assign(job_id)
         return self._dispatch(
-            shard, _worker_open, job_id, layout, config, self.engine,
+            shard, _worker_open, job_id, layout, config,
             self.fault_plan_payload, self.inline, trace, shard,
         )
 
@@ -555,8 +541,7 @@ class ShardedDetectorPool:
         """
         shard = index % max(self.workers, 1)
         return self._dispatch(
-            shard, _worker_sweep_run, spec_payload, index, seed, self.engine,
-            trace, shard,
+            shard, _worker_sweep_run, spec_payload, index, seed, trace, shard,
         )
 
     def submit_sweep_finalize(self, spec_payload: dict,
@@ -565,7 +550,7 @@ class ShardedDetectorPool:
         """Finalize a sweep (base run + predict + confirm) on shard 0."""
         return self._dispatch(
             0, _worker_sweep_finalize, spec_payload, list(run_payloads),
-            int(schedules), int(seed), self.engine,
+            int(schedules), int(seed),
         )
 
     # ------------------------------------------------------------------
@@ -577,7 +562,7 @@ class ShardedDetectorPool:
         """Plan a repair (baseline + synthesis) on shard 0."""
         return self._dispatch(
             0, _worker_fix_plan, spec_payload, int(max_candidates),
-            int(verify_schedules), int(seed), self.engine, trace, 0,
+            int(verify_schedules), int(seed), trace, 0,
         )
 
     def submit_fix_verify(self, spec_payload: dict, baseline: dict,
@@ -591,8 +576,7 @@ class ShardedDetectorPool:
         shard = index % max(self.workers, 1)
         return self._dispatch(
             shard, _worker_fix_verify, spec_payload, baseline, candidate,
-            int(index), int(verify_schedules), int(seed), self.engine, trace,
-            shard,
+            int(index), int(verify_schedules), int(seed), trace, shard,
         )
 
     def submit_fix_finalize(self, spec_payload: dict, baseline: dict,
@@ -664,7 +648,7 @@ class ShardedDetectorPool:
             _worker_discard(job_id)
         return (
             self._dispatch(
-                new, _worker_open, job_id, layout, config, self.engine,
+                new, _worker_open, job_id, layout, config,
                 self.fault_plan_payload, self.inline, trace, new,
             ),
             new,

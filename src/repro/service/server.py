@@ -28,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 from ..core.reference import DetectorConfig
 from ..errors import ReproError
 from ..faults import FaultPlan
-from ..gpu.engine import DEFAULT_ENGINE
 from ..obs import (
     FlightRecorder,
     SpanBuffer,
@@ -128,7 +127,6 @@ class RaceService:
         low_water: Optional[int] = None,
         pool: Optional[ShardedDetectorPool] = None,
         default_config: Optional[DetectorConfig] = None,
-        engine: str = DEFAULT_ENGINE,
         job_timeout: float = DEFAULT_JOB_TIMEOUT,
         max_requeues: int = DEFAULT_MAX_REQUEUES,
         fault_plan: Optional[FaultPlan] = None,
@@ -151,7 +149,7 @@ class RaceService:
         self.pool = (
             pool
             if pool is not None
-            else ShardedDetectorPool(workers, engine=engine, fault_plan=fault_plan)
+            else ShardedDetectorPool(workers, fault_plan=fault_plan)
         )
         self._owns_pool = pool is None
         self.default_config = default_config

@@ -7,16 +7,39 @@ production path runs it record by record any more.
 ``reference_launch``: the launch loop that rescans every warp, every
 block and every store queue on each step is the specification of
 ``GpuDevice.launch``'s incremental one; it exists only here.
+
+``NaiveKernelExecution``: the interpreter that re-examines every
+instruction on every dynamic step (opcode string chain, ``isinstance``
+operand towers, per-thread ``tid -> warp -> frame`` register walks) is
+the specification of ``KernelExecution``'s decode-once closures; no
+user can select it any more.  ``oracle_engine()`` substitutes it for
+the launches inside a ``with`` block.
 """
+
+import contextlib
+from typing import Callable, Dict, Optional, Sequence
+
+import pytest
 
 from repro.core.detector import BarracudaDetector
 from repro.core.reference import DetectorConfig
-from repro.errors import DeadlockError, StepLimitExceeded
+from repro.errors import DeadlockError, SimulationError, StepLimitExceeded
 from repro.events import GRID_BARRIER_BLOCK, LogRecord, RecordKind, record_to_ops
+from repro.gpu import device as device_module
 from repro.gpu.device import DEFAULT_MAX_STEPS, GpuDevice
-from repro.gpu.engine import DEFAULT_ENGINE, resolve_engine
+from repro.gpu.engine import _COMPARES, _CVT_TYPES
 from repro.gpu.hierarchy import LaunchConfig
+from repro.gpu.interpreter import (
+    LOG_COST,
+    KernelExecution,
+    WarpState,
+    _Phase,
+    _StackEntry,
+)
 from repro.gpu.scheduler import RoundRobinScheduler
+from repro.ptx.ast import Instruction, Label, MemOperand, VectorOperand
+from repro.ptx.isa import FLOAT_TYPES, SIGNED_TYPES, type_width
+from repro.trace.operations import Scope, Space
 
 
 def per_record_oracle(layout, records, config=None) -> BarracudaDetector:
@@ -79,7 +102,6 @@ def reference_launch(
     instrumented: bool = False,
     scheduler=None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    engine: str = DEFAULT_ENGINE,
     cooperative: bool = False,
 ):
     """``GpuDevice.launch`` as it was before the launch loop went
@@ -90,7 +112,7 @@ def reference_launch(
     """
     if module not in device._loaded_modules:
         device.load_module(module)
-    execution = resolve_engine(engine)(
+    execution = device_module.KernelExecution(
         module=module,
         kernel=module.kernel(kernel_name),
         config=LaunchConfig.of(grid, block, warp_size),
@@ -135,3 +157,543 @@ def reference_launch(
     memory.drain_all()
     execution.result.steps = steps
     return execution.result
+
+
+# ----------------------------------------------------------------------
+# The engine oracle
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def oracle_engine():
+    """Launches inside the block run on :class:`NaiveKernelExecution`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(device_module, "KernelExecution", NaiveKernelExecution)
+        yield
+
+
+def _wrap(value, type_name: Optional[str]):
+    """Wrap a raw Python value to a PTX scalar type's range."""
+    if type_name is None or type_name == "pred":
+        return value
+    if type_name in FLOAT_TYPES:
+        return float(value)
+    width = type_width(type_name) * 8
+    mask = (1 << width) - 1
+    value = int(value) & mask
+    if type_name in SIGNED_TYPES and value >= 1 << (width - 1):
+        value -= 1 << width
+    return value
+
+
+def _as_unsigned(value: int, width_bytes: int) -> int:
+    return int(value) & ((1 << (width_bytes * 8)) - 1)
+
+
+class NaiveKernelExecution(KernelExecution):
+    """``KernelExecution`` as it was before decode-once closures: the
+    step loop, the opcode chain and every per-thread handler below are
+    the deleted production code, verbatim.  ``call``/``ret``/``shfl``/
+    ``vote``/``cp`` and the barrier release are inherited — production
+    never had a second implementation of those."""
+
+    def step(self, warp: WarpState) -> None:
+        """Execute one instruction slot of ``warp``.
+
+        Reconvergence bookkeeping (popping finished paths) is free and
+        folded into the same step, as on real hardware where it is part
+        of branch handling.  A ``_log`` call and the instruction it
+        guards execute as one non-preemptible slot: the log record and
+        its access must be adjacent in the event stream, otherwise an
+        adversarial interleaving could order an acquire's record before
+        the release's record it synchronized with.
+        """
+        while True:
+            while True:
+                entry = warp.stack[-1]
+                # Reconvergence is reached on *arrival* at the IPDOM: the
+                # comparison must be equality, because a branch inside a
+                # loop can reconverge at the loop header, i.e. at a lower
+                # statement index than the arms execute at.
+                if (
+                    not entry.amask
+                    or entry.pc == entry.reconv_pc
+                    or entry.pc >= warp.frame.ctx.end_pc
+                ):
+                    if len(warp.stack) == 1:
+                        if len(warp.frames) > 1:
+                            # Implicit return: the device function's body
+                            # ran off its end; resume the caller.
+                            warp.frames.pop()
+                            continue
+                        self._finish_warp(warp)
+                        return
+                    self._pop_path(warp)
+                    continue
+                statement = warp.frame.ctx.kernel.body[entry.pc]
+                if isinstance(statement, Label):
+                    entry.pc += 1
+                    continue
+                break
+            self._execute(warp, entry, statement)
+            if statement.opcode != "_log" or warp.done or warp.at_barrier:
+                return
+
+    # ------------------------------------------------------------------
+    # Instruction dispatch
+    # ------------------------------------------------------------------
+    def _execute(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+        warp.instructions += 1
+        warp.cycles += 1
+        self.result.instructions += 1
+        self.result.cycles += 1
+        opcode = insn.opcode
+        if opcode == "bra":
+            self._exec_branch(warp, entry, insn)
+            return
+        if opcode == "call":
+            self._exec_call(warp, entry, insn)
+            return
+        if opcode in ("ret", "exit"):
+            self._exec_ret(warp, entry, insn)
+            return
+        if opcode == "bar":
+            entry.pc += 1
+            warp.at_barrier = True
+            return
+        if opcode == "barrier":
+            # barrier.cluster.sync: grid-wide synchronization, only legal
+            # on a cooperative launch (every block resident at once).
+            if not self.cooperative:
+                raise SimulationError(
+                    f"{warp.frame.ctx.kernel.name!r}: {insn.full_opcode} at "
+                    f"pc {entry.pc} requires a cooperative launch "
+                    "(launch with cooperative=True)"
+                )
+            entry.pc += 1
+            warp.at_barrier = True
+            warp.at_grid_barrier = True
+            return
+        if opcode == "membar" or opcode == "fence":
+            if not insn.has_modifier("cta"):
+                self.global_mem.drain_all()
+            entry.pc += 1
+            return
+        if opcode == "_log":
+            self._exec_log(warp, entry, insn)
+            entry.pc += 1
+            return
+        pred = insn.pred
+        if pred is None:
+            active = entry.sorted_active()
+        else:
+            active = [t for t in entry.sorted_active() if self._pred_holds(t, pred)]
+        if opcode in ("ld", "ldu"):
+            self._exec_load(warp, insn, active)
+        elif opcode == "st":
+            self._exec_store(warp, insn, active)
+        elif opcode in ("atom", "red"):
+            self._exec_atomic(warp, insn, active)
+        elif opcode == "shfl":
+            self._exec_shfl(warp, entry, insn, active)
+        elif opcode == "vote":
+            self._exec_vote(warp, entry, insn, active)
+        elif opcode == "cp":
+            self._exec_cp(warp, entry, insn, active)
+        else:
+            self._exec_arith(insn, active)
+        entry.pc += 1
+
+    # -- control flow ---------------------------------------------------
+    def _exec_branch(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+        target_pc = warp.frame.ctx.labels[insn.branch_target()]
+        if insn.pred is None:
+            entry.pc = target_pc
+            return
+        taken = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
+        not_taken = set(entry.amask) - taken
+        if not not_taken:
+            entry.pc = target_pc
+            return
+        if not taken:
+            entry.pc += 1
+            return
+        # Divergence: fall-through path executes first (Figure 1), the
+        # taken path is pushed deeper; both reconverge at the IPDOM.
+        reconv = warp.frame.ctx.cfg.reconvergence_pc(entry.pc)
+        self._emit_branch(
+            warp,
+            RecordKind.BRANCH_IF,
+            active=self.frozen_active(entry),
+            then_mask=self.intern_mask(sorted(not_taken)),
+            pc=entry.pc,
+        )
+        branch_pc = entry.pc
+        entry.pc = reconv
+        warp.stack.append(
+            _StackEntry(amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE)
+        )
+        warp.stack.append(
+            _StackEntry(
+                amask=not_taken, pc=branch_pc + 1, reconv_pc=reconv, phase=_Phase.THEN
+            )
+        )
+
+    def _exec_load(self, warp: WarpState, insn: Instruction, active: Sequence[int]) -> None:
+        dst, src = insn.operands
+        type_name = insn.value_type()
+        width = type_width(type_name) if type_name else 4
+        space = insn.state_space().value
+        if isinstance(dst, VectorOperand):
+            for tid in active:
+                addr = self._address(tid, src)
+                for lane_index, reg_name in enumerate(dst.regs):
+                    element = addr + lane_index * width
+                    if space == "shared":
+                        raw = self.shared_mem.load(warp.block, element, width)
+                    elif space == "local":
+                        raw = self._local_store(tid).load(0, element, width)
+                    else:
+                        raw = self.global_mem.load(warp.block, element, width)
+                    self._set_reg(tid, reg_name, _wrap(raw, type_name))
+            return
+        for tid in active:
+            if space == "param":
+                name = src.base if isinstance(src, MemOperand) else str(src)
+                frame_params = self._frame_of(tid).params
+                if name in frame_params:
+                    value = frame_params[name].get(tid, 0)
+                else:
+                    value = self.params.get(name, 0)
+            else:
+                addr = self._address(tid, src)
+                if space == "shared":
+                    raw = self.shared_mem.load(warp.block, addr, width)
+                elif space == "local":
+                    raw = self._local_store(tid).load(0, addr, width)
+                else:
+                    raw = self.global_mem.load(warp.block, addr, width)
+                value = _wrap(raw, type_name)
+            self._set_reg(tid, dst.name, _wrap(value, type_name))
+
+    def _exec_store(self, warp: WarpState, insn: Instruction, active: Sequence[int]) -> None:
+        dst, src = insn.operands
+        type_name = insn.value_type()
+        width = type_width(type_name) if type_name else 4
+        space = insn.state_space().value
+        if isinstance(src, VectorOperand):
+            for tid in active:
+                addr = self._address(tid, dst)
+                for lane_index, reg_name in enumerate(src.regs):
+                    element = addr + lane_index * width
+                    raw = _as_unsigned(int(self._reg(tid, reg_name)), width)
+                    if space == "shared":
+                        self.shared_mem.store(warp.block, element, width, raw)
+                    elif space == "local":
+                        self._local_store(tid).store(0, element, width, raw)
+                    else:
+                        self.global_mem.store(warp.block, element, width, raw)
+            return
+        for tid in active:
+            value = self._value(tid, src)
+            raw = _as_unsigned(int(value), width) if not isinstance(value, float) else 0
+            if isinstance(value, float):
+                raw = int(value)  # modeled: float stores round toward zero
+            addr = self._address(tid, dst)
+            if space == "shared":
+                self.shared_mem.store(warp.block, addr, width, raw)
+            elif space == "local":
+                self._local_store(tid).store(0, addr, width, raw)
+            else:
+                self.global_mem.store(warp.block, addr, width, raw)
+
+    def _exec_atomic(self, warp: WarpState, insn: Instruction, active: Sequence[int]) -> None:
+        operation = insn.atomic_operation()
+        if operation is None:
+            raise SimulationError(f"atomic without operation: {insn}")
+        type_name = insn.value_type()
+        width = type_width(type_name) if type_name else 4
+        space = insn.state_space().value
+        has_dst = insn.opcode == "atom"
+        operands = insn.operands
+        dst = operands[0] if has_dst else None
+        mem = operands[1] if has_dst else operands[0]
+        srcs = operands[2:] if has_dst else operands[1:]
+        for tid in active:
+            addr = self._address(tid, mem)
+            values = [int(self._value(tid, s)) for s in srcs]
+
+            def rmw(old: int) -> Optional[int]:
+                old = _as_unsigned(old, width)
+                if operation == "add":
+                    return _as_unsigned(old + values[0], width)
+                if operation == "sub":
+                    return _as_unsigned(old - values[0], width)
+                if operation == "exch":
+                    return _as_unsigned(values[0], width)
+                if operation == "cas":
+                    compare, new = values
+                    return _as_unsigned(new, width) if old == _as_unsigned(
+                        compare, width
+                    ) else None
+                if operation == "min":
+                    return min(old, _as_unsigned(values[0], width))
+                if operation == "max":
+                    return max(old, _as_unsigned(values[0], width))
+                if operation == "and":
+                    return old & values[0]
+                if operation == "or":
+                    return old | values[0]
+                if operation == "xor":
+                    return old ^ values[0]
+                if operation == "inc":
+                    return 0 if old >= _as_unsigned(values[0], width) else old + 1
+                if operation == "dec":
+                    limit = _as_unsigned(values[0], width)
+                    return limit if old == 0 or old > limit else old - 1
+                raise SimulationError(f"unsupported atomic .{operation}")
+
+            if space == "shared":
+                old = self.shared_mem.atomic(warp.block, addr, width, rmw)
+            else:
+                old = self.global_mem.atomic(warp.block, addr, width, rmw)
+            if dst is not None:
+                self._set_reg(tid, dst.name, _wrap(old, type_name))
+
+    # -- arithmetic -------------------------------------------------------
+    def _exec_arith(self, insn: Instruction, active: Sequence[int]) -> None:
+        opcode = insn.opcode
+        type_name = insn.value_type()
+        for tid in active:
+            handler = _ARITH.get(opcode)
+            if handler is None:
+                raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            handler(self, tid, insn, type_name)
+
+    # -- logging pseudo-instructions ---------------------------------------
+    def _exec_log(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+        warp.cycles += LOG_COST - 1
+        self.result.cycles += LOG_COST - 1
+        mods = insn.modifiers
+        category = mods[0] if mods else ""
+        if self.sink is None or category in ("tid", "cvg", "bar"):
+            return
+        pred = insn.pred
+        if pred is None:
+            active = entry.sorted_active()
+            frozen = self.frozen_active(entry)
+        else:
+            active = [t for t in entry.sorted_active() if self._pred_holds(t, pred)]
+            frozen = self.intern_mask(active)
+        if not active:
+            return
+        width = type_width(insn.value_type()) if insn.value_type() else 4
+        width *= insn.vector_count()
+        if category == "mem":
+            kind = {
+                "ld": RecordKind.LOAD,
+                "st": RecordKind.STORE,
+                "atom": RecordKind.ATOMIC,
+            }[mods[1]]
+            space = Space.SHARED if "shared" in mods else Space.GLOBAL
+            mem = insn.operands[0]
+            addrs = {t: (space, self._address(t, mem)) for t in active}
+            values = {}
+            if kind is RecordKind.STORE and len(insn.operands) > 1:
+                values = {t: int(self._value(t, insn.operands[1])) for t in active}
+            record = LogRecord(
+                kind=kind,
+                warp=warp.warp,
+                active=frozen,
+                addrs=addrs,
+                values=values,
+                width=width,
+                pc=insn.line,
+            )
+        elif category == "sync":
+            kind = {
+                "acq": RecordKind.ACQUIRE,
+                "rel": RecordKind.RELEASE,
+                "ar": RecordKind.ACQREL,
+            }[mods[1]]
+            scope = Scope.BLOCK if "cta" in mods else Scope.GLOBAL
+            space = Space.SHARED if "shared" in mods else Space.GLOBAL
+            mem = insn.operands[0]
+            addrs = {t: (space, self._address(t, mem)) for t in active}
+            record = LogRecord(
+                kind=kind,
+                warp=warp.warp,
+                active=frozen,
+                addrs=addrs,
+                scope=scope,
+                width=width,
+                pc=insn.line,
+            )
+        else:
+            raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
+        warp.cycles += self.sink.emit(record)
+        self.result.records_emitted += 1
+
+
+# ----------------------------------------------------------------------
+# Arithmetic handlers
+# ----------------------------------------------------------------------
+def _binop(fn):
+    def handler(exe: KernelExecution, tid: int, insn: Instruction, type_name):
+        dst, a, b = insn.operands
+        # Normalize operands to the instruction's type first: a register
+        # written as .b32 holds an unsigned pattern, but e.g. min.s32
+        # must interpret it as signed.
+        lhs = _wrap(exe._value(tid, a), type_name)
+        rhs = _wrap(exe._value(tid, b), type_name)
+        exe._set_reg(tid, dst.name, _wrap(fn(lhs, rhs), type_name))
+
+    return handler
+
+
+def _exec_mov(exe, tid, insn, type_name):
+    dst, src = insn.operands
+    exe._set_reg(tid, dst.name, _wrap(exe._value(tid, src), type_name))
+
+
+def _exec_not(exe, tid, insn, type_name):
+    dst, src = insn.operands
+    value = exe._value(tid, src)
+    if type_name == "pred":
+        # not.pred is logical negation, not bitwise complement.
+        result = 0 if value else 1
+    else:
+        result = _wrap(~int(value), type_name)
+    exe._set_reg(tid, dst.name, result)
+
+
+def _exec_neg(exe, tid, insn, type_name):
+    dst, src = insn.operands
+    exe._set_reg(tid, dst.name, _wrap(-exe._value(tid, src), type_name))
+
+
+def _exec_abs(exe, tid, insn, type_name):
+    dst, src = insn.operands
+    exe._set_reg(tid, dst.name, _wrap(abs(exe._value(tid, src)), type_name))
+
+
+def _exec_cvt(exe, tid, insn, type_name):
+    # cvt.<dst_type>.<src_type> — wrap through the source type first.
+    dst, src = insn.operands
+    types = [m for m in insn.modifiers if m in _CVT_TYPES]
+    value = exe._value(tid, src)
+    if len(types) == 2:
+        value = _wrap(value, types[1])
+        value = _wrap(value, types[0])
+    else:
+        value = _wrap(value, type_name)
+    exe._set_reg(tid, dst.name, value)
+
+
+def _exec_cvta(exe, tid, insn, type_name):
+    # Address-space conversion is a no-op in our flat address model.
+    dst, src = insn.operands
+    exe._set_reg(tid, dst.name, exe._value(tid, src))
+
+
+def _exec_mad(exe, tid, insn, type_name):
+    dst, a, b, c = insn.operands
+    product = _wrap(exe._value(tid, a), type_name) * _wrap(exe._value(tid, b), type_name)
+    if insn.has_modifier("hi") and type_name and type_name not in FLOAT_TYPES:
+        product = int(product) >> (type_width(type_name) * 8)
+    exe._set_reg(tid, dst.name, _wrap(product + exe._value(tid, c), type_name))
+
+
+def _exec_fma(exe, tid, insn, type_name):
+    dst, a, b, c = insn.operands
+    result = exe._value(tid, a) * exe._value(tid, b) + exe._value(tid, c)
+    exe._set_reg(tid, dst.name, _wrap(result, type_name))
+
+
+def _exec_mul(exe, tid, insn, type_name):
+    dst, a, b = insn.operands
+    product = _wrap(exe._value(tid, a), type_name) * _wrap(exe._value(tid, b), type_name)
+    if insn.has_modifier("hi") and type_name and type_name not in FLOAT_TYPES:
+        product = int(product) >> (type_width(type_name) * 8)
+    exe._set_reg(tid, dst.name, _wrap(product, type_name))
+
+
+def _exec_div(exe, tid, insn, type_name):
+    dst, a, b = insn.operands
+    lhs = _wrap(exe._value(tid, a), type_name)
+    rhs = _wrap(exe._value(tid, b), type_name)
+    if type_name in FLOAT_TYPES:
+        result = lhs / rhs if rhs else float("inf")
+    elif not rhs:
+        result = 0  # modeled: integer division by zero yields 0
+    else:
+        result = int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs
+    exe._set_reg(tid, dst.name, _wrap(result, type_name))
+
+
+def _exec_rem(exe, tid, insn, type_name):
+    dst, a, b = insn.operands
+    lhs = int(_wrap(exe._value(tid, a), type_name))
+    rhs = int(_wrap(exe._value(tid, b), type_name))
+    if not rhs:
+        result = 0
+    else:
+        result = lhs - rhs * (int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs)
+    exe._set_reg(tid, dst.name, _wrap(result, type_name))
+
+
+def _exec_setp(exe, tid, insn, type_name):
+    dst, a, b = insn.operands
+    compare = next(m for m in insn.modifiers if m in _COMPARES)
+    lhs = _wrap(exe._value(tid, a), type_name)
+    rhs = _wrap(exe._value(tid, b), type_name)
+    exe._set_reg(tid, dst.name, 1 if _COMPARES[compare](lhs, rhs) else 0)
+
+
+def _exec_selp(exe, tid, insn, type_name):
+    dst, a, b, pred = insn.operands
+    chosen = a if exe._value(tid, pred) else b
+    exe._set_reg(tid, dst.name, _wrap(exe._value(tid, chosen), type_name))
+
+
+def _exec_shl(exe, tid, insn, type_name):
+    dst, a, b = insn.operands
+    exe._set_reg(
+        tid, dst.name, _wrap(int(exe._value(tid, a)) << int(exe._value(tid, b)), type_name)
+    )
+
+
+def _exec_shr(exe, tid, insn, type_name):
+    dst, a, b = insn.operands
+    value = _wrap(exe._value(tid, a), type_name)
+    exe._set_reg(tid, dst.name, _wrap(int(value) >> int(exe._value(tid, b)), type_name))
+
+
+def _exec_popc(exe, tid, insn, type_name):
+    dst, src = insn.operands
+    exe._set_reg(tid, dst.name, bin(int(exe._value(tid, src)) & ((1 << 64) - 1)).count("1"))
+
+
+_ARITH: Dict[str, Callable] = {
+    "mov": _exec_mov,
+    "add": _binop(lambda a, b: a + b),
+    "sub": _binop(lambda a, b: a - b),
+    "mul": _exec_mul,
+    "mad": _exec_mad,
+    "fma": _exec_fma,
+    "div": _exec_div,
+    "rem": _exec_rem,
+    "min": _binop(min),
+    "max": _binop(max),
+    "and": _binop(lambda a, b: int(a) & int(b)),
+    "or": _binop(lambda a, b: int(a) | int(b)),
+    "xor": _binop(lambda a, b: int(a) ^ int(b)),
+    "not": _exec_not,
+    "neg": _exec_neg,
+    "abs": _exec_abs,
+    "cvt": _exec_cvt,
+    "cvta": _exec_cvta,
+    "setp": _exec_setp,
+    "selp": _exec_selp,
+    "shl": _exec_shl,
+    "shr": _exec_shr,
+    "popc": _exec_popc,
+}

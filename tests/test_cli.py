@@ -326,30 +326,3 @@ class TestCaptureFormats:
         assert run_cli(["convert", binary,
                         str(tmp_path / "no-such-dir" / "out.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestEngineFlag:
-    def test_both_engines_identical_output(self, source, capsys):
-        path = source(RACY)
-        outputs = {}
-        for engine in ("naive", "decoded"):
-            code = run_cli([path, "--grid", "2", "--buffer", "data:4",
-                            "--engine", engine])
-            assert code == 1
-            outputs[engine] = capsys.readouterr().out
-        assert outputs["naive"] == outputs["decoded"]
-        assert "race report" in outputs["decoded"]
-
-    def test_decoded_is_the_default(self, source, capsys):
-        path = source(RACY)
-        code_default = run_cli([path, "--grid", "2", "--buffer", "data:4"])
-        out_default = capsys.readouterr().out
-        code_decoded = run_cli([path, "--grid", "2", "--buffer", "data:4",
-                                "--engine", "decoded"])
-        out_decoded = capsys.readouterr().out
-        assert (code_default, out_default) == (code_decoded, out_decoded)
-
-    def test_unknown_engine_exits_2(self, source):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli([source(RACY), "--engine", "turbo"])
-        assert excinfo.value.code == 2

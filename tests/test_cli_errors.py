@@ -61,12 +61,19 @@ class TestCheckErrors:
         assert cli.main(["check", "/nonexistent/kernel.cu"]) == 2
         _assert_clean_error(capsys)
 
-    def test_bad_engine_is_rejected_by_argparse(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand", ["check", "sweep", "fix", "serve"])
+    def test_retired_engine_flag_is_rejected_by_argparse(
+            self, subcommand, tmp_path, capsys):
+        # One engine: the selector is gone from every subcommand that
+        # had it, so even its old default value is a usage error.
+        argv = [subcommand, "--engine", "decoded"]
+        if subcommand != "serve":
+            argv.insert(1, _write_kernel(tmp_path))
         with pytest.raises(SystemExit) as excinfo:
-            cli.main(["check", _write_kernel(tmp_path), "--engine", "warp9"])
+            cli.main(argv)
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice" in err
+        assert "unrecognized arguments: --engine" in err
         assert "Traceback" not in err
 
     def test_bad_fault_plan_json_is_a_one_line_error(self, tmp_path, capsys):
@@ -328,6 +335,68 @@ class TestModernIdiomErrors:
                          "--cooperative"] + self.ARGS)
         assert code == 0
         assert "no races" in capsys.readouterr().out
+
+
+_BODY_PTX = """
+.version 4.3
+.target sm_35
+.address_size 64
+
+.visible .entry k(
+    .param .u64 out
+)
+{{
+    .reg .pred %p<2>;
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<4>;
+
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    setp.lt.s32 %p1, %r1, 0;
+    cvt.s64.s32 %rd2, %r1;
+    mul.lo.s64 %rd3, %rd2, 4;
+    add.s64 %rd3, %rd1, %rd3;
+    {statement}
+    st.global.u32 [%rd3], %r1;
+    ret;
+}}
+"""
+
+
+class TestMalformedInstructions:
+    """A statement the engine or the instrumenter cannot compile is a
+    one-line ``error:`` (exit 2) when a thread reaches it, and costs
+    nothing when none does — ``%p1`` is false in every thread."""
+
+    def _check(self, tmp_path, statement):
+        path = tmp_path / "k.ptx"
+        path.write_text(_BODY_PTX.format(statement=statement))
+        return cli.main(["check", str(path), "--buffer", "out:8",
+                         "--block", "8", "--warp-size", "8"])
+
+    def test_short_operand_list_is_a_one_line_error(self, tmp_path, capsys):
+        assert self._check(tmp_path, "add.s32 %r2, %r1;") == 2
+        line = _assert_clean_error(capsys)
+        assert "'k': malformed instruction 'add.s32' at pc " in line
+        assert "(line 20)" in line
+
+    def test_unknown_opcode_is_a_one_line_error(self, tmp_path, capsys):
+        assert self._check(tmp_path, "frobnicate.s32 %r2, %r1;") == 2
+        assert _assert_clean_error(capsys) == (
+            "error: unsupported opcode 'frobnicate.s32'")
+
+    @pytest.mark.parametrize(
+        "statement", ["add.s32 %r2, %r1;", "frobnicate.s32 %r2, %r1;"])
+    def test_unreached_statement_does_not_fail_the_run(
+            self, statement, tmp_path, capsys):
+        assert self._check(tmp_path, "@%p1 " + statement) == 0
+        assert "no races" in capsys.readouterr().out
+
+    def test_logged_access_missing_an_operand(self, tmp_path, capsys):
+        assert self._check(tmp_path, "st.global.u32 [%rd3];") == 2
+        line = _assert_clean_error(capsys)
+        assert "line 20: st.global.u32 [%rd3];" in line
+        assert "needs 2" in line
 
 
 class TestLintExitCodes:

@@ -1,10 +1,12 @@
-"""Differential proof that the decoded engine matches the naive one.
+"""Differential proof that the engine matches its oracle.
 
-The decoded threaded-code engine (``repro.gpu.engine``) claims to be
-*bit-identical* to the naive interpreter: same event stream, same
-reports, same instruction/cycle accounting, same failures.  This suite
-holds it to that claim across every suite program (with and without
-static instrumentation pruning) and every Table 1 workload.
+The threaded-code engine (``repro.gpu.interpreter.KernelExecution``)
+claims to be *bit-identical* to the re-decode-every-step interpreter it
+replaced (``tests/oracle.py``: ``NaiveKernelExecution``, substituted
+through ``oracle_engine()``): same event stream, same reports, same
+instruction/cycle accounting, same failures.  This suite holds it to
+that claim across every suite program (with and without static
+instrumentation pruning) and every Table 1 workload.
 
 The detector axis rides the same programs.  The per-record oracle
 (``tests/oracle.py``: ``record_to_ops`` → ``BarracudaDetector.process``,
@@ -36,7 +38,7 @@ from repro.runtime.replay import (
 )
 from repro.suite import ALL_PROGRAMS
 
-from oracle import per_record_oracle
+from oracle import oracle_engine, per_record_oracle
 
 
 def _launch(program, session: BarracudaSession):
@@ -63,14 +65,14 @@ def _launch(program, session: BarracudaSession):
     )
 
 
-def _run_suite_program(program, engine: str, static_prune: bool) -> Tuple:
+def _run_suite_program(program, static_prune: bool) -> Tuple:
     """One instrumented launch, summarized for exact comparison.
 
     The returned tuple contains the full captured event stream, the
     launch counters, and the report set — everything observable about a
     launch short of wall-clock time.
     """
-    session = BarracudaSession(engine=engine, static_prune=static_prune)
+    session = BarracudaSession(static_prune=static_prune)
     try:
         launch = _launch(program, session)
     except StepLimitExceeded:
@@ -95,9 +97,9 @@ def _run_suite_program(program, engine: str, static_prune: bool) -> Tuple:
 @pytest.mark.parametrize("static_prune", [False, True], ids=["prune-off", "prune-on"])
 @pytest.mark.parametrize("program", ALL_PROGRAMS, ids=lambda p: p.name)
 def test_suite_program_equivalence(program, static_prune):
-    naive = _run_suite_program(program, "naive", static_prune)
-    decoded = _run_suite_program(program, "decoded", static_prune)
-    assert naive == decoded
+    with oracle_engine():
+        expected = _run_suite_program(program, static_prune)
+    assert _run_suite_program(program, static_prune) == expected
 
 
 def _report_lines(reports) -> Tuple:
@@ -168,19 +170,18 @@ def test_workload_capture_format_equivalence(entry):
 
 @pytest.mark.parametrize("entry", ALL_WORKLOADS, ids=lambda w: w.name)
 def test_workload_equivalence(entry):
-    outcomes = {}
-    for engine in ("naive", "decoded"):
+    def outcome():
         run = run_workload(
-            entry,
-            session=BarracudaSession(engine=engine),
-            compare_native=False,
-        )
+            entry, session=BarracudaSession(), compare_native=False)
         result = run.launch.instrumented
-        outcomes[engine] = (
+        return (
             sorted(str(race) for race in run.launch.reports.races),
             result.instructions,
             result.cycles,
             result.stall_cycles,
             result.records_emitted,
         )
-    assert outcomes["naive"] == outcomes["decoded"]
+
+    with oracle_engine():
+        expected = outcome()
+    assert outcome() == expected

@@ -4,9 +4,12 @@ import pytest
 
 from repro.errors import SimulationError, StepLimitExceeded
 from repro.events import RecordKind
-from repro.gpu import GpuDevice, ListSink
+from repro.gpu import GpuDevice, KernelExecution, ListSink
+from repro.gpu.engine import _ARITH_COMPILERS
 from repro.instrument import Instrumenter
-from repro.ptx import parse_ptx
+from repro.ptx import isa, parse_ptx
+
+import oracle
 
 HEADER = ".version 4.3\n.target sm_35\n.address_size 64\n"
 
@@ -103,6 +106,28 @@ class TestArithmetic:
         device = GpuDevice()
         with pytest.raises(SimulationError):
             device.launch(module, "k", grid=1, block=4, params={"out": 0})
+
+
+#: Arithmetic ``isa.py`` classifies (so the instrumenter and the static
+#: checker know it needs no logging) that the engine does not execute yet.
+NOT_YET_IMPLEMENTED = (
+    "set", "mul24", "sad", "clz", "rcp", "sqrt", "rsqrt", "ex2", "lg2",
+    "sin", "cos",
+)
+
+
+class TestInstructionSet:
+    def test_decoder_table_is_pinned_to_the_isa(self):
+        """An opcode added to ``isa.py`` without semantics, or semantics
+        added without an ISA entry, fails here."""
+        implemented = set(KernelExecution._DECODERS)
+        assert implemented <= isa.ALL_OPCODES
+        assert set(_ARITH_COMPILERS) <= isa.ARITHMETIC_OPCODES
+        assert set(_ARITH_COMPILERS) <= implemented
+        assert isa.ALL_OPCODES - implemented == set(NOT_YET_IMPLEMENTED)
+
+    def test_oracle_covers_the_same_arithmetic(self):
+        assert set(oracle._ARITH) == set(_ARITH_COMPILERS)
 
 
 class TestSpecialRegisters:

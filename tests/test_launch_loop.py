@@ -4,7 +4,10 @@
 its store drain incremental; ``oracle.reference_launch`` re-derives all
 three from scratch on every step.  They must produce the same schedule:
 same picks, same record stream, same counters, same final memory, and
-the same exception at the same step.
+the same exception at the same step.  Both loops are driven with the
+production engine (``decoded``) and with the engine oracle (``naive``,
+``oracle.NaiveKernelExecution``), substituted through the one seam the
+device has: its module-level ``KernelExecution`` name.
 
 The second half pins *how* the loop gets there, by counting rather than
 timing: the scheduler sees exactly the runnable warps in ascending
@@ -22,8 +25,8 @@ from repro.errors import DeadlockError, SimulationError, StepLimitExceeded
 from repro.events import RecordKind
 from repro.gpu import GpuDevice, ListSink, WarpSerializingScheduler
 from repro.gpu import device as device_module
-from repro.gpu.engine import ENGINES, resolve_engine
 from repro.gpu.hierarchy import LaunchConfig
+from repro.gpu.interpreter import KernelExecution
 from repro.gpu.scheduler import (
     SWEEP_KINDS,
     RecordingScheduler,
@@ -36,7 +39,9 @@ from repro.predict.sweep import ARCHES
 from repro.suite import ALL_PROGRAMS, SCHEDULE_PROGRAMS
 from repro.suite.model import Buffer, Expected, SuiteProgram
 
-from oracle import reference_launch
+from oracle import NaiveKernelExecution, reference_launch
+
+ENGINES = {"decoded": KernelExecution, "naive": NaiveKernelExecution}
 
 SCHEDULER_KINDS = ("roundrobin",) + SWEEP_KINDS
 SEED = 7
@@ -93,21 +98,22 @@ def _run(program, launch, engine, scheduler, max_steps=MAX_STEPS):
     sink = ListSink()
     recording = RecordingScheduler(scheduler)
     try:
-        result = launch(
-            device,
-            module,
-            module.kernels[0].name,
-            program.grid,
-            program.block,
-            params=params,
-            warp_size=program.warp_size,
-            sink=sink,
-            instrumented=True,
-            scheduler=recording,
-            max_steps=min(max_steps, program.max_steps),
-            engine=engine,
-            cooperative=getattr(program, "cooperative", False),
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(device_module, "KernelExecution", ENGINES[engine])
+            result = launch(
+                device,
+                module,
+                module.kernels[0].name,
+                program.grid,
+                program.block,
+                params=params,
+                warp_size=program.warp_size,
+                sink=sink,
+                instrumented=True,
+                scheduler=recording,
+                max_steps=min(max_steps, program.max_steps),
+                cooperative=getattr(program, "cooperative", False),
+            )
         outcome = (result.steps, result.instructions, result.cycles,
                    result.records_emitted)
     except (DeadlockError, StepLimitExceeded, SimulationError) as exc:
@@ -290,7 +296,7 @@ def test_deadlock_raised_at_the_same_step(engine, kind):
 def test_checked_scheduler_rejects_a_bad_runnable_list():
     device = GpuDevice()
     module = compile_cuda("__global__ void k(int* out) { out[threadIdx.x] = 1; }")
-    execution = resolve_engine("decoded")(
+    execution = KernelExecution(
         module=module, kernel=module.kernels[0],
         config=LaunchConfig.of(1, 96, 32), params={"out": 0},
         global_mem=device.global_mem, global_symbols={},
@@ -319,7 +325,7 @@ class _CountingList(list):
 
 
 def _counting_engine(engine, created):
-    class Counting(resolve_engine(engine)):
+    class Counting(ENGINES[engine]):
         def __init__(self, **kwargs):
             super().__init__(**kwargs)
             self.warps = _CountingList(self.warps)
@@ -358,13 +364,11 @@ def test_warp_list_is_scanned_per_barrier_event_not_per_step(
     grid, block = 16, 128  # 64 warps
     created = []
     monkeypatch.setattr(
-        device_module, "resolve_engine",
-        lambda name: _counting_engine(name, created))
+        device_module, "KernelExecution", _counting_engine(engine, created))
     device = GpuDevice()
     out = device.alloc(grid * block * 4)
     result = device.launch(
-        compile_cuda(source), "k", grid, block, params={"out": out},
-        engine=engine)
+        compile_cuda(source), "k", grid, block, params={"out": out})
     (execution,) = created
     warps = len(execution.warps)
     assert warps == 64

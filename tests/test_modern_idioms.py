@@ -3,8 +3,10 @@
 Every shuffle/vote/cp.async/grid-sync program runs through the full
 matrix the older suites established one axis at a time:
 
-* naive vs decoded engine — full record-stream, counter, and report
-  equality;
+* engine oracle vs production engine — full record-stream, counter,
+  and report equality (``test_suite_program_equivalence`` in
+  ``test_engine_equivalence.py`` covers these programs as members of
+  ``ALL_PROGRAMS``; the property tests below add generated kernels);
 * JSONL vs binary columnar capture (BCAP) — lossless round-trip and
   replay equality against the live launch (the per-record oracle
   differential over these same programs lives in
@@ -16,6 +18,7 @@ a single memory event, and no commit/wait interleaving that completes
 with ``wait_group 0`` before the read ever produces a false race.
 """
 
+import contextlib
 import io
 
 from typing import Dict, Tuple
@@ -36,9 +39,14 @@ from repro.runtime.replay import (
 )
 from repro.suite import MODERN_PROGRAMS, program
 
+from oracle import oracle_engine
 
-def _launch_program(suite_program, engine: str, static_prune: bool = False):
-    session = BarracudaSession(engine=engine, static_prune=static_prune)
+#: The engine oracle first, then the production engine.
+_ENGINES = {"oracle": oracle_engine, "production": contextlib.nullcontext}
+
+
+def _launch_program(suite_program, static_prune: bool = False):
+    session = BarracudaSession(static_prune=static_prune)
     module = suite_program.compile()
     session.register_module(module)
     params: Dict[str, int] = {}
@@ -61,9 +69,9 @@ def _launch_program(suite_program, engine: str, static_prune: bool = False):
     )
 
 
-def _summarize(suite_program, engine: str, static_prune: bool = False) -> Tuple:
+def _summarize(suite_program, static_prune: bool = False) -> Tuple:
     try:
-        launch = _launch_program(suite_program, engine, static_prune)
+        launch = _launch_program(suite_program, static_prune)
     except StepLimitExceeded:
         return ("hang",)
     except SimulationError as exc:
@@ -86,11 +94,9 @@ def _summarize(suite_program, engine: str, static_prune: bool = False) -> Tuple:
 @pytest.mark.parametrize("static_prune", [False, True], ids=["prune-off", "prune-on"])
 @pytest.mark.parametrize("suite_program", MODERN_PROGRAMS, ids=lambda p: p.name)
 def test_engine_equivalence(suite_program, static_prune):
-    """Naive and decoded engines agree bit-for-bit on every new program."""
-    naive = _summarize(suite_program, "naive", static_prune)
-    decoded = _summarize(suite_program, "decoded", static_prune)
-    assert naive == decoded
-    assert naive[0] == "ok"  # every modern program executes cleanly
+    """Every modern program executes cleanly (its oracle differential
+    is ``test_engine_equivalence.py::test_suite_program_equivalence``)."""
+    assert _summarize(suite_program, static_prune)[0] == "ok"
 
 
 @pytest.mark.parametrize("suite_program", MODERN_PROGRAMS, ids=lambda p: p.name)
@@ -99,7 +105,7 @@ def test_capture_and_detector_path_equivalence(suite_program):
     lossless and its replay reproduces the live reports exactly —
     including the grid-wide BARRIER records with their
     ``warp = GRID_BARRIER_BLOCK`` sentinel."""
-    outcome = _summarize(suite_program, "decoded", False)
+    outcome = _summarize(suite_program, False)
     assert outcome[0] == "ok"
     records = outcome[1]
     races, divergences = outcome[3], outcome[4]
@@ -138,7 +144,7 @@ def test_shuffle_programs_emit_no_warp_sync_memory_events():
     nothing for the shuffles themselves, and no shared-space records at
     all."""
     for name in ("shfl_butterfly_reduction", "shfl_broadcast_lane0"):
-        launch = _launch_program(program(name), "decoded")
+        launch = _launch_program(program(name))
         assert launch.reports.races == []
         spaces = {
             space.value
@@ -152,7 +158,7 @@ def test_shuffle_programs_emit_no_warp_sync_memory_events():
 def test_grid_barrier_record_uses_the_sentinel_block():
     """Cooperative __grid_sync emits exactly one grid-wide BARRIER record
     joining every thread, tagged with the GRID_BARRIER_BLOCK sentinel."""
-    launch = _launch_program(program("grid_sync_fixed"), "decoded")
+    launch = _launch_program(program("grid_sync_fixed"))
     grid_bars = [
         record
         for record in launch.captured_records
@@ -188,8 +194,8 @@ def test_non_cooperative_grid_sync_is_a_clean_simulation_error():
 _WARP = 8  # small warps keep the property launches fast
 
 
-def _run_kernel(source: str, engine: str, buffers: Dict[str, list]):
-    session = BarracudaSession(engine=engine)
+def _run_kernel(source: str, buffers: Dict[str, list]):
+    session = BarracudaSession()
     from repro.cudac import compile_cuda
 
     module = compile_cuda(source)
@@ -232,8 +238,9 @@ __global__ void bfly(int* data, int* out) {{
 """
     data = [7 * i + 3 for i in range(_WARP)]
     streams = {}
-    for engine in ("naive", "decoded"):
-        launch, out = _run_kernel(source, engine, {"data": data, "out": [0] * _WARP})
+    for engine, substituted in _ENGINES.items():
+        with substituted():
+            launch, out = _run_kernel(source, {"data": data, "out": [0] * _WARP})
         assert launch.reports.races == []
         kinds = [record.kind for record in launch.captured_records]
         assert kinds == [RecordKind.LOAD, RecordKind.STORE]
@@ -250,7 +257,7 @@ __global__ void bfly(int* data, int* out) {{
                 expected.append(data[lane])
         assert out == expected
         streams[engine] = launch.captured_records
-    assert streams["naive"] == streams["decoded"]
+    assert streams["oracle"] == streams["production"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -295,12 +302,13 @@ def test_cp_async_wait0_before_read_never_false_races(
     )
     data = list(range(10, 10 + _WARP))
     streams = {}
-    for engine in ("naive", "decoded"):
-        launch, out = _run_kernel(source, engine, {"src": data, "out": [0] * _WARP})
+    for engine, substituted in _ENGINES.items():
+        with substituted():
+            launch, out = _run_kernel(source, {"src": data, "out": [0] * _WARP})
         assert launch.reports.races == []
         assert out == [copies * data[_WARP - 1 - i] for i in range(_WARP)]
         streams[engine] = launch.captured_records
-    assert streams["naive"] == streams["decoded"]
+    assert streams["oracle"] == streams["production"]
 
 
 @settings(max_examples=20, deadline=None)
@@ -325,8 +333,9 @@ __global__ void ballot(int* out) {{
     expected = [
         ballot if mask & (1 << lane) else 0 for lane in range(_WARP)
     ]
-    for engine in ("naive", "decoded"):
-        launch, out = _run_kernel(source, engine, {"out": [0] * _WARP})
+    for substituted in _ENGINES.values():
+        with substituted():
+            launch, out = _run_kernel(source, {"out": [0] * _WARP})
         assert launch.reports.races == []
         assert out == expected
         kinds = [record.kind for record in launch.captured_records]

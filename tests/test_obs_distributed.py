@@ -379,9 +379,9 @@ class TestProfiler:
         NULL_PROFILER.account("st", 1)
         assert NULL_PROFILER.total_events == 0
 
-    def _profiled_launch(self, engine="decoded"):
+    def _profiled_launch(self):
         obs = make_observability(profile=True)
-        session = BarracudaSession(obs=obs, engine=engine)
+        session = BarracudaSession(obs=obs)
         session.register_module(compile_cuda(RACY))
         addr = session.device.alloc(64 * 4)
         session.launch("racy", grid=2, block=32, params={"data": addr})

@@ -50,6 +50,8 @@ from repro.runtime.replay import save_capture
 from repro.suite import SCHEDULE_PROGRAMS, schedule_program
 from repro.trace import GridLayout, Scope, TraceBuilder, global_loc
 
+from oracle import oracle_engine
+
 MASTER_SEED = 7
 SCHEDULES = 9
 
@@ -370,19 +372,18 @@ class TestDeterminism:
     @pytest.mark.parametrize("kind", SWEEP_KINDS)
     def test_capture_stream_identical_across_engines(self, kind):
         # Same seed + scheduler kind => bit-identical capture stream and
-        # reports under both execution engines.
+        # reports under the engine and its oracle.
         spec = LaunchSpec.from_program(schedule_program("drain_reorder_guard"))
-        streams = {}
-        races = {}
-        for engine in ("decoded", "naive"):
+        def outcome():
             launch = run_spec(spec, scheduler=make_scheduler(kind, seed=11),
-                              capture=True, engine=engine)
+                              capture=True)
             stream = io.StringIO()
             save_capture(stream, spec.layout(), launch.captured_records)
-            streams[engine] = stream.getvalue()
-            races[engine] = sorted(str(r) for r in launch.races)
-        assert streams["decoded"] == streams["naive"]
-        assert races["decoded"] == races["naive"]
+            return stream.getvalue(), sorted(str(r) for r in launch.races)
+
+        with oracle_engine():
+            expected = outcome()
+        assert outcome() == expected
 
     def test_sweep_result_round_trips_through_payload(self, sweeps):
         result = sweeps["handoff_no_spin"]
