@@ -18,6 +18,7 @@ from typing import Dict, Optional, Tuple
 
 from ..cudac import compile_cuda
 from ..gpu.device import DEFAULT_MAX_STEPS
+from ..jobs import alloc_buffers
 from ..ptx import parse_ptx
 from ..ptx.ast import Module
 from ..runtime.session import BarracudaSession, SessionLaunch
@@ -85,14 +86,9 @@ def run_workload(
     module = workload.compile()
     static_insns = module.static_instruction_count()
     session.register_module(module)
-    params: Dict[str, int] = {}
-    for buffer in workload.buffers:
-        addr = session.device.alloc(buffer.words * 4)
-        values = list(buffer.init) + [0] * (buffer.words - len(buffer.init))
-        session.device.memcpy_to_device(addr, values)
-        params[buffer.name] = addr
-    for name, value in workload.scalars:
-        params[name] = value
+    params: Dict[str, int] = alloc_buffers(
+        session.device, ((b.name, b.words, b.init) for b in workload.buffers))
+    params.update(workload.scalars)
     launch = session.launch(
         module.kernels[0].name,
         grid=workload.grid,

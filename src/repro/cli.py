@@ -11,17 +11,24 @@ requested device buffers, launches the kernel under a full
 :class:`BarracudaSession`, and prints race and barrier-divergence
 reports grouped by location, plus instrumentation and queue statistics.
 
-Eight subcommands front the system; the kernel-checking flow above
+Ten subcommands front the system; the kernel-checking flow above
 stays the default whenever the first argument is not a subcommand name::
 
     python -m repro check kernel.cu --grid 2 ...   # explicit form of the above
     python -m repro lint kernel.cu --format json   # static race lint, no run
     python -m repro explain kernel.cu --grid 2 ... # race provenance timelines
     python -m repro sweep kernel.cu --schedules 9 --seed 7  # predictive sweep
+    python -m repro fix kernel.cu --grid 2 ...     # synthesize + verify patches
     python -m repro profile kernel.cu --grid 2 ... # hot-path profile
     python -m repro serve --socket /tmp/barracuda.sock --workers 4
     python -m repro submit capture.jsonl --socket /tmp/barracuda.sock --stats
     python -m repro replay capture.jsonl --reference
+    python -m repro convert capture.jsonl capture.bcap  # JSONL <-> binary
+
+The subcommands that launch a kernel (``check``, ``explain``, ``sweep``,
+``fix``, ``profile``) share one set of launch flags
+(:func:`_add_launch_args`) parsed into one :class:`repro.jobs.LaunchSpec`
+(:func:`_spec_from_args`) and started by :func:`repro.jobs.launch_spec`.
 
 ``check`` takes ``--scheduler`` (any :data:`repro.gpu.SCHEDULER_KINDS`
 name) plus ``--seed`` to pick the warp schedule, and ``--predict`` to
@@ -52,12 +59,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cudac import compile_cuda
 from .errors import ReproError, StepLimitExceeded
-from .gpu.memory import KEPLER_K520, MAXWELL_TITANX
+from .jobs import ARCHES, LaunchSpec, launch_spec
 from .obs import make_observability
 from .ptx import parse_ptx
-from .runtime import BarracudaSession
-
-_ARCHES = {"k520": KEPLER_K520, "titanx": MAXWELL_TITANX}
 
 
 def _parse_buffer(spec: str) -> Tuple[str, int, List[int]]:
@@ -88,12 +92,9 @@ def _parse_scalar(spec: str) -> Tuple[str, int]:
     return name, int(value, 0)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run a CUDA kernel under the BARRACUDA race detector.",
-    )
-    parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
+def _add_launch_args(parser: argparse.ArgumentParser,
+                     max_steps_default: int) -> None:
+    """The launch flags every kernel-launching subcommand takes."""
     parser.add_argument("--kernel", help="kernel name (default: first in the module)")
     parser.add_argument("--grid", type=int, default=1, help="blocks in the grid")
     parser.add_argument("--block", type=int, default=32, help="threads per block")
@@ -105,11 +106,43 @@ def build_parser() -> argparse.ArgumentParser:
                         help="allocate a device int buffer parameter")
     parser.add_argument("--scalar", action="append", default=[], type=_parse_scalar,
                         metavar="NAME:VALUE", help="pass an integer parameter")
-    parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx",
+    parser.add_argument("--arch", choices=sorted(ARCHES), default="titanx",
                         help="memory-model profile of the simulated GPU")
     parser.add_argument("--cooperative", action="store_true",
                         help="cooperative launch: permit grid-wide "
                         "synchronization (barrier.cluster / __grid_sync)")
+    parser.add_argument("--max-steps", type=int, default=max_steps_default,
+                        help="hang-detection step budget")
+
+
+def _spec_from_args(args) -> LaunchSpec:
+    """Read ``args.source`` and describe the launch the flags ask for."""
+    with open(args.source) as handle:
+        source_text = handle.read()
+    return LaunchSpec(
+        source=source_text,
+        kernel=args.kernel or "",
+        is_ptx=args.source.endswith(".ptx"),
+        grid=args.grid,
+        block=args.block,
+        warp_size=args.warp_size,
+        buffers=tuple(
+            (name, words, tuple(init)) for name, words, init in args.buffer
+        ),
+        scalars=tuple(args.scalar),
+        arch=args.arch,
+        max_steps=args.max_steps,
+        cooperative=args.cooperative,
+    )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Run a CUDA kernel under the BARRACUDA race detector.",
+    )
+    parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
+    _add_launch_args(parser, max_steps_default=2_000_000)
     parser.add_argument("--no-prune", action="store_true",
                         help="disable the redundant-logging optimization")
     parser.add_argument("--prune-instrumentation", action="store_true",
@@ -117,8 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "proves thread-private (repro.staticcheck)")
     parser.add_argument("--no-filter-same-value", action="store_true",
                         help="report benign same-value intra-warp stores too")
-    parser.add_argument("--max-steps", type=int, default=2_000_000,
-                        help="hang-detection step budget")
     parser.add_argument("--max-reports", type=int, default=10,
                         help="race reports to print per location")
     parser.add_argument("--dump-buffers", action="store_true",
@@ -267,20 +298,54 @@ def _attach_static_predictions(reports, pristine_module) -> None:
         )
 
 
-def _alloc_params(session: BarracudaSession, args) -> Tuple[
-    Dict[str, int], Dict[str, Tuple[int, int]]
-]:
-    """Allocate ``--buffer``/``--scalar`` parameters on the device."""
-    params: Dict[str, int] = {}
-    buffers: Dict[str, Tuple[int, int]] = {}
-    for name, words, init in args.buffer:
-        addr = session.device.alloc(words * 4)
-        values = init + [0] * (words - len(init))
-        session.device.memcpy_to_device(addr, values[:words])
-        params[name] = addr
-        buffers[name] = (addr, words)
-    params.update(dict(args.scalar))
-    return params, buffers
+def _print_predicted_beyond(obs, captured, layout, observed, max_reports: int,
+                            **span_args) -> int:
+    """Run the trace-level predictive analysis over the ``captured``
+    records and print the races it predicts beyond the ``observed`` ones."""
+    from .predict import (
+        predict_races, predicted_to_report, race_key, trace_from_records,
+    )
+
+    with obs.tracer.span("predict", **span_args):
+        trace = trace_from_records(captured, layout)
+        prediction = predict_races(trace)
+    observed_keys = {race_key(race) for race in observed}
+    predicted = []
+    for entry in prediction.predicted:
+        report = predicted_to_report(trace, entry)
+        if race_key(report) not in observed_keys:
+            predicted.append(report)
+    return _print_predictions(predicted, max_reports,
+                              truncated=prediction.truncated)
+
+
+def _print_metrics(args, obs, remote_text: Optional[str] = None) -> None:
+    """The ``--metrics`` trailer: this process's registry, or the text a
+    remote run fetched from the service's METRICS verb."""
+    if args.metrics:
+        print("--------- metrics")
+        print(obs.metrics.render_prometheus() if remote_text is None
+              else remote_text, end="")
+
+
+def _write_trace(args, obs, span_buffer=None) -> None:
+    """The ``--trace`` trailer: this process's tracer, or the merged
+    client/server/shard trace a remote run collected in ``span_buffer``."""
+    if not args.trace:
+        return
+    if span_buffer is not None:
+        from .obs import write_merged_trace
+
+        trace_obj = write_merged_trace(
+            args.trace, span_buffer.collected_payloads()
+        )
+        print(f"merged distributed trace written to {args.trace} "
+              f"({len(trace_obj['traceEvents'])} events)", file=sys.stderr)
+    else:
+        obs.tracer.write(args.trace)
+        print(f"trace written to {args.trace} "
+              f"({len(obs.tracer.span_names())} distinct phases)",
+              file=sys.stderr)
 
 
 def run_check(argv: Optional[Sequence[str]] = None) -> int:
@@ -290,68 +355,46 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
         trace=bool(args.trace),
         metrics=args.metrics or want_json_stats,
     )
-    try:
-        fault_plan = _load_fault_plan_arg(args.fault_plan)
-        with obs.tracer.span("cuda-frontend", source=args.source):
-            module = _load_module(args.source)
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     from .core.reference import DetectorConfig
-
-    session = BarracudaSession(
-        arch=_ARCHES[args.arch],
-        prune=not args.no_prune,
-        detector_config=DetectorConfig(
-            filter_same_value=not args.no_filter_same_value
-        ),
-        obs=obs,
-        static_prune=args.prune_instrumentation,
-        faults=fault_plan,
-    )
-    try:
-        handle = session.register_module(module)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kernel = args.kernel or module.kernels[0].name
-    params, buffers = _alloc_params(session, args)
-
     from .gpu.scheduler import make_scheduler
 
     try:
-        launch = session.launch(
-            kernel,
-            grid=args.grid,
-            block=args.block,
-            warp_size=args.warp_size,
-            params=params,
+        fault_plan = _load_fault_plan_arg(args.fault_plan)
+        spec = _spec_from_args(args)
+        launched = launch_spec(
+            spec,
             scheduler=make_scheduler(args.scheduler, args.seed),
-            max_steps=args.max_steps,
-            capture_records=args.predict or bool(args.capture),
-            cooperative=args.cooperative,
+            capture=args.predict or bool(args.capture),
+            obs=obs,
+            prune=not args.no_prune,
+            detector_config=DetectorConfig(
+                filter_same_value=not args.no_filter_same_value
+            ),
+            static_prune=args.prune_instrumentation,
+            faults=fault_plan,
         )
     except StepLimitExceeded as exc:
         print(f"HANG: {exc}", file=sys.stderr)
         return 3
-    except ReproError as exc:
+    except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    session, handle = launched.session, launched.handle
+    kernel, launch = launched.kernel, launched.launch
 
     with obs.tracer.span("report", kernel=kernel):
         _attach_static_predictions(launch.reports, session.pristine_module(handle))
         exit_code = _print_reports(launch.reports, args.max_reports)
 
     if args.capture:
-        from .gpu.hierarchy import LaunchConfig
         from .runtime.replay import save_capture_binary
 
-        layout = LaunchConfig.of(args.grid, args.block, args.warp_size).layout()
         records = launch.captured_records or []
         try:
             with open(args.capture, "wb") as stream:
-                save_capture_binary(stream, layout, records, kernel=kernel)
+                save_capture_binary(stream, spec.layout(), records,
+                                    kernel=kernel)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -359,22 +402,9 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
               f"({len(records)} record(s), binary)", file=sys.stderr)
 
     if args.predict:
-        from .gpu.hierarchy import LaunchConfig
-        from .predict import predict_races, predicted_to_report, trace_from_records
-        from .predict.sweep import race_key
-
-        layout = LaunchConfig.of(args.grid, args.block, args.warp_size).layout()
-        with obs.tracer.span("predict", kernel=kernel):
-            trace = trace_from_records(launch.captured_records or [], layout)
-            prediction = predict_races(trace)
-        observed = {race_key(race) for race in launch.races}
-        predicted = []
-        for entry in prediction.predicted:
-            report = predicted_to_report(trace, entry)
-            if race_key(report) not in observed:
-                predicted.append(report)
-        exit_code = _print_predictions(
-            predicted, args.max_reports, truncated=prediction.truncated
+        exit_code = _print_predicted_beyond(
+            obs, launch.captured_records or [], spec.layout(), launch.races,
+            args.max_reports, kernel=kernel,
         ) or exit_code
 
     if args.stats and args.stats_format == "text":
@@ -396,22 +426,14 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
     elif want_json_stats:
         print(json.dumps(obs.metrics.snapshot(), indent=2, sort_keys=True))
 
-    if args.metrics:
-        print("--------- metrics")
-        print(obs.metrics.render_prometheus(), end="")
+    _print_metrics(args, obs)
 
     if args.dump_buffers:
         print("--------- buffers")
-        for name, (addr, words) in buffers.items():
-            values = session.device.memcpy_from_device(addr, words)
+        for name, values in launched.read_buffers().items():
             print(f"  {name} = {values}")
 
-    if args.trace:
-        obs.tracer.write(args.trace)
-        print(f"trace written to {args.trace} "
-              f"({len(obs.tracer.span_names())} distinct phases)",
-              file=sys.stderr)
-
+    _write_trace(args, obs)
     return exit_code
 
 
@@ -478,14 +500,8 @@ def run_lint(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.write(render_sarif(findings, source_name=args.source))
     else:
         sys.stdout.write(render_text(findings, source_name=args.source))
-    if args.metrics:
-        print("--------- metrics")
-        print(obs.metrics.render_prometheus(), end="")
-    if args.trace:
-        obs.tracer.write(args.trace)
-        print(f"trace written to {args.trace} "
-              f"({len(obs.tracer.span_names())} distinct phases)",
-              file=sys.stderr)
+    _print_metrics(args, obs)
+    _write_trace(args, obs)
     if args.fail_on == "never":
         return 0
     if args.fail_on == "warning":
@@ -554,16 +570,7 @@ def run_explain(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--flight", metavar="DUMP.json",
                         help="render a flight-recorder dump as a merged "
                         "cross-process timeline instead of explaining races")
-    parser.add_argument("--kernel", help="kernel name (default: first)")
-    parser.add_argument("--grid", type=int, default=1)
-    parser.add_argument("--block", type=int, default=32)
-    parser.add_argument("--warp-size", type=int, default=32)
-    parser.add_argument("--buffer", action="append", default=[],
-                        type=_parse_buffer, metavar="NAME:WORDS[:V0,V1,...]")
-    parser.add_argument("--scalar", action="append", default=[],
-                        type=_parse_scalar, metavar="NAME:VALUE")
-    parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx")
-    parser.add_argument("--max-steps", type=int, default=2_000_000)
+    _add_launch_args(parser, max_steps_default=2_000_000)
     parser.add_argument("--no-filter-same-value", action="store_true")
     parser.add_argument("--depth", type=int, default=5,
                         help="accesses retained per (location, thread)")
@@ -604,25 +611,13 @@ def run_explain(argv: Optional[Sequence[str]] = None) -> int:
                 args.source)
             reports = replay(layout, batches, config=config)
         else:
-            module = _load_module(args.source)
-            session = BarracudaSession(
-                arch=_ARCHES[args.arch], detector_config=config
-            )
-            handle = session.register_module(module)
+            launched = launch_spec(_spec_from_args(args),
+                                   detector_config=config)
             # Race-report PCs are line numbers of the PTX text the
             # session parsed back, not of the frontend's in-memory AST.
-            source_lines = _source_line_map(session.pristine_module(handle))
-            kernel = args.kernel or module.kernels[0].name
-            params, _buffers = _alloc_params(session, args)
-            launch = session.launch(
-                kernel,
-                grid=args.grid,
-                block=args.block,
-                warp_size=args.warp_size,
-                params=params,
-                max_steps=args.max_steps,
-            )
-            reports = launch.reports
+            source_lines = _source_line_map(
+                launched.session.pristine_module(launched.handle))
+            reports = launched.launch.reports
     except StepLimitExceeded as exc:
         print(f"HANG: {exc}", file=sys.stderr)
         return 3
@@ -638,8 +633,6 @@ def run_explain(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 def _write_witnesses(result, directory: str) -> int:
     """Save each finding's witness schedule as JSON; returns file count."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     written = set()
     for race in result.findings:
@@ -691,6 +684,36 @@ def _print_sweep_result(result, max_reports: int) -> int:
     return 1
 
 
+def _run_staged_job(job, args, **fields):
+    """Validate one staged-job request and run it: in this process, or on
+    a running service when ``--socket``/``--port`` is given.
+
+    Returns ``(result payload, obs, client span buffer, remote metrics
+    text)``; the last two are ``None`` for a local run.
+    """
+    spec_payload = _spec_from_args(args).to_payload()
+    request = job.parse({"spec": spec_payload, **fields})
+    remote = args.socket is not None or args.port is not None
+    obs = make_observability(trace=bool(args.trace) and not remote,
+                             metrics=args.metrics and not remote)
+    if not remote:
+        return job.run(request, obs), obs, None, None
+
+    from .service.client import ServiceClient
+
+    span_buffer = None
+    if args.trace:
+        from .obs import SpanBuffer
+
+        span_buffer = SpanBuffer("client")
+    with ServiceClient(socket_path=args.socket, host=args.host,
+                       port=args.port, timeout=600.0) as client:
+        payload = client.run_job(job.name, spec_payload, fields,
+                                 trace=span_buffer)
+        metrics_text = client.metrics()["text"] if args.metrics else ""
+    return payload, obs, span_buffer, metrics_text
+
+
 def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro sweep",
@@ -702,19 +725,7 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
         "service instead of executing locally.",
     )
     parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
-    parser.add_argument("--kernel", help="kernel name (default: first in the module)")
-    parser.add_argument("--grid", type=int, default=1)
-    parser.add_argument("--block", type=int, default=32)
-    parser.add_argument("--warp-size", type=int, default=32)
-    parser.add_argument("--buffer", action="append", default=[],
-                        type=_parse_buffer, metavar="NAME:WORDS[:V0,V1,...]")
-    parser.add_argument("--scalar", action="append", default=[],
-                        type=_parse_scalar, metavar="NAME:VALUE")
-    parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx")
-    parser.add_argument("--cooperative", action="store_true",
-                        help="cooperative launch: permit grid-wide "
-                        "synchronization (barrier.cluster / __grid_sync)")
-    parser.add_argument("--max-steps", type=int, default=400_000)
+    _add_launch_args(parser, max_steps_default=400_000)
     parser.add_argument("--schedules", type=int, default=9,
                         help="seeded schedule runs (cycled over the sweep "
                         "strategies)")
@@ -738,65 +749,15 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
     _add_endpoint_args(parser)
     args = parser.parse_args(argv)
 
-    if args.schedules < 1:
-        print("error: --schedules must be at least 1", file=sys.stderr)
-        return 2
-
-    from .predict import LaunchSpec, SweepResult, run_sweep
+    from .predict.sweep import JOB, SweepResult
 
     try:
-        with open(args.source) as handle:
-            source_text = handle.read()
-        spec = LaunchSpec(
-            source=source_text,
-            kernel=args.kernel or "",
-            is_ptx=args.source.endswith(".ptx"),
-            grid=args.grid,
-            block=args.block,
-            warp_size=args.warp_size,
-            buffers=tuple(
-                (name, words, tuple(init)) for name, words, init in args.buffer
-            ),
-            scalars=tuple(args.scalar),
-            arch=args.arch,
-            max_steps=args.max_steps,
-            cooperative=args.cooperative,
-        )
+        payload, obs, span_buffer, metrics_text = _run_staged_job(
+            JOB, args, schedules=args.schedules, seed=args.seed)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    remote = args.socket is not None or args.port is not None
-    obs = make_observability(trace=bool(args.trace) and not remote,
-                             metrics=args.metrics and not remote)
-    span_buffer = None
-    metrics_text = ""
-    try:
-        if remote:
-            from .service.client import ServiceClient
-
-            if args.trace:
-                from .obs import SpanBuffer
-
-                span_buffer = SpanBuffer("client")
-            with ServiceClient(socket_path=args.socket, host=args.host,
-                               port=args.port, timeout=600.0) as client:
-                result = SweepResult.from_payload(
-                    client.sweep(spec.to_payload(), args.schedules, args.seed,
-                                 trace=span_buffer)
-                )
-                if args.metrics:
-                    metrics_text = client.metrics()["text"]
-        else:
-            result = run_sweep(
-                spec,
-                schedules=args.schedules,
-                seed=args.seed,
-                obs=obs,
-            )
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = SweepResult.from_payload(payload)
 
     if args.witness_dir:
         written = _write_witnesses(result, args.witness_dir)
@@ -809,25 +770,8 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
     else:
         exit_code = _print_sweep_result(result, args.max_reports)
 
-    if args.metrics:
-        print("--------- metrics")
-        print(metrics_text if remote else obs.metrics.render_prometheus(),
-              end="")
-    if args.trace:
-        if span_buffer is not None:
-            from .obs import write_merged_trace
-
-            trace_obj = write_merged_trace(
-                args.trace, span_buffer.collected_payloads()
-            )
-            print(f"merged distributed trace written to {args.trace} "
-                  f"({len(trace_obj['traceEvents'])} events)",
-                  file=sys.stderr)
-        else:
-            obs.tracer.write(args.trace)
-            print(f"trace written to {args.trace} "
-                  f"({len(obs.tracer.span_names())} distinct phases)",
-                  file=sys.stderr)
+    _print_metrics(args, obs, metrics_text)
+    _write_trace(args, obs, span_buffer)
     return exit_code
 
 
@@ -895,16 +839,7 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
         "patch (or there was nothing to repair), 1 otherwise.",
     )
     parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
-    parser.add_argument("--kernel", help="kernel name (default: first in the module)")
-    parser.add_argument("--grid", type=int, default=1)
-    parser.add_argument("--block", type=int, default=32)
-    parser.add_argument("--warp-size", type=int, default=32)
-    parser.add_argument("--buffer", action="append", default=[],
-                        type=_parse_buffer, metavar="NAME:WORDS[:V0,V1,...]")
-    parser.add_argument("--scalar", action="append", default=[],
-                        type=_parse_scalar, metavar="NAME:VALUE")
-    parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx")
-    parser.add_argument("--max-steps", type=int, default=400_000)
+    _add_launch_args(parser, max_steps_default=400_000)
     parser.add_argument("--max-candidates", type=int, default=16,
                         help="cap on synthesized candidate patches")
     parser.add_argument("--verify-schedules", type=int, default=4,
@@ -930,70 +865,16 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
     _add_endpoint_args(parser)
     args = parser.parse_args(argv)
 
-    if args.verify_schedules < 1:
-        print("error: --verify-schedules must be at least 1", file=sys.stderr)
-        return 2
-    if args.max_candidates < 1:
-        print("error: --max-candidates must be at least 1", file=sys.stderr)
-        return 2
-
-    from .fix import FixResult, run_fix
-    from .predict import LaunchSpec
+    from .fix.driver import JOB, FixResult
 
     try:
-        with open(args.source) as handle:
-            source_text = handle.read()
-        spec = LaunchSpec(
-            source=source_text,
-            kernel=args.kernel or "",
-            is_ptx=args.source.endswith(".ptx"),
-            grid=args.grid,
-            block=args.block,
-            warp_size=args.warp_size,
-            buffers=tuple(
-                (name, words, tuple(init)) for name, words, init in args.buffer
-            ),
-            scalars=tuple(args.scalar),
-            arch=args.arch,
-            max_steps=args.max_steps,
-        )
+        payload, obs, span_buffer, metrics_text = _run_staged_job(
+            JOB, args, max_candidates=args.max_candidates,
+            verify_schedules=args.verify_schedules, seed=args.seed)
     except (OSError, ReproError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    remote = args.socket is not None or args.port is not None
-    obs = make_observability(trace=bool(args.trace) and not remote,
-                             metrics=args.metrics and not remote)
-    span_buffer = None
-    metrics_text = ""
-    try:
-        if remote:
-            from .service.client import ServiceClient
-
-            if args.trace:
-                from .obs import SpanBuffer
-
-                span_buffer = SpanBuffer("client")
-            with ServiceClient(socket_path=args.socket, host=args.host,
-                               port=args.port, timeout=600.0) as client:
-                result = FixResult.from_payload(
-                    client.fix(spec.to_payload(), args.max_candidates,
-                               args.verify_schedules, args.seed,
-                               trace=span_buffer)
-                )
-                if args.metrics:
-                    metrics_text = client.metrics()["text"]
-        else:
-            result = run_fix(
-                spec,
-                max_candidates=args.max_candidates,
-                verify_schedules=args.verify_schedules,
-                seed=args.seed,
-                obs=obs,
-            )
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    result = FixResult.from_payload(payload)
 
     if args.patch_dir:
         written = _write_patches(result, args.patch_dir)
@@ -1015,25 +896,8 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
     else:
         _print_fix_result(result, args.max_reports)
 
-    if args.metrics:
-        print("--------- metrics")
-        print(metrics_text if remote else obs.metrics.render_prometheus(),
-              end="")
-    if args.trace:
-        if span_buffer is not None:
-            from .obs import write_merged_trace
-
-            trace_obj = write_merged_trace(
-                args.trace, span_buffer.collected_payloads()
-            )
-            print(f"merged distributed trace written to {args.trace} "
-                  f"({len(trace_obj['traceEvents'])} events)",
-                  file=sys.stderr)
-        else:
-            obs.tracer.write(args.trace)
-            print(f"trace written to {args.trace} "
-                  f"({len(obs.tracer.span_names())} distinct phases)",
-                  file=sys.stderr)
+    _print_metrics(args, obs, metrics_text)
+    _write_trace(args, obs, span_buffer)
     if not result.targets:
         return 0
     return 0 if result.repaired_all else 1
@@ -1174,14 +1038,7 @@ def run_submit(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.trace:
-        from .obs import write_merged_trace
-
-        trace_obj = write_merged_trace(
-            args.trace, span_buffer.collected_payloads()
-        )
-        print(f"merged distributed trace written to {args.trace} "
-              f"({len(trace_obj['traceEvents'])} events)", file=sys.stderr)
+    _write_trace(args, None, span_buffer)
     if args.flight_dump:
         from .obs import write_flight_dump
 
@@ -1203,9 +1060,7 @@ def run_submit(argv: Optional[Sequence[str]] = None) -> int:
     if args.stats:
         print(render_job_stats(result.stats))
         print(render_service_stats(service_stats))
-    if args.metrics:
-        print("--------- metrics")
-        print(metrics_text, end="")
+    _print_metrics(args, None, metrics_text)
     if args.health:
         print("--------- health")
         print(json.dumps(health, indent=2, sort_keys=True))
@@ -1283,21 +1138,9 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
 
     exit_code = _print_reports(reports, args.max_reports)
     if args.predict:
-        from .predict import predict_races, predicted_to_report, trace_from_records
-        from .predict.sweep import race_key
-
-        with obs.tracer.span("predict", records=record_count):
-            records = [r for batch in batches for r in batch.iter_records()]
-            trace = trace_from_records(records, layout)
-            prediction = predict_races(trace)
-        observed = {race_key(race) for race in reports.races}
-        predicted = []
-        for entry in prediction.predicted:
-            report = predicted_to_report(trace, entry)
-            if race_key(report) not in observed:
-                predicted.append(report)
-        exit_code = _print_predictions(
-            predicted, args.max_reports, truncated=prediction.truncated
+        exit_code = _print_predicted_beyond(
+            obs, (r for batch in batches for r in batch.iter_records()),
+            layout, reports.races, args.max_reports, records=record_count,
         ) or exit_code
     if args.stats:
         print("--------- statistics")
@@ -1305,14 +1148,8 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
         print(f"  records replayed        : {record_count}")
         print(f"  grid                    : {layout.num_blocks} block(s) x "
               f"{layout.threads_per_block} thread(s), warp {layout.warp_size}")
-    if args.metrics:
-        print("--------- metrics")
-        print(obs.metrics.render_prometheus(), end="")
-    if args.trace:
-        obs.tracer.write(args.trace)
-        print(f"trace written to {args.trace} "
-              f"({len(obs.tracer.span_names())} distinct phases)",
-              file=sys.stderr)
+    _print_metrics(args, obs)
+    _write_trace(args, obs)
     return exit_code
 
 
@@ -1331,16 +1168,7 @@ def run_profile(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("source", help="kernel source (.cu/.ptx) or a "
                         "replay capture (.jsonl/.capture/.bin/.bcap)")
-    parser.add_argument("--kernel", help="kernel name (default: first)")
-    parser.add_argument("--grid", type=int, default=1)
-    parser.add_argument("--block", type=int, default=32)
-    parser.add_argument("--warp-size", type=int, default=32)
-    parser.add_argument("--buffer", action="append", default=[],
-                        type=_parse_buffer, metavar="NAME:WORDS[:V0,V1,...]")
-    parser.add_argument("--scalar", action="append", default=[],
-                        type=_parse_scalar, metavar="NAME:VALUE")
-    parser.add_argument("--arch", choices=sorted(_ARCHES), default="titanx")
-    parser.add_argument("--max-steps", type=int, default=2_000_000)
+    _add_launch_args(parser, max_steps_default=2_000_000)
     parser.add_argument("--top", type=int, default=20,
                         help="sites to show in text format")
     parser.add_argument("--format", choices=("text", "json", "collapsed"),
@@ -1379,20 +1207,9 @@ def run_profile(argv: Optional[Sequence[str]] = None) -> int:
                                  seconds=perf_counter() - start)
         else:
             obs = make_observability(profile=True)
-            module = _load_module(args.source)
-            session = BarracudaSession(arch=_ARCHES[args.arch], obs=obs)
-            handle = session.register_module(module)
-            source_lines = _source_line_map(session.pristine_module(handle))
-            kernel = args.kernel or module.kernels[0].name
-            params, _buffers = _alloc_params(session, args)
-            session.launch(
-                kernel,
-                grid=args.grid,
-                block=args.block,
-                warp_size=args.warp_size,
-                params=params,
-                max_steps=args.max_steps,
-            )
+            launched = launch_spec(_spec_from_args(args), obs=obs)
+            source_lines = _source_line_map(
+                launched.session.pristine_module(launched.handle))
             profiler = obs.profiler
     except StepLimitExceeded as exc:
         print(f"HANG: {exc}", file=sys.stderr)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..obs.provenance import RaceProvenance, StaticPrediction
 from ..trace.layout import GridLayout
-from ..trace.operations import Location
+from ..errors import ProtocolError
+from ..trace.operations import Location, Space
 
 
 class AccessType(enum.Enum):
@@ -170,3 +171,125 @@ class DetectorReports:
         self.races.clear()
         self.barrier_divergences.clear()
         self.filtered_same_value = 0
+
+
+# ----------------------------------------------------------------------
+# Payload codec: the JSON-safe form reports take in job results, capture
+# replies and service frames
+# ----------------------------------------------------------------------
+def location_to_payload(loc: Location) -> list:
+    return [loc.space.value, loc.offset, loc.block]
+
+
+def location_from_payload(payload: Sequence) -> Location:
+    space, offset, block = payload
+    return Location(Space(space), offset, block)
+
+
+def race_sort_key(race: RaceReport) -> Tuple:
+    """Total order over race reports used for deterministic merging."""
+    return (
+        race.loc.space.value,
+        race.loc.block,
+        race.loc.offset,
+        race.current_pc,
+        race.prior_pc,
+        race.current_tid,
+        race.prior_tid,
+        race.kind.value,
+        race.current_access.value,
+        race.prior_access.value,
+    )
+
+
+def race_to_payload(race: RaceReport) -> dict:
+    """Serialize one race report, including predictive metadata."""
+    payload = {
+        "loc": location_to_payload(race.loc),
+        "current_tid": race.current_tid,
+        "current_access": race.current_access.value,
+        "prior_tid": race.prior_tid,
+        "prior_access": race.prior_access.value,
+        "kind": race.kind.value,
+        "branch_ordering": race.branch_ordering,
+        "current_pc": race.current_pc,
+        "prior_pc": race.prior_pc,
+    }
+    if race.predicted:
+        payload["predicted"] = True
+        payload["confirmed"] = bool(race.confirmed)
+    if race.witness is not None:
+        payload["witness"] = race.witness.to_payload()
+    return payload
+
+
+def race_from_payload(payload: dict) -> RaceReport:
+    """Deserialize one race report (the inverse of :func:`race_to_payload`)."""
+    witness = None
+    if payload.get("witness") is not None:
+        # Local import: repro.predict imports this module for payload
+        # serialization, so the reverse dependency must stay lazy.
+        from ..predict.witness import WitnessSchedule
+
+        witness = WitnessSchedule.from_payload(payload["witness"])
+    return RaceReport(
+        loc=location_from_payload(payload["loc"]),
+        current_tid=payload["current_tid"],
+        current_access=AccessType(payload["current_access"]),
+        prior_tid=payload["prior_tid"],
+        prior_access=AccessType(payload["prior_access"]),
+        kind=RaceKind(payload["kind"]),
+        branch_ordering=payload.get("branch_ordering", False),
+        current_pc=payload.get("current_pc", -1),
+        prior_pc=payload.get("prior_pc", -1),
+        predicted=payload.get("predicted", False),
+        confirmed=payload.get("confirmed") if "confirmed" in payload else None,
+        witness=witness,
+    )
+
+
+def reports_to_payload(reports: DetectorReports) -> dict:
+    """Serialize a :class:`DetectorReports`, sorting races deterministically.
+
+    The sort is what makes cross-worker merging order-insensitive: no
+    matter how batches were interleaved across pool shards, identical
+    findings serialize identically.
+    """
+    return {
+        "races": [
+            race_to_payload(race)
+            for race in sorted(reports.races, key=race_sort_key)
+        ],
+        "barrier_divergences": [
+            {
+                "block": report.block,
+                "missing": sorted(report.missing),
+                "pc": report.pc,
+            }
+            for report in sorted(
+                reports.barrier_divergences,
+                key=lambda r: (r.block, r.pc, sorted(r.missing)),
+            )
+        ],
+        "filtered_same_value": reports.filtered_same_value,
+    }
+
+
+def reports_from_payload(payload: dict) -> DetectorReports:
+    try:
+        races = [race_from_payload(race) for race in payload.get("races", [])]
+        divergences = [
+            BarrierDivergenceReport(
+                block=report["block"],
+                missing=frozenset(report["missing"]),
+                pc=report.get("pc", -1),
+            )
+            for report in payload.get("barrier_divergences", [])
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed report payload: {exc}") from exc
+    return DetectorReports(
+        races=races,
+        barrier_divergences=divergences,
+        filtered_same_value=payload.get("filtered_same_value", 0),
+    )

@@ -84,5 +84,9 @@ class QueueError(ReproError):
     """Raised on misuse of the GPU-to-host event queues."""
 
 
+class ProtocolError(ReproError):
+    """Raised on malformed frames, malformed payloads or protocol misuse."""
+
+
 class TraceError(ReproError):
     """Raised when a trace is infeasible per §3.1 of the paper."""

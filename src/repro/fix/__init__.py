@@ -9,9 +9,10 @@ reference-output bit-identity) and ranked by static instruction-count
 delta.  See docs/static-analysis.md, "From detection to repair".
 """
 
-from .driver import FixResult, finalize_fix, plan_fix, run_fix, verify_candidate
+from .driver import FixResult, finalize_fix, plan_fix, run_fix
 from .patches import Edit, Patch, apply_patch
 from .synthesize import synthesize_candidates
+from .verify import verify_candidate_payload
 
 __all__ = [
     "Edit",
@@ -22,5 +23,5 @@ __all__ = [
     "plan_fix",
     "run_fix",
     "synthesize_candidates",
-    "verify_candidate",
+    "verify_candidate_payload",
 ]

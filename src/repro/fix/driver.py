@@ -1,12 +1,13 @@
 """The repair driver: plan → verify each candidate → finalize.
 
-Three pure stages, shared verbatim by the local ``repro fix`` path and
-the service's ``FIX`` verb (which fans stage two across the sharded
-pool): :func:`plan_fix` computes the baseline and synthesizes candidate
-payloads, :func:`verify_candidate` re-runs the pipeline over one
-candidate, and :func:`finalize_fix` merges verification payloads into a
-deterministic, byte-stable :class:`FixResult` ranked by static
-instruction-count delta.
+Three pure stages, stated once as the :class:`~repro.jobs.StagedJob`
+:data:`JOB` that the local ``repro fix`` path and the service's ``FIX``
+verb (which fans stage two across the sharded pool) both run:
+:func:`plan_fix` computes the baseline and synthesizes candidate
+payloads, :func:`~repro.fix.verify.verify_candidate_payload` re-runs the
+pipeline over one candidate, and :func:`finalize_fix` merges
+verification payloads into a deterministic, byte-stable
+:class:`FixResult` ranked by static instruction-count delta.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.races import race_from_payload
 from ..errors import ReproError
+from ..jobs import LaunchSpec, StagedJob
 from ..obs import NULL_OBS, Observability
 from ..ptx import parse_ptx
-from ..service import protocol
 from ..staticcheck import run_lint
 from .synthesize import synthesize_candidates
 from .verify import (
+    STATUS_ERROR,
     STATUS_VERIFIED,
     compute_baseline,
     verify_candidate_payload,
@@ -97,7 +100,7 @@ class FixResult:
 
 
 def plan_fix(
-    spec_payload: dict,
+    spec: LaunchSpec,
     max_candidates: int,
     verify_schedules: int,
     seed: int,
@@ -108,10 +111,10 @@ def plan_fix(
     Repair targets are the base-schedule races plus every
     replay-confirmed predictive finding — a schedule-dependent race is
     as much a defect as a deterministic one."""
-    baseline = compute_baseline(spec_payload, verify_schedules, seed, obs=obs)
+    baseline = compute_baseline(spec, verify_schedules, seed, obs=obs)
     module = parse_ptx(baseline["source"])
     races = [
-        protocol.race_from_payload(p)
+        race_from_payload(p)
         for p in baseline["races"] + baseline["confirmed"]
     ]
     findings = run_lint(module)
@@ -121,23 +124,7 @@ def plan_fix(
     return {"baseline": baseline, "candidates": candidates}
 
 
-def verify_candidate(
-    spec_payload: dict,
-    baseline: dict,
-    candidate: dict,
-    index: int,
-    verify_schedules: int,
-    seed: int,
-    obs: Observability = NULL_OBS,
-) -> dict:
-    """Stage two: the full pipeline re-run behind one candidate."""
-    return verify_candidate_payload(
-        spec_payload, baseline, candidate, index, verify_schedules, seed, obs=obs
-    )
-
-
 def finalize_fix(
-    spec_payload: dict,
     baseline: dict,
     candidates: List[dict],
     verifications: List[dict],
@@ -202,34 +189,78 @@ def finalize_fix(
     return result.to_payload()
 
 
+# ----------------------------------------------------------------------
+# The repair as a staged job
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FixRequest:
+    """One repair request, as argv or a ``FIX`` frame states it."""
+
+    spec: LaunchSpec
+    max_candidates: int = field(default=16, metadata={"min": 1})
+    verify_schedules: int = field(default=0, metadata={"min": 1})
+    seed: int = 0
+
+
+def _plan_stage(request: FixRequest, obs: Observability) -> dict:
+    return plan_fix(request.spec, request.max_candidates,
+                    request.verify_schedules, request.seed, obs=obs)
+
+
+def _verify_item(request: FixRequest, plan: dict, index: int,
+                 obs: Observability) -> dict:
+    return verify_candidate_payload(
+        request.spec, plan["baseline"], plan["candidates"][index], index,
+        request.verify_schedules, request.seed, obs=obs)
+
+
+def _failed_verify(_request: FixRequest, plan: dict, index: int,
+                   reason: str) -> dict:
+    candidate = plan["candidates"][index]
+    patch = candidate.get("patch", {})
+    return {
+        "index": index,
+        "strategy": str(patch.get("strategy", "")),
+        "description": str(patch.get("description", "")),
+        "rule": str(candidate.get("rule", "")),
+        "targets": list(candidate.get("targets", [])),
+        "delta": 0,
+        "anchor_line": int(patch.get("anchor_line", 0)),
+        "status": STATUS_ERROR,
+        "detail": f"verification failed: {reason}",
+    }
+
+
+def _finalize_stage(request: FixRequest, plan: dict, items: List[dict],
+                    obs: Observability) -> dict:
+    return finalize_fix(plan["baseline"], plan["candidates"], items,
+                        request.verify_schedules, request.seed, obs=obs)
+
+
+#: Planning and the finalize merge run once (shard 0 on a service);
+#: items are candidate indices (candidate ``index`` on shard ``index %
+#: shards``).  Every verification replays the base schedule plus a full
+#: sweep, hence the watchdog scale.
+JOB = StagedJob(
+    name="fix",
+    request=FixRequest,
+    item_stage="verify",
+    plan=_plan_stage,
+    count=lambda _request, plan: len(plan["candidates"]),
+    item=_verify_item,
+    failed_item=_failed_verify,
+    finalize=_finalize_stage,
+    watchdog_scale=lambda request: request.verify_schedules,
+)
+
+
 def run_fix(
-    spec,
+    spec: LaunchSpec,
     max_candidates: int = 16,
     verify_schedules: int = 4,
     seed: int = 0,
     obs: Observability = NULL_OBS,
 ) -> FixResult:
-    """The local driver: plan, verify serially, finalize.
-
-    Runs the exact pure functions the service's ``FIX`` verb fans out,
-    in the same order — so a local run and a remote one over the same
-    ``(spec, max_candidates, verify_schedules, seed)`` produce
-    byte-identical result payloads."""
-    spec_payload = spec.to_payload()
-    with obs.tracer.span("fix-plan", kernel=spec.kernel or ""):
-        plan = plan_fix(spec_payload, max_candidates, verify_schedules, seed,
-                        obs=obs)
-    baseline = plan["baseline"]
-    candidates = plan["candidates"]
-    verifications = []
-    for index, candidate in enumerate(candidates):
-        with obs.tracer.span("fix-verify", index=index,
-                             strategy=candidate["patch"]["strategy"]):
-            verifications.append(
-                verify_candidate(spec_payload, baseline, candidate, index,
-                                 verify_schedules, seed, obs=obs)
-            )
-    with obs.tracer.span("fix-finalize", candidates=len(candidates)):
-        payload = finalize_fix(spec_payload, baseline, candidates,
-                               verifications, verify_schedules, seed, obs=obs)
-    return FixResult.from_payload(payload)
+    """The local driver: every stage of :data:`JOB`, in this process."""
+    return FixResult.from_payload(JOB.run(
+        FixRequest(spec, max_candidates, verify_schedules, seed), obs))

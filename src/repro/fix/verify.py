@@ -23,15 +23,14 @@ payload bytes.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Set, Tuple
 
+from ..core.races import race_sort_key, race_to_payload
 from ..errors import ReproError, SimulationError, StepLimitExceeded
-from ..gpu.memory import KEPLER_K520, MAXWELL_TITANX
+from ..jobs import LaunchSpec, launch_spec
 from ..obs import NULL_OBS, Observability
 from ..ptx import parse_ptx
 from ..ptx.ast import Module
-from ..runtime.session import BarracudaSession
-from ..service import protocol
 from ..staticcheck import SEVERITY_ERROR, run_lint
 from .patches import Patch, apply_patch, instruction_delta
 from .synthesize import (
@@ -41,8 +40,6 @@ from .synthesize import (
     pc_key,
     translate_key,
 )
-
-_ARCHES = {"titanx": MAXWELL_TITANX, "k520": KEPLER_K520}
 
 #: Candidate verification statuses, from best to worst.
 STATUS_VERIFIED = "verified"
@@ -65,42 +62,6 @@ def canonicalize(spec) -> Tuple[object, Module]:
     module = parse_ptx(str(spec.compile()))
     kernel = spec.kernel or module.kernels[0].name
     return replace(spec, source=str(module), is_ptx=True, kernel=kernel), module
-
-
-def run_with_outputs(spec, scheduler=None, obs: Observability = NULL_OBS):
-    """One launch of ``spec`` that also reads back every device buffer.
-
-    Mirrors :func:`repro.predict.sweep.run_spec` but keeps the session
-    so the final buffer contents — the reference outputs — can be
-    compared bit-for-bit."""
-    session = BarracudaSession(arch=_ARCHES[spec.arch], obs=obs)
-    module = spec.compile()
-    session.register_module(module)
-    params: Dict[str, int] = {}
-    allocs: List[Tuple[str, int, int]] = []
-    for name, words, init in spec.buffers:
-        addr = session.device.alloc(words * 4)
-        values = list(init) + [0] * (words - len(init))
-        session.device.memcpy_to_device(addr, values[:words])
-        params[name] = addr
-        allocs.append((name, addr, words))
-    for name, value in spec.scalars:
-        params[name] = value
-    kernel = spec.kernel or module.kernels[0].name
-    launch = session.launch(
-        kernel,
-        grid=spec.grid,
-        block=spec.block,
-        warp_size=spec.warp_size,
-        params=params,
-        scheduler=scheduler,
-        max_steps=spec.max_steps,
-    )
-    outputs = {
-        name: list(session.device.memcpy_from_device(addr, words))
-        for name, addr, words in allocs
-    }
-    return launch, outputs
 
 
 def _lint_summary(module: Module) -> Dict[str, int]:
@@ -132,32 +93,30 @@ def _sweep_keys(spec, verify_schedules: int, seed: int,
 
 
 def compute_baseline(
-    spec_payload: dict,
+    spec: LaunchSpec,
     verify_schedules: int,
     seed: int,
     obs: Observability = NULL_OBS,
 ) -> dict:
     """The unpatched program's reference behavior, as a payload."""
-    from ..predict.sweep import LaunchSpec
-
-    spec = LaunchSpec.from_payload(spec_payload)
     cspec, module = canonicalize(spec)
-    launch, outputs = run_with_outputs(cspec, obs=obs)
+    launched = launch_spec(cspec, obs=obs)
+    launch, outputs = launched.launch, launched.read_buffers()
     findings = run_lint(module)
     sweep, sweep_keys, unhealthy = _sweep_keys(
         cspec, verify_schedules, seed, obs
     )
-    races = sorted(launch.races, key=protocol.race_sort_key)
+    races = sorted(launch.races, key=race_sort_key)
     confirmed = sorted(
         (race for race in sweep.findings if race.confirmed),
-        key=protocol.race_sort_key,
+        key=race_sort_key,
     )
     base_keys = {pc_key(race) for race in races}
     return {
         "kernel": cspec.kernel,
         "source": cspec.source,
-        "races": [protocol.race_to_payload(race) for race in races],
-        "confirmed": [protocol.race_to_payload(race) for race in confirmed],
+        "races": [race_to_payload(race) for race in races],
+        "confirmed": [race_to_payload(race) for race in confirmed],
         "race_keys": sorted(key_to_payload(k) for k in base_keys),
         "sweep_keys": sorted(key_to_payload(k) for k in sweep_keys),
         "divergences": len(launch.reports.barrier_divergences),
@@ -168,7 +127,7 @@ def compute_baseline(
 
 
 def verify_candidate_payload(
-    spec_payload: dict,
+    spec: LaunchSpec,
     baseline: dict,
     candidate: dict,
     index: int,
@@ -177,8 +136,6 @@ def verify_candidate_payload(
     obs: Observability = NULL_OBS,
 ) -> dict:
     """Run the full verification pipeline over one candidate patch."""
-    from ..predict.sweep import LaunchSpec
-
     patch = Patch.from_payload(candidate["patch"])
     targets = {key_from_payload(k) for k in candidate.get("targets", [])}
     result = {
@@ -197,7 +154,7 @@ def verify_candidate_payload(
         module = parse_ptx(baseline["source"])
         patched, line_map = apply_patch(module, patch)
         pspec = replace(
-            LaunchSpec.from_payload(spec_payload),
+            spec,
             source=str(patched),
             is_ptx=True,
             kernel=baseline["kernel"],
@@ -213,7 +170,8 @@ def verify_candidate_payload(
     } - translated_targets
 
     try:
-        launch, outputs = run_with_outputs(pspec, obs=obs)
+        launched = launch_spec(pspec, obs=obs)
+        launch, outputs = launched.launch, launched.read_buffers()
     except (StepLimitExceeded, SimulationError, ReproError) as exc:
         result["detail"] = f"patched base run failed: {exc}"
         return result

@@ -23,8 +23,10 @@ current/prior roles flip when a schedule flips the access order.
 
 Everything is deterministic in ``(spec, schedules, seed)``: seeds are
 derived arithmetically, runs merge sorted by index, and findings sort
-under :func:`repro.service.protocol.race_sort_key` — so the local driver
-and the service's fanned-out path produce identical payload bytes.
+under :func:`repro.core.races.race_sort_key`.  The sweep is one
+:class:`~repro.jobs.StagedJob` (:data:`JOB`): the local driver, the
+inline service and the shard workers all run its stages, so they
+produce identical payload bytes.
 """
 
 from __future__ import annotations
@@ -32,20 +34,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.races import RaceReport
-from ..cudac import compile_cuda
+from ..core.races import (
+    RaceReport,
+    race_from_payload,
+    race_sort_key,
+    race_to_payload,
+)
 from ..errors import ReproError, ScheduleDivergence, SimulationError, StepLimitExceeded
-from ..gpu.hierarchy import LaunchConfig
-from ..gpu.memory import KEPLER_K520, MAXWELL_TITANX, ArchProfile
 from ..gpu.scheduler import RecordingScheduler, SWEEP_KINDS, make_scheduler
+from ..jobs import ARCHES, LaunchSpec, StagedJob, launch_spec  # noqa: F401 - ARCHES re-exported
 from ..obs import NULL_OBS, Observability
-from ..ptx import parse_ptx
-from ..runtime.session import BarracudaSession, SessionLaunch
-from ..service import protocol
+from ..runtime.session import SessionLaunch
 from .analysis import predict_races, predicted_to_report, trace_from_records
 from .witness import WitnessSchedule
-
-ARCHES: Dict[str, ArchProfile] = {"titanx": MAXWELL_TITANX, "k520": KEPLER_K520}
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -76,108 +77,6 @@ def race_key(race: RaceReport) -> Tuple[object, FrozenSet[Tuple[int, str]]]:
     )
 
 
-# ----------------------------------------------------------------------
-# Launch specs
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LaunchSpec:
-    """A self-contained, serializable description of one kernel launch.
-
-    Everything a worker process needs to re-create the launch from
-    scratch: source text, geometry, buffer initialization, scalars, and
-    the architecture profile.  This is what travels in ``SWEEP`` frames.
-    """
-
-    source: str
-    kernel: str = ""  # empty = first kernel of the module
-    is_ptx: bool = False
-    grid: int = 1
-    block: int = 32
-    warp_size: int = 32
-    #: (name, words, leading init values) per device int buffer.
-    buffers: Tuple[Tuple[str, int, Tuple[int, ...]], ...] = ()
-    scalars: Tuple[Tuple[str, int], ...] = ()
-    arch: str = "titanx"
-    max_steps: int = 400_000
-    #: Cooperative launch: permits grid-wide sync (barrier.cluster).
-    cooperative: bool = False
-
-    def __post_init__(self) -> None:
-        if self.arch not in ARCHES:
-            raise ReproError(
-                f"unknown arch {self.arch!r} (choose from {sorted(ARCHES)})"
-            )
-
-    def compile(self):
-        if self.is_ptx:
-            return parse_ptx(self.source)
-        return compile_cuda(self.source)
-
-    def layout(self):
-        return LaunchConfig.of(self.grid, self.block, self.warp_size).layout()
-
-    @classmethod
-    def from_program(cls, program) -> "LaunchSpec":
-        """Build a spec from a :class:`repro.suite.SuiteProgram`."""
-        return cls(
-            source=program.source,
-            kernel="",
-            is_ptx=program.is_ptx,
-            grid=program.grid,
-            block=program.block,
-            warp_size=program.warp_size,
-            buffers=tuple(
-                (b.name, b.words, tuple(b.init)) for b in program.buffers
-            ),
-            scalars=tuple(program.scalars),
-            arch=getattr(program, "arch", "titanx"),
-            max_steps=program.max_steps,
-            cooperative=getattr(program, "cooperative", False),
-        )
-
-    def to_payload(self) -> dict:
-        return {
-            "source": self.source,
-            "kernel": self.kernel,
-            "is_ptx": self.is_ptx,
-            "grid": self.grid,
-            "block": self.block,
-            "warp_size": self.warp_size,
-            "buffers": [
-                [name, words, list(init)] for name, words, init in self.buffers
-            ],
-            "scalars": [[name, value] for name, value in self.scalars],
-            "arch": self.arch,
-            "max_steps": self.max_steps,
-            "cooperative": self.cooperative,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "LaunchSpec":
-        try:
-            return cls(
-                source=str(payload["source"]),
-                kernel=str(payload.get("kernel", "")),
-                is_ptx=bool(payload.get("is_ptx", False)),
-                grid=int(payload.get("grid", 1)),
-                block=int(payload.get("block", 32)),
-                warp_size=int(payload.get("warp_size", 32)),
-                buffers=tuple(
-                    (str(name), int(words), tuple(int(v) for v in init))
-                    for name, words, init in payload.get("buffers", [])
-                ),
-                scalars=tuple(
-                    (str(name), int(value))
-                    for name, value in payload.get("scalars", [])
-                ),
-                arch=str(payload.get("arch", "titanx")),
-                max_steps=int(payload.get("max_steps", 400_000)),
-                cooperative=bool(payload.get("cooperative", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"malformed launch spec: {exc}") from exc
-
-
 def run_spec(
     spec: LaunchSpec,
     scheduler=None,
@@ -185,29 +84,7 @@ def run_spec(
     obs: Observability = NULL_OBS,
 ) -> SessionLaunch:
     """Execute one launch of ``spec`` under a fresh session."""
-    session = BarracudaSession(arch=ARCHES[spec.arch], obs=obs)
-    module = spec.compile()
-    session.register_module(module)
-    params: Dict[str, int] = {}
-    for name, words, init in spec.buffers:
-        addr = session.device.alloc(words * 4)
-        values = list(init) + [0] * (words - len(init))
-        session.device.memcpy_to_device(addr, values[:words])
-        params[name] = addr
-    for name, value in spec.scalars:
-        params[name] = value
-    kernel = spec.kernel or module.kernels[0].name
-    return session.launch(
-        kernel,
-        grid=spec.grid,
-        block=spec.block,
-        warp_size=spec.warp_size,
-        params=params,
-        scheduler=scheduler,
-        max_steps=spec.max_steps,
-        capture_records=capture,
-        cooperative=spec.cooperative,
-    )
+    return launch_spec(spec, scheduler=scheduler, capture=capture, obs=obs).launch
 
 
 # ----------------------------------------------------------------------
@@ -233,8 +110,8 @@ class SweepRun:
             "seed": self.seed,
             "decisions": list(self.decisions),
             "races": [
-                protocol.race_to_payload(race)
-                for race in sorted(self.races, key=protocol.race_sort_key)
+                race_to_payload(race)
+                for race in sorted(self.races, key=race_sort_key)
             ],
             "barrier_divergences": self.barrier_divergences,
             "hung": self.hung,
@@ -250,7 +127,7 @@ class SweepRun:
                 seed=int(payload["seed"]),
                 decisions=tuple(int(d) for d in payload.get("decisions", [])),
                 races=[
-                    protocol.race_from_payload(race)
+                    race_from_payload(race)
                     for race in payload.get("races", [])
                 ],
                 barrier_divergences=int(payload.get("barrier_divergences", 0)),
@@ -362,12 +239,12 @@ class SweepResult:
             "seed": self.seed,
             "base": {
                 "races": [
-                    protocol.race_to_payload(race)
-                    for race in sorted(self.base_races, key=protocol.race_sort_key)
+                    race_to_payload(race)
+                    for race in sorted(self.base_races, key=race_sort_key)
                 ],
                 "barrier_divergences": self.base_divergences,
             },
-            "findings": [protocol.race_to_payload(race) for race in self.findings],
+            "findings": [race_to_payload(race) for race in self.findings],
             "runs": list(self.runs),
             "truncated": self.truncated,
         }
@@ -381,12 +258,12 @@ class SweepResult:
                 schedules=int(payload.get("schedules", 0)),
                 seed=int(payload.get("seed", 0)),
                 base_races=[
-                    protocol.race_from_payload(race)
+                    race_from_payload(race)
                     for race in base.get("races", [])
                 ],
                 base_divergences=int(base.get("barrier_divergences", 0)),
                 findings=[
-                    protocol.race_from_payload(race)
+                    race_from_payload(race)
                     for race in payload.get("findings", [])
                 ],
                 runs=list(payload.get("runs", [])),
@@ -444,7 +321,7 @@ def finalize_sweep(
                 schedule_index=run.index,
             )
             replayed_keys: Optional[set] = None
-            for race in sorted(run.races, key=protocol.race_sort_key):
+            for race in sorted(run.races, key=race_sort_key):
                 key = race_key(race)
                 if key in base_keys or key in manifested_by_key:
                     continue
@@ -462,7 +339,7 @@ def finalize_sweep(
 
     merged: Dict[object, RaceReport] = dict(predicted_by_key)
     merged.update(manifested_by_key)  # a manifested finding wins its key
-    findings = sorted(merged.values(), key=protocol.race_sort_key)
+    findings = sorted(merged.values(), key=race_sort_key)
 
     if obs.metrics.enabled:
         obs.metrics.counter(
@@ -496,19 +373,62 @@ def finalize_sweep(
     )
 
 
+# ----------------------------------------------------------------------
+# The sweep as a staged job
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SweepRequest:
+    """One sweep request, as argv or a ``SWEEP`` frame states it."""
+
+    spec: LaunchSpec
+    schedules: int = field(default=0, metadata={"min": 1})
+    seed: int = 0
+
+
+def _run_item(request: SweepRequest, _plan: dict, index: int,
+              obs: Observability) -> dict:
+    return run_schedule(request.spec, index, request.seed, obs=obs).to_payload()
+
+
+def _failed_run(request: SweepRequest, _plan: dict, index: int,
+                reason: str) -> dict:
+    return SweepRun(
+        index=index,
+        kind=kind_for(index),
+        seed=derive_seed(request.seed, index),
+        error=f"schedule run failed: {reason}",
+    ).to_payload()
+
+
+def _finalize_stage(request: SweepRequest, _plan: dict,
+                            items: Sequence[dict], obs: Observability) -> dict:
+    runs = [SweepRun.from_payload(item) for item in items]
+    return finalize_sweep(
+        request.spec, runs, request.schedules, request.seed, obs=obs
+    ).to_payload()
+
+
+#: Items are schedule indices (run ``index`` lands on shard ``index %
+#: shards``); base run, prediction, witness replay and merge finalize.
+JOB = StagedJob(
+    name="sweep",
+    request=SweepRequest,
+    item_stage="run",
+    count=lambda request, _plan: request.schedules,
+    item=_run_item,
+    failed_item=_failed_run,
+    finalize=_finalize_stage,
+    watchdog_scale=lambda request: request.schedules,
+)
+
+
 def run_sweep(
     spec: LaunchSpec,
     schedules: int,
     seed: int,
     obs: Observability = NULL_OBS,
 ) -> SweepResult:
-    """The local sweep driver: N seeded runs, then finalize."""
-    with obs.tracer.span("sweep", kernel=spec.kernel, schedules=schedules):
-        runs = []
-        for index in range(schedules):
-            with obs.tracer.span("sweep-schedule", index=index,
-                                 kind=kind_for(index)):
-                runs.append(run_schedule(spec, index, seed))
-        return finalize_sweep(
-            spec, runs, schedules, seed, obs=obs
-        )
+    """The local sweep driver: every stage of :data:`JOB`, in this process."""
+    return SweepResult.from_payload(
+        JOB.run(SweepRequest(spec, schedules, seed), obs)
+    )

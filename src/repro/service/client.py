@@ -360,69 +360,47 @@ class ServiceClient:
                                resubmit_key=resubmit_key, trace=trace)
 
     # ------------------------------------------------------------------
-    # Predictive sweeps
+    # Staged jobs: predictive sweeps and race repair
     # ------------------------------------------------------------------
+    def run_job(self, verb: str, spec: dict, fields: dict,
+                trace: Optional[SpanBuffer] = None) -> dict:
+        """Run a staged job (``SWEEP``, ``FIX``) server-side.
+
+        ``spec`` is a serialized :class:`repro.predict.LaunchSpec`
+        payload and ``fields`` the job's integer request fields; the
+        reply is the job's serialized result payload, byte-identical to
+        what the local driver produces for the same request.  With
+        ``trace``, the request is recorded as a ``<verb>-request`` span
+        and the server/shard spans piggybacked on the reply are absorbed
+        into the buffer.
+        """
+        if trace is None or not trace.enabled:
+            reply = self._expect(
+                self._request(protocol.job_frame(verb, spec, fields)),
+                f"{verb}-reply")
+            return reply.get("result", {})
+        with trace.span(f"{verb}-request", **fields) as request_span:
+            payload = trace.context.child(request_span).to_payload()
+            reply = self._expect(
+                self._request(protocol.job_frame(verb, spec, fields,
+                                                 trace=payload)),
+                f"{verb}-reply")
+        trace.absorb(reply.get("spans", []))
+        return reply.get("result", {})
+
     def sweep(self, spec: dict, schedules: int, seed: int,
               trace: Optional[SpanBuffer] = None) -> dict:
-        """Run a predictive schedule sweep server-side (``SWEEP`` verb).
+        """The ``SWEEP`` verb: a :class:`repro.predict.SweepResult` payload."""
+        return self.run_job(protocol.SWEEP, spec,
+                            {"schedules": schedules, "seed": seed}, trace)
 
-        ``spec`` is a serialized :class:`repro.predict.LaunchSpec`
-        payload; the reply is a serialized
-        :class:`repro.predict.SweepResult` payload, bit-identical to
-        what the local driver produces for the same (spec, schedules,
-        seed).  With ``trace``, the request is recorded as a
-        ``sweep-request`` span and the server/shard spans piggybacked
-        on the reply are absorbed into the buffer.
-        """
-        if trace is None or not trace.enabled:
-            reply = self._expect(
-                self._request(protocol.sweep_frame(spec, schedules, seed)),
-                protocol.SWEEP_REPLY,
-            )
-            return reply.get("result", {})
-        with trace.span("sweep-request", schedules=schedules,
-                        seed=seed) as request_span:
-            payload = trace.context.child(request_span).to_payload()
-            reply = self._expect(
-                self._request(protocol.sweep_frame(spec, schedules, seed,
-                                                   trace=payload)),
-                protocol.SWEEP_REPLY,
-            )
-        trace.absorb(reply.get("spans", []))
-        return reply.get("result", {})
-
-    # ------------------------------------------------------------------
-    # Race repair
-    # ------------------------------------------------------------------
     def fix(self, spec: dict, max_candidates: int, verify_schedules: int,
             seed: int, trace: Optional[SpanBuffer] = None) -> dict:
-        """Synthesize and verify race-repair patches server-side
-        (the ``FIX`` verb).
-
-        ``spec`` is a serialized :class:`repro.predict.LaunchSpec`
-        payload; the reply is a serialized :class:`repro.fix.FixResult`
-        payload, byte-identical to a local :func:`repro.fix.run_fix`
-        over the same inputs.  ``trace`` works exactly as for
-        :meth:`sweep`.
-        """
-        if trace is None or not trace.enabled:
-            reply = self._expect(
-                self._request(protocol.fix_frame(
-                    spec, max_candidates, verify_schedules, seed)),
-                protocol.FIX_REPLY,
-            )
-            return reply.get("result", {})
-        with trace.span("fix-request", candidates=max_candidates,
-                        schedules=verify_schedules, seed=seed) as request_span:
-            payload = trace.context.child(request_span).to_payload()
-            reply = self._expect(
-                self._request(protocol.fix_frame(
-                    spec, max_candidates, verify_schedules, seed,
-                    trace=payload)),
-                protocol.FIX_REPLY,
-            )
-        trace.absorb(reply.get("spans", []))
-        return reply.get("result", {})
+        """The ``FIX`` verb: a :class:`repro.fix.FixResult` payload."""
+        return self.run_job(protocol.FIX, spec,
+                            {"max_candidates": max_candidates,
+                             "verify_schedules": verify_schedules,
+                             "seed": seed}, trace)
 
     # ------------------------------------------------------------------
     # Introspection

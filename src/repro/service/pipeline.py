@@ -14,7 +14,7 @@ per-queue record ordering the detector's operational semantics assume,
 while distinct jobs run genuinely in parallel on distinct processes.
 
 Results merge deterministically: each job's report is serialized with a
-total order over race reports (:func:`repro.service.protocol.reports_to_payload`),
+total order over race reports (:func:`repro.core.races.reports_to_payload`),
 so worker scheduling can never change the bytes a client receives.
 
 ``workers=0`` selects the inline mode: the same code paths, executed
@@ -34,6 +34,7 @@ from ..core.reference import DetectorConfig
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultPlan
 from ..faults import sites as fault_sites
+from ..jobs import staged_job
 from ..obs import (
     NULL_OBS,
     FlightRecorder,
@@ -258,106 +259,32 @@ def _worker_flight_dump(shard: int = 0) -> dict:
     return _WORKER_FLIGHT.dump()
 
 
-def _worker_sweep_run(spec_payload: dict, index: int, seed: int,
-                      trace: Optional[dict] = None,
-                      shard: int = 0) -> dict:
-    """Execute one seeded schedule run of a predictive sweep.
+def _worker_stage(job_name: str, stage: str, request, plan: dict, arg,
+                  trace: Optional[dict] = None, shard: int = 0) -> dict:
+    """Run one stage of a staged job (SWEEP, FIX) on this shard.
 
-    Stateless: the launch spec payload carries everything needed to
-    rebuild the launch, so sweep runs can land on any shard.  The
-    ``repro.predict`` import stays lazy — record-stream jobs never pay
-    for the simulator stack.  Traced runs attach their spans under a
-    ``spans`` key (popped server-side before the deterministic merge)
-    with a link back to the client's fan-out parent span.
+    Stateless: the request carries the launch spec, so any stage can
+    land on any shard.  :func:`repro.jobs.staged_job` imports the job's
+    module on first use — record-stream jobs never pay for the
+    predict/repair stack.  ``arg`` is the item index (item stages) or
+    the item payloads (finalize).  Traced stages attach their spans
+    under a ``spans`` key (popped server-side before the deterministic
+    merge) with a link back to the server's fan-out parent span.
     """
-    from ..predict.sweep import LaunchSpec, run_schedule
-
-    spec = LaunchSpec.from_payload(spec_payload)
-    context = TraceContext.from_payload(trace)
+    job = staged_job(job_name)
     worker_obs = Observability(metrics=_WORKER_METRICS)
+    context = TraceContext.from_payload(trace)
     if context is None:
-        return run_schedule(spec, index, seed, obs=worker_obs).to_payload()
+        return job.run_stage(stage, request, plan, arg, worker_obs)
     buffer = SpanBuffer(_worker_ident(shard), context=context)
     links = (context.parent_span_id,) if context.parent_span_id else ()
-    with buffer.span("sweep-run", links=links, index=index, seed=seed):
-        payload = run_schedule(spec, index, seed, obs=worker_obs).to_payload()
+    label = job.describe(request)
+    if stage == job.item_stage:
+        label["index"] = arg
+    with buffer.span(f"{job_name}-{stage}", links=links, **label):
+        payload = job.run_stage(stage, request, plan, arg, worker_obs)
     payload["spans"] = buffer.to_payloads()
     return payload
-
-
-def _worker_sweep_finalize(spec_payload: dict, run_payloads: Sequence[dict],
-                           schedules: int, seed: int) -> dict:
-    """Finalize a sweep: base run, trace prediction, witness confirmation.
-
-    Also stateless; the merge is deterministic in the (sorted) run
-    payloads, so the service path and the local driver produce identical
-    result bytes for the same inputs.
-    """
-    from ..predict.sweep import LaunchSpec, SweepRun, finalize_sweep
-
-    spec = LaunchSpec.from_payload(spec_payload)
-    runs = [SweepRun.from_payload(payload) for payload in run_payloads]
-    return finalize_sweep(spec, runs, schedules, seed).to_payload()
-
-
-def _worker_fix_plan(spec_payload: dict, max_candidates: int,
-                     verify_schedules: int, seed: int,
-                     trace: Optional[dict] = None,
-                     shard: int = 0) -> dict:
-    """Stage one of a FIX job: baseline + candidate synthesis.
-
-    Stateless like the sweep workers; the ``repro.fix`` import stays
-    lazy so record-stream jobs never pay for the repair stack.
-    """
-    from ..fix import plan_fix
-
-    context = TraceContext.from_payload(trace)
-    worker_obs = Observability(metrics=_WORKER_METRICS)
-    if context is None:
-        return plan_fix(spec_payload, max_candidates, verify_schedules, seed,
-                        obs=worker_obs)
-    buffer = SpanBuffer(_worker_ident(shard), context=context)
-    links = (context.parent_span_id,) if context.parent_span_id else ()
-    with buffer.span("fix-plan", links=links, candidates=max_candidates):
-        plan = plan_fix(spec_payload, max_candidates, verify_schedules, seed,
-                        obs=worker_obs)
-    plan["spans"] = buffer.to_payloads()
-    return plan
-
-
-def _worker_fix_verify(spec_payload: dict, baseline: dict, candidate: dict,
-                       index: int, verify_schedules: int, seed: int,
-                       trace: Optional[dict] = None,
-                       shard: int = 0) -> dict:
-    """Stage two of a FIX job: one candidate's full verification re-run."""
-    from ..fix import verify_candidate
-
-    context = TraceContext.from_payload(trace)
-    worker_obs = Observability(metrics=_WORKER_METRICS)
-    if context is None:
-        return verify_candidate(spec_payload, baseline, candidate, index,
-                                verify_schedules, seed, obs=worker_obs)
-    buffer = SpanBuffer(_worker_ident(shard), context=context)
-    links = (context.parent_span_id,) if context.parent_span_id else ()
-    strategy = str(candidate.get("patch", {}).get("strategy", ""))
-    with buffer.span("fix-verify", links=links, index=index,
-                     strategy=strategy):
-        payload = verify_candidate(spec_payload, baseline, candidate, index,
-                                   verify_schedules, seed, obs=worker_obs)
-    payload["spans"] = buffer.to_payloads()
-    return payload
-
-
-def _worker_fix_finalize(spec_payload: dict, baseline: dict,
-                         candidates: Sequence[dict],
-                         verifications: Sequence[dict],
-                         verify_schedules: int, seed: int) -> dict:
-    """Stage three of a FIX job: deterministic merge and ranking."""
-    from ..fix import finalize_fix
-
-    return finalize_fix(spec_payload, baseline, list(candidates),
-                        list(verifications), int(verify_schedules), int(seed),
-                        obs=Observability(metrics=_WORKER_METRICS))
 
 
 def _completed(result) -> Future:
@@ -530,64 +457,20 @@ class ShardedDetectorPool:
         return self._dispatch(shard, _worker_discard, job_id)
 
     # ------------------------------------------------------------------
-    # Predictive sweeps
+    # Staged jobs (the SWEEP and FIX verbs)
     # ------------------------------------------------------------------
-    def submit_sweep_run(self, spec_payload: dict, index: int,
-                         seed: int, trace: Optional[dict] = None) -> Future:
-        """Run sweep schedule ``index``; sharded ``index % shards``.
+    def submit_stage(self, shard: int, job_name: str, stage: str, request,
+                     plan: dict, arg=None,
+                     trace: Optional[dict] = None) -> Future:
+        """Run one staged-job stage on ``shard``; resolves to its payload.
 
-        The assignment is arithmetic, not round-robin state, so the
-        fan-out is deterministic regardless of interleaved record jobs.
+        The caller picks the shard arithmetically (plan and finalize on
+        0, item ``index`` on ``index % shards``), not from round-robin
+        state, so the fan-out is deterministic regardless of
+        interleaved record jobs.
         """
-        shard = index % max(self.workers, 1)
-        return self._dispatch(
-            shard, _worker_sweep_run, spec_payload, index, seed, trace, shard,
-        )
-
-    def submit_sweep_finalize(self, spec_payload: dict,
-                              run_payloads: Sequence[dict],
-                              schedules: int, seed: int) -> Future:
-        """Finalize a sweep (base run + predict + confirm) on shard 0."""
-        return self._dispatch(
-            0, _worker_sweep_finalize, spec_payload, list(run_payloads),
-            int(schedules), int(seed),
-        )
-
-    # ------------------------------------------------------------------
-    # Race repair (the FIX verb)
-    # ------------------------------------------------------------------
-    def submit_fix_plan(self, spec_payload: dict, max_candidates: int,
-                        verify_schedules: int, seed: int,
-                        trace: Optional[dict] = None) -> Future:
-        """Plan a repair (baseline + synthesis) on shard 0."""
-        return self._dispatch(
-            0, _worker_fix_plan, spec_payload, int(max_candidates),
-            int(verify_schedules), int(seed), trace, 0,
-        )
-
-    def submit_fix_verify(self, spec_payload: dict, baseline: dict,
-                          candidate: dict, index: int, verify_schedules: int,
-                          seed: int, trace: Optional[dict] = None) -> Future:
-        """Verify candidate ``index``; sharded ``index % shards``.
-
-        Arithmetic assignment, like sweep runs, so the fan-out is
-        deterministic regardless of interleaved record jobs.
-        """
-        shard = index % max(self.workers, 1)
-        return self._dispatch(
-            shard, _worker_fix_verify, spec_payload, baseline, candidate,
-            int(index), int(verify_schedules), int(seed), trace, shard,
-        )
-
-    def submit_fix_finalize(self, spec_payload: dict, baseline: dict,
-                            candidates: Sequence[dict],
-                            verifications: Sequence[dict],
-                            verify_schedules: int, seed: int) -> Future:
-        """Merge and rank verification payloads on shard 0."""
-        return self._dispatch(
-            0, _worker_fix_finalize, spec_payload, baseline, list(candidates),
-            list(verifications), int(verify_schedules), int(seed),
-        )
+        return self._dispatch(shard, _worker_stage, job_name, stage, request,
+                              plan, arg, trace, shard)
 
     # ------------------------------------------------------------------
     # Failure recovery

@@ -23,11 +23,15 @@ Client → server verbs::
     RECORDS {job_id, batch: str, count}-> ACK {job_id, accepted, pending} | ERROR
     CLOSE   {job_id}                   -> REPORT {job_id, reports, stats,
                                                   spans?, flight?} | ERROR
+    SWEEP   {spec, schedules, seed, trace?}
+                                       -> sweep-reply {result, spans?} | ERROR
+    FIX     {spec, max_candidates, verify_schedules, seed, trace?}
+                                       -> fix-reply {result, spans?} | ERROR
     STATS   {}                         -> STATS_REPLY {stats}
     METRICS {}                         -> METRICS_REPLY {text, snapshot}
     DUMP    {}                         -> DUMP_REPLY {flight}
 
-The optional ``trace`` field on OPEN and SWEEP is a serialized
+The optional ``trace`` field on OPEN, SWEEP and FIX is a serialized
 :class:`repro.obs.TraceContext`; when present, the server and every
 shard worker the job touches record wire spans parented under the
 client's context and ship them back on the result frame (``spans``), so
@@ -49,16 +53,21 @@ import socket
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.races import (
-    AccessType,
-    BarrierDivergenceReport,
-    DetectorReports,
-    RaceKind,
-    RaceReport,
+from ..core.races import (  # noqa: F401 - the payload codec, re-exported
+    location_from_payload,
+    location_to_payload,
+    race_from_payload,
+    race_sort_key,
+    race_to_payload,
+    reports_from_payload,
+    reports_to_payload,
 )
-from ..core.reference import DetectorConfig
-from ..errors import ReproError
-from ..trace.operations import Location, Space
+from ..core.reference import (  # noqa: F401 - re-exported
+    DetectorConfig,
+    config_from_payload,
+    config_to_payload,
+)
+from ..errors import ProtocolError, ReproError  # noqa: F401 - re-exported
 
 #: Upper bound on one frame's payload; a length prefix beyond this is
 #: treated as stream corruption, not an allocation request.
@@ -85,13 +94,7 @@ ERROR = "error"
 STATS_REPLY = "stats-reply"
 METRICS_REPLY = "metrics-reply"
 HEALTH_REPLY = "health-reply"
-SWEEP_REPLY = "sweep-reply"
-FIX_REPLY = "fix-reply"
 DUMP_REPLY = "dump-reply"
-
-
-class ProtocolError(ReproError):
-    """Raised on malformed frames or protocol misuse."""
 
 
 # ----------------------------------------------------------------------
@@ -319,57 +322,32 @@ def metrics_reply_frame(text: str, snapshot: dict) -> dict:
     return {"verb": METRICS_REPLY, "text": text, "snapshot": snapshot}
 
 
-def sweep_frame(spec: dict, schedules: int, seed: int,
-                trace: Optional[dict] = None) -> dict:
-    """``SWEEP``: run a predictive schedule sweep over a launch spec.
+def job_frame(verb: str, spec: dict, fields: Dict[str, int],
+              trace: Optional[dict] = None) -> dict:
+    """A staged-job request (``SWEEP``, ``FIX``) over a launch spec.
 
-    ``spec`` is a :meth:`repro.predict.sweep.LaunchSpec.to_payload`
-    payload; the server fans the ``schedules`` seeded runs across the
-    sharded pool and merges deterministically, so the reply bytes depend
-    only on ``(spec, schedules, seed)``.  ``trace`` optionally carries a
-    serialized ``TraceContext``; span payloads ride back on the reply's
-    ``spans`` field (outside ``result``, so the result bytes stay a
-    pure function of the sweep inputs).
+    ``spec`` is a :meth:`repro.jobs.LaunchSpec.to_payload` payload and
+    ``fields`` the integer fields of the job's request dataclass
+    (``schedules``/``seed``; ``max_candidates``/``verify_schedules``/
+    ``seed``).  The server places the job's stages on the sharded pool
+    and merges deterministically, so the reply bytes depend only on
+    ``(spec, fields)``.  ``trace`` optionally carries a serialized
+    ``TraceContext``; span payloads ride back on the reply's ``spans``
+    field (outside ``result``, so the result bytes stay a pure function
+    of the request).
     """
-    message = {"verb": SWEEP, "spec": spec, "schedules": int(schedules),
-               "seed": int(seed)}
+    message = {"verb": verb, "spec": spec,
+               **{name: int(value) for name, value in fields.items()}}
     if trace is not None:
         message["trace"] = trace
     return message
 
 
-def sweep_reply_frame(result: dict,
-                      spans: Optional[List[dict]] = None) -> dict:
-    """The SWEEP reply: a serialized sweep result payload."""
-    frame: Dict[str, object] = {"verb": SWEEP_REPLY, "result": result}
-    if spans:
-        frame["spans"] = list(spans)
-    return frame
-
-
-def fix_frame(spec: dict, max_candidates: int, verify_schedules: int,
-              seed: int, trace: Optional[dict] = None) -> dict:
-    """``FIX``: synthesize and verify race-repair patches for a spec.
-
-    ``spec`` is a :meth:`repro.predict.sweep.LaunchSpec.to_payload`
-    payload.  The server plans on shard 0, fans candidate verification
-    across the pool (candidate ``index % shards``), and finalizes on
-    shard 0; the merged result bytes depend only on ``(spec,
-    max_candidates, verify_schedules, seed)``.  ``trace`` optionally
-    carries a serialized ``TraceContext`` exactly as for ``SWEEP``.
-    """
-    message = {"verb": FIX, "spec": spec,
-               "max_candidates": int(max_candidates),
-               "verify_schedules": int(verify_schedules), "seed": int(seed)}
-    if trace is not None:
-        message["trace"] = trace
-    return message
-
-
-def fix_reply_frame(result: dict,
+def job_reply_frame(verb: str, result: dict,
                     spans: Optional[List[dict]] = None) -> dict:
-    """The FIX reply: a serialized :class:`repro.fix.FixResult` payload."""
-    frame: Dict[str, object] = {"verb": FIX_REPLY, "result": result}
+    """The ``<verb>-reply`` to a staged job: its serialized result payload
+    (:class:`repro.predict.SweepResult`, :class:`repro.fix.FixResult`)."""
+    frame: Dict[str, object] = {"verb": f"{verb}-reply", "result": result}
     if spans:
         frame["spans"] = list(spans)
     return frame
@@ -383,145 +361,3 @@ def dump_frame() -> dict:
 def dump_reply_frame(flight: dict) -> dict:
     """The DUMP reply: a merged flight-recorder dump."""
     return {"verb": DUMP_REPLY, "flight": flight}
-
-
-# ----------------------------------------------------------------------
-# Detector configuration and report payloads
-# ----------------------------------------------------------------------
-def config_to_payload(config: DetectorConfig) -> dict:
-    return {
-        "filter_same_value": config.filter_same_value,
-        "granularity_bytes": config.granularity_bytes,
-        "provenance_depth": config.provenance_depth,
-    }
-
-
-def config_from_payload(payload: Optional[dict]) -> DetectorConfig:
-    if not payload:
-        return DetectorConfig()
-    try:
-        return DetectorConfig(
-            filter_same_value=bool(payload.get("filter_same_value", True)),
-            granularity_bytes=int(payload.get("granularity_bytes", 4)),
-            provenance_depth=int(payload.get("provenance_depth", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed detector config: {exc}") from exc
-
-
-def location_to_payload(loc: Location) -> list:
-    return [loc.space.value, loc.offset, loc.block]
-
-
-def location_from_payload(payload: Sequence) -> Location:
-    space, offset, block = payload
-    return Location(Space(space), offset, block)
-
-
-def race_sort_key(race: RaceReport) -> Tuple:
-    """Total order over race reports used for deterministic merging."""
-    return (
-        race.loc.space.value,
-        race.loc.block,
-        race.loc.offset,
-        race.current_pc,
-        race.prior_pc,
-        race.current_tid,
-        race.prior_tid,
-        race.kind.value,
-        race.current_access.value,
-        race.prior_access.value,
-    )
-
-
-def race_to_payload(race: RaceReport) -> dict:
-    """Serialize one race report, including predictive metadata."""
-    payload = {
-        "loc": location_to_payload(race.loc),
-        "current_tid": race.current_tid,
-        "current_access": race.current_access.value,
-        "prior_tid": race.prior_tid,
-        "prior_access": race.prior_access.value,
-        "kind": race.kind.value,
-        "branch_ordering": race.branch_ordering,
-        "current_pc": race.current_pc,
-        "prior_pc": race.prior_pc,
-    }
-    if race.predicted:
-        payload["predicted"] = True
-        payload["confirmed"] = bool(race.confirmed)
-    if race.witness is not None:
-        payload["witness"] = race.witness.to_payload()
-    return payload
-
-
-def race_from_payload(payload: dict) -> RaceReport:
-    """Deserialize one race report (the inverse of :func:`race_to_payload`)."""
-    witness = None
-    if payload.get("witness") is not None:
-        # Local import: repro.predict imports this module for payload
-        # serialization, so the reverse dependency must stay lazy.
-        from ..predict.witness import WitnessSchedule
-
-        witness = WitnessSchedule.from_payload(payload["witness"])
-    return RaceReport(
-        loc=location_from_payload(payload["loc"]),
-        current_tid=payload["current_tid"],
-        current_access=AccessType(payload["current_access"]),
-        prior_tid=payload["prior_tid"],
-        prior_access=AccessType(payload["prior_access"]),
-        kind=RaceKind(payload["kind"]),
-        branch_ordering=payload.get("branch_ordering", False),
-        current_pc=payload.get("current_pc", -1),
-        prior_pc=payload.get("prior_pc", -1),
-        predicted=payload.get("predicted", False),
-        confirmed=payload.get("confirmed") if "confirmed" in payload else None,
-        witness=witness,
-    )
-
-
-def reports_to_payload(reports: DetectorReports) -> dict:
-    """Serialize a :class:`DetectorReports`, sorting races deterministically.
-
-    The sort is what makes cross-worker merging order-insensitive: no
-    matter how batches were interleaved across pool shards, identical
-    findings serialize identically.
-    """
-    return {
-        "races": [
-            race_to_payload(race)
-            for race in sorted(reports.races, key=race_sort_key)
-        ],
-        "barrier_divergences": [
-            {
-                "block": report.block,
-                "missing": sorted(report.missing),
-                "pc": report.pc,
-            }
-            for report in sorted(
-                reports.barrier_divergences,
-                key=lambda r: (r.block, r.pc, sorted(r.missing)),
-            )
-        ],
-        "filtered_same_value": reports.filtered_same_value,
-    }
-
-
-def reports_from_payload(payload: dict) -> DetectorReports:
-    try:
-        races = [race_from_payload(race) for race in payload.get("races", [])]
-        divergences = [
-            BarrierDivergenceReport(
-                block=report["block"],
-                missing=frozenset(report["missing"]),
-                pc=report.get("pc", -1),
-            )
-            for report in payload.get("barrier_divergences", [])
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed report payload: {exc}") from exc
-    return DetectorReports(
-        races=races,
-        barrier_divergences=divergences,
-        filtered_same_value=payload.get("filtered_same_value", 0),
-    )

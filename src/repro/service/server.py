@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 from ..core.reference import DetectorConfig
 from ..errors import ReproError
 from ..faults import FaultPlan
+from ..jobs import STAGED_JOB_MODULES, staged_job
 from ..obs import (
     FlightRecorder,
     SpanBuffer,
@@ -296,10 +297,8 @@ class RaceService:
             await self._handle_records(message, conn_jobs, writer)
         elif verb == protocol.CLOSE:
             await self._handle_close(message, conn_jobs, writer)
-        elif verb == protocol.SWEEP:
-            await self._handle_sweep(message, writer)
-        elif verb == protocol.FIX:
-            await self._handle_fix(message, writer)
+        elif verb in STAGED_JOB_MODULES:
+            await self._handle_staged_job(message, writer)
         elif verb == protocol.STATS:
             await self._send(writer, protocol.stats_reply_frame(
                 self.stats.snapshot(self.pool.worker_stats)))
@@ -700,38 +699,46 @@ class RaceService:
         self._remember(job.resubmit_key, frame)
         await self._send(writer, frame)
 
-    async def _handle_sweep(self, message: dict,
-                            writer: asyncio.StreamWriter) -> None:
-        """Fan a predictive schedule sweep across the worker pool.
+    async def _await_stage(self, future, timeout: float, shard: int,
+                           shipped_spans: List[dict]) -> dict:
+        """Await one staged-job stage running on ``shard``.
 
-        Each schedule run lands on shard ``index % shards``; the
-        finalize phase (base run, trace prediction, witness replay,
-        merge) runs on shard 0.  A run that crashes or times out is
-        folded into the merge as an error payload at its index, so
-        partial casualties degrade the sweep deterministically instead
-        of failing it.  The merged result is byte-identical to the
-        local driver's for the same (spec, schedules, seed).
+        A crashed or timed-out stage respawns its shard before the
+        failure propagates.  The worker piggybacks its spans on the
+        payload; they MUST come off here, before the payload reaches a
+        later stage or the reply, so result bytes stay a pure function
+        of the request.
         """
-        from ..predict.sweep import LaunchSpec, derive_seed, kind_for
+        try:
+            payload = await asyncio.wait_for(asyncio.wrap_future(future),
+                                             timeout=timeout)
+        except (BrokenExecutor, ShardCrashError,
+                asyncio.TimeoutError) as exc:
+            if isinstance(exc, asyncio.TimeoutError):
+                self.watchdog_timeouts_total += 1
+            with contextlib.suppress(Exception):
+                self.pool.respawn_shard(shard)
+            raise
+        if isinstance(payload, dict):
+            shipped_spans.extend(payload.pop("spans", None) or [])
+        return payload
 
-        spec_payload = message.get("spec")
-        if not isinstance(spec_payload, dict):
-            await self._send(writer, protocol.error_frame(
-                "sweep needs a launch spec payload"))
-            return
+    async def _handle_staged_job(self, message: dict,
+                                 writer: asyncio.StreamWriter) -> None:
+        """Run one staged job (SWEEP, FIX) across the worker pool.
+
+        The job's definition (:class:`repro.jobs.StagedJob`) says what
+        the stages are; this handler only places them: plan and finalize
+        on shard 0, item ``index`` on shard ``index % shards``.  An item
+        that crashes or times out is folded into the merge as the job's
+        ``failed_item`` payload at its index, so partial casualties
+        degrade the result deterministically instead of failing it.  The
+        merged result is byte-identical to the local driver's for the
+        same request.
+        """
+        job = staged_job(message["verb"])
         try:
-            schedules = int(message.get("schedules", 0))
-            seed = int(message.get("seed", 0))
-        except (TypeError, ValueError):
-            await self._send(writer, protocol.error_frame(
-                "sweep schedules/seed must be integers"))
-            return
-        if schedules < 1:
-            await self._send(writer, protocol.error_frame(
-                "sweep needs at least one schedule"))
-            return
-        try:
-            LaunchSpec.from_payload(spec_payload)  # reject garbage early
+            request = job.parse(message)
         except ReproError as exc:
             await self._send(writer, protocol.error_frame(str(exc)))
             return
@@ -743,218 +750,76 @@ class RaceService:
             return
         spans = (SpanBuffer("server", context=context)
                  if context is not None else None)
-        self.flight.record("sweep", schedules=schedules, seed=seed,
-                           traced=context is not None)
-        # A sweep run is a whole simulated kernel execution, not one
-        # record batch; scale the watchdog with the work fanned out.
-        timeout = self.job_timeout * max(1, schedules)
-        sweep_cm = (spans.span("sweep", schedules=schedules, seed=seed)
-                    if spans is not None else contextlib.nullcontext(""))
-        run_spans: List[dict] = []
-        with sweep_cm as sweep_span:
-            # Each fan-out child parents under (and links back to) the
-            # server's sweep span, which itself parents under the
-            # client's request span.
-            run_trace = (context.child(sweep_span).to_payload()
-                         if spans is not None else None)
-            futures = [
-                self.pool.submit_sweep_run(spec_payload, index, seed,
-                                           run_trace)
-                for index in range(schedules)
-            ]
-            run_payloads: List[dict] = []
-            shards = max(self.pool.workers, 1)
-            for index, future in enumerate(futures):
-                try:
-                    payload = await asyncio.wait_for(
-                        asyncio.wrap_future(future), timeout=timeout)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    if isinstance(exc, (BrokenExecutor, ShardCrashError,
-                                        asyncio.TimeoutError)):
-                        if isinstance(exc, asyncio.TimeoutError):
-                            self.watchdog_timeouts_total += 1
-                        with contextlib.suppress(Exception):
-                            self.pool.respawn_shard(index % shards)
-                    self.flight.record("sweep-run-failed", index=index,
-                                       error=str(exc) or type(exc).__name__)
-                    if spans is not None:
-                        spans.instant("sweep-run-failed", index=index)
-                    payload = {
-                        "index": index,
-                        "kind": kind_for(index),
-                        "seed": derive_seed(seed, index),
-                        "decisions": [],
-                        "races": [],
-                        "barrier_divergences": 0,
-                        "hung": False,
-                        "error": f"schedule run failed: "
-                                 f"{exc or type(exc).__name__}",
-                    }
-                # The worker piggybacks its spans on the run payload;
-                # they MUST come off before the finalize merge so the
-                # result bytes stay a pure function of the sweep inputs.
-                if isinstance(payload, dict):
-                    run_spans.extend(payload.pop("spans", []) or [])
-                run_payloads.append(payload)
-            try:
-                result = await asyncio.wait_for(
-                    asyncio.wrap_future(self.pool.submit_sweep_finalize(
-                        spec_payload, run_payloads, schedules, seed)),
-                    timeout=timeout)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                await self._send(writer, protocol.error_frame(
-                    f"sweep finalize failed: {exc or type(exc).__name__}"))
-                return
-        reply_spans = (spans.to_payloads() + run_spans
-                       if spans is not None else None)
-        await self._send(writer, protocol.sweep_reply_frame(
-            result, spans=reply_spans))
-
-    async def _handle_fix(self, message: dict,
-                          writer: asyncio.StreamWriter) -> None:
-        """Fan race-repair candidate verification across the worker pool.
-
-        Planning (baseline + synthesis) runs on shard 0, candidate
-        ``index`` verifies on shard ``index % shards``, the finalize
-        merge runs on shard 0 again.  A verification that crashes or
-        times out is folded into the merge as an ``error``-status
-        payload at its index, so partial casualties degrade the repair
-        deterministically.  The merged result is byte-identical to the
-        local driver's for the same (spec, max_candidates,
-        verify_schedules, seed).
-        """
-        from ..predict.sweep import LaunchSpec
-
-        spec_payload = message.get("spec")
-        if not isinstance(spec_payload, dict):
-            await self._send(writer, protocol.error_frame(
-                "fix needs a launch spec payload"))
-            return
-        try:
-            max_candidates = int(message.get("max_candidates", 16))
-            verify_schedules = int(message.get("verify_schedules", 0))
-            seed = int(message.get("seed", 0))
-        except (TypeError, ValueError):
-            await self._send(writer, protocol.error_frame(
-                "fix max_candidates/verify_schedules/seed must be integers"))
-            return
-        if verify_schedules < 1:
-            await self._send(writer, protocol.error_frame(
-                "fix needs at least one verification schedule"))
-            return
-        try:
-            LaunchSpec.from_payload(spec_payload)  # reject garbage early
-        except ReproError as exc:
-            await self._send(writer, protocol.error_frame(str(exc)))
-            return
-        try:
-            context = TraceContext.from_payload(message.get("trace"))
-        except ValueError as exc:
-            await self._send(writer, protocol.error_frame(
-                f"bad trace context: {exc}"))
-            return
-        spans = (SpanBuffer("server", context=context)
-                 if context is not None else None)
-        self.flight.record("fix", max_candidates=max_candidates,
-                           schedules=verify_schedules, seed=seed,
-                           traced=context is not None)
-        # Every candidate verification replays the base schedule plus a
-        # full sweep; scale the watchdog like SWEEP does.
-        timeout = self.job_timeout * max(1, verify_schedules)
-        fix_cm = (spans.span("fix", candidates=max_candidates,
-                             schedules=verify_schedules, seed=seed)
-                  if spans is not None else contextlib.nullcontext(""))
+        self.flight.record(job.name, traced=context is not None,
+                           **job.describe(request))
+        # A stage is whole simulated kernel executions, not one record
+        # batch; scale the watchdog with the work it may run.
+        timeout = self.job_timeout * max(1, job.watchdog_scale(request))
+        shards = max(self.pool.workers, 1)
         worker_spans: List[dict] = []
-        with fix_cm as fix_span:
-            stage_trace = (context.child(fix_span).to_payload()
+
+        def failed(stage: str, exc: Exception, **where) -> str:
+            reason = str(exc) or type(exc).__name__
+            event = f"{job.name}-{stage}-failed"
+            self.flight.record(event, **where, error=reason)
+            if spans is not None:
+                spans.instant(event, **where)
+            return reason
+
+        job_cm = (spans.span(job.name, **job.describe(request))
+                  if spans is not None else contextlib.nullcontext(""))
+        with job_cm as job_span:
+            # Each stage parents under (and links back to) the server's
+            # job span, which itself parents under the client's request
+            # span.
+            stage_trace = (context.child(job_span).to_payload()
                            if spans is not None else None)
-            try:
-                plan = await asyncio.wait_for(
-                    asyncio.wrap_future(self.pool.submit_fix_plan(
-                        spec_payload, max_candidates, verify_schedules, seed,
-                        stage_trace)),
-                    timeout=timeout)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                if isinstance(exc, (BrokenExecutor, ShardCrashError,
-                                    asyncio.TimeoutError)):
-                    if isinstance(exc, asyncio.TimeoutError):
-                        self.watchdog_timeouts_total += 1
-                    with contextlib.suppress(Exception):
-                        self.pool.respawn_shard(0)
-                self.flight.record("fix-plan-failed",
-                                   error=str(exc) or type(exc).__name__)
-                await self._send(writer, protocol.error_frame(
-                    f"fix plan failed: {exc or type(exc).__name__}"))
-                return
-            worker_spans.extend(plan.pop("spans", []) or [])
-            baseline = plan.get("baseline", {})
-            candidates = plan.get("candidates", [])
-            futures = [
-                self.pool.submit_fix_verify(spec_payload, baseline, candidate,
-                                            index, verify_schedules, seed,
-                                            stage_trace)
-                for index, candidate in enumerate(candidates)
-            ]
-            verifications: List[dict] = []
-            shards = max(self.pool.workers, 1)
-            for index, future in enumerate(futures):
+
+            def submit(shard: int, stage: str, plan: dict, arg=None):
+                return self.pool.submit_stage(shard, job.name, stage, request,
+                                              plan, arg, stage_trace)
+
+            plan: dict = {}
+            if job.plan is not None:
                 try:
-                    payload = await asyncio.wait_for(
-                        asyncio.wrap_future(future), timeout=timeout)
+                    plan = await self._await_stage(
+                        submit(0, "plan", plan), timeout, 0, worker_spans)
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:
-                    if isinstance(exc, (BrokenExecutor, ShardCrashError,
-                                        asyncio.TimeoutError)):
-                        if isinstance(exc, asyncio.TimeoutError):
-                            self.watchdog_timeouts_total += 1
-                        with contextlib.suppress(Exception):
-                            self.pool.respawn_shard(index % shards)
-                    self.flight.record("fix-verify-failed", index=index,
-                                       error=str(exc) or type(exc).__name__)
-                    if spans is not None:
-                        spans.instant("fix-verify-failed", index=index)
-                    patch = candidates[index].get("patch", {})
-                    payload = {
-                        "index": index,
-                        "strategy": str(patch.get("strategy", "")),
-                        "description": str(patch.get("description", "")),
-                        "rule": str(candidates[index].get("rule", "")),
-                        "targets": list(candidates[index].get("targets", [])),
-                        "delta": 0,
-                        "anchor_line": int(patch.get("anchor_line", 0)),
-                        "status": "error",
-                        "detail": f"verification failed: "
-                                  f"{exc or type(exc).__name__}",
-                    }
-                # Piggybacked worker spans MUST come off before the
-                # finalize merge so result bytes stay a pure function of
-                # the repair inputs.
-                if isinstance(payload, dict):
-                    worker_spans.extend(payload.pop("spans", []) or [])
-                verifications.append(payload)
+                    await self._send(writer, protocol.error_frame(
+                        f"{job.name} plan failed: {failed('plan', exc)}"))
+                    return
+            futures = [submit(index % shards, job.item_stage, plan, index)
+                       for index in range(job.count(request, plan))]
+            items: List[dict] = []
+            for index, future in enumerate(futures):
+                try:
+                    items.append(await self._await_stage(
+                        future, timeout, index % shards, worker_spans))
+                except asyncio.CancelledError:
+                    raise
+                except Exception as exc:
+                    items.append(job.failed_item(
+                        request, plan, index,
+                        failed(job.item_stage, exc, index=index)))
             try:
-                result = await asyncio.wait_for(
-                    asyncio.wrap_future(self.pool.submit_fix_finalize(
-                        spec_payload, baseline, candidates, verifications,
-                        verify_schedules, seed)),
-                    timeout=timeout)
+                # The merge is not a fan-out child: untraced, no link.
+                result = await self._await_stage(
+                    self.pool.submit_stage(0, job.name, "finalize", request,
+                                           plan, items),
+                    timeout, 0, worker_spans)
             except asyncio.CancelledError:
                 raise
             except Exception as exc:
                 await self._send(writer, protocol.error_frame(
-                    f"fix finalize failed: {exc or type(exc).__name__}"))
+                    f"{job.name} finalize failed: "
+                    f"{exc or type(exc).__name__}"))
                 return
         reply_spans = (spans.to_payloads() + worker_spans
                        if spans is not None else None)
-        await self._send(writer, protocol.fix_reply_frame(
-            result, spans=reply_spans))
+        await self._send(writer, protocol.job_reply_frame(
+            job.name, result, spans=reply_spans))
 
     def _abort_job(self, job_id: str, reason: str) -> None:
         job = self._jobs.pop(job_id, None)

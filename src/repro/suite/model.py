@@ -25,6 +25,7 @@ from typing import Dict, Optional, Tuple
 from ..cudac import compile_cuda
 from ..errors import SimulationError, StepLimitExceeded
 from ..gpu.scheduler import Scheduler
+from ..jobs import ARCHES, alloc_buffers
 from ..ptx import parse_ptx
 from ..ptx.ast import Module
 from ..runtime.session import BarracudaSession, SessionLaunch
@@ -147,20 +148,12 @@ def run_program(
 ) -> Verdict:
     """Run one suite program under BARRACUDA and summarize the verdict."""
     if session is None:
-        from ..gpu.memory import KEPLER_K520, MAXWELL_TITANX
-
-        arch = KEPLER_K520 if program.arch == "k520" else MAXWELL_TITANX
-        session = BarracudaSession(arch=arch)
+        session = BarracudaSession(arch=ARCHES[program.arch])
     module = program.compile()
     session.register_module(module)
-    params: Dict[str, int] = {}
-    for buffer in program.buffers:
-        addr = session.device.alloc(buffer.words * 4)
-        values = list(buffer.init) + [0] * (buffer.words - len(buffer.init))
-        session.device.memcpy_to_device(addr, values)
-        params[buffer.name] = addr
-    for name, value in program.scalars:
-        params[name] = value
+    params: Dict[str, int] = alloc_buffers(
+        session.device, ((b.name, b.words, b.init) for b in program.buffers))
+    params.update(program.scalars)
     verdict = Verdict(program=program.name)
     try:
         launch: SessionLaunch = session.launch(

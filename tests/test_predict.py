@@ -399,18 +399,20 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 class TestServiceSweep:
     def test_inline_pool_matches_local_driver(self):
+        from repro.predict.sweep import SweepRequest
         from repro.service.pipeline import ShardedDetectorPool
 
         spec = LaunchSpec.from_program(schedule_program("handoff_no_spin"))
         local = run_sweep(spec, schedules=3, seed=MASTER_SEED).to_payload()
+        request = SweepRequest(spec, 3, MASTER_SEED)
         with ShardedDetectorPool(workers=0) as pool:
             run_payloads = [
-                pool.submit_sweep_run(spec.to_payload(), index, MASTER_SEED)
+                pool.submit_stage(0, "sweep", "run", request, {}, index)
                     .result()
                 for index in range(3)
             ]
-            remote = pool.submit_sweep_finalize(
-                spec.to_payload(), run_payloads, 3, MASTER_SEED
+            remote = pool.submit_stage(
+                0, "sweep", "finalize", request, {}, run_payloads
             ).result()
         assert json.dumps(remote, sort_keys=True) == json.dumps(
             local, sort_keys=True)
