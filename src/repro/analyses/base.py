@@ -14,9 +14,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..events import LogRecord
-from ..gpu.device import DEFAULT_MAX_STEPS, GpuDevice
-from ..gpu.interpreter import ListSink
-from ..instrument.passes import Instrumenter
+from ..gpu.device import DEFAULT_MAX_STEPS
+from ..jobs import LaunchSpec, record_stream
 from ..ptx.ast import Module
 from ..trace.layout import GridLayout
 
@@ -43,30 +42,26 @@ def run_analyses(
     buffers: Optional[Dict[str, List[int]]] = None,
     warp_size: int = 32,
     max_steps: int = DEFAULT_MAX_STEPS,
-    prune: bool = False,
 ) -> Tuple[GridLayout, List[LogRecord]]:
-    """Instrument, run, and feed the record stream to every analysis.
-
-    Pruning defaults to *off*: profiling analyses usually want every
-    access, whereas the race detector can exploit redundancy.  Returns
-    the layout and the raw records so callers can run further passes.
+    """Instrument (pruning off), run, and feed the record stream to every
+    analysis.  Returns the layout and the raw records so callers can run
+    further passes.
     """
-    instrumented, _report = Instrumenter(prune=prune).instrument_module(module)
-    device = GpuDevice()
-    device.load_module(instrumented)
-    run_params = dict(params or {})
-    for name, values in (buffers or {}).items():
-        addr = device.alloc(len(values) * 4)
-        device.memcpy_to_device(addr, values)
-        run_params[name] = addr
-    sink = ListSink()
-    from ..gpu.hierarchy import LaunchConfig
-
-    device.launch(
-        instrumented, kernel, grid=grid, block=block, warp_size=warp_size,
-        params=run_params, sink=sink, instrumented=True, max_steps=max_steps,
+    spec = LaunchSpec(
+        source="",  # ``module`` is already compiled
+        kernel=kernel,
+        grid=grid,
+        block=block,
+        warp_size=warp_size,
+        buffers=tuple(
+            (name, len(values), tuple(values))
+            for name, values in (buffers or {}).items()
+        ),
+        scalars=tuple((params or {}).items()),
+        max_steps=max_steps,
     )
+    layout, records = record_stream(spec, module=module)
     for analysis in analyses:
-        for record in sink.records:
+        for record in records:
             analysis.consume(record)
-    return LaunchConfig.of(grid, block, warp_size).layout(), sink.records
+    return layout, records

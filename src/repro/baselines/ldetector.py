@@ -26,14 +26,12 @@ coverage, value-blindness, and synchronization awareness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import DeadlockError, SimulationError, StepLimitExceeded
 from ..events import LogRecord, RecordKind
-from ..gpu.device import GpuDevice
-from ..gpu.interpreter import ListSink
-from ..instrument.passes import Instrumenter
+from ..jobs import record_stream
 from ..suite.model import SuiteProgram, Verdict
 from ..trace.layout import GridLayout
 from ..trace.operations import Space
@@ -134,35 +132,12 @@ class LDetector:
 
 def run_ldetector(program: SuiteProgram) -> Verdict:
     """Run one suite program under the LDetector model."""
-    device = GpuDevice()
-    module = program.compile()
-    instrumented, _report = Instrumenter(prune=False).instrument_module(module)
-    device.load_module(instrumented)
-    params: Dict[str, int] = {}
-    for buffer in program.buffers:
-        addr = device.alloc(buffer.words * 4)
-        values = list(buffer.init) + [0] * (buffer.words - len(buffer.init))
-        device.memcpy_to_device(addr, values)
-        params[buffer.name] = addr
-    for name, value in program.scalars:
-        params[name] = value
-    sink = ListSink()
     verdict = Verdict(program=program.name)
-    from ..gpu.hierarchy import LaunchConfig
-
-    layout = LaunchConfig.of(program.grid, program.block, program.warp_size).layout()
     try:
-        device.launch(
-            instrumented,
-            module.kernels[0].name,
-            grid=program.grid,
-            block=program.block,
-            warp_size=program.warp_size,
-            params=params,
-            sink=sink,
-            instrumented=True,
-            max_steps=program.max_steps,
-        )
+        # The tool predates cooperative launches: a grid-sync program is
+        # an error verdict for it, never a correct one.
+        layout, records = record_stream(
+            replace(program.spec, cooperative=False))
     except (StepLimitExceeded, DeadlockError):
         verdict.hang = True
         return verdict
@@ -170,7 +145,7 @@ def run_ldetector(program: SuiteProgram) -> Verdict:
         verdict.error = str(exc)
         return verdict
     detector = LDetector(layout)
-    detector.consume(sink.records)
+    detector.consume(records)
     verdict.races = len(detector.conflicts)
     verdict.race_spaces = frozenset(c.space for c in detector.conflicts)
     return verdict

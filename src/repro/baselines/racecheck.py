@@ -28,15 +28,13 @@ synccheck's job, a separate tool).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import DeadlockError, SimulationError, StepLimitExceeded
 from ..events import LogRecord, RecordKind
-from ..gpu.device import GpuDevice
-from ..gpu.interpreter import ListSink
 from ..gpu.scheduler import WarpSerializingScheduler
-from ..instrument.passes import Instrumenter
+from ..jobs import record_stream
 from ..suite.model import SuiteProgram, Verdict
 from ..trace.layout import GridLayout
 from ..trace.operations import Space
@@ -157,35 +155,12 @@ class RacecheckDetector:
 
 def run_racecheck(program: SuiteProgram) -> Verdict:
     """Run one suite program under the Racecheck model."""
-    device = GpuDevice()
-    module = program.compile()
-    instrumented, _report = Instrumenter(prune=False).instrument_module(module)
-    device.load_module(instrumented)
-    params: Dict[str, int] = {}
-    for buffer in program.buffers:
-        addr = device.alloc(buffer.words * 4)
-        values = list(buffer.init) + [0] * (buffer.words - len(buffer.init))
-        device.memcpy_to_device(addr, values)
-        params[buffer.name] = addr
-    for name, value in program.scalars:
-        params[name] = value
-    sink = ListSink()
     verdict = Verdict(program=program.name)
-    from ..gpu.hierarchy import LaunchConfig
-
-    layout = LaunchConfig.of(program.grid, program.block, program.warp_size).layout()
     try:
-        device.launch(
-            instrumented,
-            module.kernels[0].name,
-            grid=program.grid,
-            block=program.block,
-            warp_size=program.warp_size,
-            params=params,
-            sink=sink,
-            instrumented=True,
+        # Like LDetector, the tool predates cooperative launches.
+        layout, records = record_stream(
+            replace(program.spec, max_steps=HANG_STEPS, cooperative=False),
             scheduler=WarpSerializingScheduler(),
-            max_steps=HANG_STEPS,
         )
     except (StepLimitExceeded, DeadlockError):
         verdict.hang = True
@@ -194,7 +169,7 @@ def run_racecheck(program: SuiteProgram) -> Verdict:
         verdict.error = str(exc)
         return verdict
     detector = RacecheckDetector(layout)
-    detector.consume(sink.records)
+    detector.consume(records)
     verdict.races = len(detector.hazards)
     verdict.race_spaces = frozenset({"shared"} if detector.hazards else set())
     return verdict

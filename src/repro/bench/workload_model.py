@@ -14,12 +14,11 @@ shapes against the paper's numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
-from ..cudac import compile_cuda
 from ..gpu.device import DEFAULT_MAX_STEPS
-from ..jobs import alloc_buffers
-from ..ptx import parse_ptx
+from ..jobs import LaunchSpec, launch_spec
 from ..ptx.ast import Module
 from ..runtime.session import BarracudaSession, SessionLaunch
 from ..suite.model import Buffer
@@ -48,10 +47,13 @@ class Workload:
     paper_threads: int = 0
     max_steps: int = DEFAULT_MAX_STEPS
 
+    @cached_property
+    def spec(self) -> LaunchSpec:
+        """This workload's launch, as the one runner takes it."""
+        return LaunchSpec.from_program(self)
+
     def compile(self) -> Module:
-        if self.is_ptx:
-            return parse_ptx(self.source)
-        return compile_cuda(self.source)
+        return self.spec.compile()
 
     @property
     def total_threads(self) -> int:
@@ -82,25 +84,11 @@ def run_workload(
     compare_native: bool = True,
 ) -> WorkloadResult:
     """Run one workload under a full BARRACUDA session."""
-    session = session or BarracudaSession()
-    module = workload.compile()
-    static_insns = module.static_instruction_count()
-    session.register_module(module)
-    params: Dict[str, int] = alloc_buffers(
-        session.device, ((b.name, b.words, b.init) for b in workload.buffers))
-    params.update(workload.scalars)
-    launch = session.launch(
-        module.kernels[0].name,
-        grid=workload.grid,
-        block=workload.block,
-        warp_size=workload.warp_size,
-        params=params,
-        max_steps=workload.max_steps,
-        compare_native=compare_native,
-    )
+    launched = launch_spec(workload.spec, session=session,
+                           compare_native=compare_native)
     return WorkloadResult(
         workload=workload,
-        launch=launch,
-        static_insns=static_insns,
-        global_mem_bytes=session.device.global_mem.allocated_bytes,
+        launch=launched.launch,
+        static_insns=launched.module.static_instruction_count(),
+        global_mem_bytes=launched.session.device.global_mem.allocated_bytes,
     )

@@ -25,6 +25,15 @@ stays the default whenever the first argument is not a subcommand name::
     python -m repro replay capture.jsonl --reference
     python -m repro convert capture.jsonl capture.bcap  # JSONL <-> binary
 
+Each subcommand is a ``configure(parser)`` + ``run(args) -> exit code``
+pair in :data:`_SUBCOMMANDS`.  :func:`main` is the only place that parses
+argv and the only boundary where a failure becomes an exit status: a
+:class:`~repro.errors.StepLimitExceeded` prints ``HANG: …`` (exit 3),
+an :class:`OSError` or :class:`~repro.errors.ReproError` one ``error: …``
+line (exit 2), wherever in the run it was raised.  :func:`_load_input` is
+the one reader of a path argument: whether a file is kernel text or a
+replay capture is decided by its content, never by its name.
+
 The subcommands that launch a kernel (``check``, ``explain``, ``sweep``,
 ``fix``, ``profile``) share one set of launch flags
 (:func:`_add_launch_args`) parsed into one :class:`repro.jobs.LaunchSpec`
@@ -57,10 +66,12 @@ import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .cudac import compile_cuda
 from .errors import ReproError, StepLimitExceeded
 from .jobs import ARCHES, LaunchSpec, launch_spec
-from .obs import make_observability
+from .obs import (
+    Profiler, SpanBuffer, make_observability, render_flight, render_provenance,
+    write_flight_dump, write_merged_trace,
+)
 from .ptx import parse_ptx
 
 
@@ -92,9 +103,16 @@ def _parse_scalar(spec: str) -> Tuple[str, int]:
     return name, int(value, 0)
 
 
-def _add_launch_args(parser: argparse.ArgumentParser,
-                     max_steps_default: int) -> None:
-    """The launch flags every kernel-launching subcommand takes."""
+_KERNEL_SOURCE = "kernel source file (.cu mini CUDA-C or .ptx)"
+_KERNEL_OR_CAPTURE = ("kernel source (.cu/.ptx) or a replay capture (JSONL "
+                      "or binary; recognised by content)")
+
+
+def _add_launch_args(parser: argparse.ArgumentParser, max_steps_default: int,
+                     source_help: str = _KERNEL_SOURCE, **source_options) -> None:
+    """The source argument and the launch flags every kernel-launching
+    subcommand takes."""
+    parser.add_argument("source", help=source_help, **source_options)
     parser.add_argument("--kernel", help="kernel name (default: first in the module)")
     parser.add_argument("--grid", type=int, default=1, help="blocks in the grid")
     parser.add_argument("--block", type=int, default=32, help="threads per block")
@@ -115,10 +133,59 @@ def _add_launch_args(parser: argparse.ArgumentParser,
                         help="hang-detection step budget")
 
 
-def _spec_from_args(args) -> LaunchSpec:
-    """Read ``args.source`` and describe the launch the flags ask for."""
-    with open(args.source) as handle:
-        source_text = handle.read()
+def _add_obs_args(parser: argparse.ArgumentParser) -> None:
+    """``--trace``/``--metrics``, on every subcommand that takes them."""
+    parser.add_argument("--trace", metavar="PATH",
+                        help="write a Chrome trace-event JSON file of the "
+                        "run's phases (chrome://tracing / Perfetto); with "
+                        "--socket/--port, and on submit, the merged "
+                        "client/server/shard distributed trace")
+    parser.add_argument("--metrics", action="store_true",
+                        help="print a Prometheus-style metrics snapshot "
+                        "(with --socket/--port, and on submit: the "
+                        "service's own, via the METRICS verb)")
+
+
+def _obs_from_args(args, metrics: bool = False, remote: bool = False):
+    """The observability bundle ``--trace``/``--metrics`` ask for; a
+    remote run is traced and counted by the service, not here."""
+    return make_observability(
+        trace=bool(args.trace) and not remote,
+        metrics=(args.metrics or metrics) and not remote)
+
+
+def _load_input(path: str, expect: str = "", faults=None):
+    """The one reader of a path argument.
+
+    What the file *is* is decided by its content, never by its name: a
+    replay capture (BCAP magic, or a first line that is the
+    ``"format": "barracuda-capture"`` header) loads as ``(layout,
+    kernel, batches, format)``; anything else is kernel text and is
+    returned as a ``str``.  ``expect`` is ``"kernel"`` or ``"capture"``
+    for the subcommands that take only one of the two; a file that is
+    no capture then fails with the capture loader's own error.
+    """
+    from .runtime.replay import detect_capture_format, load_capture_path_batches
+
+    fmt = detect_capture_format(path)
+    if fmt is None and expect != "capture":
+        try:
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ReproError(f"{path} is neither kernel source text nor "
+                             f"a replay capture: {exc}") from exc
+    if expect == "kernel":
+        raise ReproError(f"{path} is a replay capture ({fmt}), not kernel "
+                         "source")
+    return load_capture_path_batches(path, faults=faults)
+
+
+def _spec_from_args(args, source_text: Optional[str] = None) -> LaunchSpec:
+    """Describe the launch the flags ask for; the kernel text is
+    ``source_text`` when the caller already read ``args.source``."""
+    if source_text is None:
+        source_text = _load_input(args.source, expect="kernel")
     return LaunchSpec(
         source=source_text,
         kernel=args.kernel or "",
@@ -136,12 +203,8 @@ def _spec_from_args(args) -> LaunchSpec:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Run a CUDA kernel under the BARRACUDA race detector.",
-    )
-    parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
+def _configure_check(parser: argparse.ArgumentParser) -> None:
+    parser.description = "Run a CUDA kernel under the BARRACUDA race detector."
     _add_launch_args(parser, max_steps_default=2_000_000)
     parser.add_argument("--no-prune", action="store_true",
                         help="disable the redundant-logging optimization")
@@ -160,11 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text",
                         help="render --stats as human text (default) or as "
                         "the machine-readable metrics snapshot")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="write a Chrome trace-event JSON file of the "
-                        "pipeline phases (chrome://tracing / Perfetto)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print a Prometheus-style metrics snapshot")
+    _add_obs_args(parser)
     parser.add_argument("--fault-plan", metavar="PLAN.json",
                         help="inject deterministic faults from a JSON fault "
                         "plan (queue stalls, dropped commits; see "
@@ -185,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the captured log-record stream to PATH "
                         "as a binary capture (replayable later with 'repro "
                         "replay'; 'repro convert --to jsonl' for JSONL)")
-    return parser
 
 
 def _load_fault_plan_arg(path: Optional[str]):
@@ -195,14 +253,6 @@ def _load_fault_plan_arg(path: Optional[str]):
     from .faults import load_fault_plan
 
     return load_fault_plan(path)
-
-
-def _load_module(path: str):
-    with open(path) as handle:
-        text = handle.read()
-    if path.endswith(".ptx"):
-        return parse_ptx(text)
-    return compile_cuda(text)
 
 
 def _print_reports(reports, max_reports: int) -> int:
@@ -334,8 +384,6 @@ def _write_trace(args, obs, span_buffer=None) -> None:
     if not args.trace:
         return
     if span_buffer is not None:
-        from .obs import write_merged_trace
-
         trace_obj = write_merged_trace(
             args.trace, span_buffer.collected_payloads()
         )
@@ -348,38 +396,27 @@ def _write_trace(args, obs, span_buffer=None) -> None:
               file=sys.stderr)
 
 
-def run_check(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def run_check(args) -> int:
     want_json_stats = args.stats and args.stats_format == "json"
-    obs = make_observability(
-        trace=bool(args.trace),
-        metrics=args.metrics or want_json_stats,
-    )
+    obs = _obs_from_args(args, metrics=want_json_stats)
 
     from .core.reference import DetectorConfig
     from .gpu.scheduler import make_scheduler
 
-    try:
-        fault_plan = _load_fault_plan_arg(args.fault_plan)
-        spec = _spec_from_args(args)
-        launched = launch_spec(
-            spec,
-            scheduler=make_scheduler(args.scheduler, args.seed),
-            capture=args.predict or bool(args.capture),
-            obs=obs,
-            prune=not args.no_prune,
-            detector_config=DetectorConfig(
-                filter_same_value=not args.no_filter_same_value
-            ),
-            static_prune=args.prune_instrumentation,
-            faults=fault_plan,
-        )
-    except StepLimitExceeded as exc:
-        print(f"HANG: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    fault_plan = _load_fault_plan_arg(args.fault_plan)
+    spec = _spec_from_args(args)
+    launched = launch_spec(
+        spec,
+        scheduler=make_scheduler(args.scheduler, args.seed),
+        capture=args.predict or bool(args.capture),
+        obs=obs,
+        prune=not args.no_prune,
+        detector_config=DetectorConfig(
+            filter_same_value=not args.no_filter_same_value
+        ),
+        static_prune=args.prune_instrumentation,
+        faults=fault_plan,
+    )
     session, handle = launched.session, launched.handle
     kernel, launch = launched.kernel, launched.launch
 
@@ -391,13 +428,8 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
         from .runtime.replay import save_capture_binary
 
         records = launch.captured_records or []
-        try:
-            with open(args.capture, "wb") as stream:
-                save_capture_binary(stream, spec.layout(), records,
-                                    kernel=kernel)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.capture, "wb") as stream:
+            save_capture_binary(stream, spec.layout(), records, kernel=kernel)
         print(f"capture written to {args.capture} "
               f"({len(records)} record(s), binary)", file=sys.stderr)
 
@@ -440,15 +472,13 @@ def run_check(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # Static lint (repro lint)
 # ----------------------------------------------------------------------
-def run_lint(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Statically lint a kernel for races, barrier "
+def _configure_lint(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Statically lint a kernel for races, barrier "
         "divergence and missing-fence idioms without running it. "
         "--fail-on picks which findings make the exit code 1 "
-        "(default: error-severity findings).",
-    )
-    parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
+        "(default: error-severity findings).")
+    parser.add_argument("source", help=_KERNEL_SOURCE)
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text",
                         help="render findings as human text (default), JSON, "
@@ -457,13 +487,10 @@ def run_lint(argv: Optional[Sequence[str]] = None) -> int:
                         default="error",
                         help="exit 1 on error-severity findings (default), "
                         "on any finding (warning), or never")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="write a Chrome trace-event JSON file of the "
-                        "lint phases")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print a Prometheus-style metrics snapshot")
-    args = parser.parse_args(argv)
+    _add_obs_args(parser)
 
+
+def run_lint(args) -> int:
     from .staticcheck import (
         SEVERITY_ERROR,
         render_json,
@@ -472,20 +499,18 @@ def run_lint(argv: Optional[Sequence[str]] = None) -> int:
     )
     from .staticcheck import run_lint as static_lint
 
-    obs = make_observability(trace=bool(args.trace), metrics=args.metrics)
-    try:
-        with obs.tracer.span("cuda-frontend", source=args.source):
-            module = _load_module(args.source)
-            if not args.source.endswith(".ptx"):
-                # Compiled modules carry frontend AST lines; reparse the
-                # printed PTX so findings point at real PTX text lines (the
-                # same convention the session uses for race-report PCs).
-                module = parse_ptx(str(module))
-        with obs.tracer.span("static-lint", source=args.source):
-            findings = static_lint(module)
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obs = _obs_from_args(args)
+    with obs.tracer.span("cuda-frontend", source=args.source):
+        spec = LaunchSpec(source=_load_input(args.source, expect="kernel"),
+                          is_ptx=args.source.endswith(".ptx"))
+        module = spec.compile()
+        if not spec.is_ptx:
+            # Compiled modules carry frontend AST lines; reparse the
+            # printed PTX so findings point at real PTX text lines (the
+            # same convention the session uses for race-report PCs).
+            module = parse_ptx(str(module))
+    with obs.tracer.span("static-lint", source=args.source):
+        findings = static_lint(module)
 
     if obs.metrics.enabled:
         counter = obs.metrics.counter(
@@ -525,8 +550,6 @@ def _source_line_map(module) -> Dict[int, str]:
 
 def _print_provenance(reports, source_lines: Dict[int, str],
                       max_reports: int) -> int:
-    from .obs.provenance import render_provenance
-
     def loc_text(pc: int) -> str:
         if pc < 0:
             return "<unknown PTX line>"
@@ -555,46 +578,37 @@ def _print_provenance(reports, source_lines: Dict[int, str],
     return 1
 
 
-def run_explain(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro explain",
-        description="Re-run race detection with provenance tracking and "
+def _configure_explain(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Re-run race detection with provenance tracking and "
         "print a per-race evidence timeline (recent accesses per "
         "conflicting thread, PTX source locations, and the failed "
         "vector-clock comparison).  With --flight, instead render a "
         "flight-recorder dump (from `submit --flight-dump` or a "
-        "degraded job) as a merged timeline.",
-    )
-    parser.add_argument("source", nargs="?", help="kernel source (.cu/.ptx) "
-                        "or a replay capture (.jsonl/.capture/.bin/.bcap)")
+        "degraded job) as a merged timeline.")
     parser.add_argument("--flight", metavar="DUMP.json",
                         help="render a flight-recorder dump as a merged "
                         "cross-process timeline instead of explaining races")
-    _add_launch_args(parser, max_steps_default=2_000_000)
+    _add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE, nargs="?")
     parser.add_argument("--no-filter-same-value", action="store_true")
     parser.add_argument("--depth", type=int, default=5,
                         help="accesses retained per (location, thread)")
     parser.add_argument("--max-reports", type=int, default=10,
                         help="races to explain")
-    args = parser.parse_args(argv)
-    if args.flight:
-        from .obs import render_flight
 
+
+def run_explain(args) -> int:
+    if args.flight:
         try:
             with open(args.flight) as handle:
-                dump = json.load(handle)
-            print(render_flight(dump))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+                print(render_flight(json.load(handle)))
+        except ValueError as exc:  # not JSON, not UTF-8, or not a dump
+            raise ReproError(str(exc)) from exc
         return 0
     if not args.source:
-        print("error: a kernel source/capture or --flight is required",
-              file=sys.stderr)
-        return 2
+        raise ReproError("a kernel source/capture or --flight is required")
     if args.depth < 1:
-        print("error: --depth must be at least 1", file=sys.stderr)
-        return 2
+        raise ReproError("--depth must be at least 1")
 
     from .core.reference import DetectorConfig
 
@@ -603,28 +617,20 @@ def run_explain(argv: Optional[Sequence[str]] = None) -> int:
         provenance_depth=args.depth,
     )
     source_lines: Dict[int, str] = {}
-    try:
-        if args.source.endswith((".jsonl", ".capture", ".bin", ".bcap")):
-            from .runtime.replay import load_capture_path_batches, replay
+    loaded = _load_input(args.source)
+    if isinstance(loaded, str):
+        launched = launch_spec(_spec_from_args(args, loaded),
+                               detector_config=config)
+        # Race-report PCs are line numbers of the PTX text the
+        # session parsed back, not of the frontend's in-memory AST.
+        source_lines = _source_line_map(
+            launched.session.pristine_module(launched.handle))
+        reports = launched.launch.reports
+    else:
+        from .runtime.replay import replay
 
-            layout, _kernel, batches, _fmt = load_capture_path_batches(
-                args.source)
-            reports = replay(layout, batches, config=config)
-        else:
-            launched = launch_spec(_spec_from_args(args),
-                                   detector_config=config)
-            # Race-report PCs are line numbers of the PTX text the
-            # session parsed back, not of the frontend's in-memory AST.
-            source_lines = _source_line_map(
-                launched.session.pristine_module(launched.handle))
-            reports = launched.launch.reports
-    except StepLimitExceeded as exc:
-        print(f"HANG: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+        layout, _kernel, batches, _fmt = loaded
+        reports = replay(layout, batches, config=config)
     return _print_provenance(reports, source_lines, args.max_reports)
 
 
@@ -694,18 +700,13 @@ def _run_staged_job(job, args, **fields):
     spec_payload = _spec_from_args(args).to_payload()
     request = job.parse({"spec": spec_payload, **fields})
     remote = args.socket is not None or args.port is not None
-    obs = make_observability(trace=bool(args.trace) and not remote,
-                             metrics=args.metrics and not remote)
+    obs = _obs_from_args(args, remote=remote)
     if not remote:
         return job.run(request, obs), obs, None, None
 
     from .service.client import ServiceClient
 
-    span_buffer = None
-    if args.trace:
-        from .obs import SpanBuffer
-
-        span_buffer = SpanBuffer("client")
+    span_buffer = SpanBuffer("client") if args.trace else None
     with ServiceClient(socket_path=args.socket, host=args.host,
                        port=args.port, timeout=600.0) as client:
         payload = client.run_job(job.name, spec_payload, fields,
@@ -714,17 +715,14 @@ def _run_staged_job(job, args, **fields):
     return payload, obs, span_buffer, metrics_text
 
 
-def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description="Predictive race detection via schedule sweeps: run "
+def _configure_sweep(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Predictive race detection via schedule sweeps: run "
         "N seeded schedule-exploration strategies plus the relaxed-order "
         "trace analysis over the base run, then confirm every new "
         "finding by deterministically replaying its witness schedule. "
         "With --socket/--port the sweep is fanned out by a running "
-        "service instead of executing locally.",
-    )
-    parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
+        "service instead of executing locally.")
     _add_launch_args(parser, max_steps_default=400_000)
     parser.add_argument("--schedules", type=int, default=9,
                         help="seeded schedule runs (cycled over the sweep "
@@ -739,24 +737,15 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
                         "(default) or as the serialized payload")
     parser.add_argument("--max-reports", type=int, default=10,
                         help="findings to print in text format")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="write a Chrome trace-event JSON file of the "
-                        "sweep phases; with --socket/--port this is the "
-                        "merged client/server/shard distributed trace")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print a Prometheus-style metrics snapshot "
-                        "(remote sweeps query the service's METRICS verb)")
+    _add_obs_args(parser)
     _add_endpoint_args(parser)
-    args = parser.parse_args(argv)
 
+
+def run_sweep_cmd(args) -> int:
     from .predict.sweep import JOB, SweepResult
 
-    try:
-        payload, obs, span_buffer, metrics_text = _run_staged_job(
-            JOB, args, schedules=args.schedules, seed=args.seed)
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload, obs, span_buffer, metrics_text = _run_staged_job(
+        JOB, args, schedules=args.schedules, seed=args.seed)
     result = SweepResult.from_payload(payload)
 
     if args.witness_dir:
@@ -778,9 +767,14 @@ def run_sweep_cmd(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # Automated race repair (repro fix)
 # ----------------------------------------------------------------------
-def _print_fix_result(result, max_reports: int) -> None:
+def _candidate_diff(result, candidate) -> str:
     from .fix.patches import render_diff
 
+    return render_diff(result.source, candidate["patched_source"],
+                       f"{result.kernel}.ptx")
+
+
+def _print_fix_result(result, max_reports: int) -> None:
     print(f"========= {len(result.targets)} race group(s), "
           f"{len(result.candidates)} candidate patch(es), "
           f"{len(result.verified)} verified")
@@ -803,14 +797,10 @@ def _print_fix_result(result, max_reports: int) -> None:
     if best:
         print(f"--------- best patch: candidate #{best[0]['index']} "
               f"({best[0]['strategy']})")
-        sys.stdout.write(render_diff(result.source,
-                                     best[0]["patched_source"],
-                                     f"{result.kernel}.ptx"))
+        sys.stdout.write(_candidate_diff(result, best[0]))
 
 
 def _write_patches(result, patch_dir: str) -> int:
-    from .fix.patches import render_diff
-
     os.makedirs(patch_dir, exist_ok=True)
     written = 0
     for rank, candidate in enumerate(result.verified_candidates):
@@ -819,26 +809,21 @@ def _write_patches(result, patch_dir: str) -> int:
             f"{result.kernel}-{rank:02d}-{candidate['strategy']}.patch",
         )
         with open(path, "w") as handle:
-            handle.write(render_diff(result.source,
-                                     candidate["patched_source"],
-                                     f"{result.kernel}.ptx"))
+            handle.write(_candidate_diff(result, candidate))
         written += 1
     return written
 
 
-def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro fix",
-        description="Automated race repair: detect races (base schedule + "
+def _configure_fix(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Automated race repair: detect races (base schedule + "
         "predictive sweep), synthesize minimal PTX patches from their "
         "static lint classification (barrier insertion, fence widening, "
         "atomic promotion, uniform-guard hoisting), verify every candidate "
         "by a full pipeline re-run, and rank survivors by instruction-count "
         "delta. With --socket/--port the verification is fanned out by a "
         "running service. Exit 0 when every race group has a verified "
-        "patch (or there was nothing to repair), 1 otherwise.",
-    )
-    parser.add_argument("source", help="kernel source file (.cu mini CUDA-C or .ptx)")
+        "patch (or there was nothing to repair), 1 otherwise.")
     _add_launch_args(parser, max_steps_default=400_000)
     parser.add_argument("--max-candidates", type=int, default=16,
                         help="cap on synthesized candidate patches")
@@ -855,25 +840,16 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
                         help="write every verified patch as a .patch file")
     parser.add_argument("--max-reports", type=int, default=20,
                         help="candidates to print in text format")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="write a Chrome trace-event JSON file of the "
-                        "repair phases; with --socket/--port this is the "
-                        "merged client/server/shard distributed trace")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print a Prometheus-style metrics snapshot "
-                        "(remote repairs query the service's METRICS verb)")
+    _add_obs_args(parser)
     _add_endpoint_args(parser)
-    args = parser.parse_args(argv)
 
+
+def run_fix_cmd(args) -> int:
     from .fix.driver import JOB, FixResult
 
-    try:
-        payload, obs, span_buffer, metrics_text = _run_staged_job(
-            JOB, args, max_candidates=args.max_candidates,
-            verify_schedules=args.verify_schedules, seed=args.seed)
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    payload, obs, span_buffer, metrics_text = _run_staged_job(
+        JOB, args, max_candidates=args.max_candidates,
+        verify_schedules=args.verify_schedules, seed=args.seed)
     result = FixResult.from_payload(payload)
 
     if args.patch_dir:
@@ -886,11 +862,7 @@ def run_fix_cmd(argv: Optional[Sequence[str]] = None) -> int:
     elif args.format == "patch":
         best = result.verified_candidates
         if best:
-            from .fix.patches import render_diff
-
-            sys.stdout.write(render_diff(result.source,
-                                         best[0]["patched_source"],
-                                         f"{result.kernel}.ptx"))
+            sys.stdout.write(_candidate_diff(result, best[0]))
         else:
             print("no verified patch", file=sys.stderr)
     else:
@@ -912,11 +884,8 @@ def _add_endpoint_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--port", type=int, help="service TCP port")
 
 
-def run_serve(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run the streaming race-detection service.",
-    )
+def _configure_serve(parser: argparse.ArgumentParser) -> None:
+    parser.description = "Run the streaming race-detection service."
     _add_endpoint_args(parser)
     parser.add_argument("--workers", type=int, default=2,
                         help="detector worker processes (0 = in-process)")
@@ -930,8 +899,9 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--fault-plan", metavar="PLAN.json",
                         help="inject deterministic worker faults (crash, "
                         "hang, poison) from a JSON fault plan")
-    args = parser.parse_args(argv)
 
+
+def run_serve(args) -> int:
     from .service.server import (
         DEFAULT_HIGH_WATER,
         DEFAULT_JOB_TIMEOUT,
@@ -939,23 +909,18 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
         RaceService,
     )
 
-    try:
-        fault_plan = _load_fault_plan_arg(args.fault_plan)
-        service = RaceService(
-            socket_path=args.socket,
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            high_water=args.high_water or DEFAULT_HIGH_WATER,
-            job_timeout=(args.job_timeout if args.job_timeout is not None
-                         else DEFAULT_JOB_TIMEOUT),
-            max_requeues=(args.max_requeues if args.max_requeues is not None
-                          else DEFAULT_MAX_REQUEUES),
-            fault_plan=fault_plan,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    service = RaceService(
+        socket_path=args.socket,
+        host=args.host,
+        port=args.port,
+        workers=args.workers,
+        high_water=args.high_water or DEFAULT_HIGH_WATER,
+        job_timeout=(args.job_timeout if args.job_timeout is not None
+                     else DEFAULT_JOB_TIMEOUT),
+        max_requeues=(args.max_requeues if args.max_requeues is not None
+                      else DEFAULT_MAX_REQUEUES),
+        fault_plan=_load_fault_plan_arg(args.fault_plan),
+    )
     endpoints = [e for e in (args.socket and f"unix:{args.socket}",
                              args.port is not None and
                              f"tcp:{args.host}:{args.port}") if e]
@@ -965,11 +930,8 @@ def run_serve(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def run_submit(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro submit",
-        description="Submit a replay capture to a running service.",
-    )
+def _configure_submit(parser: argparse.ArgumentParser) -> None:
+    parser.description = "Submit a replay capture to a running service."
     parser.add_argument("capture", help="capture file (JSONL or binary; auto-detected)")
     _add_endpoint_args(parser)
     parser.add_argument("--batch-size", type=int, default=256,
@@ -978,16 +940,10 @@ def run_submit(argv: Optional[Sequence[str]] = None) -> int:
                         help="race reports to print per location")
     parser.add_argument("--stats", action="store_true",
                         help="print per-job and service statistics")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print the service's Prometheus-style metrics "
-                        "snapshot (the METRICS verb)")
+    _add_obs_args(parser)
     parser.add_argument("--health", action="store_true",
                         help="print per-shard liveness and backlog "
                         "(the HEALTH verb)")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="propagate a distributed trace context with "
-                        "the job and write the merged client/server/shard "
-                        "Chrome trace here")
     parser.add_argument("--flight-dump", metavar="PATH",
                         help="write the flight-recorder dump here (the "
                         "degraded-job payload when present, otherwise the "
@@ -999,49 +955,39 @@ def run_submit(argv: Optional[Sequence[str]] = None) -> int:
                         help="inject deterministic client-side wire faults "
                         "(truncated/garbage frames, connection resets) from "
                         "a JSON fault plan")
-    args = parser.parse_args(argv)
 
+
+def run_submit(args) -> int:
     from .service.client import ServiceClient, submit_capture
     from .service.stats import render_job_stats, render_service_stats
 
-    span_buffer = None
-    if args.trace:
-        from .obs import SpanBuffer
-
-        span_buffer = SpanBuffer("client")
-    try:
-        fault_plan = _load_fault_plan_arg(args.fault_plan)
-        result = submit_capture(
-            args.capture,
-            socket_path=args.socket,
-            host=args.host,
-            port=args.port,
-            batch_size=args.batch_size,
-            max_retries=args.max_retries,
-            faults=fault_plan,
-            trace=span_buffer,
-        )
-        service_stats = None
-        metrics_text = ""
-        health = None
-        flight_dump = result.flight
-        if (args.stats or args.metrics or args.health
-                or (args.flight_dump and flight_dump is None)):
-            with ServiceClient(socket_path=args.socket, host=args.host,
-                               port=args.port) as client:
-                service_stats = client.stats() if args.stats else None
-                metrics_text = client.metrics()["text"] if args.metrics else ""
-                health = client.health() if args.health else None
-                if args.flight_dump and flight_dump is None:
-                    flight_dump = client.dump()
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    span_buffer = SpanBuffer("client") if args.trace else None
+    result = submit_capture(
+        args.capture,
+        socket_path=args.socket,
+        host=args.host,
+        port=args.port,
+        batch_size=args.batch_size,
+        max_retries=args.max_retries,
+        faults=_load_fault_plan_arg(args.fault_plan),
+        trace=span_buffer,
+    )
+    service_stats = None
+    metrics_text = ""
+    health = None
+    flight_dump = result.flight
+    if (args.stats or args.metrics or args.health
+            or (args.flight_dump and flight_dump is None)):
+        with ServiceClient(socket_path=args.socket, host=args.host,
+                           port=args.port) as client:
+            service_stats = client.stats() if args.stats else None
+            metrics_text = client.metrics()["text"] if args.metrics else ""
+            health = client.health() if args.health else None
+            if args.flight_dump and flight_dump is None:
+                flight_dump = client.dump()
 
     _write_trace(args, None, span_buffer)
     if args.flight_dump:
-        from .obs import write_flight_dump
-
         write_flight_dump(args.flight_dump, flight_dump or {})
         print(f"flight-recorder dump written to {args.flight_dump}",
               file=sys.stderr)
@@ -1067,11 +1013,8 @@ def run_submit(argv: Optional[Sequence[str]] = None) -> int:
     return exit_code
 
 
-def run_replay(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro replay",
-        description="Replay a capture through the detector in-process.",
-    )
+def _configure_replay(parser: argparse.ArgumentParser) -> None:
+    parser.description = "Replay a capture through the detector in-process."
     parser.add_argument("capture", help="capture file (JSONL or binary; the "
                         "format is auto-detected from the magic bytes)")
     parser.add_argument("--reference", action="store_true",
@@ -1090,43 +1033,31 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
                         help="corrupt capture lines while loading (truncate/"
                         "garbage) from a JSON fault plan — exercises the "
                         "loader's error surface")
-    parser.add_argument("--trace", metavar="PATH",
-                        help="write a Chrome trace-event JSON file of the "
-                        "replay phases")
-    parser.add_argument("--metrics", action="store_true",
-                        help="print a Prometheus-style metrics snapshot")
-    args = parser.parse_args(argv)
+    _add_obs_args(parser)
 
+
+def run_replay(args) -> int:
     from .core.reference import DetectorConfig
-    from .faults import NULL_FAULTS
-    from .runtime.replay import (
-        detect_capture_format, load_capture_path_batches, replay,
-    )
+    from .runtime.replay import replay
 
-    obs = make_observability(trace=bool(args.trace), metrics=args.metrics)
-    try:
-        fault_plan = _load_fault_plan_arg(args.fault_plan)
-        with obs.tracer.span("load-capture", source=args.capture):
-            if (fault_plan is not None
-                    and detect_capture_format(args.capture) == "binary"):
-                print("warning: --fault-plan line faults apply to JSONL "
-                      "captures only; ignored for this binary capture",
-                      file=sys.stderr)
-            layout, kernel, batches, _fmt = load_capture_path_batches(
-                args.capture, faults=fault_plan if fault_plan is not None
-                else NULL_FAULTS)
-        record_count = sum(len(batch) for batch in batches)
-        with obs.tracer.span("replay", records=record_count):
-            reports = replay(
-                layout,
-                batches,
-                config=DetectorConfig(
-                    filter_same_value=not args.no_filter_same_value),
-                reference=args.reference,
-            )
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obs = _obs_from_args(args)
+    fault_plan = _load_fault_plan_arg(args.fault_plan)
+    with obs.tracer.span("load-capture", source=args.capture):
+        layout, kernel, batches, fmt = _load_input(
+            args.capture, expect="capture", faults=fault_plan)
+        if fault_plan is not None and fmt == "binary":
+            print("warning: --fault-plan line faults apply to JSONL "
+                  "captures only; ignored for this binary capture",
+                  file=sys.stderr)
+    record_count = sum(len(batch) for batch in batches)
+    with obs.tracer.span("replay", records=record_count):
+        reports = replay(
+            layout,
+            batches,
+            config=DetectorConfig(
+                filter_same_value=not args.no_filter_same_value),
+            reference=args.reference,
+        )
 
     if obs.metrics.enabled:
         obs.metrics.counter(
@@ -1156,19 +1087,15 @@ def run_replay(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 # Hot-path profiling (repro profile)
 # ----------------------------------------------------------------------
-def run_profile(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="Profile the detection hot path per PTX opcode and "
+def _configure_profile(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Profile the detection hot path per PTX opcode and "
         "source line. Kernel sources (.cu/.ptx) run with the engine's "
         "closure-dispatch profiler attached; replay captures "
-        "(.jsonl/.capture/.bin/.bcap) are profiled through the detector's "
-        "per-record consume path. The default text output is "
-        "count-ordered and deterministic across repeated runs.",
-    )
-    parser.add_argument("source", help="kernel source (.cu/.ptx) or a "
-                        "replay capture (.jsonl/.capture/.bin/.bcap)")
-    _add_launch_args(parser, max_steps_default=2_000_000)
+        "(JSONL or binary, recognised by content) are profiled through "
+        "the detector's per-record consume path. The default text "
+        "output is count-ordered and deterministic across repeated runs.")
+    _add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE)
     parser.add_argument("--top", type=int, default=20,
                         help="sites to show in text format")
     parser.add_argument("--format", choices=("text", "json", "collapsed"),
@@ -1180,43 +1107,36 @@ def run_profile(argv: Optional[Sequence[str]] = None) -> int:
                         "text output (non-deterministic across runs)")
     parser.add_argument("--out", metavar="PATH",
                         help="write the profile here instead of stdout")
-    args = parser.parse_args(argv)
 
-    from .obs import Profiler
 
+def run_profile(args) -> int:
     source_lines: Dict[int, str] = {}
-    try:
-        if args.source.endswith((".jsonl", ".capture", ".bin", ".bcap")):
-            from time import perf_counter
+    loaded = _load_input(args.source)
+    if isinstance(loaded, str):
+        obs = make_observability(profile=True)
+        launched = launch_spec(_spec_from_args(args, loaded), obs=obs)
+        source_lines = _source_line_map(
+            launched.session.pristine_module(launched.handle))
+        profiler = obs.profiler
+    else:
+        from time import perf_counter
 
-            from .core.detector import BarracudaDetector
-            from .core.reference import DetectorConfig
-            from .events import record_to_ops
-            from .runtime.replay import load_capture_path
+        from .core.detector import BarracudaDetector
+        from .core.reference import DetectorConfig
+        from .events import record_to_ops
 
-            profiler = Profiler()
-            layout, _kernel, records, _fmt = load_capture_path(args.source)
-            config = DetectorConfig()
-            detector = BarracudaDetector(layout, config)
-            for record in records:
+        profiler = Profiler()
+        layout, _kernel, batches, _fmt = loaded
+        config = DetectorConfig()
+        detector = BarracudaDetector(layout, config)
+        for batch in batches:
+            for record in batch.iter_records():
                 start = perf_counter()
                 for op in record_to_ops(record, layout,
                                         config.granularity_bytes):
                     detector.process(op)
                 profiler.account(record.kind.value, max(record.pc, 0),
                                  seconds=perf_counter() - start)
-        else:
-            obs = make_observability(profile=True)
-            launched = launch_spec(_spec_from_args(args), obs=obs)
-            source_lines = _source_line_map(
-                launched.session.pristine_module(launched.handle))
-            profiler = obs.profiler
-    except StepLimitExceeded as exc:
-        print(f"HANG: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     if args.format == "json":
         text = json.dumps(profiler.to_json(source_lines), indent=1,
@@ -1237,14 +1157,12 @@ def run_profile(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def run_convert(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro convert",
-        description="Convert a replay capture between the JSONL and binary "
+def _configure_convert(parser: argparse.ArgumentParser) -> None:
+    parser.description = (
+        "Convert a replay capture between the JSONL and binary "
         "formats.  The source format is auto-detected from the magic bytes "
         "and the conversion is lossless in both directions: converting "
-        "there and back yields the identical record stream.",
-    )
+        "there and back yields the identical record stream.")
     parser.add_argument("src", help="source capture (JSONL or binary)")
     parser.add_argument("dst", help="destination path")
     parser.add_argument("--to", choices=("jsonl", "binary"), default=None,
@@ -1254,47 +1172,62 @@ def run_convert(argv: Optional[Sequence[str]] = None) -> int:
                         metavar="N",
                         help="records per columnar frame when writing "
                         "binary captures")
-    args = parser.parse_args(argv)
 
+
+def run_convert(args) -> int:
     from .runtime.replay import DEFAULT_BATCH_RECORDS, convert_capture
 
-    try:
-        src_fmt, dst_fmt, count = convert_capture(
-            args.src, args.dst, to_format=args.to,
-            batch_records=args.batch_records or DEFAULT_BATCH_RECORDS)
-    except (OSError, ReproError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    src_fmt, dst_fmt, count = convert_capture(
+        args.src, args.dst, to_format=args.to,
+        batch_records=args.batch_records or DEFAULT_BATCH_RECORDS)
     print(f"{args.src} ({src_fmt}) -> {args.dst} ({dst_fmt}): "
           f"{count} record(s)")
     return 0
 
 
+#: name -> (configure(parser), run(args) -> exit code)
 _SUBCOMMANDS = {
-    "check": run_check,
-    "lint": run_lint,
-    "explain": run_explain,
-    "sweep": run_sweep_cmd,
-    "fix": run_fix_cmd,
-    "profile": run_profile,
-    "serve": run_serve,
-    "submit": run_submit,
-    "replay": run_replay,
-    "convert": run_convert,
+    "check": (_configure_check, run_check),
+    "lint": (_configure_lint, run_lint),
+    "explain": (_configure_explain, run_explain),
+    "sweep": (_configure_sweep, run_sweep_cmd),
+    "fix": (_configure_fix, run_fix_cmd),
+    "profile": (_configure_profile, run_profile),
+    "serve": (_configure_serve, run_serve),
+    "submit": (_configure_submit, run_submit),
+    "replay": (_configure_replay, run_replay),
+    "convert": (_configure_convert, run_convert),
 }
 
 
+def build_parser(name: str = "check") -> argparse.ArgumentParser:
+    """The argument parser of one subcommand."""
+    parser = argparse.ArgumentParser(
+        prog="repro" if name == "check" else f"repro {name}")
+    _SUBCOMMANDS[name][0](parser)
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Dispatch to a subcommand; bare invocations stay ``check``.
+    """Parse argv, run the subcommand, and turn any failure into one
+    stderr line and an exit status.
 
     ``python -m repro kernel.cu --grid 2`` predates the subcommands and
-    keeps working: when the first argument is not a subcommand name it
-    is treated as a kernel source path.
+    keeps working: a first argument that is not a subcommand name is a
+    kernel source path for ``check``.
     """
-    args = list(sys.argv[1:] if argv is None else argv)
-    if args and args[0] in _SUBCOMMANDS:
-        return _SUBCOMMANDS[args[0]](args[1:])
-    return run_check(args)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        argv.insert(0, "check")
+    args = build_parser(argv[0]).parse_args(argv[1:])
+    try:
+        return _SUBCOMMANDS[argv[0]][1](args)
+    except StepLimitExceeded as exc:
+        print(f"HANG: {exc}", file=sys.stderr)
+        return 3
+    except (OSError, ReproError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -213,18 +213,3 @@ def record_to_ops(
                     raise ValueError(f"unhandled record kind {kind}")
     ops.append(EndInsn(warp=record.warp, amask=record.active, pc=pc))
     return ops
-
-
-def batch_to_ops(batch, layout: GridLayout, granularity: int = 4):
-    """Expand a columnar batch into §3.1 trace operations, lazily.
-
-    The batch variant of :func:`record_to_ops`: yields exactly the
-    operations that expanding each materialized record would produce, in
-    the same order.  Consumers that want the fused object-free loop use
-    :meth:`repro.core.detector.BarracudaDetector.process_columnar`
-    instead; this generator serves the reference detector and
-    diagnostics, which need real operation objects.
-    """
-    for record in batch.iter_records():
-        for op in record_to_ops(record, layout, granularity):
-            yield op

@@ -64,11 +64,9 @@ class FatBinary:
     entries: List[FatBinaryEntry] = field(default_factory=list)
 
     @staticmethod
-    def from_module(
-        module: Module, sass_archs: Tuple[str, ...] = ("sm_35", "sm_52")
-    ) -> "FatBinary":
+    def from_module(module: Module) -> "FatBinary":
         """What nvcc would produce: SASS per target arch + neutral PTX."""
-        entries = [FatBinaryEntry.sass(arch) for arch in sass_archs]
+        entries = [FatBinaryEntry.sass(arch) for arch in ("sm_35", "sm_52")]
         entries.append(FatBinaryEntry.ptx(module))
         return FatBinary(entries=entries)
 

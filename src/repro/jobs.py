@@ -1,11 +1,14 @@
 """The job layer: each thing the front doors run is stated once, here.
 
 Two statements.  **A launch**: :class:`LaunchSpec` describes one kernel
-launch self-containedly and :func:`launch_spec` is the only place that
+launch self-containedly (:meth:`LaunchSpec.compile` is the one body of
+"source text → module") and :func:`launch_spec` is the only place that
 turns a description into a session, initialised buffers and a
 ``session.launch`` — the CLI subcommands, the sweep and repair stages,
-the suite and the Table-1 workloads all go through it (or through its
-:func:`alloc_buffers` half).  **A staged job**: :class:`StagedJob` is the
+the suite and the Table-1 workloads all go through it.
+:func:`record_stream` is its detector-less sibling — raw device, every
+log record kept — for the baselines and the profiling analyses.
+**A staged job**: :class:`StagedJob` is the
 shape SWEEP and FIX share — validate the request, optionally plan, fan
 out items, fold dead items, finalize — instantiated beside the stage
 functions (:data:`repro.predict.sweep.JOB`, :data:`repro.fix.driver.JOB`).
@@ -23,11 +26,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .cudac import compile_cuda
 from .errors import ReproError
+from .events import LogRecord
+from .gpu.device import GpuDevice
 from .gpu.hierarchy import LaunchConfig
+from .gpu.interpreter import ListSink
 from .gpu.memory import KEPLER_K520, MAXWELL_TITANX, ArchProfile
+from .instrument.passes import Instrumenter
 from .obs import NULL_OBS, Observability
 from .ptx import parse_ptx
+from .ptx.ast import Module
 from .runtime.session import BarracudaSession, SessionLaunch
+from .trace.layout import GridLayout
 
 ARCHES: Dict[str, ArchProfile] = {"titanx": MAXWELL_TITANX, "k520": KEPLER_K520}
 
@@ -64,7 +73,7 @@ class LaunchSpec:
                 f"unknown arch {self.arch!r} (choose from {sorted(ARCHES)})"
             )
 
-    def compile(self):
+    def compile(self) -> Module:
         if self.is_ptx:
             return parse_ptx(self.source)
         return compile_cuda(self.source)
@@ -74,7 +83,8 @@ class LaunchSpec:
 
     @classmethod
     def from_program(cls, program) -> "LaunchSpec":
-        """Build a spec from a :class:`repro.suite.SuiteProgram`."""
+        """Build a spec from a :class:`repro.suite.SuiteProgram` or a
+        :class:`repro.bench.Workload` (their cached ``spec`` property)."""
         return cls(
             source=program.source,
             kernel="",
@@ -156,6 +166,7 @@ class Launched:
 
     spec: LaunchSpec
     session: BarracudaSession
+    module: Module  # as compiled; the session parsed its own copy back
     handle: int
     kernel: str
     buffers: Dict[str, int]  # parameter name -> device address
@@ -175,15 +186,20 @@ def launch_spec(
     scheduler=None,
     capture: bool = False,
     obs: Observability = NULL_OBS,
+    session: Optional[BarracudaSession] = None,
+    compare_native: bool = False,
     **session_options,
 ) -> Launched:
-    """Compile ``spec``, register it with a fresh session, allocate and
+    """Compile ``spec``, register it with a session, allocate and
     initialise its buffers, and launch it.
 
-    ``session_options`` are :class:`BarracudaSession` arguments
-    (``detector_config``, ``prune``, ``static_prune``, ``faults``)."""
-    session = BarracudaSession(arch=ARCHES[spec.arch], obs=obs, **session_options)
-    with obs.tracer.span("cuda-frontend"):
+    The session is the caller's ``session`` or a fresh one built from
+    ``obs`` and ``session_options`` (:class:`BarracudaSession` arguments:
+    ``detector_config``, ``prune``, ``static_prune``, ``faults``)."""
+    if session is None:
+        session = BarracudaSession(arch=ARCHES[spec.arch], obs=obs,
+                                   **session_options)
+    with session.obs.tracer.span("cuda-frontend"):
         module = spec.compile()
     handle = session.register_module(module)
     kernel = spec.kernel or module.kernels[0].name
@@ -196,10 +212,46 @@ def launch_spec(
         params={**buffers, **dict(spec.scalars)},
         scheduler=scheduler,
         max_steps=spec.max_steps,
+        compare_native=compare_native,
         capture_records=capture,
         cooperative=spec.cooperative,
     )
-    return Launched(spec, session, handle, kernel, buffers, launch)
+    return Launched(spec, session, module, handle, kernel, buffers, launch)
+
+
+def record_stream(
+    spec: LaunchSpec,
+    module: Optional[Module] = None,
+    scheduler=None,
+) -> Tuple[GridLayout, List[LogRecord]]:
+    """The detector-less launch: instrument ``spec``, run it on a raw
+    device and return the layout with every log record emitted.
+
+    What the baseline detectors and the profiling analyses consume.
+    ``module`` stands in for ``spec.compile()`` when the caller already
+    holds the compiled module (its line numbers are the records' pcs).
+    Pruning is off: these consumers want every access, whereas the race
+    detector can exploit redundancy."""
+    module = module or spec.compile()
+    instrumented, _report = Instrumenter(prune=False).instrument_module(module)
+    device = GpuDevice(ARCHES[spec.arch])
+    device.load_module(instrumented)
+    buffers = alloc_buffers(device, spec.buffers)
+    sink = ListSink()
+    device.launch(
+        instrumented,
+        spec.kernel or module.kernels[0].name,
+        grid=spec.grid,
+        block=spec.block,
+        warp_size=spec.warp_size,
+        params={**buffers, **dict(spec.scalars)},
+        sink=sink,
+        instrumented=True,
+        scheduler=scheduler,
+        max_steps=spec.max_steps,
+        cooperative=spec.cooperative,
+    )
+    return spec.layout(), sink.records
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """BARRACUDA runtime: queues, host detector, end-to-end sessions."""
 
+from ..events import RECORD_BYTES, LogRecord, RecordKind, record_to_ops
 from .host import HostDetector
 from .latent import LatentRaceReport, WarpSizeFinding, allocate_like, find_latent_races
 from .queue import DEFAULT_CAPACITY, LogQueue, QueueSet, QueueStats
-from .records import RECORD_BYTES, LogRecord, RecordKind, record_to_ops
 from .replay import (
     RecordingSink,
     load_capture,

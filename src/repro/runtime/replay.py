@@ -43,6 +43,8 @@ BINARY_VERSION = 1
 #: length prefix beyond this is corruption, not an allocation request.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 _FRAME_LENGTH = struct.Struct("!I")
+#: How much of a file's first line :func:`detect_capture_format` reads.
+_SNIFF_BYTES = 4096
 
 
 class RecordingSink(EventSink):
@@ -113,49 +115,28 @@ def apply_line_fault(line: str, fault) -> str:
     return str(fault.arg("text", "}{ injected garbage"))
 
 
-def record_line_to_record(line: str, lineno: int = 0,
-                          faults=NULL_FAULTS) -> LogRecord:
-    """Parse one capture JSONL record line, raising :class:`ReproError`.
+def record_lines_to_records(lines: Iterable[str], faults=NULL_FAULTS,
+                            lineno: int = 0) -> List[LogRecord]:
+    """Decode a batch of capture JSONL record lines in one pass.
 
     All malformedness — garbage JSON, a non-object line, missing or
     mistyped fields — surfaces as :class:`ReproError` so consumers (the
     offline loader and the detection service) can fail one capture
-    cleanly instead of crashing on a stray ``JSONDecodeError``.
+    cleanly instead of crashing on a stray ``JSONDecodeError``.  With
+    ``lineno`` (the capture line number of the first line) the error
+    says which line.
 
-    An active fault plan may corrupt the line before parsing (the
+    An active fault plan may corrupt a line before parsing (the
     ``replay.record_line`` site), which exercises exactly this error
-    surface.
-    """
-    injector = resolve_faults(faults)
-    if injector is not None:
-        fault = injector.check(fault_sites.REPLAY_LINE, len(line))
-        if fault is not None:
-            line = apply_line_fault(line, fault)
-    where = f" on line {lineno}" if lineno else ""
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"garbage JSON{where}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ReproError(f"capture record{where} is not a JSON object")
-    return _record_from_json(payload)
-
-
-def record_lines_to_records(lines: Iterable[str],
-                            faults=NULL_FAULTS) -> List[LogRecord]:
-    """Decode a batch of capture JSONL lines in one pass.
-
-    The batched equivalent of calling :func:`record_line_to_record` per
-    line (same errors, same order) with the JSON decoder and record
-    constructor resolved once — the ingest path the service workers
-    use.
+    surface.  The JSON decoder and record constructor are resolved once:
+    this is the ingest path the service workers use.
     """
     injector = resolve_faults(faults)
     loads = json.loads
     from_json = _record_from_json
     records: List[LogRecord] = []
     append = records.append
-    for line in lines:
+    for offset, line in enumerate(lines):
         if injector is not None:
             fault = injector.check(fault_sites.REPLAY_LINE, len(line))
             if fault is not None:
@@ -163,11 +144,20 @@ def record_lines_to_records(lines: Iterable[str],
         try:
             payload = loads(line)
         except json.JSONDecodeError as exc:
-            raise ReproError(f"garbage JSON: {exc}") from exc
+            where = f" on line {lineno + offset}" if lineno else ""
+            raise ReproError(f"garbage JSON{where}: {exc}") from exc
         if not isinstance(payload, dict):
-            raise ReproError("capture record is not a JSON object")
+            where = f" on line {lineno + offset}" if lineno else ""
+            raise ReproError(f"capture record{where} is not a JSON object")
         append(from_json(payload))
     return records
+
+
+def record_line_to_record(line: str, lineno: int = 0,
+                          faults=NULL_FAULTS) -> LogRecord:
+    """Parse one capture JSONL record line: the one-line case of
+    :func:`record_lines_to_records` (same errors, same fault site)."""
+    return record_lines_to_records((line,), faults, lineno)[0]
 
 
 def read_header(header_line: str) -> Tuple[GridLayout, str]:
@@ -193,14 +183,8 @@ def read_header(header_line: str) -> Tuple[GridLayout, str]:
     return layout, header.get("kernel", "")
 
 
-def save_capture(
-    stream: IO[str],
-    layout: GridLayout,
-    records: Iterable[LogRecord],
-    kernel: str = "",
-) -> int:
-    """Write a capture; returns the number of records written."""
-    header = {
+def _capture_header_dict(layout: GridLayout, kernel: str) -> dict:
+    return {
         "format": "barracuda-capture",
         "version": FORMAT_VERSION,
         "kernel": kernel,
@@ -210,7 +194,16 @@ def save_capture(
             "warp_size": layout.warp_size,
         },
     }
-    stream.write(json.dumps(header) + "\n")
+
+
+def save_capture(
+    stream: IO[str],
+    layout: GridLayout,
+    records: Iterable[LogRecord],
+    kernel: str = "",
+) -> int:
+    """Write a capture; returns the number of records written."""
+    stream.write(json.dumps(_capture_header_dict(layout, kernel)) + "\n")
     count = 0
     for record in records:
         stream.write(json.dumps(_record_to_json(record)) + "\n")
@@ -240,19 +233,6 @@ def load_capture(stream: IO[str],
 # :class:`~repro.columnar.ColumnarBatch` (see ``docs/performance.md``
 # for the byte-level spec).
 # ----------------------------------------------------------------------
-def _capture_header_dict(layout: GridLayout, kernel: str) -> dict:
-    return {
-        "format": "barracuda-capture",
-        "version": FORMAT_VERSION,
-        "kernel": kernel,
-        "layout": {
-            "num_blocks": layout.num_blocks,
-            "threads_per_block": layout.threads_per_block,
-            "warp_size": layout.warp_size,
-        },
-    }
-
-
 def write_frame(stream: IO[bytes], payload: bytes) -> None:
     """Write one length-prefixed frame (the protocol's framing rule)."""
     if len(payload) > MAX_FRAME_BYTES:
@@ -345,11 +325,7 @@ def iter_binary_frames(stream: IO[bytes]) -> Iterator[bytes]:
 
 def iter_binary_batches(stream: IO[bytes]) -> Iterator[ColumnarBatch]:
     """Decode batch frames until a clean EOF (header already consumed)."""
-    while True:
-        payload = read_frame(stream)
-        if payload is None:
-            return
-        yield decode_batch(payload)
+    return map(decode_batch, iter_binary_frames(stream))
 
 
 def save_capture_binary(
@@ -376,11 +352,22 @@ def load_capture_binary(
     return layout, kernel, list(iter_binary_batches(stream))
 
 
-def detect_capture_format(path: str) -> str:
-    """``"binary"`` or ``"jsonl"``, decided by the magic bytes."""
+def detect_capture_format(path: str) -> Optional[str]:
+    """What kind of capture ``path`` holds, decided by its content and
+    never by its name: ``"binary"`` (the BCAP magic), ``"jsonl"`` (a
+    first line that parses as the ``"format": "barracuda-capture"``
+    header), or ``None`` for anything else — kernel source, say."""
     with open(path, "rb") as stream:
-        magic = stream.read(len(BINARY_MAGIC))
-    return "binary" if magic == BINARY_MAGIC else "jsonl"
+        head = stream.readline(_SNIFF_BYTES)
+    if head.startswith(BINARY_MAGIC):
+        return "binary"
+    try:
+        header = json.loads(head)
+    except ValueError:  # not JSON, or not UTF-8
+        return None
+    if isinstance(header, dict) and header.get("format") == "barracuda-capture":
+        return "jsonl"
+    return None
 
 
 def load_capture_path(
@@ -406,14 +393,19 @@ def load_capture_path_batches(
     """Load a capture of either format as columnar batches.
 
     JSONL captures are columnarized on load (bit-identical records);
-    binary captures decode straight into batches.
+    binary captures decode straight into batches.  Anything that is not
+    a binary capture is read as JSONL, so a file that is no capture at
+    all fails with the header's own error.
     """
     if detect_capture_format(path) == "binary":
         with open(path, "rb") as stream:
             layout, kernel, batches = load_capture_binary(stream)
         return layout, kernel, batches, "binary"
-    with open(path, "r", encoding="utf-8") as stream:
-        layout, kernel, records = load_capture(stream, faults=faults)
+    try:
+        with open(path, "r", encoding="utf-8") as stream:
+            layout, kernel, records = load_capture(stream, faults=faults)
+    except UnicodeDecodeError as exc:
+        raise ReproError(f"not a barracuda capture: {exc}") from exc
     return layout, kernel, list(iter_batches(records)), "jsonl"
 
 

@@ -103,7 +103,6 @@ class BarracudaSession:
         queue_capacity: int = DEFAULT_CAPACITY,
         prune: bool = True,
         detector_config: Optional[DetectorConfig] = None,
-        in_order_host: bool = True,
         obs: Observability = NULL_OBS,
         static_prune: bool = False,
         faults=None,
@@ -120,7 +119,6 @@ class BarracudaSession:
         self.queue_capacity = queue_capacity
         self.instrumenter = Instrumenter(prune=prune, static_prune=static_prune)
         self.detector_config = detector_config
-        self.in_order_host = in_order_host
         self.obs = obs
         # handle -> (pristine module, instrumented module, report)
         self._binaries: Dict[int, tuple] = {}
@@ -185,7 +183,6 @@ class BarracudaSession:
         scheduler: Optional[Scheduler] = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         compare_native: bool = False,
-        native_scheduler: Optional[Scheduler] = None,
         capture_records: bool = False,
         cooperative: bool = False,
     ) -> SessionLaunch:
@@ -216,7 +213,6 @@ class BarracudaSession:
                 block,
                 params=params,
                 warp_size=warp_size,
-                scheduler=native_scheduler,
                 max_steps=max_steps,
                 cooperative=cooperative,
             )
@@ -227,7 +223,6 @@ class BarracudaSession:
         host = HostDetector(
             layout,
             config=self.detector_config,
-            in_order=self.in_order_host,
             obs=self.obs,
             kernel=kernel_name,
         )

@@ -27,8 +27,9 @@ import random
 import socket
 import time
 import uuid
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, List, Optional
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 
 from ..core.races import DetectorReports
 from ..core.reference import DetectorConfig
@@ -240,52 +241,9 @@ class ServiceClient:
         ``trace.collected_payloads()`` afterwards merges into one
         Chrome trace spanning client, server, and every shard.
         """
-        if trace is None or not trace.enabled:
-            return self._submit(stream, batch_size, config, resubmit_key)
-        with trace.span("submit") as submit_span:
-            result = self._submit(
-                stream, batch_size, config, resubmit_key,
-                trace_payload=trace.context.child(submit_span).to_payload())
-        trace.absorb(result.spans)
-        return result
-
-    def _submit(self, stream, batch_size, config, resubmit_key,
-                trace_payload: Optional[dict] = None) -> JobResult:
-        header_line = stream.readline()
-        reply = self._expect(
-            self._request(protocol.open_frame(header_line, config,
-                                              resubmit_key=resubmit_key,
-                                              trace=trace_payload)),
-            protocol.ACCEPT,
-        )
-        job_id = reply["job_id"]
-        batch: List[str] = []
-        for line in stream:
-            if not line.strip():
-                continue
-            batch.append(line)
-            if len(batch) >= batch_size:
-                self._send_batch(job_id, batch)
-                batch = []
-        if batch:
-            self._send_batch(job_id, batch)
-        report = self._expect(self._request(protocol.close_frame(job_id)),
-                              protocol.REPORT)
-        payload = report.get("reports", {})
-        return JobResult(
-            job_id=job_id,
-            reports=protocol.reports_from_payload(payload),
-            stats=report.get("stats", {}),
-            records_processed=payload.get("records_processed", 0),
-            degraded=bool(report.get("degraded", False)),
-            failure_log=list(report.get("failure_log", [])),
-            spans=list(report.get("spans", [])),
-            flight=report.get("flight"),
-        )
-
-    def _send_batch(self, job_id: str, lines: Iterable[str]) -> None:
-        self._expect(self._request(protocol.records_frame(job_id, list(lines))),
-                     protocol.ACK)
+        return self._stream_job(stream.readline(),
+                                _line_batches(stream, batch_size),
+                                config, resubmit_key, trace)
 
     def submit_binary(
         self,
@@ -302,38 +260,34 @@ class ServiceClient:
         place the batch is materialized.  Framing doubles as pacing:
         one batch in flight per ACK, like the line path.
         """
-        if trace is None or not trace.enabled:
-            return self._submit_binary(stream, config, resubmit_key)
-        with trace.span("submit") as submit_span:
-            result = self._submit_binary(
-                stream, config, resubmit_key,
-                trace_payload=trace.context.child(submit_span).to_payload())
-        trace.absorb(result.spans)
-        return result
-
-    def _submit_binary(self, stream, config, resubmit_key,
-                       trace_payload: Optional[dict] = None) -> JobResult:
         from ..runtime.replay import iter_binary_frames, read_binary_header_line
 
-        header_line = read_binary_header_line(stream)
-        reply = self._expect(
-            self._request(protocol.open_frame(header_line, config,
-                                              resubmit_key=resubmit_key,
-                                              trace=trace_payload)),
-            protocol.ACCEPT,
-        )
-        job_id = reply["job_id"]
-        for payload in iter_binary_frames(stream):
-            encoded, count = protocol.encode_batch_wire(payload)
-            self._expect(
-                self._request(protocol.batch_records_frame(
-                    job_id, encoded, count)),
-                protocol.ACK,
+        return self._stream_job(read_binary_header_line(stream),
+                                iter_binary_frames(stream),
+                                config, resubmit_key, trace)
+
+    def _stream_job(self, header_line: str,
+                    items: Iterable[Union[List[str], bytes]],
+                    config, resubmit_key, trace) -> JobResult:
+        """OPEN, one RECORDS frame per ACK, CLOSE.  ``items`` yields what
+        each RECORDS frame carries: a batch of raw JSONL lines, or one
+        encoded binary batch payload."""
+        traced = trace is not None and trace.enabled
+        with (trace.span("submit") if traced else nullcontext()) as span:
+            reply = self._expect(
+                self._request(protocol.open_frame(
+                    header_line, config, resubmit_key=resubmit_key,
+                    trace=(trace.context.child(span).to_payload()
+                           if traced else None))),
+                protocol.ACCEPT,
             )
-        report = self._expect(self._request(protocol.close_frame(job_id)),
-                              protocol.REPORT)
+            job_id = reply["job_id"]
+            for item in items:
+                self._send_batch(job_id, item)
+            report = self._expect(self._request(protocol.close_frame(job_id)),
+                                  protocol.REPORT)
         payload = report.get("reports", {})
-        return JobResult(
+        result = JobResult(
             job_id=job_id,
             reports=protocol.reports_from_payload(payload),
             stats=report.get("stats", {}),
@@ -343,11 +297,28 @@ class ServiceClient:
             spans=list(report.get("spans", [])),
             flight=report.get("flight"),
         )
+        if traced:
+            trace.absorb(result.spans)
+        return result
+
+    def _send_batch(self, job_id: str,
+                    batch: Union[Iterable[str], bytes]) -> None:
+        """One RECORDS frame and its ACK."""
+        if isinstance(batch, bytes):
+            encoded, count = protocol.encode_batch_wire(batch)
+            frame = protocol.batch_records_frame(job_id, encoded, count)
+        else:
+            frame = protocol.records_frame(job_id, list(batch))
+        self._expect(self._request(frame), protocol.ACK)
 
     def submit_path(self, path: str, batch_size: int = DEFAULT_BATCH_SIZE,
                     config: Optional[DetectorConfig] = None,
                     resubmit_key: Optional[str] = None,
                     trace: Optional[SpanBuffer] = None) -> JobResult:
+        """Submit the capture at ``path``; the transport is picked by the
+        file's content (:func:`~repro.runtime.replay.detect_capture_format`),
+        and anything that is not a binary capture travels as text for
+        the service to judge."""
         from ..runtime.replay import detect_capture_format
 
         if detect_capture_format(path) == "binary":
@@ -355,9 +326,13 @@ class ServiceClient:
                 return self.submit_binary(stream, config=config,
                                           resubmit_key=resubmit_key,
                                           trace=trace)
-        with open(path) as stream:
-            return self.submit(stream, batch_size=batch_size, config=config,
-                               resubmit_key=resubmit_key, trace=trace)
+        try:
+            with open(path, encoding="utf-8") as stream:
+                return self.submit(stream, batch_size=batch_size,
+                                   config=config, resubmit_key=resubmit_key,
+                                   trace=trace)
+        except UnicodeDecodeError as exc:
+            raise ReproError(f"not a barracuda capture: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Staged jobs: predictive sweeps and race repair
@@ -444,6 +419,20 @@ class ServiceClient:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _line_batches(stream: IO[str], batch_size: int) -> Iterator[List[str]]:
+    """The non-blank lines of ``stream``, ``batch_size`` at a time."""
+    batch: List[str] = []
+    for line in stream:
+        if not line.strip():
+            continue
+        batch.append(line)
+        if len(batch) >= batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
 
 def submit_capture(

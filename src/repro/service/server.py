@@ -125,9 +125,7 @@ class RaceService:
         port: Optional[int] = None,
         workers: int = 2,
         high_water: int = DEFAULT_HIGH_WATER,
-        low_water: Optional[int] = None,
         pool: Optional[ShardedDetectorPool] = None,
-        default_config: Optional[DetectorConfig] = None,
         job_timeout: float = DEFAULT_JOB_TIMEOUT,
         max_requeues: int = DEFAULT_MAX_REQUEUES,
         fault_plan: Optional[FaultPlan] = None,
@@ -144,7 +142,7 @@ class RaceService:
         #: Actual TCP port after binding (useful with ``port=0``).
         self.bound_port: Optional[int] = None
         self.high_water = high_water
-        self.low_water = low_water if low_water is not None else max(1, high_water // 2)
+        self.low_water = max(1, high_water // 2)
         self.job_timeout = job_timeout
         self.max_requeues = max_requeues
         self.pool = (
@@ -153,7 +151,6 @@ class RaceService:
             else ShardedDetectorPool(workers, fault_plan=fault_plan)
         )
         self._owns_pool = pool is None
-        self.default_config = default_config
         self.stats = ServiceStats()
         self._jobs: Dict[str, _Job] = {}
         self._next_job_id = 1
@@ -364,7 +361,7 @@ class RaceService:
             layout, kernel = read_header(str(message.get("header_line", "")))
             config_payload = message.get("config")
             config = (protocol.config_from_payload(config_payload)
-                      if config_payload else self.default_config)
+                      if config_payload else None)
         except ReproError as exc:
             await self._send(writer, protocol.error_frame(str(exc)))
             return

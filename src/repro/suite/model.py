@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import Optional, Tuple
 
-from ..cudac import compile_cuda
 from ..errors import SimulationError, StepLimitExceeded
 from ..gpu.scheduler import Scheduler
-from ..jobs import ARCHES, alloc_buffers
-from ..ptx import parse_ptx
+from ..jobs import LaunchSpec, launch_spec
 from ..ptx.ast import Module
-from ..runtime.session import BarracudaSession, SessionLaunch
+from ..runtime.session import BarracudaSession
 
 
 class Expected(enum.Enum):
@@ -90,15 +89,13 @@ class SuiteProgram:
     #: programs using ``barrier.cluster`` / ``__grid_sync()``.
     cooperative: bool = False
 
-    def compile(self) -> Module:
-        if self.is_ptx:
-            return parse_ptx(self.source)
-        return compile_cuda(self.source)
+    @cached_property
+    def spec(self) -> LaunchSpec:
+        """This program's launch, as the one runner takes it."""
+        return LaunchSpec.from_program(self)
 
-    @property
-    def kernel_name(self) -> str:
-        module = self.compile()
-        return module.kernels[0].name
+    def compile(self) -> Module:
+        return self.spec.compile()
 
 
 @dataclass
@@ -147,25 +144,10 @@ def run_program(
     scheduler: Optional[Scheduler] = None,
 ) -> Verdict:
     """Run one suite program under BARRACUDA and summarize the verdict."""
-    if session is None:
-        session = BarracudaSession(arch=ARCHES[program.arch])
-    module = program.compile()
-    session.register_module(module)
-    params: Dict[str, int] = alloc_buffers(
-        session.device, ((b.name, b.words, b.init) for b in program.buffers))
-    params.update(program.scalars)
     verdict = Verdict(program=program.name)
     try:
-        launch: SessionLaunch = session.launch(
-            module.kernels[0].name,
-            grid=program.grid,
-            block=program.block,
-            warp_size=program.warp_size,
-            params=params,
-            scheduler=scheduler,
-            max_steps=program.max_steps,
-            cooperative=program.cooperative,
-        )
+        launch = launch_spec(program.spec, scheduler=scheduler,
+                             session=session).launch
     except StepLimitExceeded:
         verdict.hang = True
         return verdict

@@ -441,3 +441,105 @@ class TestLintExitCodes:
     def test_missing_source_is_a_one_line_error(self, capsys):
         assert cli.main(["lint", "/nonexistent/kernel.cu"]) == 2
         _assert_clean_error(capsys)
+
+
+# ----------------------------------------------------------------------
+# One boundary: whatever a subcommand is handed or told to write, a
+# failure is exit 2 and one ``error:`` line — never a traceback whose
+# exit status 1 would read as "races found".
+# ----------------------------------------------------------------------
+LAUNCH = ["--grid", "2", "--buffer", "data:4"]
+#: Small requests, so the rows that fail only when writing stay cheap.
+SMALL = {"sweep": ["--schedules", "1"],
+         "fix": ["--max-candidates", "1", "--verify-schedules", "1"]}
+
+
+@pytest.fixture()
+def live_service(tmp_path):
+    sock = str(tmp_path / "svc.sock")
+    thread = ServiceThread(RaceService(socket_path=sock, workers=0)).start()
+    yield sock
+    thread.stop()
+
+
+def _binary_capture(tmp_path, name):
+    path = str(tmp_path / name)
+    assert cli.main(["convert", _write_capture(tmp_path), path,
+                     "--to", "binary"]) == 0
+    return path
+
+
+def _hostile_rows():
+    def flags(command):
+        return [] if command == "lint" else LAUNCH + SMALL.get(command, [])
+
+    rows = [pytest.param(["replay", "NOT-UTF8"], id="replay-non-utf8-capture")]
+    for command in ("check", "lint", "sweep", "fix", "explain", "profile"):
+        rows.append(pytest.param([command, "NOT-UTF8"] + flags(command),
+                                 id=f"{command}-non-utf8-source"))
+    for command in ("check", "lint", "sweep", "fix"):
+        rows.append(pytest.param(
+            [command, "KERNEL"] + flags(command) + ["--trace", "UNWRITABLE"],
+            id=f"{command}-unwritable-trace"))
+    rows += [
+        pytest.param(["replay", "CAPTURE", "--trace", "UNWRITABLE"],
+                     id="replay-unwritable-trace"),
+        pytest.param(["sweep", "KERNEL"] + LAUNCH + SMALL["sweep"]
+                     + ["--witness-dir", "UNWRITABLE"],
+                     id="sweep-unwritable-witness-dir"),
+        pytest.param(["fix", "KERNEL"] + LAUNCH + SMALL["fix"]
+                     + ["--patch-dir", "UNWRITABLE"],
+                     id="fix-unwritable-patch-dir"),
+        pytest.param(["profile", "KERNEL"] + LAUNCH + ["--out", "UNWRITABLE"],
+                     id="profile-unwritable-out"),
+        pytest.param(["check", "KERNEL"] + LAUNCH + ["--capture", "UNWRITABLE"],
+                     id="check-unwritable-capture"),
+        pytest.param(["convert", "CAPTURE", "UNWRITABLE"],
+                     id="convert-unwritable-dst"),
+        pytest.param(["submit", "CAPTURE", "--socket", "SOCKET",
+                      "--flight-dump", "UNWRITABLE"],
+                     id="submit-unwritable-flight-dump"),
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("argv", _hostile_rows())
+def test_hostile_input_or_unwritable_output_is_a_one_line_error(
+        argv, tmp_path, request, capsys):
+    not_utf8 = tmp_path / "blob.cu"
+    not_utf8.write_bytes(b"\xff\xfe__global__ void k(int* data) { }\x80\n")
+    # A path below a regular file: no user, root included, can create it.
+    (tmp_path / "plain-file").write_text("")
+    places = {
+        "NOT-UTF8": lambda: str(not_utf8),
+        "KERNEL": lambda: _write_kernel(tmp_path),
+        "CAPTURE": lambda: _write_capture(tmp_path),
+        "UNWRITABLE": lambda: str(tmp_path / "plain-file" / "out"),
+        "SOCKET": lambda: request.getfixturevalue("live_service"),
+    }
+    argv = [places[a]() if a in places else a for a in argv]
+    assert cli.main(argv) == 2
+    _assert_clean_error(capsys)
+
+
+@pytest.mark.parametrize("fmt", ["binary", "jsonl"])
+@pytest.mark.parametrize("command", ["explain", "profile", "replay"])
+def test_a_capture_is_recognised_by_content_not_by_name(
+        command, fmt, tmp_path, capsys):
+    # ``run.cap`` is what ``check --capture run.cap`` writes: no suffix
+    # any subcommand ever looked for.
+    if fmt == "binary":
+        named = _binary_capture(tmp_path, "run.bcap")
+    else:
+        named = _write_capture(tmp_path)
+    anonymous = str(tmp_path / "run.cap")
+    with open(named, "rb") as src, open(anonymous, "wb") as dst:
+        dst.write(src.read())
+    capsys.readouterr()
+    outcomes = []
+    for path in (named, anonymous):
+        code = cli.main([command, path])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0][0] in (0, 1)
+    assert outcomes[1] == outcomes[0]
