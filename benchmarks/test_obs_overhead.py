@@ -6,8 +6,13 @@ of a disabled pipeline is a single is-None check.  This benchmark pins
 that claim on the E11 service-throughput scenario: the same multi-job
 load is pushed through (a) a detector with the observability hook
 compiled out entirely (a registry-less twin overriding ``consume``) and
-(b) the shipped disabled no-op path, and the no-op path must stay
-within 5% wall-time of the registry-less run.
+(b) the shipped disabled no-op path — the detector's is-None checks
+plus the tracing-off ``span()`` every launch and shard batch wraps its
+drain in — and the no-op path must stay within 5% wall-time of the
+registry-less run.  One ``span()`` per drain is far below what that
+budget can see, so the call is also timed alone against a
+generator-based context manager doing the same nothing: the disabled
+recorder hands back one shared no-op and must cost well under it.
 
 Min-of-N timing: the minimum over repeats is the run least perturbed by
 the host (GC, scheduler), which is the right statistic for an
@@ -16,11 +21,12 @@ upper-bound overhead check.
 
 import io
 import time
+from contextlib import contextmanager
 
 from conftest import print_table
 
 from repro.events import LogRecord, RecordKind
-from repro.obs import make_observability
+from repro.obs import NULL_OBS, make_observability
 from repro.runtime.host import HostDetector
 from repro.runtime.replay import record_line_to_record, save_capture
 from repro.trace import Space
@@ -31,6 +37,9 @@ RECORDS_PER_JOB = 240
 LANES_PER_RECORD = 8
 REPEATS = 5
 MAX_DISABLED_OVERHEAD = 0.05
+NULL_SPAN_CALLS = 20_000
+#: The shared no-op measures ~1/3 of a generator-based one.
+MAX_NULL_SPAN_VS_GENERATOR = 0.6
 
 LAYOUT = GridLayout(num_blocks=4, threads_per_block=64, warp_size=32)
 
@@ -67,17 +76,38 @@ def _job_records(seed: int):
     return [record_line_to_record(line) for line in lines]
 
 
-def _run_load(jobs, make_detector) -> float:
+def _run_load(jobs, make_detector, tracer=None) -> float:
     start = time.perf_counter()
     for records in jobs:
         detector = make_detector()
-        detector.consume(records)
+        if tracer is None:
+            detector.consume(records)
+        else:
+            with tracer.span("queue-drain", kernel="bench"):
+                detector.consume(records)
         assert detector.reports.races  # the load is genuinely racy
     return time.perf_counter() - start
 
 
-def _best_of(repeats, jobs, make_detector) -> float:
-    return min(_run_load(jobs, make_detector) for _ in range(repeats))
+def _best_of(repeats, jobs, make_detector, tracer=None) -> float:
+    return min(_run_load(jobs, make_detector, tracer) for _ in range(repeats))
+
+
+@contextmanager
+def _generator_span(name, **args):
+    yield ""
+
+
+def _span_call_seconds(span) -> float:
+    """Best-of-N cost of one ``with span(...): pass``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        for _ in range(NULL_SPAN_CALLS):
+            with span("warp-step", track="warp-0", block=0):
+                pass
+        best = min(best, time.perf_counter() - start)
+    return best / NULL_SPAN_CALLS
 
 
 def test_disabled_observability_is_free():
@@ -85,7 +115,8 @@ def test_disabled_observability_is_free():
 
     registryless = _best_of(
         REPEATS, jobs, lambda: RegistrylessHostDetector(LAYOUT))
-    disabled = _best_of(REPEATS, jobs, lambda: HostDetector(LAYOUT))
+    disabled = _best_of(REPEATS, jobs, lambda: HostDetector(LAYOUT),
+                        tracer=NULL_OBS.tracer)
     enabled_obs = make_observability(metrics=True)
     enabled = _best_of(
         REPEATS, jobs,
@@ -108,6 +139,16 @@ def test_disabled_observability_is_free():
     assert overhead < MAX_DISABLED_OVERHEAD, (
         f"disabled observability path costs {overhead:.1%} over a "
         f"registry-less run (budget {MAX_DISABLED_OVERHEAD:.0%})"
+    )
+
+    null_span = _span_call_seconds(NULL_OBS.tracer.span)
+    generator = _span_call_seconds(_generator_span)
+    print(f"tracing-off span(): {null_span * 1e9:.0f} ns/call "
+          f"(generator-based: {generator * 1e9:.0f} ns)")
+    assert null_span < MAX_NULL_SPAN_VS_GENERATOR * generator, (
+        f"the tracing-off span() costs {null_span * 1e9:.0f} ns, "
+        f"{null_span / generator:.0%} of a generator-based context "
+        f"manager (budget {MAX_NULL_SPAN_VS_GENERATOR:.0%})"
     )
 
 

@@ -49,11 +49,12 @@ forwards the sweep to a running service when given ``--socket``/
 
 Observability flags (``--trace out.json`` for a Chrome trace-event file,
 ``--metrics`` for a Prometheus-style snapshot, ``--stats-format json``)
-ride on ``check``, ``sweep``, ``replay`` and ``lint``; ``submit
---metrics`` queries the service's METRICS verb (which aggregates every
-shard worker's registry), ``submit --trace`` writes a merged
-client/server/shard distributed trace, ``submit --flight-dump`` and
-``explain --flight`` expose the always-on flight recorder, and
+ride on ``check``, ``sweep``, ``replay`` and ``lint``; ``--trace`` is one
+recorder and one exporter whether the run was local or served (a served
+run's file also holds the server's and every shard's spans); ``submit
+--stats/--metrics/--health/--flight-dump`` are sections of one STATUS
+request (``metrics`` aggregates every shard worker's registry),
+``explain --flight`` renders the always-on flight recorder, and
 ``profile`` renders the engine's hot paths (text/JSON/collapsed
 stacks).  See docs/observability.md.
 """
@@ -69,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import ReproError, StepLimitExceeded
 from .jobs import ARCHES, LaunchSpec, launch_spec
 from .obs import (
-    Profiler, SpanBuffer, make_observability, render_flight, render_provenance,
+    Profiler, make_observability, render_flight, render_provenance,
     write_flight_dump, write_merged_trace,
 )
 from .ptx import parse_ptx
@@ -138,19 +139,20 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="PATH",
                         help="write a Chrome trace-event JSON file of the "
                         "run's phases (chrome://tracing / Perfetto); with "
-                        "--socket/--port, and on submit, the merged "
-                        "client/server/shard distributed trace")
+                        "--socket/--port, and on submit, it also holds the "
+                        "server's and every shard's spans")
     parser.add_argument("--metrics", action="store_true",
                         help="print a Prometheus-style metrics snapshot "
                         "(with --socket/--port, and on submit: the "
-                        "service's own, via the METRICS verb)")
+                        "service's own, via the STATUS verb)")
 
 
 def _obs_from_args(args, metrics: bool = False, remote: bool = False):
     """The observability bundle ``--trace``/``--metrics`` ask for; a
-    remote run is traced and counted by the service, not here."""
+    remote run is counted by the service, not here, and its recorder is
+    the client end of the trace the service's spans come back to."""
     return make_observability(
-        trace=bool(args.trace) and not remote,
+        trace=bool(args.trace),
         metrics=(args.metrics or metrics) and not remote)
 
 
@@ -371,29 +373,24 @@ def _print_predicted_beyond(obs, captured, layout, observed, max_reports: int,
 
 def _print_metrics(args, obs, remote_text: Optional[str] = None) -> None:
     """The ``--metrics`` trailer: this process's registry, or the text a
-    remote run fetched from the service's METRICS verb."""
+    remote run fetched from the service's STATUS verb."""
     if args.metrics:
         print("--------- metrics")
         print(obs.metrics.render_prometheus() if remote_text is None
               else remote_text, end="")
 
 
-def _write_trace(args, obs, span_buffer=None) -> None:
-    """The ``--trace`` trailer: this process's tracer, or the merged
-    client/server/shard trace a remote run collected in ``span_buffer``."""
+def _write_trace(args, obs) -> None:
+    """The ``--trace`` trailer: this process's spans merged with whatever
+    a service sent back (nothing, for a local run)."""
     if not args.trace:
         return
-    if span_buffer is not None:
-        trace_obj = write_merged_trace(
-            args.trace, span_buffer.collected_payloads()
-        )
-        print(f"merged distributed trace written to {args.trace} "
-              f"({len(trace_obj['traceEvents'])} events)", file=sys.stderr)
-    else:
-        obs.tracer.write(args.trace)
-        print(f"trace written to {args.trace} "
-              f"({len(obs.tracer.span_names())} distinct phases)",
-              file=sys.stderr)
+    trace_obj = write_merged_trace(args.trace,
+                                   obs.tracer.collected_payloads())
+    dropped = sum(trace_obj["otherData"]["dropped_spans"].values())
+    print(f"trace written to {args.trace} "
+          f"({len(trace_obj['traceEvents'])} events, {dropped} span(s) "
+          "dropped)", file=sys.stderr)
 
 
 def run_check(args) -> int:
@@ -694,25 +691,25 @@ def _run_staged_job(job, args, **fields):
     """Validate one staged-job request and run it: in this process, or on
     a running service when ``--socket``/``--port`` is given.
 
-    Returns ``(result payload, obs, client span buffer, remote metrics
-    text)``; the last two are ``None`` for a local run.
+    Returns ``(result payload, obs, remote metrics text)``; the last is
+    ``None`` for a local run.
     """
     spec_payload = _spec_from_args(args).to_payload()
     request = job.parse({"spec": spec_payload, **fields})
     remote = args.socket is not None or args.port is not None
     obs = _obs_from_args(args, remote=remote)
     if not remote:
-        return job.run(request, obs), obs, None, None
+        return job.run(request, obs), obs, None
 
     from .service.client import ServiceClient
 
-    span_buffer = SpanBuffer("client") if args.trace else None
     with ServiceClient(socket_path=args.socket, host=args.host,
                        port=args.port, timeout=600.0) as client:
         payload = client.run_job(job.name, spec_payload, fields,
-                                 trace=span_buffer)
-        metrics_text = client.metrics()["text"] if args.metrics else ""
-    return payload, obs, span_buffer, metrics_text
+                                 trace=obs.tracer)
+        metrics_text = (client.status("metrics")["metrics"]["text"]
+                        if args.metrics else "")
+    return payload, obs, metrics_text
 
 
 def _configure_sweep(parser: argparse.ArgumentParser) -> None:
@@ -744,7 +741,7 @@ def _configure_sweep(parser: argparse.ArgumentParser) -> None:
 def run_sweep_cmd(args) -> int:
     from .predict.sweep import JOB, SweepResult
 
-    payload, obs, span_buffer, metrics_text = _run_staged_job(
+    payload, obs, metrics_text = _run_staged_job(
         JOB, args, schedules=args.schedules, seed=args.seed)
     result = SweepResult.from_payload(payload)
 
@@ -760,7 +757,7 @@ def run_sweep_cmd(args) -> int:
         exit_code = _print_sweep_result(result, args.max_reports)
 
     _print_metrics(args, obs, metrics_text)
-    _write_trace(args, obs, span_buffer)
+    _write_trace(args, obs)
     return exit_code
 
 
@@ -847,7 +844,7 @@ def _configure_fix(parser: argparse.ArgumentParser) -> None:
 def run_fix_cmd(args) -> int:
     from .fix.driver import JOB, FixResult
 
-    payload, obs, span_buffer, metrics_text = _run_staged_job(
+    payload, obs, metrics_text = _run_staged_job(
         JOB, args, max_candidates=args.max_candidates,
         verify_schedules=args.verify_schedules, seed=args.seed)
     result = FixResult.from_payload(payload)
@@ -869,7 +866,7 @@ def run_fix_cmd(args) -> int:
         _print_fix_result(result, args.max_reports)
 
     _print_metrics(args, obs, metrics_text)
-    _write_trace(args, obs, span_buffer)
+    _write_trace(args, obs)
     if not result.targets:
         return 0
     return 0 if result.repaired_all else 1
@@ -943,11 +940,11 @@ def _configure_submit(parser: argparse.ArgumentParser) -> None:
     _add_obs_args(parser)
     parser.add_argument("--health", action="store_true",
                         help="print per-shard liveness and backlog "
-                        "(the HEALTH verb)")
+                        "(the STATUS verb's health section)")
     parser.add_argument("--flight-dump", metavar="PATH",
                         help="write the flight-recorder dump here (the "
                         "degraded-job payload when present, otherwise the "
-                        "DUMP verb)")
+                        "STATUS verb's flight section)")
     parser.add_argument("--max-retries", type=int, default=3,
                         help="transparent retries on transient connection "
                         "failures (idempotent resubmission)")
@@ -961,7 +958,7 @@ def run_submit(args) -> int:
     from .service.client import ServiceClient, submit_capture
     from .service.stats import render_job_stats, render_service_stats
 
-    span_buffer = SpanBuffer("client") if args.trace else None
+    obs = _obs_from_args(args, remote=True)
     result = submit_capture(
         args.capture,
         socket_path=args.socket,
@@ -970,23 +967,22 @@ def run_submit(args) -> int:
         batch_size=args.batch_size,
         max_retries=args.max_retries,
         faults=_load_fault_plan_arg(args.fault_plan),
-        trace=span_buffer,
+        trace=obs.tracer,
     )
-    service_stats = None
-    metrics_text = ""
-    health = None
-    flight_dump = result.flight
-    if (args.stats or args.metrics or args.health
-            or (args.flight_dump and flight_dump is None)):
+    # Whatever --stats/--metrics/--health/--flight-dump still need from
+    # the service comes back in one STATUS reply.
+    sections = [name for name, wanted in (
+        ("stats", args.stats), ("metrics", args.metrics),
+        ("health", args.health),
+        ("flight", args.flight_dump and result.flight is None)) if wanted]
+    status: Dict[str, dict] = {}
+    if sections:
         with ServiceClient(socket_path=args.socket, host=args.host,
                            port=args.port) as client:
-            service_stats = client.stats() if args.stats else None
-            metrics_text = client.metrics()["text"] if args.metrics else ""
-            health = client.health() if args.health else None
-            if args.flight_dump and flight_dump is None:
-                flight_dump = client.dump()
+            status = client.status(*sections)
+    flight_dump = result.flight or status.get("flight")
 
-    _write_trace(args, None, span_buffer)
+    _write_trace(args, obs)
     if args.flight_dump:
         write_flight_dump(args.flight_dump, flight_dump or {})
         print(f"flight-recorder dump written to {args.flight_dump}",
@@ -1005,11 +1001,11 @@ def run_submit(args) -> int:
     exit_code = _print_reports(result.reports, args.max_reports)
     if args.stats:
         print(render_job_stats(result.stats))
-        print(render_service_stats(service_stats))
-    _print_metrics(args, None, metrics_text)
+        print(render_service_stats(status["stats"]))
+    _print_metrics(args, obs, status.get("metrics", {}).get("text", ""))
     if args.health:
         print("--------- health")
-        print(json.dumps(health, indent=2, sort_keys=True))
+        print(json.dumps(status["health"], indent=2, sort_keys=True))
     return exit_code
 
 

@@ -78,7 +78,7 @@ class FaultInjector:
     enabled = True
 
     def __init__(self, plan: FaultPlan, obs: Observability = NULL_OBS,
-                 flight=None, spans=None) -> None:
+                 flight=None) -> None:
         self.plan = plan
         self._hits: Dict[str, int] = {}
         self._bytes: Dict[str, int] = {}
@@ -94,12 +94,10 @@ class FaultInjector:
         for index, spec in enumerate(plan.specs):
             self._by_site[spec.site] = self._by_site.get(spec.site, ()) + (index,)
         self.log: List[FaultEvent] = []
-        self._tracer = obs.tracer if obs.tracer.enabled else None
-        # Optional cross-process sinks: a FlightRecorder ring and a
-        # distributed SpanBuffer; both resolve to None when disabled so
-        # _fired stays a couple of is-None checks.
+        self._tracer = obs.tracer
+        # The optional FlightRecorder ring resolves to None when disabled
+        # so _fired stays an is-None check.
         self._flight = flight if flight is not None and flight.enabled else None
-        self._spans = spans if spans is not None and spans.enabled else None
         self._counter = None
         if obs.metrics.enabled:
             self._counter = obs.metrics.counter(
@@ -142,15 +140,10 @@ class FaultInjector:
         self.log.append(event)
         if self._counter is not None:
             self._counter.inc(site=spec.site, kind=spec.kind)
-        if self._tracer is not None:
-            self._tracer.instant(f"fault:{spec.kind}",
-                                 args={"site": spec.site, "hit": hits})
+        self._tracer.instant(f"fault:{spec.kind}", site=spec.site, hit=hits)
         if self._flight is not None:
             self._flight.record("fault-injected", site=spec.site,
                                 fault=spec.kind, hit=hits)
-        if self._spans is not None:
-            self._spans.instant(f"fault:{spec.kind}",
-                                site=spec.site, hit=hits)
         return ActiveFault(spec, event)
 
     # ------------------------------------------------------------------

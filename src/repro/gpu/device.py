@@ -114,7 +114,6 @@ class GpuDevice:
         scheduler = scheduler or RoundRobinScheduler()
         tracer = obs.tracer
         tracing = tracer.enabled
-        launch_start = tracer.now_us() if tracing else 0.0
         steps = 0
         warps = execution.warps
         try_release_barriers = execution.try_release_barriers
@@ -126,51 +125,40 @@ class GpuDevice:
         # only a barrier release can add to it, so it is edited in place
         # and rebuilt on a release; nothing rescans the grid per step.
         runnable = [w for w in warps if not w.done and not w.at_barrier]
-        while runnable:
-            warp = pick(runnable)
-            if tracing:
-                step_start = tracer.now_us()
-                step(warp)
-                tracer.add_complete(
-                    "warp-step",
-                    step_start,
-                    tracer.now_us() - step_start,
-                    pid="interpreter",
-                    tid=f"warp-{warp.warp}",
-                    args={"block": warp.block},
-                )
-            else:
-                step(warp)
-            after_step(execution)
-            steps += 1
-            if steps > max_steps:
-                raise StepLimitExceeded(
-                    f"kernel {kernel_name!r} exceeded {max_steps} steps; "
-                    "likely a hang (spinlock never released?)"
-                )
-            if warp.done or warp.at_barrier:
-                if try_release_barriers(warp):
-                    runnable = [
-                        w for w in warps if not w.done and not w.at_barrier
-                    ]
+        execute = tracer.span("execute", kernel=kernel_name,
+                              instrumented=instrumented)
+        with execute:
+            while runnable:
+                warp = pick(runnable)
+                if tracing:
+                    with tracer.span("warp-step", track=f"warp-{warp.warp}",
+                                     block=warp.block):
+                        step(warp)
                 else:
-                    runnable.remove(warp)
-        if not all(w.done for w in warps):
-            raise DeadlockError(
-                f"kernel {kernel_name!r}: no warp can make progress"
-            )
-        # Kernel completion is a device-wide synchronization point: all
-        # pending stores become visible to the host and later kernels.
-        self.global_mem.drain_all()
-        execution.result.steps = steps
-        if tracing:
-            tracer.add_complete(
-                "execute",
-                launch_start,
-                tracer.now_us() - launch_start,
-                args={"kernel": kernel_name, "steps": steps,
-                      "instrumented": instrumented},
-            )
+                    step(warp)
+                after_step(execution)
+                steps += 1
+                if steps > max_steps:
+                    raise StepLimitExceeded(
+                        f"kernel {kernel_name!r} exceeded {max_steps} steps; "
+                        "likely a hang (spinlock never released?)"
+                    )
+                if warp.done or warp.at_barrier:
+                    if try_release_barriers(warp):
+                        runnable = [
+                            w for w in warps if not w.done and not w.at_barrier
+                        ]
+                    else:
+                        runnable.remove(warp)
+            if not all(w.done for w in warps):
+                raise DeadlockError(
+                    f"kernel {kernel_name!r}: no warp can make progress"
+                )
+            # Kernel completion is a device-wide synchronization point: all
+            # pending stores become visible to the host and later kernels.
+            self.global_mem.drain_all()
+            execution.result.steps = steps
+            execute.annotate(steps=steps)
         if obs.metrics.enabled:
             obs.metrics.counter(
                 "repro_interpreter_steps_total",

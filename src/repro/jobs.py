@@ -316,24 +316,26 @@ class StagedJob:
 
     def run_stage(self, stage: str, request, plan: dict, arg,
                   obs: Observability) -> dict:
-        """Run one stage; ``arg`` is the item index or the item payloads."""
-        if stage == "plan":
-            return self.plan(request, obs)
-        if stage == "finalize":
-            return self.finalize(request, plan, arg, obs)
-        return self.item(request, plan, arg, obs)
+        """Run one stage under its ``<name>-<stage>`` span; ``arg`` is the
+        item index or the item payloads.  A fan-out item whose recorder
+        has a remote parent (the server's job span) links back to it."""
+        label, links = {}, ()
+        if stage == self.item_stage:
+            label = {"index": arg}
+            links = (obs.tracer.context.parent_span_id,)
+        with obs.tracer.span(f"{self.name}-{stage}", links=links, **label):
+            if stage == "plan":
+                return self.plan(request, obs)
+            if stage == "finalize":
+                return self.finalize(request, plan, arg, obs)
+            return self.item(request, plan, arg, obs)
 
     def run(self, request, obs: Observability = NULL_OBS) -> dict:
         """Run every stage in this process; returns the result payload."""
-        span = obs.tracer.span
-        with span(self.name, **self.describe(request)):
+        with obs.tracer.span(self.name, **self.describe(request)):
             plan: dict = {}
             if self.plan is not None:
-                with span(f"{self.name}-plan"):
-                    plan = self.plan(request, obs)
-            items = []
-            for index in range(self.count(request, plan)):
-                with span(f"{self.name}-{self.item_stage}", index=index):
-                    items.append(self.item(request, plan, index, obs))
-            with span(f"{self.name}-finalize", items=len(items)):
-                return self.finalize(request, plan, items, obs)
+                plan = self.run_stage("plan", request, plan, None, obs)
+            items = [self.run_stage(self.item_stage, request, plan, index, obs)
+                     for index in range(self.count(request, plan))]
+            return self.run_stage("finalize", request, plan, items, obs)

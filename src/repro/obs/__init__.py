@@ -2,27 +2,26 @@
 
 This package is deliberately dependency-free (both of third-party
 packages and of the rest of ``repro``) so every layer of the pipeline
-can import it without cycles.  It has six pillars:
+can import it without cycles.  It has five pillars:
 
-* :mod:`~repro.obs.tracer` — nestable spans with a context-manager and
-  decorator API, exportable as Chrome ``trace_event`` JSON
-  (``chrome://tracing`` / Perfetto);
+* :mod:`~repro.obs.distributed` — the one span recorder
+  (:class:`SpanBuffer`: nestable spans on named tracks, wire-encodable,
+  with a :class:`TraceContext` that crosses the service's process
+  boundary) and the one exporter (:func:`merge_spans`: the spans of one
+  process or of client, server and every shard, as one clock-normalized
+  Chrome ``trace_event`` object for ``chrome://tracing`` / Perfetto);
 * :mod:`~repro.obs.metrics` — a registry of counters, gauges,
   histograms, and top-K profiles with a Prometheus-style text
   exposition and a JSON-able snapshot;
 * :mod:`~repro.obs.provenance` — per-race evidence: the most recent
   logged events of the conflicting threads on the racy address and the
   vector-clock comparison that failed;
-* :mod:`~repro.obs.distributed` — wire-encodable spans with a
-  :class:`TraceContext` that crosses the service's process boundary,
-  merged into one clock-normalized Chrome trace spanning client,
-  server, and every shard;
 * :mod:`~repro.obs.profiler` — a counting profiler hooked into the
   engine's closure dispatch (per-opcode / per-source-line
   exclusive time), feeding ``repro profile``;
 * :mod:`~repro.obs.flight` — an always-on bounded ring of structured
   lifecycle events per process, dumped into degraded-job payloads and
-  via the service ``DUMP`` verb.
+  via the ``flight`` section of the service's ``STATUS`` verb.
 
 Everything defaults to the shared :data:`NULL_OBS` bundle, whose
 components are permanently-disabled no-ops.  Hot paths guard on the
@@ -33,14 +32,12 @@ from dataclasses import dataclass, field
 
 from .distributed import (
     NULL_SPANS,
-    NullSpanBuffer,
     SpanBuffer,
     TraceContext,
     WireSpan,
     merge_spans,
-    new_span_id,
-    new_trace_id,
     root_context,
+    validate_chrome_trace,
     write_merged_trace,
 )
 from .flight import (
@@ -70,15 +67,14 @@ from .provenance import (
     RaceProvenance,
     render_provenance,
 )
-from .tracer import NULL_TRACER, NullTracer, Tracer, validate_chrome_trace
 
 
 @dataclass
 class Observability:
-    """One bundle of tracer + metrics + profiler threaded through the
-    pipeline."""
+    """One bundle of span recorder + metrics + profiler threaded through
+    the pipeline."""
 
-    tracer: Tracer = field(default_factory=lambda: NULL_TRACER)
+    tracer: SpanBuffer = field(default_factory=lambda: NULL_SPANS)
     metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
     profiler: Profiler = field(default_factory=lambda: NULL_PROFILER)
 
@@ -94,9 +90,12 @@ NULL_OBS = Observability()
 
 def make_observability(trace: bool = False, metrics: bool = False,
                        profile: bool = False) -> Observability:
-    """Build a bundle with only the requested pillars enabled."""
+    """Build a bundle with only the requested pillars enabled.
+
+    The recorder is this process's end of the trace (``client``) and is
+    unbounded: a command-line run ends, a shard worker does not."""
     return Observability(
-        tracer=Tracer() if trace else NULL_TRACER,
+        tracer=SpanBuffer("client", limit=None) if trace else NULL_SPANS,
         metrics=MetricsRegistry() if metrics else NULL_METRICS,
         profiler=Profiler() if profile else NULL_PROFILER,
     )

@@ -1,38 +1,44 @@
-"""Distributed tracing: spans that survive the process boundary.
+"""The span recorder: one per process, merged into one Chrome trace.
 
-The in-process :class:`~repro.obs.tracer.Tracer` keeps everything in one
-registry and exports relative timestamps, which is exactly wrong for the
-sharded service: a job's work spans the client process, the server
-process, and every shard worker it touched, each with its own clock
-epoch.  This module is the wire-friendly half of ``repro.obs``:
+Every ``--trace`` goes through this module, whether the analysis ran in
+this process, in an inline service or on shard workers: a local run is
+the one-process case of the merge.
 
-* a :class:`TraceContext` — trace id, parent span id, and the origin
+* :class:`SpanBuffer` — the recorder.  Spans nest per thread, paint
+  named *tracks* (``main``, ``warp-3``) rather than OS threads, and
+  carry monotonic-clock durations projected onto a wall-clock epoch so
+  they merge across processes.  A bounded buffer reserves a span's slot
+  when the span *opens*: at the limit the earliest-opened spans survive
+  — a stage span outlives a flood of ``warp-step`` leaves — and every
+  later one is dropped and counted.
+* :class:`TraceContext` — trace id, parent span id, and the origin
   process's wall-clock epoch — small enough to ride as one optional
   field on protocol frames;
 * :class:`WireSpan` — one finished span in absolute wall-clock seconds
   with a stable JSON payload encoding (:meth:`WireSpan.to_payload` /
   :meth:`WireSpan.from_payload` round-trip exactly);
-* :class:`SpanBuffer` — a bounded per-process collector that stamps a
-  ``(wall, perf_counter)`` epoch pair at construction, so spans carry
-  monotonic-clock durations projected onto the wall clock and can be
-  merged across processes;
 * :func:`merge_spans` — folds span payloads from any number of
   processes into one clock-normalized Chrome ``trace_event`` object,
   clamping children to never start before their parents (cross-process
-  clocks are close, not identical) and rendering span ``links`` as
-  Chrome flow arrows (SWEEP fan-out children point at their parent).
+  clocks are close, not identical), rendering span ``links`` as Chrome
+  flow arrows (SWEEP fan-out children point at their parent) and
+  reporting each process's dropped-span count;
+* :func:`validate_chrome_trace` — the schema check CI and the tests run
+  on every trace file.
 
-Like the rest of ``repro.obs`` this module is dependency-free and
-import-cheap; worker processes pull it in at fork time.
+:data:`NULL_SPANS` is the default wherever a recorder is accepted; its
+``span()`` hands back one shared no-op context manager.  Like the rest
+of ``repro.obs`` this module is dependency-free and import-cheap;
+worker processes pull it in at fork time.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
 import uuid
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,18 +48,12 @@ SPAN_WIRE_VERSION = 1
 #: Default bound on retained spans per :class:`SpanBuffer`.
 DEFAULT_SPAN_LIMIT = 512
 
+#: Name of the instant a buffer that dropped spans adds to what it ships;
+#: its ``count`` argument is how the drop count crosses the wire.
+DROPPED_MARKER = "spans-dropped"
+
 #: Process names with a fixed merge order; everything else sorts after.
 _PROCESS_ORDER = {"client": 0, "server": 1}
-
-
-def new_trace_id() -> str:
-    """A fresh 16-hex-digit trace id."""
-    return uuid.uuid4().hex[:16]
-
-
-def new_span_id() -> str:
-    """A fresh 16-hex-digit span id."""
-    return uuid.uuid4().hex[:16]
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,10 @@ class TraceContext:
 
 
 def root_context() -> TraceContext:
-    """A fresh root context for the process starting a distributed trace."""
-    return TraceContext(trace_id=new_trace_id(), origin_wall=time.time())
+    """A fresh root context (16-hex-digit trace id) for the process
+    starting a trace."""
+    return TraceContext(trace_id=uuid.uuid4().hex[:16],
+                        origin_wall=time.time())
 
 
 @dataclass(frozen=True)
@@ -195,16 +197,82 @@ class WireSpan:
         )
 
 
+class _NullSpan:
+    """The shared no-op span: what a disabled or full buffer hands out."""
+
+    __slots__ = ()
+
+    def annotate(self, **args) -> None:
+        pass
+
+    def __enter__(self) -> str:
+        return ""
+
+    def __exit__(self, *exc_info) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _OpenSpan:
+    """One reserved span; ``with`` yields its id and records it on exit."""
+
+    __slots__ = ("_buffer", "_name", "_track", "_parent", "_links", "_args",
+                 "_span_id", "_stack", "_start")
+
+    def __init__(self, buffer: "SpanBuffer", name: str, track: str,
+                 parent_id: Optional[str], links: Sequence[str],
+                 args: Dict[str, object]) -> None:
+        self._buffer = buffer
+        self._name = name
+        self._track = track
+        self._parent = parent_id
+        self._links = tuple(filter(None, links))  # "" is no span's id
+        self._args = args
+        self._span_id = buffer._new_span_id()
+
+    def annotate(self, **args) -> None:
+        """Add arguments known only once the block has run."""
+        self._args.update(args)
+
+    def __enter__(self) -> str:
+        buffer = self._buffer
+        self._parent = buffer._parent_of(self._parent)
+        self._stack = buffer._stack()
+        self._stack.append(self._span_id)
+        self._start = buffer.now_wall()
+        return self._span_id
+
+    def __exit__(self, *exc_info) -> bool:
+        buffer = self._buffer
+        duration = max(0.0, buffer.now_wall() - self._start)
+        self._stack.pop()
+        buffer._record(WireSpan(
+            name=self._name,
+            span_id=self._span_id,
+            trace_id=buffer.context.trace_id,
+            process=buffer.process,
+            parent_id=self._parent,
+            track=self._track,
+            start_wall=self._start,
+            duration=duration,
+            args=self._args,
+            links=self._links,
+        ))
+        return False
+
+
 class SpanBuffer:
-    """Bounded per-process span collector for one distributed trace.
+    """Per-process span recorder for one trace.
 
     The buffer stamps a paired ``(time.time(), perf_counter())`` epoch
     at construction and projects every span start onto the wall clock
     through the monotonic clock — so durations are immune to wall-clock
     steps, and starts are comparable (to within clock offset) across
-    processes.  Over-limit spans are dropped and counted, never grown:
-    a shard worker must not balloon because a job traced a million
-    batches.
+    processes.  ``limit`` bounds the spans retained (``None``: no
+    bound); past it spans are dropped and counted, never grown: a shard
+    worker must not balloon because a job traced a million warp steps.
     """
 
     enabled = True
@@ -213,7 +281,7 @@ class SpanBuffer:
         self,
         process: str,
         context: Optional[TraceContext] = None,
-        limit: int = DEFAULT_SPAN_LIMIT,
+        limit: Optional[int] = DEFAULT_SPAN_LIMIT,
         clock: Callable[[], float] = time.perf_counter,
         wall: Callable[[], float] = time.time,
     ) -> None:
@@ -225,9 +293,22 @@ class SpanBuffer:
         self._epoch_perf = clock()
         self._spans: List[WireSpan] = []
         self._foreign: List[dict] = []
+        self._reserved = 0
         self.dropped = 0
+        # Span ids: a per-buffer random prefix and a counter, 16 hex
+        # digits together (a uuid4 per span is the cost of the span).
+        self._id_prefix = uuid.uuid4().hex[:8]
+        self._ids = itertools.count()
         self._lock = threading.Lock()
         self._local = threading.local()
+
+    @classmethod
+    def for_request(cls, process: str, trace: Optional[dict]) -> "SpanBuffer":
+        """The recorder a request's optional serialized ``trace`` context
+        asks for: a bounded buffer parented under it, or
+        :data:`NULL_SPANS`; :class:`ValueError` on a malformed context."""
+        context = TraceContext.from_payload(trace)
+        return cls(process, context) if context is not None else NULL_SPANS
 
     # ------------------------------------------------------------------
     # Time
@@ -239,68 +320,67 @@ class SpanBuffer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def _parent(self, explicit: Optional[str]) -> str:
+    def _stack(self) -> List[str]:
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = []
+        return stack
+
+    def _parent_of(self, explicit: Optional[str]) -> str:
         if explicit is not None:
             return explicit
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            return stack[-1]
-        return self.context.parent_span_id
+        stack = self._stack()
+        return stack[-1] if stack else self.context.parent_span_id
 
-    def _push(self, span: WireSpan) -> None:
+    def _new_span_id(self) -> str:
+        return f"{self._id_prefix}{next(self._ids):08x}"
+
+    def _reserve(self) -> bool:
+        if self.limit is None:
+            return True
         with self._lock:
-            if len(self._spans) >= self.limit:
+            if self._reserved >= self.limit:
                 self.dropped += 1
-                return
+                return False
+            self._reserved += 1
+            return True
+
+    def _record(self, span: WireSpan) -> None:
+        with self._lock:
             self._spans.append(span)
 
-    @contextmanager
     def span(self, name: str, track: str = "main",
              parent_id: Optional[str] = None,
              links: Sequence[str] = (), **args):
-        """Record a span around a block; yields the new span's id.
+        """Record a span around a block; ``with`` yields the new span's
+        id (``""`` for a dropped span).
 
         Nesting is tracked per thread: an inner ``span()`` parents to
         the enclosing one unless ``parent_id`` is given explicitly.
         """
-        span_id = new_span_id()
-        parent = self._parent(parent_id)
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(span_id)
-        start = self.now_wall()
-        try:
-            yield span_id
-        finally:
-            stack.pop()
-            self._push(WireSpan(
-                name=name,
-                span_id=span_id,
-                trace_id=self.context.trace_id,
-                process=self.process,
-                parent_id=parent,
-                track=track,
-                start_wall=start,
-                duration=max(0.0, self.now_wall() - start),
-                args=dict(args) if args else {},
-                links=tuple(links),
-            ))
+        if not self._reserve():
+            return _NULL_SPAN
+        return _OpenSpan(self, name, track, parent_id, links, args)
 
     def instant(self, name: str, track: str = "main",
                 parent_id: Optional[str] = None, **args) -> None:
         """Record a zero-duration marker (fault fired, retry, watchdog)."""
-        self._push(WireSpan(
+        if self._reserve():
+            self._record(self._instant(name, track, parent_id, args))
+
+    def _instant(self, name: str, track: str, parent_id: Optional[str],
+                 args: Dict[str, object]) -> WireSpan:
+        return WireSpan(
             name=name,
-            span_id=new_span_id(),
+            span_id=self._new_span_id(),
             trace_id=self.context.trace_id,
             process=self.process,
-            parent_id=self._parent(parent_id),
+            parent_id=self._parent_of(parent_id),
             track=track,
             start_wall=self.now_wall(),
             kind="instant",
-            args=dict(args) if args else {},
-        ))
+            args=args,
+        )
 
     # ------------------------------------------------------------------
     # Shipping and merging
@@ -313,14 +393,19 @@ class SpanBuffer:
             self._foreign.extend(p for p in payloads if isinstance(p, dict))
 
     def to_payloads(self) -> List[dict]:
-        """This process's own spans, wire-encoded."""
+        """This process's own spans, wire-encoded; a buffer that dropped
+        spans says how many in a trailing :data:`DROPPED_MARKER` instant."""
         with self._lock:
-            return [span.to_payload() for span in self._spans]
+            spans, dropped = list(self._spans), self.dropped
+        if dropped:
+            spans.append(self._instant(DROPPED_MARKER, "main", None,
+                                       {"count": dropped}))
+        return [span.to_payload() for span in spans]
 
     def collected_payloads(self) -> List[dict]:
         """Own spans plus everything absorbed from other processes."""
+        own = self.to_payloads()
         with self._lock:
-            own = [span.to_payload() for span in self._spans]
             return own + list(self._foreign)
 
     def __len__(self) -> int:
@@ -333,33 +418,17 @@ class NullSpanBuffer(SpanBuffer):
 
     enabled = False
 
-    def __init__(self) -> None:  # no epoch, no state
-        self.process = ""
-        self.context = TraceContext(trace_id="null")
-        self.dropped = 0
-        self._foreign: List[dict] = []
+    def __init__(self) -> None:
+        super().__init__("", TraceContext(trace_id="null"))
 
-    def now_wall(self) -> float:
-        return 0.0
-
-    @contextmanager
     def span(self, name, track="main", parent_id=None, links=(), **args):
-        yield ""
+        return _NULL_SPAN
 
     def instant(self, *args, **kwargs) -> None:
         pass
 
     def absorb(self, payloads) -> None:
         pass
-
-    def to_payloads(self) -> List[dict]:
-        return []
-
-    def collected_payloads(self) -> List[dict]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
 
 
 #: Shared disabled buffer; the default wherever a span buffer is accepted.
@@ -402,13 +471,15 @@ def _normalize(spans: List[WireSpan]) -> Dict[str, float]:
     return starts
 
 
-def merge_spans(payloads: Sequence[dict],
-                producer: str = "repro.obs.distributed") -> dict:
+def merge_spans(payloads: Sequence[dict]) -> dict:
     """Merge wire-span payloads from any processes into one Chrome trace.
 
     Invalid payloads are skipped (and counted in ``otherData``) rather
     than failing the merge: a trace is diagnostic output, and one
     corrupt span from a crashing shard must not hide the rest.
+    ``otherData["dropped_spans"]`` maps every process in the trace to
+    the spans its bounded buffers dropped (the sum of its
+    :data:`DROPPED_MARKER` instants).
     """
     spans: List[WireSpan] = []
     skipped = 0
@@ -419,6 +490,10 @@ def merge_spans(payloads: Sequence[dict],
             skipped += 1
     events: List[dict] = []
     trace_ids = sorted({span.trace_id for span in spans})
+    dropped = {span.process: 0 for span in spans}
+    for span in spans:
+        if span.name == DROPPED_MARKER and type(span.args.get("count")) is int:
+            dropped[span.process] += max(0, span.args["count"])
     if spans:
         starts = _normalize(spans)
         # Deterministic pid/tid assignment: client, server, then the
@@ -479,9 +554,10 @@ def merge_spans(payloads: Sequence[dict],
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
-            "producer": producer,
+            "producer": "repro.obs",
             "trace_ids": trace_ids,
             "skipped_spans": skipped,
+            "dropped_spans": dropped,
         },
     }
 
@@ -490,5 +566,40 @@ def write_merged_trace(path: str, payloads: Sequence[dict]) -> dict:
     """Merge and write a Chrome trace file; returns the trace object."""
     trace = merge_spans(payloads)
     with open(path, "w") as handle:
-        json.dump(trace, handle, indent=1)
+        # One-shot and unindented: the C encoder, which a traced launch's
+        # tens of thousands of warp-step events need.
+        handle.write(json.dumps(trace))
     return trace
+
+
+def validate_chrome_trace(payload: dict, min_phases: int = 0) -> List[str]:
+    """Schema-check a Chrome trace object; returns the distinct span names.
+
+    Raises :class:`ValueError` on malformed payloads.  Used by the CI
+    observability smoke step and the test suite.
+    """
+    if not isinstance(payload, dict) or "traceEvents" not in payload:
+        raise ValueError("not a Chrome trace object: missing 'traceEvents'")
+    events = payload["traceEvents"]
+    if not isinstance(events, list):
+        raise ValueError("'traceEvents' must be a list")
+    names = []
+    for event in events:
+        if not isinstance(event, dict):
+            raise ValueError(f"trace event is not an object: {event!r}")
+        for key in ("ph", "name", "pid", "tid"):
+            if key not in event:
+                raise ValueError(f"trace event missing {key!r}: {event!r}")
+        if event["ph"] == "X":
+            if "ts" not in event or "dur" not in event:
+                raise ValueError(f"complete event missing ts/dur: {event!r}")
+            if event["dur"] < 0:
+                raise ValueError(f"negative duration: {event!r}")
+            if event["name"] not in names:
+                names.append(event["name"])
+    if len(names) < min_phases:
+        raise ValueError(
+            f"trace has spans for {len(names)} distinct phase(s) "
+            f"({names}); expected at least {min_phases}"
+        )
+    return names

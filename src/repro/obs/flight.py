@@ -12,8 +12,8 @@ by ``benchmarks/test_obs_overhead.py``).
 
 Dumps are plain JSON.  The server folds shard dumps together with its
 own via :func:`merge_flight_dumps` and attaches the result to degraded
-job payloads automatically; the ``DUMP`` service verb fetches the same
-merged dump on demand, and ``repro explain --flight`` renders it as one
+job payloads automatically; the ``STATUS`` verb's ``flight`` section is
+the same merged dump on demand, and ``repro explain --flight`` renders it as one
 offset-sorted timeline via :func:`render_flight`.
 """
 

@@ -346,7 +346,7 @@ class MetricsRegistry:
                        extra_labels: Optional[Dict[str, str]] = None) -> None:
         """Fold another registry's :meth:`snapshot` into this one.
 
-        Used by the service's METRICS verb to aggregate the shard
+        Used by the service's STATUS verb to aggregate the shard
         workers' registries into the server view: each worker snapshot
         is merged with ``extra_labels={"shard": "<n>"}`` so series stay
         distinguishable.  Counter values add, gauges overwrite, top-K

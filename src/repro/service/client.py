@@ -27,7 +27,6 @@ import random
 import socket
 import time
 import uuid
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 
@@ -36,7 +35,7 @@ from ..core.reference import DetectorConfig
 from ..errors import ReproError
 from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites
-from ..obs import SpanBuffer
+from ..obs import NULL_SPANS, SpanBuffer
 from . import protocol
 
 #: Record lines per RECORDS frame.
@@ -230,12 +229,12 @@ class ServiceClient:
         batch_size: int = DEFAULT_BATCH_SIZE,
         config: Optional[DetectorConfig] = None,
         resubmit_key: Optional[str] = None,
-        trace: Optional[SpanBuffer] = None,
+        trace: SpanBuffer = NULL_SPANS,
     ) -> JobResult:
         """Stream one capture (header line + record lines) as one job.
 
-        ``trace`` is an optional client-side :class:`SpanBuffer`; when
-        given, the whole submission is recorded as a ``submit`` span
+        ``trace`` is the client-side :class:`SpanBuffer`; when it is
+        enabled, the whole submission is recorded as a ``submit`` span
         whose child context travels on the OPEN frame, and the server's
         piggybacked spans are absorbed back into the buffer — so
         ``trace.collected_payloads()`` afterwards merges into one
@@ -250,7 +249,7 @@ class ServiceClient:
         stream: IO[bytes],
         config: Optional[DetectorConfig] = None,
         resubmit_key: Optional[str] = None,
-        trace: Optional[SpanBuffer] = None,
+        trace: SpanBuffer = NULL_SPANS,
     ) -> JobResult:
         """Stream one binary capture as one job.
 
@@ -272,13 +271,12 @@ class ServiceClient:
         """OPEN, one RECORDS frame per ACK, CLOSE.  ``items`` yields what
         each RECORDS frame carries: a batch of raw JSONL lines, or one
         encoded binary batch payload."""
-        traced = trace is not None and trace.enabled
-        with (trace.span("submit") if traced else nullcontext()) as span:
+        with trace.span("submit") as span:
             reply = self._expect(
                 self._request(protocol.open_frame(
                     header_line, config, resubmit_key=resubmit_key,
                     trace=(trace.context.child(span).to_payload()
-                           if traced else None))),
+                           if trace.enabled else None))),
                 protocol.ACCEPT,
             )
             job_id = reply["job_id"]
@@ -297,8 +295,7 @@ class ServiceClient:
             spans=list(report.get("spans", [])),
             flight=report.get("flight"),
         )
-        if traced:
-            trace.absorb(result.spans)
+        trace.absorb(result.spans)
         return result
 
     def _send_batch(self, job_id: str,
@@ -314,7 +311,7 @@ class ServiceClient:
     def submit_path(self, path: str, batch_size: int = DEFAULT_BATCH_SIZE,
                     config: Optional[DetectorConfig] = None,
                     resubmit_key: Optional[str] = None,
-                    trace: Optional[SpanBuffer] = None) -> JobResult:
+                    trace: SpanBuffer = NULL_SPANS) -> JobResult:
         """Submit the capture at ``path``; the transport is picked by the
         file's content (:func:`~repro.runtime.replay.detect_capture_format`),
         and anything that is not a binary capture travels as text for
@@ -338,24 +335,20 @@ class ServiceClient:
     # Staged jobs: predictive sweeps and race repair
     # ------------------------------------------------------------------
     def run_job(self, verb: str, spec: dict, fields: dict,
-                trace: Optional[SpanBuffer] = None) -> dict:
+                trace: SpanBuffer = NULL_SPANS) -> dict:
         """Run a staged job (``SWEEP``, ``FIX``) server-side.
 
         ``spec`` is a serialized :class:`repro.predict.LaunchSpec`
         payload and ``fields`` the job's integer request fields; the
         reply is the job's serialized result payload, byte-identical to
-        what the local driver produces for the same request.  With
-        ``trace``, the request is recorded as a ``<verb>-request`` span
-        and the server/shard spans piggybacked on the reply are absorbed
-        into the buffer.
+        what the local driver produces for the same request.  With an
+        enabled ``trace``, the request is recorded as a
+        ``<verb>-request`` span and the server/shard spans piggybacked
+        on the reply are absorbed into the buffer.
         """
-        if trace is None or not trace.enabled:
-            reply = self._expect(
-                self._request(protocol.job_frame(verb, spec, fields)),
-                f"{verb}-reply")
-            return reply.get("result", {})
         with trace.span(f"{verb}-request", **fields) as request_span:
-            payload = trace.context.child(request_span).to_payload()
+            payload = (trace.context.child(request_span).to_payload()
+                       if trace.enabled else None)
             reply = self._expect(
                 self._request(protocol.job_frame(verb, spec, fields,
                                                  trace=payload)),
@@ -364,13 +357,13 @@ class ServiceClient:
         return reply.get("result", {})
 
     def sweep(self, spec: dict, schedules: int, seed: int,
-              trace: Optional[SpanBuffer] = None) -> dict:
+              trace: SpanBuffer = NULL_SPANS) -> dict:
         """The ``SWEEP`` verb: a :class:`repro.predict.SweepResult` payload."""
         return self.run_job(protocol.SWEEP, spec,
                             {"schedules": schedules, "seed": seed}, trace)
 
     def fix(self, spec: dict, max_candidates: int, verify_schedules: int,
-            seed: int, trace: Optional[SpanBuffer] = None) -> dict:
+            seed: int, trace: SpanBuffer = NULL_SPANS) -> dict:
         """The ``FIX`` verb: a :class:`repro.fix.FixResult` payload."""
         return self.run_job(protocol.FIX, spec,
                             {"max_candidates": max_candidates,
@@ -380,30 +373,17 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        """Fetch the service-wide stats snapshot (the ``STATS`` verb)."""
-        return self._expect(self._request(protocol.stats_frame()),
-                            protocol.STATS_REPLY)["stats"]
-
-    def metrics(self) -> dict:
-        """Fetch the service metrics (the ``METRICS`` verb).
-
-        Returns ``{"text": <Prometheus exposition>, "snapshot": <dict>}``.
-        """
-        reply = self._expect(self._request(protocol.metrics_frame()),
-                             protocol.METRICS_REPLY)
-        return {"text": reply.get("text", ""),
-                "snapshot": reply.get("snapshot", {})}
-
-    def health(self) -> dict:
-        """Fetch per-shard liveness/backlog (the ``HEALTH`` verb)."""
-        return self._expect(self._request(protocol.health_frame()),
-                            protocol.HEALTH_REPLY)["health"]
-
-    def dump(self) -> dict:
-        """Fetch the merged flight-recorder rings (the ``DUMP`` verb)."""
-        return self._expect(self._request(protocol.dump_frame()),
-                            protocol.DUMP_REPLY)["flight"]
+    def status(self, *sections: str) -> dict:
+        """The ``STATUS`` verb: the sections asked for
+        (:data:`protocol.STATUS_SECTIONS`; none named means all) in one
+        request — ``stats`` (the service-wide snapshot), ``metrics``
+        (``{"text": <Prometheus exposition>, "snapshot": <dict>}``),
+        ``health`` (per-shard liveness/backlog), ``flight`` (the merged
+        flight-recorder rings)."""
+        reply = self._expect(self._request(protocol.status_frame(sections)),
+                             protocol.STATUS_REPLY)
+        return {name: reply[name] for name in protocol.STATUS_SECTIONS
+                if name in reply}
 
     # ------------------------------------------------------------------
     # Teardown
@@ -448,7 +428,7 @@ def submit_capture(
     faults=NULL_FAULTS,
     resubmit_key: Optional[str] = None,
     sleep: Callable[[float], None] = time.sleep,
-    trace: Optional[SpanBuffer] = None,
+    trace: SpanBuffer = NULL_SPANS,
 ) -> JobResult:
     """Connect, submit one capture, disconnect — retrying transients.
 
@@ -469,7 +449,6 @@ def submit_capture(
     rng = random.Random(policy.seed)
     key = resubmit_key if resubmit_key is not None else f"sub-{uuid.uuid4().hex}"
     injector = resolve_faults(faults)
-    buffer = trace if trace is not None and trace.enabled else None
     schedule: List[float] = []
     failures: List[str] = []
     attempt = 0
@@ -481,16 +460,15 @@ def submit_capture(
                                else NULL_FAULTS) as client:
                 result = client.submit_path(path, batch_size=batch_size,
                                             config=config, resubmit_key=key,
-                                            trace=buffer)
+                                            trace=trace)
             result.attempts = attempt + 1
             result.backoff_schedule = schedule
             result.transient_failures = failures
             return result
         except (OSError, protocol.ProtocolError) as exc:
             failures.append(f"attempt {attempt + 1}: {exc}")
-            if buffer is not None:
-                buffer.instant("transient-failure", attempt=attempt + 1,
-                               error=str(exc))
+            trace.instant("transient-failure", attempt=attempt + 1,
+                          error=str(exc))
             if attempt >= max_retries:
                 raise ServiceJobError(
                     f"submission failed after {attempt + 1} attempt(s): {exc}"

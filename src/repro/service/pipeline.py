@@ -36,12 +36,11 @@ from ..faults import FaultInjector, FaultPlan
 from ..faults import sites as fault_sites
 from ..jobs import staged_job
 from ..obs import (
-    NULL_OBS,
+    NULL_SPANS,
     FlightRecorder,
     MetricsRegistry,
     Observability,
     SpanBuffer,
-    TraceContext,
 )
 from ..runtime.host import HostDetector
 from ..runtime.replay import record_lines_to_records
@@ -71,11 +70,11 @@ _WORKER_JOBS: Dict[str, HostDetector] = {}
 #: Per-job fault injector (from the service's ``--fault-plan``) and the
 #: inline flag that decides how a ``crash`` fault manifests.
 _WORKER_FAULTS: Dict[str, Tuple[FaultInjector, bool]] = {}
-#: Per-job distributed-trace span buffer (only for traced jobs); shipped
-#: back piggybacked on the close payload.
+#: Per-job span recorder (``NULL_SPANS`` unless the job is traced);
+#: shipped back piggybacked on the close payload.
 _WORKER_SPANS: Dict[str, SpanBuffer] = {}
-#: Always-on per-process registry, aggregated by the server's METRICS
-#: verb under a ``shard`` label.  Instruments are pre-resolved so the
+#: Always-on per-process registry, aggregated by the server's STATUS
+#: ``metrics`` section under a ``shard`` label.  Instruments are pre-resolved so the
 #: batch hot path pays three plain ``inc`` calls.
 _WORKER_METRICS = MetricsRegistry()
 _WORKER_BATCHES = _WORKER_METRICS.counter(
@@ -106,18 +105,16 @@ def _worker_open(job_id: str, layout: GridLayout,
         raise ReproError(f"job {job_id!r} already open on this shard")
     process = _worker_ident(shard)
     _WORKER_JOBS[job_id] = HostDetector(layout, config)
-    context = TraceContext.from_payload(trace)
-    if context is not None:
-        _WORKER_SPANS[job_id] = SpanBuffer(process, context=context)
+    spans = _WORKER_SPANS[job_id] = SpanBuffer.for_request(process, trace)
     if fault_plan:
         _WORKER_FAULTS[job_id] = (
             FaultInjector(FaultPlan.from_dict(fault_plan),
-                          obs=Observability(metrics=_WORKER_METRICS),
-                          flight=_WORKER_FLIGHT,
-                          spans=_WORKER_SPANS.get(job_id)),
+                          obs=Observability(tracer=spans,
+                                            metrics=_WORKER_METRICS),
+                          flight=_WORKER_FLIGHT),
             inline,
         )
-    _WORKER_FLIGHT.record("job-open", job=job_id, traced=context is not None)
+    _WORKER_FLIGHT.record("job-open", job=job_id, traced=spans.enabled)
     return True
 
 
@@ -187,13 +184,12 @@ def _worker_batch(job_id: str, lines: Sequence) -> Tuple[int, float]:
                                sum(_item_wire_size(item) for item in lines))
         if fault is not None:
             _apply_worker_fault(fault, inline)
-    spans = _WORKER_SPANS.get(job_id)
+    spans = _WORKER_SPANS[job_id]
     start = time.perf_counter()
-    if spans is None:
+    # The same name a local ``repro replay`` gives this work; the trace's
+    # process track already says which shard ran it.
+    with spans.span("replay", job=job_id, records=len(lines)):
         count = _consume_items(detector, lines)
-    else:
-        with spans.span("shard-batch", job=job_id, records=len(lines)):
-            count = _consume_items(detector, lines)
     busy = time.perf_counter() - start
     _WORKER_BATCHES.inc()
     _WORKER_RECORDS.inc(count)
@@ -210,14 +206,14 @@ def _worker_close(job_id: str) -> dict:
     """
     detector = _WORKER_JOBS.pop(job_id, None)
     _WORKER_FAULTS.pop(job_id, None)
-    spans = _WORKER_SPANS.pop(job_id, None)
+    spans = _WORKER_SPANS.pop(job_id, NULL_SPANS)
     if detector is None:
         raise ReproError(f"job {job_id!r} is not open on this shard")
     payload = protocol.reports_to_payload(detector.reports)
     payload["records_processed"] = detector.records_processed
     _WORKER_FLIGHT.record("job-close", job=job_id,
                           records=detector.records_processed)
-    if spans is not None:
+    if spans.enabled:
         payload["spans"] = spans.to_payloads()
     return payload
 
@@ -248,14 +244,13 @@ def _worker_init() -> None:
     _WORKER_FLIGHT.clear()
 
 
-def _worker_metrics_snapshot() -> dict:
-    """This shard process's registry, for the METRICS-verb aggregation."""
-    return _WORKER_METRICS.snapshot()
-
-
-def _worker_flight_dump(shard: int = 0) -> dict:
-    """This shard process's flight ring, for DUMP and degraded reports."""
+def _worker_status(section: str, shard: int) -> dict:
+    """This shard process's share of a STATUS section: its registry
+    snapshot (``metrics``) or its flight ring (``flight``, which degraded
+    reports carry too)."""
     _worker_ident(shard)
+    if section == "metrics":
+        return _WORKER_METRICS.snapshot()
     return _WORKER_FLIGHT.dump()
 
 
@@ -267,23 +262,18 @@ def _worker_stage(job_name: str, stage: str, request, plan: dict, arg,
     land on any shard.  :func:`repro.jobs.staged_job` imports the job's
     module on first use — record-stream jobs never pay for the
     predict/repair stack.  ``arg`` is the item index (item stages) or
-    the item payloads (finalize).  Traced stages attach their spans
-    under a ``spans`` key (popped server-side before the deterministic
-    merge) with a link back to the server's fan-out parent span.
+    the item payloads (finalize).  A traced stage runs under its own
+    span recorder — the stage's ``obs.tracer``, so it records the spans
+    a local run of the job records — and attaches them under a ``spans``
+    key (popped server-side before the deterministic merge).
     """
     job = staged_job(job_name)
-    worker_obs = Observability(metrics=_WORKER_METRICS)
-    context = TraceContext.from_payload(trace)
-    if context is None:
-        return job.run_stage(stage, request, plan, arg, worker_obs)
-    buffer = SpanBuffer(_worker_ident(shard), context=context)
-    links = (context.parent_span_id,) if context.parent_span_id else ()
-    label = job.describe(request)
-    if stage == job.item_stage:
-        label["index"] = arg
-    with buffer.span(f"{job_name}-{stage}", links=links, **label):
-        payload = job.run_stage(stage, request, plan, arg, worker_obs)
-    payload["spans"] = buffer.to_payloads()
+    buffer = SpanBuffer.for_request(_worker_ident(shard), trace)
+    payload = job.run_stage(
+        stage, request, plan, arg,
+        Observability(tracer=buffer, metrics=_WORKER_METRICS))
+    if buffer.enabled:
+        payload["spans"] = buffer.to_payloads()
     return payload
 
 
@@ -305,7 +295,6 @@ class ShardedDetectorPool:
     def __init__(
         self,
         workers: int = 2,
-        obs: Observability = NULL_OBS,
         fault_plan: Optional[FaultPlan] = None,
     ) -> None:
         if workers < 0:
@@ -315,12 +304,6 @@ class ShardedDetectorPool:
         # its own injector per job so nth-hit counting is deterministic
         # regardless of which shard a job lands on.
         self.fault_plan_payload = fault_plan.to_dict() if fault_plan else None
-        # Coordinator-side tracing: batch spans are recorded here from
-        # the futures' dispatch/completion times (one track per shard).
-        # Distributed traces additionally cross the process boundary:
-        # traced jobs carry a TraceContext into the worker, which fills
-        # a bounded SpanBuffer shipped back on the close payload.
-        self.obs = obs
         self._executors: List[ProcessPoolExecutor] = [
             ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
             for _ in range(workers)
@@ -388,25 +371,11 @@ class ShardedDetectorPool:
     def submit_batch(self, job_id: str, lines: Sequence[str]) -> Future:
         """Queue one batch on the job's shard; resolves to (count, busy)."""
         shard = self.shard_of(job_id)
-        tracer = self.obs.tracer
-        start_us = tracer.now_us() if tracer.enabled else 0.0
         with self._lock:
             self._backlog[shard] += 1
         generation = None if self.inline else self._executors[shard]
         future = self._dispatch(shard, _worker_batch, job_id, list(lines))
         future.add_done_callback(lambda f: self._account(shard, f, generation))
-        if tracer.enabled:
-            count = len(lines)
-            future.add_done_callback(
-                lambda f: tracer.add_complete(
-                    "worker-batch",
-                    start_us,
-                    tracer.now_us() - start_us,
-                    pid="pool",
-                    tid=f"shard-{shard}",
-                    args={"job": job_id, "records": count},
-                )
-            )
         return future
 
     def _account(self, shard: int, future: Future,
@@ -424,7 +393,8 @@ class ShardedDetectorPool:
         exc = future.exception()
         if exc is not None:
             # A broken executor means the shard process itself is gone;
-            # mark it dead so HEALTH reflects reality until a respawn.
+            # mark it dead so the health section reflects reality until
+            # a respawn.
             if current and isinstance(exc, (BrokenExecutor, ShardCrashError)):
                 with self._lock:
                     self._broken[shard] = True
@@ -540,33 +510,18 @@ class ShardedDetectorPool:
     # ------------------------------------------------------------------
     # Cross-process observability gathering
     # ------------------------------------------------------------------
-    def metrics_futures(self) -> List[Tuple[int, Future]]:
-        """One registry-snapshot future per live shard.
-
-        Used by the METRICS verb to aggregate worker registries into
-        the server view; broken shards are skipped (they have no
-        process to answer, and HEALTH already reports them dead).
-        """
-        futures = []
-        for shard in range(max(self.workers, 1)):
-            if not self.inline and self._broken[shard]:
-                continue
-            futures.append(
-                (shard, self._dispatch(shard, _worker_metrics_snapshot)))
-        return futures
-
-    def flight_futures(self) -> List[Tuple[int, Future]]:
-        """One flight-recorder-dump future per live shard."""
-        futures = []
-        for shard in range(max(self.workers, 1)):
-            if not self.inline and self._broken[shard]:
-                continue
-            futures.append(
-                (shard, self._dispatch(shard, _worker_flight_dump, shard)))
-        return futures
+    def status_futures(self, section: str) -> List[Tuple[int, Future]]:
+        """One future per live shard of its share of a STATUS section
+        (``metrics`` or ``flight``); broken shards are skipped (they have
+        no process to answer, and the health section already reports
+        them dead)."""
+        return [(shard, self._dispatch(shard, _worker_status, section, shard))
+                for shard in range(max(self.workers, 1))
+                if self.inline or not self._broken[shard]]
 
     def shard_health(self) -> List[dict]:
-        """Per-shard liveness/backlog snapshot for the HEALTH verb."""
+        """Per-shard liveness/backlog snapshot for the STATUS ``health``
+        section."""
         with self._lock:
             return [
                 {

@@ -16,28 +16,39 @@ connection and a server can ingest several jobs concurrently:
   side, per job, so a malformed capture fails its own job with a
   clean error instead of crashing a client or the server.
 
-Client → server verbs::
+Client → server verbs (six) and what answers each (``ERROR {message,
+job_id?}`` can answer any of them)::
 
-    OPEN    {header_line, config?, trace?} -> ACCEPT {job_id} | ERROR
-    RECORDS {job_id, lines: [str]}     -> ACK {job_id, accepted, pending} | ERROR
-    RECORDS {job_id, batch: str, count}-> ACK {job_id, accepted, pending} | ERROR
-    CLOSE   {job_id}                   -> REPORT {job_id, reports, stats,
-                                                  spans?, flight?} | ERROR
-    SWEEP   {spec, schedules, seed, trace?}
-                                       -> sweep-reply {result, spans?} | ERROR
-    FIX     {spec, max_candidates, verify_schedules, seed, trace?}
-                                       -> fix-reply {result, spans?} | ERROR
-    STATS   {}                         -> STATS_REPLY {stats}
-    METRICS {}                         -> METRICS_REPLY {text, snapshot}
-    DUMP    {}                         -> DUMP_REPLY {flight}
+    open    {header_line, config?, resubmit_key?, trace?}
+                                       -> accept {job_id}
+    records {job_id, lines: [str]}     -> ack {job_id, accepted, pending}
+    records {job_id, batch: str, count}-> ack {job_id, accepted, pending}
+    close   {job_id}                   -> report {job_id, reports, stats,
+                                                  degraded?, failure_log?,
+                                                  spans?, flight?}
+    sweep   {spec, schedules, seed, trace?}
+                                       -> sweep-reply {result, spans?}
+    fix     {spec, max_candidates, verify_schedules, seed, trace?}
+                                       -> fix-reply {result, spans?}
+    status  {sections?: [str]}         -> status-reply {stats?, metrics?,
+                                                        health?, flight?}
 
-The optional ``trace`` field on OPEN, SWEEP and FIX is a serialized
-:class:`repro.obs.TraceContext`; when present, the server and every
-shard worker the job touches record wire spans parented under the
-client's context and ship them back on the result frame (``spans``), so
-the client can merge one Chrome trace spanning all three tiers.
-``flight`` carries a flight-recorder dump: automatically on degraded
-reports, on demand via ``DUMP``.
+``status`` is the one introspection verb.  ``sections`` names what the
+reply should carry, out of :data:`STATUS_SECTIONS` — ``stats`` (the
+service-wide snapshot), ``metrics`` (``{text, snapshot}``: the
+Prometheus exposition with every shard's registry merged in),
+``health`` (per-shard liveness, backlog and restart counts) and
+``flight`` (the merged server + shard flight-recorder rings); absent
+means all four.  A section is computed only when asked for, so a
+``health`` probe never waits on a shard.
+
+The optional ``trace`` field on ``open``, ``sweep`` and ``fix`` is a
+serialized :class:`repro.obs.TraceContext`; when present, the server
+and every shard worker the job touches record wire spans parented under
+the client's context and ship them back on the result frame
+(``spans``), so the client can merge one Chrome trace spanning all
+three tiers.  ``flight`` carries a flight-recorder dump: automatically
+on degraded reports, on demand via ``status``.
 
 ``ACK`` doubles as the backpressure signal: the server withholds it
 while a job's pending-record count sits above the high-water mark, which
@@ -79,22 +90,19 @@ _LENGTH = struct.Struct("!I")
 OPEN = "open"
 RECORDS = "records"
 CLOSE = "close"
-STATS = "stats"
-METRICS = "metrics"
-HEALTH = "health"
 SWEEP = "sweep"
 FIX = "fix"
-DUMP = "dump"
+STATUS = "status"
 
 # Server → client verbs.
 ACCEPT = "accept"
 ACK = "ack"
 REPORT = "report"
 ERROR = "error"
-STATS_REPLY = "stats-reply"
-METRICS_REPLY = "metrics-reply"
-HEALTH_REPLY = "health-reply"
-DUMP_REPLY = "dump-reply"
+STATUS_REPLY = "status-reply"
+
+#: What a ``status`` request can ask for, in reply order.
+STATUS_SECTIONS = ("stats", "metrics", "health", "flight")
 
 
 # ----------------------------------------------------------------------
@@ -251,21 +259,17 @@ def close_frame(job_id: str) -> dict:
     return {"verb": CLOSE, "job_id": job_id}
 
 
-def stats_frame() -> dict:
-    return {"verb": STATS}
+def status_frame(sections: Sequence[str] = ()) -> dict:
+    """``STATUS``; no ``sections`` asks for every one."""
+    message: Dict[str, object] = {"verb": STATUS}
+    if sections:
+        message["sections"] = list(sections)
+    return message
 
 
-def metrics_frame() -> dict:
-    return {"verb": METRICS}
-
-
-def health_frame() -> dict:
-    return {"verb": HEALTH}
-
-
-def health_reply_frame(health: dict) -> dict:
-    """The HEALTH reply: per-shard liveness, backlog, and restart counts."""
-    return {"verb": HEALTH_REPLY, "health": health}
+def status_reply_frame(sections: Dict[str, object]) -> dict:
+    """The STATUS reply: one field per section asked for."""
+    return {"verb": STATUS_REPLY, **sections}
 
 
 def accept_frame(job_id: str) -> dict:
@@ -313,15 +317,6 @@ def error_frame(message: str, job_id: Optional[str] = None) -> dict:
     return frame
 
 
-def stats_reply_frame(stats: dict) -> dict:
-    return {"verb": STATS_REPLY, "stats": stats}
-
-
-def metrics_reply_frame(text: str, snapshot: dict) -> dict:
-    """The METRICS reply: Prometheus text exposition + JSON snapshot."""
-    return {"verb": METRICS_REPLY, "text": text, "snapshot": snapshot}
-
-
 def job_frame(verb: str, spec: dict, fields: Dict[str, int],
               trace: Optional[dict] = None) -> dict:
     """A staged-job request (``SWEEP``, ``FIX``) over a launch spec.
@@ -351,13 +346,3 @@ def job_reply_frame(verb: str, result: dict,
     if spans:
         frame["spans"] = list(spans)
     return frame
-
-
-def dump_frame() -> dict:
-    """``DUMP``: fetch the merged server + shard flight-recorder rings."""
-    return {"verb": DUMP}
-
-
-def dump_reply_frame(flight: dict) -> dict:
-    """The DUMP reply: a merged flight-recorder dump."""
-    return {"verb": DUMP_REPLY, "flight": flight}

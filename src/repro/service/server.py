@@ -30,9 +30,9 @@ from ..errors import ReproError
 from ..faults import FaultPlan
 from ..jobs import STAGED_JOB_MODULES, staged_job
 from ..obs import (
+    NULL_SPANS,
     FlightRecorder,
     SpanBuffer,
-    TraceContext,
     merge_flight_dumps,
 )
 from ..runtime.replay import read_header
@@ -61,6 +61,15 @@ _EMPTY_REPORT_PAYLOAD = {
     "filtered_same_value": 0,
     "records_processed": 0,
 }
+
+
+def _request_spans(message: dict) -> SpanBuffer:
+    """The server-side recorder a request's optional ``trace`` context
+    asks for; a malformed context fails the request."""
+    try:
+        return SpanBuffer.for_request("server", message.get("trace"))
+    except ValueError as exc:
+        raise ReproError(f"bad trace context: {exc}") from exc
 
 
 def _retained_record_count(items: Sequence[Union[str, dict]]) -> int:
@@ -97,11 +106,11 @@ class _Job:
     recovering: bool = False
     degraded: bool = False
     failure_log: List[str] = field(default_factory=list)
-    #: Distributed tracing: the client's serialized TraceContext (also
-    #: forwarded to the worker on open/requeue) and the server-side span
-    #: buffer recording this job's server spans + recovery instants.
+    #: Tracing: the client's serialized TraceContext (also forwarded to
+    #: the worker on open/requeue) and the server-side span buffer
+    #: recording this job's server spans + recovery instants.
     trace_payload: Optional[dict] = None
-    spans: Optional[SpanBuffer] = None
+    spans: SpanBuffer = NULL_SPANS
 
     def fail(self, message: str) -> None:
         if not self.failed:
@@ -166,7 +175,7 @@ class RaceService:
         self.requeues_total = 0
         self.watchdog_timeouts_total = 0
         #: Always-on bounded ring of lifecycle events; merged with the
-        #: shard rings on degraded reports and by the DUMP verb.
+        #: shard rings on degraded reports and by STATUS ``flight``.
         self.flight = FlightRecorder("server")
 
     # ------------------------------------------------------------------
@@ -296,34 +305,18 @@ class RaceService:
             await self._handle_close(message, conn_jobs, writer)
         elif verb in STAGED_JOB_MODULES:
             await self._handle_staged_job(message, writer)
-        elif verb == protocol.STATS:
-            await self._send(writer, protocol.stats_reply_frame(
-                self.stats.snapshot(self.pool.worker_stats)))
-        elif verb == protocol.METRICS:
-            registry = metrics_registry_from_snapshot(
-                self.stats.snapshot(self.pool.worker_stats))
-            # Aggregate the shard workers' always-on registries under a
-            # `shard` label; a dead or slow shard is skipped — METRICS
-            # answers with whatever the fleet can report right now.
-            for shard, snapshot in await self._gather_shards(
-                    self.pool.metrics_futures()):
-                registry.merge_snapshot(snapshot, {"shard": str(shard)})
-            await self._send(writer, protocol.metrics_reply_frame(
-                registry.render_prometheus(), registry.snapshot()))
-        elif verb == protocol.DUMP:
-            await self._send(writer, protocol.dump_reply_frame(
-                await self._merged_flight()))
-        elif verb == protocol.HEALTH:
-            await self._send(writer, protocol.health_reply_frame(
-                self.health_snapshot()))
+        elif verb == protocol.STATUS:
+            await self._send(writer, protocol.status_reply_frame(
+                await self._status(message.get("sections"))))
         else:
             await self._send(writer, protocol.error_frame(
                 f"unknown verb {verb!r}"))
 
-    async def _gather_shards(self, futures, timeout: float = 5.0):
-        """Await per-shard observability futures, skipping casualties."""
+    async def _gather_shards(self, section: str, timeout: float = 5.0):
+        """Every live shard's share of a STATUS section (``metrics`` or
+        ``flight``), skipping casualties."""
         results = []
-        for shard, future in futures:
+        for shard, future in self.pool.status_futures(section):
             try:
                 value = await asyncio.wait_for(
                     asyncio.wrap_future(future), timeout=timeout)
@@ -337,15 +330,47 @@ class RaceService:
     async def _merged_flight(self) -> dict:
         """The server's flight ring merged with every live shard's."""
         dumps: List[Optional[dict]] = [self.flight.dump()]
-        dumps.extend(dump for _shard, dump in await self._gather_shards(
-            self.pool.flight_futures()))
+        dumps.extend(dump for _shard, dump
+                     in await self._gather_shards("flight"))
         return merge_flight_dumps(dumps)
+
+    async def _merged_metrics(self) -> dict:
+        """The service registry with every live shard's always-on
+        registry merged in under a ``shard`` label; a dead or slow shard
+        is skipped — the answer is whatever the fleet can report now."""
+        registry = metrics_registry_from_snapshot(
+            self.stats.snapshot(self.pool.worker_stats))
+        for shard, snapshot in await self._gather_shards("metrics"):
+            registry.merge_snapshot(snapshot, {"shard": str(shard)})
+        return {"text": registry.render_prometheus(),
+                "snapshot": registry.snapshot()}
 
     # ------------------------------------------------------------------
     # Verbs
     # ------------------------------------------------------------------
+    async def _status(self, sections) -> Dict[str, object]:
+        """The STATUS reply's fields: each section asked for (all four
+        when none is named), and nothing computed for the others."""
+        if sections is None:
+            sections = protocol.STATUS_SECTIONS
+        if not isinstance(sections, (list, tuple)) or not all(
+                name in protocol.STATUS_SECTIONS for name in sections):
+            raise ReproError(
+                "STATUS sections must be a list drawn from "
+                f"{', '.join(protocol.STATUS_SECTIONS)}; got {sections!r}")
+        reply: Dict[str, object] = {}
+        if "stats" in sections:
+            reply["stats"] = self.stats.snapshot(self.pool.worker_stats)
+        if "metrics" in sections:
+            reply["metrics"] = await self._merged_metrics()
+        if "health" in sections:
+            reply["health"] = self.health_snapshot()
+        if "flight" in sections:
+            reply["flight"] = await self._merged_flight()
+        return reply
+
     def health_snapshot(self) -> dict:
-        """The HEALTH verb's payload: shard liveness plus recovery totals."""
+        """The ``health`` section: shard liveness plus recovery totals."""
         return {
             "shards": self.pool.shard_health(),
             "jobs_open": sum(
@@ -365,15 +390,8 @@ class RaceService:
         except ReproError as exc:
             await self._send(writer, protocol.error_frame(str(exc)))
             return
-        try:
-            context = TraceContext.from_payload(message.get("trace"))
-        except ValueError as exc:
-            await self._send(writer, protocol.error_frame(
-                f"bad trace context: {exc}"))
-            return
-        trace_payload = context.to_payload() if context is not None else None
-        spans = (SpanBuffer("server", context=context)
-                 if context is not None else None)
+        spans = _request_spans(message)
+        trace_payload = spans.context.to_payload() if spans.enabled else None
         resubmit_key = message.get("resubmit_key")
         resubmit_key = resubmit_key if isinstance(resubmit_key, str) and resubmit_key else None
         if resubmit_key is not None:
@@ -398,10 +416,8 @@ class RaceService:
         job_id = f"job-{self._next_job_id}"
         self._next_job_id += 1
         self.flight.record("job-open", job=job_id, kernel=kernel,
-                           traced=context is not None)
-        open_cm = (spans.span("server-open", job=job_id, kernel=kernel)
-                   if spans is not None else contextlib.nullcontext(""))
-        with open_cm:
+                           traced=spans.enabled)
+        with spans.span("server-open", job=job_id, kernel=kernel):
             try:
                 await asyncio.wait_for(
                     asyncio.wrap_future(self.pool.open_job(
@@ -522,16 +538,14 @@ class RaceService:
             self.watchdog_timeouts_total += 1
             self.flight.record("watchdog-timeout", job=job.job_id,
                                timeout_s=self.job_timeout)
-            if job.spans is not None:
-                job.spans.instant("watchdog-timeout", job=job.job_id)
+            job.spans.instant("watchdog-timeout", job=job.job_id)
             await self._recover_job(
                 job, epoch,
                 f"worker hung: batch exceeded the {self.job_timeout}s watchdog")
         except (BrokenExecutor, ShardCrashError) as exc:
             self.flight.record("shard-crash", job=job.job_id,
                                error=str(exc) or type(exc).__name__)
-            if job.spans is not None:
-                job.spans.instant("shard-crash", job=job.job_id)
+            job.spans.instant("shard-crash", job=job.job_id)
             await self._recover_job(
                 job, epoch,
                 f"shard crashed mid-job: {exc or type(exc).__name__}")
@@ -575,8 +589,7 @@ class RaceService:
             if job.requeues >= self.max_requeues:
                 self.flight.record("job-degraded", job=job.job_id,
                                    reason="requeue budget exhausted")
-                if job.spans is not None:
-                    job.spans.instant("job-degraded", job=job.job_id)
+                job.spans.instant("job-degraded", job=job.job_id)
                 job.degrade(
                     f"requeue budget of {self.max_requeues} exhausted")
                 return
@@ -584,9 +597,8 @@ class RaceService:
             self.requeues_total += 1
             self.flight.record("job-requeue", job=job.job_id,
                                attempt=job.requeues, reason=reason)
-            if job.spans is not None:
-                job.spans.instant("job-requeue", job=job.job_id,
-                                  attempt=job.requeues)
+            job.spans.instant("job-requeue", job=job.job_id,
+                              attempt=job.requeues)
             try:
                 future, _shard = self.pool.requeue_job(
                     job.job_id, job.layout, job.config, job.trace_payload)
@@ -658,10 +670,7 @@ class RaceService:
                 await asyncio.wrap_future(self.pool.discard_job(job.job_id))
             payload = dict(_EMPTY_REPORT_PAYLOAD)
         else:
-            close_cm = (job.spans.span("server-close", job=job.job_id)
-                        if job.spans is not None
-                        else contextlib.nullcontext(""))
-            with close_cm:
+            with job.spans.span("server-close", job=job.job_id):
                 try:
                     payload = await asyncio.wait_for(
                         asyncio.wrap_future(self.pool.close_job(job.job_id)),
@@ -682,9 +691,6 @@ class RaceService:
         self.flight.record("job-close", job=job.job_id, state=state)
         self.stats.finish_job(job.job_id, state,
                               "; ".join(job.failure_log) if job.degraded else "")
-        spans = None
-        if job.spans is not None:
-            spans = job.spans.to_payloads() + shard_spans
         # Degraded reports carry the post-mortem with them: the merged
         # server + shard flight rings.
         flight = await self._merged_flight() if job.degraded else None
@@ -692,7 +698,7 @@ class RaceService:
             job.job_id, payload, job.stats.snapshot(),
             degraded=job.degraded,
             failure_log=job.failure_log if job.degraded else None,
-            spans=spans, flight=flight)
+            spans=job.spans.to_payloads() + shard_spans, flight=flight)
         self._remember(job.resubmit_key, frame)
         await self._send(writer, frame)
 
@@ -739,15 +745,8 @@ class RaceService:
         except ReproError as exc:
             await self._send(writer, protocol.error_frame(str(exc)))
             return
-        try:
-            context = TraceContext.from_payload(message.get("trace"))
-        except ValueError as exc:
-            await self._send(writer, protocol.error_frame(
-                f"bad trace context: {exc}"))
-            return
-        spans = (SpanBuffer("server", context=context)
-                 if context is not None else None)
-        self.flight.record(job.name, traced=context is not None,
+        spans = _request_spans(message)
+        self.flight.record(job.name, traced=spans.enabled,
                            **job.describe(request))
         # A stage is whole simulated kernel executions, not one record
         # batch; scale the watchdog with the work it may run.
@@ -759,18 +758,15 @@ class RaceService:
             reason = str(exc) or type(exc).__name__
             event = f"{job.name}-{stage}-failed"
             self.flight.record(event, **where, error=reason)
-            if spans is not None:
-                spans.instant(event, **where)
+            spans.instant(event, **where)
             return reason
 
-        job_cm = (spans.span(job.name, **job.describe(request))
-                  if spans is not None else contextlib.nullcontext(""))
-        with job_cm as job_span:
-            # Each stage parents under (and links back to) the server's
-            # job span, which itself parents under the client's request
-            # span.
-            stage_trace = (context.child(job_span).to_payload()
-                           if spans is not None else None)
+        with spans.span(job.name, **job.describe(request)) as job_span:
+            # Each stage parents under the server's job span (a fan-out
+            # item also links back to it), which itself parents under
+            # the client's request span.
+            stage_trace = (spans.context.child(job_span).to_payload()
+                           if spans.enabled else None)
 
             def submit(shard: int, stage: str, plan: dict, arg=None):
                 return self.pool.submit_stage(shard, job.name, stage, request,
@@ -801,10 +797,8 @@ class RaceService:
                         request, plan, index,
                         failed(job.item_stage, exc, index=index)))
             try:
-                # The merge is not a fan-out child: untraced, no link.
                 result = await self._await_stage(
-                    self.pool.submit_stage(0, job.name, "finalize", request,
-                                           plan, items),
+                    submit(0, "finalize", plan, items),
                     timeout, 0, worker_spans)
             except asyncio.CancelledError:
                 raise
@@ -813,10 +807,8 @@ class RaceService:
                     f"{job.name} finalize failed: "
                     f"{exc or type(exc).__name__}"))
                 return
-        reply_spans = (spans.to_payloads() + worker_spans
-                       if spans is not None else None)
         await self._send(writer, protocol.job_reply_frame(
-            job.name, result, spans=reply_spans))
+            job.name, result, spans=spans.to_payloads() + worker_spans))
 
     def _abort_job(self, job_id: str, reason: str) -> None:
         job = self._jobs.pop(job_id, None)

@@ -8,8 +8,8 @@ Three layers of accounting, all cheap enough to keep on the hot path:
   every shard is a single serial worker, ``max(busy_seconds)`` across
   shards is the critical path of a load under perfect overlap — the
   quantity the throughput benchmark scales against worker count;
-* :class:`ServiceStats` — the aggregate snapshot served by the ``STATS``
-  protocol verb and printed by ``submit --stats``.
+* :class:`ServiceStats` — the aggregate snapshot served as the ``stats``
+  section of the ``STATUS`` verb and printed by ``submit --stats``.
 """
 
 from __future__ import annotations
@@ -179,10 +179,10 @@ class ServiceStats:
 
 
 def metrics_registry_from_snapshot(snapshot: dict) -> MetricsRegistry:
-    """Build a :class:`MetricsRegistry` from a ``STATS`` snapshot.
+    """Build a :class:`MetricsRegistry` from a ``stats`` snapshot.
 
-    This is what the ``METRICS`` protocol verb serves: the same live
-    accounting as ``STATS``, but rendered through the registry so
+    This is what the ``STATUS`` verb's ``metrics`` section serves: the
+    same live accounting as ``stats``, but rendered through the registry so
     clients get Prometheus text exposition plus the registry's JSON
     snapshot.  Per-job series carry the ``job`` label, so counters stay
     isolated between concurrent jobs.
@@ -266,7 +266,7 @@ def render_job_stats(snapshot: dict) -> str:
 
 
 def render_service_stats(snapshot: dict) -> str:
-    """Human-readable rendering of the aggregate ``STATS`` snapshot."""
+    """Human-readable rendering of the aggregate ``stats`` snapshot."""
     lines = [
         "--------- service statistics",
         f"  uptime                  : {snapshot.get('uptime_seconds', 0.0)}s",

@@ -114,7 +114,7 @@ def _submit(thread, path, faults=NULL_FAULTS, max_retries=3, batch_size=8):
 def _health(thread):
     with ServiceClient(timeout=CLIENT_TIMEOUT,
                        **_endpoint_kwargs(thread)) as client:
-        return client.health()
+        return client.status("health")["health"]
 
 
 def _worker_plan(kind, nth, seed=0, **payload):
@@ -339,7 +339,7 @@ class TestIdempotency:
                 first = client.submit_path(path, resubmit_key="key-1")
             with ServiceClient(timeout=CLIENT_TIMEOUT, **kwargs) as client:
                 second = client.submit_path(path, resubmit_key="key-1")
-                stats = client.stats()
+                stats = client.status("stats")["stats"]
             assert reports_to_payload(first.reports) == reports_to_payload(
                 second.reports)
             # The replayed job never re-ran the detector: the ingested

@@ -12,17 +12,18 @@ from repro.instrument import Instrumenter
 from repro.obs import (
     NULL_METRICS,
     NULL_OBS,
-    NULL_TRACER,
+    NULL_SPANS,
     ClockComparison,
     MetricsRegistry,
     NullMetricsRegistry,
-    NullTracer,
     ProvenanceTracker,
-    Tracer,
+    SpanBuffer,
     make_observability,
+    merge_spans,
     parse_exposition,
     render_provenance,
     validate_chrome_trace,
+    write_merged_trace,
 )
 from repro.runtime import LogQueue
 from repro.runtime.replay import replay
@@ -48,11 +49,11 @@ def _racy_capture(grid=2, block=32, warp_size=8):
 
 
 # ----------------------------------------------------------------------
-# Tracer
+# Tracer: the one span recorder and the one exporter
 # ----------------------------------------------------------------------
 class FakeClock:
-    def __init__(self):
-        self.seconds = 0.0
+    def __init__(self, seconds=0.0):
+        self.seconds = seconds
 
     def __call__(self):
         return self.seconds
@@ -61,57 +62,68 @@ class FakeClock:
         self.seconds += seconds
 
 
+def _recorder(**kwargs):
+    clock = FakeClock(5.0)
+    return SpanBuffer("tester", clock=clock, wall=FakeClock(100.0),
+                      **kwargs), clock
+
+
+def _complete_events(buffer):
+    return [e for e in merge_spans(buffer.collected_payloads())["traceEvents"]
+            if e["ph"] == "X"]
+
+
 class TestTracer:
     def test_span_records_complete_event(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
+        tracer, clock = _recorder()
         with tracer.span("parse", source="k.cu"):
             clock.tick(0.002)
-        payload = tracer.to_chrome_trace()
-        spans = [e for e in payload["traceEvents"] if e["ph"] == "X"]
+        spans = _complete_events(tracer)
         assert len(spans) == 1
         assert spans[0]["name"] == "parse"
         assert spans[0]["ts"] == 0.0
         assert spans[0]["dur"] == pytest.approx(2000.0)
-        assert spans[0]["args"] == {"source": "k.cu"}
+        assert spans[0]["args"]["source"] == "k.cu"
 
     def test_tracks_get_metadata_events(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.add_complete("a", 0, 1, pid="interpreter", tid="warp-0")
-        tracer.add_complete("b", 0, 1, pid="interpreter", tid="warp-1")
-        events = tracer.to_chrome_trace()["traceEvents"]
+        tracer, _clock = _recorder()
+        with tracer.span("a", track="warp-0"):
+            pass
+        with tracer.span("b", track="warp-1"):
+            pass
+        events = merge_spans(tracer.collected_payloads())["traceEvents"]
         meta = [(e["name"], e["args"]["name"])
                 for e in events if e["ph"] == "M"]
-        assert ("process_name", "interpreter") in meta
+        assert ("process_name", "tester") in meta
         assert ("thread_name", "warp-0") in meta
         assert ("thread_name", "warp-1") in meta
         warps = [e for e in events if e["ph"] == "X"]
         assert warps[0]["tid"] != warps[1]["tid"]
         assert warps[0]["pid"] == warps[1]["pid"]
 
-    def test_decorator_names_span_after_function(self):
-        tracer = Tracer(clock=FakeClock())
-
-        @tracer.trace("detect")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert tracer.span_names() == ["detect"]
-
     def test_nested_spans_both_recorded(self):
-        tracer = Tracer(clock=FakeClock())
+        tracer, _clock = _recorder()
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        assert set(tracer.span_names()) == {"outer", "inner"}
+        by_name = {e["name"]: e["args"] for e in _complete_events(tracer)}
+        assert set(by_name) == {"outer", "inner"}
+        assert by_name["inner"]["parent_id"] == by_name["outer"]["span_id"]
+        assert "parent_id" not in by_name["outer"]
+
+    def test_annotate_adds_arguments_known_at_the_end(self):
+        tracer, _clock = _recorder()
+        span = tracer.span("execute", kernel="k")
+        with span:
+            span.annotate(steps=64)
+        assert _complete_events(tracer)[0]["args"]["steps"] == 64
 
     def test_write_and_validate(self, tmp_path):
-        tracer = Tracer(clock=FakeClock())
+        tracer, _clock = _recorder()
         with tracer.span("only-phase"):
             pass
         path = tmp_path / "t.json"
-        tracer.write(str(path))
+        write_merged_trace(str(path), tracer.collected_payloads())
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload, min_phases=1) == ["only-phase"]
 
@@ -126,26 +138,53 @@ class TestTracer:
                                   "tid": 1, "ts": 0, "dur": -5}]})
 
     def test_validate_enforces_min_phases(self):
-        tracer = Tracer(clock=FakeClock())
+        tracer, _clock = _recorder()
         with tracer.span("a"):
             pass
         with pytest.raises(ValueError, match="expected at least 5"):
-            validate_chrome_trace(tracer.to_chrome_trace(), min_phases=5)
+            validate_chrome_trace(merge_spans(tracer.collected_payloads()),
+                                  min_phases=5)
 
     def test_null_tracer_is_inert(self):
-        assert not NULL_TRACER.enabled
-        with NULL_TRACER.span("ignored"):
+        tracer = NULL_OBS.tracer
+        assert tracer is NULL_SPANS and not tracer.enabled
+        with tracer.span("ignored", track="warp-0", block=0) as span_id:
+            assert span_id == ""
+        # One shared no-op, not a fresh context manager per call: the
+        # launch path calls span() with tracing off.
+        assert tracer.span("a") is tracer.span("b", x=1)
+        tracer.span("a").annotate(steps=1)
+        tracer.instant("ignored")
+        assert tracer.collected_payloads() == []
+        assert merge_spans(tracer.collected_payloads())["traceEvents"] == []
+
+    def test_bounded_recorder_keeps_the_enclosing_span(self):
+        # A slot is taken when a span opens, so the stage span that
+        # encloses a flood of leaves is the one that survives it.
+        tracer, _clock = _recorder(limit=3)
+        with tracer.span("stage"):
+            for _ in range(5):
+                with tracer.span("leaf"):
+                    pass
+        tracer.instant("late")
+        names = [p["name"] for p in tracer.to_payloads()]
+        assert names == ["leaf", "leaf", "stage", "spans-dropped"]
+        assert tracer.dropped == 4 and len(tracer) == 3
+
+    def test_dropped_counts_reach_the_merged_trace(self):
+        shard, _clock = _recorder(limit=1)
+        with shard.span("stage"):
+            with shard.span("leaf"):
+                pass
+        client = SpanBuffer("client", limit=None)
+        with client.span("request"):
             pass
-        NULL_TRACER.add_complete("ignored", 0, 1)
-        NULL_TRACER.instant("ignored")
-        assert NULL_TRACER.span_names() == []
-        assert NULL_TRACER.to_chrome_trace()["traceEvents"] == []
-
-    def test_null_decorator_returns_function_unchanged(self):
-        def fn():
-            return 7
-
-        assert NullTracer().trace("x")(fn) is fn
+        client.absorb(shard.to_payloads())
+        client.absorb(shard.to_payloads())  # a second buffer, same process
+        trace = merge_spans(client.collected_payloads())
+        assert trace["otherData"]["dropped_spans"] == \
+            {"client": 0, "tester": 2}
+        validate_chrome_trace(trace, min_phases=2)
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,7 @@ from repro.service import (
     RaceService,
     ServiceClient,
     ServiceThread,
+    protocol,
     reports_to_payload,
 )
 from repro.service.client import BackoffPolicy, submit_capture
@@ -103,7 +104,7 @@ def _endpoint_kwargs(thread):
     return {"port": service.bound_port}
 
 
-def _submit(thread, path, trace=None, **kwargs):
+def _submit(thread, path, trace=NULL_SPANS, **kwargs):
     return submit_capture(
         path,
         backoff=BackoffPolicy(base=0.001, cap=0.01),
@@ -581,8 +582,26 @@ class TestServedTracing:
         assert {"client", "server", "shard-0"} <= processes
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert {"submit", "server-open", "server-close",
-                "shard-batch"} <= names
+                "replay"} <= names
         _assert_parent_monotone(events)
+
+    def test_malformed_trace_context_fails_the_request_only(self, tmp_path):
+        path, _layout, _records = _capture_file(tmp_path)
+        header = open(path).readline()
+        thread = _start("unix", tmp_path, workers=0)
+        try:
+            with ServiceClient(**_endpoint_kwargs(thread)) as client:
+                for frame in (
+                        protocol.open_frame(header, trace={"trace_id": 7}),
+                        protocol.job_frame("sweep", _sweep_spec(),
+                                           {"schedules": 1, "seed": 0},
+                                           trace={"parent_span_id": "x"})):
+                    reply = client._request(frame)
+                    assert reply["verb"] == protocol.ERROR
+                    assert reply["message"].startswith("bad trace context")
+                assert client.status("health")["health"]["jobs_open"] == 0
+        finally:
+            thread.stop()
 
     def test_degraded_job_carries_flight_dump(self, tmp_path):
         # nth=1 re-fires on every requeue, exhausting the budget: the
@@ -623,7 +642,7 @@ class TestServedTracing:
         try:
             _submit(thread, path)
             with ServiceClient(**_endpoint_kwargs(thread)) as client:
-                text = client.metrics()["text"]
+                text = client.status("metrics")["metrics"]["text"]
         finally:
             thread.stop()
 
@@ -646,7 +665,7 @@ class TestServedTracing:
         try:
             _submit(thread, path)
             with ServiceClient(**_endpoint_kwargs(thread)) as client:
-                dump = client.dump()
+                dump = client.status("flight")["flight"]
         finally:
             thread.stop()
 
@@ -658,6 +677,89 @@ class TestServedTracing:
         kinds = {e["kind"] for e in server["events"]}
         assert {"job-open", "job-close"} <= kinds
         assert "flight recorder:" in render_flight(dump)
+
+
+# ----------------------------------------------------------------------
+# Local = remote: --trace is one recorder, wherever the analysis ran
+# ----------------------------------------------------------------------
+def _trace_spans(path):
+    """``{span name: {process names}}`` of a written trace file."""
+    trace = json.loads(open(path).read())
+    validate_chrome_trace(trace, min_phases=1)
+    events = trace["traceEvents"]
+    process = {e["pid"]: e["args"]["name"] for e in events
+               if e["name"] == "process_name"}
+    spans = {}
+    for event in events:
+        if event["ph"] == "X":
+            spans.setdefault(event["name"], set()).add(process[event["pid"]])
+    return spans, trace["otherData"]
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+class TestLocalRemoteParity:
+    LAUNCH = ["--grid", "2", "--buffer", "data:64", "--warp-size", "8"]
+
+    def _run(self, argv):
+        from repro.cli import main
+
+        return main(argv)
+
+    def _kernel(self, tmp_path):
+        path = tmp_path / "racy.cu"
+        path.write_text(RACY)
+        return str(path)
+
+    def test_sweep_trace_carries_the_local_analysis_spans(
+            self, workers, tmp_path, capsys):
+        argv = ["sweep", self._kernel(tmp_path), *self.LAUNCH,
+                "--schedules", "3", "--format", "json"]
+        local, remote = tmp_path / "local.json", tmp_path / "remote.json"
+        self._run(argv + ["--trace", str(local)])
+        local_report = capsys.readouterr().out
+        thread = _start("unix", tmp_path, workers=workers)
+        try:
+            self._run(argv + ["--trace", str(remote), "--socket",
+                              thread.service.socket_path])
+        finally:
+            thread.stop()
+        assert capsys.readouterr().out == local_report
+
+        local_spans, _other = _trace_spans(local)
+        remote_spans, other = _trace_spans(remote)
+        analysis = {"cuda-frontend", "ptx-parse", "instrument", "execute",
+                    "warp-step", "queue-drain", "sweep-run", "sweep-finalize",
+                    "sweep-base", "sweep-predict", "sweep-confirm"}
+        assert analysis <= set(local_spans)
+        assert analysis <= set(remote_spans)
+        assert set(local_spans) - set(remote_spans) == set()
+        # ... recorded where the analysis ran, and every process in the
+        # trace says how many spans its bounded buffers dropped.
+        shards = {f"shard-{i}" for i in range(max(workers, 1))}
+        assert remote_spans["execute"] == shards
+        assert remote_spans["sweep-base"] == {"shard-0"}
+        assert set(other["dropped_spans"]) == {"client", "server"} | shards
+
+    def test_submit_trace_carries_the_local_replay_span(
+            self, workers, tmp_path):
+        capture = str(tmp_path / "run.capture")
+        self._run(["check", self._kernel(tmp_path), *self.LAUNCH,
+                   "--capture", capture])
+        local, remote = tmp_path / "local.json", tmp_path / "remote.json"
+        assert self._run(["replay", capture, "--trace", str(local)]) == 1
+        thread = _start("unix", tmp_path, workers=workers)
+        try:
+            assert self._run(["submit", capture, "--trace", str(remote),
+                              "--socket", thread.service.socket_path]) == 1
+        finally:
+            thread.stop()
+
+        local_spans, _other = _trace_spans(local)
+        remote_spans, _other = _trace_spans(remote)
+        # The client reads the file either way; the detector pass is the
+        # analysis, and it is the same span on whichever process ran it.
+        assert local_spans["replay"] == {"client"}
+        assert remote_spans["replay"] == {"shard-0"}
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The concurrent race-detection service: protocol, pool, server, CLI."""
 
 import io
+import json
 import os
 import threading
 
@@ -92,13 +93,13 @@ class TestProtocol:
         assert decoder.feed(encode_frame(message)) == [message]
 
     def test_decoder_handles_arbitrary_chunking(self):
-        frames = encode_frame(protocol.stats_frame()) + encode_frame(
+        frames = encode_frame(protocol.status_frame()) + encode_frame(
             protocol.close_frame("job-9"))
         decoder = FrameDecoder()
         seen = []
         for i in range(len(frames)):
             seen.extend(decoder.feed(frames[i:i + 1]))
-        assert [m["verb"] for m in seen] == [protocol.STATS, protocol.CLOSE]
+        assert [m["verb"] for m in seen] == [protocol.STATUS, protocol.CLOSE]
 
     def test_garbage_payload_rejected(self):
         frame = len(b"not json").to_bytes(4, "big") + b"not json"
@@ -282,7 +283,7 @@ class TestServiceIntegration:
         good, layout, records = _capture_file(tmp_path, "good.jsonl")
         with ServiceClient(socket_path=sock) as client:
             result = client.submit_path(good)
-            stats = client.stats()
+            stats = client.status("stats")["stats"]
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
         assert stats["jobs_done"] >= 1
         assert stats["jobs_failed"] >= 1  # record-level corpus entries
@@ -318,7 +319,7 @@ class TestServiceIntegration:
         client.close()  # vanish mid-job
         with ServiceClient(socket_path=sock) as other:
             result = other.submit_path(path)
-            stats = other.stats()
+            stats = other.status("stats")["stats"]
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
         assert stats["jobs_aborted"] >= 1
 
@@ -334,7 +335,7 @@ class TestServiceIntegration:
         path, _layout, records = _capture_file(tmp_path, "f.jsonl")
         with ServiceClient(socket_path=sock) as client:
             result = client.submit_path(path, batch_size=8)
-            stats = client.stats()
+            stats = client.status("stats")["stats"]
         job_stats = result.stats
         assert job_stats["records_in"] == len(records)
         assert job_stats["records_per_sec"] > 0
@@ -342,6 +343,42 @@ class TestServiceIntegration:
         assert job_stats["state"] == "done"
         assert stats["jobs_done"] >= 1
         assert stats["workers"] and stats["workers"][0]["records"] >= len(records)
+
+    def test_status_carries_only_the_sections_asked_for(self, service):
+        sock, race_service = service
+        gathers = []
+        shard_futures = race_service.pool.status_futures
+        race_service.pool.status_futures = \
+            lambda section: gathers.append(section) or shard_futures(section)
+        with ServiceClient(socket_path=sock) as client:
+            assert set(client.status("health", "stats")) == \
+                {"health", "stats"}
+            assert gathers == []  # answered without asking any shard
+            assert set(client.status("flight")) == {"flight"}
+            assert gathers == ["flight"]
+            everything = client.status()
+        assert tuple(everything) == protocol.STATUS_SECTIONS
+        assert gathers == ["flight", "metrics", "flight"]
+        assert set(everything["metrics"]) == {"text", "snapshot"}
+        assert everything["health"]["shards"][0]["alive"] is True
+        assert everything["flight"]["processes"]
+
+    @pytest.mark.parametrize("sections", ["stats", ["stats", "uptime"], [7]])
+    def test_status_rejects_unknown_sections(self, service, sections):
+        sock, _ = service
+        with ServiceClient(socket_path=sock) as client:
+            with pytest.raises(ServiceJobError, match="STATUS sections"):
+                client._raise_on_error(client._request(
+                    {"verb": protocol.STATUS, "sections": sections}))
+            assert client.status("health")  # the connection survives
+
+    @pytest.mark.parametrize("verb", ["stats", "metrics", "health", "dump"])
+    def test_retired_introspection_verbs_are_unknown(self, service, verb):
+        sock, _ = service
+        with ServiceClient(socket_path=sock) as client:
+            reply = client._request({"verb": verb})
+        assert reply["verb"] == protocol.ERROR
+        assert reply["message"] == f"unknown verb {verb!r}"
 
     def test_tcp_endpoint(self, tmp_path):
         path, layout, records = _capture_file(tmp_path, "g.jsonl")
@@ -373,7 +410,7 @@ class TestServiceIntegration:
 
 
 # ----------------------------------------------------------------------
-# METRICS verb (the observability surface of the service)
+# STATUS metrics section (the observability surface of the service)
 # ----------------------------------------------------------------------
 class TestBinaryCaptureSubmit:
     """Binary captures stream as base64 columnar batch frames."""
@@ -466,14 +503,14 @@ class TestMetricsVerb:
         path, _layout, records = _capture_file(tmp_path, "m.jsonl")
         with ServiceClient(socket_path=sock) as client:
             client.submit_path(path, batch_size=8)
-            metrics = client.metrics()
-            stats = client.stats()
+            status = client.status("metrics", "stats")
+        metrics, stats = status["metrics"], status["stats"]
         parsed = parse_exposition(metrics["text"])
         assert self._sample(parsed, "repro_service_jobs", state="done") >= 1
         assert self._sample(
             parsed, "repro_service_records_in_total") == len(records)
         assert parsed["repro_service_worker_records_total"]
-        # The METRICS verb is the STATS snapshot through the registry
+        # The metrics section is the stats snapshot through the registry
         # (rebuilding locally yields the same snapshot format; uptime is
         # the only clock-dependent series), plus each shard worker's own
         # always-on registry merged under a shard label.
@@ -510,7 +547,7 @@ class TestMetricsVerb:
             second._send_batch(job_b, lines[:4])
             second._send_batch(job_b, lines[4:8])
             with ServiceClient(socket_path=sock) as observer:
-                metrics = observer.metrics()
+                metrics = observer.status("metrics")["metrics"]
             parsed = parse_exposition(metrics["text"])
             per_job = "repro_service_job_records_total"
             assert self._sample(parsed, per_job, job=job_a) == 12
@@ -530,7 +567,8 @@ class TestMetricsVerb:
             second._expect(second._request(protocol.close_frame(job_b)),
                            protocol.REPORT)
             with ServiceClient(socket_path=sock) as observer:
-                parsed = parse_exposition(observer.metrics()["text"])
+                parsed = parse_exposition(
+                    observer.status("metrics")["metrics"]["text"])
             assert self._sample(parsed, per_job, job=job_a) == 12
             assert self._sample(parsed, per_job, job=job_b) == 8
             assert self._sample(parsed, "repro_service_jobs", state="open") == 0
@@ -547,7 +585,7 @@ class TestMetricsVerb:
             port = thread.service.bound_port
             with ServiceClient(port=port) as client:
                 client.submit_path(path)
-                metrics = client.metrics()
+                metrics = client.status("metrics")["metrics"]
         parsed = parse_exposition(metrics["text"])
         assert self._sample(
             parsed, "repro_service_records_in_total") == len(records)
@@ -585,6 +623,31 @@ class TestServiceCli:
         exposition = out.split("--------- metrics\n", 1)[1]
         parsed = parse_exposition(exposition)
         assert "repro_service_records_in_total" in parsed
+
+    def test_submit_cli_introspection_flags_share_one_request(
+            self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        requests = []
+        status_frame = protocol.status_frame
+        monkeypatch.setattr(
+            protocol, "status_frame",
+            lambda sections=(): requests.append(tuple(sections))
+            or status_frame(sections))
+        sock = str(tmp_path / "cli-s.sock")
+        flight = tmp_path / "flight.json"
+        path, _layout, _records = _capture_file(tmp_path, "cli-s.jsonl")
+        with ServiceThread(RaceService(socket_path=sock, workers=0)):
+            code = main(["submit", path, "--socket", sock, "--stats",
+                         "--metrics", "--health", "--flight-dump",
+                         str(flight)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert requests == [("stats", "metrics", "health", "flight")]
+        for heading in ("service statistics", "--------- metrics",
+                        "--------- health"):
+            assert heading in out
+        assert json.loads(flight.read_text())["processes"]
 
     def test_submit_cli_without_service_exits_2(self, tmp_path, capsys):
         from repro.cli import main
