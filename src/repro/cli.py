@@ -397,7 +397,7 @@ def run_check(args) -> int:
     want_json_stats = args.stats and args.stats_format == "json"
     obs = _obs_from_args(args, metrics=want_json_stats)
 
-    from .core.reference import DetectorConfig
+    from .core.races import DetectorConfig
     from .gpu.scheduler import make_scheduler
 
     fault_plan = _load_fault_plan_arg(args.fault_plan)
@@ -607,7 +607,7 @@ def run_explain(args) -> int:
     if args.depth < 1:
         raise ReproError("--depth must be at least 1")
 
-    from .core.reference import DetectorConfig
+    from .core.races import DetectorConfig
 
     config = DetectorConfig(
         filter_same_value=not args.no_filter_same_value,
@@ -1033,7 +1033,7 @@ def _configure_replay(parser: argparse.ArgumentParser) -> None:
 
 
 def run_replay(args) -> int:
-    from .core.reference import DetectorConfig
+    from .core.races import DetectorConfig
     from .runtime.replay import replay
 
     obs = _obs_from_args(args)
@@ -1118,7 +1118,7 @@ def run_profile(args) -> int:
         from time import perf_counter
 
         from .core.detector import BarracudaDetector
-        from .core.reference import DetectorConfig
+        from .core.races import DetectorConfig
         from .events import record_to_ops
 
         profiler = Profiler()

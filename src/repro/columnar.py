@@ -27,7 +27,14 @@ from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
-from .events import RECORD_BYTES, LogRecord, RecordKind, _sorted_mask
+from .events import (
+    MAX_ACCESS_BYTES,
+    MEMORY_KINDS,
+    RECORD_BYTES,
+    LogRecord,
+    RecordKind,
+    _sorted_mask,
+)
 from .trace.operations import Scope, Space
 
 
@@ -211,6 +218,11 @@ class ColumnarBatch:
             if code != KIND_EXTRA and not 0 <= code < len(KINDS):
                 raise ReproError(
                     f"corrupt columnar batch: unknown kind code {code}")
+            if (code != KIND_EXTRA and KINDS[code] in MEMORY_KINDS
+                    and not 1 <= self.widths[index] <= MAX_ACCESS_BYTES):
+                raise ReproError(
+                    f"corrupt columnar batch: access width "
+                    f"{self.widths[index]} outside 1..{MAX_ACCESS_BYTES}")
             if code == KIND_EXTRA and index not in self.extras:
                 raise ReproError(
                     f"corrupt columnar batch: row {index} marked extra but "
@@ -277,7 +289,7 @@ class ColumnarBuilder:
         kind = record.kind
         addrs = record.addrs
         values = record.values
-        if kind in _MEMORY_CODES:
+        if kind in MEMORY_KINDS:
             canonical = (
                 addrs.keys() == record.active
                 and values.keys() <= record.active
@@ -304,7 +316,7 @@ class ColumnarBuilder:
         lane_values = batch.lane_values
         mark = (len(batch.kinds), len(lane_tids))
         values_get = values.get
-        lane_source = _sorted_mask(record.active) if kind in _MEMORY_CODES else ()
+        lane_source = _sorted_mask(record.active) if kind in MEMORY_KINDS else ()
         for tid in lane_source:
             space, addr = addrs[tid]
             value = values_get(tid)
@@ -349,12 +361,6 @@ class ColumnarBuilder:
         self._batch = ColumnarBatch()
         self._mask_ids = {}
         return batch
-
-
-_MEMORY_CODES = frozenset(
-    {RecordKind.LOAD, RecordKind.STORE, RecordKind.ATOMIC,
-     RecordKind.ACQUIRE, RecordKind.RELEASE, RecordKind.ACQREL}
-)
 
 
 def iter_batches(records: Sequence[LogRecord],

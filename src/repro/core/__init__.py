@@ -5,11 +5,12 @@ from .ptvc import PTVCFormat, PTVCManager, PTVCStats
 from .races import (
     AccessType,
     BarrierDivergenceReport,
+    DetectorConfig,
     DetectorReports,
     RaceKind,
     RaceReport,
 )
-from .reference import DetectorConfig, ReferenceDetector
+from .reference import ReferenceDetector
 from .shadow import ShadowEntry, ShadowMemory, ShadowStats
 from .structured import StructuredVC
 from .syncmap import SyncLocation, SyncLocationMap

@@ -16,8 +16,14 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from ..columnar import KIND_ATOMIC, KIND_LOAD, KIND_STORE, SPACES, ColumnarBatch
-from ..events import _locations, record_to_ops
+from ..columnar import (
+    KIND_ATOMIC,
+    KIND_LOAD,
+    KIND_STORE,
+    SPACE_CODE,
+    ColumnarBatch,
+)
+from ..events import cell_offsets, record_to_ops
 from ..trace.layout import GridLayout
 from ..trace.operations import (
     AcqRel,
@@ -33,6 +39,7 @@ from ..trace.operations import (
     Read,
     Release,
     Scope,
+    Space,
     Write,
 )
 from ..obs.provenance import ClockComparison, ProvenanceTracker
@@ -41,16 +48,22 @@ from .ptvc import PTVCManager, PTVCStats
 from .races import (
     AccessType,
     BarrierDivergenceReport,
+    DetectorConfig,
     DetectorReports,
     classify,
 )
-from .reference import DetectorConfig
 from .shadow import ShadowEntry, ShadowMemory
 from .syncmap import SyncLocationMap
 from .vectorclock import Epoch
 
 #: Operations performed by a single thread (NOP when inactive).
 _THREAD_LEVEL_OPS = (Read, Write, Atomic, Acquire, Release, AcqRel)
+
+#: A shadow cell as the access rules carry it: ``(block, offset)`` with
+#: ``block < 0`` for global memory — :meth:`ShadowMemory.entry_at`'s
+#: address.  A :class:`Location` is built only for a race report.
+Cell = Tuple[int, int]
+_SHARED = SPACE_CODE[Space.SHARED]
 
 
 class BarracudaDetector:
@@ -76,17 +89,6 @@ class BarracudaDetector:
             else None
         )
         self._dispatch = None  # built lazily: handlers reference methods
-        # Shadow-cell expansion cache for the fused columnar loop: maps
-        # (tid, space code, addr, width) to the Location tuple the
-        # record expansion would produce.  Loops re-touch the same
-        # accesses every iteration, so this hits on nearly every lane.
-        self._loc_cells: Dict[Tuple[int, int, int, int], tuple] = {}
-        self._loc_granularity: Optional[int] = None
-        # Shadow-entry cache keyed by Location identity: the Location
-        # objects come from ``_loc_cells`` (interned per distinct access)
-        # and a shadow entry, once allocated, is never replaced — so one
-        # dict probe stands in for the page-table walk on every re-touch.
-        self._entry_cache: Dict[int, ShadowEntry] = {}
 
     # ------------------------------------------------------------------
     # Helpers
@@ -100,7 +102,7 @@ class BarracudaDetector:
 
     def _report_race(
         self,
-        loc: Location,
+        cell: Cell,
         tid: int,
         access: AccessType,
         prior_tid: int,
@@ -109,6 +111,9 @@ class BarracudaDetector:
         prior_pc: int,
         prior_clock: int = -1,
     ) -> None:
+        block, offset = cell
+        loc = (Location(Space.GLOBAL, offset) if block < 0
+               else Location(Space.SHARED, offset, block))
         amask = self.clocks.active_mask(self.layout.warp_of(tid))
         provenance = None
         if self.provenance is not None:
@@ -119,7 +124,7 @@ class BarracudaDetector:
                 observed=self.clocks.value(tid, prior_tid),
             )
             provenance = self.provenance.build(
-                loc, str(loc), tid, prior_tid, comparison
+                cell, str(loc), tid, prior_tid, comparison
             )
         self.reports.races.append(
             classify(
@@ -137,29 +142,29 @@ class BarracudaDetector:
         )
 
     def _record_provenance(
-        self, loc: Location, tid: int, access: AccessType, pc: int,
+        self, cell: Cell, tid: int, access: AccessType, pc: int,
         value: Optional[int] = None,
     ) -> None:
         """Log one access into the provenance rings (enabled path only)."""
         self.provenance.record(
-            loc, tid, access.value, pc, self.clocks.value(tid, tid), value
+            cell, tid, access.value, pc, self.clocks.value(tid, tid), value
         )
 
     def _check_write(
         self,
         entry: ShadowEntry,
-        loc: Location,
+        cell: Cell,
         tid: int,
         access: AccessType,
         pc: int,
+        cv,
         value: Optional[int] = None,
-        cv=None,
     ) -> None:
         """``W_x ⪯ C_t`` with the same-value intra-warp filter (§3.3.1).
 
-        ``cv`` is the clock-query provider: :attr:`clocks` by default, or
-        the per-record :class:`~repro.core.ptvc.ConvergedWarpView` the
-        fused columnar loop supplies (same answers, fewer lookups).
+        ``cv`` is the clock-query provider: :attr:`clocks`, or the
+        per-record :class:`~repro.core.ptvc.ConvergedWarpView` the fused
+        columnar loop supplies (same answers, fewer lookups).
         """
         prior_epoch = entry.write_epoch
         # FastTrack shortcuts: a bottom epoch is covered by anything, and
@@ -168,7 +173,7 @@ class BarracudaDetector:
         if (
             prior_epoch.clock == 0
             or prior_epoch.tid == tid
-            or (cv or self.clocks).covers(tid, prior_epoch)
+            or cv.covers(tid, prior_epoch)
         ):
             return
         if (
@@ -182,22 +187,20 @@ class BarracudaDetector:
             return
         prior = AccessType.ATOMIC if entry.atomic else AccessType.WRITE
         self._report_race(
-            loc, tid, access, entry.write_epoch.tid, prior, pc, entry.write_pc,
+            cell, tid, access, entry.write_epoch.tid, prior, pc, entry.write_pc,
             prior_clock=entry.write_epoch.clock,
         )
 
     def _check_reads(
-        self, entry: ShadowEntry, loc: Location, tid: int, access: AccessType,
-        pc: int, cv=None,
+        self, entry: ShadowEntry, cell: Cell, tid: int, access: AccessType,
+        pc: int, cv,
     ) -> None:
         """``R_x ⪯ C_t`` (epoch form) or ``R_x ⊑ C_t`` (map form)."""
-        if cv is None:
-            cv = self.clocks
         if entry.readers is not None:
             for reader, stamp in entry.readers.items():
                 if stamp > cv.value(tid, reader):
                     self._report_race(
-                        loc,
+                        cell,
                         tid,
                         access,
                         reader,
@@ -215,7 +218,7 @@ class BarracudaDetector:
                 and not cv.covers(tid, read_epoch)
             ):
                 self._report_race(
-                    loc,
+                    cell,
                     tid,
                     access,
                     read_epoch.tid,
@@ -230,15 +233,11 @@ class BarracudaDetector:
     # source of truth: both the per-operation handlers and the fused
     # columnar loop call them, so the two pipelines cannot drift.
     # ------------------------------------------------------------------
-    def _read_lane(self, tid: int, loc: Location, pc: int,
-                   entry: Optional[ShadowEntry] = None, cv=None) -> None:
-        if entry is None:
-            entry = self.shadow.entry(loc)
-        if cv is None:
-            cv = self.clocks
+    def _read_lane(self, tid: int, cell: Cell, pc: int,
+                   entry: ShadowEntry, cv) -> None:
         if self.provenance is not None:
-            self._record_provenance(loc, tid, AccessType.READ, pc)
-        self._check_write(entry, loc, tid, AccessType.READ, pc, cv=cv)
+            self._record_provenance(cell, tid, AccessType.READ, pc)
+        self._check_write(entry, cell, tid, AccessType.READ, pc, cv)
         readers = entry.readers
         if readers is not None:
             # READSHARED
@@ -261,56 +260,53 @@ class BarracudaDetector:
         entry.read_pcs[tid] = pc
 
     def _write_lane(
-        self, tid: int, loc: Location, value: Optional[int], pc: int,
-        entry: Optional[ShadowEntry] = None, cv=None,
-        group: Optional[Tuple[int, int]] = None,
+        self, tid: int, cell: Cell, value: Optional[int], pc: int,
+        entry: ShadowEntry, cv, group: Tuple[int, int],
     ) -> None:
-        if entry is None:
-            entry = self.shadow.entry(loc)
-        if cv is None:
-            cv = self.clocks
         if self.provenance is not None:
-            self._record_provenance(loc, tid, AccessType.WRITE, pc, value)
-        self._check_write(entry, loc, tid, AccessType.WRITE, pc, value=value,
-                          cv=cv)
-        self._check_reads(entry, loc, tid, AccessType.WRITE, pc, cv=cv)
+            self._record_provenance(cell, tid, AccessType.WRITE, pc, value)
+        self._check_write(entry, cell, tid, AccessType.WRITE, pc, cv, value)
+        self._check_reads(entry, cell, tid, AccessType.WRITE, pc, cv)
         entry.reset_reads()
         entry.write_epoch = cv.epoch(tid)
         entry.atomic = False
         entry.last_value = value
-        entry.last_group = group if group is not None else self._group_of(tid)
+        entry.last_group = group
         entry.write_pc = pc
 
-    def _atomic_lane(self, tid: int, loc: Location, pc: int,
-                     entry: Optional[ShadowEntry] = None, cv=None,
-                     group: Optional[Tuple[int, int]] = None) -> None:
-        if entry is None:
-            entry = self.shadow.entry(loc)
-        if cv is None:
-            cv = self.clocks
+    def _atomic_lane(self, tid: int, cell: Cell, pc: int,
+                     entry: ShadowEntry, cv, group: Tuple[int, int]) -> None:
         if self.provenance is not None:
-            self._record_provenance(loc, tid, AccessType.ATOMIC, pc)
+            self._record_provenance(cell, tid, AccessType.ATOMIC, pc)
         if not entry.atomic:
             # INITATOM*: the preceding write was non-atomic; Nvidia gives
             # no atomicity guarantee against it, so order is required.
-            self._check_write(entry, loc, tid, AccessType.ATOMIC, pc, cv=cv)
+            self._check_write(entry, cell, tid, AccessType.ATOMIC, pc, cv)
         # Atomics never race with each other but do race with reads.
-        self._check_reads(entry, loc, tid, AccessType.ATOMIC, pc, cv=cv)
+        self._check_reads(entry, cell, tid, AccessType.ATOMIC, pc, cv)
         entry.reset_reads()
         entry.write_epoch = cv.epoch(tid)
         entry.atomic = True
         entry.last_value = None
-        entry.last_group = group if group is not None else self._group_of(tid)
+        entry.last_group = group
         entry.write_pc = pc
 
     def _on_read(self, op: Read) -> None:
-        self._read_lane(op.tid, op.loc, op.pc)
+        loc = op.loc
+        self._read_lane(op.tid, (loc.block, loc.offset), op.pc,
+                        self.shadow.entry(loc), self.clocks)
 
     def _on_write(self, op: Write) -> None:
-        self._write_lane(op.tid, op.loc, op.value, op.pc)
+        loc = op.loc
+        self._write_lane(op.tid, (loc.block, loc.offset), op.value, op.pc,
+                         self.shadow.entry(loc), self.clocks,
+                         self._group_of(op.tid))
 
     def _on_atomic(self, op: Atomic) -> None:
-        self._atomic_lane(op.tid, op.loc, op.pc)
+        loc = op.loc
+        self._atomic_lane(op.tid, (loc.block, loc.offset), op.pc,
+                          self.shadow.entry(loc), self.clocks,
+                          self._group_of(op.tid))
 
     # ------------------------------------------------------------------
     # Lockstep and branches
@@ -434,18 +430,7 @@ class BarracudaDetector:
         """
         layout = self.layout
         clocks = self.clocks
-        if granularity != self._loc_granularity:
-            self._loc_cells.clear()
-            # The entry cache is keyed by Location identity; dropping the
-            # cells cache releases those objects, so the ids must go too.
-            self._entry_cache.clear()
-            self._loc_granularity = granularity
-        loc_cells = self._loc_cells
-        loc_cells_get = loc_cells.get
-        locations = _locations
-        entry_cache = self._entry_cache
-        entry_cache_get = entry_cache.get
-        shadow_entry = self.shadow.entry
+        entry_at = self.shadow.entry_at
         deviant = clocks._deviant
         converged_view = clocks.converged_view
         kinds = batch.kinds
@@ -495,6 +480,9 @@ class BarracudaDetector:
                 continue
             pc = pcs[index]
             width = widths[index]
+            # Shared cells belong to the row's block: every lane is in
+            # the row's warp (checked above).
+            shared_block = warp // wpb
             amask = active_mask(warp)
             # One clock view for the whole record: memory accesses never
             # deviate a thread or replace the group base, so the view's
@@ -502,34 +490,26 @@ class BarracudaDetector:
             cv = clocks if deviant else converged_view(warp, lo, hi)
             # The warp-instruction identity every lane of this record
             # shares (what _group_of would derive lane by lane).
-            group = None if code == KIND_LOAD else (warp, instr_get(warp, 0))
+            group = (warp, instr_get(warp, 0))
             ops = 1
             for lane in range(start, end):
                 tid = lane_tids[lane]
-                key = (tid, lane_spaces[lane], lane_addrs[lane], width)
-                cells = loc_cells_get(key)
-                if cells is None:
-                    cells = locations(layout, tid, SPACES[key[1]], key[2],
-                                      width, granularity)
-                    loc_cells[key] = cells
-                ops += len(cells)
+                offsets = cell_offsets(lane_addrs[lane], width, granularity)
+                ops += len(offsets)
                 if tid not in amask:
                     continue
+                block = shared_block if lane_spaces[lane] == _SHARED else -1
                 if code == KIND_STORE:
                     value = lane_values[lane] if lane_has_value[lane] else None
-                else:
-                    value = None
-                for loc in cells:
-                    eid = id(loc)
-                    entry = entry_cache_get(eid)
-                    if entry is None:
-                        entry_cache[eid] = entry = shadow_entry(loc)
+                for offset in offsets:
+                    cell = (block, offset)
+                    entry = entry_at(block, offset)
                     if code == KIND_LOAD:
-                        read_lane(tid, loc, pc, entry, cv)
+                        read_lane(tid, cell, pc, entry, cv)
                     elif code == KIND_STORE:
-                        write_lane(tid, loc, value, pc, entry, cv, group)
+                        write_lane(tid, cell, value, pc, entry, cv, group)
                     else:
-                        atomic_lane(tid, loc, pc, entry, cv, group)
+                        atomic_lane(tid, cell, pc, entry, cv, group)
             self.ops_processed += ops
             end_instruction(warp)
             instr[warp] = instr_get(warp, 0) + 1

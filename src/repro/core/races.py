@@ -173,10 +173,58 @@ class DetectorReports:
         self.filtered_same_value = 0
 
 
+@dataclass
+class DetectorConfig:
+    """Knobs shared by the reference and production detectors."""
+
+    #: Filter benign same-value intra-warp write-write conflicts (§3.3.1).
+    filter_same_value: bool = True
+    #: Shadow-cell size in bytes for expanding memory accesses.  4 matches
+    #: the aligned word accesses of essentially all benchmarks (§4.3.3);
+    #: 1 is the paper's fully general byte-granularity mode, which also
+    #: catches partially-overlapping sub-word accesses.
+    granularity_bytes: int = 4
+    #: Per-thread access-history depth retained for race provenance
+    #: (``repro explain``).  0 disables provenance tracking entirely —
+    #: the default, so the hot path stays free of history bookkeeping.
+    provenance_depth: int = 0
+
+    def __post_init__(self) -> None:
+        # Both arrive from the wire (``config_from_payload``), and a cell
+        # size below one byte has no cell expansion.
+        if self.granularity_bytes < 1:
+            raise ValueError(
+                f"granularity_bytes must be >= 1, got {self.granularity_bytes}")
+        if self.provenance_depth < 0:
+            raise ValueError(
+                f"provenance_depth must be >= 0, got {self.provenance_depth}")
+
+
 # ----------------------------------------------------------------------
 # Payload codec: the JSON-safe form reports take in job results, capture
 # replies and service frames
 # ----------------------------------------------------------------------
+def config_to_payload(config: DetectorConfig) -> dict:
+    return {
+        "filter_same_value": config.filter_same_value,
+        "granularity_bytes": config.granularity_bytes,
+        "provenance_depth": config.provenance_depth,
+    }
+
+
+def config_from_payload(payload: Optional[dict]) -> DetectorConfig:
+    if not payload:
+        return DetectorConfig()
+    try:
+        return DetectorConfig(
+            filter_same_value=bool(payload.get("filter_same_value", True)),
+            granularity_bytes=int(payload.get("granularity_bytes", 4)),
+            provenance_depth=int(payload.get("provenance_depth", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"malformed detector config: {exc}") from exc
+
+
 def location_to_payload(loc: Location) -> list:
     return [loc.space.value, loc.offset, loc.block]
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..errors import ProtocolError
 from ..trace.layout import GridLayout
 from ..trace.operations import (
     AcqRel,
@@ -44,48 +43,11 @@ from ..trace.trace import Trace
 from .races import (
     AccessType,
     BarrierDivergenceReport,
+    DetectorConfig,
     DetectorReports,
     classify,
 )
 from .vectorclock import Epoch, VectorClock
-
-
-@dataclass
-class DetectorConfig:
-    """Knobs shared by the reference and production detectors."""
-
-    #: Filter benign same-value intra-warp write-write conflicts (§3.3.1).
-    filter_same_value: bool = True
-    #: Shadow-cell size in bytes for expanding memory accesses.  4 matches
-    #: the aligned word accesses of essentially all benchmarks (§4.3.3);
-    #: 1 is the paper's fully general byte-granularity mode, which also
-    #: catches partially-overlapping sub-word accesses.
-    granularity_bytes: int = 4
-    #: Per-thread access-history depth retained for race provenance
-    #: (``repro explain``).  0 disables provenance tracking entirely —
-    #: the default, so the hot path stays free of history bookkeeping.
-    provenance_depth: int = 0
-
-
-def config_to_payload(config: DetectorConfig) -> dict:
-    return {
-        "filter_same_value": config.filter_same_value,
-        "granularity_bytes": config.granularity_bytes,
-        "provenance_depth": config.provenance_depth,
-    }
-
-
-def config_from_payload(payload: Optional[dict]) -> DetectorConfig:
-    if not payload:
-        return DetectorConfig()
-    try:
-        return DetectorConfig(
-            filter_same_value=bool(payload.get("filter_same_value", True)),
-            granularity_bytes=int(payload.get("granularity_bytes", 4)),
-            provenance_depth=int(payload.get("provenance_depth", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed detector config: {exc}") from exc
 
 
 @dataclass

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..trace.layout import GridLayout
-from ..trace.operations import Location, Space
+from ..trace.operations import Location
 from .vectorclock import Epoch, VectorClock
 
 #: Bytes of device memory covered by one shadow page.
@@ -94,33 +94,32 @@ class ShadowMemory:
         self._shared: Dict[int, Dict[int, ShadowEntry]] = {}
         self.stats = ShadowStats()
 
-    def entry(self, loc: Location) -> ShadowEntry:
-        """The shadow record for ``loc``, allocating it if needed."""
-        if loc.space is Space.GLOBAL:
-            page_index = loc.offset // PAGE_BYTES
-            page = self._global_pages.get(page_index)
-            if page is None:
-                page = {}
-                self._global_pages[page_index] = page
+    def entry_at(self, block: int, offset: int) -> ShadowEntry:
+        """The shadow record of cell ``(block, offset)``, allocating it if
+        needed; ``block < 0`` addresses global memory."""
+        if block < 0:
+            table = self._global_pages.get(offset // PAGE_BYTES)
+            if table is None:
+                table = self._global_pages[offset // PAGE_BYTES] = {}
                 self.stats.global_pages += 1
-            entry = page.get(loc.offset)
-            if entry is None:
-                entry = ShadowEntry(global_mem=True)
-                page[loc.offset] = entry
-                self.stats.entries += 1
-            return entry
-        table = self._shared.setdefault(loc.block, {})
-        entry = table.get(loc.offset)
+        else:
+            table = self._shared.get(block)
+            if table is None:
+                table = self._shared[block] = {}
+        entry = table.get(offset)
         if entry is None:
-            entry = ShadowEntry(global_mem=False)
-            table[loc.offset] = entry
+            entry = table[offset] = ShadowEntry(global_mem=block < 0)
             self.stats.entries += 1
         return entry
 
+    def entry(self, loc: Location) -> ShadowEntry:
+        """The shadow record for ``loc``, allocating it if needed."""
+        return self.entry_at(loc.block, loc.offset)
+
     def peek(self, loc: Location) -> Optional[ShadowEntry]:
         """The shadow record for ``loc`` if it exists, without allocating."""
-        if loc.space is Space.GLOBAL:
-            page = self._global_pages.get(loc.offset // PAGE_BYTES)
-            return None if page is None else page.get(loc.offset)
-        table = self._shared.get(loc.block)
+        if loc.block < 0:
+            table = self._global_pages.get(loc.offset // PAGE_BYTES)
+        else:
+            table = self._shared.get(loc.block)
         return None if table is None else table.get(loc.offset)

@@ -42,6 +42,11 @@ from .trace.operations import (
 #: Modeled size of one record in GPU memory (Figure 6).
 RECORD_BYTES = 16 + 8 * 32
 
+#: Widest access one lane can log: ``type_width * vector_count`` tops out
+#: at a ``.v4.b64`` (32 bytes).  Loaders reject memory rows outside
+#: ``1..MAX_ACCESS_BYTES``: the width sizes the cell expansion below.
+MAX_ACCESS_BYTES = 32
+
 #: Sentinel block id carried by a grid-wide (cooperative) barrier
 #: record: BARRIER records put the block id in the ``warp`` field, and a
 #: grid sync belongs to every block at once.  All barrier consumers
@@ -110,7 +115,19 @@ def _sorted_mask(active: FrozenSet[int]) -> Tuple[int, ...]:
     return tuple(sorted(active))
 
 
-@lru_cache(maxsize=65536)
+def cell_offsets(addr: int, width: int, granularity: int) -> range:
+    """Offsets of the shadow cells covering ``[addr, addr + width)``.
+
+    The only statement of which cells an access touches.  With
+    ``granularity`` equal to the access width and aligned accesses (the
+    common CUDA case, §4.3.3) this is a single cell; with byte
+    granularity it is one cell per byte — the paper's fully general
+    mode, which catches partially-overlapping sub-word accesses at the
+    cost of more metadata.
+    """
+    return range(addr - addr % granularity, addr + max(width, 1), granularity)
+
+
 def _locations(
     layout: GridLayout,
     tid: int,
@@ -118,35 +135,13 @@ def _locations(
     addr: int,
     width: int,
     granularity: int,
-) -> Tuple[Location, ...]:
-    """The shadow cells an access of ``width`` bytes at ``addr`` touches.
-
-    With ``granularity`` equal to the access width and aligned accesses
-    (the common CUDA case, §4.3.3), this is a single location.  With
-    byte granularity it is one location per byte — the paper's fully
-    general mode, which catches partially-overlapping sub-word accesses
-    at the cost of more metadata.
-
-    Memoized: loops re-touch the same (thread, address) pairs on every
-    iteration, and the :class:`Location` dataclasses are immutable, so
-    the expansion — and its allocations — run once per distinct access.
-    """
-    first = addr - (addr % granularity)
-    if first + granularity >= addr + (width if width > 1 else 1):
-        # Aligned access within one shadow cell — the common CUDA case.
-        if space is Space.SHARED:
-            return (Location(Space.SHARED, first, layout.block_of(tid)),)
-        return (Location(Space.GLOBAL, first),)
-    block = layout.block_of(tid) if space is Space.SHARED else -1
-    cells = []
-    offset = first
-    while offset < addr + max(width, 1):
-        if space is Space.SHARED:
-            cells.append(Location(Space.SHARED, offset, block))
-        else:
-            cells.append(Location(Space.GLOBAL, offset))
-        offset += granularity
-    return tuple(cells)
+) -> List[Location]:
+    """:func:`cell_offsets` as the :class:`Location` s of ``tid``'s access."""
+    offsets = cell_offsets(addr, width, granularity)
+    if space is Space.SHARED:
+        block = layout.block_of(tid)
+        return [Location(Space.SHARED, offset, block) for offset in offsets]
+    return [Location(Space.GLOBAL, offset) for offset in offsets]
 
 
 def record_to_ops(

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from ..columnar import ColumnarBatch, iter_batches
 from ..core.detector import BarracudaDetector
 from ..core.races import DetectorReports
-from ..core.reference import DetectorConfig
+from ..core.races import DetectorConfig
 from ..obs import NULL_OBS, Observability
 from ..trace.layout import GridLayout
 from .queue import QueueSet

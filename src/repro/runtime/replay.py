@@ -25,9 +25,9 @@ from ..columnar import (
     iter_batches,
 )
 from ..core.races import DetectorReports
-from ..core.reference import DetectorConfig
+from ..core.races import DetectorConfig
 from ..errors import ReproError
-from ..events import LogRecord, RecordKind
+from ..events import MAX_ACCESS_BYTES, MEMORY_KINDS, LogRecord, RecordKind
 from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites
 from ..gpu.interpreter import EventSink
@@ -89,7 +89,7 @@ def _record_to_json(record: LogRecord) -> dict:
 
 def _record_from_json(payload: dict) -> LogRecord:
     try:
-        return LogRecord(
+        record = LogRecord(
             kind=RecordKind(payload["kind"]),
             warp=payload["warp"],
             active=frozenset(payload["active"]),
@@ -103,8 +103,14 @@ def _record_from_json(payload: dict) -> LogRecord:
             width=payload.get("width", 4),
             pc=payload.get("pc", -1),
         )
+        if record.kind in MEMORY_KINDS and not (
+                isinstance(record.width, int)
+                and 1 <= record.width <= MAX_ACCESS_BYTES):
+            raise ValueError(
+                f"access width {record.width} outside 1..{MAX_ACCESS_BYTES}")
     except (KeyError, ValueError, TypeError) as exc:
         raise ReproError(f"malformed capture record: {exc}") from exc
+    return record
 
 
 def apply_line_fault(line: str, fault) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.races import BarrierDivergenceReport, DetectorReports, RaceReport
-from ..core.reference import DetectorConfig
+from ..core.races import DetectorConfig
 from ..errors import InstrumentationError
 from ..gpu.device import DEFAULT_MAX_STEPS, GpuDevice
 from ..gpu.interpreter import LaunchResult

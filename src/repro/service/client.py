@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
 
 from ..core.races import DetectorReports
-from ..core.reference import DetectorConfig
+from ..core.races import DetectorConfig
 from ..errors import ReproError
 from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites

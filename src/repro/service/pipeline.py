@@ -30,7 +30,7 @@ import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.reference import DetectorConfig
+from ..core.races import DetectorConfig
 from ..errors import ReproError
 from ..faults import FaultInjector, FaultPlan
 from ..faults import sites as fault_sites

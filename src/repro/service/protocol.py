@@ -73,7 +73,7 @@ from ..core.races import (  # noqa: F401 - the payload codec, re-exported
     reports_from_payload,
     reports_to_payload,
 )
-from ..core.reference import (  # noqa: F401 - re-exported
+from ..core.races import (  # noqa: F401 - re-exported
     DetectorConfig,
     config_from_payload,
     config_to_payload,

@@ -25,7 +25,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Union
 
-from ..core.reference import DetectorConfig
+from ..core.races import DetectorConfig
 from ..errors import ReproError
 from ..faults import FaultPlan
 from ..jobs import STAGED_JOB_MODULES, staged_job

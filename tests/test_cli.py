@@ -1,6 +1,10 @@
 """The command-line interface."""
 
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -326,3 +330,40 @@ class TestCaptureFormats:
         assert run_cli(["convert", binary,
                         str(tmp_path / "no-such-dir" / "out.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Hash-seed determinism: reports and captures are bytes, not dict order
+# ----------------------------------------------------------------------
+_ROOT = pathlib.Path(__file__).parent.parent
+
+
+def _repro_under_hashseed(hashseed, cwd, *args):
+    env = dict(os.environ, PYTHONHASHSEED=str(hashseed),
+               PYTHONPATH=os.pathsep.join(
+                   [str(_ROOT / "src")]
+                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "repro", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=240)
+
+
+@pytest.mark.parametrize("example, launch", [
+    ("racy.cu", ["--grid", "2", "--block", "64"]),
+    ("handoff.cu", ["--grid", "2", "--block", "32", "--buffer", "data:4",
+                    "--buffer", "flag:4", "--buffer", "out:4", "--predict"]),
+])
+def test_check_and_replay_are_identical_across_hash_seeds(tmp_path, example,
+                                                          launch):
+    runs = []
+    for hashseed in (0, 1):
+        cwd = tmp_path / f"seed{hashseed}"
+        cwd.mkdir()
+        check = _repro_under_hashseed(
+            hashseed, cwd, "check", str(_ROOT / "examples" / example),
+            *launch, "--capture", "run.cap")
+        replay = _repro_under_hashseed(hashseed, cwd, "replay", "run.cap")
+        assert check.returncode == 1, check.stderr
+        assert " race" in check.stdout
+        runs.append((check.stdout, replay.returncode, replay.stdout,
+                     (cwd / "run.cap").read_bytes()))
+    assert runs[0] == runs[1]

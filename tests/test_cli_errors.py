@@ -146,6 +146,22 @@ class TestReplayErrors:
         assert cli.main(["replay", str(capture)]) == 2
         _assert_clean_error(capsys)
 
+    def test_hostile_access_width_is_a_one_line_error(self, tmp_path, capsys):
+        # One LOAD claiming a terabyte-wide access: it used to load
+        # cleanly and then hang the replay building ~2**38 shadow cells.
+        from repro.events import LogRecord, RecordKind
+        from repro.runtime.replay import save_capture_binary
+        from repro.trace.operations import Space
+
+        capture = tmp_path / "hostile.bcap"
+        record = LogRecord(kind=RecordKind.LOAD, warp=0, active=frozenset({0}),
+                           addrs={0: (Space.GLOBAL, 0)}, width=1 << 40)
+        with open(capture, "wb") as stream:
+            save_capture_binary(stream, LaunchConfig.of(1, 32, 32).layout(),
+                                [record], kernel="k")
+        assert cli.main(["replay", str(capture)]) == 2
+        assert "access width" in _assert_clean_error(capsys)
+
     def test_fault_plan_corruption_surfaces_as_clean_error(self, tmp_path,
                                                            capsys):
         capture = _write_capture(tmp_path)

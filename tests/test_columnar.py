@@ -38,6 +38,7 @@ from repro.runtime.replay import (
     load_capture,
     load_capture_binary,
     load_capture_path,
+    record_line_to_record,
     replay,
     save_capture,
     save_capture_binary,
@@ -112,6 +113,55 @@ def log_records(draw):
         width=draw(st.sampled_from([1, 2, 4, 8])),
         pc=draw(st.integers(min_value=-1, max_value=99)),
     )
+
+
+_DETECT_LAYOUT = LaunchConfig.of(2, 8, 4).layout()  # 4 warps of 4 threads
+
+
+@st.composite
+def memory_records(draw):
+    """The memory-rows-only sibling of ``log_records``, over tids and
+    warps ``_DETECT_LAYOUT`` has: every width the engine emits, addresses
+    that are unaligned and straddle cells, both spaces, rows naming only
+    part of their warp, and (one row in four) lanes scattered outside it
+    — the rows the fused loop must hand to the per-op path."""
+    warp = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.integers(min_value=0, max_value=3)):
+        lanes = st.integers(min_value=4 * warp, max_value=4 * warp + 3)
+    else:
+        lanes = st.integers(min_value=0, max_value=15)
+    tids = draw(st.sets(lanes, min_size=0, max_size=4))
+    kind = draw(st.sampled_from(
+        [RecordKind.LOAD, RecordKind.STORE, RecordKind.ATOMIC]))
+    values = {}
+    if kind is RecordKind.STORE:
+        values = {tid: draw(st.integers(min_value=0, max_value=2))
+                  for tid in tids if draw(st.booleans())}
+    return LogRecord(
+        kind=kind,
+        warp=warp,
+        active=frozenset(tids),
+        addrs={tid: (draw(st.sampled_from([Space.GLOBAL, Space.SHARED])),
+                     draw(st.integers(min_value=0, max_value=40)))
+               for tid in tids},
+        values=values,
+        width=draw(st.sampled_from([1, 2, 4, 8, 16, 32])),
+        pc=draw(st.integers(min_value=-1, max_value=9)),
+    )
+
+
+@st.composite
+def memory_streams(draw):
+    """Memory rows behind an optional divergence prefix, so some of the
+    lanes the rows name are inactive (their operations are NOPs)."""
+    prefix = []
+    for warp in draw(st.sets(st.integers(min_value=0, max_value=3))):
+        tids = range(4 * warp, 4 * warp + 4)
+        then_mask = draw(st.sets(st.sampled_from(tids), min_size=1))
+        prefix.append(LogRecord(
+            kind=RecordKind.BRANCH_IF, warp=warp, active=frozenset(tids),
+            then_mask=frozenset(then_mask), pc=0))
+    return prefix + draw(st.lists(memory_records(), max_size=12))
 
 
 class TestCodecRoundTrip:
@@ -191,6 +241,33 @@ class TestHostileInput:
         with pytest.raises(ReproError):
             load_capture_binary(stream)
 
+    @pytest.mark.parametrize("width", [0, -4, 33, 1 << 40])
+    @pytest.mark.parametrize("addr", [0, 1 << 65], ids=["column", "extras"])
+    def test_memory_row_width_outside_1_to_32_rejected(self, width, addr):
+        # The width sizes the shadow-cell expansion; the engine emits at
+        # most type_width * vector_count = 32 bytes.  ``addr`` picks the
+        # boundary: a flat column row, or an extras-table JSON record.
+        layout = LaunchConfig.of(1, 4, 4).layout()
+        record = LogRecord(kind=RecordKind.LOAD, warp=0,
+                           active=frozenset({0}),
+                           addrs={0: (Space.GLOBAL, addr)}, width=width)
+        stream = io.BytesIO()
+        save_capture_binary(stream, layout, [record], kernel="k")
+        stream.seek(0)
+        with pytest.raises(ReproError, match="access width"):
+            load_capture_binary(stream)
+
+    def test_jsonl_record_width_outside_1_to_32_rejected(self):
+        line = ('{"kind": "store", "warp": 0, "active": [0], '
+                '"addrs": {"0": ["global", 0]}, "width": %s}')
+        assert record_line_to_record(line % 32).width == 32
+        for width in ("0", "33", str(1 << 40), "4.5", '"4"'):
+            with pytest.raises(ReproError, match="malformed capture record"):
+                record_line_to_record(line % width)
+        # Only memory rows carry a width the detector expands.
+        barrier = '{"kind": "bar", "warp": 0, "active": [0], "width": 0}'
+        assert record_line_to_record(barrier).kind is RecordKind.BARRIER
+
     def test_batch_record_count_truncated_header(self):
         with pytest.raises(ReproError, match="truncated"):
             batch_record_count(b"\x01\x02")
@@ -222,6 +299,25 @@ class TestFusedDetection:
             fused.process_columnar(batch, config.granularity_bytes)
         assert fused.ops_processed == plain.ops_processed
         assert _race_keys(fused.reports) == _race_keys(plain.reports)
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=memory_streams(),
+           granularity=st.sampled_from([1, 2, 4, 8]),
+           batch_records=st.integers(min_value=1, max_value=6))
+    def test_fused_loop_matches_per_op_on_random_memory_rows(
+            self, records, granularity, batch_records):
+        config = DetectorConfig(granularity_bytes=granularity)
+        plain = per_record_oracle(_DETECT_LAYOUT, records, config)
+        fused = BarracudaDetector(_DETECT_LAYOUT, config)
+        for batch in iter_batches(records, batch_records=batch_records):
+            fused.process_columnar(batch, granularity)
+        assert fused.reports.races == plain.reports.races
+        assert _race_keys(fused.reports) == _race_keys(plain.reports)
+        assert (fused.reports.filtered_same_value
+                == plain.reports.filtered_same_value)
+        assert fused.ops_processed == plain.ops_processed
+        assert fused.clocks.joins == plain.clocks.joins
+        assert fused.shadow.stats == plain.shadow.stats
 
     def test_host_columnar_consume_identical(self):
         layout, records = _capture()

@@ -1,6 +1,21 @@
 """Record-to-trace-operation expansion (the host side of §4.2)."""
 
-from repro.events import LogRecord, RecordKind, record_to_ops
+import inspect
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.detector as detector_module
+import repro.events as events_module
+from repro.columnar import ColumnarBatch
+from repro.core.detector import BarracudaDetector
+from repro.events import (
+    LogRecord,
+    RecordKind,
+    _locations,
+    cell_offsets,
+    record_to_ops,
+)
 from repro.trace import (
     Barrier,
     Else,
@@ -104,3 +119,51 @@ def test_barrier_record_uses_block_id():
 def test_record_size_matches_paper():
     record = LogRecord(kind=RecordKind.LOAD, warp=0, active=frozenset())
     assert record.size_bytes() == 16 + 8 * 32 == 272
+
+
+# ----------------------------------------------------------------------
+# The one cell-expansion rule
+# ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(addr=st.integers(min_value=-(1 << 21), max_value=1 << 21),
+       width=st.integers(min_value=0, max_value=32),
+       granularity=st.sampled_from([1, 2, 3, 4, 8, 16]))
+def test_cell_offsets_cover_exactly_the_accessed_bytes(addr, width,
+                                                       granularity):
+    touched = range(addr, addr + max(width, 1))
+    brute = sorted({byte - byte % granularity for byte in touched})
+    assert list(cell_offsets(addr, width, granularity)) == brute
+
+
+def test_locations_are_cell_offsets_in_the_threads_block():
+    assert [(loc.space, loc.offset, loc.block)
+            for loc in _locations(LAYOUT, 9, Space.SHARED, 6, 4, 4)] == [
+        (Space.SHARED, 4, 1), (Space.SHARED, 8, 1)]
+    assert [(loc.space, loc.offset, loc.block)
+            for loc in _locations(LAYOUT, 9, Space.GLOBAL, 8, 4, 4)] == [
+        (Space.GLOBAL, 8, -1)]
+
+
+def test_no_cell_cache_between_an_access_and_its_shadow_cell():
+    """The expansion is arithmetic and the shadow memory is the only
+    map: no memo on ``_locations``, none on a detector instance."""
+    assert not hasattr(_locations, "cache_info")
+    assert not hasattr(cell_offsets, "cache_info")
+    memoised = [name for name, value in vars(events_module).items()
+                if hasattr(value, "cache_info")]
+    assert memoised == ["_sorted_mask"]  # masks, not cells
+    assert not any(hasattr(value, "cache_info")
+                   for value in vars(detector_module).values())
+    detector = BarracudaDetector(LAYOUT)
+    load = LogRecord(kind=RecordKind.LOAD, warp=0, active=frozenset({0, 1}),
+                     addrs={0: (Space.GLOBAL, 6), 1: (Space.SHARED, 6)})
+    detector.process_columnar(ColumnarBatch.from_records([load]))
+    assert detector.shadow.stats.entries == 4
+    # The only table a detector keeps by itself is the per-warp
+    # instruction counter; cells live in ``shadow`` and nowhere else.
+    assert [name for name, value in vars(detector).items()
+            if isinstance(value, dict)] == ["_instr"]
+    for module in (events_module, detector_module):
+        source = inspect.getsource(module)
+        for name in ("_loc_cells", "_entry_cache", "_loc_granularity"):
+            assert name not in source

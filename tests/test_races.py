@@ -1,13 +1,19 @@
 """Race report construction and classification (§4.3.3)."""
 
+import pytest
+
 from repro.core.races import (
     AccessType,
     BarrierDivergenceReport,
+    DetectorConfig,
     DetectorReports,
     RaceKind,
     RaceReport,
     classify,
+    config_from_payload,
+    config_to_payload,
 )
+from repro.errors import ProtocolError
 from repro.trace import GridLayout, global_loc, shared_loc
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=8, warp_size=4)
@@ -82,3 +88,35 @@ def test_shared_location_rendering():
     report = classify(LAYOUT, loc, 8, AccessType.ATOMIC, 12, AccessType.WRITE)
     assert "shared[b1]" in str(report)
     assert "atomic" in str(report)
+
+
+# ----------------------------------------------------------------------
+# DetectorConfig and its wire codec
+# ----------------------------------------------------------------------
+def test_config_round_trips_through_its_payload():
+    config = DetectorConfig(filter_same_value=False, granularity_bytes=1,
+                            provenance_depth=3)
+    assert config_from_payload(config_to_payload(config)) == config
+    assert config_from_payload(None) == DetectorConfig()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("granularity_bytes", 0), ("granularity_bytes", -4),
+    ("provenance_depth", -1),
+])
+def test_config_rejects_values_no_detector_can_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        DetectorConfig(**{field: value})
+    with pytest.raises(ProtocolError, match="malformed detector config"):
+        config_from_payload({field: value})
+
+
+def test_config_lives_with_the_reports_and_is_one_class():
+    import repro.core
+    import repro.core.reference
+    import repro.service.protocol
+
+    assert DetectorConfig.__module__ == "repro.core.races"
+    assert repro.core.DetectorConfig is DetectorConfig
+    assert repro.core.reference.DetectorConfig is DetectorConfig
+    assert repro.service.protocol.DetectorConfig is DetectorConfig

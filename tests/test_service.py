@@ -330,6 +330,27 @@ class TestServiceIntegration:
                 client._raise_on_error(
                     client._request(protocol.records_frame("job-999", [])))
 
+    @pytest.mark.parametrize("bad", [
+        {"granularity_bytes": -4},  # looped forever in the cell expansion
+        {"granularity_bytes": 0},   # ZeroDivisionError in the worker
+        {"provenance_depth": -1},
+    ])
+    def test_open_with_impossible_config_is_one_error_frame(
+            self, service, tmp_path, bad):
+        sock, race_service = service
+        path, layout, records = _capture_file(tmp_path, "g.jsonl")
+        header, _ = _lines(layout, records)
+        with ServiceClient(socket_path=sock) as client:
+            reply = client._request({"verb": protocol.OPEN,
+                                     "header_line": header + "\n",
+                                     "config": bad})
+            assert reply["verb"] == protocol.ERROR
+            assert "malformed detector config" in reply["message"]
+            assert "job_id" not in reply
+            assert not race_service.stats.jobs  # no job was created
+            result = client.submit_path(path)  # and the service still serves
+        assert _race_keys(result.reports) == _race_keys(replay(layout, records))
+
     def test_stats_surface(self, service, tmp_path):
         sock, _ = service
         path, _layout, records = _capture_file(tmp_path, "f.jsonl")

@@ -68,3 +68,21 @@ def test_reset_reads_restores_epoch_form():
     assert entry.readers is None
     assert not entry.read_shared
     assert entry.read_pcs == {}
+
+
+def test_entry_is_entry_at_through_either_door():
+    """``entry(loc)`` is the one-line adapter of ``entry_at(block, offset)``:
+    one record per cell and the same counters whichever door is used."""
+    locs = [global_loc(0), global_loc(PAGE_BYTES - 4), global_loc(PAGE_BYTES),
+            global_loc(-4), shared_loc(0, 16), shared_loc(1, 16)]
+    by_loc, by_cell = ShadowMemory(LAYOUT), ShadowMemory(LAYOUT)
+    for loc in locs:
+        entry = by_loc.entry(loc)
+        assert by_loc.entry_at(loc.block, loc.offset) is entry
+        assert by_loc.peek(loc) is entry
+        cell_entry = by_cell.entry_at(loc.block, loc.offset)
+        assert by_cell.entry(loc) is cell_entry
+        assert cell_entry.global_mem == entry.global_mem == (loc.block < 0)
+    assert by_loc.stats == by_cell.stats
+    assert by_cell.stats.entries == len(locs)
+    assert by_cell.stats.global_pages == 3  # pages -1, 0 and 1
