@@ -4,8 +4,23 @@
 once per launch into a closure; this module holds the part of that
 compilation that is pure value semantics and needs no execution state
 beyond operand access: the per-type wrap specializers, the arithmetic
-``compute(regs, tid)`` compilers (one per opcode, ``_ARITH_COMPILERS``),
-and the atomic read-modify-write table (``_ATOMIC_RMW``).
+compilers (one per opcode, ``_ARITH_COMPILERS``), and the atomic
+read-modify-write table (``_ATOMIC_RMW``).
+
+An arithmetic instruction compiles to one ``compute(regs, warp, lanes)``
+**per warp step**, over the shaped values of :mod:`repro.gpu.values`.
+Each compiler states the instruction's per-lane semantics once, as a
+scalar function of the raw operand values, and :func:`_lift` runs it at
+the cheapest shape the operands allow:
+
+* every operand UNIFORM — one scalar call for the whole warp;
+* AFFINE operands under an affine-preserving opcode (``mov``, ``add``,
+  ``sub``, ``mul.lo``, ``mad.lo``, ``shl``, integer ``cvt``) — the
+  closed form, kept only when the reader's wrap of each input and the
+  writer's wrap of the result are the identity at lane 0 and at the last
+  lane: in-range is an interval and the form is monotone in the lane, so
+  the two end lanes decide for all of them (:func:`_closed`);
+* otherwise — one ``map`` over the active lanes.
 
 Adding an arithmetic instruction is one compiler here; its opcode then
 appears in ``KernelExecution._DECODERS`` by construction.  The
@@ -15,17 +30,26 @@ the oracle interpreter in ``tests/oracle.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+import operator
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
-from ..ptx.ast import (
-    ImmOperand,
-    Instruction,
-    RegOperand,
-    SpecialRegOperand,
-    SymbolOperand,
-)
+from ..ptx.ast import Instruction
 from ..ptx.isa import FLOAT_TYPES, SIGNED_TYPES, type_width
+from .values import Affine, column
+
+
+def _identity(value):
+    return value
+
+
+def _int_range(type_name: Optional[str]) -> Optional[Tuple[int, int]]:
+    """``(mask, sign)`` of an integer type — ``sign`` is 0 when it is
+    unsigned — and ``None`` for float, predicate and untyped values."""
+    if type_name is None or type_name == "pred" or type_name in FLOAT_TYPES:
+        return None
+    width = type_width(type_name) * 8
+    signed = type_name in SIGNED_TYPES
+    return (1 << width) - 1, (1 << (width - 1)) if signed else 0
 
 
 def _make_wrap(type_name: Optional[str]) -> Callable:
@@ -35,15 +59,12 @@ def _make_wrap(type_name: Optional[str]) -> Callable:
     The type dispatch, bit mask and sign threshold are resolved once at
     decode time instead of per value.
     """
-    if type_name is None or type_name == "pred":
-        return lambda value: value
-    if type_name in FLOAT_TYPES:
-        return float
-    width = type_width(type_name) * 8
-    mask = (1 << width) - 1
-    if type_name in SIGNED_TYPES:
-        sign = 1 << (width - 1)
-        span = 1 << width
+    ints = _int_range(type_name)
+    if ints is None:
+        return float if type_name in FLOAT_TYPES else _identity
+    mask, sign = ints
+    if sign:
+        span = mask + 1
 
         def wrap_signed(value):
             value = int(value) & mask
@@ -57,32 +78,21 @@ def _make_wrap(type_name: Optional[str]) -> Callable:
     return wrap_unsigned
 
 
-def _wrap_plan(type_name: Optional[str]) -> Tuple:
-    """The wrap of ``type_name`` as data, for decode-time inlining.
-
-    Returns ``("ident",)``, ``("float",)``, ``("signed", mask, sign,
-    span)`` or ``("unsigned", mask)`` — the hot compilers below use this
-    to open-code the wrap arithmetic inside their compute closures
-    instead of paying a Python-level wrap call per operand.
-    """
-    if type_name is None or type_name == "pred":
-        return ("ident",)
-    if type_name in FLOAT_TYPES:
-        return ("float",)
-    width = type_width(type_name) * 8
-    mask = (1 << width) - 1
-    if type_name in SIGNED_TYPES:
-        return ("signed", mask, 1 << (width - 1), 1 << width)
-    return ("unsigned", mask)
+def _int_wrap(mask: int, sign: int) -> Callable:
+    """:func:`_make_wrap` of an integer type for integers only: the same
+    value on an ``int``, ``TypeError`` on a ``float``."""
+    if sign:
+        return lambda value: ((value + sign) & mask) - sign
+    return lambda value: value & mask
 
 
 _COMPARES = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+    "eq": operator.eq,
+    "ne": operator.ne,
+    "lt": operator.lt,
+    "le": operator.le,
+    "gt": operator.gt,
+    "ge": operator.ge,
 }
 
 _CVT_TYPES = frozenset(
@@ -90,275 +100,222 @@ _CVT_TYPES = frozenset(
      "b8", "b16", "b32", "b64"}
 )
 
+_U32 = 0xFFFFFFFF
+
 
 # ----------------------------------------------------------------------
-# Arithmetic compute compilers
-#
-# Each returns ``compute(regs, tid)`` producing the value assigned to
-# the destination register — bit-for-bit the value the corresponding
-# per-thread handler of the oracle (``tests/oracle.py``, ``_ARITH``)
-# would have written.
-#
-# The hot compilers constant-fold: operands whose value is fixed at
-# decode time (immediates, symbol addresses) are pre-wrapped once, and
-# register operands inline ``regs.get`` directly into the compute
-# closure instead of going through a per-operand getter call.  The wrap
-# is pure and idempotent, so pre-wrapping at decode time is
-# bit-identical to wrapping at execute time.
+# From one lane's semantics to a warp step
 # ----------------------------------------------------------------------
-def _operand_plan(exe, operand, wrap):
-    """Classify an operand for decode-time specialization.
+def _lift(
+    getters: Sequence[Callable],
+    general: Callable,
+    fast: Optional[Callable] = None,
+    closed: Optional[Callable] = None,
+) -> Callable:
+    """``compute(regs, warp, lanes)`` from per-lane scalar semantics.
 
-    Returns ``("const", wrapped_value)`` for operands fixed at decode
-    time, ``("reg", name)`` for plain registers, or ``("fn", get)`` with
-    a ``get(regs, tid)`` accessor for special registers.
+    ``general(*operand_values)`` is the instruction on one lane, wraps
+    included — bit-for-bit the value the oracle's per-thread handler
+    writes.  ``fast`` is the same function for integer operands only: it
+    must raise ``TypeError`` on anything else, and the column is then
+    redone with ``general``.  ``closed`` is the :func:`_closed` form.
+
+    The result is a UNIFORM or AFFINE value of the whole warp, or a list
+    with one entry per *active* lane (every lane when ``lanes`` is None).
     """
-    if isinstance(operand, ImmOperand):
-        return ("const", wrap(operand.value))
-    if isinstance(operand, SymbolOperand):
-        return ("const", wrap(exe._symbol_address(operand.name)))
-    if isinstance(operand, RegOperand):
-        return ("reg", operand.name)
-    if isinstance(operand, SpecialRegOperand):
-        specials = exe._specials
-        key = (operand.name, operand.dim)
-        return ("fn", lambda regs, tid: specials[tid][key])
-    raise SimulationError(f"cannot evaluate operand {operand!r}")
+
+    def compute(regs, warp, lanes):
+        values = [get(regs, warp) for get in getters]
+        per_lane = affine = False
+        for value in values:
+            kind = type(value)
+            if kind is list:
+                per_lane = True
+            elif kind is Affine:
+                affine = True
+        count = warp.lanes
+        if not per_lane:
+            if not affine:
+                return general(*values)
+            if closed is not None:
+                form = closed(values, count)
+                if form is not None:
+                    return form
+        columns = [column(value, count, lanes) for value in values]
+        if fast is not None:
+            try:
+                return list(map(fast, *columns))
+            except TypeError:
+                pass  # a float in an integer instruction
+        return list(map(general, *columns))
+
+    return compute
 
 
-def _plan_getter(kind, payload):
-    """Fall back from an operand plan to a generic ``get(regs, tid)``."""
-    if kind == "const":
-        value = payload
-        return lambda regs, tid: value
-    if kind == "reg":
-        name = payload
-        return lambda regs, tid: regs.get(name, 0)
-    return payload
+def _closed(
+    fn: Callable,
+    read_wraps: Sequence[Callable],
+    write_wrap: Callable,
+    linear: Optional[Callable] = None,
+) -> Callable:
+    """``closed(values, count)``: the AFFINE (or UNIFORM) result of an
+    opcode whose unwrapped ``fn`` is affine in its operands, or ``None``
+    when some lane would wrap.
 
-
-def _wrapped_getter(exe, operand, wrap, plan=None):
-    """A single-call ``get(regs, tid)`` returning the *wrapped* value.
-
-    Fuses the operand access and the type wrap into one closure call
-    (constants are wrapped once at decode time; for plain registers the
-    wrap arithmetic is open-coded into the closure).
+    ``linear(*values)`` vetoes operand shapes under which ``fn`` is not
+    affine in the lane (a product of two AFFINE values, a shift by one).
     """
-    kind, payload = _operand_plan(exe, operand, wrap)
-    if kind == "const":
-        value = payload
-        return lambda regs, tid: value
-    if kind == "reg":
-        name = payload
-        if plan is not None:
-            wkind = plan[0]
-            if wkind == "signed":
-                _w, mask, sign, span = plan
 
-                def get_signed(regs, tid):
-                    value = int(regs.get(name, 0)) & mask
-                    return value - span if value >= sign else value
+    def closed(values, count):
+        if linear is not None and not linear(*values):
+            return None
+        last = count - 1
+        first_lane, last_lane = [], []
+        for value, wrap in zip(values, read_wraps):
+            if type(value) is Affine:
+                low = value.base
+                high = low + value.stride * last
+                if wrap(low) != low or wrap(high) != high:
+                    return None
+            else:
+                low = high = wrap(value)
+            first_lane.append(low)
+            last_lane.append(high)
+        low, high = fn(*first_lane), fn(*last_lane)
+        if (
+            type(low) is not int
+            or type(high) is not int
+            or write_wrap(low) != low
+            or write_wrap(high) != high
+        ):
+            return None
+        stride = (high - low) // last
+        return Affine(low, stride) if stride else low
 
-                return get_signed
-            if wkind == "unsigned":
-                mask = plan[1]
-                return lambda regs, tid: int(regs.get(name, 0)) & mask
-            if wkind == "float":
-                return lambda regs, tid: float(regs.get(name, 0))
-            return lambda regs, tid: regs.get(name, 0)
-        return lambda regs, tid: wrap(regs.get(name, 0))
-    get = payload
-    return lambda regs, tid: wrap(get(regs, tid))
-
-
-def _raw_getter(exe, operand):
-    """A ``get(regs, tid)`` returning the operand value unwrapped."""
-    return _plan_getter(*_operand_plan(exe, operand, lambda value: value))
+    return closed
 
 
-def _compile_binop(fn):
-    def compiler(exe, insn: Instruction):
-        _dst, a, b = insn.operands
-        type_name = insn.value_type()
-        wrap = _make_wrap(type_name)
-        plan = _wrap_plan(type_name)
-        ka, va = _operand_plan(exe, a, wrap)
-        kb, vb = _operand_plan(exe, b, wrap)
-        if ka == "const" and kb == "const":
-            value = wrap(fn(va, vb))
-            return lambda regs, tid: value
-        wkind = plan[0]
-        if wkind == "signed" and ka != "fn" and kb != "fn":
-            # Fully open-coded: operand fetch, both input wraps, the
-            # result wrap — one closure call, zero nested Python calls
-            # beyond ``fn``.
-            _w, mask, sign, span = plan
-            if ka == "reg" and kb == "reg":
-                an, bn = va, vb
+def _one_affine_factor(a, b, *_addend) -> bool:
+    return type(a) is not Affine or type(b) is not Affine
 
-                def compute_ss(regs, tid):
-                    lhs = int(regs.get(an, 0)) & mask
-                    if lhs >= sign:
-                        lhs -= span
-                    rhs = int(regs.get(bn, 0)) & mask
-                    if rhs >= sign:
-                        rhs -= span
-                    value = int(fn(lhs, rhs)) & mask
-                    return value - span if value >= sign else value
 
-                return compute_ss
-            if ka == "reg":
-                an = va
+def _uniform_amount(_a, b) -> bool:
+    return type(b) is not Affine
 
-                def compute_sc(regs, tid):
-                    lhs = int(regs.get(an, 0)) & mask
-                    if lhs >= sign:
-                        lhs -= span
-                    value = int(fn(lhs, vb)) & mask
-                    return value - span if value >= sign else value
 
-                return compute_sc
-            bn = vb
+def _getters(exe, *operands) -> Tuple[Callable, ...]:
+    return tuple(exe._compile_value(operand) for operand in operands)
 
-            def compute_cs(regs, tid):
-                rhs = int(regs.get(bn, 0)) & mask
-                if rhs >= sign:
-                    rhs -= span
-                value = int(fn(va, rhs)) & mask
-                return value - span if value >= sign else value
 
-            return compute_cs
-        if wkind == "unsigned" and ka != "fn" and kb != "fn":
-            mask = plan[1]
-            if ka == "reg" and kb == "reg":
-                an, bn = va, vb
-                return lambda regs, tid: (
-                    int(fn(int(regs.get(an, 0)) & mask, int(regs.get(bn, 0)) & mask))
-                    & mask
-                )
-            if ka == "reg":
-                an = va
-                return lambda regs, tid: (
-                    int(fn(int(regs.get(an, 0)) & mask, vb)) & mask
-                )
-            bn = vb
-            return lambda regs, tid: (
-                int(fn(va, int(regs.get(bn, 0)) & mask)) & mask
-            )
-        if ka == "reg" and kb == "reg":
-            an, bn = va, vb
-            return lambda regs, tid: wrap(
-                fn(wrap(regs.get(an, 0)), wrap(regs.get(bn, 0)))
-            )
-        if ka == "reg" and kb == "const":
-            an = va
-            return lambda regs, tid: wrap(fn(wrap(regs.get(an, 0)), vb))
-        if ka == "const" and kb == "reg":
-            bn = vb
-            return lambda regs, tid: wrap(fn(va, wrap(regs.get(bn, 0))))
-        get_a = _plan_getter(ka, va)
-        get_b = _plan_getter(kb, vb)
+# ----------------------------------------------------------------------
+# Arithmetic compilers
+#
+# Each returns ``compute(regs, warp, lanes)`` producing the value
+# assigned to the destination register over the active lanes — lane for
+# lane the value the corresponding per-thread handler of the oracle
+# (``tests/oracle.py``, ``_ARITH``) would have written.
+# ----------------------------------------------------------------------
+def _compile_convert(get: Callable, *type_names: Optional[str]) -> Callable:
+    """``d = wrap_n(...wrap_1(source))``: ``mov``, ``cvt`` (source type
+    first) and ``ld.param`` of a bound value."""
+    wraps = [_make_wrap(name) for name in type_names]
+    if all(wrap is _identity for wrap in wraps):
 
-        def compute(regs, tid):
-            return wrap(fn(wrap(get_a(regs, tid)), wrap(get_b(regs, tid))))
+        def passthrough(regs, warp, lanes):
+            value = get(regs, warp)
+            if lanes is None or type(value) is not list:
+                return value  # a stored list is never mutated: alias it
+            return [value[lane] for lane in lanes]
 
-        return compute
+        return passthrough
+    first, last = wraps[0], wraps[-1]
+    general = first if len(wraps) == 1 else lambda value: last(first(value))
+    ranges = [_int_range(name) for name in type_names]
+    if None in ranges:
+        return _lift((get,), general)
+    fast = inner = _int_wrap(*ranges[0])
+    (source_mask, source_sign), (mask, sign) = ranges[0], ranges[-1]
+    if sign < source_sign or mask - sign < source_mask - source_sign:
+        # The destination does not hold every source value: wrap again.
+        outer = _int_wrap(mask, sign)
 
-    return compiler
+        def fast(value):
+            return outer(inner(value))
+
+    return _lift((get,), general, fast, _closed(_identity, (first,), last))
 
 
 def _compile_mov(exe, insn):
     _dst, src = insn.operands
-    type_name = insn.value_type()
-    return _wrapped_getter(exe, src, _make_wrap(type_name), _wrap_plan(type_name))
-
-
-def _compile_not(exe, insn):
-    _dst, src = insn.operands
-    type_name = insn.value_type()
-    get = exe._compile_value(src)
-    if type_name == "pred":
-        # not.pred is logical negation, not bitwise complement.
-        return lambda regs, tid: 0 if get(regs, tid) else 1
-    wrap = _make_wrap(type_name)
-    return lambda regs, tid: wrap(~int(get(regs, tid)))
-
-
-def _compile_neg(exe, insn):
-    _dst, src = insn.operands
-    wrap = _make_wrap(insn.value_type())
-    get = exe._compile_value(src)
-    return lambda regs, tid: wrap(-get(regs, tid))
-
-
-def _compile_abs(exe, insn):
-    _dst, src = insn.operands
-    wrap = _make_wrap(insn.value_type())
-    get = exe._compile_value(src)
-    return lambda regs, tid: wrap(abs(get(regs, tid)))
+    return _compile_convert(exe._compile_value(src), insn.value_type())
 
 
 def _compile_cvt(exe, insn):
     # cvt.<dst_type>.<src_type> — wrap through the source type first.
     _dst, src = insn.operands
     types = [m for m in insn.modifiers if m in _CVT_TYPES]
-    if len(types) == 2:
-        dplan = _wrap_plan(types[0])
-        splan = _wrap_plan(types[1])
-        if (
-            isinstance(src, RegOperand)
-            and dplan[0] in ("signed", "unsigned")
-            and splan[0] in ("signed", "unsigned")
-        ):
-            # Integer-to-integer conversion of a register: open-code
-            # both wraps (the hottest cvt shape — index widening).
-            name = src.name
-            if splan[0] == "unsigned":
-                smask = splan[1]
-                if dplan[0] == "unsigned":
-                    mask = smask & dplan[1]
-                    return lambda regs, tid: int(regs.get(name, 0)) & mask
-                _w, dmask, dsign, dspan = dplan
-
-                def cvt_us(regs, tid):
-                    value = (int(regs.get(name, 0)) & smask) & dmask
-                    return value - dspan if value >= dsign else value
-
-                return cvt_us
-            _w, smask, ssign, sspan = splan
-            if dplan[0] == "unsigned":
-                dmask = dplan[1]
-
-                def cvt_su(regs, tid):
-                    value = int(regs.get(name, 0)) & smask
-                    if value >= ssign:
-                        value -= sspan
-                    return value & dmask
-
-                return cvt_su
-            _w2, dmask, dsign, dspan = dplan
-
-            def cvt_ss(regs, tid):
-                value = int(regs.get(name, 0)) & smask
-                if value >= ssign:
-                    value -= sspan
-                value &= dmask
-                return value - dspan if value >= dsign else value
-
-            return cvt_ss
-        wrap_dst = _make_wrap(types[0])
-        wrap_src = _make_wrap(types[1])
-        get = exe._compile_value(src)
-        return lambda regs, tid: wrap_dst(wrap_src(get(regs, tid)))
-    type_name = insn.value_type()
-    return _wrapped_getter(exe, src, _make_wrap(type_name), _wrap_plan(type_name))
+    if len(types) != 2:
+        return _compile_mov(exe, insn)
+    return _compile_convert(exe._compile_value(src), types[1], types[0])
 
 
 def _compile_cvta(exe, insn):
     # Address-space conversion is a no-op in our flat address model.
     _dst, src = insn.operands
-    get = exe._compile_value(src)
-    return lambda regs, tid: get(regs, tid)
+    return _compile_convert(exe._compile_value(src), None)
+
+
+def _compile_binop(fn, ring: Optional[Callable] = None, linear=None):
+    """``d = wrap(fn(wrap(a), wrap(b)))``.
+
+    ``ring`` is ``fn`` on integers when it is a ring or bitwise
+    operation — one whose wrapped result depends only on the operands'
+    low bits, so the reader's wraps can be skipped on the integer path.
+    ``linear`` makes the opcode AFFINE-preserving (see :func:`_closed`).
+    """
+
+    def compiler(exe, insn: Instruction):
+        _dst, a, b = insn.operands
+        type_name = insn.value_type()
+        wrap = _make_wrap(type_name)
+        fast = closed = None
+        ints = _int_range(type_name)
+        if ring is not None and ints is not None:
+            mask, sign = ints
+            fast = (
+                (lambda x, y: ((ring(x, y) + sign) & mask) - sign) if sign
+                else (lambda x, y: ring(x, y) & mask)
+            )
+            if linear is not None:
+                closed = _closed(fn, (wrap, wrap), wrap, linear)
+        return _lift(
+            _getters(exe, a, b), lambda x, y: wrap(fn(wrap(x), wrap(y))),
+            fast, closed,
+        )
+
+    return compiler
+
+
+def _compile_not(exe, insn):
+    _dst, src = insn.operands
+    type_name = insn.value_type()
+    if type_name == "pred":
+        # not.pred is logical negation, not bitwise complement.
+        return _lift(_getters(exe, src), lambda value: 0 if value else 1)
+    wrap = _make_wrap(type_name)
+    return _lift(_getters(exe, src), lambda value: wrap(~int(value)))
+
+
+def _compile_neg(exe, insn):
+    _dst, src = insn.operands
+    wrap = _make_wrap(insn.value_type())
+    return _lift(_getters(exe, src), lambda value: wrap(-value))
+
+
+def _compile_abs(exe, insn):
+    _dst, src = insn.operands
+    wrap = _make_wrap(insn.value_type())
+    return _lift(_getters(exe, src), lambda value: wrap(abs(value)))
 
 
 def _mul_shift(insn) -> int:
@@ -368,9 +325,8 @@ def _mul_shift(insn) -> int:
     return 0
 
 
-#: ``mul.lo`` (and float ``mul``) is just the ``*`` binop: reuse the
-#: open-coded reg/const specializations instead of a wrap-call chain.
-_MUL_LOW = _compile_binop(lambda a, b: a * b)
+#: ``mul.lo`` (and float ``mul``) is just the ``*`` binop.
+_MUL_LOW = _compile_binop(operator.mul, operator.mul, _one_affine_factor)
 
 
 def _compile_mul(exe, insn):
@@ -378,93 +334,75 @@ def _compile_mul(exe, insn):
     if not shift:
         return _MUL_LOW(exe, insn)
     _dst, a, b = insn.operands
-    type_name = insn.value_type()
-    wrap = _make_wrap(type_name)
-    plan = _wrap_plan(type_name)
-    get_a = _wrapped_getter(exe, a, wrap, plan)
-    get_b = _wrapped_getter(exe, b, wrap, plan)
-    return lambda regs, tid: wrap(
-        int(get_a(regs, tid) * get_b(regs, tid)) >> shift
+    wrap = _make_wrap(insn.value_type())
+    return _lift(
+        _getters(exe, a, b),
+        lambda x, y: wrap(int(wrap(x) * wrap(y)) >> shift),
     )
 
 
 def _compile_mad(exe, insn):
+    # The addend is read raw: only the factors go through the type.
     _dst, a, b, c = insn.operands
     type_name = insn.value_type()
     wrap = _make_wrap(type_name)
-    plan = _wrap_plan(type_name)
-    get_a = _wrapped_getter(exe, a, wrap, plan)
-    get_b = _wrapped_getter(exe, b, wrap, plan)
-    get_c = _raw_getter(exe, c)
+    getters = _getters(exe, a, b, c)
     shift = _mul_shift(insn)
     if shift:
-
-        def compute_hi(regs, tid):
-            product = int(get_a(regs, tid) * get_b(regs, tid)) >> shift
-            return wrap(product + get_c(regs, tid))
-
-        return compute_hi
-
-    def compute(regs, tid):
-        return wrap(get_a(regs, tid) * get_b(regs, tid) + get_c(regs, tid))
-
-    return compute
+        return _lift(
+            getters,
+            lambda x, y, z: wrap((int(wrap(x) * wrap(y)) >> shift) + z),
+        )
+    closed = None
+    if _int_range(type_name) is not None:
+        closed = _closed(
+            lambda x, y, z: x * y + z, (wrap, wrap, _identity), wrap,
+            _one_affine_factor,
+        )
+    return _lift(
+        getters, lambda x, y, z: wrap(wrap(x) * wrap(y) + z), closed=closed
+    )
 
 
 def _compile_fma(exe, insn):
     _dst, a, b, c = insn.operands
     wrap = _make_wrap(insn.value_type())
-    get_a = _raw_getter(exe, a)
-    get_b = _raw_getter(exe, b)
-    get_c = _raw_getter(exe, c)
-    return lambda regs, tid: wrap(
-        get_a(regs, tid) * get_b(regs, tid) + get_c(regs, tid)
-    )
+    return _lift(_getters(exe, a, b, c), lambda x, y, z: wrap(x * y + z))
+
+
+def _truncated_quotient(lhs, rhs):
+    return int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs
 
 
 def _compile_div(exe, insn):
     _dst, a, b = insn.operands
     type_name = insn.value_type()
     wrap = _make_wrap(type_name)
-    plan = _wrap_plan(type_name)
-    get_a = _wrapped_getter(exe, a, wrap, plan)
-    get_b = _wrapped_getter(exe, b, wrap, plan)
     if type_name in FLOAT_TYPES:
 
-        def compute_float(regs, tid):
-            lhs = get_a(regs, tid)
-            rhs = get_b(regs, tid)
+        def divide(x, y):
+            lhs, rhs = wrap(x), wrap(y)
             return wrap(lhs / rhs if rhs else float("inf"))
 
-        return compute_float
+    else:
 
-    def compute(regs, tid):
-        lhs = get_a(regs, tid)
-        rhs = get_b(regs, tid)
-        if not rhs:
-            return wrap(0)  # modeled: integer division by zero yields 0
-        return wrap(int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs)
+        def divide(x, y):
+            lhs, rhs = wrap(x), wrap(y)
+            # Modeled: integer division by zero yields 0.
+            return wrap(_truncated_quotient(lhs, rhs) if rhs else 0)
 
-    return compute
+    return _lift(_getters(exe, a, b), divide)
 
 
 def _compile_rem(exe, insn):
     _dst, a, b = insn.operands
-    type_name = insn.value_type()
-    wrap = _make_wrap(type_name)
-    plan = _wrap_plan(type_name)
-    get_a = _wrapped_getter(exe, a, wrap, plan)
-    get_b = _wrapped_getter(exe, b, wrap, plan)
+    wrap = _make_wrap(insn.value_type())
 
-    def compute(regs, tid):
-        lhs = int(get_a(regs, tid))
-        rhs = int(get_b(regs, tid))
-        if not rhs:
-            return wrap(0)
-        quotient = int(lhs / rhs) if (lhs < 0) != (rhs < 0) else lhs // rhs
-        return wrap(lhs - rhs * quotient)
+    def remainder(x, y):
+        lhs, rhs = int(wrap(x)), int(wrap(y))
+        return wrap(lhs - rhs * _truncated_quotient(lhs, rhs) if rhs else 0)
 
-    return compute
+    return _lift(_getters(exe, a, b), remainder)
 
 
 def _compile_setp(exe, insn):
@@ -472,139 +410,88 @@ def _compile_setp(exe, insn):
     compare = _COMPARES[next(m for m in insn.modifiers if m in _COMPARES)]
     type_name = insn.value_type()
     wrap = _make_wrap(type_name)
-    plan = _wrap_plan(type_name)
-    ka, va = _operand_plan(exe, a, wrap)
-    kb, vb = _operand_plan(exe, b, wrap)
-    wkind = plan[0]
-    if wkind == "signed" and ka != "fn" and kb != "fn":
-        _w, mask, sign, span = plan
-        if ka == "reg" and kb == "reg":
-            an, bn = va, vb
-
-            def compute_ss(regs, tid):
-                lhs = int(regs.get(an, 0)) & mask
-                if lhs >= sign:
-                    lhs -= span
-                rhs = int(regs.get(bn, 0)) & mask
-                if rhs >= sign:
-                    rhs -= span
-                return 1 if compare(lhs, rhs) else 0
-
-            return compute_ss
-        if ka == "reg":
-            an = va
-
-            def compute_sc(regs, tid):
-                lhs = int(regs.get(an, 0)) & mask
-                if lhs >= sign:
-                    lhs -= span
-                return 1 if compare(lhs, vb) else 0
-
-            return compute_sc
-        if kb == "reg":
-            bn = vb
-
-            def compute_cs(regs, tid):
-                rhs = int(regs.get(bn, 0)) & mask
-                if rhs >= sign:
-                    rhs -= span
-                return 1 if compare(va, rhs) else 0
-
-            return compute_cs
-        value = 1 if compare(va, vb) else 0
-        return lambda regs, tid: value
-    if wkind == "unsigned" and ka != "fn" and kb != "fn":
-        mask = plan[1]
-        if ka == "reg" and kb == "reg":
-            an, bn = va, vb
-            return lambda regs, tid: (
-                1
-                if compare(int(regs.get(an, 0)) & mask, int(regs.get(bn, 0)) & mask)
-                else 0
-            )
-        if ka == "reg":
-            an = va
-            return lambda regs, tid: (
-                1 if compare(int(regs.get(an, 0)) & mask, vb) else 0
-            )
-        if kb == "reg":
-            bn = vb
-            return lambda regs, tid: (
-                1 if compare(va, int(regs.get(bn, 0)) & mask) else 0
-            )
-        value = 1 if compare(va, vb) else 0
-        return lambda regs, tid: value
-    if ka == "reg" and kb == "reg":
-        an, bn = va, vb
-        return lambda regs, tid: (
-            1 if compare(wrap(regs.get(an, 0)), wrap(regs.get(bn, 0))) else 0
+    fast = None
+    ints = _int_range(type_name)
+    if ints is not None:
+        mask, sign = ints
+        fast = (
+            (lambda x, y: 1 if compare(((x + sign) & mask) - sign,
+                                       ((y + sign) & mask) - sign) else 0)
+            if sign
+            else (lambda x, y: 1 if compare(x & mask, y & mask) else 0)
         )
-    if ka == "reg" and kb == "const":
-        an = va
-        return lambda regs, tid: 1 if compare(wrap(regs.get(an, 0)), vb) else 0
-    if ka == "const" and kb == "reg":
-        bn = vb
-        return lambda regs, tid: 1 if compare(va, wrap(regs.get(bn, 0))) else 0
-    get_a = _wrapped_getter(exe, a, wrap, plan)
-    get_b = _wrapped_getter(exe, b, wrap, plan)
-    return lambda regs, tid: (
-        1 if compare(get_a(regs, tid), get_b(regs, tid)) else 0
+    return _lift(
+        _getters(exe, a, b),
+        lambda x, y: 1 if compare(wrap(x), wrap(y)) else 0,
+        fast,
     )
 
 
 def _compile_selp(exe, insn):
     _dst, a, b, pred = insn.operands
-    type_name = insn.value_type()
-    wrap = _make_wrap(type_name)
-    plan = _wrap_plan(type_name)
-    get_a = _wrapped_getter(exe, a, wrap, plan)
-    get_b = _wrapped_getter(exe, b, wrap, plan)
-    get_p = _raw_getter(exe, pred)
-    return lambda regs, tid: (
-        get_a(regs, tid) if get_p(regs, tid) else get_b(regs, tid)
+    wrap = _make_wrap(insn.value_type())
+    return _lift(
+        _getters(exe, a, b, pred),
+        lambda x, y, p: wrap(x) if p else wrap(y),
     )
 
 
+def _shift_bits(insn) -> int:
+    """The width a shift amount clamps to (PTX: the amount is an
+    unsigned 32-bit value, anything above the operand width acts as the
+    width); 64, the widest register, for an untyped shift."""
+    type_name = insn.value_type()
+    return type_width(type_name) * 8 if type_name else 64
+
+
 def _compile_shl(exe, insn):
+    # Both operands are read raw; only the result is wrapped.
     _dst, a, b = insn.operands
-    wrap = _make_wrap(insn.value_type())
-    get_a = _raw_getter(exe, a)
-    kb, vb = _operand_plan(exe, b, lambda value: value)
-    if kb == "const":
-        shift = int(vb)
-        return lambda regs, tid: wrap(int(get_a(regs, tid)) << shift)
-    get_b = _plan_getter(kb, vb)
-    return lambda regs, tid: wrap(
-        int(get_a(regs, tid)) << int(get_b(regs, tid))
+    type_name = insn.value_type()
+    wrap = _make_wrap(type_name)
+    bits = _shift_bits(insn)
+
+    def shift(x, amount):
+        return int(x) << min(int(amount) & _U32, bits)
+
+    closed = None
+    if _int_range(type_name) is not None:
+        closed = _closed(shift, (_identity, _identity), wrap, _uniform_amount)
+    return _lift(
+        _getters(exe, a, b), lambda x, y: wrap(shift(x, y)), closed=closed
     )
 
 
 def _compile_shr(exe, insn):
     _dst, a, b = insn.operands
-    type_name = insn.value_type()
-    wrap = _make_wrap(type_name)
-    get_a = _wrapped_getter(exe, a, wrap, _wrap_plan(type_name))
-    kb, vb = _operand_plan(exe, b, lambda value: value)
-    if kb == "const":
-        shift = int(vb)
-        return lambda regs, tid: wrap(int(get_a(regs, tid)) >> shift)
-    get_b = _plan_getter(kb, vb)
-    return lambda regs, tid: wrap(
-        int(get_a(regs, tid)) >> int(get_b(regs, tid))
+    wrap = _make_wrap(insn.value_type())
+    bits = _shift_bits(insn)
+    return _lift(
+        _getters(exe, a, b),
+        lambda x, y: wrap(int(wrap(x)) >> min(int(y) & _U32, bits)),
     )
 
 
 def _compile_popc(exe, insn):
     _dst, src = insn.operands
-    get = exe._compile_value(src)
     mask64 = (1 << 64) - 1
-    return lambda regs, tid: bin(int(get(regs, tid)) & mask64).count("1")
+    return _lift(
+        _getters(exe, src), lambda value: bin(int(value) & mask64).count("1")
+    )
+
+
+def _bitwise(ring):
+    return _compile_binop(lambda a, b: ring(int(a), int(b)), ring)
+
+
+def _always(_a, _b) -> bool:
+    return True
 
 
 _ARITH_COMPILERS: Dict[str, Callable] = {
     "mov": _compile_mov,
-    "add": _compile_binop(lambda a, b: a + b),
-    "sub": _compile_binop(lambda a, b: a - b),
+    "add": _compile_binop(operator.add, operator.add, _always),
+    "sub": _compile_binop(operator.sub, operator.sub, _always),
     "mul": _compile_mul,
     "mad": _compile_mad,
     "fma": _compile_fma,
@@ -612,9 +499,9 @@ _ARITH_COMPILERS: Dict[str, Callable] = {
     "rem": _compile_rem,
     "min": _compile_binop(min),
     "max": _compile_binop(max),
-    "and": _compile_binop(lambda a, b: int(a) & int(b)),
-    "or": _compile_binop(lambda a, b: int(a) | int(b)),
-    "xor": _compile_binop(lambda a, b: int(a) ^ int(b)),
+    "and": _bitwise(operator.and_),
+    "or": _bitwise(operator.or_),
+    "xor": _bitwise(operator.xor),
     "not": _compile_not,
     "neg": _compile_neg,
     "abs": _compile_abs,

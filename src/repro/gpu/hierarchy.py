@@ -99,14 +99,16 @@ class LaunchConfig:
         the instrumentation injects.
         """
         layout = self.layout()
-        block_flat = layout.block_of(tid)
-        thread_flat = layout.thread_in_block(tid)
-        block_index = self.grid.unflatten(block_flat)
-        thread_index = self.block.unflatten(thread_flat)
         return {
-            ("%tid", "x"): thread_index.x,
-            ("%tid", "y"): thread_index.y,
-            ("%tid", "z"): thread_index.z,
+            **self.block_registers(layout.block_of(tid)),
+            **self.thread_registers(layout.thread_in_block(tid)),
+        }
+
+    def block_registers(self, block_flat: int) -> dict:
+        """The special registers every thread of block ``block_flat``
+        shares."""
+        block_index = self.grid.unflatten(block_flat)
+        return {
             ("%ntid", "x"): self.block.x,
             ("%ntid", "y"): self.block.y,
             ("%ntid", "z"): self.block.z,
@@ -116,10 +118,19 @@ class LaunchConfig:
             ("%nctaid", "x"): self.grid.x,
             ("%nctaid", "y"): self.grid.y,
             ("%nctaid", "z"): self.grid.z,
-            ("%laneid", None): layout.lane_of(tid),
-            ("%warpid", None): layout.warp_of(tid) % layout.warps_per_block,
-            ("%nwarpid", None): layout.warps_per_block,
+            ("%nwarpid", None): -(-self.block.count // self.warp_size),
             ("%gridid", None): 0,
+        }
+
+    def thread_registers(self, thread_flat: int) -> dict:
+        """The special registers of thread ``thread_flat`` of any block."""
+        thread_index = self.block.unflatten(thread_flat)
+        return {
+            ("%tid", "x"): thread_index.x,
+            ("%tid", "y"): thread_index.y,
+            ("%tid", "z"): thread_index.z,
+            ("%laneid", None): thread_flat % self.warp_size,
+            ("%warpid", None): thread_flat // self.warp_size,
         }
 
     def unique_tid(self, block_index: Dim3, thread_index: Dim3) -> int:

@@ -30,9 +30,13 @@ and executing a step is one indirect call.
 * branch targets, reconvergence PCs and symbol addresses are
   pre-resolved to integers;
 * predicates are pre-bound to ``(register, negated)`` closures;
-* operand access compiles to ``fn(regs, tid)`` getters with the
-  register-file lookup hoisted out (every thread of a warp shares the
-  warp's top frame);
+* the register file is **per warp**: one ``dict`` per frame whose
+  values are UNIFORM, AFFINE or PER-LANE (:mod:`repro.gpu.values`), so
+  an instruction whose operands the warp agrees on costs one scalar
+  operation, not one per lane; operand access compiles to
+  ``get(regs, warp)`` returning the shaped value, and whatever needs
+  lanes (addresses, records, memory, divergence) reads them through
+  :func:`repro.gpu.values.column`;
 * type wrapping is specialized per instruction
   (:func:`repro.gpu.engine._make_wrap`), with mask and sign bit
   precomputed;
@@ -76,9 +80,10 @@ from ..ptx.isa import type_width
 from ..events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
 from ..trace.layout import GridLayout
 from ..trace.operations import Scope, Space
-from .engine import _ARITH_COMPILERS, _ATOMIC_RMW, _make_wrap
+from .engine import _ARITH_COMPILERS, _ATOMIC_RMW, _compile_convert, _make_wrap
 from .hierarchy import LaunchConfig
 from .memory import GlobalMemory, SharedMemory
+from .values import Affine, Lanes, column, merge, shape_of
 
 #: Modeled cost (in instruction slots) of one logging call: slot
 #: reservation, per-lane address stores, header fill and commit (§4.2).
@@ -104,6 +109,9 @@ class _StackEntry:
     #: can be computed once instead of per memory operation.
     _sorted: Optional[Tuple[int, ...]] = None
     _frozen: Optional[FrozenSet[int]] = None
+    #: ``amask`` as lane indices (a ``values.Lanes``); ``False`` until
+    #: ``_active_lanes`` fills it in.
+    _lanes: object = False
 
     def sorted_active(self) -> Tuple[int, ...]:
         cached = self._sorted
@@ -137,12 +145,13 @@ class _Frame:
 
     ctx: ExecContext
     stack: List[_StackEntry]
-    #: Per-thread registers.  The kernel frame owns the launch-wide file;
-    #: device functions get fresh files (PTX registers are
-    #: function-scoped).
-    regs: Dict[int, Dict[str, object]]
-    #: Per-thread parameter bindings for ``ld.param`` inside the body.
-    params: Dict[str, Dict[int, object]] = field(default_factory=dict)
+    #: The warp's registers, one shaped value (``repro.gpu.values``) per
+    #: name; a register never written reads as UNIFORM 0.  Device
+    #: functions get fresh files (PTX registers are function-scoped).
+    regs: Dict[str, object]
+    #: Shaped argument values bound to the callee's ``.param`` names,
+    #: for ``ld.param`` inside the body.
+    params: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -155,7 +164,13 @@ class WarpState:
 
     warp: int
     block: int
+    #: The warp's threads are ``first_tid .. first_tid + lanes - 1``; a
+    #: thread's lane is its offset from ``first_tid``.
+    first_tid: int
+    lanes: int
     frames: List[_Frame]
+    #: The warp's special registers as shaped values, built on first use.
+    specials: Optional[Dict[Tuple[str, Optional[str]], object]] = None
     done: bool = False
     at_barrier: bool = False
     instructions: int = 0
@@ -226,17 +241,47 @@ class ListSink(EventSink):
 DecodedOp = Callable[[WarpState, _StackEntry], bool]
 
 
-def _active_tids(entry: _StackEntry, regs_map, pred) -> Tuple[int, ...]:
-    """The sorted active threads of ``entry``, predicate applied."""
-    tids = entry._sorted
-    if tids is None:
+def _active_lanes(warp: WarpState, entry: _StackEntry, regs, pred) -> Lanes:
+    """The lanes of ``entry`` its guard predicate leaves active — ``()``
+    when it leaves none."""
+    lanes = entry._lanes
+    if lanes is False:
+        # Cached: the mask of a stack entry never changes.
         tids = entry.sorted_active()
+        first = warp.first_tid
+        lanes = entry._lanes = (
+            None if len(tids) == warp.lanes else tuple(t - first for t in tids)
+        )
     if pred is None:
-        return tids
-    pname, pneg = pred
-    return tuple(
-        t for t in tids if bool(regs_map[t].get(pname, 0)) != pneg
+        return lanes
+    name, negated = pred
+    value = regs.get(name, 0)
+    kind = type(value)
+    if kind is not list and kind is not Affine:
+        # A UNIFORM predicate decides for the whole warp.
+        return lanes if bool(value) != negated else ()
+    count = warp.lanes
+    flags = column(value, count)
+    chosen = tuple(
+        lane for lane in (range(count) if lanes is None else lanes)
+        if bool(flags[lane]) != negated
     )
+    return None if len(chosen) == count else chosen
+
+
+def _tids(warp: WarpState, lanes: Lanes) -> Sequence[int]:
+    """The global thread ids of ``lanes``, ascending."""
+    first = warp.first_tid
+    if lanes is None:
+        return range(first, first + warp.lanes)
+    return [first + lane for lane in lanes]
+
+
+def _write(regs, name: str, value, count: int, lanes: Lanes) -> None:
+    """Assign a warp step's result (see ``engine._lift``) to a register;
+    under a partial mask the other lanes keep their old value."""
+    regs[name] = value if lanes is None else merge(
+        regs.get(name, 0), value, count, lanes)
 
 
 #: What compiling a malformed statement raises (wrong operand count or
@@ -268,7 +313,7 @@ def _transfer_decoder(execute: Callable) -> Callable:
 
 def _warp_op_decoder(execute: Callable) -> Callable:
     """A table entry for a warp-wide opcode implemented as
-    ``execute(self, warp, entry, insn, active)`` over the threads the
+    ``execute(self, warp, entry, insn, lanes)`` over the lanes the
     predicate leaves active (``shfl``/``vote``/``cp``)."""
 
     def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
@@ -283,7 +328,7 @@ def _warp_op_decoder(execute: Callable) -> Callable:
             result.cycles += 1
             execute(
                 self, warp, entry, insn,
-                _active_tids(entry, warp.frames[-1].regs, pred),
+                _active_lanes(warp, entry, warp.frames[-1].regs, pred),
             )
             entry.pc = next_pc
             return False
@@ -345,36 +390,38 @@ class KernelExecution:
             self.shared_symbols[decl.name] = cursor
             cursor += decl.size_bytes
         self.shared_bytes = cursor
-        # Special registers (per thread, launch-wide).
-        self._specials: Dict[int, dict] = {
-            tid: config.special_registers(tid) for tid in self.layout.all_tids()
-        }
+        # Shaped ``LaunchConfig.thread_registers`` by a warp's first
+        # thread-in-block (see ``_special``).
+        self._lane_registers: Dict[int, dict] = {}
         # .local state space: thread-private, persists across call frames.
         self._local: Dict[int, SharedMemory] = {}
         # Active-mask flyweights: one frozenset per distinct mask, shared
         # between SIMT stack entries and every LogRecord that carries it.
         self._mask_intern: Dict[Tuple[int, ...], FrozenSet[int]] = {}
-        self.warps: List[WarpState] = [
-            WarpState(
+        self.warps: List[WarpState] = []
+        for w in self.layout.all_warps():
+            tids = self.layout.warp_tids(w)
+            self.warps.append(WarpState(
                 warp=w,
                 block=self.layout.block_of_warp(w),
+                first_tid=tids[0],
+                lanes=len(tids),
                 frames=[
                     _Frame(
                         ctx=self._kernel_ctx,
                         stack=[
                             _StackEntry(
-                                amask=set(self.layout.warp_tids(w)),
+                                amask=set(tids),
                                 pc=0,
                                 reconv_pc=self._kernel_ctx.end_pc,
                                 phase=_Phase.BASE,
+                                _lanes=None,
                             )
                         ],
-                        regs={tid: {} for tid in self.layout.warp_tids(w)},
+                        regs={},
                     )
                 ],
-            )
-            for w in self.layout.all_warps()
-        ]
+            ))
         # Barrier bookkeeping, kept by ``try_release_barriers``: warps not
         # yet done, warps parked at any barrier, and those of them parked
         # at the grid-wide one.
@@ -397,25 +444,32 @@ class KernelExecution:
     # ------------------------------------------------------------------
     # Operand evaluation
     # ------------------------------------------------------------------
-    def _frame_of(self, tid: int) -> _Frame:
-        return self.warps[self.layout.warp_of(tid)].frame
+    def _special(self, warp: WarpState, key: Tuple[str, Optional[str]]):
+        """A special register of ``warp`` as a shaped value: ``%tid.x``
+        of a 1-D block is AFFINE, ``%ctaid``/``%ntid`` UNIFORM, a block
+        narrower than the warp whatever its lanes say."""
+        table = warp.specials
+        if table is None:
+            config = self.config
+            # The per-thread half depends only on where in its block the
+            # warp sits, so the blocks of a launch share it.
+            start = warp.first_tid - warp.block * self.layout.threads_per_block
+            shaped = self._lane_registers.get(start)
+            if shaped is None:
+                rows = [
+                    config.thread_registers(start + lane)
+                    for lane in range(warp.lanes)
+                ]
+                shaped = self._lane_registers[start] = {
+                    name: shape_of([row[name] for row in rows]) for name in rows[0]
+                }
+            table = warp.specials = {**config.block_registers(warp.block), **shaped}
+        return table[key]
 
-    def _reg(self, tid: int, name: str):
-        return self._frame_of(tid).regs[tid].get(name, 0)
-
-    def _set_reg(self, tid: int, name: str, value) -> None:
-        self._frame_of(tid).regs[tid][name] = value
-
-    def _value(self, tid: int, operand: Operand):
-        if isinstance(operand, RegOperand):
-            return self._reg(tid, operand.name)
-        if isinstance(operand, ImmOperand):
-            return operand.value
-        if isinstance(operand, SpecialRegOperand):
-            return self._specials[tid][(operand.name, operand.dim)]
-        if isinstance(operand, SymbolOperand):
-            return self._symbol_address(operand.name)
-        raise SimulationError(f"cannot evaluate operand {operand!r}")
+    def _lanes_of(self, warp: WarpState, operand: Operand) -> Sequence:
+        """``operand`` in the warp's top frame, one entry per lane."""
+        value = self._compile_value(operand)(warp.frames[-1].regs, warp)
+        return column(value, warp.lanes)
 
     def _symbol_address(self, name: str) -> int:
         if name in self.shared_symbols:
@@ -424,26 +478,12 @@ class KernelExecution:
             return self.global_symbols[name]
         raise SimulationError(f"unknown symbol {name!r}")
 
-    def _address(self, tid: int, operand: MemOperand) -> int:
-        if operand.base.startswith("%"):
-            base = int(self._reg(tid, operand.base))
-        else:
-            base = self._symbol_address(operand.base)
-        return base + operand.offset
-
     def _local_store(self, tid: int) -> SharedMemory:
         store = self._local.get(tid)
         if store is None:
             store = SharedMemory()
             self._local[tid] = store
         return store
-
-    def _pred_holds(self, tid: int, pred: Optional[Tuple[str, bool]]) -> bool:
-        if pred is None:
-            return True
-        name, negated = pred
-        value = bool(self._reg(tid, name))
-        return value != negated
 
     # ------------------------------------------------------------------
     # Active-mask flyweights
@@ -596,7 +636,7 @@ class KernelExecution:
             warp.cycles += 1
             result.instructions += 1
             result.cycles += 1
-            if _active_tids(entry, warp.frames[-1].regs, pred):
+            if _active_lanes(warp, entry, warp.frames[-1].regs, pred) != ():
                 raise error
             entry.pc = next_pc
             return False
@@ -611,35 +651,35 @@ class KernelExecution:
 
     # -- operand compilation -------------------------------------------
     def _compile_value(self, operand: Operand) -> Callable:
-        """Compile an operand to ``get(regs, tid)``.
-
-        ``regs`` is the thread's register dict of the warp's top frame —
-        the ``tid -> warp -> frame`` walk of ``_value`` is hoisted into
-        the enclosing loop.
-        """
+        """Compile an operand to ``get(regs, warp)``: its shaped value,
+        read raw, in the register file ``regs`` of the warp's top frame."""
         if isinstance(operand, RegOperand):
             name = operand.name
-            return lambda regs, tid: regs.get(name, 0)
+            return lambda regs, warp: regs.get(name, 0)
         if isinstance(operand, ImmOperand):
             value = operand.value
-            return lambda regs, tid: value
+            return lambda regs, warp: value
         if isinstance(operand, SpecialRegOperand):
-            specials = self._specials
+            special = self._special
             key = (operand.name, operand.dim)
-            return lambda regs, tid: specials[tid][key]
+            return lambda regs, warp: special(warp, key)
         if isinstance(operand, SymbolOperand):
             addr = self._symbol_address(operand.name)
-            return lambda regs, tid: addr
+            return lambda regs, warp: addr
         raise SimulationError(f"cannot evaluate operand {operand!r}")
 
     def _compile_address(self, operand: MemOperand) -> Callable:
-        """Compile ``[base+offset]`` to ``addr(regs, tid)``."""
+        """Compile ``[base+offset]`` to ``addrs(regs, warp, lanes)``: the
+        address of every active lane, in lane order."""
         base = operand.base
         offset = operand.offset
         if base.startswith("%"):
-            return lambda regs, tid: int(regs.get(base, 0)) + offset
+            return lambda regs, warp, lanes: [
+                int(address) + offset
+                for address in column(regs.get(base, 0), warp.lanes, lanes)
+            ]
         addr = self._symbol_address(base) + offset
-        return lambda regs, tid: addr
+        return lambda regs, warp, lanes: column(addr, warp.lanes, lanes)
 
     # -- control flow ---------------------------------------------------
     def _decode_branch(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
@@ -672,10 +712,15 @@ class KernelExecution:
             result.instructions += 1
             result.cycles += 1
             amask = entry.amask
-            regs_map = warp.frames[-1].regs
-            taken = {
-                t for t in amask if bool(regs_map[t].get(pname, 0)) != pneg
-            }
+            value = warp.frames[-1].regs.get(pname, 0)
+            kind = type(value)
+            if kind is not list and kind is not Affine:
+                # A UNIFORM predicate takes the whole warp one way.
+                entry.pc = target_pc if bool(value) != pneg else next_pc
+                return False
+            flags = column(value, warp.lanes)
+            first = warp.first_tid
+            taken = {t for t in amask if bool(flags[t - first]) != pneg}
             if len(taken) == len(amask):
                 entry.pc = target_pc
                 return False
@@ -770,11 +815,12 @@ class KernelExecution:
 
     def _exec_ret(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
         if insn.pred is not None:
-            exiting = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
-            if not exiting:
+            regs = warp.frame.regs
+            exiting = _active_lanes(warp, entry, regs, insn.pred)
+            if exiting == ():
                 entry.pc += 1
                 return
-            if exiting != set(entry.amask):
+            if exiting != _active_lanes(warp, entry, regs, None):
                 raise SimulationError(
                     f"{warp.frame.ctx.kernel.name!r}: partially-predicated "
                     f"return at pc {entry.pc} is not supported; guard the "
@@ -797,8 +843,9 @@ class KernelExecution:
         """Enter a device function with the current active threads.
 
         Arguments are evaluated in the caller's frame and bound to the
-        callee's ``.param`` names per thread, so per-thread values (like
-        the instrumentation's unique TID, §4.1) pass through naturally.
+        callee's ``.param`` names as shaped values, so per-thread values
+        (like the instrumentation's unique TID, §4.1) pass through
+        naturally.
         """
         target = insn.operands[0]
         if not isinstance(target, SymbolOperand):
@@ -813,13 +860,15 @@ class KernelExecution:
                 f"call to {function.name!r}: {len(args)} argument(s) for "
                 f"{len(function.params)} parameter(s)"
             )
-        active = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
-        if not active:
+        regs = warp.frame.regs
+        lanes = _active_lanes(warp, entry, regs, insn.pred)
+        if lanes == ():
             entry.pc += 1
             return
-        bindings: Dict[str, Dict[int, object]] = {}
-        for param, arg in zip(function.params, args):
-            bindings[param.name] = {tid: self._value(tid, arg) for tid in active}
+        bindings = {
+            param.name: self._compile_value(arg)(regs, warp)
+            for param, arg in zip(function.params, args)
+        }
         entry.pc += 1  # resume here after the return
         ctx = self._context_for(function)
         warp.frames.append(
@@ -827,13 +876,14 @@ class KernelExecution:
                 ctx=ctx,
                 stack=[
                     _StackEntry(
-                        amask=active,
+                        amask=set(_tids(warp, lanes)),
                         pc=0,
                         reconv_pc=ctx.end_pc,
                         phase=_Phase.BASE,
+                        _lanes=lanes,
                     )
                 ],
-                regs={tid: {} for tid in self.layout.warp_tids(warp.warp)},
+                regs={},
                 params=bindings,
             )
         )
@@ -891,7 +941,7 @@ class KernelExecution:
                 "st": RecordKind.STORE,
                 "atom": RecordKind.ATOMIC,
             }[mods[1]]
-            scope = Scope.GLOBAL
+            scope = None
         elif category == "sync":
             kind = {
                 "acq": RecordKind.ACQUIRE,
@@ -904,7 +954,7 @@ class KernelExecution:
         space = Space.SHARED if "shared" in mods else Space.GLOBAL
         width = type_width(insn.value_type()) if insn.value_type() else 4
         width *= insn.vector_count()
-        addr_of = self._compile_address(insn.operands[0])
+        addrs_of = self._compile_address(insn.operands[0])
         value_of = None
         if kind is RecordKind.STORE and len(insn.operands) > 1:
             value_of = self._compile_value(insn.operands[1])
@@ -913,7 +963,6 @@ class KernelExecution:
         emit = sink.emit
         frozen_active = self.frozen_active
         intern_mask = self.intern_mask
-        is_sync = category == "sync"
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             warp.instructions += 1
@@ -921,52 +970,37 @@ class KernelExecution:
             result.instructions += 1
             result.cycles += LOG_COST
             entry.pc = next_pc
-            regs_map = warp.frames[-1].regs
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes == ():
+                return True
             if pred is None:
-                tids = entry._sorted
-                if tids is None:
-                    tids = entry.sorted_active()
-                if not tids:
-                    return True
+                tids = entry._sorted or entry.sorted_active()
                 frozen = entry._frozen
                 if frozen is None:
                     frozen = frozen_active(entry)
             else:
-                pname, pneg = pred
-                tids = [
-                    t
-                    for t in entry.sorted_active()
-                    if bool(regs_map[t].get(pname, 0)) != pneg
-                ]
-                if not tids:
-                    return True
+                tids = _tids(warp, lanes)
                 frozen = intern_mask(tids)
-            addrs = {t: (space, addr_of(regs_map[t], t)) for t in tids}
+            addrs = {
+                t: (space, addr)
+                for t, addr in zip(tids, addrs_of(regs, warp, lanes))
+            }
             if value_of is None:
                 values: Dict[int, int] = {}
             else:
-                values = {t: int(value_of(regs_map[t], t)) for t in tids}
-            if is_sync:
-                record = LogRecord(
-                    kind=kind,
-                    warp=warp.warp,
-                    active=frozen,
-                    addrs=addrs,
-                    scope=scope,
-                    width=width,
-                    pc=pc_line,
-                )
-            else:
-                record = LogRecord(
-                    kind=kind,
-                    warp=warp.warp,
-                    active=frozen,
-                    addrs=addrs,
-                    values=values,
-                    width=width,
-                    pc=pc_line,
-                )
-            warp.cycles += emit(record)
+                stored = column(value_of(regs, warp), warp.lanes, lanes)
+                values = {t: int(value) for t, value in zip(tids, stored)}
+            warp.cycles += emit(LogRecord(
+                kind=kind,
+                warp=warp.warp,
+                active=frozen,
+                addrs=addrs,
+                values=values,
+                scope=scope,
+                width=width,
+                pc=pc_line,
+            ))
             result.records_emitted += 1
             return True
 
@@ -1010,64 +1044,27 @@ class KernelExecution:
         type_name = insn.value_type()
         width = type_width(type_name) if type_name else 4
         space = insn.state_space().value
+        vector = isinstance(dst, VectorOperand)
+        if space == "param" and not vector:
+            # A move from the callee's ``.param`` binding, else from the
+            # launch parameter (one UNIFORM).
+            name = src.base if isinstance(src, MemOperand) else str(src)
+            launch_params = self.params
+
+            def bound(regs, warp):
+                params = warp.frames[-1].params
+                return params[name] if name in params else launch_params.get(name, 0)
+
+            return self._value_op(pc, insn, _compile_convert(bound, type_name))
+
         wrap = _make_wrap(type_name)
         result = self.result
         next_pc = pc + 1
         pred = insn.pred
-
-        if isinstance(dst, VectorOperand):
-            addr_of = self._compile_address(src)
-            lanes = tuple(
-                (lane_index * width, reg_name)
-                for lane_index, reg_name in enumerate(dst.regs)
-            )
-            load_raw = self._compile_raw_load(space, width)
-
-            def op_vec(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                regs_map = warp.frames[-1].regs
-                block = warp.block
-                for tid in _active_tids(entry, regs_map, pred):
-                    regs = regs_map[tid]
-                    addr = addr_of(regs, tid)
-                    for lane_offset, reg_name in lanes:
-                        regs[reg_name] = wrap(
-                            load_raw(block, tid, addr + lane_offset)
-                        )
-                entry.pc = next_pc
-                return False
-
-            return op_vec
-
-        dst_name = dst.name
-        if space == "param":
-            name = src.base if isinstance(src, MemOperand) else str(src)
-            launch_params = self.params
-
-            def op_param(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                frame = warp.frames[-1]
-                regs_map = frame.regs
-                binding = frame.params.get(name)
-                if binding is None:
-                    value = launch_params.get(name, 0)
-                    for tid in _active_tids(entry, regs_map, pred):
-                        regs_map[tid][dst_name] = wrap(value)
-                else:
-                    for tid in _active_tids(entry, regs_map, pred):
-                        regs_map[tid][dst_name] = wrap(binding.get(tid, 0))
-                entry.pc = next_pc
-                return False
-
-            return op_param
-
-        addr_of = self._compile_address(src)
+        # A vector load fills ``dst.regs`` from consecutive elements.
+        names = dst.regs if vector else (dst.name,)
+        offsets = range(0, len(names) * width, width)
+        addrs_of = self._compile_address(src)
         load_raw = self._compile_raw_load(space, width)
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
@@ -1075,11 +1072,21 @@ class KernelExecution:
             warp.cycles += 1
             result.instructions += 1
             result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            block = warp.block
-            for tid in _active_tids(entry, regs_map, pred):
-                regs = regs_map[tid]
-                regs[dst_name] = wrap(load_raw(block, tid, addr_of(regs, tid)))
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes != ():
+                block = warp.block
+                accesses = zip(_tids(warp, lanes), addrs_of(regs, warp, lanes))
+                if vector:
+                    # Thread by thread, then element by element.
+                    loaded = map(list, zip(*[
+                        [wrap(load_raw(block, tid, addr + offset)) for offset in offsets]
+                        for tid, addr in accesses
+                    ]))
+                else:
+                    loaded = [[wrap(load_raw(block, tid, addr)) for tid, addr in accesses]]
+                for name, values in zip(names, loaded):
+                    _write(regs, name, values, warp.lanes, lanes)
             entry.pc = next_pc
             return False
 
@@ -1094,52 +1101,43 @@ class KernelExecution:
         next_pc = pc + 1
         pred = insn.pred
         umask = (1 << (width * 8)) - 1
-        addr_of = self._compile_address(dst)
+        addrs_of = self._compile_address(dst)
         store_raw = self._compile_raw_store(space, width)
-
-        if isinstance(src, VectorOperand):
-            lanes = tuple(
-                (lane_index * width, reg_name)
-                for lane_index, reg_name in enumerate(src.regs)
-            )
-
-            def op_vec(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                regs_map = warp.frames[-1].regs
-                block = warp.block
-                for tid in _active_tids(entry, regs_map, pred):
-                    regs = regs_map[tid]
-                    addr = addr_of(regs, tid)
-                    for lane_offset, reg_name in lanes:
-                        raw = int(regs.get(reg_name, 0)) & umask
-                        store_raw(block, tid, addr + lane_offset, raw)
-                entry.pc = next_pc
-                return False
-
-            return op_vec
-
-        value_of = self._compile_value(src)
+        # A vector store spreads ``src.regs`` over consecutive elements.
+        vector = isinstance(src, VectorOperand)
+        sources = [
+            self._compile_value(element)
+            for element in (map(RegOperand, src.regs) if vector else (src,))
+        ]
+        offsets = range(0, len(sources) * width, width)
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             warp.instructions += 1
             warp.cycles += 1
             result.instructions += 1
             result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            block = warp.block
-            for tid in _active_tids(entry, regs_map, pred):
-                regs = regs_map[tid]
-                value = value_of(regs, tid)
-                if isinstance(value, float):
-                    # Modeled: float stores round toward zero (and are
-                    # deliberately not masked — oracle parity).
-                    raw = int(value)
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes != ():
+                block = warp.block
+                count = warp.lanes
+                tids = _tids(warp, lanes)
+                addrs = addrs_of(regs, warp, lanes)
+                stored = [column(get(regs, warp), count, lanes) for get in sources]
+                if vector:
+                    # Thread by thread, then element by element.
+                    for tid, addr, *values in zip(tids, addrs, *stored):
+                        for offset, value in zip(offsets, values):
+                            store_raw(block, tid, addr + offset, int(value) & umask)
                 else:
-                    raw = int(value) & umask
-                store_raw(block, tid, addr_of(regs, tid), raw)
+                    for tid, addr, value in zip(tids, addrs, stored[0]):
+                        if isinstance(value, float):
+                            # Modeled: float stores round toward zero (and
+                            # are deliberately not masked — oracle parity).
+                            raw = int(value)
+                        else:
+                            raw = int(value) & umask
+                        store_raw(block, tid, addr, raw)
             entry.pc = next_pc
             return False
 
@@ -1164,7 +1162,7 @@ class KernelExecution:
         src_gets = tuple(
             self._compile_value(s) for s in (operands[2:] if has_dst else operands[1:])
         )
-        addr_of = self._compile_address(mem_op)
+        addrs_of = self._compile_address(mem_op)
         wrap = _make_wrap(type_name)
         atomic = (self.shared_mem if space == "shared" else self.global_mem).atomic
         result = self.result
@@ -1176,20 +1174,23 @@ class KernelExecution:
             warp.cycles += 1
             result.instructions += 1
             result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            block = warp.block
-            for tid in _active_tids(entry, regs_map, pred):
-                regs = regs_map[tid]
-                addr = addr_of(regs, tid)
-                values = [int(g(regs, tid)) for g in src_gets]
-                old = atomic(
-                    block,
-                    addr,
-                    width,
-                    lambda o, _v=values: rmw2(o & umask, _v),
-                )
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes != ():
+                block = warp.block
+                count = warp.lanes
+                sources = [column(g(regs, warp), count, lanes) for g in src_gets]
+                old = []
+                for addr, *raw in zip(addrs_of(regs, warp, lanes), *sources):
+                    values = [int(value) for value in raw]
+                    old.append(wrap(atomic(
+                        block,
+                        addr,
+                        width,
+                        lambda o, _v=values: rmw2(o & umask, _v),
+                    )))
                 if dst_name is not None:
-                    regs[dst_name] = wrap(old)
+                    _write(regs, dst_name, old, count, lanes)
             entry.pc = next_pc
             return False
 
@@ -1197,46 +1198,31 @@ class KernelExecution:
 
     # -- arithmetic -------------------------------------------------------
     def _decode_arith(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        compute = _ARITH_COMPILERS[insn.opcode](self, insn)
+        return self._value_op(pc, insn, _ARITH_COMPILERS[insn.opcode](self, insn))
+
+    def _value_op(self, pc: int, insn: Instruction, compute: Callable) -> DecodedOp:
+        """The warp step of ``d = compute(regs, warp, lanes)``: one call
+        for the whole warp; a partial mask merges into the old value."""
         dst_name = insn.operands[0].name
         result = self.result
         next_pc = pc + 1
         pred = insn.pred
-        if pred is None:
 
-            def op(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
-                tids = entry._sorted
-                if tids is None:
-                    tids = entry.sorted_active()
-                regs_map = warp.frames[-1].regs
-                for tid in tids:
-                    regs = regs_map[tid]
-                    regs[dst_name] = compute(regs, tid)
-                entry.pc = next_pc
-                return False
-
-            return op
-
-        pname, pneg = pred
-
-        def op_pred(warp: WarpState, entry: _StackEntry) -> bool:
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
             warp.instructions += 1
             warp.cycles += 1
             result.instructions += 1
             result.cycles += 1
-            regs_map = warp.frames[-1].regs
-            for tid in entry.sorted_active():
-                regs = regs_map[tid]
-                if bool(regs.get(pname, 0)) != pneg:
-                    regs[dst_name] = compute(regs, tid)
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes is None:
+                regs[dst_name] = compute(regs, warp, None)
+            elif lanes:
+                _write(regs, dst_name, compute(regs, warp, lanes), warp.lanes, lanes)
             entry.pc = next_pc
             return False
 
-        return op_pred
+        return op
 
     # -- warp-synchronous exchange (shfl.sync / vote.sync) ----------------
     def _warp_sync_lanes(
@@ -1251,14 +1237,12 @@ class KernelExecution:
         diverged away, is a malformed sync and raises.
         """
         if active:
-            mask = int(self._value(active[0], operand))
+            mask = int(self._lanes_of(warp, operand)[active[0]])
         elif isinstance(operand, ImmOperand):
             mask = int(operand.value)
         else:
             mask = 0
-        lane_of = self.layout.lane_of
-        existing = {lane_of(t) for t in self.layout.warp_tids(warp.warp)}
-        required = frozenset(l for l in existing if (mask >> l) & 1)
+        required = frozenset(l for l in range(warp.lanes) if (mask >> l) & 1)
         name = warp.frame.ctx.kernel.name
         if not required:
             raise SimulationError(
@@ -1266,8 +1250,7 @@ class KernelExecution:
                 f"membermask 0x{mask & 0xFFFFFFFF:08x} selecting no live "
                 "lane of the warp"
             )
-        active_lanes = {lane_of(t) for t in active}
-        missing = required - active_lanes
+        missing = required.difference(active)
         if missing:
             raise SimulationError(
                 f"{name!r}: {insn.full_opcode} at pc {entry.pc} with "
@@ -1279,7 +1262,7 @@ class KernelExecution:
 
     def _exec_shfl(
         self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        active: Sequence[int],
+        lanes: Lanes,
     ) -> None:
         """``shfl.sync.{up,down,bfly,idx}.b32 d, a, b, c, membermask``.
 
@@ -1295,51 +1278,44 @@ class KernelExecution:
         if mode is None or len(insn.operands) != 5:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         dst, src, boff, cop, maskop = insn.operands
+        active = range(warp.lanes) if lanes is None else lanes
         required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
-        lane_of = self.layout.lane_of
         wrap = _make_wrap(insn.value_type())
-        # Gather every source lane's value before any write: the exchange
-        # is simultaneous across the warp.
-        lane_values = {
-            lane_of(t): self._value(t, src)
-            for t in active
-            if lane_of(t) in required
-        }
-        results = {}
-        for tid in active:
-            lane = lane_of(tid)
-            own = self._value(tid, src)
-            if lane not in required:
-                results[tid] = own
-                continue
-            b = int(self._value(tid, boff)) & 31
-            c = int(self._value(tid, cop))
-            cval = c & 31
-            segmask = (c >> 8) & 31
-            max_lane = (lane & segmask) | (cval & ~segmask & 31)
-            min_lane = lane & segmask
-            if mode == "up":
-                j = lane - b
-                in_bounds = j >= min_lane
-            elif mode == "down":
-                j = lane + b
-                in_bounds = j <= max_lane
-            elif mode == "bfly":
-                j = lane ^ b
-                in_bounds = j <= max_lane
-            else:  # idx
-                j = min_lane | (b & ~segmask & 31)
-                in_bounds = j <= max_lane
-            if in_bounds and j in lane_values:
-                results[tid] = lane_values[j]
-            else:
-                results[tid] = own
-        for tid, value in results.items():
-            self._set_reg(tid, dst.name, wrap(value))
+        # Every source lane's value is read before any write: the
+        # exchange is simultaneous across the warp.
+        source = self._lanes_of(warp, src)
+        offsets = self._lanes_of(warp, boff)
+        clamps = self._lanes_of(warp, cop)
+        results = []
+        for lane in active:
+            chosen = source[lane]
+            if lane in required:
+                b = int(offsets[lane]) & 31
+                c = int(clamps[lane])
+                cval = c & 31
+                segmask = (c >> 8) & 31
+                max_lane = (lane & segmask) | (cval & ~segmask & 31)
+                min_lane = lane & segmask
+                if mode == "up":
+                    j = lane - b
+                    in_bounds = j >= min_lane
+                elif mode == "down":
+                    j = lane + b
+                    in_bounds = j <= max_lane
+                elif mode == "bfly":
+                    j = lane ^ b
+                    in_bounds = j <= max_lane
+                else:  # idx
+                    j = min_lane | (b & ~segmask & 31)
+                    in_bounds = j <= max_lane
+                if in_bounds and j in required:
+                    chosen = source[j]
+            results.append(wrap(chosen))
+        _write(warp.frame.regs, dst.name, results, warp.lanes, lanes)
 
     def _exec_vote(
         self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        active: Sequence[int],
+        lanes: Lanes,
     ) -> None:
         """``vote.sync.{ballot.b32,any.pred,all.pred,uni.pred}``.
 
@@ -1356,41 +1332,39 @@ class KernelExecution:
         if mode is None or len(insn.operands) != 3:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         dst, src, maskop = insn.operands
+        active = range(warp.lanes) if lanes is None else lanes
         required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
-        lane_of = self.layout.lane_of
         wrap = _make_wrap(insn.value_type())
-        preds = {
-            lane_of(t): bool(self._value(t, src))
-            for t in active
-            if lane_of(t) in required
-        }
+        flags = self._lanes_of(warp, src)
+        preds = [bool(flags[lane]) for lane in sorted(required)]
         if mode == "ballot":
-            joined = 0
-            for lane, value in preds.items():
-                if value:
-                    joined |= 1 << lane
+            joined = sum(1 << lane for lane in required if flags[lane])
         elif mode == "any":
-            joined = 1 if any(preds.values()) else 0
+            joined = 1 if any(preds) else 0
         elif mode == "all":
-            joined = 1 if all(preds.values()) else 0
+            joined = 1 if all(preds) else 0
         else:  # uni: all participating lanes agree
-            joined = 1 if len(set(preds.values())) <= 1 else 0
-        for tid in active:
-            lane = lane_of(tid)
-            if lane in required:
-                value = joined
-            elif mode == "ballot":
-                value = 0
-            elif mode == "uni":
-                value = 1
-            else:
-                value = 1 if self._value(tid, src) else 0
-            self._set_reg(tid, dst.name, wrap(value))
+            joined = 1 if len(set(preds)) <= 1 else 0
+        if required.issuperset(active):
+            result = wrap(joined)  # one UNIFORM for the whole warp
+        else:
+            result = []
+            for lane in active:
+                if lane in required:
+                    value = joined
+                elif mode == "ballot":
+                    value = 0
+                elif mode == "uni":
+                    value = 1
+                else:
+                    value = 1 if flags[lane] else 0
+                result.append(wrap(value))
+        _write(warp.frame.regs, dst.name, result, warp.lanes, lanes)
 
     # -- asynchronous copies (cp.async) -----------------------------------
     def _exec_cp(
         self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        active: Sequence[int],
+        lanes: Lanes,
     ) -> None:
         """``cp.async`` copies and their commit/wait bookkeeping.
 
@@ -1444,14 +1418,18 @@ class KernelExecution:
                 f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy size "
                 "must be 4, 8, or 16 bytes"
             )
-        if not active:
+        if lanes == ():
             return
+        regs = warp.frame.regs
+        active = _tids(warp, lanes)
         src_addrs = {}
         dst_addrs = {}
         values = {}
-        for tid in active:
-            saddr = self._address(tid, src)
-            daddr = self._address(tid, dst)
+        for tid, saddr, daddr in zip(
+            active,
+            self._compile_address(src)(regs, warp, lanes),
+            self._compile_address(dst)(regs, warp, lanes),
+        ):
             raw = self.global_mem.load(warp.block, saddr, size)
             self.shared_mem.store(warp.block, daddr, size, raw)
             src_addrs[tid] = (Space.GLOBAL, saddr)

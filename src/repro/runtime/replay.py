@@ -108,6 +108,18 @@ def _record_from_json(payload: dict) -> LogRecord:
                 and 1 <= record.width <= MAX_ACCESS_BYTES):
             raise ValueError(
                 f"access width {record.width} outside 1..{MAX_ACCESS_BYTES}")
+        # The detector orders and indexes by these: a string (or a bool,
+        # which JSON spells differently) must not get that far.
+        for name, numbers in (
+            ("warp", (record.warp,)),
+            ("pc", (record.pc,)),
+            ("active", record.active),
+            ("then_mask", record.then_mask),
+            ("addrs", [addr for _space, addr in record.addrs.values()]),
+        ):
+            for number in numbers:
+                if type(number) is not int:
+                    raise TypeError(f"{name} holds {number!r}, not an integer")
     except (KeyError, ValueError, TypeError) as exc:
         raise ReproError(f"malformed capture record: {exc}") from exc
     return record

@@ -17,7 +17,7 @@ the launches inside a ``with`` block.
 """
 
 import contextlib
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 import pytest
 
@@ -33,11 +33,22 @@ from repro.gpu.interpreter import (
     LOG_COST,
     KernelExecution,
     WarpState,
+    _Frame,
     _Phase,
     _StackEntry,
 )
 from repro.gpu.scheduler import RoundRobinScheduler
-from repro.ptx.ast import Instruction, Label, MemOperand, VectorOperand
+from repro.ptx.ast import (
+    ImmOperand,
+    Instruction,
+    Label,
+    MemOperand,
+    Operand,
+    RegOperand,
+    SpecialRegOperand,
+    SymbolOperand,
+    VectorOperand,
+)
 from repro.ptx.isa import FLOAT_TYPES, SIGNED_TYPES, type_width
 from repro.trace.operations import Scope, Space
 
@@ -189,11 +200,61 @@ def _as_unsigned(value: int, width_bytes: int) -> int:
 
 
 class NaiveKernelExecution(KernelExecution):
-    """``KernelExecution`` as it was before decode-once closures: the
-    step loop, the opcode chain and every per-thread handler below are
-    the deleted production code, verbatim.  ``call``/``ret``/``shfl``/
-    ``vote``/``cp`` and the barrier release are inherited — production
-    never had a second implementation of those."""
+    """``KernelExecution`` as it was before decode-once closures and the
+    warp-level register file: the step loop, the opcode chain, the
+    per-thread register file and every per-thread handler below are the
+    deleted production code, verbatim.  It owns its storage — one
+    ``dict`` per thread in each frame's ``regs``, one special-register
+    ``dict`` per thread, per-thread ``call`` bindings — and nothing
+    below reads a production register file; only the launch set-up, the
+    SIMT-stack pops, ``cp.async`` completion and the barrier release
+    are inherited."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._specials: Dict[int, dict] = {
+            tid: self.config.special_registers(tid)
+            for tid in self.layout.all_tids()
+        }
+        for warp in self.warps:
+            warp.frame.regs = {tid: {} for tid in self.layout.warp_tids(warp.warp)}
+
+    # ------------------------------------------------------------------
+    # Operand evaluation (per thread)
+    # ------------------------------------------------------------------
+    def _frame_of(self, tid: int) -> _Frame:
+        return self.warps[self.layout.warp_of(tid)].frame
+
+    def _reg(self, tid: int, name: str):
+        return self._frame_of(tid).regs[tid].get(name, 0)
+
+    def _set_reg(self, tid: int, name: str, value) -> None:
+        self._frame_of(tid).regs[tid][name] = value
+
+    def _value(self, tid: int, operand: Operand):
+        if isinstance(operand, RegOperand):
+            return self._reg(tid, operand.name)
+        if isinstance(operand, ImmOperand):
+            return operand.value
+        if isinstance(operand, SpecialRegOperand):
+            return self._specials[tid][(operand.name, operand.dim)]
+        if isinstance(operand, SymbolOperand):
+            return self._symbol_address(operand.name)
+        raise SimulationError(f"cannot evaluate operand {operand!r}")
+
+    def _address(self, tid: int, operand: MemOperand) -> int:
+        if operand.base.startswith("%"):
+            base = int(self._reg(tid, operand.base))
+        else:
+            base = self._symbol_address(operand.base)
+        return base + operand.offset
+
+    def _pred_holds(self, tid: int, pred: Optional[Tuple[str, bool]]) -> bool:
+        if pred is None:
+            return True
+        name, negated = pred
+        value = bool(self._reg(tid, name))
+        return value != negated
 
     def step(self, warp: WarpState) -> None:
         """Execute one instruction slot of ``warp``.
@@ -334,6 +395,319 @@ class NaiveKernelExecution(KernelExecution):
         warp.stack.append(
             _StackEntry(
                 amask=not_taken, pc=branch_pc + 1, reconv_pc=reconv, phase=_Phase.THEN
+            )
+        )
+
+    def _exec_ret(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+        if insn.pred is not None:
+            exiting = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
+            if not exiting:
+                entry.pc += 1
+                return
+            if exiting != set(entry.amask):
+                raise SimulationError(
+                    f"{warp.frame.ctx.kernel.name!r}: partially-predicated "
+                    f"return at pc {entry.pc} is not supported; guard the "
+                    "return with a branch instead"
+                )
+        if len(warp.stack) > 1:
+            raise SimulationError(
+                f"{warp.frame.ctx.kernel.name!r}: divergent return at pc "
+                f"{entry.pc} is not supported; structure exits through the "
+                "reconvergence point"
+            )
+        if len(warp.frames) > 1:
+            # Device-function return: resume the caller (which already
+            # advanced past the call instruction).
+            warp.frames.pop()
+            return
+        self._finish_warp(warp)
+
+    def _exec_call(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+        """Enter a device function with the current active threads.
+
+        Arguments are evaluated in the caller's frame and bound to the
+        callee's ``.param`` names per thread, so per-thread values (like
+        the instrumentation's unique TID, §4.1) pass through naturally.
+        """
+        target = insn.operands[0]
+        if not isinstance(target, SymbolOperand):
+            raise SimulationError(f"call target must be a function name: {insn}")
+        try:
+            function = self.module.function(target.name)
+        except KeyError as exc:
+            raise SimulationError(str(exc)) from exc
+        args = insn.operands[1:]
+        if len(args) != len(function.params):
+            raise SimulationError(
+                f"call to {function.name!r}: {len(args)} argument(s) for "
+                f"{len(function.params)} parameter(s)"
+            )
+        active = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
+        if not active:
+            entry.pc += 1
+            return
+        bindings: Dict[str, Dict[int, object]] = {}
+        for param, arg in zip(function.params, args):
+            bindings[param.name] = {tid: self._value(tid, arg) for tid in active}
+        entry.pc += 1  # resume here after the return
+        ctx = self._context_for(function)
+        warp.frames.append(
+            _Frame(
+                ctx=ctx,
+                stack=[
+                    _StackEntry(
+                        amask=active,
+                        pc=0,
+                        reconv_pc=ctx.end_pc,
+                        phase=_Phase.BASE,
+                    )
+                ],
+                regs={tid: {} for tid in self.layout.warp_tids(warp.warp)},
+                params=bindings,
+            )
+        )
+
+    def _warp_sync_lanes(
+        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        active: Sequence[int], operand: Operand,
+    ) -> FrozenSet[int]:
+        """Validate a ``.sync`` membermask; returns the required lanes.
+
+        The mask names the lanes that must reach the instruction
+        together.  Lanes the warp does not have (partial warps) are
+        ignored; a mask with no live lane, or one naming a lane that
+        diverged away, is a malformed sync and raises.
+        """
+        if active:
+            mask = int(self._value(active[0], operand))
+        elif isinstance(operand, ImmOperand):
+            mask = int(operand.value)
+        else:
+            mask = 0
+        lane_of = self.layout.lane_of
+        existing = {lane_of(t) for t in self.layout.warp_tids(warp.warp)}
+        required = frozenset(l for l in existing if (mask >> l) & 1)
+        name = warp.frame.ctx.kernel.name
+        if not required:
+            raise SimulationError(
+                f"{name!r}: {insn.full_opcode} at pc {entry.pc} has "
+                f"membermask 0x{mask & 0xFFFFFFFF:08x} selecting no live "
+                "lane of the warp"
+            )
+        active_lanes = {lane_of(t) for t in active}
+        missing = required - active_lanes
+        if missing:
+            raise SimulationError(
+                f"{name!r}: {insn.full_opcode} at pc {entry.pc} with "
+                f"membermask 0x{mask & 0xFFFFFFFF:08x} requires lane(s) "
+                f"{sorted(missing)} that did not reach it; all mask lanes "
+                "must arrive together"
+            )
+        return required
+
+    def _exec_shfl(
+        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        active: Sequence[int],
+    ) -> None:
+        """``shfl.sync.{up,down,bfly,idx}.b32 d, a, b, c, membermask``.
+
+        Register-level lane exchange (PTX ISA 9.7.9.3): no memory is
+        touched and no record is emitted — by construction the detector
+        cannot flag the communication as a race.  Lanes outside the
+        membermask keep their own value (defined fallback).
+        """
+        mode = next(
+            (m for m in insn.modifiers if m in ("up", "down", "bfly", "idx")),
+            None,
+        )
+        if mode is None or len(insn.operands) != 5:
+            raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+        dst, src, boff, cop, maskop = insn.operands
+        required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
+        lane_of = self.layout.lane_of
+        type_name = insn.value_type()
+        # Gather every source lane's value before any write: the exchange
+        # is simultaneous across the warp.
+        lane_values = {
+            lane_of(t): self._value(t, src)
+            for t in active
+            if lane_of(t) in required
+        }
+        results = {}
+        for tid in active:
+            lane = lane_of(tid)
+            own = self._value(tid, src)
+            if lane not in required:
+                results[tid] = own
+                continue
+            b = int(self._value(tid, boff)) & 31
+            c = int(self._value(tid, cop))
+            cval = c & 31
+            segmask = (c >> 8) & 31
+            max_lane = (lane & segmask) | (cval & ~segmask & 31)
+            min_lane = lane & segmask
+            if mode == "up":
+                j = lane - b
+                in_bounds = j >= min_lane
+            elif mode == "down":
+                j = lane + b
+                in_bounds = j <= max_lane
+            elif mode == "bfly":
+                j = lane ^ b
+                in_bounds = j <= max_lane
+            else:  # idx
+                j = min_lane | (b & ~segmask & 31)
+                in_bounds = j <= max_lane
+            if in_bounds and j in lane_values:
+                results[tid] = lane_values[j]
+            else:
+                results[tid] = own
+        for tid, value in results.items():
+            self._set_reg(tid, dst.name, _wrap(value, type_name))
+
+    def _exec_vote(
+        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        active: Sequence[int],
+    ) -> None:
+        """``vote.sync.{ballot.b32,any.pred,all.pred,uni.pred}``.
+
+        Warp-wide predicate reduction over the membermask's lanes; like
+        shfl, pure register traffic.  Lanes outside the mask get the
+        defined fallbacks: 0 for ballot, their own predicate for
+        any/all, 1 for uni.
+        """
+        mode = next(
+            (m for m in insn.modifiers
+             if m in ("ballot", "any", "all", "uni")),
+            None,
+        )
+        if mode is None or len(insn.operands) != 3:
+            raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+        dst, src, maskop = insn.operands
+        required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
+        lane_of = self.layout.lane_of
+        type_name = insn.value_type()
+        preds = {
+            lane_of(t): bool(self._value(t, src))
+            for t in active
+            if lane_of(t) in required
+        }
+        if mode == "ballot":
+            joined = 0
+            for lane, value in preds.items():
+                if value:
+                    joined |= 1 << lane
+        elif mode == "any":
+            joined = 1 if any(preds.values()) else 0
+        elif mode == "all":
+            joined = 1 if all(preds.values()) else 0
+        else:  # uni: all participating lanes agree
+            joined = 1 if len(set(preds.values())) <= 1 else 0
+        for tid in active:
+            lane = lane_of(tid)
+            if lane in required:
+                value = joined
+            elif mode == "ballot":
+                value = 0
+            elif mode == "uni":
+                value = 1
+            else:
+                value = 1 if self._value(tid, src) else 0
+            self._set_reg(tid, dst.name, _wrap(value, type_name))
+
+    # -- asynchronous copies (cp.async) -----------------------------------
+    def _exec_cp(
+        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        active: Sequence[int],
+    ) -> None:
+        """``cp.async`` copies and their commit/wait bookkeeping.
+
+        The global read happens (and is logged) at issue; the shared
+        write's *record* is deferred until the copy's completion edge —
+        ``wait_group``/``wait_all``, or warp exit for copies never
+        waited on.  The deferral is what lets the detector see an
+        unwaited copy's store as unordered with post-barrier readers.
+        """
+        mods = insn.modifiers
+        name = warp.frame.ctx.kernel.name
+        if "async" not in mods:
+            raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+        if "commit_group" in mods:
+            warp.async_groups.append(warp.async_pending)
+            warp.async_pending = []
+            return
+        if "wait_all" in mods:
+            self._flush_async(warp, 0, include_uncommitted=True)
+            return
+        if "wait_group" in mods:
+            if len(insn.operands) != 1 or not isinstance(
+                insn.operands[0], ImmOperand
+            ):
+                raise SimulationError(
+                    f"{name!r}: {insn.full_opcode} at pc {entry.pc} needs "
+                    "one immediate group count"
+                )
+            keep = int(insn.operands[0].value)
+            if keep < 0:
+                raise SimulationError(
+                    f"{name!r}: {insn.full_opcode} at pc {entry.pc}: group "
+                    f"count must be non-negative, got {keep}"
+                )
+            self._flush_async(warp, keep)
+            return
+        if len(insn.operands) != 3:
+            raise SimulationError(
+                f"{name!r}: {insn.full_opcode} at pc {entry.pc} needs "
+                "destination, source, and size operands"
+            )
+        dst, src, size_op = insn.operands
+        if not isinstance(dst, MemOperand) or not isinstance(src, MemOperand):
+            raise SimulationError(
+                f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy "
+                "operands must be addresses"
+            )
+        size = int(size_op.value) if isinstance(size_op, ImmOperand) else -1
+        if size not in (4, 8, 16):
+            raise SimulationError(
+                f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy size "
+                "must be 4, 8, or 16 bytes"
+            )
+        if not active:
+            return
+        src_addrs = {}
+        dst_addrs = {}
+        values = {}
+        for tid in active:
+            saddr = self._address(tid, src)
+            daddr = self._address(tid, dst)
+            raw = self.global_mem.load(warp.block, saddr, size)
+            self.shared_mem.store(warp.block, daddr, size, raw)
+            src_addrs[tid] = (Space.GLOBAL, saddr)
+            dst_addrs[tid] = (Space.SHARED, daddr)
+            values[tid] = raw
+        if self.sink is None or not self.instrumented:
+            return
+        frozen = self.intern_mask(active)
+        load = LogRecord(
+            kind=RecordKind.LOAD,
+            warp=warp.warp,
+            active=frozen,
+            addrs=src_addrs,
+            width=size,
+            pc=insn.line,
+        )
+        warp.cycles += self.sink.emit(load)
+        self.result.records_emitted += 1
+        warp.async_pending.append(
+            LogRecord(
+                kind=RecordKind.STORE,
+                warp=warp.warp,
+                active=frozen,
+                addrs=dst_addrs,
+                values=values,
+                width=size,
+                pc=insn.line,
             )
         )
 
@@ -654,17 +1028,25 @@ def _exec_selp(exe, tid, insn, type_name):
     exe._set_reg(tid, dst.name, _wrap(exe._value(tid, chosen), type_name))
 
 
+def _shift_amount(exe, tid, insn, type_name) -> int:
+    """PTX clamps: the amount is an unsigned 32-bit value, and anything
+    above the operand width behaves as the width."""
+    bits = type_width(type_name) * 8 if type_name else 64
+    return min(int(exe._value(tid, insn.operands[2])) & 0xFFFFFFFF, bits)
+
+
 def _exec_shl(exe, tid, insn, type_name):
     dst, a, b = insn.operands
-    exe._set_reg(
-        tid, dst.name, _wrap(int(exe._value(tid, a)) << int(exe._value(tid, b)), type_name)
-    )
+    value = int(exe._value(tid, a))
+    amount = _shift_amount(exe, tid, insn, type_name)
+    exe._set_reg(tid, dst.name, _wrap(value << amount, type_name))
 
 
 def _exec_shr(exe, tid, insn, type_name):
     dst, a, b = insn.operands
     value = _wrap(exe._value(tid, a), type_name)
-    exe._set_reg(tid, dst.name, _wrap(int(value) >> int(exe._value(tid, b)), type_name))
+    amount = _shift_amount(exe, tid, insn, type_name)
+    exe._set_reg(tid, dst.name, _wrap(int(value) >> amount, type_name))
 
 
 def _exec_popc(exe, tid, insn, type_name):

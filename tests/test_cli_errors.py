@@ -162,6 +162,28 @@ class TestReplayErrors:
         assert cli.main(["replay", str(capture)]) == 2
         assert "access width" in _assert_clean_error(capsys)
 
+    @pytest.mark.parametrize("field, hostile", [
+        ("warp", "w"),
+        ("pc", "p"),
+        ("warp", True),
+        ("active", [0, "x"]),
+        ("then_mask", [1.5]),
+        ("addrs", {"0": ["global", "x"]}),
+        ("addrs", {"x": ["global", 64]}),
+        ("values", {"x": 1}),
+    ])
+    def test_non_integer_record_field_is_a_one_line_error(
+            self, tmp_path, capsys, field, hostile):
+        # ``"warp": "w"`` used to load, then die in the detector with
+        # ``TypeError: '<=' not supported between 'int' and 'str'``.
+        header, first, *rest = open(_write_capture(tmp_path)).read().splitlines()
+        record = json.loads(first)
+        record[field] = hostile
+        capture = tmp_path / "hostile.jsonl"
+        capture.write_text("\n".join([header, json.dumps(record), *rest]) + "\n")
+        assert cli.main(["replay", str(capture)]) == 2
+        assert "malformed capture record" in _assert_clean_error(capsys)
+
     def test_fault_plan_corruption_surfaces_as_clean_error(self, tmp_path,
                                                            capsys):
         capture = _write_capture(tmp_path)

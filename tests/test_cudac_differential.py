@@ -4,9 +4,17 @@ Random integer expressions are compiled through the full pipeline
 (mini CUDA-C → PTX → interpreter) and compared against a direct Python
 evaluation with C's 32-bit two's-complement semantics (truncating
 division, wrap-around arithmetic).
+
+Expressions mix literals and ``blockIdx.x`` (UNIFORM across a warp),
+``threadIdx.x`` (AFFINE in the lane) and everything that stops being
+either (products of thread ids, divisions, bit operations, wraps), and
+an optional divergent guard reassigns the result on some lanes only —
+so generated *programs* cross every shape of the engine's warp-level
+register file (``repro.gpu.values``).  Example budgets come from the
+hypothesis profile (``tests/conftest.py``).
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cudac import compile_cuda
@@ -47,20 +55,24 @@ class Expr:
             return f"({value})" if value < 0 else str(value)
         if self.op == "tid":
             return "t"
+        if self.op == "bid":
+            return "b"
         if self.op == "neg":
             return f"(-{self.children[0].render()})"
         left, right = self.children
         return f"({left.render()} {self.op} {right.render()})"
 
-    def evaluate(self, t: int) -> int:
+    def evaluate(self, t: int, block: int = 0) -> int:
         if self.op == "lit":
             return self.children[0]
         if self.op == "tid":
             return t
+        if self.op == "bid":
+            return block
         if self.op == "neg":
-            return _to_signed(-self.children[0].evaluate(t))
-        a = self.children[0].evaluate(t)
-        b = self.children[1].evaluate(t)
+            return _to_signed(-self.children[0].evaluate(t, block))
+        a = self.children[0].evaluate(t, block)
+        b = self.children[1].evaluate(t, block)
         if self.op == "+":
             return _to_signed(a + b)
         if self.op == "-":
@@ -88,6 +100,7 @@ def exprs(depth: int = 3):
     leaf = st.one_of(
         st.integers(-100, 100).map(lambda v: Expr("lit", v)),
         st.just(Expr("tid")),
+        st.just(Expr("bid")),
     )
     if depth == 0:
         return leaf
@@ -102,31 +115,41 @@ def exprs(depth: int = 3):
     return st.one_of(leaf, binop, shift, neg)
 
 
-@settings(max_examples=60, deadline=None)
-@given(exprs())
-def test_compiled_expressions_match_c_semantics(expr):
+@given(exprs(), st.none() | st.tuples(st.integers(1, 7), exprs(depth=2)))
+def test_compiled_expressions_match_c_semantics(expr, guarded):
+    guard = ""
+    if guarded is not None:
+        bits, other = guarded
+        guard = f"if (t & {bits}) {{ v = {other.render()}; }}"
     source = f"""
 __global__ void eval(int* out) {{
     int t = threadIdx.x;
-    out[t] = {expr.render()};
+    int b = blockIdx.x;
+    int v = {expr.render()};
+    {guard}
+    out[b * blockDim.x + t] = v;
 }}
 """
     module = compile_cuda(source)
     device = GpuDevice()
-    out = device.alloc(8 * 4)
-    device.launch(module, "eval", grid=1, block=8, warp_size=4,
+    out = device.alloc(16 * 4)
+    device.launch(module, "eval", grid=2, block=8, warp_size=4,
                   params={"out": out})
-    got = [_to_signed(v) for v in device.memcpy_from_device(out, 8)]
-    expected = [expr.evaluate(t) for t in range(8)]
-    assert got == expected, f"expr: {expr.render()}"
+    got = [_to_signed(v) for v in device.memcpy_from_device(out, 16)]
+    expected = [
+        guarded[1].evaluate(t, block) if guarded is not None and t & guarded[0]
+        else expr.evaluate(t, block)
+        for block in range(2) for t in range(8)
+    ]
+    assert got == expected, source
 
 
-@settings(max_examples=30, deadline=None)
 @given(exprs(depth=2), exprs(depth=2))
 def test_compiled_comparisons_match(left, right):
     source = f"""
 __global__ void cmp(int* out) {{
     int t = threadIdx.x;
+    int b = blockIdx.x;
     if ({left.render()} < {right.render()}) {{
         out[t] = 1;
     }} else {{

@@ -25,9 +25,13 @@ import pytest
 
 from repro.bench import ALL_WORKLOADS, run_workload
 from repro.core.detector import BarracudaDetector
+from repro.cudac import compile_cuda
 from repro.errors import SimulationError, StepLimitExceeded
+from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
+from repro.instrument import Instrumenter
 from repro.obs import make_observability
+from repro.ptx import parse_ptx
 from repro.runtime import BarracudaSession
 from repro.runtime.replay import (
     load_capture,
@@ -185,3 +189,142 @@ def test_workload_equivalence(entry):
     with oracle_engine():
         expected = outcome()
     assert outcome() == expected
+
+
+# ----------------------------------------------------------------------
+# Rows for the warp-level register file: geometries and shapes the
+# registries under-cover.  Each is one instrumented launch on the engine
+# and on the oracle, compared on the record stream, the counters and
+# final memory.
+# ----------------------------------------------------------------------
+PTX_HEADER = ".version 4.3\n.target sm_35\n.address_size 64\n"
+
+MIX = """
+__global__ void mix(int* in, int* out, int n) {
+    __shared__ int s[64];
+    int t = threadIdx.x;
+    int gid = blockIdx.x * blockDim.x + t;
+    int v = in[gid];
+    if (gid < n) {
+        for (int i = 0; i < 3; i = i + 1) {
+            if ((v & 1) == 0) { v = v * 3 + i; } else { v = v - gid; }
+        }
+    }
+    s[t] = v;
+    __syncthreads();
+    out[gid] = s[(t + 1) % blockDim.x] + (gid >> 1) + (v << 29);
+}
+"""
+
+PLANE = """
+__global__ void plane(int* out) {
+    int x = threadIdx.x;
+    int y = threadIdx.y;
+    int slot = (blockIdx.x * blockDim.y + y) * blockDim.x + x;
+    if (x < y) { out[slot] = x * 100 + y; } else { out[slot] = slot - x; }
+}
+"""
+
+CALLS = """
+__device__ void bump(int* out, int slot, int by) {
+    if (by > 4) { out[slot] = out[slot] + by * 3; }
+    out[slot + 64] = slot - by;
+}
+
+__global__ void calls(int* out) {
+    int t = threadIdx.x;
+    if ((t & 3) == 1) { bump(out, t, t + blockIdx.x); }
+    if (t < 5) { bump(out, t, 7); }
+    bump(out, t, blockIdx.x);
+}
+"""
+
+EXCHANGE = """
+__global__ void exchange(int* out) {
+    int t = threadIdx.x;
+    int a = __shfl_down_sync(0xffffffff, t, 1);
+    int u = __shfl_xor_sync(0xffffffff, blockIdx.x + 5, 3);
+    int b = __ballot_sync(0xffffffff, 1);
+    int c = __any_sync(0xffffffff, t);
+    int d = __all_sync(0xffffffff, t < 40);
+    out[t] = a + u * 100 + (b & 255) + c + d;
+    if (t < 16) {
+        int e = __shfl_up_sync(0x0000ffff, t * 2, 2);
+        int f = __ballot_sync(0x0000ffff, t & 1);
+        int g = __shfl_sync(0x0000ffff, blockIdx.x, 3);
+        out[t + 64] = e + f + g;
+    }
+}
+"""
+
+#: ``%r5`` is first written under a guard predicate and ``%r6`` on one
+#: arm of a divergent branch; both are read after reconvergence, where
+#: the lanes that never wrote them must read 0.
+LATE_WRITE = PTX_HEADER + """
+.visible .entry late(.param .u64 out)
+{
+    mov.u32 %r1, %tid.x;
+    and.b32 %r2, %r1, 1;
+    setp.eq.u32 %p1, %r2, 0;
+    @%p1 mov.u32 %r5, 7;
+    setp.lt.u32 %p2, %r1, 3;
+    @!%p2 bra $L_skip;
+    mad.lo.u32 %r6, %r1, 10, %r5;
+$L_skip:
+    add.u32 %r7, %r5, %r6;
+    @%p1 add.u32 %r7, %r7, %ntid.x;
+    ld.param.u64 %rd1, [out];
+    cvt.u64.u32 %rd2, %r1;
+    mul.lo.u64 %rd2, %rd2, 4;
+    add.u64 %rd1, %rd1, %rd2;
+    st.global.u32 [%rd1], %r7;
+    ret;
+}
+"""
+
+SHAPE_ROWS = [
+    # (id, source, grid, block, warp size, buffers, scalars)
+    ("warp-8", MIX, 2, 24, 8, {"in": 48, "out": 48}, {"n": 40}),
+    ("warp-16", MIX, 2, 48, 16, {"in": 96, "out": 96}, {"n": 90}),
+    ("partial-last-warp", MIX, 2, 40, 32, {"in": 80, "out": 80}, {"n": 77}),
+    ("partial-last-warp-8", MIX, 3, 13, 8, {"in": 39, "out": 39}, {"n": 39}),
+    ("block-narrower-than-warp", PLANE, 2, (4, 8), 32, {"out": 64}, {}),
+    ("block-rows-straddle-warps", PLANE, 2, (5, 4), 8, {"out": 40}, {}),
+    ("call-under-divergence", CALLS, 2, 32, 32, {"out": 128}, {}),
+    ("call-under-divergence-warp-8", CALLS, 1, 20, 8, {"out": 128}, {}),
+    ("shfl-vote-affine-uniform", EXCHANGE, 2, 64, 32, {"out": 128}, {}),
+    ("first-write-under-partial-mask", LATE_WRITE, 2, 12, 8, {"out": 12}, {}),
+]
+
+
+def _observe_launch(source, grid, block, warp_size, buffers, scalars):
+    module = parse_ptx(source) if source.startswith(".version") else compile_cuda(source)
+    module, _report = Instrumenter().instrument_module(module)
+    device = GpuDevice()
+    params = {}
+    for index, (name, words) in enumerate(buffers.items()):
+        params[name] = device.alloc(words * 4)
+        device.memcpy_to_device(
+            params[name], [(7 * i + index) % 23 for i in range(words)])
+    sink = ListSink()
+    result = device.launch(
+        module, module.kernels[0].name, grid, block,
+        params={**params, **scalars}, warp_size=warp_size, sink=sink,
+        instrumented=True,
+    )
+    assert sink.records
+    return (
+        sink.records,
+        (result.steps, result.instructions, result.cycles,
+         result.records_emitted),
+        {name: device.memcpy_from_device(params[name], words)
+         for name, words in buffers.items()},
+    )
+
+
+@pytest.mark.parametrize("row", SHAPE_ROWS, ids=lambda row: row[0])
+def test_register_file_shape_rows(row):
+    _name, *launch = row
+    with oracle_engine():
+        expected = _observe_launch(*launch)
+    assert _observe_launch(*launch) == expected

@@ -1,5 +1,7 @@
 """The PTX interpreter: semantics, divergence, barriers, logging."""
 
+import time
+
 import pytest
 
 from repro.errors import SimulationError, StepLimitExceeded
@@ -106,6 +108,66 @@ class TestArithmetic:
         device = GpuDevice()
         with pytest.raises(SimulationError):
             device.launch(module, "k", grid=1, block=4, params={"out": 0})
+
+
+class TestShiftAmounts:
+    """PTX clamps a shift: the amount is an unsigned 32-bit value and
+    anything above the operand width behaves as the width.  Unclamped,
+    ``x << 4294967295`` built a 512 MiB integer per lane and a negative
+    amount in an ``s32`` register was a ``ValueError`` traceback."""
+
+    AMOUNTS = (-1, 31, 32, 33, 2**31, 2**32 - 1)
+    SEED = 0x80000001
+
+    @staticmethod
+    def _shifted(opcode: str, amount: int, engine: str):
+        bits = int(opcode[-2:])
+        reg, wide = ("%rd", True) if bits == 64 else ("%r", False)
+        body = (
+            f"mov.u32 %r1, %tid.x;\nadd.u32 %r1, %r1, {TestShiftAmounts.SEED};\n"
+            + ("cvt.u64.u32 %rd1, %r1;\nshl.b64 %rd1, %rd1, 32;\n"
+               "cvt.u64.u32 %rd2, %r1;\nor.b64 %rd1, %rd1, %rd2;\n" if wide else "")
+            + f"mov.s32 %r2, {amount};\n"
+            + f"{opcode} {reg}3, {reg}1, %r2;\n"
+            + "ld.param.u64 %rd7, [out];\nmov.u32 %r4, %tid.x;\n"
+            + "cvt.u64.u32 %rd6, %r4;\nmul.lo.u64 %rd6, %rd6, 8;\n"
+            + "add.u64 %rd7, %rd7, %rd6;\n"
+            + (f"st.global.u64 [%rd7], %rd3;" if wide
+               else "cvt.u64.u32 %rd3, %r3;\nst.global.u64 [%rd7], %rd3;")
+            + "\nret;"
+        )
+        module = module_with(body)
+        device = GpuDevice()
+        out = device.alloc(4 * 8)
+        start = time.perf_counter()
+        if engine == "oracle":
+            with oracle.oracle_engine():
+                device.launch(module, "k", grid=1, block=4, params={"out": out})
+        else:
+            device.launch(module, "k", grid=1, block=4, params={"out": out})
+        assert time.perf_counter() - start < 2.0
+        words = device.memcpy_from_device(out, 8)
+        return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+
+    @pytest.mark.parametrize("amount", AMOUNTS)
+    @pytest.mark.parametrize("opcode", ["shl.b32", "shr.u32", "shr.s32", "shl.b64"])
+    def test_amount_clamps_to_the_operand_width(self, opcode, amount):
+        bits = int(opcode[-2:])
+        mask = (1 << bits) - 1
+        clamped = min(amount & 0xFFFFFFFF, bits)
+        expected = []
+        for tid in range(4):
+            value = self.SEED + tid
+            if bits == 64:
+                value |= value << 32
+            if opcode.startswith("shl"):
+                expected.append((value << clamped) & mask)
+            elif opcode == "shr.s32":
+                expected.append(((value - (1 << 32)) >> clamped) & mask)
+            else:
+                expected.append(value >> clamped)
+        assert self._shifted(opcode, amount, "engine") == expected
+        assert self._shifted(opcode, amount, "oracle") == expected
 
 
 #: Arithmetic ``isa.py`` classifies (so the instrumenter and the static

@@ -1,6 +1,7 @@
 """Capture and offline replay of record streams."""
 
 import io
+import json
 
 import pytest
 
@@ -155,6 +156,25 @@ def test_record_with_wrong_field_types_rejected():
         load_capture(io.StringIO(
             GOOD_HEADER + '{"kind": "store", "warp": 0, "active": [0], '
             '"addrs": {"0": "not-a-pair"}}\n'))
+
+
+@pytest.mark.parametrize("field, hostile", [
+    ("warp", "w"), ("warp", True), ("warp", 0.0),
+    ("pc", "p"), ("pc", False),
+    ("active", ["0"]), ("active", [True]),
+    ("then_mask", ["0"]), ("then_mask", [0.5]),
+    ("addrs", {"0": ["global", "x"]}), ("addrs", {"0": ["global", True]}),
+    ("addrs", {"x": ["global", 64]}),
+    ("values", {"x": 1}),
+])
+def test_record_field_that_must_be_an_integer(field, hostile):
+    record = {"kind": "store", "warp": 0, "active": [0], "pc": 3,
+              "addrs": {"0": ["global", 64]}, "values": {"0": 1},
+              "then_mask": [], "width": 4}
+    load_capture(io.StringIO(GOOD_HEADER + json.dumps(record) + "\n"))
+    record[field] = hostile
+    with pytest.raises(ReproError, match="malformed capture record"):
+        load_capture(io.StringIO(GOOD_HEADER + json.dumps(record) + "\n"))
 
 
 def test_header_only_capture_is_valid_and_empty():
