@@ -17,13 +17,12 @@ real, per-batch measured detector work.
 Recorded alongside E7 in the experiment index.
 """
 
-import io
-
 from conftest import print_table
 
+from repro.columnar import encode_batch, iter_batches
 from repro.events import LogRecord, RecordKind
-from repro.runtime.replay import save_capture
 from repro.service import ShardedDetectorPool, reports_from_payload
+from repro.service.protocol import encode_batch_wire
 from repro.trace import Space
 from repro.trace.layout import GridLayout
 
@@ -36,8 +35,10 @@ WORKER_COUNTS = (1, 2, 4, 8)
 LAYOUT = GridLayout(num_blocks=4, threads_per_block=64, warp_size=32)
 
 
-def _job_lines(seed: int):
-    """One synthetic capture: stores with cross-warp overlap (real races)."""
+def _job_frames(seed: int):
+    """One synthetic capture — stores with cross-warp overlap (real
+    races) — as the ``(encoded batch, count)`` wire items of the service,
+    ``BATCH`` records each."""
     records = []
     for i in range(RECORDS_PER_JOB):
         warp = i % (LAYOUT.num_blocks * 2)
@@ -52,20 +53,16 @@ def _job_lines(seed: int):
             values={tid: seed + i for tid in tids},
             pc=i,
         ))
-    stream = io.StringIO()
-    save_capture(stream, LAYOUT, records, kernel=f"synthetic-{seed}")
-    stream.seek(0)
-    header, *lines = stream.read().splitlines()
-    return header, lines
+    return [encode_batch_wire(encode_batch(batch))
+            for batch in iter_batches(records, batch_records=BATCH)]
 
 
-def _measure_job_busy(pool, job_id, lines):
+def _measure_job_busy(pool, job_id, frames):
     """Run one job through the pool; returns (busy seconds, report payload)."""
     pool.open_job(job_id, LAYOUT).result()
     busy = 0.0
-    for start in range(0, len(lines), BATCH):
-        _count, elapsed = pool.submit_batch(job_id,
-                                            lines[start:start + BATCH]).result()
+    for frame in frames:
+        _count, elapsed = pool.submit_batch(job_id, [frame]).result()
         busy += elapsed
     return busy, pool.close_job(job_id).result()
 
@@ -79,12 +76,12 @@ def _critical_path(job_busy, workers: int) -> float:
 
 
 def test_throughput_scales_with_worker_count():
-    jobs = [_job_lines(seed=137 * j) for j in range(JOBS)]
+    jobs = [_job_frames(seed=137 * j) for j in range(JOBS)]
     job_busy = []
     payloads = []
     with ShardedDetectorPool(workers=0) as pool:
-        for j, (_header, lines) in enumerate(jobs):
-            busy, payload = _measure_job_busy(pool, f"bench-{j}", lines)
+        for j, frames in enumerate(jobs):
+            busy, payload = _measure_job_busy(pool, f"bench-{j}", frames)
             job_busy.append(busy)
             payloads.append(payload)
     assert all(busy > 0 for busy in job_busy)
@@ -117,10 +114,10 @@ def test_throughput_scales_with_worker_count():
 
 def test_process_pool_agrees_with_inline_pipeline():
     """The real multi-process pool produces byte-identical report payloads."""
-    header, lines = _job_lines(seed=7)
+    frames = _job_frames(seed=7)
     with ShardedDetectorPool(workers=0) as pool:
-        _busy, inline_payload = _measure_job_busy(pool, "inline", lines)
+        _busy, inline_payload = _measure_job_busy(pool, "inline", frames)
     with ShardedDetectorPool(workers=2) as pool:
-        results = [_measure_job_busy(pool, f"proc-{j}", lines) for j in range(2)]
+        results = [_measure_job_busy(pool, f"proc-{j}", frames) for j in range(2)]
     for _busy, payload in results:
         assert payload == inline_payload

@@ -39,7 +39,8 @@ def main() -> None:
     # a few threads in the SPARSEVC format.
     channel = StructuredVC(layout)
     for tid in range(0, layout.total_threads, 131_072):
-        clocks.release_from(tid, channel)
+        channel.join(clocks.materialize(tid))  # the REL rule: publish,
+        clocks.increment(tid)                  # then inc_t
         clocks.acquire_into(tid + 1, channel)
 
     elapsed = time.time() - started

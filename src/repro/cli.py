@@ -11,7 +11,7 @@ requested device buffers, launches the kernel under a full
 :class:`BarracudaSession`, and prints race and barrier-divergence
 reports grouped by location, plus instrumentation and queue statistics.
 
-Ten subcommands front the system; the kernel-checking flow above
+Nine subcommands front the system; the kernel-checking flow above
 stays the default whenever the first argument is not a subcommand name::
 
     python -m repro check kernel.cu --grid 2 ...   # explicit form of the above
@@ -21,8 +21,7 @@ stays the default whenever the first argument is not a subcommand name::
     python -m repro fix kernel.cu --grid 2 ...     # synthesize + verify patches
     python -m repro profile kernel.cu --grid 2 ... # hot-path profile
     python -m repro serve --socket /tmp/barracuda.sock --workers 4
-    python -m repro submit capture.jsonl --socket /tmp/barracuda.sock --stats
-    python -m repro replay capture.jsonl --reference
+    python -m repro replay run.capture [--socket /tmp/barracuda.sock]
     python -m repro convert capture.jsonl capture.bcap  # JSONL <-> binary
 
 Each subcommand is a ``configure(parser)`` + ``run(args) -> exit code``
@@ -43,20 +42,19 @@ The subcommands that launch a kernel (``check``, ``explain``, ``sweep``,
 name) plus ``--seed`` to pick the warp schedule, and ``--predict`` to
 run the trace-level predictive analysis over the captured event stream;
 ``sweep`` runs the full schedule-exploration driver with
-replay-confirmed witness schedules (``--witness-dir`` saves them), or
-forwards the sweep to a running service when given ``--socket``/
-``--port``.
+replay-confirmed witness schedules (``--witness-dir`` saves them).
+``sweep``, ``fix`` and ``replay`` run on a service instead of in this
+process when given ``--socket``/``--port``.
 
 Observability flags (``--trace out.json`` for a Chrome trace-event file,
 ``--metrics`` for a Prometheus-style snapshot, ``--stats-format json``)
 ride on ``check``, ``sweep``, ``replay`` and ``lint``; ``--trace`` is one
 recorder and one exporter whether the run was local or served (a served
-run's file also holds the server's and every shard's spans); ``submit
---stats/--metrics/--health/--flight-dump`` are sections of one STATUS
-request (``metrics`` aggregates every shard worker's registry),
-``explain --flight`` renders the always-on flight recorder, and
-``profile`` renders the engine's hot paths (text/JSON/collapsed
-stacks).  See docs/observability.md.
+run's file also holds the server's and every shard's spans); ``replay
+--socket --stats/--metrics/--health/--flight-dump`` are sections of one
+STATUS request, ``explain --flight`` renders the always-on flight
+recorder, and ``profile`` the engine's hot paths.  See
+docs/observability.md.
 """
 
 from __future__ import annotations
@@ -139,12 +137,12 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="PATH",
                         help="write a Chrome trace-event JSON file of the "
                         "run's phases (chrome://tracing / Perfetto); with "
-                        "--socket/--port, and on submit, it also holds the "
-                        "server's and every shard's spans")
+                        "--socket/--port it also holds the server's and "
+                        "every shard's spans")
     parser.add_argument("--metrics", action="store_true",
                         help="print a Prometheus-style metrics snapshot "
-                        "(with --socket/--port, and on submit: the "
-                        "service's own, via the STATUS verb)")
+                        "(with --socket/--port: the service's own, via "
+                        "the STATUS verb)")
 
 
 def _obs_from_args(args, metrics: bool = False, remote: bool = False):
@@ -250,26 +248,28 @@ def _configure_check(parser: argparse.ArgumentParser) -> None:
 
 def _load_fault_plan_arg(path: Optional[str]):
     """Load ``--fault-plan`` (None when the flag is absent)."""
-    if not path:
-        return None
     from .faults import load_fault_plan
 
-    return load_fault_plan(path)
+    return load_fault_plan(path) if path else None
 
 
 def _print_reports(reports, max_reports: int) -> int:
-    """Shared race/divergence rendering; returns the exit code."""
+    """Shared race/divergence rendering, in the report payload's total
+    order (a served run prints what a local one does); returns the exit code."""
+    from .core.races import divergence_sort_key, race_sort_key
+
     exit_code = 0
     if reports.barrier_divergences:
         exit_code = 1
         print(f"========= {len(reports.barrier_divergences)} barrier divergence(s)")
-        for report in reports.barrier_divergences:
+        for report in sorted(reports.barrier_divergences,
+                             key=divergence_sort_key):
             print(f"  {report}")
 
     if reports.races:
         exit_code = 1
         by_loc: Dict[str, list] = {}
-        for race in reports.races:
+        for race in sorted(reports.races, key=race_sort_key):
             by_loc.setdefault(str(race.loc), []).append(race)
         print(f"========= {len(reports.races)} race report(s) at "
               f"{len(by_loc)} location(s)")
@@ -581,7 +581,7 @@ def _configure_explain(parser: argparse.ArgumentParser) -> None:
         "print a per-race evidence timeline (recent accesses per "
         "conflicting thread, PTX source locations, and the failed "
         "vector-clock comparison).  With --flight, instead render a "
-        "flight-recorder dump (from `submit --flight-dump` or a "
+        "flight-recorder dump (from `replay --flight-dump` or a "
         "degraded job) as a merged timeline.")
     parser.add_argument("--flight", metavar="DUMP.json",
                         help="render a flight-recorder dump as a merged "
@@ -927,50 +927,51 @@ def run_serve(args) -> int:
     return 0
 
 
-def _configure_submit(parser: argparse.ArgumentParser) -> None:
-    parser.description = "Submit a replay capture to a running service."
-    parser.add_argument("capture", help="capture file (JSONL or binary; auto-detected)")
-    _add_endpoint_args(parser)
-    parser.add_argument("--batch-size", type=int, default=256,
-                        help="record lines per protocol frame")
+def _configure_replay(parser: argparse.ArgumentParser) -> None:
+    parser.description = ("Replay a capture through the detector: here, or "
+                          "with --socket/--port on a service (same report).")
+    parser.add_argument("capture", help="capture file (JSONL or binary; the "
+                        "format is auto-detected from the magic bytes)")
+    parser.add_argument("--reference", action="store_true",
+                        help="use the uncompressed reference detector (local)")
+    parser.add_argument("--no-filter-same-value", action="store_true",
+                        help="report benign same-value intra-warp stores too")
     parser.add_argument("--max-reports", type=int, default=10,
                         help="race reports to print per location")
     parser.add_argument("--stats", action="store_true",
-                        help="print per-job and service statistics")
+                        help="print capture (and job and service) statistics")
+    parser.add_argument("--predict", action="store_true",
+                        help="run the predictive relaxed-order analysis over "
+                        "the capture and report races other legal schedules "
+                        "could exhibit")
+    parser.add_argument("--fault-plan", metavar="PLAN.json",
+                        help="inject faults from a JSON fault plan: corrupt "
+                        "capture lines while loading (truncate/garbage) and, "
+                        "on the way to a service, wire faults (truncated/"
+                        "garbage frames, connection resets)")
     _add_obs_args(parser)
+    _add_endpoint_args(parser)
     parser.add_argument("--health", action="store_true",
-                        help="print per-shard liveness and backlog "
-                        "(the STATUS verb's health section)")
+                        help="print the service's per-shard liveness and "
+                        "backlog (the STATUS verb's health section)")
     parser.add_argument("--flight-dump", metavar="PATH",
-                        help="write the flight-recorder dump here (the "
-                        "degraded-job payload when present, otherwise the "
-                        "STATUS verb's flight section)")
+                        help="write the service's flight-recorder dump (a "
+                        "degraded job's own, else the STATUS flight section)")
     parser.add_argument("--max-retries", type=int, default=3,
                         help="transparent retries on transient connection "
                         "failures (idempotent resubmission)")
-    parser.add_argument("--fault-plan", metavar="PLAN.json",
-                        help="inject deterministic client-side wire faults "
-                        "(truncated/garbage frames, connection resets) from "
-                        "a JSON fault plan")
 
 
-def run_submit(args) -> int:
-    from .service.client import ServiceClient, submit_capture
-    from .service.stats import render_job_stats, render_service_stats
+def _replay_on_service(args, obs, layout, kernel, batches, config, faults):
+    """Submit a loaded capture to the service ``--socket``/``--port``
+    names; returns ``(job result, STATUS sections)`` — one STATUS request
+    answers ``--stats``, ``--metrics``, ``--health`` and ``--flight-dump``."""
+    from .service.client import ServiceClient, submit_batches
 
-    obs = _obs_from_args(args, remote=True)
-    result = submit_capture(
-        args.capture,
-        socket_path=args.socket,
-        host=args.host,
-        port=args.port,
-        batch_size=args.batch_size,
-        max_retries=args.max_retries,
-        faults=_load_fault_plan_arg(args.fault_plan),
-        trace=obs.tracer,
-    )
-    # Whatever --stats/--metrics/--health/--flight-dump still need from
-    # the service comes back in one STATUS reply.
+    result = submit_batches(
+        layout, kernel, batches, socket_path=args.socket, host=args.host,
+        port=args.port, config=config, max_retries=args.max_retries,
+        faults=faults, trace=obs.tracer)
     sections = [name for name, wanted in (
         ("stats", args.stats), ("metrics", args.metrics),
         ("health", args.health),
@@ -980,80 +981,55 @@ def run_submit(args) -> int:
         with ServiceClient(socket_path=args.socket, host=args.host,
                            port=args.port) as client:
             status = client.status(*sections)
-    flight_dump = result.flight or status.get("flight")
-
-    _write_trace(args, obs)
     if args.flight_dump:
-        write_flight_dump(args.flight_dump, flight_dump or {})
+        write_flight_dump(args.flight_dump,
+                          result.flight or status.get("flight") or {})
         print(f"flight-recorder dump written to {args.flight_dump}",
               file=sys.stderr)
-
     if result.attempts > 1:
         print(f"(succeeded on attempt {result.attempts} after "
               f"{len(result.transient_failures)} transient failure(s))",
               file=sys.stderr)
     if result.degraded:
-        print("warning: degraded result — the service gave up on this job:",
+        print("\n  ".join(["warning: degraded result — the service gave up "
+                           "on this job:", *result.failure_log]),
               file=sys.stderr)
-        for line in result.failure_log:
-            print(f"  {line}", file=sys.stderr)
-        return 4
-    exit_code = _print_reports(result.reports, args.max_reports)
-    if args.stats:
-        print(render_job_stats(result.stats))
-        print(render_service_stats(status["stats"]))
-    _print_metrics(args, obs, status.get("metrics", {}).get("text", ""))
-    if args.health:
-        print("--------- health")
-        print(json.dumps(status["health"], indent=2, sort_keys=True))
-    return exit_code
-
-
-def _configure_replay(parser: argparse.ArgumentParser) -> None:
-    parser.description = "Replay a capture through the detector in-process."
-    parser.add_argument("capture", help="capture file (JSONL or binary; the "
-                        "format is auto-detected from the magic bytes)")
-    parser.add_argument("--reference", action="store_true",
-                        help="use the uncompressed reference detector")
-    parser.add_argument("--no-filter-same-value", action="store_true",
-                        help="report benign same-value intra-warp stores too")
-    parser.add_argument("--max-reports", type=int, default=10,
-                        help="race reports to print per location")
-    parser.add_argument("--stats", action="store_true",
-                        help="print capture statistics")
-    parser.add_argument("--predict", action="store_true",
-                        help="run the predictive relaxed-order analysis over "
-                        "the capture and report races other legal schedules "
-                        "could exhibit")
-    parser.add_argument("--fault-plan", metavar="PLAN.json",
-                        help="corrupt capture lines while loading (truncate/"
-                        "garbage) from a JSON fault plan — exercises the "
-                        "loader's error surface")
-    _add_obs_args(parser)
+    return result, status
 
 
 def run_replay(args) -> int:
     from .core.races import DetectorConfig
     from .runtime.replay import replay
 
-    obs = _obs_from_args(args)
+    remote = args.socket is not None or args.port is not None
+    if args.reference and remote:
+        raise ReproError("--reference replays in this process; drop it or "
+                         "--socket/--port")
+    if not remote and (args.health or args.flight_dump):
+        raise ReproError("--health and --flight-dump ask a service; name it "
+                         "with --socket/--port")
+    obs = _obs_from_args(args, remote=remote)
     fault_plan = _load_fault_plan_arg(args.fault_plan)
     with obs.tracer.span("load-capture", source=args.capture):
         layout, kernel, batches, fmt = _load_input(
             args.capture, expect="capture", faults=fault_plan)
-        if fault_plan is not None and fmt == "binary":
+        if fault_plan is not None and fmt == "binary" and not remote:
             print("warning: --fault-plan line faults apply to JSONL "
                   "captures only; ignored for this binary capture",
                   file=sys.stderr)
     record_count = sum(len(batch) for batch in batches)
-    with obs.tracer.span("replay", records=record_count):
-        reports = replay(
-            layout,
-            batches,
-            config=DetectorConfig(
-                filter_same_value=not args.no_filter_same_value),
-            reference=args.reference,
-        )
+    config = DetectorConfig(filter_same_value=not args.no_filter_same_value)
+    if remote:
+        result, status = _replay_on_service(
+            args, obs, layout, kernel, batches, config, fault_plan)
+        reports = result.reports
+        if result.degraded:
+            _write_trace(args, obs)
+            return 4
+    else:
+        with obs.tracer.span("replay", records=record_count):
+            reports = replay(layout, batches, config=config,
+                             reference=args.reference)
 
     if obs.metrics.enabled:
         obs.metrics.counter(
@@ -1075,7 +1051,16 @@ def run_replay(args) -> int:
         print(f"  records replayed        : {record_count}")
         print(f"  grid                    : {layout.num_blocks} block(s) x "
               f"{layout.threads_per_block} thread(s), warp {layout.warp_size}")
-    _print_metrics(args, obs)
+        if remote:
+            from .service.stats import render_job_stats, render_service_stats
+
+            print(render_job_stats(result.stats))
+            print(render_service_stats(status["stats"]))
+    _print_metrics(args, obs,
+                   status["metrics"]["text"] if remote and args.metrics else None)
+    if args.health:
+        print("--------- health")
+        print(json.dumps(status["health"], indent=2, sort_keys=True))
     _write_trace(args, obs)
     return exit_code
 
@@ -1190,7 +1175,6 @@ _SUBCOMMANDS = {
     "fix": (_configure_fix, run_fix_cmd),
     "profile": (_configure_profile, run_profile),
     "serve": (_configure_serve, run_serve),
-    "submit": (_configure_submit, run_submit),
     "replay": (_configure_replay, run_replay),
     "convert": (_configure_convert, run_convert),
 }

@@ -338,10 +338,7 @@ class BarracudaDetector:
                     block=op.block, missing=expected - op.active, pc=op.pc
                 )
             )
-        if op.block < 0:
-            self.clocks.grid_barrier(op.active)
-        else:
-            self.clocks.barrier(op.block, op.active)
+        self.clocks.barrier(op.block, op.active)
         for warp in self.layout.barrier_warps(op.block):
             self._advance_group(warp)
 

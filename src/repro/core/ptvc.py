@@ -338,9 +338,11 @@ class PTVCManager:
     # Barriers (BAR rule, with the §4.3.2 broadcast optimization)
     # ------------------------------------------------------------------
     def barrier(self, block: int, active: FrozenSet[int]) -> None:
+        """The BAR rule over the warps a barrier at ``block`` covers: one
+        block, or — ``block < 0``, a cooperative sync — the whole grid."""
         self.joins += 1
-        warps = self.layout.block_warps(block)
-        full_block = active == frozenset(self.layout.block_tids(block))
+        warps = self.layout.barrier_warps(block)
+        full = active == frozenset(self.layout.barrier_tids(block))
         joined = StructuredVC(self.layout)
         high = 0
         for warp in warps:
@@ -360,12 +362,15 @@ class PTVCManager:
                     self_clock = group.base.get(tid) + 1
                 if self_clock > high:
                     high = self_clock
-                if not full_block:
+                if not full:
                     joined.set_lane(tid, max(self_clock, joined.get(tid)))
-        if full_block:
-            # The §4.3.2 broadcast: one block-layer entry at the block's
-            # high clock instead of one entry per thread.
-            joined.set_block(block, high)
+        if full:
+            # The §4.3.2 broadcast: one block-layer entry per covered
+            # block at the barrier's high clock (the block layer is the
+            # compression unit) instead of one entry per thread.
+            covered = range(self.layout.num_blocks) if block < 0 else (block,)
+            for member in covered:
+                joined.set_block(member, high)
         joined.normalize()
         for warp in warps:
             group = self._top(warp)
@@ -383,53 +388,6 @@ class PTVCManager:
                     dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
                     self._deviant[tid] = dev
 
-    def grid_barrier(self, active: FrozenSet[int]) -> None:
-        """Grid-wide (cooperative) barrier: the BAR rule over every warp.
-
-        Same algorithm as :meth:`barrier` but scoped to the whole grid;
-        the §4.3.2 broadcast applies per block (the block layer is the
-        compression unit), so a full-grid sync costs one block-layer
-        entry per block rather than one lane entry per thread.
-        """
-        self.joins += 1
-        warps = list(self.layout.all_warps())
-        full_grid = active == frozenset(self.layout.all_tids())
-        joined = StructuredVC(self.layout)
-        high = 0
-        for warp in warps:
-            group = self._top(warp)
-            if not group.amask & active:
-                continue
-            joined.join(group.base)
-            for tid in group.amask & active:
-                dev = self._deviant.get(tid)
-                if dev is not None:
-                    joined.join(dev)
-                    self_clock = dev.get(tid)
-                    del self._deviant[tid]
-                else:
-                    self_clock = group.base.get(tid) + 1
-                if self_clock > high:
-                    high = self_clock
-                if not full_grid:
-                    joined.set_lane(tid, max(self_clock, joined.get(tid)))
-        if full_grid:
-            for block in range(self.layout.num_blocks):
-                joined.set_block(block, high)
-        joined.normalize()
-        for warp in warps:
-            group = self._top(warp)
-            participating = group.amask & active
-            if not participating:
-                continue
-            if participating == group.amask:
-                group.base = joined
-            else:
-                for tid in participating:
-                    dev = joined.copy()
-                    dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
-                    self._deviant[tid] = dev
-
     # ------------------------------------------------------------------
     # Point-to-point synchronization (deviation)
     # ------------------------------------------------------------------
@@ -441,15 +399,6 @@ class PTVCManager:
             self._deviant[tid] = dev
         dev.join(incoming)
         dev.normalize()
-
-    def release_from(self, tid: int, target: StructuredVC) -> None:
-        """``target ⊔= C_t`` then ``inc_t`` (the REL* rules)."""
-        dev = self._deviant.get(tid)
-        if dev is None:
-            dev = self.materialize(tid)
-            self._deviant[tid] = dev
-        target.join(dev)
-        dev.set_lane(tid, dev.get(tid) + 1)
 
     def increment(self, tid: int) -> None:
         """``inc_t`` alone (used by acquire-release composition)."""

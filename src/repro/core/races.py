@@ -250,6 +250,11 @@ def race_sort_key(race: RaceReport) -> Tuple:
     )
 
 
+def divergence_sort_key(report: BarrierDivergenceReport) -> Tuple:
+    """Total order over barrier-divergence reports."""
+    return (report.block, report.pc, sorted(report.missing))
+
+
 def race_to_payload(race: RaceReport) -> dict:
     """Serialize one race report, including predictive metadata."""
     payload = {
@@ -314,10 +319,8 @@ def reports_to_payload(reports: DetectorReports) -> dict:
                 "missing": sorted(report.missing),
                 "pc": report.pc,
             }
-            for report in sorted(
-                reports.barrier_divergences,
-                key=lambda r: (r.block, r.pc, sorted(r.missing)),
-            )
+            for report in sorted(reports.barrier_divergences,
+                                 key=divergence_sort_key)
         ],
         "filtered_same_value": reports.filtered_same_value,
     }

@@ -15,7 +15,7 @@ This package makes those stages breakable *on purpose*:
   fault kinds each understands.
 
 Entry points: ``repro serve --fault-plan plan.json`` (service-side
-faults), ``repro submit --fault-plan`` (client/wire faults plus retry),
+faults), ``repro replay --socket --fault-plan`` (wire faults plus retry),
 ``BarracudaSession(faults=...)`` (queue faults), and the chaos suite in
 ``tests/test_chaos.py``.
 """

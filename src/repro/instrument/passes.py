@@ -313,11 +313,9 @@ class Instrumenter:
     def __init__(
         self,
         prune: bool = True,
-        log_branches: bool = True,
         static_prune: bool = False,
     ) -> None:
         self.prune = prune
-        self.log_branches = log_branches
         #: Opt-in: drop logging for accesses the static layer proves
         #: thread-private (repro.staticcheck.addresses).  Sound for race
         #: detection — a location only ever touched by its own thread
@@ -368,7 +366,7 @@ class Instrumenter:
             private_sites = frozenset(prune_private_sites(kernel, module))
         classes = classify_kernel(kernel)
         cfg = CFG(kernel)
-        convergence = set(cfg.convergence_points()) if self.log_branches else set()
+        convergence = set(cfg.convergence_points())
         block_starts = {block.start for block in cfg.blocks}
         sync_indices = {
             index

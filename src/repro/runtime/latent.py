@@ -84,7 +84,6 @@ def find_latent_races(
     warp_sizes: Sequence[int] = (32, 16, 8),
     buffer_images: Optional[Dict[int, List[int]]] = None,
     max_steps: int = 2_000_000,
-    session_factory=BarracudaSession,
 ) -> LatentRaceReport:
     """Run race detection at several simulated warp widths.
 
@@ -98,7 +97,7 @@ def find_latent_races(
     """
     report = LatentRaceReport()
     for warp_size in sorted(warp_sizes, reverse=True):
-        session = session_factory()
+        session = BarracudaSession()
         session.register_module(module)
         if buffer_images:
             for addr, values in buffer_images.items():

@@ -42,7 +42,13 @@ BINARY_VERSION = 1
 #: Per-frame ceiling, mirroring the service protocol's framing cap: a
 #: length prefix beyond this is corruption, not an allocation request.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
+#: Ceiling on ``num_blocks * threads_per_block`` in a capture header.  The
+#: detector builds its clock state eagerly from the layout (141 MiB at
+#: 2**20 threads), so a header is an allocation request and gets the same
+#: treatment as a frame length; 2**24 is sixteen times the paper-scale tier.
+MAX_CAPTURE_THREADS = 1 << 24
 _FRAME_LENGTH = struct.Struct("!I")
+_LAYOUT_FIELDS = ("num_blocks", "threads_per_block", "warp_size")
 #: How much of a file's first line :func:`detect_capture_format` reads.
 _SNIFF_BYTES = 4096
 
@@ -191,27 +197,32 @@ def read_header(header_line: str) -> Tuple[GridLayout, str]:
     if header.get("version") != FORMAT_VERSION:
         raise ReproError(f"unsupported capture version {header.get('version')}")
     try:
-        layout = GridLayout(
-            num_blocks=header["layout"]["num_blocks"],
-            threads_per_block=header["layout"]["threads_per_block"],
-            warp_size=header["layout"]["warp_size"],
-        )
-    except (KeyError, TypeError) as exc:
+        layout = header["layout"]
+        shape = [layout[name] for name in _LAYOUT_FIELDS]
+        # The header is outside input and the layout sizes everything the
+        # detector allocates: a float, a bool or 4e10 threads stops here.
+        for name, value in zip(_LAYOUT_FIELDS, shape):
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} is {value!r}, not a positive integer")
+        if shape[0] * shape[1] > MAX_CAPTURE_THREADS:
+            raise ValueError(
+                f"{shape[0]} blocks x {shape[1]} threads exceeds the "
+                f"{MAX_CAPTURE_THREADS}-thread capture limit")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ReproError(f"malformed capture layout: {exc}") from exc
-    return layout, header.get("kernel", "")
+    return GridLayout(*shape), header.get("kernel", "")
 
 
-def _capture_header_dict(layout: GridLayout, kernel: str) -> dict:
-    return {
+def capture_header_line(layout: GridLayout, kernel: str = "") -> str:
+    """The header every capture starts with — a JSONL capture's first
+    line, a binary capture's first frame, the service's ``OPEN`` frame —
+    as :func:`read_header` parses it back."""
+    return json.dumps({
         "format": "barracuda-capture",
         "version": FORMAT_VERSION,
         "kernel": kernel,
-        "layout": {
-            "num_blocks": layout.num_blocks,
-            "threads_per_block": layout.threads_per_block,
-            "warp_size": layout.warp_size,
-        },
-    }
+        "layout": {name: getattr(layout, name) for name in _LAYOUT_FIELDS},
+    })
 
 
 def save_capture(
@@ -221,7 +232,7 @@ def save_capture(
     kernel: str = "",
 ) -> int:
     """Write a capture; returns the number of records written."""
-    stream.write(json.dumps(_capture_header_dict(layout, kernel)) + "\n")
+    stream.write(capture_header_line(layout, kernel) + "\n")
     count = 0
     for record in records:
         stream.write(json.dumps(_record_to_json(record)) + "\n")
@@ -236,8 +247,11 @@ def load_capture(stream: IO[str],
     if not header_line:
         raise ReproError("empty capture")
     layout, kernel = read_header(header_line)
+    # Resolved once: a plan handed in as a plan counts hits across the
+    # whole capture, not afresh on every line.
+    injector = resolve_faults(faults)
     records = [
-        record_line_to_record(line, lineno, faults=faults)
+        record_line_to_record(line, lineno, faults=injector)
         for lineno, line in enumerate(stream, start=2)
         if line.strip()
     ]
@@ -289,21 +303,16 @@ def write_binary_header(stream: IO[bytes], layout: GridLayout,
     """Magic + version + header frame; call once before any batches."""
     stream.write(BINARY_MAGIC)
     stream.write(struct.pack("<H", BINARY_VERSION))
-    header = json.dumps(_capture_header_dict(layout, kernel))
-    write_frame(stream, header.encode("utf-8"))
+    write_frame(stream, capture_header_line(layout, kernel).encode("utf-8"))
 
 
 def write_binary_batch(stream: IO[bytes], batch: ColumnarBatch) -> None:
     write_frame(stream, encode_batch(batch))
 
 
-def read_binary_header_line(stream: IO[bytes]) -> str:
-    """Validate magic/version; return the raw header JSON text.
-
-    The header frame carries the same JSON object as a JSONL capture's
-    first line, so transports (the service client) can forward it
-    verbatim without re-serializing.
-    """
+def read_binary_header(stream: IO[bytes]) -> Tuple[GridLayout, str]:
+    """Validate magic/version and parse the header frame (the same JSON
+    object as a JSONL capture's first line)."""
     magic = stream.read(len(BINARY_MAGIC))
     if magic != BINARY_MAGIC:
         raise ReproError("not a binary barracuda capture (bad magic)")
@@ -317,28 +326,15 @@ def read_binary_header_line(stream: IO[bytes]) -> str:
     if header_frame is None:
         raise ReproError("truncated binary capture: missing header frame")
     try:
-        return header_frame.decode("utf-8")
+        return read_header(header_frame.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ReproError(
             f"corrupt binary capture: header is not UTF-8: {exc}") from exc
 
 
-def read_binary_header(stream: IO[bytes]) -> Tuple[GridLayout, str]:
-    """Validate magic/version and parse the header frame."""
-    return read_header(read_binary_header_line(stream))
-
-
 def iter_binary_frames(stream: IO[bytes]) -> Iterator[bytes]:
-    """Raw encoded batch payloads until a clean EOF (header consumed).
-
-    The undecoded sibling of :func:`iter_binary_batches`, for transports
-    that forward frames without materializing records.
-    """
-    while True:
-        payload = read_frame(stream)
-        if payload is None:
-            return
-        yield payload
+    """Raw encoded batch payloads until a clean EOF (header consumed)."""
+    return iter(lambda: read_frame(stream), None)
 
 
 def iter_binary_batches(stream: IO[bytes]) -> Iterator[ColumnarBatch]:
@@ -388,23 +384,6 @@ def detect_capture_format(path: str) -> Optional[str]:
     return None
 
 
-def load_capture_path(
-    path: str, faults=NULL_FAULTS,
-) -> Tuple[GridLayout, str, List[LogRecord], str]:
-    """Load a capture of either format, materializing plain records.
-
-    Returns ``(layout, kernel, records, format)``.  Used by every CLI
-    consumer so ``.capture`` files are accepted regardless of how they
-    were written.
-    """
-    layout, kernel, batches, fmt = load_capture_path_batches(
-        path, faults=faults)
-    records: List[LogRecord] = []
-    for batch in batches:
-        records.extend(batch.iter_records())
-    return layout, kernel, records, fmt
-
-
 def load_capture_path_batches(
     path: str, faults=NULL_FAULTS,
 ) -> Tuple[GridLayout, str, List[ColumnarBatch], str]:
@@ -437,7 +416,8 @@ def convert_capture(
     source format.  Returns ``(source format, target format, records)``.
     Lossless in both directions: the record streams compare equal.
     """
-    layout, kernel, records, src_fmt = load_capture_path(src)
+    layout, kernel, batches, src_fmt = load_capture_path_batches(src)
+    records = (record for batch in batches for record in batch.iter_records())
     if to_format is None:
         to_format = "jsonl" if src_fmt == "binary" else "binary"
     if to_format not in ("jsonl", "binary"):

@@ -1,13 +1,13 @@
 """The concurrent race-detection service.
 
 Turns the offline capture/replay pipeline into a long-running service:
-a framed streaming protocol over the replay JSONL format
+a framed streaming protocol carrying columnar record batches
 (:mod:`~repro.service.protocol`), an asyncio ingest server with per-job
 backpressure and failure isolation (:mod:`~repro.service.server`), a
 job-affine sharded detector pool (:mod:`~repro.service.pipeline`), a
 blocking client library (:mod:`~repro.service.client`), and a live
 stats surface (:mod:`~repro.service.stats`).  ``python -m repro serve``
-and ``python -m repro submit`` are the CLI front doors.
+and ``python -m repro replay --socket`` are the CLI front doors.
 """
 
 from .client import (
@@ -17,6 +17,7 @@ from .client import (
     ServiceClient,
     ServiceConnectionError,
     ServiceJobError,
+    submit_batches,
     submit_capture,
 )
 from .pipeline import ShardCrashError, ShardedDetectorPool

@@ -1,20 +1,20 @@
 """Client library for the race-detection service.
 
 A :class:`ServiceClient` speaks the framed protocol over a unix or TCP
-socket: open a job with the capture header, stream the record lines in
-chunked batches (one batch in flight per ACK, so server-side
+socket: open a job with the capture header, stream the capture's
+columnar batches (one batch in flight per ACK, so server-side
 backpressure translates directly into client-side pacing), close, and
 receive the job's :class:`~repro.core.races.DetectorReports`.
 
-The capture content itself is never parsed client-side — JSONL lines
-travel raw and binary captures travel as base64-armored columnar batch
-frames (:meth:`ServiceClient.submit_binary`; ``submit_path`` picks the
-transport by the file's magic bytes), and the service validates the
-content per job — so a corrupt capture produces a clean server-reported
-error, identical for every client.
+The capture is loaded here, by the loader every local front door uses
+(:func:`~repro.runtime.replay.load_capture_path_batches`), so a
+malformed capture fails with the same error whether it was going to run
+in this process or on a service; what crosses the wire is one base64
+:func:`~repro.columnar.encode_batch` payload per ``RECORDS`` frame,
+framed as the capture itself is.
 
 Transient failures — connection drops, truncated or garbled frames,
-stream desync — are retried by :func:`submit_capture` under a
+stream desync — are retried by :func:`submit_batches` under a
 :class:`BackoffPolicy`, and every attempt reuses one client-generated
 ``resubmit_key`` so the server can recognize the retry: a job that
 actually finished is answered from the server's report cache instead of
@@ -28,20 +28,20 @@ import socket
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, List, Optional, Union
+from typing import Callable, Iterable, List, Optional, Sequence
 
+from ..columnar import ColumnarBatch, encode_batch
 from ..core.races import DetectorReports
 from ..core.races import DetectorConfig
 from ..errors import ReproError
 from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites
 from ..obs import NULL_SPANS, SpanBuffer
+from ..runtime.replay import capture_header_line, load_capture_path_batches
+from ..trace.layout import GridLayout
 from . import protocol
 
-#: Record lines per RECORDS frame.
-DEFAULT_BATCH_SIZE = 256
-
-#: Default transparent retries in :func:`submit_capture`.
+#: Default transparent retries in :func:`submit_batches`.
 DEFAULT_MAX_RETRIES = 3
 
 
@@ -118,7 +118,7 @@ class JobResult:
     #: ``failure_log`` says why, one line per failure.
     degraded: bool = False
     failure_log: List[str] = field(default_factory=list)
-    #: Retry bookkeeping filled in by :func:`submit_capture`.
+    #: Retry bookkeeping filled in by :func:`submit_batches`.
     attempts: int = 1
     backoff_schedule: List[float] = field(default_factory=list)
     transient_failures: List[str] = field(default_factory=list)
@@ -225,13 +225,14 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def submit(
         self,
-        stream: IO[str],
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        header_line: str,
+        batches: Iterable[ColumnarBatch],
         config: Optional[DetectorConfig] = None,
         resubmit_key: Optional[str] = None,
         trace: SpanBuffer = NULL_SPANS,
     ) -> JobResult:
-        """Stream one capture (header line + record lines) as one job.
+        """Stream one capture as one job: OPEN, one RECORDS frame per
+        batch (each sent on the previous one's ACK), CLOSE.
 
         ``trace`` is the client-side :class:`SpanBuffer`; when it is
         enabled, the whole submission is recorded as a ``submit`` span
@@ -240,37 +241,6 @@ class ServiceClient:
         ``trace.collected_payloads()`` afterwards merges into one
         Chrome trace spanning client, server, and every shard.
         """
-        return self._stream_job(stream.readline(),
-                                _line_batches(stream, batch_size),
-                                config, resubmit_key, trace)
-
-    def submit_binary(
-        self,
-        stream: IO[bytes],
-        config: Optional[DetectorConfig] = None,
-        resubmit_key: Optional[str] = None,
-        trace: SpanBuffer = NULL_SPANS,
-    ) -> JobResult:
-        """Stream one binary capture as one job.
-
-        Each columnar batch frame travels base64-armored in its own
-        RECORDS frame, undecoded on both the client and the server's
-        connection thread — the shard worker is the first (and only)
-        place the batch is materialized.  Framing doubles as pacing:
-        one batch in flight per ACK, like the line path.
-        """
-        from ..runtime.replay import iter_binary_frames, read_binary_header_line
-
-        return self._stream_job(read_binary_header_line(stream),
-                                iter_binary_frames(stream),
-                                config, resubmit_key, trace)
-
-    def _stream_job(self, header_line: str,
-                    items: Iterable[Union[List[str], bytes]],
-                    config, resubmit_key, trace) -> JobResult:
-        """OPEN, one RECORDS frame per ACK, CLOSE.  ``items`` yields what
-        each RECORDS frame carries: a batch of raw JSONL lines, or one
-        encoded binary batch payload."""
         with trace.span("submit") as span:
             reply = self._expect(
                 self._request(protocol.open_frame(
@@ -280,8 +250,12 @@ class ServiceClient:
                 protocol.ACCEPT,
             )
             job_id = reply["job_id"]
-            for item in items:
-                self._send_batch(job_id, item)
+            for batch in batches:
+                self._expect(
+                    self._request(protocol.batch_frame(
+                        job_id, *protocol.encode_batch_wire(
+                            encode_batch(batch)))),
+                    protocol.ACK)
             report = self._expect(self._request(protocol.close_frame(job_id)),
                                   protocol.REPORT)
         payload = report.get("reports", {})
@@ -297,39 +271,6 @@ class ServiceClient:
         )
         trace.absorb(result.spans)
         return result
-
-    def _send_batch(self, job_id: str,
-                    batch: Union[Iterable[str], bytes]) -> None:
-        """One RECORDS frame and its ACK."""
-        if isinstance(batch, bytes):
-            encoded, count = protocol.encode_batch_wire(batch)
-            frame = protocol.batch_records_frame(job_id, encoded, count)
-        else:
-            frame = protocol.records_frame(job_id, list(batch))
-        self._expect(self._request(frame), protocol.ACK)
-
-    def submit_path(self, path: str, batch_size: int = DEFAULT_BATCH_SIZE,
-                    config: Optional[DetectorConfig] = None,
-                    resubmit_key: Optional[str] = None,
-                    trace: SpanBuffer = NULL_SPANS) -> JobResult:
-        """Submit the capture at ``path``; the transport is picked by the
-        file's content (:func:`~repro.runtime.replay.detect_capture_format`),
-        and anything that is not a binary capture travels as text for
-        the service to judge."""
-        from ..runtime.replay import detect_capture_format
-
-        if detect_capture_format(path) == "binary":
-            with open(path, "rb") as stream:
-                return self.submit_binary(stream, config=config,
-                                          resubmit_key=resubmit_key,
-                                          trace=trace)
-        try:
-            with open(path, encoding="utf-8") as stream:
-                return self.submit(stream, batch_size=batch_size,
-                                   config=config, resubmit_key=resubmit_key,
-                                   trace=trace)
-        except UnicodeDecodeError as exc:
-            raise ReproError(f"not a barracuda capture: {exc}") from exc
 
     # ------------------------------------------------------------------
     # Staged jobs: predictive sweeps and race repair
@@ -401,26 +342,13 @@ class ServiceClient:
         self.close()
 
 
-def _line_batches(stream: IO[str], batch_size: int) -> Iterator[List[str]]:
-    """The non-blank lines of ``stream``, ``batch_size`` at a time."""
-    batch: List[str] = []
-    for line in stream:
-        if not line.strip():
-            continue
-        batch.append(line)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def submit_capture(
-    path: str,
+def submit_batches(
+    layout: GridLayout,
+    kernel: str,
+    batches: Sequence[ColumnarBatch],
     socket_path: Optional[str] = None,
     host: str = "127.0.0.1",
     port: Optional[int] = None,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     config: Optional[DetectorConfig] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     backoff: Optional[BackoffPolicy] = None,
@@ -430,7 +358,7 @@ def submit_capture(
     sleep: Callable[[float], None] = time.sleep,
     trace: SpanBuffer = NULL_SPANS,
 ) -> JobResult:
-    """Connect, submit one capture, disconnect — retrying transients.
+    """Connect, submit one loaded capture, disconnect — retrying transients.
 
     Transient failures (connection errors including injected wire
     faults, and protocol desync) are retried up to ``max_retries`` times
@@ -449,18 +377,16 @@ def submit_capture(
     rng = random.Random(policy.seed)
     key = resubmit_key if resubmit_key is not None else f"sub-{uuid.uuid4().hex}"
     injector = resolve_faults(faults)
+    header_line = capture_header_line(layout, kernel)
     schedule: List[float] = []
     failures: List[str] = []
     attempt = 0
     while True:
         try:
             with ServiceClient(socket_path=socket_path, host=host, port=port,
-                               timeout=timeout,
-                               faults=injector if injector is not None
-                               else NULL_FAULTS) as client:
-                result = client.submit_path(path, batch_size=batch_size,
-                                            config=config, resubmit_key=key,
-                                            trace=trace)
+                               timeout=timeout, faults=injector) as client:
+                result = client.submit(header_line, batches, config=config,
+                                       resubmit_key=key, trace=trace)
             result.attempts = attempt + 1
             result.backoff_schedule = schedule
             result.transient_failures = failures
@@ -477,3 +403,19 @@ def submit_capture(
             schedule.append(delay)
             sleep(delay)
             attempt += 1
+
+
+def submit_capture(path: str, faults=NULL_FAULTS, **options) -> JobResult:
+    """Load the capture at ``path`` and :func:`submit_batches` it (whose
+    keyword options these are).
+
+    The load happens once, before any connection and outside the retry
+    loop: a file that is no capture fails here with the loader's own
+    error, exactly as a local ``repro replay`` of it would.  One
+    ``faults`` feeds the loader's ``replay.record_line`` site and the
+    client's wire sites.
+    """
+    injector = resolve_faults(faults)
+    layout, kernel, batches, _fmt = load_capture_path_batches(
+        path, faults=injector)
+    return submit_batches(layout, kernel, batches, faults=injector, **options)

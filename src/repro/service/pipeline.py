@@ -43,7 +43,6 @@ from ..obs import (
     SpanBuffer,
 )
 from ..runtime.host import HostDetector
-from ..runtime.replay import record_lines_to_records
 from ..trace.layout import GridLayout
 from . import protocol
 from .stats import WorkerStats
@@ -135,45 +134,10 @@ def _apply_worker_fault(fault, inline: bool) -> None:
     raise ReproError("injected poison record in batch")
 
 
-def _item_wire_size(item) -> int:
-    """Approximate wire bytes of one retained item (fault-site sizing)."""
-    return len(item) if isinstance(item, str) else len(item.get("batch", ""))
-
-
-def _consume_items(detector: HostDetector, items: Sequence) -> int:
-    """Feed a mixed line/binary-batch item sequence; returns records.
-
-    Runs of JSONL lines are decoded in one batched pass; binary batch
-    frames decode straight into the columnar fused loop.  Same records,
-    same order, same errors as the all-lines path.
-    """
-    count = 0
-    lines: List[str] = []
-
-    def flush() -> None:
-        if lines:
-            detector.consume(record_lines_to_records(lines))
-            del lines[:]
-
-    for item in items:
-        if isinstance(item, str):
-            lines.append(item)
-            count += 1
-            continue
-        flush()
-        batch = protocol.decode_batch_wire(item["batch"])
-        detector.consume_columnar(batch)
-        count += len(batch)
-    flush()
-    return count
-
-
-def _worker_batch(job_id: str, lines: Sequence) -> Tuple[int, float]:
-    """Process one record batch; returns (records eaten, busy seconds).
-
-    ``lines`` items are raw JSONL record lines or binary batch frames
-    (``{"batch": b64, "count": n}``) in submission order.
-    """
+def _worker_batch(job_id: str,
+                  frames: Sequence[Tuple[str, int]]) -> Tuple[int, float]:
+    """Process ``(encoded batch, record count)`` frames in order; returns
+    (records eaten, busy seconds)."""
     detector = _WORKER_JOBS.get(job_id)
     if detector is None:
         raise ReproError(f"job {job_id!r} is not open on this shard")
@@ -181,15 +145,22 @@ def _worker_batch(job_id: str, lines: Sequence) -> Tuple[int, float]:
     if faulty is not None:
         injector, inline = faulty
         fault = injector.check(fault_sites.WORKER_BATCH,
-                               sum(_item_wire_size(item) for item in lines))
+                               sum(len(encoded) for encoded, _n in frames))
         if fault is not None:
             _apply_worker_fault(fault, inline)
     spans = _WORKER_SPANS[job_id]
+    count = sum(n for _encoded, n in frames)
     start = time.perf_counter()
     # The same name a local ``repro replay`` gives this work; the trace's
     # process track already says which shard ran it.
-    with spans.span("replay", job=job_id, records=len(lines)):
-        count = _consume_items(detector, lines)
+    with spans.span("replay", job=job_id, records=count):
+        for encoded, declared in frames:
+            batch = protocol.decode_batch_wire(encoded)
+            if len(batch) != declared:
+                raise ReproError(
+                    f"corrupt batch frame: count says {declared} record(s), "
+                    f"the batch holds {len(batch)}")
+            detector.consume_columnar(batch)
     busy = time.perf_counter() - start
     _WORKER_BATCHES.inc()
     _WORKER_RECORDS.inc(count)
@@ -368,13 +339,15 @@ class ShardedDetectorPool:
             self.fault_plan_payload, self.inline, trace, shard,
         )
 
-    def submit_batch(self, job_id: str, lines: Sequence[str]) -> Future:
-        """Queue one batch on the job's shard; resolves to (count, busy)."""
+    def submit_batch(self, job_id: str,
+                     frames: Sequence[Tuple[str, int]]) -> Future:
+        """Queue ``(encoded batch, record count)`` frames on the job's
+        shard as one unit of work; resolves to (count, busy)."""
         shard = self.shard_of(job_id)
         with self._lock:
             self._backlog[shard] += 1
         generation = None if self.inline else self._executors[shard]
-        future = self._dispatch(shard, _worker_batch, job_id, list(lines))
+        future = self._dispatch(shard, _worker_batch, job_id, list(frames))
         future.add_done_callback(lambda f: self._account(shard, f, generation))
         return future
 
@@ -482,7 +455,7 @@ class ShardedDetectorPool:
         Picks the least-backlogged live shard other than the one the job
         was on (with a single shard, the respawned shard itself).
         Returns ``(open future, new shard)``; the caller replays the
-        job's buffered record lines once the open resolves.
+        job's retained frames once the open resolves.
         """
         with self._lock:
             old = self._assignments.pop(job_id, None)

@@ -1,27 +1,25 @@
 """Framed streaming protocol of the race-detection service.
 
-The wire format layers the replay JSONL capture format onto a stream of
-length-prefixed frames so many captures can be multiplexed over one
-connection and a server can ingest several jobs concurrently:
+The wire format layers a capture onto a stream of length-prefixed
+frames so many captures can be multiplexed over one connection and a
+server can ingest several jobs concurrently:
 
 * every frame is a 4-byte big-endian payload length followed by that
   many bytes of UTF-8 JSON — one object with a ``verb`` field;
-* capture content travels in one of two shapes: the ``OPEN`` frame
-  carries the header line (identical JSON for both capture formats),
-  and ``RECORDS`` frames carry either chunks of raw JSONL record
-  lines (``lines``) or one base64-armored binary columnar batch frame
-  (``batch`` + ``count``) — the latter is how ``submit`` streams a
-  binary capture without materializing records client-side.  Parsing
-  (and therefore rejecting) capture content happens on the server
-  side, per job, so a malformed capture fails its own job with a
-  clean error instead of crashing a client or the server.
+* capture content travels in one shape: the ``OPEN`` frame carries the
+  header line (the same JSON for both capture file formats), and each
+  ``RECORDS`` frame carries exactly one base64-armored columnar batch
+  (``batch``, a :func:`repro.columnar.encode_batch` payload) and its
+  record count (``count``).  The client loads the capture — so a file
+  that is no capture fails there, with the loader's own error — and
+  the shard worker decodes each batch, so a corrupt frame fails its
+  own job with a clean error instead of crashing the server.
 
 Client → server verbs (six) and what answers each (``ERROR {message,
 job_id?}`` can answer any of them)::
 
     open    {header_line, config?, resubmit_key?, trace?}
                                        -> accept {job_id}
-    records {job_id, lines: [str]}     -> ack {job_id, accepted, pending}
     records {job_id, batch: str, count}-> ack {job_id, accepted, pending}
     close   {job_id}                   -> report {job_id, reports, stats,
                                                   degraded?, failure_log?,
@@ -215,12 +213,8 @@ def open_frame(header_line: str, config: Optional[DetectorConfig] = None,
     return message
 
 
-def records_frame(job_id: str, lines: Sequence[str]) -> dict:
-    return {"verb": RECORDS, "job_id": job_id, "lines": list(lines)}
-
-
-def batch_records_frame(job_id: str, encoded: str, count: int) -> dict:
-    """``RECORDS`` carrying one base64 binary columnar batch frame.
+def batch_frame(job_id: str, encoded: str, count: int) -> dict:
+    """``RECORDS``: one base64 columnar batch frame.
 
     ``count`` is the batch's record count, carried explicitly so the
     server's ACK/backpressure accounting stays exact without decoding
@@ -234,8 +228,7 @@ def encode_batch_wire(payload: bytes) -> Tuple[str, int]:
     """Base64-armor one encoded batch frame; returns (text, records).
 
     The record count is peeked from the batch header
-    (:func:`repro.columnar.batch_record_count`), so forwarding a binary
-    capture frame costs one base64 pass, not a decode.
+    (:func:`repro.columnar.batch_record_count`).
     """
     from ..columnar import batch_record_count
 
@@ -244,7 +237,7 @@ def encode_batch_wire(payload: bytes) -> Tuple[str, int]:
 
 
 def decode_batch_wire(encoded: str):
-    """Decode a :func:`batch_records_frame` payload to a ColumnarBatch."""
+    """Decode a :func:`batch_frame` payload to a ColumnarBatch."""
     from ..columnar import decode_batch
 
     try:

@@ -23,7 +23,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.races import DetectorConfig
 from ..errors import ReproError
@@ -39,7 +39,12 @@ from ..runtime.replay import read_header
 from ..trace.layout import GridLayout
 from . import protocol
 from .pipeline import ShardCrashError, ShardedDetectorPool
-from .stats import JobStats, ServiceStats, metrics_registry_from_snapshot
+from .stats import (
+    FINISHED_JOBS_RETAINED,
+    JobStats,
+    ServiceStats,
+    metrics_registry_from_snapshot,
+)
 
 #: Default pending-record high-water mark per job.
 DEFAULT_HIGH_WATER = 8192
@@ -49,9 +54,6 @@ DEFAULT_JOB_TIMEOUT = 30.0
 
 #: Default bound on requeue attempts before a job degrades.
 DEFAULT_MAX_REQUEUES = 2
-
-#: Bound on remembered finished reports for idempotent resubmission.
-RESUBMIT_CACHE_SIZE = 256
 
 #: Report payload served for degraded jobs: explicitly empty findings,
 #: never partial findings dressed up as complete ones.
@@ -72,13 +74,6 @@ def _request_spans(message: dict) -> SpanBuffer:
         raise ReproError(f"bad trace context: {exc}") from exc
 
 
-def _retained_record_count(items: Sequence[Union[str, dict]]) -> int:
-    """Records represented by retained items: one per line, ``count``
-    per binary batch frame."""
-    return sum(item["count"] if isinstance(item, dict) else 1
-               for item in items)
-
-
 @dataclass
 class _Job:
     """Server-side state of one in-flight capture submission."""
@@ -91,11 +86,10 @@ class _Job:
     #: Finished report replayed for an idempotent resubmission; when
     #: set, the job never touches the pool.
     cached: Optional[dict] = None
-    #: Every record item accepted so far — a raw JSONL line (str) or a
-    #: binary batch frame (``{"batch": b64, "count": n}``) — retained in
-    #: arrival order so a requeued job can be replayed from scratch on a
-    #: surviving shard.
-    lines: List[Union[str, dict]] = field(default_factory=list)
+    #: Every ``(encoded batch, record count)`` frame accepted so far,
+    #: retained in arrival order so a requeued job can be replayed from
+    #: scratch on a surviving shard.
+    frames: List[Tuple[str, int]] = field(default_factory=list)
     drained: asyncio.Event = field(default_factory=asyncio.Event)
     failed: bool = False
     error: str = ""
@@ -470,29 +464,16 @@ class RaceService:
         if job.failed:
             await self._send(writer, protocol.error_frame(job.error, job.job_id))
             return
-        encoded = message.get("batch")
-        if encoded is not None:
-            # Binary transport: one base64 columnar batch frame with an
-            # explicit record count, forwarded to the shard undecoded.
-            if not isinstance(encoded, str):
-                raise ReproError("RECORDS batch payload must be a string")
-            count = message.get("count")
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 0:
-                raise ReproError(
-                    "RECORDS batch frame needs a non-negative record count")
-            items: List[Union[str, dict]] = [
-                {"batch": encoded, "count": count}]
-        else:
-            lines = message.get("lines")
-            if not isinstance(lines, list) \
-                    or not all(isinstance(l, str) for l in lines):
-                raise ReproError("RECORDS frame needs a list of record lines")
-            items = list(lines)
-            count = len(lines)
-        if job.cached is not None or job.degraded:
+        # The one wire item: a base64 columnar batch and its record
+        # count, forwarded to the shard undecoded.
+        encoded, count = message.get("batch"), message.get("count")
+        if not isinstance(encoded, str) or type(count) is not int or count < 0:
+            raise ReproError("RECORDS frame needs a batch string and a "
+                             "non-negative integer record count")
+        if job.cached is not None or job.degraded or not count:
             # Replayed or degraded jobs eat the stream without forwarding
-            # it: the report is already decided.
+            # it: the report is already decided.  So does a frame that
+            # says it holds no records: there is nothing to wait for.
             await self._send(writer, protocol.ack_frame(
                 job.job_id, count, 0))
             return
@@ -512,8 +493,8 @@ class RaceService:
                 job.job_id, count, 0))
             return
         job.stats.batch_submitted(count)
-        job.lines.extend(items)
-        future = self.pool.submit_batch(job.job_id, items)
+        job.frames.append((encoded, count))
+        future = self.pool.submit_batch(job.job_id, [(encoded, count)])
         self._spawn_watch(job, future)
         await self._send(writer, protocol.ack_frame(
             job.job_id, count, job.stats.pending_records))
@@ -561,8 +542,8 @@ class RaceService:
             if job.epoch != epoch:
                 return
             if replay:
-                # The requeue replay: one batch covering every buffered
-                # line.  Pending was reset when recovery began.
+                # The requeue replay: one batch covering every retained
+                # frame.  Pending was reset when recovery began.
                 job.stats.pending_records = 0
                 job.stats.busy_seconds += busy
             else:
@@ -611,12 +592,10 @@ class RaceService:
                                    reason=f"requeue failed: {exc}")
                 job.degrade(f"requeue failed: {exc}")
                 return
-            job.stats.pending_records = _retained_record_count(job.lines)
-            if job.lines:
-                replay = self.pool.submit_batch(job.job_id, list(job.lines))
+            job.stats.pending_records = sum(n for _encoded, n in job.frames)
+            if job.frames:
+                replay = self.pool.submit_batch(job.job_id, job.frames)
                 self._spawn_watch(job, replay, replay=True)
-            else:
-                job.stats.pending_records = 0
         finally:
             job.recovering = False
             job.drained.set()
@@ -634,7 +613,7 @@ class RaceService:
             "failure_log": list(frame.get("failure_log", [])),
         }
         self._finished_by_key.move_to_end(key)
-        while len(self._finished_by_key) > RESUBMIT_CACHE_SIZE:
+        while len(self._finished_by_key) > FINISHED_JOBS_RETAINED:
             self._finished_by_key.popitem(last=False)
 
     async def _handle_close(self, message: dict, conn_jobs: Set[str],

@@ -9,20 +9,27 @@ Three layers of accounting, all cheap enough to keep on the hot path:
   shards is the critical path of a load under perfect overlap — the
   quantity the throughput benchmark scales against worker count;
 * :class:`ServiceStats` — the aggregate snapshot served as the ``stats``
-  section of the ``STATUS`` verb and printed by ``submit --stats``.
+  section of the ``STATUS`` verb and printed by ``replay --socket
+  --stats``.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..obs import MetricsRegistry
 
 #: Cap on retained batch latencies per job (newest kept, a plain bound —
 #: enough resolution for p50/p90/p99 without unbounded growth).
 LATENCY_SAMPLE_CAP = 4096
+
+#: Finished jobs a service remembers — their per-job ``STATUS`` rows here,
+#: their reports for idempotent resubmission in the server.  Open jobs
+#: are always kept; the aggregate counters stay exact across eviction.
+FINISHED_JOBS_RETAINED = 256
 
 
 def percentile(samples: List[float], fraction: float) -> float:
@@ -133,7 +140,12 @@ class ServiceStats:
 
     def __init__(self) -> None:
         self.started_at = time.monotonic()
+        #: Every open job plus the :data:`FINISHED_JOBS_RETAINED` most
+        #: recently finished ones, so a ``STATUS`` reply has a bounded size
+        #: however long the service has run.
         self.jobs: Dict[str, JobStats] = {}
+        self._finished: Deque[str] = deque()
+        self._evicted_records_in = 0
         self.jobs_done = 0
         self.jobs_failed = 0
         self.jobs_aborted = 0
@@ -146,7 +158,7 @@ class ServiceStats:
 
     def finish_job(self, job_id: str, state: str, error: str = "") -> None:
         job = self.jobs.get(job_id)
-        if job is None:
+        if job is None or job.state != "open":
             return
         job.finish(state, error)
         if state == "done":
@@ -157,6 +169,10 @@ class ServiceStats:
             self.jobs_aborted += 1
         elif state == "degraded":
             self.jobs_degraded += 1
+        self._finished.append(job_id)
+        while len(self._finished) > FINISHED_JOBS_RETAINED:
+            evicted = self.jobs.pop(self._finished.popleft())
+            self._evicted_records_in += evicted.records_in
 
     @property
     def uptime_seconds(self) -> float:
@@ -171,7 +187,8 @@ class ServiceStats:
             "jobs_failed": self.jobs_failed,
             "jobs_aborted": self.jobs_aborted,
             "jobs_degraded": self.jobs_degraded,
-            "records_in": sum(j.records_in for j in self.jobs.values()),
+            "records_in": self._evicted_records_in
+            + sum(j.records_in for j in self.jobs.values()),
             "pending_records": sum(j.pending_records for j in self.jobs.values()),
             "jobs": {job_id: job.snapshot() for job_id, job in self.jobs.items()},
             "workers": [w.snapshot(uptime) for w in workers or []],
@@ -250,7 +267,7 @@ def metrics_registry_from_snapshot(snapshot: dict) -> MetricsRegistry:
 
 
 def render_job_stats(snapshot: dict) -> str:
-    """Human-readable rendering of one job snapshot (``submit --stats``)."""
+    """Human-readable rendering of one job snapshot (``replay --socket --stats``)."""
     latency = snapshot.get("batch_latency_ms", {})
     lines = [
         "--------- job statistics",

@@ -23,7 +23,7 @@ from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
 from repro.runtime.queue import QueueSet
-from repro.runtime.replay import replay, save_capture
+from repro.runtime.replay import replay, save_capture_binary
 from repro.service import (
     BackoffPolicy,
     RaceService,
@@ -68,12 +68,20 @@ def _capture(grid=2, block=32, warp_size=8, words=256):
     return layout, sink.records
 
 
-def _capture_file(tmp_path, name="capture.jsonl"):
+def _write_capture(path, layout, records, frames=None):
+    """A binary capture; its frames are the RECORDS frames a submission
+    sends — ``frames`` of them (equal halves for 2), or 8 records each."""
+    per_frame = -(-len(records) // frames) if frames else 8
+    with open(path, "wb") as stream:
+        save_capture_binary(stream, layout, records, kernel="k",
+                            batch_records=per_frame)
+    return str(path)
+
+
+def _capture_file(tmp_path, frames=None):
     layout, records = _capture()
-    path = tmp_path / name
-    with open(path, "w") as stream:
-        save_capture(stream, layout, records, kernel="k")
-    return str(path), layout, records
+    path = _write_capture(tmp_path / "capture.bcap", layout, records, frames)
+    return path, layout, records
 
 
 def _expected_payload(layout, records):
@@ -98,10 +106,9 @@ def _endpoint_kwargs(thread):
     return {"port": service.bound_port}
 
 
-def _submit(thread, path, faults=NULL_FAULTS, max_retries=3, batch_size=8):
+def _submit(thread, path, faults=NULL_FAULTS, max_retries=3):
     return submit_capture(
         path,
-        batch_size=batch_size,
         max_retries=max_retries,
         backoff=BackoffPolicy(base=0.001, cap=0.01),
         timeout=CLIENT_TIMEOUT,
@@ -130,11 +137,6 @@ def _client_plan(kind, nth=1, seed=0, times=1, **payload):
                      seed=seed)
 
 
-def _two_batches(records):
-    """A batch size that splits the capture into exactly two RECORDS frames."""
-    return max(1, (len(records) + 1) // 2)
-
-
 # ----------------------------------------------------------------------
 # Shard crash mid-job → respawn + requeue → fault-free report
 # ----------------------------------------------------------------------
@@ -143,12 +145,12 @@ class TestShardCrash:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_inline_crash_recovers_to_exact_report(self, endpoint, seed,
                                                    tmp_path):
-        path, layout, records = _capture_file(tmp_path)
+        path, layout, records = _capture_file(tmp_path, frames=2)
         expected = _expected_payload(layout, records)
         thread = _start(endpoint, tmp_path, workers=0,
                         fault_plan=_worker_plan(sites.CRASH, nth=2, seed=seed))
         try:
-            result = _submit(thread, path, batch_size=_two_batches(records))
+            result = _submit(thread, path)
             assert not result.degraded
             assert reports_to_payload(result.reports) == expected
             assert result.records_processed == len(records)
@@ -159,12 +161,12 @@ class TestShardCrash:
             thread.stop()
 
     def test_process_pool_crash_recovers(self, tmp_path):
-        path, layout, records = _capture_file(tmp_path)
+        path, layout, records = _capture_file(tmp_path, frames=2)
         expected = _expected_payload(layout, records)
         thread = _start("unix", tmp_path, workers=1,
                         fault_plan=_worker_plan(sites.CRASH, nth=2))
         try:
-            result = _submit(thread, path, batch_size=_two_batches(records))
+            result = _submit(thread, path)
             assert not result.degraded
             assert reports_to_payload(result.reports) == expected
             health = _health(thread)
@@ -177,11 +179,11 @@ class TestShardCrash:
         # nth=1 re-fires on every requeue's first batch, so the requeue
         # budget runs out: the job must answer with a degraded report
         # carrying the failure log — not hang, not return findings.
-        path, _layout, records = _capture_file(tmp_path)
+        path, _layout, _records = _capture_file(tmp_path, frames=1)
         thread = _start(endpoint, tmp_path, workers=0, max_requeues=2,
                         fault_plan=_worker_plan(sites.CRASH, nth=1))
         try:
-            result = _submit(thread, path, batch_size=len(records) + 1)
+            result = _submit(thread, path)
             assert result.degraded
             assert not result.reports.races
             assert any("crash" in line for line in result.failure_log)
@@ -197,13 +199,13 @@ class TestHungWorker:
     def test_watchdog_unsticks_hung_worker(self, tmp_path):
         # Process workers only: an inline hang would block the event
         # loop the watchdog itself runs on.
-        path, layout, records = _capture_file(tmp_path)
+        path, layout, records = _capture_file(tmp_path, frames=2)
         expected = _expected_payload(layout, records)
         thread = _start("unix", tmp_path, workers=1,
                         fault_plan=_worker_plan(sites.HANG, nth=2,
                                                 seconds=60.0))
         try:
-            result = _submit(thread, path, batch_size=_two_batches(records))
+            result = _submit(thread, path)
             assert not result.degraded
             assert reports_to_payload(result.reports) == expected
             health = _health(thread)
@@ -290,13 +292,11 @@ class TestQueueStallChaos:
             qs.emit(record)
         drained.extend(qs.drain_in_order())
         assert sum(q.stats.stalls for q in qs.queues) > 0
-        path = tmp_path / "stalled.jsonl"
-        with open(path, "w") as stream:
-            save_capture(stream, layout, drained, kernel="k")
+        path = _write_capture(tmp_path / "stalled.bcap", layout, drained)
         expected = _expected_payload(layout, records)
         thread = _start(endpoint, tmp_path, workers=0)
         try:
-            result = _submit(thread, str(path))
+            result = _submit(thread, path)
             assert reports_to_payload(result.reports) == expected
         finally:
             thread.stop()
@@ -309,16 +309,17 @@ class TestPoison:
     @pytest.mark.parametrize("endpoint", ENDPOINTS)
     def test_poison_fails_job_cleanly_and_service_survives(self, endpoint,
                                                            tmp_path):
-        path, layout, records = _capture_file(tmp_path)
+        path, layout, records = _capture_file(tmp_path, frames=2)
         thread = _start(endpoint, tmp_path, workers=0,
                         fault_plan=_worker_plan(sites.POISON, nth=2))
         try:
             with pytest.raises(ServiceJobError, match="poison"):
-                _submit(thread, path, batch_size=_two_batches(records))
+                _submit(thread, path)
             # The poison failed one job, not the service: a second
             # submission converges (its own injector fires on batch 2
             # again, so submit it as a single batch that stays at hit 1).
-            result = _submit(thread, path, batch_size=len(records) + 1)
+            result = _submit(thread, _write_capture(
+                tmp_path / "one-frame.bcap", layout, records, frames=1))
             assert reports_to_payload(result.reports) == _expected_payload(
                 layout, records)
         finally:
@@ -335,10 +336,11 @@ class TestIdempotency:
         thread = _start(endpoint, tmp_path, workers=0)
         try:
             kwargs = _endpoint_kwargs(thread)
+            first = submit_capture(path, resubmit_key="key-1",
+                                   timeout=CLIENT_TIMEOUT, **kwargs)
+            second = submit_capture(path, resubmit_key="key-1",
+                                    timeout=CLIENT_TIMEOUT, **kwargs)
             with ServiceClient(timeout=CLIENT_TIMEOUT, **kwargs) as client:
-                first = client.submit_path(path, resubmit_key="key-1")
-            with ServiceClient(timeout=CLIENT_TIMEOUT, **kwargs) as client:
-                second = client.submit_path(path, resubmit_key="key-1")
                 stats = client.status("stats")["stats"]
             assert reports_to_payload(first.reports) == reports_to_payload(
                 second.reports)

@@ -184,6 +184,32 @@ class TestReplayErrors:
         assert cli.main(["replay", str(capture)]) == 2
         assert "malformed capture record" in _assert_clean_error(capsys)
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "binary"])
+    @pytest.mark.parametrize("layout", [
+        {"num_blocks": 1, "threads_per_block": 32.5, "warp_size": 32},
+        {"num_blocks": 40_000_000, "threads_per_block": 1024,
+         "warp_size": 32},
+    ], ids=["float-threads", "4e10-threads"])
+    def test_hostile_header_is_a_one_line_error(self, tmp_path, capsys,
+                                                layout, fmt):
+        # The float used to exit 1 in a TypeError traceback; the 140-byte
+        # 4e10-thread capture in a MemoryError (or the machine's memory).
+        import struct
+
+        from repro.runtime.replay import BINARY_MAGIC, write_frame
+
+        header = json.dumps({"format": "barracuda-capture", "version": 1,
+                             "kernel": "k", "layout": layout})
+        capture = tmp_path / "hostile.capture"
+        if fmt == "jsonl":
+            capture.write_text(header + "\n")
+        else:
+            with open(capture, "wb") as stream:
+                stream.write(BINARY_MAGIC + struct.pack("<H", 1))
+                write_frame(stream, header.encode())
+        assert cli.main(["replay", str(capture)]) == 2
+        assert "malformed capture layout" in _assert_clean_error(capsys)
+
     def test_fault_plan_corruption_surfaces_as_clean_error(self, tmp_path,
                                                            capsys):
         capture = _write_capture(tmp_path)
@@ -193,6 +219,17 @@ class TestReplayErrors:
                                     "kind": sites.GARBAGE_LINE, "nth": 1}]}))
         assert cli.main(["replay", capture, "--fault-plan", str(plan)]) == 2
         _assert_clean_error(capsys)
+
+    def test_fault_plan_counts_hits_across_the_capture(self, tmp_path, capsys):
+        # ``nth: 3`` never fired from the CLI: the plan was wrapped in a
+        # fresh injector for every line, so every line was hit 1.
+        capture = _write_capture(tmp_path)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(
+            {"seed": 7, "faults": [{"site": sites.REPLAY_LINE,
+                                    "kind": sites.GARBAGE_LINE, "nth": 3}]}))
+        assert cli.main(["replay", capture, "--fault-plan", str(plan)]) == 2
+        assert "on line 4" in _assert_clean_error(capsys)
 
 
 class TestServeErrors:
@@ -205,9 +242,31 @@ class TestServeErrors:
 
 
 class TestSubmitErrors:
+    """Submission is ``replay --socket``; ``submit`` is not a subcommand."""
+
+    def test_retired_submit_subcommand_is_rejected_by_argparse(
+            self, tmp_path, capsys):
+        assert "submit" not in cli._SUBCOMMANDS
+        with pytest.raises(SystemExit) as exc:  # parsed as `check submit …`
+            cli.main(["submit", _write_capture(tmp_path), "--socket", "s"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flags", [
+        ["--reference", "--socket", "SOCK"], ["--reference", "--port", "1"],
+        ["--health"], ["--flight-dump", "dump.json"]])
+    def test_flags_that_contradict_where_the_replay_runs(
+            self, tmp_path, capsys, flags):
+        # The reference detector lives in this process; health and the
+        # flight recorder live in a service.
+        flags = [str(tmp_path / "nope.sock") if f == "SOCK" else f
+                 for f in flags]
+        assert cli.main(["replay", _write_capture(tmp_path), *flags]) == 2
+        _assert_clean_error(capsys)
+
     def test_unreachable_service_is_a_one_line_error(self, tmp_path, capsys):
         capture = _write_capture(tmp_path)
-        assert cli.main(["submit", capture, "--socket",
+        assert cli.main(["replay", capture, "--socket",
                          str(tmp_path / "nope.sock"),
                          "--max-retries", "0"]) == 2
         _assert_clean_error(capsys)
@@ -216,7 +275,7 @@ class TestSubmitErrors:
         capture = _write_capture(tmp_path)
         plan = tmp_path / "plan.json"
         plan.write_text("{not json")
-        assert cli.main(["submit", capture, "--socket",
+        assert cli.main(["replay", capture, "--socket",
                          str(tmp_path / "nope.sock"),
                          "--fault-plan", str(plan)]) == 2
         _assert_clean_error(capsys)
@@ -230,7 +289,7 @@ class TestSubmitErrors:
                                            max_requeues=1,
                                            fault_plan=plan)).start()
         try:
-            code = cli.main(["submit", capture, "--socket", sock])
+            code = cli.main(["replay", capture, "--socket", sock])
         finally:
             thread.stop()
         assert code == 4
@@ -251,7 +310,7 @@ class TestSubmitErrors:
         thread = ServiceThread(RaceService(socket_path=sock,
                                            workers=0)).start()
         try:
-            code = cli.main(["submit", capture, "--socket", sock,
+            code = cli.main(["replay", capture, "--socket", sock,
                              "--fault-plan", str(plan)])
         finally:
             thread.stop()
@@ -534,9 +593,12 @@ def _hostile_rows():
                      id="check-unwritable-capture"),
         pytest.param(["convert", "CAPTURE", "UNWRITABLE"],
                      id="convert-unwritable-dst"),
-        pytest.param(["submit", "CAPTURE", "--socket", "SOCKET",
+        pytest.param(["replay", "CAPTURE", "--socket", "SOCKET",
                       "--flight-dump", "UNWRITABLE"],
                      id="submit-unwritable-flight-dump"),
+        pytest.param(["replay", "CAPTURE", "--socket", "SOCKET",
+                      "--trace", "UNWRITABLE"],
+                     id="submit-unwritable-trace"),
     ]
     return rows
 

@@ -37,7 +37,7 @@ from repro.runtime.replay import (
     convert_capture,
     load_capture,
     load_capture_binary,
-    load_capture_path,
+    load_capture_path_batches,
     record_line_to_record,
     replay,
     save_capture,
@@ -345,10 +345,11 @@ class TestConvertCapture:
         assert (src_fmt, dst_fmt, count) == ("binary", "jsonl", len(records))
         assert back.read_text() == src.read_text()
         for path in (src, binary, back):
-            loaded_layout, kernel, loaded, _fmt = load_capture_path(str(path))
+            loaded_layout, kernel, batches, _fmt = load_capture_path_batches(
+                str(path))
             assert loaded_layout == layout
             assert kernel == "racy"
-            assert loaded == records
+            assert [r for b in batches for r in b.iter_records()] == records
 
     def test_explicit_target_format(self, tmp_path):
         layout, records = _capture()

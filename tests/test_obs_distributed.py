@@ -58,6 +58,13 @@ __global__ void racy(int* data) {
 }
 """
 
+CLEAN = """
+__global__ void clean(int* data) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    data[gid] = gid;
+}
+"""
+
 ENDPOINTS = ("unix", "tcp")
 
 
@@ -614,8 +621,7 @@ class TestServedTracing:
                         fault_plan=plan)
         try:
             buffer = SpanBuffer("client")
-            result = _submit(thread, path, trace=buffer,
-                             batch_size=len(records) + 1)
+            result = _submit(thread, path, trace=buffer)
         finally:
             thread.stop()
 
@@ -749,7 +755,7 @@ class TestLocalRemoteParity:
         assert self._run(["replay", capture, "--trace", str(local)]) == 1
         thread = _start("unix", tmp_path, workers=workers)
         try:
-            assert self._run(["submit", capture, "--trace", str(remote),
+            assert self._run(["replay", capture, "--trace", str(remote),
                               "--socket", thread.service.socket_path]) == 1
         finally:
             thread.stop()
@@ -760,6 +766,47 @@ class TestLocalRemoteParity:
         # analysis, and it is the same span on whichever process ran it.
         assert local_spans["replay"] == {"client"}
         assert remote_spans["replay"] == {"shard-0"}
+
+    def test_replay_on_a_service_prints_the_local_report(
+            self, workers, tmp_path, capsys):
+        # One command, one report: racy and clean, both capture formats,
+        # with and without the same-value filter and the predictive tail —
+        # stdout byte for byte.
+        clean = tmp_path / "clean.cu"
+        clean.write_text(CLEAN)
+        captures = []
+        for name, kernel in (("racy", self._kernel(tmp_path)),
+                             ("clean", str(clean))):
+            binary = str(tmp_path / f"{name}.capture")
+            jsonl = str(tmp_path / f"{name}.jsonl")
+            self._run(["check", kernel, *self.LAUNCH, "--capture", binary])
+            assert self._run(["convert", binary, jsonl, "--to", "jsonl"]) == 0
+            captures += [(name, binary), (name, jsonl)]
+        capsys.readouterr()
+        thread = _start("unix", tmp_path, workers=workers)
+        try:
+            for name, capture in captures:
+                outputs = {}
+                for flag in ("", "--no-filter-same-value", "--predict",
+                             "--stats"):
+                    argv = ["replay", capture, *flag.split()]
+                    code = self._run(argv)
+                    local = capsys.readouterr().out
+                    assert code == (1 if name == "racy" else 0)
+                    assert self._run(
+                        argv + ["--socket", thread.service.socket_path]) == code
+                    served = capsys.readouterr().out
+                    # --stats appends the job's and the service's numbers
+                    # to the same report and capture statistics.
+                    assert served.startswith(local) if flag == "--stats" \
+                        else served == local
+                    outputs[flag] = local
+                # The flag reached the service: it changes a racy report.
+                assert (outputs["--no-filter-same-value"] != outputs[""]) \
+                    == (name == "racy")
+                assert "predicted" in outputs["--predict"]
+        finally:
+            thread.stop()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Property tests for the wire protocol and the retry layer.
 
-Three families, all driven by Hypothesis:
+Four families, all driven by Hypothesis:
 
 * framing — any JSON message survives encode → arbitrarily-chunked
   decode, and any mutation or truncation of the byte stream produces
@@ -11,9 +11,13 @@ Three families, all driven by Hypothesis:
   policy replays the same schedule;
 * retry — fewer transient wire faults than ``max_retries`` always
   converges to the exact fault-free report, with the retry bookkeeping
-  (attempt count, backoff schedule) matching the policy.
+  (attempt count, backoff schedule) matching the policy;
+* transport — any record stream, chunked into batch frames of any
+  sizes, gets byte-for-byte the verdict from an inline service that a
+  local ``replay_batches`` of the same batches gives.
 """
 
+import json
 import random
 
 import pytest
@@ -26,7 +30,9 @@ from repro.faults import NULL_FAULTS, FaultInjector, FaultPlan, FaultSpec, sites
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
-from repro.runtime.replay import replay, save_capture
+from repro.columnar import ColumnarBatch
+from repro.events import LogRecord, RecordKind
+from repro.runtime.replay import replay, replay_batches, save_capture_binary
 from repro.service import (
     BackoffPolicy,
     FrameDecoder,
@@ -35,8 +41,12 @@ from repro.service import (
     ServiceThread,
     encode_frame,
     reports_to_payload,
+    submit_batches,
     submit_capture,
 )
+from repro.trace.operations import Scope, Space
+
+from test_columnar import _DETECT_LAYOUT, memory_streams
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -173,9 +183,10 @@ def live_service(tmp_path_factory):
                   warp_size=8, params={"data": data}, sink=sink,
                   instrumented=True)
     layout = LaunchConfig.of(2, 32, 8).layout()
-    path = root / "capture.jsonl"
-    with open(path, "w") as stream:
-        save_capture(stream, layout, sink.records, kernel="k")
+    path = root / "capture.bcap"
+    with open(path, "wb") as stream:
+        save_capture_binary(stream, layout, sink.records, kernel="k",
+                            batch_records=4)
     expected = reports_to_payload(replay(layout, sink.records))
     thread = ServiceThread(
         RaceService(socket_path=str(root / "svc.sock"), workers=0)).start()
@@ -204,7 +215,7 @@ class TestRetryConvergence:
             faults = NULL_FAULTS
         policy = BackoffPolicy(base=0.001, cap=0.01, jitter=0.5, seed=seed)
         result = submit_capture(path, socket_path=socket_path,
-                                batch_size=4, max_retries=3, backoff=policy,
+                                max_retries=3, backoff=policy,
                                 faults=faults, sleep=lambda _delay: None)
         assert reports_to_payload(result.reports) == expected
         assert not result.degraded
@@ -214,3 +225,72 @@ class TestRetryConvergence:
         rng = random.Random(policy.seed)
         for attempt, delay in enumerate(result.backoff_schedule):
             assert delay == policy.delay(attempt, rng)
+
+
+# ----------------------------------------------------------------------
+# The one transport, held to the local path
+# ----------------------------------------------------------------------
+def _warp_tids(warp):
+    return range(4 * warp, 4 * warp + 4)  # _DETECT_LAYOUT: 4 warps of 4
+
+
+@st.composite
+def record_streams(draw):
+    """``memory_streams`` rows with synchronization, barrier and
+    branch-closing rows spliced in behind the divergence prefix."""
+    records = draw(memory_streams())
+    diverged = [r.warp for r in records if r.kind is RecordKind.BRANCH_IF]
+    extras = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        warp = draw(st.integers(min_value=0, max_value=3))
+        tids = draw(st.sets(st.sampled_from(_warp_tids(warp)), min_size=1))
+        extras.append(LogRecord(
+            kind=draw(st.sampled_from([RecordKind.ACQUIRE, RecordKind.RELEASE,
+                                       RecordKind.ACQREL])),
+            warp=warp, active=frozenset(tids),
+            addrs={tid: (Space.GLOBAL,
+                         4 * draw(st.integers(min_value=0, max_value=3)))
+                   for tid in tids},
+            scope=draw(st.sampled_from([Scope.BLOCK, Scope.GLOBAL])), pc=20))
+    for block in draw(st.lists(st.sampled_from([0, 1]), max_size=2)):
+        arrived = draw(st.sets(st.sampled_from(range(8 * block, 8 * block + 8)),
+                               min_size=1))  # a partial set is a divergence
+        extras.append(LogRecord(kind=RecordKind.BARRIER, warp=block,
+                                active=frozenset(arrived), pc=30))
+    for extra in extras:
+        records.insert(draw(st.integers(min_value=len(diverged),
+                                        max_value=len(records))), extra)
+    for warp in diverged:
+        if draw(st.booleans()):
+            records.insert(
+                draw(st.integers(min_value=len(diverged),
+                                 max_value=len(records))),
+                LogRecord(kind=RecordKind.BRANCH_ELSE, warp=warp,
+                          active=frozenset(_warp_tids(warp)), pc=1))
+            records.append(LogRecord(kind=RecordKind.BRANCH_FI, warp=warp,
+                                     active=frozenset(_warp_tids(warp)), pc=2))
+    return records
+
+
+class TestTransportParity:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(records=record_streams(),
+           sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1,
+                          max_size=4))
+    def test_inline_service_matches_local_replay_at_any_framing(
+            self, live_service, records, sizes):
+        socket_path, _path, _expected = live_service
+        batches, start = [], 0
+        while start < len(records):
+            size = sizes[len(batches) % len(sizes)]
+            batches.append(ColumnarBatch.from_records(
+                records[start:start + size]))
+            start += size
+        local = replay_batches(_DETECT_LAYOUT, batches)
+        served = submit_batches(_DETECT_LAYOUT, "k", batches,
+                                socket_path=socket_path)
+        assert not served.degraded
+        assert served.records_processed == len(records)
+        assert served.stats["batches_in"] == len(batches)
+        assert json.dumps(reports_to_payload(served.reports)) == \
+            json.dumps(reports_to_payload(local))

@@ -81,10 +81,16 @@ def test_barrier_broadcasts_block_clock():
     assert stats.format_counts[PTVCFormat.CONVERGED] == LAYOUT.total_warps
 
 
+def _release(clocks, tid, target):
+    """The REL rule as the detector applies it: ``target ⊔= C_t``, ``inc_t``."""
+    target.join(clocks.materialize(tid))
+    clocks.increment(tid)
+
+
 def test_acquire_release_deviates_and_rejoins():
     clocks = PTVCManager(LAYOUT)
     target = StructuredVC(LAYOUT)
-    clocks.release_from(0, target)  # t0 publishes and deviates
+    _release(clocks, 0, target)  # t0 publishes and deviates
     assert clocks.format_of(0) is PTVCFormat.SPARSE
     assert target.get(0) == 1
 
@@ -101,7 +107,7 @@ def test_release_increments_own_clock():
     clocks = PTVCManager(LAYOUT)
     target = StructuredVC(LAYOUT)
     before = clocks.value(0, 0)
-    clocks.release_from(0, target)
+    _release(clocks, 0, target)
     assert clocks.value(0, 0) == before + 1
     assert target.get(0) == before
 

@@ -11,8 +11,11 @@ from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
 from repro.runtime.replay import (
+    MAX_CAPTURE_THREADS,
     RecordingSink,
+    capture_header_line,
     load_capture,
+    read_header,
     replay,
     save_capture,
 )
@@ -133,6 +136,45 @@ def test_header_missing_layout_rejected():
     with pytest.raises(ReproError, match="layout"):
         load_capture(io.StringIO(
             '{"format": "barracuda-capture", "version": 1}\n'))
+
+
+def _header(**layout):
+    shape = {"num_blocks": 1, "threads_per_block": 2, "warp_size": 2}
+    return json.dumps({"format": "barracuda-capture", "version": 1,
+                       "kernel": "k", "layout": {**shape, **layout}})
+
+
+@pytest.mark.parametrize("field", ["num_blocks", "threads_per_block",
+                                   "warp_size"])
+@pytest.mark.parametrize("hostile", [32.5, 2.0, True, "4", None, 0, -1, [2]])
+def test_layout_field_that_must_be_a_positive_integer(field, hostile):
+    # ``32.5`` used to pass and end the replay in a TypeError traceback.
+    with pytest.raises(ReproError, match="malformed capture layout"):
+        read_header(_header(**{field: hostile}))
+
+
+def test_layout_that_is_not_an_object_rejected():
+    line = json.dumps({"format": "barracuda-capture", "version": 1,
+                       "layout": [1, 2, 2]})
+    with pytest.raises(ReproError, match="malformed capture layout"):
+        read_header(line)
+
+
+def test_header_is_an_allocation_request_with_a_ceiling():
+    # 4e10 threads used to die in a MemoryError inside PTVCManager (or
+    # take the machine's memory); the clock state is built eagerly.
+    with pytest.raises(ReproError, match="malformed capture layout.*limit"):
+        read_header(_header(num_blocks=40_000_000, threads_per_block=1024))
+    with pytest.raises(ReproError, match="limit"):
+        read_header(_header(num_blocks=MAX_CAPTURE_THREADS // 2 + 1,
+                            threads_per_block=2))
+    layout, kernel = read_header(_header(num_blocks=MAX_CAPTURE_THREADS // 2))
+    assert (layout.total_threads, kernel) == (MAX_CAPTURE_THREADS, "k")
+
+
+def test_header_line_round_trips_through_read_header():
+    layout = LaunchConfig.of(3, 48, 16).layout()
+    assert read_header(capture_header_line(layout, "k")) == (layout, "k")
 
 
 def test_garbage_json_record_line_rejected_with_line_number():

@@ -1,6 +1,5 @@
 """The concurrent race-detection service: protocol, pool, server, CLI."""
 
-import io
 import json
 import os
 import threading
@@ -13,7 +12,14 @@ from repro.errors import ReproError
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
-from repro.runtime.replay import replay, save_capture
+from repro.columnar import ColumnarBatch, encode_batch, iter_batches
+from repro.runtime.replay import (
+    capture_header_line,
+    load_capture_path_batches,
+    replay,
+    save_capture,
+    save_capture_binary,
+)
 from repro.service import (
     FrameDecoder,
     ProtocolError,
@@ -62,12 +68,27 @@ def _capture(source=RACY, grid=2, block=32, warp_size=8, words=256):
     return layout, sink.records
 
 
-def _capture_file(tmp_path, name, source=RACY, grid=2, block=32, warp_size=8):
+def _capture_file(tmp_path, name, source=RACY, grid=2, block=32, warp_size=8,
+                  batch_records=None):
+    """A JSONL capture, or — with ``batch_records`` — a binary one whose
+    frames (and therefore RECORDS frames) hold that many records."""
     layout, records = _capture(source, grid, block, warp_size)
     path = tmp_path / name
-    with open(path, "w") as stream:
-        save_capture(stream, layout, records, kernel="k")
+    if batch_records is None:
+        with open(path, "w") as stream:
+            save_capture(stream, layout, records, kernel="k")
+    else:
+        with open(path, "wb") as stream:
+            save_capture_binary(stream, layout, records, kernel="k",
+                                batch_records=batch_records)
     return str(path), layout, records
+
+
+def _submit_path(client, path, **kwargs):
+    """Load ``path`` the way every front door does and submit it."""
+    layout, kernel, batches, _fmt = load_capture_path_batches(path)
+    return client.submit(capture_header_line(layout, kernel), batches,
+                         **kwargs)
 
 
 def _race_keys(reports):
@@ -75,12 +96,22 @@ def _race_keys(reports):
             for r in reports.races}
 
 
-def _lines(layout, records, kernel="k"):
-    stream = io.StringIO()
-    save_capture(stream, layout, records, kernel=kernel)
-    stream.seek(0)
-    header, *rest = stream.read().splitlines()
-    return header, rest
+def _frames(layout, records, batch=8, kernel="k"):
+    """The OPEN header line and the ``(encoded batch, count)`` wire items
+    of a capture chunked ``batch`` records at a time."""
+    return capture_header_line(layout, kernel), [
+        protocol.encode_batch_wire(encode_batch(chunk))
+        for chunk in iter_batches(records, batch_records=batch)]
+
+
+#: Hostile wire items: each must fail its own job, nothing else.
+HOSTILE_FRAMES = {
+    "garbage": ("bm90IGEgYmF0Y2g=", 1),     # base64 of "not a batch"
+    "non-base64": ("not//valid base64!!", 1),
+    "empty": ("", 1),
+    "truncated": (protocol.encode_batch_wire(
+        encode_batch(ColumnarBatch()))[0][:-8], 1),
+}
 
 
 # ----------------------------------------------------------------------
@@ -88,7 +119,7 @@ def _lines(layout, records, kernel="k"):
 # ----------------------------------------------------------------------
 class TestProtocol:
     def test_frame_round_trip(self):
-        message = protocol.records_frame("job-1", ['{"kind": "load"}'])
+        message = protocol.batch_frame("job-1", "AAAA", 1)
         decoder = FrameDecoder()
         assert decoder.feed(encode_frame(message)) == [message]
 
@@ -135,27 +166,27 @@ class TestProtocol:
 # Sharded worker pool
 # ----------------------------------------------------------------------
 class TestShardedDetectorPool:
-    def _run_job(self, pool, job_id, layout, lines, batch=8):
+    def _run_job(self, pool, job_id, layout, frames):
         pool.open_job(job_id, layout).result()
-        for start in range(0, len(lines), batch):
-            pool.submit_batch(job_id, lines[start:start + batch]).result()
+        for frame in frames:
+            pool.submit_batch(job_id, [frame]).result()
         return reports_from_payload(pool.close_job(job_id).result())
 
     def test_inline_pool_matches_replay(self):
         layout, records = _capture()
-        _header, lines = _lines(layout, records)
+        _header, frames = _frames(layout, records)
         with ShardedDetectorPool(workers=0) as pool:
-            reports = self._run_job(pool, "j1", layout, lines)
+            reports = self._run_job(pool, "j1", layout, frames)
         assert _race_keys(reports) == _race_keys(replay(layout, records))
 
     def test_process_pool_matches_replay_across_jobs(self):
         layout, records = _capture()
-        _header, lines = _lines(layout, records)
+        _header, frames = _frames(layout, records)
         expected = _race_keys(replay(layout, records))
         with ShardedDetectorPool(workers=2) as pool:
             for job in ("j1", "j2", "j3"):
                 assert _race_keys(
-                    self._run_job(pool, job, layout, lines)) == expected
+                    self._run_job(pool, job, layout, frames)) == expected
 
     def test_jobs_are_shard_affine_round_robin(self):
         layout, _ = _capture(CLEAN, grid=1, block=4, warp_size=4)
@@ -173,16 +204,25 @@ class TestShardedDetectorPool:
 
     def test_malformed_record_fails_the_job_only(self):
         layout, records = _capture()
-        _header, lines = _lines(layout, records)
+        _header, frames = _frames(layout, records)
         with ShardedDetectorPool(workers=0) as pool:
-            pool.open_job("bad", layout).result()
-            future = pool.submit_batch("bad", ["this is not json"])
-            with pytest.raises(ReproError):
-                future.result()
-            pool.discard_job("bad").result()
-            # The pool keeps serving other jobs.
-            reports = self._run_job(pool, "good", layout, lines)
-            assert reports.races
+            for name, hostile in HOSTILE_FRAMES.items():
+                pool.open_job(name, layout).result()
+                future = pool.submit_batch(name, [hostile])
+                with pytest.raises(ReproError, match="corrupt|truncated"):
+                    future.result()
+                pool.discard_job(name).result()
+                # The pool keeps serving other jobs.
+                reports = self._run_job(pool, f"after-{name}", layout, frames)
+                assert reports.races
+
+    def test_a_count_the_batch_does_not_hold_fails_the_job(self):
+        layout, records = _capture()
+        _header, [(encoded, count), *_rest] = _frames(layout, records)
+        with ShardedDetectorPool(workers=0) as pool:
+            pool.open_job("liar", layout).result()
+            with pytest.raises(ReproError, match="corrupt batch frame"):
+                pool.submit_batch("liar", [(encoded, count + 1)]).result()
 
     def test_unknown_job_rejected(self):
         with ShardedDetectorPool(workers=0) as pool:
@@ -193,11 +233,11 @@ class TestShardedDetectorPool:
 
     def test_worker_stats_accumulate(self):
         layout, records = _capture()
-        _header, lines = _lines(layout, records)
+        _header, frames = _frames(layout, records)
         with ShardedDetectorPool(workers=0) as pool:
-            self._run_job(pool, "j1", layout, lines)
+            self._run_job(pool, "j1", layout, frames)
             stats = pool.worker_stats[0]
-            assert stats.records == len(lines)
+            assert stats.records == len(records)
             assert stats.batches > 0
             assert stats.busy_seconds > 0
 
@@ -216,7 +256,8 @@ class TestServiceIntegration:
     def test_two_concurrent_submits_match_in_process_replay(self, tmp_path):
         sock = str(tmp_path / "svc.sock")
         captures = {
-            "a": _capture_file(tmp_path, "a.jsonl", RACY, grid=2),
+            "a": _capture_file(tmp_path, "a.bcap", RACY, grid=2,
+                               batch_records=8),
             "b": _capture_file(tmp_path, "b.jsonl", RACY, grid=3, warp_size=16),
         }
         results = {}
@@ -225,7 +266,7 @@ class TestServiceIntegration:
         def submit(name, path):
             try:
                 with ServiceClient(socket_path=sock) as client:
-                    results[name] = client.submit_path(path, batch_size=8)
+                    results[name] = _submit_path(client, path)
             except Exception as exc:  # surfaced after join
                 errors.append((name, exc))
 
@@ -252,13 +293,15 @@ class TestServiceIntegration:
         path, layout, records = _capture_file(tmp_path, "c.jsonl")
         unfiltered_config = DetectorConfig(filter_same_value=False)
         with ServiceClient(socket_path=sock) as client:
-            filtered = client.submit_path(path)
-            unfiltered = client.submit_path(path, config=unfiltered_config)
+            filtered = _submit_path(client, path)
+            unfiltered = _submit_path(client, path, config=unfiltered_config)
         assert len(unfiltered.reports.races) > len(filtered.reports.races)
         assert filtered.reports.filtered_same_value > 0
 
     def test_malformed_corpus_yields_per_job_errors_not_a_crash(
             self, service, tmp_path):
+        from repro.service import submit_capture
+
         sock, _ = service
         corpus = {
             "empty.jsonl": "",
@@ -273,20 +316,67 @@ class TestServiceIntegration:
             "bad-kind.jsonl": GOOD_HEADER + '{"kind": "not-a-kind", '
                               '"warp": 0, "active": [0]}\n',
         }
+        # One loader: a file that is no capture fails on its way to a
+        # service with the very error a local replay of it gives.
         for name, text in corpus.items():
             path = tmp_path / name
             path.write_text(text)
+            with pytest.raises(ReproError) as local:
+                load_capture_path_batches(str(path))
+            with pytest.raises(ReproError) as served:
+                submit_capture(str(path), socket_path=sock)
+            assert str(served.value) == str(local.value)
+        # What can still be malformed on the wire is a batch frame: each
+        # hostile one fails its own job with one error frame.
+        for name, hostile in HOSTILE_FRAMES.items():
             with ServiceClient(socket_path=sock) as client:
-                with pytest.raises(ReproError):
-                    client.submit_path(str(path), batch_size=4)
+                job_id = client._request(
+                    protocol.open_frame(GOOD_HEADER))["job_id"]
+                client._request(protocol.batch_frame(job_id, *hostile))
+                with pytest.raises(ServiceJobError, match="corrupt|truncated"):
+                    client._raise_on_error(
+                        client._request(protocol.close_frame(job_id)))
         # After the whole corpus, the server is still healthy.
         good, layout, records = _capture_file(tmp_path, "good.jsonl")
         with ServiceClient(socket_path=sock) as client:
-            result = client.submit_path(good)
+            result = _submit_path(client, good)
             stats = client.status("stats")["stats"]
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
         assert stats["jobs_done"] >= 1
-        assert stats["jobs_failed"] >= 1  # record-level corpus entries
+        assert stats["jobs_failed"] == len(HOSTILE_FRAMES)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("hostile", sorted(HOSTILE_FRAMES))
+    def test_hostile_batch_frame_fails_its_job_while_a_concurrent_one_finishes(
+            self, tmp_path, workers, hostile):
+        # Two jobs open on the same shard (the inline one, or a pool's
+        # only process); a garbage / truncated / non-base64 batch lands
+        # in one of them mid-stream.
+        sock = str(tmp_path / "svc.sock")
+        layout, records = _capture()
+        header, frames = _frames(layout, records)
+        with ServiceThread(RaceService(socket_path=sock, workers=workers)):
+            with ServiceClient(socket_path=sock) as victim, \
+                    ServiceClient(socket_path=sock) as bystander:
+                bad = victim._request(protocol.open_frame(header))["job_id"]
+                good = bystander._request(
+                    protocol.open_frame(header))["job_id"]
+                half = len(frames) // 2
+                for frame in frames[:half]:
+                    bystander._request(protocol.batch_frame(good, *frame))
+                    victim._request(protocol.batch_frame(bad, *frame))
+                victim._request(protocol.batch_frame(
+                    bad, *HOSTILE_FRAMES[hostile]))
+                for frame in frames[half:]:
+                    bystander._request(protocol.batch_frame(good, *frame))
+                failure = victim._request(protocol.close_frame(bad))
+                assert failure["verb"] == protocol.ERROR
+                assert failure["job_id"] == bad
+                report = bystander._expect(
+                    bystander._request(protocol.close_frame(good)),
+                    protocol.REPORT)
+        assert report["reports"] == reports_to_payload(replay(layout, records)) \
+            | {"records_processed": len(records)}
 
     def test_garbage_frames_do_not_kill_other_jobs(self, service, tmp_path):
         import socket as socketlib
@@ -305,20 +395,20 @@ class TestServiceIntegration:
         assert protocol.recv_frame(raw)["verb"] == protocol.ERROR
         raw.close()
         with ServiceClient(socket_path=sock) as client:
-            result = client.submit_path(path)
+            result = _submit_path(client, path)
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
 
     def test_client_disconnect_aborts_its_job_only(self, service, tmp_path):
         sock, svc = service
         path, layout, records = _capture_file(tmp_path, "e.jsonl")
-        header, lines = _lines(layout, records)
+        header, frames = _frames(layout, records, batch=4)
         client = ServiceClient(socket_path=sock)
-        reply = client._request(protocol.open_frame(header + "\n"))
+        reply = client._request(protocol.open_frame(header))
         job_id = reply["job_id"]
-        client._request(protocol.records_frame(job_id, lines[:4]))
+        client._request(protocol.batch_frame(job_id, *frames[0]))
         client.close()  # vanish mid-job
         with ServiceClient(socket_path=sock) as other:
-            result = other.submit_path(path)
+            result = _submit_path(other, path)
             stats = other.status("stats")["stats"]
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
         assert stats["jobs_aborted"] >= 1
@@ -328,7 +418,7 @@ class TestServiceIntegration:
         with ServiceClient(socket_path=sock) as client:
             with pytest.raises(ServiceJobError):
                 client._raise_on_error(
-                    client._request(protocol.records_frame("job-999", [])))
+                    client._request(protocol.batch_frame("job-999", "", 0)))
 
     @pytest.mark.parametrize("bad", [
         {"granularity_bytes": -4},  # looped forever in the cell expansion
@@ -339,26 +429,82 @@ class TestServiceIntegration:
             self, service, tmp_path, bad):
         sock, race_service = service
         path, layout, records = _capture_file(tmp_path, "g.jsonl")
-        header, _ = _lines(layout, records)
+        header, _ = _frames(layout, records)
         with ServiceClient(socket_path=sock) as client:
             reply = client._request({"verb": protocol.OPEN,
-                                     "header_line": header + "\n",
+                                     "header_line": header,
                                      "config": bad})
             assert reply["verb"] == protocol.ERROR
             assert "malformed detector config" in reply["message"]
             assert "job_id" not in reply
             assert not race_service.stats.jobs  # no job was created
-            result = client.submit_path(path)  # and the service still serves
+            result = _submit_path(client, path)  # and the service still serves
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
+
+    @pytest.mark.parametrize("layout", [
+        {"num_blocks": 1, "threads_per_block": 32.5, "warp_size": 32},
+        {"num_blocks": 40_000_000, "threads_per_block": 1024,
+         "warp_size": 32},
+    ], ids=["float-threads", "4e10-threads"])
+    def test_open_with_hostile_header_is_one_error_frame(self, tmp_path,
+                                                         layout):
+        # The float used to reach the shard and kill it (and every other
+        # job on it) before the error frame came back; 4e10 threads asked
+        # the shard for the machine's memory.
+        sock = str(tmp_path / "svc.sock")
+        path, good_layout, records = _capture_file(tmp_path, "h.jsonl")
+        header = json.dumps({"format": "barracuda-capture", "version": 1,
+                             "kernel": "k", "layout": layout})
+        with ServiceThread(RaceService(socket_path=sock, workers=1)) as thread:
+            with ServiceClient(socket_path=sock) as client:
+                reply = client._request(protocol.open_frame(header))
+                assert reply["verb"] == protocol.ERROR
+                assert "malformed capture layout" in reply["message"]
+                assert not thread.service.stats.jobs  # no job was created
+                result = _submit_path(client, path)  # still serving
+                health = client.status("health")["health"]
+        assert [shard["restarts"] for shard in health["shards"]] == [0]
+        assert _race_keys(result.reports) == _race_keys(
+            replay(good_layout, records))
+
+    def test_status_reply_is_bounded_however_many_jobs_finished(
+            self, service):
+        from repro.service.stats import FINISHED_JOBS_RETAINED
+
+        sock, race_service = service
+        layout, records = _capture(CLEAN, grid=1, block=4, warp_size=4)
+        header, frames = _frames(layout, records)
+        sizes = []
+        with ServiceClient(socket_path=sock) as client:
+            held = client._request(protocol.open_frame(header))["job_id"]
+            client._request(protocol.batch_frame(held, *frames[0]))
+            for done in range(1, 3 * FINISHED_JOBS_RETAINED + 1):
+                client.submit(header, iter_batches(records))
+                if done % FINISHED_JOBS_RETAINED == 0:
+                    sizes.append(len(json.dumps(
+                        client.status("stats", "metrics"))))
+            stats = client.status("stats")["stats"]
+        # Flat once the bound is reached (digits of counters aside) ...
+        assert max(sizes) - min(sizes) < 0.01 * min(sizes)
+        assert len(stats["jobs"]) == FINISHED_JOBS_RETAINED + 1
+        # ... the job still open is never the one evicted ...
+        assert stats["jobs"][held]["state"] == "open"
+        assert stats["jobs_open"] == 1
+        # ... and the totals count every job ever served.
+        assert stats["jobs_done"] == 3 * FINISHED_JOBS_RETAINED
+        assert stats["records_in"] == frames[0][1] + \
+            3 * FINISHED_JOBS_RETAINED * len(records)
 
     def test_stats_surface(self, service, tmp_path):
         sock, _ = service
-        path, _layout, records = _capture_file(tmp_path, "f.jsonl")
+        path, _layout, records = _capture_file(tmp_path, "f.bcap",
+                                               batch_records=8)
         with ServiceClient(socket_path=sock) as client:
-            result = client.submit_path(path, batch_size=8)
+            result = _submit_path(client, path)
             stats = client.status("stats")["stats"]
         job_stats = result.stats
         assert job_stats["records_in"] == len(records)
+        assert job_stats["batches_in"] == -(-len(records) // 8)
         assert job_stats["records_per_sec"] > 0
         assert job_stats["batch_latency_ms"]["p50"] >= 0
         assert job_stats["state"] == "done"
@@ -406,22 +552,21 @@ class TestServiceIntegration:
         with ServiceThread(RaceService(port=0, workers=0)) as thread:
             port = thread.service.bound_port
             with ServiceClient(port=port) as client:
-                result = client.submit_path(path)
+                result = _submit_path(client, path)
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
 
     def test_backpressure_stalls_then_drains(self, tmp_path):
         sock = str(tmp_path / "bp.sock")
         layout, records = _capture()
-        header, lines = _lines(layout, records)
+        header, frames = _frames(layout, records, batch=8)
         service = RaceService(socket_path=sock, workers=0, high_water=4)
         with ServiceThread(service):
             with ServiceClient(socket_path=sock) as client:
-                reply = client._request(protocol.open_frame(header + "\n"))
+                reply = client._request(protocol.open_frame(header))
                 job_id = reply["job_id"]
-                for start in range(0, len(lines), 8):
-                    ack = client._expect(
-                        client._request(
-                            protocol.records_frame(job_id, lines[start:start + 8])),
+                for frame in frames:
+                    client._expect(
+                        client._request(protocol.batch_frame(job_id, *frame)),
                         protocol.ACK)
                 report = client._expect(
                     client._request(protocol.close_frame(job_id)),
@@ -434,27 +579,17 @@ class TestServiceIntegration:
 # STATUS metrics section (the observability surface of the service)
 # ----------------------------------------------------------------------
 class TestBinaryCaptureSubmit:
-    """Binary captures stream as base64 columnar batch frames."""
-
-    def _binary_capture_file(self, tmp_path, name, batch_records=3):
-        from repro.runtime.replay import save_capture_binary
-
-        layout, records = _capture()
-        path = tmp_path / name
-        with open(path, "wb") as stream:
-            save_capture_binary(stream, layout, records, kernel="k",
-                                batch_records=batch_records)
-        return str(path), layout, records
+    """Either capture format travels as base64 columnar batch frames."""
 
     def test_binary_submit_matches_jsonl_and_local_replay(
         self, service, tmp_path
     ):
         sock, _ = service
         jsonl_path, layout, records = _capture_file(tmp_path, "cap.jsonl")
-        bin_path, _, _ = self._binary_capture_file(tmp_path, "cap.bcap")
+        bin_path, _, _ = _capture_file(tmp_path, "cap.bcap", batch_records=3)
         with ServiceClient(socket_path=sock) as client:
-            from_jsonl = client.submit_path(jsonl_path)
-            from_binary = client.submit_path(bin_path)
+            from_jsonl = _submit_path(client, jsonl_path)
+            from_binary = _submit_path(client, bin_path)
         local = replay(layout, records)
         assert _race_keys(from_binary.reports) == _race_keys(local)
         assert _race_keys(from_binary.reports) == _race_keys(
@@ -462,32 +597,50 @@ class TestBinaryCaptureSubmit:
         assert from_binary.records_processed == len(records)
         assert (from_binary.reports.filtered_same_value
                 == from_jsonl.reports.filtered_same_value)
+        # Framing comes from the capture: a BCAP file's own frames.
+        assert from_binary.stats["batches_in"] == -(-len(records) // 3)
+        assert from_jsonl.stats["batches_in"] == 1
 
     def test_binary_submit_through_worker_processes(self, tmp_path):
         sock = str(tmp_path / "svc.sock")
-        bin_path, layout, records = self._binary_capture_file(
+        bin_path, layout, records = _capture_file(
             tmp_path, "cap.bcap", batch_records=2)
         with ServiceThread(RaceService(socket_path=sock, workers=2)):
             with ServiceClient(socket_path=sock) as client:
-                result = client.submit_path(bin_path)
+                result = _submit_path(client, bin_path)
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
         assert result.records_processed == len(records)
 
     def test_batch_frame_validation(self, service):
         sock, _ = service
+        layout, records = _capture()
+        header, frames = _frames(layout, records)
         with ServiceClient(socket_path=sock) as client:
-            reply = client._request(protocol.open_frame(GOOD_HEADER))
-            job_id = reply["job_id"]
-            # Non-string batch payload.
-            bad = protocol.batch_records_frame(job_id, "AAAA", 1)
-            bad["batch"] = 7
-            assert client._request(bad)["verb"] == protocol.ERROR
-            # Missing/negative count.
-            bad = protocol.batch_records_frame(job_id, "AAAA", 1)
-            del bad["count"]
-            assert client._request(bad)["verb"] == protocol.ERROR
-            bad = protocol.batch_records_frame(job_id, "AAAA", -3)
-            assert client._request(bad)["verb"] == protocol.ERROR
+            job_id = client._request(protocol.open_frame(header))["job_id"]
+            client._expect(client._request(
+                protocol.batch_frame(job_id, *frames[0])), protocol.ACK)
+            hostile = [
+                {"batch": 7},                          # non-string payload
+                {"count": None},                       # missing count
+                {"count": -3}, {"count": True}, {"count": 1.0},
+                {"batch": None, "lines": ['{"kind": "load"}']},  # retired
+            ]
+            for fields in hostile:
+                bad = {**protocol.batch_frame(job_id, "AAAA", 1), **fields}
+                reply = client._request(
+                    {k: v for k, v in bad.items() if v is not None})
+                assert reply["verb"] == protocol.ERROR
+                assert reply["job_id"] == job_id
+                assert "RECORDS frame needs" in reply["message"]
+            # Each was one error frame; the job's other frames stand.
+            for frame in frames[1:]:
+                client._expect(client._request(
+                    protocol.batch_frame(job_id, *frame)), protocol.ACK)
+            report = client._expect(
+                client._request(protocol.close_frame(job_id)),
+                protocol.REPORT)
+        assert _race_keys(reports_from_payload(report["reports"])) == \
+            _race_keys(replay(layout, records))
 
     def test_corrupt_batch_payload_fails_job_cleanly(self, service, tmp_path):
         sock, _ = service
@@ -496,16 +649,15 @@ class TestBinaryCaptureSubmit:
             job_id = reply["job_id"]
             # Well-formed frame, garbage payload: the job fails, the
             # connection (and service) survive.
-            garbage = protocol.batch_records_frame(
-                job_id, "bm90IGEgYmF0Y2g=", 1)
-            client._request(garbage)
+            client._request(
+                protocol.batch_frame(job_id, *HOSTILE_FRAMES["garbage"]))
             with pytest.raises(ServiceJobError):
                 client._raise_on_error(
                     client._request(protocol.close_frame(job_id)))
         # Service still healthy afterwards.
         path, layout, records = _capture_file(tmp_path, "ok.jsonl")
         with ServiceClient(socket_path=sock) as client:
-            result = client.submit_path(path)
+            result = _submit_path(client, path)
         assert _race_keys(result.reports) == _race_keys(replay(layout, records))
 
 
@@ -521,9 +673,10 @@ class TestMetricsVerb:
         from repro.service.stats import metrics_registry_from_snapshot
 
         sock, _ = service
-        path, _layout, records = _capture_file(tmp_path, "m.jsonl")
+        path, _layout, records = _capture_file(tmp_path, "m.bcap",
+                                               batch_records=8)
         with ServiceClient(socket_path=sock) as client:
-            client.submit_path(path, batch_size=8)
+            _submit_path(client, path)
             status = client.status("metrics", "stats")
         metrics, stats = status["metrics"], status["stats"]
         parsed = parse_exposition(metrics["text"])
@@ -548,15 +701,20 @@ class TestMetricsVerb:
 
     def _open_job(self, client, header):
         return client._expect(
-            client._request(protocol.open_frame(header + "\n")),
+            client._request(protocol.open_frame(header)),
             protocol.ACCEPT)["job_id"]
+
+    def _send(self, client, job_id, frame):
+        client._expect(client._request(protocol.batch_frame(job_id, *frame)),
+                       protocol.ACK)
 
     def test_concurrent_jobs_have_isolated_counters(self, service, tmp_path):
         from repro.obs import parse_exposition
 
         sock, _ = service
         layout, records = _capture()
-        header, lines = _lines(layout, records)
+        header, frames = _frames(layout, records, batch=4)
+        _header, [twelve, *_rest] = _frames(layout, records, batch=12)
         first = ServiceClient(socket_path=sock)
         second = ServiceClient(socket_path=sock)
         try:
@@ -564,9 +722,9 @@ class TestMetricsVerb:
             job_b = self._open_job(second, header)
             assert job_a != job_b
             # Stream different volumes into each mid-flight job.
-            first._send_batch(job_a, lines[:12])
-            second._send_batch(job_b, lines[:4])
-            second._send_batch(job_b, lines[4:8])
+            self._send(first, job_a, twelve)
+            self._send(second, job_b, frames[0])
+            self._send(second, job_b, frames[1])
             with ServiceClient(socket_path=sock) as observer:
                 metrics = observer.status("metrics")["metrics"]
             parsed = parse_exposition(metrics["text"])
@@ -605,7 +763,7 @@ class TestMetricsVerb:
         with ServiceThread(RaceService(port=0, workers=0)) as thread:
             port = thread.service.bound_port
             with ServiceClient(port=port) as client:
-                client.submit_path(path)
+                _submit_path(client, path)
                 metrics = client.status("metrics")["metrics"]
         parsed = parse_exposition(metrics["text"])
         assert self._sample(
@@ -623,7 +781,7 @@ class TestServiceCli:
         sock = str(tmp_path / "cli.sock")
         path, layout, records = _capture_file(tmp_path, "cli.jsonl")
         with ServiceThread(RaceService(socket_path=sock, workers=0)):
-            code = main(["submit", path, "--socket", sock, "--stats"])
+            code = main(["replay", path, "--socket", sock, "--stats"])
         out = capsys.readouterr().out
         assert code == 1  # the capture is racy
         assert "race report" in out
@@ -637,7 +795,7 @@ class TestServiceCli:
         sock = str(tmp_path / "cli-m.sock")
         path, _layout, _records = _capture_file(tmp_path, "cli-m.jsonl")
         with ServiceThread(RaceService(socket_path=sock, workers=0)):
-            code = main(["submit", path, "--socket", sock, "--metrics"])
+            code = main(["replay", path, "--socket", sock, "--metrics"])
         out = capsys.readouterr().out
         assert code == 1
         assert "--------- metrics" in out
@@ -659,7 +817,7 @@ class TestServiceCli:
         flight = tmp_path / "flight.json"
         path, _layout, _records = _capture_file(tmp_path, "cli-s.jsonl")
         with ServiceThread(RaceService(socket_path=sock, workers=0)):
-            code = main(["submit", path, "--socket", sock, "--stats",
+            code = main(["replay", path, "--socket", sock, "--stats",
                          "--metrics", "--health", "--flight-dump",
                          str(flight)])
         out = capsys.readouterr().out
@@ -674,6 +832,7 @@ class TestServiceCli:
         from repro.cli import main
 
         path, _layout, _records = _capture_file(tmp_path, "lone.jsonl")
-        code = main(["submit", path, "--socket", str(tmp_path / "nope.sock")])
+        code = main(["replay", path, "--socket", str(tmp_path / "nope.sock"),
+                     "--max-retries", "0"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
