@@ -52,6 +52,13 @@ KIND_CODE: Dict[RecordKind, int] = {kind: i for i, kind in enumerate(KINDS)}
 KIND_LOAD = KIND_CODE[RecordKind.LOAD]
 KIND_STORE = KIND_CODE[RecordKind.STORE]
 KIND_ATOMIC = KIND_CODE[RecordKind.ATOMIC]
+#: Codes 3-5 are the synchronization kinds (memory rows too: they carry
+#: lanes), 6-9 the lane-less control kinds, BARRIER last.
+KIND_ACQUIRE = KIND_CODE[RecordKind.ACQUIRE]
+KIND_ACQREL = KIND_CODE[RecordKind.ACQREL]
+KIND_BRANCH_IF = KIND_CODE[RecordKind.BRANCH_IF]
+KIND_BRANCH_ELSE = KIND_CODE[RecordKind.BRANCH_ELSE]
+KIND_BARRIER = KIND_CODE[RecordKind.BARRIER]
 #: Column code of a row whose record lives in the ``extras`` side table.
 KIND_EXTRA = 255
 
@@ -213,6 +220,9 @@ class ColumnarBatch:
                     "corrupt columnar batch: lane_starts not monotone")
             previous = value
         pool = len(self.masks)
+        # Pool entry -> its tids as a lane slice must spell them, or None
+        # when they do not strictly ascend; built once per entry.
+        lanes_of_mask: Dict[int, Optional[List[int]]] = {}
         for index in range(n):
             code = self.kinds[index]
             if code != KIND_EXTRA and not 0 <= code < len(KINDS):
@@ -233,6 +243,23 @@ class ColumnarBatch:
                     f"corrupt columnar batch: mask id {self.mask_ids[index]} "
                     f"out of range for pool of {pool}"
                 )
+            if code != KIND_EXTRA and KINDS[code] in MEMORY_KINDS:
+                # A memory row's lanes are exactly its mask, ascending:
+                # every consumer walks the lanes in that order and looks
+                # addresses up by the mask's tids.
+                mask_id = self.mask_ids[index]
+                if mask_id not in lanes_of_mask:
+                    mask = self.masks[mask_id]
+                    lanes_of_mask[mask_id] = (
+                        list(mask)
+                        if all(a < b for a, b in zip(mask, mask[1:])) else None)
+                lanes = self.lane_tids[
+                    self.lane_starts[index]:self.lane_starts[index + 1]]
+                if lanes != lanes_of_mask[mask_id]:
+                    raise ReproError(
+                        f"corrupt columnar batch: row {index} lanes "
+                        f"{lanes[:8]} are not its active mask "
+                        f"{list(self.masks[mask_id])[:8]} in ascending order")
             then_id = self.then_mask_ids[index]
             if then_id != -1 and not 0 <= then_id < pool:
                 raise ReproError(

@@ -14,12 +14,18 @@ cross-check them on randomized feasible traces.  The host-side runtime
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..columnar import (
+    KIND_ACQREL,
+    KIND_ACQUIRE,
     KIND_ATOMIC,
+    KIND_BARRIER,
+    KIND_BRANCH_ELSE,
+    KIND_BRANCH_IF,
     KIND_LOAD,
     KIND_STORE,
+    SCOPES,
     SPACE_CODE,
     ColumnarBatch,
 )
@@ -52,18 +58,18 @@ from .races import (
     DetectorReports,
     classify,
 )
-from .shadow import ShadowEntry, ShadowMemory
+from .shadow import RangeCell, ShadowEntry, ShadowMemory
 from .syncmap import SyncLocationMap
 from .vectorclock import Epoch
-
-#: Operations performed by a single thread (NOP when inactive).
-_THREAD_LEVEL_OPS = (Read, Write, Atomic, Acquire, Release, AcqRel)
 
 #: A shadow cell as the access rules carry it: ``(block, offset)`` with
 #: ``block < 0`` for global memory — :meth:`ShadowMemory.entry_at`'s
 #: address.  A :class:`Location` is built only for a race report.
 Cell = Tuple[int, int]
 _SHARED = SPACE_CODE[Space.SHARED]
+# Enum members as module constants: ``AccessType.READ`` is a metaclass
+# lookup, and the lane bodies below name one per access.
+_READ, _WRITE, _ATOMIC = AccessType.READ, AccessType.WRITE, AccessType.ATOMIC
 
 
 class BarracudaDetector:
@@ -88,7 +94,6 @@ class BarracudaDetector:
             if self.config.provenance_depth > 0
             else None
         )
-        self._dispatch = None  # built lazily: handlers reference methods
 
     # ------------------------------------------------------------------
     # Helpers
@@ -236,8 +241,8 @@ class BarracudaDetector:
     def _read_lane(self, tid: int, cell: Cell, pc: int,
                    entry: ShadowEntry, cv) -> None:
         if self.provenance is not None:
-            self._record_provenance(cell, tid, AccessType.READ, pc)
-        self._check_write(entry, cell, tid, AccessType.READ, pc, cv)
+            self._record_provenance(cell, tid, _READ, pc)
+        self._check_write(entry, cell, tid, _READ, pc, cv)
         readers = entry.readers
         if readers is not None:
             # READSHARED
@@ -264,9 +269,9 @@ class BarracudaDetector:
         entry: ShadowEntry, cv, group: Tuple[int, int],
     ) -> None:
         if self.provenance is not None:
-            self._record_provenance(cell, tid, AccessType.WRITE, pc, value)
-        self._check_write(entry, cell, tid, AccessType.WRITE, pc, cv, value)
-        self._check_reads(entry, cell, tid, AccessType.WRITE, pc, cv)
+            self._record_provenance(cell, tid, _WRITE, pc, value)
+        self._check_write(entry, cell, tid, _WRITE, pc, cv, value)
+        self._check_reads(entry, cell, tid, _WRITE, pc, cv)
         entry.reset_reads()
         entry.write_epoch = cv.epoch(tid)
         entry.atomic = False
@@ -277,13 +282,13 @@ class BarracudaDetector:
     def _atomic_lane(self, tid: int, cell: Cell, pc: int,
                      entry: ShadowEntry, cv, group: Tuple[int, int]) -> None:
         if self.provenance is not None:
-            self._record_provenance(cell, tid, AccessType.ATOMIC, pc)
+            self._record_provenance(cell, tid, _ATOMIC, pc)
         if not entry.atomic:
             # INITATOM*: the preceding write was non-atomic; Nvidia gives
             # no atomicity guarantee against it, so order is required.
-            self._check_write(entry, cell, tid, AccessType.ATOMIC, pc, cv)
+            self._check_write(entry, cell, tid, _ATOMIC, pc, cv)
         # Atomics never race with each other but do race with reads.
-        self._check_reads(entry, cell, tid, AccessType.ATOMIC, pc, cv)
+        self._check_reads(entry, cell, tid, _ATOMIC, pc, cv)
         entry.reset_reads()
         entry.write_epoch = cv.epoch(tid)
         entry.atomic = True
@@ -291,22 +296,30 @@ class BarracudaDetector:
         entry.last_group = group
         entry.write_pc = pc
 
+    # The per-operation handlers.  A thread-level operation of an
+    # inactive thread is a NOP.
     def _on_read(self, op: Read) -> None:
-        loc = op.loc
-        self._read_lane(op.tid, (loc.block, loc.offset), op.pc,
-                        self.shadow.entry(loc), self.clocks)
+        tid = op.tid
+        if self.clocks.is_active(tid):
+            loc = op.loc
+            self._read_lane(tid, (loc.block, loc.offset), op.pc,
+                            self.shadow.entry(loc), self.clocks)
 
     def _on_write(self, op: Write) -> None:
-        loc = op.loc
-        self._write_lane(op.tid, (loc.block, loc.offset), op.value, op.pc,
-                         self.shadow.entry(loc), self.clocks,
-                         self._group_of(op.tid))
+        tid = op.tid
+        if self.clocks.is_active(tid):
+            loc = op.loc
+            self._write_lane(tid, (loc.block, loc.offset), op.value, op.pc,
+                             self.shadow.entry(loc), self.clocks,
+                             self._group_of(tid))
 
     def _on_atomic(self, op: Atomic) -> None:
-        loc = op.loc
-        self._atomic_lane(op.tid, (loc.block, loc.offset), op.pc,
-                          self.shadow.entry(loc), self.clocks,
-                          self._group_of(op.tid))
+        tid = op.tid
+        if self.clocks.is_active(tid):
+            loc = op.loc
+            self._atomic_lane(tid, (loc.block, loc.offset), op.pc,
+                              self.shadow.entry(loc), self.clocks,
+                              self._group_of(tid))
 
     # ------------------------------------------------------------------
     # Lockstep and branches
@@ -331,86 +344,86 @@ class BarracudaDetector:
     # Barriers and synchronization (Figure 3)
     # ------------------------------------------------------------------
     def _on_barrier(self, op: Barrier) -> None:
-        expected = frozenset(self.layout.barrier_tids(op.block))
-        if op.active != expected:
+        self._barrier(op.block, op.active, op.pc)
+
+    def _barrier(self, block: int, active: FrozenSet[int], pc: int) -> None:
+        expected = frozenset(self.layout.barrier_tids(block))
+        if active != expected:
             self.reports.barrier_divergences.append(
                 BarrierDivergenceReport(
-                    block=op.block, missing=expected - op.active, pc=op.pc
+                    block=block, missing=expected - active, pc=pc
                 )
             )
-        self.clocks.barrier(op.block, op.active)
-        for warp in self.layout.barrier_warps(op.block):
+        self.clocks.barrier(block, active)
+        for warp in self.layout.barrier_warps(block):
             self._advance_group(warp)
 
     def _on_acquire(self, op: Acquire) -> None:
-        sync = self.sync.get(op.loc)
-        self._mark_sync_loc(op.loc)
-        if op.scope is Scope.BLOCK:
-            sources = sync.acquire_block(self.layout.block_of(op.tid))
+        if self.clocks.is_active(op.tid):
+            self._acquire(op.tid, op.loc, op.scope)
+
+    def _acquire(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
+        sync = self.sync.get(loc)
+        if scope is Scope.BLOCK:
+            sources = sync.acquire_block(self.layout.block_of(tid))
         else:
             sources = sync.acquire_global()
         for clock in sources:
-            self.clocks.acquire_into(op.tid, clock)
+            self.clocks.acquire_into(tid, clock)
 
     def _on_release(self, op: Release) -> None:
-        sync = self.sync.get(op.loc)
-        self._mark_sync_loc(op.loc)
-        released = self.clocks.materialize(op.tid)
-        if op.scope is Scope.BLOCK:
-            sync.release_block(self.layout.block_of(op.tid), released)
+        if self.clocks.is_active(op.tid):
+            self._release(op.tid, op.loc, op.scope)
+
+    def _release(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
+        sync = self.sync.get(loc)
+        released = self.clocks.materialize(tid)
+        if scope is Scope.BLOCK:
+            sync.release_block(self.layout.block_of(tid), released)
         else:
             sync.release_global(released)
-        self.clocks.increment(op.tid)
+        self.clocks.increment(tid)
 
     def _on_acqrel(self, op: AcqRel) -> None:
-        sync = self.sync.get(op.loc)
-        self._mark_sync_loc(op.loc)
-        if op.scope is Scope.BLOCK:
-            for clock in sync.acquire_block(self.layout.block_of(op.tid)):
-                self.clocks.acquire_into(op.tid, clock)
-            combined = self.clocks.materialize(op.tid)
-            sync.release_block(self.layout.block_of(op.tid), combined)
+        if self.clocks.is_active(op.tid):
+            self._acqrel(op.tid, op.loc, op.scope)
+
+    def _acqrel(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
+        sync = self.sync.get(loc)
+        if scope is Scope.BLOCK:
+            for clock in sync.acquire_block(self.layout.block_of(tid)):
+                self.clocks.acquire_into(tid, clock)
+            combined = self.clocks.materialize(tid)
+            sync.release_block(self.layout.block_of(tid), combined)
         else:
             for clock in sync.acquire_global():
-                self.clocks.acquire_into(op.tid, clock)
-            combined = self.clocks.materialize(op.tid)
+                self.clocks.acquire_into(tid, clock)
+            combined = self.clocks.materialize(tid)
             sync.release_global(combined)
-        self.clocks.increment(op.tid)
-
-    def _mark_sync_loc(self, loc: Location) -> None:
-        entry = self.shadow.peek(loc)
-        if entry is not None:
-            entry.sync_loc = True
+        self.clocks.increment(tid)
 
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def _handlers(self):
-        """Bound per-type dispatch table (built once: this is the hottest
-        per-event path)."""
-        return {
-            Read: self._on_read,
-            Write: self._on_write,
-            Atomic: self._on_atomic,
-            EndInsn: self._on_endi,
-            If: self._on_if,
-            Else: self._on_else,
-            Fi: self._on_fi,
-            Barrier: self._on_barrier,
-            Acquire: self._on_acquire,
-            Release: self._on_release,
-            AcqRel: self._on_acqrel,
-        }
+    #: :meth:`process`'s handler per operation type.
+    _HANDLERS = {
+        Read: _on_read,
+        Write: _on_write,
+        Atomic: _on_atomic,
+        EndInsn: _on_endi,
+        If: _on_if,
+        Else: _on_else,
+        Fi: _on_fi,
+        Barrier: _on_barrier,
+        Acquire: _on_acquire,
+        Release: _on_release,
+        AcqRel: _on_acqrel,
+    }
 
     def process(self, op: AnyOp) -> None:
         """Apply one trace operation; inactive threads' operations are NOPs."""
         self.ops_processed += 1
-        if isinstance(op, _THREAD_LEVEL_OPS):
-            if not self.clocks.is_active(op.tid):
-                return
-        if self._dispatch is None:
-            self._dispatch = self._handlers()
-        self._dispatch[type(op)](op)
+        self._HANDLERS[type(op)](self, op)
 
     def process_columnar(self, batch: ColumnarBatch,
                          granularity: int = 4) -> None:
@@ -420,10 +433,15 @@ class BarracudaDetector:
         :func:`repro.events.record_to_ops` and calling :meth:`process`
         per operation — same races in the same order, same
         ``ops_processed``/``joins`` accounting (the differential suite
-        pins this across all 66 programs) — but without materializing a
-        single operation object.  Rows the fast path cannot prove
-        regular (non-memory kinds, extras rows, lanes outside the row's
-        warp) fall back to exactly that expansion.
+        pins this across all 79 programs) — but without materializing a
+        single record, and with a coalesced LOAD/STORE row of a converged
+        warp handled as one range (:meth:`_coalesced_row`).  Only rows
+        the columns cannot express (extras rows) or whose lanes leave
+        the row's warp fall back to exactly that expansion.
+
+        ``batch`` satisfies :meth:`ColumnarBatch.validate` (the builder
+        and the decoder both guarantee it): a memory row's lanes ascend,
+        so its two end lanes bound them all.
         """
         layout = self.layout
         clocks = self.clocks
@@ -434,6 +452,8 @@ class BarracudaDetector:
         warps = batch.warps
         pcs = batch.pcs
         widths = batch.widths
+        scopes = batch.scopes
+        mask_ids = batch.mask_ids
         lane_starts = batch.lane_starts
         lane_tids = batch.lane_tids
         lane_spaces = batch.lane_spaces
@@ -443,20 +463,51 @@ class BarracudaDetector:
         read_lane = self._read_lane
         write_lane = self._write_lane
         atomic_lane = self._atomic_lane
+        coalesced_row = self._coalesced_row
+        sync_lane = (self._acquire, self._release, self._acqrel)
         active_mask = clocks.active_mask
         end_instruction = clocks.end_instruction
         instr = self._instr
         instr_get = instr.get
         process = self.process
+        # Per-lane history is what provenance records: no ranges then.
+        ranges = self.provenance is None
         tpb = layout.threads_per_block
         ws = layout.warp_size
         wpb = layout.warps_per_block
         total_warps = layout.total_warps
+        mask_sets: Dict[int, FrozenSet[int]] = {}
+
+        def mask_set(mask_id: int) -> FrozenSet[int]:
+            mask = mask_sets.get(mask_id)
+            if mask is None:
+                mask = mask_sets[mask_id] = frozenset(batch.masks[mask_id])
+            return mask
+
         for index in range(len(kinds)):
             code = kinds[index]
+            warp = warps[index]
+            pc = pcs[index]
+            if KIND_BRANCH_IF <= code <= KIND_BARRIER:
+                self.ops_processed += 1
+                if code == KIND_BARRIER:
+                    self._barrier(warp, mask_set(mask_ids[index]), pc)
+                    continue
+                if code == KIND_BRANCH_IF:
+                    then_id = batch.then_mask_ids[index]
+                    then_mask = mask_set(then_id) if then_id >= 0 else frozenset()
+                    clocks.branch_if(If(
+                        warp=warp, then_mask=then_mask,
+                        else_mask=mask_set(mask_ids[index]) - then_mask, pc=pc))
+                elif code == KIND_BRANCH_ELSE:
+                    clocks.branch_else(Else(warp=warp, pc=pc))
+                else:
+                    clocks.branch_fi(Fi(warp=warp, pc=pc))
+                instr[warp] = instr_get(warp, 0) + 1
+                continue
             start = lane_starts[index]
             end = lane_starts[index + 1]
-            regular = code <= KIND_ATOMIC and 0 <= (warp := warps[index]) < total_warps
+            regular = code <= KIND_ACQREL and 0 <= warp < total_warps
             if regular:
                 # All lanes must live in the row's own warp: activeness
                 # and the lockstep join are per-warp state, and malformed
@@ -465,51 +516,165 @@ class BarracudaDetector:
                 base = (warp // wpb) * tpb
                 lo = base + (warp % wpb) * ws
                 hi = min(lo + ws, base + tpb)
-                for lane in range(start, end):
-                    tid = lane_tids[lane]
-                    if tid < lo or tid >= hi:
-                        regular = False
-                        break
+                regular = start == end or (
+                    lo <= lane_tids[start] and lane_tids[end - 1] < hi)
             if not regular:
                 for op in record_to_ops(batch.record(index), layout,
                                         granularity):
                     process(op)
                 continue
-            pc = pcs[index]
             width = widths[index]
             # Shared cells belong to the row's block: every lane is in
             # the row's warp (checked above).
             shared_block = warp // wpb
             amask = active_mask(warp)
-            # One clock view for the whole record: memory accesses never
-            # deviate a thread or replace the group base, so the view's
-            # frozen warp/block max stays exact until the trailing endi.
-            cv = clocks if deviant else converged_view(warp, lo, hi)
-            # The warp-instruction identity every lane of this record
-            # shares (what _group_of would derive lane by lane).
-            group = (warp, instr_get(warp, 0))
-            ops = 1
-            for lane in range(start, end):
-                tid = lane_tids[lane]
-                offsets = cell_offsets(lane_addrs[lane], width, granularity)
-                ops += len(offsets)
-                if tid not in amask:
-                    continue
-                block = shared_block if lane_spaces[lane] == _SHARED else -1
-                if code == KIND_STORE:
-                    value = lane_values[lane] if lane_has_value[lane] else None
-                for offset in offsets:
-                    cell = (block, offset)
-                    entry = entry_at(block, offset)
-                    if code == KIND_LOAD:
-                        read_lane(tid, cell, pc, entry, cv)
-                    elif code == KIND_STORE:
-                        write_lane(tid, cell, value, pc, entry, cv, group)
-                    else:
-                        atomic_lane(tid, cell, pc, entry, cv, group)
+            lanes = end - start
+            if code > KIND_ATOMIC:
+                scope = SCOPES[scopes[index]] if scopes[index] >= 0 else None
+                apply = sync_lane[code - KIND_ACQUIRE]
+                ops = 1
+                for lane in range(start, end):
+                    tid = lane_tids[lane]
+                    offsets = cell_offsets(lane_addrs[lane], width, granularity)
+                    ops += len(offsets)
+                    if tid not in amask:
+                        continue
+                    shared = lane_spaces[lane] == _SHARED
+                    for offset in offsets:
+                        apply(tid, Location(Space.SHARED, offset, shared_block)
+                              if shared else Location(Space.GLOBAL, offset),
+                              scope)
+            else:
+                # One clock view for the whole record: memory accesses
+                # never deviate a thread or replace the group base, so the
+                # view's frozen warp/block max stays exact until the
+                # trailing endi.
+                cv = clocks if deviant else converged_view(warp, lo, hi)
+                # The warp-instruction identity every lane of this record
+                # shares (what _group_of would derive lane by lane).
+                group = (warp, instr_get(warp, 0))
+                # A coalesced row — lane i of the whole active warp on the
+                # one cell at a0 + i*width, every lane at one clock — is
+                # one range access.  The end lanes reject everything else
+                # before a slice is taken.
+                if (
+                    lanes > 1
+                    and code != KIND_ATOMIC
+                    and width == granularity
+                    and ranges
+                    and not deviant
+                    and lane_tids[end - 1] - lane_tids[start] == lanes - 1
+                    and lane_addrs[end - 1] - (a0 := lane_addrs[start])
+                    == (lanes - 1) * width
+                    and a0 % width == 0
+                    and len(amask) == hi - lo
+                    and lane_addrs[start:end]
+                    == list(range(a0, a0 + lanes * width, width))
+                    and lane_spaces[start:end].count(lane_spaces[start]) == lanes
+                    and (code == KIND_LOAD
+                         or 0 not in lane_has_value[start:end])
+                    and (clock := cv.uniform_clock())
+                    and coalesced_row(
+                        code == KIND_LOAD,
+                        shared_block if lane_spaces[start] == _SHARED else -1,
+                        a0, lanes, width, lane_tids[start], pc, cv, clock,
+                        None if code == KIND_LOAD else lane_values[start:end],
+                        group)
+                ):
+                    ops = 1 + lanes
+                else:
+                    ops = 1
+                    for lane in range(start, end):
+                        tid = lane_tids[lane]
+                        offsets = cell_offsets(
+                            lane_addrs[lane], width, granularity)
+                        ops += len(offsets)
+                        if tid not in amask:
+                            continue
+                        block = (shared_block
+                                 if lane_spaces[lane] == _SHARED else -1)
+                        if code == KIND_STORE:
+                            value = (lane_values[lane]
+                                     if lane_has_value[lane] else None)
+                        for offset in offsets:
+                            cell = (block, offset)
+                            entry = entry_at(block, offset)
+                            if code == KIND_LOAD:
+                                read_lane(tid, cell, pc, entry, cv)
+                            elif code == KIND_STORE:
+                                write_lane(tid, cell, value, pc, entry, cv,
+                                           group)
+                            else:
+                                atomic_lane(tid, cell, pc, entry, cv, group)
             self.ops_processed += ops
             end_instruction(warp)
             instr[warp] = instr_get(warp, 0) + 1
+
+    def _coalesced_row(
+        self, load: bool, block: int, start: int, lanes: int, step: int,
+        tid0: int, pc: int, cv, clock: int, values, group: Tuple[int, int],
+    ) -> bool:
+        """One LOAD/STORE row whose lane ``i`` is thread ``tid0 + i`` on
+        the cell at ``start + i*step``, every thread at ``clock``.
+
+        The cells the row overlaps come back from the shadow memory as
+        pieces.  A range piece's writer (and reader) threads share one
+        warp and one clock, and so do this row's, so ``W_x ⪯ C_t`` and
+        ``R_x ⪯ C_t`` have one answer for all its words: a covered piece
+        is updated as a range — no lane rule would have reported
+        anything — and any other piece becomes per-word records handed,
+        in lane order, to the per-lane rules.  False when the shadow
+        memory cannot tile the row (the caller goes lane by lane).
+        """
+        shadow = self.shadow
+        pieces = shadow.tile(block, start, start + lanes * step, step)
+        if pieces is None:
+            return False
+        first = start // step
+        delta = tid0 - first
+        covers = cv.covers_warp
+        # STORE: stretches of adjacent covered pieces, each to become one
+        # cell; a piece that goes lane by lane ends a stretch.
+        runs: List[List[RangeCell]] = [[]]
+        for piece in pieces:
+            if type(piece) is RangeCell:
+                index = piece.start // step
+                written, read = piece.write_clock, piece.read_clock
+                if (
+                    (not written or piece.write_delta == delta
+                     or covers(written, index + piece.write_delta))
+                    and (not read or piece.read_delta == delta
+                         or covers(read, index + piece.read_delta))
+                ):
+                    if load:
+                        piece.read_clock = clock
+                        piece.read_delta = delta
+                        piece.read_pc = pc
+                    else:
+                        runs[-1].append(piece)
+                    continue
+                entries = shadow.materialize(block, piece)
+            else:
+                entries = (piece,)
+            runs.append([])
+            for offset, entry in entries:
+                index = offset // step
+                if load:
+                    self._read_lane(index + delta, (block, offset), pc, entry, cv)
+                else:
+                    self._write_lane(index + delta, (block, offset),
+                                     values[index - first], pc, entry, cv, group)
+        for run in runs:
+            if run:
+                cell = shadow.fuse(block, run[0], run[-1])
+                cell.write_clock = clock
+                cell.write_delta = delta
+                cell.write_pc = pc
+                cell.group = group
+                cell.values = values
+                cell.value_delta = -first
+                cell.read_clock = 0
+        return True
 
     def process_trace(self, trace: Trace) -> DetectorReports:
         """Run a full trace and return the accumulated reports."""

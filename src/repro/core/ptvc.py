@@ -169,8 +169,14 @@ class PTVCManager:
         return self._stacks[block * self._wpb + lane // self._ws][-1].base.get(tid) + 1
 
     def epoch(self, tid: int) -> Epoch:
-        """``E(t)``: the current epoch of thread ``tid``."""
-        return Epoch(self._self_clock(tid), tid)
+        """``E(t)``: the current epoch of thread ``tid``
+        (:meth:`_self_clock`, inlined: one per access)."""
+        dev = self._deviant.get(tid)
+        if dev is not None:
+            return Epoch(dev.get(tid), tid)
+        block, lane = divmod(tid, self._tpb)
+        base = self._stacks[block * self._wpb + lane // self._ws][-1].base
+        return Epoch(base.get(tid) + 1, tid)
 
     def covers(self, owner: int, epoch: Epoch) -> bool:
         """``c@u ⪯ C_owner`` in O(1).
@@ -505,3 +511,28 @@ class ConvergedWarpView:
                 value += 1
             return epoch.clock <= value
         return epoch.clock <= self._base.get(etid)
+
+    def uniform_clock(self) -> int:
+        """The self clock every thread of this warp shares, or 0 when the
+        base holds a lane entry for one of them (the warp is DIVERGED)."""
+        lanes = self._lanes
+        if lanes and not lanes.keys().isdisjoint(range(self._lo, self._hi)):
+            return 0
+        return self._wb + 1
+
+    def covers_warp(self, clock: int, tid: int) -> bool:
+        """``clock@u ⪯ C_t`` for every thread ``u`` of ``tid``'s warp and
+        every other thread ``t`` of this one, in one comparison.
+
+        Only asked while :meth:`uniform_clock` is non-zero, which makes
+        the answer exact for this warp's own threads.  For another warp
+        it compares against the warp and block layers alone, so it may
+        say no to an epoch a lane entry covers; callers then ask lane by
+        lane.
+        """
+        if self._lo <= tid < self._hi:
+            return clock <= self._wb
+        base = self._base
+        layout = base.layout
+        return (clock <= base.warps.get(layout.warp_of(tid), 0)
+                or clock <= base.blocks.get(layout.block_of(tid), 0))

@@ -80,6 +80,19 @@ MEMORY_KINDS = frozenset(
 )
 
 
+#: The thread-level operation each lane of a memory record expands to.
+_THREAD_OP = {
+    RecordKind.LOAD: Read,
+    RecordKind.STORE: Write,
+    RecordKind.ATOMIC: Atomic,
+    RecordKind.ACQUIRE: Acquire,
+    RecordKind.RELEASE: Release,
+    RecordKind.ACQREL: AcqRel,
+}
+_SYNC_KINDS = frozenset(
+    {RecordKind.ACQUIRE, RecordKind.RELEASE, RecordKind.ACQREL})
+
+
 @dataclass(frozen=True)
 class LogRecord:
     """One queue entry: a whole warp instruction (or block barrier)."""
@@ -128,22 +141,6 @@ def cell_offsets(addr: int, width: int, granularity: int) -> range:
     return range(addr - addr % granularity, addr + max(width, 1), granularity)
 
 
-def _locations(
-    layout: GridLayout,
-    tid: int,
-    space: Space,
-    addr: int,
-    width: int,
-    granularity: int,
-) -> List[Location]:
-    """:func:`cell_offsets` as the :class:`Location` s of ``tid``'s access."""
-    offsets = cell_offsets(addr, width, granularity)
-    if space is Space.SHARED:
-        block = layout.block_of(tid)
-        return [Location(Space.SHARED, offset, block) for offset in offsets]
-    return [Location(Space.GLOBAL, offset) for offset in offsets]
-
-
 def record_to_ops(
     record: LogRecord, layout: GridLayout, granularity: int = 4
 ) -> List[AnyOp]:
@@ -177,34 +174,23 @@ def record_to_ops(
     addrs = record.addrs
     pc = record.pc
     width = record.width
-    if kind is RecordKind.LOAD:
-        for tid in _sorted_mask(record.active):
-            space, addr = addrs[tid]
-            for loc in _locations(layout, tid, space, addr, width, granularity):
-                append(Read(tid=tid, loc=loc, pc=pc))
-    elif kind is RecordKind.STORE:
-        values_get = record.values.get
-        for tid in _sorted_mask(record.active):
-            space, addr = addrs[tid]
-            for loc in _locations(layout, tid, space, addr, width, granularity):
-                append(Write(tid=tid, loc=loc, value=values_get(tid), pc=pc))
-    elif kind is RecordKind.ATOMIC:
-        for tid in _sorted_mask(record.active):
-            space, addr = addrs[tid]
-            for loc in _locations(layout, tid, space, addr, width, granularity):
-                append(Atomic(tid=tid, loc=loc, pc=pc))
-    else:
-        scope = record.scope
-        for tid in _sorted_mask(record.active):
-            space, addr = addrs[tid]
-            for loc in _locations(layout, tid, space, addr, width, granularity):
-                if kind is RecordKind.ACQUIRE:
-                    append(Acquire(tid=tid, loc=loc, scope=scope, pc=pc))
-                elif kind is RecordKind.RELEASE:
-                    append(Release(tid=tid, loc=loc, scope=scope, pc=pc))
-                elif kind is RecordKind.ACQREL:
-                    append(AcqRel(tid=tid, loc=loc, scope=scope, pc=pc))
-                else:  # pragma: no cover - defensive
-                    raise ValueError(f"unhandled record kind {kind}")
+    make = _THREAD_OP[kind]
+    store = kind is RecordKind.STORE
+    values_get = record.values.get
+    sync = kind in _SYNC_KINDS
+    scope = record.scope
+    block_of = layout.block_of
+    shared = Space.SHARED
+    for tid in _sorted_mask(record.active):
+        space, addr = addrs[tid]
+        block = block_of(tid) if space is shared else -1
+        for offset in cell_offsets(addr, width, granularity):
+            loc = Location(space, offset, block)
+            if store:
+                append(make(tid, loc, values_get(tid), pc=pc))
+            elif sync:
+                append(make(tid, loc, scope, pc=pc))
+            else:
+                append(make(tid, loc, pc=pc))
     ops.append(EndInsn(warp=record.warp, amask=record.active, pc=pc))
     return ops

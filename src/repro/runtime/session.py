@@ -334,8 +334,16 @@ class BarracudaSession:
         ).inc(detector.clocks.joins)
         shadow = detector.shadow.stats
         metrics.gauge(
-            "repro_shadow_entries", "Live shadow-memory entries"
+            "repro_shadow_entries",
+            "Stored shadow cells (a coalesced range counts once)",
         ).set(shadow.entries)
+        metrics.gauge(
+            "repro_shadow_words", "Memory words the stored shadow cells cover"
+        ).set(shadow.words)
+        metrics.gauge(
+            "repro_shadow_range_splits",
+            "Cuts made in ranged shadow cells by partial overlaps",
+        ).set(shadow.range_splits)
         metrics.gauge(
             "repro_shadow_modeled_bytes",
             "Device bytes the shadow memory currently models",

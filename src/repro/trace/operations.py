@@ -15,6 +15,12 @@ here are exactly those of the paper:
 Write operations additionally carry the value written so that the detector
 can filter "same-value" intra-warp write-write races, which the CUDA
 documentation defines as benign (§3.3.1).
+
+Operations and locations are values: hashable, compared by field, and
+never assigned to after construction.  They are not ``frozen``
+dataclasses because :func:`repro.events.record_to_ops` builds one per
+lane per record, and a frozen ``__init__`` pays ``object.__setattr__``
+per field — more than the rest of the expansion put together.
 """
 
 from __future__ import annotations
@@ -53,7 +59,11 @@ class Scope(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+#: ``Space.SHARED`` is a metaclass lookup; a location is built per lane.
+_SHARED = Space.SHARED
+
+
+@dataclass(unsafe_hash=True)
 class Location:
     """One byte-granularity memory location.
 
@@ -67,13 +77,14 @@ class Location:
     block: int = -1
 
     def __post_init__(self) -> None:
-        if self.space is Space.SHARED and self.block < 0:
-            raise ValueError("shared locations must name their block")
-        if self.space is Space.GLOBAL and self.block != -1:
-            raise ValueError("global locations must not name a block")
+        shared = self.space is _SHARED
+        if shared is (self.block < 0) or self.block < -1:
+            raise ValueError(
+                "shared locations must name their block" if shared
+                else "global locations must not name a block")
 
     def __str__(self) -> str:
-        if self.space is Space.SHARED:
+        if self.space is _SHARED:
             return f"shared[b{self.block}][{self.offset:#x}]"
         return f"global[{self.offset:#x}]"
 
@@ -91,7 +102,7 @@ def shared_loc(block: int, offset: int) -> Location:
 # ----------------------------------------------------------------------
 # Operations
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Op:
     """Base class for trace operations."""
 
@@ -99,7 +110,7 @@ class Op:
     pc: int = field(default=-1, kw_only=True)
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Read(Op):
     """``rd(t, x)``: thread ``tid`` reads location ``loc``."""
 
@@ -110,7 +121,7 @@ class Read(Op):
         return f"rd(t{self.tid}, {self.loc})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Write(Op):
     """``wr(t, x)``: thread ``tid`` writes ``value`` to ``loc``."""
 
@@ -122,7 +133,7 @@ class Write(Op):
         return f"wr(t{self.tid}, {self.loc})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Atomic(Op):
     """``atm(t, x)``: standalone atomic read-modify-write (§3.3.2)."""
 
@@ -133,7 +144,7 @@ class Atomic(Op):
         return f"atm(t{self.tid}, {self.loc})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class EndInsn(Op):
     """``endi(w)``: end of one warp instruction.
 
@@ -149,7 +160,7 @@ class EndInsn(Op):
         return f"endi(w{self.warp})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class If(Op):
     """``if(w)``: warp ``warp`` begins a branch.
 
@@ -166,7 +177,7 @@ class If(Op):
         return f"if(w{self.warp})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Else(Op):
     """``else(w)``: warp ``warp`` switches to the else path."""
 
@@ -176,7 +187,7 @@ class Else(Op):
         return f"else(w{self.warp})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Fi(Op):
     """``fi(w)``: warp ``warp`` reconverges after a branch."""
 
@@ -186,7 +197,7 @@ class Fi(Op):
         return f"fi(w{self.warp})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Barrier(Op):
     """``bar(b)``: block-wide barrier (``bar.sync`` / ``__syncthreads``).
 
@@ -202,7 +213,7 @@ class Barrier(Op):
         return f"bar(b{self.block})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Acquire(Op):
     """``acqBlk``/``acqGlb``: load + following fence (§3.1)."""
 
@@ -215,7 +226,7 @@ class Acquire(Op):
         return f"acq{suffix}(t{self.tid}, {self.loc})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class Release(Op):
     """``relBlk``/``relGlb``: fence + following store (§3.1)."""
 
@@ -228,7 +239,7 @@ class Release(Op):
         return f"rel{suffix}(t{self.tid}, {self.loc})"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class AcqRel(Op):
     """``arBlk``/``arGlb``: atomic sandwiched between fences (§3.1)."""
 

@@ -162,6 +162,35 @@ class TestReplayErrors:
         assert cli.main(["replay", str(capture)]) == 2
         assert "access width" in _assert_clean_error(capsys)
 
+    @pytest.mark.parametrize("flags", [[], ["--reference"], ["--predict"]],
+                             ids=["fused", "reference", "predict"])
+    @pytest.mark.parametrize("tamper", ["duplicate-lane", "mask-extra"])
+    def test_lanes_disagreeing_with_the_mask_are_a_one_line_error(
+            self, tmp_path, capsys, tamper, flags):
+        # Used to decode: plain ``replay`` then said "no races detected"
+        # while ``--reference`` and ``--predict`` exited 1 in a KeyError
+        # traceback from ``record_to_ops``.
+        from repro.columnar import ColumnarBatch
+        from repro.events import LogRecord, RecordKind
+        from repro.runtime.replay import write_binary_batch, write_binary_header
+        from repro.trace.operations import Space
+
+        layout = LaunchConfig.of(1, 32, 32).layout()
+        batch = ColumnarBatch.from_records([LogRecord(
+            kind=RecordKind.STORE, warp=0, active=frozenset({0, 1}),
+            addrs={0: (Space.GLOBAL, 0), 1: (Space.GLOBAL, 4)},
+            values={0: 1, 1: 2})])
+        if tamper == "duplicate-lane":
+            batch.lane_tids[1] = 0
+        else:
+            batch.masks[0] = (0, 1, 2)
+        capture = tmp_path / "hostile.bcap"
+        with open(capture, "wb") as stream:
+            write_binary_header(stream, layout, "k")
+            write_binary_batch(stream, batch)
+        assert cli.main(["replay", str(capture)] + flags) == 2
+        assert "are not its active mask" in _assert_clean_error(capsys)
+
     @pytest.mark.parametrize("field, hostile", [
         ("warp", "w"),
         ("pc", "p"),

@@ -150,6 +150,46 @@ def memory_records(draw):
     )
 
 
+#: The shadow-cell size of one example: the test's ``granularity`` and
+#: the width of that example's coalesced rows (a row is one range access
+#: only when the two agree).
+_GRANULARITY = st.shared(st.sampled_from([1, 2, 4, 8]), key="granularity")
+
+
+@st.composite
+def coalesced_records(draw):
+    """Rows whose lane ``i`` is on the cell at ``base + i * width`` —
+    what the fused loop takes as one range access: full and partial
+    warps, both spaces, bases a cell or two apart so neighbouring rows
+    straddle (``replay_scale``'s misaligned-by-one shared load), one in
+    four a byte off the cell grid, values from {0, 1} so the same and
+    other warps rewrite the same value — or a block barrier, so that
+    some of those meetings are ordered."""
+    warp = draw(st.integers(min_value=0, max_value=3))
+    if not draw(st.integers(min_value=0, max_value=5)):
+        block = warp // 2
+        return LogRecord(kind=RecordKind.BARRIER, warp=block,
+                         active=frozenset(range(8 * block, 8 * block + 8)))
+    width = draw(_GRANULARITY)
+    tids = range(4 * warp, 4 * warp + 4)[
+        draw(st.sampled_from([0, 0, 1])):draw(st.sampled_from([4, 4, 3]))]
+    kind = draw(st.sampled_from(
+        [RecordKind.LOAD, RecordKind.STORE, RecordKind.STORE]))
+    space = draw(st.sampled_from([Space.GLOBAL, Space.SHARED]))
+    base = (width * draw(st.integers(min_value=0, max_value=6))
+            + draw(st.sampled_from([0, 0, 0, 1])))
+    return LogRecord(
+        kind=kind,
+        warp=warp,
+        active=frozenset(tids),
+        addrs={tid: (space, base + width * i) for i, tid in enumerate(tids)},
+        values=({tid: draw(st.integers(min_value=0, max_value=1))
+                 for tid in tids} if kind is RecordKind.STORE else {}),
+        width=width,
+        pc=draw(st.integers(min_value=-1, max_value=9)),
+    )
+
+
 @st.composite
 def memory_streams(draw):
     """Memory rows behind an optional divergence prefix, so some of the
@@ -161,7 +201,9 @@ def memory_streams(draw):
         prefix.append(LogRecord(
             kind=RecordKind.BRANCH_IF, warp=warp, active=frozenset(tids),
             then_mask=frozenset(then_mask), pc=0))
-    return prefix + draw(st.lists(memory_records(), max_size=12))
+    return prefix + draw(st.lists(
+        st.one_of(memory_records(), coalesced_records(), coalesced_records()),
+        max_size=14))
 
 
 class TestCodecRoundTrip:
@@ -268,6 +310,35 @@ class TestHostileInput:
         barrier = '{"kind": "bar", "warp": 0, "active": [0], "width": 0}'
         assert record_line_to_record(barrier).kind is RecordKind.BARRIER
 
+    @pytest.mark.parametrize("tamper", [
+        "duplicate-lane", "mask-extra", "mask-short", "unsorted"])
+    def test_memory_row_lanes_must_be_its_mask_ascending(self, tamper):
+        # Each of these used to decode: the fused loop then walked the
+        # lanes (a duplicate twice) while ``record_to_ops`` looked
+        # addresses up by mask tid and died in a ``KeyError``.
+        record = LogRecord(kind=RecordKind.STORE, warp=0,
+                           active=frozenset({0, 1, 2}),
+                           addrs={t: (Space.GLOBAL, 4 * t) for t in range(3)},
+                           values={t: t for t in range(3)})
+        batch = ColumnarBatch.from_records([record])
+        assert batch.masks == [(0, 1, 2)]
+        if tamper == "duplicate-lane":
+            batch.lane_tids[1] = 0
+        elif tamper == "mask-extra":
+            batch.masks[0] = (0, 1, 2, 3)
+        elif tamper == "mask-short":
+            batch.masks[0] = (0, 1)
+        else:
+            batch.lane_tids[:] = [1, 0, 2]
+            batch.masks[0] = (1, 0, 2)
+        with pytest.raises(ReproError, match="are not its active mask"):
+            decode_batch(encode_batch(batch))
+        # Control rows carry no lanes and any mask.
+        barrier = LogRecord(kind=RecordKind.BARRIER, warp=0,
+                            active=frozenset({2, 0, 1}))
+        assert decode_batch(encode_batch(
+            ColumnarBatch.from_records([barrier]))).to_records() == [barrier]
+
     def test_batch_record_count_truncated_header(self):
         with pytest.raises(ReproError, match="truncated"):
             batch_record_count(b"\x01\x02")
@@ -302,7 +373,7 @@ class TestFusedDetection:
 
     @settings(max_examples=300, deadline=None)
     @given(records=memory_streams(),
-           granularity=st.sampled_from([1, 2, 4, 8]),
+           granularity=_GRANULARITY,
            batch_records=st.integers(min_value=1, max_value=6))
     def test_fused_loop_matches_per_op_on_random_memory_rows(
             self, records, granularity, batch_records):
@@ -317,7 +388,11 @@ class TestFusedDetection:
                 == plain.reports.filtered_same_value)
         assert fused.ops_processed == plain.ops_processed
         assert fused.clocks.joins == plain.clocks.joins
-        assert fused.shadow.stats == plain.shadow.stats
+        # The same words in the same pages, in fewer stored cells.
+        assert fused.shadow.stats.words == plain.shadow.stats.words
+        assert (fused.shadow.stats.global_pages
+                == plain.shadow.stats.global_pages)
+        assert fused.shadow.stats.entries <= plain.shadow.stats.entries
 
     def test_host_columnar_consume_identical(self):
         layout, records = _capture()

@@ -107,7 +107,8 @@ class TestSynchronizationState:
         detector, reports = run(scenario)
         assert reports.races == []
         assert detector.sync.is_sync_location(FLAG)
-        assert detector.shadow.peek(FLAG).sync_loc
+        # The data access's shadow record is untouched by the sync ops.
+        assert detector.shadow.peek(FLAG).last_value == 1
 
     def test_shadow_pages_allocated_on_demand(self):
         def scenario(b):

@@ -12,7 +12,6 @@ from repro.core.detector import BarracudaDetector
 from repro.events import (
     LogRecord,
     RecordKind,
-    _locations,
     cell_offsets,
     record_to_ops,
 )
@@ -136,18 +135,21 @@ def test_cell_offsets_cover_exactly_the_accessed_bytes(addr, width,
 
 
 def test_locations_are_cell_offsets_in_the_threads_block():
-    assert [(loc.space, loc.offset, loc.block)
-            for loc in _locations(LAYOUT, 9, Space.SHARED, 6, 4, 4)] == [
+    load = LogRecord(kind=RecordKind.LOAD, warp=2, active=frozenset({9}),
+                     addrs={9: (Space.SHARED, 6)})
+    assert [(op.loc.space, op.loc.offset, op.loc.block)
+            for op in record_to_ops(load, LAYOUT)[:-1]] == [
         (Space.SHARED, 4, 1), (Space.SHARED, 8, 1)]
-    assert [(loc.space, loc.offset, loc.block)
-            for loc in _locations(LAYOUT, 9, Space.GLOBAL, 8, 4, 4)] == [
+    load = LogRecord(kind=RecordKind.LOAD, warp=2, active=frozenset({9}),
+                     addrs={9: (Space.GLOBAL, 8)})
+    assert [(op.loc.space, op.loc.offset, op.loc.block)
+            for op in record_to_ops(load, LAYOUT)[:-1]] == [
         (Space.GLOBAL, 8, -1)]
 
 
 def test_no_cell_cache_between_an_access_and_its_shadow_cell():
     """The expansion is arithmetic and the shadow memory is the only
-    map: no memo on ``_locations``, none on a detector instance."""
-    assert not hasattr(_locations, "cache_info")
+    map: no memo on the expansion, none on a detector instance."""
     assert not hasattr(cell_offsets, "cache_info")
     memoised = [name for name, value in vars(events_module).items()
                 if hasattr(value, "cache_info")]

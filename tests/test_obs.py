@@ -409,6 +409,11 @@ class TestObservabilityCli:
         assert parsed["repro_records_logged_total"][0][1] > 0
         assert "repro_hot_ptx_instructions" in parsed
         assert "repro_vector_clock_joins_total" in parsed
+        # Detector state: stored cells never outnumber the words covered.
+        (_, entries), = parsed["repro_shadow_entries"]
+        (_, words), = parsed["repro_shadow_words"]
+        assert 0 < entries <= words
+        assert "repro_shadow_range_splits" in parsed
 
     def test_stats_format_json(self, racy_source, capsys):
         code = self.run([racy_source, "--grid", "2", "--buffer", "data:4",

@@ -2,6 +2,7 @@
 
 from repro.core.ptvc import PTVCFormat, PTVCManager
 from repro.core.structured import StructuredVC
+from repro.core.vectorclock import Epoch
 from repro.trace import GridLayout
 from repro.trace.operations import Else, Fi, If
 
@@ -149,3 +150,30 @@ def test_stats_compression_ratio_scales_with_threads():
     # A few entries represent what would be a 512x512 matrix.
     assert stats.compression_ratio > 1000
     assert stats.warp_uniform_fraction == 1.0
+
+
+def test_converged_view_answers_for_a_whole_warp_at_once():
+    """``uniform_clock``/``covers_warp`` are what lets one range access
+    stand for a warp's lanes: exact for the view's own warp, and never
+    a yes the per-lane ``covers`` would not give."""
+    clocks = PTVCManager(LAYOUT)
+    clocks.end_instruction(0)
+    clocks.end_instruction(1)
+    clocks.barrier(0, frozenset(range(6)))
+    clocks.end_instruction(0)  # warp 0 is one step past the barrier
+    view = clocks.converged_view(0, 0, 3)
+    assert view.uniform_clock() == clocks.epoch(0).clock == clocks.epoch(2).clock
+    for clock in range(1, 5):
+        own = all(view.covers(t, Epoch(clock, u))
+                  for t in range(3) for u in range(3) if t != u)
+        assert view.covers_warp(clock, 1) == own
+        other = all(view.covers(0, Epoch(clock, u)) for u in range(3, 6))
+        assert view.covers_warp(clock, 4) == other
+        assert not view.covers_warp(clock, 7)  # block 1: never synchronized
+    # A divergent barrier leaves per-lane entries for the participants:
+    # the full warp 1 then shares no clock the view could name.
+    clocks.barrier(0, frozenset(range(6)) - {0})
+    clocks.end_instruction(0)  # re-absorbs warp 0's deviants
+    assert clocks.active_mask(1) == frozenset({3, 4, 5})
+    assert clocks.converged_view(1, 3, 6).uniform_clock() == 0
+    assert clocks.converged_view(0, 0, 3).uniform_clock() > 0
