@@ -49,12 +49,6 @@ class PrefaultQueueSet(QueueSet):
         queue.push(record, seq=self._seq)
         self._seq += 1
         queue.stats.stall_cycles += stall
-        if self._depth_hist is not None:  # pragma: no cover - obs disabled
-            label = str(queue_index)
-            self._depth_hist.observe(
-                queue.write_head - queue.read_head, queue=label)
-            if stall:
-                self._stall_hist.observe(stall, queue=label)
         return stall
 
 
@@ -79,13 +73,13 @@ def _records():
 
 def _run_load(records, make_queueset) -> float:
     drained = []
-    qs = make_queueset(lambda s, i: drained.extend(s.queues[i].pop_batch(64)))
+    # Records interleave across the queues, so the 64 oldest always
+    # include some of the full queue's.
+    qs = make_queueset(lambda s, i: drained.extend(s.drain_in_order(64)))
     start = time.perf_counter()
     for record in records:
         qs.emit(record)
-    drained.extend(qs.drain_round_robin(CAPACITY))
-    while qs.pending():
-        drained.extend(qs.drain_round_robin(CAPACITY))
+    drained.extend(qs.drain_in_order())
     elapsed = time.perf_counter() - start
     assert len(drained) == len(records)
     return elapsed

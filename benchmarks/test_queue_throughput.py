@@ -28,6 +28,13 @@ def _record(block: int, index: int) -> LogRecord:
     )
 
 
+def _consume(queue, budget: int) -> None:
+    """One queue's host consumer eats up to ``budget`` records."""
+    for _ in range(budget):
+        if queue.pop() is None:
+            return
+
+
 def _drive(num_queues: int, capacity: int, drain_per_tick: int = 8):
     """Emit a block-interleaved stream against per-queue host consumers.
 
@@ -39,7 +46,7 @@ def _drive(num_queues: int, capacity: int, drain_per_tick: int = 8):
     slot.
     """
     def on_full(queue_set, index):
-        queue_set.queues[index].pop_batch(1)
+        _consume(queue_set.queues[index], 1)
 
     queues = QueueSet(
         num_queues=num_queues,
@@ -51,7 +58,7 @@ def _drive(num_queues: int, capacity: int, drain_per_tick: int = 8):
         for block in range(NUM_BLOCKS):
             queues.emit(_record(block, index))
         for queue in queues.queues:
-            queue.pop_batch(drain_per_tick)
+            _consume(queue, drain_per_tick)
     return queues
 
 

@@ -999,7 +999,8 @@ def _replay_on_service(args, obs, layout, kernel, batches, config, faults):
 
 def run_replay(args) -> int:
     from .core.races import DetectorConfig
-    from .runtime.replay import replay
+    from .runtime.replay import replay, replay_detector
+    from .runtime.session import publish_detector_metrics
 
     remote = args.socket is not None or args.port is not None
     if args.reference and remote:
@@ -1019,6 +1020,7 @@ def run_replay(args) -> int:
                   file=sys.stderr)
     record_count = sum(len(batch) for batch in batches)
     config = DetectorConfig(filter_same_value=not args.no_filter_same_value)
+    detector = None  # the production detector, when it ran here
     if remote:
         result, status = _replay_on_service(
             args, obs, layout, kernel, batches, config, fault_plan)
@@ -1028,16 +1030,19 @@ def run_replay(args) -> int:
             return 4
     else:
         with obs.tracer.span("replay", records=record_count):
-            reports = replay(layout, batches, config=config,
-                             reference=args.reference)
+            if args.reference:
+                reports = replay(layout, batches, config=config,
+                                 reference=True)
+            else:
+                detector = replay_detector(layout, batches, config)
+                reports = detector.reports
 
     if obs.metrics.enabled:
         obs.metrics.counter(
             "repro_replay_records_total", "Records replayed offline"
         ).inc(record_count)
-        obs.metrics.counter(
-            "repro_replay_races_total", "Races found by offline replay"
-        ).inc(len(reports.races))
+        if detector is not None:
+            publish_detector_metrics(obs.metrics, detector)
 
     exit_code = _print_reports(reports, args.max_reports)
     if args.predict:

@@ -10,9 +10,10 @@ can import it without cycles.  It has five pillars:
   boundary) and the one exporter (:func:`merge_spans`: the spans of one
   process or of client, server and every shard, as one clock-normalized
   Chrome ``trace_event`` object for ``chrome://tracing`` / Perfetto);
-* :mod:`~repro.obs.metrics` — a registry of counters, gauges,
-  histograms, and top-K profiles with a Prometheus-style text
-  exposition and a JSON-able snapshot;
+* :mod:`~repro.obs.metrics` — a registry of counters and gauges with a
+  Prometheus-style text exposition and a JSON-able snapshot; every
+  series is a reading of a stage's own state, published once when the
+  stage ends;
 * :mod:`~repro.obs.provenance` — per-race evidence: the most recent
   logged events of the conflicting threads on the racy address and the
   vector-clock comparison that failed;
@@ -24,7 +25,7 @@ can import it without cycles.  It has five pillars:
   via the ``flight`` section of the service's ``STATUS`` verb.
 
 Everything defaults to the shared :data:`NULL_OBS` bundle, whose
-components are permanently-disabled no-ops.  Hot paths guard on the
+components are permanently-disabled no-ops.  Callers guard on the
 ``enabled`` flags, so the disabled path costs one attribute check.
 """
 
@@ -52,10 +53,8 @@ from .metrics import (
     NULL_METRICS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
-    TopK,
     lint_metric_names,
     parse_exposition,
 )

@@ -1,39 +1,33 @@
 """A dependency-free metrics registry with Prometheus-style exposition.
 
-Four instrument families, all supporting label dimensions:
+Two instrument families, both supporting label dimensions:
 
 * :class:`Counter` — monotonically increasing totals;
-* :class:`Gauge` — point-in-time values (set, not accumulated);
-* :class:`Histogram` — cumulative-bucket distributions with ``_sum`` and
-  ``_count`` series, exactly the Prometheus histogram layout;
-* :class:`TopK` — bounded hot-item profiles (hot PTX instructions, hot
-  addresses); only the top K items by count are exposed.
+* :class:`Gauge` — point-in-time values (set, not accumulated).
+
+Every series is a reading of state a pipeline stage already keeps
+(``QueueStats``, ``ShadowStats``, ``PTVCStats``, ``DetectorReports``, the
+service's ``WorkerStats``/``JobStats``, ...), published once when the stage
+ends; no instrument sits on a per-record path.
 
 A :class:`MetricsRegistry` hands out instruments by name (idempotent, so
 independent layers can share series), renders the whole registry as
 Prometheus text exposition (:meth:`MetricsRegistry.render_prometheus`)
-and as a JSON-able :meth:`MetricsRegistry.snapshot`.
+and as a JSON-able :meth:`MetricsRegistry.snapshot`;
+:func:`parse_exposition` reads the text back.
 
 The :data:`NULL_METRICS` registry is the default everywhere: disabled,
-and every instrument it returns is a shared no-op, so the hot path pays
-one flag check when metrics are off.
+and every instrument it returns is a shared no-op, so a stage that
+publishes pays one flag check when metrics are off.
 """
 
 from __future__ import annotations
 
 import re
 import threading
-from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-
-#: Default histogram bucket boundaries (powers of four — wide dynamic
-#: range with few series; queue depths and cycle counts both fit).
-DEFAULT_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096, 16384)
-
-#: Default retained-item bound for TopK instruments.
-DEFAULT_TOP_K = 10
 
 
 def _label_key(labelnames: Sequence[str], labels: dict) -> Tuple[str, ...]:
@@ -44,17 +38,22 @@ def _label_key(labelnames: Sequence[str], labels: dict) -> Tuple[str, ...]:
     return tuple(str(labels[name]) for name in labelnames)
 
 
-def _render_labels(labelnames: Sequence[str], key: Tuple[str, ...],
-                   extra: Tuple[Tuple[str, str], ...] = ()) -> str:
-    pairs = list(zip(labelnames, key)) + list(extra)
-    if not pairs:
+def _render_labels(labelnames: Sequence[str], key: Tuple[str, ...]) -> str:
+    if not labelnames:
         return ""
-    inner = ",".join(f'{name}="{_escape(value)}"' for name, value in pairs)
+    inner = ",".join(f'{name}="{_escape(value)}"'
+                     for name, value in zip(labelnames, key))
     return "{" + inner + "}"
 
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _unescape(value: str) -> str:
+    """Invert :func:`_escape`: ``\\n`` is a newline, ``\\x`` is ``x``."""
+    return re.sub(r"\\(.)",
+                  lambda m: "\n" if m.group(1) == "n" else m.group(1), value)
 
 
 def _format_value(value) -> str:
@@ -63,10 +62,10 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-class _Instrument:
-    """Shared bookkeeping: name, help text, label dimensions."""
+class Counter:
+    """A monotonically increasing total per label combination."""
 
-    kind = "untyped"
+    kind = "counter"
 
     def __init__(self, name: str, help: str = "",
                  labelnames: Sequence[str] = ()) -> None:
@@ -75,26 +74,8 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._lock = threading.Lock()
-
-    def _series(self):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def expose(self) -> List[str]:
-        lines = []
-        if self.help:
-            lines.append(f"# HELP {self.name} {self.help}")
-        lines.append(f"# TYPE {self.name} {self.kind}")
-        lines.extend(self._series())
-        return lines
-
-
-class Counter(_Instrument):
-    kind = "counter"
-
-    def __init__(self, name, help="", labelnames=()):
-        super().__init__(name, help, labelnames)
         self.values: Dict[Tuple[str, ...], float] = {}
+        self._lock = threading.Lock()
 
     def inc(self, amount: float = 1, **labels) -> None:
         if amount < 0:
@@ -106,12 +87,15 @@ class Counter(_Instrument):
     def value(self, **labels) -> float:
         return self.values.get(_label_key(self.labelnames, labels), 0)
 
-    def _series(self) -> List[str]:
-        return [
+    def expose(self) -> List[str]:
+        lines = [f"# HELP {self.name} {self.help}"] if self.help else []
+        lines.append(f"# TYPE {self.name} {self.kind}")
+        lines.extend(
             f"{self.name}{_render_labels(self.labelnames, key)} "
             f"{_format_value(value)}"
             for key, value in sorted(self.values.items())
-        ]
+        )
+        return lines
 
     def snapshot_values(self):
         return {
@@ -121,6 +105,8 @@ class Counter(_Instrument):
 
 
 class Gauge(Counter):
+    """A point-in-time value per label combination."""
+
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
@@ -137,131 +123,22 @@ class Gauge(Counter):
         self.inc(-amount, **labels)
 
 
-class Histogram(_Instrument):
-    kind = "histogram"
-
-    def __init__(self, name, help="", labelnames=(),
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        super().__init__(name, help, labelnames)
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise ValueError("histogram needs at least one bucket")
-        # key -> [per-bucket counts..., +Inf count]
-        self._counts: Dict[Tuple[str, ...], List[int]] = {}
-        self._sums: Dict[Tuple[str, ...], float] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            counts = self._counts.get(key)
-            if counts is None:
-                counts = [0] * (len(self.buckets) + 1)
-                self._counts[key] = counts
-                self._sums[key] = 0.0
-            counts[bisect_left(self.buckets, value)] += 1
-            self._sums[key] += value
-
-    def count(self, **labels) -> int:
-        return sum(self._counts.get(_label_key(self.labelnames, labels), ()))
-
-    def sum(self, **labels) -> float:
-        return self._sums.get(_label_key(self.labelnames, labels), 0.0)
-
-    def _series(self) -> List[str]:
-        lines = []
-        for key in sorted(self._counts):
-            cumulative = 0
-            for bound, count in zip(self.buckets, self._counts[key]):
-                cumulative += count
-                labels = _render_labels(self.labelnames, key,
-                                        (("le", _format_value(float(bound))),))
-                lines.append(f"{self.name}_bucket{labels} {cumulative}")
-            cumulative += self._counts[key][-1]
-            labels = _render_labels(self.labelnames, key, (("le", "+Inf"),))
-            lines.append(f"{self.name}_bucket{labels} {cumulative}")
-            plain = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}_sum{plain} "
-                         f"{_format_value(self._sums[key])}")
-            lines.append(f"{self.name}_count{plain} {cumulative}")
-        return lines
-
-    def snapshot_values(self):
-        out = {}
-        for key in sorted(self._counts):
-            label = ",".join(key) if key else ""
-            out[label] = {
-                "count": sum(self._counts[key]),
-                "sum": self._sums[key],
-                "buckets": {
-                    _format_value(float(bound)): count
-                    for bound, count in zip(self.buckets, self._counts[key])
-                },
-            }
-        return out
-
-
-class TopK(_Instrument):
-    """Hot-item profile: counts per key, exposing only the top K.
-
-    Exposed as a gauge family with the item under the ``item`` label —
-    the conventional shape for bounded-cardinality hot-set metrics.
-    """
-
-    kind = "gauge"
-
-    def __init__(self, name, help="", labelnames=(), k: int = DEFAULT_TOP_K):
-        super().__init__(name, help, labelnames)
-        self.k = k
-        self._items: Dict[Tuple[str, ...], Dict[str, int]] = {}
-
-    def observe(self, item, amount: int = 1, **labels) -> None:
-        key = _label_key(self.labelnames, labels)
-        with self._lock:
-            items = self._items.setdefault(key, {})
-            items[str(item)] = items.get(str(item), 0) + amount
-
-    def top(self, **labels) -> List[Tuple[str, int]]:
-        items = self._items.get(_label_key(self.labelnames, labels), {})
-        ordered = sorted(items.items(), key=lambda kv: (-kv[1], kv[0]))
-        return ordered[: self.k]
-
-    def _series(self) -> List[str]:
-        lines = []
-        for key in sorted(self._items):
-            ordered = sorted(self._items[key].items(),
-                             key=lambda kv: (-kv[1], kv[0]))[: self.k]
-            for item, count in ordered:
-                labels = _render_labels(self.labelnames, key,
-                                        (("item", item),))
-                lines.append(f"{self.name}{labels} {count}")
-        return lines
-
-    def snapshot_values(self):
-        return {
-            ",".join(key) if key else "": dict(self.top(
-                **dict(zip(self.labelnames, key))))
-            for key in sorted(self._items)
-        }
-
-
 class MetricsRegistry:
     """All instruments of one process/session, keyed by metric name."""
 
     enabled = True
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, _Instrument] = {}
+        self._instruments: Dict[str, Counter] = {}
         self._lock = threading.Lock()
 
-    def _get(self, cls, name, help, labelnames, **kwargs):
+    def _get(self, cls, name, help, labelnames):
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = cls(name, help, labelnames, **kwargs)
+                instrument = cls(name, help, labelnames)
                 self._instruments[name] = instrument
-            elif not isinstance(instrument, cls) and not (
-                cls is Counter and isinstance(instrument, Counter)
-            ):
+            elif not isinstance(instrument, cls):
                 raise ValueError(
                     f"metric {name!r} already registered as "
                     f"{type(instrument).__name__}"
@@ -276,39 +153,20 @@ class MetricsRegistry:
               labelnames: Sequence[str] = ()) -> Gauge:
         return self._get(Gauge, name, help, labelnames)
 
-    def histogram(self, name: str, help: str = "",
-                  labelnames: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get(Histogram, name, help, labelnames, buckets=buckets)
-
-    def topk(self, name: str, help: str = "",
-             labelnames: Sequence[str] = (), k: int = DEFAULT_TOP_K) -> TopK:
-        return self._get(TopK, name, help, labelnames, k=k)
-
-    def reset(self, keep: Sequence[str] = ()) -> None:
-        """Forget every instrument except ``keep``, whose samples are
-        cleared but whose handles stay valid.
+    def reset(self) -> None:
+        """Forget every instrument.
 
         For processes that inherit a parent's registry state (a
         fork-started shard worker, an inline pool reusing the server
-        process): pre-resolved instruments survive the reset, anything
-        registered by a previous lifetime is dropped.
+        process): whatever a previous lifetime registered is dropped.
         """
-        kept_names = set(keep)
         with self._lock:
-            self._instruments = {
-                name: instrument
-                for name, instrument in self._instruments.items()
-                if name in kept_names
-            }
-            for instrument in self._instruments.values():
-                if isinstance(instrument, Counter):
-                    instrument.values.clear()
-                elif isinstance(instrument, Histogram):
-                    instrument._counts.clear()
-                    instrument._sums.clear()
-                elif isinstance(instrument, TopK):
-                    instrument._items.clear()
+            self._instruments = {}
+
+    def _sorted_instruments(self) -> List[Counter]:
+        with self._lock:
+            return [self._instruments[name]
+                    for name in sorted(self._instruments)]
 
     # ------------------------------------------------------------------
     # Export
@@ -316,27 +174,20 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """The whole registry in Prometheus text exposition format."""
         lines: List[str] = []
-        with self._lock:
-            instruments = [self._instruments[name]
-                           for name in sorted(self._instruments)]
-        for instrument in instruments:
+        for instrument in self._sorted_instruments():
             lines.extend(instrument.expose())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def snapshot(self) -> dict:
         """JSON-able view: {name: {type, help, labels, values}}."""
-        with self._lock:
-            instruments = [self._instruments[name]
-                           for name in sorted(self._instruments)]
         return {
             instrument.name: {
-                "type": instrument.kind if not isinstance(instrument, TopK)
-                else "topk",
+                "type": instrument.kind,
                 "help": instrument.help,
                 "labels": list(instrument.labelnames),
                 "values": instrument.snapshot_values(),
             }
-            for instrument in instruments
+            for instrument in self._sorted_instruments()
         }
 
     # ------------------------------------------------------------------
@@ -349,10 +200,7 @@ class MetricsRegistry:
         Used by the service's STATUS verb to aggregate the shard
         workers' registries into the server view: each worker snapshot
         is merged with ``extra_labels={"shard": "<n>"}`` so series stay
-        distinguishable.  Counter values add, gauges overwrite, top-K
-        counts add, and histograms are restored bucket-exactly when the
-        boundaries line up (they do between workers running the same
-        code) with a per-sample ``observe`` fallback when they don't.
+        distinguishable.  Counter values add and gauges overwrite.
         """
         extra = dict(extra_labels or {})
         extra_names = tuple(sorted(extra))
@@ -373,47 +221,10 @@ class MetricsRegistry:
                 elif kind == "gauge":
                     self.gauge(name, help_text, labelnames).set(
                         value, **labels)
-                elif kind == "topk":
-                    instrument = self.topk(name, help_text, labelnames)
-                    for item, count in value.items():
-                        instrument.observe(item, count, **labels)
-                elif kind == "histogram":
-                    self._merge_histogram(name, help_text, labelnames,
-                                          labels, value)
-
-    def _merge_histogram(self, name, help_text, labelnames,
-                         labels, value) -> None:
-        buckets = value.get("buckets", {})
-        try:
-            bounds = tuple(sorted(float(bound) for bound in buckets))
-        except (TypeError, ValueError):
-            return
-        instrument = self.histogram(name, help_text, labelnames,
-                                    buckets=bounds or DEFAULT_BUCKETS)
-        total = int(value.get("count", 0))
-        in_buckets = sum(int(count) for count in buckets.values())
-        key = _label_key(instrument.labelnames, labels)
-        with instrument._lock:
-            counts = instrument._counts.get(key)
-            if counts is None:
-                counts = [0] * (len(instrument.buckets) + 1)
-                instrument._counts[key] = counts
-                instrument._sums[key] = 0.0
-            if tuple(float(b) for b in instrument.buckets) == bounds:
-                for bound, count in buckets.items():
-                    counts[bisect_left(instrument.buckets,
-                                       float(bound))] += int(count)
-                counts[-1] += max(0, total - in_buckets)
-            else:  # boundary mismatch: approximate by re-observing
-                for bound, count in buckets.items():
-                    index = bisect_left(instrument.buckets, float(bound))
-                    counts[index] += int(count)
-                counts[-1] += max(0, total - in_buckets)
-            instrument._sums[key] += float(value.get("sum", 0.0))
 
 
 class _NullInstrument:
-    """One shared do-nothing instrument standing in for every family."""
+    """One shared do-nothing instrument standing in for both families."""
 
     __slots__ = ()
     name = "null"
@@ -429,20 +240,8 @@ class _NullInstrument:
     def set(self, *args, **kwargs):
         pass
 
-    def observe(self, *args, **kwargs):
-        pass
-
     def value(self, **labels):
         return 0
-
-    def count(self, **labels):
-        return 0
-
-    def sum(self, **labels):
-        return 0.0
-
-    def top(self, **labels):
-        return []
 
 
 _NULL_INSTRUMENT = _NullInstrument()
@@ -462,12 +261,6 @@ class NullMetricsRegistry(MetricsRegistry):
     def gauge(self, name, help="", labelnames=()):
         return _NULL_INSTRUMENT
 
-    def histogram(self, name, help="", labelnames=(), buckets=DEFAULT_BUCKETS):
-        return _NULL_INSTRUMENT
-
-    def topk(self, name, help="", labelnames=(), k=DEFAULT_TOP_K):
-        return _NULL_INSTRUMENT
-
     def render_prometheus(self) -> str:
         return ""
 
@@ -479,21 +272,27 @@ class NullMetricsRegistry(MetricsRegistry):
 NULL_METRICS = NullMetricsRegistry()
 
 
+#: A quoted label value: anything but a quote or backslash, or an escape.
+_QUOTED = r'"(?:[^"\\]|\\.)*"'
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?P<labels>\{[^}]*\})?\s+"
+    r"(?P<labels>\{(?:[^}\"]|" + _QUOTED + r")*\})?\s+"
     r"(?P<value>[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Inf|NaN))$"
 )
+_LABEL_RE = re.compile(r"([a-zA-Z_][a-zA-Z0-9_]*)=(" + _QUOTED + ")")
 
 
 def parse_exposition(text: str) -> Dict[str, List[Tuple[dict, float]]]:
     """Parse Prometheus text exposition; returns {name: [(labels, value)]}.
 
-    Strict enough to catch format regressions (used by the CI smoke step
-    and the tests); raises :class:`ValueError` on any malformed line.
+    The inverse of :meth:`MetricsRegistry.render_prometheus`: label
+    values come back unescaped, exactly as they were set.  Strict enough
+    to catch format regressions (used by the CI smoke step and the
+    tests); raises :class:`ValueError` on any malformed line.
     """
     samples: Dict[str, List[Tuple[dict, float]]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: a label value may hold any other character.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -504,13 +303,10 @@ def parse_exposition(text: str) -> Dict[str, List[Tuple[dict, float]]]:
         match = _SAMPLE_RE.match(line)
         if match is None:
             raise ValueError(f"line {lineno}: malformed sample {line!r}")
-        labels = {}
-        raw = match.group("labels")
-        if raw:
-            body = raw[1:-1]
-            if body:
-                for pair in re.findall(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"', body):
-                    labels[pair[0]] = pair[1]
+        labels = {
+            name: _unescape(quoted[1:-1])
+            for name, quoted in _LABEL_RE.findall(match.group("labels") or "")
+        }
         samples.setdefault(match.group("name"), []).append(
             (labels, float(match.group("value")))
         )
@@ -522,10 +318,9 @@ def lint_metric_names(text: str, prefix: str = "repro_") -> List[str]:
 
     Enforces the repo's conventions: every metric family carries the
     one ``repro_`` prefix, counters end in ``_total``, and
-    non-counters don't (the Prometheus histogram series suffixes
-    ``_bucket``/``_sum``/``_count`` are generated, not declared, so the
-    lint runs on ``# TYPE`` declarations).  An empty return means the
-    exposition is clean; tests assert exactly that.
+    non-counters don't.  The lint runs on ``# TYPE`` declarations.  An
+    empty return means the exposition is clean; tests assert exactly
+    that.
     """
     problems: List[str] = []
     for line in text.splitlines():

@@ -29,7 +29,6 @@ from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites
 from ..gpu.interpreter import EventSink
 from ..events import RECORD_BYTES, LogRecord
-from ..obs import NULL_OBS, Observability
 
 #: Default queue capacity in records.  The paper reserves ~50% of GPU
 #: memory for queues; scaled to simulation size.
@@ -158,15 +157,6 @@ class LogQueue:
         self.stats.sample_depth(self.write_head - self.read_head)
         return record
 
-    def pop_batch(self, limit: int) -> List[LogRecord]:
-        batch: List[LogRecord] = []
-        while len(batch) < limit:
-            record = self.pop()
-            if record is None:
-                break
-            batch.append(record)
-        return batch
-
 
 class QueueSet(EventSink):
     """All queues of one launch, with the block-to-queue mapping.
@@ -182,7 +172,6 @@ class QueueSet(EventSink):
         capacity: int = DEFAULT_CAPACITY,
         block_of_record: Optional[Callable[[LogRecord], int]] = None,
         on_full: Optional[Callable[["QueueSet", int], None]] = None,
-        obs: Observability = NULL_OBS,
         faults=NULL_FAULTS,
     ) -> None:
         if num_queues < 1:
@@ -194,20 +183,6 @@ class QueueSet(EventSink):
         # Pre-resolved fault injector: None unless a plan is active, so
         # the per-record path pays one is-None check (NULL_FAULTS pattern).
         self._faults = resolve_faults(faults)
-        # Pre-resolved instruments: None when metrics are disabled, so
-        # the per-record path pays one is-None check.
-        self._depth_hist = self._stall_hist = None
-        if obs.metrics.enabled:
-            self._depth_hist = obs.metrics.histogram(
-                "repro_queue_depth",
-                "Queue depth observed at each record push",
-                ("queue",),
-            )
-            self._stall_hist = obs.metrics.histogram(
-                "repro_queue_stall_cycles",
-                "Stall cycles a producer waited per full-queue event",
-                ("queue",),
-            )
 
     def queue_for_block(self, block: int) -> int:
         """Each thread block logs to exactly one queue (§4.2)."""
@@ -255,13 +230,6 @@ class QueueSet(EventSink):
         queue.push(record, seq=self._seq)
         self._seq += 1
         queue.stats.stall_cycles += stall
-        if self._depth_hist is not None:
-            label = str(queue_index)
-            self._depth_hist.observe(
-                queue.write_head - queue.read_head, queue=label
-            )
-            if stall:
-                self._stall_hist.observe(stall, queue=label)
         return stall
 
     # ------------------------------------------------------------------
@@ -296,17 +264,6 @@ class QueueSet(EventSink):
     # ------------------------------------------------------------------
     def pending(self) -> int:
         return sum(q.pending() for q in self.queues)
-
-    def drain_round_robin(self, batch: int = 64) -> List[LogRecord]:
-        """One host pass: a batch from each queue in turn.
-
-        This is the paper's concurrent-consumers regime; cross-queue
-        order within a pass is approximate, as on the real system.
-        """
-        records: List[LogRecord] = []
-        for queue in self.queues:
-            records.extend(queue.pop_batch(batch))
-        return records
 
     def drain_in_order(self, limit: Optional[int] = None) -> List[LogRecord]:
         """Drain across queues in device commit order (deterministic)."""

@@ -24,6 +24,7 @@ from ..columnar import (
     encode_batch,
     iter_batches,
 )
+from ..core.detector import BarracudaDetector
 from ..core.races import DetectorReports
 from ..core.races import DetectorConfig
 from ..errors import ReproError
@@ -433,20 +434,28 @@ def convert_capture(
     return src_fmt, to_format, count
 
 
+def replay_detector(
+    layout: GridLayout,
+    batches: Iterable[ColumnarBatch],
+    config: Optional[DetectorConfig] = None,
+) -> BarracudaDetector:
+    """Run the production detector over columnar batches (fused loop);
+    returns the detector, whose state ``repro replay --metrics`` reads."""
+    resolved = config or DetectorConfig()
+    detector = BarracudaDetector(layout, resolved)
+    granularity = resolved.granularity_bytes
+    for batch in batches:
+        detector.process_columnar(batch, granularity)
+    return detector
+
+
 def replay_batches(
     layout: GridLayout,
     batches: Iterable[ColumnarBatch],
     config: Optional[DetectorConfig] = None,
 ) -> DetectorReports:
     """Run the production detector over columnar batches (fused loop)."""
-    from ..core.detector import BarracudaDetector
-
-    resolved = config or DetectorConfig()
-    detector = BarracudaDetector(layout, resolved)
-    granularity = resolved.granularity_bytes
-    for batch in batches:
-        detector.process_columnar(batch, granularity)
-    return detector.reports
+    return replay_detector(layout, batches, config).reports
 
 
 def _as_batches(

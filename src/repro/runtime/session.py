@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..core.detector import BarracudaDetector
 from ..core.races import BarrierDivergenceReport, DetectorReports, RaceReport
 from ..core.races import DetectorConfig
 from ..errors import InstrumentationError
@@ -26,7 +27,7 @@ from ..gpu.memory import ArchProfile, MAXWELL_TITANX
 from ..gpu.scheduler import Scheduler
 from ..instrument.fatbinary import FatBinary, intercept_fat_binary
 from ..instrument.passes import InstrumentationReport, Instrumenter
-from ..obs import NULL_OBS, Observability
+from ..obs import NULL_OBS, MetricsRegistry, Observability
 from ..ptx.ast import Module
 from ..trace.layout import GridLayout
 from .host import HostDetector
@@ -91,6 +92,59 @@ class SessionLaunch:
         if self.native is None or self.native.total_cycles == 0:
             return float("nan")
         return self.instrumented.total_cycles / self.native.total_cycles
+
+
+def publish_detector_metrics(metrics: MetricsRegistry,
+                             detector: BarracudaDetector) -> None:
+    """Publish the detector's state (§4.3) and its reports.
+
+    The one place the ``repro_shadow_*``, ``repro_ptvc_warps``,
+    ``repro_vector_clock_joins_total``, ``repro_detector_ops_total`` and
+    report series come from: a session calls it when a launch's queues
+    are drained, ``repro replay`` when the capture is consumed, so the
+    two print the same family for the same record stream.
+    """
+    metrics.counter(
+        "repro_detector_ops_total",
+        "Trace operations processed by the detector",
+    ).inc(detector.ops_processed)
+    metrics.counter(
+        "repro_vector_clock_joins_total",
+        "PTVC join-fork operations (lockstep joins, branches, barriers)",
+    ).inc(detector.clocks.joins)
+    shadow = detector.shadow.stats
+    metrics.gauge(
+        "repro_shadow_entries",
+        "Stored shadow cells (a coalesced range counts once)",
+    ).set(shadow.entries)
+    metrics.gauge(
+        "repro_shadow_words", "Memory words the stored shadow cells cover"
+    ).set(shadow.words)
+    metrics.gauge(
+        "repro_shadow_range_splits",
+        "Cuts made in ranged shadow cells by partial overlaps",
+    ).set(shadow.range_splits)
+    formats = metrics.gauge(
+        "repro_ptvc_warps",
+        "Warps per PTVC compression format (Figure 7)",
+        ("format",),
+    )
+    for fmt, count in detector.ptvc_stats().format_counts.items():
+        formats.set(count, format=fmt.value)
+    reports = detector.reports
+    races = metrics.counter(
+        "repro_races_total", "Races reported, by classification", ("kind",)
+    )
+    for race in reports.races:
+        races.inc(kind=race.kind.value)
+    metrics.counter(
+        "repro_filtered_same_value_total",
+        "Benign same-value intra-warp conflicts filtered (§3.3.1)",
+    ).inc(reports.filtered_same_value)
+    metrics.counter(
+        "repro_barrier_divergences_total",
+        "Barrier divergence errors reported",
+    ).inc(len(reports.barrier_divergences))
 
 
 class BarracudaSession:
@@ -220,12 +274,7 @@ class BarracudaSession:
         from ..gpu.hierarchy import LaunchConfig
 
         layout: GridLayout = LaunchConfig.of(grid, block, warp_size).layout()
-        host = HostDetector(
-            layout,
-            config=self.detector_config,
-            obs=self.obs,
-            kernel=kernel_name,
-        )
+        host = HostDetector(layout, config=self.detector_config)
         queues = QueueSet(
             num_queues=self.num_queues,
             capacity=self.queue_capacity,
@@ -235,7 +284,6 @@ class BarracudaSession:
                 else layout.block_of_warp(record.warp)
             ),
             on_full=lambda queue_set, index: host.drain_some(queue_set, index),
-            obs=self.obs,
             faults=self.faults,
         )
         sink: EventSink = queues
@@ -271,11 +319,12 @@ class BarracudaSession:
         )
         self.launches.append(launch)
         if self.obs.metrics.enabled:
-            self._publish_launch_metrics(launch, host, queues)
+            self._publish_launch_metrics(launch)
+            publish_detector_metrics(self.obs.metrics, host.detector)
         return launch
 
     # ------------------------------------------------------------------
-    # Metrics publication (absorbs the ad-hoc stats accessors)
+    # Metrics publication: readings of the stage's state, once at its end
     # ------------------------------------------------------------------
     def _publish_instrumentation_metrics(
         self, pristine: Module, report: InstrumentationReport
@@ -295,23 +344,21 @@ class BarracudaSession:
             static.set(kernel.static_instructions, kernel=kernel.name)
             sites.set(kernel.instrumented_sites, kernel=kernel.name)
 
-    def _publish_launch_metrics(
-        self, launch: SessionLaunch, host: HostDetector, queues: QueueSet
-    ) -> None:
+    def _publish_launch_metrics(self, launch: SessionLaunch) -> None:
+        """The queue half of a launch's state (§4.2), from its QueueStats."""
         metrics = self.obs.metrics
-        detector = host.detector
         metrics.counter(
             "repro_records_logged_total",
             "Log records pushed through the GPU-to-host queues",
         ).inc(launch.records)
         metrics.counter(
-            "repro_queue_bytes_total",
-            "Bytes transferred through the GPU-to-host queues",
-        ).inc(launch.queue_bytes)
-        metrics.counter(
             "repro_queue_stalls_total",
             "Producer stalls on full queues",
         ).inc(launch.total_stalls)
+        metrics.counter(
+            "repro_queue_stall_cycles_total",
+            "Cycles producers spent stalled on full queues",
+        ).inc(launch.total_stall_cycles)
         metrics.counter(
             "repro_queue_wraps_total",
             "Completed ring revolutions across all queues",
@@ -324,51 +371,6 @@ class BarracudaSession:
             "repro_queue_max_depth",
             "Peak queue depth of the last launch",
         ).set(launch.max_queue_depth)
-        metrics.counter(
-            "repro_detector_ops_total",
-            "Trace operations processed by the detector",
-        ).inc(detector.ops_processed)
-        metrics.counter(
-            "repro_vector_clock_joins_total",
-            "PTVC join-fork operations (lockstep joins, branches, barriers)",
-        ).inc(detector.clocks.joins)
-        shadow = detector.shadow.stats
-        metrics.gauge(
-            "repro_shadow_entries",
-            "Stored shadow cells (a coalesced range counts once)",
-        ).set(shadow.entries)
-        metrics.gauge(
-            "repro_shadow_words", "Memory words the stored shadow cells cover"
-        ).set(shadow.words)
-        metrics.gauge(
-            "repro_shadow_range_splits",
-            "Cuts made in ranged shadow cells by partial overlaps",
-        ).set(shadow.range_splits)
-        metrics.gauge(
-            "repro_shadow_modeled_bytes",
-            "Device bytes the shadow memory currently models",
-        ).set(shadow.modeled_bytes)
-        ptvc = detector.ptvc_stats()
-        formats = metrics.gauge(
-            "repro_ptvc_warps",
-            "Warps per PTVC compression format (Figure 7)",
-            ("format",),
-        )
-        for fmt, count in ptvc.format_counts.items():
-            formats.set(count, format=fmt.value)
-        races = metrics.counter(
-            "repro_races_total", "Races reported, by classification", ("kind",)
-        )
-        for race in launch.reports.races:
-            races.inc(kind=race.kind.value)
-        metrics.counter(
-            "repro_filtered_same_value_total",
-            "Benign same-value intra-warp conflicts filtered (§3.3.1)",
-        ).inc(launch.reports.filtered_same_value)
-        metrics.counter(
-            "repro_barrier_divergences_total",
-            "Barrier divergence errors reported",
-        ).inc(len(launch.reports.barrier_divergences))
 
     # ------------------------------------------------------------------
     # Device management

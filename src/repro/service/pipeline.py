@@ -72,16 +72,12 @@ _WORKER_FAULTS: Dict[str, Tuple[FaultInjector, bool]] = {}
 #: Per-job span recorder (``NULL_SPANS`` unless the job is traced);
 #: shipped back piggybacked on the close payload.
 _WORKER_SPANS: Dict[str, SpanBuffer] = {}
-#: Always-on per-process registry, aggregated by the server's STATUS
-#: ``metrics`` section under a ``shard`` label.  Instruments are pre-resolved so the
-#: batch hot path pays three plain ``inc`` calls.
+#: Always-on per-process registry the shard's staged-job stages and
+#: fault injectors publish into, aggregated by the server's STATUS
+#: ``metrics`` section under a ``shard`` label.  Record batches publish
+#: nothing here: the server counts them once, in ``WorkerStats``, from
+#: the ``(count, busy)`` pair :func:`_worker_batch` returns.
 _WORKER_METRICS = MetricsRegistry()
-_WORKER_BATCHES = _WORKER_METRICS.counter(
-    "repro_worker_batches_total", "Record batches processed by this shard")
-_WORKER_RECORDS = _WORKER_METRICS.counter(
-    "repro_worker_records_total", "Records processed by this shard")
-_WORKER_BUSY = _WORKER_METRICS.counter(
-    "repro_worker_busy_seconds_total", "Detector busy time on this shard")
 #: Always-on flight recorder, named lazily once the shard index is known.
 _WORKER_FLIGHT = FlightRecorder("shard-?")
 
@@ -161,11 +157,7 @@ def _worker_batch(job_id: str,
                     f"corrupt batch frame: count says {declared} record(s), "
                     f"the batch holds {len(batch)}")
             detector.consume_columnar(batch)
-    busy = time.perf_counter() - start
-    _WORKER_BATCHES.inc()
-    _WORKER_RECORDS.inc(count)
-    _WORKER_BUSY.inc(busy)
-    return count, busy
+    return count, time.perf_counter() - start
 
 
 def _worker_close(job_id: str) -> dict:
@@ -210,8 +202,7 @@ def _worker_init() -> None:
     _WORKER_JOBS.clear()
     _WORKER_FAULTS.clear()
     _WORKER_SPANS.clear()
-    _WORKER_METRICS.reset(keep=(_WORKER_BATCHES.name, _WORKER_RECORDS.name,
-                                _WORKER_BUSY.name))
+    _WORKER_METRICS.reset()
     _WORKER_FLIGHT.clear()
 
 

@@ -186,7 +186,7 @@ class TestQueueFaults:
         drained = []
         qs = QueueSet(num_queues=1, capacity=16,
                       on_full=lambda s, i: drained.extend(
-                          s.queues[i].pop_batch(4)),
+                          s.drain_in_order(4)),
                       faults=injector)
         for i in range(4):
             qs.emit(_load(0, 0, 4 * i))
@@ -194,7 +194,7 @@ class TestQueueFaults:
         assert stats.stalls == 1
         assert stats.stall_cycles == 11
         # Lossless: every record is still observable, in order.
-        got = drained + qs.queues[0].pop_batch(100)
+        got = drained + qs.drain_in_order()
         assert len(got) == 4
         assert [r.addrs[0][1] for r in got] == [0, 4, 8, 12]
 
@@ -211,7 +211,7 @@ class TestQueueFaults:
         # The next healthy push re-commits past the gap: nothing lost.
         qs.emit(_load(0, 0, 8))
         assert queue.commit_index == 3
-        assert [r.addrs[0][1] for r in queue.pop_batch(10)] == [0, 4, 8]
+        assert [r.addrs[0][1] for r in qs.drain_in_order()] == [0, 4, 8]
 
     def test_trailing_drop_commit_is_lost(self):
         injector = FaultInjector(_plan(
@@ -219,7 +219,7 @@ class TestQueueFaults:
         qs = QueueSet(num_queues=1, capacity=16, faults=injector)
         for i in range(3):
             qs.emit(_load(0, 0, 4 * i))
-        assert [r.addrs[0][1] for r in qs.queues[0].pop_batch(10)] == [0, 4]
+        assert [r.addrs[0][1] for r in qs.drain_in_order()] == [0, 4]
 
 
 # ----------------------------------------------------------------------

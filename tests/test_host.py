@@ -1,4 +1,4 @@
-"""The host-side detector: draining modes and their guarantees."""
+"""The host-side detector: commit-order draining and its guarantees."""
 
 import pytest
 
@@ -18,15 +18,15 @@ __global__ void racy(int* data) {
 """
 
 
-def _launch_with_host(in_order: bool, num_queues: int = 4):
+def _launch_with_host():
     module, _ = Instrumenter().instrument_module(compile_cuda(RACY))
     device = GpuDevice()
     device.load_module(module)
     data = device.alloc(16)
     layout = LaunchConfig.of(4, 32, 32).layout()
-    host = HostDetector(layout, in_order=in_order)
+    host = HostDetector(layout)
     queues = QueueSet(
-        num_queues=num_queues,
+        num_queues=4,
         capacity=8,  # small: force mid-run draining
         block_of_record=lambda r: (
             r.warp if r.kind is RecordKind.BARRIER
@@ -41,29 +41,10 @@ def _launch_with_host(in_order: bool, num_queues: int = 4):
 
 
 def test_in_order_mode_detects_the_race():
-    host, queues = _launch_with_host(in_order=True)
+    host, queues = _launch_with_host()
     assert host.reports.races
     assert queues.pending() == 0
     assert host.records_processed == queues.total_pushed
-
-
-def test_round_robin_mode_detects_the_race():
-    # The paper's concurrent-consumers regime: cross-queue ordering is
-    # approximate, but conflicting unsynchronized accesses still surface.
-    host, queues = _launch_with_host(in_order=False)
-    assert host.reports.races
-    assert queues.pending() == 0
-
-
-def test_single_queue_round_robin_is_exact():
-    # With one queue there is nothing to reorder: both modes agree.
-    results = {}
-    for in_order in (True, False):
-        host, _queues = _launch_with_host(in_order=in_order, num_queues=1)
-        results[in_order] = {
-            (str(r.loc), r.prior_tid, r.current_tid) for r in host.reports.races
-        }
-    assert results[True] == results[False]
 
 
 def test_drain_some_frees_the_requested_queue():

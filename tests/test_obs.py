@@ -1,8 +1,12 @@
 """The observability subsystem: tracing, metrics, race provenance."""
 
 import json
+import pathlib
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.reference import DetectorConfig
 from repro.cudac import compile_cuda
@@ -27,6 +31,8 @@ from repro.obs import (
 )
 from repro.runtime import LogQueue
 from repro.runtime.replay import replay
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 RACY = """
 __global__ void racy(int* data) {
@@ -208,38 +214,43 @@ class TestMetrics:
         gauge.dec(3)
         assert gauge.value() == 7
 
-    def test_histogram_buckets_are_cumulative(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("lat", buckets=(1, 10, 100))
-        for value in (0, 5, 5, 50, 500):
-            hist.observe(value)
-        assert hist.count() == 5
-        assert hist.sum() == 560
-        text = registry.render_prometheus()
-        parsed = parse_exposition(text)
-        buckets = {s[0]["le"]: s[1] for s in parsed["lat_bucket"]}
-        assert buckets == {"1": 1, "10": 3, "100": 4, "+Inf": 5}
-        assert parsed["lat_count"][0][1] == 5
-
-    def test_topk_bounds_exposed_items(self):
-        top = MetricsRegistry().topk("hot", k=2)
-        for item, count in (("a", 5), ("b", 3), ("c", 9)):
-            top.observe(item, count)
-        assert top.top() == [("c", 9), ("a", 5)]
-
     def test_registry_is_idempotent_but_type_strict(self):
         registry = MetricsRegistry()
         assert registry.counter("x") is registry.counter("x")
         with pytest.raises(ValueError):
-            registry.histogram("x")
+            registry.gauge("x")
 
     def test_exposition_round_trips_through_parser(self):
         registry = MetricsRegistry()
         registry.counter("a_total", "Help text", ("k",)).inc(3, k='va"l')
         registry.gauge("b").set(2.5)
         parsed = parse_exposition(registry.render_prometheus())
-        assert parsed["a_total"] == [({"k": 'va\\"l'}, 3.0)]
+        assert parsed["a_total"] == [({"k": 'va"l'}, 3.0)]
         assert parsed["b"] == [({}, 2.5)]
+
+    def test_reset_forgets_every_instrument(self):
+        # What a forked shard inherited from its parent is not its own.
+        registry = MetricsRegistry()
+        registry.counter("repro_a_total").inc(3)
+        registry.gauge("repro_b").set(1)
+        registry.reset()
+        assert registry.render_prometheus() == ""
+        assert registry.counter("repro_a_total").value() == 0
+
+    @given(st.dictionaries(
+        st.tuples(st.text(), st.text()),
+        st.floats(allow_nan=False, allow_infinity=False),
+        max_size=8))
+    def test_parse_inverts_render_for_any_label_values(self, series):
+        # Quotes, backslashes, newlines, braces, commas and carriage
+        # returns in a label value all come back exactly as set.
+        registry = MetricsRegistry()
+        gauge = registry.gauge("repro_g", "help", ("job", "shard"))
+        for (job, shard), value in series.items():
+            gauge.set(value, job=job, shard=shard)
+        parsed = parse_exposition(registry.render_prometheus())
+        assert {(labels["job"], labels["shard"]): value
+                for labels, value in parsed.get("repro_g", [])} == series
 
     def test_parser_rejects_malformed_lines(self):
         with pytest.raises(ValueError):
@@ -259,7 +270,6 @@ class TestMetrics:
         assert not NULL_METRICS.enabled
         instrument = NULL_METRICS.counter("anything")
         instrument.inc(5)
-        instrument.observe(1)
         instrument.set(2)
         assert instrument.value() == 0
         assert NULL_METRICS.render_prometheus() == ""
@@ -407,13 +417,84 @@ class TestObservabilityCli:
         parsed = parse_exposition(exposition)
         assert parsed["repro_races_total"]
         assert parsed["repro_records_logged_total"][0][1] > 0
-        assert "repro_hot_ptx_instructions" in parsed
+        (labels, sites), = parsed["repro_instrumented_sites"]
+        assert labels == {"kernel": "racy"} and sites > 0
         assert "repro_vector_clock_joins_total" in parsed
         # Detector state: stored cells never outnumber the words covered.
         (_, entries), = parsed["repro_shadow_entries"]
         (_, words), = parsed["repro_shadow_words"]
         assert 0 < entries <= words
         assert "repro_shadow_range_splits" in parsed
+
+    def _families(self, args, capsys):
+        """``{family: [(labels, value)]}`` of a run's ``--metrics``
+        trailer, every declared family present (even one with no
+        samples)."""
+        self.run(args + ["--metrics"])
+        text = capsys.readouterr().out.split("--------- metrics\n", 1)[1]
+        parsed = parse_exposition(text)
+        return {name: sorted(parsed.get(name, []), key=repr)
+                for name in re.findall(r"^# TYPE (\S+)", text, re.M)}
+
+    @pytest.mark.parametrize("example,launch", [
+        ("racy.cu", ["--grid", "2", "--buffer", "data:4"]),
+        ("handoff.cu", ["--grid", "2", "--block", "32", "--buffer", "data:4",
+                        "--buffer", "flag:4", "--buffer", "out:4"]),
+    ])
+    def test_check_and_replay_print_one_detector_family(
+            self, example, launch, tmp_path, capsys):
+        capture = str(tmp_path / "run.bcap")
+        check = self._families(
+            [str(EXAMPLES / example), *launch, "--capture", capture], capsys)
+        replayed = self._families(["replay", capture], capsys)
+        detector = {name for name in replayed
+                    if name != "repro_replay_records_total"}
+        assert {"repro_shadow_entries", "repro_ptvc_warps",
+                "repro_races_total"} <= detector
+        assert {name: replayed[name] for name in detector} == \
+            {name: check[name] for name in detector}
+        assert replayed["repro_replay_records_total"] == \
+            check["repro_records_logged_total"]
+
+    def test_reference_replay_publishes_only_the_record_count(
+            self, tmp_path, capsys):
+        # The uncompressed reference detector keeps none of the
+        # production detector's state, so none of its family is printed.
+        capture = str(tmp_path / "racy.bcap")
+        self.run([str(EXAMPLES / "racy.cu"), "--grid", "2", "--buffer",
+                  "data:4", "--capture", capture])
+        capsys.readouterr()
+        families = self._families(["replay", capture, "--reference"], capsys)
+        assert families == {"repro_replay_records_total": [({}, 18.0)]}
+
+    def test_check_families_are_the_documented_table(self, capsys):
+        families = self._families(
+            [str(EXAMPLES / "racy.cu"), "--grid", "2", "--buffer", "data:4"],
+            capsys)
+        docs = (EXAMPLES.parent / "docs" / "observability.md").read_text()
+        table = docs.split("Series a `check` run publishes", 1)[1]
+        table = table.split("\n\n", 2)[1]  # the table after the caption
+        documented = {
+            name for row in table.splitlines()
+            for name in re.findall(r"`(repro_\w+)", row.split("|")[1])
+        }
+        assert set(families) == documented
+
+    def test_stall_cycles_series_is_the_stats_number(self, tmp_path, capsys):
+        plan = tmp_path / "stall.json"
+        plan.write_text(json.dumps({"faults": [
+            {"site": "queue.push", "kind": "ring-full", "nth": 2,
+             "times": 3, "payload": {"stall_cycles": 11}}]}))
+        args = [str(EXAMPLES / "racy.cu"), "--grid", "2", "--buffer",
+                "data:4", "--fault-plan", str(plan)]
+        self.run(args + ["--stats"])
+        stats = re.search(r"queue stalls +: (\d+) \((\d+) stall cycles\)",
+                          capsys.readouterr().out)
+        stalls, cycles = map(int, stats.groups())
+        assert stalls > 0 and cycles > 0
+        families = self._families(args, capsys)
+        assert families["repro_queue_stalls_total"] == [({}, stalls)]
+        assert families["repro_queue_stall_cycles_total"] == [({}, cycles)]
 
     def test_stats_format_json(self, racy_source, capsys):
         code = self.run([racy_source, "--grid", "2", "--buffer", "data:4",

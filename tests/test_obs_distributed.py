@@ -466,34 +466,19 @@ class TestFlightRecorder:
 class TestMetricsMerge:
     def test_counter_merge_adds_with_shard_label(self):
         worker = MetricsRegistry()
-        worker.counter("repro_worker_records_total", "records").inc(5)
+        worker.counter("repro_sweep_schedules_total", "runs").inc(5)
         server = MetricsRegistry()
         server.merge_snapshot(worker.snapshot(), {"shard": "0"})
         server.merge_snapshot(worker.snapshot(), {"shard": "1"})
         samples = parse_exposition(server.render_prometheus())
         values = {labels["shard"]: value
-                  for labels, value in samples["repro_worker_records_total"]}
+                  for labels, value in samples["repro_sweep_schedules_total"]}
         assert values == {"0": 5.0, "1": 5.0}
-
-    def test_histogram_merge_is_bucket_exact(self):
-        worker = MetricsRegistry()
-        histogram = worker.histogram("repro_batch_bytes", "sizes")
-        for value in (0.5, 3, 100, 20000, 70000):
-            histogram.observe(value)
-        server = MetricsRegistry()
-        server.merge_snapshot(worker.snapshot(), {"shard": "2"})
-        merged = server.histogram("repro_batch_bytes", "sizes", ("shard",))
-        assert merged.count(shard="2") == 5
-        assert merged.sum(shard="2") == pytest.approx(90103.5)
-        # The over-top-bucket sample lands in +Inf, not a finite bucket.
-        key = ("2",)
-        assert merged._counts[key][-1] == 2  # 20000 and 70000 > 16384
 
     def test_lint_accepts_clean_exposition(self):
         registry = MetricsRegistry()
         registry.counter("repro_jobs_total", "jobs").inc()
         registry.gauge("repro_pending", "pending").set(3)
-        registry.histogram("repro_latency_ms", "lat").observe(2)
         assert lint_metric_names(registry.render_prometheus()) == []
 
     def test_lint_catches_violations(self):
@@ -647,17 +632,28 @@ class TestServedTracing:
         thread = _start(endpoint, tmp_path, workers=2)
         try:
             _submit(thread, path)
-            with ServiceClient(**_endpoint_kwargs(thread)) as client:
+            with ServiceClient(timeout=120.0,
+                               **_endpoint_kwargs(thread)) as client:
+                client.sweep(_sweep_spec(), schedules=4, seed=7)
                 text = client.status("metrics")["metrics"]["text"]
         finally:
             thread.stop()
 
         samples = parse_exposition(text)
-        worker_records = samples["repro_worker_records_total"]
-        assert all("shard" in labels for labels, _value in worker_records)
+        # A record batch is counted once, by the server, per shard.
+        worker_records = samples["repro_service_worker_records_total"]
+        assert {labels["shard"] for labels, _value in worker_records} == \
+            {"0", "1"}
         assert sum(value for _labels, value in worker_records) == \
             len(records)
-        assert "repro_worker_batches_total" in samples
+        assert "repro_service_worker_batches_total" in samples
+        # What the sweep's stages published on each shard is merged in
+        # under that shard's label: every schedule's launch, once.
+        assert sum(value for labels, value
+                   in samples["repro_records_logged_total"]
+                   if labels.get("shard")) > 0
+        assert [value for labels, value
+                in samples["repro_sweep_schedules_total"]] == [4]
         # The renamed busy-time series is a counter now.
         assert "# TYPE repro_service_worker_busy_seconds_total counter" \
             in text

@@ -48,7 +48,8 @@ class TestLogQueue:
         queue = LogQueue(capacity=8)
         for i in range(5):
             queue.push(record(i))
-        queue.pop_batch(3)
+        for _ in range(3):
+            queue.pop()
         assert queue.stats.pushed == 5
         assert queue.stats.max_depth == 5
         assert queue.stats.bytes_transferred == 5 * RECORD_BYTES
@@ -139,14 +140,6 @@ class TestQueueSet:
             queues.emit(record(block))
         drained = queues.drain_in_order()
         assert [r.warp for r in drained] == order
-
-    def test_drain_round_robin_batches(self):
-        queues = self._set(num_queues=2)
-        for block in (0, 0, 1):
-            queues.emit(record(block))
-        drained = queues.drain_round_robin(batch=1)
-        assert len(drained) == 2  # one from each queue
-        assert queues.pending() == 1
 
     def test_totals(self):
         queues = self._set()
