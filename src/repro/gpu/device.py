@@ -37,14 +37,13 @@ class GpuDevice:
     # Host-side API (the cuda* entry points of a real runtime)
     # ------------------------------------------------------------------
     def load_module(self, module: Module) -> None:
-        """Allocate and zero the module's ``.global`` arrays."""
+        """Allocate the module's ``.global`` arrays (allocations are
+        zeroed)."""
         self._loaded_modules.append(module)
         for decl in module.globals:
             if decl.name not in self.global_symbols:
-                addr = self.global_mem.alloc(decl.size_bytes, decl.align)
-                self.global_symbols[decl.name] = addr
-                for i in range(decl.size_bytes):
-                    self.global_mem.main.write_byte(addr + i, 0)
+                self.global_symbols[decl.name] = self.global_mem.alloc(
+                    decl.size_bytes, decl.align)
 
     def alloc(self, size: int, align: int = 8) -> int:
         """``cudaMalloc``: allocate device global memory."""

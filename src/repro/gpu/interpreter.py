@@ -372,7 +372,6 @@ class KernelExecution:
         self.params = dict(params)
         self.global_mem = global_mem
         self.global_symbols = global_symbols
-        self.shared_mem = SharedMemory()
         self.sink = sink
         self.instrumented = instrumented
         #: Cooperative launch: required for grid-wide ``barrier.cluster``.
@@ -390,6 +389,7 @@ class KernelExecution:
             self.shared_symbols[decl.name] = cursor
             cursor += decl.size_bytes
         self.shared_bytes = cursor
+        self.shared_mem = SharedMemory(self.shared_bytes)
         # Shaped ``LaunchConfig.thread_registers`` by a warp's first
         # thread-in-block (see ``_special``).
         self._lane_registers: Dict[int, dict] = {}

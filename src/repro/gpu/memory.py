@@ -23,6 +23,12 @@ coherence point (main memory):
   their address first.
 
 Shared memory is private to a block (§2) and strongly ordered.
+
+Each address space is one flat :class:`ByteStore` extent: the global
+heap ``[GLOBAL_HEAP_BASE, alloc cursor)``, a block's declared shared
+bytes, a thread's local bytes up to its highest store.  An access
+outside its extent raises ``SimulationError("illegal address …")``, as
+the GPU faults, instead of reading zero.
 """
 
 from __future__ import annotations
@@ -56,29 +62,47 @@ KEPLER_K520 = ArchProfile(name="GRID K520 (Kepler)", relaxed_store_drain=True)
 MAXWELL_TITANX = ArchProfile(name="GTX Titan X (Maxwell)", relaxed_store_drain=False)
 
 
+#: CUDA's per-thread ``.local`` limit (compute capability 2.0 and up): a
+#: local store past it is an illegal address, not a huge extent.
+LOCAL_BYTES_PER_THREAD = 512 * 1024
+
+
 class ByteStore:
-    """A sparse byte-addressable memory (little-endian multi-byte access)."""
+    """A contiguous byte extent ``[base, base + len(data))``, accessed
+    little-endian; an access outside it is an illegal address, as on
+    the GPU."""
 
-    __slots__ = ("_bytes",)
+    __slots__ = ("base", "data")
 
-    def __init__(self) -> None:
-        self._bytes: Dict[int, int] = {}
+    def __init__(self, base: int = 0, size: int = 0) -> None:
+        self.base = base
+        self.data = bytearray(size)
+
+    def grow(self, end: int) -> None:
+        """Zero-extend the extent to cover every address below ``end``."""
+        missing = end - self.base - len(self.data)
+        if missing > 0:
+            self.data.extend(bytes(missing))
+
+    def offset(self, addr: int, width: int) -> int:
+        """Where ``[addr, addr + width)`` starts in ``data``."""
+        offset = addr - self.base
+        if offset < 0 or offset + width > len(self.data):
+            raise SimulationError(
+                f"illegal address {addr:#x}: {width}-byte access outside "
+                f"[{self.base:#x}, {self.base + len(self.data):#x})"
+            )
+        return offset
 
     def read(self, addr: int, width: int) -> int:
-        value = 0
-        for i in range(width):
-            value |= self._bytes.get(addr + i, 0) << (8 * i)
-        return value
+        offset = self.offset(addr, width)
+        return int.from_bytes(self.data[offset:offset + width], "little")
 
     def write(self, addr: int, width: int, value: int) -> None:
-        for i in range(width):
-            self._bytes[addr + i] = (value >> (8 * i)) & 0xFF
-
-    def read_byte(self, addr: int) -> int:
-        return self._bytes.get(addr, 0)
-
-    def write_byte(self, addr: int, value: int) -> None:
-        self._bytes[addr] = value & 0xFF
+        offset = self.offset(addr, width)
+        self.data[offset:offset + width] = (
+            value & ((1 << (8 * width)) - 1)
+        ).to_bytes(width, "little")
 
 
 @dataclass
@@ -96,7 +120,8 @@ class GlobalMemory:
 
     def __init__(self, arch: ArchProfile = MAXWELL_TITANX) -> None:
         self.arch = arch
-        self.main = ByteStore()
+        #: The heap: ``alloc`` bumps its end, so it is one extent.
+        self.main = ByteStore(GLOBAL_HEAP_BASE)
         #: Non-empty store queues only: a drained queue is dropped, so
         #: every drain costs what is pending, not every block that ever
         #: stored.
@@ -106,30 +131,29 @@ class GlobalMemory:
         #: surviving value of a cross-block write-write race.
         self._store_rank: Dict[int, int] = {}
         self._seq = 0
-        self._alloc_cursor = GLOBAL_HEAP_BASE
-        self._allocations: Dict[int, int] = {}
+        #: Bytes handed out by ``alloc``, alignment padding excluded.
+        self.allocated_bytes = 0
 
     # ------------------------------------------------------------------
     # Allocation (the cudaMalloc face of the device)
     # ------------------------------------------------------------------
     def alloc(self, size: int, align: int = 8) -> int:
-        """Bump-allocate ``size`` bytes of device global memory."""
+        """Bump-allocate ``size`` zeroed bytes of device global memory."""
         if size <= 0:
             raise SimulationError(f"cannot allocate {size} bytes")
-        cursor = -(-self._alloc_cursor // align) * align
-        self._alloc_cursor = cursor + size
-        self._allocations[cursor] = size
+        main = self.main
+        cursor = -(-(main.base + len(main.data)) // align) * align
+        main.grow(cursor + size)
+        self.allocated_bytes += size
         return cursor
-
-    @property
-    def allocated_bytes(self) -> int:
-        return sum(self._allocations.values())
 
     # ------------------------------------------------------------------
     # Device accesses
     # ------------------------------------------------------------------
     def store(self, block: int, addr: int, width: int, value: int) -> None:
-        """A device store from ``block``: enters the block's queue."""
+        """A device store from ``block``: enters the block's queue (an
+        illegal address faults now, not when the store drains)."""
+        self.main.offset(addr, width)
         queue = self._queues.get(block)
         if queue is None:
             queue = self._queues[block] = []
@@ -138,21 +162,36 @@ class GlobalMemory:
         self._seq += 1
 
     def load(self, block: int, addr: int, width: int) -> int:
-        """A device load from ``block``: forwards from the block's own
-        queued stores byte by byte, falling back to main memory."""
+        """A device load from ``block``: each byte comes from the newest
+        of the block's own queued stores that holds it, else from main
+        memory.
+
+        One reversed scan finds the newest overlapping store.  None:
+        main memory.  One that covers the whole range: a shift and a
+        mask of it.  Only a partial overlap composes byte by byte.
+        """
         queue = self._queues.get(block)
-        value = 0
+        if queue:
+            end = addr + width
+            for entry in reversed(queue):
+                if entry.addr < end and addr < entry.addr + entry.width:
+                    if entry.addr <= addr and end <= entry.addr + entry.width:
+                        return (entry.value >> (8 * (addr - entry.addr))) & (
+                            (1 << (8 * width)) - 1)
+                    return self._forward_bytes(queue, addr, width)
+        return self.main.read(addr, width)
+
+    def _forward_bytes(self, queue: List[_QueuedStore], addr: int, width: int) -> int:
+        """``load`` when no one queued store covers the range: byte by
+        byte, the newest store holding it or main memory."""
+        value = self.main.read(addr, width)
         for i in range(width):
             byte_addr = addr + i
-            byte = None
-            if queue:
-                for entry in reversed(queue):
-                    if entry.addr <= byte_addr < entry.addr + entry.width:
-                        byte = (entry.value >> (8 * (byte_addr - entry.addr))) & 0xFF
-                        break
-            if byte is None:
-                byte = self.main.read_byte(byte_addr)
-            value |= byte << (8 * i)
+            for entry in reversed(queue):
+                if entry.addr <= byte_addr < entry.addr + entry.width:
+                    byte = (entry.value >> (8 * (byte_addr - entry.addr))) & 0xFF
+                    value = value & ~(0xFF << (8 * i)) | byte << (8 * i)
+                    break
         return value
 
     def atomic(self, block: int, addr: int, width: int, operation) -> int:
@@ -283,16 +322,18 @@ class GlobalMemory:
     # Snapshot/restore (used to run a kernel twice on identical state,
     # e.g. the native-vs-instrumented comparison of Figure 10)
     # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[int, int]:
+    def snapshot(self) -> bytes:
         """Capture the drained memory image."""
         self.drain_all()
-        return dict(self.main._bytes)
+        return bytes(self.main.data)
 
-    def restore(self, image: Dict[int, int]) -> None:
-        """Restore a previously captured image (queues are dropped)."""
+    def restore(self, image: bytes) -> None:
+        """Restore a previously captured image (queues are dropped);
+        memory allocated since the snapshot reads zero."""
         self._queues.clear()
         self._store_rank.clear()
-        self.main._bytes = dict(image)
+        data = self.main.data
+        data[:] = image + bytes(len(data) - len(image))
 
     # ------------------------------------------------------------------
     # Host accesses (cudaMemcpy-style; always coherent)
@@ -307,29 +348,52 @@ class GlobalMemory:
 
     def host_write_array(self, addr: int, values, width: int = 4) -> None:
         self.drain_all()
-        for index, value in enumerate(values):
-            self.main.write(addr + index * width, width, int(value))
+        mask = (1 << (8 * width)) - 1
+        payload = b"".join(
+            (int(value) & mask).to_bytes(width, "little") for value in values
+        )
+        offset = self.main.offset(addr, len(payload))
+        self.main.data[offset:offset + len(payload)] = payload
 
     def host_read_array(self, addr: int, count: int, width: int = 4) -> List[int]:
         self.drain_all()
-        return [self.main.read(addr + i * width, width) for i in range(count)]
+        offset = self.main.offset(addr, count * width)
+        data = self.main.data[offset:offset + count * width]
+        return [
+            int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)
+        ]
 
 
 class SharedMemory:
-    """Per-block shared memory: strongly ordered, block-private (§2)."""
+    """Per-block shared memory: strongly ordered, block-private (§2).
 
-    def __init__(self) -> None:
+    Each block's extent is the ``size`` bytes its kernel declares.  The
+    ``.local`` space (one instance per thread, ``size=None``) has no
+    declarations, so its extent grows to cover each store instead.
+    """
+
+    def __init__(self, size: Optional[int] = None) -> None:
+        self.size = size
         self._blocks: Dict[int, ByteStore] = {}
 
+    def _extent(self, block: int) -> ByteStore:
+        store = self._blocks.get(block)
+        if store is None:
+            store = self._blocks[block] = ByteStore(0, self.size or 0)
+        return store
+
     def store(self, block: int, addr: int, width: int, value: int) -> None:
-        self._blocks.setdefault(block, ByteStore()).write(addr, width, value)
+        store = self._extent(block)
+        if self.size is None and addr + width <= LOCAL_BYTES_PER_THREAD:
+            store.grow(addr + width)
+        store.write(addr, width, value)
 
     def load(self, block: int, addr: int, width: int) -> int:
-        store = self._blocks.get(block)
-        return store.read(addr, width) if store else 0
+        return self._extent(block).read(addr, width)
 
     def atomic(self, block: int, addr: int, width: int, operation) -> int:
-        store = self._blocks.setdefault(block, ByteStore())
+        store = self._extent(block)
         old = store.read(addr, width)
         new = operation(old)
         if new is not None:

@@ -14,6 +14,11 @@ operand towers, per-thread ``tid -> warp -> frame`` register walks) is
 the specification of ``KernelExecution``'s decode-once closures; no
 user can select it any more.  ``oracle_engine()`` substitutes it for
 the launches inside a ``with`` block.
+
+``ReferenceGlobalMemory``: global memory on the sparse one-dict-entry-
+per-byte store (``DictByteStore``) with byte-by-byte store forwarding
+is the specification of ``GlobalMemory``'s flat extent and one-scan
+forwarding, for every access inside the heap.
 """
 
 import contextlib
@@ -36,6 +41,12 @@ from repro.gpu.interpreter import (
     _Frame,
     _Phase,
     _StackEntry,
+)
+from repro.gpu.memory import (
+    GLOBAL_HEAP_BASE,
+    MAXWELL_TITANX,
+    GlobalMemory,
+    _QueuedStore,
 )
 from repro.gpu.scheduler import RoundRobinScheduler
 from repro.ptx.ast import (
@@ -61,6 +72,100 @@ def per_record_oracle(layout, records, config=None) -> BarracudaDetector:
         for op in record_to_ops(record, layout, config.granularity_bytes):
             detector.process(op)
     return detector
+
+
+# ----------------------------------------------------------------------
+# The device-memory oracle
+# ----------------------------------------------------------------------
+class DictByteStore:
+    """A sparse byte-addressable memory (little-endian multi-byte access)."""
+
+    __slots__ = ("_bytes",)
+
+    def __init__(self) -> None:
+        self._bytes: Dict[int, int] = {}
+
+    def read(self, addr: int, width: int) -> int:
+        value = 0
+        for i in range(width):
+            value |= self._bytes.get(addr + i, 0) << (8 * i)
+        return value
+
+    def write(self, addr: int, width: int, value: int) -> None:
+        for i in range(width):
+            self._bytes[addr + i] = (value >> (8 * i)) & 0xFF
+
+    def read_byte(self, addr: int) -> int:
+        return self._bytes.get(addr, 0)
+
+
+class ReferenceGlobalMemory(GlobalMemory):
+    """``GlobalMemory`` as it was before the flat extent: main memory is
+    a :class:`DictByteStore`, a load forwards byte by byte, host arrays
+    move one element at a time, and no address is illegal.  The queues
+    and every drain are inherited: the weak-memory model is not what is
+    being specified."""
+
+    def __init__(self, arch=MAXWELL_TITANX) -> None:
+        super().__init__(arch)
+        self.main = DictByteStore()
+        self._alloc_cursor = GLOBAL_HEAP_BASE
+
+    def alloc(self, size: int, align: int = 8) -> int:
+        if size <= 0:
+            raise SimulationError(f"cannot allocate {size} bytes")
+        cursor = -(-self._alloc_cursor // align) * align
+        self._alloc_cursor = cursor + size
+        self.allocated_bytes += size
+        return cursor
+
+    def store(self, block: int, addr: int, width: int, value: int) -> None:
+        queue = self._queues.get(block)
+        if queue is None:
+            queue = self._queues[block] = []
+            self._store_rank.setdefault(block, len(self._store_rank))
+        queue.append(_QueuedStore(addr=addr, width=width, value=value, seq=self._seq))
+        self._seq += 1
+
+    def load(self, block: int, addr: int, width: int) -> int:
+        queue = self._queues.get(block)
+        value = 0
+        for i in range(width):
+            byte_addr = addr + i
+            byte = None
+            if queue:
+                for entry in reversed(queue):
+                    if entry.addr <= byte_addr < entry.addr + entry.width:
+                        byte = (entry.value >> (8 * (byte_addr - entry.addr))) & 0xFF
+                        break
+            if byte is None:
+                byte = self.main.read_byte(byte_addr)
+            value |= byte << (8 * i)
+        return value
+
+    def snapshot(self) -> Dict[int, int]:
+        self.drain_all()
+        return dict(self.main._bytes)
+
+    def restore(self, image: Dict[int, int]) -> None:
+        self._queues.clear()
+        self._store_rank.clear()
+        self.main._bytes = dict(image)
+
+    def host_write_array(self, addr: int, values, width: int = 4) -> None:
+        self.drain_all()
+        for index, value in enumerate(values):
+            self.main.write(addr + index * width, width, int(value))
+
+    def host_read_array(self, addr: int, count: int, width: int = 4):
+        self.drain_all()
+        return [self.main.read(addr + i * width, width) for i in range(count)]
+
+    def image(self) -> bytes:
+        """The heap's bytes, ``[GLOBAL_HEAP_BASE, cursor)``, as the flat
+        store holds them."""
+        return bytes(self.main.read_byte(addr)
+                     for addr in range(GLOBAL_HEAP_BASE, self._alloc_cursor))
 
 
 # ----------------------------------------------------------------------

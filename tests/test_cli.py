@@ -348,7 +348,7 @@ def _repro_under_hashseed(hashseed, cwd, *args):
 
 
 @pytest.mark.parametrize("example, launch", [
-    ("racy.cu", ["--grid", "2", "--block", "64"]),
+    ("racy.cu", ["--grid", "2", "--block", "64", "--buffer", "data:4"]),
     ("handoff.cu", ["--grid", "2", "--block", "32", "--buffer", "data:4",
                     "--buffer", "flag:4", "--buffer", "out:4", "--predict"]),
 ])

@@ -4,6 +4,7 @@ service results get their own exit code.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -15,6 +16,8 @@ from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
 from repro.runtime.replay import save_capture
 from repro.service import RaceService, ServiceThread
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "examples"
 
 RACY = """
 __global__ void racy(int* data) {
@@ -125,6 +128,47 @@ class TestCheckErrors:
             cli.main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_SHARED_PAST_END_CU = """
+__global__ void past(int* out) {
+    __shared__ int s[64];
+    s[threadIdx.x + 1] = threadIdx.x;
+    __syncthreads();
+    out[0] = s[1];
+}
+"""
+
+_LOAD_PAST_HEAP_CU = """
+__global__ void past(int* out) {
+    out[0] = out[4];
+}
+"""
+
+
+class TestIllegalAddress:
+    """An access outside its address space's extent is what the GPU
+    makes of it: a fault, here exit 2 and one ``error:`` line."""
+
+    def test_pointer_without_a_buffer_is_null(self, capsys):
+        code = cli.main(["check", str(EXAMPLES / "racy.cu"), "--grid", "2"])
+        assert code == 2
+        assert _assert_clean_error(capsys).startswith(
+            "error: illegal address 0x0:")
+
+    @pytest.mark.parametrize("source, block, address", [
+        (_SHARED_PAST_END_CU, "64", "0x100"),        # s[64], one past s
+        (_LOAD_PAST_HEAP_CU, "32", "0x10000010"),   # out[4] of out:4
+    ], ids=["shared-store-past-declaration", "load-past-heap-cursor"])
+    def test_access_past_the_extent(self, tmp_path, capsys, source, block,
+                                    address):
+        path = tmp_path / "past.cu"
+        path.write_text(source)
+        code = cli.main(["check", str(path), "--block", block,
+                         "--buffer", "out:4"])
+        assert code == 2
+        assert _assert_clean_error(capsys).startswith(
+            f"error: illegal address {address}:")
 
 
 class TestReplayErrors:

@@ -287,10 +287,11 @@ __global__ void racy(int* data) {
         clean = BarracudaSession()
         clean.register_module(__import__(
             "repro.cudac", fromlist=["compile_cuda"]).compile_cuda(self.SOURCE))
-        kwargs = dict(grid=1, block=4, warp_size=4,
-                      params={"data": 0x1000})
-        faulty_launch = faulty.launch("racy", **kwargs)
-        clean_launch = clean.launch("racy", **kwargs)
+        kwargs = dict(grid=1, block=4, warp_size=4)
+        faulty_launch = faulty.launch(
+            "racy", params={"data": faulty.device.alloc(8)}, **kwargs)
+        clean_launch = clean.launch(
+            "racy", params={"data": clean.device.alloc(8)}, **kwargs)
         # A forced ring-full stall is lossless: identical findings, but
         # the injected stall shows up in the queue accounting.
         assert len(faulty_launch.reports.races) == len(

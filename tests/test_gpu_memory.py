@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.gpu.memory import (
+    GLOBAL_HEAP_BASE,
     ByteStore,
     GlobalMemory,
     KEPLER_K520,
@@ -13,23 +16,52 @@ from repro.gpu.memory import (
     SharedMemory,
 )
 
+import oracle
+
+#: The first allocation of a fresh ``GlobalMemory``.
+BASE = GLOBAL_HEAP_BASE
+
+
+def _heap(arch=MAXWELL_TITANX, size=0x100):
+    """A global memory whose heap is ``size`` allocated bytes at BASE."""
+    mem = GlobalMemory(arch)
+    assert mem.alloc(size) == BASE
+    return mem
+
 
 class TestByteStore:
     def test_little_endian_round_trip(self):
-        store = ByteStore()
+        store = ByteStore(0x100, 4)
         store.write(0x100, 4, 0x12345678)
         assert store.read(0x100, 4) == 0x12345678
-        assert store.read_byte(0x100) == 0x78
-        assert store.read_byte(0x103) == 0x12
+        assert store.read(0x100, 1) == 0x78
+        assert store.read(0x103, 1) == 0x12
 
     def test_unwritten_reads_zero(self):
-        assert ByteStore().read(0, 8) == 0
+        assert ByteStore(0, 8).read(0, 8) == 0
 
     def test_overlapping_writes(self):
-        store = ByteStore()
+        store = ByteStore(0, 4)
         store.write(0, 4, 0xAABBCCDD)
         store.write(2, 2, 0x1122)
         assert store.read(0, 4) == 0x1122CCDD
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    @pytest.mark.parametrize("value", [-1, -2.0e9, 0x1_0000_0000_0000_0001, 3])
+    def test_write_keeps_the_low_bytes_of_any_raw(self, width, value):
+        # Float stores are not masked before they get here: a negative
+        # raw keeps its two's-complement low bytes, as byte by byte.
+        store = ByteStore(0, 8)
+        store.write(0, width, int(value))
+        assert store.read(0, width) == int(value) & ((1 << (8 * width)) - 1)
+
+    @pytest.mark.parametrize("addr, width", [(-1, 1), (0, 9), (7, 2), (8, 1)])
+    def test_access_outside_the_extent_is_illegal(self, addr, width):
+        store = ByteStore(0, 8)
+        for access in (lambda: store.read(addr, width),
+                       lambda: store.write(addr, width, 0)):
+            with pytest.raises(SimulationError, match="^illegal address"):
+                access()
 
 
 class TestAllocation:
@@ -50,70 +82,109 @@ class TestAllocation:
         mem.alloc(28)
         assert mem.allocated_bytes == 128
 
+    def test_allocations_are_zeroed(self):
+        mem = GlobalMemory()
+        addr = mem.alloc(12)
+        assert mem.host_read_array(addr, 3) == [0, 0, 0]
+
+    def test_padding_between_allocations_stays_legal(self):
+        # The check is on the heap extent, not per allocation: the
+        # alignment gap between two buffers is inside it.
+        mem = GlobalMemory()
+        first = mem.alloc(3, align=8)
+        second = mem.alloc(4, align=8)
+        gap = first + 3
+        assert gap < second
+        mem.store(0, gap, 1, 0xAB)
+        assert mem.load(0, gap, 1) == 0xAB
+        mem.drain_all()
+        assert mem.host_read(gap, 1) == 0xAB
+
+    @pytest.mark.parametrize("addr", [0, BASE - 4, BASE + 8])
+    def test_access_outside_the_heap_is_illegal(self, addr):
+        mem = _heap(size=8)
+        for access in (
+            lambda: mem.store(0, addr, 4, 1),  # at the store, not the drain
+            lambda: mem.load(0, addr, 4),
+            lambda: mem.atomic(0, addr, 4, lambda old: old + 1),
+            lambda: mem.host_read_array(addr, 1),
+            lambda: mem.host_write_array(addr, [1]),
+        ):
+            with pytest.raises(SimulationError,
+                               match=f"^illegal address {addr:#x}"):
+                access()
+        assert mem.pending_stores() == 0
+
+    def test_a_load_straddling_the_heap_end_is_illegal(self):
+        mem = _heap(size=8)
+        mem.store(0, BASE + 4, 4, 1)  # forwarding covers only half of it
+        with pytest.raises(SimulationError, match="illegal address"):
+            mem.load(0, BASE + 6, 4)
+
 
 class TestStoreForwarding:
     def test_own_block_sees_queued_store(self):
-        mem = GlobalMemory(MAXWELL_TITANX)
-        mem.store(0, 0x10, 4, 99)
-        assert mem.load(0, 0x10, 4) == 99  # forwarding
-        assert mem.main.read(0x10, 4) == 0  # not yet drained
+        mem = _heap(MAXWELL_TITANX)
+        mem.store(0, BASE + 0x10, 4, 99)
+        assert mem.load(0, BASE + 0x10, 4) == 99  # forwarding
+        assert mem.main.read(BASE + 0x10, 4) == 0  # not yet drained
 
     def test_other_block_does_not_see_queued_store(self):
-        mem = GlobalMemory(MAXWELL_TITANX)
-        mem.store(0, 0x10, 4, 99)
-        assert mem.load(1, 0x10, 4) == 0
+        mem = _heap(MAXWELL_TITANX)
+        mem.store(0, BASE + 0x10, 4, 99)
+        assert mem.load(1, BASE + 0x10, 4) == 0
 
     def test_latest_queued_store_wins(self):
-        mem = GlobalMemory(MAXWELL_TITANX)
-        mem.store(0, 0x10, 4, 1)
-        mem.store(0, 0x10, 4, 2)
-        assert mem.load(0, 0x10, 4) == 2
+        mem = _heap(MAXWELL_TITANX)
+        mem.store(0, BASE + 0x10, 4, 1)
+        mem.store(0, BASE + 0x10, 4, 2)
+        assert mem.load(0, BASE + 0x10, 4) == 2
 
     def test_byte_level_forwarding_composes(self):
-        mem = GlobalMemory(MAXWELL_TITANX)
-        mem.main.write(0x10, 4, 0x44332211)
-        mem.store(0, 0x12, 1, 0xAA)
-        assert mem.load(0, 0x10, 4) == 0x44AA2211
+        mem = _heap(MAXWELL_TITANX)
+        mem.main.write(BASE + 0x10, 4, 0x44332211)
+        mem.store(0, BASE + 0x12, 1, 0xAA)
+        assert mem.load(0, BASE + 0x10, 4) == 0x44AA2211
 
 
 class TestDraining:
     def test_strong_arch_drains_fifo(self):
-        mem = GlobalMemory(MAXWELL_TITANX)
-        mem.store(0, 0x10, 4, 1)
-        mem.store(0, 0x20, 4, 2)
+        mem = _heap(MAXWELL_TITANX)
+        mem.store(0, BASE + 0x10, 4, 1)
+        mem.store(0, BASE + 0x20, 4, 2)
         mem.drain_one(0)
-        assert mem.main.read(0x10, 4) == 1
-        assert mem.main.read(0x20, 4) == 0
+        assert mem.main.read(BASE + 0x10, 4) == 1
+        assert mem.main.read(BASE + 0x20, 4) == 0
 
     def test_weak_arch_can_reorder_independent_stores(self):
         rng = random.Random(0)
         reordered = 0
         for _ in range(100):
-            mem = GlobalMemory(KEPLER_K520)
-            mem.store(0, 0x10, 4, 1)
-            mem.store(0, 0x20, 4, 2)
+            mem = _heap(KEPLER_K520)
+            mem.store(0, BASE + 0x10, 4, 1)
+            mem.store(0, BASE + 0x20, 4, 2)
             mem.drain_one(0, rng)
-            if mem.main.read(0x20, 4) == 2:
+            if mem.main.read(BASE + 0x20, 4) == 2:
                 reordered += 1
         assert 0 < reordered < 100
 
     def test_weak_arch_preserves_per_address_order(self):
         rng = random.Random(0)
         for _ in range(50):
-            mem = GlobalMemory(KEPLER_K520)
-            mem.store(0, 0x10, 4, 1)
-            mem.store(0, 0x10, 4, 2)
+            mem = _heap(KEPLER_K520)
+            mem.store(0, BASE + 0x10, 4, 1)
+            mem.store(0, BASE + 0x10, 4, 2)
             mem.drain_one(0, rng)
-            assert mem.main.read(0x10, 4) == 1  # older store first
+            assert mem.main.read(BASE + 0x10, 4) == 1  # older store first
 
     def test_drain_all_commits_everything(self):
-        mem = GlobalMemory(KEPLER_K520)
-        mem.store(0, 0x10, 4, 1)
-        mem.store(1, 0x20, 4, 2)
+        mem = _heap(KEPLER_K520)
+        mem.store(0, BASE + 0x10, 4, 1)
+        mem.store(1, BASE + 0x20, 4, 2)
         mem.drain_all()
         assert mem.pending_stores() == 0
-        assert mem.main.read(0x10, 4) == 1
-        assert mem.main.read(0x20, 4) == 2
+        assert mem.main.read(BASE + 0x10, 4) == 1
+        assert mem.main.read(BASE + 0x20, 4) == 2
 
     def test_drain_one_on_empty_queue(self):
         assert not GlobalMemory().drain_one(0)
@@ -129,53 +200,54 @@ class TestPendingQueues:
         [
             lambda mem: mem.drain_all(),
             lambda mem: [mem.drain_block(block) for block in (0, 3, 5)],
-            lambda mem: [mem._drain_address(block, 0x10, 8) for block in (0, 3, 5)],
+            lambda mem: [mem._drain_address(block, BASE + 0x10, 8)
+                         for block in (0, 3, 5)],
             lambda mem: [mem.drain_heads(6) for _ in range(2)],
-            lambda mem: mem.atomic(1, 0x10, 8, lambda old: None),
+            lambda mem: mem.atomic(1, BASE + 0x10, 8, lambda old: None),
         ],
         ids=["drain_all", "drain_block", "_drain_address", "drain_heads", "atomic"],
     )
     def test_no_empty_queue_is_kept(self, arch, drain):
-        mem = GlobalMemory(arch)
+        mem = _heap(arch)
         for block in (5, 0, 3):
-            mem.store(block, 0x10, 4, block)
-            mem.store(block, 0x14, 4, block)
+            mem.store(block, BASE + 0x10, 4, block)
+            mem.store(block, BASE + 0x14, 4, block)
         drain(mem)
         assert mem._queues == {}
         assert mem.pending_stores() == 0
 
     def test_partial_drains_keep_only_what_is_pending(self):
-        mem = GlobalMemory()
-        mem.store(0, 0x10, 4, 1)
-        mem.store(0, 0x20, 4, 2)
-        mem.store(1, 0x30, 4, 3)
+        mem = _heap()
+        mem.store(0, BASE + 0x10, 4, 1)
+        mem.store(0, BASE + 0x20, 4, 2)
+        mem.store(1, BASE + 0x30, 4, 3)
         mem.drain_heads(2)
         assert {block: len(q) for block, q in mem._queues.items()} == {0: 1}
-        mem._drain_address(0, 0x40, 4)  # no overlap: nothing to do
+        mem._drain_address(0, BASE + 0x40, 4)  # no overlap: nothing to do
         assert mem.pending_stores() == 1
 
     def test_drain_heads_commits_in_ascending_block_order(self):
-        mem = GlobalMemory()
-        reference = GlobalMemory()
+        mem = _heap()
+        reference = _heap()
         for target in (mem, reference):
             for block in (5, 0, 3):
-                target.store(block, 0x10, 4, 100 + block)
-                target.store(block, 0x20 + 4 * block, 4, block)
+                target.store(block, BASE + 0x10, 4, 100 + block)
+                target.store(block, BASE + 0x20 + 4 * block, 4, block)
         mem.drain_heads(6)
         for block in range(6):  # the sweep drain_heads replaced
             reference.drain_one(block)
-        assert mem.main.read(0x10, 4) == 105  # last writer: block 5
-        assert mem.main._bytes == reference.main._bytes
+        assert mem.main.read(BASE + 0x10, 4) == 105  # last writer: block 5
+        assert mem.main.read(BASE, 0x100) == reference.main.read(BASE, 0x100)
         assert mem.pending_stores() == reference.pending_stores() == 3
 
     def test_drain_heads_leaves_blocks_beyond_the_grid(self):
-        mem = GlobalMemory()
-        mem.store(1, 0x10, 4, 1)
-        mem.store(7, 0x10, 4, 7)  # left by an earlier, larger launch
+        mem = _heap()
+        mem.store(1, BASE + 0x10, 4, 1)
+        mem.store(7, BASE + 0x10, 4, 7)  # left by an earlier, larger launch
         mem.drain_heads(4)
-        assert mem.main.read(0x10, 4) == 1
+        assert mem.main.read(BASE + 0x10, 4) == 1
         assert list(mem._queues) == [7]
-        assert mem.load(7, 0x10, 4) == 7
+        assert mem.load(7, BASE + 0x10, 4) == 7
 
     def test_first_store_order_survives_pruning(self):
         # Block 5 stored first, so drain_all and atomic visit it first
@@ -183,64 +255,231 @@ class TestPendingQueues:
         # block 5's queue was emptied, dropped and created again.
         for drain in (
             lambda mem: mem.drain_all(),
-            lambda mem: mem.atomic(2, 0x10, 4, lambda old: None),
+            lambda mem: mem.atomic(2, BASE + 0x10, 4, lambda old: None),
         ):
-            mem = GlobalMemory()
-            mem.store(5, 0x20, 4, 1)
-            mem.store(0, 0x10, 4, 100)
+            mem = _heap()
+            mem.store(5, BASE + 0x20, 4, 1)
+            mem.store(0, BASE + 0x10, 4, 100)
             mem.drain_block(5)
-            mem.store(5, 0x10, 4, 105)
+            mem.store(5, BASE + 0x10, 4, 105)
             drain(mem)
-            assert mem.main.read(0x10, 4) == 100
+            assert mem.main.read(BASE + 0x10, 4) == 100
 
     def test_restore_forgets_the_first_store_order(self):
-        mem = GlobalMemory()
+        mem = _heap()
         image = mem.snapshot()
-        mem.store(5, 0x10, 4, 105)
+        mem.store(5, BASE + 0x10, 4, 105)
         mem.restore(image)
-        mem.store(0, 0x10, 4, 100)
-        mem.store(5, 0x10, 4, 105)
+        mem.store(0, BASE + 0x10, 4, 100)
+        mem.store(5, BASE + 0x10, 4, 105)
         mem.drain_all()
-        assert mem.main.read(0x10, 4) == 105
+        assert mem.main.read(BASE + 0x10, 4) == 105
 
 
 class TestAtomics:
     def test_atomic_sees_queued_stores_to_its_address(self):
-        mem = GlobalMemory(MAXWELL_TITANX)
-        mem.store(0, 0x10, 4, 5)
-        old = mem.atomic(1, 0x10, 4, lambda v: v + 1)
+        mem = _heap(MAXWELL_TITANX)
+        mem.store(0, BASE + 0x10, 4, 5)
+        old = mem.atomic(1, BASE + 0x10, 4, lambda v: v + 1)
         assert old == 5
-        assert mem.main.read(0x10, 4) == 6
+        assert mem.main.read(BASE + 0x10, 4) == 6
 
     def test_atomic_none_result_leaves_memory(self):
-        mem = GlobalMemory()
-        mem.main.write(0x10, 4, 3)
-        old = mem.atomic(0, 0x10, 4, lambda v: None)  # failed CAS
+        mem = _heap()
+        mem.main.write(BASE + 0x10, 4, 3)
+        old = mem.atomic(0, BASE + 0x10, 4, lambda v: None)  # failed CAS
         assert old == 3
-        assert mem.main.read(0x10, 4) == 3
+        assert mem.main.read(BASE + 0x10, 4) == 3
 
 
 class TestSnapshotRestore:
     def test_round_trip(self):
-        mem = GlobalMemory()
-        mem.main.write(0x10, 4, 7)
+        mem = _heap()
+        mem.main.write(BASE + 0x10, 4, 7)
         image = mem.snapshot()
-        mem.store(0, 0x10, 4, 99)
+        mem.store(0, BASE + 0x10, 4, 99)
         mem.drain_all()
         mem.restore(image)
-        assert mem.main.read(0x10, 4) == 7
+        assert mem.main.read(BASE + 0x10, 4) == 7
         assert mem.pending_stores() == 0
+
+    def test_memory_allocated_after_the_snapshot_reads_zero(self):
+        mem = _heap(size=8)
+        image = mem.snapshot()
+        later = mem.alloc(8)
+        mem.host_write_array(later, [1, 2])
+        mem.restore(image)
+        assert mem.host_read_array(later, 2) == [0, 0]
 
 
 class TestSharedMemory:
     def test_blocks_are_isolated(self):
-        shared = SharedMemory()
+        shared = SharedMemory(16)
         shared.store(0, 0x0, 4, 11)
         assert shared.load(0, 0x0, 4) == 11
         assert shared.load(1, 0x0, 4) == 0
 
     def test_shared_atomic(self):
-        shared = SharedMemory()
+        shared = SharedMemory(16)
         old = shared.atomic(0, 0x0, 4, lambda v: v + 3)
         assert old == 0
         assert shared.load(0, 0x0, 4) == 3
+
+    def test_access_past_the_declared_bytes_is_illegal(self):
+        shared = SharedMemory(16)
+        with pytest.raises(SimulationError, match="^illegal address 0x10"):
+            shared.store(0, 0x10, 4, 1)
+        with pytest.raises(SimulationError, match="^illegal address 0xe"):
+            shared.load(1, 0xE, 4)
+
+    def test_local_space_grows_to_cover_each_store(self):
+        local = SharedMemory()  # .local: no declarations
+        local.store(0, 0x40, 4, 9)
+        assert local.load(0, 0x40, 4) == 9
+        assert local.load(0, 0x0, 4) == 0  # below the highest store
+        with pytest.raises(SimulationError, match="illegal address"):
+            local.load(0, 0x44, 4)  # above it: never stored
+        with pytest.raises(SimulationError, match="illegal address"):
+            local.store(0, 1 << 40, 4, 1)  # past CUDA's per-thread limit
+
+
+# ----------------------------------------------------------------------
+# Parity: the flat extent is the sparse per-byte store, inside the heap
+# ----------------------------------------------------------------------
+HEAP = 32
+BLOCKS = 2
+#: A device access sits at ``slot * width + skew``: mostly naturally
+#: aligned (``skew`` 0), sometimes not.  The heap is small, so accesses
+#: overlap often, and the slot wraps, so later allocations are reached.
+SLOTS = st.integers(0, 47)
+SKEWS = st.sampled_from([0] * 3 + [1, 2, 3])
+WIDTHS = st.sampled_from([1, 2, 4, 8])
+#: A raw as the engine hands it over: masked, a negative float-store
+#: raw, or wider than its access.
+RAWS = st.integers(min_value=-(1 << 63), max_value=(1 << 72))
+_BLOCK = st.integers(0, BLOCKS - 1)
+#: Argument strategies per step.
+_ARGS = {
+    "store": (_BLOCK, SLOTS, SKEWS, WIDTHS, RAWS),
+    "load": (_BLOCK, SLOTS, SKEWS, WIDTHS),
+    "atomic": (_BLOCK, SLOTS, SKEWS, WIDTHS, st.one_of(st.none(), RAWS)),
+    "alloc": (st.integers(1, 24), st.sampled_from([1, 4, 8])),
+    "drain_one": (_BLOCK, st.integers(0, 3)),
+    "drain_heads": (st.integers(0, BLOCKS),),
+    "drain_all": (),
+    "snapshot": (),
+    "restore": (),
+    "host_write": (SLOTS, WIDTHS, st.lists(RAWS, min_size=1, max_size=4)),
+    "host_read": (SLOTS, WIDTHS, st.integers(1, 4)),
+}
+#: Stores and loads four times as often as any other step, so loads
+#: meet queued stores (every host access drains the queues).
+_KINDS = ["store"] * 4 + ["load"] * 4 + sorted(_ARGS)
+
+
+@st.composite
+def _op(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    return (kind,) + tuple(draw(arg) for arg in _ARGS[kind])
+
+
+def _run_both(arch, ops):
+    """Apply ``ops`` to the flat memory and to the reference; every
+    returned value and the final heap image must agree."""
+    flat = GlobalMemory(arch)
+    reference = oracle.ReferenceGlobalMemory(arch)
+    images = []
+    for mem in (flat, reference):
+        assert mem.alloc(HEAP) == BASE
+
+    def within(slot, width, count=1, skew=0):
+        """The slot reduced into the heap, or None if nothing fits."""
+        slots = (len(flat.main.data) - skew - width * count) // width + 1
+        return BASE + slot % slots * width + skew if slots > 0 else None
+
+    for op in ops:
+        name, args = op[0], op[1:]
+        if name == "alloc":
+            assert flat.alloc(*args) == reference.alloc(*args)
+        elif name in ("store", "load", "atomic"):
+            block, slot, skew, width = args[:4]
+            addr = within(slot, width, skew=skew)
+            if addr is None:
+                continue
+            if name == "store":
+                for mem in (flat, reference):
+                    mem.store(block, addr, width, args[4])
+            elif name == "load":
+                assert flat.load(block, addr, width) == \
+                    reference.load(block, addr, width), op
+            else:
+                delta = args[4]
+                operation = (lambda old: None) if delta is None else (
+                    lambda old: old + delta)
+                assert flat.atomic(block, addr, width, operation) == \
+                    reference.atomic(block, addr, width, operation), op
+        elif name == "drain_one":
+            block, seed = args
+            assert flat.drain_one(block, random.Random(seed)) == \
+                reference.drain_one(block, random.Random(seed))
+        elif name == "drain_heads":
+            for mem in (flat, reference):
+                mem.drain_heads(*args)
+        elif name == "drain_all":
+            for mem in (flat, reference):
+                mem.drain_all()
+        elif name == "snapshot":
+            images.append((flat.snapshot(), reference.snapshot()))
+        elif name == "restore":
+            if images:
+                flat.restore(images[-1][0])
+                reference.restore(images[-1][1])
+        elif name == "host_write":
+            slot, width, values = args
+            addr = within(slot, width, len(values))
+            if addr is not None:
+                for mem in (flat, reference):
+                    mem.host_write_array(addr, values, width)
+        else:
+            slot, width, count = args
+            addr = within(slot, width, count)
+            if addr is not None:
+                assert flat.host_read_array(addr, count, width) == \
+                    reference.host_read_array(addr, count, width), op
+        assert flat.pending_stores() == reference.pending_stores()
+    flat.drain_all()
+    reference.drain_all()
+    assert bytes(flat.main.data) == reference.image()
+
+
+#: Bytes 4-7 of a load: the newest queued store holds 4-5, the oldest
+#: 6-7.  Bytes 0-7: a third store shadows the oldest on 0-3.  Bytes
+#: 5-6: the newest store holds the first, the oldest the second.
+PARTIAL_OVERLAP = [
+    ("store", 0, 0, 0, 8, 0x1111111111111111),
+    ("store", 0, 0, 0, 4, 0x22222222),
+    ("store", 0, 2, 0, 2, -3),
+    ("load", 0, 1, 0, 4),
+    ("load", 0, 0, 0, 8),
+    ("load", 0, 2, 1, 2),
+    ("load", 1, 0, 0, 8),
+]
+
+
+@pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+def test_partial_overlap_composes_byte_by_byte_like_the_reference(arch):
+    _run_both(arch, PARTIAL_OVERLAP)
+    mem = _heap(arch, size=HEAP)
+    for _, block, slot, skew, width, raw in PARTIAL_OVERLAP[:3]:
+        mem.store(block, BASE + slot * width + skew, width, raw)
+    assert mem.load(0, BASE + 4, 4) == 0x1111FFFD
+    assert mem.load(0, BASE, 8) == 0x1111FFFD22222222
+    assert mem.load(0, BASE + 5, 2) == 0x11FF
+
+
+@given(arch=st.sampled_from([MAXWELL_TITANX, KEPLER_K520]),
+       ops=st.lists(_op(), min_size=16, max_size=64))
+@example(arch=KEPLER_K520, ops=PARTIAL_OVERLAP + [("drain_one", 0, 1),
+                                                  ("load", 0, 1, 0, 4)])
+def test_flat_memory_matches_the_per_byte_reference(arch, ops):
+    _run_both(arch, ops)

@@ -272,6 +272,7 @@ class TestBarriers:
 class TestAtomicsAndLimits:
     def test_atomic_cas_spin_hang_detection(self):
         module = module_with(
+            "mov.u64 %rd1, cell;\n"
             "$L_spin:\n"
             "atom.global.cas.b32 %r1, [%rd1], 1, 2;\n"  # never succeeds: cell is 0
             "setp.ne.u32 %p1, %r1, 1;\n"
@@ -286,6 +287,7 @@ class TestAtomicsAndLimits:
 
     def test_atomic_exch_returns_old(self):
         values = run_store_per_thread(
+            "ld.param.u64 %rd5, [out];\n"
             "atom.global.exch.b32 %r15, [%rd5], 7;\n",
             grid=1, block=1,
         )

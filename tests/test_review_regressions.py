@@ -145,15 +145,16 @@ class TestDrainClosure:
         commit older stores overlapping *that* store, or the older one
         later clobbers it (per-location coherence)."""
         mem = GlobalMemory(KEPLER_K520)
-        mem.store(0, 0x100, 4, 0x11111111)       # older, bytes 0x100-0x103
-        mem.store(0, 0x102, 4, 0x22222222)       # newer, bytes 0x102-0x105
+        base = mem.alloc(0x200) - 0x100  # addresses below read as offsets
+        mem.store(0, base + 0x100, 4, 0x11111111)  # older, bytes 0x100-0x103
+        mem.store(0, base + 0x102, 4, 0x22222222)  # newer, bytes 0x102-0x105
         # Atomic probes 0x104 only: overlaps the newer store only.
-        mem.atomic(1, 0x104, 1, lambda v: v)
+        mem.atomic(1, base + 0x104, 1, lambda v: v)
         mem.drain_all()
         # Byte 0x102 must hold the newer store's low byte, not the older
         # store's high bytes.
-        assert mem.main.read_byte(0x102) == 0x22
-        assert mem.main.read_byte(0x103) == 0x22
+        assert mem.main.read(base + 0x102, 1) == 0x22
+        assert mem.main.read(base + 0x103, 1) == 0x22
 
 
 class TestTraceGrammar:
