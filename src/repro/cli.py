@@ -1079,7 +1079,7 @@ def _configure_profile(parser: argparse.ArgumentParser) -> None:
         "source line. Kernel sources (.cu/.ptx) run with the engine's "
         "closure-dispatch profiler attached; replay captures "
         "(JSONL or binary, recognised by content) are profiled through "
-        "the detector's per-record consume path. The default text "
+        "the detector's fused loop, one row at a time. The default text "
         "output is count-ordered and deterministic across repeated runs.")
     _add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE)
     parser.add_argument("--top", type=int, default=20,
@@ -1107,9 +1107,9 @@ def run_profile(args) -> int:
     else:
         from time import perf_counter
 
+        from .columnar import ColumnarBatch
         from .core.detector import BarracudaDetector
         from .core.races import DetectorConfig
-        from .events import record_to_ops
 
         profiler = Profiler()
         layout, _kernel, batches, _fmt = loaded
@@ -1117,10 +1117,9 @@ def run_profile(args) -> int:
         detector = BarracudaDetector(layout, config)
         for batch in batches:
             for record in batch.iter_records():
+                row = ColumnarBatch.from_records((record,))
                 start = perf_counter()
-                for op in record_to_ops(record, layout,
-                                        config.granularity_bytes):
-                    detector.process(op)
+                detector.process_columnar(row, config.granularity_bytes)
                 profiler.account(record.kind.value, max(record.pc, 0),
                                  seconds=perf_counter() - start)
 

@@ -11,12 +11,11 @@ plain integer lists instead of allocating objects, and the binary
 capture codec (:mod:`repro.runtime.replay`) serializes whole columns
 with one stdlib ``array`` ``tobytes``/``frombytes`` call per column.
 
-Lossless by construction: every :class:`LogRecord` round-trips through
+Lossless for every row the engine emits: each round-trips through
 :meth:`ColumnarBatch.from_records` / :meth:`ColumnarBatch.to_records`
-unchanged.  Records the flat columns cannot express exactly (addresses
-outside int64, ``None`` stored values, address maps that disagree with
-the active mask) ride along in a per-batch ``extras`` side table encoded
-as JSON, so even adversarial captures survive the trip.
+unchanged.  Any other row has no columns — the builder rejects it with a
+one-line :class:`ReproError` — and :meth:`ColumnarBatch.check_layout`
+rejects rows outside a launch, so a hostile capture fails where it enters.
 """
 
 from __future__ import annotations
@@ -24,17 +23,19 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple)
 
 from .errors import ReproError
 from .events import (
+    GRID_BARRIER_BLOCK,
     MAX_ACCESS_BYTES,
     MEMORY_KINDS,
-    RECORD_BYTES,
     LogRecord,
     RecordKind,
     _sorted_mask,
 )
+from .trace.layout import GridLayout
 from .trace.operations import Scope, Space
 
 
@@ -59,8 +60,6 @@ KIND_ACQREL = KIND_CODE[RecordKind.ACQREL]
 KIND_BRANCH_IF = KIND_CODE[RecordKind.BRANCH_IF]
 KIND_BRANCH_ELSE = KIND_CODE[RecordKind.BRANCH_ELSE]
 KIND_BARRIER = KIND_CODE[RecordKind.BARRIER]
-#: Column code of a row whose record lives in the ``extras`` side table.
-KIND_EXTRA = 255
 
 SPACES: Tuple[Space, ...] = (Space.GLOBAL, Space.SHARED)
 SPACE_CODE: Dict[Space, int] = {space: i for i, space in enumerate(SPACES)}
@@ -77,6 +76,21 @@ DEFAULT_BATCH_RECORDS = 512
 
 def _fits_i64(value: int) -> bool:
     return _I64_MIN <= value < _I64_MAX
+
+
+def _row_error(kind: RecordKind, warp: int, pc: int,
+               problem: str) -> ReproError:
+    """The one-line rejection of a row, named by kind, warp and pc."""
+    where = "block" if kind is RecordKind.BARRIER else "warp"
+    return ReproError(f"{kind.value} row ({where} {warp}, pc {pc}): {problem}")
+
+
+def _check_i64(record: LogRecord, name: str,
+               numbers: Collection[int]) -> None:
+    if numbers and not (_fits_i64(min(numbers)) and _fits_i64(max(numbers))):
+        bad = next(n for n in numbers if not _fits_i64(n))
+        raise _row_error(record.kind, record.warp, record.pc,
+                         f"{name} {bad} does not fit int64")
 
 
 class ColumnarBatch:
@@ -99,7 +113,7 @@ class ColumnarBatch:
     __slots__ = (
         "kinds", "warps", "pcs", "widths", "scopes", "mask_ids",
         "then_mask_ids", "lane_starts", "lane_tids", "lane_spaces",
-        "lane_addrs", "lane_has_value", "lane_values", "masks", "extras",
+        "lane_addrs", "lane_has_value", "lane_values", "masks",
     )
 
     def __init__(self) -> None:
@@ -118,37 +132,16 @@ class ColumnarBatch:
         self.lane_values: List[int] = []
         #: Interned active masks: sorted tid tuples shared across records.
         self.masks: List[Tuple[int, ...]] = []
-        #: Row index → verbatim record, for rows the columns cannot
-        #: express exactly (code ``KIND_EXTRA``).
-        self.extras: Dict[int, LogRecord] = {}
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    @property
-    def lane_count(self) -> int:
-        return len(self.lane_tids)
-
-    def size_bytes(self) -> int:
-        """Modeled on-device size: columnar layout does not change the
-        Figure 6 record-byte accounting the queues meter."""
-        return len(self.kinds) * RECORD_BYTES
 
     # ------------------------------------------------------------------
     # Materialization back to records
     # ------------------------------------------------------------------
     def record(self, index: int) -> LogRecord:
         """Reconstruct row ``index`` as a :class:`LogRecord`."""
-        kind_code = self.kinds[index]
-        if kind_code == KIND_EXTRA:
-            try:
-                return self.extras[index]
-            except KeyError:
-                raise ReproError(
-                    f"columnar batch row {index} marked extra but missing "
-                    "from the extras table"
-                ) from None
-        kind = KINDS[kind_code]
+        kind = KINDS[self.kinds[index]]
         start = self.lane_starts[index]
         end = self.lane_starts[index + 1]
         addrs: Dict[int, Tuple[Space, int]] = {}
@@ -225,25 +218,20 @@ class ColumnarBatch:
         lanes_of_mask: Dict[int, Optional[List[int]]] = {}
         for index in range(n):
             code = self.kinds[index]
-            if code != KIND_EXTRA and not 0 <= code < len(KINDS):
+            if not 0 <= code < len(KINDS):
                 raise ReproError(
                     f"corrupt columnar batch: unknown kind code {code}")
-            if (code != KIND_EXTRA and KINDS[code] in MEMORY_KINDS
-                    and not 1 <= self.widths[index] <= MAX_ACCESS_BYTES):
+            memory = KINDS[code] in MEMORY_KINDS
+            if memory and not 1 <= self.widths[index] <= MAX_ACCESS_BYTES:
                 raise ReproError(
                     f"corrupt columnar batch: access width "
                     f"{self.widths[index]} outside 1..{MAX_ACCESS_BYTES}")
-            if code == KIND_EXTRA and index not in self.extras:
-                raise ReproError(
-                    f"corrupt columnar batch: row {index} marked extra but "
-                    "missing from the extras table"
-                )
             if not 0 <= self.mask_ids[index] < pool:
                 raise ReproError(
                     f"corrupt columnar batch: mask id {self.mask_ids[index]} "
                     f"out of range for pool of {pool}"
                 )
-            if code != KIND_EXTRA and KINDS[code] in MEMORY_KINDS:
+            if memory:
                 # A memory row's lanes are exactly its mask, ascending:
                 # every consumer walks the lanes in that order and looks
                 # addresses up by the mask's tids.
@@ -275,6 +263,49 @@ class ColumnarBatch:
                 raise ReproError(
                     f"corrupt columnar batch: unknown space code {code}")
 
+    def check_layout(self, layout: GridLayout) -> None:
+        """Raise :class:`ReproError` unless every row fits ``layout``, as
+        the detector's fused loop assumes: a row's warp (a barrier's
+        block, or ``GRID_BARRIER_BLOCK``) is the launch's, and every tid
+        of its masks — a memory row's lanes — lies in it.  Run on every
+        batch from outside the process, after :meth:`validate`."""
+        tpb = layout.threads_per_block
+        ws = layout.warp_size
+        wpb = layout.warps_per_block
+        # (mask id, lo, hi) triples already found inside [lo, hi).
+        inside: Set[Tuple[int, int, int]] = set()
+        for index, code in enumerate(self.kinds):
+            kind, warp, pc = KINDS[code], self.warps[index], self.pcs[index]
+            if kind is RecordKind.BARRIER:
+                if warp == GRID_BARRIER_BLOCK:
+                    lo, hi = 0, layout.total_threads
+                elif 0 <= warp < layout.num_blocks:
+                    lo = warp * tpb
+                    hi = lo + tpb
+                else:
+                    raise _row_error(kind, warp, pc, (
+                        f"block {warp} is not one of the launch's "
+                        f"{layout.num_blocks}"))
+            elif 0 <= warp < layout.total_warps:
+                base = warp // wpb * tpb
+                lo = base + warp % wpb * ws
+                hi = min(lo + ws, base + tpb)
+            else:
+                raise _row_error(kind, warp, pc, (
+                    f"warp {warp} is not one of the launch's "
+                    f"{layout.total_warps}"))
+            for mask_id in (self.mask_ids[index], self.then_mask_ids[index]):
+                if mask_id < 0 or (mask_id, lo, hi) in inside:
+                    continue
+                mask = self.masks[mask_id]
+                if mask and (min(mask) < lo or max(mask) >= hi):
+                    stray = next(tid for tid in mask if not lo <= tid < hi)
+                    unit = "block" if kind is RecordKind.BARRIER else "warp"
+                    raise _row_error(kind, warp, pc, (
+                        f"tid {stray} is outside its {unit} "
+                        f"(tids {lo}..{hi - 1})"))
+                inside.add((mask_id, lo, hi))
+
 
 class ColumnarBuilder:
     """Accumulates records into a :class:`ColumnarBatch`.
@@ -290,98 +321,77 @@ class ColumnarBuilder:
     def __len__(self) -> int:
         return len(self._batch)
 
-    def _intern_mask(self, mask: frozenset) -> int:
+    def _intern_mask(self, mask: frozenset, record: LogRecord) -> int:
         mask_id = self._mask_ids.get(mask)
         if mask_id is None:
+            tids = _sorted_mask(mask)
+            _check_i64(record, "tid", tids)
             mask_id = len(self._batch.masks)
             self._mask_ids[mask] = mask_id
-            self._batch.masks.append(_sorted_mask(mask))
+            self._batch.masks.append(tids)
         return mask_id
 
-    def _append_extra(self, record: LogRecord) -> None:
-        batch = self._batch
-        batch.extras[len(batch.kinds)] = record
-        batch.kinds.append(KIND_EXTRA)
-        batch.warps.append(0)
-        batch.pcs.append(0)
-        batch.widths.append(0)
-        batch.scopes.append(-1)
-        batch.mask_ids.append(self._intern_mask(frozenset()))
-        batch.then_mask_ids.append(-1)
-        batch.lane_starts.append(len(batch.lane_tids))
-
     def append(self, record: LogRecord) -> None:
-        """Append one record, falling back to the extras table when the
-        flat columns cannot express it exactly."""
+        """Append one row the engine can emit — integers in int64; a
+        memory row's ``addrs`` exactly its active tids, its ``values``
+        some of them, none ``None``; a control row with neither — or
+        raise :class:`ReproError` (the builder is then discarded)."""
         kind = record.kind
+        warp, pc, width = record.warp, record.pc, record.width
+        _check_i64(record, "warp, pc or width", (warp, pc, width))
         addrs = record.addrs
         values = record.values
-        if kind in MEMORY_KINDS:
-            canonical = (
-                addrs.keys() == record.active
-                and values.keys() <= record.active
-                and _fits_i64(record.warp)
-                and _fits_i64(record.pc)
-                and _fits_i64(record.width)
-            )
-        else:
-            canonical = (
-                not addrs
-                and not values
-                and _fits_i64(record.warp)
-                and _fits_i64(record.pc)
-                and _fits_i64(record.width)
-            )
-        if not canonical:
-            self._append_extra(record)
-            return
         batch = self._batch
-        lane_tids = batch.lane_tids
-        lane_spaces = batch.lane_spaces
-        lane_addrs = batch.lane_addrs
-        lane_has_value = batch.lane_has_value
-        lane_values = batch.lane_values
-        mark = (len(batch.kinds), len(lane_tids))
-        values_get = values.get
-        lane_source = _sorted_mask(record.active) if kind in MEMORY_KINDS else ()
-        for tid in lane_source:
-            space, addr = addrs[tid]
-            value = values_get(tid)
-            if not (_fits_i64(tid) and _fits_i64(addr)
-                    and (value is None or (isinstance(value, int)
-                                           and _fits_i64(value)))):
-                del lane_tids[mark[1]:]
-                del lane_spaces[mark[1]:]
-                del lane_addrs[mark[1]:]
-                del lane_has_value[mark[1]:]
-                del lane_values[mark[1]:]
-                self._append_extra(record)
-                return
-            lane_tids.append(tid)
-            lane_spaces.append(SPACE_CODE[space])
-            lane_addrs.append(addr)
-            if value is None and tid in values:
-                # A present-but-None stored value cannot be told apart
-                # from an absent one in the flat columns.
-                del lane_tids[mark[1]:]
-                del lane_spaces[mark[1]:]
-                del lane_addrs[mark[1]:]
-                del lane_has_value[mark[1]:]
-                del lane_values[mark[1]:]
-                self._append_extra(record)
-                return
-            lane_has_value.append(0 if value is None else 1)
-            lane_values.append(0 if value is None else value)
+        if kind in MEMORY_KINDS:
+            active = record.active
+            if addrs.keys() != active:
+                raise _row_error(kind, warp, pc, "addrs and active mask "
+                                 f"disagree on {sorted(addrs.keys() ^ active)}")
+            mask_id = self._intern_mask(active, record)
+            tids = batch.masks[mask_id]
+            lane_spaces = batch.lane_spaces
+            lane_addrs = batch.lane_addrs
+            mark = len(lane_addrs)
+            batch.lane_tids.extend(tids)
+            for tid in tids:
+                space, addr = addrs[tid]
+                lane_spaces.append(SPACE_CODE[space])
+                lane_addrs.append(addr)
+            _check_i64(record, "address", lane_addrs[mark:])
+            if values:
+                if not values.keys() <= active:
+                    raise _row_error(kind, warp, pc, "values name inactive "
+                                     f"tids {sorted(values.keys() - active)}")
+                if None in values.values():
+                    raise _row_error(kind, warp, pc, "a stored value is None")
+                _check_i64(record, "stored value", values.values())
+                lane_has_value = batch.lane_has_value
+                lane_values = batch.lane_values
+                values_get = values.get
+                for tid in tids:
+                    value = values_get(tid)
+                    lane_has_value.append(0 if value is None else 1)
+                    lane_values.append(0 if value is None else value)
+            else:
+                absent = [0] * len(tids)
+                batch.lane_has_value.extend(absent)
+                batch.lane_values.extend(absent)
+        elif addrs or values:
+            raise _row_error(kind, warp, pc,
+                             "a control row carries addrs or values")
+        else:
+            mask_id = self._intern_mask(record.active, record)
         batch.kinds.append(KIND_CODE[kind])
-        batch.warps.append(record.warp)
-        batch.pcs.append(record.pc)
-        batch.widths.append(record.width)
+        batch.warps.append(warp)
+        batch.pcs.append(pc)
+        batch.widths.append(width)
         batch.scopes.append(
             SCOPE_CODE[record.scope] if record.scope is not None else -1)
-        batch.mask_ids.append(self._intern_mask(record.active))
+        batch.mask_ids.append(mask_id)
         batch.then_mask_ids.append(
-            self._intern_mask(record.then_mask) if record.then_mask else -1)
-        batch.lane_starts.append(len(lane_tids))
+            self._intern_mask(record.then_mask, record)
+            if record.then_mask else -1)
+        batch.lane_starts.append(len(batch.lane_tids))
 
     def flush(self) -> ColumnarBatch:
         batch = self._batch
@@ -445,9 +455,8 @@ _HEADER = struct.Struct("<IIII")
 _U32 = struct.Struct("<I")
 
 #: Decoder sanity bound: no single batch legitimately carries more rows,
-#: lanes, masks, or extras than this (matches the service frame cap
-#: discipline); anything larger is treated as corruption, not an
-#: allocation request.
+#: lanes or masks than this (matches the service frame cap discipline);
+#: anything larger is treated as corruption, not an allocation request.
 MAX_BATCH_ITEMS = 1 << 24
 
 
@@ -457,21 +466,16 @@ def encode_batch(batch: ColumnarBatch) -> bytes:
     Layout (all sizes derivable from the fixed header, so decoding is a
     single pass of column-wide ``frombytes`` calls):
 
-    ``u32×4`` rows/lanes/masks/extras counts; int64 columns ``warps``,
-    ``pcs``, ``widths``, ``mask_ids``, ``then_mask_ids``,
+    ``u32×4`` rows/lanes/masks counts and a reserved 0; int64 columns
+    ``warps``, ``pcs``, ``widths``, ``mask_ids``, ``then_mask_ids``,
     ``lane_starts`` (rows+1), ``lane_tids``, ``lane_addrs``,
     ``lane_values``; byte columns ``kinds``, ``scopes`` (code+1),
     ``lane_spaces``, ``lane_has_value``; mask pool (``u32`` total tids,
-    per-mask ``u32`` lengths, flat int64 tids); extras (per entry:
-    ``u32`` row index, ``u32`` JSON length, JSON record bytes).
+    per-mask int64 lengths, flat int64 tids).
     """
-    from .runtime.replay import _record_to_json  # lazy: avoids a cycle
-
-    import json
-
     parts = [
         _HEADER.pack(len(batch.kinds), len(batch.lane_tids),
-                     len(batch.masks), len(batch.extras)),
+                     len(batch.masks), 0),
         pack_i64(batch.warps),
         pack_i64(batch.pcs),
         pack_i64(batch.widths),
@@ -490,11 +494,6 @@ def encode_batch(batch: ColumnarBatch) -> bytes:
     parts.append(_U32.pack(len(mask_tids)))
     parts.append(pack_i64([len(mask) for mask in batch.masks]))
     parts.append(pack_i64(mask_tids))
-    for index in sorted(batch.extras):
-        blob = json.dumps(_record_to_json(batch.extras[index])).encode("utf-8")
-        parts.append(_U32.pack(index))
-        parts.append(_U32.pack(len(blob)))
-        parts.append(blob)
     return b"".join(parts)
 
 
@@ -544,20 +543,20 @@ def decode_batch(data: bytes) -> ColumnarBatch:
     """Decode :func:`encode_batch` output, validating hostile input.
 
     Every malformation — truncation, impossible counts, out-of-range
-    codes or pool indices, garbage extras JSON — surfaces as
+    codes or pool indices, a nonzero reserved count — surfaces as
     :class:`ReproError` so capture loaders fail one capture cleanly.
     """
-    from .runtime.replay import record_line_to_record  # lazy: avoids a cycle
-
     cursor = _Cursor(data)
-    rows, lanes, n_masks, n_extras = _HEADER.unpack(cursor.take(_HEADER.size))
-    for name, count in (("rows", rows), ("lanes", lanes),
-                        ("masks", n_masks), ("extras", n_extras)):
+    rows, lanes, n_masks, reserved = _HEADER.unpack(cursor.take(_HEADER.size))
+    for name, count in (("rows", rows), ("lanes", lanes), ("masks", n_masks)):
         if count > MAX_BATCH_ITEMS:
             raise ReproError(
                 f"corrupt columnar batch: {name} count {count} exceeds "
                 f"{MAX_BATCH_ITEMS}"
             )
+    if reserved:  # once a count of rows the columns cannot hold
+        raise ReproError(f"corrupt columnar batch: {reserved} row(s) outside "
+                         "the columns (the header's fourth count must be 0)")
     batch = ColumnarBatch()
     batch.warps = unpack_i64(cursor.take(rows * 8), rows)
     batch.pcs = unpack_i64(cursor.take(rows * 8), rows)
@@ -584,26 +583,10 @@ def decode_batch(data: bytes) -> ColumnarBatch:
     for length in mask_lens:
         batch.masks.append(tuple(mask_tids[position:position + length]))
         position += length
-    for _ in range(n_extras):
-        index = cursor.u32()
-        blob_len = cursor.u32()
-        blob = cursor.take(blob_len)
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ReproError(
-                f"corrupt columnar batch: extras entry is not UTF-8: {exc}"
-            ) from exc
-        if not 0 <= index < rows:
-            raise ReproError(
-                f"corrupt columnar batch: extras row index {index} out of "
-                f"range for {rows} rows"
-            )
-        batch.extras[index] = record_line_to_record(text)
     if cursor.offset != len(data):
         raise ReproError(
             f"corrupt columnar batch: {len(data) - cursor.offset} trailing "
-            "bytes after the extras table"
+            "bytes after the mask pool"
         )
     batch.validate()
     return batch

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..columnar import (
-    KIND_ACQREL,
     KIND_ACQUIRE,
     KIND_ATOMIC,
     KIND_BARRIER,
@@ -29,7 +28,7 @@ from ..columnar import (
     SPACE_CODE,
     ColumnarBatch,
 )
-from ..events import cell_offsets, record_to_ops
+from ..events import cell_offsets
 from ..trace.layout import GridLayout
 from ..trace.operations import (
     AcqRel,
@@ -435,13 +434,14 @@ class BarracudaDetector:
         ``ops_processed``/``joins`` accounting (the differential suite
         pins this across all 79 programs) — but without materializing a
         single record, and with a coalesced LOAD/STORE row of a converged
-        warp handled as one range (:meth:`_coalesced_row`).  Only rows
-        the columns cannot express (extras rows) or whose lanes leave
-        the row's warp fall back to exactly that expansion.
+        warp handled as one range (:meth:`_coalesced_row`).
 
-        ``batch`` satisfies :meth:`ColumnarBatch.validate` (the builder
-        and the decoder both guarantee it): a memory row's lanes ascend,
-        so its two end lanes bound them all.
+        Precondition: every row is one the engine can emit for this
+        layout — ``batch`` passes :meth:`ColumnarBatch.validate` (a
+        memory row's lanes are its mask, ascending) and
+        :meth:`ColumnarBatch.check_layout` (its warps and blocks are the
+        launch's, a row's lanes lie in its warp), which every loader of
+        outside input runs.
         """
         layout = self.layout
         clocks = self.clocks
@@ -469,13 +469,11 @@ class BarracudaDetector:
         end_instruction = clocks.end_instruction
         instr = self._instr
         instr_get = instr.get
-        process = self.process
         # Per-lane history is what provenance records: no ranges then.
         ranges = self.provenance is None
         tpb = layout.threads_per_block
         ws = layout.warp_size
         wpb = layout.warps_per_block
-        total_warps = layout.total_warps
         mask_sets: Dict[int, FrozenSet[int]] = {}
 
         def mask_set(mask_id: int) -> FrozenSet[int]:
@@ -507,25 +505,12 @@ class BarracudaDetector:
                 continue
             start = lane_starts[index]
             end = lane_starts[index + 1]
-            regular = code <= KIND_ACQREL and 0 <= warp < total_warps
-            if regular:
-                # All lanes must live in the row's own warp: activeness
-                # and the lockstep join are per-warp state, and malformed
-                # captures may scatter tids (the per-op path handles
-                # those lane by lane).
-                base = (warp // wpb) * tpb
-                lo = base + (warp % wpb) * ws
-                hi = min(lo + ws, base + tpb)
-                regular = start == end or (
-                    lo <= lane_tids[start] and lane_tids[end - 1] < hi)
-            if not regular:
-                for op in record_to_ops(batch.record(index), layout,
-                                        granularity):
-                    process(op)
-                continue
+            # The row's warp is tids [lo, hi), and its lanes lie there.
+            base = (warp // wpb) * tpb
+            lo = base + (warp % wpb) * ws
+            hi = min(lo + ws, base + tpb)
             width = widths[index]
-            # Shared cells belong to the row's block: every lane is in
-            # the row's warp (checked above).
+            # Shared cells belong to the row's block, as its lanes do.
             shared_block = warp // wpb
             amask = active_mask(warp)
             lanes = end - start

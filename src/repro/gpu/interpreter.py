@@ -59,6 +59,7 @@ differential suites in ``tests/test_engine_equivalence.py``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -275,6 +276,27 @@ def _tids(warp: WarpState, lanes: Lanes) -> Sequence[int]:
     if lanes is None:
         return range(first, first + warp.lanes)
     return [first + lane for lane in lanes]
+
+
+_I64_SIGN = 1 << 63
+
+
+def _non_finite(line: int) -> SimulationError:
+    return SimulationError(f"store at line {line} writes a non-finite float")
+
+
+def _logged_values(stored: Sequence, line: int) -> List[int]:
+    """A store's per-lane values as its record logs them: the low 64 bits,
+    as a signed int64 — a value that fits is itself, and two are equal
+    exactly when their low 64 bits are (what the same-value filter
+    compares).  A float rounds toward zero, as the store does."""
+    try:
+        ints = list(map(int, stored))
+    except (OverflowError, ValueError):  # int(inf), int(nan)
+        raise _non_finite(line) from None
+    if min(ints) < -_I64_SIGN or max(ints) >= _I64_SIGN:
+        ints = [(v + _I64_SIGN) % (2 * _I64_SIGN) - _I64_SIGN for v in ints]
+    return ints
 
 
 def _write(regs, name: str, value, count: int, lanes: Lanes) -> None:
@@ -990,7 +1012,7 @@ class KernelExecution:
                 values: Dict[int, int] = {}
             else:
                 stored = column(value_of(regs, warp), warp.lanes, lanes)
-                values = {t: int(value) for t, value in zip(tids, stored)}
+                values = dict(zip(tids, _logged_values(stored, pc_line)))
             warp.cycles += emit(LogRecord(
                 kind=kind,
                 warp=warp.warp,
@@ -1134,6 +1156,8 @@ class KernelExecution:
                         if isinstance(value, float):
                             # Modeled: float stores round toward zero (and
                             # are deliberately not masked — oracle parity).
+                            if not math.isfinite(value):
+                                raise _non_finite(insn.line)
                             raw = int(value)
                         else:
                             raw = int(value) & umask

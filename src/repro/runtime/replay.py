@@ -123,6 +123,7 @@ def _record_from_json(payload: dict) -> LogRecord:
             ("active", record.active),
             ("then_mask", record.then_mask),
             ("addrs", [addr for _space, addr in record.addrs.values()]),
+            ("values", [v for v in record.values.values() if v is not None]),
         ):
             for number in numbers:
                 if type(number) is not int:
@@ -338,11 +339,6 @@ def iter_binary_frames(stream: IO[bytes]) -> Iterator[bytes]:
     return iter(lambda: read_frame(stream), None)
 
 
-def iter_binary_batches(stream: IO[bytes]) -> Iterator[ColumnarBatch]:
-    """Decode batch frames until a clean EOF (header already consumed)."""
-    return map(decode_batch, iter_binary_frames(stream))
-
-
 def save_capture_binary(
     stream: IO[bytes],
     layout: GridLayout,
@@ -364,7 +360,7 @@ def load_capture_binary(
 ) -> Tuple[GridLayout, str, List[ColumnarBatch]]:
     """Read a binary capture back; returns (layout, kernel, batches)."""
     layout, kernel = read_binary_header(stream)
-    return layout, kernel, list(iter_binary_batches(stream))
+    return layout, kernel, list(map(decode_batch, iter_binary_frames(stream)))
 
 
 def detect_capture_format(path: str) -> Optional[str]:
@@ -393,18 +389,24 @@ def load_capture_path_batches(
     JSONL captures are columnarized on load (bit-identical records);
     binary captures decode straight into batches.  Anything that is not
     a binary capture is read as JSONL, so a file that is no capture at
-    all fails with the header's own error.
+    all fails with the header's own error.  Every front door loads
+    captures here, so rows outside the header's layout stop here.
     """
     if detect_capture_format(path) == "binary":
+        fmt = "binary"
         with open(path, "rb") as stream:
             layout, kernel, batches = load_capture_binary(stream)
-        return layout, kernel, batches, "binary"
-    try:
-        with open(path, "r", encoding="utf-8") as stream:
-            layout, kernel, records = load_capture(stream, faults=faults)
-    except UnicodeDecodeError as exc:
-        raise ReproError(f"not a barracuda capture: {exc}") from exc
-    return layout, kernel, list(iter_batches(records)), "jsonl"
+    else:
+        fmt = "jsonl"
+        try:
+            with open(path, "r", encoding="utf-8") as stream:
+                layout, kernel, records = load_capture(stream, faults=faults)
+        except UnicodeDecodeError as exc:
+            raise ReproError(f"not a barracuda capture: {exc}") from exc
+        batches = list(iter_batches(records))
+    for batch in batches:
+        batch.check_layout(layout)
+    return layout, kernel, batches, fmt
 
 
 def convert_capture(

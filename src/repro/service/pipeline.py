@@ -156,6 +156,7 @@ def _worker_batch(job_id: str,
                 raise ReproError(
                     f"corrupt batch frame: count says {declared} record(s), "
                     f"the batch holds {len(batch)}")
+            batch.check_layout(detector.layout)
             detector.consume_columnar(batch)
     return count, time.perf_counter() - start
 

@@ -171,6 +171,35 @@ class TestIllegalAddress:
             f"error: illegal address {address}:")
 
 
+#: One row each (capture JSON form, on a 2-block, 8-thread, warp-4
+#: launch) of the shapes the engine never emits.  The first six ended
+#: in a KeyError traceback; the last three were accepted silently.
+_ROWS_THE_ENGINE_CANNOT_EMIT = {
+    "if-on-warp-99": {"kind": "if", "warp": 99, "active": [0, 1, 2, 3],
+                      "then_mask": [0]},
+    "barrier-on-block-99": {"kind": "bar", "warp": 99,
+                            "active": list(range(8))},
+    "store-on-warp-99": {"kind": "store", "warp": 99, "active": [0],
+                         "addrs": {"0": ["global", 0]}, "values": {"0": 1}},
+    "store-by-tid-999": {"kind": "store", "warp": 0, "active": [999],
+                         "addrs": {"999": ["global", 0]}},
+    "addrs-lack-an-active-tid": {"kind": "store", "warp": 0,
+                                 "active": [0, 1],
+                                 "addrs": {"0": ["global", 0]}},
+    "barrier-naming-tid-999": {"kind": "bar", "warp": 0,
+                               "active": [*range(8), 999]},
+    "lane-outside-its-warp": {"kind": "store", "warp": 0, "active": [0, 5],
+                              "addrs": {"0": ["global", 0],
+                                        "5": ["global", 4]}},
+    "shared-lane-from-another-block": {
+        "kind": "store", "warp": 1, "active": [4, 12],
+        "addrs": {"4": ["shared", 0], "12": ["shared", 4]}},
+    "present-none-value": {"kind": "store", "warp": 0, "active": [0],
+                           "addrs": {"0": ["global", 0]},
+                           "values": {"0": None}},
+}
+
+
 class TestReplayErrors:
     def test_missing_capture_is_a_one_line_error(self, capsys):
         assert cli.main(["replay", "/nonexistent/capture.jsonl"]) == 2
@@ -206,34 +235,57 @@ class TestReplayErrors:
         assert cli.main(["replay", str(capture)]) == 2
         assert "access width" in _assert_clean_error(capsys)
 
-    @pytest.mark.parametrize("flags", [[], ["--reference"], ["--predict"]],
-                             ids=["fused", "reference", "predict"])
-    @pytest.mark.parametrize("tamper", ["duplicate-lane", "mask-extra"])
+    @pytest.mark.parametrize("flags", [
+        ["replay"], ["replay", "--reference"], ["replay", "--predict"],
+        ["profile"], ["replay", "--socket", "SOCKET"]],
+        ids=["fused", "reference", "predict", "profile", "socket"])
+    @pytest.mark.parametrize(
+        "tamper", ["duplicate-lane", "mask-extra", *_ROWS_THE_ENGINE_CANNOT_EMIT])
     def test_lanes_disagreeing_with_the_mask_are_a_one_line_error(
-            self, tmp_path, capsys, tamper, flags):
+            self, tmp_path, capsys, request, tamper, flags):
         # Used to decode: plain ``replay`` then said "no races detected"
         # while ``--reference`` and ``--predict`` exited 1 in a KeyError
-        # traceback from ``record_to_ops``.
+        # traceback from ``record_to_ops``.  The other rows, each alone
+        # in a BCAP and a JSONL capture, used to end in a KeyError
+        # traceback or be accepted without a word.
         from repro.columnar import ColumnarBatch
         from repro.events import LogRecord, RecordKind
-        from repro.runtime.replay import write_binary_batch, write_binary_header
+        from repro.runtime.replay import (
+            capture_header_line, write_binary_batch, write_binary_header)
         from repro.trace.operations import Space
 
-        layout = LaunchConfig.of(1, 32, 32).layout()
-        batch = ColumnarBatch.from_records([LogRecord(
-            kind=RecordKind.STORE, warp=0, active=frozenset({0, 1}),
-            addrs={0: (Space.GLOBAL, 0), 1: (Space.GLOBAL, 4)},
-            values={0: 1, 1: 2})])
-        if tamper == "duplicate-lane":
-            batch.lane_tids[1] = 0
+        from test_columnar import _write_bcap
+
+        if tamper in _ROWS_THE_ENGINE_CANNOT_EMIT:
+            layout = LaunchConfig.of(2, 8, 4).layout()
+            row = {"pc": 3, **_ROWS_THE_ENGINE_CANNOT_EMIT[tamper]}
+            jsonl = tmp_path / "hostile.jsonl"
+            jsonl.write_text(
+                f"{capture_header_line(layout, 'k')}\n{json.dumps(row)}\n")
+            bcap = tmp_path / "hostile.bcap"
+            _write_bcap(bcap, layout, [row])
+            captures = [bcap, jsonl]
         else:
-            batch.masks[0] = (0, 1, 2)
-        capture = tmp_path / "hostile.bcap"
-        with open(capture, "wb") as stream:
-            write_binary_header(stream, layout, "k")
-            write_binary_batch(stream, batch)
-        assert cli.main(["replay", str(capture)] + flags) == 2
-        assert "are not its active mask" in _assert_clean_error(capsys)
+            layout = LaunchConfig.of(1, 32, 32).layout()
+            batch = ColumnarBatch.from_records([LogRecord(
+                kind=RecordKind.STORE, warp=0, active=frozenset({0, 1}),
+                addrs={0: (Space.GLOBAL, 0), 1: (Space.GLOBAL, 4)},
+                values={0: 1, 1: 2})])
+            if tamper == "duplicate-lane":
+                batch.lane_tids[1] = 0
+            else:
+                batch.masks[0] = (0, 1, 2)
+            captures = [tmp_path / "hostile.bcap"]
+            with open(captures[0], "wb") as stream:
+                write_binary_header(stream, layout, "k")
+                write_binary_batch(stream, batch)
+        flags = [request.getfixturevalue("live_service") if f == "SOCKET"
+                 else f for f in flags]
+        for capture in captures:
+            assert cli.main([*flags, str(capture)]) == 2
+            line = _assert_clean_error(capsys)
+            if tamper not in _ROWS_THE_ENGINE_CANNOT_EMIT:
+                assert "are not its active mask" in line
 
     @pytest.mark.parametrize("field, hostile", [
         ("warp", "w"),
@@ -458,6 +510,32 @@ _BAD_WAIT_PTX = """
 }
 """
 
+_INF_STORE_PTX = """
+.version 4.3
+.target sm_35
+.address_size 64
+
+.visible .entry k(
+    .param .u64 out
+)
+{
+    .reg .f32 %f<4>;
+    .reg .u32 %r<4>;
+    .reg .u64 %rd<4>;
+
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    cvt.rn.f32.u32 %f1, %r1;
+    mov.f32 %f2, 0.0;
+    div.rn.f32 %f3, %f1, %f2;
+    cvt.s64.s32 %rd2, %r1;
+    mul.lo.s64 %rd3, %rd2, 4;
+    add.s64 %rd3, %rd1, %rd3;
+    st.global.f32 [%rd3], %f3;
+    ret;
+}
+"""
+
 _GRID_SYNC_CU = """
 __global__ void g(int* out) {
     out[threadIdx.x] = 1;
@@ -482,6 +560,14 @@ class TestModernIdiomErrors:
         code = self._check(tmp_path, "mask.ptx", _BAD_MASK_PTX, "out:8")
         assert code == 2
         assert "membermask" in _assert_clean_error(capsys)
+
+    def test_non_finite_float_store(self, tmp_path, capsys):
+        # x / 0.0 is modelled as inf; storing it was an OverflowError
+        # traceback from the record's logged value.
+        code = self._check(tmp_path, "inf.ptx", _INF_STORE_PTX, "out:8")
+        assert code == 2
+        assert _assert_clean_error(capsys) == (
+            "error: store at line 22 writes a non-finite float")
 
     def test_cp_async_bad_copy_size(self, tmp_path, capsys):
         code = self._check(tmp_path, "size.ptx", _BAD_SIZE_PTX, "src:8")

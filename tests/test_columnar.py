@@ -1,23 +1,35 @@
 """Columnar warp-batches and the binary capture format.
 
-Two contracts pinned here:
+Three contracts pinned here:
 
-* **losslessness** — every :class:`LogRecord`, including adversarial
-  shapes the flat columns cannot express (huge addresses, ``None``
-  stored values, address maps disagreeing with the active mask), round
-  trips through the columnar batch and the binary codec unchanged;
+* **losslessness** — every row the engine can emit round trips through
+  the columnar batch and the binary codec unchanged;
+* **one canonical record** — a row the engine cannot emit (an address
+  map that is not the active mask, a ``None`` stored value, an integer
+  outside int64, a warp, block or lane outside the launch) is a
+  one-line ``ReproError`` where a capture enters, and every engine
+  stream of the suite and Table 1 passes that boundary untouched;
 * **detection exactness** — the fused detector/host paths report
   exactly what the per-record oracle (``record_to_ops`` →
   ``BarracudaDetector.process``, driven from here) reports.
 """
 
+import dataclasses
+import functools
 import io
+import json
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import cli
+from repro.bench import ALL_WORKLOADS
 from repro.columnar import (
+    KIND_CODE,
+    SCOPE_CODE,
+    SPACE_CODE,
     ColumnarBatch,
     batch_record_count,
     decode_batch,
@@ -28,12 +40,16 @@ from repro.core.detector import BarracudaDetector
 from repro.core.reference import DetectorConfig
 from repro.cudac import compile_cuda
 from repro.errors import ReproError
-from repro.events import LogRecord, RecordKind
+from repro.events import MEMORY_KINDS, LogRecord, RecordKind
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
+from repro.jobs import record_stream
+from repro.predict import LaunchSpec
 from repro.runtime.host import HostDetector
 from repro.runtime.replay import (
+    _record_to_json,
+    capture_header_line,
     convert_capture,
     load_capture,
     load_capture_binary,
@@ -42,8 +58,11 @@ from repro.runtime.replay import (
     replay,
     save_capture,
     save_capture_binary,
+    write_binary_header,
+    write_frame,
 )
 from repro.service import protocol
+from repro.suite import ALL_PROGRAMS
 from repro.trace.operations import Scope, Space
 
 from oracle import per_record_oracle
@@ -76,32 +95,29 @@ def _race_keys(reports):
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: arbitrary records through batch + binary codec
+# Hypothesis: rows through batch + binary codec
 # ----------------------------------------------------------------------
 _TIDS = st.integers(min_value=0, max_value=7)
-_ADDRS = st.one_of(
-    st.integers(min_value=0, max_value=1 << 20),
-    # Outside int64: must survive via the extras side table.
-    st.integers(min_value=1 << 63, max_value=1 << 70),
-)
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+_I64 = st.one_of(st.integers(min_value=0, max_value=1 << 20),
+                 st.sampled_from([_I64_MIN, -1, _I64_MAX]))
+#: Just outside int64: no column holds these.
+_OUTSIDE_I64 = st.sampled_from([_I64_MIN - 1, _I64_MAX + 1, 1 << 70])
 
 
 @st.composite
 def log_records(draw):
+    """Canonical rows: the shapes the engine emits, every integer in
+    int64 — a memory row's ``addrs`` name exactly its active tids and
+    its ``values`` some of them; a control row carries neither."""
     kind = draw(st.sampled_from(list(RecordKind)))
     active = frozenset(draw(st.sets(_TIDS, min_size=0, max_size=6)))
-    addr_tids = draw(st.sets(_TIDS, min_size=0, max_size=6))
-    addrs = {
-        tid: (draw(st.sampled_from([Space.GLOBAL, Space.SHARED])),
-              draw(_ADDRS))
-        for tid in addr_tids
-    }
-    values = {
-        tid: draw(st.one_of(st.none(),
-                            st.integers(min_value=-(1 << 40),
-                                        max_value=1 << 40)))
-        for tid in addr_tids if draw(st.booleans())
-    }
+    addrs, values = {}, {}
+    if kind in MEMORY_KINDS:
+        addrs = {tid: (draw(st.sampled_from([Space.GLOBAL, Space.SHARED])),
+                       draw(_I64))
+                 for tid in active}
+        values = {tid: draw(_I64) for tid in active if draw(st.booleans())}
     return LogRecord(
         kind=kind,
         warp=draw(st.integers(min_value=0, max_value=5)),
@@ -115,6 +131,46 @@ def log_records(draw):
     )
 
 
+@st.composite
+def non_canonical_records(draw):
+    """A canonical row broken in one way the engine never breaks one."""
+    record = draw(log_records())
+    memory = record.kind in MEMORY_KINDS
+    breaks = ["warp", "pc", "width", "tid"]
+    if memory:
+        breaks += ["drop-address", "extra-address", "stray-value",
+                   "address"]
+        if record.active:
+            breaks += ["none-value", "value"]
+    else:
+        breaks += ["control-addrs"]
+    how = draw(st.sampled_from(breaks))
+    outside = draw(_OUTSIDE_I64)
+    addrs, values = dict(record.addrs), dict(record.values)
+    fields = {}
+    if how in ("warp", "pc", "width"):
+        fields[how] = outside
+    elif how == "tid":
+        fields["active"] = record.active | {outside}
+        if memory:
+            addrs[outside] = (Space.GLOBAL, 0)
+    elif how == "drop-address":
+        fields["active"] = record.active | {8}
+    elif how == "extra-address":
+        addrs[8] = (Space.GLOBAL, 0)
+    elif how == "stray-value":
+        values[8] = 1
+    elif how == "address":
+        fields["active"] = record.active | {8}
+        addrs[8] = (Space.SHARED, outside)
+    elif how == "control-addrs":
+        addrs[0] = (Space.GLOBAL, 0)
+    else:
+        values[draw(st.sampled_from(sorted(record.active)))] = (
+            None if how == "none-value" else outside)
+    return dataclasses.replace(record, addrs=addrs, values=values, **fields)
+
+
 _DETECT_LAYOUT = LaunchConfig.of(2, 8, 4).layout()  # 4 warps of 4 threads
 
 
@@ -122,14 +178,10 @@ _DETECT_LAYOUT = LaunchConfig.of(2, 8, 4).layout()  # 4 warps of 4 threads
 def memory_records(draw):
     """The memory-rows-only sibling of ``log_records``, over tids and
     warps ``_DETECT_LAYOUT`` has: every width the engine emits, addresses
-    that are unaligned and straddle cells, both spaces, rows naming only
-    part of their warp, and (one row in four) lanes scattered outside it
-    — the rows the fused loop must hand to the per-op path."""
+    that are unaligned and straddle cells, both spaces, and rows naming
+    only part of their warp."""
     warp = draw(st.integers(min_value=0, max_value=3))
-    if draw(st.integers(min_value=0, max_value=3)):
-        lanes = st.integers(min_value=4 * warp, max_value=4 * warp + 3)
-    else:
-        lanes = st.integers(min_value=0, max_value=15)
+    lanes = st.integers(min_value=4 * warp, max_value=4 * warp + 3)
     tids = draw(st.sets(lanes, min_size=0, max_size=4))
     kind = draw(st.sampled_from(
         [RecordKind.LOAD, RecordKind.STORE, RecordKind.ATOMIC]))
@@ -240,6 +292,18 @@ class TestCodecRoundTrip:
         assert count == len(records)
         assert protocol.decode_batch_wire(encoded).to_records() == records
 
+    @settings(max_examples=200, deadline=None)
+    @given(record=non_canonical_records())
+    def test_non_canonical_row_is_a_one_line_error(self, record):
+        with pytest.raises(ReproError) as excinfo:
+            ColumnarBatch.from_records([record])
+        message = str(excinfo.value)
+        assert "\n" not in message
+        where = "block" if record.kind is RecordKind.BARRIER else "warp"
+        assert message.startswith(
+            f"{record.kind.value} row ({where} {record.warp}, "
+            f"pc {record.pc}): ")
+
 
 class TestHostileInput:
     def _payload(self):
@@ -284,11 +348,10 @@ class TestHostileInput:
             load_capture_binary(stream)
 
     @pytest.mark.parametrize("width", [0, -4, 33, 1 << 40])
-    @pytest.mark.parametrize("addr", [0, 1 << 65], ids=["column", "extras"])
+    @pytest.mark.parametrize("addr", [0], ids=["column"])
     def test_memory_row_width_outside_1_to_32_rejected(self, width, addr):
         # The width sizes the shadow-cell expansion; the engine emits at
-        # most type_width * vector_count = 32 bytes.  ``addr`` picks the
-        # boundary: a flat column row, or an extras-table JSON record.
+        # most type_width * vector_count = 32 bytes.
         layout = LaunchConfig.of(1, 4, 4).layout()
         record = LogRecord(kind=RecordKind.LOAD, warp=0,
                            active=frozenset({0}),
@@ -346,6 +409,199 @@ class TestHostileInput:
     def test_wire_bad_base64_rejected(self):
         with pytest.raises(ReproError, match="base64"):
             protocol.decode_batch_wire("not//valid base64!!")
+
+
+# ----------------------------------------------------------------------
+# One canonical record: the engine's rows pass the boundary, and one
+# field of one row changed is a report or a one-line error
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("entry", list(ALL_PROGRAMS) + list(ALL_WORKLOADS),
+                         ids=lambda entry: entry.name)
+def test_every_engine_stream_passes_the_boundary(entry):
+    # The census: the builder and the layout check reject none of the
+    # rows the engine emits for any suite program or Table-1 workload.
+    layout, records = record_stream(entry.spec)
+    batches = list(iter_batches(records))
+    assert sum(len(batch) for batch in batches) == len(records)
+    for batch in batches:
+        batch.check_layout(layout)
+
+
+_ALL_ONES_U64_PTX = """
+.version 4.3
+.target sm_35
+.address_size 64
+
+.visible .entry k(
+    .param .u64 out
+)
+{
+    .reg .u64 %rd<4>;
+
+    ld.param.u64 %rd1, [out];
+    mov.u64 %rd2, 0xFFFFFFFFFFFFFFFF;
+    st.global.u64 [%rd1], %rd2;
+    ret;
+}
+"""
+
+
+def test_a_store_beyond_int64_is_logged_as_its_low_64_bits_signed():
+    # The one engine row that used to leave the columns: 2**64 - 1 is
+    # logged as -1, and the report is what the unsigned value gave
+    # through the per-op path (6 races, 24 filtered same-value stores).
+    spec = LaunchSpec(source=_ALL_ONES_U64_PTX, is_ptx=True, grid=2, block=8,
+                      warp_size=4, buffers=(("out", 4, ()),))
+    layout, records = record_stream(spec)
+    stores = [r for r in records if r.kind is RecordKind.STORE]
+    assert {v for r in stores for v in r.values.values()} == {-1}
+    for batch in iter_batches(records):
+        batch.check_layout(layout)
+    unsigned = [dataclasses.replace(r, values={
+        t: v & ((1 << 64) - 1) for t, v in r.values.items()}) for r in records]
+    expected = per_record_oracle(layout, unsigned).reports
+    reports = replay(layout, records)
+    assert _race_keys(reports) == _race_keys(expected)
+    assert len(reports.races) == 6
+    assert (reports.filtered_same_value == expected.filtered_same_value
+            == 24)
+
+
+#: RACY with a block barrier, so the capture has a row naming a block.
+SYNCED = RACY.replace("    data[1] = 7;",
+                      "    __syncthreads();\n    data[1] = 7;")
+_HUGE = 1 << 70
+#: What a mutated warp, block or tid becomes: a place inside the
+#: 64-thread, 8-warp launch, past it, negative, or outside int64.
+_NEW_IDS = st.one_of(st.integers(min_value=-2, max_value=70),
+                     st.sampled_from([99, 999, _HUGE]))
+
+
+@functools.lru_cache(maxsize=None)
+def _synced_rows():
+    layout, records = _capture(SYNCED)
+    return layout, [_record_to_json(record) for record in records]
+
+
+def _mutate(rows, field, pick, new):
+    """``rows`` (JSON form) with one field of one row changed."""
+    rows = json.loads(json.dumps(rows))
+    candidates = {
+        "warp": [row for row in rows if row["kind"] != "bar"],
+        "block": [row for row in rows if row["kind"] == "bar"],
+        "mask": [row for row in rows if row["active"]],
+        "value": [row for row in rows if row.get("values")],
+    }.get(field.split("-")[0], [row for row in rows if row.get("addrs")])
+    row = candidates[pick % len(candidates)]
+    if field in ("warp", "block"):
+        row["warp"] = new
+        return rows
+    keys = sorted(row["addrs"] if "addrs" in row else row["active"], key=int)
+    old = keys[pick % len(keys)]
+    if field == "mask":
+        row["active"] = sorted(set(row["active"]) - {int(old)} | {new})
+    elif field in ("lane", "addrs-key"):
+        row["addrs"][str(new)] = row["addrs"].pop(old)
+        if field == "lane":  # the whole lane moves to tid ``new``
+            row["active"] = sorted(set(row["active"]) - {int(old)} | {new})
+            if old in row.get("values", {}):
+                row["values"][str(new)] = row["values"].pop(old)
+    elif field == "huge-address":
+        row["addrs"][old][1] = _HUGE
+    else:
+        key = sorted(row["values"], key=int)[pick % len(row["values"])]
+        row["values"][key] = None if field == "value-none" else _HUGE
+    return rows
+
+
+def _in_columns(row) -> bool:
+    numbers = [row["warp"], row["pc"], *row["active"],
+               *row.get("then_mask", ()),
+               *(int(tid) for tid in row.get("addrs", {})),
+               *(addr for _space, addr in row.get("addrs", {}).values()),
+               *row.get("values", {}).values()]
+    return all(n is not None and _I64_MIN <= n <= _I64_MAX for n in numbers)
+
+
+def _write_bcap(path, layout, rows):
+    """The rows as a hostile writer can lay them out in BCAP: columns
+    spelled as the row stands (no builder), and a row the columns cannot
+    hold the way the previous writer stored one — a code-255 row whose
+    record is a JSON entry after the mask pool, counted by the header's
+    fourth u32."""
+    batch, stray = ColumnarBatch(), []
+    for row in rows:
+        batch.mask_ids.append(len(batch.masks))
+        if not _in_columns(row):
+            stray.append((len(batch.kinds), row))
+            batch.kinds.append(255)
+            batch.warps.append(0)
+            batch.pcs.append(0)
+            batch.widths.append(0)
+            batch.scopes.append(-1)
+            batch.masks.append(())
+            batch.then_mask_ids.append(-1)
+            batch.lane_starts.append(len(batch.lane_tids))
+            continue
+        batch.kinds.append(KIND_CODE[RecordKind(row["kind"])])
+        batch.warps.append(row["warp"])
+        batch.pcs.append(row["pc"])
+        batch.widths.append(row.get("width", 4))
+        batch.scopes.append(
+            SCOPE_CODE[Scope(row["scope"])] if "scope" in row else -1)
+        batch.masks.append(tuple(row["active"]))
+        batch.then_mask_ids.append(
+            len(batch.masks) if "then_mask" in row else -1)
+        if "then_mask" in row:
+            batch.masks.append(tuple(row["then_mask"]))
+        values = row.get("values", {})
+        for tid, (space, addr) in sorted(row.get("addrs", {}).items(),
+                                         key=lambda item: int(item[0])):
+            batch.lane_tids.append(int(tid))
+            batch.lane_spaces.append(SPACE_CODE[Space(space)])
+            batch.lane_addrs.append(addr)
+            batch.lane_has_value.append(int(tid in values))
+            batch.lane_values.append(values.get(tid, 0))
+        batch.lane_starts.append(len(batch.lane_tids))
+    payload = bytearray(encode_batch(batch))
+    struct.pack_into("<I", payload, 12, len(stray))
+    for index, row in stray:
+        blob = json.dumps(row).encode()
+        payload += struct.pack("<II", index, len(blob)) + blob
+    with open(path, "wb") as stream:
+        write_binary_header(stream, layout, "k")
+        write_frame(stream, bytes(payload))
+
+
+class TestRowsTheEngineCannotEmit:
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["warp", "block", "lane", "mask",
+                                  "addrs-key", "value-none", "value-huge",
+                                  "huge-address"]),
+           pick=st.integers(min_value=0, max_value=1 << 16),
+           new=_NEW_IDS)
+    def test_one_changed_field_is_a_report_or_a_one_line_error(
+            self, tmp_path, capsys, field, pick, new):
+        layout, rows = _synced_rows()
+        rows = _mutate(rows, field, pick, new)
+        jsonl = tmp_path / "mutated.jsonl"
+        jsonl.write_text("\n".join(
+            [capture_header_line(layout, "k")]
+            + [json.dumps(row) for row in rows]) + "\n")
+        bcap = tmp_path / "mutated.bcap"
+        _write_bcap(bcap, layout, rows)
+        capsys.readouterr()
+        for path in (jsonl, bcap):
+            codes = []
+            for flags in ([], ["--reference"], ["--predict"]):
+                codes.append(cli.main(["replay", str(path), *flags]))
+                err = capsys.readouterr().err
+                if codes[-1] == 2:
+                    lines = err.splitlines()
+                    assert len(lines) == 1 and lines[0].startswith(
+                        "error: "), err
+            # Accepted or rejected, the three replays agree.
+            assert codes in ([2, 2, 2],) or 2 not in codes, (path, codes)
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,9 @@ Four families, all driven by Hypothesis:
   (attempt count, backoff schedule) matching the policy;
 * transport — any record stream, chunked into batch frames of any
   sizes, gets byte-for-byte the verdict from an inline service that a
-  local ``replay_batches`` of the same batches gives.
+  local ``replay_batches`` of the same batches gives, and a row the
+  engine cannot emit fails the served job with the message a local
+  ``repro replay`` of it prints.
 """
 
 import json
@@ -32,12 +34,20 @@ from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
 from repro.columnar import ColumnarBatch
 from repro.events import LogRecord, RecordKind
-from repro.runtime.replay import replay, replay_batches, save_capture_binary
+from repro.runtime.replay import (
+    load_capture_path_batches,
+    replay,
+    replay_batches,
+    save_capture_binary,
+    write_binary_batch,
+    write_binary_header,
+)
 from repro.service import (
     BackoffPolicy,
     FrameDecoder,
     ProtocolError,
     RaceService,
+    ServiceJobError,
     ServiceThread,
     encode_frame,
     reports_to_payload,
@@ -237,7 +247,9 @@ def _warp_tids(warp):
 @st.composite
 def record_streams(draw):
     """``memory_streams`` rows with synchronization, barrier and
-    branch-closing rows spliced in behind the divergence prefix."""
+    branch-closing rows spliced in behind the divergence prefix — every
+    lane inside its row's warp, every barrier tid inside its block, as
+    the engine emits them."""
     records = draw(memory_streams())
     diverged = [r.warp for r in records if r.kind is RecordKind.BRANCH_IF]
     extras = []
@@ -294,3 +306,24 @@ class TestTransportParity:
         assert served.stats["batches_in"] == len(batches)
         assert json.dumps(reports_to_payload(served.reports)) == \
             json.dumps(reports_to_payload(local))
+
+    def test_a_hostile_row_fails_local_and_served_with_one_message(
+            self, live_service, tmp_path):
+        # A branch on a warp the launch does not have: the layout check
+        # runs where a capture is loaded and where a shard decodes a
+        # wire batch, and says the same thing in both places.
+        socket_path, _path, _expected = live_service
+        batch = ColumnarBatch.from_records([LogRecord(
+            kind=RecordKind.BRANCH_IF, warp=99, active=frozenset({0, 1}),
+            then_mask=frozenset({0}), pc=3)])
+        capture = tmp_path / "hostile.bcap"
+        with open(capture, "wb") as stream:
+            write_binary_header(stream, _DETECT_LAYOUT, "k")
+            write_binary_batch(stream, batch)
+        with pytest.raises(ReproError) as local:
+            load_capture_path_batches(str(capture))
+        with pytest.raises(ServiceJobError) as served:
+            submit_batches(_DETECT_LAYOUT, "k", [batch],
+                           socket_path=socket_path)
+        assert str(local.value) == str(served.value) == (
+            "if row (warp 99, pc 3): warp 99 is not one of the launch's 4")
