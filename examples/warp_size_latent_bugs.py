@@ -11,8 +11,8 @@ a data race the day the code runs with a narrower warp.
 Run:  python examples/warp_size_latent_bugs.py
 """
 
-from repro.cudac import compile_cuda
-from repro.runtime.latent import allocate_like, find_latent_races
+from repro.jobs import LaunchSpec
+from repro.runtime.latent import find_latent_races
 
 WARP_SYNCHRONOUS_REDUCTION = """
 __global__ void warp_sync_reduce(int* data, int* out) {
@@ -36,15 +36,11 @@ __global__ void warp_sync_reduce(int* data, int* out) {
 
 
 def main() -> None:
-    module = compile_cuda(WARP_SYNCHRONOUS_REDUCTION)
-    params, images = allocate_like({
-        "data": [i % 10 for i in range(64)],
-        "out": [0],
-    })
-    report = find_latent_races(
-        module, "warp_sync_reduce", grid=1, block=64,
-        params=params, warp_sizes=(32, 16, 8), buffer_images=images,
+    spec = LaunchSpec(
+        source=WARP_SYNCHRONOUS_REDUCTION, block=64,
+        buffers=(("data", 64, tuple(i % 10 for i in range(64))), ("out", 1, ())),
     )
+    report = find_latent_races(spec, warp_sizes=(32, 16, 8))
 
     print("warp-synchronous reduction tail, detected races by warp width:")
     for finding in report.findings:

@@ -112,8 +112,6 @@ class PTVCManager:
 
     def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
-        #: Bound method cached for the per-access queries below.
-        self._warp_of = layout.warp_of
         # Grid shape scalars: the per-access queries below compute warp
         # ids with one divmod instead of a layout method call.
         self._tpb = layout.threads_per_block

@@ -16,7 +16,7 @@ trace iff this oracle does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..trace.operations import (
     AcqRel,
@@ -71,8 +71,7 @@ class SyncOrder:
 
     def __init__(self, trace: Trace) -> None:
         self.trace = trace
-        self._sync_sets = _resolve_sync_sets(trace)
-        self._reach = _reachability(trace, self._sync_sets)
+        self._reach, _ = _reachability(trace, _resolve_sync_sets(trace))
 
     def ordered(self, i: int, j: int) -> bool:
         """Does trace op ``i`` happen before trace op ``j`` (i < j)?"""
@@ -81,10 +80,6 @@ class SyncOrder:
         if i == j:
             return True
         return bool(self._reach[j] & (1 << i))
-
-    def sync_set(self, index: int) -> FrozenSet[int]:
-        """``tids(a)``: the threads involved in trace op ``index``."""
-        return self._sync_sets[index]
 
 
 def _resolve_sync_sets(trace: Trace) -> List[FrozenSet[int]]:
@@ -113,16 +108,23 @@ def _resolve_sync_sets(trace: Trace) -> List[FrozenSet[int]]:
 
 
 def _reachability(
-    trace: Trace, sync_sets: Sequence[FrozenSet[int]]
-) -> List[int]:
-    """Per-op predecessor bitsets under ≤α (transitively closed).
+    trace: Trace,
+    sync_sets: Sequence[FrozenSet[int]],
+    keep_acquires: Optional[AbstractSet[int]] = None,
+) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """Per-op predecessor bitsets under ≤α (transitively closed), and the
+    ``(release, acquire)`` edges left out.
 
     All synchronization edges point forward in trace order, so one forward
-    pass that unions predecessor sets computes the full closure.
+    pass that unions predecessor sets computes the full closure.  A
+    release→acquire edge is kept only when the acquire's index is in
+    ``keep_acquires`` (default: every acquire); the predictive analysis
+    passes a subset to relax the others.
     """
     layout = trace.layout
     n = len(trace.ops)
     reach = [0] * n
+    dropped: List[Tuple[int, int]] = []
     last_by_tid: Dict[int, int] = {}
     # All releases seen so far per location: (index, scope, block).
     releases: Dict[Location, List[Tuple[int, Scope, int]]] = {}
@@ -135,9 +137,13 @@ def _reachability(
                 preds |= reach[i] | (1 << i)
         if isinstance(op, _ACQUIRES):
             acq_block = layout.block_of(op.tid)
+            keep = keep_acquires is None or j in keep_acquires
             for i, rel_scope, rel_block in releases.get(op.loc, ()):
                 if _scopes_synchronize(rel_scope, op.scope, rel_block, acq_block):
-                    preds |= reach[i] | (1 << i)
+                    if keep:
+                        preds |= reach[i] | (1 << i)
+                    else:
+                        dropped.append((i, j))
         reach[j] = preds
         for tid in sync_sets[j]:
             last_by_tid[tid] = j
@@ -145,7 +151,7 @@ def _reachability(
             releases.setdefault(op.loc, []).append(
                 (j, op.scope, layout.block_of(op.tid))
             )
-    return reach
+    return reach, dropped
 
 
 def _conflicting(a: AnyOp, b: AnyOp) -> bool:

@@ -13,7 +13,7 @@ reference representation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 
 class Epoch:
@@ -149,9 +149,6 @@ class VectorClock:
     def items(self) -> Iterable[Tuple[int, int]]:
         """The non-zero (tid, clock) pairs."""
         return self._entries.items()
-
-    def nonzero_tids(self) -> Iterator[int]:
-        return iter(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

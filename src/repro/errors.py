@@ -61,11 +61,6 @@ class StepLimitExceeded(SimulationError):
     """
 
 
-class BarrierDivergenceError(SimulationError):
-    """Raised when ``bar.sync`` executes while some threads in the block are
-    inactive — the "barrier divergence" bug class of the paper (§3.3.2)."""
-
-
 class ScheduleDivergence(SimulationError):
     """Raised when a recorded witness schedule cannot be replayed.
 

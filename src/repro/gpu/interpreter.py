@@ -45,6 +45,14 @@ and executing a step is one indirect call.
   always places ``_log`` immediately before its target, unpredicated —
   see ``repro.instrument.passes``).
 
+A launch is counted in one place.  :meth:`KernelExecution.step` counts
+every closure it dispatches as one instruction and one cycle; the
+closures keep no counters, except that a ``_log`` adds the rest of its
+``LOG_COST`` and a fused ``_log`` counts the access it runs in the same
+slot.  Every record leaves through :meth:`KernelExecution._emit`, the
+one place that decides whether the launch logs, counts the record and
+charges the sink's queue stall to :attr:`LaunchResult.stall_cycles`.
+
 Decoding is total: a statement that cannot be compiled (an opcode with
 no table entry, a malformed operand list, an unknown symbol) decodes to
 a closure that raises only when an active thread reaches it, so dead
@@ -174,10 +182,8 @@ class WarpState:
     specials: Optional[Dict[Tuple[str, Optional[str]], object]] = None
     done: bool = False
     at_barrier: bool = False
-    instructions: int = 0
-    cycles: int = 0
     #: Deferred shared-side STORE records of ``cp.async`` copies issued
-    #: but not yet committed to a group (empty on uninstrumented runs).
+    #: but not yet committed to a group.
     async_pending: List[LogRecord] = field(default_factory=list)
     #: Committed-but-unwaited ``cp.async`` groups, oldest first.
     async_groups: List[List[LogRecord]] = field(default_factory=list)
@@ -217,7 +223,8 @@ class EventSink:
 
     The production sink is :class:`repro.runtime.queue.QueueSet`; tests
     use :class:`ListSink`.  ``emit`` returns the stall cycles the warp
-    incurred (non-zero when the queue was full and had to be drained).
+    incurred (non-zero when the queue was full and had to be drained);
+    they are charged to :attr:`LaunchResult.stall_cycles`.
     """
 
     def emit(self, record: LogRecord) -> int:  # pragma: no cover - interface
@@ -236,7 +243,7 @@ class ListSink(EventSink):
 
 
 #: A decoded statement: ``op(warp, entry) -> bool``.  The closure does
-#: its own counter bookkeeping and PC update; a ``True`` return means
+#: its own PC update (``step`` counts it); a ``True`` return means
 #: the instruction slot is still open (a ``_log`` whose guarded access
 #: has not executed yet), ``False`` closes the slot.
 DecodedOp = Callable[[WarpState, _StackEntry], bool]
@@ -318,13 +325,7 @@ def _transfer_decoder(execute: Callable) -> Callable:
     (``call``/``ret``/``exit``)."""
 
     def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        result = self.result
-
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             execute(self, warp, entry, insn)
             return False
 
@@ -339,15 +340,10 @@ def _warp_op_decoder(execute: Callable) -> Callable:
     predicate leaves active (``shfl``/``vote``/``cp``)."""
 
     def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        result = self.result
         next_pc = pc + 1
         pred = insn.pred
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             execute(
                 self, warp, entry, insn,
                 _active_lanes(warp, entry, warp.frames[-1].regs, pred),
@@ -538,8 +534,12 @@ class KernelExecution:
         its access must be adjacent in the event stream, otherwise an
         adversarial interleaving could order an acquire's record before
         the release's record it synchronized with.
+
+        Every statement dispatched here is counted here, as one
+        instruction and one cycle.
         """
         frames = warp.frames
+        result = self.result
         while True:
             while True:
                 frame = frames[-1]
@@ -573,6 +573,8 @@ class KernelExecution:
                     entry.pc += 1
                     continue
                 break
+            result.instructions += 1
+            result.cycles += 1
             if not op(warp, entry):
                 return
 
@@ -591,17 +593,28 @@ class KernelExecution:
         then_mask: FrozenSet[int] = frozenset(),
         pc: int = -1,
     ) -> None:
-        if self.sink is None or not self.instrumented:
-            return
-        record = LogRecord(
+        self._emit(LogRecord(
             kind=kind,
             warp=warp.warp,
             active=active if active is not None else frozenset(),
             then_mask=then_mask,
             pc=pc,
-        )
-        warp.cycles += self.sink.emit(record)
-        self.result.records_emitted += 1
+        ))
+
+    def _emit(self, record: LogRecord) -> None:
+        """The launch's one way out for a record.
+
+        A launch logs only when it is instrumented and has a sink;
+        otherwise the record is dropped.  A logged record is counted, and
+        the stall the sink reports (a full queue the host had to drain,
+        §4.2) is charged to the launch.
+        """
+        sink = self.sink
+        if sink is None or not self.instrumented:
+            return
+        result = self.result
+        result.stall_cycles += sink.emit(record)
+        result.records_emitted += 1
 
     # ------------------------------------------------------------------
     # Decoding
@@ -649,15 +662,10 @@ class KernelExecution:
         reached with at least one active thread and never before, so
         dead or fully predicated-off code does not fail the launch.
         """
-        result = self.result
         next_pc = pc + 1
         pred = insn.pred
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             if _active_lanes(warp, entry, warp.frames[-1].regs, pred) != ():
                 raise error
             entry.pc = next_pc
@@ -706,15 +714,10 @@ class KernelExecution:
     # -- control flow ---------------------------------------------------
     def _decode_branch(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         target_pc = ctx.labels[insn.branch_target()]
-        result = self.result
         pred = insn.pred
         if pred is None:
 
             def op_uniform(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += 1
-                result.instructions += 1
-                result.cycles += 1
                 entry.pc = target_pc
                 return False
 
@@ -723,16 +726,11 @@ class KernelExecution:
         pname, pneg = pred
         reconv = ctx.cfg.reconvergence_pc(pc)
         next_pc = pc + 1
-        instrumented = self.sink is not None and self.instrumented
-        sink = self.sink
+        emit_branch = self._emit_branch
         frozen_active = self.frozen_active
         intern_mask = self.intern_mask
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             amask = entry.amask
             value = warp.frames[-1].regs.get(pname, 0)
             kind = type(value)
@@ -750,16 +748,13 @@ class KernelExecution:
                 entry.pc = next_pc
                 return False
             not_taken = set(amask) - taken
-            if instrumented:
-                record = LogRecord(
-                    kind=RecordKind.BRANCH_IF,
-                    warp=warp.warp,
-                    active=frozen_active(entry),
-                    then_mask=intern_mask(sorted(not_taken)),
-                    pc=pc,
-                )
-                warp.cycles += sink.emit(record)
-                result.records_emitted += 1
+            emit_branch(
+                warp,
+                RecordKind.BRANCH_IF,
+                active=frozen_active(entry),
+                then_mask=intern_mask(sorted(not_taken)),
+                pc=pc,
+            )
             entry.pc = reconv
             stack = warp.frames[-1].stack
             stack.append(
@@ -777,14 +772,9 @@ class KernelExecution:
         return op
 
     def _decode_bar(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        result = self.result
         next_pc = pc + 1
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             entry.pc = next_pc
             warp.at_barrier = True
             return False
@@ -794,16 +784,11 @@ class KernelExecution:
     def _decode_grid_barrier(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         # barrier.cluster.sync: grid-wide synchronization, only legal
         # on a cooperative launch (every block resident at once).
-        result = self.result
         next_pc = pc + 1
         cooperative = self.cooperative
         name = ctx.kernel.name
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             if not cooperative:
                 raise SimulationError(
                     f"{name!r}: {insn.full_opcode} at "
@@ -818,16 +803,11 @@ class KernelExecution:
         return op
 
     def _decode_membar(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        result = self.result
         next_pc = pc + 1
         drain = not insn.has_modifier("cta")
         global_mem = self.global_mem
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             if drain:
                 global_mem.drain_all()
             entry.pc = next_pc
@@ -923,7 +903,8 @@ class KernelExecution:
         # ``_log`` directly before its target instruction with no label
         # in between, so as long as pc+1 is a plain instruction and not
         # a reconvergence point, the step loop is guaranteed to execute
-        # pc+1 immediately after the log within the same slot.
+        # pc+1 immediately after the log within the same slot.  The step
+        # loop counts the log; the fused closure counts the access.
         body = ctx.kernel.body
         follower = ops[pc + 1] if pc + 1 < len(ops) else None
         if (
@@ -931,9 +912,12 @@ class KernelExecution:
             and isinstance(body[pc + 1], Instruction)
             and (pc + 1) not in conv
         ):
+            result = self.result
 
             def fused(warp: WarpState, entry: _StackEntry) -> bool:
                 log_op(warp, entry)
+                result.instructions += 1
+                result.cycles += 1
                 return follower(warp, entry)
 
             return fused
@@ -944,14 +928,12 @@ class KernelExecution:
         category = mods[0] if mods else ""
         result = self.result
         next_pc = pc + 1
-        sink = self.sink
-        if sink is None or category in ("tid", "cvg", "bar"):
+        # ``step`` counted the slot's first cycle.
+        extra_cost = LOG_COST - 1
+        if category in ("tid", "cvg", "bar"):
 
             def op_silent(warp: WarpState, entry: _StackEntry) -> bool:
-                warp.instructions += 1
-                warp.cycles += LOG_COST
-                result.instructions += 1
-                result.cycles += LOG_COST
+                result.cycles += extra_cost
                 entry.pc = next_pc
                 return True
 
@@ -982,15 +964,12 @@ class KernelExecution:
             value_of = self._compile_value(insn.operands[1])
         pred = insn.pred
         pc_line = insn.line
-        emit = sink.emit
+        emit = self._emit
         frozen_active = self.frozen_active
         intern_mask = self.intern_mask
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += LOG_COST
-            result.instructions += 1
-            result.cycles += LOG_COST
+            result.cycles += extra_cost
             entry.pc = next_pc
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
@@ -1013,7 +992,7 @@ class KernelExecution:
             else:
                 stored = column(value_of(regs, warp), warp.lanes, lanes)
                 values = dict(zip(tids, _logged_values(stored, pc_line)))
-            warp.cycles += emit(LogRecord(
+            emit(LogRecord(
                 kind=kind,
                 warp=warp.warp,
                 active=frozen,
@@ -1023,7 +1002,6 @@ class KernelExecution:
                 width=width,
                 pc=pc_line,
             ))
-            result.records_emitted += 1
             return True
 
         return op
@@ -1080,7 +1058,6 @@ class KernelExecution:
             return self._value_op(pc, insn, _compile_convert(bound, type_name))
 
         wrap = _make_wrap(type_name)
-        result = self.result
         next_pc = pc + 1
         pred = insn.pred
         # A vector load fills ``dst.regs`` from consecutive elements.
@@ -1090,10 +1067,6 @@ class KernelExecution:
         load_raw = self._compile_raw_load(space, width)
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes != ():
@@ -1119,7 +1092,6 @@ class KernelExecution:
         type_name = insn.value_type()
         width = type_width(type_name) if type_name else 4
         space = insn.state_space().value
-        result = self.result
         next_pc = pc + 1
         pred = insn.pred
         umask = (1 << (width * 8)) - 1
@@ -1134,10 +1106,6 @@ class KernelExecution:
         offsets = range(0, len(sources) * width, width)
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes != ():
@@ -1189,15 +1157,10 @@ class KernelExecution:
         addrs_of = self._compile_address(mem_op)
         wrap = _make_wrap(type_name)
         atomic = (self.shared_mem if space == "shared" else self.global_mem).atomic
-        result = self.result
         next_pc = pc + 1
         pred = insn.pred
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes != ():
@@ -1228,15 +1191,10 @@ class KernelExecution:
         """The warp step of ``d = compute(regs, warp, lanes)``: one call
         for the whole warp; a partial mask merges into the old value."""
         dst_name = insn.operands[0].name
-        result = self.result
         next_pc = pc + 1
         pred = insn.pred
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            warp.instructions += 1
-            warp.cycles += 1
-            result.instructions += 1
-            result.cycles += 1
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes is None:
@@ -1459,19 +1417,15 @@ class KernelExecution:
             src_addrs[tid] = (Space.GLOBAL, saddr)
             dst_addrs[tid] = (Space.SHARED, daddr)
             values[tid] = raw
-        if self.sink is None or not self.instrumented:
-            return
         frozen = self.intern_mask(active)
-        load = LogRecord(
+        self._emit(LogRecord(
             kind=RecordKind.LOAD,
             warp=warp.warp,
             active=frozen,
             addrs=src_addrs,
             width=size,
             pc=insn.line,
-        )
-        warp.cycles += self.sink.emit(load)
-        self.result.records_emitted += 1
+        ))
         warp.async_pending.append(
             LogRecord(
                 kind=RecordKind.STORE,
@@ -1495,11 +1449,8 @@ class KernelExecution:
         if include_uncommitted and warp.async_pending:
             records.extend(warp.async_pending)
             warp.async_pending = []
-        if self.sink is None or not self.instrumented:
-            return
         for record in records:
-            warp.cycles += self.sink.emit(record)
-        self.result.records_emitted += len(records)
+            self._emit(record)
 
     def _finish_warp(self, warp: WarpState) -> None:
         """Mark a warp done; unwaited copies complete at exit.
@@ -1559,13 +1510,9 @@ class KernelExecution:
         return False
 
     def _emit_barrier(self, block: int, arrived: List[WarpState]) -> None:
-        if self.sink is None or not self.instrumented:
-            return
         masks = [self.frozen_active(w.frame.stack[-1]) for w in arrived]
         active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
-        record = LogRecord(kind=RecordKind.BARRIER, warp=block, active=active)
-        arrived[0].cycles += self.sink.emit(record)
-        self.result.records_emitted += 1
+        self._emit(LogRecord(kind=RecordKind.BARRIER, warp=block, active=active))
 
     # ------------------------------------------------------------------
     # The instruction set

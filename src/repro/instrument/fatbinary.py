@@ -76,12 +76,6 @@ class FatBinary:
                 return entry
         raise InstrumentationError("fat binary has no PTX entry")
 
-    def strip_sass(self) -> "FatBinary":
-        """Drop architecture-specific entries so the PTX path is taken."""
-        return FatBinary(
-            entries=[e for e in self.entries if e.kind is EntryKind.PTX]
-        )
-
 
 def intercept_fat_binary(
     fatbin: FatBinary, instrumenter: Optional[Instrumenter] = None

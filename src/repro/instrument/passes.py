@@ -66,7 +66,6 @@ class KernelReport:
     instrumentable_sites: int = 0
     #: Sites actually instrumented (after pruning, if enabled).
     instrumented_sites: int = 0
-    added_instructions: int = 0
     #: Sites dropped because static analysis proved them thread-private.
     statically_pruned_sites: int = 0
 
@@ -395,7 +394,6 @@ class Instrumenter:
         else:
             new_body = list(_tid_prologue())
             new_body.append(_log_insn(("tid",)))
-        added = len(new_body)
         prune_state = _PruneState()
 
         for index, statement in enumerate(kernel.body):
@@ -405,12 +403,10 @@ class Instrumenter:
                 if isinstance(statement, Label):
                     new_body.append(statement)
                     new_body.append(_log_insn(("cvg",)))
-                    added += 1
                     report.instrumentable_sites += 1
                     report.instrumented_sites += 1
                     continue
                 new_body.append(_log_insn(("cvg",)))
-                added += 1
                 report.instrumentable_sites += 1
                 report.instrumented_sites += 1
             if isinstance(statement, Label):
@@ -462,7 +458,7 @@ class Instrumenter:
                     prune_state.kill_register(written)
                 continue
             report.instrumented_sites += 1
-            added += self._emit_logged(new_body, statement, log)
+            self._emit_logged(new_body, statement, log)
             self._note_logged(statement, classification, prune_state)
             for written in _written_registers(statement):
                 prune_state.kill_register(written)
@@ -482,7 +478,6 @@ class Instrumenter:
             shared=list(kernel.shared),
             body=new_body,
         )
-        report.added_instructions = added
         return new_kernel, report
 
     # ------------------------------------------------------------------
@@ -537,13 +532,13 @@ class Instrumenter:
 
     def _emit_logged(
         self, body: List[Statement], insn: Instruction, log: Instruction
-    ) -> int:
+    ) -> None:
         """Append the log + instruction, converting predication to a
         branch so the logging call is guarded too (§4.1)."""
         if insn.pred is None:
             body.append(log)
             body.append(insn)
-            return 1
+            return
         reg, negated = insn.pred
         skip = f"$__bcuda_skip_{self._skip_counter}"
         self._skip_counter += 1
@@ -566,4 +561,3 @@ class Instrumenter:
         )
         body.append(bare)
         body.append(Label(name=skip, line=insn.line))
-        return 3

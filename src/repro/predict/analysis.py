@@ -41,9 +41,9 @@ from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 from ..core.races import AccessType, RaceReport, classify
 from ..core.syncorder import (
     _conflicting,
+    _reachability,
     _resolve_sync_sets,
     _same_value_same_instruction,
-    _scopes_synchronize,
     instruction_groups,
 )
 from ..events import LogRecord, record_to_ops
@@ -55,7 +55,6 @@ from ..trace.operations import (
     Location,
     Read,
     Release,
-    Scope,
     Write,
 )
 from ..trace.trace import Trace
@@ -169,48 +168,6 @@ def _critical_sections(
     return sections
 
 
-def _reachability_filtered(
-    trace: Trace,
-    sync_sets: Sequence[FrozenSet[int]],
-    forced_acquires: FrozenSet[int],
-) -> Tuple[List[int], List[Tuple[int, int]]]:
-    """The ≤α forward pass with relaxable acquire edges dropped.
-
-    The clone of :func:`repro.core.syncorder._reachability` that keeps a
-    release→acquire edge only when the acquire index is in
-    ``forced_acquires``; every dropped edge is returned for reporting.
-    """
-    layout = trace.layout
-    n = len(trace.ops)
-    reach = [0] * n
-    last_by_tid: Dict[int, int] = {}
-    releases: Dict[Location, List[Tuple[int, Scope, int]]] = {}
-    relaxed: List[Tuple[int, int]] = []
-
-    for j, op in enumerate(trace.ops):
-        preds = 0
-        for tid in sync_sets[j]:
-            i = last_by_tid.get(tid)
-            if i is not None:
-                preds |= reach[i] | (1 << i)
-        if isinstance(op, _ACQUIRES):
-            acq_block = layout.block_of(op.tid)
-            for i, rel_scope, rel_block in releases.get(op.loc, ()):
-                if _scopes_synchronize(rel_scope, op.scope, rel_block, acq_block):
-                    if j in forced_acquires:
-                        preds |= reach[i] | (1 << i)
-                    else:
-                        relaxed.append((i, j))
-        reach[j] = preds
-        for tid in sync_sets[j]:
-            last_by_tid[tid] = j
-        if isinstance(op, _RELEASES):
-            releases.setdefault(op.loc, []).append(
-                (j, op.scope, layout.block_of(op.tid))
-            )
-    return reach, relaxed
-
-
 def predict_races(
     trace: Trace,
     filter_same_value: bool = True,
@@ -235,12 +192,8 @@ def predict_races(
     forced = _spin_forced_acquires(trace)
     locks = _lock_locations(trace)
     sections = _critical_sections(trace, locks)
-    full_reach, _ = _reachability_filtered(
-        trace, sync_sets, frozenset(range(len(trace.ops)))
-    )
-    relaxed_reach, relaxed_edges = _reachability_filtered(
-        trace, sync_sets, forced
-    )
+    full_reach, _ = _reachability(trace, sync_sets)
+    relaxed_reach, relaxed_edges = _reachability(trace, sync_sets, forced)
     groups = instruction_groups(trace)
 
     def ordered(reach: List[int], i: int, j: int) -> bool:

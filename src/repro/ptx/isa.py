@@ -36,10 +36,6 @@ class FenceScope(enum.Enum):
     GL = "gl"
     SYS = "sys"
 
-    @property
-    def is_global(self) -> bool:
-        return self is not FenceScope.CTA
-
 
 #: Integer/bit types with their width in bytes.
 SCALAR_TYPES = {

@@ -2,7 +2,7 @@
 
 from ..events import RECORD_BYTES, LogRecord, RecordKind, record_to_ops
 from .host import HostDetector
-from .latent import LatentRaceReport, WarpSizeFinding, allocate_like, find_latent_races
+from .latent import LatentRaceReport, WarpSizeFinding, find_latent_races
 from .queue import DEFAULT_CAPACITY, LogQueue, QueueSet, QueueStats
 from .replay import (
     RecordingSink,

@@ -22,12 +22,13 @@ per width, the races that a narrower warp exposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..core.races import RaceReport
-from ..ptx.ast import Module
-from .session import BarracudaSession
+
+if TYPE_CHECKING:
+    from ..jobs import LaunchSpec
 
 
 @dataclass(frozen=True)
@@ -76,73 +77,22 @@ class LatentRaceReport:
 
 
 def find_latent_races(
-    module: Module,
-    kernel: str,
-    grid,
-    block,
-    params: Optional[Dict[str, int]] = None,
-    warp_sizes: Sequence[int] = (32, 16, 8),
-    buffer_images: Optional[Dict[int, List[int]]] = None,
-    max_steps: int = 2_000_000,
+    spec: LaunchSpec, warp_sizes: Sequence[int] = (32, 16, 8)
 ) -> LatentRaceReport:
-    """Run race detection at several simulated warp widths.
+    """Run race detection on ``spec`` at several simulated warp widths,
+    widest first.
 
-    Each width gets a fresh session and device so runs are independent;
-    ``buffer_images`` maps device addresses (as allocated by the caller
-    against a fresh device — addresses are deterministic) to initial
-    contents, re-applied per run.
-
-    The common calling pattern allocates via :func:`allocate_like` so the
-    same parameter dict works across sessions.
+    Each width is one :func:`repro.jobs.launch_spec` of ``spec`` with its
+    ``warp_size`` replaced: a fresh session, device and buffers, so the
+    runs are independent.
     """
+    # Not at module level: ``repro.jobs`` imports ``runtime.session``.
+    from ..jobs import launch_spec
+
     report = LatentRaceReport()
     for warp_size in sorted(warp_sizes, reverse=True):
-        session = BarracudaSession()
-        session.register_module(module)
-        if buffer_images:
-            for addr, values in buffer_images.items():
-                # Reserve identically-placed allocations on this device.
-                session.device.global_mem.alloc(len(values) * 4)
-                session.device.memcpy_to_device(addr, values)
-        launch = session.launch(
-            kernel,
-            grid=grid,
-            block=block,
-            warp_size=warp_size,
-            params=params or {},
-            max_steps=max_steps,
-        )
+        launched = launch_spec(replace(spec, warp_size=warp_size))
         report.findings.append(
-            WarpSizeFinding(warp_size=warp_size, races=tuple(launch.races))
+            WarpSizeFinding(warp_size=warp_size, races=tuple(launched.launch.races))
         )
     return report
-
-
-def allocate_like(buffers: Dict[str, List[int]], module: Optional[Module] = None):
-    """Plan deterministic allocations for :func:`find_latent_races`.
-
-    Returns ``(params, images)``: parameter addresses computed against a
-    scratch device (the bump allocator is deterministic, so the same
-    addresses are valid on every fresh device) and the address→contents
-    map to re-apply per run.
-
-    Pass the module when it declares ``__device__`` arrays: those are
-    allocated at registration time, before the buffers, and the scratch
-    plan must account for them or the buffer addresses would collide
-    with the module globals on the real devices.
-    """
-    from ..gpu.device import GpuDevice
-
-    scratch = GpuDevice()
-    if module is not None:
-        # Mirror registration: the instrumented module carries the same
-        # .global declarations, so loading the pristine one reserves
-        # identical addresses.
-        scratch.load_module(module)
-    params: Dict[str, int] = {}
-    images: Dict[int, List[int]] = {}
-    for name, values in buffers.items():
-        addr = scratch.alloc(len(values) * 4)
-        params[name] = addr
-        images[addr] = list(values)
-    return params, images

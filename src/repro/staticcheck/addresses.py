@@ -111,15 +111,6 @@ def affine_mul(a: Affine, b: Affine) -> Optional[Affine]:
     return result
 
 
-def affine_const(affine: Affine) -> Optional[int]:
-    """The constant value, if the form is a pure constant."""
-    if not affine:
-        return 0
-    if set(affine) == {()}:
-        return affine[()]
-    return None
-
-
 class SymbolicEvaluator:
     """Evaluates registers to affine forms through single static defs."""
 

@@ -169,7 +169,6 @@ class ReachingDefinitions:
                     self.block_in[block.index] = incoming
                     block_out[block.index] = out
                     changed = True
-        self._block_out = block_out
 
     def reaching(self, use_index: int, reg: str) -> FrozenSet[int]:
         """Definitions of ``reg`` that may reach the use at ``use_index``."""

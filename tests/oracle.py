@@ -184,7 +184,7 @@ def _release_barriers_all_blocks(execution) -> bool:
         record = LogRecord(
             kind=RecordKind.BARRIER, warp=block, active=frozenset().union(*masks)
         )
-        arrived[0].cycles += execution.sink.emit(record)
+        execution.result.stall_cycles += execution.sink.emit(record)
         execution.result.records_emitted += 1
 
     live_all = [w for w in execution.warps if not w.done]
@@ -407,8 +407,6 @@ class NaiveKernelExecution(KernelExecution):
     # Instruction dispatch
     # ------------------------------------------------------------------
     def _execute(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
-        warp.instructions += 1
-        warp.cycles += 1
         self.result.instructions += 1
         self.result.cycles += 1
         opcode = insn.opcode
@@ -802,7 +800,7 @@ class NaiveKernelExecution(KernelExecution):
             width=size,
             pc=insn.line,
         )
-        warp.cycles += self.sink.emit(load)
+        self.result.stall_cycles += self.sink.emit(load)
         self.result.records_emitted += 1
         warp.async_pending.append(
             LogRecord(
@@ -949,7 +947,6 @@ class NaiveKernelExecution(KernelExecution):
 
     # -- logging pseudo-instructions ---------------------------------------
     def _exec_log(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
-        warp.cycles += LOG_COST - 1
         self.result.cycles += LOG_COST - 1
         mods = insn.modifiers
         category = mods[0] if mods else ""
@@ -1008,7 +1005,7 @@ class NaiveKernelExecution(KernelExecution):
             )
         else:
             raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
-        warp.cycles += self.sink.emit(record)
+        self.result.stall_cycles += self.sink.emit(record)
         self.result.records_emitted += 1
 
 

@@ -1,7 +1,9 @@
 """Warp-size simulation: the paper's future-work latent-bug finder."""
 
-from repro.cudac import compile_cuda
-from repro.runtime.latent import allocate_like, find_latent_races
+from dataclasses import replace
+
+from repro.jobs import LaunchSpec, launch_spec
+from repro.runtime.latent import find_latent_races
 
 WARP_SYNC_TAIL = """
 __global__ void tail(int* data, int* out) {
@@ -31,17 +33,19 @@ __global__ void safe(int* data, int* out) {
 """
 
 
-def _report(source, kernel):
-    module = compile_cuda(source)
-    params, images = allocate_like({"data": list(range(64)), "out": [0]})
-    return find_latent_races(
-        module, kernel, grid=1, block=64, params=params,
-        warp_sizes=(32, 16, 8), buffer_images=images,
+def _spec(source):
+    return LaunchSpec(
+        source=source, block=64,
+        buffers=(("data", 64, tuple(range(64))), ("out", 1, ())),
     )
 
 
+def _report(source):
+    return find_latent_races(_spec(source), warp_sizes=(32, 16, 8))
+
+
 def test_warp_synchronous_tail_is_latent_racy():
-    report = _report(WARP_SYNC_TAIL, "tail")
+    report = _report(WARP_SYNC_TAIL)
     assert not report.baseline.races  # clean at the hardware width
     assert report.baseline.warp_size == 32
     latent = report.latent_locations()
@@ -51,13 +55,13 @@ def test_warp_synchronous_tail_is_latent_racy():
 
 
 def test_narrower_widths_expose_more():
-    report = _report(WARP_SYNC_TAIL, "tail")
+    report = _report(WARP_SYNC_TAIL)
     # At warp 16 the tid<16 level breaks; at warp 8 the tid<8 level too.
     assert len(report.at(8).racy_locations) >= len(report.at(16).racy_locations)
 
 
 def test_properly_barriered_code_is_clean_at_every_width():
-    report = _report(PROPERLY_BARRIERED, "safe")
+    report = _report(PROPERLY_BARRIERED)
     for finding in report.findings:
         assert not finding.races, f"warp {finding.warp_size}"
     assert not report.has_latent_races
@@ -66,19 +70,12 @@ def test_properly_barriered_code_is_clean_at_every_width():
 def test_results_are_functionally_identical_across_widths():
     # The kernel still computes the same value at every simulated width
     # (the race is about ordering guarantees, not this interleaving).
-    from repro.runtime import BarracudaSession
-
-    module = compile_cuda(WARP_SYNC_TAIL)
-    values = {}
-    for warp_size in (32, 16, 8):
-        session = BarracudaSession()
-        session.register_module(module)
-        data = session.device.alloc(64 * 4)
-        out = session.device.alloc(4)
-        session.device.memcpy_to_device(data, range(64))
-        session.launch("tail", grid=1, block=64, warp_size=warp_size,
-                       params={"data": data, "out": out})
-        values[warp_size] = session.device.memcpy_from_device(out, 1)[0]
+    spec = _spec(WARP_SYNC_TAIL)
+    values = {
+        warp_size: launch_spec(replace(spec, warp_size=warp_size))
+        .read_buffers()["out"][0]
+        for warp_size in (32, 16, 8)
+    }
     # The tail stops at stride 8, so s[0] holds the strided partial sum
     # of lanes {0, 8, 16, ..., 56}: 224 for data = range(64).
-    assert values[32] == 224
+    assert values == {32: 224, 16: 224, 8: 224}

@@ -1,12 +1,18 @@
 """End-to-end BARRACUDA sessions: interception, launch, detection (§4)."""
 
+import pathlib
+
 import pytest
 
 from repro.cudac import compile_cuda
 from repro.errors import InstrumentationError
+from repro.faults import FaultPlan, FaultSpec, sites
 from repro.gpu.memory import KEPLER_K520
 from repro.instrument import FatBinary
+from repro.jobs import LaunchSpec, launch_spec
 from repro.runtime import BarracudaSession
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 RACY = """
 __global__ void racy(int* data) {
@@ -118,6 +124,32 @@ class TestQueuePressure:
         session.register_module(compile_cuda(CLEAN))
         data = session.device.alloc(64 * 4 * 4)
         session.launch("clean", grid=4, block=64, params={"data": data})
+
+
+class TestStallAccounting:
+    """A producer stalled on a full queue (§4.2) costs the launch cycles:
+    the stall the queues record is the stall the launch is charged."""
+
+    RACY_SPEC = LaunchSpec(
+        source=(EXAMPLES / "racy.cu").read_text(), grid=2,
+        buffers=(("data", 4, ()),),
+    )
+    RING_FULL_ONCE = FaultPlan(specs=(FaultSpec(
+        site=sites.QUEUE_PUSH, kind=sites.RING_FULL, nth=1, times=1,
+        payload={"stall_cycles": 40}),))
+
+    @pytest.mark.parametrize("options, stall_cycles", [
+        ({"queue_capacity": 1}, 18),
+        ({"queue_capacity": 4}, 16),
+        ({"queue_capacity": 4096}, 0),
+        ({"faults": RING_FULL_ONCE}, 40),
+    ], ids=["capacity-1", "capacity-4", "capacity-4096", "ring-full-once"])
+    def test_queue_stalls_are_charged_to_the_launch(self, options, stall_cycles):
+        launch = launch_spec(self.RACY_SPEC, **options).launch
+        result = launch.instrumented
+        assert launch.total_stall_cycles == stall_cycles
+        assert result.stall_cycles == launch.total_stall_cycles
+        assert result.total_cycles == result.cycles + result.stall_cycles
 
 
 class TestDeviceReset:
