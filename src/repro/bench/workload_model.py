@@ -1,7 +1,9 @@
 """Workload definitions for the paper's benchmark table (Table 1).
 
 Each :class:`Workload` is a laptop-scale stand-in for one of the paper's
-26 benchmarks, written in mini CUDA-C (or PTX) to use the same
+26 benchmarks, one kernel file of ``repro/corpus/table1`` whose header
+holds its launch flags and Table 1 labels (:func:`repro.jobs.load_corpus`),
+written in mini CUDA-C (or PTX) to use the same
 synchronization idioms — tiled shared-memory phases with barriers,
 atomic work distribution, fence-based publication, fine-grained locks —
 and seeded with the same *kind* of races the paper reports for it
@@ -15,18 +17,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from ..gpu.device import DEFAULT_MAX_STEPS
-from ..jobs import LaunchSpec, launch_spec
+from ..jobs import Buffer, LaunchSpec, launch_spec
 from ..ptx.ast import Module
 from ..runtime.session import BarracudaSession, SessionLaunch
-from ..suite.model import Buffer
 
 
 @dataclass(frozen=True)
 class Workload:
-    """One Table 1 benchmark stand-in."""
+    """One Table 1 benchmark stand-in (one ``corpus/table1`` file)."""
+
+    #: Corpus header key -> (field, parse of the value).
+    LABELS: ClassVar[dict] = {
+        "suite": ("suite", str),
+        "description": ("description", str),
+        "race-space": ("expected_race_space", str),
+        "paper-races": ("paper_races", int),
+        "paper-static-insns": ("paper_static_insns", int),
+        "paper-threads": ("paper_threads", int),
+    }
 
     name: str
     suite: str  # Rodinia 3.1 / GPU-TM / SHOC / CUDA SDK / CUB

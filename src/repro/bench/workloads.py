@@ -1,16 +1,14 @@
-"""The full Table 1 workload registry."""
+"""The full Table 1 workload registry: the files of ``corpus/table1``."""
 
 from __future__ import annotations
 
 from typing import List
 
+from ..jobs import load_corpus
 from .workload_model import Workload, WorkloadResult, run_workload
-from .workloads_cuda import CUDA_WORKLOADS
-from .workloads_cub import CUB_WORKLOADS
-from .workloads_rodinia import RODINIA_WORKLOADS
 
 #: All 26 benchmarks, in Table 1 order.
-ALL_WORKLOADS: List[Workload] = RODINIA_WORKLOADS + CUDA_WORKLOADS + CUB_WORKLOADS
+ALL_WORKLOADS: List[Workload] = load_corpus("table1", Workload)
 
 
 def workload(name: str) -> Workload:

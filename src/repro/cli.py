@@ -35,8 +35,11 @@ replay capture is decided by its content, never by its name.
 
 The subcommands that launch a kernel (``check``, ``explain``, ``sweep``,
 ``fix``, ``profile``) share one set of launch flags
-(:func:`_add_launch_args`) parsed into one :class:`repro.jobs.LaunchSpec`
-(:func:`_spec_from_args`) and started by :func:`repro.jobs.launch_spec`.
+(:func:`repro.jobs.add_launch_args`) parsed into one
+:class:`repro.jobs.LaunchSpec` (:func:`repro.jobs.spec_from_args`) and
+started by :func:`repro.jobs.launch_spec`.  Given no launch flag, they
+run the launch the kernel file's ``// repro-launch:`` header lines give
+(docs/usage.md, "Corpus files").
 
 ``check`` takes ``--scheduler`` (any :data:`repro.gpu.SCHEDULER_KINDS`
 name) plus ``--seed`` to pick the warp schedule, and ``--predict`` to
@@ -63,10 +66,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, Optional, Sequence
 
 from .errors import ReproError, StepLimitExceeded
-from .jobs import ARCHES, LaunchSpec, launch_spec
+from .jobs import (
+    KernelFile, LaunchSpec, add_launch_args, launch_spec, read_kernel_file,
+    spec_from_args,
+)
 from .obs import (
     Profiler, make_observability, render_flight, render_provenance,
     write_flight_dump, write_merged_trace,
@@ -74,62 +81,9 @@ from .obs import (
 from .ptx import parse_ptx
 
 
-def _parse_buffer(spec: str) -> Tuple[str, int, List[int]]:
-    """``name:words[:v0,v1,...]`` → (name, words, leading init values)."""
-    parts = spec.split(":")
-    if len(parts) < 2:
-        raise argparse.ArgumentTypeError(
-            f"buffer spec {spec!r} must be name:words[:v0,v1,...]"
-        )
-    name = parts[0]
-    try:
-        words = int(parts[1], 0)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad word count in {spec!r}") from exc
-    init: List[int] = []
-    if len(parts) > 2 and parts[2]:
-        try:
-            init = [int(v, 0) for v in parts[2].split(",")]
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"bad init values in {spec!r}") from exc
-    return name, words, init
-
-
-def _parse_scalar(spec: str) -> Tuple[str, int]:
-    name, _, value = spec.partition(":")
-    if not value:
-        raise argparse.ArgumentTypeError(f"scalar spec {spec!r} must be name:value")
-    return name, int(value, 0)
-
-
 _KERNEL_SOURCE = "kernel source file (.cu mini CUDA-C or .ptx)"
 _KERNEL_OR_CAPTURE = ("kernel source (.cu/.ptx) or a replay capture (JSONL "
                       "or binary; recognised by content)")
-
-
-def _add_launch_args(parser: argparse.ArgumentParser, max_steps_default: int,
-                     source_help: str = _KERNEL_SOURCE, **source_options) -> None:
-    """The source argument and the launch flags every kernel-launching
-    subcommand takes."""
-    parser.add_argument("source", help=source_help, **source_options)
-    parser.add_argument("--kernel", help="kernel name (default: first in the module)")
-    parser.add_argument("--grid", type=int, default=1, help="blocks in the grid")
-    parser.add_argument("--block", type=int, default=32, help="threads per block")
-    parser.add_argument("--warp-size", type=int, default=32,
-                        help="warp width to simulate (the paper's future-work "
-                        "knob: narrower warps expose latent warp-synchronous bugs)")
-    parser.add_argument("--buffer", action="append", default=[], type=_parse_buffer,
-                        metavar="NAME:WORDS[:V0,V1,...]",
-                        help="allocate a device int buffer parameter")
-    parser.add_argument("--scalar", action="append", default=[], type=_parse_scalar,
-                        metavar="NAME:VALUE", help="pass an integer parameter")
-    parser.add_argument("--arch", choices=sorted(ARCHES), default="titanx",
-                        help="memory-model profile of the simulated GPU")
-    parser.add_argument("--cooperative", action="store_true",
-                        help="cooperative launch: permit grid-wide "
-                        "synchronization (barrier.cluster / __grid_sync)")
-    parser.add_argument("--max-steps", type=int, default=max_steps_default,
-                        help="hang-detection step budget")
 
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -160,18 +114,18 @@ def _load_input(path: str, expect: str = "", faults=None):
     What the file *is* is decided by its content, never by its name: a
     replay capture (BCAP magic, or a first line that is the
     ``"format": "barracuda-capture"`` header) loads as ``(layout,
-    kernel, batches, format)``; anything else is kernel text and is
-    returned as a ``str``.  ``expect`` is ``"kernel"`` or ``"capture"``
-    for the subcommands that take only one of the two; a file that is
-    no capture then fails with the capture loader's own error.
+    kernel, batches, format)``; anything else is a kernel file and is
+    returned as a :class:`repro.jobs.KernelFile`.  ``expect`` is
+    ``"kernel"`` or ``"capture"`` for the subcommands that take only one
+    of the two; a file that is no capture then fails with the capture
+    loader's own error.
     """
     from .runtime.replay import detect_capture_format, load_capture_path_batches
 
     fmt = detect_capture_format(path)
     if fmt is None and expect != "capture":
         try:
-            with open(path, encoding="utf-8") as handle:
-                return handle.read()
+            return read_kernel_file(path)
         except UnicodeDecodeError as exc:
             raise ReproError(f"{path} is neither kernel source text nor "
                              f"a replay capture: {exc}") from exc
@@ -181,31 +135,9 @@ def _load_input(path: str, expect: str = "", faults=None):
     return load_capture_path_batches(path, faults=faults)
 
 
-def _spec_from_args(args, source_text: Optional[str] = None) -> LaunchSpec:
-    """Describe the launch the flags ask for; the kernel text is
-    ``source_text`` when the caller already read ``args.source``."""
-    if source_text is None:
-        source_text = _load_input(args.source, expect="kernel")
-    return LaunchSpec(
-        source=source_text,
-        kernel=args.kernel or "",
-        is_ptx=args.source.endswith(".ptx"),
-        grid=args.grid,
-        block=args.block,
-        warp_size=args.warp_size,
-        buffers=tuple(
-            (name, words, tuple(init)) for name, words, init in args.buffer
-        ),
-        scalars=tuple(args.scalar),
-        arch=args.arch,
-        max_steps=args.max_steps,
-        cooperative=args.cooperative,
-    )
-
-
 def _configure_check(parser: argparse.ArgumentParser) -> None:
     parser.description = "Run a CUDA kernel under the BARRACUDA race detector."
-    _add_launch_args(parser, max_steps_default=2_000_000)
+    add_launch_args(parser, 2_000_000, _KERNEL_SOURCE)
     parser.add_argument("--no-prune", action="store_true",
                         help="disable the redundant-logging optimization")
     parser.add_argument("--prune-instrumentation", action="store_true",
@@ -401,7 +333,7 @@ def run_check(args) -> int:
     from .gpu.scheduler import make_scheduler
 
     fault_plan = _load_fault_plan_arg(args.fault_plan)
-    spec = _spec_from_args(args)
+    spec = spec_from_args(args, _load_input(args.source, expect="kernel"))
     launched = launch_spec(
         spec,
         scheduler=make_scheduler(args.scheduler, args.seed),
@@ -498,8 +430,9 @@ def run_lint(args) -> int:
 
     obs = _obs_from_args(args)
     with obs.tracer.span("cuda-frontend", source=args.source):
-        spec = LaunchSpec(source=_load_input(args.source, expect="kernel"),
-                          is_ptx=args.source.endswith(".ptx"))
+        kernel_file = _load_input(args.source, expect="kernel")
+        spec = LaunchSpec(source=kernel_file.source,
+                          is_ptx=kernel_file.is_ptx)
         module = spec.compile()
         if not spec.is_ptx:
             # Compiled modules carry frontend AST lines; reparse the
@@ -508,6 +441,14 @@ def run_lint(args) -> int:
             module = parse_ptx(str(module))
     with obs.tracer.span("static-lint", source=args.source):
         findings = static_lint(module)
+    if spec.is_ptx:
+        # A PTX file's findings name the file's lines: its header, if
+        # any, precedes the source the module was parsed from.
+        shift = kernel_file.source_line - 1
+        findings = [replace(finding, line=finding.line + shift,
+                            related_lines=tuple(line + shift for line
+                                                in finding.related_lines))
+                    for finding in findings]
 
     if obs.metrics.enabled:
         counter = obs.metrics.counter(
@@ -586,7 +527,7 @@ def _configure_explain(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--flight", metavar="DUMP.json",
                         help="render a flight-recorder dump as a merged "
                         "cross-process timeline instead of explaining races")
-    _add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE, nargs="?")
+    add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE, nargs="?")
     parser.add_argument("--no-filter-same-value", action="store_true")
     parser.add_argument("--depth", type=int, default=5,
                         help="accesses retained per (location, thread)")
@@ -615,8 +556,8 @@ def run_explain(args) -> int:
     )
     source_lines: Dict[int, str] = {}
     loaded = _load_input(args.source)
-    if isinstance(loaded, str):
-        launched = launch_spec(_spec_from_args(args, loaded),
+    if isinstance(loaded, KernelFile):
+        launched = launch_spec(spec_from_args(args, loaded),
                                detector_config=config)
         # Race-report PCs are line numbers of the PTX text the
         # session parsed back, not of the frontend's in-memory AST.
@@ -694,7 +635,7 @@ def _run_staged_job(job, args, **fields):
     Returns ``(result payload, obs, remote metrics text)``; the last is
     ``None`` for a local run.
     """
-    spec_payload = _spec_from_args(args).to_payload()
+    spec_payload = spec_from_args(args, _load_input(args.source, expect="kernel")).to_payload()
     request = job.parse({"spec": spec_payload, **fields})
     remote = args.socket is not None or args.port is not None
     obs = _obs_from_args(args, remote=remote)
@@ -720,7 +661,7 @@ def _configure_sweep(parser: argparse.ArgumentParser) -> None:
         "finding by deterministically replaying its witness schedule. "
         "With --socket/--port the sweep is fanned out by a running "
         "service instead of executing locally.")
-    _add_launch_args(parser, max_steps_default=400_000)
+    add_launch_args(parser, 400_000, _KERNEL_SOURCE)
     parser.add_argument("--schedules", type=int, default=9,
                         help="seeded schedule runs (cycled over the sweep "
                         "strategies)")
@@ -821,7 +762,7 @@ def _configure_fix(parser: argparse.ArgumentParser) -> None:
         "delta. With --socket/--port the verification is fanned out by a "
         "running service. Exit 0 when every race group has a verified "
         "patch (or there was nothing to repair), 1 otherwise.")
-    _add_launch_args(parser, max_steps_default=400_000)
+    add_launch_args(parser, 400_000, _KERNEL_SOURCE)
     parser.add_argument("--max-candidates", type=int, default=16,
                         help="cap on synthesized candidate patches")
     parser.add_argument("--verify-schedules", type=int, default=4,
@@ -1081,7 +1022,7 @@ def _configure_profile(parser: argparse.ArgumentParser) -> None:
         "(JSONL or binary, recognised by content) are profiled through "
         "the detector's fused loop, one row at a time. The default text "
         "output is count-ordered and deterministic across repeated runs.")
-    _add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE)
+    add_launch_args(parser, 2_000_000, _KERNEL_OR_CAPTURE)
     parser.add_argument("--top", type=int, default=20,
                         help="sites to show in text format")
     parser.add_argument("--format", choices=("text", "json", "collapsed"),
@@ -1098,9 +1039,9 @@ def _configure_profile(parser: argparse.ArgumentParser) -> None:
 def run_profile(args) -> int:
     source_lines: Dict[int, str] = {}
     loaded = _load_input(args.source)
-    if isinstance(loaded, str):
+    if isinstance(loaded, KernelFile):
         obs = make_observability(profile=True)
-        launched = launch_spec(_spec_from_args(args, loaded), obs=obs)
+        launched = launch_spec(spec_from_args(args, loaded), obs=obs)
         source_lines = _source_line_map(
             launched.session.pristine_module(launched.handle))
         profiler = obs.profiler

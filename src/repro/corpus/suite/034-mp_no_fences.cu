@@ -1,0 +1,23 @@
+// repro-launch: --grid 2 --block 64 --max-steps 400000
+// repro-launch: --buffer data:4 --buffer flag:4 --buffer out:4
+// repro-expect: race
+// repro-race-space: global
+// repro-category: fences
+// repro-description: Flag message passing with no fences at all: the flag store is no release and the spin no acquire.
+// repro-lint: unfenced-flag, global-race
+
+__global__ void mp(int* data, int* flag, int* out) {
+    if (blockIdx.x == 1) {
+        if (threadIdx.x == 0) {
+            data[0] = 42;
+            
+            flag[0] = 1;
+        }
+    } else {
+        if (threadIdx.x == 0) {
+            while (flag[0] == 0) { }
+            
+            out[0] = data[0];
+        }
+    }
+}

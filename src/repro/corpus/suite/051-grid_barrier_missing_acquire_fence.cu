@@ -1,0 +1,18 @@
+// repro-launch: --grid 2 --block 64 --max-steps 400000
+// repro-launch: --buffer count:4 --buffer data:4 --buffer out:4
+// repro-expect: race
+// repro-race-space: global
+// repro-category: grid
+// repro-description: No fence after the spin: the departure is never an acquire, so post-barrier reads race.
+// repro-lint: unfenced-flag, global-race
+
+__global__ void grid_barrier(int* count, int* data, int* out) {
+    if (threadIdx.x == 0) {
+        data[blockIdx.x] = blockIdx.x + 10;
+        __threadfence();
+        atomicAdd(&count[0], 1);
+        while (count[0] < gridDim.x) { }
+        
+        out[blockIdx.x] = data[1 - blockIdx.x];
+    }
+}

@@ -90,6 +90,9 @@ class _Job:
     #: retained in arrival order so a requeued job can be replayed from
     #: scratch on a surviving shard.
     frames: List[Tuple[str, int]] = field(default_factory=list)
+    #: This epoch's batch futures not yet settled: CLOSE waits for them,
+    #: so a batch that fails the job fails it before the report.
+    in_flight: Set[object] = field(default_factory=set)
     drained: asyncio.Event = field(default_factory=asyncio.Event)
     failed: bool = False
     error: str = ""
@@ -111,6 +114,11 @@ class _Job:
             self.failed = True
             self.error = message
         self.drained.set()
+
+    def settled(self, future) -> None:
+        self.in_flight.discard(future)
+        if not self.in_flight:
+            self.drained.set()
 
     def degrade(self, message: str) -> None:
         self.failure_log.append(message)
@@ -470,10 +478,9 @@ class RaceService:
         if not isinstance(encoded, str) or type(count) is not int or count < 0:
             raise ReproError("RECORDS frame needs a batch string and a "
                              "non-negative integer record count")
-        if job.cached is not None or job.degraded or not count:
+        if job.cached is not None or job.degraded:
             # Replayed or degraded jobs eat the stream without forwarding
-            # it: the report is already decided.  So does a frame that
-            # says it holds no records: there is nothing to wait for.
+            # it: the report is already decided.
             await self._send(writer, protocol.ack_frame(
                 job.job_id, count, 0))
             return
@@ -503,10 +510,12 @@ class RaceService:
     # Batch watchdog + recovery
     # ------------------------------------------------------------------
     def _spawn_watch(self, job: _Job, future, replay: bool = False) -> None:
+        job.in_flight.add(future)
         task = self._loop.create_task(
             self._watch_batch(job, future, job.epoch, replay))
         self._watch_tasks.add(task)
         task.add_done_callback(self._watch_tasks.discard)
+        task.add_done_callback(lambda _task: job.settled(future))
 
     async def _watch_batch(self, job: _Job, future, epoch: int,
                            replay: bool) -> None:
@@ -557,6 +566,7 @@ class RaceService:
                 or job.failed or job.degraded):
             return
         job.epoch += 1
+        job.in_flight.clear()
         job.recovering = True
         job.failure_log.append(reason)
         try:
@@ -629,7 +639,7 @@ class RaceService:
                 degraded=cached.get("degraded", False),
                 failure_log=cached.get("failure_log") or None))
             return
-        while (job.stats.pending_records > 0 or job.recovering) \
+        while (job.in_flight or job.recovering) \
                 and not job.failed and not job.degraded:
             job.drained.clear()
             await job.drained.wait()

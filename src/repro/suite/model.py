@@ -9,11 +9,13 @@ and extends them with modern-idiom families the paper predates: warp
 shuffle/vote exchanges, ``cp.async`` tile pipelines, and cooperative
 grid-wide synchronization.
 
-Each :class:`SuiteProgram` carries its source (mini CUDA-C, or PTX for
-the cases that need instruction-level control such as predication), its
-launch geometry, buffer setup, and the expected verdict.  The runner
-executes a program under a full :class:`BarracudaSession` and reduces the
-reports to a :class:`Verdict` for comparison.
+Each :class:`SuiteProgram` is one kernel file of ``repro/corpus/``
+(:func:`repro.jobs.load_corpus`): its source (mini CUDA-C, or PTX for
+the cases that need instruction-level control such as predication)
+after a header of ``repro check`` launch flags and labels, the expected
+verdict among them.  The runner executes a program under a full
+:class:`BarracudaSession` and reduces the reports to a :class:`Verdict`
+for comparison.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 from ..errors import SimulationError, StepLimitExceeded
 from ..gpu.scheduler import Scheduler
-from ..jobs import LaunchSpec, launch_spec
+from ..jobs import Buffer, LaunchSpec, launch_spec
 from ..ptx.ast import Module
 from ..runtime.session import BarracudaSession
 
@@ -38,25 +40,25 @@ class Expected(enum.Enum):
     BARRIER_DIVERGENCE = "barrier-divergence"
 
 
-@dataclass(frozen=True)
-class Buffer:
-    """One device buffer parameter: allocated and initialized per run."""
-
-    name: str
-    words: int
-    init: Tuple[int, ...] = ()  # leading words; rest zeroed
-
-    def __post_init__(self) -> None:
-        if len(self.init) > self.words:
-            raise ValueError(
-                f"buffer {self.name!r}: {len(self.init)} init values for "
-                f"{self.words} words"
-            )
+def _rule_names(value: str) -> Tuple[str, ...]:
+    """A header's comma-separated lint rule names."""
+    return tuple(name.strip() for name in value.split(",") if name.strip())
 
 
 @dataclass(frozen=True)
 class SuiteProgram:
-    """One concurrency-suite test case."""
+    """One concurrency-suite test case (one ``corpus/suite`` or
+    ``corpus/schedule`` file)."""
+
+    #: Corpus header key -> (field, parse of the value).
+    LABELS: ClassVar[dict] = {
+        "expect": ("expected", Expected),
+        "race-space": ("race_space", str),
+        "category": ("category", str),
+        "description": ("description", str),
+        "lint": ("expected_lint", _rule_names),
+        "lint-exceptions": ("lint_exceptions", _rule_names),
+    }
 
     name: str
     category: str

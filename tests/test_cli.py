@@ -347,19 +347,20 @@ def _repro_under_hashseed(hashseed, cwd, *args):
                           env=env, capture_output=True, text=True, timeout=240)
 
 
-@pytest.mark.parametrize("example, launch", [
-    ("racy.cu", ["--grid", "2", "--block", "64", "--buffer", "data:4"]),
-    ("handoff.cu", ["--grid", "2", "--block", "32", "--buffer", "data:4",
-                    "--buffer", "flag:4", "--buffer", "out:4", "--predict"]),
+@pytest.mark.parametrize("kernel, launch", [
+    ("examples/racy.cu", ["--grid", "2", "--block", "64", "--buffer", "data:4"]),
+    ("src/repro/corpus/schedule/001-handoff_no_spin.cu",
+     ["--grid", "2", "--block", "32", "--buffer", "data:4",
+      "--buffer", "flag:4", "--buffer", "out:4", "--predict"]),
 ])
-def test_check_and_replay_are_identical_across_hash_seeds(tmp_path, example,
+def test_check_and_replay_are_identical_across_hash_seeds(tmp_path, kernel,
                                                           launch):
     runs = []
     for hashseed in (0, 1):
         cwd = tmp_path / f"seed{hashseed}"
         cwd.mkdir()
         check = _repro_under_hashseed(
-            hashseed, cwd, "check", str(_ROOT / "examples" / example),
+            hashseed, cwd, "check", str(_ROOT / kernel),
             *launch, "--capture", "run.cap")
         replay = _repro_under_hashseed(hashseed, cwd, "replay", "run.cap")
         assert check.returncode == 1, check.stderr

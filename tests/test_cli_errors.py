@@ -130,6 +130,34 @@ class TestCheckErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestLaunchFlags:
+    """The one launch parser refuses a launch its flags would silently
+    change, on every subcommand that launches, with one line."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--buffer", "data:2:1,2,3"],
+         "error: --buffer data: 3 init values for 2 words"),
+        (["--buffer", "data:4", "--buffer", "data:8"],
+         "error: --buffer data: parameter 'data' is already bound"),
+        (["--buffer", "data:4", "--scalar", "data:1"],
+         "error: --scalar data: parameter 'data' is already bound"),
+        (["--buffer", "data:4", "--scalar", "n:1"],
+         "error: --scalar n: kernel racy has no parameter 'n'"),
+        (["--buffer", "data:4", "--buffer", "out:4"],
+         "error: --buffer out: kernel racy has no parameter 'out'"),
+        (["--buffer", "data:4", "--kernel", "nosuch"],
+         "error: --kernel nosuch: the module has no kernel named 'nosuch'"),
+    ], ids=["init-past-words", "buffer-twice", "buffer-and-scalar",
+            "unknown-scalar", "unknown-buffer", "unknown-kernel"])
+    @pytest.mark.parametrize("subcommand", ["check", "explain", "sweep",
+                                            "fix", "profile"])
+    def test_a_launch_the_flags_would_change_is_a_one_line_error(
+            self, capsys, subcommand, flags, message):
+        argv = [subcommand, str(EXAMPLES / "racy.cu"), "--grid", "2", *flags]
+        assert cli.main(argv) == 2
+        assert _assert_clean_error(capsys) == message
+
+
 _SHARED_PAST_END_CU = """
 __global__ void past(int* out) {
     __shared__ int s[64];

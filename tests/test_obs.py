@@ -436,16 +436,18 @@ class TestObservabilityCli:
         return {name: sorted(parsed.get(name, []), key=repr)
                 for name in re.findall(r"^# TYPE (\S+)", text, re.M)}
 
-    @pytest.mark.parametrize("example,launch", [
-        ("racy.cu", ["--grid", "2", "--buffer", "data:4"]),
-        ("handoff.cu", ["--grid", "2", "--block", "32", "--buffer", "data:4",
-                        "--buffer", "flag:4", "--buffer", "out:4"]),
+    @pytest.mark.parametrize("kernel,launch", [
+        ("examples/racy.cu", ["--grid", "2", "--buffer", "data:4"]),
+        ("src/repro/corpus/schedule/001-handoff_no_spin.cu",
+         ["--grid", "2", "--block", "32", "--buffer", "data:4",
+          "--buffer", "flag:4", "--buffer", "out:4"]),
     ])
     def test_check_and_replay_print_one_detector_family(
-            self, example, launch, tmp_path, capsys):
+            self, kernel, launch, tmp_path, capsys):
         capture = str(tmp_path / "run.bcap")
         check = self._families(
-            [str(EXAMPLES / example), *launch, "--capture", capture], capsys)
+            [str(EXAMPLES.parent / kernel), *launch, "--capture", capture],
+            capsys)
         replayed = self._families(["replay", capture], capsys)
         detector = {name for name in replayed
                     if name != "repro_replay_records_total"}

@@ -642,6 +642,22 @@ class TestBinaryCaptureSubmit:
         assert _race_keys(reports_from_payload(report["reports"])) == \
             _race_keys(replay(layout, records))
 
+    def test_a_frame_declaring_zero_records_fails_its_job(self, service):
+        # A RECORDS frame whose count says 0 is checked like any other:
+        # dropping it unread reported none of the races its batch holds.
+        sock, _ = service
+        layout, records = _capture()
+        header, frames = _frames(layout, records)
+        assert replay(layout, records).races
+        with ServiceClient(socket_path=sock) as client:
+            job_id = client._request(protocol.open_frame(header))["job_id"]
+            for encoded, _count in frames:
+                client._request(protocol.batch_frame(job_id, encoded, 0))
+            reply = client._request(protocol.close_frame(job_id))
+        assert reply["verb"] == protocol.ERROR
+        assert reply["message"].startswith(
+            "corrupt batch frame: count says 0 record(s), the batch holds")
+
     def test_corrupt_batch_payload_fails_job_cleanly(self, service, tmp_path):
         sock, _ = service
         with ServiceClient(socket_path=sock) as client:
