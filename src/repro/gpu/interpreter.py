@@ -89,7 +89,13 @@ from ..ptx.isa import type_width
 from ..events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
 from ..trace.layout import GridLayout
 from ..trace.operations import Scope, Space
-from .engine import _ARITH_COMPILERS, _ATOMIC_RMW, _compile_convert, _make_wrap
+from .engine import (
+    _ARITH_COMPILERS,
+    _ATOMIC_RMW,
+    _compile_convert,
+    _int_range,
+    _make_wrap,
+)
 from .hierarchy import LaunchConfig
 from .memory import GlobalMemory, SharedMemory
 from .values import Affine, Lanes, column, merge, shape_of
@@ -1065,21 +1071,52 @@ class KernelExecution:
         offsets = range(0, len(names) * width, width)
         addrs_of = self._compile_address(src)
         load_raw = self._compile_raw_load(space, width)
+        load_warp = None
+        if not vector and space in ("global", "shared") and src.base.startswith("%"):
+            # A warp whose lanes read consecutive words (an AFFINE
+            # address of stride ``width``) loads them as one run, from
+            # the first active lane's word to the last one's.  ``None``
+            # — another address shape, a queued store to forward, an
+            # illegal address — leaves the load to the per-lane loop.
+            memory = self.shared_mem if space == "shared" else self.global_mem
+            load_run = memory.load_run
+            register, displacement = src.base, src.offset
+            # A word of an unsigned type is already in its range.
+            ints = _int_range(type_name)
+            unsigned = ints is not None and not ints[1]
+
+            def load_warp(regs, warp: WarpState, lanes: Lanes) -> Optional[List[list]]:
+                address = regs.get(register, 0)
+                if type(address) is not Affine or address.stride != width:
+                    return None
+                first, last = (0, warp.lanes - 1) if lanes is None else (
+                    lanes[0], lanes[-1])
+                words = load_run(warp.block, address.base + width * first + displacement,
+                                 last - first + 1, width)
+                if words is None:
+                    return None
+                if lanes is not None and len(lanes) <= last - first:
+                    words = [words[lane - first] for lane in lanes]
+                return [words if unsigned else list(map(wrap, words))]
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes != ():
-                block = warp.block
-                accesses = zip(_tids(warp, lanes), addrs_of(regs, warp, lanes))
-                if vector:
-                    # Thread by thread, then element by element.
-                    loaded = map(list, zip(*[
-                        [wrap(load_raw(block, tid, addr + offset)) for offset in offsets]
-                        for tid, addr in accesses
-                    ]))
-                else:
-                    loaded = [[wrap(load_raw(block, tid, addr)) for tid, addr in accesses]]
+                loaded = None if load_warp is None else load_warp(regs, warp, lanes)
+                if loaded is None:
+                    block = warp.block
+                    accesses = zip(_tids(warp, lanes), addrs_of(regs, warp, lanes))
+                    if vector:
+                        # Thread by thread, then element by element.
+                        loaded = map(list, zip(*[
+                            [wrap(load_raw(block, tid, addr + offset))
+                             for offset in offsets]
+                            for tid, addr in accesses
+                        ]))
+                    else:
+                        loaded = [[wrap(load_raw(block, tid, addr))
+                                   for tid, addr in accesses]]
                 for name, values in zip(names, loaded):
                     _write(regs, name, values, warp.lanes, lanes)
             entry.pc = next_pc
@@ -1118,6 +1155,8 @@ class KernelExecution:
                     # Thread by thread, then element by element.
                     for tid, addr, *values in zip(tids, addrs, *stored):
                         for offset, value in zip(offsets, values):
+                            if isinstance(value, float) and not math.isfinite(value):
+                                raise _non_finite(insn.line)
                             store_raw(block, tid, addr + offset, int(value) & umask)
                 else:
                     for tid, addr, value in zip(tids, addrs, stored[0]):

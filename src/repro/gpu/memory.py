@@ -34,6 +34,8 @@ the GPU faults, instead of reading zero.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -65,6 +67,11 @@ MAXWELL_TITANX = ArchProfile(name="GTX Titan X (Maxwell)", relaxed_store_drain=F
 #: CUDA's per-thread ``.local`` limit (compute capability 2.0 and up): a
 #: local store past it is an illegal address, not a huge extent.
 LOCAL_BYTES_PER_THREAD = 512 * 1024
+
+#: The unsigned ``array`` code of each access width: a run of words is
+#: one slice of an extent decoded by one ``array``, little-endian.
+_WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 class ByteStore:
@@ -104,6 +111,33 @@ class ByteStore:
             value & ((1 << (8 * width)) - 1)
         ).to_bytes(width, "little")
 
+    def read_words(self, addr: int, count: int, width: int) -> List[int]:
+        """The ``count`` unsigned ``width``-byte words from ``addr``."""
+        offset = self.offset(addr, count * width)
+        words = array(_WORD_CODES[width])
+        words.frombytes(self.data[offset:offset + count * width])
+        if _BIG_ENDIAN:
+            words.byteswap()
+        return words.tolist()
+
+    def write_words(self, addr: int, values, width: int) -> None:
+        """Store ``values`` as consecutive ``width``-byte words from
+        ``addr``, each cut to its low ``width`` bytes."""
+        mask = (1 << (8 * width)) - 1
+        words = array(_WORD_CODES[width], [int(value) & mask for value in values])
+        if _BIG_ENDIAN:
+            words.byteswap()
+        offset = self.offset(addr, len(words) * width)
+        self.data[offset:offset + len(words) * width] = words.tobytes()
+
+    def read_run(self, addr: int, count: int, width: int) -> Optional[List[int]]:
+        """:meth:`read_words`, or ``None`` when the run leaves the
+        extent."""
+        offset = addr - self.base
+        if offset < 0 or offset + count * width > len(self.data):
+            return None
+        return self.read_words(addr, count, width)
+
 
 @dataclass
 class _QueuedStore:
@@ -112,7 +146,6 @@ class _QueuedStore:
     addr: int
     width: int
     value: int
-    seq: int
 
 
 class GlobalMemory:
@@ -130,7 +163,6 @@ class GlobalMemory:
         #: ``drain_all`` visit queues in this order, which decides the
         #: surviving value of a cross-block write-write race.
         self._store_rank: Dict[int, int] = {}
-        self._seq = 0
         #: Bytes handed out by ``alloc``, alignment padding excluded.
         self.allocated_bytes = 0
 
@@ -158,8 +190,7 @@ class GlobalMemory:
         if queue is None:
             queue = self._queues[block] = []
             self._store_rank.setdefault(block, len(self._store_rank))
-        queue.append(_QueuedStore(addr=addr, width=width, value=value, seq=self._seq))
-        self._seq += 1
+        queue.append(_QueuedStore(addr=addr, width=width, value=value))
 
     def load(self, block: int, addr: int, width: int) -> int:
         """A device load from ``block``: each byte comes from the newest
@@ -180,6 +211,21 @@ class GlobalMemory:
                             (1 << (8 * width)) - 1)
                     return self._forward_bytes(queue, addr, width)
         return self.main.read(addr, width)
+
+    def load_run(self, block: int, lo: int, count: int, width: int
+                 ) -> Optional[List[int]]:
+        """``count`` consecutive ``width``-byte loads from ``lo`` by
+        ``block``, as one slice of the heap: what :meth:`load` returns
+        at ``lo``, ``lo + width``, ….  ``None`` when the run leaves the
+        heap or one of the block's queued stores overlaps it — then
+        each load must fault or forward on its own."""
+        queue = self._queues.get(block)
+        if queue:
+            hi = lo + count * width
+            for entry in queue:
+                if entry.addr < hi and lo < entry.addr + entry.width:
+                    return None
+        return self.main.read_run(lo, count, width)
 
     def _forward_bytes(self, queue: List[_QueuedStore], addr: int, width: int) -> int:
         """``load`` when no one queued store covers the range: byte by
@@ -348,21 +394,11 @@ class GlobalMemory:
 
     def host_write_array(self, addr: int, values, width: int = 4) -> None:
         self.drain_all()
-        mask = (1 << (8 * width)) - 1
-        payload = b"".join(
-            (int(value) & mask).to_bytes(width, "little") for value in values
-        )
-        offset = self.main.offset(addr, len(payload))
-        self.main.data[offset:offset + len(payload)] = payload
+        self.main.write_words(addr, values, width)
 
     def host_read_array(self, addr: int, count: int, width: int = 4) -> List[int]:
         self.drain_all()
-        offset = self.main.offset(addr, count * width)
-        data = self.main.data[offset:offset + count * width]
-        return [
-            int.from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)
-        ]
+        return self.main.read_words(addr, count, width)
 
 
 class SharedMemory:
@@ -391,6 +427,12 @@ class SharedMemory:
 
     def load(self, block: int, addr: int, width: int) -> int:
         return self._extent(block).read(addr, width)
+
+    def load_run(self, block: int, lo: int, count: int, width: int
+                 ) -> Optional[List[int]]:
+        """``count`` consecutive ``width``-byte loads from ``lo`` as one
+        slice; ``None`` when the run leaves the block's extent."""
+        return self._extent(block).read_run(lo, count, width)
 
     def atomic(self, block: int, addr: int, width: int, operation) -> int:
         store = self._extent(block)

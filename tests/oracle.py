@@ -124,8 +124,7 @@ class ReferenceGlobalMemory(GlobalMemory):
         if queue is None:
             queue = self._queues[block] = []
             self._store_rank.setdefault(block, len(self._store_rank))
-        queue.append(_QueuedStore(addr=addr, width=width, value=value, seq=self._seq))
-        self._seq += 1
+        queue.append(_QueuedStore(addr=addr, width=width, value=value))
 
     def load(self, block: int, addr: int, width: int) -> int:
         queue = self._queues.get(block)

@@ -173,6 +173,14 @@ __global__ void past(int* out) {
 }
 """
 
+#: Lanes 2-7 of an 8-thread block read past ``out:4``: the warp's load
+#: is one AFFINE run, and the fault names the first lane outside.
+_WARP_LOAD_PAST_HEAP_CU = """
+__global__ void past(int* out) {
+    out[0] = out[threadIdx.x + 2];
+}
+"""
+
 
 class TestIllegalAddress:
     """An access outside its address space's extent is what the GPU
@@ -187,7 +195,9 @@ class TestIllegalAddress:
     @pytest.mark.parametrize("source, block, address", [
         (_SHARED_PAST_END_CU, "64", "0x100"),        # s[64], one past s
         (_LOAD_PAST_HEAP_CU, "32", "0x10000010"),   # out[4] of out:4
-    ], ids=["shared-store-past-declaration", "load-past-heap-cursor"])
+        (_WARP_LOAD_PAST_HEAP_CU, "8", "0x10000010"),  # lane 2's out[4]
+    ], ids=["shared-store-past-declaration", "load-past-heap-cursor",
+            "warp-load-past-heap-cursor"])
     def test_access_past_the_extent(self, tmp_path, capsys, source, block,
                                     address):
         path = tmp_path / "past.cu"
@@ -593,6 +603,17 @@ class TestModernIdiomErrors:
         # x / 0.0 is modelled as inf; storing it was an OverflowError
         # traceback from the record's logged value.
         code = self._check(tmp_path, "inf.ptx", _INF_STORE_PTX, "out:8")
+        assert code == 2
+        assert _assert_clean_error(capsys) == (
+            "error: store at line 22 writes a non-finite float")
+
+    def test_non_finite_float_vector_store(self, tmp_path, capsys):
+        # The same store widened to v2: int(inf) was an OverflowError
+        # traceback from the vector branch of the store itself.
+        text = _INF_STORE_PTX.replace(
+            "mul.lo.s64 %rd3, %rd2, 4;", "mul.lo.s64 %rd3, %rd2, 8;").replace(
+            "st.global.f32 [%rd3], %f3;", "st.global.v2.f32 [%rd3], {%f3, %f3};")
+        code = self._check(tmp_path, "inf2.ptx", text, "out:16")
         assert code == 2
         assert _assert_clean_error(capsys) == (
             "error: store at line 22 writes a non-finite float")

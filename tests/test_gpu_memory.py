@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.cudac import compile_cuda
 from repro.errors import SimulationError
+from repro.gpu import GpuDevice, ListSink
 from repro.gpu.memory import (
     GLOBAL_HEAP_BASE,
     ByteStore,
@@ -15,8 +17,11 @@ from repro.gpu.memory import (
     MAXWELL_TITANX,
     SharedMemory,
 )
+from repro.instrument import Instrumenter
+from repro.ptx import parse_ptx
 
 import oracle
+from test_warp_values import SAXPY
 
 #: The first allocation of a fresh ``GlobalMemory``.
 BASE = GLOBAL_HEAP_BASE
@@ -342,6 +347,16 @@ class TestSharedMemory:
         with pytest.raises(SimulationError, match="illegal address"):
             local.store(0, 1 << 40, 4, 1)  # past CUDA's per-thread limit
 
+    def test_load_run_is_one_load_per_word_inside_the_declaration(self):
+        shared = SharedMemory(16)
+        for word in range(4):
+            shared.store(0, 4 * word, 4, 0xA0 + word)
+        assert shared.load_run(0, 4, 3, 4) == [
+            shared.load(0, addr, 4) for addr in (4, 8, 12)]
+        assert shared.load_run(0, 2, 3, 2) == [0, 0xA1, 0]
+        assert shared.load_run(1, 0, 4, 4) == [0, 0, 0, 0]
+        assert shared.load_run(0, 8, 3, 4) is None  # the third word is past
+
 
 # ----------------------------------------------------------------------
 # Parity: the flat extent is the sparse per-byte store, inside the heap
@@ -371,16 +386,43 @@ _ARGS = {
     "restore": (),
     "host_write": (SLOTS, WIDTHS, st.lists(RAWS, min_size=1, max_size=4)),
     "host_read": (SLOTS, WIDTHS, st.integers(1, 4)),
+    #: A warp's run of ``count`` consecutive words, from anywhere
+    #: between one word below the heap and one word past its end.
+    "load_run": (_BLOCK, SLOTS, SKEWS, WIDTHS, st.integers(1, 8)),
 }
 #: Stores and loads four times as often as any other step, so loads
 #: meet queued stores (every host access drains the queues).
-_KINDS = ["store"] * 4 + ["load"] * 4 + sorted(_ARGS)
+_KINDS = ["store"] * 4 + ["load"] * 4 + ["load_run"] * 2 + sorted(_ARGS)
 
 
 @st.composite
 def _op(draw):
     kind = draw(st.sampled_from(_KINDS))
     return (kind,) + tuple(draw(arg) for arg in _ARGS[kind])
+
+
+def _check_load_run(flat, reference, block, slot, skew, width, count):
+    """``flat.load_run`` against the lane-by-lane path it stands in
+    front of: ``None`` exactly when some lane's load would fault or
+    forward from one of ``block``'s queued stores, else each word equal
+    to the reference's ``load`` of that lane."""
+    span = len(flat.main.data) + 2 * width
+    lo = BASE + (slot * width + skew + width) % span - width
+    lanes = [lo + lane * width for lane in range(count)]
+    queued = reference._queues.get(block, [])
+    forwards = any(entry.addr < addr + width and addr < entry.addr + entry.width
+                   for addr in lanes for entry in queued)
+    faults = False
+    for addr in lanes:
+        try:
+            flat.load(block, addr, width)
+        except SimulationError:
+            faults = True
+    words = flat.load_run(block, lo, count, width)
+    if forwards or faults:
+        assert words is None, (lo, count, width, forwards, faults)
+    else:
+        assert words == [reference.load(block, addr, width) for addr in lanes]
 
 
 def _run_both(arch, ops):
@@ -418,6 +460,8 @@ def _run_both(arch, ops):
                     lambda old: old + delta)
                 assert flat.atomic(block, addr, width, operation) == \
                     reference.atomic(block, addr, width, operation), op
+        elif name == "load_run":
+            _check_load_run(flat, reference, *args)
         elif name == "drain_one":
             block, seed = args
             assert flat.drain_one(block, random.Random(seed)) == \
@@ -477,9 +521,215 @@ def test_partial_overlap_composes_byte_by_byte_like_the_reference(arch):
     assert mem.load(0, BASE + 5, 2) == 0x11FF
 
 
+#: Runs over the 32-byte heap: past other blocks' queued stores (one
+#: slice), over the block's own (``None``), unaligned, and across either
+#: end of the heap (``None``).
+LOAD_RUNS = [
+    ("store", 1, 2, 0, 4, 0x77),
+    ("store", 1, 9, 0, 1, 0x66),
+    ("load_run", 0, 0, 0, 4, 8),
+    ("load_run", 0, 1, 1, 2, 5),
+    ("store", 0, 5, 0, 4, 0x99),
+    ("load_run", 0, 0, 0, 4, 8),
+    ("load_run", 0, 0, 0, 4, 5),
+    ("load_run", 0, 0, 0, 8, 3),
+    ("load_run", 0, 6, 0, 4, 3),
+    ("load_run", 1, 9, 0, 4, 2),
+    ("drain_all",),
+    ("load_run", 0, 0, 0, 4, 8),
+]
+
+
+@pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+def test_load_run_reads_one_slice_unless_a_lane_would_forward_or_fault(arch):
+    _run_both(arch, LOAD_RUNS)
+    mem = _heap(arch, size=HEAP)
+    mem.host_write_array(BASE, range(8))
+    mem.store(1, BASE + 8, 4, 0x77)
+    assert mem.load_run(0, BASE, 8, 4) == list(range(8))
+    assert mem.load_run(0, BASE + 4, 2, 8) == [0x0000000200000001,
+                                               0x0000000400000003]
+    assert mem.load_run(1, BASE, 2, 4) == [0, 1]  # beside its own store
+    assert mem.load_run(1, BASE, 3, 4) is None    # over it
+    assert mem.load_run(0, BASE + 28, 2, 4) is None  # across the heap end
+    assert mem.load_run(0, BASE - 4, 2, 4) is None   # across its start
+
+
 @given(arch=st.sampled_from([MAXWELL_TITANX, KEPLER_K520]),
        ops=st.lists(_op(), min_size=16, max_size=64))
 @example(arch=KEPLER_K520, ops=PARTIAL_OVERLAP + [("drain_one", 0, 1),
                                                   ("load", 0, 1, 0, 4)])
 def test_flat_memory_matches_the_per_byte_reference(arch, ops):
     _run_both(arch, ops)
+
+
+# ----------------------------------------------------------------------
+# Warp-wide loads in the engine: one ``load_run`` per AFFINE load, the
+# per-lane loop when a lane would forward or fault
+# ----------------------------------------------------------------------
+#: AFFINE loads under divergent masks (every lane but one in four; a
+#: prefix of the warp) that re-read the block's own queued stores, and
+#: AFFINE shared loads after ``__syncthreads()`` under a mask with gaps.
+REREAD = """
+__global__ void reread(int* in, int* out) {
+    __shared__ int s[64];
+    int t = threadIdx.x;
+    int gid = blockIdx.x * blockDim.x + t;
+    out[gid] = in[gid] + t;
+    if ((t & 3) != 1) {
+        out[gid] = out[gid] * 2 + in[gid + 1];
+    }
+    if (t < 20) {
+        out[gid] = out[gid] + in[gid + 2];
+    }
+    s[t] = in[gid] ^ t;
+    __syncthreads();
+    if ((t & 1) == 0) {
+        out[gid] = out[gid] + s[t] + s[(t + 1) % 64];
+    }
+}
+"""
+
+#: Runs of every width and signedness: ``s16`` and ``s32`` words wrap
+#: to negative values, ``f32`` words become floats, ``u64`` words are
+#: eight bytes; the ``u8`` load has stride 2, not its width, so it
+#: stays per lane.  Then, with addresses that stay AFFINE because they
+#: were computed before the branch: a load over the block's own queued
+#: stores and a run under a mask with gaps (one lane in four branches
+#: away), a predicated run of the other lanes, and one of every lane
+#: but lane 5.
+WIDTHS_PTX = """.version 4.3
+.target sm_35
+.address_size 64
+.visible .entry widths(.param .u64 in, .param .u64 out)
+{
+    .shared .align 4 .b8 s[260];
+    ld.param.u64 %rd1, [in];
+    ld.param.u64 %rd9, [out];
+    mov.u32 %r1, %tid.x;
+    cvt.u64.u32 %rd2, %r1;
+    mul.lo.u64 %rd3, %rd2, 2;
+    add.u64 %rd4, %rd1, %rd3;
+    ld.global.s16 %r2, [%rd4];
+    ld.global.u8 %r3, [%rd4+1];
+    mul.lo.u64 %rd5, %rd2, 8;
+    add.u64 %rd6, %rd1, %rd5;
+    ld.global.u64 %rd7, [%rd6];
+    cvt.u32.u64 %r5, %rd7;
+    mul.lo.u64 %rd8, %rd2, 4;
+    add.u64 %rd10, %rd1, %rd8;
+    ld.global.f32 %f1, [%rd10+4];
+    cvt.rzi.s32.f32 %r4, %f1;
+    ld.global.s32 %r6, [%rd10+8];
+    mov.u64 %rd12, s;
+    add.u64 %rd13, %rd12, %rd8;
+    st.shared.u32 [%rd13], %r6;
+    bar.sync 0;
+    ld.shared.s32 %r8, [%rd13+4];
+    add.u64 %rd11, %rd9, %rd8;
+    st.global.u32 [%rd11], %r8;
+    and.b32 %r9, %r1, 3;
+    setp.eq.u32 %p1, %r9, 1;
+    @%p1 bra $L_join;
+    ld.global.u32 %r10, [%rd11];
+    ld.global.u32 %r11, [%rd10+12];
+    add.u32 %r10, %r10, %r11;
+$L_join:
+    @%p1 ld.global.u32 %r12, [%rd10+16];
+    setp.ne.u32 %p2, %laneid, 5;
+    @%p2 ld.global.u32 %r13, [%rd10+20];
+    add.s32 %r7, %r2, %r3;
+    add.s32 %r7, %r7, %r4;
+    add.s32 %r7, %r7, %r5;
+    add.s32 %r7, %r7, %r6;
+    add.s32 %r7, %r7, %r10;
+    add.s32 %r7, %r7, %r12;
+    add.s32 %r7, %r7, %r13;
+    st.global.u32 [%rd11], %r7;
+    ret;
+}
+"""
+
+
+def _launch(source, buffers, grid, block, arch=MAXWELL_TITANX):
+    """One instrumented launch.  Returns what it makes observable (its
+    records, counters and final buffers), the address of each per-lane
+    ``GlobalMemory.load``, and how often ``load_run`` returned words and
+    ``None``."""
+    per_lane, runs = [], {"words": 0, "none": 0}
+    load, load_runs = GlobalMemory.load, {m: m.load_run for m in (GlobalMemory, SharedMemory)}
+
+    def counted_load(self, block, addr, width):
+        per_lane.append(addr)
+        return load(self, block, addr, width)
+
+    def counted_run(memory):
+        def load_run(*args):
+            words = load_runs[memory](*args)
+            runs["none" if words is None else "words"] += 1
+            return words
+        return load_run
+
+    module = parse_ptx(source) if source.startswith(".version") else compile_cuda(source)
+    module, _report = Instrumenter().instrument_module(module)
+    device = GpuDevice(arch)
+    params = {}
+    for name, values in buffers.items():
+        params[name] = device.alloc(len(values) * 4)
+        device.memcpy_to_device(params[name], values)
+    sink = ListSink()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(GlobalMemory, "load", counted_load)
+        for memory in load_runs:
+            patch.setattr(memory, "load_run", counted_run(memory))
+        result = device.launch(module, module.kernels[0].name, grid, block,
+                               params=params, sink=sink, instrumented=True)
+    observed = (
+        sink.records,
+        (result.steps, result.instructions, result.cycles, result.records_emitted),
+        {name: device.memcpy_from_device(params[name], len(values))
+         for name, values in buffers.items()},
+    )
+    return observed, per_lane, runs
+
+
+#: Words with the sign bit of every width set in some lanes.
+_WORDS = [(i * 0x9E3779B9) & 0xFFFFFFFF for i in range(260)]
+
+
+@pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+@pytest.mark.parametrize("source, buffers", [
+    (REREAD, {"in": _WORDS[:130], "out": [0] * 128}),
+    (WIDTHS_PTX, {"in": _WORDS, "out": [0] * 128}),
+], ids=["reread-under-divergence", "widths-and-masks"])
+def test_warp_loads_match_the_per_thread_oracle(arch, source, buffers):
+    with oracle.oracle_engine():
+        expected, _, _ = _launch(source, buffers, 2, 64, arch)
+    observed, _, runs = _launch(source, buffers, 2, 64, arch)
+    assert observed == expected
+    assert runs["words"] and runs["none"], runs  # both paths ran
+
+
+class TestWarpLoadCounts:
+    """Like ``TestShapeRetention``: a warp path that silently never
+    fires fails here by count, not by a stopwatch."""
+
+    def test_saxpy_loads_make_no_per_lane_call(self):
+        threads = 128
+        (_, _, memory), per_lane, runs = _launch(SAXPY, {
+            "a": list(range(threads)), "b": [5] * threads,
+            "dst": list(reversed(range(threads))), "out": [0] * threads,
+        }, grid=2, block=64)
+        assert per_lane == [] and runs == {"words": 3 * 4, "none": 0}
+        assert memory["out"] == [(threads - 1 - i) * 3 + 5 for i in range(threads)]
+
+    def test_a_load_over_its_blocks_queued_stores_goes_lane_by_lane(self):
+        (_, _, memory), per_lane, _ = _launch("""
+__global__ void reread(int* out) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    out[gid] = gid + 7;
+    out[gid + 32] = out[gid];
+}
+""", {"out": [0] * 64}, grid=1, block=32)
+        assert per_lane == [BASE + 4 * lane for lane in range(32)]
+        assert memory["out"] == [lane + 7 for lane in range(32)] * 2
