@@ -17,9 +17,12 @@ Results merge deterministically: each job's report is serialized with a
 total order over race reports (:func:`repro.core.races.reports_to_payload`),
 so worker scheduling can never change the bytes a client receives.
 
-``workers=0`` selects the inline mode: the same code paths, executed
-synchronously in the calling process — used by tests, by environments
-without ``fork``, and by the modeled-throughput benchmark.
+Every shard is an executor; a call's future carries its shard and the
+executor *generation* it went to.  With ``workers=0`` the one shard is
+an inline executor that runs each call at once in the calling process
+(tests, environments without ``fork``, the modeled-throughput
+benchmark); respawning it empties the worker registries, as a fresh
+process starts empty, so the server recovers it like any other shard.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Executor, Future
+from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.races import DetectorConfig
@@ -49,8 +53,8 @@ from .stats import WorkerStats
 
 
 class ShardCrashError(Exception):
-    """A shard worker died mid-job (the inline-mode stand-in for a
-    ``BrokenProcessPool``).
+    """A shard worker died mid-job (the stand-in for a
+    ``BrokenProcessPool`` where the shard has no process of its own).
 
     Deliberately *not* a :class:`~repro.errors.ReproError`: job-level
     errors (garbage records, poison) fail the job deterministically,
@@ -66,9 +70,8 @@ class ShardCrashError(Exception):
 # single worker serializes all access.
 # ----------------------------------------------------------------------
 _WORKER_JOBS: Dict[str, HostDetector] = {}
-#: Per-job fault injector (from the service's ``--fault-plan``) and the
-#: inline flag that decides how a ``crash`` fault manifests.
-_WORKER_FAULTS: Dict[str, Tuple[FaultInjector, bool]] = {}
+#: Per-job fault injector (from the service's ``--fault-plan``).
+_WORKER_FAULTS: Dict[str, FaultInjector] = {}
 #: Per-job span recorder (``NULL_SPANS`` unless the job is traced);
 #: shipped back piggybacked on the close payload.
 _WORKER_SPANS: Dict[str, SpanBuffer] = {}
@@ -80,6 +83,9 @@ _WORKER_SPANS: Dict[str, SpanBuffer] = {}
 _WORKER_METRICS = MetricsRegistry()
 #: Always-on flight recorder, named lazily once the shard index is known.
 _WORKER_FLIGHT = FlightRecorder("shard-?")
+#: Set by a shard process's initializer: only a process of its own may
+#: ``os._exit`` on an injected ``crash``.
+_OWN_PROCESS = False
 
 
 def _worker_ident(shard: int) -> str:
@@ -93,7 +99,6 @@ def _worker_ident(shard: int) -> str:
 def _worker_open(job_id: str, layout: GridLayout,
                  config: Optional[DetectorConfig],
                  fault_plan: Optional[dict] = None,
-                 inline: bool = False,
                  trace: Optional[dict] = None,
                  shard: int = 0) -> bool:
     if job_id in _WORKER_JOBS:
@@ -102,24 +107,21 @@ def _worker_open(job_id: str, layout: GridLayout,
     _WORKER_JOBS[job_id] = HostDetector(layout, config)
     spans = _WORKER_SPANS[job_id] = SpanBuffer.for_request(process, trace)
     if fault_plan:
-        _WORKER_FAULTS[job_id] = (
-            FaultInjector(FaultPlan.from_dict(fault_plan),
-                          obs=Observability(tracer=spans,
-                                            metrics=_WORKER_METRICS),
-                          flight=_WORKER_FLIGHT),
-            inline,
-        )
+        _WORKER_FAULTS[job_id] = FaultInjector(
+            FaultPlan.from_dict(fault_plan),
+            obs=Observability(tracer=spans, metrics=_WORKER_METRICS),
+            flight=_WORKER_FLIGHT)
     _WORKER_FLIGHT.record("job-open", job=job_id, traced=spans.enabled)
     return True
 
 
-def _apply_worker_fault(fault, inline: bool) -> None:
+def _apply_worker_fault(fault) -> None:
     if fault.kind == fault_sites.CRASH:
-        if inline:
-            # No process to kill in inline mode; surface the same
-            # condition as the typed crash marker instead.
-            raise ShardCrashError("injected worker crash")
-        os._exit(int(fault.arg("exit_code", 23)))
+        if _OWN_PROCESS:
+            os._exit(int(fault.arg("exit_code", 23)))
+        # No process of its own to kill: surface the same condition as
+        # the typed crash marker instead.
+        raise ShardCrashError("injected worker crash")
     if fault.kind == fault_sites.HANG:
         # The server-side watchdog is what bounds this sleep; a hung
         # worker never returns on its own.
@@ -137,13 +139,12 @@ def _worker_batch(job_id: str,
     detector = _WORKER_JOBS.get(job_id)
     if detector is None:
         raise ReproError(f"job {job_id!r} is not open on this shard")
-    faulty = _WORKER_FAULTS.get(job_id)
-    if faulty is not None:
-        injector, inline = faulty
+    injector = _WORKER_FAULTS.get(job_id)
+    if injector is not None:
         fault = injector.check(fault_sites.WORKER_BATCH,
                                sum(len(encoded) for encoded, _n in frames))
         if fault is not None:
-            _apply_worker_fault(fault, inline)
+            _apply_worker_fault(fault)
     spans = _WORKER_SPANS[job_id]
     count = sum(n for _encoded, n in frames)
     start = time.perf_counter()
@@ -191,15 +192,17 @@ def _worker_discard(job_id: str) -> bool:
     return dropped
 
 
-def _worker_init() -> None:
-    """Start a shard process from a clean slate.
+def _worker_init(own_process: bool = False) -> None:
+    """Start a shard from a clean slate.
 
     Fork-started workers inherit whatever this module accumulated in
-    the parent (an inline pool's detectors, counters and flight events
-    look like this shard's own history otherwise), so every executor
-    runs this as its initializer; inline pools call it at construction
-    for the same per-pool-lifetime semantics.
+    the parent (an inline shard's detectors, counters and flight events
+    look like this shard's own history otherwise), so every shard
+    process runs this as its initializer (``own_process=True``); an
+    inline shard runs it when it starts and when it shuts down.
     """
+    global _OWN_PROCESS
+    _OWN_PROCESS = own_process
     _WORKER_JOBS.clear()
     _WORKER_FAULTS.clear()
     _WORKER_SPANS.clear()
@@ -252,6 +255,25 @@ def _failed(exc: BaseException) -> Future:
     return future
 
 
+class _InlineExecutor(Executor):
+    """The ``workers=0`` shard: runs each call at once, in this process,
+    and returns the finished future.  Starting or shutting one down
+    empties the worker registries, as a new shard process starts empty."""
+
+    def __init__(self) -> None:
+        _worker_init()
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        try:
+            return _completed(fn(*args, **kwargs))
+        except Exception as exc:  # parity with process futures
+            return _failed(exc)
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        _worker_init()
+
+
 class ShardedDetectorPool:
     """Dispatches job record streams across job-affine detector shards."""
 
@@ -263,28 +285,29 @@ class ShardedDetectorPool:
         if workers < 0:
             raise ReproError(f"worker count must be >= 0, got {workers}")
         self.workers = workers
+        self.shards = shards = max(workers, 1)
         # Shipped to workers as a plain dict; each shard process builds
         # its own injector per job so nth-hit counting is deterministic
         # regardless of which shard a job lands on.
         self.fault_plan_payload = fault_plan.to_dict() if fault_plan else None
-        self._executors: List[ProcessPoolExecutor] = [
-            ProcessPoolExecutor(max_workers=1, initializer=_worker_init)
-            for _ in range(workers)
-        ]
-        if not workers:
-            _worker_init()
+        self._executors: List[Executor] = [
+            self._new_executor() for _ in range(shards)]
+        #: Bumped by every respawn: a future of an older generation is a
+        #: casualty of an executor already replaced.
+        self._generations = [0] * shards
         self._assignments: Dict[str, int] = {}
         self._next_shard = 0
         self._lock = threading.Lock()
-        shards = max(workers, 1)
         self.worker_stats = [WorkerStats(shard=i) for i in range(shards)]
         self._backlog = [0] * shards
         self._broken = [False] * shards
         self._restarts = [0] * shards
 
-    @property
-    def inline(self) -> bool:
-        return self.workers == 0
+    def _new_executor(self) -> Executor:
+        if self.workers:
+            return ProcessPoolExecutor(max_workers=1, initializer=_worker_init,
+                                       initargs=(True,))
+        return _InlineExecutor()
 
     # ------------------------------------------------------------------
     # Shard assignment
@@ -299,25 +322,25 @@ class ShardedDetectorPool:
         with self._lock:
             if job_id in self._assignments:
                 raise ReproError(f"job {job_id!r} already open")
-            shard = self._next_shard % max(self.workers, 1)
+            shard = self._next_shard % self.shards
             self._next_shard += 1
             self._assignments[job_id] = shard
             self.worker_stats[shard].jobs_assigned += 1
         return shard
 
     def _dispatch(self, shard: int, fn, *args) -> Future:
-        if self.inline:
-            try:
-                return _completed(fn(*args))
-            except Exception as exc:  # parity with executor futures
-                return _failed(exc)
+        """Submit ``fn(*args)`` to ``shard``; the future carries the
+        ``shard`` and the executor ``generation`` it was submitted to."""
+        generation = self._generations[shard]
         try:
-            return self._executors[shard].submit(fn, *args)
+            future = self._executors[shard].submit(fn, *args)
         except (BrokenExecutor, RuntimeError) as exc:
             # A broken (crashed) or shut-down executor rejects at submit
             # time; fold that into the future so callers have one error
             # path.
-            return _failed(exc)
+            future = _failed(exc)
+        future.shard, future.generation = shard, generation
+        return future
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -326,10 +349,8 @@ class ShardedDetectorPool:
                  config: Optional[DetectorConfig] = None,
                  trace: Optional[dict] = None) -> Future:
         shard = self._assign(job_id)
-        return self._dispatch(
-            shard, _worker_open, job_id, layout, config,
-            self.fault_plan_payload, self.inline, trace, shard,
-        )
+        return self._dispatch(shard, _worker_open, job_id, layout, config,
+                              self.fault_plan_payload, trace, shard)
 
     def submit_batch(self, job_id: str,
                      frames: Sequence[Tuple[str, int]]) -> Future:
@@ -338,18 +359,19 @@ class ShardedDetectorPool:
         shard = self.shard_of(job_id)
         with self._lock:
             self._backlog[shard] += 1
-        generation = None if self.inline else self._executors[shard]
         future = self._dispatch(shard, _worker_batch, job_id, list(frames))
-        future.add_done_callback(lambda f: self._account(shard, f, generation))
+        future.add_done_callback(self._account)
         return future
 
-    def _account(self, shard: int, future: Future,
-                 generation=None) -> None:
+    def is_current(self, future: Future) -> bool:
+        """Whether ``future``'s executor is still its shard's (no respawn
+        has replaced it since the call was submitted)."""
+        return future.generation == self._generations[future.shard]
+
+    def _account(self, future: Future) -> None:
         # Futures of a terminated executor can resolve *after* the shard
         # was respawned; only the current generation may touch liveness.
-        current = (generation is None
-                   or (shard < len(self._executors)
-                       and self._executors[shard] is generation))
+        shard, current = future.shard, self.is_current(future)
         with self._lock:
             if current:
                 self._backlog[shard] = max(0, self._backlog[shard] - 1)
@@ -379,15 +401,21 @@ class ShardedDetectorPool:
             self._assignments.pop(job_id, None)
         return future
 
+    def jobs_on(self, shard: int) -> List[str]:
+        """The jobs assigned to ``shard``, in assignment order."""
+        with self._lock:
+            return [job_id for job_id, assigned in self._assignments.items()
+                    if assigned == shard]
+
     def discard_job(self, job_id: str) -> Future:
         """Drop a job without a report (failed or disconnected client)."""
         with self._lock:
             shard = self._assignments.pop(job_id, None)
         if shard is None:
             return _completed(False)
-        if not self.inline and self._broken[shard]:
-            # Nothing to clean up: the shard process (and the detector
-            # state it held) is already gone.
+        if self._broken[shard]:
+            # Nothing to clean up: the shard (and the detector state it
+            # held) is already gone.
             return _completed(True)
         return self._dispatch(shard, _worker_discard, job_id)
 
@@ -410,67 +438,59 @@ class ShardedDetectorPool:
     # ------------------------------------------------------------------
     # Failure recovery
     # ------------------------------------------------------------------
-    def respawn_shard(self, shard: int) -> None:
-        """Replace a crashed or hung shard process with a fresh one.
+    def respawn_shard(self, shard: int, generation: int) -> bool:
+        """Replace a crashed or hung shard with a fresh one — if
+        ``generation`` (a failed future's) is still the shard's current
+        one; returns whether it did.  Every casualty of one dead
+        executor asks, and only the first replaces it.
 
         Hung workers do not respond to a graceful shutdown, so the old
         executor's processes are terminated outright; its queued futures
-        fail with ``BrokenProcessPool``/cancellation, which the server's
-        per-batch watchers already treat as a shard casualty.
+        fail with ``BrokenProcessPool`` — casualties of a replaced
+        generation.
         """
-        if self.inline:
-            with self._lock:
-                self._broken[0] = False
-                self._backlog[0] = 0
-                self._restarts[0] += 1
-            return
+        with self._lock:
+            if generation != self._generations[shard]:
+                return False
+            self._generations[shard] += 1
+            self._broken[shard] = False
+            self._backlog[shard] = 0
+            self._restarts[shard] += 1
         old = self._executors[shard]
-        for process in list(getattr(old, "_processes", {}).values()):
+        for process in list((getattr(old, "_processes", None) or {}).values()):
             try:
                 process.terminate()
             except OSError:
                 pass
-        old.shutdown(wait=False, cancel_futures=True)
-        self._executors[shard] = ProcessPoolExecutor(
-            max_workers=1, initializer=_worker_init)
-        with self._lock:
-            self._broken[shard] = False
-            self._backlog[shard] = 0
-            self._restarts[shard] += 1
+        old.shutdown(wait=False)
+        self._executors[shard] = self._new_executor()
+        return True
 
     def requeue_job(self, job_id: str, layout: GridLayout,
                     config: Optional[DetectorConfig] = None,
-                    trace: Optional[dict] = None,
-                    ) -> Tuple[Future, int]:
+                    trace: Optional[dict] = None) -> Future:
         """Reassign a job to a surviving shard and re-open it there.
 
         Picks the least-backlogged live shard other than the one the job
         was on (with a single shard, the respawned shard itself).
-        Returns ``(open future, new shard)``; the caller replays the
-        job's retained frames once the open resolves.
+        Returns the open's future; the caller replays the job's retained
+        frames once it resolves.
         """
         with self._lock:
             old = self._assignments.pop(job_id, None)
+            if old is None:
+                raise ReproError(f"job {job_id!r} is not open")
             candidates = [
-                s for s in range(max(self.workers, 1))
+                s for s in range(self.shards)
                 if s != old and not self._broken[s]
-            ] or [s for s in range(max(self.workers, 1)) if not self._broken[s]]
+            ] or [s for s in range(self.shards) if not self._broken[s]]
             if not candidates:
                 raise ReproError("no live shard to requeue onto")
             new = min(candidates, key=lambda s: (self._backlog[s], s))
             self._assignments[job_id] = new
             self.worker_stats[new].jobs_assigned += 1
-        if self.inline:
-            # Same process: drop whatever half-ingested detector state
-            # the crashed attempt left behind before re-opening.
-            _worker_discard(job_id)
-        return (
-            self._dispatch(
-                new, _worker_open, job_id, layout, config,
-                self.fault_plan_payload, self.inline, trace, new,
-            ),
-            new,
-        )
+        return self._dispatch(new, _worker_open, job_id, layout, config,
+                              self.fault_plan_payload, trace, new)
 
     # ------------------------------------------------------------------
     # Cross-process observability gathering
@@ -481,8 +501,7 @@ class ShardedDetectorPool:
         no process to answer, and the health section already reports
         them dead)."""
         return [(shard, self._dispatch(shard, _worker_status, section, shard))
-                for shard in range(max(self.workers, 1))
-                if self.inline or not self._broken[shard]]
+                for shard in range(self.shards) if not self._broken[shard]]
 
     def shard_health(self) -> List[dict]:
         """Per-shard liveness/backlog snapshot for the STATUS ``health``
@@ -498,21 +517,18 @@ class ShardedDetectorPool:
                     "batches": self.worker_stats[i].batches,
                     "records": self.worker_stats[i].records,
                 }
-                for i in range(max(self.workers, 1))
+                for i in range(self.shards)
             ]
 
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        # Drop any jobs never closed, so leaked detectors cannot linger in
-        # this process (inline mode) and get inherited by later forks.
+        # An inline shard's shutdown drops the jobs never closed, so
+        # leaked detectors cannot linger in this process and get
+        # inherited by later forks.
         with self._lock:
-            leaked = list(self._assignments)
             self._assignments.clear()
-        if self.inline:
-            for job_id in leaked:
-                _WORKER_JOBS.pop(job_id, None)
         for executor in self._executors:
             executor.shutdown(wait=True, cancel_futures=True)
         self._executors = []

@@ -65,6 +65,11 @@ _EMPTY_REPORT_PAYLOAD = {
 }
 
 
+class ShardLost(Exception):
+    """A shard call hung past the watchdog or its shard died; raised once
+    the shard is respawned and every capture job it held requeued."""
+
+
 def _request_spans(message: dict) -> SpanBuffer:
     """The server-side recorder a request's optional ``trace`` context
     asks for; a malformed context fails the request."""
@@ -123,6 +128,7 @@ class _Job:
     def degrade(self, message: str) -> None:
         self.failure_log.append(message)
         self.degraded = True
+        self.recovering = False
         self.drained.set()
 
 
@@ -322,8 +328,6 @@ class RaceService:
             try:
                 value = await asyncio.wait_for(
                     asyncio.wrap_future(future), timeout=timeout)
-            except asyncio.CancelledError:
-                raise
             except Exception:
                 continue
             results.append((shard, value))
@@ -419,41 +423,24 @@ class RaceService:
         self._next_job_id += 1
         self.flight.record("job-open", job=job_id, kernel=kernel,
                            traced=spans.enabled)
-        with spans.span("server-open", job=job_id, kernel=kernel):
-            try:
-                await asyncio.wait_for(
-                    asyncio.wrap_future(self.pool.open_job(
-                        job_id, layout, config, trace_payload)),
-                    timeout=self.job_timeout)
-            except asyncio.CancelledError:
-                raise
-            except Exception as first_exc:
-                # The assigned shard is dead (or hung): respawn it and
-                # retry the open once on the least-loaded surviving shard.
-                self.flight.record("open-retry", job=job_id,
-                                   error=str(first_exc) or
-                                   type(first_exc).__name__)
-                with contextlib.suppress(Exception):
-                    self.pool.respawn_shard(self.pool.shard_of(job_id))
-                try:
-                    future, _shard = self.pool.requeue_job(
-                        job_id, layout, config, trace_payload)
-                    await asyncio.wait_for(asyncio.wrap_future(future),
-                                           timeout=self.job_timeout)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    self.pool.discard_job(job_id)
-                    self.flight.record("open-failed", job=job_id,
-                                       error=str(exc or first_exc))
-                    raise ReproError(
-                        f"could not open job: {exc or first_exc}") from exc
-        job = _Job(job_id=job_id, stats=self.stats.open_job(job_id, kernel),
-                   layout=layout, config=config, resubmit_key=resubmit_key,
-                   trace_payload=trace_payload, spans=spans)
-        self._jobs[job_id] = job
+        # The job exists before its open resolves, so a shard lost under
+        # the open requeues it like any other job the shard held.
+        self._jobs[job_id] = _Job(
+            job_id=job_id, stats=self.stats.open_job(job_id, kernel),
+            layout=layout, config=config, resubmit_key=resubmit_key,
+            trace_payload=trace_payload, spans=spans)
         if resubmit_key is not None:
             self._key_to_job[resubmit_key] = job_id
+        with spans.span("server-open", job=job_id, kernel=kernel):
+            try:
+                await self._shard_call(
+                    self.pool.open_job(job_id, layout, config, trace_payload),
+                    spans, job=job_id)
+            except ShardLost:
+                pass  # requeued, with no frames to replay yet
+            except Exception as exc:
+                self._abort_job(job_id, f"could not open job: {exc}")
+                raise ReproError(f"could not open job: {exc}") from exc
         conn_jobs.add(job_id)
         await self._send(writer, protocol.accept_frame(job_id))
 
@@ -507,107 +494,131 @@ class RaceService:
             job.job_id, count, job.stats.pending_records))
 
     # ------------------------------------------------------------------
-    # Batch watchdog + recovery
+    # Shard calls: watchdog, respawn, requeue
     # ------------------------------------------------------------------
-    def _spawn_watch(self, job: _Job, future, replay: bool = False) -> None:
-        job.in_flight.add(future)
-        task = self._loop.create_task(
-            self._watch_batch(job, future, job.epoch, replay))
+    def _spawn(self, coro) -> asyncio.Task:
+        task = self._loop.create_task(coro)
         self._watch_tasks.add(task)
         task.add_done_callback(self._watch_tasks.discard)
+        return task
+
+    async def _shard_call(self, future, spans: SpanBuffer,
+                          timeout: Optional[float] = None, **where):
+        """Await one call on a shard: the only place the service waits
+        on shard work (STATUS gathering aside, which must not respawn).
+
+        A call that outlives the watchdog (``timeout``, default the job
+        timeout) or whose shard died is a loss, recorded and raised as
+        :class:`ShardLost`.  Only the first casualty of an executor
+        generation respawns it, and that one respawn requeues every
+        capture job the shard held.  Other failures (a capture's own
+        ``ReproError``) propagate unchanged.  A payload's piggybacked
+        worker ``spans`` come off here, into ``spans``, so result bytes
+        stay a pure function of the request.
+        """
+        timeout = timeout or self.job_timeout
+        try:
+            result = await asyncio.wait_for(asyncio.wrap_future(future),
+                                            timeout=timeout)
+        except asyncio.TimeoutError:
+            if self.pool.is_current(future):
+                self.watchdog_timeouts_total += 1
+                event = "watchdog-timeout"
+                reason = f"worker hung: call exceeded the {timeout:g}s watchdog"
+            else:  # its executor was replaced while the call waited
+                event, reason = "shard-crash", "shard crashed: respawned"
+        except (BrokenExecutor, ShardCrashError) as exc:
+            event = "shard-crash"
+            reason = f"shard crashed: {str(exc) or type(exc).__name__}"
+        else:
+            if isinstance(result, dict):
+                spans.absorb(result.pop("spans", None))
+            return result
+        self.flight.record(event, **where, error=reason)
+        spans.instant(event, **where)
+        if self.pool.respawn_shard(future.shard, future.generation):
+            self.flight.record("shard-respawn", shard=future.shard)
+            self._requeue_jobs_on(future.shard, reason)
+        raise ShardLost(reason)
+
+    def _requeue_jobs_on(self, shard: int, reason: str) -> None:
+        """Recover every open capture job the respawned ``shard`` held:
+        bump its epoch (its batch watchers stand down), then requeue it
+        within its own budget and replay its retained frames."""
+        for job_id in self.pool.jobs_on(shard):
+            job = self._jobs.get(job_id)
+            if job is None or job.failed or job.degraded:
+                continue
+            job.epoch += 1
+            job.in_flight.clear()
+            job.failure_log.append(reason)
+            if job.requeues >= self.max_requeues:
+                self.flight.record("job-degraded", job=job_id,
+                                   reason="requeue budget exhausted")
+                job.spans.instant("job-degraded", job=job_id)
+                job.degrade(f"requeue budget of {self.max_requeues} exhausted")
+                continue
+            job.requeues += 1
+            self.requeues_total += 1
+            self.flight.record("job-requeue", job=job_id,
+                               attempt=job.requeues, reason=reason)
+            job.spans.instant("job-requeue", job=job_id, attempt=job.requeues)
+            job.recovering = True
+            self._spawn(self._requeue(job, job.epoch))
+
+    async def _requeue(self, job: _Job, epoch: int) -> None:
+        """Reopen ``job`` on a live shard and replay its retained frames;
+        a later loss that claims the job (a new epoch) supersedes this."""
+        try:
+            await self._shard_call(
+                self.pool.requeue_job(job.job_id, job.layout, job.config,
+                                      job.trace_payload),
+                job.spans, job=job.job_id)
+            if job.epoch == epoch and not job.failed:
+                job.stats.pending_records = sum(n for _e, n in job.frames)
+                if job.frames:
+                    self._spawn_watch(
+                        job, self.pool.submit_batch(job.job_id, job.frames),
+                        replay=True)
+        except Exception as exc:
+            if job.epoch == epoch and not job.failed:
+                self.flight.record("job-degraded", job=job.job_id,
+                                   reason=f"requeue failed: {exc}")
+                job.degrade(f"requeue failed: {exc}")
+        finally:
+            if job.epoch == epoch:
+                job.recovering = False
+                job.drained.set()
+
+    def _spawn_watch(self, job: _Job, future, replay: bool = False) -> None:
+        job.in_flight.add(future)
+        task = self._spawn(self._watch_batch(job, future, job.epoch, replay))
         task.add_done_callback(lambda _task: job.settled(future))
 
     async def _watch_batch(self, job: _Job, future, epoch: int,
                            replay: bool) -> None:
         try:
-            count, busy = await asyncio.wait_for(
-                asyncio.wrap_future(future), timeout=self.job_timeout)
-        except asyncio.CancelledError:
-            raise
-        except asyncio.TimeoutError:
-            self.watchdog_timeouts_total += 1
-            self.flight.record("watchdog-timeout", job=job.job_id,
-                               timeout_s=self.job_timeout)
-            job.spans.instant("watchdog-timeout", job=job.job_id)
-            await self._recover_job(
-                job, epoch,
-                f"worker hung: batch exceeded the {self.job_timeout}s watchdog")
-        except (BrokenExecutor, ShardCrashError) as exc:
-            self.flight.record("shard-crash", job=job.job_id,
-                               error=str(exc) or type(exc).__name__)
-            job.spans.instant("shard-crash", job=job.job_id)
-            await self._recover_job(
-                job, epoch,
-                f"shard crashed mid-job: {exc or type(exc).__name__}")
-        except ReproError as exc:
+            count, busy = await self._shard_call(future, job.spans,
+                                                 job=job.job_id)
+        except ShardLost:
+            return  # the respawn requeued the job under a new epoch
+        except Exception as exc:
             # Deterministic job-level failure (garbage record, poison):
             # requeueing would only reproduce it, so fail the job cleanly.
             if job.epoch == epoch:
-                job.fail(str(exc))
-        except Exception as exc:
-            if job.epoch == epoch:
-                job.fail(f"batch failed: {exc}")
-        else:
-            if job.epoch != epoch:
-                return
-            if replay:
-                # The requeue replay: one batch covering every retained
-                # frame.  Pending was reset when recovery began.
-                job.stats.pending_records = 0
-                job.stats.busy_seconds += busy
-            else:
-                job.stats.batch_done(count, busy)
-            if job.stats.pending_records <= self.low_water:
-                job.drained.set()
-
-    async def _recover_job(self, job: _Job, epoch: int, reason: str) -> None:
-        """Respawn the job's shard and replay the job elsewhere (bounded)."""
-        if (job.job_id not in self._jobs or job.epoch != epoch
-                or job.failed or job.degraded):
+                job.fail(str(exc) if isinstance(exc, ReproError)
+                         else f"batch failed: {exc}")
             return
-        job.epoch += 1
-        job.in_flight.clear()
-        job.recovering = True
-        job.failure_log.append(reason)
-        try:
-            shard = None
-            with contextlib.suppress(Exception):
-                shard = self.pool.shard_of(job.job_id)
-            if shard is not None:
-                self.pool.respawn_shard(shard)
-                self.flight.record("shard-respawn", shard=shard,
-                                   job=job.job_id)
-            if job.requeues >= self.max_requeues:
-                self.flight.record("job-degraded", job=job.job_id,
-                                   reason="requeue budget exhausted")
-                job.spans.instant("job-degraded", job=job.job_id)
-                job.degrade(
-                    f"requeue budget of {self.max_requeues} exhausted")
-                return
-            job.requeues += 1
-            self.requeues_total += 1
-            self.flight.record("job-requeue", job=job.job_id,
-                               attempt=job.requeues, reason=reason)
-            job.spans.instant("job-requeue", job=job.job_id,
-                              attempt=job.requeues)
-            try:
-                future, _shard = self.pool.requeue_job(
-                    job.job_id, job.layout, job.config, job.trace_payload)
-                await asyncio.wait_for(asyncio.wrap_future(future),
-                                       timeout=self.job_timeout)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                self.flight.record("job-degraded", job=job.job_id,
-                                   reason=f"requeue failed: {exc}")
-                job.degrade(f"requeue failed: {exc}")
-                return
-            job.stats.pending_records = sum(n for _encoded, n in job.frames)
-            if job.frames:
-                replay = self.pool.submit_batch(job.job_id, job.frames)
-                self._spawn_watch(job, replay, replay=True)
-        finally:
-            job.recovering = False
+        if job.epoch != epoch:
+            return
+        if replay:
+            # The requeue replay: one batch covering every retained
+            # frame.  Pending was reset when recovery began.
+            job.stats.pending_records = 0
+            job.stats.busy_seconds += busy
+        else:
+            job.stats.batch_done(count, busy)
+        if job.stats.pending_records <= self.low_water:
             job.drained.set()
 
     # ------------------------------------------------------------------
@@ -653,7 +664,6 @@ class RaceService:
             await asyncio.wrap_future(self.pool.discard_job(job.job_id))
             await self._send(writer, protocol.error_frame(job.error, job.job_id))
             return
-        shard_spans: List[dict] = []
         if job.degraded:
             with contextlib.suppress(Exception):
                 await asyncio.wrap_future(self.pool.discard_job(job.job_id))
@@ -661,21 +671,14 @@ class RaceService:
         else:
             with job.spans.span("server-close", job=job.job_id):
                 try:
-                    payload = await asyncio.wait_for(
-                        asyncio.wrap_future(self.pool.close_job(job.job_id)),
-                        timeout=self.job_timeout)
-                except asyncio.CancelledError:
-                    raise
+                    payload = await self._shard_call(
+                        self.pool.close_job(job.job_id), job.spans,
+                        job=job.job_id)
                 except Exception as exc:
                     # A close that crashes or hangs still answers: degraded.
                     job.degraded = True
                     job.failure_log.append(f"close failed: {exc}")
                     payload = dict(_EMPTY_REPORT_PAYLOAD)
-            # The shard's piggybacked spans must come off before the
-            # payload becomes the report body: report bytes stay
-            # independent of whether the job was traced.
-            if isinstance(payload, dict):
-                shard_spans = payload.pop("spans", []) or []
         state = "degraded" if job.degraded else "done"
         self.flight.record("job-close", job=job.job_id, state=state)
         self.stats.finish_job(job.job_id, state,
@@ -687,33 +690,9 @@ class RaceService:
             job.job_id, payload, job.stats.snapshot(),
             degraded=job.degraded,
             failure_log=job.failure_log if job.degraded else None,
-            spans=job.spans.to_payloads() + shard_spans, flight=flight)
+            spans=job.spans.collected_payloads(), flight=flight)
         self._remember(job.resubmit_key, frame)
         await self._send(writer, frame)
-
-    async def _await_stage(self, future, timeout: float, shard: int,
-                           shipped_spans: List[dict]) -> dict:
-        """Await one staged-job stage running on ``shard``.
-
-        A crashed or timed-out stage respawns its shard before the
-        failure propagates.  The worker piggybacks its spans on the
-        payload; they MUST come off here, before the payload reaches a
-        later stage or the reply, so result bytes stay a pure function
-        of the request.
-        """
-        try:
-            payload = await asyncio.wait_for(asyncio.wrap_future(future),
-                                             timeout=timeout)
-        except (BrokenExecutor, ShardCrashError,
-                asyncio.TimeoutError) as exc:
-            if isinstance(exc, asyncio.TimeoutError):
-                self.watchdog_timeouts_total += 1
-            with contextlib.suppress(Exception):
-                self.pool.respawn_shard(shard)
-            raise
-        if isinstance(payload, dict):
-            shipped_spans.extend(payload.pop("spans", None) or [])
-        return payload
 
     async def _handle_staged_job(self, message: dict,
                                  writer: asyncio.StreamWriter) -> None:
@@ -740,8 +719,7 @@ class RaceService:
         # A stage is whole simulated kernel executions, not one record
         # batch; scale the watchdog with the work it may run.
         timeout = self.job_timeout * max(1, job.watchdog_scale(request))
-        shards = max(self.pool.workers, 1)
-        worker_spans: List[dict] = []
+        shards = self.pool.shards
 
         def failed(stage: str, exc: Exception, **where) -> str:
             reason = str(exc) or type(exc).__name__
@@ -761,13 +739,14 @@ class RaceService:
                 return self.pool.submit_stage(shard, job.name, stage, request,
                                               plan, arg, stage_trace)
 
+            def run(future, stage: str, **where):
+                return self._shard_call(future, spans, timeout,
+                                        stage=f"{job.name}-{stage}", **where)
+
             plan: dict = {}
             if job.plan is not None:
                 try:
-                    plan = await self._await_stage(
-                        submit(0, "plan", plan), timeout, 0, worker_spans)
-                except asyncio.CancelledError:
-                    raise
+                    plan = await run(submit(0, "plan", plan), "plan")
                 except Exception as exc:
                     await self._send(writer, protocol.error_frame(
                         f"{job.name} plan failed: {failed('plan', exc)}"))
@@ -777,27 +756,21 @@ class RaceService:
             items: List[dict] = []
             for index, future in enumerate(futures):
                 try:
-                    items.append(await self._await_stage(
-                        future, timeout, index % shards, worker_spans))
-                except asyncio.CancelledError:
-                    raise
+                    items.append(await run(future, job.item_stage,
+                                           index=index))
                 except Exception as exc:
                     items.append(job.failed_item(
                         request, plan, index,
                         failed(job.item_stage, exc, index=index)))
             try:
-                result = await self._await_stage(
-                    submit(0, "finalize", plan, items),
-                    timeout, 0, worker_spans)
-            except asyncio.CancelledError:
-                raise
+                result = await run(submit(0, "finalize", plan, items),
+                                   "finalize")
             except Exception as exc:
                 await self._send(writer, protocol.error_frame(
-                    f"{job.name} finalize failed: "
-                    f"{exc or type(exc).__name__}"))
+                    f"{job.name} finalize failed: {failed('finalize', exc)}"))
                 return
         await self._send(writer, protocol.job_reply_frame(
-            job.name, result, spans=spans.to_payloads() + worker_spans))
+            job.name, result, spans=spans.collected_payloads()))
 
     def _abort_job(self, job_id: str, reason: str) -> None:
         job = self._jobs.pop(job_id, None)

@@ -13,23 +13,28 @@ the CI chaos job adds one randomized seed through the ``CHAOS_SEED``
 environment variable (echoed to the log, so a red run is replayable).
 """
 
+import contextlib
 import os
+import time
 
 import pytest
 
+from repro.columnar import encode_batch, iter_batches
 from repro.cudac import compile_cuda
 from repro.faults import NULL_FAULTS, FaultInjector, FaultPlan, FaultSpec, sites
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
+from repro.jobs import LaunchSpec
 from repro.runtime.queue import QueueSet
-from repro.runtime.replay import replay, save_capture_binary
+from repro.runtime.replay import capture_header_line, replay, save_capture_binary
 from repro.service import (
     BackoffPolicy,
     RaceService,
     ServiceClient,
     ServiceJobError,
     ServiceThread,
+    protocol,
     reports_to_payload,
     submit_capture,
 )
@@ -124,6 +129,22 @@ def _health(thread):
         return client.status("health")["health"]
 
 
+def _kill_shard(thread, shard=0):
+    """Kill a shard's process from outside (as an OOM killer would) and
+    wait until it is gone."""
+    for process in list(thread.service.pool._executors[shard]._processes
+                        .values()):
+        process.kill()
+        process.join(timeout=CLIENT_TIMEOUT)
+
+
+def _wait_for(predicate):
+    deadline = time.monotonic() + CLIENT_TIMEOUT
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
 def _worker_plan(kind, nth, seed=0, **payload):
     return FaultPlan(specs=(FaultSpec(site=sites.WORKER_BATCH, kind=kind,
                                       nth=nth, payload=payload),), seed=seed)
@@ -191,6 +212,67 @@ class TestShardCrash:
         finally:
             thread.stop()
 
+    def test_one_shard_death_requeues_every_job_it_held(self, tmp_path):
+        # Two jobs on the one shard process, which dies between batches:
+        # one respawn requeues both.  Neither job may send its next batch
+        # to the fresh process before its reopen, nor lose its reopen to
+        # a second respawn triggered by the other job.
+        layout, records = _capture()
+        expected = _expected_payload(layout, records) \
+            | {"records_processed": len(records)}
+        header = capture_header_line(layout, "k")
+        batches = [protocol.encode_batch_wire(encode_batch(chunk))
+                   for chunk in iter_batches(
+                       records, batch_records=-(-len(records) // 5))]
+        thread = _start("unix", tmp_path, workers=1)
+        clients = [ServiceClient(timeout=CLIENT_TIMEOUT,
+                                 **_endpoint_kwargs(thread))
+                   for _ in range(2)]
+        try:
+            jobs = [client._request(protocol.open_frame(header))["job_id"]
+                    for client in clients]
+
+            def send(some):
+                for batch in some:
+                    for client, job in zip(clients, jobs):
+                        client._expect(client._request(
+                            protocol.batch_frame(job, *batch)), protocol.ACK)
+
+            send(batches[:2])
+            _wait_for(lambda: _health(thread)["shards"][0]["batches"] == 4)
+            _kill_shard(thread)
+            send(batches[2:])
+            reports = [client._expect(client._request(
+                protocol.close_frame(job)), protocol.REPORT)
+                for client, job in zip(clients, jobs)]
+            health = _health(thread)
+        finally:
+            for client in clients:
+                client.close()
+            thread.stop()
+        for report in reports:
+            assert not report.get("degraded"), report.get("failure_log")
+            assert report["reports"] == expected
+        assert health["shards"][0]["restarts"] == 1
+        assert health["requeues_total"] == 2
+
+    def test_open_onto_a_dead_shard_is_requeued(self, tmp_path):
+        path, layout, records = _capture_file(tmp_path)
+        expected = _expected_payload(layout, records)
+        thread = _start("unix", tmp_path, workers=1)
+        try:
+            with ServiceClient(timeout=CLIENT_TIMEOUT,
+                               **_endpoint_kwargs(thread)) as client:
+                client.status("flight")  # the shard process starts, idles
+            _kill_shard(thread)
+            result = _submit(thread, path, max_retries=0)
+            health = _health(thread)
+        finally:
+            thread.stop()
+        assert not result.degraded
+        assert reports_to_payload(result.reports) == expected
+        assert health["shards"][0]["restarts"] == 1
+
 
 # ----------------------------------------------------------------------
 # Hung worker → watchdog → respawn + requeue → fault-free report
@@ -213,6 +295,24 @@ class TestHungWorker:
             assert health["shards"][0]["restarts"] >= 1
         finally:
             thread.stop()
+
+    def test_stale_failures_respawn_nothing(self, tmp_path):
+        # Stages time out, and the stages queued behind a timed-out one
+        # fail with their replaced executor.  Only the timeout respawns:
+        # a casualty of an executor already replaced replaces nothing.
+        spec = LaunchSpec(source=RACY, grid=2, buffers=(("data", 4, ()),))
+        thread = _start("unix", tmp_path, workers=2, job_timeout=0.0005)
+        try:
+            with ServiceClient(timeout=CLIENT_TIMEOUT,
+                               **_endpoint_kwargs(thread)) as client:
+                with contextlib.suppress(ServiceJobError):
+                    client.sweep(spec.to_payload(), 9, 0)
+            health = _health(thread)
+        finally:
+            thread.stop()
+        assert health["watchdog_timeouts_total"] >= 1
+        assert sum(shard["restarts"] for shard in health["shards"]) \
+            == health["watchdog_timeouts_total"]
 
 
 # ----------------------------------------------------------------------

@@ -198,21 +198,34 @@ class TestStagedJob:
             job.parse({"spec": "not-a-spec", **case["fields"]})
 
 
-@pytest.mark.parametrize(
-    "name", [name for name in JOB_NAMES if staged_job(name).plan is not None])
-def test_plan_failure_answers_with_an_error(name, tmp_path, monkeypatch):
+#: (job, stage, what the stage raises, the reason the error must give):
+#: a stage that dies answers with one error naming the stage and why —
+#: the exception type when it carries no message.
+STAGE_FAILURES = [
+    pytest.param(name, stage, error, reason, id=f"{name}-{stage}-{reason}")
+    for name in JOB_NAMES
+    for stage, error, reason in (("plan", RuntimeError("boom"), "boom"),
+                                 ("finalize", RuntimeError("boom"), "boom"),
+                                 ("finalize", RuntimeError(), "RuntimeError"))
+    if stage != "plan" or staged_job(name).plan is not None
+]
+
+
+@pytest.mark.parametrize("name,stage,error,reason", STAGE_FAILURES)
+def test_stage_failure_answers_with_an_error(name, stage, error, reason,
+                                             tmp_path, monkeypatch):
     case = CASES[name]
 
-    def dying_plan(request, obs):
-        raise RuntimeError("boom")
+    def dying_stage(*_args):
+        raise error
 
-    _patch_job(monkeypatch, name, plan=dying_plan)
+    _patch_job(monkeypatch, name, **{stage: dying_stage})
     with _serve(tmp_path) as thread, _client(tmp_path) as client:
         with pytest.raises(ServiceJobError,
-                           match=f"^{name} plan failed: boom"):
+                           match=f"^{name} {stage} failed: {reason}$"):
             client.run_job(name, case["spec"].to_payload(), case["fields"])
         flight = thread.service.flight.dump()["events"]
-    assert f"{name}-plan-failed" in {e["kind"] for e in flight}
+    assert f"{name}-{stage}-failed" in {e["kind"] for e in flight}
 
 
 def test_fix_verb_rejects_zero_max_candidates(tmp_path):
