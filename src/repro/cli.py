@@ -1084,6 +1084,8 @@ def run_profile(args) -> int:
 
 
 def _configure_convert(parser: argparse.ArgumentParser) -> None:
+    from .columnar import DEFAULT_BATCH_RECORDS
+
     parser.description = (
         "Convert a replay capture between the JSONL and binary "
         "formats.  The source format is auto-detected from the magic bytes "
@@ -1094,18 +1096,19 @@ def _configure_convert(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--to", choices=("jsonl", "binary"), default=None,
                         help="target format (default: the opposite of the "
                         "detected source format)")
-    parser.add_argument("--batch-records", type=int, default=None,
+    parser.add_argument("--batch-records", type=int,
+                        default=DEFAULT_BATCH_RECORDS,
                         metavar="N",
                         help="records per columnar frame when writing "
                         "binary captures")
 
 
 def run_convert(args) -> int:
-    from .runtime.replay import DEFAULT_BATCH_RECORDS, convert_capture
+    from .runtime.replay import convert_capture
 
     src_fmt, dst_fmt, count = convert_capture(
         args.src, args.dst, to_format=args.to,
-        batch_records=args.batch_records or DEFAULT_BATCH_RECORDS)
+        batch_records=args.batch_records)
     print(f"{args.src} ({src_fmt}) -> {args.dst} ({dst_fmt}): "
           f"{count} record(s)")
     return 0

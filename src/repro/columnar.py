@@ -16,6 +16,12 @@ Lossless for every row the engine emits: each round-trips through
 unchanged.  Any other row has no columns — the builder rejects it with a
 one-line :class:`ReproError` — and :meth:`ColumnarBatch.check_layout`
 rejects rows outside a launch, so a hostile capture fails where it enters.
+
+:meth:`ColumnarBatch.to_records` rebuilds no lanes: a record's ``addrs``
+and ``values`` are read-only views of its row, and the builder copies
+the lanes of an unaltered row of a *checked* batch (one decoded and
+validated, or one the builder made) by slice instead of re-checking
+them lane by lane.
 """
 
 from __future__ import annotations
@@ -23,8 +29,11 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from collections.abc import Mapping
+from itertools import compress
 from typing import (
-    Collection, Dict, Iterator, List, Optional, Sequence, Set, Tuple)
+    Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+    Set, Tuple)
 
 from .errors import ReproError
 from .events import (
@@ -93,6 +102,87 @@ def _check_i64(record: LogRecord, name: str,
                          f"{name} {bad} does not fit int64")
 
 
+class _LaneView(Mapping):
+    """A read-only map over one row's lane columns.
+
+    The dict it stands for is built in bulk (a subclass's ``_build``) on
+    the first read; every read method, ``repr`` and ``==`` are that
+    dict's.  Until then the view is just ``(batch, row)``, which
+    :meth:`ColumnarBuilder.append` copies by slice.
+    """
+
+    __slots__ = ("batch", "row", "_dict")
+
+    def __init__(self, batch: "ColumnarBatch", row: int) -> None:
+        self.batch = batch
+        self.row = row
+        self._dict: Optional[dict] = None
+
+    def _mapping(self) -> dict:
+        mapping = self._dict
+        if mapping is None:
+            starts = self.batch.lane_starts
+            mapping = self._dict = self._build(
+                starts[self.row], starts[self.row + 1])
+        return mapping
+
+    def __getitem__(self, key):
+        return self._mapping()[key]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return len(self._mapping())
+
+    def __contains__(self, key) -> bool:
+        return key in self._mapping()
+
+    def keys(self):
+        return self._mapping().keys()
+
+    def items(self):
+        return self._mapping().items()
+
+    def values(self):
+        return self._mapping().values()
+
+    def get(self, key, default=None):
+        return self._mapping().get(key, default)
+
+    def __eq__(self, other) -> bool:
+        return self._mapping() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._mapping())
+
+
+class _AddrsView(_LaneView):
+    """``LogRecord.addrs`` of a batch row: tid -> (space, address)."""
+
+    __slots__ = ()
+
+    def _build(self, start: int, end: int) -> dict:
+        batch = self.batch
+        return dict(zip(batch.lane_tids[start:end], zip(
+            map(SPACES.__getitem__, batch.lane_spaces[start:end]),
+            batch.lane_addrs[start:end])))
+
+
+class _ValuesView(_LaneView):
+    """``LogRecord.values`` of a batch row: tid -> stored value."""
+
+    __slots__ = ()
+
+    def _build(self, start: int, end: int) -> dict:
+        batch = self.batch
+        has_value = batch.lane_has_value[start:end]
+        return dict(zip(compress(batch.lane_tids[start:end], has_value),
+                        compress(batch.lane_values[start:end], has_value)))
+
+
 class ColumnarBatch:
     """A run of log records as parallel flat columns.
 
@@ -113,7 +203,8 @@ class ColumnarBatch:
     __slots__ = (
         "kinds", "warps", "pcs", "widths", "scopes", "mask_ids",
         "then_mask_ids", "lane_starts", "lane_tids", "lane_spaces",
-        "lane_addrs", "lane_has_value", "lane_values", "masks",
+        "lane_addrs", "lane_has_value", "lane_values", "masks", "checked",
+        "_mask_sets",
     )
 
     def __init__(self) -> None:
@@ -132,6 +223,13 @@ class ColumnarBatch:
         self.lane_values: List[int] = []
         #: Interned active masks: sorted tid tuples shared across records.
         self.masks: List[Tuple[int, ...]] = []
+        #: Set only where the columns were proven consistent — by
+        #: :func:`decode_batch` after :meth:`validate`, and by
+        #: :meth:`ColumnarBuilder.flush` — so a memory row's lanes are
+        #: exactly its mask, ascending, every integer in int64.  Whoever
+        #: edits a checked batch's columns in place must clear it.
+        self.checked = False
+        self._mask_sets: Dict[int, FrozenSet[int]] = {}
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -139,30 +237,29 @@ class ColumnarBatch:
     # ------------------------------------------------------------------
     # Materialization back to records
     # ------------------------------------------------------------------
+    def mask_set(self, mask_id: int) -> FrozenSet[int]:
+        """Pool entry ``mask_id`` as a frozenset: one object per entry."""
+        mask = self._mask_sets.get(mask_id)
+        if mask is None:
+            mask = self._mask_sets[mask_id] = frozenset(self.masks[mask_id])
+        return mask
+
     def record(self, index: int) -> LogRecord:
-        """Reconstruct row ``index`` as a :class:`LogRecord`."""
-        kind = KINDS[self.kinds[index]]
-        start = self.lane_starts[index]
-        end = self.lane_starts[index + 1]
-        addrs: Dict[int, Tuple[Space, int]] = {}
-        values: Dict[int, Optional[int]] = {}
-        for lane in range(start, end):
-            tid = self.lane_tids[lane]
-            addrs[tid] = (SPACES[self.lane_spaces[lane]], self.lane_addrs[lane])
-            if self.lane_has_value[lane]:
-                values[tid] = self.lane_values[lane]
+        """Row ``index`` as a :class:`LogRecord` whose ``addrs`` and
+        ``values`` are read-only views of the row's lanes (``{}`` for a
+        row without lanes) and whose masks are the pool's interned
+        frozensets."""
+        has_lanes = self.lane_starts[index] != self.lane_starts[index + 1]
         scope_code = self.scopes[index]
         then_id = self.then_mask_ids[index]
         return LogRecord(
-            kind=kind,
+            kind=KINDS[self.kinds[index]],
             warp=self.warps[index],
-            active=frozenset(self.masks[self.mask_ids[index]]),
-            addrs=addrs,
-            values=values,
+            active=self.mask_set(self.mask_ids[index]),
+            addrs=_AddrsView(self, index) if has_lanes else {},
+            values=_ValuesView(self, index) if has_lanes else {},
             scope=SCOPES[scope_code] if scope_code >= 0 else None,
-            then_mask=(
-                frozenset(self.masks[then_id]) if then_id >= 0 else frozenset()
-            ),
+            then_mask=self.mask_set(then_id) if then_id >= 0 else frozenset(),
             width=self.widths[index],
             pc=self.pcs[index],
         )
@@ -175,7 +272,7 @@ class ColumnarBatch:
         return list(self.iter_records())
 
     @classmethod
-    def from_records(cls, records: Sequence[LogRecord]) -> "ColumnarBatch":
+    def from_records(cls, records: Iterable[LogRecord]) -> "ColumnarBatch":
         builder = ColumnarBuilder()
         for record in records:
             builder.append(record)
@@ -248,6 +345,10 @@ class ColumnarBatch:
                         f"corrupt columnar batch: row {index} lanes "
                         f"{lanes[:8]} are not its active mask "
                         f"{list(self.masks[mask_id])[:8]} in ascending order")
+            elif self.lane_starts[index] != self.lane_starts[index + 1]:
+                raise _row_error(KINDS[code], self.warps[index],
+                                 self.pcs[index],
+                                 "a control row carries addrs or values")
             then_id = self.then_mask_ids[index]
             if then_id != -1 and not 0 <= then_id < pool:
                 raise ReproError(
@@ -307,6 +408,22 @@ class ColumnarBatch:
                 inside.add((mask_id, lo, hi))
 
 
+def _checked_row(record: LogRecord) -> Optional[Tuple[ColumnarBatch, int]]:
+    """``(batch, row)`` when ``record`` is that row of a checked batch with
+    its lanes unaltered — ``addrs`` and ``values`` the row's two views,
+    ``kind`` the row's and ``active`` the row's interned mask — else
+    None.  The batch's provenance then guarantees the lanes."""
+    addrs, values = record.addrs, record.values
+    if type(addrs) is not _AddrsView or type(values) is not _ValuesView:
+        return None
+    batch, row = addrs.batch, addrs.row
+    if (batch.checked and values.batch is batch and values.row == row
+            and KINDS[batch.kinds[row]] is record.kind
+            and record.active is batch.mask_set(batch.mask_ids[row])):
+        return batch, row
+    return None
+
+
 class ColumnarBuilder:
     """Accumulates records into a :class:`ColumnarBatch`.
 
@@ -335,7 +452,11 @@ class ColumnarBuilder:
         """Append one row the engine can emit — integers in int64; a
         memory row's ``addrs`` exactly its active tids, its ``values``
         some of them, none ``None``; a control row with neither — or
-        raise :class:`ReproError` (the builder is then discarded)."""
+        raise :class:`ReproError` (the builder is then discarded).
+
+        A memory row read unaltered from a checked batch (see
+        :func:`_checked_row`) has its lanes copied by slice: the batch's
+        provenance already proved what the lane checks would."""
         kind = record.kind
         warp, pc, width = record.warp, record.pc, record.width
         _check_i64(record, "warp, pc or width", (warp, pc, width))
@@ -344,38 +465,53 @@ class ColumnarBuilder:
         batch = self._batch
         if kind in MEMORY_KINDS:
             active = record.active
-            if addrs.keys() != active:
+            source = _checked_row(record)
+            if source is None and addrs.keys() != active:
                 raise _row_error(kind, warp, pc, "addrs and active mask "
                                  f"disagree on {sorted(addrs.keys() ^ active)}")
             mask_id = self._intern_mask(active, record)
-            tids = batch.masks[mask_id]
-            lane_spaces = batch.lane_spaces
-            lane_addrs = batch.lane_addrs
-            mark = len(lane_addrs)
-            batch.lane_tids.extend(tids)
-            for tid in tids:
-                space, addr = addrs[tid]
-                lane_spaces.append(SPACE_CODE[space])
-                lane_addrs.append(addr)
-            _check_i64(record, "address", lane_addrs[mark:])
-            if values:
-                if not values.keys() <= active:
-                    raise _row_error(kind, warp, pc, "values name inactive "
-                                     f"tids {sorted(values.keys() - active)}")
-                if None in values.values():
-                    raise _row_error(kind, warp, pc, "a stored value is None")
-                _check_i64(record, "stored value", values.values())
-                lane_has_value = batch.lane_has_value
-                lane_values = batch.lane_values
-                values_get = values.get
-                for tid in tids:
-                    value = values_get(tid)
-                    lane_has_value.append(0 if value is None else 1)
-                    lane_values.append(0 if value is None else value)
+            if source is not None:
+                # The lanes are already exactly the mask, ascending, in
+                # int64: copy them as they stand.
+                origin, row = source
+                start = origin.lane_starts[row]
+                end = origin.lane_starts[row + 1]
+                batch.lane_tids += origin.lane_tids[start:end]
+                batch.lane_spaces += origin.lane_spaces[start:end]
+                batch.lane_addrs += origin.lane_addrs[start:end]
+                batch.lane_has_value += origin.lane_has_value[start:end]
+                batch.lane_values += origin.lane_values[start:end]
             else:
-                absent = [0] * len(tids)
-                batch.lane_has_value.extend(absent)
-                batch.lane_values.extend(absent)
+                tids = batch.masks[mask_id]
+                lane_spaces = batch.lane_spaces
+                lane_addrs = batch.lane_addrs
+                mark = len(lane_addrs)
+                batch.lane_tids.extend(tids)
+                for tid in tids:
+                    space, addr = addrs[tid]
+                    lane_spaces.append(SPACE_CODE[space])
+                    lane_addrs.append(addr)
+                _check_i64(record, "address", lane_addrs[mark:])
+                if values:
+                    if not values.keys() <= active:
+                        raise _row_error(
+                            kind, warp, pc, "values name inactive "
+                            f"tids {sorted(values.keys() - active)}")
+                    if None in values.values():
+                        raise _row_error(kind, warp, pc,
+                                         "a stored value is None")
+                    _check_i64(record, "stored value", values.values())
+                    lane_has_value = batch.lane_has_value
+                    lane_values = batch.lane_values
+                    values_get = values.get
+                    for tid in tids:
+                        value = values_get(tid)
+                        lane_has_value.append(0 if value is None else 1)
+                        lane_values.append(0 if value is None else value)
+                else:
+                    absent = [0] * len(tids)
+                    batch.lane_has_value.extend(absent)
+                    batch.lane_values.extend(absent)
         elif addrs or values:
             raise _row_error(kind, warp, pc,
                              "a control row carries addrs or values")
@@ -395,15 +531,26 @@ class ColumnarBuilder:
 
     def flush(self) -> ColumnarBatch:
         batch = self._batch
+        batch.checked = True  # every row passed append()
         self._batch = ColumnarBatch()
         self._mask_ids = {}
         return batch
 
 
-def iter_batches(records: Sequence[LogRecord],
+def iter_batches(records: Iterable[LogRecord],
                  batch_records: int = DEFAULT_BATCH_RECORDS,
                  ) -> Iterator[ColumnarBatch]:
-    """Chunk a record stream into columnar batches of bounded size."""
+    """Chunk a record stream into columnar batches of at most
+    ``batch_records`` rows; a count below 1 is a :class:`ReproError`,
+    raised before the first record is read."""
+    if batch_records < 1:
+        raise ReproError(
+            f"records per batch must be at least 1, not {batch_records}")
+    return _chunks(records, batch_records)
+
+
+def _chunks(records: Iterable[LogRecord],
+            batch_records: int) -> Iterator[ColumnarBatch]:
     builder = ColumnarBuilder()
     for record in records:
         builder.append(record)
@@ -589,4 +736,5 @@ def decode_batch(data: bytes) -> ColumnarBatch:
             "bytes after the mask pool"
         )
     batch.validate()
+    batch.checked = True
     return batch

@@ -474,13 +474,7 @@ class BarracudaDetector:
         tpb = layout.threads_per_block
         ws = layout.warp_size
         wpb = layout.warps_per_block
-        mask_sets: Dict[int, FrozenSet[int]] = {}
-
-        def mask_set(mask_id: int) -> FrozenSet[int]:
-            mask = mask_sets.get(mask_id)
-            if mask is None:
-                mask = mask_sets[mask_id] = frozenset(batch.masks[mask_id])
-            return mask
+        mask_set = batch.mask_set
 
         for index in range(len(kinds)):
             code = kinds[index]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Mapping, Optional, Tuple
 
 from .trace.layout import GridLayout
 from .trace.operations import (
@@ -100,10 +100,11 @@ class LogRecord:
     kind: RecordKind
     warp: int  # global warp id; for BARRIER records, the block id
     active: FrozenSet[int]  # global TIDs active for this operation
-    #: Per-TID (space, address); empty for control-flow records.
-    addrs: Dict[int, Tuple[Space, int]] = field(default_factory=dict)
+    #: Per-TID (space, address); empty for control-flow records.  A
+    #: dict, or a read-only view of a batch row (``ColumnarBatch.record``).
+    addrs: Mapping[int, Tuple[Space, int]] = field(default_factory=dict)
     #: Per-TID stored values (STORE records only; see module note).
-    values: Dict[int, Optional[int]] = field(default_factory=dict)
+    values: Mapping[int, Optional[int]] = field(default_factory=dict)
     #: Scope of ACQUIRE/RELEASE/ACQREL records.
     scope: Optional[Scope] = None
     #: For BRANCH_IF: the then-path mask (``active`` is the full split set).

@@ -347,9 +347,11 @@ def save_capture_binary(
     batch_records: int = DEFAULT_BATCH_RECORDS,
 ) -> int:
     """Write a binary capture; returns the number of records written."""
+    # A bad count fails here, before the header is written.
+    batches = iter_batches(records, batch_records=batch_records)
     write_binary_header(stream, layout, kernel)
     count = 0
-    for batch in iter_batches(list(records), batch_records=batch_records):
+    for batch in batches:
         write_binary_batch(stream, batch)
         count += len(batch)
     return count

@@ -235,6 +235,9 @@ _ROWS_THE_ENGINE_CANNOT_EMIT = {
     "present-none-value": {"kind": "store", "warp": 0, "active": [0],
                            "addrs": {"0": ["global", 0]},
                            "values": {"0": None}},
+    "barrier-carrying-a-lane": {"kind": "bar", "warp": 0,
+                                "active": list(range(8)),
+                                "addrs": {"0": ["global", 0]}},
 }
 
 
@@ -393,6 +396,19 @@ class TestReplayErrors:
                                     "kind": sites.GARBAGE_LINE, "nth": 3}]}))
         assert cli.main(["replay", capture, "--fault-plan", str(plan)]) == 2
         assert "on line 4" in _assert_clean_error(capsys)
+
+
+class TestConvertErrors:
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_non_positive_batch_records_is_a_one_line_error(
+            self, tmp_path, capsys, count):
+        # -3 used to write one frame per record, and 0 to mean the
+        # default, both exiting 0.
+        capture = _write_capture(tmp_path)
+        out = tmp_path / "out.bcap"
+        assert cli.main(["convert", capture, str(out), "--to", "binary",
+                         "--batch-records", str(count)]) == 2
+        assert f"at least 1, not {count}" in _assert_clean_error(capsys)
 
 
 class TestServeErrors:

@@ -28,9 +28,13 @@ from repro import cli
 from repro.bench import ALL_WORKLOADS
 from repro.columnar import (
     KIND_CODE,
+    KINDS,
     SCOPE_CODE,
+    SCOPES,
     SPACE_CODE,
+    SPACES,
     ColumnarBatch,
+    _LaneView,
     batch_record_count,
     decode_batch,
     encode_batch,
@@ -48,6 +52,7 @@ from repro.jobs import record_stream
 from repro.predict import LaunchSpec
 from repro.runtime.host import HostDetector
 from repro.runtime.replay import (
+    _record_from_json,
     _record_to_json,
     capture_header_line,
     convert_capture,
@@ -425,6 +430,49 @@ def test_every_engine_stream_passes_the_boundary(entry):
     assert sum(len(batch) for batch in batches) == len(records)
     for batch in batches:
         batch.check_layout(layout)
+        encoded = encode_batch(batch)
+        # Views are lossless: re-packed (by slice, never read) they are
+        # the same bytes, and each is the dict a lane-by-lane rebuild
+        # makes, down to its repr.
+        for source in (batch, decode_batch(encoded)):
+            views = source.to_records()
+            assert encode_batch(ColumnarBatch.from_records(views)) == encoded
+            assert not any(_was_read(view) for view in views)
+            for index, view in enumerate(views):
+                plain = _rebuilt_record(source, index)
+                assert view.addrs == plain.addrs == dict(view.addrs)
+                assert view.values == plain.values == dict(view.values)
+                assert view == plain and repr(view) == repr(plain)
+
+
+def _was_read(record) -> bool:
+    """Whether a view of ``record`` has built its dict."""
+    return any(isinstance(lanes, _LaneView) and lanes._dict is not None
+               for lanes in (record.addrs, record.values))
+
+
+def _rebuilt_record(batch, index) -> LogRecord:
+    """Row ``index`` rebuilt lane by lane into plain dicts and fresh
+    frozensets: what ``ColumnarBatch.record`` returned before views."""
+    addrs, values = {}, {}
+    for lane in range(batch.lane_starts[index], batch.lane_starts[index + 1]):
+        tid = batch.lane_tids[lane]
+        addrs[tid] = (SPACES[batch.lane_spaces[lane]], batch.lane_addrs[lane])
+        if batch.lane_has_value[lane]:
+            values[tid] = batch.lane_values[lane]
+    scope, then_id = batch.scopes[index], batch.then_mask_ids[index]
+    return LogRecord(
+        kind=KINDS[batch.kinds[index]],
+        warp=batch.warps[index],
+        active=frozenset(batch.masks[batch.mask_ids[index]]),
+        addrs=addrs,
+        values=values,
+        scope=SCOPES[scope] if scope >= 0 else None,
+        then_mask=(frozenset(batch.masks[then_id]) if then_id >= 0
+                   else frozenset()),
+        width=batch.widths[index],
+        pc=batch.pcs[index],
+    )
 
 
 _ALL_ONES_U64_PTX = """
@@ -573,17 +621,55 @@ def _write_bcap(path, layout, rows):
         write_frame(stream, bytes(payload))
 
 
+@functools.lru_cache(maxsize=None)
+def _synced_views():
+    """The synced capture's rows as views of one decoded batch."""
+    _layout, rows = _synced_rows()
+    batch = ColumnarBatch.from_records(map(_record_from_json, rows))
+    return decode_batch(encode_batch(batch)).to_records()
+
+
+def _outcome(layout, record):
+    """What a capture of ``record`` alone holds: its batch's bytes, or
+    the one-line error that stops it."""
+    try:
+        batch = ColumnarBatch.from_records([record])
+        batch.check_layout(layout)
+    except ReproError as exc:
+        return str(exc)
+    return encode_batch(batch)
+
+
 class TestRowsTheEngineCannotEmit:
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(field=st.sampled_from(["warp", "block", "lane", "mask",
                                   "addrs-key", "value-none", "value-huge",
                                   "huge-address"]),
            pick=st.integers(min_value=0, max_value=1 << 16),
-           new=_NEW_IDS)
+           new=_NEW_IDS,
+           view=st.booleans(),
+           kind=st.sampled_from(list(RecordKind)))
     def test_one_changed_field_is_a_report_or_a_one_line_error(
-            self, tmp_path, capsys, field, pick, new):
-        layout, rows = _synced_rows()
-        rows = _mutate(rows, field, pick, new)
+            self, tmp_path, capsys, field, pick, new, view, kind):
+        layout, original = _synced_rows()
+        rows = _mutate(original, field, pick, new)
+        # The change made to one field of a decoded row at a time, the
+        # other fields left as the batch's views when ``view``: the
+        # builder's copy by slice must stop exactly what it stops in
+        # the plain row.
+        index = next((i for i, (row, changed) in enumerate(zip(original, rows))
+                      if row != changed), 0)
+        plain = _record_from_json(original[index])
+        base = _synced_views()[index] if view else plain
+        changed = _record_from_json(rows[index])
+        replacements = {"kind": kind, **{
+            spec.name: getattr(changed, spec.name)
+            for spec in dataclasses.fields(LogRecord)
+            if getattr(changed, spec.name) != getattr(plain, spec.name)}}
+        for name, value in replacements.items():
+            assert _outcome(layout, dataclasses.replace(
+                base, **{name: value})) == _outcome(
+                    layout, dataclasses.replace(plain, **{name: value}))
         jsonl = tmp_path / "mutated.jsonl"
         jsonl.write_text("\n".join(
             [capture_header_line(layout, "k")]
@@ -602,6 +688,43 @@ class TestRowsTheEngineCannotEmit:
                         "error: "), err
             # Accepted or rejected, the three replays agree.
             assert codes in ([2, 2, 2],) or 2 not in codes, (path, codes)
+
+    def test_a_hand_built_batch_is_checked_row_by_row(self):
+        # Nothing proved these columns consistent (the lanes are not the
+        # mask), so re-saving the batch's views must not copy its lanes
+        # by slice: it stops with the error the plain rebuilt row gets.
+        batch = ColumnarBatch()
+        batch.kinds = [KIND_CODE[RecordKind.STORE]]
+        batch.warps, batch.pcs, batch.widths = [0], [5], [4]
+        batch.scopes = [-1]
+        batch.mask_ids, batch.then_mask_ids = [0], [-1]
+        batch.masks = [(0, 1, 2)]
+        batch.lane_starts, batch.lane_tids = [0, 3], [0, 1, 3]
+        batch.lane_spaces, batch.lane_addrs = [0, 0, 0], [0, 4, 12]
+        batch.lane_has_value, batch.lane_values = [1, 1, 1], [7, 7, 7]
+        layout = LaunchConfig.of(1, 8, 8).layout()
+        errors = []
+        for records in (batch.to_records(), [_rebuilt_record(batch, 0)]):
+            with pytest.raises(ReproError) as raised:
+                save_capture_binary(io.BytesIO(), layout, records)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1] == ("store row (warp 0, pc 5): addrs "
+                                          "and active mask disagree on [2, 3]")
+
+    def test_another_rows_values_view_is_checked(self):
+        # A row's two views are trusted together: one row's ``addrs``
+        # with another row's ``values`` takes the plain row's path.
+        active = frozenset({0, 1})
+        addrs = {0: (Space.GLOBAL, 0), 1: (Space.GLOBAL, 4)}
+        batch = decode_batch(encode_batch(ColumnarBatch.from_records([
+            LogRecord(RecordKind.STORE, 0, active, addrs, {0: 1, 1: 2}),
+            LogRecord(RecordKind.STORE, 0, active, addrs, {0: 3, 1: 4})])))
+        views = batch.to_records()
+        plain = [_rebuilt_record(batch, index) for index in range(2)]
+        layout = LaunchConfig.of(1, 8, 8).layout()
+        swapped = dataclasses.replace(plain[0], values=plain[1].values)
+        assert _outcome(layout, dataclasses.replace(
+            views[0], values=views[1].values)) == _outcome(layout, swapped)
 
 
 # ----------------------------------------------------------------------
