@@ -1149,6 +1149,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv.insert(0, "check")
     args = build_parser(argv[0]).parse_args(argv[1:])
     try:
+        # ``check``, ``explain``, ``sweep``, ``fix`` and ``replay``: 0 is
+        # a summary only, a negative count would slice reports away.
+        max_reports = getattr(args, "max_reports", 0)
+        if max_reports < 0:
+            raise ReproError(
+                f"--max-reports must be at least 0, not {max_reports}")
         return _SUBCOMMANDS[argv[0]][1](args)
     except StepLimitExceeded as exc:
         print(f"HANG: {exc}", file=sys.stderr)

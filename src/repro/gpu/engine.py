@@ -16,10 +16,11 @@ the cheapest shape the operands allow:
 * every operand UNIFORM — one scalar call for the whole warp;
 * AFFINE operands under an affine-preserving opcode (``mov``, ``add``,
   ``sub``, ``mul.lo``, ``mad.lo``, ``shl``, integer ``cvt``) — the
-  closed form, kept only when the reader's wrap of each input and the
-  writer's wrap of the result are the identity at lane 0 and at the last
-  lane: in-range is an interval and the form is monotone in the lane, so
-  the two end lanes decide for all of them (:func:`_closed`);
+  closed form: exact while no lane wraps, modular (an AFFINE with a
+  ``ring``) once one does, as long as the opcode is a ring map mod 2ⁿ
+  of the n-bit result (:func:`_closed`);
+* AFFINE operands of an integer ``setp`` whose lanes all give one
+  answer — that answer (:func:`_compare_closed`);
 * otherwise — one ``map`` over the active lanes.
 
 Adding an arithmetic instruction is one compiler here; its opcode then
@@ -31,6 +32,7 @@ the oracle interpreter in ``tests/oracle.py``.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from ..ptx.ast import Instruction
@@ -42,6 +44,10 @@ def _identity(value):
     return value
 
 
+# The type helpers are pure functions of a few type names, and a launch
+# decodes every typed instruction through them: one shared wrap per type
+# instead of new closures for the collector at every launch.
+@lru_cache(maxsize=None)
 def _int_range(type_name: Optional[str]) -> Optional[Tuple[int, int]]:
     """``(mask, sign)`` of an integer type — ``sign`` is 0 when it is
     unsigned — and ``None`` for float, predicate and untyped values."""
@@ -52,6 +58,7 @@ def _int_range(type_name: Optional[str]) -> Optional[Tuple[int, int]]:
     return (1 << width) - 1, (1 << (width - 1)) if signed else 0
 
 
+@lru_cache(maxsize=None)
 def _make_wrap(type_name: Optional[str]) -> Callable:
     """``wrap(value)``: a raw Python value wrapped to a PTX scalar type's
     range.
@@ -78,6 +85,7 @@ def _make_wrap(type_name: Optional[str]) -> Callable:
     return wrap_unsigned
 
 
+@lru_cache(maxsize=None)
 def _int_wrap(mask: int, sign: int) -> Callable:
     """:func:`_make_wrap` of an integer type for integers only: the same
     value on an ``int``, ``TypeError`` on a ``float``."""
@@ -152,45 +160,101 @@ def _lift(
     return compute
 
 
+@lru_cache(maxsize=None)
+def _readers(read_types: Tuple[Optional[str], ...], write_type: str):
+    """What :func:`_closed` knows of its types, once per combination:
+    the reader's wrap of each operand, and the result's ``(mask, sign)``
+    when the ring rule may apply — ``None`` when a narrower reader (the
+    source of a widening ``cvt``) keeps fewer bits than the result."""
+    ring = _int_range(write_type)
+    if not all(reader is None or reader[0] >= ring[0]
+               for reader in map(_int_range, read_types)):
+        ring = None
+    return tuple(map(_make_wrap, read_types)), ring
+
+
 def _closed(
     fn: Callable,
-    read_wraps: Sequence[Callable],
-    write_wrap: Callable,
+    read_types: Tuple[Optional[str], ...],
+    write_type: str,
     linear: Optional[Callable] = None,
 ) -> Callable:
     """``closed(values, count)``: the AFFINE (or UNIFORM) result of an
-    opcode whose unwrapped ``fn`` is affine in its operands, or ``None``
-    when some lane would wrap.
+    opcode whose unwrapped ``fn`` is an integer ring map, affine in its
+    operands, or ``None`` when the lanes have to be computed one by one.
 
+    ``read_types`` are the types the operands are read through (``None``
+    reads one raw) and ``write_type`` the integer type of the result.
     ``linear(*values)`` vetoes operand shapes under which ``fn`` is not
     affine in the lane (a product of two AFFINE values, a shift by one).
+
+    Two rules, the exact one first:
+
+    * **end lanes** — no operand modular, and the reader's wrap of each
+      input and the writer's wrap of the result the identity at lane 0
+      and at the last lane: in-range is an interval and the form is
+      monotone in the lane, so the two end lanes decide for all of them;
+    * **ring** — mod 2ⁿ, for an n-bit result, ``fn`` sees only its
+      operands mod 2ⁿ, so lanes that wrapped still agree on one
+      ``(base, stride)`` when every modular operand's ring and every
+      reader's wrap is the identity or at least n bits wide, and every
+      UNIFORM operand is an ``int``.  The result is modular only when
+      some lane really wraps.
     """
+    read_wraps, ring = _readers(read_types, write_type)
+    wrap = _int_wrap(*_int_range(write_type))
 
     def closed(values, count):
         if linear is not None and not linear(*values):
             return None
         last = count - 1
         first_lane, last_lane = [], []
-        for value, wrap in zip(values, read_wraps):
+        for value, read in zip(values, read_wraps):
             if type(value) is Affine:
                 low = value.base
                 high = low + value.stride * last
-                if wrap(low) != low or wrap(high) != high:
-                    return None
+                if value.ring is not None or read(low) != low or read(high) != high:
+                    break
             else:
-                low = high = wrap(value)
+                low = high = read(value)
             first_lane.append(low)
             last_lane.append(high)
-        low, high = fn(*first_lane), fn(*last_lane)
-        if (
-            type(low) is not int
-            or type(high) is not int
-            or write_wrap(low) != low
-            or write_wrap(high) != high
-        ):
+        else:
+            low, high = fn(*first_lane), fn(*last_lane)
+            if (
+                type(low) is int
+                and type(high) is int
+                and wrap(low) == low
+                and wrap(high) == high
+            ):
+                stride = (high - low) // last
+                return Affine(low, stride) if stride else low
+        if ring is None:
             return None
-        stride = (high - low) // last
-        return Affine(low, stride) if stride else low
+        # The ring rule: ``fn`` at lane 0 and lane 1, mod 2ⁿ.
+        mask = ring[0]
+        first_lane, second_lane = [], []
+        for value, read in zip(values, read_wraps):
+            kind = type(value)
+            if kind is Affine:
+                if value.ring is not None and value.ring[0] < mask:
+                    return None
+                low = value.base
+                high = low + value.stride
+            elif kind is int:
+                low = high = read(value)
+            else:
+                return None
+            first_lane.append(low)
+            second_lane.append(high)
+        low, high = wrap(fn(*first_lane)), wrap(fn(*second_lane))
+        if low == high:
+            return low
+        stride = high - low
+        end = low + stride * last
+        if wrap(end) == end:
+            return Affine(low, stride)
+        return Affine(low, stride & mask, ring)
 
     return closed
 
@@ -242,7 +306,8 @@ def _compile_convert(get: Callable, *type_names: Optional[str]) -> Callable:
         def fast(value):
             return outer(inner(value))
 
-    return _lift((get,), general, fast, _closed(_identity, (first,), last))
+    closed = _closed(_identity, type_names[:1], type_names[-1])
+    return _lift((get,), general, fast, closed)
 
 
 def _compile_mov(exe, insn):
@@ -287,7 +352,7 @@ def _compile_binop(fn, ring: Optional[Callable] = None, linear=None):
                 else (lambda x, y: ring(x, y) & mask)
             )
             if linear is not None:
-                closed = _closed(fn, (wrap, wrap), wrap, linear)
+                closed = _closed(fn, (type_name, type_name), type_name, linear)
         return _lift(
             _getters(exe, a, b), lambda x, y: wrap(fn(wrap(x), wrap(y))),
             fast, closed,
@@ -356,7 +421,7 @@ def _compile_mad(exe, insn):
     closed = None
     if _int_range(type_name) is not None:
         closed = _closed(
-            lambda x, y, z: x * y + z, (wrap, wrap, _identity), wrap,
+            lambda x, y, z: x * y + z, (type_name, type_name, None), type_name,
             _one_affine_factor,
         )
     return _lift(
@@ -405,12 +470,56 @@ def _compile_rem(exe, insn):
     return _lift(_getters(exe, a, b), remainder)
 
 
+@lru_cache(maxsize=None)
+def _compare_closed(compare: Callable, wrap: Callable, ordered: bool) -> Callable:
+    """``closed(values, count)`` of an integer ``setp``: the UNIFORM
+    answer when every lane gives the same one, else ``None``.
+
+    Over exact AFFINE and ``int`` operands whose reader's wrap is the
+    identity at both end lanes, ``a - b`` is affine in the lane.  An
+    ordered compare is then monotone in the lane, so the end lanes
+    decide for all of them; ``eq``/``ne`` decide only when ``a - b``
+    has one strict sign at both end lanes (a UNIFORM outside the AFFINE
+    operand's range) or is the same at both.
+    """
+
+    def closed(values, count):
+        last = count - 1
+        first_lane, last_lane = [], []
+        for value in values:
+            kind = type(value)
+            if kind is Affine:
+                low = value.base
+                high = low + value.stride * last
+                if value.ring is not None or wrap(low) != low or wrap(high) != high:
+                    return None
+            elif kind is int:
+                low = high = wrap(value)
+            else:
+                return None
+            first_lane.append(low)
+            last_lane.append(high)
+        answer = compare(*first_lane)
+        if ordered:
+            if answer != compare(*last_lane):
+                return None
+        else:
+            low = first_lane[0] - first_lane[1]
+            high = last_lane[0] - last_lane[1]
+            if low != high and low * high <= 0:
+                return None
+        return 1 if answer else 0
+
+    return closed
+
+
 def _compile_setp(exe, insn):
     _dst, a, b = insn.operands
-    compare = _COMPARES[next(m for m in insn.modifiers if m in _COMPARES)]
+    name = next(m for m in insn.modifiers if m in _COMPARES)
+    compare = _COMPARES[name]
     type_name = insn.value_type()
     wrap = _make_wrap(type_name)
-    fast = None
+    fast = closed = None
     ints = _int_range(type_name)
     if ints is not None:
         mask, sign = ints
@@ -420,10 +529,11 @@ def _compile_setp(exe, insn):
             if sign
             else (lambda x, y: 1 if compare(x & mask, y & mask) else 0)
         )
+        closed = _compare_closed(compare, wrap, name not in ("eq", "ne"))
     return _lift(
         _getters(exe, a, b),
         lambda x, y: 1 if compare(wrap(x), wrap(y)) else 0,
-        fast,
+        fast, closed,
     )
 
 
@@ -456,7 +566,7 @@ def _compile_shl(exe, insn):
 
     closed = None
     if _int_range(type_name) is not None:
-        closed = _closed(shift, (_identity, _identity), wrap, _uniform_amount)
+        closed = _closed(shift, (None, None), type_name, _uniform_amount)
     return _lift(
         _getters(exe, a, b), lambda x, y: wrap(shift(x, y)), closed=closed
     )

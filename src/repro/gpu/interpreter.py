@@ -1073,7 +1073,7 @@ class KernelExecution:
         load_raw = self._compile_raw_load(space, width)
         load_warp = None
         if not vector and space in ("global", "shared") and src.base.startswith("%"):
-            # A warp whose lanes read consecutive words (an AFFINE
+            # A warp whose lanes read consecutive words (an exact AFFINE
             # address of stride ``width``) loads them as one run, from
             # the first active lane's word to the last one's.  ``None``
             # — another address shape, a queued store to forward, an
@@ -1087,7 +1087,8 @@ class KernelExecution:
 
             def load_warp(regs, warp: WarpState, lanes: Lanes) -> Optional[List[list]]:
                 address = regs.get(register, 0)
-                if type(address) is not Affine or address.stride != width:
+                if (type(address) is not Affine or address.stride != width
+                        or address.ring is not None):
                     return None
                 first, last = (0, warp.lanes - 1) if lanes is None else (
                     lanes[0], lanes[-1])

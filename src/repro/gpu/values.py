@@ -7,7 +7,8 @@ lattice the paper uses for clocks (§4.3):
 
 * **UNIFORM** — the bare Python scalar every lane holds;
 * **AFFINE** — :class:`Affine`, ``base + stride * lane`` over exact
-  integers (what thread-index arithmetic is until it wraps);
+  integers (what thread-index arithmetic is until it wraps), or, with a
+  ``ring``, that sum wrapped to an integer type (what it is after);
 * **PER-LANE** — a ``list`` with one entry per lane of the warp.  A
   stored list is never mutated in place, so a copy may alias it.
 
@@ -26,16 +27,26 @@ Lanes = Optional[Tuple[int, ...]]
 
 
 class Affine:
-    """``base + stride * lane`` with integer ``base`` and ``stride != 0``."""
+    """``base + stride * lane`` with integer ``base`` and ``stride != 0``.
 
-    __slots__ = ("base", "stride")
+    ``ring`` is ``None`` for that sum over exact integers, or the
+    ``(mask, sign)`` of an integer type (``sign`` is 0 when it is
+    unsigned): lane ``l`` then holds ``base + stride * l`` wrapped to the
+    type's range, ``((base + stride * l + sign) & mask) - sign``.
+    """
 
-    def __init__(self, base: int, stride: int) -> None:
+    __slots__ = ("base", "stride", "ring")
+
+    def __init__(self, base: int, stride: int,
+                 ring: Optional[Tuple[int, int]] = None) -> None:
         self.base = base
         self.stride = stride
+        self.ring = ring
 
     def __repr__(self) -> str:
-        return f"Affine({self.base}, {self.stride})"
+        if self.ring is None:
+            return f"Affine({self.base}, {self.stride})"
+        return f"Affine({self.base}, {self.stride}, {self.ring})"
 
 
 def shape_of(values: list):
@@ -61,10 +72,15 @@ def column(value, count: int, lanes: Lanes = None) -> Sequence:
     if kind is list:
         return value if lanes is None else [value[lane] for lane in lanes]
     if kind is Affine:
-        base, stride = value.base, value.stride
-        if lanes is None:
-            return range(base, base + stride * count, stride)
-        return [base + stride * lane for lane in lanes]
+        base, stride, ring = value.base, value.stride, value.ring
+        if ring is None:
+            if lanes is None:
+                return range(base, base + stride * count, stride)
+            return [base + stride * lane for lane in lanes]
+        mask, sign = ring
+        start = base + sign
+        return [((start + stride * lane) & mask) - sign
+                for lane in (range(count) if lanes is None else lanes)]
     return [value] * (count if lanes is None else len(lanes))
 
 

@@ -89,6 +89,10 @@ class LaunchSpec:
             raise ReproError(
                 f"unknown arch {self.arch!r} (choose from {sorted(ARCHES)})"
             )
+        if self.max_steps < 1:
+            # No budget at all would report every kernel as a hang.
+            raise ReproError(
+                f"--max-steps must be at least 1, not {self.max_steps}")
         # Refuse a launch its flags would silently change: a buffer with
         # more init values than words, or a parameter bound twice.
         for name, words, init in self.buffers:

@@ -10,10 +10,12 @@ import pytest
 
 from repro import cli
 from repro.cudac import compile_cuda
+from repro.errors import ReproError
 from repro.faults import FaultPlan, FaultSpec, sites
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
+from repro.jobs import LaunchSpec
 from repro.runtime.replay import save_capture
 from repro.service import RaceService, ServiceThread
 
@@ -147,8 +149,14 @@ class TestLaunchFlags:
          "error: --buffer out: kernel racy has no parameter 'out'"),
         (["--buffer", "data:4", "--kernel", "nosuch"],
          "error: --kernel nosuch: the module has no kernel named 'nosuch'"),
+        # No step budget used to report every kernel as a hang (exit 3).
+        (["--buffer", "data:4", "--max-steps", "0"],
+         "error: --max-steps must be at least 1, not 0"),
+        (["--buffer", "data:4", "--max-steps", "-1"],
+         "error: --max-steps must be at least 1, not -1"),
     ], ids=["init-past-words", "buffer-twice", "buffer-and-scalar",
-            "unknown-scalar", "unknown-buffer", "unknown-kernel"])
+            "unknown-scalar", "unknown-buffer", "unknown-kernel",
+            "max-steps-0", "max-steps--1"])
     @pytest.mark.parametrize("subcommand", ["check", "explain", "sweep",
                                             "fix", "profile"])
     def test_a_launch_the_flags_would_change_is_a_one_line_error(
@@ -156,6 +164,44 @@ class TestLaunchFlags:
         argv = [subcommand, str(EXAMPLES / "racy.cu"), "--grid", "2", *flags]
         assert cli.main(argv) == 2
         assert _assert_clean_error(capsys) == message
+
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_a_header_or_payload_without_a_step_budget_is_refused(
+            self, tmp_path, capsys, steps):
+        kernel = tmp_path / "racy.cu"
+        kernel.write_text(f"// repro-launch: --grid 2 --buffer data:4 "
+                          f"--max-steps {steps}\n" + RACY)
+        assert cli.main(["check", str(kernel)]) == 2
+        message = f"--max-steps must be at least 1, not {steps}"
+        assert _assert_clean_error(capsys) == "error: " + message
+        with pytest.raises(ReproError, match=message):
+            LaunchSpec.from_payload({"source": RACY, "max_steps": steps})
+
+
+class TestMaxReports:
+    """A negative ``--max-reports`` used to slice reports away (5 of 6
+    shown, then "... and 7 more"); it is one line on every subcommand
+    that takes it, and 0 still means a summary only."""
+
+    @pytest.mark.parametrize("subcommand", ["check", "explain", "sweep",
+                                            "fix", "replay"])
+    def test_a_negative_count_is_a_one_line_error(
+            self, tmp_path, capsys, subcommand):
+        if subcommand == "replay":
+            argv = ["replay", _write_capture(tmp_path)]
+        else:
+            argv = [subcommand, str(EXAMPLES / "racy.cu"), "--grid", "2",
+                    "--buffer", "data:4"]
+        assert cli.main([*argv, "--max-reports", "-1"]) == 2
+        assert _assert_clean_error(capsys) == (
+            "error: --max-reports must be at least 0, not -1")
+
+    def test_zero_is_a_summary_only(self, capsys):
+        assert cli.main(["check", str(EXAMPLES / "racy.cu"), "--grid", "4",
+                         "--buffer", "data:4", "--max-reports", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "global[0x10000000]: 6 report(s)\n    ... and 6 more" in out
 
 
 _SHARED_PAST_END_CU = """

@@ -710,6 +710,46 @@ def test_warp_loads_match_the_per_thread_oracle(arch, source, buffers):
     assert runs["words"] and runs["none"], runs  # both paths ran
 
 
+#: Lanes 0-5 of warp 0 read bytes 65530-65535 of ``s`` and lanes 6-31
+#: bytes 0-25: the u16 address wraps, so it is a modular AFFINE of stride
+#: 1, which must not be loaded as the one run 65530-65561.  Warp 1's
+#: address (26-57) does not wrap and is one run.
+WRAPPED_ADDRESS_PTX = """.version 4.3
+.target sm_35
+.address_size 64
+.visible .entry wrapped(.param .u64 out)
+{
+    .shared .align 4 .b8 s[65600];
+    ld.param.u64 %rd9, [out];
+    mov.u32 %r1, %tid.x;
+    cvt.u64.u32 %rd1, %r1;
+    add.u32 %r2, %r1, 1;
+    st.shared.u8 [%rd1], %r2;
+    add.u32 %r2, %r1, 100;
+    st.shared.u8 [%rd1+65530], %r2;
+    bar.sync 0;
+    cvt.u16.u32 %rs1, %r1;
+    add.u16 %rs2, %rs1, 65530;
+    ld.shared.u8 %r3, [%rs2];
+    mul.lo.u64 %rd2, %rd1, 4;
+    add.u64 %rd3, %rd9, %rd2;
+    st.global.u32 [%rd3], %r3;
+    ret;
+}
+"""
+
+
+def test_a_wrapped_address_is_not_one_warp_run():
+    buffers = {"out": [0] * 64}
+    with oracle.oracle_engine():
+        expected, _, _ = _launch(WRAPPED_ADDRESS_PTX, buffers, 1, 64)
+    observed, _, runs = _launch(WRAPPED_ADDRESS_PTX, buffers, 1, 64)
+    assert observed == expected
+    assert observed[2]["out"] == (
+        [100 + lane for lane in range(6)] + list(range(1, 59)))
+    assert runs == {"words": 1, "none": 0}  # warp 1 only
+
+
 class TestWarpLoadCounts:
     """Like ``TestShapeRetention``: a warp path that silently never
     fires fails here by count, not by a stopwatch."""

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.cudac import compile_cuda
 from repro.gpu import GpuDevice
 from repro.gpu import device as device_module
-from repro.gpu.engine import _ARITH_COMPILERS, _COMPARES
+from repro.gpu.engine import _ARITH_COMPILERS, _COMPARES, _int_range
 from repro.gpu.hierarchy import LaunchConfig
 from repro.gpu.interpreter import KernelExecution, _Phase, _StackEntry
 from repro.gpu.values import Affine, column, merge, shape_of
@@ -46,6 +46,9 @@ STRIDES = st.sampled_from(
     [1, -1, 2, 4, -4, 31, 2**20, 2**27, -(2**27), 2**31 - 1, 2**58])
 TYPES = ["s32", "u32", "b32", "s64", "u64", "b64", "s16", "u8", "f32", "pred",
          None]
+#: The ``(mask, sign)`` of the integer types a modular AFFINE wraps to.
+RINGS = st.sampled_from(
+    [_int_range(name) for name in ("s32", "u32", "s64", "u64", "s16", "u8")])
 SPECIALS = ["%tid.x", "%laneid", "%ntid.x", "%ctaid.x", "%warpid"]
 SOURCES = {
     **dict.fromkeys(("mov", "not", "neg", "abs", "cvt", "cvta", "popc"), 1),
@@ -66,6 +69,7 @@ def shapes(lanes: int):
     ]
     if lanes > 1:  # a one-lane warp has no stride to speak of
         options += [st.builds(Affine, INTS, STRIDES)] * 2
+        options.append(st.builds(Affine, INTS, STRIDES, RINGS))
     return st.one_of(options)
 
 
@@ -150,6 +154,7 @@ def test_warp_step_matches_the_per_thread_handler(case):
     assert not hasattr(engine, "_specials")
     regs = engine.warps[0].frame.regs
     regs.update(copy.deepcopy(written))
+    given_values = list(regs.values())
     error = _step(engine, active)
 
     assert error == expected_error, text
@@ -161,6 +166,13 @@ def test_warp_step_matches_the_per_thread_handler(case):
     elif type(stored) is Affine:
         assert type(stored.base) is int and type(stored.stride) is int
         assert stored.stride != 0
+        if stored.ring is not None and all(stored is not v for v in given_values):
+            # A modular value the step made is canonical, and some lane
+            # of it really wraps.
+            mask, sign = stored.ring
+            assert -sign <= stored.base <= mask - sign and 0 < stored.stride <= mask
+            assert list(column(stored, lanes)) != list(
+                column(Affine(stored.base, stored.stride), lanes)), text
     got = list(column(stored, lanes))
     expected = [files[tid].get(dst, 0) for tid in range(lanes)]
     # ``repr`` tells 1 from 1.0 from True, -0.0 from 0.0, and nan == nan.
@@ -214,13 +226,35 @@ def _shape_after(text: str, lanes: int = 32, **registers):
     return regs["%d"]
 
 
+def _lanes_after(text: str, lanes: int = 32, **registers):
+    """The destination's lanes after the oracle runs one full-mask step."""
+    module = parse_ptx(
+        HEADER + ".visible .entry k()\n{\n    " + text + "\n    ret;\n}\n")
+    naive = _execution(NaiveKernelExecution, module, lanes)
+    files = naive.warps[0].frame.regs
+    for name, value in registers.items():
+        for tid, lane_value in enumerate(column(value, lanes)):
+            files[tid]["%" + name] = lane_value
+    assert _step(naive, range(lanes)) is None
+    return [files[tid]["%d"] for tid in range(lanes)]
+
+
+S32, U32, U16 = _int_range("s32"), _int_range("u32"), _int_range("u16")
+
+
 def _affine(shape):
-    assert type(shape) is Affine, shape
+    assert type(shape) is Affine and shape.ring is None, shape
     return shape.base, shape.stride
 
 
+def _modular(shape):
+    assert type(shape) is Affine and shape.ring is not None, shape
+    return shape.base, shape.stride, shape.ring
+
+
 class TestClosedForm:
-    """AFFINE survives exactly while no lane wraps (the end-lane rule)."""
+    """AFFINE survives exactly while no lane wraps (the end-lane rule),
+    and modulo 2ⁿ once one does (the ring rule)."""
 
     def test_index_arithmetic_stays_affine(self):
         assert _affine(_shape_after("mov.u32 %d, %tid.x;")) == (0, 1)
@@ -243,22 +277,89 @@ class TestClosedForm:
         assert _shape_after("sub.s32 %d, %a, %b;",
                             a=Affine(9, 2), b=Affine(4, 2)) == 5
 
-    def test_a_wrap_at_either_end_lane_goes_per_lane(self):
+    def test_a_wrap_at_either_end_lane_goes_modular(self):
         near = 2**31 - 8
         assert _affine(_shape_after("add.s32 %d, %a, 0;", lanes=8,
                                     a=Affine(near, 1))) == (near, 1)
         crossed = _shape_after("add.s32 %d, %a, 0;", lanes=16, a=Affine(near, 1))
-        assert crossed == [near + i if i < 8 else near + i - 2**32
-                           for i in range(16)]
-        # The reader's wrap counts too: a negative lane read as u32.
+        assert _modular(crossed) == (near, 1, S32)
+        assert list(column(crossed, 16)) == [
+            near + i if i < 8 else near + i - 2**32 for i in range(16)]
+        narrowed = _shape_after("mov.u16 %d, %a;", a=Affine(65530, 1))
+        assert _modular(narrowed) == (65530, 1, U16)
+        assert list(column(narrowed, 32)) == [
+            65530 + i if i < 6 else i - 6 for i in range(32)]
+        # The reader's wrap counts too: a negative lane read as u32 and
+        # widened keeps 32 bits of a 64-bit result.
         assert type(_shape_after("cvt.u64.u32 %d, %a;", a=Affine(-1, 1))) is list
-        assert type(_shape_after("mov.u16 %d, %a;", a=Affine(65530, 1))) is list
+
+    def test_a_modular_value_stays_modular_in_its_ring(self):
+        signed = Affine(2**31 - 8, 1, S32)  # wraps at lane 8
+        unsigned = Affine(2**32 - 8, 2**27, U32)  # s32 wraps at lane 16
+        for text, wrapped, ring in (
+                ("add.s32 %d, %a, 5;", signed, S32),
+                ("sub.u32 %d, 7, %a;", unsigned, U32),
+                ("mul.lo.s32 %d, %a, 31;", signed, S32),
+                ("mad.lo.s32 %d, %a, 3, 7;", signed, S32),
+                ("shl.b32 %d, %a, 3;", signed, U32),
+                ("mov.s32 %d, %a;", unsigned, S32),
+                ("cvt.u16.s32 %d, %a;", signed, U16)):
+            shape = _shape_after(text, a=wrapped)
+            assert _modular(shape)[2] == ring, text
+            assert list(column(shape, 32)) == _lanes_after(text, a=wrapped), text
+        # A product of two AFFINE values is not affine in the lane.
+        assert type(_shape_after("mad.lo.s32 %d, %a, %a, 3;", a=signed)) is list
+
+    def test_a_widening_cvt_of_a_modular_value_goes_per_lane(self):
+        # 32 wrapped bits say nothing about the upper half of 64.
+        wrapped = Affine(2**31 - 8, 1, S32)
+        for text in ("cvt.s64.s32 %d, %a;", "cvt.u64.u32 %d, %a;",
+                     "add.s64 %d, %a, 1;"):
+            shape = _shape_after(text, a=wrapped)
+            assert type(shape) is list, text
+            assert shape == _lanes_after(text, a=wrapped), text
+
+    def test_a_modular_result_whose_lanes_do_not_wrap_is_exact(self):
+        assert _affine(_shape_after("add.s32 %d, %a, -100;", lanes=16,
+                                    a=Affine(2**31 - 8, 1, S32))) == (2**31 - 108, 1)
+        assert _affine(_shape_after("cvt.u8.s32 %d, %a;", lanes=16,
+                                    a=Affine(-2**20, 3, S32))) == (0, 3)
+        assert _shape_after("shl.b32 %d, %a, 16;",
+                            a=Affine(5, 2**16, U32)) == 5 << 16
+
+    def test_a_float_instruction_on_a_modular_value_goes_per_lane(self):
+        for text in ("add.f32 %d, %a, 1;", "mul.f64 %d, %a, 2;",
+                     "cvt.f32.s32 %d, %a;", "add.s32 %d, %a, 1.5;"):
+            wrapped = Affine(2**31 - 8, 1, S32)
+            shape = _shape_after(text, a=wrapped)
+            assert type(shape) is list, text
+            assert list(map(repr, shape)) == list(map(repr, _lanes_after(
+                text, a=wrapped))), text
 
     def test_what_is_not_affine_in_the_lane_goes_per_lane(self):
         for text in ("mul.lo.s32 %d, %a, %a;", "shl.b32 %d, %b, %a;",
                      "mul.hi.s32 %d, %a, 3;", "min.s32 %d, %a, 3;",
                      "setp.lt.s32 %d, %a, 3;", "add.f32 %d, %a, 1;"):
             assert type(_shape_after(text, a=Affine(0, 1), b=1)) is list, text
+
+    def test_setp_is_uniform_when_every_lane_agrees(self):
+        tid = Affine(0, 1)
+        assert _shape_after("setp.lt.s32 %d, %a, 32;", a=tid) == 1
+        assert _shape_after("setp.ge.s32 %d, %a, 32;", a=tid) == 0
+        assert _shape_after("setp.gt.u32 %d, 100, %a;", a=tid) == 1
+        assert _shape_after("setp.le.s64 %d, %a, %b;",
+                            a=tid, b=Affine(100, 2)) == 1
+        assert _shape_after("setp.eq.s32 %d, %a, 40;", a=tid) == 0
+        assert _shape_after("setp.ne.s32 %d, %a, -1;", a=tid) == 1
+        for text, a in (
+                ("setp.lt.s32 %d, %a, 31;", tid),  # the end lanes disagree
+                ("setp.ne.s32 %d, %a, 5;", Affine(0, 2)),  # inside the range
+                ("setp.lt.u32 %d, %a, 2;", Affine(-1, 1)),  # read as 2³²-1
+                ("setp.lt.s32 %d, %a, 40;", Affine(2**31 - 8, 1, S32)),
+                ("setp.lt.s32 %d, %a, 40.5;", tid)):
+            shape = _shape_after(text, a=a)
+            assert type(shape) is list, text
+            assert shape == _lanes_after(text, a=a), text
 
     def test_uniform_operands_stay_uniform(self):
         assert _shape_after("setp.lt.s32 %d, %a, %b;", a=3, b=48) == 1
@@ -288,6 +389,15 @@ __global__ void poly(int* out, int c0, int c1, int iters) {
 }
 """
 
+BOUNDED = """
+__global__ void bounded(int* out, int n) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    if (gid < n) {
+        out[gid] = gid * 3;
+    }
+}
+"""
+
 SAXPY = """
 __global__ void saxpy(int* a, int* b, int* dst, int* out) {
     int gid = blockIdx.x * blockDim.x + threadIdx.x;
@@ -297,8 +407,8 @@ __global__ void saxpy(int* a, int* b, int* dst, int* out) {
 
 
 def _final_register_files(source, buffers, scalars, grid=2, block=64):
-    """Launch ``source``; returns its kernel and every warp with the
-    register file it retired with."""
+    """Launch ``source``; returns its kernel, every warp with the
+    register file it retired with, and each buffer's words after it."""
     executions = []
 
     class Kept(KernelExecution):
@@ -318,7 +428,10 @@ def _final_register_files(source, buffers, scalars, grid=2, block=64):
     (execution,) = executions
     assert not hasattr(execution, "_specials")  # no per-thread table
     assert len(execution.warps) == grid * block // 32
-    return module.kernels[0], [(w, w.frames[0].regs) for w in execution.warps]
+    words = {name: device.memcpy_from_device(params[name], len(values))
+             for name, values in buffers.items()}
+    return (module.kernels[0], [(w, w.frames[0].regs) for w in execution.warps],
+            words)
 
 
 def _operands(kernel, opcode):
@@ -337,7 +450,7 @@ class TestShapeRetention:
 
     def test_compute_bound_keeps_its_loop_uniform(self):
         threads, iters = 128, 6
-        kernel, warps = _final_register_files(
+        kernel, warps, words = _final_register_files(
             POLY, {"out": [0] * threads}, {"c0": 1237, "c1": 99, "iters": iters})
         ((flag, counter, _bound),) = _operands(kernel, "setp.lt.s32")
         ((_wide, gid),) = _operands(kernel, "cvt.s64.s32")
@@ -348,12 +461,25 @@ class TestShapeRetention:
             assert regs[flag] == 0 and type(regs[flag]) is int
             assert _affine(regs[gid]) == (warp.first_tid, 1)
             assert _affine(regs[address])[1] == 4
-            # x = x * 5 + i overflows s32 within the first iterations.
-            assert type(regs[acc]) is list and len(regs[acc]) == 32
+            # x = x * 5 + i overflows s32 within the first iterations,
+            # and the wrapped lanes still share one (base, stride).
+            assert _modular(regs[acc])[2] == U32
+            first = warp.first_tid
+            assert list(column(regs[acc], 32)) == words["out"][first:first + 32]
+
+    @pytest.mark.parametrize("spare", [0, 5])
+    def test_a_bounds_check_keeps_its_predicate_uniform(self, spare):
+        threads = 128
+        kernel, warps, words = _final_register_files(
+            BOUNDED, {"out": [0] * threads}, {"n": threads + spare})
+        ((flag, _gid, _bound),) = _operands(kernel, "setp.lt.s32")
+        for _warp, regs in warps:
+            assert regs[flag] == 1 and type(regs[flag]) is int
+        assert words["out"] == [3 * gid for gid in range(threads)]
 
     def test_stream_scale_keeps_its_index_arithmetic_affine(self):
         threads = 128
-        kernel, warps = _final_register_files(SAXPY, {
+        kernel, warps, _words = _final_register_files(SAXPY, {
             "a": list(range(threads)), "b": [5] * threads,
             "dst": list(reversed(range(threads))), "out": [0] * threads,
         }, {})
