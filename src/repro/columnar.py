@@ -371,8 +371,6 @@ class ColumnarBatch:
         of its masks — a memory row's lanes — lies in it.  Run on every
         batch from outside the process, after :meth:`validate`."""
         tpb = layout.threads_per_block
-        ws = layout.warp_size
-        wpb = layout.warps_per_block
         # (mask id, lo, hi) triples already found inside [lo, hi).
         inside: Set[Tuple[int, int, int]] = set()
         for index, code in enumerate(self.kinds):
@@ -388,9 +386,8 @@ class ColumnarBatch:
                         f"block {warp} is not one of the launch's "
                         f"{layout.num_blocks}"))
             elif 0 <= warp < layout.total_warps:
-                base = warp // wpb * tpb
-                lo = base + warp % wpb * ws
-                hi = min(lo + ws, base + tpb)
+                lo, count = layout.warp_span(warp)
+                hi = lo + count
             else:
                 raise _row_error(kind, warp, pc, (
                     f"warp {warp} is not one of the launch's "

@@ -118,7 +118,7 @@ class BarracudaDetector:
         block, offset = cell
         loc = (Location(Space.GLOBAL, offset) if block < 0
                else Location(Space.SHARED, offset, block))
-        amask = self.clocks.active_mask(self.layout.warp_of(tid))
+        amask = self.clocks.active_tids(self.layout.warp_of(tid))
         provenance = None
         if self.provenance is not None:
             comparison = ClockComparison(
@@ -346,8 +346,8 @@ class BarracudaDetector:
         self._barrier(op.block, op.active, op.pc)
 
     def _barrier(self, block: int, active: FrozenSet[int], pc: int) -> None:
-        expected = frozenset(self.layout.barrier_tids(block))
-        if active != expected:
+        if not self.layout.barrier_complete(block, active):
+            expected = frozenset(self.layout.barrier_tids(block))
             self.reports.barrier_divergences.append(
                 BarrierDivergenceReport(
                     block=block, missing=expected - active, pc=pc
@@ -471,8 +471,7 @@ class BarracudaDetector:
         instr_get = instr.get
         # Per-lane history is what provenance records: no ranges then.
         ranges = self.provenance is None
-        tpb = layout.threads_per_block
-        ws = layout.warp_size
+        warp_span = layout.warp_span
         wpb = layout.warps_per_block
         mask_set = batch.mask_set
 
@@ -500,13 +499,14 @@ class BarracudaDetector:
             start = lane_starts[index]
             end = lane_starts[index + 1]
             # The row's warp is tids [lo, hi), and its lanes lie there.
-            base = (warp // wpb) * tpb
-            lo = base + (warp % wpb) * ws
-            hi = min(lo + ws, base + tpb)
+            lo, count = warp_span(warp)
+            hi = lo + count
             width = widths[index]
             # Shared cells belong to the row's block, as its lanes do.
             shared_block = warp // wpb
-            amask = active_mask(warp)
+            mask = active_mask(warp)
+            # A full mask skips the per-lane active test.
+            full = mask == (1 << count) - 1
             lanes = end - start
             if code > KIND_ATOMIC:
                 scope = SCOPES[scopes[index]] if scopes[index] >= 0 else None
@@ -516,7 +516,7 @@ class BarracudaDetector:
                     tid = lane_tids[lane]
                     offsets = cell_offsets(lane_addrs[lane], width, granularity)
                     ops += len(offsets)
-                    if tid not in amask:
+                    if not full and not mask >> (tid - lo) & 1:
                         continue
                     shared = lane_spaces[lane] == _SHARED
                     for offset in offsets:
@@ -546,7 +546,7 @@ class BarracudaDetector:
                     and lane_addrs[end - 1] - (a0 := lane_addrs[start])
                     == (lanes - 1) * width
                     and a0 % width == 0
-                    and len(amask) == hi - lo
+                    and full
                     and lane_addrs[start:end]
                     == list(range(a0, a0 + lanes * width, width))
                     and lane_spaces[start:end].count(lane_spaces[start]) == lanes
@@ -568,7 +568,7 @@ class BarracudaDetector:
                         offsets = cell_offsets(
                             lane_addrs[lane], width, granularity)
                         ops += len(offsets)
-                        if tid not in amask:
+                        if not full and not mask >> (tid - lo) & 1:
                             continue
                         block = (shared_block
                                  if lane_spaces[lane] == _SHARED else -1)

@@ -9,7 +9,8 @@ own entry, and that barriers give whole blocks a uniform view.  PTVCs are
 therefore managed *at warp granularity*:
 
 * each warp carries a stack of groups mirroring the hardware SIMT stack;
-* one group = one active mask + one shared :class:`StructuredVC` ``base``;
+* one group = one active mask (an int of lane bits, as the hardware's
+  register) + one shared :class:`StructuredVC` ``base``;
 * a member thread ``t``'s full PTVC is ``base`` with its own entry raised
   to ``base(t) + 1`` (a thread is always one step ahead of what anyone
   else has seen of it — the FastTrack invariant);
@@ -37,10 +38,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List
 
 from ..errors import TraceError
-from ..trace.layout import GridLayout
+from ..trace.layout import GridLayout, mask_lanes
 from ..trace.operations import Else, Fi, If
 from .structured import StructuredVC
 from .vectorclock import Epoch
@@ -59,16 +60,17 @@ class PTVCFormat(enum.Enum):
 class _Group:
     """One SIMT-stack entry: an active mask sharing one base clock.
 
-    ``paused`` holds sibling groups that finished their branch path and
-    are waiting for reconvergence (their members are inactive, but their
-    clocks must survive until the ``fi`` join).  ``phase`` enforces the
-    trace grammar (if → else → fi, with empty paths encoded as empty
-    masks).
+    ``mask`` holds the members as lane bits (:meth:`GridLayout.warp_span`).
+    ``paused`` holds the bases of sibling groups that finished their
+    branch path and are waiting for reconvergence (their members are
+    inactive, but their clocks must survive until the ``fi`` join).
+    ``phase`` enforces the trace grammar (if → else → fi, with empty
+    paths encoded as empty masks).
     """
 
-    amask: FrozenSet[int]
+    mask: int
     base: StructuredVC
-    paused: List[Tuple[FrozenSet[int], StructuredVC]] = field(default_factory=list)
+    paused: List[StructuredVC] = field(default_factory=list)
     phase: str = "base"
 
 
@@ -118,13 +120,8 @@ class PTVCManager:
         self._ws = layout.warp_size
         self._wpb = layout.warps_per_block
         self._stacks: Dict[int, List[_Group]] = {
-            w: [_Group(layout.initial_active_mask(w), StructuredVC(layout))]
+            w: [_Group((1 << layout.warp_span(w)[1]) - 1, StructuredVC(layout))]
             for w in layout.all_warps()
-        }
-        #: Full-warp masks, interned once: the join fast path below and
-        #: the broadcast decision compare against these every record.
-        self._full_masks: Dict[int, FrozenSet[int]] = {
-            w: stack[0].amask for w, stack in self._stacks.items()
         }
         #: Deviant threads: complete private clocks (SPARSEVC format).
         self._deviant: Dict[int, StructuredVC] = {}
@@ -139,12 +136,19 @@ class PTVCManager:
     def _top(self, warp: int) -> _Group:
         return self._stacks[warp][-1]
 
-    def active_mask(self, warp: int) -> FrozenSet[int]:
-        return self._top(warp).amask
+    def active_mask(self, warp: int) -> int:
+        """The active lanes of ``warp``, as bits."""
+        return self._top(warp).mask
+
+    def active_tids(self, warp: int) -> FrozenSet[int]:
+        """The active threads of ``warp`` (for a report: not per access)."""
+        first = self.layout.warp_span(warp)[0]
+        return frozenset(first + lane for lane in mask_lanes(self._top(warp).mask))
 
     def is_active(self, tid: int) -> bool:
-        block, lane = divmod(tid, self._tpb)
-        return tid in self._stacks[block * self._wpb + lane // self._ws][-1].amask
+        block, rest = divmod(tid, self._tpb)
+        index, lane = divmod(rest, self._ws)
+        return bool(self._stacks[block * self._wpb + index][-1].mask >> lane & 1)
 
     def value(self, owner: int, tid: int) -> int:
         """``C_owner(tid)``: what ``owner``'s clock records for ``tid``."""
@@ -220,8 +224,9 @@ class PTVCManager:
     # ------------------------------------------------------------------
     # Join-fork: the engine behind endi / branches / barriers
     # ------------------------------------------------------------------
-    def _join_fork(self, warp: int, members: FrozenSet[int]) -> None:
-        """Join the clocks of ``members`` and fork each one step ahead.
+    def _join_fork(self, warp: int, members: int) -> None:
+        """Join the clocks of ``members`` (lane bits) and fork each one
+        step ahead.
 
         Members must be the current top group of ``warp``.  When the whole
         warp participates the result is broadcast as a single warp-layer
@@ -233,7 +238,9 @@ class PTVCManager:
         self.joins += 1
         group = self._top(warp)
         base = group.base
-        full_warp = members == self._full_masks.get(warp)
+        first, count = self.layout.warp_span(warp)
+        end = first + count
+        full_warp = members == (1 << count) - 1
         if full_warp and not self._deviant:
             # Converged fast path (the paper's ~90% case): with no
             # deviants, every member's self clock is one above the max
@@ -247,12 +254,12 @@ class PTVCManager:
                 high = block_value
             lanes = base.lanes
             if lanes:
-                if len(lanes) <= len(members):
+                if len(lanes) <= count:
                     for tid, clock in lanes.items():
-                        if clock > high and tid in members:
+                        if clock > high and first <= tid < end:
                             high = clock
                 else:
-                    for tid in members:
+                    for tid in range(first, end):
                         clock = lanes.get(tid, 0)
                         if clock > high:
                             high = clock
@@ -264,16 +271,17 @@ class PTVCManager:
             # the full re-filter reduces to dropping the member lanes.
             lanes = joined.lanes
             if lanes:
-                for tid in members:
+                for tid in range(first, end):
                     if tid in lanes:
                         del lanes[tid]
             joined.warps[warp] = high + 1
             group.base = joined
             return
+        tids = [first + lane for lane in mask_lanes(members)]
         joined = base.copy()
         high = 0
         deviants = []
-        for tid in members:
+        for tid in tids:
             dev = self._deviant.get(tid)
             if dev is not None:
                 deviants.append((tid, dev))
@@ -291,7 +299,7 @@ class PTVCManager:
             # for ordering purposes.
             joined.set_warp(warp, high)
         else:
-            for tid in members:
+            for tid in tids:
                 dev_clock = joined.get(tid)
                 joined.set_lane(tid, max(high, dev_clock))
         joined.normalize()
@@ -299,7 +307,7 @@ class PTVCManager:
 
     def end_instruction(self, warp: int) -> None:
         """The ENDINSN rule: lockstep join of the active threads."""
-        self._join_fork(warp, self.active_mask(warp))
+        self._join_fork(warp, self._top(warp).mask)
 
     # ------------------------------------------------------------------
     # Branches (IF / ELSEENDIF rules)
@@ -307,11 +315,19 @@ class PTVCManager:
     def branch_if(self, op: If) -> None:
         stack = self._stacks[op.warp]
         current = stack[-1]
-        if op.then_mask & op.else_mask or (op.then_mask | op.else_mask) != current.amask:
+        first = self.layout.warp_span(op.warp)[0]
+        then_mask, else_mask = (
+            sum(1 << (tid - first) for tid in tids if tid >= first)
+            for tids in (op.then_mask, op.else_mask))
+        # Every tid of the two sets is one lane of the active set: the
+        # bits cover the mask once, and no tid below the warp was dropped.
+        if (then_mask & else_mask or then_mask | else_mask != current.mask
+                or len(op.then_mask) + len(op.else_mask)
+                != bin(current.mask).count("1")):
             raise TraceError(f"if(w{op.warp}): masks do not split the active set")
-        stack.append(_Group(op.else_mask, current.base, phase="else-pending"))
-        stack.append(_Group(op.then_mask, current.base, phase="then"))
-        self._join_fork(op.warp, op.then_mask)
+        stack.append(_Group(else_mask, current.base, phase="else-pending"))
+        stack.append(_Group(then_mask, current.base, phase="then"))
+        self._join_fork(op.warp, then_mask)
 
     def branch_else(self, op: Else) -> None:
         stack = self._stacks[op.warp]
@@ -319,8 +335,8 @@ class PTVCManager:
             raise TraceError(f"else(w{op.warp}) with no matching if")
         finished = stack.pop()
         stack[-1].phase = "else-active"
-        stack[-1].paused.append((finished.amask, finished.base))
-        self._join_fork(op.warp, stack[-1].amask)
+        stack[-1].paused.append(finished.base)
+        self._join_fork(op.warp, stack[-1].mask)
 
     def branch_fi(self, op: Fi) -> None:
         stack = self._stacks[op.warp]
@@ -332,11 +348,11 @@ class PTVCManager:
         # group, then join-fork the full reconverged mask.
         merged = revealed.base.copy()
         merged.join(finished.base)
-        for _mask, paused_base in finished.paused:
+        for paused_base in finished.paused:
             merged.join(paused_base)
         merged.normalize()
         revealed.base = merged
-        self._join_fork(op.warp, revealed.amask)
+        self._join_fork(op.warp, revealed.mask)
 
     # ------------------------------------------------------------------
     # Barriers (BAR rule, with the §4.3.2 broadcast optimization)
@@ -345,18 +361,25 @@ class PTVCManager:
         """The BAR rule over the warps a barrier at ``block`` covers: one
         block, or — ``block < 0``, a cooperative sync — the whole grid."""
         self.joins += 1
-        warps = self.layout.barrier_warps(block)
-        full = active == frozenset(self.layout.barrier_tids(block))
-        joined = StructuredVC(self.layout)
-        high = 0
-        for warp in warps:
+        layout = self.layout
+        full = layout.barrier_complete(block, active)
+        # (group, its first thread, its participating lanes) per warp.
+        participants = []
+        for warp in layout.barrier_warps(block):
             group = self._top(warp)
-            if not group.amask & active:
-                continue
+            first, count = layout.warp_span(warp)
+            lanes = group.mask if full else group.mask & sum(
+                1 << lane for lane in range(count) if first + lane in active)
+            if lanes:
+                participants.append((group, first, lanes))
+        joined = StructuredVC(layout)
+        high = 0
+        for group, first, lanes in participants:
             # The base is knowledge common to every member of the group,
             # so it is below each participant's clock and safe to join.
             joined.join(group.base)
-            for tid in group.amask & active:
+            for lane in mask_lanes(lanes):
+                tid = first + lane
                 dev = self._deviant.get(tid)
                 if dev is not None:
                     joined.join(dev)
@@ -372,22 +395,19 @@ class PTVCManager:
             # The §4.3.2 broadcast: one block-layer entry per covered
             # block at the barrier's high clock (the block layer is the
             # compression unit) instead of one entry per thread.
-            covered = range(self.layout.num_blocks) if block < 0 else (block,)
+            covered = range(layout.num_blocks) if block < 0 else (block,)
             for member in covered:
                 joined.set_block(member, high)
         joined.normalize()
-        for warp in warps:
-            group = self._top(warp)
-            participating = group.amask & active
-            if not participating:
-                continue
-            if participating == group.amask:
+        for group, first, lanes in participants:
+            if lanes == group.mask:
                 group.base = joined
             else:
                 # A partially-active group at a barrier (only reachable
                 # through malformed traces): deviate the participants so
                 # non-participants keep their old view.
-                for tid in participating:
+                for lane in mask_lanes(lanes):
+                    tid = first + lane
                     dev = joined.copy()
                     dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
                     self._deviant[tid] = dev
@@ -442,7 +462,7 @@ class PTVCManager:
                 if id(group.base) not in counted:
                     counted.add(id(group.base))
                     stats.stored_entries += group.base.entry_count()
-                for _mask, base in group.paused:
+                for base in group.paused:
                     if id(base) not in counted:
                         counted.add(id(base))
                         stats.stored_entries += base.entry_count()

@@ -70,6 +70,9 @@ class LaunchConfig:
                 f"launch extents must be positive: grid {self.grid}, "
                 f"block {self.block}"
             )
+        if self.block.count > 1024:  # on the K520 and the TITAN X alike
+            raise LaunchConfigError(
+                f"a block has at most 1024 threads, not {self.block.count}")
 
     @staticmethod
     def of(grid, block, warp_size: int = DEFAULT_WARP_SIZE) -> "LaunchConfig":

@@ -69,7 +69,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError, SimulationError
 from ..ptx.ast import (
@@ -87,7 +87,7 @@ from ..ptx.ast import (
 from ..ptx.cfg import CFG
 from ..ptx.isa import type_width
 from ..events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
-from ..trace.layout import GridLayout
+from ..trace.layout import GridLayout, mask_lanes
 from ..trace.operations import Scope, Space
 from .engine import (
     _ARITH_COMPILERS,
@@ -113,26 +113,32 @@ class _Phase(enum.Enum):
 
 @dataclass
 class _StackEntry:
-    amask: Set[int]
+    """One path of a warp's SIMT stack.  ``mask`` is its active mask as
+    the hardware holds it: bit ``l`` is lane ``l``, thread ``first_tid +
+    l``.  A path never changes membership (it only reconverges by
+    popping), so ``lanes``, the same lanes as a ``values.Lanes``, is set
+    once, when the entry is pushed (:func:`_path`)."""
+
+    mask: int
+    lanes: Lanes
     pc: int
     reconv_pc: int
     phase: _Phase
-    #: Lazily-cached views of ``amask``.  The mask of a SIMT stack entry
-    #: is fixed at push time (paths never change membership, they only
-    #: reconverge by popping), so the ascending thread order every
-    #: handler iterates in — and the frozen mask shared with records —
-    #: can be computed once instead of per memory operation.
-    _sorted: Optional[Tuple[int, ...]] = None
-    _frozen: Optional[FrozenSet[int]] = None
-    #: ``amask`` as lane indices (a ``values.Lanes``); ``False`` until
-    #: ``_active_lanes`` fills it in.
-    _lanes: object = False
 
-    def sorted_active(self) -> Tuple[int, ...]:
-        cached = self._sorted
-        if cached is None:
-            cached = self._sorted = tuple(sorted(self.amask))
-        return cached
+
+def _lane_bits(lanes: Lanes, count: int) -> int:
+    """The active mask of ``lanes`` in a ``count``-lane warp."""
+    if lanes is None:
+        return (1 << count) - 1
+    return sum(1 << lane for lane in lanes)
+
+
+def _path(mask: int, count: int, pc: int, reconv_pc: int,
+          phase: _Phase) -> _StackEntry:
+    """The stack entry of the lanes ``mask`` of a ``count``-lane warp."""
+    lanes = None if mask == (1 << count) - 1 else tuple(mask_lanes(mask))
+    return _StackEntry(mask=mask, lanes=lanes, pc=pc, reconv_pc=reconv_pc,
+                       phase=phase)
 
 
 @dataclass
@@ -183,6 +189,9 @@ class WarpState:
     #: thread's lane is its offset from ``first_tid``.
     first_tid: int
     lanes: int
+    #: Thread ``tids[lane]``: one int per thread, which every record's
+    #: ``addrs``/``values`` keys and tid set share.
+    tids: Tuple[int, ...]
     frames: List[_Frame]
     #: The warp's special registers as shaped values, built on first use.
     specials: Optional[Dict[Tuple[str, Optional[str]], object]] = None
@@ -203,10 +212,6 @@ class WarpState:
     @property
     def stack(self) -> List[_StackEntry]:
         return self.frames[-1].stack
-
-    @property
-    def active(self) -> Set[int]:
-        return self.stack[-1].amask
 
 
 @dataclass
@@ -258,14 +263,7 @@ DecodedOp = Callable[[WarpState, _StackEntry], bool]
 def _active_lanes(warp: WarpState, entry: _StackEntry, regs, pred) -> Lanes:
     """The lanes of ``entry`` its guard predicate leaves active — ``()``
     when it leaves none."""
-    lanes = entry._lanes
-    if lanes is False:
-        # Cached: the mask of a stack entry never changes.
-        tids = entry.sorted_active()
-        first = warp.first_tid
-        lanes = entry._lanes = (
-            None if len(tids) == warp.lanes else tuple(t - first for t in tids)
-        )
+    lanes = entry.lanes
     if pred is None:
         return lanes
     name, negated = pred
@@ -285,10 +283,10 @@ def _active_lanes(warp: WarpState, entry: _StackEntry, regs, pred) -> Lanes:
 
 def _tids(warp: WarpState, lanes: Lanes) -> Sequence[int]:
     """The global thread ids of ``lanes``, ascending."""
-    first = warp.first_tid
+    tids = warp.tids
     if lanes is None:
-        return range(first, first + warp.lanes)
-    return [first + lane for lane in lanes]
+        return tids
+    return [tids[lane] for lane in lanes]
 
 
 _I64_SIGN = 1 << 63
@@ -419,29 +417,23 @@ class KernelExecution:
         self._lane_registers: Dict[int, dict] = {}
         # .local state space: thread-private, persists across call frames.
         self._local: Dict[int, SharedMemory] = {}
-        # Active-mask flyweights: one frozenset per distinct mask, shared
-        # between SIMT stack entries and every LogRecord that carries it.
-        self._mask_intern: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+        # A record's mask as a frozenset of tids, one per distinct
+        # ``(first_tid, mask)``, shared by every record that carries it.
+        self._tid_sets: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self.warps: List[WarpState] = []
         for w in self.layout.all_warps():
-            tids = self.layout.warp_tids(w)
+            first, lanes = self.layout.warp_span(w)
             self.warps.append(WarpState(
                 warp=w,
                 block=self.layout.block_of_warp(w),
-                first_tid=tids[0],
-                lanes=len(tids),
+                first_tid=first,
+                lanes=lanes,
+                tids=tuple(range(first, first + lanes)),
                 frames=[
                     _Frame(
                         ctx=self._kernel_ctx,
-                        stack=[
-                            _StackEntry(
-                                amask=set(tids),
-                                pc=0,
-                                reconv_pc=self._kernel_ctx.end_pc,
-                                phase=_Phase.BASE,
-                                _lanes=None,
-                            )
-                        ],
+                        stack=[_path((1 << lanes) - 1, lanes, 0,
+                                     self._kernel_ctx.end_pc, _Phase.BASE)],
                         regs={},
                     )
                 ],
@@ -510,22 +502,16 @@ class KernelExecution:
         return store
 
     # ------------------------------------------------------------------
-    # Active-mask flyweights
+    # Records' masks
     # ------------------------------------------------------------------
-    def intern_mask(self, tids) -> FrozenSet[int]:
-        """Return the canonical frozenset for a sorted tid sequence."""
-        key = tuple(tids)
-        mask = self._mask_intern.get(key)
-        if mask is None:
-            mask = self._mask_intern[key] = frozenset(key)
-        return mask
-
-    def frozen_active(self, entry: _StackEntry) -> FrozenSet[int]:
-        """The interned frozen view of a stack entry's active mask."""
-        cached = entry._frozen
-        if cached is None:
-            cached = entry._frozen = self.intern_mask(entry.sorted_active())
-        return cached
+    def _tid_set(self, warp: WarpState, mask: int) -> FrozenSet[int]:
+        """The threads of the lane bits ``mask`` of ``warp``, as a record
+        carries them (interned)."""
+        key = (warp.first_tid, mask)
+        tids = self._tid_sets.get(key)
+        if tids is None:
+            tids = self._tid_sets[key] = frozenset(_tids(warp, mask_lanes(mask)))
+        return tids
 
     # ------------------------------------------------------------------
     # Stepping
@@ -557,7 +543,7 @@ class KernelExecution:
                 # loop can reconverge at the loop header, i.e. at a lower
                 # statement index than the arms execute at.
                 if (
-                    not entry.amask
+                    not entry.mask
                     or entry.pc == entry.reconv_pc
                     or entry.pc >= ctx.end_pc
                 ):
@@ -733,46 +719,41 @@ class KernelExecution:
         reconv = ctx.cfg.reconvergence_pc(pc)
         next_pc = pc + 1
         emit_branch = self._emit_branch
-        frozen_active = self.frozen_active
-        intern_mask = self.intern_mask
+        tid_set = self._tid_set
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
-            amask = entry.amask
             value = warp.frames[-1].regs.get(pname, 0)
             kind = type(value)
             if kind is not list and kind is not Affine:
                 # A UNIFORM predicate takes the whole warp one way.
                 entry.pc = target_pc if bool(value) != pneg else next_pc
                 return False
-            flags = column(value, warp.lanes)
-            first = warp.first_tid
-            taken = {t for t in amask if bool(flags[t - first]) != pneg}
-            if len(taken) == len(amask):
+            count = warp.lanes
+            flags = column(value, count)
+            lanes = entry.lanes
+            taken = 0
+            for lane in range(count) if lanes is None else lanes:
+                if bool(flags[lane]) != pneg:
+                    taken |= 1 << lane
+            mask = entry.mask
+            if taken == mask:
                 entry.pc = target_pc
                 return False
             if not taken:
                 entry.pc = next_pc
                 return False
-            not_taken = set(amask) - taken
+            not_taken = mask & ~taken
             emit_branch(
                 warp,
                 RecordKind.BRANCH_IF,
-                active=frozen_active(entry),
-                then_mask=intern_mask(sorted(not_taken)),
+                active=tid_set(warp, mask),
+                then_mask=tid_set(warp, not_taken),
                 pc=pc,
             )
             entry.pc = reconv
             stack = warp.frames[-1].stack
-            stack.append(
-                _StackEntry(
-                    amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE
-                )
-            )
-            stack.append(
-                _StackEntry(
-                    amask=not_taken, pc=next_pc, reconv_pc=reconv, phase=_Phase.THEN
-                )
-            )
+            stack.append(_path(taken, count, target_pc, reconv, _Phase.ELSE))
+            stack.append(_path(not_taken, count, next_pc, reconv, _Phase.THEN))
             return False
 
         return op
@@ -823,12 +804,11 @@ class KernelExecution:
 
     def _exec_ret(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
         if insn.pred is not None:
-            regs = warp.frame.regs
-            exiting = _active_lanes(warp, entry, regs, insn.pred)
+            exiting = _active_lanes(warp, entry, warp.frame.regs, insn.pred)
             if exiting == ():
                 entry.pc += 1
                 return
-            if exiting != _active_lanes(warp, entry, regs, None):
+            if exiting != entry.lanes:
                 raise SimulationError(
                     f"{warp.frame.ctx.kernel.name!r}: partially-predicated "
                     f"return at pc {entry.pc} is not supported; guard the "
@@ -882,15 +862,8 @@ class KernelExecution:
         warp.frames.append(
             _Frame(
                 ctx=ctx,
-                stack=[
-                    _StackEntry(
-                        amask=set(_tids(warp, lanes)),
-                        pc=0,
-                        reconv_pc=ctx.end_pc,
-                        phase=_Phase.BASE,
-                        _lanes=lanes,
-                    )
-                ],
+                stack=[_path(_lane_bits(lanes, warp.lanes), warp.lanes, 0,
+                             ctx.end_pc, _Phase.BASE)],
                 regs={},
                 params=bindings,
             )
@@ -971,8 +944,7 @@ class KernelExecution:
         pred = insn.pred
         pc_line = insn.line
         emit = self._emit
-        frozen_active = self.frozen_active
-        intern_mask = self.intern_mask
+        tid_set = self._tid_set
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             result.cycles += extra_cost
@@ -981,14 +953,9 @@ class KernelExecution:
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes == ():
                 return True
-            if pred is None:
-                tids = entry._sorted or entry.sorted_active()
-                frozen = entry._frozen
-                if frozen is None:
-                    frozen = frozen_active(entry)
-            else:
-                tids = _tids(warp, lanes)
-                frozen = intern_mask(tids)
+            tids = _tids(warp, lanes)
+            frozen = tid_set(warp, entry.mask if pred is None
+                             else _lane_bits(lanes, warp.lanes))
             addrs = {
                 t: (space, addr)
                 for t, addr in zip(tids, addrs_of(regs, warp, lanes))
@@ -1249,22 +1216,25 @@ class KernelExecution:
     # -- warp-synchronous exchange (shfl.sync / vote.sync) ----------------
     def _warp_sync_lanes(
         self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        active: Sequence[int], operand: Operand,
-    ) -> FrozenSet[int]:
-        """Validate a ``.sync`` membermask; returns the required lanes.
+        lanes: Lanes, operand: Operand,
+    ) -> int:
+        """Validate a ``.sync`` membermask; returns the required lanes,
+        as bits.
 
         The mask names the lanes that must reach the instruction
         together.  Lanes the warp does not have (partial warps) are
         ignored; a mask with no live lane, or one naming a lane that
         diverged away, is a malformed sync and raises.
         """
-        if active:
-            mask = int(self._lanes_of(warp, operand)[active[0]])
+        if lanes != ():
+            leader = 0 if lanes is None else lanes[0]
+            mask = int(self._lanes_of(warp, operand)[leader])
         elif isinstance(operand, ImmOperand):
             mask = int(operand.value)
         else:
             mask = 0
-        required = frozenset(l for l in range(warp.lanes) if (mask >> l) & 1)
+        count = warp.lanes
+        required = mask & ((1 << count) - 1)
         name = warp.frame.ctx.kernel.name
         if not required:
             raise SimulationError(
@@ -1272,12 +1242,12 @@ class KernelExecution:
                 f"membermask 0x{mask & 0xFFFFFFFF:08x} selecting no live "
                 "lane of the warp"
             )
-        missing = required.difference(active)
+        missing = required & ~_lane_bits(lanes, count)
         if missing:
             raise SimulationError(
                 f"{name!r}: {insn.full_opcode} at pc {entry.pc} with "
                 f"membermask 0x{mask & 0xFFFFFFFF:08x} requires lane(s) "
-                f"{sorted(missing)} that did not reach it; all mask lanes "
+                f"{mask_lanes(missing)} that did not reach it; all mask lanes "
                 "must arrive together"
             )
         return required
@@ -1300,8 +1270,7 @@ class KernelExecution:
         if mode is None or len(insn.operands) != 5:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         dst, src, boff, cop, maskop = insn.operands
-        active = range(warp.lanes) if lanes is None else lanes
-        required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
+        required = self._warp_sync_lanes(warp, entry, insn, lanes, maskop)
         wrap = _make_wrap(insn.value_type())
         # Every source lane's value is read before any write: the
         # exchange is simultaneous across the warp.
@@ -1309,9 +1278,9 @@ class KernelExecution:
         offsets = self._lanes_of(warp, boff)
         clamps = self._lanes_of(warp, cop)
         results = []
-        for lane in active:
+        for lane in range(warp.lanes) if lanes is None else lanes:
             chosen = source[lane]
-            if lane in required:
+            if required >> lane & 1:
                 b = int(offsets[lane]) & 31
                 c = int(clamps[lane])
                 cval = c & 31
@@ -1330,7 +1299,7 @@ class KernelExecution:
                 else:  # idx
                     j = min_lane | (b & ~segmask & 31)
                     in_bounds = j <= max_lane
-                if in_bounds and j in required:
+                if in_bounds and required >> j & 1:
                     chosen = source[j]
             results.append(wrap(chosen))
         _write(warp.frame.regs, dst.name, results, warp.lanes, lanes)
@@ -1354,25 +1323,25 @@ class KernelExecution:
         if mode is None or len(insn.operands) != 3:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         dst, src, maskop = insn.operands
-        active = range(warp.lanes) if lanes is None else lanes
-        required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
+        required = self._warp_sync_lanes(warp, entry, insn, lanes, maskop)
         wrap = _make_wrap(insn.value_type())
         flags = self._lanes_of(warp, src)
-        preds = [bool(flags[lane]) for lane in sorted(required)]
+        members = mask_lanes(required)
+        preds = [bool(flags[lane]) for lane in members]
         if mode == "ballot":
-            joined = sum(1 << lane for lane in required if flags[lane])
+            joined = sum(1 << lane for lane in members if flags[lane])
         elif mode == "any":
             joined = 1 if any(preds) else 0
         elif mode == "all":
             joined = 1 if all(preds) else 0
         else:  # uni: all participating lanes agree
             joined = 1 if len(set(preds)) <= 1 else 0
-        if required.issuperset(active):
+        if not _lane_bits(lanes, warp.lanes) & ~required:
             result = wrap(joined)  # one UNIFORM for the whole warp
         else:
             result = []
-            for lane in active:
-                if lane in required:
+            for lane in range(warp.lanes) if lanes is None else lanes:
+                if required >> lane & 1:
                     value = joined
                 elif mode == "ballot":
                     value = 0
@@ -1457,7 +1426,7 @@ class KernelExecution:
             src_addrs[tid] = (Space.GLOBAL, saddr)
             dst_addrs[tid] = (Space.SHARED, daddr)
             values[tid] = raw
-        frozen = self.intern_mask(active)
+        frozen = self._tid_set(warp, _lane_bits(lanes, warp.lanes))
         self._emit(LogRecord(
             kind=RecordKind.LOAD,
             warp=warp.warp,
@@ -1550,8 +1519,8 @@ class KernelExecution:
         return False
 
     def _emit_barrier(self, block: int, arrived: List[WarpState]) -> None:
-        masks = [self.frozen_active(w.frame.stack[-1]) for w in arrived]
-        active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
+        active = frozenset().union(
+            *(self._tid_set(w, w.frame.stack[-1].mask) for w in arrived))
         self._emit(LogRecord(kind=RecordKind.BARRIER, warp=block, active=active))
 
     # ------------------------------------------------------------------

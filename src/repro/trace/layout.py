@@ -17,12 +17,18 @@ handles 2-/3-D by flattening.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List
+from typing import Collection, Iterator, List, Tuple
 
 from ..errors import LaunchConfigError
 
 #: Warp size on every Nvidia architecture the paper targets.
 DEFAULT_WARP_SIZE = 32
+
+
+def mask_lanes(mask: int) -> List[int]:
+    """The lanes of an active mask held as bits (bit ``l`` is lane ``l``
+    of the warp), ascending."""
+    return [lane for lane in range(mask.bit_length()) if mask >> lane & 1]
 
 
 class GridLayout:
@@ -110,14 +116,19 @@ class GridLayout:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
+    def warp_span(self, warp: int) -> Tuple[int, int]:
+        """``(first, lanes)``: global warp ``warp`` is TIDs ``first ..
+        first + lanes - 1`` (partial last warp respected).  Lane ``l`` of
+        the warp, and bit ``l`` of its active mask, is TID ``first + l``."""
+        block, warp_in_block = divmod(warp, self._warps_per_block)
+        start = warp_in_block * self.warp_size
+        lanes = min(self.warp_size, self.threads_per_block - start)
+        return block * self.threads_per_block + start, lanes
+
     def warp_tids(self, warp: int) -> List[int]:
         """All TIDs in global warp ``warp`` (partial last warp respected)."""
-        block = self.block_of_warp(warp)
-        warp_in_block = warp % self.warps_per_block
-        start = warp_in_block * self.warp_size
-        end = min(start + self.warp_size, self.threads_per_block)
-        base = block * self.threads_per_block
-        return [base + i for i in range(start, end)]
+        first, lanes = self.warp_span(warp)
+        return list(range(first, first + lanes))
 
     def block_tids(self, block: int) -> List[int]:
         base = block * self.threads_per_block
@@ -142,20 +153,19 @@ class GridLayout:
             return list(range(self.total_threads))
         return self.block_tids(block)
 
+    def barrier_complete(self, block: int, active: Collection[int]) -> bool:
+        """Whether ``active`` is every TID a barrier at ``block`` covers,
+        in O(1): a barrier's mask lies inside its scope (the engine emits
+        no other, ``ColumnarBatch.check_layout`` refuses any other), so it
+        is complete iff it is as large."""
+        scope = self.total_threads if block < 0 else self.threads_per_block
+        return len(active) == scope
+
     def barrier_warps(self, block: int) -> List[int]:
         """Warps a barrier at ``block`` synchronizes (grid-wide if < 0)."""
         if block < 0:
             return list(range(self.total_warps))
         return self.block_warps(block)
-
-    def initial_active_mask(self, warp: int) -> FrozenSet[int]:
-        """The launch-time active mask of ``warp`` (§3.3 initial state).
-
-        All threads of the warp that actually exist in the launch; with a
-        1-D flattened layout every warp except possibly the last of each
-        block is full.
-        """
-        return frozenset(self.warp_tids(warp))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GridLayout):

@@ -38,7 +38,7 @@ class WarpStackSet:
     def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
         self._stacks: Dict[int, List[List]] = {
-            w: [[layout.initial_active_mask(w), BASE]] for w in layout.all_warps()
+            w: [[frozenset(layout.warp_tids(w)), BASE]] for w in layout.all_warps()
         }
 
     def active(self, warp: int) -> FrozenSet[int]:

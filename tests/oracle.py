@@ -22,7 +22,8 @@ forwarding, for every access inside the heap.
 """
 
 import contextlib
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -40,7 +41,6 @@ from repro.gpu.interpreter import (
     WarpState,
     _Frame,
     _Phase,
-    _StackEntry,
 )
 from repro.gpu.memory import (
     GLOBAL_HEAP_BASE,
@@ -170,6 +170,16 @@ class ReferenceGlobalMemory(GlobalMemory):
 # ----------------------------------------------------------------------
 # The launch-loop oracle
 # ----------------------------------------------------------------------
+def _active_tids(warp) -> FrozenSet[int]:
+    """The active threads of a warp of either engine: the oracle's tid
+    set, or the engine's lane bits expanded."""
+    entry = warp.frame.stack[-1]
+    if isinstance(entry, OracleEntry):
+        return frozenset(entry.amask)
+    return frozenset(warp.first_tid + lane for lane in range(warp.lanes)
+                     if entry.mask >> lane & 1)
+
+
 def _release_barriers_all_blocks(execution) -> bool:
     """The rescanning release: every warp and every block, from flags
     alone (it neither reads nor keeps the execution's waiting counts)."""
@@ -179,9 +189,9 @@ def _release_barriers_all_blocks(execution) -> bool:
     def emit_barrier(block, arrived):
         if execution.sink is None or not execution.instrumented:
             return
-        masks = [execution.frozen_active(w.frame.stack[-1]) for w in arrived]
         record = LogRecord(
-            kind=RecordKind.BARRIER, warp=block, active=frozenset().union(*masks)
+            kind=RecordKind.BARRIER, warp=block,
+            active=frozenset().union(*map(_active_tids, arrived)),
         )
         execution.result.stall_cycles += execution.sink.emit(record)
         execution.result.records_emitted += 1
@@ -303,14 +313,30 @@ def _as_unsigned(value: int, width_bytes: int) -> int:
     return int(value) & ((1 << (width_bytes * 8)) - 1)
 
 
+@dataclass
+class OracleEntry:
+    """A SIMT stack entry of :class:`NaiveKernelExecution`.  Its active
+    mask is the set of its threads' tids, as the specification states
+    masks; the engine's entries hold lane bits instead."""
+
+    amask: Set[int]
+    pc: int
+    reconv_pc: int
+    phase: _Phase
+
+    def sorted_active(self) -> Tuple[int, ...]:
+        return tuple(sorted(self.amask))
+
+
 class NaiveKernelExecution(KernelExecution):
     """``KernelExecution`` as it was before decode-once closures and the
     warp-level register file: the step loop, the opcode chain, the
     per-thread register file and every per-thread handler below are the
     deleted production code, verbatim.  It owns its storage — one
     ``dict`` per thread in each frame's ``regs``, one special-register
-    ``dict`` per thread, per-thread ``call`` bindings — and nothing
-    below reads a production register file; only the launch set-up, the
+    ``dict`` per thread, per-thread ``call`` bindings, a tid set per
+    SIMT stack entry (:class:`OracleEntry`) — and nothing below reads a
+    production register file or mask; only the launch set-up, the
     SIMT-stack pops, ``cp.async`` completion and the barrier release
     are inherited."""
 
@@ -320,8 +346,30 @@ class NaiveKernelExecution(KernelExecution):
             tid: self.config.special_registers(tid)
             for tid in self.layout.all_tids()
         }
+        #: One frozenset per distinct mask, shared by the records.
+        self._masks: Dict[Tuple[int, ...], FrozenSet[int]] = {}
         for warp in self.warps:
-            warp.frame.regs = {tid: {} for tid in self.layout.warp_tids(warp.warp)}
+            tids = self.layout.warp_tids(warp.warp)
+            warp.frame.regs = {tid: {} for tid in tids}
+            warp.frame.stack[:] = [OracleEntry(
+                amask=set(tids), pc=0, reconv_pc=warp.frame.ctx.end_pc,
+                phase=_Phase.BASE)]
+
+    def intern_mask(self, tids) -> FrozenSet[int]:
+        """The canonical frozenset for a sorted tid sequence."""
+        key = tuple(tids)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = self._masks[key] = frozenset(key)
+        return mask
+
+    def frozen_active(self, entry: OracleEntry) -> FrozenSet[int]:
+        return self.intern_mask(entry.sorted_active())
+
+    def _emit_barrier(self, block: int, arrived) -> None:
+        masks = [self.frozen_active(w.frame.stack[-1]) for w in arrived]
+        active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
+        self._emit(LogRecord(kind=RecordKind.BARRIER, warp=block, active=active))
 
     # ------------------------------------------------------------------
     # Operand evaluation (per thread)
@@ -405,7 +453,7 @@ class NaiveKernelExecution(KernelExecution):
     # ------------------------------------------------------------------
     # Instruction dispatch
     # ------------------------------------------------------------------
-    def _execute(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+    def _execute(self, warp: WarpState, entry: OracleEntry, insn: Instruction) -> None:
         self.result.instructions += 1
         self.result.cycles += 1
         opcode = insn.opcode
@@ -466,7 +514,7 @@ class NaiveKernelExecution(KernelExecution):
         entry.pc += 1
 
     # -- control flow ---------------------------------------------------
-    def _exec_branch(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+    def _exec_branch(self, warp: WarpState, entry: OracleEntry, insn: Instruction) -> None:
         target_pc = warp.frame.ctx.labels[insn.branch_target()]
         if insn.pred is None:
             entry.pc = target_pc
@@ -492,15 +540,15 @@ class NaiveKernelExecution(KernelExecution):
         branch_pc = entry.pc
         entry.pc = reconv
         warp.stack.append(
-            _StackEntry(amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE)
+            OracleEntry(amask=taken, pc=target_pc, reconv_pc=reconv, phase=_Phase.ELSE)
         )
         warp.stack.append(
-            _StackEntry(
+            OracleEntry(
                 amask=not_taken, pc=branch_pc + 1, reconv_pc=reconv, phase=_Phase.THEN
             )
         )
 
-    def _exec_ret(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+    def _exec_ret(self, warp: WarpState, entry: OracleEntry, insn: Instruction) -> None:
         if insn.pred is not None:
             exiting = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
             if not exiting:
@@ -525,7 +573,7 @@ class NaiveKernelExecution(KernelExecution):
             return
         self._finish_warp(warp)
 
-    def _exec_call(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+    def _exec_call(self, warp: WarpState, entry: OracleEntry, insn: Instruction) -> None:
         """Enter a device function with the current active threads.
 
         Arguments are evaluated in the caller's frame and bound to the
@@ -558,7 +606,7 @@ class NaiveKernelExecution(KernelExecution):
             _Frame(
                 ctx=ctx,
                 stack=[
-                    _StackEntry(
+                    OracleEntry(
                         amask=active,
                         pc=0,
                         reconv_pc=ctx.end_pc,
@@ -571,7 +619,7 @@ class NaiveKernelExecution(KernelExecution):
         )
 
     def _warp_sync_lanes(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        self, warp: WarpState, entry: OracleEntry, insn: Instruction,
         active: Sequence[int], operand: Operand,
     ) -> FrozenSet[int]:
         """Validate a ``.sync`` membermask; returns the required lanes.
@@ -609,7 +657,7 @@ class NaiveKernelExecution(KernelExecution):
         return required
 
     def _exec_shfl(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        self, warp: WarpState, entry: OracleEntry, insn: Instruction,
         active: Sequence[int],
     ) -> None:
         """``shfl.sync.{up,down,bfly,idx}.b32 d, a, b, c, membermask``.
@@ -669,7 +717,7 @@ class NaiveKernelExecution(KernelExecution):
             self._set_reg(tid, dst.name, _wrap(value, type_name))
 
     def _exec_vote(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        self, warp: WarpState, entry: OracleEntry, insn: Instruction,
         active: Sequence[int],
     ) -> None:
         """``vote.sync.{ballot.b32,any.pred,all.pred,uni.pred}``.
@@ -720,7 +768,7 @@ class NaiveKernelExecution(KernelExecution):
 
     # -- asynchronous copies (cp.async) -----------------------------------
     def _exec_cp(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
+        self, warp: WarpState, entry: OracleEntry, insn: Instruction,
         active: Sequence[int],
     ) -> None:
         """``cp.async`` copies and their commit/wait bookkeeping.
@@ -945,7 +993,7 @@ class NaiveKernelExecution(KernelExecution):
             handler(self, tid, insn, type_name)
 
     # -- logging pseudo-instructions ---------------------------------------
-    def _exec_log(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+    def _exec_log(self, warp: WarpState, entry: OracleEntry, insn: Instruction) -> None:
         self.result.cycles += LOG_COST - 1
         mods = insn.modifiers
         category = mods[0] if mods else ""

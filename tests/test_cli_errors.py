@@ -15,7 +15,7 @@ from repro.faults import FaultPlan, FaultSpec, sites
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
-from repro.jobs import LaunchSpec
+from repro.jobs import LaunchSpec, launch_spec
 from repro.runtime.replay import save_capture
 from repro.service import RaceService, ServiceThread
 
@@ -177,6 +177,33 @@ class TestLaunchFlags:
         assert _assert_clean_error(capsys) == "error: " + message
         with pytest.raises(ReproError, match=message):
             LaunchSpec.from_payload({"source": RACY, "max_steps": steps})
+
+
+class TestBlockLimit:
+    """A block holds at most 1024 threads on both modelled architectures;
+    a larger one is refused where every launch is configured, not
+    simulated."""
+
+    @pytest.mark.parametrize("subcommand", ["check", "sweep"])
+    def test_a_block_over_1024_threads_is_a_one_line_error(
+            self, capsys, subcommand):
+        argv = [subcommand, str(EXAMPLES / "racy.cu"), "--block", "1025",
+                "--buffer", "data:4"]
+        assert cli.main(argv) == 2
+        assert (_assert_clean_error(capsys)
+                == "error: a block has at most 1024 threads, not 1025")
+
+    def test_a_payload_cannot_ask_a_shard_for_one(self):
+        spec = LaunchSpec.from_payload(
+            {"source": RACY, "block": 1025, "buffers": [["data", 4, []]]})
+        with pytest.raises(ReproError,
+                           match="a block has at most 1024 threads, not 1025"):
+            launch_spec(spec)
+
+    def test_1024_threads_still_launch(self, capsys):
+        argv = ["check", str(EXAMPLES / "racy.cu"), "--block", "1024",
+                "--buffer", "data:4"]
+        assert cli.main(argv) == 0
 
 
 class TestMaxReports:

@@ -257,6 +257,41 @@ __global__ void exchange(int* out) {
 }
 """
 
+#: Every mask operation at once: nested divergence, a device call under
+#: divergence, ``__syncthreads`` and ``vote``/``shfl`` on a whole warp
+#: and under divergence.  ``(t & 3) < 2`` is lanes 0 and 1 of every
+#: four, which is what the ``0x33333333`` membermask names, so the
+#: divergent exchange is legal at every warp size that is a multiple
+#: of four.
+LANES = """
+__device__ void bump(int* out, int slot, int by) {
+    if (by & 1) { out[slot] = out[slot] + by; }
+    out[slot + 128] = slot - by;
+}
+
+__global__ void lanes(int* out) {
+    __shared__ int s[128];
+    int t = threadIdx.x;
+    int gid = blockIdx.x * blockDim.x + t;
+    int v = t;
+    if (t & 1) {
+        if (t & 2) { v = v * 3; } else { v = v + 7; bump(out, gid, t); }
+    } else {
+        if (t % 3 == 0) { bump(out, gid, v + 1); }
+    }
+    s[t] = v;
+    __syncthreads();
+    int b = __ballot_sync(0xffffffff, v & 1);
+    int x = __shfl_down_sync(0xffffffff, v, 1);
+    if ((t & 3) < 2) {
+        int c = __ballot_sync(0x33333333, t & 1);
+        int y = __shfl_xor_sync(0x33333333, v, 1);
+        v = v + c + y;
+    }
+    out[gid + 256] = s[(t + 1) % blockDim.x] + b + x + v;
+}
+"""
+
 #: ``%r5`` is first written under a guard predicate and ``%r6`` on one
 #: arm of a divergent branch; both are read after reconvergence, where
 #: the lanes that never wrote them must read 0.
@@ -294,6 +329,9 @@ SHAPE_ROWS = [
     ("call-under-divergence-warp-8", CALLS, 1, 20, 8, {"out": 128}, {}),
     ("shfl-vote-affine-uniform", EXCHANGE, 2, 64, 32, {"out": 128}, {}),
     ("first-write-under-partial-mask", LATE_WRITE, 2, 12, 8, {"out": 12}, {}),
+    ("masks-warp-4", LANES, 2, 24, 4, {"out": 512}, {}),
+    ("masks-warp-64", LANES, 1, 96, 64, {"out": 512}, {}),
+    ("masks-partial-last-warp", LANES, 2, 40, 32, {"out": 512}, {}),
 ]
 
 

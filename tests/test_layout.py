@@ -20,7 +20,7 @@ def test_partial_last_warp():
     assert layout.warps_per_block == 2
     assert layout.warp_tids(1) == list(range(32, 40))
     assert layout.warp_tids(2) == list(range(40, 72))
-    assert layout.initial_active_mask(3) == frozenset(range(72, 80))
+    assert layout.warp_span(3) == (72, 8)
 
 
 def test_id_round_trips():

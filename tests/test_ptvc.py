@@ -1,10 +1,17 @@
 """PTVC compression: formats, transitions, and equivalence (§4.3.1)."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import BarracudaDetector, ReferenceDetector
 from repro.core.ptvc import PTVCFormat, PTVCManager
 from repro.core.structured import StructuredVC
 from repro.core.vectorclock import Epoch
+from repro.errors import TraceError
 from repro.trace import GridLayout
 from repro.trace.operations import Else, Fi, If
+from tracegen import feasible_traces
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=6, warp_size=3)
 
@@ -47,7 +54,7 @@ def test_branch_divergence_tracks_paths_independently():
     clocks = PTVCManager(LAYOUT)
     then_mask, else_mask = frozenset({0}), frozenset({1, 2})
     clocks.branch_if(If(warp=0, then_mask=then_mask, else_mask=else_mask))
-    assert clocks.active_mask(0) == then_mask
+    assert clocks.active_tids(0) == then_mask
     then_self = clocks.value(0, 0)
     clocks.end_instruction(0)  # then path advances
     assert clocks.value(0, 0) == then_self + 1
@@ -57,12 +64,12 @@ def test_branch_divergence_tracks_paths_independently():
     assert clocks.value(0, 1) == 0
 
     clocks.branch_else(Else(warp=0))
-    assert clocks.active_mask(0) == else_mask
+    assert clocks.active_tids(0) == else_mask
     # Else path does not see the then path's work.
     assert clocks.value(1, 0) < clocks.value(0, 0)
 
     clocks.branch_fi(Fi(warp=0))
-    assert clocks.active_mask(0) == frozenset({0, 1, 2})
+    assert clocks.active_tids(0) == frozenset({0, 1, 2})
     # After reconvergence everyone has seen everyone.
     for tid in (0, 1, 2):
         for mate in (0, 1, 2):
@@ -134,7 +141,7 @@ def test_nested_divergence_format():
     clocks.branch_fi(Fi(warp=0))
     clocks.branch_else(Else(warp=0))
     clocks.branch_fi(Fi(warp=0))
-    assert clocks.active_mask(0) == frozenset({0, 1, 2, 3})
+    assert clocks.active_tids(0) == frozenset({0, 1, 2, 3})
     assert clocks.format_of(0) is PTVCFormat.CONVERGED
 
 
@@ -174,6 +181,90 @@ def test_converged_view_answers_for_a_whole_warp_at_once():
     # the full warp 1 then shares no clock the view could name.
     clocks.barrier(0, frozenset(range(6)) - {0})
     clocks.end_instruction(0)  # re-absorbs warp 0's deviants
-    assert clocks.active_mask(1) == frozenset({3, 4, 5})
+    assert clocks.active_tids(1) == frozenset({3, 4, 5})
     assert clocks.converged_view(1, 3, 6).uniform_clock() == 0
     assert clocks.converged_view(0, 0, 3).uniform_clock() > 0
+
+
+# ----------------------------------------------------------------------
+# Masks are lane bits relative to a warp's first thread: widths other
+# than 32, and the short last warp of a block.
+# ----------------------------------------------------------------------
+PARTIAL = GridLayout(num_blocks=2, threads_per_block=40, warp_size=32)
+WIDE = GridLayout(num_blocks=1, threads_per_block=128, warp_size=64)
+
+
+def test_a_partial_last_warp_starts_and_stays_converged():
+    clocks = PTVCManager(PARTIAL)
+    tail = frozenset(range(72, 80))  # block 1's second warp: 8 lanes
+    assert clocks.active_tids(3) == tail
+    assert clocks.active_mask(3) == 0xFF
+    assert clocks.is_active(79)
+    clocks.end_instruction(3)
+    # The 8 live lanes are the whole warp: one warp-layer entry.
+    assert clocks.format_of(3) is PTVCFormat.CONVERGED
+    assert clocks.value(72, 79) == 1 and clocks.value(79, 79) == 2
+    then_mask = frozenset({73, 75, 77, 79})
+    clocks.branch_if(If(warp=3, then_mask=then_mask, else_mask=tail - then_mask))
+    assert clocks.active_tids(3) == then_mask
+    assert clocks.active_mask(3) == 0b10101010
+    assert not clocks.is_active(72) and clocks.is_active(73)
+    clocks.branch_else(Else(warp=3))
+    clocks.branch_fi(Fi(warp=3))
+    assert clocks.active_tids(3) == tail
+    assert clocks.format_of(3) is PTVCFormat.CONVERGED
+    clocks.barrier(1, frozenset(range(40, 80)))
+    assert clocks.value(40, 79) >= 2  # block 1 saw the tail's steps
+    assert clocks.format_of(2) is clocks.format_of(3) is PTVCFormat.CONVERGED
+
+
+def test_a_64_lane_warp_keeps_lanes_above_31():
+    clocks = PTVCManager(WIDE)
+    assert clocks.active_mask(1) == (1 << 64) - 1
+    high = frozenset(range(96, 128))  # lanes 32..63 of warp 1
+    clocks.branch_if(If(warp=1, then_mask=high,
+                        else_mask=frozenset(range(64, 96))))
+    assert clocks.active_mask(1) == ((1 << 32) - 1) << 32
+    assert clocks.is_active(127) and not clocks.is_active(64)
+    clocks.end_instruction(1)
+    assert clocks.value(127, 127) == clocks.value(96, 96) == 3
+    clocks.branch_else(Else(warp=1))
+    assert clocks.active_mask(1) == (1 << 32) - 1
+    # The else path has not seen the high lanes' steps.
+    assert clocks.value(64, 127) == 0 and clocks.value(64, 64) == 2
+    clocks.branch_fi(Fi(warp=1))
+    assert clocks.active_tids(1) == frozenset(range(64, 128))
+    clocks.end_instruction(1)
+    assert clocks.format_of(1) is PTVCFormat.CONVERGED
+    # A barrier one lane short is not complete: per-lane entries instead
+    # of a block broadcast, and the arrived lanes of the partially
+    # arrived warp deviate.
+    clocks.barrier(0, frozenset(range(127)))
+    assert clocks.format_of(0) is PTVCFormat.DIVERGED
+    assert clocks.format_of(1) is PTVCFormat.SPARSE
+    assert clocks.value(64, 5) == clocks.value(5, 5) - 1
+    assert clocks.value(127, 5) == 0
+
+
+@pytest.mark.parametrize("stray", [40, 31], ids=["above", "below"])
+def test_a_split_that_leaves_the_warp_is_refused(stray):
+    clocks = PTVCManager(PARTIAL)  # warp 1 is tids 32..39
+    with pytest.raises(TraceError, match="do not split the active set"):
+        clocks.branch_if(If(warp=1, then_mask=frozenset({32, stray}),
+                            else_mask=frozenset(range(33, 40))))
+
+
+@pytest.mark.parametrize("layout", [PARTIAL, WIDE],
+                         ids=["partial-last-warp", "64-lanes"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compressed_clocks_give_the_reference_verdicts(layout, data):
+    """The same races and barrier divergences as per-thread clocks, on
+    random feasible traces at these widths."""
+    trace = data.draw(feasible_traces(max_ops=40, layout=layout))
+    reference = ReferenceDetector(layout).process_trace(trace)
+    production = BarracudaDetector(layout).process_trace(trace)
+    assert (sorted(map(str, production.races))
+            == sorted(map(str, reference.races)))
+    assert ([str(report) for report in production.barrier_divergences]
+            == [str(report) for report in reference.barrier_divergences])

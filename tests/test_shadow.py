@@ -120,6 +120,20 @@ def test_a_coalesced_access_is_one_stored_cell():
     assert shadow.stats.range_splits == 0
 
 
+def test_a_partial_last_warps_coalesced_row_is_one_stored_cell():
+    """The fused loop takes a warp's mask as full by its live lanes (8
+    here), not by the warp size."""
+    layout = GridLayout(num_blocks=1, threads_per_block=40, warp_size=32)
+    tids = range(32, 40)
+    record = LogRecord(kind=RecordKind.STORE, warp=1, active=frozenset(tids),
+                       addrs={t: (Space.GLOBAL, 4 * t) for t in tids},
+                       values={t: t for t in tids}, width=4, pc=3)
+    detector = BarracudaDetector(layout)
+    detector.process_columnar(ColumnarBatch.from_records([record]))
+    stats = detector.shadow.stats
+    assert (stats.entries, stats.words) == (1, 8)
+
+
 def test_a_word_inside_a_range_is_the_record_its_lane_would_have_left():
     shadow = ShadowMemory(LAYOUT)
     cell = _written(shadow, 0, 16, 4, tid0=4, clock=3)

@@ -23,11 +23,11 @@ from repro.gpu import GpuDevice
 from repro.gpu import device as device_module
 from repro.gpu.engine import _ARITH_COMPILERS, _COMPARES, _int_range
 from repro.gpu.hierarchy import LaunchConfig
-from repro.gpu.interpreter import KernelExecution, _Phase, _StackEntry
+from repro.gpu.interpreter import KernelExecution, _Phase, _path
 from repro.gpu.values import Affine, column, merge, shape_of
 from repro.ptx import parse_ptx
 
-from oracle import _ARITH, NaiveKernelExecution
+from oracle import _ARITH, NaiveKernelExecution, OracleEntry
 
 HEADER = ".version 4.3\n.target sm_35\n.address_size 64\n"
 
@@ -127,8 +127,13 @@ def _step(execution, active):
     of the exception the instruction raised, if it raised one."""
     warp = execution.warps[0]
     end = warp.frame.ctx.end_pc
-    warp.frame.stack[:] = [_StackEntry(
-        amask=set(active), pc=0, reconv_pc=end, phase=_Phase.BASE)]
+    if isinstance(execution, NaiveKernelExecution):
+        entry = OracleEntry(amask=set(active), pc=0, reconv_pc=end,
+                            phase=_Phase.BASE)
+    else:
+        entry = _path(sum(1 << lane for lane in active), warp.lanes, 0, end,
+                      _Phase.BASE)
+    warp.frame.stack[:] = [entry]
     try:
         execution.step(warp)
     except Exception as exc:  # compared by type below
@@ -398,6 +403,14 @@ __global__ void bounded(int* out, int n) {
 }
 """
 
+VOTE = """
+__global__ void vote(int* out) {
+    int t = threadIdx.x;
+    int b = __ballot_sync(0xffffffff, t & 1);
+    out[blockIdx.x * blockDim.x + t] = b;
+}
+"""
+
 SAXPY = """
 __global__ void saxpy(int* a, int* b, int* dst, int* out) {
     int gid = blockIdx.x * blockDim.x + threadIdx.x;
@@ -476,6 +489,13 @@ class TestShapeRetention:
         for _warp, regs in warps:
             assert regs[flag] == 1 and type(regs[flag]) is int
         assert words["out"] == [3 * gid for gid in range(threads)]
+
+    def test_a_whole_warp_vote_is_one_value(self):
+        kernel, warps, words = _final_register_files(VOTE, {"out": [0] * 128}, {})
+        ((ballot, _predicate, _membermask),) = _operands(kernel, "vote.sync.ballot.b32")
+        for _warp, regs in warps:
+            assert regs[ballot] == 0xAAAAAAAA and type(regs[ballot]) is int
+        assert words["out"] == [0xAAAAAAAA] * 128
 
     def test_stream_scale_keeps_its_index_arithmetic_affine(self):
         threads = 128

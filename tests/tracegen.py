@@ -9,7 +9,7 @@ and barriers carry the actual arrived set.
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Optional
 
 from hypothesis import strategies as st
 
@@ -17,13 +17,16 @@ from repro.trace import GridLayout, Scope, TraceBuilder, global_loc, shared_loc
 from repro.trace.trace import Trace
 
 
-def random_trace(rng: random.Random, max_ops: int = 28) -> Trace:
-    """One random feasible trace over a small random layout."""
-    layout = GridLayout(
-        num_blocks=rng.choice([1, 2, 3]),
-        threads_per_block=rng.choice([2, 4, 6]),
-        warp_size=rng.choice([2, 4]),
-    )
+def random_trace(rng: random.Random, max_ops: int = 28,
+                 layout: Optional[GridLayout] = None) -> Trace:
+    """One random feasible trace over ``layout``, or a small random
+    layout."""
+    if layout is None:
+        layout = GridLayout(
+            num_blocks=rng.choice([1, 2, 3]),
+            threads_per_block=rng.choice([2, 4, 6]),
+            warp_size=rng.choice([2, 4]),
+        )
     builder = TraceBuilder(layout)
     global_locs = [global_loc(i * 4) for i in range(3)]
     depth = {w: 0 for w in layout.all_warps()}
@@ -65,7 +68,8 @@ def random_trace(rng: random.Random, max_ops: int = 28) -> Trace:
 
 
 @st.composite
-def feasible_traces(draw, max_ops: int = 28) -> Trace:
+def feasible_traces(draw, max_ops: int = 28,
+                    layout: Optional[GridLayout] = None) -> Trace:
     """Hypothesis strategy producing feasible traces via a drawn seed."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    return random_trace(random.Random(seed), max_ops=max_ops)
+    return random_trace(random.Random(seed), max_ops=max_ops, layout=layout)
