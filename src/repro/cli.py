@@ -63,6 +63,7 @@ docs/observability.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -317,7 +318,7 @@ def _write_trace(args, obs) -> None:
     a service sent back (nothing, for a local run)."""
     if not args.trace:
         return
-    trace_obj = write_merged_trace(args.trace,
+    trace_obj = write_merged_trace(args.outputs["trace"],
                                    obs.tracer.collected_payloads())
     dropped = sum(trace_obj["otherData"]["dropped_spans"].values())
     print(f"trace written to {args.trace} "
@@ -357,8 +358,8 @@ def run_check(args) -> int:
         from .runtime.replay import save_capture_binary
 
         records = launch.captured_records or []
-        with open(args.capture, "wb") as stream:
-            save_capture_binary(stream, spec.layout(), records, kernel=kernel)
+        save_capture_binary(args.outputs["capture"], spec.layout(), records,
+                            kernel=kernel)
         print(f"capture written to {args.capture} "
               f"({len(records)} record(s), binary)", file=sys.stderr)
 
@@ -1114,6 +1115,15 @@ def run_convert(args) -> int:
     return 0
 
 
+#: name -> the output paths it writes after its work, as (argument, open
+#: mode).  ``main`` opens them before the work starts, into
+#: ``args.outputs``: an unwritable path is one ``error:`` line, exit 2,
+#: with nothing run and nothing on stdout.
+_OUTPUTS = {
+    "check": (("trace", "w"), ("capture", "wb")),
+    **dict.fromkeys(("lint", "sweep", "fix", "replay"), (("trace", "w"),)),
+}
+
 #: name -> (configure(parser), run(args) -> exit code)
 _SUBCOMMANDS = {
     "check": (_configure_check, run_check),
@@ -1155,7 +1165,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if max_reports < 0:
             raise ReproError(
                 f"--max-reports must be at least 0, not {max_reports}")
-        return _SUBCOMMANDS[argv[0]][1](args)
+        with contextlib.ExitStack() as opened:
+            args.outputs = {
+                name: opened.enter_context(open(path, mode))
+                for name, mode in _OUTPUTS.get(argv[0], ())
+                if (path := getattr(args, name))
+            }
+            return _SUBCOMMANDS[argv[0]][1](args)
     except StepLimitExceeded as exc:
         print(f"HANG: {exc}", file=sys.stderr)
         return 3

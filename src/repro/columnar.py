@@ -20,8 +20,13 @@ rejects rows outside a launch, so a hostile capture fails where it enters.
 :meth:`ColumnarBatch.to_records` rebuilds no lanes: a record's ``addrs``
 and ``values`` are read-only views of its row, and the builder copies
 the lanes of an unaltered row of a *checked* batch (one decoded and
-validated, or one the builder made) by slice instead of re-checking
-them lane by lane.
+validated, or one the builder or the engine made) by slice instead of
+re-checking them lane by lane.
+
+A launch's records are born here: the engine writes each one as a row
+of the launch's :class:`RowLog` and the live queues carry row numbers,
+so the host runs the fused loop over committed ranges of the batches
+the engine wrote, with no record object in between.
 """
 
 from __future__ import annotations
@@ -224,10 +229,11 @@ class ColumnarBatch:
         #: Interned active masks: sorted tid tuples shared across records.
         self.masks: List[Tuple[int, ...]] = []
         #: Set only where the columns were proven consistent — by
-        #: :func:`decode_batch` after :meth:`validate`, and by
-        #: :meth:`ColumnarBuilder.flush` — so a memory row's lanes are
-        #: exactly its mask, ascending, every integer in int64.  Whoever
-        #: edits a checked batch's columns in place must clear it.
+        #: :func:`decode_batch` after :meth:`validate`, by
+        #: :meth:`ColumnarBuilder.flush`, and by :class:`RowLog` for the
+        #: rows the engine writes — so a memory row's lanes are exactly
+        #: its mask, ascending, every integer in int64.  Whoever edits a
+        #: checked batch's columns in place must clear it.
         self.checked = False
         self._mask_sets: Dict[int, FrozenSet[int]] = {}
 
@@ -532,6 +538,137 @@ class ColumnarBuilder:
         self._batch = ColumnarBatch()
         self._mask_ids = {}
         return batch
+
+
+class RowLog(ColumnarBuilder):
+    """A launch's log records, written as rows of columnar batches.
+
+    The engine writes each record as one row (:meth:`write`) straight
+    from a warp's lanes — no record object, no per-lane check — and
+    hands its number on; a record from anywhere else enters through the
+    checked :meth:`ColumnarBuilder.append`.  Row ``n`` is row ``n %
+    batch_rows`` of ``batches[n // batch_rows]``.  Every batch is
+    ``checked`` from the moment it opens: its rows are the engine's own
+    (a memory row's lanes are its mask, ascending; its stored values are
+    the low 64 bits, signed) or passed :meth:`append`.  An address
+    outside int64 is never read from a row: the access it logs fails
+    first.
+
+    A mask is interned per batch on a key that names its tid set one way
+    only: ``(first tid of a warp, lane bits)`` for a set inside that
+    warp (the warp of its lowest tid), a tuple of those pairs for a set
+    spanning warps, ``None`` for the empty set.  The pool is then the
+    one :meth:`ColumnarBuilder.append` builds from the same rows.
+    """
+
+    def __init__(self, batch_rows: int = DEFAULT_BATCH_RECORDS) -> None:
+        super().__init__()
+        self.batch_rows = batch_rows
+        self._written = 0
+        #: Every batch by index; a sealed batch whose rows were all
+        #: consumed (:meth:`consumed`) is ``None``.
+        self.batches: List[Optional[ColumnarBatch]] = [self._batch]
+        self._batch.checked = True
+        self._consumed: List[int] = [0]
+
+    def _room(self) -> ColumnarBatch:
+        """The batch the next row goes in, sealing a full one first."""
+        batch = self._batch
+        if len(batch.kinds) == self.batch_rows:
+            self.flush()
+            batch = self._batch
+            batch.checked = True
+            self.batches.append(batch)
+            self._consumed.append(0)
+        return batch
+
+    def __len__(self) -> int:
+        """Rows written so far: the next row's number."""
+        return self._written
+
+    def _next(self) -> int:
+        number = self._written
+        self._written = number + 1
+        return number
+
+    def append(self, record: LogRecord) -> int:  # type: ignore[override]
+        """Write ``record`` through the builder's checks; its number."""
+        self._room()
+        super().append(record)
+        return self._next()
+
+    def write(self, code: int, warp: int, pc: int, width: int, scope: int,
+              key, mask: Iterable[int], then_key=None,
+              then_mask: Iterable[int] = (),
+              tids: Optional[Sequence[int]] = None, space: int = 0,
+              addrs: Sequence[int] = (),
+              values: Optional[Sequence[int]] = None) -> int:
+        """Write one engine row; its number.
+
+        ``mask`` (read only when ``key`` is new to the batch) is the
+        active tids, ascending; ``then_key``/``then_mask`` a BRANCH_IF's
+        then-mask.  A memory row passes its lanes: ``tids`` (the mask),
+        one ``space`` code, ``addrs`` and, for a store, ``values``.
+        """
+        batch = self._room()
+        mask_ids = self._mask_ids
+        masks = batch.masks
+        mask_id = mask_ids.get(key)
+        if mask_id is None:
+            mask_id = mask_ids[key] = len(masks)
+            masks.append(tuple(mask))
+        then_id = -1
+        if then_key is not None:
+            then_id = mask_ids.get(then_key)
+            if then_id is None:
+                then_id = mask_ids[then_key] = len(masks)
+                masks.append(tuple(then_mask))
+        batch.kinds.append(code)
+        batch.warps.append(warp)
+        batch.pcs.append(pc)
+        batch.widths.append(width)
+        batch.scopes.append(scope)
+        batch.mask_ids.append(mask_id)
+        batch.then_mask_ids.append(then_id)
+        if tids is not None:
+            lanes = len(tids)
+            batch.lane_tids += tids
+            batch.lane_spaces += [space] * lanes
+            batch.lane_addrs += addrs
+            if values is None:
+                absent = [0] * lanes
+                batch.lane_has_value += absent
+                batch.lane_values += absent
+            else:
+                batch.lane_has_value += [1] * lanes
+                batch.lane_values += values
+        batch.lane_starts.append(len(batch.lane_tids))
+        return self._next()
+
+    def locate(self, number: int) -> Tuple[ColumnarBatch, int]:
+        """``(batch, row)`` of row ``number``, its batch not yet dropped."""
+        index, row = divmod(number, self.batch_rows)
+        return self.batches[index], row
+
+    def record(self, number: int) -> LogRecord:
+        """Row ``number`` as a record of views (:meth:`ColumnarBatch.record`)."""
+        batch, row = self.locate(number)
+        return batch.record(row)
+
+    def close(self) -> None:
+        """Drop every batch: the launch is over and the host has read
+        what was committed (a row never committed is lost with it).
+        Views of a row keep its batch."""
+        self.batches.clear()
+        self._batch = ColumnarBatch()
+
+    def consumed(self, index: int, count: int) -> None:
+        """``count`` more rows of batch ``index`` were consumed; a sealed
+        batch whose every row was is dropped (views of it keep it)."""
+        done = self._consumed[index] + count
+        self._consumed[index] = done
+        if done == self.batch_rows:
+            self.batches[index] = None
 
 
 def iter_batches(records: Iterable[LogRecord],

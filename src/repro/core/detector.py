@@ -424,9 +424,10 @@ class BarracudaDetector:
         self.ops_processed += 1
         self._HANDLERS[type(op)](self, op)
 
-    def process_columnar(self, batch: ColumnarBatch,
-                         granularity: int = 4) -> None:
-        """Consume one columnar warp-batch through the fused inner loop.
+    def process_columnar(self, batch: ColumnarBatch, granularity: int = 4,
+                         start: int = 0, stop: Optional[int] = None) -> None:
+        """Consume rows ``start`` to ``stop`` (default: to the end) of one
+        columnar warp-batch through the fused inner loop.
 
         Semantically identical to expanding every record with
         :func:`repro.events.record_to_ops` and calling :meth:`process`
@@ -475,7 +476,7 @@ class BarracudaDetector:
         wpb = layout.warps_per_block
         mask_set = batch.mask_set
 
-        for index in range(len(kinds)):
+        for index in range(start, len(kinds) if stop is None else stop):
             code = kinds[index]
             warp = warps[index]
             pc = pcs[index]
@@ -496,7 +497,7 @@ class BarracudaDetector:
                     clocks.branch_fi(Fi(warp=warp, pc=pc))
                 instr[warp] = instr_get(warp, 0) + 1
                 continue
-            start = lane_starts[index]
+            first = lane_starts[index]
             end = lane_starts[index + 1]
             # The row's warp is tids [lo, hi), and its lanes lie there.
             lo, count = warp_span(warp)
@@ -507,12 +508,12 @@ class BarracudaDetector:
             mask = active_mask(warp)
             # A full mask skips the per-lane active test.
             full = mask == (1 << count) - 1
-            lanes = end - start
+            lanes = end - first
             if code > KIND_ATOMIC:
                 scope = SCOPES[scopes[index]] if scopes[index] >= 0 else None
                 apply = sync_lane[code - KIND_ACQUIRE]
                 ops = 1
-                for lane in range(start, end):
+                for lane in range(first, end):
                     tid = lane_tids[lane]
                     offsets = cell_offsets(lane_addrs[lane], width, granularity)
                     ops += len(offsets)
@@ -542,28 +543,28 @@ class BarracudaDetector:
                     and width == granularity
                     and ranges
                     and not deviant
-                    and lane_tids[end - 1] - lane_tids[start] == lanes - 1
-                    and lane_addrs[end - 1] - (a0 := lane_addrs[start])
+                    and lane_tids[end - 1] - lane_tids[first] == lanes - 1
+                    and lane_addrs[end - 1] - (a0 := lane_addrs[first])
                     == (lanes - 1) * width
                     and a0 % width == 0
                     and full
-                    and lane_addrs[start:end]
+                    and lane_addrs[first:end]
                     == list(range(a0, a0 + lanes * width, width))
-                    and lane_spaces[start:end].count(lane_spaces[start]) == lanes
+                    and lane_spaces[first:end].count(lane_spaces[first]) == lanes
                     and (code == KIND_LOAD
-                         or 0 not in lane_has_value[start:end])
+                         or 0 not in lane_has_value[first:end])
                     and (clock := cv.uniform_clock())
                     and coalesced_row(
                         code == KIND_LOAD,
-                        shared_block if lane_spaces[start] == _SHARED else -1,
-                        a0, lanes, width, lane_tids[start], pc, cv, clock,
-                        None if code == KIND_LOAD else lane_values[start:end],
+                        shared_block if lane_spaces[first] == _SHARED else -1,
+                        a0, lanes, width, lane_tids[first], pc, cv, clock,
+                        None if code == KIND_LOAD else lane_values[first:end],
                         group)
                 ):
                     ops = 1 + lanes
                 else:
                     ops = 1
-                    for lane in range(start, end):
+                    for lane in range(first, end):
                         tid = lane_tids[lane]
                         offsets = cell_offsets(
                             lane_addrs[lane], width, granularity)

@@ -15,9 +15,12 @@ Execution follows the paper's model of the hardware (§2, §3.3.1):
   :mod:`repro.gpu.memory`; ``membar.gl``/``membar.sys`` drain it.
 
 When a kernel has been rewritten by the BARRACUDA instrumentation engine,
-its ``_log.*`` pseudo-instructions emit :class:`LogRecord` events into the
-GPU-side queues, and the SIMT machinery emits branch records at
-divergence points; a pristine kernel emits nothing (a "native" run).
+its ``_log.*`` pseudo-instructions write log records into the GPU-side
+queues, and the SIMT machinery writes branch records at divergence
+points; a pristine kernel writes nothing (a "native" run).  A record is
+born columnar: one row of the launch's :class:`repro.columnar.RowLog`,
+written from the warp's lanes and the shaped address and value columns;
+the sink is handed its number.
 
 :class:`KernelExecution` is threaded code: each body is compiled **once
 per** :class:`ExecContext` into a list of specialized Python closures,
@@ -49,9 +52,11 @@ A launch is counted in one place.  :meth:`KernelExecution.step` counts
 every closure it dispatches as one instruction and one cycle; the
 closures keep no counters, except that a ``_log`` adds the rest of its
 ``LOG_COST`` and a fused ``_log`` counts the access it runs in the same
-slot.  Every record leaves through :meth:`KernelExecution._emit`, the
-one place that decides whether the launch logs, counts the record and
-charges the sink's queue stall to :attr:`LaunchResult.stall_cycles`.
+slot.  Every record is a row of :attr:`KernelExecution.rows` (``None``
+when the launch does not log: no sink, or not instrumented) and leaves
+through :meth:`KernelExecution._emit`, the one place that counts the
+record and charges the sink's queue stall to
+:attr:`LaunchResult.stall_cycles`.
 
 Decoding is total: a statement that cannot be compiled (an opcode with
 no table entry, a malformed operand list, an unknown symbol) decodes to
@@ -69,7 +74,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError, SimulationError
 from ..ptx.ast import (
@@ -86,6 +91,16 @@ from ..ptx.ast import (
 )
 from ..ptx.cfg import CFG
 from ..ptx.isa import type_width
+from ..columnar import (
+    KIND_BARRIER,
+    KIND_BRANCH_IF,
+    KIND_CODE,
+    KIND_LOAD,
+    KIND_STORE,
+    SCOPE_CODE,
+    SPACE_CODE,
+    RowLog,
+)
 from ..events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
 from ..trace.layout import GridLayout, mask_lanes
 from ..trace.operations import Scope, Space
@@ -197,11 +212,12 @@ class WarpState:
     specials: Optional[Dict[Tuple[str, Optional[str]], object]] = None
     done: bool = False
     at_barrier: bool = False
-    #: Deferred shared-side STORE records of ``cp.async`` copies issued
-    #: but not yet committed to a group.
-    async_pending: List[LogRecord] = field(default_factory=list)
+    #: Deferred shared-side STORE rows of ``cp.async`` copies issued but
+    #: not yet committed to a group, staged as ``(pc, width, mask key,
+    #: tids, addresses, values)`` until they complete.
+    async_pending: List[tuple] = field(default_factory=list)
     #: Committed-but-unwaited ``cp.async`` groups, oldest first.
-    async_groups: List[List[LogRecord]] = field(default_factory=list)
+    async_groups: List[List[tuple]] = field(default_factory=list)
     #: Waiting at a grid-wide (cooperative) barrier, not a block one.
     at_grid_barrier: bool = False
 
@@ -232,14 +248,22 @@ class LaunchResult:
 class EventSink:
     """Destination for instrumentation log records.
 
-    The production sink is :class:`repro.runtime.queue.QueueSet`; tests
-    use :class:`ListSink`.  ``emit`` returns the stall cycles the warp
-    incurred (non-zero when the queue was full and had to be drained);
-    they are charged to :attr:`LaunchResult.stall_cycles`.
+    The engine hands a sink each record as ``emit_row(rows, number)``:
+    row ``number`` of the launch's :class:`repro.columnar.RowLog`.  By
+    default that is the row's view (``rows.record(number)``) passed to
+    ``emit``, so a sink that wants records (:class:`ListSink`, a bare
+    :class:`repro.runtime.queue.QueueSet`) implements ``emit`` alone; the
+    session's live sink (:class:`repro.runtime.host.RowSink`) queues the
+    number.  Either returns the stall cycles the warp incurred (non-zero
+    when the queue was full and had to be drained); they are charged to
+    :attr:`LaunchResult.stall_cycles`.
     """
 
     def emit(self, record: LogRecord) -> int:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def emit_row(self, rows: RowLog, number: int) -> int:
+        return self.emit(rows.record(number))
 
 
 class ListSink(EventSink):
@@ -417,9 +441,10 @@ class KernelExecution:
         self._lane_registers: Dict[int, dict] = {}
         # .local state space: thread-private, persists across call frames.
         self._local: Dict[int, SharedMemory] = {}
-        # A record's mask as a frozenset of tids, one per distinct
-        # ``(first_tid, mask)``, shared by every record that carries it.
-        self._tid_sets: Dict[Tuple[int, int], FrozenSet[int]] = {}
+        #: The launch's records, one row each; ``None`` when it does not
+        #: log (no sink, or a pristine launch), and then no row is written.
+        self.rows: Optional[RowLog] = (
+            RowLog() if sink is not None and instrumented else None)
         self.warps: List[WarpState] = []
         for w in self.layout.all_warps():
             first, lanes = self.layout.warp_span(w)
@@ -502,18 +527,6 @@ class KernelExecution:
         return store
 
     # ------------------------------------------------------------------
-    # Records' masks
-    # ------------------------------------------------------------------
-    def _tid_set(self, warp: WarpState, mask: int) -> FrozenSet[int]:
-        """The threads of the lane bits ``mask`` of ``warp``, as a record
-        carries them (interned)."""
-        key = (warp.first_tid, mask)
-        tids = self._tid_sets.get(key)
-        if tids is None:
-            tids = self._tid_sets[key] = frozenset(_tids(warp, mask_lanes(mask)))
-        return tids
-
-    # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
     def step(self, warp: WarpState) -> None:
@@ -577,35 +590,21 @@ class KernelExecution:
         elif finished.phase is _Phase.ELSE:
             self._emit_branch(warp, RecordKind.BRANCH_FI)
 
-    def _emit_branch(
-        self,
-        warp: WarpState,
-        kind: RecordKind,
-        active: Optional[FrozenSet[int]] = None,
-        then_mask: FrozenSet[int] = frozenset(),
-        pc: int = -1,
-    ) -> None:
-        self._emit(LogRecord(
-            kind=kind,
-            warp=warp.warp,
-            active=active if active is not None else frozenset(),
-            then_mask=then_mask,
-            pc=pc,
-        ))
+    def _emit_branch(self, warp: WarpState, kind: RecordKind) -> None:
+        """The ELSE or FI row of a path that finished (no mask, no pc)."""
+        rows = self.rows
+        if rows is not None:
+            self._emit(rows.write(KIND_CODE[kind], warp.warp, -1, 4, -1,
+                                  None, ()))
 
-    def _emit(self, record: LogRecord) -> None:
-        """The launch's one way out for a record.
-
-        A launch logs only when it is instrumented and has a sink;
-        otherwise the record is dropped.  A logged record is counted, and
-        the stall the sink reports (a full queue the host had to drain,
-        §4.2) is charged to the launch.
+    def _emit(self, number: int) -> None:
+        """The launch's one way out for a record: row ``number`` of
+        :attr:`rows`, which only a logging launch writes.  The record is
+        counted, and the stall the sink reports (a full queue the host
+        had to drain, §4.2) is charged to the launch.
         """
-        sink = self.sink
-        if sink is None or not self.instrumented:
-            return
         result = self.result
-        result.stall_cycles += sink.emit(record)
+        result.stall_cycles += self.sink.emit_row(self.rows, number)
         result.records_emitted += 1
 
     # ------------------------------------------------------------------
@@ -718,8 +717,8 @@ class KernelExecution:
         pname, pneg = pred
         reconv = ctx.cfg.reconvergence_pc(pc)
         next_pc = pc + 1
-        emit_branch = self._emit_branch
-        tid_set = self._tid_set
+        rows = self.rows
+        emit = self._emit
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             value = warp.frames[-1].regs.get(pname, 0)
@@ -743,13 +742,13 @@ class KernelExecution:
                 entry.pc = next_pc
                 return False
             not_taken = mask & ~taken
-            emit_branch(
-                warp,
-                RecordKind.BRANCH_IF,
-                active=tid_set(warp, mask),
-                then_mask=tid_set(warp, not_taken),
-                pc=pc,
-            )
+            if rows is not None:
+                first = warp.first_tid
+                emit(rows.write(
+                    KIND_BRANCH_IF, warp.warp, pc, 4, -1,
+                    (first, mask), _tids(warp, lanes),
+                    then_key=(first, not_taken),
+                    then_mask=(first + lane for lane in mask_lanes(not_taken))))
             entry.pc = reconv
             stack = warp.frames[-1].stack
             stack.append(_path(taken, count, target_pc, reconv, _Phase.ELSE))
@@ -934,7 +933,9 @@ class KernelExecution:
             scope = Scope.BLOCK if "cta" in mods else Scope.GLOBAL
         else:
             raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
-        space = Space.SHARED if "shared" in mods else Space.GLOBAL
+        code = KIND_CODE[kind]
+        scope_code = -1 if scope is None else SCOPE_CODE[scope]
+        space = SPACE_CODE[Space.SHARED if "shared" in mods else Space.GLOBAL]
         width = type_width(insn.value_type()) if insn.value_type() else 4
         width *= insn.vector_count()
         addrs_of = self._compile_address(insn.operands[0])
@@ -944,7 +945,7 @@ class KernelExecution:
         pred = insn.pred
         pc_line = insn.line
         emit = self._emit
-        tid_set = self._tid_set
+        rows = self.rows
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             result.cycles += extra_cost
@@ -953,28 +954,18 @@ class KernelExecution:
             lanes = _active_lanes(warp, entry, regs, pred)
             if lanes == ():
                 return True
-            tids = _tids(warp, lanes)
-            frozen = tid_set(warp, entry.mask if pred is None
-                             else _lane_bits(lanes, warp.lanes))
-            addrs = {
-                t: (space, addr)
-                for t, addr in zip(tids, addrs_of(regs, warp, lanes))
-            }
-            if value_of is None:
-                values: Dict[int, int] = {}
-            else:
-                stored = column(value_of(regs, warp), warp.lanes, lanes)
-                values = dict(zip(tids, _logged_values(stored, pc_line)))
-            emit(LogRecord(
-                kind=kind,
-                warp=warp.warp,
-                active=frozen,
-                addrs=addrs,
-                values=values,
-                scope=scope,
-                width=width,
-                pc=pc_line,
-            ))
+            addrs = addrs_of(regs, warp, lanes)
+            values = None
+            if value_of is not None:
+                values = _logged_values(
+                    column(value_of(regs, warp), warp.lanes, lanes), pc_line)
+            if rows is not None:
+                tids = _tids(warp, lanes)
+                key = (warp.first_tid, entry.mask if pred is None
+                       else _lane_bits(lanes, warp.lanes))
+                emit(rows.write(code, warp.warp, pc_line, width, scope_code,
+                                key, tids, tids=tids, space=space,
+                                addrs=addrs, values=values))
             return True
 
         return op
@@ -1412,54 +1403,42 @@ class KernelExecution:
         if lanes == ():
             return
         regs = warp.frame.regs
-        active = _tids(warp, lanes)
-        src_addrs = {}
-        dst_addrs = {}
-        values = {}
-        for tid, saddr, daddr in zip(
-            active,
-            self._compile_address(src)(regs, warp, lanes),
-            self._compile_address(dst)(regs, warp, lanes),
-        ):
+        src_addrs = self._compile_address(src)(regs, warp, lanes)
+        dst_addrs = self._compile_address(dst)(regs, warp, lanes)
+        values = []
+        for saddr, daddr in zip(src_addrs, dst_addrs):
             raw = self.global_mem.load(warp.block, saddr, size)
             self.shared_mem.store(warp.block, daddr, size, raw)
-            src_addrs[tid] = (Space.GLOBAL, saddr)
-            dst_addrs[tid] = (Space.SHARED, daddr)
-            values[tid] = raw
-        frozen = self._tid_set(warp, _lane_bits(lanes, warp.lanes))
-        self._emit(LogRecord(
-            kind=RecordKind.LOAD,
-            warp=warp.warp,
-            active=frozen,
-            addrs=src_addrs,
-            width=size,
-            pc=insn.line,
-        ))
-        warp.async_pending.append(
-            LogRecord(
-                kind=RecordKind.STORE,
-                warp=warp.warp,
-                active=frozen,
-                addrs=dst_addrs,
-                values=values,
-                width=size,
-                pc=insn.line,
-            )
-        )
+            values.append(raw)
+        rows = self.rows
+        if rows is None:
+            return
+        tids = _tids(warp, lanes)
+        key = (warp.first_tid, _lane_bits(lanes, warp.lanes))
+        self._emit(rows.write(KIND_LOAD, warp.warp, insn.line, size, -1,
+                              key, tids, tids=tids,
+                              space=SPACE_CODE[Space.GLOBAL], addrs=src_addrs))
+        # The shared write is logged, as a store's value is, by its low
+        # 64 bits: a 16-byte copy's word does not fit a row otherwise.
+        warp.async_pending.append((insn.line, size, key, tids, dst_addrs,
+                                   _logged_values(values, insn.line)))
 
     def _flush_async(
         self, warp: WarpState, keep_groups: int,
         include_uncommitted: bool = False,
     ) -> None:
         """Emit the deferred stores of completed ``cp.async`` groups."""
-        records: List[LogRecord] = []
+        staged: List[tuple] = []
         while len(warp.async_groups) > keep_groups:
-            records.extend(warp.async_groups.pop(0))
+            staged.extend(warp.async_groups.pop(0))
         if include_uncommitted and warp.async_pending:
-            records.extend(warp.async_pending)
+            staged.extend(warp.async_pending)
             warp.async_pending = []
-        for record in records:
-            self._emit(record)
+        shared = SPACE_CODE[Space.SHARED]
+        for pc, width, key, tids, addrs, values in staged:
+            self._emit(self.rows.write(KIND_STORE, warp.warp, pc, width, -1,
+                                       key, tids, tids=tids, space=shared,
+                                       addrs=addrs, values=values))
 
     def _finish_warp(self, warp: WarpState) -> None:
         """Mark a warp done; unwaited copies complete at exit.
@@ -1519,9 +1498,18 @@ class KernelExecution:
         return False
 
     def _emit_barrier(self, block: int, arrived: List[WarpState]) -> None:
-        active = frozenset().union(
-            *(self._tid_set(w, w.frame.stack[-1].mask) for w in arrived))
-        self._emit(LogRecord(kind=RecordKind.BARRIER, warp=block, active=active))
+        """The BARRIER row of ``block``: the union of the arrived warps'
+        active masks, keyed warp by warp (one warp's key when only one
+        arrived with lanes)."""
+        rows = self.rows
+        if rows is None:
+            return
+        tops = [(w, w.frame.stack[-1]) for w in arrived]
+        parts = tuple((w.first_tid, top.mask) for w, top in tops if top.mask)
+        key = parts[0] if len(parts) == 1 else parts or None
+        self._emit(rows.write(
+            KIND_BARRIER, block, -1, 4, -1, key,
+            (tid for w, top in tops for tid in _tids(w, top.lanes))))
 
     # ------------------------------------------------------------------
     # The instruction set

@@ -40,7 +40,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Version stamp carried by span payloads (wire-compat guard).
 SPAN_WIRE_VERSION = 1
@@ -562,13 +562,19 @@ def merge_spans(payloads: Sequence[dict]) -> dict:
     }
 
 
-def write_merged_trace(path: str, payloads: Sequence[dict]) -> dict:
-    """Merge and write a Chrome trace file; returns the trace object."""
+def write_merged_trace(target: Union[str, IO[str]],
+                       payloads: Sequence[dict]) -> dict:
+    """Merge and write a Chrome trace to a path or an open text stream;
+    returns the trace object."""
     trace = merge_spans(payloads)
-    with open(path, "w") as handle:
-        # One-shot and unindented: the C encoder, which a traced launch's
-        # tens of thousands of warp-step events need.
-        handle.write(json.dumps(trace))
+    # One-shot and unindented: the C encoder, which a traced launch's
+    # tens of thousands of warp-step events need.
+    text = json.dumps(trace)
+    if isinstance(target, str):
+        with open(target, "w") as handle:
+            handle.write(text)
+    else:
+        target.write(text)
     return trace
 
 

@@ -4,20 +4,27 @@ Each GPU queue is allocated a corresponding host consumer; queue draining
 mirrors the device logging algorithm, with the read head advancing over
 committed records.  Records are drained across queues in device commit
 order — the stamp every push carries — which makes an analysis run
-deterministic; they are packed into columnar warp-batches and fed to the
-BARRACUDA detector's fused loop.  (The paper's per-queue host threads
-interleave approximately and rely on per-location locking; commit order
-is one of the interleavings they allow.)
+deterministic.  (The paper's per-queue host threads interleave
+approximately and rely on per-location locking; commit order is one of
+the interleavings they allow.)
+
+In a monitored launch a queue slot holds a row number (:class:`RowSink`):
+the record is a row of the launch's columnar :class:`RowLog`, and each
+run of consecutive drained numbers is one ``(batch, start, stop)`` range
+of it, fed to the detector's fused loop where it lies.  Records queued
+as records (a bare :class:`QueueSet` sink) are packed into columnar
+batches first.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
-from ..columnar import ColumnarBatch, iter_batches
+from ..columnar import KIND_BARRIER, ColumnarBatch, RowLog, iter_batches
 from ..core.detector import BarracudaDetector
 from ..core.races import DetectorReports
 from ..core.races import DetectorConfig
+from ..gpu.interpreter import EventSink
 from ..trace.layout import GridLayout
 from .queue import QueueSet
 from ..events import LogRecord
@@ -38,6 +45,9 @@ class HostDetector:
         self.detector = BarracudaDetector(layout, config)
         self.granularity = (config or DetectorConfig()).granularity_bytes
         self.records_processed = 0
+        #: The launch's row log, once a :class:`RowSink` queued a row of
+        #: it: the queues then hold its row numbers.
+        self.rows: Optional[RowLog] = None
 
     # ------------------------------------------------------------------
     # Consumption
@@ -46,15 +56,44 @@ class HostDetector:
         for batch in iter_batches(records):
             self.consume_columnar(batch)
 
-    def consume_columnar(self, batch: ColumnarBatch) -> None:
-        """Ingest one columnar warp-batch through the fused loop."""
-        self.records_processed += len(batch)
-        self.detector.process_columnar(batch, self.granularity)
+    def consume_columnar(self, batch: ColumnarBatch, start: int = 0,
+                         stop: Optional[int] = None) -> None:
+        """Ingest rows ``start`` to ``stop`` (default: all) of one
+        columnar warp-batch through the fused loop."""
+        self.records_processed += (len(batch) if stop is None else stop) - start
+        self.detector.process_columnar(batch, self.granularity, start, stop)
+
+    def consume_rows(self, numbers: List[int]) -> None:
+        """Ingest rows of :attr:`rows` by number, in the order given: each
+        run of consecutive numbers inside one batch is one range."""
+        rows = self.rows
+        size = rows.batch_rows
+        total = len(numbers)
+        position = 0
+        while position < total:
+            first = numbers[position]
+            index, start = divmod(first, size)
+            # The run ends at a gap (a drop-commit hole, or a record
+            # committed out of order) or at the end of the batch.
+            limit = min(total, position + size - start)
+            end = position + 1
+            while end < limit and numbers[end] == first + end - position:
+                end += 1
+            count = end - position
+            self.consume_columnar(rows.batches[index], start, start + count)
+            rows.consumed(index, count)
+            position = end
+
+    def _consume_drained(self, items: list) -> None:
+        if self.rows is None:
+            self.consume(items)
+        elif items:
+            self.consume_rows(items)
 
     def drain(self, queues: QueueSet) -> int:
         """Drain everything currently committed; returns records eaten."""
         before = self.records_processed
-        self.consume(queues.drain_in_order())
+        self._consume_drained(queues.drain_in_order())
         return self.records_processed - before
 
     def drain_some(self, queues: QueueSet, queue_index: int) -> None:
@@ -67,7 +106,7 @@ class HostDetector:
         target = queues.queues[queue_index]
         freed_from = target.read_head
         while target.read_head == freed_from and target.pending():
-            self.consume(queues.drain_in_order(limit=_DRAIN_BATCH))
+            self._consume_drained(queues.drain_in_order(limit=_DRAIN_BATCH))
 
     # ------------------------------------------------------------------
     # Results
@@ -75,3 +114,22 @@ class HostDetector:
     @property
     def reports(self) -> DetectorReports:
         return self.detector.reports
+
+
+class RowSink(EventSink):
+    """The live sink of a monitored launch: it queues each record's row
+    number on its block's queue (§4.2) and leaves the record where the
+    engine wrote it, for ``host`` to read by range."""
+
+    def __init__(self, queues: QueueSet, host: HostDetector) -> None:
+        self.queues = queues
+        self.host = host
+        self._warps_per_block = host.layout.warps_per_block
+
+    def emit_row(self, rows: RowLog, number: int) -> int:
+        self.host.rows = rows
+        batch, row = rows.locate(number)
+        warp = batch.warps[row]
+        block = (warp if batch.kinds[row] == KIND_BARRIER
+                 else warp // self._warps_per_block)
+        return self.queues.push(number, block)

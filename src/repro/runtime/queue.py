@@ -15,8 +15,12 @@ which case the producing warp stalls until the host drains.
 BARRACUDA allocates multiple queues (~1.1–1.5 per SM) and maps each
 thread block to one queue, which lets the host process shared-memory
 traffic of a block without locking.  :class:`QueueSet` reproduces that
-organization and doubles as the :class:`repro.gpu.interpreter.EventSink`
-the instrumented kernels log into.
+organization.  A slot holds what the producer queued: in a monitored
+launch, the number of the record's row in the launch's
+:class:`repro.columnar.RowLog` (the record stays where the engine wrote
+it, as a device record stays in its queue slot); a bare
+:class:`QueueSet` passed to a launch as its
+:class:`repro.gpu.interpreter.EventSink` holds the records themselves.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ class LogQueue:
         if capacity < 1:
             raise QueueError(f"queue capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._slots: List[Optional[LogRecord]] = [None] * capacity
+        self._slots: list = [None] * capacity
         self._seqs: List[int] = [0] * capacity
         self.write_head = 0
         self.commit_index = 0
@@ -93,7 +97,7 @@ class LogQueue:
     def full(self) -> bool:
         return self.write_head - self.read_head >= self.capacity
 
-    def push(self, record: LogRecord, seq: int = 0) -> None:
+    def push(self, record, seq: int = 0) -> None:
         """Reserve a slot, fill it, and bump the commit index.
 
         The real device does these as three separate steps performed
@@ -114,7 +118,7 @@ class LogQueue:
             self.stats.wraps += 1
         self.stats.sample_depth(self.write_head - self.read_head)
 
-    def push_uncommitted(self, record: LogRecord, seq: int = 0) -> None:
+    def push_uncommitted(self, record, seq: int = 0) -> None:
         """Write a slot and advance the write head *without* committing.
 
         Models the §4.2 hazard of a producer that dies between the slot
@@ -146,7 +150,7 @@ class LogQueue:
     def pending(self) -> int:
         return self.commit_index - self.read_head
 
-    def pop(self) -> Optional[LogRecord]:
+    def pop(self):
         """Consume the oldest committed record, or None if drained."""
         if self.read_head >= self.commit_index:
             return None
@@ -218,16 +222,22 @@ class QueueSet(EventSink):
         return stall
 
     def emit(self, record: LogRecord) -> int:
+        return self.push(record, self._block_of(record))
+
+    def push(self, item, block: int) -> int:
+        """Queue ``item`` — a record, or a row number of the launch's
+        :class:`repro.columnar.RowLog` — on ``block``'s queue; returns
+        the stall cycles the producer incurred."""
+        queue_index = self.queue_for_block(block)
+        queue = self.queues[queue_index]
         if self._faults is not None:
             fault = self._faults.check(fault_sites.QUEUE_PUSH, RECORD_BYTES)
             if fault is not None:
-                return self._emit_faulty(record, fault)
-        queue_index = self.queue_for_block(self._block_of(record))
-        queue = self.queues[queue_index]
+                return self._push_faulty(item, queue, queue_index, fault)
         stall = 0
         if queue.full():
             stall = self._make_room(queue, queue_index)
-        queue.push(record, seq=self._seq)
+        queue.push(item, seq=self._seq)
         self._seq += 1
         queue.stats.stall_cycles += stall
         return stall
@@ -235,9 +245,8 @@ class QueueSet(EventSink):
     # ------------------------------------------------------------------
     # Fault-injected paths (repro.faults; never taken under NULL_FAULTS)
     # ------------------------------------------------------------------
-    def _emit_faulty(self, record: LogRecord, fault) -> int:
-        queue_index = self.queue_for_block(self._block_of(record))
-        queue = self.queues[queue_index]
+    def _push_faulty(self, item, queue: LogQueue, queue_index: int,
+                     fault) -> int:
         stall = self._make_room(queue, queue_index) if queue.full() else 0
         if fault.kind == fault_sites.RING_FULL:
             # Forced producer stall: behave as though the write head had
@@ -247,14 +256,14 @@ class QueueSet(EventSink):
                 self.on_full(self, queue_index)
             stall += int(fault.arg("stall_cycles", STALL_CYCLES_PER_RECORD))
             queue.stats.stalls += 1
-            queue.push(record, seq=self._seq)
+            queue.push(item, seq=self._seq)
             self._seq += 1
             queue.stats.stall_cycles += stall
             return stall
         # drop-commit: the record is written and the write head advances,
         # but the commit index is withheld (a lost §4.2 commit).  The next
         # successful push re-commits past it; a trailing drop is lost.
-        queue.push_uncommitted(record, seq=self._seq)
+        queue.push_uncommitted(item, seq=self._seq)
         self._seq += 1
         queue.stats.stall_cycles += stall
         return stall
@@ -265,9 +274,10 @@ class QueueSet(EventSink):
     def pending(self) -> int:
         return sum(q.pending() for q in self.queues)
 
-    def drain_in_order(self, limit: Optional[int] = None) -> List[LogRecord]:
-        """Drain across queues in device commit order (deterministic)."""
-        records: List[LogRecord] = []
+    def drain_in_order(self, limit: Optional[int] = None) -> list:
+        """Drain across queues in device commit order (deterministic): the
+        queued items (records or row numbers), oldest commit first."""
+        records: list = []
         while limit is None or len(records) < limit:
             best = None
             best_seq = None

@@ -20,6 +20,7 @@ from typing import IO, Iterable, Iterator, List, Optional, Tuple, Union
 from ..columnar import (
     DEFAULT_BATCH_RECORDS,
     ColumnarBatch,
+    RowLog,
     decode_batch,
     encode_batch,
     iter_batches,
@@ -57,8 +58,10 @@ _SNIFF_BYTES = 4096
 class RecordingSink(EventSink):
     """An event sink that both forwards to another sink and captures.
 
-    Wrap the session's queue set with this to keep live detection while
-    producing a replayable capture.
+    Wrap the session's live sink with this to keep live detection while
+    producing a replayable capture.  An engine row is kept as its view
+    (``rows.record(number)``), which keeps the row's batch alive after
+    the host has consumed it, and forwarded as a row.
     """
 
     def __init__(self, inner: Optional[EventSink] = None) -> None:
@@ -69,6 +72,12 @@ class RecordingSink(EventSink):
         self.records.append(record)
         if self.inner is not None:
             return self.inner.emit(record)
+        return 0
+
+    def emit_row(self, rows: RowLog, number: int) -> int:
+        self.records.append(rows.record(number))
+        if self.inner is not None:
+            return self.inner.emit_row(rows, number)
         return 0
 
 

@@ -30,10 +30,10 @@ from ..instrument.passes import InstrumentationReport, Instrumenter
 from ..obs import NULL_OBS, MetricsRegistry, Observability
 from ..ptx.ast import Module
 from ..trace.layout import GridLayout
-from .host import HostDetector
+from .host import HostDetector, RowSink
 from .queue import DEFAULT_CAPACITY, QueueSet, QueueStats
 from .replay import RecordingSink
-from ..events import LogRecord, RecordKind
+from ..events import LogRecord
 from ..gpu.interpreter import EventSink
 
 
@@ -278,18 +278,15 @@ class BarracudaSession:
         queues = QueueSet(
             num_queues=self.num_queues,
             capacity=self.queue_capacity,
-            block_of_record=lambda record: (
-                record.warp
-                if record.kind is RecordKind.BARRIER
-                else layout.block_of_warp(record.warp)
-            ),
             on_full=lambda queue_set, index: host.drain_some(queue_set, index),
             faults=self.faults,
         )
-        sink: EventSink = queues
+        # The queues carry row numbers; the records stay in the launch's
+        # row log until the host reads them by range.
+        sink: EventSink = RowSink(queues, host)
         recording: Optional[RecordingSink] = None
         if capture_records:
-            recording = RecordingSink(queues)
+            recording = RecordingSink(sink)
             sink = recording
         result = self.device.launch(
             instrumented,
@@ -307,6 +304,10 @@ class BarracudaSession:
         )
         with self.obs.tracer.span("queue-drain", kernel=kernel_name):
             host.drain(queues)
+        if host.rows is not None:
+            # The finished launch is a reference cycle that holds its row
+            # log until the collector runs; the batches need not wait.
+            host.rows.close()
         launch = SessionLaunch(
             kernel=kernel_name,
             native=native_result,

@@ -187,14 +187,12 @@ def _release_barriers_all_blocks(execution) -> bool:
         return False
 
     def emit_barrier(block, arrived):
-        if execution.sink is None or not execution.instrumented:
+        if execution.rows is None:
             return
-        record = LogRecord(
+        execution._emit(execution.rows.append(LogRecord(
             kind=RecordKind.BARRIER, warp=block,
             active=frozenset().union(*map(_active_tids, arrived)),
-        )
-        execution.result.stall_cycles += execution.sink.emit(record)
-        execution.result.records_emitted += 1
+        )))
 
     live_all = [w for w in execution.warps if not w.done]
     if live_all and all(w.at_barrier and w.at_grid_barrier for w in live_all):
@@ -337,8 +335,10 @@ class NaiveKernelExecution(KernelExecution):
     ``dict`` per thread, per-thread ``call`` bindings, a tid set per
     SIMT stack entry (:class:`OracleEntry`) — and nothing below reads a
     production register file or mask; only the launch set-up, the
-    SIMT-stack pops, ``cp.async`` completion and the barrier release
-    are inherited."""
+    SIMT-stack pops (with their ELSE/FI rows) and the barrier release
+    are inherited.  Its records are ``LogRecord``s, written into the
+    launch's row log through the checked ``ColumnarBuilder.append``
+    (``_emit_record``); a ``cp.async`` store is staged as its record."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -366,10 +366,29 @@ class NaiveKernelExecution(KernelExecution):
     def frozen_active(self, entry: OracleEntry) -> FrozenSet[int]:
         return self.intern_mask(entry.sorted_active())
 
+    def _emit_record(self, record: LogRecord) -> None:
+        """Log ``record``: a row of the launch's row log, written through
+        the builder's checks, then the engine's one exit."""
+        if self.rows is not None:
+            self._emit(self.rows.append(record))
+
     def _emit_barrier(self, block: int, arrived) -> None:
         masks = [self.frozen_active(w.frame.stack[-1]) for w in arrived]
         active = masks[0] if len(masks) == 1 else frozenset().union(*masks)
-        self._emit(LogRecord(kind=RecordKind.BARRIER, warp=block, active=active))
+        self._emit_record(LogRecord(kind=RecordKind.BARRIER, warp=block,
+                                    active=active))
+
+    def _flush_async(self, warp: WarpState, keep_groups: int,
+                     include_uncommitted: bool = False) -> None:
+        """Emit the staged store records of completed ``cp.async`` groups."""
+        records = []
+        while len(warp.async_groups) > keep_groups:
+            records.extend(warp.async_groups.pop(0))
+        if include_uncommitted and warp.async_pending:
+            records.extend(warp.async_pending)
+            warp.async_pending = []
+        for record in records:
+            self._emit_record(record)
 
     # ------------------------------------------------------------------
     # Operand evaluation (per thread)
@@ -530,13 +549,13 @@ class NaiveKernelExecution(KernelExecution):
         # Divergence: fall-through path executes first (Figure 1), the
         # taken path is pushed deeper; both reconverge at the IPDOM.
         reconv = warp.frame.ctx.cfg.reconvergence_pc(entry.pc)
-        self._emit_branch(
-            warp,
-            RecordKind.BRANCH_IF,
+        self._emit_record(LogRecord(
+            kind=RecordKind.BRANCH_IF,
+            warp=warp.warp,
             active=self.frozen_active(entry),
             then_mask=self.intern_mask(sorted(not_taken)),
             pc=entry.pc,
-        )
+        ))
         branch_pc = entry.pc
         entry.pc = reconv
         warp.stack.append(
@@ -835,7 +854,8 @@ class NaiveKernelExecution(KernelExecution):
             self.shared_mem.store(warp.block, daddr, size, raw)
             src_addrs[tid] = (Space.GLOBAL, saddr)
             dst_addrs[tid] = (Space.SHARED, daddr)
-            values[tid] = raw
+            # Logged as a store is: the low 64 bits, signed.
+            values[tid] = (raw + (1 << 63)) % (1 << 64) - (1 << 63)
         if self.sink is None or not self.instrumented:
             return
         frozen = self.intern_mask(active)
@@ -847,8 +867,7 @@ class NaiveKernelExecution(KernelExecution):
             width=size,
             pc=insn.line,
         )
-        self.result.stall_cycles += self.sink.emit(load)
-        self.result.records_emitted += 1
+        self._emit_record(load)
         warp.async_pending.append(
             LogRecord(
                 kind=RecordKind.STORE,
@@ -1052,8 +1071,7 @@ class NaiveKernelExecution(KernelExecution):
             )
         else:
             raise SimulationError(f"unknown log instruction {insn.full_opcode!r}")
-        self.result.stall_cycles += self.sink.emit(record)
-        self.result.records_emitted += 1
+        self._emit_record(record)
 
 
 # ----------------------------------------------------------------------

@@ -900,9 +900,8 @@ def _hostile_rows():
     return rows
 
 
-@pytest.mark.parametrize("argv", _hostile_rows())
-def test_hostile_input_or_unwritable_output_is_a_one_line_error(
-        argv, tmp_path, request, capsys):
+def _resolve(argv, tmp_path, request):
+    """``argv`` with its placeholders made real under ``tmp_path``."""
     not_utf8 = tmp_path / "blob.cu"
     not_utf8.write_bytes(b"\xff\xfe__global__ void k(int* data) { }\x80\n")
     # A path below a regular file: no user, root included, can create it.
@@ -914,9 +913,45 @@ def test_hostile_input_or_unwritable_output_is_a_one_line_error(
         "UNWRITABLE": lambda: str(tmp_path / "plain-file" / "out"),
         "SOCKET": lambda: request.getfixturevalue("live_service"),
     }
-    argv = [places[a]() if a in places else a for a in argv]
-    assert cli.main(argv) == 2
+    return [places[a]() if a in places else a for a in argv]
+
+
+@pytest.mark.parametrize("argv", _hostile_rows())
+def test_hostile_input_or_unwritable_output_is_a_one_line_error(
+        argv, tmp_path, request, capsys):
+    assert cli.main(_resolve(argv, tmp_path, request)) == 2
     _assert_clean_error(capsys)
+
+
+def _output_rows():
+    rows = [pytest.param(["check", "KERNEL"] + LAUNCH + ["--capture", "UNWRITABLE"],
+                         id="check-capture")]
+    for command in ("check", "lint", "sweep", "fix"):
+        flags = [] if command == "lint" else LAUNCH + SMALL.get(command, [])
+        rows.append(pytest.param(
+            [command, "KERNEL"] + flags + ["--trace", "UNWRITABLE"],
+            id=f"{command}-trace"))
+    rows += [
+        pytest.param(["replay", "CAPTURE", "--trace", "UNWRITABLE"],
+                     id="replay-trace"),
+        pytest.param(["replay", "CAPTURE", "--socket", "SOCKET",
+                      "--trace", "UNWRITABLE"], id="submit-trace"),
+    ]
+    return rows
+
+
+@pytest.mark.parametrize("argv", _output_rows())
+def test_an_unwritable_output_path_fails_before_the_run(
+        argv, tmp_path, request, capsys):
+    # Each run would print the racy kernel's findings or races; the path
+    # it cannot write is found first, so stdout stays empty.
+    argv = _resolve(argv, tmp_path, request)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [line for line in captured.err.splitlines() if line]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("fmt", ["binary", "jsonl"])

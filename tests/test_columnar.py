@@ -18,13 +18,14 @@ import dataclasses
 import functools
 import io
 import json
+import random
 import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import cli
+from repro import cli, jobs
 from repro.bench import ALL_WORKLOADS
 from repro.columnar import (
     KIND_CODE,
@@ -34,6 +35,8 @@ from repro.columnar import (
     SPACE_CODE,
     SPACES,
     ColumnarBatch,
+    ColumnarBuilder,
+    RowLog,
     _LaneView,
     batch_record_count,
     decode_batch,
@@ -48,10 +51,12 @@ from repro.events import MEMORY_KINDS, LogRecord, RecordKind
 from repro.gpu import GpuDevice, ListSink
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
-from repro.jobs import record_stream
+from repro.jobs import launch_spec, record_stream
 from repro.predict import LaunchSpec
-from repro.runtime.host import HostDetector
+from repro.runtime.host import HostDetector, RowSink
+from repro.runtime.queue import QueueSet
 from repro.runtime.replay import (
+    RecordingSink,
     _record_from_json,
     _record_to_json,
     capture_header_line,
@@ -70,7 +75,7 @@ from repro.service import protocol
 from repro.suite import ALL_PROGRAMS
 from repro.trace.operations import Scope, Space
 
-from oracle import per_record_oracle
+from oracle import oracle_engine, per_record_oracle
 
 RACY = """
 __global__ void racy(int* data) {
@@ -420,12 +425,48 @@ class TestHostileInput:
 # One canonical record: the engine's rows pass the boundary, and one
 # field of one row changed is a report or a one-line error
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("entry", list(ALL_PROGRAMS) + list(ALL_WORKLOADS),
-                         ids=lambda entry: entry.name)
+CORPUS = list(ALL_PROGRAMS) + list(ALL_WORKLOADS)
+
+
+def _engine_stream(entry):
+    """``(layout, records, batches)`` of a corpus entry: its record stream
+    (``record_stream``'s views) and the row log batches the engine wrote
+    those records into."""
+    logs = []
+
+    class RowKeepingSink(ListSink):
+        def emit_row(self, rows, number):
+            if not logs:
+                logs.append(rows)
+            return super().emit_row(rows, number)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jobs, "ListSink", RowKeepingSink)
+        layout, records = record_stream(entry.spec)
+    return layout, records, logs[0].batches if logs else []
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
 def test_every_engine_stream_passes_the_boundary(entry):
     # The census: the builder and the layout check reject none of the
     # rows the engine emits for any suite program or Table-1 workload.
-    layout, records = record_stream(entry.spec)
+    layout, records, rows = _engine_stream(entry)
+    # The engine's own batches, written without the builder's checks,
+    # hold exactly the stream: consistent, inside the launch, a value on
+    # every lane of a store row and on no other, and the pool the
+    # builder interns from their views.
+    assert [view for batch in rows for view in batch.iter_records()] == records
+    for batch in rows:
+        assert batch.checked
+        batch.validate()
+        batch.check_layout(layout)
+        for index, code in enumerate(batch.kinds):
+            flags = batch.lane_has_value[
+                batch.lane_starts[index]:batch.lane_starts[index + 1]]
+            assert set(flags) <= ({1} if code == KIND_CODE[RecordKind.STORE]
+                                  else {0})
+        assert encode_batch(batch) == encode_batch(
+            ColumnarBatch.from_records(batch.to_records()))
     batches = list(iter_batches(records))
     assert sum(len(batch) for batch in batches) == len(records)
     for batch in batches:
@@ -443,6 +484,52 @@ def test_every_engine_stream_passes_the_boundary(entry):
                 assert view.addrs == plain.addrs == dict(view.addrs)
                 assert view.values == plain.values == dict(view.values)
                 assert view == plain and repr(view) == repr(plain)
+
+
+def _detector_outcome(detector):
+    reports = detector.reports
+    return (reports.races, [str(d) for d in reports.barrier_divergences],
+            reports.filtered_same_value, detector.ops_processed,
+            detector.clocks.joins)
+
+
+def _run_ranges(layout, ranges):
+    """The detector after ``(batch, start, stop)`` ranges, in order."""
+    detector = BarracudaDetector(layout, DetectorConfig())
+    for batch, start, stop in ranges:
+        detector.process_columnar(batch, 4, start, stop)
+    return detector
+
+
+def _cut(batches, sizes):
+    """``batches`` as consecutive ranges of the sizes ``sizes`` yields,
+    each cut again at a batch's end."""
+    ranges = []
+    for batch in batches:
+        start = 0
+        while start < len(batch):
+            stop = min(len(batch), start + next(sizes))
+            ranges.append((batch, start, stop))
+            start = stop
+    return ranges
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+def test_the_detector_does_not_care_where_a_batch_is_cut(entry):
+    # The live drain hands the detector any run of committed rows: one
+    # row at a time, random runs of 1 to 69 rows of the engine's own
+    # batches, or the stream as one batch — the same reports, the same
+    # accounting.
+    layout, records, rows = _engine_stream(entry)
+    whole = ColumnarBatch.from_records(records)
+    rng = random.Random(entry.name)
+    outcomes = [_detector_outcome(_run_ranges(layout, ranges)) for ranges in (
+        [(whole, 0, None)],
+        _cut([whole], iter(lambda: 1, 0)),
+        _cut(rows, iter(lambda: rng.randint(1, 69), 0)),
+    )]
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
 
 
 def _was_read(record) -> bool:
@@ -513,6 +600,35 @@ def test_a_store_beyond_int64_is_logged_as_its_low_64_bits_signed():
     assert len(reports.races) == 6
     assert (reports.filtered_same_value == expected.filtered_same_value
             == 24)
+
+
+_CP_ASYNC_16 = """
+__global__ void cp16(int* src, int* out) {
+    __shared__ int tile[128];
+    __pipeline_memcpy_async(&tile[threadIdx.x * 4], &src[threadIdx.x * 4], 16);
+    __pipeline_commit();
+    __pipeline_wait_prior(0);
+    __syncthreads();
+    out[threadIdx.x] = tile[threadIdx.x * 4];
+}
+"""
+
+
+def test_a_16_byte_async_copy_is_logged_by_its_low_64_bits():
+    # A copy's shared-side store logs its word as a store does: all-ones
+    # 16 bytes are -1, not a value no column holds (which failed the
+    # launch's drain with exit 2).
+    spec = LaunchSpec(source=_CP_ASYNC_16, grid=1, block=32,
+                      buffers=(("src", 128, (-1,) * 8), ("out", 32, ())))
+    assert not launch_spec(spec).launch.races
+    _layout, records = record_stream(spec)
+    copies = [r for r in records if r.kind is RecordKind.STORE
+              and r.addrs[0][0] is Space.SHARED]
+    assert {r.width for r in copies} == {16}
+    assert {v for r in copies for v in r.values.values()} == {-1, 0}
+    assert [r.values[t] for r in copies for t in (0, 1, 2)] == [-1, -1, 0]
+    with oracle_engine():
+        assert record_stream(spec)[1] == records
 
 
 #: RACY with a block barrier, so the capture has a row naming a block.
@@ -773,6 +889,17 @@ class TestFusedDetection:
                 == plain.shadow.stats.global_pages)
         assert fused.shadow.stats.entries <= plain.shadow.stats.entries
 
+    @settings(max_examples=200, deadline=None)
+    @given(records=memory_streams(),
+           sizes=st.lists(st.integers(min_value=1, max_value=5), min_size=1))
+    def test_fused_loop_over_any_ranges_matches_the_whole_batch(
+            self, records, sizes):
+        batch = ColumnarBatch.from_records(records)
+        whole = _run_ranges(_DETECT_LAYOUT, [(batch, 0, len(batch))])
+        cut = _run_ranges(_DETECT_LAYOUT,
+                          _cut([batch], iter(sizes * (len(batch) + 1))))
+        assert _detector_outcome(cut) == _detector_outcome(whole)
+
     def test_host_columnar_consume_identical(self):
         layout, records = _capture()
         plain = per_record_oracle(layout, records)
@@ -780,6 +907,64 @@ class TestFusedDetection:
         fused.consume(records)
         assert fused.records_processed == len(records)
         assert _race_keys(fused.reports) == _race_keys(plain.reports)
+
+
+# ----------------------------------------------------------------------
+# The row log: records born columnar, read by range
+# ----------------------------------------------------------------------
+def _store_row(rows, pc):
+    return rows.write(KIND_CODE[RecordKind.STORE], 0, pc, 4, -1, (0, 0b1111),
+                      (0, 1, 2, 3), tids=(0, 1, 2, 3), space=0,
+                      addrs=[0, 4, 8, 12], values=[pc] * 4)
+
+
+class TestRowLog:
+    def test_a_monitored_launch_packs_no_record(self, monkeypatch):
+        # Rows are written by the engine and read where they lie: the
+        # builder never runs on the live path.
+        def refuse(self, record):
+            raise AssertionError("ColumnarBuilder.append on the live path")
+
+        monkeypatch.setattr(ColumnarBuilder, "append", refuse)
+        spec = LaunchSpec(source=RACY, grid=2, block=32,
+                          buffers=(("data", 4, ()),))
+        assert launch_spec(spec).launch.races
+
+    def test_drained_numbers_are_ranges_in_commit_order(self, monkeypatch):
+        rows = RowLog(batch_rows=2)
+        for pc in range(5):
+            _store_row(rows, pc)
+        host = HostDetector(_DETECT_LAYOUT)
+        host.rows = rows
+        batches = list(rows.batches)
+        seen = []
+        monkeypatch.setattr(
+            host, "consume_columnar",
+            lambda batch, start, stop: seen.append(
+                (batches.index(batch), start, stop)))
+        # Row 1 committed late (a withheld commit): every range is cut
+        # at the gap and at each batch's end.
+        host.consume_rows([0, 2, 3, 1, 4])
+        assert seen == [(0, 0, 1), (1, 0, 2), (0, 1, 2), (2, 0, 1)]
+
+    def test_a_consumed_or_closed_batch_is_dropped_unless_a_view_holds_it(
+            self):
+        rows = RowLog(batch_rows=2)
+        host = HostDetector(_DETECT_LAYOUT)
+        queues = QueueSet(num_queues=1, capacity=8)
+        sink = RecordingSink(RowSink(queues, host))
+        for pc in range(5):
+            sink.emit_row(rows, _store_row(rows, pc))
+        first = rows.batches[0]
+        host.drain(queues)
+        assert host.records_processed == 5
+        # The two sealed batches are gone; the open one is still written.
+        assert rows.batches[:2] == [None, None] and rows.batches[2]
+        assert sink.records[0].addrs.batch is first
+        # Once the launch is over the log lets go of the open one too.
+        rows.close()
+        assert rows.batches == []
+        assert [r.values[0] for r in sink.records] == [0, 1, 2, 3, 4]
 
 
 # ----------------------------------------------------------------------
