@@ -36,25 +36,19 @@ def test_workload_format_occupancy(benchmark):
                 session.device.memcpy_to_device(addr, values)
                 params[buffer.name] = addr
             params.update(dict(w.scalars))
-            from repro.runtime.host import HostDetector
+            from repro.runtime.host import HostDetector, RowSink
             from repro.runtime.queue import QueueSet
-            from repro.events import RecordKind
             from repro.gpu.hierarchy import LaunchConfig
 
             layout = LaunchConfig.of(w.grid, w.block, w.warp_size).layout()
             host = HostDetector(layout)
-            queues = QueueSet(
-                block_of_record=lambda r: (
-                    r.warp if r.kind is RecordKind.BARRIER
-                    else layout.block_of_warp(r.warp)
-                ),
-                on_full=lambda qs, i: host.drain_some(qs, i),
-            )
+            queues = QueueSet(on_full=lambda qs, i: host.drain_some(qs, i))
             instrumented = session._binaries[1][1]
             session.device.launch(
                 instrumented, module.kernels[0].name, grid=w.grid, block=w.block,
-                warp_size=w.warp_size, params=params, sink=queues,
-                instrumented=True, max_steps=w.max_steps,
+                warp_size=w.warp_size, params=params,
+                sink=RowSink(queues, host), instrumented=True,
+                max_steps=w.max_steps,
             )
             host.drain(queues)
             stats = host.detector.ptvc_stats()

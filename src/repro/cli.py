@@ -357,11 +357,10 @@ def run_check(args) -> int:
     if args.capture:
         from .runtime.replay import save_capture_binary
 
-        records = launch.captured_records or []
-        save_capture_binary(args.outputs["capture"], spec.layout(), records,
-                            kernel=kernel)
+        count = save_capture_binary(args.outputs["capture"], spec.layout(),
+                                    launch.captured, kernel=kernel)
         print(f"capture written to {args.capture} "
-              f"({len(records)} record(s), binary)", file=sys.stderr)
+              f"({count} record(s), binary)", file=sys.stderr)
 
     if args.predict:
         exit_code = _print_predicted_beyond(
@@ -1049,7 +1048,7 @@ def run_profile(args) -> int:
     else:
         from time import perf_counter
 
-        from .columnar import ColumnarBatch
+        from .columnar import KINDS
         from .core.detector import BarracudaDetector
         from .core.races import DetectorConfig
 
@@ -1058,11 +1057,12 @@ def run_profile(args) -> int:
         config = DetectorConfig()
         detector = BarracudaDetector(layout, config)
         for batch in batches:
-            for record in batch.iter_records():
-                row = ColumnarBatch.from_records((record,))
+            for row in range(len(batch)):
                 start = perf_counter()
-                detector.process_columnar(row, config.granularity_bytes)
-                profiler.account(record.kind.value, max(record.pc, 0),
+                detector.process_columnar(batch, config.granularity_bytes,
+                                          row, row + 1)
+                profiler.account(KINDS[batch.kinds[row]].value,
+                                 max(batch.pcs[row], 0),
                                  seconds=perf_counter() - start)
 
     if args.format == "json":

@@ -38,7 +38,7 @@ from collections.abc import Mapping
 from itertools import compress
 from typing import (
     Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
-    Set, Tuple)
+    Set, Tuple, Union)
 
 from .errors import ReproError
 from .events import (
@@ -650,11 +650,6 @@ class RowLog(ColumnarBuilder):
         index, row = divmod(number, self.batch_rows)
         return self.batches[index], row
 
-    def record(self, number: int) -> LogRecord:
-        """Row ``number`` as a record of views (:meth:`ColumnarBatch.record`)."""
-        batch, row = self.locate(number)
-        return batch.record(row)
-
     def close(self) -> None:
         """Drop every batch: the launch is over and the host has read
         what was committed (a row never committed is lost with it).
@@ -671,25 +666,31 @@ class RowLog(ColumnarBuilder):
             self.batches[index] = None
 
 
-def iter_batches(records: Iterable[LogRecord],
+def iter_batches(items: Iterable[Union[LogRecord, ColumnarBatch]],
                  batch_records: int = DEFAULT_BATCH_RECORDS,
                  ) -> Iterator[ColumnarBatch]:
     """Chunk a record stream into columnar batches of at most
-    ``batch_records`` rows; a count below 1 is a :class:`ReproError`,
-    raised before the first record is read."""
+    ``batch_records`` rows.  An item that is already a batch passes as
+    it stands, after the run of records before it; a count below 1 is a
+    :class:`ReproError`, raised before the first item is read."""
     if batch_records < 1:
         raise ReproError(
             f"records per batch must be at least 1, not {batch_records}")
-    return _chunks(records, batch_records)
+    return _chunks(items, batch_records)
 
 
-def _chunks(records: Iterable[LogRecord],
+def _chunks(items: Iterable[Union[LogRecord, ColumnarBatch]],
             batch_records: int) -> Iterator[ColumnarBatch]:
     builder = ColumnarBuilder()
-    for record in records:
-        builder.append(record)
-        if len(builder) >= batch_records:
-            yield builder.flush()
+    for item in items:
+        if isinstance(item, ColumnarBatch):
+            if len(builder):
+                yield builder.flush()
+            yield item
+        else:
+            builder.append(item)
+            if len(builder) >= batch_records:
+                yield builder.flush()
     if len(builder):
         yield builder.flush()
 

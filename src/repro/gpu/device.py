@@ -15,13 +15,26 @@ from ..errors import DeadlockError, StepLimitExceeded
 from ..obs import NULL_OBS, Observability
 from ..ptx.ast import Module
 from .hierarchy import LaunchConfig
-from .interpreter import EventSink, KernelExecution, LaunchResult
+from .interpreter import EventSink, KernelExecution, LaunchResult, WarpState
 from .memory import ArchProfile, GlobalMemory, MAXWELL_TITANX
 from .scheduler import RoundRobinScheduler, Scheduler
 
 #: Default per-launch step budget; generous for benchmarks, small enough
 #: to surface hangs (spinlocks under a serializing scheduler) quickly.
 DEFAULT_MAX_STEPS = 4_000_000
+
+
+def _position(runnable: List[WarpState], warp: int) -> int:
+    """The index of warp id ``warp`` in ``runnable``, ascending by warp
+    id (``bisect`` takes no ``key=`` before Python 3.10)."""
+    lo, hi = 0, len(runnable)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if runnable[mid].warp < warp:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 class GpuDevice:
@@ -121,8 +134,8 @@ class GpuDevice:
         after_step = scheduler.after_step
         # The runnable set, ascending by warp id as ``Scheduler.pick``
         # documents.  Only the warp that just stepped can leave it and
-        # only a barrier release can add to it, so it is edited in place
-        # and rebuilt on a release; nothing rescans the grid per step.
+        # only a barrier release can add to it, so it is edited in place;
+        # nothing rescans the grid per step or per release.
         runnable = [w for w in warps if not w.done and not w.at_barrier]
         execute = tracer.span("execute", kernel=kernel_name,
                               instrumented=instrumented)
@@ -143,12 +156,12 @@ class GpuDevice:
                         "likely a hang (spinlock never released?)"
                     )
                 if warp.done or warp.at_barrier:
-                    if try_release_barriers(warp):
-                        runnable = [
-                            w for w in warps if not w.done and not w.at_barrier
-                        ]
-                    else:
-                        runnable.remove(warp)
+                    # The warps a release returns take ``warp``'s place:
+                    # its block's live warps (contiguous ids, none other
+                    # runnable), or for the grid barrier every live warp
+                    # (``warp`` was the only runnable one: a full rebuild).
+                    index = _position(runnable, warp.warp)
+                    runnable[index:index + 1] = try_release_barriers(warp)
             if not all(w.done for w in warps):
                 raise DeadlockError(
                     f"kernel {kernel_name!r}: no warp can make progress"

@@ -99,6 +99,7 @@ from ..columnar import (
     KIND_STORE,
     SCOPE_CODE,
     SPACE_CODE,
+    ColumnarBatch,
     RowLog,
 )
 from ..events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
@@ -249,32 +250,35 @@ class EventSink:
     """Destination for instrumentation log records.
 
     The engine hands a sink each record as ``emit_row(rows, number)``:
-    row ``number`` of the launch's :class:`repro.columnar.RowLog`.  By
-    default that is the row's view (``rows.record(number)``) passed to
-    ``emit``, so a sink that wants records (:class:`ListSink`, a bare
-    :class:`repro.runtime.queue.QueueSet`) implements ``emit`` alone; the
-    session's live sink (:class:`repro.runtime.host.RowSink`) queues the
-    number.  Either returns the stall cycles the warp incurred (non-zero
-    when the queue was full and had to be drained); they are charged to
-    :attr:`LaunchResult.stall_cycles`.
+    row ``number`` of the launch's :class:`repro.columnar.RowLog`, which
+    stays where the engine wrote it.  The sink returns the stall cycles
+    the warp incurred (non-zero when the queue was full and had to be
+    drained); they are charged to :attr:`LaunchResult.stall_cycles`.
     """
 
-    def emit(self, record: LogRecord) -> int:  # pragma: no cover - interface
+    def emit_row(self, rows: RowLog, number: int) -> int:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def emit_row(self, rows: RowLog, number: int) -> int:
-        return self.emit(rows.record(number))
 
 
 class ListSink(EventSink):
-    """Collects records in order; never stalls."""
+    """Keeps the row log batches of the rows it is handed; never stalls."""
 
     def __init__(self) -> None:
-        self.records: List[LogRecord] = []
+        #: Each batch a handed row lies in, once, in row order.
+        self.batches: List[ColumnarBatch] = []
 
-    def emit(self, record: LogRecord) -> int:
-        self.records.append(record)
+    def emit_row(self, rows: RowLog, number: int) -> int:
+        batch, _row = rows.locate(number)
+        batches = self.batches
+        if not batches or batches[-1] is not batch:
+            batches.append(batch)
         return 0
+
+    @property
+    def records(self) -> List[LogRecord]:
+        """The rows as records of views, in row order."""
+        return [record for batch in self.batches
+                for record in batch.iter_records()]
 
 
 #: A decoded statement: ``op(warp, entry) -> bool``.  The closure does
@@ -1454,14 +1458,15 @@ class KernelExecution:
     # ------------------------------------------------------------------
     # Barriers
     # ------------------------------------------------------------------
-    def try_release_barriers(self, warp: WarpState) -> bool:
+    def try_release_barriers(self, warp: WarpState) -> List[WarpState]:
         """Release the barrier that ``warp`` parking or exiting completed.
 
         A barrier's fate depends only on which warps are done, parked,
         or parked grid-wide, and only the warp that just stepped changes
         any of that — so the launch loop calls this once per warp that
         parked or exited, and only that warp's block and the grid-wide
-        barrier are looked at.  Returns whether any warp was released.
+        barrier are looked at.  Returns the live warps it released, by
+        ascending id (all of them for the grid barrier), or ``[]``.
 
         Emits the block-level BARRIER record (§3.1's ``bar(b)``) with the
         union of the arrived warps' active masks — a partial union is a
@@ -1470,7 +1475,7 @@ class KernelExecution:
         if warp.done:
             self._live -= 1
             if not self._waiting:
-                return False
+                return []
         else:
             self._waiting += 1
             self._grid_waiting += warp.at_grid_barrier
@@ -1484,7 +1489,7 @@ class KernelExecution:
                 w.at_barrier = False
                 w.at_grid_barrier = False
             self._waiting = self._grid_waiting = 0
-            return True
+            return live
         block_warps = [
             self.warps[w] for w in self.layout.block_warps(warp.block)
         ]
@@ -1494,8 +1499,8 @@ class KernelExecution:
             for w in live:
                 w.at_barrier = False
             self._waiting -= len(live)
-            return True
-        return False
+            return live
+        return []
 
     def _emit_barrier(self, block: int, arrived: List[WarpState]) -> None:
         """The BARRIER row of ``block``: the union of the arrived warps'

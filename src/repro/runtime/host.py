@@ -11,9 +11,8 @@ the interleavings they allow.)
 In a monitored launch a queue slot holds a row number (:class:`RowSink`):
 the record is a row of the launch's columnar :class:`RowLog`, and each
 run of consecutive drained numbers is one ``(batch, start, stop)`` range
-of it, fed to the detector's fused loop where it lies.  Records queued
-as records (a bare :class:`QueueSet` sink) are packed into columnar
-batches first.
+of it, fed to the detector's fused loop where it lies.  Records from
+anywhere else enter through :meth:`HostDetector.consume`.
 """
 
 from __future__ import annotations
@@ -65,13 +64,14 @@ class HostDetector:
 
     def consume_rows(self, numbers: List[int]) -> None:
         """Ingest rows of :attr:`rows` by number, in the order given: each
-        run of consecutive numbers inside one batch is one range."""
+        run of consecutive numbers inside one batch is one range.  No
+        numbers (a launch that logs nothing) is a no-op."""
         rows = self.rows
-        size = rows.batch_rows
         total = len(numbers)
         position = 0
         while position < total:
             first = numbers[position]
+            size = rows.batch_rows
             index, start = divmod(first, size)
             # The run ends at a gap (a drop-commit hole, or a record
             # committed out of order) or at the end of the batch.
@@ -84,16 +84,10 @@ class HostDetector:
             rows.consumed(index, count)
             position = end
 
-    def _consume_drained(self, items: list) -> None:
-        if self.rows is None:
-            self.consume(items)
-        elif items:
-            self.consume_rows(items)
-
     def drain(self, queues: QueueSet) -> int:
         """Drain everything currently committed; returns records eaten."""
         before = self.records_processed
-        self._consume_drained(queues.drain_in_order())
+        self.consume_rows(queues.drain_in_order())
         return self.records_processed - before
 
     def drain_some(self, queues: QueueSet, queue_index: int) -> None:
@@ -106,7 +100,7 @@ class HostDetector:
         target = queues.queues[queue_index]
         freed_from = target.read_head
         while target.read_head == freed_from and target.pending():
-            self._consume_drained(queues.drain_in_order(limit=_DRAIN_BATCH))
+            self.consume_rows(queues.drain_in_order(limit=_DRAIN_BATCH))
 
     # ------------------------------------------------------------------
     # Results

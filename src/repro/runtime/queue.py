@@ -17,10 +17,10 @@ thread block to one queue, which lets the host process shared-memory
 traffic of a block without locking.  :class:`QueueSet` reproduces that
 organization.  A slot holds what the producer queued: in a monitored
 launch, the number of the record's row in the launch's
-:class:`repro.columnar.RowLog` (the record stays where the engine wrote
-it, as a device record stays in its queue slot); a bare
-:class:`QueueSet` passed to a launch as its
-:class:`repro.gpu.interpreter.EventSink` holds the records themselves.
+:class:`repro.columnar.RowLog` (queued by
+:class:`repro.runtime.host.RowSink`; the record stays where the engine
+wrote it, as a device record stays in its queue slot); records queued
+by :meth:`QueueSet.emit` are held themselves.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from typing import Callable, List, Optional
 from ..errors import QueueError
 from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites
-from ..gpu.interpreter import EventSink
 from ..events import RECORD_BYTES, LogRecord
 
 #: Default queue capacity in records.  The paper reserves ~50% of GPU
@@ -162,7 +161,7 @@ class LogQueue:
         return record
 
 
-class QueueSet(EventSink):
+class QueueSet:
     """All queues of one launch, with the block-to-queue mapping.
 
     ``on_full`` is invoked when a producer finds its queue full — the
@@ -181,7 +180,9 @@ class QueueSet(EventSink):
         if num_queues < 1:
             raise QueueError(f"need at least one queue, got {num_queues}")
         self.queues = [LogQueue(capacity) for _ in range(num_queues)]
-        self._block_of_record = block_of_record
+        # Without a resolver a record's warp id stands in for its block:
+        # exact for a BARRIER record, stable otherwise.
+        self._block_of = block_of_record or (lambda record: record.warp)
         self.on_full = on_full
         self._seq = 0
         # Pre-resolved fault injector: None unless a plan is active, so
@@ -191,15 +192,6 @@ class QueueSet(EventSink):
     def queue_for_block(self, block: int) -> int:
         """Each thread block logs to exactly one queue (§4.2)."""
         return block % len(self.queues)
-
-    def _block_of(self, record: LogRecord) -> int:
-        if self._block_of_record is not None:
-            return self._block_of_record(record)
-        # Without a resolver, fall back to the record's warp/block id
-        # (exact for BARRIER records; an arbitrary-but-stable mapping
-        # otherwise — fine for tests that don't care about block
-        # affinity).
-        return record.warp
 
     def _make_room(self, queue: LogQueue, queue_index: int) -> int:
         """Drain a full queue via ``on_full``; returns the stall cycles."""

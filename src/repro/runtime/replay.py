@@ -32,7 +32,7 @@ from ..errors import ReproError
 from ..events import MAX_ACCESS_BYTES, MEMORY_KINDS, LogRecord, RecordKind
 from ..faults import NULL_FAULTS, resolve_faults
 from ..faults import sites as fault_sites
-from ..gpu.interpreter import EventSink
+from ..gpu.interpreter import EventSink, ListSink
 from ..trace.layout import GridLayout
 from ..trace.operations import Scope, Space
 
@@ -55,27 +55,17 @@ _LAYOUT_FIELDS = ("num_blocks", "threads_per_block", "warp_size")
 _SNIFF_BYTES = 4096
 
 
-class RecordingSink(EventSink):
-    """An event sink that both forwards to another sink and captures.
-
-    Wrap the session's live sink with this to keep live detection while
-    producing a replayable capture.  An engine row is kept as its view
-    (``rows.record(number)``), which keeps the row's batch alive after
-    the host has consumed it, and forwarded as a row.
-    """
+class RecordingSink(ListSink):
+    """A :class:`~repro.gpu.interpreter.ListSink` that forwards each row
+    to ``inner`` too: wrapped round the session's live sink, it keeps the
+    rows the detector read (:attr:`batches`) as a replayable capture."""
 
     def __init__(self, inner: Optional[EventSink] = None) -> None:
+        super().__init__()
         self.inner = inner
-        self.records: List[LogRecord] = []
-
-    def emit(self, record: LogRecord) -> int:
-        self.records.append(record)
-        if self.inner is not None:
-            return self.inner.emit(record)
-        return 0
 
     def emit_row(self, rows: RowLog, number: int) -> int:
-        self.records.append(rows.record(number))
+        super().emit_row(rows, number)
         if self.inner is not None:
             return self.inner.emit_row(rows, number)
         return 0
@@ -351,11 +341,13 @@ def iter_binary_frames(stream: IO[bytes]) -> Iterator[bytes]:
 def save_capture_binary(
     stream: IO[bytes],
     layout: GridLayout,
-    records: Iterable[LogRecord],
+    records: Iterable[Union[LogRecord, ColumnarBatch]],
     kernel: str = "",
     batch_records: int = DEFAULT_BATCH_RECORDS,
 ) -> int:
-    """Write a binary capture; returns the number of records written."""
+    """Write a binary capture of records, packed into batches of at most
+    ``batch_records`` rows, or of batches (a launch's ``captured`` row
+    log), written as they stand; returns the number of records written."""
     # A bad count fails here, before the header is written.
     batches = iter_batches(records, batch_records=batch_records)
     write_binary_header(stream, layout, kernel)
@@ -471,21 +463,6 @@ def replay_batches(
     return replay_detector(layout, batches, config).reports
 
 
-def _as_batches(
-    items: Iterable[Union[LogRecord, ColumnarBatch]],
-) -> Iterator[ColumnarBatch]:
-    """Pack runs of plain records between already-columnar items."""
-    plain: List[LogRecord] = []
-    for item in items:
-        if isinstance(item, ColumnarBatch):
-            yield from iter_batches(plain)
-            plain = []
-            yield item
-        else:
-            plain.append(item)
-    yield from iter_batches(plain)
-
-
 def replay(
     layout: GridLayout,
     records: Iterable[Union[LogRecord, ColumnarBatch]],
@@ -502,7 +479,7 @@ def replay(
     not just on random traces.
     """
     if not reference:
-        return replay_batches(layout, _as_batches(records), config)
+        return replay_batches(layout, iter_batches(records), config)
     from ..core.reference import ReferenceDetector
     from ..events import record_to_ops
 

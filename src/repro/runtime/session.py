@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..columnar import ColumnarBatch
 from ..core.detector import BarracudaDetector
 from ..core.races import BarrierDivergenceReport, DetectorReports, RaceReport
 from ..core.races import DetectorConfig
@@ -49,9 +50,17 @@ class SessionLaunch:
     queue_bytes: int
     #: Per-queue occupancy/stall accounting snapshot of this launch.
     queue_stats: List[QueueStats] = field(default_factory=list)
-    #: The full event stream, when the launch ran with
-    #: ``capture_records=True``; ``None`` otherwise.
-    captured_records: Optional[List[LogRecord]] = None
+    #: The batches of the launch's row log — the rows the detector read
+    #: — when it ran with ``capture_records=True``; ``None`` otherwise.
+    captured: Optional[List[ColumnarBatch]] = None
+
+    @property
+    def captured_records(self) -> Optional[List[LogRecord]]:
+        """:attr:`captured` as records of views, in row order."""
+        if self.captured is None:
+            return None
+        return [record for batch in self.captured
+                for record in batch.iter_records()]
 
     @property
     def races(self) -> List[RaceReport]:
@@ -250,9 +259,10 @@ class BarracudaSession:
         monitored run so both executions observe identical initial state
         (the Figure 10 native-vs-instrumented comparison).
 
-        With ``capture_records`` the launch keeps a host-side copy of
-        every emitted log record (``SessionLaunch.captured_records``) —
-        the event stream the differential engine tests compare.
+        With ``capture_records`` the launch keeps its row log's batches
+        (``SessionLaunch.captured``), read as records through
+        ``SessionLaunch.captured_records`` — the event stream the
+        differential engine tests compare.
         """
         self._maybe_reinit()
         handle = self._find_handle(kernel_name)
@@ -316,7 +326,7 @@ class BarracudaSession:
             records=queues.total_pushed,
             queue_bytes=queues.total_bytes,
             queue_stats=[queue.stats for queue in queues.queues],
-            captured_records=recording.records if recording is not None else None,
+            captured=recording.batches if recording is not None else None,
         )
         self.launches.append(launch)
         if self.obs.metrics.enabled:

@@ -72,7 +72,7 @@ from repro.runtime.replay import (
     write_frame,
 )
 from repro.service import protocol
-from repro.suite import ALL_PROGRAMS
+from repro.suite import ALL_PROGRAMS, SCHEDULE_PROGRAMS
 from repro.trace.operations import Scope, Space
 
 from oracle import oracle_engine, per_record_oracle
@@ -294,6 +294,24 @@ class TestCodecRoundTrip:
         assert kernel == "k"
         assert [r for b in batches for r in b.iter_records()] == records
 
+    @settings(max_examples=50, deadline=None)
+    @given(records=st.lists(log_records(), max_size=8),
+           cut=st.tuples(st.integers(0, 8), st.integers(0, 8)),
+           batch_records=st.integers(min_value=1, max_value=5))
+    def test_binary_capture_of_records_and_a_batch(self, records, cut,
+                                                   batch_records):
+        # A batch among the records is written as it stands, in its place.
+        lo, hi = sorted(cut)
+        items = (records[:lo] + [ColumnarBatch.from_records(records[lo:hi])]
+                 + records[hi:])
+        stream = io.BytesIO()
+        written = save_capture_binary(stream, LaunchConfig.of(2, 8, 4).layout(),
+                                      items, batch_records=batch_records)
+        assert written == len(records)
+        stream.seek(0)
+        _layout, _kernel, batches = load_capture_binary(stream)
+        assert [r for b in batches for r in b.iter_records()] == records
+
     @settings(max_examples=100, deadline=None)
     @given(records=st.lists(log_records(), max_size=10))
     def test_wire_armor_round_trip(self, records):
@@ -484,6 +502,32 @@ def test_every_engine_stream_passes_the_boundary(entry):
                 assert view.addrs == plain.addrs == dict(view.addrs)
                 assert view.values == plain.values == dict(view.values)
                 assert view == plain and repr(view) == repr(plain)
+
+
+CAPTURE_CORPUS = list(ALL_PROGRAMS) + list(SCHEDULE_PROGRAMS) + list(ALL_WORKLOADS)
+
+
+@pytest.mark.parametrize("entry", CAPTURE_CORPUS,
+                         ids=lambda entry: entry.name)
+def test_a_capture_is_the_row_log(entry):
+    # A session's capture is its row log's batches.  Written as they
+    # stand they are the bytes of their records re-packed by the
+    # builder, and those records are the stream a detector-less launch
+    # of the same module emits.
+    launched = launch_spec(entry.spec, capture=True, prune=False)
+    launch = launched.launch
+    records = launch.captured_records
+    # The session's pcs are the lines of the PTX it parsed back.
+    pristine = launched.session.pristine_module(launched.handle)
+    assert records == record_stream(entry.spec, module=pristine)[1]
+    written = []
+    for items in (launch.captured, records):
+        stream = io.BytesIO()
+        count = save_capture_binary(stream, entry.spec.layout(), items,
+                                    kernel=entry.name)
+        written.append((count, stream.getvalue()))
+    assert written[0] == written[1]
+    assert written[0][0] == len(records) == launch.records
 
 
 def _detector_outcome(detector):
@@ -929,6 +973,26 @@ class TestRowLog:
         spec = LaunchSpec(source=RACY, grid=2, block=32,
                           buffers=(("data", 4, ()),))
         assert launch_spec(spec).launch.races
+
+    def test_check_capture_packs_no_record(self, monkeypatch, tmp_path,
+                                           capsys):
+        # `check --capture` writes the row log's batches as they stand.
+        def refuse(self, record):
+            raise AssertionError("ColumnarBuilder.append under --capture")
+
+        source = tmp_path / "racy.cu"
+        source.write_text(RACY)
+        capture = tmp_path / "run.bcap"
+        monkeypatch.setattr(ColumnarBuilder, "append", refuse)
+        assert cli.main(["check", str(source), "--grid", "2", "--buffer",
+                         "data:4", "--capture", str(capture)]) == 1
+        monkeypatch.undo()
+        _layout, kernel, batches, _fmt = load_capture_path_batches(
+            str(capture))
+        count = sum(map(len, batches))
+        assert kernel == "racy" and count
+        assert (f"({count} record(s), binary)"
+                in capsys.readouterr().err)
 
     def test_drained_numbers_are_ranges_in_commit_order(self, monkeypatch):
         rows = RowLog(batch_rows=2)

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.cudac import compile_cuda
-from repro.events import RecordKind
 from repro.gpu import GpuDevice
 from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
 from repro.runtime import HostDetector, QueueSet
+from repro.runtime.host import RowSink
 
 RACY = """
 __global__ void racy(int* data) {
@@ -28,14 +28,10 @@ def _launch_with_host():
     queues = QueueSet(
         num_queues=4,
         capacity=8,  # small: force mid-run draining
-        block_of_record=lambda r: (
-            r.warp if r.kind is RecordKind.BARRIER
-            else layout.block_of_warp(r.warp)
-        ),
         on_full=lambda qs, i: host.drain_some(qs, i),
     )
     device.launch(module, "racy", grid=4, block=32, params={"data": data},
-                  sink=queues, instrumented=True)
+                  sink=RowSink(queues, host), instrumented=True)
     host.drain(queues)
     return host, queues
 
@@ -57,15 +53,18 @@ def test_drain_some_frees_the_requested_queue():
     queues = QueueSet(
         num_queues=2,
         capacity=2,
-        block_of_record=lambda r: (
-            r.warp if r.kind is RecordKind.BARRIER
-            else layout.block_of_warp(r.warp)
-        ),
         on_full=lambda qs, i: (stalls.append(i), host.drain_some(qs, i)),
     )
     data = device.alloc(16)
     device.launch(module, "racy", grid=4, block=32, params={"data": data},
-                  sink=queues, instrumented=True)
+                  sink=RowSink(queues, host), instrumented=True)
     host.drain(queues)
     assert stalls  # capacity 2 must have filled at some point
     assert queues.pending() == 0
+
+
+def test_an_empty_drain_is_a_no_op():
+    # A launch that logs nothing leaves no row log and no queued number.
+    host = HostDetector(LaunchConfig.of(1, 32, 32).layout())
+    assert host.drain(QueueSet()) == 0
+    assert host.rows is None and host.records_processed == 0

@@ -838,6 +838,40 @@ class TestCli:
             assert frames.startswith("kernel;")
             assert weight.isdigit()
 
+    def test_capture_profile_reads_rows_where_they_lie(self, tmp_path,
+                                                       capsys):
+        # A capture is profiled one row range at a time over its batches;
+        # every format prints one event per record, at its kind and pc.
+        from repro.cli import main
+        from repro.obs.profiler import Profiler
+        from repro.runtime.replay import load_capture_path_batches
+
+        capture = str(tmp_path / "run.bcap")
+        assert main(["check", self._kernel_file(tmp_path), "--grid", "2",
+                     "--warp-size", "8", "--buffer", "data:64",
+                     "--capture", capture]) == 1
+        _layout, _kernel, batches, _fmt = load_capture_path_batches(capture)
+        expected = Profiler()
+        for batch in batches:
+            for record in batch.iter_records():
+                expected.account(record.kind.value, max(record.pc, 0))
+        assert expected.total_events > 0
+        capsys.readouterr()
+
+        def untimed(profile):
+            for site in profile["sites"]:
+                site["exclusive_seconds"] = 0
+            return profile
+
+        assert main(["profile", capture]) == 0
+        assert capsys.readouterr().out == expected.render_text() + "\n"
+        assert main(["profile", capture, "--format", "collapsed"]) == 0
+        assert (capsys.readouterr().out
+                == expected.render_collapsed() + "\n")
+        assert main(["profile", capture, "--format", "json"]) == 0
+        assert (untimed(json.loads(capsys.readouterr().out))
+                == untimed(expected.to_json()))
+
     def test_explain_flight_renders_dump(self, tmp_path, capsys):
         from repro.cli import main
 

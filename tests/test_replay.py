@@ -89,11 +89,18 @@ def test_replay_with_different_config():
 
 
 def test_recording_sink_forwards():
+    # A launch's rows reach the wrapped sink as rows, and the recording
+    # keeps the same row log batches: the stream a plain launch emits.
+    module, _ = Instrumenter().instrument_module(compile_cuda(RACY))
+    device = GpuDevice()
     inner = ListSink()
     recording = RecordingSink(inner)
-    layout, records = _capture()
-    for record in records:
-        recording.emit(record)
+    device.launch(module, module.kernels[0].name, grid=2, block=32,
+                  warp_size=8, params={"data": device.alloc(16)},
+                  sink=recording, instrumented=True)
+    _layout, records = _capture()
+    assert records
+    assert recording.batches == inner.batches
     assert recording.records == records
     assert inner.records == records
 
