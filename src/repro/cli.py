@@ -286,13 +286,13 @@ def _attach_static_predictions(reports, pristine_module) -> None:
 def _print_predicted_beyond(obs, captured, layout, observed, max_reports: int,
                             **span_args) -> int:
     """Run the trace-level predictive analysis over the ``captured``
-    records and print the races it predicts beyond the ``observed`` ones."""
+    batches and print the races it predicts beyond the ``observed`` ones."""
     from .predict import (
-        predict_races, predicted_to_report, race_key, trace_from_records,
+        predict_races, predicted_to_report, race_key, trace_from_rows,
     )
 
     with obs.tracer.span("predict", **span_args):
-        trace = trace_from_records(captured, layout)
+        trace = trace_from_rows(captured, layout)
         prediction = predict_races(trace)
     observed_keys = {race_key(race) for race in observed}
     predicted = []
@@ -364,7 +364,7 @@ def run_check(args) -> int:
 
     if args.predict:
         exit_code = _print_predicted_beyond(
-            obs, launch.captured_records or [], spec.layout(), launch.races,
+            obs, launch.captured or [], spec.layout(), launch.races,
             args.max_reports, kernel=kernel,
         ) or exit_code
 
@@ -988,8 +988,8 @@ def run_replay(args) -> int:
     exit_code = _print_reports(reports, args.max_reports)
     if args.predict:
         exit_code = _print_predicted_beyond(
-            obs, (r for batch in batches for r in batch.iter_records()),
-            layout, reports.races, args.max_reports, records=record_count,
+            obs, batches, layout, reports.races, args.max_reports,
+            records=record_count,
         ) or exit_code
     if args.stats:
         print("--------- statistics")

@@ -26,7 +26,9 @@ re-checking them lane by lane.
 A launch's records are born here: the engine writes each one as a row
 of the launch's :class:`RowLog` and the live queues carry row numbers,
 so the host runs the fused loop over committed ranges of the batches
-the engine wrote, with no record object in between.
+the engine wrote, with no record object in between.  The cold paths
+(``--predict``, ``sweep``, the reference replay) expand rows to §3.1
+operations in one place, :func:`rows_to_ops`.
 """
 
 from __future__ import annotations
@@ -48,9 +50,12 @@ from .events import (
     LogRecord,
     RecordKind,
     _sorted_mask,
+    cell_offsets,
 )
 from .trace.layout import GridLayout
-from .trace.operations import Scope, Space
+from .trace.operations import (
+    AcqRel, Acquire, AnyOp, Atomic, Barrier, Else, EndInsn, Fi, If, Location,
+    Read, Release, Scope, Space, Write)
 
 
 def have_numpy() -> bool:
@@ -73,6 +78,7 @@ KIND_ACQUIRE = KIND_CODE[RecordKind.ACQUIRE]
 KIND_ACQREL = KIND_CODE[RecordKind.ACQREL]
 KIND_BRANCH_IF = KIND_CODE[RecordKind.BRANCH_IF]
 KIND_BRANCH_ELSE = KIND_CODE[RecordKind.BRANCH_ELSE]
+KIND_BRANCH_FI = KIND_CODE[RecordKind.BRANCH_FI]
 KIND_BARRIER = KIND_CODE[RecordKind.BARRIER]
 
 SPACES: Tuple[Space, ...] = (Space.GLOBAL, Space.SHARED)
@@ -198,7 +204,7 @@ class ColumnarBatch:
     per-lane columns ``lane_tids`` / ``lane_spaces`` / ``lane_addrs`` /
     ``lane_has_value`` / ``lane_values``, which hold one entry per active
     lane of each memory record in ascending-tid order — exactly the
-    order :func:`repro.events.record_to_ops` expands.
+    order :func:`rows_to_ops` expands.
 
     Columns are plain Python lists of ints: the fused detector loop
     iterates them directly, while the binary codec
@@ -270,12 +276,9 @@ class ColumnarBatch:
             pc=self.pcs[index],
         )
 
-    def iter_records(self) -> Iterator[LogRecord]:
-        for index in range(len(self.kinds)):
-            yield self.record(index)
-
     def to_records(self) -> List[LogRecord]:
-        return list(self.iter_records())
+        """Every row as :meth:`record`, in row order."""
+        return [self.record(index) for index in range(len(self.kinds))]
 
     @classmethod
     def from_records(cls, records: Iterable[LogRecord]) -> "ColumnarBatch":
@@ -693,6 +696,78 @@ def _chunks(items: Iterable[Union[LogRecord, ColumnarBatch]],
                 yield builder.flush()
     if len(builder):
         yield builder.flush()
+
+
+# ----------------------------------------------------------------------
+# Rows -> §3.1 trace operations
+# ----------------------------------------------------------------------
+#: The thread-level operation each lane of a memory row expands to, by
+#: kind code; the synchronization kinds' operations carry a scope.
+_THREAD_OP = {KIND_CODE[kind]: op for kind, op in zip(
+    (RecordKind.LOAD, RecordKind.STORE, RecordKind.ATOMIC, RecordKind.ACQUIRE,
+     RecordKind.RELEASE, RecordKind.ACQREL),
+    (Read, Write, Atomic, Acquire, Release, AcqRel))}
+_SYNC_KINDS = frozenset(range(KIND_ACQUIRE, KIND_ACQREL + 1))
+
+
+def rows_to_ops(batch: ColumnarBatch, layout: GridLayout,
+                granularity: int = 4) -> List[AnyOp]:
+    """Expand a batch's rows, in row order, into the §3.1 trace
+    operations.
+
+    A memory row becomes one thread-level operation per touched shadow
+    cell per lane, in lane (ascending tid) order, followed by one
+    ``endi``; a control row maps one-to-one.  A store lane without a
+    value writes ``None``.  ``granularity`` is the shadow-cell size in
+    bytes (4 by default, matching the benchmarks' aligned word accesses;
+    1 for the paper's fully general byte mode).
+    """
+    ops: List[AnyOp] = []
+    append = ops.append
+    mask_set = batch.mask_set
+    lane_starts, lane_tids = batch.lane_starts, batch.lane_tids
+    lane_spaces, lane_addrs = batch.lane_spaces, batch.lane_addrs
+    lane_has_value, lane_values = batch.lane_has_value, batch.lane_values
+    block_of = layout.block_of
+    shared = Space.SHARED
+    for row, code in enumerate(batch.kinds):
+        warp, pc = batch.warps[row], batch.pcs[row]
+        active = mask_set(batch.mask_ids[row])
+        if code == KIND_BARRIER:
+            append(Barrier(block=warp, active=active, pc=pc))
+            continue
+        if code == KIND_BRANCH_IF:
+            then_id = batch.then_mask_ids[row]
+            then_mask = mask_set(then_id) if then_id >= 0 else frozenset()
+            append(If(warp=warp, then_mask=then_mask,
+                      else_mask=active - then_mask, pc=pc))
+            continue
+        if code == KIND_BRANCH_ELSE:
+            append(Else(warp=warp, pc=pc))
+            continue
+        if code == KIND_BRANCH_FI:
+            append(Fi(warp=warp, pc=pc))
+            continue
+        make = _THREAD_OP[code]
+        store = code == KIND_STORE
+        sync = code in _SYNC_KINDS
+        scope_code, width = batch.scopes[row], batch.widths[row]
+        scope = SCOPES[scope_code] if scope_code >= 0 else None
+        for lane in range(lane_starts[row], lane_starts[row + 1]):
+            tid = lane_tids[lane]
+            space = SPACES[lane_spaces[lane]]
+            block = block_of(tid) if space is shared else -1
+            for offset in cell_offsets(lane_addrs[lane], width, granularity):
+                loc = Location(space, offset, block)
+                if store:
+                    append(make(tid, loc, lane_values[lane]
+                                if lane_has_value[lane] else None, pc=pc))
+                elif sync:
+                    append(make(tid, loc, scope, pc=pc))
+                else:
+                    append(make(tid, loc, pc=pc))
+        append(EndInsn(warp=warp, amask=active, pc=pc))
+    return ops
 
 
 # ----------------------------------------------------------------------

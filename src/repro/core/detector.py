@@ -429,8 +429,8 @@ class BarracudaDetector:
         """Consume rows ``start`` to ``stop`` (default: to the end) of one
         columnar warp-batch through the fused inner loop.
 
-        Semantically identical to expanding every record with
-        :func:`repro.events.record_to_ops` and calling :meth:`process`
+        Semantically identical to expanding the rows with
+        :func:`repro.columnar.rows_to_ops` and calling :meth:`process`
         per operation — same races in the same order, same
         ``ops_processed``/``joins`` accounting (the differential suite
         pins this across all 79 programs) — but without materializing a

@@ -21,23 +21,7 @@ from functools import lru_cache
 from typing import FrozenSet, List, Mapping, Optional, Tuple
 
 from .trace.layout import GridLayout
-from .trace.operations import (
-    AcqRel,
-    Acquire,
-    AnyOp,
-    Atomic,
-    Barrier,
-    Else,
-    EndInsn,
-    Fi,
-    If,
-    Location,
-    Read,
-    Release,
-    Scope,
-    Space,
-    Write,
-)
+from .trace.operations import AnyOp, Scope, Space
 
 #: Modeled size of one record in GPU memory (Figure 6).
 RECORD_BYTES = 16 + 8 * 32
@@ -80,19 +64,6 @@ MEMORY_KINDS = frozenset(
 )
 
 
-#: The thread-level operation each lane of a memory record expands to.
-_THREAD_OP = {
-    RecordKind.LOAD: Read,
-    RecordKind.STORE: Write,
-    RecordKind.ATOMIC: Atomic,
-    RecordKind.ACQUIRE: Acquire,
-    RecordKind.RELEASE: Release,
-    RecordKind.ACQREL: AcqRel,
-}
-_SYNC_KINDS = frozenset(
-    {RecordKind.ACQUIRE, RecordKind.RELEASE, RecordKind.ACQREL})
-
-
 @dataclass(frozen=True)
 class LogRecord:
     """One queue entry: a whole warp instruction (or block barrier)."""
@@ -122,9 +93,9 @@ class LogRecord:
 def _sorted_mask(active: FrozenSet[int]) -> Tuple[int, ...]:
     """Sorted TIDs of an active mask, memoized.
 
-    The simulator interns active masks (the same frozenset object backs
-    every record of a warp's stable mask), so the expansion loop below
-    hits this cache on nearly every record instead of re-sorting.
+    Records read from a batch share the pool's interned frozensets, so
+    :class:`repro.columnar.ColumnarBuilder` hits this cache on nearly
+    every mask it interns instead of re-sorting.
     """
     return tuple(sorted(active))
 
@@ -145,53 +116,9 @@ def cell_offsets(addr: int, width: int, granularity: int) -> range:
 def record_to_ops(
     record: LogRecord, layout: GridLayout, granularity: int = 4
 ) -> List[AnyOp]:
-    """Expand one warp-level record into the §3.1 trace operations.
+    """Expand one warp-level record into the §3.1 trace operations: the
+    operations :func:`repro.columnar.rows_to_ops` expands its row to."""
+    from .columnar import ColumnarBatch, rows_to_ops
 
-    Memory records become one thread-level operation per touched shadow
-    cell per active lane, followed by one ``endi``; control-flow records
-    map one-to-one.  ``granularity`` is the shadow-cell size in bytes
-    (4 by default, matching the benchmarks' aligned word accesses; 1 for
-    the paper's fully general byte mode).
-    """
-    kind = record.kind
-    if kind is RecordKind.BARRIER:
-        return [Barrier(block=record.warp, active=record.active, pc=record.pc)]
-    if kind is RecordKind.BRANCH_IF:
-        return [
-            If(
-                warp=record.warp,
-                then_mask=record.then_mask,
-                else_mask=record.active - record.then_mask,
-                pc=record.pc,
-            )
-        ]
-    if kind is RecordKind.BRANCH_ELSE:
-        return [Else(warp=record.warp, pc=record.pc)]
-    if kind is RecordKind.BRANCH_FI:
-        return [Fi(warp=record.warp, pc=record.pc)]
-
-    ops: List[AnyOp] = []
-    append = ops.append
-    addrs = record.addrs
-    pc = record.pc
-    width = record.width
-    make = _THREAD_OP[kind]
-    store = kind is RecordKind.STORE
-    values_get = record.values.get
-    sync = kind in _SYNC_KINDS
-    scope = record.scope
-    block_of = layout.block_of
-    shared = Space.SHARED
-    for tid in _sorted_mask(record.active):
-        space, addr = addrs[tid]
-        block = block_of(tid) if space is shared else -1
-        for offset in cell_offsets(addr, width, granularity):
-            loc = Location(space, offset, block)
-            if store:
-                append(make(tid, loc, values_get(tid), pc=pc))
-            elif sync:
-                append(make(tid, loc, scope, pc=pc))
-            else:
-                append(make(tid, loc, pc=pc))
-    ops.append(EndInsn(warp=record.warp, amask=record.active, pc=pc))
-    return ops
+    return rows_to_ops(ColumnarBatch.from_records((record,)), layout,
+                       granularity)

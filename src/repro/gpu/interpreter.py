@@ -278,7 +278,7 @@ class ListSink(EventSink):
     def records(self) -> List[LogRecord]:
         """The rows as records of views, in row order."""
         return [record for batch in self.batches
-                for record in batch.iter_records()]
+                for record in batch.to_records()]
 
 
 #: A decoded statement: ``op(warp, entry) -> bool``.  The closure does

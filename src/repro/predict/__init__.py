@@ -20,7 +20,7 @@ from .analysis import (
     PredictionResult,
     predict_races,
     predicted_to_report,
-    trace_from_records,
+    trace_from_rows,
 )
 from .sweep import (
     ARCHES,
@@ -57,5 +57,5 @@ __all__ = [
     "run_schedule",
     "run_spec",
     "run_sweep",
-    "trace_from_records",
+    "trace_from_rows",
 ]

@@ -36,7 +36,7 @@ from the races the observed schedule already reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..core.races import AccessType, RaceReport, classify
 from ..core.syncorder import (
@@ -46,7 +46,7 @@ from ..core.syncorder import (
     _same_value_same_instruction,
     instruction_groups,
 )
-from ..events import LogRecord, record_to_ops
+from ..columnar import ColumnarBatch, rows_to_ops
 from ..trace.layout import GridLayout
 from ..trace.operations import (
     AcqRel,
@@ -106,13 +106,13 @@ class PredictionResult:
     truncated: bool = False
 
 
-def trace_from_records(
-    records: Sequence[LogRecord], layout: GridLayout, granularity: int = 4
+def trace_from_rows(
+    batches: Iterable[ColumnarBatch], layout: GridLayout, granularity: int = 4
 ) -> Trace:
-    """Expand a captured record stream into a §3.1 trace."""
+    """Expand a captured row log into a §3.1 trace."""
     trace = Trace(layout)
-    for record in records:
-        trace.extend(record_to_ops(record, layout, granularity))
+    for batch in batches:
+        trace.extend(rows_to_ops(batch, layout, granularity))
     return trace
 
 

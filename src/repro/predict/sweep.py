@@ -45,7 +45,7 @@ from ..gpu.scheduler import RecordingScheduler, SWEEP_KINDS, make_scheduler
 from ..jobs import ARCHES, LaunchSpec, StagedJob, launch_spec  # noqa: F401 - ARCHES re-exported
 from ..obs import NULL_OBS, Observability
 from ..runtime.session import SessionLaunch
-from .analysis import predict_races, predicted_to_report, trace_from_records
+from .analysis import predict_races, predicted_to_report, trace_from_rows
 from .witness import WitnessSchedule
 
 
@@ -294,9 +294,7 @@ def finalize_sweep(
     kernel = spec.kernel or base_launch.kernel
 
     with obs.tracer.span("sweep-predict", kernel=kernel):
-        trace = trace_from_records(
-            base_launch.captured_records or [], spec.layout()
-        )
+        trace = trace_from_rows(base_launch.captured or [], spec.layout())
         prediction = predict_races(trace)
 
     predicted_by_key: Dict[object, RaceReport] = {}

@@ -24,6 +24,7 @@ from ..columnar import (
     decode_batch,
     encode_batch,
     iter_batches,
+    rows_to_ops,
 )
 from ..core.detector import BarracudaDetector
 from ..core.races import DetectorReports
@@ -423,7 +424,7 @@ def convert_capture(
     Lossless in both directions: the record streams compare equal.
     """
     layout, kernel, batches, src_fmt = load_capture_path_batches(src)
-    records = (record for batch in batches for record in batch.iter_records())
+    records = (record for batch in batches for record in batch.to_records())
     if to_format is None:
         to_format = "jsonl" if src_fmt == "binary" else "binary"
     if to_format not in ("jsonl", "binary"):
@@ -481,13 +482,10 @@ def replay(
     if not reference:
         return replay_batches(layout, iter_batches(records), config)
     from ..core.reference import ReferenceDetector
-    from ..events import record_to_ops
 
     granularity = (config or DetectorConfig()).granularity_bytes
     detector = ReferenceDetector(layout, config)
-    for item in records:
-        plain = item.iter_records() if isinstance(item, ColumnarBatch) else (item,)
-        for record in plain:
-            for op in record_to_ops(record, layout, granularity):
-                detector.process(op)
+    for batch in iter_batches(records):
+        for op in rows_to_ops(batch, layout, granularity):
+            detector.process(op)
     return detector.reports

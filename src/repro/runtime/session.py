@@ -60,7 +60,7 @@ class SessionLaunch:
         if self.captured is None:
             return None
         return [record for batch in self.captured
-                for record in batch.iter_records()]
+                for record in batch.to_records()]
 
     @property
     def races(self) -> List[RaceReport]:

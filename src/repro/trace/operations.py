@@ -18,8 +18,8 @@ documentation defines as benign (§3.3.1).
 
 Operations and locations are values: hashable, compared by field, and
 never assigned to after construction.  They are not ``frozen``
-dataclasses because :func:`repro.events.record_to_ops` builds one per
-lane per record, and a frozen ``__init__`` pays ``object.__setattr__``
+dataclasses because :func:`repro.columnar.rows_to_ops` builds one per
+lane per row, and a frozen ``__init__`` pays ``object.__setattr__``
 per field — more than the rest of the expansion put together.
 """
 

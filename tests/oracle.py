@@ -1,8 +1,8 @@
 """Reference implementations that production code is held to.
 
-``per_record_oracle``: ``record_to_ops`` → ``BarracudaDetector.process``
+``per_record_oracle``: ``rows_to_ops`` → ``BarracudaDetector.process``
 is the specification of the fused ``process_columnar`` loop; no
-production path runs it record by record any more.
+production path runs it operation by operation any more.
 
 ``reference_launch``: the launch loop that rescans every warp, every
 block and every store queue on each step is the specification of
@@ -27,10 +27,11 @@ from typing import Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 import pytest
 
+from repro.columnar import iter_batches, rows_to_ops
 from repro.core.detector import BarracudaDetector
 from repro.core.reference import DetectorConfig
 from repro.errors import DeadlockError, SimulationError, StepLimitExceeded
-from repro.events import GRID_BARRIER_BLOCK, LogRecord, RecordKind, record_to_ops
+from repro.events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
 from repro.gpu import device as device_module
 from repro.gpu.device import DEFAULT_MAX_STEPS, GpuDevice
 from repro.gpu.engine import _COMPARES, _CVT_TYPES
@@ -65,11 +66,12 @@ from repro.trace.operations import Scope, Space
 
 
 def per_record_oracle(layout, records, config=None) -> BarracudaDetector:
-    """Expand every record, ``process`` every op; returns the detector."""
+    """Expand every row of ``records`` (records or batches), ``process``
+    every op; returns the detector."""
     config = config or DetectorConfig()
     detector = BarracudaDetector(layout, config)
-    for record in records:
-        for op in record_to_ops(record, layout, config.granularity_bytes):
+    for batch in iter_batches(records):
+        for op in rows_to_ops(batch, layout, config.granularity_bytes):
             detector.process(op)
     return detector
 

@@ -42,6 +42,7 @@ from repro.columnar import (
     decode_batch,
     encode_batch,
     iter_batches,
+    rows_to_ops,
 )
 from repro.core.detector import BarracudaDetector
 from repro.core.reference import DetectorConfig
@@ -73,7 +74,7 @@ from repro.runtime.replay import (
 )
 from repro.service import protocol
 from repro.suite import ALL_PROGRAMS, SCHEDULE_PROGRAMS
-from repro.trace.operations import Scope, Space
+from repro.trace.operations import Scope, Space, Write
 
 from oracle import oracle_engine, per_record_oracle
 
@@ -292,7 +293,7 @@ class TestCodecRoundTrip:
         loaded_layout, kernel, batches = load_capture_binary(stream)
         assert loaded_layout == layout
         assert kernel == "k"
-        assert [r for b in batches for r in b.iter_records()] == records
+        assert [r for b in batches for r in b.to_records()] == records
 
     @settings(max_examples=50, deadline=None)
     @given(records=st.lists(log_records(), max_size=8),
@@ -310,7 +311,7 @@ class TestCodecRoundTrip:
         assert written == len(records)
         stream.seek(0)
         _layout, _kernel, batches = load_capture_binary(stream)
-        assert [r for b in batches for r in b.iter_records()] == records
+        assert [r for b in batches for r in b.to_records()] == records
 
     @settings(max_examples=100, deadline=None)
     @given(records=st.lists(log_records(), max_size=10))
@@ -473,7 +474,7 @@ def test_every_engine_stream_passes_the_boundary(entry):
     # hold exactly the stream: consistent, inside the launch, a value on
     # every lane of a store row and on no other, and the pool the
     # builder interns from their views.
-    assert [view for batch in rows for view in batch.iter_records()] == records
+    assert [view for batch in rows for view in batch.to_records()] == records
     for batch in rows:
         assert batch.checked
         batch.validate()
@@ -627,8 +628,9 @@ _ALL_ONES_U64_PTX = """
 
 def test_a_store_beyond_int64_is_logged_as_its_low_64_bits_signed():
     # The one engine row that used to leave the columns: 2**64 - 1 is
-    # logged as -1, and the report is what the unsigned value gave
+    # logged as -1, and the report is what the unsigned value gives
     # through the per-op path (6 races, 24 filtered same-value stores).
+    # A row holds int64 only, so the unsigned writes are made op by op.
     spec = LaunchSpec(source=_ALL_ONES_U64_PTX, is_ptx=True, grid=2, block=8,
                       warp_size=4, buffers=(("out", 4, ()),))
     layout, records = record_stream(spec)
@@ -636,9 +638,13 @@ def test_a_store_beyond_int64_is_logged_as_its_low_64_bits_signed():
     assert {v for r in stores for v in r.values.values()} == {-1}
     for batch in iter_batches(records):
         batch.check_layout(layout)
-    unsigned = [dataclasses.replace(r, values={
-        t: v & ((1 << 64) - 1) for t, v in r.values.items()}) for r in records]
-    expected = per_record_oracle(layout, unsigned).reports
+    unsigned = BarracudaDetector(layout, DetectorConfig())
+    for batch in iter_batches(records):
+        for op in rows_to_ops(batch, layout):
+            if isinstance(op, Write):
+                op = dataclasses.replace(op, value=op.value & ((1 << 64) - 1))
+            unsigned.process(op)
+    expected = unsigned.reports
     reports = replay(layout, records)
     assert _race_keys(reports) == _race_keys(expected)
     assert len(reports.races) == 6
@@ -1052,7 +1058,7 @@ class TestConvertCapture:
                 str(path))
             assert loaded_layout == layout
             assert kernel == "racy"
-            assert [r for b in batches for r in b.iter_records()] == records
+            assert [r for b in batches for r in b.to_records()] == records
 
     def test_explicit_target_format(self, tmp_path):
         layout, records = _capture()

@@ -19,13 +19,21 @@ Additionally, against the fully declarative §3.2 oracle
   (this is the "well-synchronized ⟹ no race detected" direction of
   Theorem 1; the converse holds exactly up to the documented
   atomic-shadowing approximation).
+
+The same verdicts are then held on whole programs: every corpus entry's
+captured row log, expanded once by :func:`repro.columnar.rows_to_ops`.
 """
 
+import pytest
 from hypothesis import given, settings
 
+from repro.columnar import rows_to_ops
 from repro.core import BarracudaDetector, ReferenceDetector
 from repro.core.reference import DetectorConfig
 from repro.core.syncorder import find_barrier_divergence, find_races, find_visible_races
+from repro.jobs import launch_spec
+from repro.predict import trace_from_rows
+from test_columnar import CAPTURE_CORPUS
 from tracegen import feasible_traces
 
 
@@ -107,3 +115,29 @@ def test_filter_only_removes_same_value_write_pairs(trace):
         if (r.loc, frozenset((r.prior_tid, r.current_tid))) not in filtered_pairs
     }
     assert removed_kinds <= {("write", "write")}
+
+
+# ----------------------------------------------------------------------
+# Theorem 1 on whole programs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("entry", CAPTURE_CORPUS, ids=lambda entry: entry.name)
+def test_theorem1_holds_on_every_corpus_program(entry):
+    """The live launch, the fused loop over its row log, the reference
+    detector and the visible-race oracle over the §3.1 trace those rows
+    expand to report the same pairs; the declarative §3.2 oracle holds
+    every one of them."""
+    launch = launch_spec(entry.spec, capture=True).launch
+    layout = entry.spec.layout()
+    fused = BarracudaDetector(layout)
+    reference = ReferenceDetector(layout)
+    for batch in launch.captured:
+        fused.process_columnar(batch)
+        for op in rows_to_ops(batch, layout):
+            reference.process(op)
+    trace = trace_from_rows(launch.captured, layout)
+    visible = _pairs(trace, find_visible_races(trace))
+    production = _report_pairs(launch.reports)
+    assert production == visible
+    assert _report_pairs(fused.reports) == visible
+    assert _report_pairs(reference.reports) == visible
+    assert production <= _pairs(trace, find_races(trace))

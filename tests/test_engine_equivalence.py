@@ -150,7 +150,7 @@ def _assert_oracle_differential(program, static_prune: bool) -> None:
     blob.seek(0)
     bin_layout, bin_kernel, batches = load_capture_binary(blob)
     assert (bin_layout, bin_kernel) == (layout, program.name)
-    assert [r for batch in batches for r in batch.iter_records()] == records
+    assert [r for batch in batches for r in batch.to_records()] == records
     assert _report_lines(replay(layout, batches)) == expected
     fused = BarracudaDetector(layout)
     for batch in batches:

@@ -46,15 +46,17 @@ def test_load_record_expands_to_reads_plus_endi():
 
 
 def test_store_record_carries_values():
+    # A lane the record names no value for writes None.
     record = LogRecord(
         kind=RecordKind.STORE,
         warp=0,
-        active=frozenset({0}),
-        addrs={0: (Space.GLOBAL, 0x10)},
+        active=frozenset({0, 1, 2}),
+        addrs={tid: (Space.GLOBAL, 0x10 + 4 * tid) for tid in (0, 1, 2)},
         values={0: 42},
     )
     ops = record_to_ops(record, LAYOUT)
-    assert isinstance(ops[0], Write) and ops[0].value == 42
+    assert [(type(op), op.tid, op.value) for op in ops[:-1]] == [
+        (Write, 0, 42), (Write, 1, None), (Write, 2, None)]
 
 
 def test_shared_addresses_resolve_to_the_thread_block():

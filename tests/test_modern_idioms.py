@@ -127,7 +127,7 @@ def test_capture_and_detector_path_equivalence(suite_program):
     blob.seek(0)
     bin_layout, bin_kernel, batches = load_capture_binary(blob)
     assert (bin_layout, bin_kernel) == (layout, suite_program.name)
-    bin_records = [r for batch in batches for r in batch.iter_records()]
+    bin_records = [r for batch in batches for r in batch.to_records()]
     assert bin_records == records
 
     for loaded in (jsonl_records, batches):

@@ -853,7 +853,7 @@ class TestCli:
         _layout, _kernel, batches, _fmt = load_capture_path_batches(capture)
         expected = Profiler()
         for batch in batches:
-            for record in batch.iter_records():
+            for record in batch.to_records():
                 expected.account(record.kind.value, max(record.pc, 0))
         assert expected.total_events > 0
         capsys.readouterr()

@@ -44,7 +44,7 @@ from repro.predict import (
     race_key,
     run_spec,
     run_sweep,
-    trace_from_records,
+    trace_from_rows,
 )
 from repro.runtime.replay import save_capture
 from repro.suite import SCHEDULE_PROGRAMS, schedule_program
@@ -269,7 +269,7 @@ class TestScheduleSweeps:
         spec = LaunchSpec.from_program(schedule_program("handoff_no_spin"))
         launch = run_spec(spec, capture=True)
         assert launch.races == []
-        trace = trace_from_records(launch.captured_records, spec.layout())
+        trace = trace_from_rows(launch.captured, spec.layout())
         result = predict_races(trace)
         assert len(result.predicted) >= 1
         assert result.relaxed_edges
@@ -295,7 +295,7 @@ class TestScheduleSweeps:
             schedule_program("async_handoff_no_spin"))
         launch = run_spec(spec, capture=True)
         assert launch.races == []
-        trace = trace_from_records(launch.captured_records, spec.layout())
+        trace = trace_from_rows(launch.captured, spec.layout())
         result = predict_races(trace)
         assert len(result.predicted) >= 1
 
@@ -324,7 +324,7 @@ class TestScheduleSweeps:
     def test_spin_control_not_trace_predicted(self):
         spec = LaunchSpec.from_program(schedule_program("handoff_spin_control"))
         launch = run_spec(spec, capture=True)
-        trace = trace_from_records(launch.captured_records, spec.layout())
+        trace = trace_from_rows(launch.captured, spec.layout())
         result = predict_races(trace)
         assert result.predicted == []
         assert result.forced_acquires
