@@ -28,7 +28,8 @@ of the launch's :class:`RowLog` and the live queues carry row numbers,
 so the host runs the fused loop over committed ranges of the batches
 the engine wrote, with no record object in between.  The cold paths
 (``--predict``, ``sweep``, the reference replay) expand rows to §3.1
-operations in one place, :func:`rows_to_ops`.
+operations in one place, :func:`rows_to_ops`; :func:`ops_to_rows` packs
+a trace back into rows for the detector.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import (
     Collection, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence,
     Set, Tuple, Union)
 
-from .errors import ReproError
+from .errors import ReproError, TraceError
 from .events import (
     GRID_BARRIER_BLOCK,
     MAX_ACCESS_BYTES,
@@ -54,8 +55,7 @@ from .events import (
 )
 from .trace.layout import GridLayout
 from .trace.operations import (
-    AcqRel, Acquire, AnyOp, Atomic, Barrier, Else, EndInsn, Fi, If, Location,
-    Read, Release, Scope, Space, Write)
+    THREAD_OPS, AnyOp, Barrier, Else, EndInsn, Fi, If, Location, Scope, Space)
 
 
 def have_numpy() -> bool:
@@ -705,8 +705,7 @@ def _chunks(items: Iterable[Union[LogRecord, ColumnarBatch]],
 #: kind code; the synchronization kinds' operations carry a scope.
 _THREAD_OP = {KIND_CODE[kind]: op for kind, op in zip(
     (RecordKind.LOAD, RecordKind.STORE, RecordKind.ATOMIC, RecordKind.ACQUIRE,
-     RecordKind.RELEASE, RecordKind.ACQREL),
-    (Read, Write, Atomic, Acquire, Release, AcqRel))}
+     RecordKind.RELEASE, RecordKind.ACQREL), THREAD_OPS)}
 _SYNC_KINDS = frozenset(range(KIND_ACQUIRE, KIND_ACQREL + 1))
 
 
@@ -768,6 +767,110 @@ def rows_to_ops(batch: ColumnarBatch, layout: GridLayout,
                     append(make(tid, loc, pc=pc))
         append(EndInsn(warp=warp, amask=active, pc=pc))
     return ops
+
+
+#: Each thread-level operation's kind code: :data:`_THREAD_OP` inverted.
+_OP_KIND = {op: code for code, op in _THREAD_OP.items()}
+
+
+def _no_row_form(op: AnyOp, problem: str) -> TraceError:
+    return TraceError(f"{op} (pc {op.pc}): no row form, {problem}")
+
+
+def ops_to_rows(ops: Iterable[AnyOp], layout: GridLayout,
+                granularity: int = 4) -> ColumnarBatch:
+    """Pack §3.1 operations into rows: the inverse of :func:`rows_to_ops`.
+
+    A warp instruction (thread-level operations, then their ``endi``) is
+    one memory row of width ``granularity`` and the ``endi``'s mask, with
+    one lane per operation: tid, space, cell and any written value.  An
+    access spanning cells is one operation, so one lane, per cell.
+    ``if``/``else``/``fi``/``bar`` are a control row each (an ``if``
+    row's mask is then ∪ else).  No engine row looks like this, so the
+    batch is not ``checked`` and no lane is held to int64: it is for this
+    process's detector, not for a capture.
+
+    An operation with no row form is one :class:`TraceError` naming it:
+    thread operations with no trailing ``endi`` or around a control
+    operation, an instruction mixing kinds, pcs or scopes, a lane outside
+    the ``endi``'s warp or out of tid order, a cell not aligned to
+    ``granularity`` or shared in another block, an ``if`` whose masks
+    overlap.  A warp, block or mask outside ``layout`` fails
+    :meth:`ColumnarBatch.check_layout`, in one line too.
+    """
+    batch = ColumnarBatch()
+    mask_ids: Dict[FrozenSet[int], int] = {}
+    rows: List[Tuple[int, ...]] = []
+    lanes: List[Tuple[int, ...]] = []
+    group: List[AnyOp] = []
+
+    def row(code: int, warp: int, op: AnyOp, mask: FrozenSet[int],
+            scope: int = -1, then_mask: FrozenSet[int] = frozenset()) -> None:
+        then_id = (mask_ids.setdefault(then_mask, len(mask_ids))
+                   if then_mask else -1)
+        rows.append((code, warp, op.pc, granularity, scope,
+                     mask_ids.setdefault(mask, len(mask_ids)), then_id))
+        batch.lane_starts.append(len(lanes))
+
+    for op in ops:
+        kind = type(op)
+        if kind in _OP_KIND:
+            group.append(op)
+        elif kind is EndInsn:
+            lo, count = layout.warp_span(op.warp)
+            block = layout.block_of_warp(op.warp)
+            model = group[0] if group else None
+            scope = getattr(model, "scope", None)
+            previous = lo
+            for lane in group:
+                loc, tid = lane.loc, lane.tid
+                if (type(lane) is not type(model) or lane.pc != op.pc
+                        or getattr(lane, "scope", None) is not scope):
+                    raise _no_row_form(
+                        lane, f"one instruction holds it, {model} and {op}")
+                if not previous <= tid < lo + count:
+                    raise _no_row_form(lane, f"its lane is outside warp "
+                                       f"{op.warp} or out of tid order")
+                if loc.offset % granularity:
+                    raise _no_row_form(
+                        lane, f"its cell is not {granularity}-byte aligned")
+                if loc.space is Space.SHARED and loc.block != block:
+                    raise _no_row_form(
+                        lane, f"its shared cell is not in block {block}")
+                previous = tid
+                value = getattr(lane, "value", None)
+                lanes.append((tid, SPACE_CODE[loc.space], loc.offset,
+                              0 if value is None else 1, value or 0))
+            # A bare endi is a row without lanes: any memory kind will do.
+            row(_OP_KIND.get(type(model), KIND_LOAD), op.warp, op, op.amask,
+                -1 if scope is None else SCOPE_CODE[scope])
+            group = []
+        elif group:
+            raise _no_row_form(op, "a control operation inside the "
+                               f"instruction of {group[0]}")
+        elif kind is If:
+            if op.then_mask & op.else_mask:
+                raise _no_row_form(op, "its then and else masks overlap")
+            row(KIND_BRANCH_IF, op.warp, op, op.then_mask | op.else_mask,
+                then_mask=op.then_mask)
+        elif kind is Else or kind is Fi:
+            row(KIND_BRANCH_ELSE if kind is Else else KIND_BRANCH_FI,
+                op.warp, op, frozenset())
+        elif kind is Barrier:
+            row(KIND_BARRIER, op.block, op, op.active)
+        else:
+            raise TraceError(f"{op!r}: not a trace operation")
+    if group:
+        raise _no_row_form(group[0], "its instruction has no trailing endi")
+    if rows:
+        (batch.kinds, batch.warps, batch.pcs, batch.widths, batch.scopes,
+         batch.mask_ids, batch.then_mask_ids) = map(list, zip(*rows))
+    if lanes:
+        (batch.lane_tids, batch.lane_spaces, batch.lane_addrs,
+         batch.lane_has_value, batch.lane_values) = map(list, zip(*lanes))
+    batch.masks = [tuple(sorted(mask)) for mask in mask_ids]
+    batch.check_layout(layout)
+    return batch
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,11 @@ granularity (:mod:`repro.core.ptvc`), shadow memory with a page table
 (:mod:`repro.core.shadow`), and dedicated synchronization-location
 metadata (:mod:`repro.core.syncmap`).
 
-Race verdicts are identical to the reference detector; the property tests
-cross-check them on randomized feasible traces.  The host-side runtime
-(:mod:`repro.runtime.host`) feeds this class from the GPU event queues.
+Its one algorithm is the fused loop over rows, :meth:`BarracudaDetector.
+process_columnar`: the host (:mod:`repro.runtime.host`) feeds it the
+engine's rows, and a §3.1 trace is packed into rows first
+(:func:`repro.columnar.ops_to_rows`).  The Theorem 1 property tests hold
+it to the reference detector and the sync-order oracles.
 """
 
 from __future__ import annotations
@@ -27,25 +29,19 @@ from ..columnar import (
     SCOPES,
     SPACE_CODE,
     ColumnarBatch,
+    ops_to_rows,
 )
 from ..events import cell_offsets
 from ..trace.layout import GridLayout
 from ..trace.operations import (
-    AcqRel,
-    Acquire,
+    THREAD_OPS,
     AnyOp,
-    Atomic,
-    Barrier,
     Else,
-    EndInsn,
     Fi,
     If,
     Location,
-    Read,
-    Release,
     Scope,
     Space,
-    Write,
 )
 from ..obs.provenance import ClockComparison, ProvenanceTracker
 from ..trace.trace import Trace
@@ -84,6 +80,8 @@ class BarracudaDetector:
         self.shadow = ShadowMemory(layout)
         self.sync = SyncLocationMap(layout)
         self._instr: Dict[int, int] = {}
+        #: Thread operations :meth:`process` holds until their ``endi``.
+        self._pending: List[AnyOp] = []
         #: Dynamic operations processed (the detector-side work measure).
         self.ops_processed = 0
         #: Access-history tracker for race provenance; None (the default)
@@ -100,9 +98,6 @@ class BarracudaDetector:
     def _group_of(self, tid: int) -> Tuple[int, int]:
         warp = self.layout.warp_of(tid)
         return (warp, self._instr.get(warp, 0))
-
-    def _advance_group(self, warp: int) -> None:
-        self._instr[warp] = self._instr.get(warp, 0) + 1
 
     def _report_race(
         self,
@@ -233,9 +228,8 @@ class BarracudaDetector:
                 )
 
     # ------------------------------------------------------------------
-    # Memory access rules (Figure 2).  The per-lane bodies are the single
-    # source of truth: both the per-operation handlers and the fused
-    # columnar loop call them, so the two pipelines cannot drift.
+    # Memory access rules (Figure 2).  The per-lane bodies the fused loop
+    # calls for a lane, and the range path for a piece it cannot cover.
     # ------------------------------------------------------------------
     def _read_lane(self, tid: int, cell: Cell, pc: int,
                    entry: ShadowEntry, cv) -> None:
@@ -295,56 +289,9 @@ class BarracudaDetector:
         entry.last_group = group
         entry.write_pc = pc
 
-    # The per-operation handlers.  A thread-level operation of an
-    # inactive thread is a NOP.
-    def _on_read(self, op: Read) -> None:
-        tid = op.tid
-        if self.clocks.is_active(tid):
-            loc = op.loc
-            self._read_lane(tid, (loc.block, loc.offset), op.pc,
-                            self.shadow.entry(loc), self.clocks)
-
-    def _on_write(self, op: Write) -> None:
-        tid = op.tid
-        if self.clocks.is_active(tid):
-            loc = op.loc
-            self._write_lane(tid, (loc.block, loc.offset), op.value, op.pc,
-                             self.shadow.entry(loc), self.clocks,
-                             self._group_of(tid))
-
-    def _on_atomic(self, op: Atomic) -> None:
-        tid = op.tid
-        if self.clocks.is_active(tid):
-            loc = op.loc
-            self._atomic_lane(tid, (loc.block, loc.offset), op.pc,
-                              self.shadow.entry(loc), self.clocks,
-                              self._group_of(tid))
-
-    # ------------------------------------------------------------------
-    # Lockstep and branches
-    # ------------------------------------------------------------------
-    def _on_endi(self, op: EndInsn) -> None:
-        self.clocks.end_instruction(op.warp)
-        self._advance_group(op.warp)
-
-    def _on_if(self, op: If) -> None:
-        self.clocks.branch_if(op)
-        self._advance_group(op.warp)
-
-    def _on_else(self, op: Else) -> None:
-        self.clocks.branch_else(op)
-        self._advance_group(op.warp)
-
-    def _on_fi(self, op: Fi) -> None:
-        self.clocks.branch_fi(op)
-        self._advance_group(op.warp)
-
     # ------------------------------------------------------------------
     # Barriers and synchronization (Figure 3)
     # ------------------------------------------------------------------
-    def _on_barrier(self, op: Barrier) -> None:
-        self._barrier(op.block, op.active, op.pc)
-
     def _barrier(self, block: int, active: FrozenSet[int], pc: int) -> None:
         if not self.layout.barrier_complete(block, active):
             expected = frozenset(self.layout.barrier_tids(block))
@@ -354,12 +301,9 @@ class BarracudaDetector:
                 )
             )
         self.clocks.barrier(block, active)
+        instr = self._instr
         for warp in self.layout.barrier_warps(block):
-            self._advance_group(warp)
-
-    def _on_acquire(self, op: Acquire) -> None:
-        if self.clocks.is_active(op.tid):
-            self._acquire(op.tid, op.loc, op.scope)
+            instr[warp] = instr.get(warp, 0) + 1
 
     def _acquire(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
         sync = self.sync.get(loc)
@@ -370,10 +314,6 @@ class BarracudaDetector:
         for clock in sources:
             self.clocks.acquire_into(tid, clock)
 
-    def _on_release(self, op: Release) -> None:
-        if self.clocks.is_active(op.tid):
-            self._release(op.tid, op.loc, op.scope)
-
     def _release(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
         sync = self.sync.get(loc)
         released = self.clocks.materialize(tid)
@@ -382,10 +322,6 @@ class BarracudaDetector:
         else:
             sync.release_global(released)
         self.clocks.increment(tid)
-
-    def _on_acqrel(self, op: AcqRel) -> None:
-        if self.clocks.is_active(op.tid):
-            self._acqrel(op.tid, op.loc, op.scope)
 
     def _acqrel(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
         sync = self.sync.get(loc)
@@ -404,45 +340,36 @@ class BarracudaDetector:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    #: :meth:`process`'s handler per operation type.
-    _HANDLERS = {
-        Read: _on_read,
-        Write: _on_write,
-        Atomic: _on_atomic,
-        EndInsn: _on_endi,
-        If: _on_if,
-        Else: _on_else,
-        Fi: _on_fi,
-        Barrier: _on_barrier,
-        Acquire: _on_acquire,
-        Release: _on_release,
-        AcqRel: _on_acqrel,
-    }
-
     def process(self, op: AnyOp) -> None:
-        """Apply one trace operation; inactive threads' operations are NOPs."""
-        self.ops_processed += 1
-        self._HANDLERS[type(op)](self, op)
+        """Apply one trace operation: the perf ledger's per-op stage,
+        which hands over whole records.  Thread operations wait for the
+        ``endi`` or control operation closing their row, which then runs
+        through :meth:`process_columnar`."""
+        self._pending.append(op)
+        if type(op) not in THREAD_OPS:
+            row, self._pending = self._pending, []
+            self.process_trace(Trace(self.layout, row))
 
     def process_columnar(self, batch: ColumnarBatch, granularity: int = 4,
                          start: int = 0, stop: Optional[int] = None) -> None:
         """Consume rows ``start`` to ``stop`` (default: to the end) of one
         columnar warp-batch through the fused inner loop.
 
-        Semantically identical to expanding the rows with
-        :func:`repro.columnar.rows_to_ops` and calling :meth:`process`
-        per operation — same races in the same order, same
-        ``ops_processed``/``joins`` accounting (the differential suite
-        pins this across all 79 programs) — but without materializing a
-        single record, and with a coalesced LOAD/STORE row of a converged
-        warp handled as one range (:meth:`_coalesced_row`).
+        The detector's one algorithm.  Its per-operation specification
+        is :class:`~repro.core.reference.ReferenceDetector` over the
+        rows' :func:`~repro.columnar.rows_to_ops` expansion, which the
+        Theorem 1 properties hold it to on random feasible traces and
+        all 110 corpus programs' row logs.  A coalesced LOAD/STORE row
+        of a converged warp is one range access (:meth:`_coalesced_row`).
 
         Precondition: every row is one the engine can emit for this
         layout — ``batch`` passes :meth:`ColumnarBatch.validate` (a
         memory row's lanes are its mask, ascending) and
         :meth:`ColumnarBatch.check_layout` (its warps and blocks are the
         launch's, a row's lanes lie in its warp), which every loader of
-        outside input runs.
+        outside input runs — or one :func:`~repro.columnar.ops_to_rows`
+        packed in this process: one aligned cell per lane, in ascending
+        tid order, a tid repeated for an access spanning cells.
         """
         layout = self.layout
         clocks = self.clocks
@@ -657,9 +584,11 @@ class BarracudaDetector:
         return True
 
     def process_trace(self, trace: Trace) -> DetectorReports:
-        """Run a full trace and return the accumulated reports."""
-        for op in trace.ops:
-            self.process(op)
+        """Run a full trace, packed into rows (:func:`ops_to_rows`)
+        through :meth:`process_columnar`; the accumulated reports."""
+        granularity = self.config.granularity_bytes
+        self.process_columnar(
+            ops_to_rows(trace.ops, self.layout, granularity), granularity)
         return self.reports
 
     def ptvc_stats(self) -> PTVCStats:

@@ -145,11 +145,6 @@ class PTVCManager:
         first = self.layout.warp_span(warp)[0]
         return frozenset(first + lane for lane in mask_lanes(self._top(warp).mask))
 
-    def is_active(self, tid: int) -> bool:
-        block, rest = divmod(tid, self._tpb)
-        index, lane = divmod(rest, self._ws)
-        return bool(self._stacks[block * self._wpb + index][-1].mask >> lane & 1)
-
     def value(self, owner: int, tid: int) -> int:
         """``C_owner(tid)``: what ``owner``'s clock records for ``tid``."""
         dev = self._deviant.get(owner)

@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple
 
 from ..trace.layout import GridLayout
 from ..trace.operations import (
+    THREAD_OPS,
     AcqRel,
     Acquire,
     AnyOp,
@@ -385,7 +386,7 @@ class ReferenceDetector:
         Thread-level operations by inactive threads are NOPs, as every
         rule of Figure 2 implicitly requires the thread to be active.
         """
-        if isinstance(op, (Read, Write, Atomic, Acquire, Release, AcqRel)):
+        if isinstance(op, THREAD_OPS):
             if not self._is_active(op.tid):
                 return
         if getattr(self, "_dispatch", None) is None:

@@ -262,10 +262,6 @@ class ShadowMemory:
             table.words[offset] = entry
         return entry
 
-    def entry(self, loc: Location) -> ShadowEntry:
-        """The shadow record for ``loc``, allocating it if needed."""
-        return self.entry_at(loc.block, loc.offset)
-
     def peek(self, loc: Location) -> Optional[ShadowEntry]:
         """The shadow record for ``loc`` if it exists, without allocating.
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..trace.operations import (
+    THREAD_OPS,
     AcqRel,
     Acquire,
     AnyOp,
@@ -87,7 +88,7 @@ def _resolve_sync_sets(trace: Trace) -> List[FrozenSet[int]]:
     stacks = WarpStackSet(trace.layout)
     sets: List[FrozenSet[int]] = []
     for op in trace.ops:
-        if isinstance(op, (Read, Write, Atomic, Acquire, Release, AcqRel)):
+        if isinstance(op, THREAD_OPS):
             sets.append(frozenset((op.tid,)))
         elif isinstance(op, EndInsn):
             sets.append(op.amask)
@@ -177,7 +178,7 @@ def instruction_groups(trace: Trace) -> List[Tuple[int, int]]:
     counters: Dict[int, int] = {}
     groups: List[Tuple[int, int]] = []
     for op in trace.ops:
-        if isinstance(op, (Read, Write, Atomic, Acquire, Release, AcqRel)):
+        if isinstance(op, THREAD_OPS):
             warp = layout.warp_of(op.tid)
             groups.append((warp, counters.get(warp, 0)))
         else:

@@ -40,15 +40,10 @@ from ..ptx.ast import (
     Statement,
     SymbolOperand,
     VectorOperand,
+    written_registers,
 )
 from ..ptx.cfg import CFG
-from ..ptx.isa import (
-    ATOMIC_OPCODES,
-    BRANCH_OPCODES,
-    EXIT_OPCODES,
-    FENCE_OPCODES,
-    LOAD_OPCODES,
-)
+from ..ptx.isa import ATOMIC_OPCODES, FENCE_OPCODES, LOAD_OPCODES
 from ..trace.operations import Scope
 from .inference import AccessClass, Classification, classify_kernel
 
@@ -290,22 +285,6 @@ class _PruneState:
             self._logged[key] = ("load", None)
 
 
-def _written_registers(insn: Instruction) -> Tuple[str, ...]:
-    """The registers an instruction writes, if any."""
-    if insn.opcode in BRANCH_OPCODES or insn.opcode in EXIT_OPCODES:
-        return ()
-    if insn.opcode == "st" or insn.opcode == "red":
-        return ()
-    if insn.opcode in ("bar", "membar", "fence", "_log"):
-        return ()
-    if insn.operands and isinstance(insn.operands[0], RegOperand):
-        return (insn.operands[0].name,)
-    if insn.operands and isinstance(insn.operands[0], VectorOperand):
-        # A vector load writes every listed register.
-        return insn.operands[0].regs
-    return ()
-
-
 class Instrumenter:
     """Rewrites PTX modules with BARRACUDA logging (§4.1)."""
 
@@ -438,7 +417,7 @@ class Instrumenter:
                 log.line = index
             if log is None:
                 new_body.append(statement)
-                for written in _written_registers(statement):
+                for written in written_registers(statement):
                     prune_state.kill_register(written)
                 continue
             report.instrumentable_sites += 1
@@ -449,18 +428,18 @@ class Instrumenter:
             ):
                 report.statically_pruned_sites += 1
                 new_body.append(statement)
-                for written in _written_registers(statement):
+                for written in written_registers(statement):
                     prune_state.kill_register(written)
                 continue
             if self.prune and self._prunable(statement, classification, prune_state):
                 new_body.append(statement)
-                for written in _written_registers(statement):
+                for written in written_registers(statement):
                     prune_state.kill_register(written)
                 continue
             report.instrumented_sites += 1
             self._emit_logged(new_body, statement, log)
             self._note_logged(statement, classification, prune_state)
-            for written in _written_registers(statement):
+            for written in written_registers(statement):
                 prune_state.kill_register(written)
 
         extra_params = (

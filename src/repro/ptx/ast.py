@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .isa import StateSpace
+from .isa import NO_DEST_OPCODES, StateSpace
 
 
 # ----------------------------------------------------------------------
@@ -169,6 +169,20 @@ class Instruction:
             reg, negated = self.pred
             text = f"@{'!' if negated else ''}{reg} {text}"
         return text
+
+
+def written_registers(insn: Instruction) -> Tuple[str, ...]:
+    """The registers an instruction defines: its operand 0, a register
+    or a vector of them (a vector load writes every one), unless the
+    opcode defines none (:data:`~repro.ptx.isa.NO_DEST_OPCODES`)."""
+    if insn.opcode in NO_DEST_OPCODES or not insn.operands:
+        return ()
+    dest = insn.operands[0]
+    if isinstance(dest, RegOperand):
+        return (dest.name,)
+    if isinstance(dest, VectorOperand):
+        return dest.regs
+    return ()
 
 
 @dataclass

@@ -114,6 +114,12 @@ ATOMIC_OPERATIONS: FrozenSet[str] = frozenset({
 #: PTX namespace.  The interpreter executes them by emitting log records.
 LOG_OPCODES: FrozenSet[str] = frozenset({"_log"})
 
+#: Opcodes that define no register even when operand 0 is one.
+NO_DEST_OPCODES: FrozenSet[str] = (
+    STORE_OPCODES | frozenset({"red"}) | CALL_OPCODES | LOG_OPCODES
+    | BRANCH_OPCODES | EXIT_OPCODES | BARRIER_OPCODES | FENCE_OPCODES
+)
+
 MEMORY_OPCODES = LOAD_OPCODES | STORE_OPCODES | ATOMIC_OPCODES
 SYNC_OPCODES = FENCE_OPCODES | BARRIER_OPCODES
 #: Instructions the instrumentation engine adds logging for (§4.1:

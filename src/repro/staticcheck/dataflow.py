@@ -27,24 +27,10 @@ from ..ptx.ast import (
     Operand,
     RegOperand,
     VectorOperand,
+    written_registers,
 )
 from ..ptx.cfg import CFG
-from ..ptx.isa import (
-    ATOMIC_OPCODES,
-    BARRIER_OPCODES,
-    BRANCH_OPCODES,
-    EXIT_OPCODES,
-    FENCE_OPCODES,
-)
-
-#: Opcodes that never define a register even though operand 0 may be one.
-_NO_DEST_OPCODES = (
-    frozenset({"st", "red", "call", "_log"})
-    | BRANCH_OPCODES
-    | EXIT_OPCODES
-    | BARRIER_OPCODES
-    | FENCE_OPCODES
-)
+from ..ptx.isa import NO_DEST_OPCODES
 
 
 def _operand_regs(operand: Operand) -> Iterable[str]:
@@ -57,26 +43,12 @@ def _operand_regs(operand: Operand) -> Iterable[str]:
         yield operand.base
 
 
-def written_registers(insn: Instruction) -> Tuple[str, ...]:
-    """The registers an instruction defines."""
-    if insn.opcode in _NO_DEST_OPCODES:
-        return ()
-    if not insn.operands:
-        return ()
-    dest = insn.operands[0]
-    if isinstance(dest, RegOperand):
-        return (dest.name,)
-    if isinstance(dest, VectorOperand):
-        return dest.regs
-    return ()
-
-
 def read_registers(insn: Instruction) -> Tuple[str, ...]:
     """The registers an instruction reads (guard predicate included)."""
     reads: List[str] = []
     if insn.opcode in ("st", "red"):
         sources: Tuple[Operand, ...] = insn.operands
-    elif insn.opcode in _NO_DEST_OPCODES:
+    elif insn.opcode in NO_DEST_OPCODES:
         sources = insn.operands
     else:
         # Operand 0 is the destination; a memory source (loads, atomics)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..instrument.inference import AccessClass, Classification, classify_kernel
-from ..ptx.ast import ImmOperand, Instruction, Kernel, Module, RegOperand
+from ..ptx.ast import (
+    ImmOperand, Instruction, Kernel, Module, RegOperand, written_registers)
 from ..ptx.cfg import CFG, EXIT_BLOCK
 from ..ptx.isa import BARRIER_OPCODES, EXIT_OPCODES
 from ..trace.operations import Scope
@@ -34,7 +35,7 @@ from .addresses import (
     collect_access_sites,
     is_stride_factor,
 )
-from .dataflow import build_def_use, read_registers, written_registers
+from .dataflow import build_def_use, read_registers
 from .guards import (
     BranchInfo,
     GuardAnalysis,

@@ -36,8 +36,8 @@ from ..ptx.ast import (
     SpecialRegOperand,
     SymbolOperand,
     VectorOperand,
+    written_registers,
 )
-from .dataflow import written_registers
 
 #: Taint lattice bits.
 TID = "tid"

@@ -252,7 +252,8 @@ class AcqRel(Op):
         return f"ar{suffix}(t{self.tid}, {self.loc})"
 
 
-#: Operations performed by a single thread.
+#: Operations performed by a single thread (the types, for ``isinstance``).
+THREAD_OPS = (Read, Write, Atomic, Acquire, Release, AcqRel)
 ThreadOp = Union[Read, Write, Atomic, Acquire, Release, AcqRel]
 
 #: Operations that access a data location for race-checking purposes.
@@ -276,7 +277,7 @@ def tids_of(op: AnyOp, layout=None) -> Tuple[int, ...]:
     resolved by the consumer, so only the single-thread and explicit-mask
     cases are handled here.
     """
-    if isinstance(op, (Read, Write, Atomic, Acquire, Release, AcqRel)):
+    if isinstance(op, THREAD_OPS):
         return (op.tid,)
     if isinstance(op, EndInsn):
         return tuple(sorted(op.amask))

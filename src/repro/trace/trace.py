@@ -23,6 +23,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from ..errors import TraceError
 from .layout import GridLayout
 from .operations import (
+    THREAD_OPS,
     AcqRel,
     Acquire,
     AnyOp,
@@ -39,9 +40,6 @@ from .operations import (
     Write,
 )
 from .stack import WarpStackSet
-
-#: Thread-level operations that form warp instruction groups.
-_THREAD_LEVEL = (Read, Write, Atomic, Acquire, Release, AcqRel)
 
 
 @dataclass
@@ -94,7 +92,7 @@ class TraceBuilder:
                 f"active mask is {sorted(active)}"
             )
         self.trace.extend(ops)
-        self.trace.append(EndInsn(warp=warp, amask=active))
+        self.trace.append(EndInsn(warp=warp, amask=active, pc=ops[0].pc))
 
     def _resolve_locs(
         self, warp: int, loc: "Location | Dict[int, Location]"
@@ -231,12 +229,12 @@ def check_feasible(trace: Trace) -> None:
     n = len(ops)
     while i < n:
         op = ops[i]
-        if isinstance(op, _THREAD_LEVEL):
+        if isinstance(op, THREAD_OPS):
             warp = trace.layout.warp_of(op.tid)
             active = stacks.active(warp)
             group: List[AnyOp] = []
             kind = type(op)
-            while i < n and isinstance(ops[i], _THREAD_LEVEL):
+            while i < n and isinstance(ops[i], THREAD_OPS):
                 cur = ops[i]
                 if trace.layout.warp_of(cur.tid) != warp or not isinstance(cur, kind):
                     break

@@ -1,8 +1,10 @@
 """Reference implementations that production code is held to.
 
-``per_record_oracle``: ``rows_to_ops`` → ``BarracudaDetector.process``
-is the specification of the fused ``process_columnar`` loop; no
-production path runs it operation by operation any more.
+``per_record_oracle``: every row expanded to its §3.1 operations
+(``rows_to_ops``), packed back one lane per cell (``ops_to_rows``) and
+run lane by lane — provenance on, so no row is taken as a range — is
+the specification of the fused loop's range path and of its
+consumption of a launch's committed ranges.
 
 ``reference_launch``: the launch loop that rescans every warp, every
 block and every store queue on each step is the specification of
@@ -22,12 +24,13 @@ forwarding, for every access inside the heap.
 """
 
 import contextlib
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 import pytest
 
-from repro.columnar import iter_batches, rows_to_ops
+from repro.columnar import iter_batches, ops_to_rows, rows_to_ops
 from repro.core.detector import BarracudaDetector
 from repro.core.reference import DetectorConfig
 from repro.errors import DeadlockError, SimulationError, StepLimitExceeded
@@ -66,13 +69,18 @@ from repro.trace.operations import Scope, Space
 
 
 def per_record_oracle(layout, records, config=None) -> BarracudaDetector:
-    """Expand every row of ``records`` (records or batches), ``process``
-    every op; returns the detector."""
+    """Expand every row of ``records`` (records or batches) to its
+    operations and run them, packed one lane per cell, lane by lane;
+    returns the detector."""
     config = config or DetectorConfig()
-    detector = BarracudaDetector(layout, config)
+    granularity = config.granularity_bytes
+    # Provenance records per-lane history, so the loop takes no range.
+    detector = BarracudaDetector(layout, dataclasses.replace(
+        config, provenance_depth=max(1, config.provenance_depth)))
     for batch in iter_batches(records):
-        for op in rows_to_ops(batch, layout, config.granularity_bytes):
-            detector.process(op)
+        ops = rows_to_ops(batch, layout, granularity)
+        detector.process_columnar(
+            ops_to_rows(ops, layout, granularity), granularity)
     return detector
 
 

@@ -10,8 +10,10 @@ Three contracts pinned here:
   one-line ``ReproError`` where a capture enters, and every engine
   stream of the suite and Table 1 passes that boundary untouched;
 * **detection exactness** — the fused detector/host paths report
-  exactly what the per-record oracle (``record_to_ops`` →
-  ``BarracudaDetector.process``, driven from here) reports.
+  exactly what the per-record oracle (``tests/oracle.py``: every row
+  expanded by ``rows_to_ops``, packed back one lane per cell by
+  ``ops_to_rows`` and run lane by lane) reports; and ``ops_to_rows``
+  inverts ``rows_to_ops`` on feasible traces and every corpus capture.
 """
 
 import dataclasses
@@ -42,6 +44,7 @@ from repro.columnar import (
     decode_batch,
     encode_batch,
     iter_batches,
+    ops_to_rows,
     rows_to_ops,
 )
 from repro.core.detector import BarracudaDetector
@@ -74,9 +77,11 @@ from repro.runtime.replay import (
 )
 from repro.service import protocol
 from repro.suite import ALL_PROGRAMS, SCHEDULE_PROGRAMS
+from repro.trace import GridLayout
 from repro.trace.operations import Scope, Space, Write
 
 from oracle import oracle_engine, per_record_oracle
+from tracegen import feasible_traces
 
 RACY = """
 __global__ void racy(int* data) {
@@ -891,6 +896,41 @@ class TestRowsTheEngineCannotEmit:
         swapped = dataclasses.replace(plain[0], values=plain[1].values)
         assert _outcome(layout, dataclasses.replace(
             views[0], values=views[1].values)) == _outcome(layout, swapped)
+
+
+# ----------------------------------------------------------------------
+# Rows and §3.1 operations: ops_to_rows inverts rows_to_ops
+# ----------------------------------------------------------------------
+@given(feasible_traces())
+def test_a_feasible_trace_packs_into_rows_that_expand_back_to_it(trace):
+    rows = ops_to_rows(trace.ops, trace.layout)
+    assert rows_to_ops(rows, trace.layout) == trace.ops
+
+
+@pytest.mark.parametrize("entry", CAPTURE_CORPUS,
+                         ids=lambda entry: entry.name)
+def test_every_captured_rows_operations_pack_back_to_themselves(entry):
+    layout = entry.spec.layout()
+    for batch in launch_spec(entry.spec, capture=True).launch.captured:
+        ops = rows_to_ops(batch, layout)
+        assert rows_to_ops(ops_to_rows(ops, layout), layout) == ops
+
+
+def test_a_packed_row_has_one_lane_per_cell_and_any_stored_value():
+    # A 4-byte store at byte 2 covers cells 0 and 4: one lane each.  The
+    # unsigned 2**64 - 1 that no capture row can hold stays as it is.
+    layout = GridLayout(num_blocks=1, threads_per_block=2, warp_size=2)
+    big = (1 << 64) - 1
+    row = ColumnarBatch.from_records([LogRecord(
+        RecordKind.STORE, 0, frozenset({0, 1}),
+        addrs={0: (Space.GLOBAL, 2), 1: (Space.GLOBAL, 8)},
+        values={0: 5, 1: 6}, width=4)])
+    ops = [dataclasses.replace(op, value=big) if isinstance(op, Write)
+           and op.tid == 1 else op for op in rows_to_ops(row, layout)]
+    packed = ops_to_rows(ops, layout)
+    assert (packed.lane_tids, packed.lane_addrs) == ([0, 0, 1], [0, 4, 8])
+    assert packed.lane_values == [5, 5, big] and not packed.checked
+    assert rows_to_ops(packed, layout) == ops
 
 
 # ----------------------------------------------------------------------

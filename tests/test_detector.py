@@ -4,7 +4,11 @@ import pytest
 
 from repro.core import BarracudaDetector, RaceKind
 from repro.core.races import AccessType
+from repro.errors import ReproError, TraceError
 from repro.trace import GridLayout, Scope, TraceBuilder, global_loc, shared_loc
+from repro.trace.operations import (
+    Acquire, Barrier, Else, EndInsn, If, Read, Write)
+from repro.trace.trace import Trace
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=8, warp_size=4)
 X = global_loc(0)
@@ -146,8 +150,6 @@ class TestBarrierDivergence:
 
 class TestInactiveThreads:
     def test_detector_ignores_ops_by_inactive_threads(self):
-        from repro.trace.operations import Read
-
         builder = TraceBuilder(LAYOUT)
         builder.branch_if(0, [0, 1])
         trace = builder.build()
@@ -156,5 +158,69 @@ class TestInactiveThreads:
             detector.process(op)
         # A stray operation by an inactive thread is a NOP.
         detector.process(Read(tid=2, loc=X))
+        detector.process(EndInsn(warp=0, amask=frozenset({0, 1})))
         assert detector.reports.races == []
         assert detector.shadow.peek(X) is None
+
+
+class TestNoRowForm:
+    """A trace with no row form is one ``TraceError`` that names the
+    operation, before any row runs."""
+
+    RD0, RD1 = Read(0, X), Read(1, X)
+    ENDI = EndInsn(warp=0, amask=frozenset({0, 1, 2, 3}))
+
+    @pytest.mark.parametrize("ops, named", [
+        ([RD0, RD1], "rd(t0, global[0x0])"),
+        ([RD0, Else(warp=0), ENDI], "else(w0)"),
+        ([Read(0, global_loc(2)), ENDI], "rd(t0, global[0x2])"),
+        ([RD0, Write(1, X, 1), ENDI], "wr(t1, global[0x0])"),
+        ([RD0, Read(1, X, pc=7), ENDI], "rd(t1, global[0x0]) (pc 7)"),
+        ([Acquire(0, X, Scope.BLOCK), Acquire(1, X, Scope.GLOBAL), ENDI],
+         "acqGlb(t1, global[0x0])"),
+        ([RD1, RD0, ENDI], "rd(t0, global[0x0])"),
+        ([Read(4, X), ENDI], "rd(t4, global[0x0])"),
+        ([Read(0, shared_loc(1, 0)), ENDI], "rd(t0, shared[b1][0x0])"),
+        ([If(warp=0, then_mask=frozenset({0, 1}),
+             else_mask=frozenset({1, 2, 3}))], "if(w0)"),
+    ], ids=["no-trailing-endi", "control-op-inside", "unaligned-cell",
+            "mixed-op-types", "mixed-pcs", "mixed-scopes",
+            "out-of-tid-order", "lane-of-another-warp",
+            "shared-cell-of-another-block", "overlapping-if-masks"])
+    def test_is_one_trace_error_naming_the_op(self, ops, named):
+        detector = BarracudaDetector(LAYOUT)
+        with pytest.raises(TraceError, match="no row form") as caught:
+            detector.process_trace(Trace(LAYOUT, ops))
+        message = str(caught.value)
+        assert "\n" not in message and message.startswith(named)
+        assert detector.ops_processed == 0
+
+
+@pytest.mark.parametrize("op", [
+    EndInsn(warp=99, amask=frozenset()),
+    Barrier(block=2, active=frozenset()),
+    Else(warp=-2),
+    EndInsn(warp=0, amask=frozenset({0, 4})),
+], ids=["warp", "block", "negative-warp", "mask-of-another-warp"])
+def test_a_trace_outside_its_layout_is_one_repro_error(op):
+    with pytest.raises(ReproError, match="is not one of the launch's|"
+                       "is outside its warp") as caught:
+        BarracudaDetector(LAYOUT).process_trace(Trace(LAYOUT, [op]))
+    assert "\n" not in str(caught.value)
+
+
+def test_process_runs_a_row_when_its_endi_or_control_op_arrives():
+    builder = TraceBuilder(LAYOUT)
+    builder.write(0, X, value={t: t for t in range(4)})
+    builder.barrier(0)
+    ops = builder.build().ops
+    detector = BarracudaDetector(LAYOUT)
+    for op in ops[:4]:
+        detector.process(op)
+    assert detector.ops_processed == 0  # held until the endi
+    detector.process(ops[4])
+    assert detector.ops_processed == 5 and detector.reports.races
+    detector.process(ops[5])
+    assert detector.ops_processed == 6
+    assert detector.reports == BarracudaDetector(LAYOUT).process_trace(
+        builder.build())

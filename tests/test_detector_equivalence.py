@@ -9,7 +9,10 @@ trace:
 * the *reference detector*: the paper's operational semantics with
   uncompressed per-thread vector clocks;
 * the *production detector*: compressed PTVCs, structured clocks, shadow
-  memory with a page table.
+  memory with a page table and ranged cells — the fused loop production
+  runs, fed the trace packed into rows by :func:`repro.columnar.ops_to_rows`
+  (the generator puts half the instructions on consecutive words, so the
+  range path is exercised too).
 
 Additionally, against the fully declarative §3.2 oracle
 (:func:`find_races`):
@@ -37,6 +40,12 @@ from test_columnar import CAPTURE_CORPUS
 from tracegen import feasible_traces
 
 
+#: Examples per property: the budget pinned here, or the profile's when
+#: that is larger (``--hypothesis-profile ci`` draws 1,000).
+_EXAMPLES = max(200, settings.default.max_examples)
+_FEWER_EXAMPLES = max(150, settings.default.max_examples)
+
+
 def _pairs(trace, spec_races):
     return {
         (r.loc, frozenset((trace.ops[r.first_index].tid, trace.ops[r.second_index].tid)))
@@ -48,7 +57,7 @@ def _report_pairs(reports):
     return {(r.loc, frozenset((r.prior_tid, r.current_tid))) for r in reports.races}
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_three_detectors_agree_pair_for_pair(trace):
     visible = _pairs(trace, find_visible_races(trace))
@@ -58,7 +67,7 @@ def test_three_detectors_agree_pair_for_pair(trace):
     assert _report_pairs(production) == visible
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_no_false_positives_against_declarative_oracle(trace):
     declarative = _pairs(trace, find_races(trace))
@@ -66,7 +75,7 @@ def test_no_false_positives_against_declarative_oracle(trace):
     assert _report_pairs(production) <= declarative
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_race_free_traces_stay_silent(trace):
     if find_races(trace):
@@ -75,7 +84,7 @@ def test_race_free_traces_stay_silent(trace):
     assert reports.races == []
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_FEWER_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_barrier_divergence_agreement(trace):
     expected = len(find_barrier_divergence(trace))
@@ -85,7 +94,7 @@ def test_barrier_divergence_agreement(trace):
     assert len(production.barrier_divergences) == expected
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_FEWER_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_same_value_filter_agreement(trace):
     """With the filter disabled, all three still agree."""
@@ -97,7 +106,7 @@ def test_same_value_filter_agreement(trace):
     assert _report_pairs(production) == visible
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=_FEWER_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_filter_only_removes_same_value_write_pairs(trace):
     """The filtered detector reports a subset of the unfiltered one, and

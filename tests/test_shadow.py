@@ -24,24 +24,24 @@ LAYOUT = GridLayout(num_blocks=2, threads_per_block=8, warp_size=4)
 def test_entries_allocated_lazily():
     shadow = ShadowMemory(LAYOUT)
     assert shadow.peek(global_loc(0)) is None
-    entry = shadow.entry(global_loc(0))
+    entry = shadow.entry_at(-1, 0)
     assert shadow.peek(global_loc(0)) is entry
     assert shadow.stats.entries == 1
 
 
 def test_page_table_granularity():
     shadow = ShadowMemory(LAYOUT)
-    shadow.entry(global_loc(0))
-    shadow.entry(global_loc(PAGE_BYTES - 1))  # same page
+    shadow.entry_at(-1, 0)
+    shadow.entry_at(-1, PAGE_BYTES - 1)  # same page
     assert shadow.stats.global_pages == 1
-    shadow.entry(global_loc(PAGE_BYTES))  # next page
+    shadow.entry_at(-1, PAGE_BYTES)  # next page
     assert shadow.stats.global_pages == 2
 
 
 def test_shared_tables_are_per_block():
     shadow = ShadowMemory(LAYOUT)
-    a = shadow.entry(shared_loc(0, 16))
-    b = shadow.entry(shared_loc(1, 16))
+    a = shadow.entry_at(0, 16)
+    b = shadow.entry_at(1, 16)
     assert a is not b
     assert shadow.stats.global_pages == 0
 
@@ -49,7 +49,7 @@ def test_shared_tables_are_per_block():
 def test_modeled_bytes_match_record_size():
     shadow = ShadowMemory(LAYOUT)
     for offset in range(10):
-        shadow.entry(global_loc(offset))
+        shadow.entry_at(-1, offset)
     assert shadow.stats.modeled_bytes == 10 * RECORD_BYTES
     assert RECORD_BYTES == 32  # 28 bytes padded to 32 (Figure 8)
 
@@ -79,21 +79,19 @@ def test_reset_reads_restores_epoch_form():
     assert entry.read_pcs == {}
 
 
-def test_entry_is_entry_at_through_either_door():
-    """``entry(loc)`` is the one-line adapter of ``entry_at(block, offset)``:
-    one record per cell and the same counters whichever door is used."""
+def test_entry_at_is_one_record_per_cell_whoever_asks():
+    """``entry_at(block, offset)`` allocates one record per cell, with
+    ``block < 0`` for global memory; asking again, or ``peek`` at its
+    location, finds that record."""
     locs = [global_loc(0), global_loc(PAGE_BYTES - 4), global_loc(PAGE_BYTES),
             global_loc(-4), shared_loc(0, 16), shared_loc(1, 16)]
-    by_loc, by_cell = ShadowMemory(LAYOUT), ShadowMemory(LAYOUT)
+    shadow = ShadowMemory(LAYOUT)
     for loc in locs:
-        entry = by_loc.entry(loc)
-        assert by_loc.entry_at(loc.block, loc.offset) is entry
-        assert by_loc.peek(loc) is entry
-        cell_entry = by_cell.entry_at(loc.block, loc.offset)
-        assert by_cell.entry(loc) is cell_entry
-    assert by_loc.stats == by_cell.stats
-    assert by_cell.stats.entries == len(locs)
-    assert by_cell.stats.global_pages == 3  # pages -1, 0 and 1
+        entry = shadow.entry_at(loc.block, loc.offset)
+        assert shadow.entry_at(loc.block, loc.offset) is entry
+        assert shadow.peek(loc) is entry
+    assert shadow.stats.entries == len(locs)
+    assert shadow.stats.global_pages == 3  # pages -1, 0 and 1
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +308,9 @@ def test_ranged_store_equals_per_word_store_after_every_step(steps, cell):
     ``entry_at`` — and the two detectors have reported the same."""
     config = DetectorConfig(granularity_bytes=cell)
     ranged = BarracudaDetector(_RANGED_LAYOUT, config)
-    plain = BarracudaDetector(_RANGED_LAYOUT, config)
+    # Provenance keeps the fused loop lane by lane: the per-word store.
+    plain = BarracudaDetector(_RANGED_LAYOUT, DetectorConfig(
+        granularity_bytes=cell, provenance_depth=1))
     for item in _records_of(steps, cell):
         if isinstance(item, tuple):
             ranged.shadow.entry_at(*item)

@@ -3,7 +3,9 @@
 Builds arbitrary *feasible* traces (§3.1) through :class:`TraceBuilder`,
 so every generated trace is one a real execution could produce: warp
 instructions cover exactly the active threads, branches nest properly,
-and barriers carry the actual arrived set.
+and barriers carry the actual arrived set.  Half the thread-level
+instructions put every lane on one word, half put lane ``i`` on word
+``i``: the detector's per-lane and range paths both see them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from typing import List, Optional
 
 from hypothesis import strategies as st
 
-from repro.trace import GridLayout, Scope, TraceBuilder, global_loc, shared_loc
+from repro.trace import (
+    GridLayout, Location, Scope, TraceBuilder, global_loc, shared_loc)
 from repro.trace.trace import Trace
 
 
@@ -35,12 +38,21 @@ def random_trace(rng: random.Random, max_ops: int = 28,
         active = builder.stacks.active(warp)
         block = layout.block_of_warp(warp)
         loc = rng.choice(global_locs + [shared_loc(block, 0)])
+        if rng.random() < 0.5:
+            # Lane i on word i from ``loc``: a coalesced row, which the
+            # fused loop takes as one range access.
+            first = layout.warp_span(warp)[0]
+            loc = {t: Location(loc.space, loc.offset + 4 * (t - first),
+                               loc.block) for t in layout.warp_tids(warp)}
         choice = rng.random()
         scope = rng.choice([Scope.BLOCK, Scope.GLOBAL])
         if choice < 0.25 and active:
             builder.read(warp, loc)
         elif choice < 0.50 and active:
-            builder.write(warp, loc, value=rng.choice([None, 1, 2]))
+            value = rng.choice([None, 1, 2, "per lane"])
+            if value == "per lane":
+                value = {t: 1 + t % 2 for t in active}
+            builder.write(warp, loc, value=value)
         elif choice < 0.60 and active:
             builder.atomic(warp, loc)
         elif choice < 0.68 and active:
