@@ -319,6 +319,10 @@ def _tids(warp: WarpState, lanes: Lanes) -> Sequence[int]:
 
 _I64_SIGN = 1 << 63
 
+#: The value types of a store whose lanes can go as one run: integers
+#: only (a float store rounds and may raise lane by lane).
+_INT_ONLY = {int}
+
 
 def _non_finite(line: int) -> SimulationError:
     return SimulationError(f"store at line {line} writes a non-finite float")
@@ -1104,6 +1108,15 @@ class KernelExecution:
             for element in (map(RegOperand, src.regs) if vector else (src,))
         ]
         offsets = range(0, len(sources) * width, width)
+        # A warp whose active lanes store integers to consecutive words
+        # (whatever the address register's shape) stores them as one
+        # run: one queue entry of global memory, one slice of a block's
+        # shared memory.  ``False`` — a lane outside the extent — leaves
+        # the store to the per-lane loop, which faults at that lane.
+        store_run = None
+        if not vector and space in ("global", "shared"):
+            store_run = (self.shared_mem if space == "shared"
+                         else self.global_mem).store_run
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             regs = warp.frames[-1].regs
@@ -1111,9 +1124,16 @@ class KernelExecution:
             if lanes != ():
                 block = warp.block
                 count = warp.lanes
-                tids = _tids(warp, lanes)
                 addrs = addrs_of(regs, warp, lanes)
                 stored = [column(get(regs, warp), count, lanes) for get in sources]
+                if store_run is not None:
+                    first = addrs[0]
+                    if (addrs == list(range(first, first + width * len(addrs), width))
+                            and set(map(type, stored[0])) == _INT_ONLY
+                            and store_run(block, first, width, stored[0])):
+                        entry.pc = next_pc
+                        return False
+                tids = _tids(warp, lanes)
                 if vector:
                     # Thread by thread, then element by element.
                     for tid, addr, *values in zip(tids, addrs, *stored):

@@ -19,14 +19,15 @@ the launches inside a ``with`` block.
 
 ``ReferenceGlobalMemory``: global memory on the sparse one-dict-entry-
 per-byte store (``DictByteStore``) with byte-by-byte store forwarding
-is the specification of ``GlobalMemory``'s flat extent and one-scan
-forwarding, for every access inside the heap.
+and one queue entry per stored lane is the specification of
+``GlobalMemory``'s flat extent, one-scan forwarding and queue of runs,
+for every access inside the heap.
 """
 
 import contextlib
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import pytest
 
@@ -46,12 +47,7 @@ from repro.gpu.interpreter import (
     _Frame,
     _Phase,
 )
-from repro.gpu.memory import (
-    GLOBAL_HEAP_BASE,
-    MAXWELL_TITANX,
-    GlobalMemory,
-    _QueuedStore,
-)
+from repro.gpu.memory import GLOBAL_HEAP_BASE, MAXWELL_TITANX
 from repro.gpu.scheduler import RoundRobinScheduler
 from repro.ptx.ast import (
     ImmOperand,
@@ -109,17 +105,31 @@ class DictByteStore:
         return self._bytes.get(addr, 0)
 
 
-class ReferenceGlobalMemory(GlobalMemory):
-    """``GlobalMemory`` as it was before the flat extent: main memory is
-    a :class:`DictByteStore`, a load forwards byte by byte, host arrays
-    move one element at a time, and no address is illegal.  The queues
-    and every drain are inherited: the weak-memory model is not what is
-    being specified."""
+@dataclass
+class OracleQueuedStore:
+    """One lane's store waiting in a block's queue."""
+
+    addr: int
+    width: int
+    value: int
+
+
+class ReferenceGlobalMemory:
+    """``GlobalMemory`` as it was before the flat extent and the
+    warp-wide store: main memory is a :class:`DictByteStore`, a load
+    forwards byte by byte, host arrays move one element at a time, no
+    address is illegal, and each block's store queue is a list of
+    one-lane :class:`OracleQueuedStore` entries, drained one entry at a
+    time.  Production's queue of runs must drain the same lanes in the
+    same order."""
 
     def __init__(self, arch=MAXWELL_TITANX) -> None:
-        super().__init__(arch)
+        self.arch = arch
         self.main = DictByteStore()
         self._alloc_cursor = GLOBAL_HEAP_BASE
+        self._queues: Dict[int, List[OracleQueuedStore]] = {}
+        self._store_rank: Dict[int, int] = {}
+        self.allocated_bytes = 0
 
     def alloc(self, size: int, align: int = 8) -> int:
         if size <= 0:
@@ -134,7 +144,7 @@ class ReferenceGlobalMemory(GlobalMemory):
         if queue is None:
             queue = self._queues[block] = []
             self._store_rank.setdefault(block, len(self._store_rank))
-        queue.append(_QueuedStore(addr=addr, width=width, value=value))
+        queue.append(OracleQueuedStore(addr=addr, width=width, value=value))
 
     def load(self, block: int, addr: int, width: int) -> int:
         queue = self._queues.get(block)
@@ -151,6 +161,106 @@ class ReferenceGlobalMemory(GlobalMemory):
                 byte = self.main.read_byte(byte_addr)
             value |= byte << (8 * i)
         return value
+
+    def atomic(self, block: int, addr: int, width: int, operation) -> int:
+        for queue_block in self._pending_blocks():
+            self._drain_address(queue_block, addr, width)
+        old = self.main.read(addr, width)
+        new = operation(old)
+        if new is not None:
+            self.main.write(addr, width, new)
+        return old
+
+    def _commit(self, entry: OracleQueuedStore) -> None:
+        self.main.write(entry.addr, entry.width, entry.value)
+
+    def _pending_blocks(self) -> List[int]:
+        return sorted(self._queues, key=self._store_rank.__getitem__)
+
+    def _drain_address(self, block: int, addr: int, width: int) -> None:
+        """Drain ``block``'s stores overlapping a range: their overlap
+        closure in queue order on weak architectures, the FIFO prefix up
+        to the last of them on strong ones."""
+        queue = self._queues.get(block)
+        if not queue:
+            return
+        if self.arch.relaxed_store_drain:
+            ranges = [(addr, addr + width)]
+            members = set()
+            changed = True
+            while changed:
+                changed = False
+                for index, entry in enumerate(queue):
+                    if index in members:
+                        continue
+                    if any(entry.addr < hi and lo < entry.addr + entry.width
+                           for lo, hi in ranges):
+                        members.add(index)
+                        ranges.append((entry.addr, entry.addr + entry.width))
+                        changed = True
+            if not members:
+                return
+            for index in sorted(members):
+                self._commit(queue[index])
+            for index in sorted(members, reverse=True):
+                del queue[index]
+        else:
+            # By position: equal entries (same address, width and value)
+            # are still separate stores.
+            overlapping = [
+                index for index, e in enumerate(queue)
+                if e.addr < addr + width and addr < e.addr + e.width
+            ]
+            if not overlapping:
+                return
+            last = overlapping[-1]
+            for entry in queue[: last + 1]:
+                self._commit(entry)
+            del queue[: last + 1]
+        if not queue:
+            del self._queues[block]
+
+    def drain_one(self, block: int, rng=None) -> bool:
+        """Weak architectures with an ``rng`` drain a random entry no
+        older entry overlaps; otherwise the FIFO head."""
+        queue = self._queues.get(block)
+        if not queue:
+            return False
+        if self.arch.relaxed_store_drain and rng is not None:
+            eligible = []
+            seen_addrs = set()
+            for entry in queue:
+                key = (entry.addr, entry.width)
+                overlap = any(
+                    entry.addr < a + w and a < entry.addr + entry.width
+                    for a, w in seen_addrs
+                )
+                if not overlap:
+                    eligible.append(entry)
+                seen_addrs.add(key)
+            entry = rng.choice(eligible)
+            queue.remove(entry)
+        else:
+            entry = queue.pop(0)
+        if not queue:
+            del self._queues[block]
+        self._commit(entry)
+        return True
+
+    def drain_heads(self, num_blocks: int) -> None:
+        for block in sorted(b for b in self._queues if b < num_blocks):
+            self.drain_one(block)
+
+    def drain_block(self, block: int) -> None:
+        for entry in self._queues.pop(block, ()):
+            self._commit(entry)
+
+    def drain_all(self) -> None:
+        for block in self._pending_blocks():
+            self.drain_block(block)
+
+    def pending_stores(self) -> int:
+        return sum(len(q) for q in self._queues.values())
 
     def snapshot(self) -> Dict[int, int]:
         self.drain_all()

@@ -67,6 +67,24 @@ def test_three_detectors_agree_pair_for_pair(trace):
     assert _report_pairs(production) == visible
 
 
+def _report_fields(reports):
+    """Each report as the pair of accesses it names: location, threads,
+    pcs and access types."""
+    return {(r.loc, r.prior_tid, r.current_tid, r.prior_pc, r.current_pc,
+             r.prior_access, r.current_access) for r in reports.races}
+
+
+@settings(max_examples=_EXAMPLES, deadline=None)
+@given(feasible_traces())
+def test_production_and_reference_name_the_same_accesses(trace):
+    """Beyond the pair: both detectors blame the same instruction and
+    access type on each side (every generated instruction has its own
+    pc)."""
+    reference = ReferenceDetector(trace.layout).process_trace(trace)
+    production = BarracudaDetector(trace.layout).process_trace(trace)
+    assert _report_fields(production) == _report_fields(reference)
+
+
 @settings(max_examples=_EXAMPLES, deadline=None)
 @given(feasible_traces())
 def test_no_false_positives_against_declarative_oracle(trace):

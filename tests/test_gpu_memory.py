@@ -1,5 +1,6 @@
 """Device memory: byte store, store queues, and the weak-memory model."""
 
+import contextlib
 import random
 
 import pytest
@@ -289,6 +290,19 @@ class TestAtomics:
         assert old == 5
         assert mem.main.read(BASE + 0x10, 4) == 6
 
+    @pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+    def test_atomic_drains_through_the_last_of_equal_queued_stores(self, arch):
+        # The first and third stores are equal entries, yet the third is
+        # the newest: the atomic must see it, and nothing older may
+        # drain over the atomic's result afterwards.
+        mem = _heap(arch)
+        for value in (0, 1, 0):
+            mem.store(0, BASE + 0x10, 4, value)
+        assert mem.atomic(1, BASE + 0x10, 4, lambda v: v + 5) == 0
+        assert mem.pending_stores() == 0
+        mem.drain_all()
+        assert mem.main.read(BASE + 0x10, 4) == 5
+
     def test_atomic_none_result_leaves_memory(self):
         mem = _heap()
         mem.main.write(BASE + 0x10, 4, 3)
@@ -389,10 +403,18 @@ _ARGS = {
     #: A warp's run of ``count`` consecutive words, from anywhere
     #: between one word below the heap and one word past its end.
     "load_run": (_BLOCK, SLOTS, SKEWS, WIDTHS, st.integers(1, 8)),
+    #: A warp's store of consecutive words, placed as ``load_run``.
+    "store_run": (_BLOCK, SLOTS, SKEWS, WIDTHS,
+                  st.lists(RAWS, min_size=1, max_size=8)),
+    #: The FIFO head's first lane, on either architecture.
+    "drain_head": (_BLOCK,),
+    "drain_block": (_BLOCK,),
 }
 #: Stores and loads four times as often as any other step, so loads
-#: meet queued stores (every host access drains the queues).
-_KINDS = ["store"] * 4 + ["load"] * 4 + ["load_run"] * 2 + sorted(_ARGS)
+#: meet queued stores (every host access drains the queues), and runs
+#: and single-lane drains often enough to split runs.
+_KINDS = (["store"] * 4 + ["load"] * 4 + ["load_run"] * 2 + ["store_run"] * 3
+          + ["drain_one"] * 2 + ["drain_head"] * 2 + sorted(_ARGS))
 
 
 @st.composite
@@ -423,6 +445,28 @@ def _check_load_run(flat, reference, block, slot, skew, width, count):
         assert words is None, (lo, count, width, forwards, faults)
     else:
         assert words == [reference.load(block, addr, width) for addr in lanes]
+
+
+def _check_store_run(flat, reference, block, slot, skew, width, raws):
+    """``flat.store_run`` against the lane-by-lane stores it stands for:
+    ``False``, and nothing queued, exactly when some lane's store would
+    fault; else the reference queues each lane's store."""
+    span = len(flat.main.data) + 2 * width
+    lo = BASE + (slot * width + skew + width) % span - width
+    lanes = [lo + lane * width for lane in range(len(raws))]
+    faults = False
+    for addr in lanes:
+        try:
+            flat.main.offset(addr, width)
+        except SimulationError:
+            faults = True
+    pending = flat.pending_stores()
+    assert flat.store_run(block, lo, width, raws) is not faults, (lo, width, raws)
+    if faults:
+        assert flat.pending_stores() == pending
+    else:
+        for addr, raw in zip(lanes, raws):
+            reference.store(block, addr, width, raw)
 
 
 def _run_both(arch, ops):
@@ -462,6 +506,13 @@ def _run_both(arch, ops):
                     reference.atomic(block, addr, width, operation), op
         elif name == "load_run":
             _check_load_run(flat, reference, *args)
+        elif name == "store_run":
+            _check_store_run(flat, reference, *args)
+        elif name == "drain_head":
+            assert flat.drain_one(*args) == reference.drain_one(*args)
+        elif name == "drain_block":
+            for mem in (flat, reference):
+                mem.drain_block(*args)
         elif name == "drain_one":
             block, seed = args
             assert flat.drain_one(block, random.Random(seed)) == \
@@ -491,6 +542,7 @@ def _run_both(arch, ops):
                 assert flat.host_read_array(addr, count, width) == \
                     reference.host_read_array(addr, count, width), op
         assert flat.pending_stores() == reference.pending_stores()
+        assert bytes(flat.main.data) == reference.image(), op
     flat.drain_all()
     reference.drain_all()
     assert bytes(flat.main.data) == reference.image()
@@ -553,6 +605,56 @@ def test_load_run_reads_one_slice_unless_a_lane_would_forward_or_fault(arch):
     assert mem.load_run(1, BASE, 3, 4) is None    # over it
     assert mem.load_run(0, BASE + 28, 2, 4) is None  # across the heap end
     assert mem.load_run(0, BASE - 4, 2, 4) is None   # across its start
+
+
+#: Runs over the 32-byte heap, queued around lane-by-lane stores: a
+#: run over the block's own queued stores, one of one word, an
+#: unaligned one, one across each end of the heap (refused), loaded
+#: past their first lane, drained by single lanes, by random lanes, by
+#: atomics over two lanes inside a run, and whole.
+STORE_RUNS = [
+    ("store", 0, 3, 0, 4, 0x33),
+    ("store_run", 0, 0, 0, 4, [1, 2, 3, 4, 5, 6]),
+    ("load_run", 0, 4, 0, 4, 2),
+    ("load_run", 1, 4, 0, 4, 2),
+    ("atomic", 1, 1, 0, 8, 5),
+    ("load", 0, 4, 0, 4),
+    ("store_run", 1, 2, 0, 2, [-1, 0x1_0000_0007, 9, 10]),
+    ("store_run", 0, 5, 1, 1, [0xAB]),
+    ("store_run", 0, 1, 1, 4, [7, 8, 9]),
+    ("store", 0, 2, 0, 4, 0x22),
+    ("store_run", 1, 6, 0, 4, [1, 2, 3]),
+    ("store_run", 1, 0, 0, 8, [5]),
+    ("load", 0, 1, 0, 4),
+    ("load", 0, 0, 0, 8),
+    ("load", 1, 1, 1, 2),
+    ("drain_head", 0),
+    ("drain_one", 0, 2),
+    ("drain_one", 1, 3),
+    ("load", 0, 4, 0, 4),
+    ("atomic", 1, 4, 0, 4, 3),
+    ("drain_heads", 2),
+    ("drain_one", 0, 0),
+    ("atomic", 0, 1, 2, 2, None),
+    ("load", 0, 0, 0, 8),
+    ("drain_block", 1),
+    ("store_run", 0, 9, 0, 4, [1, 2]),
+    ("store_run", 0, 0, 0, 4, [1] * 8),
+    ("drain_all",),
+]
+
+
+@pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+def test_store_runs_drain_lane_by_lane_like_the_reference(arch):
+    _run_both(arch, STORE_RUNS)
+    mem = _heap(arch, size=HEAP)
+    assert mem.store_run(0, BASE + 4, 4, [1, 2, 3])
+    assert not mem.store_run(0, BASE + 24, 4, [4, 5, 6])  # past the end
+    assert not mem.store_run(0, BASE - 4, 4, [4, 5])      # before the start
+    assert mem.pending_stores() == 3 and len(mem._queues[0]) == 1
+    mem.drain_heads(1)
+    assert mem.main.read(BASE + 4, 4) == 1 and mem.main.read(BASE + 8, 4) == 0
+    assert mem.pending_stores() == 2 and len(mem._queues[0]) == 1
 
 
 @given(arch=st.sampled_from([MAXWELL_TITANX, KEPLER_K520]),
@@ -651,6 +753,31 @@ $L_join:
 """
 
 
+def _instrumented_launch(source, buffers, grid, block, arch, patches):
+    """One instrumented launch with each ``(owner, name, replacement)``
+    of ``patches`` in place.  Returns what it makes observable: its
+    records, counters and final buffers."""
+    module = parse_ptx(source) if source.startswith(".version") else compile_cuda(source)
+    module, _report = Instrumenter().instrument_module(module)
+    device = GpuDevice(arch)
+    params = {}
+    for name, values in buffers.items():
+        params[name] = device.alloc(len(values) * 4)
+        device.memcpy_to_device(params[name], values)
+    sink = ListSink()
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name, replacement in patches:
+            patch.setattr(owner, name, replacement)
+        result = device.launch(module, module.kernels[0].name, grid, block,
+                               params=params, sink=sink, instrumented=True)
+    return (
+        sink.records,
+        (result.steps, result.instructions, result.cycles, result.records_emitted),
+        {name: device.memcpy_from_device(params[name], len(values))
+         for name, values in buffers.items()},
+    )
+
+
 def _launch(source, buffers, grid, block, arch=MAXWELL_TITANX):
     """One instrumented launch.  Returns what it makes observable (its
     records, counters and final buffers), the address of each per-lane
@@ -670,26 +797,10 @@ def _launch(source, buffers, grid, block, arch=MAXWELL_TITANX):
             return words
         return load_run
 
-    module = parse_ptx(source) if source.startswith(".version") else compile_cuda(source)
-    module, _report = Instrumenter().instrument_module(module)
-    device = GpuDevice(arch)
-    params = {}
-    for name, values in buffers.items():
-        params[name] = device.alloc(len(values) * 4)
-        device.memcpy_to_device(params[name], values)
-    sink = ListSink()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(GlobalMemory, "load", counted_load)
-        for memory in load_runs:
-            patch.setattr(memory, "load_run", counted_run(memory))
-        result = device.launch(module, module.kernels[0].name, grid, block,
-                               params=params, sink=sink, instrumented=True)
-    observed = (
-        sink.records,
-        (result.steps, result.instructions, result.cycles, result.records_emitted),
-        {name: device.memcpy_from_device(params[name], len(values))
-         for name, values in buffers.items()},
-    )
+    observed = _instrumented_launch(
+        source, buffers, grid, block, arch,
+        [(GlobalMemory, "load", counted_load)]
+        + [(memory, "load_run", counted_run(memory)) for memory in load_runs])
     return observed, per_lane, runs
 
 
@@ -773,3 +884,155 @@ __global__ void reread(int* out) {
 """, {"out": [0] * 64}, grid=1, block=32)
         assert per_lane == [BASE + 4 * lane for lane in range(32)]
         assert memory["out"] == [lane + 7 for lane in range(32)] * 2
+
+
+# ----------------------------------------------------------------------
+# Warp-wide stores in the engine: one ``store_run`` per warp whose lanes
+# store integers to consecutive words, the per-lane loop otherwise
+# ----------------------------------------------------------------------
+def _store_launch(source, buffers, grid, block, arch=MAXWELL_TITANX):
+    """One instrumented launch.  Returns what it makes observable, the
+    space of each per-lane store (``global``, or ``shared`` for shared
+    and ``.local`` ones), and how often ``store_run`` queued or wrote a
+    run and refused one."""
+    per_lane, runs = [], {"stored": 0, "refused": 0}
+    stores = {GlobalMemory: "global", SharedMemory: "shared"}
+    patches = []
+    for memory, space in stores.items():
+        def counted_store(self, *args, _store=memory.store, _space=space):
+            per_lane.append(_space)
+            return _store(self, *args)
+
+        def counted_run(self, *args, _run=memory.store_run):
+            stored = _run(self, *args)
+            runs["stored" if stored else "refused"] += 1
+            return stored
+
+        patches += [(memory, "store", counted_store),
+                    (memory, "store_run", counted_run)]
+    observed = _instrumented_launch(source, buffers, grid, block, arch, patches)
+    return observed, per_lane, runs
+
+
+def _store_ptx(store):
+    """A kernel whose thread ``t`` computes ``%rd3 = out + 4t`` and
+    ``%r2 = 7t + 1``, then runs ``store``."""
+    return f""".version 4.3
+.target sm_35
+.address_size 64
+.visible .entry stores(.param .u64 out)
+{{
+    ld.param.u64 %rd1, [out];
+    mov.u32 %r1, %tid.x;
+    cvt.u64.u32 %rd2, %r1;
+    mul.lo.u64 %rd2, %rd2, 4;
+    add.u64 %rd3, %rd1, %rd2;
+    mad.lo.u32 %r2, %r1, 7, 1;
+    and.b32 %r9, %r1, 3;
+    {store}
+    ret;
+}}
+"""
+
+
+#: Each case: its PTX store, the words of ``out`` it leaves, and the
+#: per-lane store calls of 64 threads (two warps).
+PER_LANE_STORES = {
+    "mask-with-gaps": (
+        "setp.ne.u32 %p1, %r9, 1;\n    @%p1 st.global.u32 [%rd3], %r2;",
+        [0 if t & 3 == 1 else 7 * t + 1 for t in range(64)], ["global"] * 48),
+    "float": (
+        "cvt.rn.f32.u32 %f1, %r2;\n    st.global.f32 [%rd3], %f1;",
+        None, ["global"] * 64),
+    "vector": (
+        "mul.wide.u32 %rd4, %r1, 8;\n    add.u64 %rd5, %rd1, %rd4;\n"
+        "    @%p2 st.global.v2.u32 [%rd5], {%r2, %r9};",
+        [7 * t + 1 if i == 0 else t & 3 for t in range(32) for i in (0, 1)],
+        ["global"] * 64),
+    # Consecutive words, but each in its own thread's extent.
+    "local": (
+        "st.local.u32 [%rd2], %r2;\n    ld.local.u32 %r3, [%rd2];\n"
+        "    st.global.u32 [%rd3], %r3;",
+        [7 * t + 1 for t in range(64)], ["shared"] * 64),
+}
+
+
+class TestWarpStoreCounts:
+    """Like ``TestWarpLoadCounts``: a warp store path that silently
+    never fires, or fires where a lane must go on its own, fails here
+    by count."""
+
+    def test_saxpy_stores_through_an_identity_dst_make_no_per_lane_call(self):
+        threads = 128
+        (_, _, memory), per_lane, runs = _store_launch(SAXPY, {
+            "a": list(range(threads)), "b": [5] * threads,
+            "dst": list(range(threads)), "out": [0] * threads,
+        }, grid=2, block=64)
+        assert per_lane == [] and runs == {"stored": 4, "refused": 0}
+        assert memory["out"] == [i * 3 + 5 for i in range(threads)]
+
+    def test_a_planted_out_of_order_lane_goes_lane_by_lane(self):
+        # Lanes 3 and 5 of warp 1 swap words: the warp's first and last
+        # addresses are those of a run, the order is not.
+        threads = 128
+        dst = list(range(threads))
+        dst[35], dst[37] = dst[37], dst[35]
+        buffers = {"a": list(range(threads)), "b": [5] * threads,
+                   "dst": dst, "out": [0] * threads}
+        with oracle.oracle_engine():
+            expected, _, _ = _store_launch(SAXPY, buffers, 2, 64)
+        observed, per_lane, runs = _store_launch(SAXPY, buffers, 2, 64)
+        assert observed == expected
+        assert per_lane == ["global"] * 32 and runs == {"stored": 3, "refused": 0}
+
+    def test_a_contiguous_prefix_mask_is_one_run(self):
+        source = _store_ptx("setp.lt.u32 %p1, %r1, 20;\n"
+                            "    @%p1 st.global.u32 [%rd3], %r2;")
+        with oracle.oracle_engine():
+            expected, _, _ = _store_launch(source, {"out": [0] * 64}, 1, 64)
+        observed, per_lane, runs = _store_launch(source, {"out": [0] * 64}, 1, 64)
+        assert observed == expected
+        assert observed[2]["out"] == [7 * t + 1 for t in range(20)] + [0] * 44
+        assert per_lane == [] and runs == {"stored": 1, "refused": 0}
+
+    @pytest.mark.parametrize("arch", [MAXWELL_TITANX, KEPLER_K520], ids=str)
+    @pytest.mark.parametrize("case", sorted(PER_LANE_STORES))
+    def test_these_go_lane_by_lane_like_the_per_thread_oracle(self, case, arch):
+        store, words, calls = PER_LANE_STORES[case]
+        source = _store_ptx("setp.lt.u32 %p2, %r1, 32;\n    " + store)
+        with oracle.oracle_engine():
+            expected, _, _ = _store_launch(source, {"out": [0] * 64}, 1, 64, arch)
+        observed, per_lane, runs = _store_launch(source, {"out": [0] * 64}, 1, 64, arch)
+        assert observed == expected
+        assert observed[2]["out"] == (
+            words if words is not None else [7 * t + 1 for t in range(64)])
+        assert per_lane == calls
+        # Only the ``.local`` case's global store, a run per warp.
+        assert runs == {"stored": 2 if case == "local" else 0, "refused": 0}
+
+    def test_a_shared_tile_is_one_slice_per_warp(self):
+        (_, _, memory), per_lane, runs = _store_launch("""
+__global__ void tile(int* in, int* out) {
+    __shared__ int s[64];
+    int t = threadIdx.x;
+    s[t] = in[t] + 1;
+    __syncthreads();
+    out[t] = s[63 - t];
+}
+""", {"in": list(range(64)), "out": [0] * 64}, grid=1, block=64)
+        assert memory["out"] == [64 - t for t in range(64)]
+        assert per_lane == [] and runs == {"stored": 4, "refused": 0}
+
+    def test_a_run_whose_last_lane_is_illegal_faults_at_that_lane(self):
+        module = parse_ptx(_store_ptx("st.global.u32 [%rd3], %r2;"))
+        outcomes = []
+        for engine in (oracle.oracle_engine, contextlib.nullcontext):
+            device = GpuDevice()
+            out = device.alloc(31 * 4)  # the heap ends one word short of the warp
+            with engine(), pytest.raises(SimulationError) as error:
+                device.launch(module, "stores", 1, 32, params={"out": out})
+            outcomes.append((str(error.value), device.global_mem.pending_stores()))
+        # The per-thread oracle's fault, after lanes 0-30 were queued.
+        assert outcomes[1] == outcomes[0] == (
+            f"illegal address {BASE + 124:#x}: 4-byte access outside "
+            f"[{BASE:#x}, {BASE + 124:#x})", 31)

@@ -5,7 +5,9 @@ so every generated trace is one a real execution could produce: warp
 instructions cover exactly the active threads, branches nest properly,
 and barriers carry the actual arrived set.  Half the thread-level
 instructions put every lane on one word, half put lane ``i`` on word
-``i``: the detector's per-lane and range paths both see them.
+``i``: the detector's per-lane and range paths both see them.  Each
+instruction has its own pc (its position in the generation loop), so a
+report that names the wrong instruction is seen.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def random_trace(rng: random.Random, max_ops: int = 28,
     builder = TraceBuilder(layout)
     global_locs = [global_loc(i * 4) for i in range(3)]
     depth = {w: 0 for w in layout.all_warps()}
-    for _ in range(rng.randrange(3, max_ops)):
+    for pc in range(rng.randrange(3, max_ops)):
         warp = rng.randrange(layout.total_warps)
         active = builder.stacks.active(warp)
         block = layout.block_of_warp(warp)
@@ -47,30 +49,30 @@ def random_trace(rng: random.Random, max_ops: int = 28,
         choice = rng.random()
         scope = rng.choice([Scope.BLOCK, Scope.GLOBAL])
         if choice < 0.25 and active:
-            builder.read(warp, loc)
+            builder.read(warp, loc, pc=pc)
         elif choice < 0.50 and active:
             value = rng.choice([None, 1, 2, "per lane"])
             if value == "per lane":
                 value = {t: 1 + t % 2 for t in active}
-            builder.write(warp, loc, value=value)
+            builder.write(warp, loc, value=value, pc=pc)
         elif choice < 0.60 and active:
-            builder.atomic(warp, loc)
+            builder.atomic(warp, loc, pc=pc)
         elif choice < 0.68 and active:
-            builder.acquire(warp, loc, scope)
+            builder.acquire(warp, loc, scope, pc=pc)
         elif choice < 0.76 and active:
-            builder.release(warp, loc, scope)
+            builder.release(warp, loc, scope, pc=pc)
         elif choice < 0.80 and active:
-            builder.acqrel(warp, loc, scope)
+            builder.acqrel(warp, loc, scope, pc=pc)
         elif choice < 0.88 and active and depth[warp] < 2:
             then = frozenset(t for t in active if rng.random() < 0.5)
-            builder.branch_if(warp, then)
+            builder.branch_if(warp, then, pc=pc)
             depth[warp] += 1
         elif choice < 0.94 and depth[warp] > 0:
-            builder.branch_else(warp)
-            builder.branch_fi(warp)
+            builder.branch_else(warp, pc=pc)
+            builder.branch_fi(warp, pc=pc)
             depth[warp] -= 1
         else:
-            builder.barrier(block)
+            builder.barrier(block, pc=pc)
     for warp in layout.all_warps():
         while depth[warp] > 0:
             builder.branch_else(warp)
