@@ -31,7 +31,8 @@ and executing a step is one indirect call.
   :mod:`repro.ptx.isa` — adding an instruction is one entry there (and,
   for arithmetic, one compiler in :mod:`repro.gpu.engine`);
 * branch targets, reconvergence PCs and symbol addresses are
-  pre-resolved to integers;
+  pre-resolved to integers, a ``call``'s callee to its context, and a
+  special register to a constant or a shared table;
 * predicates are pre-bound to ``(register, negated)`` closures;
 * the register file is **per warp**: one ``dict`` per frame whose
   values are UNIFORM, AFFINE or PER-LANE (:mod:`repro.gpu.values`), so
@@ -209,8 +210,6 @@ class WarpState:
     #: ``addrs``/``values`` keys and tid set share.
     tids: Tuple[int, ...]
     frames: List[_Frame]
-    #: The warp's special registers as shaped values, built on first use.
-    specials: Optional[Dict[Tuple[str, Optional[str]], object]] = None
     done: bool = False
     at_barrier: bool = False
     #: Deferred shared-side STORE rows of ``cp.async`` copies issued but
@@ -355,43 +354,6 @@ def _write(regs, name: str, value, count: int, lanes: Lanes) -> None:
 _MALFORMED = (ValueError, LookupError, AttributeError, TypeError)
 
 
-def _transfer_decoder(execute: Callable) -> Callable:
-    """A table entry for an opcode whose implementation
-    ``execute(self, warp, entry, insn)`` owns the PC update
-    (``call``/``ret``/``exit``)."""
-
-    def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            execute(self, warp, entry, insn)
-            return False
-
-        return op
-
-    return decode
-
-
-def _warp_op_decoder(execute: Callable) -> Callable:
-    """A table entry for a warp-wide opcode implemented as
-    ``execute(self, warp, entry, insn, lanes)`` over the lanes the
-    predicate leaves active (``shfl``/``vote``/``cp``)."""
-
-    def decode(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        next_pc = pc + 1
-        pred = insn.pred
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            execute(
-                self, warp, entry, insn,
-                _active_lanes(warp, entry, warp.frames[-1].regs, pred),
-            )
-            entry.pc = next_pc
-            return False
-
-        return op
-
-    return decode
-
-
 class KernelExecution:
     """One kernel launch in flight on the simulated device.
 
@@ -444,11 +406,11 @@ class KernelExecution:
             cursor += decl.size_bytes
         self.shared_bytes = cursor
         self.shared_mem = SharedMemory(self.shared_bytes)
-        # Shaped ``LaunchConfig.thread_registers`` by a warp's first
-        # thread-in-block (see ``_special``).
-        self._lane_registers: Dict[int, dict] = {}
-        # .local state space: thread-private, persists across call frames.
-        self._local: Dict[int, SharedMemory] = {}
+        #: The .local state space, keyed by thread: thread-private, and
+        #: it persists across call frames.
+        self.local_mem = SharedMemory()
+        # The special registers that vary, by key (see ``_compile_special``).
+        self._special_tables: Dict[Tuple[str, Optional[str]], list] = {}
         #: The launch's records, one row each; ``None`` when it does not
         #: log (no sink, or a pristine launch), and then no row is written.
         self.rows: Optional[RowLog] = (
@@ -493,46 +455,12 @@ class KernelExecution:
     # ------------------------------------------------------------------
     # Operand evaluation
     # ------------------------------------------------------------------
-    def _special(self, warp: WarpState, key: Tuple[str, Optional[str]]):
-        """A special register of ``warp`` as a shaped value: ``%tid.x``
-        of a 1-D block is AFFINE, ``%ctaid``/``%ntid`` UNIFORM, a block
-        narrower than the warp whatever its lanes say."""
-        table = warp.specials
-        if table is None:
-            config = self.config
-            # The per-thread half depends only on where in its block the
-            # warp sits, so the blocks of a launch share it.
-            start = warp.first_tid - warp.block * self.layout.threads_per_block
-            shaped = self._lane_registers.get(start)
-            if shaped is None:
-                rows = [
-                    config.thread_registers(start + lane)
-                    for lane in range(warp.lanes)
-                ]
-                shaped = self._lane_registers[start] = {
-                    name: shape_of([row[name] for row in rows]) for name in rows[0]
-                }
-            table = warp.specials = {**config.block_registers(warp.block), **shaped}
-        return table[key]
-
-    def _lanes_of(self, warp: WarpState, operand: Operand) -> Sequence:
-        """``operand`` in the warp's top frame, one entry per lane."""
-        value = self._compile_value(operand)(warp.frames[-1].regs, warp)
-        return column(value, warp.lanes)
-
     def _symbol_address(self, name: str) -> int:
         if name in self.shared_symbols:
             return self.shared_symbols[name]
         if name in self.global_symbols:
             return self.global_symbols[name]
         raise SimulationError(f"unknown symbol {name!r}")
-
-    def _local_store(self, tid: int) -> SharedMemory:
-        store = self._local.get(tid)
-        if store is None:
-            store = SharedMemory()
-            self._local[tid] = store
-        return store
 
     # ------------------------------------------------------------------
     # Stepping
@@ -689,13 +617,44 @@ class KernelExecution:
             value = operand.value
             return lambda regs, warp: value
         if isinstance(operand, SpecialRegOperand):
-            special = self._special
-            key = (operand.name, operand.dim)
-            return lambda regs, warp: special(warp, key)
+            return self._compile_special(operand)
         if isinstance(operand, SymbolOperand):
             addr = self._symbol_address(operand.name)
             return lambda regs, warp: addr
         raise SimulationError(f"cannot evaluate operand {operand!r}")
+
+    def _compile_special(self, operand: SpecialRegOperand) -> Callable:
+        """A special register as ``get(regs, warp)``, resolved here: a
+        launch constant is folded in, ``%ctaid.*`` reads a table by
+        block, and a per-thread register (``%tid.x`` of a 1-D block is
+        AFFINE, a block narrower than the warp whatever its lanes say)
+        reads the shaped value of the warp's position in its block,
+        which every block shares."""
+        key = (operand.name, operand.dim)
+        config, layout = self.config, self.layout
+        launch = config.block_registers(0)
+        if key not in launch and key not in config.thread_registers(0):
+            raise SimulationError(f"special register {operand} is not modeled")
+        if key in launch and operand.name != "%ctaid":
+            constant = launch[key]
+            return lambda regs, warp: constant
+        table = self._special_tables.get(key)
+        if table is None:
+            if operand.name == "%ctaid":
+                table = [config.block_registers(block)[key]
+                         for block in range(layout.num_blocks)]
+            else:
+                size, width = layout.threads_per_block, layout.warp_size
+                table = [
+                    shape_of([config.thread_registers(thread)[key] for thread
+                              in range(start, min(start + width, size))])
+                    for start in range(0, size, width)
+                ]
+            self._special_tables[key] = table
+        if operand.name == "%ctaid":
+            return lambda regs, warp: table[warp.block]
+        per_block = layout.warps_per_block
+        return lambda regs, warp: table[warp.warp % per_block]
 
     def _compile_address(self, operand: MemOperand) -> Callable:
         """Compile ``[base+offset]`` to ``addrs(regs, warp, lanes)``: the
@@ -766,32 +725,21 @@ class KernelExecution:
         return op
 
     def _decode_bar(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        """``bar.sync``, or the grid-wide ``barrier.cluster.sync``, which
+        is only legal on a cooperative launch (every block resident at
+        once)."""
+        grid = insn.opcode == "barrier"
+        if grid and not self.cooperative:
+            raise SimulationError(
+                f"{ctx.kernel.name!r}: {insn.full_opcode} at pc {pc} requires "
+                "a cooperative launch (launch with cooperative=True)"
+            )
         next_pc = pc + 1
 
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             entry.pc = next_pc
             warp.at_barrier = True
-            return False
-
-        return op
-
-    def _decode_grid_barrier(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
-        # barrier.cluster.sync: grid-wide synchronization, only legal
-        # on a cooperative launch (every block resident at once).
-        next_pc = pc + 1
-        cooperative = self.cooperative
-        name = ctx.kernel.name
-
-        def op(warp: WarpState, entry: _StackEntry) -> bool:
-            if not cooperative:
-                raise SimulationError(
-                    f"{name!r}: {insn.full_opcode} at "
-                    f"pc {pc} requires a cooperative launch "
-                    "(launch with cooperative=True)"
-                )
-            entry.pc = next_pc
-            warp.at_barrier = True
-            warp.at_grid_barrier = True
+            warp.at_grid_barrier = grid
             return False
 
         return op
@@ -809,32 +757,41 @@ class KernelExecution:
 
         return op
 
-    def _exec_ret(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
-        if insn.pred is not None:
-            exiting = _active_lanes(warp, entry, warp.frame.regs, insn.pred)
-            if exiting == ():
-                entry.pc += 1
-                return
-            if exiting != entry.lanes:
-                raise SimulationError(
-                    f"{warp.frame.ctx.kernel.name!r}: partially-predicated "
-                    f"return at pc {entry.pc} is not supported; guard the "
-                    "return with a branch instead"
-                )
-        if len(warp.stack) > 1:
-            raise SimulationError(
-                f"{warp.frame.ctx.kernel.name!r}: divergent return at pc "
-                f"{entry.pc} is not supported; structure exits through the "
-                "reconvergence point"
-            )
-        if len(warp.frames) > 1:
-            # Device-function return: resume the caller (which already
-            # advanced past the call instruction).
-            warp.frames.pop()
-            return
-        self._finish_warp(warp)
+    def _decode_ret(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
+        """``ret``/``exit``: a device function resumes its caller (which
+        already advanced past the call); the kernel's body retires the
+        warp."""
+        next_pc = pc + 1
+        pred = insn.pred
+        name = ctx.kernel.name
+        finish = self._finish_warp
 
-    def _exec_call(self, warp: WarpState, entry: _StackEntry, insn: Instruction) -> None:
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            frames = warp.frames
+            if pred is not None:
+                exiting = _active_lanes(warp, entry, frames[-1].regs, pred)
+                if exiting == ():
+                    entry.pc = next_pc
+                    return False
+                if exiting != entry.lanes:
+                    raise SimulationError(
+                        f"{name!r}: partially-predicated return at pc {pc} is "
+                        "not supported; guard the return with a branch instead"
+                    )
+            if len(frames[-1].stack) > 1:
+                raise SimulationError(
+                    f"{name!r}: divergent return at pc {pc} is not supported; "
+                    "structure exits through the reconvergence point"
+                )
+            if len(frames) > 1:
+                frames.pop()
+            else:
+                finish(warp)
+            return False
+
+        return op
+
+    def _decode_call(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         """Enter a device function with the current active threads.
 
         Arguments are evaluated in the caller's frame and bound to the
@@ -855,26 +812,29 @@ class KernelExecution:
                 f"call to {function.name!r}: {len(args)} argument(s) for "
                 f"{len(function.params)} parameter(s)"
             )
-        regs = warp.frame.regs
-        lanes = _active_lanes(warp, entry, regs, insn.pred)
-        if lanes == ():
-            entry.pc += 1
-            return
-        bindings = {
-            param.name: self._compile_value(arg)(regs, warp)
-            for param, arg in zip(function.params, args)
-        }
-        entry.pc += 1  # resume here after the return
-        ctx = self._context_for(function)
-        warp.frames.append(
-            _Frame(
-                ctx=ctx,
-                stack=[_path(_lane_bits(lanes, warp.lanes), warp.lanes, 0,
-                             ctx.end_pc, _Phase.BASE)],
-                regs={},
-                params=bindings,
-            )
-        )
+        bindings = [(param.name, self._compile_value(arg))
+                    for param, arg in zip(function.params, args)]
+        callee = self._context_for(function)
+        end_pc = callee.end_pc
+        next_pc = pc + 1
+        pred = insn.pred
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            entry.pc = next_pc  # resume here after the return
+            if lanes != ():
+                count = warp.lanes
+                warp.frames.append(_Frame(
+                    ctx=callee,
+                    stack=[_path(_lane_bits(lanes, count), count, 0, end_pc,
+                                 _Phase.BASE)],
+                    regs={},
+                    params={name: get(regs, warp) for name, get in bindings},
+                ))
+            return False
+
+        return op
 
     # -- logging ---------------------------------------------------------
     def _fuse_log(
@@ -982,34 +942,18 @@ class KernelExecution:
     def _compile_raw_load(self, space: str, width: int) -> Callable:
         """``load(block, tid, addr) -> raw`` for one state space."""
         if space == "local":
-            local_store = self._local_store
-
-            def load_local(block, tid, addr):
-                return local_store(tid).load(0, addr, width)
-
-            return load_local
-        mem_load = (self.shared_mem if space == "shared" else self.global_mem).load
-
-        def load_mem(block, tid, addr):
-            return mem_load(block, addr, width)
-
-        return load_mem
+            local_load = self.local_mem.load
+            return lambda block, tid, addr: local_load(tid, addr, width)
+        load = (self.shared_mem if space == "shared" else self.global_mem).load
+        return lambda block, tid, addr: load(block, addr, width)
 
     def _compile_raw_store(self, space: str, width: int) -> Callable:
         """``store(block, tid, addr, raw)`` for one state space."""
         if space == "local":
-            local_store = self._local_store
-
-            def store_local(block, tid, addr, raw):
-                local_store(tid).store(0, addr, width, raw)
-
-            return store_local
-        mem_store = (self.shared_mem if space == "shared" else self.global_mem).store
-
-        def store_mem(block, tid, addr, raw):
-            mem_store(block, addr, width, raw)
-
-        return store_mem
+            local_store = self.local_mem.store
+            return lambda block, tid, addr, raw: local_store(tid, addr, width, raw)
+        store = (self.shared_mem if space == "shared" else self.global_mem).store
+        return lambda block, tid, addr, raw: store(block, addr, width, raw)
 
     def _decode_load(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         dst, src = insn.operands
@@ -1229,48 +1173,46 @@ class KernelExecution:
         return op
 
     # -- warp-synchronous exchange (shfl.sync / vote.sync) ----------------
-    def _warp_sync_lanes(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        lanes: Lanes, operand: Operand,
-    ) -> int:
-        """Validate a ``.sync`` membermask; returns the required lanes,
-        as bits.
+    def _compile_membermask(self, ctx: ExecContext, pc: int, insn: Instruction,
+                            operand: Operand) -> Callable:
+        """A ``.sync`` membermask as ``required(regs, warp, lanes)``: the
+        lanes it names, as bits, after checking them.
 
         The mask names the lanes that must reach the instruction
         together.  Lanes the warp does not have (partial warps) are
         ignored; a mask with no live lane, or one naming a lane that
         diverged away, is a malformed sync and raises.
         """
-        if lanes != ():
-            leader = 0 if lanes is None else lanes[0]
-            mask = int(self._lanes_of(warp, operand)[leader])
-        elif isinstance(operand, ImmOperand):
-            mask = int(operand.value)
-        else:
-            mask = 0
-        count = warp.lanes
-        required = mask & ((1 << count) - 1)
-        name = warp.frame.ctx.kernel.name
-        if not required:
-            raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc} has "
-                f"membermask 0x{mask & 0xFFFFFFFF:08x} selecting no live "
-                "lane of the warp"
-            )
-        missing = required & ~_lane_bits(lanes, count)
-        if missing:
-            raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc} with "
-                f"membermask 0x{mask & 0xFFFFFFFF:08x} requires lane(s) "
-                f"{mask_lanes(missing)} that did not reach it; all mask lanes "
-                "must arrive together"
-            )
-        return required
+        mask_of = self._compile_value(operand)
+        # With no lane active only an immediate mask is known.
+        idle = operand.value if isinstance(operand, ImmOperand) else 0
+        where = f"{ctx.kernel.name!r}: {insn.full_opcode} at pc {pc}"
 
-    def _exec_shfl(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        lanes: Lanes,
-    ) -> None:
+        def required_of(regs, warp: WarpState, lanes: Lanes) -> int:
+            count = warp.lanes
+            if lanes != ():
+                leader = 0 if lanes is None else lanes[0]
+                mask = int(column(mask_of(regs, warp), count)[leader])
+            else:
+                mask = int(idle)
+            required = mask & ((1 << count) - 1)
+            if not required:
+                raise SimulationError(
+                    f"{where} has membermask 0x{mask & 0xFFFFFFFF:08x} "
+                    "selecting no live lane of the warp"
+                )
+            missing = required & ~_lane_bits(lanes, count)
+            if missing:
+                raise SimulationError(
+                    f"{where} with membermask 0x{mask & 0xFFFFFFFF:08x} "
+                    f"requires lane(s) {mask_lanes(missing)} that did not "
+                    "reach it; all mask lanes must arrive together"
+                )
+            return required
+
+        return required_of
+
+    def _decode_shfl(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         """``shfl.sync.{up,down,bfly,idx}.b32 d, a, b, c, membermask``.
 
         Register-level lane exchange (PTX ISA 9.7.9.3): no memory is
@@ -1285,44 +1227,55 @@ class KernelExecution:
         if mode is None or len(insn.operands) != 5:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         dst, src, boff, cop, maskop = insn.operands
-        required = self._warp_sync_lanes(warp, entry, insn, lanes, maskop)
+        dst_name = dst.name
+        required_of = self._compile_membermask(ctx, pc, insn, maskop)
+        source_of, offset_of, clamp_of = map(self._compile_value, (src, boff, cop))
         wrap = _make_wrap(insn.value_type())
-        # Every source lane's value is read before any write: the
-        # exchange is simultaneous across the warp.
-        source = self._lanes_of(warp, src)
-        offsets = self._lanes_of(warp, boff)
-        clamps = self._lanes_of(warp, cop)
-        results = []
-        for lane in range(warp.lanes) if lanes is None else lanes:
-            chosen = source[lane]
-            if required >> lane & 1:
-                b = int(offsets[lane]) & 31
-                c = int(clamps[lane])
-                cval = c & 31
-                segmask = (c >> 8) & 31
-                max_lane = (lane & segmask) | (cval & ~segmask & 31)
-                min_lane = lane & segmask
-                if mode == "up":
-                    j = lane - b
-                    in_bounds = j >= min_lane
-                elif mode == "down":
-                    j = lane + b
-                    in_bounds = j <= max_lane
-                elif mode == "bfly":
-                    j = lane ^ b
-                    in_bounds = j <= max_lane
-                else:  # idx
-                    j = min_lane | (b & ~segmask & 31)
-                    in_bounds = j <= max_lane
-                if in_bounds and required >> j & 1:
-                    chosen = source[j]
-            results.append(wrap(chosen))
-        _write(warp.frame.regs, dst.name, results, warp.lanes, lanes)
+        next_pc = pc + 1
+        pred = insn.pred
 
-    def _exec_vote(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        lanes: Lanes,
-    ) -> None:
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            required = required_of(regs, warp, lanes)
+            count = warp.lanes
+            # Every source lane's value is read before any write: the
+            # exchange is simultaneous across the warp.
+            source = column(source_of(regs, warp), count)
+            offsets = column(offset_of(regs, warp), count)
+            clamps = column(clamp_of(regs, warp), count)
+            results = []
+            for lane in range(count) if lanes is None else lanes:
+                chosen = source[lane]
+                if required >> lane & 1:
+                    b = int(offsets[lane]) & 31
+                    c = int(clamps[lane])
+                    cval = c & 31
+                    segmask = (c >> 8) & 31
+                    max_lane = (lane & segmask) | (cval & ~segmask & 31)
+                    min_lane = lane & segmask
+                    if mode == "up":
+                        j = lane - b
+                        in_bounds = j >= min_lane
+                    elif mode == "down":
+                        j = lane + b
+                        in_bounds = j <= max_lane
+                    elif mode == "bfly":
+                        j = lane ^ b
+                        in_bounds = j <= max_lane
+                    else:  # idx
+                        j = min_lane | (b & ~segmask & 31)
+                        in_bounds = j <= max_lane
+                    if in_bounds and required >> j & 1:
+                        chosen = source[j]
+                results.append(wrap(chosen))
+            _write(regs, dst_name, results, count, lanes)
+            entry.pc = next_pc
+            return False
+
+        return op
+
+    def _decode_vote(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         """``vote.sync.{ballot.b32,any.pred,all.pred,uni.pred}``.
 
         Warp-wide predicate reduction over the membermask's lanes; like
@@ -1338,40 +1291,51 @@ class KernelExecution:
         if mode is None or len(insn.operands) != 3:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         dst, src, maskop = insn.operands
-        required = self._warp_sync_lanes(warp, entry, insn, lanes, maskop)
+        dst_name = dst.name
+        required_of = self._compile_membermask(ctx, pc, insn, maskop)
+        flag_of = self._compile_value(src)
         wrap = _make_wrap(insn.value_type())
-        flags = self._lanes_of(warp, src)
-        members = mask_lanes(required)
-        preds = [bool(flags[lane]) for lane in members]
-        if mode == "ballot":
-            joined = sum(1 << lane for lane in members if flags[lane])
-        elif mode == "any":
-            joined = 1 if any(preds) else 0
-        elif mode == "all":
-            joined = 1 if all(preds) else 0
-        else:  # uni: all participating lanes agree
-            joined = 1 if len(set(preds)) <= 1 else 0
-        if not _lane_bits(lanes, warp.lanes) & ~required:
-            result = wrap(joined)  # one UNIFORM for the whole warp
-        else:
-            result = []
-            for lane in range(warp.lanes) if lanes is None else lanes:
-                if required >> lane & 1:
-                    value = joined
-                elif mode == "ballot":
-                    value = 0
-                elif mode == "uni":
-                    value = 1
-                else:
-                    value = 1 if flags[lane] else 0
-                result.append(wrap(value))
-        _write(warp.frame.regs, dst.name, result, warp.lanes, lanes)
+        next_pc = pc + 1
+        pred = insn.pred
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            required = required_of(regs, warp, lanes)
+            count = warp.lanes
+            flags = column(flag_of(regs, warp), count)
+            members = mask_lanes(required)
+            preds = [bool(flags[lane]) for lane in members]
+            if mode == "ballot":
+                joined = sum(1 << lane for lane in members if flags[lane])
+            elif mode == "any":
+                joined = 1 if any(preds) else 0
+            elif mode == "all":
+                joined = 1 if all(preds) else 0
+            else:  # uni: all participating lanes agree
+                joined = 1 if len(set(preds)) <= 1 else 0
+            if not _lane_bits(lanes, count) & ~required:
+                result = wrap(joined)  # one UNIFORM for the whole warp
+            else:
+                result = []
+                for lane in range(count) if lanes is None else lanes:
+                    if required >> lane & 1:
+                        value = joined
+                    elif mode == "ballot":
+                        value = 0
+                    elif mode == "uni":
+                        value = 1
+                    else:
+                        value = 1 if flags[lane] else 0
+                    result.append(wrap(value))
+            _write(regs, dst_name, result, count, lanes)
+            entry.pc = next_pc
+            return False
+
+        return op
 
     # -- asynchronous copies (cp.async) -----------------------------------
-    def _exec_cp(
-        self, warp: WarpState, entry: _StackEntry, insn: Instruction,
-        lanes: Lanes,
-    ) -> None:
+    def _decode_cp(self, ctx: ExecContext, pc: int, insn: Instruction) -> DecodedOp:
         """``cp.async`` copies and their commit/wait bookkeeping.
 
         The global read happens (and is logged) at issue; the shared
@@ -1379,73 +1343,94 @@ class KernelExecution:
         ``wait_group``/``wait_all``, or warp exit for copies never
         waited on.  The deferral is what lets the detector see an
         unwaited copy's store as unordered with post-barrier readers.
+        Committing and waiting are warp-wide: their guard is not read.
         """
         mods = insn.modifiers
-        name = warp.frame.ctx.kernel.name
+        where = f"{ctx.kernel.name!r}: {insn.full_opcode} at pc {pc}"
+        operands = insn.operands
+        next_pc = pc + 1
         if "async" not in mods:
             raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
         if "commit_group" in mods:
-            warp.async_groups.append(warp.async_pending)
-            warp.async_pending = []
-            return
+
+            def op_commit(warp: WarpState, entry: _StackEntry) -> bool:
+                warp.async_groups.append(warp.async_pending)
+                warp.async_pending = []
+                entry.pc = next_pc
+                return False
+
+            return op_commit
         if "wait_all" in mods:
-            self._flush_async(warp, 0, include_uncommitted=True)
-            return
-        if "wait_group" in mods:
-            if len(insn.operands) != 1 or not isinstance(
-                insn.operands[0], ImmOperand
-            ):
-                raise SimulationError(
-                    f"{name!r}: {insn.full_opcode} at pc {entry.pc} needs "
-                    "one immediate group count"
-                )
-            keep = int(insn.operands[0].value)
+            keep, uncommitted = 0, True
+        elif "wait_group" in mods:
+            if len(operands) != 1 or not isinstance(operands[0], ImmOperand):
+                raise SimulationError(f"{where} needs one immediate group count")
+            keep, uncommitted = int(operands[0].value), False
             if keep < 0:
                 raise SimulationError(
-                    f"{name!r}: {insn.full_opcode} at pc {entry.pc}: group "
-                    f"count must be non-negative, got {keep}"
-                )
-            self._flush_async(warp, keep)
-            return
+                    f"{where}: group count must be non-negative, got {keep}")
+        else:
+            return self._decode_async_copy(pc, insn, where)
+        flush = self._flush_async
+
+        def op_wait(warp: WarpState, entry: _StackEntry) -> bool:
+            flush(warp, keep, uncommitted)
+            entry.pc = next_pc
+            return False
+
+        return op_wait
+
+    def _decode_async_copy(self, pc: int, insn: Instruction, where: str) -> DecodedOp:
+        """``cp.async.ca.shared.global [dst], [src], size``: each active
+        lane copies ``size`` bytes now, logs the global read, and stages
+        the shared write's record in ``WarpState.async_pending``."""
         if len(insn.operands) != 3:
             raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc} needs "
-                "destination, source, and size operands"
-            )
+                f"{where} needs destination, source, and size operands")
         dst, src, size_op = insn.operands
         if not isinstance(dst, MemOperand) or not isinstance(src, MemOperand):
-            raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy "
-                "operands must be addresses"
-            )
+            raise SimulationError(f"{where}: copy operands must be addresses")
         size = int(size_op.value) if isinstance(size_op, ImmOperand) else -1
         if size not in (4, 8, 16):
-            raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy size "
-                "must be 4, 8, or 16 bytes"
-            )
-        if lanes == ():
-            return
-        regs = warp.frame.regs
-        src_addrs = self._compile_address(src)(regs, warp, lanes)
-        dst_addrs = self._compile_address(dst)(regs, warp, lanes)
-        values = []
-        for saddr, daddr in zip(src_addrs, dst_addrs):
-            raw = self.global_mem.load(warp.block, saddr, size)
-            self.shared_mem.store(warp.block, daddr, size, raw)
-            values.append(raw)
+            raise SimulationError(f"{where}: copy size must be 4, 8, or 16 bytes")
+        sources_of = self._compile_address(src)
+        targets_of = self._compile_address(dst)
+        load = self.global_mem.load
+        store = self.shared_mem.store
         rows = self.rows
-        if rows is None:
-            return
-        tids = _tids(warp, lanes)
-        key = (warp.first_tid, _lane_bits(lanes, warp.lanes))
-        self._emit(rows.write(KIND_LOAD, warp.warp, insn.line, size, -1,
-                              key, tids, tids=tids,
-                              space=SPACE_CODE[Space.GLOBAL], addrs=src_addrs))
-        # The shared write is logged, as a store's value is, by its low
-        # 64 bits: a 16-byte copy's word does not fit a row otherwise.
-        warp.async_pending.append((insn.line, size, key, tids, dst_addrs,
-                                   _logged_values(values, insn.line)))
+        emit = self._emit
+        global_space = SPACE_CODE[Space.GLOBAL]
+        line = insn.line
+        next_pc = pc + 1
+        pred = insn.pred
+
+        def op(warp: WarpState, entry: _StackEntry) -> bool:
+            regs = warp.frames[-1].regs
+            lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes != ():
+                block = warp.block
+                src_addrs = sources_of(regs, warp, lanes)
+                dst_addrs = targets_of(regs, warp, lanes)
+                values = []
+                for saddr, daddr in zip(src_addrs, dst_addrs):
+                    raw = load(block, saddr, size)
+                    store(block, daddr, size, raw)
+                    values.append(raw)
+                if rows is not None:
+                    tids = _tids(warp, lanes)
+                    key = (warp.first_tid, _lane_bits(lanes, warp.lanes))
+                    emit(rows.write(KIND_LOAD, warp.warp, line, size, -1, key,
+                                    tids, tids=tids, space=global_space,
+                                    addrs=src_addrs))
+                    # The shared write is logged, as a store's value is,
+                    # by its low 64 bits: a 16-byte copy's word does not
+                    # fit a row otherwise.
+                    warp.async_pending.append((line, size, key, tids, dst_addrs,
+                                               _logged_values(values, line)))
+            entry.pc = next_pc
+            return False
+
+        return op
 
     def _flush_async(
         self, warp: WarpState, keep_groups: int,
@@ -1547,11 +1532,11 @@ class KernelExecution:
     _DECODERS: Dict[str, Callable] = {
         **dict.fromkeys(_ARITH_COMPILERS, _decode_arith),
         "bra": _decode_branch,
-        "call": _transfer_decoder(_exec_call),
-        "ret": _transfer_decoder(_exec_ret),
-        "exit": _transfer_decoder(_exec_ret),
+        "call": _decode_call,
+        "ret": _decode_ret,
+        "exit": _decode_ret,
         "bar": _decode_bar,
-        "barrier": _decode_grid_barrier,
+        "barrier": _decode_bar,
         "membar": _decode_membar,
         "fence": _decode_membar,
         "_log": _decode_log,
@@ -1560,7 +1545,7 @@ class KernelExecution:
         "st": _decode_store,
         "atom": _decode_atomic,
         "red": _decode_atomic,
-        "shfl": _warp_op_decoder(_exec_shfl),
-        "vote": _warp_op_decoder(_exec_vote),
-        "cp": _warp_op_decoder(_exec_cp),
+        "shfl": _decode_shfl,
+        "vote": _decode_vote,
+        "cp": _decode_cp,
     }

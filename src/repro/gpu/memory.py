@@ -320,7 +320,7 @@ class GlobalMemory:
         then ``operation(old) -> new`` runs on main memory.  Returns the
         old value.
         """
-        for queue_block in self._pending_blocks():
+        for queue_block in self._blocks_storing(addr, addr + width):
             self._drain_address(queue_block, addr, width)
         old = self.main.read(addr, width)
         new = operation(old)
@@ -361,9 +361,15 @@ class GlobalMemory:
             del data[:hi]
             entry.addr += hi
 
-    def _pending_blocks(self) -> List[int]:
-        """Blocks with queued stores, in first-store order."""
-        return sorted(self._queues, key=self._store_rank.__getitem__)
+    def _blocks_storing(self, lo: int, hi: int) -> List[int]:
+        """Blocks with a queued store overlapping ``[lo, hi)``, in
+        first-store order: the only queues a drain of that range
+        changes."""
+        return sorted(
+            (block for block, queue in self._queues.items()
+             if any(entry.addr < hi and lo < entry.addr + len(entry.data)
+                    for entry in queue)),
+            key=self._store_rank.__getitem__)
 
     def _drain_address(self, block: int, addr: int, width: int) -> None:
         """Drain all queued stores of ``block`` overlapping an address
@@ -515,7 +521,7 @@ class GlobalMemory:
 
     def drain_all(self) -> None:
         """A global fence by anyone drains every queue (see module doc)."""
-        for block in self._pending_blocks():
+        for block in sorted(self._queues, key=self._store_rank.__getitem__):
             for entry in self._queues[block]:
                 self._commit(entry.addr, entry.data)
         self._queues.clear()
@@ -568,8 +574,8 @@ class SharedMemory:
     """Per-block shared memory: strongly ordered, block-private (§2).
 
     Each block's extent is the ``size`` bytes its kernel declares.  The
-    ``.local`` space (one instance per thread, ``size=None``) has no
-    declarations, so its extent grows to cover each store instead.
+    ``.local`` space (``size=None``, keyed by thread, not by block) has
+    no declarations, so its extent grows to cover each store instead.
     """
 
     def __init__(self, size: Optional[int] = None) -> None:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
 from ..instrument.inference import AccessClass, Classification, classify_kernel
 from ..ptx.ast import (
     ImmOperand, Instruction, Kernel, Module, RegOperand, written_registers)
-from ..ptx.cfg import CFG, EXIT_BLOCK
+from ..ptx.cfg import CFG, EXIT_BLOCK, BasicBlock
 from ..ptx.isa import BARRIER_OPCODES, EXIT_OPCODES
 from ..trace.operations import Scope
 from .addresses import (
@@ -146,42 +146,56 @@ class KernelContext:
             or self.grid_barrier_free_path(b_index, a_index)
         )
 
-    def _scan(self, start: int, end: int, dst: int, blocking: FrozenSet[str]) -> str:
-        for index in range(start, end):
-            if index == dst:
-                return "found"
-            statement = self.body[index]
-            if isinstance(statement, Instruction) and statement.pred is None:
-                if statement.opcode in blocking:
-                    return "blocked"
-                if statement.opcode in EXIT_OPCODES:
-                    return "blocked"
-        return "continue"
+    def walk(self, src: int, scan: Callable[[BasicBlock, int], Optional[bool]],
+             at_exit: bool = False) -> bool:
+        """Depth-first over the CFG paths from just after statement
+        ``src``: does one of them end well?
+
+        ``scan(block, start)`` reads a block from statement ``start``
+        (the rest of ``src``'s block first, then each successor once,
+        whole): ``True`` ends the walk (a path found), ``False`` ends
+        that path, ``None`` goes on into the block's successors.  A path
+        that falls off the kernel ends as ``at_exit`` says."""
+        block = self.cfg.block_of(src)
+        verdict = scan(block, src + 1)
+        if verdict is not None:
+            return verdict
+        seen: Set[int] = set()
+        stack = list(block.successors)
+        while stack:
+            index = stack.pop()
+            if index == EXIT_BLOCK:
+                if at_exit:
+                    return True
+                continue
+            if index in seen:
+                continue
+            seen.add(index)
+            block = self.cfg.blocks[index]
+            verdict = scan(block, block.start)
+            if verdict:
+                return True
+            if verdict is None:
+                stack.extend(block.successors)
+        return False
 
     def _barrier_free_path(
         self, src: int, dst: int, blocking: FrozenSet[str]
     ) -> bool:
-        src_block = self.cfg.block_of(src)
-        verdict = self._scan(src + 1, src_block.end, dst, blocking)
-        if verdict == "found":
-            return True
-        if verdict == "blocked":
-            return False
-        seen: Set[int] = set()
-        stack = list(src_block.successors)
-        while stack:
-            block_index = stack.pop()
-            if block_index in seen or block_index == EXIT_BLOCK:
-                continue
-            seen.add(block_index)
-            block = self.cfg.blocks[block_index]
-            verdict = self._scan(block.start, block.end, dst, blocking)
-            if verdict == "found":
-                return True
-            if verdict == "blocked":
-                continue
-            stack.extend(block.successors)
-        return False
+        body = self.body
+
+        def scan(block: BasicBlock, start: int) -> Optional[bool]:
+            for index in range(start, block.end):
+                if index == dst:
+                    return True
+                statement = body[index]
+                if isinstance(statement, Instruction) and statement.pred is None and (
+                        statement.opcode in blocking
+                        or statement.opcode in EXIT_OPCODES):
+                    return False
+            return None
+
+        return self.walk(src, scan)
 
     def concurrent_unordered(self, a: AccessSite, b: AccessSite) -> bool:
         """Either a divergent-branch sibling pair (§3.3.1: the SIMT
@@ -380,25 +394,14 @@ class KernelContext:
         return result
 
     def same_cycle(self, a_index: int, b_index: int) -> bool:
-        """Are the two statements' blocks in one CFG cycle?"""
-        block_a = self.cfg.block_of(a_index).index
-        block_b = self.cfg.block_of(b_index).index
-        return self._reaches(block_a, block_b) and self._reaches(block_b, block_a)
+        """Are the two statements' blocks in one CFG cycle?  (A block is
+        in one with itself: the walk starts in it.)"""
 
-    def _reaches(self, src: int, dst: int) -> bool:
-        if src == dst:  # a block always reaches itself through its cycle
-            return True
-        seen: Set[int] = set()
-        stack = list(self.cfg.blocks[src].successors)
-        while stack:
-            block = stack.pop()
-            if block in seen or block == EXIT_BLOCK:
-                continue
-            if block == dst:
-                return True
-            seen.add(block)
-            stack.extend(self.cfg.blocks[block].successors)
-        return False
+        def reaches(src: int, dst: int) -> bool:
+            target = self.cfg.block_of(dst)
+            return self.walk(src, lambda block, start: block is target or None)
+
+        return reaches(a_index, b_index) and reaches(b_index, a_index)
 
 
 # ----------------------------------------------------------------------
@@ -835,39 +838,17 @@ def _wait_free_exit_path(ctx: KernelContext, src: int) -> bool:
     store of the copy completes only at warp exit — after any barrier the
     kernel used to publish the tile."""
 
-    def scan(start: int, end: int) -> str:
-        for index in range(start, end):
+    def scan(block: BasicBlock, start: int) -> Optional[bool]:
+        for index in range(start, block.end):
             statement = ctx.body[index]
             if isinstance(statement, Instruction) and statement.pred is None:
                 if _is_async_wait(statement):
-                    return "blocked"
+                    return False
                 if statement.opcode in EXIT_OPCODES:
-                    return "exit"
-        return "continue"
+                    return True
+        return None
 
-    src_block = ctx.cfg.block_of(src)
-    verdict = scan(src + 1, src_block.end)
-    if verdict == "exit":
-        return True
-    if verdict == "blocked":
-        return False
-    seen: Set[int] = set()
-    stack = list(src_block.successors)
-    while stack:
-        block_index = stack.pop()
-        if block_index == EXIT_BLOCK:
-            return True  # fell off the kernel without a wait
-        if block_index in seen:
-            continue
-        seen.add(block_index)
-        block = ctx.cfg.blocks[block_index]
-        verdict = scan(block.start, block.end)
-        if verdict == "exit":
-            return True
-        if verdict == "blocked":
-            continue
-        stack.extend(block.successors)
-    return False
+    return ctx.walk(src, scan, at_exit=True)
 
 
 def _rule_async_copy_unwaited(ctx: KernelContext) -> Iterable[Finding]:

@@ -458,7 +458,11 @@ class NaiveKernelExecution(KernelExecution):
     SIMT-stack pops (with their ELSE/FI rows) and the barrier release
     are inherited.  Its records are ``LogRecord``s, written into the
     launch's row log through the checked ``ColumnarBuilder.append``
-    (``_emit_record``); a ``cp.async`` store is staged as its record."""
+    (``_emit_record``); a ``cp.async`` store is staged as its record.
+    One rule departs from the deleted code: a malformed ``shfl``,
+    ``vote``, ``cp.async`` or ``call``, and ``barrier.cluster`` on a
+    launch that is not cooperative, fail only where a thread reaches
+    them, as the engine's ``_raise_when_reached`` does."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -613,11 +617,15 @@ class NaiveKernelExecution(KernelExecution):
             # barrier.cluster.sync: grid-wide synchronization, only legal
             # on a cooperative launch (every block resident at once).
             if not self.cooperative:
-                raise SimulationError(
-                    f"{warp.frame.ctx.kernel.name!r}: {insn.full_opcode} at "
-                    f"pc {entry.pc} requires a cooperative launch "
-                    "(launch with cooperative=True)"
-                )
+                # Fails the launch only where a thread reaches it.
+                if any(self._pred_holds(t, insn.pred) for t in entry.amask):
+                    raise SimulationError(
+                        f"{warp.frame.ctx.kernel.name!r}: {insn.full_opcode} at "
+                        f"pc {entry.pc} requires a cooperative launch "
+                        "(launch with cooperative=True)"
+                    )
+                entry.pc += 1
+                return
             entry.pc += 1
             warp.at_barrier = True
             warp.at_grid_barrier = True
@@ -718,7 +726,12 @@ class NaiveKernelExecution(KernelExecution):
         Arguments are evaluated in the caller's frame and bound to the
         callee's ``.param`` names per thread, so per-thread values (like
         the instrumentation's unique TID, §4.1) pass through naturally.
+        A malformed call fails the launch only where a thread reaches it.
         """
+        active = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
+        if not active:
+            entry.pc += 1
+            return
         target = insn.operands[0]
         if not isinstance(target, SymbolOperand):
             raise SimulationError(f"call target must be a function name: {insn}")
@@ -732,10 +745,6 @@ class NaiveKernelExecution(KernelExecution):
                 f"call to {function.name!r}: {len(args)} argument(s) for "
                 f"{len(function.params)} parameter(s)"
             )
-        active = {t for t in entry.amask if self._pred_holds(t, insn.pred)}
-        if not active:
-            entry.pc += 1
-            return
         bindings: Dict[str, Dict[int, object]] = {}
         for param, arg in zip(function.params, args):
             bindings[param.name] = {tid: self._value(tid, arg) for tid in active}
@@ -804,14 +813,17 @@ class NaiveKernelExecution(KernelExecution):
         Register-level lane exchange (PTX ISA 9.7.9.3): no memory is
         touched and no record is emitted — by construction the detector
         cannot flag the communication as a race.  Lanes outside the
-        membermask keep their own value (defined fallback).
+        membermask keep their own value (defined fallback).  A malformed
+        one fails the launch only where a thread reaches it.
         """
         mode = next(
             (m for m in insn.modifiers if m in ("up", "down", "bfly", "idx")),
             None,
         )
         if mode is None or len(insn.operands) != 5:
-            raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            if active:
+                raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            return
         dst, src, boff, cop, maskop = insn.operands
         required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
         lane_of = self.layout.lane_of
@@ -864,7 +876,8 @@ class NaiveKernelExecution(KernelExecution):
         Warp-wide predicate reduction over the membermask's lanes; like
         shfl, pure register traffic.  Lanes outside the mask get the
         defined fallbacks: 0 for ballot, their own predicate for
-        any/all, 1 for uni.
+        any/all, 1 for uni.  A malformed one fails the launch only where
+        a thread reaches it.
         """
         mode = next(
             (m for m in insn.modifiers
@@ -872,7 +885,9 @@ class NaiveKernelExecution(KernelExecution):
             None,
         )
         if mode is None or len(insn.operands) != 3:
-            raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            if active:
+                raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            return
         dst, src, maskop = insn.operands
         required = self._warp_sync_lanes(warp, entry, insn, active, maskop)
         lane_of = self.layout.lane_of
@@ -917,11 +932,15 @@ class NaiveKernelExecution(KernelExecution):
         ``wait_group``/``wait_all``, or warp exit for copies never
         waited on.  The deferral is what lets the detector see an
         unwaited copy's store as unordered with post-barrier readers.
+        Committing and waiting ignore the guard; a malformed statement
+        fails the launch only where a thread reaches it.
         """
         mods = insn.modifiers
-        name = warp.frame.ctx.kernel.name
+        where = f"{warp.frame.ctx.kernel.name!r}: {insn.full_opcode} at pc {entry.pc}"
         if "async" not in mods:
-            raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            if active:
+                raise SimulationError(f"unsupported opcode {insn.full_opcode!r}")
+            return
         if "commit_group" in mods:
             warp.async_groups.append(warp.async_pending)
             warp.async_pending = []
@@ -933,37 +952,28 @@ class NaiveKernelExecution(KernelExecution):
             if len(insn.operands) != 1 or not isinstance(
                 insn.operands[0], ImmOperand
             ):
-                raise SimulationError(
-                    f"{name!r}: {insn.full_opcode} at pc {entry.pc} needs "
-                    "one immediate group count"
-                )
+                if active:
+                    raise SimulationError(f"{where} needs one immediate group count")
+                return
             keep = int(insn.operands[0].value)
             if keep < 0:
-                raise SimulationError(
-                    f"{name!r}: {insn.full_opcode} at pc {entry.pc}: group "
-                    f"count must be non-negative, got {keep}"
-                )
+                if active:
+                    raise SimulationError(
+                        f"{where}: group count must be non-negative, got {keep}")
+                return
             self._flush_async(warp, keep)
+            return
+        if not active:
             return
         if len(insn.operands) != 3:
             raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc} needs "
-                "destination, source, and size operands"
-            )
+                f"{where} needs destination, source, and size operands")
         dst, src, size_op = insn.operands
         if not isinstance(dst, MemOperand) or not isinstance(src, MemOperand):
-            raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy "
-                "operands must be addresses"
-            )
+            raise SimulationError(f"{where}: copy operands must be addresses")
         size = int(size_op.value) if isinstance(size_op, ImmOperand) else -1
         if size not in (4, 8, 16):
-            raise SimulationError(
-                f"{name!r}: {insn.full_opcode} at pc {entry.pc}: copy size "
-                "must be 4, 8, or 16 bytes"
-            )
-        if not active:
-            return
+            raise SimulationError(f"{where}: copy size must be 4, 8, or 16 bytes")
         src_addrs = {}
         dst_addrs = {}
         values = {}
@@ -1013,7 +1023,7 @@ class NaiveKernelExecution(KernelExecution):
                     if space == "shared":
                         raw = self.shared_mem.load(warp.block, element, width)
                     elif space == "local":
-                        raw = self._local_store(tid).load(0, element, width)
+                        raw = self.local_mem.load(tid, element, width)
                     else:
                         raw = self.global_mem.load(warp.block, element, width)
                     self._set_reg(tid, reg_name, _wrap(raw, type_name))
@@ -1031,7 +1041,7 @@ class NaiveKernelExecution(KernelExecution):
                 if space == "shared":
                     raw = self.shared_mem.load(warp.block, addr, width)
                 elif space == "local":
-                    raw = self._local_store(tid).load(0, addr, width)
+                    raw = self.local_mem.load(tid, addr, width)
                 else:
                     raw = self.global_mem.load(warp.block, addr, width)
                 value = _wrap(raw, type_name)
@@ -1051,7 +1061,7 @@ class NaiveKernelExecution(KernelExecution):
                     if space == "shared":
                         self.shared_mem.store(warp.block, element, width, raw)
                     elif space == "local":
-                        self._local_store(tid).store(0, element, width, raw)
+                        self.local_mem.store(tid, element, width, raw)
                     else:
                         self.global_mem.store(warp.block, element, width, raw)
             return
@@ -1064,7 +1074,7 @@ class NaiveKernelExecution(KernelExecution):
             if space == "shared":
                 self.shared_mem.store(warp.block, addr, width, raw)
             elif space == "local":
-                self._local_store(tid).store(0, addr, width, raw)
+                self.local_mem.store(tid, addr, width, raw)
             else:
                 self.global_mem.store(warp.block, addr, width, raw)
 

@@ -1,15 +1,21 @@
 """The PTX interpreter: semantics, divergence, barriers, logging."""
 
 import time
+from contextlib import nullcontext
 
 import pytest
 
+from repro.cudac import compile_cuda
 from repro.errors import SimulationError, StepLimitExceeded
 from repro.events import RecordKind
 from repro.gpu import GpuDevice, KernelExecution, ListSink
 from repro.gpu.engine import _ARITH_COMPILERS
+from repro.gpu.hierarchy import LaunchConfig
 from repro.instrument import Instrumenter
+from repro.jobs import alloc_buffers
 from repro.ptx import isa, parse_ptx
+from repro.ptx.ast import Instruction
+from repro.suite import ALL_PROGRAMS, SCHEDULE_PROGRAMS
 
 import oracle
 
@@ -192,12 +198,208 @@ class TestInstructionSet:
         assert set(oracle._ARITH) == set(_ARITH_COMPILERS)
 
 
+#: Every special register the engine models, as ``LaunchConfig`` keys.
+ALL_SPECIALS = [
+    *((name, dim) for name in ("%tid", "%ntid", "%ctaid", "%nctaid")
+      for dim in "xyz"),
+    ("%laneid", None), ("%warpid", None), ("%nwarpid", None), ("%gridid", None),
+]
+
+
+def _specials_kernel():
+    """Each thread stores every special register, in ``ALL_SPECIALS``
+    order, to its own ``len(ALL_SPECIALS)`` words of ``out``."""
+    flat = """
+    mov.u32 %r1, %tid.z;
+    mov.u32 %r2, %ntid.y;
+    mov.u32 %r3, %tid.y;
+    mad.lo.u32 %r1, %r1, %r2, %r3;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %tid.x;
+    mad.lo.u32 %r1, %r1, %r2, %r3;
+    mov.u32 %r4, %ctaid.z;
+    mov.u32 %r2, %nctaid.y;
+    mov.u32 %r3, %ctaid.y;
+    mad.lo.u32 %r4, %r4, %r2, %r3;
+    mov.u32 %r2, %nctaid.x;
+    mov.u32 %r3, %ctaid.x;
+    mad.lo.u32 %r4, %r4, %r2, %r3;
+    mov.u32 %r2, %ntid.x;
+    mov.u32 %r3, %ntid.y;
+    mul.lo.u32 %r2, %r2, %r3;
+    mov.u32 %r3, %ntid.z;
+    mul.lo.u32 %r2, %r2, %r3;
+    mad.lo.u32 %r1, %r4, %r2, %r1;
+    ld.param.u64 %rd1, [out];
+    cvt.u64.u32 %rd2, %r1;
+    mul.lo.u64 %rd2, %rd2, STRIDE;
+    add.u64 %rd1, %rd1, %rd2;
+""".replace("STRIDE", str(4 * len(ALL_SPECIALS)))
+    stores = "".join(
+        f"    mov.u32 %r5, {name}{'.' + dim if dim else ''};\n"
+        f"    st.global.u32 [%rd1+{4 * k}], %r5;\n"
+        for k, (name, dim) in enumerate(ALL_SPECIALS)
+    )
+    return module_with(flat + stores + "    ret;")
+
+
 class TestSpecialRegisters:
     def test_tid_ctaid_laneid(self):
         values = run_store_per_thread(
             "mov.u32 %r15, %laneid;", grid=1, block=4, warp_size=2
         )
         assert values == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("engine", ["production", "oracle"])
+    @pytest.mark.parametrize("grid, block, warp_size", [
+        ((2, 2, 1), (3, 5, 2), 8),   # 30 threads: a 6-lane last warp
+        ((1, 3, 2), (4, 1, 3), 32),  # a block narrower than its warp
+        ((3, 1, 1), (2, 2, 2), 4),
+    ])
+    def test_every_special_register_reaches_the_engine(
+            self, engine, grid, block, warp_size):
+        config = LaunchConfig.of(grid, block, warp_size)
+        threads = config.total_threads
+        device = GpuDevice()
+        out = device.alloc(threads * 4 * len(ALL_SPECIALS))
+        with oracle.oracle_engine() if engine == "oracle" else nullcontext():
+            device.launch(_specials_kernel(), "k", grid=grid, block=block,
+                          warp_size=warp_size, params={"out": out})
+        words = device.memcpy_from_device(out, threads * len(ALL_SPECIALS))
+        for tid in range(threads):
+            row = words[tid * len(ALL_SPECIALS):(tid + 1) * len(ALL_SPECIALS)]
+            expected = config.special_registers(tid)
+            assert dict(zip(ALL_SPECIALS, row)) == expected, tid
+
+    def test_an_unmodeled_special_register_fails_where_reached(self):
+        # ``%clock`` parses but has no value here: one error when a
+        # thread reads it, none when no thread does.
+        with pytest.raises(SimulationError, match="%clock is not modeled"):
+            run_store_per_thread("mov.u32 %r15, %clock;")
+        run_store_per_thread("@%p1 mov.u32 %r15, %clock;\nmov.u32 %r15, 0;")
+
+
+#: Corpus programs that run ``shfl``, ``vote`` or ``cp.async``.
+WARP_OP_PROGRAMS = [
+    entry for entry in (*ALL_PROGRAMS, *SCHEDULE_PROGRAMS)
+    if any(isinstance(statement, Instruction)
+           and statement.opcode in ("shfl", "vote", "cp")
+           for statement in entry.compile().kernels[0].body)
+]
+
+DEVICE_FUNCTION_SOURCE = """
+__device__ void bump(int* out, int slot, int by) {
+    out[slot] = out[slot] + by;
+}
+__global__ void k(int* out) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    bump(out, i, i);
+    bump(out, i, 1);
+}
+"""
+
+
+def _operand_compiles(module, kernel, grid, block, warp_size, buffers,
+                      cooperative=False):
+    """How often one launch compiles an operand (a value or an address),
+    each buffer four times its words so the grid can grow."""
+    calls = []
+
+    def counted(method):
+        def wrapper(self, operand):
+            calls.append(operand)
+            return method(self, operand)
+        return wrapper
+
+    device = GpuDevice()
+    params = alloc_buffers(
+        device, [(name, words * 4, init) for name, words, init in buffers])
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_compile_value", "_compile_address"):
+            patch.setattr(KernelExecution, name,
+                          counted(getattr(KernelExecution, name)))
+        device.launch(module, kernel, grid=grid, block=block,
+                      warp_size=warp_size, params=params,
+                      cooperative=cooperative)
+    return len(calls)
+
+
+class TestDecodeOnce:
+    """Every statement is compiled when its body is decoded, once per
+    launch, however many warps then run it."""
+
+    def test_every_decoder_is_a_decode_method(self):
+        for opcode, decode in KernelExecution._DECODERS.items():
+            assert decode.__name__.startswith("_decode_"), opcode
+            assert getattr(KernelExecution, decode.__name__) is decode
+
+    def test_warp_ops_are_in_the_corpus(self):
+        names = {entry.name for entry in WARP_OP_PROGRAMS}
+        assert {"shfl_butterfly_reduction", "ballot_partial_mask_convergent",
+                "async_copy_commit_groups"} <= names
+
+    @pytest.mark.parametrize("entry", WARP_OP_PROGRAMS,
+                             ids=lambda entry: entry.name)
+    def test_a_warp_op_program_compiles_its_operands_once(self, entry):
+        spec = entry.spec
+        module = spec.compile()
+        counts = [
+            _operand_compiles(module, module.kernels[0].name, grid, spec.block,
+                              spec.warp_size, spec.buffers, spec.cooperative)
+            for grid in (1, 4)
+        ]
+        assert counts[0] == counts[1] > 0
+
+    def test_a_device_function_compiles_its_operands_once(self):
+        module = compile_cuda(DEVICE_FUNCTION_SOURCE)
+        assert module.functions
+        counts = [_operand_compiles(module, "k", grid, 64, 32, [("out", 256, ())])
+                  for grid in (1, 4)]
+        assert counts[0] == counts[1] > 0
+
+
+#: Statements that cannot execute, each under a guard no thread holds.
+MALFORMED = {
+    "shfl without a mode": "shfl.sync.b32 %r1, %r2, 1, 31, -1;",
+    "shfl with four operands": "shfl.sync.down.b32 %r1, %r2, 1, 31;",
+    "vote without a mode": "vote.sync.b32 %r1, %p2, -1;",
+    "vote with two operands": "vote.sync.ballot.b32 %r1, %p2;",
+    "cp.async of 3 bytes": "cp.async.ca.shared.global [%rd1], [%rd2], 3;",
+    "cp.async to a register": "cp.async.ca.shared.global %rd1, [%rd2], 4;",
+    "cp.async.wait_group of a register": "cp.async.wait_group %r1;",
+    "cp.async.wait_group of -1": "cp.async.wait_group -1;",
+    "call to no function": "call.uni nowhere, %rd1;",
+    "call with a missing argument": "call.uni helper;",
+    "barrier.cluster on a plain launch": "barrier.cluster.sync;",
+}
+
+HELPER = """
+.visible .func helper(
+    .param .u64 ptr
+)
+{
+    ret;
+}
+"""
+
+
+class TestMalformedUnderAFalseGuard:
+    """A statement that cannot execute fails the launch only where a
+    thread reaches it, on both engines (``_raise_when_reached``)."""
+
+    @staticmethod
+    def _launch(statement):
+        device = GpuDevice()
+        device.launch(module_with(statement + "\nret;", extra=HELPER), "k",
+                      grid=2, block=8, warp_size=4, params={"out": 0})
+
+    @pytest.mark.parametrize("engine", ["production", "oracle"])
+    @pytest.mark.parametrize("statement", MALFORMED.values(), ids=list(MALFORMED))
+    def test_only_a_reached_statement_fails(self, engine, statement):
+        with oracle.oracle_engine() if engine == "oracle" else nullcontext():
+            self._launch("@%p1 " + statement)
+            with pytest.raises(SimulationError):
+                self._launch(statement)
 
 
 class TestDivergence:

@@ -192,6 +192,9 @@ def test_non_cooperative_grid_sync_is_a_clean_simulation_error():
 # Property-based semantics
 # ----------------------------------------------------------------------
 _WARP = 8  # small warps keep the property launches fast
+#: Examples per property: the budget pinned here, or the profile's when
+#: that is larger (``--hypothesis-profile ci`` draws 1,000).
+_EXAMPLES = max(20, settings.default.max_examples)
 
 
 def _run_kernel(source: str, buffers: Dict[str, list]):
@@ -217,7 +220,7 @@ def _run_kernel(source: str, buffers: Dict[str, list]):
     return launch, out
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(
     offset=st.integers(min_value=0, max_value=15),
     mask=st.integers(min_value=1, max_value=(1 << _WARP) - 1),
@@ -260,7 +263,7 @@ __global__ void bfly(int* data, int* out) {{
     assert streams["oracle"] == streams["production"]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(
     copies=st.integers(min_value=1, max_value=3),
     commit_after_each=st.booleans(),
@@ -311,7 +314,7 @@ def test_cp_async_wait0_before_read_never_false_races(
     assert streams["oracle"] == streams["production"]
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=_EXAMPLES, deadline=None)
 @given(
     mask=st.integers(min_value=1, max_value=(1 << _WARP) - 1),
     threshold=st.integers(min_value=0, max_value=_WARP),
