@@ -13,7 +13,6 @@ from conftest import print_table
 from repro.core import BarracudaDetector
 from repro.core.ptvc import PTVCFormat, PTVCManager
 from repro.trace import GridLayout
-from repro.trace.operations import Barrier, Else, Fi, If
 
 
 def test_workload_format_occupancy(benchmark):
@@ -96,7 +95,7 @@ def test_million_thread_metadata(benchmark):
         for warp in layout.all_warps():
             clocks.end_instruction(warp)
         for block in range(64):  # a slice of blocks reaches a barrier
-            clocks.barrier(block, frozenset(layout.block_tids(block)))
+            clocks.barrier(block, layout.bits_by_warp(layout.block_tids(block)))
         return clocks.stats()
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -117,13 +116,12 @@ def test_divergence_costs_but_recovers(benchmark):
         clocks = PTVCManager(layout)
         snapshots = []
         for warp in layout.all_warps():
-            tids = layout.warp_tids(warp)
-            clocks.branch_if(If(warp=warp, then_mask=frozenset(tids[:16]),
-                                else_mask=frozenset(tids[16:])))
+            # The low 16 lanes take the then path, the high 16 the else.
+            clocks.branch_if(warp, (1 << 16) - 1, (1 << 32) - 1)
         snapshots.append(clocks.stats().warp_uniform_fraction)
         for warp in layout.all_warps():
-            clocks.branch_else(Else(warp=warp))
-            clocks.branch_fi(Fi(warp=warp))
+            clocks.branch_else(warp)
+            clocks.branch_fi(warp)
         snapshots.append(clocks.stats().warp_uniform_fraction)
         return snapshots
 

@@ -34,7 +34,7 @@ def main() -> None:
             clocks.end_instruction(warp)
     # Every block hits __syncthreads.
     for block in range(layout.num_blocks):
-        clocks.barrier(block, frozenset(layout.block_tids(block)))
+        clocks.barrier(block, layout.bits_by_warp(layout.block_tids(block)))
     # A sprinkle of point-to-point synchronization (lock hand-offs) puts
     # a few threads in the SPARSEVC format.
     channel = StructuredVC(layout)

@@ -215,7 +215,7 @@ class ColumnarBatch:
         "kinds", "warps", "pcs", "widths", "scopes", "mask_ids",
         "then_mask_ids", "lane_starts", "lane_tids", "lane_spaces",
         "lane_addrs", "lane_has_value", "lane_values", "masks", "checked",
-        "_mask_sets",
+        "_mask_sets", "_mask_bits", "_bits_layout",
     )
 
     def __init__(self) -> None:
@@ -242,6 +242,8 @@ class ColumnarBatch:
         #: checked batch's columns in place must clear it.
         self.checked = False
         self._mask_sets: Dict[int, FrozenSet[int]] = {}
+        self._mask_bits: Dict[int, Dict[int, int]] = {}
+        self._bits_layout: Optional[GridLayout] = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -255,6 +257,19 @@ class ColumnarBatch:
         if mask is None:
             mask = self._mask_sets[mask_id] = frozenset(self.masks[mask_id])
         return mask
+
+    def mask_bits(self, mask_id: int, layout: GridLayout) -> Dict[int, int]:
+        """Pool entry ``mask_id`` as ``{warp: lane bits}`` under ``layout``
+        (:meth:`GridLayout.bits_by_warp`): one dict per entry, what the
+        detector reads."""
+        if layout is not self._bits_layout:
+            self._bits_layout = layout
+            self._mask_bits = {}
+        bits = self._mask_bits.get(mask_id)
+        if bits is None:
+            bits = self._mask_bits[mask_id] = layout.bits_by_warp(
+                self.masks[mask_id])
+        return bits
 
     def record(self, index: int) -> LogRecord:
         """Row ``index`` as a :class:`LogRecord` whose ``addrs`` and

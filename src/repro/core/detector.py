@@ -16,7 +16,7 @@ it to the reference detector and the sync-order oracles.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..columnar import (
     KIND_ACQUIRE,
@@ -26,23 +26,14 @@ from ..columnar import (
     KIND_BRANCH_IF,
     KIND_LOAD,
     KIND_STORE,
-    SCOPES,
+    SCOPE_CODE,
     SPACE_CODE,
     ColumnarBatch,
     ops_to_rows,
 )
 from ..events import cell_offsets
-from ..trace.layout import GridLayout
-from ..trace.operations import (
-    THREAD_OPS,
-    AnyOp,
-    Else,
-    Fi,
-    If,
-    Location,
-    Scope,
-    Space,
-)
+from ..trace.layout import GridLayout, mask_lanes
+from ..trace.operations import THREAD_OPS, AnyOp, Location, Scope, Space
 from ..obs.provenance import ClockComparison, ProvenanceTracker
 from ..trace.trace import Trace
 from .ptvc import PTVCManager, PTVCStats
@@ -54,14 +45,11 @@ from .races import (
     classify,
 )
 from .shadow import RangeCell, ShadowEntry, ShadowMemory
-from .syncmap import SyncLocationMap
+from .syncmap import Cell, SyncLocationMap
 from .vectorclock import Epoch
 
-#: A shadow cell as the access rules carry it: ``(block, offset)`` with
-#: ``block < 0`` for global memory — :meth:`ShadowMemory.entry_at`'s
-#: address.  A :class:`Location` is built only for a race report.
-Cell = Tuple[int, int]
 _SHARED = SPACE_CODE[Space.SHARED]
+_BLOCK_SCOPE = SCOPE_CODE[Scope.BLOCK]
 # Enum members as module constants: ``AccessType.READ`` is a metaclass
 # lookup, and the lane bodies below name one per access.
 _READ, _WRITE, _ATOMIC = AccessType.READ, AccessType.WRITE, AccessType.ATOMIC
@@ -292,44 +280,51 @@ class BarracudaDetector:
     # ------------------------------------------------------------------
     # Barriers and synchronization (Figure 3)
     # ------------------------------------------------------------------
-    def _barrier(self, block: int, active: FrozenSet[int], pc: int) -> None:
-        if not self.layout.barrier_complete(block, active):
-            expected = frozenset(self.layout.barrier_tids(block))
+    def _barrier(self, block: int, bits_by_warp: Dict[int, int],
+                 pc: int) -> None:
+        layout = self.layout
+        if not self.clocks.barrier(block, bits_by_warp):
+            missing = []
+            for warp in layout.barrier_warps(block):
+                first, count = layout.warp_span(warp)
+                absent = ((1 << count) - 1) & ~bits_by_warp.get(warp, 0)
+                missing += [first + lane for lane in mask_lanes(absent)]
             self.reports.barrier_divergences.append(
                 BarrierDivergenceReport(
-                    block=block, missing=expected - active, pc=pc
+                    block=block, missing=frozenset(missing), pc=pc
                 )
             )
-        self.clocks.barrier(block, active)
         instr = self._instr
-        for warp in self.layout.barrier_warps(block):
+        for warp in layout.barrier_warps(block):
             instr[warp] = instr.get(warp, 0) + 1
 
-    def _acquire(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
-        sync = self.sync.get(loc)
-        if scope is Scope.BLOCK:
-            sources = sync.acquire_block(self.layout.block_of(tid))
+    # The synchronization lane rules take the lane's cell and the block
+    # a block-scoped operation names (-1: global scope).
+    def _acquire(self, tid: int, cell: Cell, scope_block: int) -> None:
+        sync = self.sync.get(cell)
+        if scope_block >= 0:
+            sources = sync.acquire_block(scope_block)
         else:
             sources = sync.acquire_global()
         for clock in sources:
             self.clocks.acquire_into(tid, clock)
 
-    def _release(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
-        sync = self.sync.get(loc)
+    def _release(self, tid: int, cell: Cell, scope_block: int) -> None:
+        sync = self.sync.get(cell)
         released = self.clocks.materialize(tid)
-        if scope is Scope.BLOCK:
-            sync.release_block(self.layout.block_of(tid), released)
+        if scope_block >= 0:
+            sync.release_block(scope_block, released)
         else:
             sync.release_global(released)
         self.clocks.increment(tid)
 
-    def _acqrel(self, tid: int, loc: Location, scope: Optional[Scope]) -> None:
-        sync = self.sync.get(loc)
-        if scope is Scope.BLOCK:
-            for clock in sync.acquire_block(self.layout.block_of(tid)):
+    def _acqrel(self, tid: int, cell: Cell, scope_block: int) -> None:
+        sync = self.sync.get(cell)
+        if scope_block >= 0:
+            for clock in sync.acquire_block(scope_block):
                 self.clocks.acquire_into(tid, clock)
             combined = self.clocks.materialize(tid)
-            sync.release_block(self.layout.block_of(tid), combined)
+            sync.release_block(scope_block, combined)
         else:
             for clock in sync.acquire_global():
                 self.clocks.acquire_into(tid, clock)
@@ -401,7 +396,7 @@ class BarracudaDetector:
         ranges = self.provenance is None
         warp_span = layout.warp_span
         wpb = layout.warps_per_block
-        mask_set = batch.mask_set
+        mask_bits = batch.mask_bits
 
         for index in range(start, len(kinds) if stop is None else stop):
             code = kinds[index]
@@ -410,18 +405,19 @@ class BarracudaDetector:
             if KIND_BRANCH_IF <= code <= KIND_BARRIER:
                 self.ops_processed += 1
                 if code == KIND_BARRIER:
-                    self._barrier(warp, mask_set(mask_ids[index]), pc)
+                    self._barrier(warp, mask_bits(mask_ids[index], layout), pc)
                     continue
                 if code == KIND_BRANCH_IF:
                     then_id = batch.then_mask_ids[index]
-                    then_mask = mask_set(then_id) if then_id >= 0 else frozenset()
-                    clocks.branch_if(If(
-                        warp=warp, then_mask=then_mask,
-                        else_mask=mask_set(mask_ids[index]) - then_mask, pc=pc))
+                    clocks.branch_if(
+                        warp,
+                        mask_bits(then_id, layout).get(warp, 0)
+                        if then_id >= 0 else 0,
+                        mask_bits(mask_ids[index], layout).get(warp, 0))
                 elif code == KIND_BRANCH_ELSE:
-                    clocks.branch_else(Else(warp=warp, pc=pc))
+                    clocks.branch_else(warp)
                 else:
-                    clocks.branch_fi(Fi(warp=warp, pc=pc))
+                    clocks.branch_fi(warp)
                 instr[warp] = instr_get(warp, 0) + 1
                 continue
             first = lane_starts[index]
@@ -437,7 +433,9 @@ class BarracudaDetector:
             full = mask == (1 << count) - 1
             lanes = end - first
             if code > KIND_ATOMIC:
-                scope = SCOPES[scopes[index]] if scopes[index] >= 0 else None
+                # Every lane's thread is of the row's block.
+                scope_block = (shared_block if scopes[index] == _BLOCK_SCOPE
+                               else -1)
                 apply = sync_lane[code - KIND_ACQUIRE]
                 ops = 1
                 for lane in range(first, end):
@@ -446,11 +444,9 @@ class BarracudaDetector:
                     ops += len(offsets)
                     if not full and not mask >> (tid - lo) & 1:
                         continue
-                    shared = lane_spaces[lane] == _SHARED
+                    block = shared_block if lane_spaces[lane] == _SHARED else -1
                     for offset in offsets:
-                        apply(tid, Location(Space.SHARED, offset, shared_block)
-                              if shared else Location(Space.GLOBAL, offset),
-                              scope)
+                        apply(tid, (block, offset), scope_block)
             else:
                 # One clock view for the whole record: memory accesses
                 # never deviate a thread or replace the group base, so the

@@ -42,7 +42,6 @@ from typing import Dict, FrozenSet, List
 
 from ..errors import TraceError
 from ..trace.layout import GridLayout, mask_lanes
-from ..trace.operations import Else, Fi, If
 from .structured import StructuredVC
 from .vectorclock import Epoch
 
@@ -307,36 +306,32 @@ class PTVCManager:
     # ------------------------------------------------------------------
     # Branches (IF / ELSEENDIF rules)
     # ------------------------------------------------------------------
-    def branch_if(self, op: If) -> None:
-        stack = self._stacks[op.warp]
+    def branch_if(self, warp: int, then_bits: int, mask_bits: int) -> None:
+        """The IF rule: the active lanes ``mask_bits`` split into the
+        then path ``then_bits`` and the else path, the rest; together
+        they must be the warp's active set."""
+        stack = self._stacks[warp]
         current = stack[-1]
-        first = self.layout.warp_span(op.warp)[0]
-        then_mask, else_mask = (
-            sum(1 << (tid - first) for tid in tids if tid >= first)
-            for tids in (op.then_mask, op.else_mask))
-        # Every tid of the two sets is one lane of the active set: the
-        # bits cover the mask once, and no tid below the warp was dropped.
-        if (then_mask & else_mask or then_mask | else_mask != current.mask
-                or len(op.then_mask) + len(op.else_mask)
-                != bin(current.mask).count("1")):
-            raise TraceError(f"if(w{op.warp}): masks do not split the active set")
-        stack.append(_Group(else_mask, current.base, phase="else-pending"))
-        stack.append(_Group(then_mask, current.base, phase="then"))
-        self._join_fork(op.warp, then_mask)
+        else_bits = mask_bits & ~then_bits
+        if then_bits | else_bits != current.mask:
+            raise TraceError(f"if(w{warp}): masks do not split the active set")
+        stack.append(_Group(else_bits, current.base, phase="else-pending"))
+        stack.append(_Group(then_bits, current.base, phase="then"))
+        self._join_fork(warp, then_bits)
 
-    def branch_else(self, op: Else) -> None:
-        stack = self._stacks[op.warp]
+    def branch_else(self, warp: int) -> None:
+        stack = self._stacks[warp]
         if len(stack) < 3 or stack[-1].phase != "then":
-            raise TraceError(f"else(w{op.warp}) with no matching if")
+            raise TraceError(f"else(w{warp}) with no matching if")
         finished = stack.pop()
         stack[-1].phase = "else-active"
         stack[-1].paused.append(finished.base)
-        self._join_fork(op.warp, stack[-1].mask)
+        self._join_fork(warp, stack[-1].mask)
 
-    def branch_fi(self, op: Fi) -> None:
-        stack = self._stacks[op.warp]
+    def branch_fi(self, warp: int) -> None:
+        stack = self._stacks[warp]
         if len(stack) < 2 or stack[-1].phase != "else-active":
-            raise TraceError(f"fi(w{op.warp}) with no matching else")
+            raise TraceError(f"fi(w{warp}) with no matching else")
         finished = stack.pop()
         revealed = stack[-1]
         # Fold the clocks of both finished paths into the reconverged
@@ -347,26 +342,27 @@ class PTVCManager:
             merged.join(paused_base)
         merged.normalize()
         revealed.base = merged
-        self._join_fork(op.warp, revealed.mask)
+        self._join_fork(warp, revealed.mask)
 
     # ------------------------------------------------------------------
     # Barriers (BAR rule, with the §4.3.2 broadcast optimization)
     # ------------------------------------------------------------------
-    def barrier(self, block: int, active: FrozenSet[int]) -> None:
+    def barrier(self, block: int, bits_by_warp: Dict[int, int]) -> bool:
         """The BAR rule over the warps a barrier at ``block`` covers: one
-        block, or — ``block < 0``, a cooperative sync — the whole grid."""
+        block, or — ``block < 0``, a cooperative sync — the whole grid.
+        ``bits_by_warp`` holds the arrived lanes
+        (:meth:`GridLayout.bits_by_warp`).  Whether every covered thread
+        arrived: False is a barrier divergence."""
         self.joins += 1
         layout = self.layout
-        full = layout.barrier_complete(block, active)
+        full = layout.barrier_complete(block, bits_by_warp)
         # (group, its first thread, its participating lanes) per warp.
         participants = []
         for warp in layout.barrier_warps(block):
             group = self._top(warp)
-            first, count = layout.warp_span(warp)
-            lanes = group.mask if full else group.mask & sum(
-                1 << lane for lane in range(count) if first + lane in active)
+            lanes = group.mask if full else group.mask & bits_by_warp.get(warp, 0)
             if lanes:
-                participants.append((group, first, lanes))
+                participants.append((group, layout.warp_span(warp)[0], lanes))
         joined = StructuredVC(layout)
         high = 0
         for group, first, lanes in participants:
@@ -406,6 +402,7 @@ class PTVCManager:
                     dev = joined.copy()
                     dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
                     self._deviant[tid] = dev
+        return full
 
     # ------------------------------------------------------------------
     # Point-to-point synchronization (deviation)

@@ -22,11 +22,16 @@ representation as PTVCs, as §4.3.3 prescribes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Tuple
 
 from ..trace.layout import GridLayout
-from ..trace.operations import Location
 from .structured import StructuredVC
+
+#: A location as the detector's rules carry it: ``(block, offset)`` with
+#: ``block < 0`` for global memory — :meth:`ShadowMemory.entry_at`'s
+#: address.  A :class:`~repro.trace.operations.Location` is built only
+#: for a race report.
+Cell = Tuple[int, int]
 
 
 class SyncLocation:
@@ -83,24 +88,24 @@ class SyncLocation:
 
 
 class SyncLocationMap:
-    """All synchronization locations of one launch."""
+    """All synchronization locations of one launch, by cell."""
 
     def __init__(self, layout: GridLayout) -> None:
         self.layout = layout
-        self._locations: Dict[Location, SyncLocation] = {}
+        self._locations: Dict[Cell, SyncLocation] = {}
 
-    def get(self, loc: Location) -> SyncLocation:
-        sync = self._locations.get(loc)
+    def get(self, cell: Cell) -> SyncLocation:
+        sync = self._locations.get(cell)
         if sync is None:
             sync = SyncLocation(self.layout)
-            self._locations[loc] = sync
+            self._locations[cell] = sync
         return sync
 
-    def is_sync_location(self, loc: Location) -> bool:
-        return loc in self._locations
+    def is_sync_location(self, cell: Cell) -> bool:
+        return cell in self._locations
 
     def __len__(self) -> int:
         return len(self._locations)
 
-    def __iter__(self) -> Iterator[Location]:
+    def __iter__(self) -> Iterator[Cell]:
         return iter(self._locations)

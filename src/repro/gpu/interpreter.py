@@ -1181,20 +1181,17 @@ class KernelExecution:
         The mask names the lanes that must reach the instruction
         together.  Lanes the warp does not have (partial warps) are
         ignored; a mask with no live lane, or one naming a lane that
-        diverged away, is a malformed sync and raises.
+        diverged away, is a malformed sync and raises.  Only asked when
+        some lane reached the statement: one no lane reaches checks
+        nothing.
         """
         mask_of = self._compile_value(operand)
-        # With no lane active only an immediate mask is known.
-        idle = operand.value if isinstance(operand, ImmOperand) else 0
         where = f"{ctx.kernel.name!r}: {insn.full_opcode} at pc {pc}"
 
         def required_of(regs, warp: WarpState, lanes: Lanes) -> int:
             count = warp.lanes
-            if lanes != ():
-                leader = 0 if lanes is None else lanes[0]
-                mask = int(column(mask_of(regs, warp), count)[leader])
-            else:
-                mask = int(idle)
+            leader = 0 if lanes is None else lanes[0]
+            mask = int(column(mask_of(regs, warp), count)[leader])
             required = mask & ((1 << count) - 1)
             if not required:
                 raise SimulationError(
@@ -1237,6 +1234,9 @@ class KernelExecution:
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes == ():
+                entry.pc = next_pc
+                return False
             required = required_of(regs, warp, lanes)
             count = warp.lanes
             # Every source lane's value is read before any write: the
@@ -1301,6 +1301,9 @@ class KernelExecution:
         def op(warp: WarpState, entry: _StackEntry) -> bool:
             regs = warp.frames[-1].regs
             lanes = _active_lanes(warp, entry, regs, pred)
+            if lanes == ():
+                entry.pc = next_pc
+                return False
             required = required_of(regs, warp, lanes)
             count = warp.lanes
             flags = column(flag_of(regs, warp), count)
@@ -1487,9 +1490,12 @@ class KernelExecution:
         # Grid-wide (cooperative) barrier: released only when every live
         # warp of every block has arrived at it; one BARRIER record with
         # the grid sentinel block id carries the union of their masks.
+        # The release publishes every block's queued global stores: what
+        # a block stored before the barrier is what any block loads after.
         if self._grid_waiting and self._grid_waiting == self._live:
             live = [w for w in self.warps if not w.done]
             self._emit_barrier(GRID_BARRIER_BLOCK, live)
+            self.global_mem.drain_all()
             for w in live:
                 w.at_barrier = False
                 w.at_grid_barrier = False

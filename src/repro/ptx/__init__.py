@@ -17,6 +17,6 @@ from .ast import (
     SymbolOperand,
 )
 from .cfg import CFG, EXIT_BLOCK, BasicBlock
-from .isa import FenceScope, StateSpace, is_instrumented_opcode, is_memory_opcode
+from .isa import StateSpace
 from .lexer import Token, tokenize
 from .parser import parse_ptx

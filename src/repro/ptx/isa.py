@@ -29,14 +29,6 @@ class StateSpace(enum.Enum):
     GENERIC = "generic"
 
 
-class FenceScope(enum.Enum):
-    """``membar`` scopes.  ``sys`` is treated as global (§3.1 footnote)."""
-
-    CTA = "cta"
-    GL = "gl"
-    SYS = "sys"
-
-
 #: Integer/bit types with their width in bytes.
 SCALAR_TYPES = {
     "u8": 1, "u16": 2, "u32": 4, "u64": 8,
@@ -137,14 +129,6 @@ ALL_OPCODES = (
     | WARP_SYNC_OPCODES
     | ASYNC_COPY_OPCODES
 )
-
-
-def is_memory_opcode(opcode: str) -> bool:
-    return opcode in MEMORY_OPCODES
-
-
-def is_instrumented_opcode(opcode: str) -> bool:
-    return opcode in INSTRUMENTED_OPCODES
 
 
 #: Special registers the interpreter provides per thread.

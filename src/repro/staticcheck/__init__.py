@@ -8,8 +8,7 @@ Public surface:
 * :func:`prune_private_sites` / :class:`Privacy` — the symbolic address
   classification that lets the instrumenter drop logging for provably
   thread-private accesses.
-* The underlying passes (:func:`build_def_use`,
-  :class:`ReachingDefinitions`, :func:`analyze_taint`,
+* The underlying passes (:func:`build_def_use`, :func:`analyze_taint`,
   :class:`SymbolicEvaluator`, :class:`GuardAnalysis`) for tests and
   downstream tooling.
 """
@@ -22,7 +21,7 @@ from .addresses import (
     collect_access_sites,
     prune_private_sites,
 )
-from .dataflow import DefUse, ReachingDefinitions, build_def_use
+from .dataflow import DefUse, build_def_use
 from .guards import Constraint, GuardAnalysis, interval_of
 from .lint import (
     Finding,
@@ -46,7 +45,6 @@ __all__ = [
     "GuardAnalysis",
     "KernelContext",
     "Privacy",
-    "ReachingDefinitions",
     "RULES",
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",

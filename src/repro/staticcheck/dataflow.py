@@ -1,24 +1,19 @@
-"""Def-use chains and reaching definitions over PTX kernels.
+"""Def-use chains over PTX kernels.
 
 The static layer (motivated by Liew et al.'s static GPU race detection
-and GPURepair's barrier-placement analysis) needs to answer two kinds of
-questions about registers:
-
-* *Which instructions write/read register X?* — def-use chains, built
-  from a per-opcode operand read/write model (PTX is almost three-address
-  code, but stores, atomics, branches and the ``_log`` pseudo-ops all
-  deviate from "operand 0 is the destination").
-* *Which definitions can reach this use?* — classic iterative
-  bit-vector reaching definitions over the existing :class:`~repro.ptx.cfg.CFG`.
-
-Both run on statement indices into ``kernel.body`` (labels included),
-the same PC space the CFG and the instrumentation engine use.
+and GPURepair's barrier-placement analysis) needs to know which
+instructions write and read register X: def-use chains, built from a
+per-opcode operand read/write model (PTX is almost three-address code,
+but stores, atomics, branches and the ``_log`` pseudo-ops all deviate
+from "operand 0 is the destination").  They run on statement indices
+into ``kernel.body`` (labels included), the same PC space the CFG and
+the instrumentation engine use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from ..ptx.ast import (
     Instruction,
@@ -29,7 +24,6 @@ from ..ptx.ast import (
     VectorOperand,
     written_registers,
 )
-from ..ptx.cfg import CFG
 from ..ptx.isa import NO_DEST_OPCODES
 
 
@@ -91,66 +85,3 @@ def build_def_use(kernel: Kernel) -> DefUse:
         for reg in read_registers(statement):
             chains.uses.setdefault(reg, []).append(index)
     return chains
-
-
-class ReachingDefinitions:
-    """Iterative reaching-definitions analysis over the kernel CFG.
-
-    A *definition* is a statement index that writes some register.  The
-    block-level fixpoint is the textbook forward union dataflow; per-use
-    queries then walk the use's own block from its entry set.
-    """
-
-    def __init__(self, kernel: Kernel, cfg: CFG) -> None:
-        self.kernel = kernel
-        self.cfg = cfg
-        body = kernel.body
-        self._def_reg: Dict[int, Tuple[str, ...]] = {}
-        all_defs_of: Dict[str, Set[int]] = {}
-        for index, statement in enumerate(body):
-            if isinstance(statement, Instruction):
-                written = written_registers(statement)
-                if written:
-                    self._def_reg[index] = written
-                    for reg in written:
-                        all_defs_of.setdefault(reg, set()).add(index)
-
-        gen: Dict[int, Set[int]] = {}
-        kill: Dict[int, Set[int]] = {}
-        for block in cfg.blocks:
-            block_gen: Dict[str, int] = {}
-            for index in range(block.start, block.end):
-                for reg in self._def_reg.get(index, ()):
-                    block_gen[reg] = index  # later defs shadow earlier ones
-            gen[block.index] = set(block_gen.values())
-            kill[block.index] = set()
-            for reg in block_gen:
-                kill[block.index] |= all_defs_of[reg]
-
-        self.block_in: Dict[int, Set[int]] = {b.index: set() for b in cfg.blocks}
-        block_out: Dict[int, Set[int]] = {b.index: set() for b in cfg.blocks}
-        changed = True
-        while changed:
-            changed = False
-            for block in cfg.blocks:
-                incoming: Set[int] = set()
-                for pred in block.predecessors:
-                    incoming |= block_out[pred]
-                out = gen[block.index] | (incoming - kill[block.index])
-                if incoming != self.block_in[block.index] or out != block_out[block.index]:
-                    self.block_in[block.index] = incoming
-                    block_out[block.index] = out
-                    changed = True
-
-    def reaching(self, use_index: int, reg: str) -> FrozenSet[int]:
-        """Definitions of ``reg`` that may reach the use at ``use_index``."""
-        block = self.cfg.block_of(use_index)
-        live: Set[int] = {
-            index
-            for index in self.block_in[block.index]
-            if reg in self._def_reg.get(index, ())
-        }
-        for index in range(block.start, use_index):
-            if reg in self._def_reg.get(index, ()):
-                live = {index}
-        return frozenset(live)

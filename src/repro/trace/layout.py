@@ -17,7 +17,7 @@ handles 2-/3-D by flattening.
 
 from __future__ import annotations
 
-from typing import Collection, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from ..errors import LaunchConfigError
 
@@ -125,6 +125,33 @@ class GridLayout:
         lanes = min(self.warp_size, self.threads_per_block - start)
         return block * self.threads_per_block + start, lanes
 
+    def bits_by_warp(self, tids: Iterable[int]) -> Dict[int, int]:
+        """``tids`` as active masks: ``{warp: lane bits}`` for every warp
+        holding one of them, bit ``l`` being TID ``first + l`` of
+        :meth:`warp_span`.  A tuple of consecutive TIDs (a converged
+        block's barrier mask, as the mask pool holds it) costs one step
+        per warp, not per TID."""
+        bits: Dict[int, int] = {}
+        if (type(tids) is tuple and tids
+                and tids == tuple(range(tids[0], tids[0] + len(tids)))):
+            lo, hi = tids[0], tids[0] + len(tids)
+            warp = self.warp_of(lo)
+            first, count = self.warp_span(warp)
+            while first < hi:
+                start, end = max(lo, first), min(hi, first + count)
+                bits[warp] = ((1 << (end - start)) - 1) << (start - first)
+                warp += 1
+                first, count = self.warp_span(warp)
+            return bits
+        tpb, ws, wpb = (
+            self.threads_per_block, self.warp_size, self._warps_per_block)
+        for tid in tids:
+            block, in_block = divmod(tid, tpb)
+            warp_in_block, lane = divmod(in_block, ws)
+            warp = block * wpb + warp_in_block
+            bits[warp] = bits.get(warp, 0) | 1 << lane
+        return bits
+
     def warp_tids(self, warp: int) -> List[int]:
         """All TIDs in global warp ``warp`` (partial last warp respected)."""
         first, lanes = self.warp_span(warp)
@@ -153,13 +180,14 @@ class GridLayout:
             return list(range(self.total_threads))
         return self.block_tids(block)
 
-    def barrier_complete(self, block: int, active: Collection[int]) -> bool:
-        """Whether ``active`` is every TID a barrier at ``block`` covers,
-        in O(1): a barrier's mask lies inside its scope (the engine emits
-        no other, ``ColumnarBatch.check_layout`` refuses any other), so it
-        is complete iff it is as large."""
+    def barrier_complete(self, block: int, bits_by_warp: Dict[int, int]) -> bool:
+        """Whether ``bits_by_warp`` (:meth:`bits_by_warp`) is every TID a
+        barrier at ``block`` covers: a barrier's mask lies inside its
+        scope (the engine emits no other, ``ColumnarBatch.check_layout``
+        refuses any other), so it is complete iff it is as large."""
         scope = self.total_threads if block < 0 else self.threads_per_block
-        return len(active) == scope
+        return sum(bin(bits).count("1")
+                   for bits in bits_by_warp.values()) == scope
 
     def barrier_warps(self, block: int) -> List[int]:
         """Warps a barrier at ``block`` synchronizes (grid-wide if < 0)."""

@@ -317,6 +317,7 @@ def _release_barriers_all_blocks(execution) -> bool:
     live_all = [w for w in execution.warps if not w.done]
     if live_all and all(w.at_barrier and w.at_grid_barrier for w in live_all):
         emit_barrier(GRID_BARRIER_BLOCK, live_all)
+        execution.global_mem.drain_all()
         for w in live_all:
             w.at_barrier = False
             w.at_grid_barrier = False
@@ -775,14 +776,12 @@ class NaiveKernelExecution(KernelExecution):
         The mask names the lanes that must reach the instruction
         together.  Lanes the warp does not have (partial warps) are
         ignored; a mask with no live lane, or one naming a lane that
-        diverged away, is a malformed sync and raises.
+        diverged away, is a malformed sync and raises.  A statement no
+        lane reaches checks nothing.
         """
-        if active:
-            mask = int(self._value(active[0], operand))
-        elif isinstance(operand, ImmOperand):
-            mask = int(operand.value)
-        else:
-            mask = 0
+        if not active:
+            return frozenset()
+        mask = int(self._value(active[0], operand))
         lane_of = self.layout.lane_of
         existing = {lane_of(t) for t in self.layout.warp_tids(warp.warp)}
         required = frozenset(l for l in existing if (mask >> l) & 1)

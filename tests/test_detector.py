@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.bench import ALL_WORKLOADS
+from repro.columnar import (
+    KIND_ACQREL, KIND_ACQUIRE, KIND_BARRIER, KIND_BRANCH_IF, ColumnarBatch)
 from repro.core import BarracudaDetector, RaceKind
 from repro.core.races import AccessType
 from repro.errors import ReproError, TraceError
+from repro.jobs import launch_spec
+from repro.suite import ALL_PROGRAMS
 from repro.trace import GridLayout, Scope, TraceBuilder, global_loc, shared_loc
 from repro.trace.operations import (
-    Acquire, Barrier, Else, EndInsn, If, Read, Write)
+    Acquire, Barrier, Else, EndInsn, Fi, If, Location, Read, Write)
 from repro.trace.trace import Trace
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=8, warp_size=4)
@@ -110,7 +115,7 @@ class TestSynchronizationState:
 
         detector, reports = run(scenario)
         assert reports.races == []
-        assert detector.sync.is_sync_location(FLAG)
+        assert detector.sync.is_sync_location((-1, FLAG.offset))
         # The data access's shadow record is untouched by the sync ops.
         assert detector.shadow.peek(FLAG).last_value == 1
 
@@ -224,3 +229,37 @@ def test_process_runs_a_row_when_its_endi_or_control_op_arrives():
     assert detector.ops_processed == 6
     assert detector.reports == BarracudaDetector(LAYOUT).process_trace(
         builder.build())
+
+
+@pytest.mark.parametrize("name", ["device_reduce", "threadfence_reduction"])
+def test_the_fused_loop_reads_rows_as_they_are(monkeypatch, name):
+    """Branch, barrier and acquire/release rows reach the clocks as lane
+    bits and ``(block, offset)`` cells: the loop builds no ``If``,
+    ``Else``, ``Fi`` or mask frozenset, and a ``Location`` only for a
+    race report."""
+    (entry,) = [e for e in list(ALL_PROGRAMS) + list(ALL_WORKLOADS)
+                if e.name == name]
+    batches = launch_spec(entry.spec, capture=True).launch.captured
+    kinds = {code for batch in batches for code in batch.kinds}
+    assert {KIND_BARRIER, KIND_BRANCH_IF} <= kinds
+    assert kinds & set(range(KIND_ACQUIRE, KIND_ACQREL + 1))  # sync rows
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built per row")
+
+    monkeypatch.setattr(ColumnarBatch, "mask_set", refuse)
+    for op in (If, Else, Fi):
+        monkeypatch.setattr(op, "__init__", refuse)
+    built = []
+    location_init = Location.__init__
+
+    def count(self, *args):
+        built.append(args)
+        location_init(self, *args)
+
+    monkeypatch.setattr(Location, "__init__", count)
+    detector = BarracudaDetector(entry.spec.layout())
+    for batch in batches:
+        detector.process_columnar(batch)
+    assert detector.ops_processed > 0
+    assert len(built) == len(detector.reports.races)

@@ -402,6 +402,27 @@ class TestMalformedUnderAFalseGuard:
                 self._launch(statement)
 
 
+#: Well-formed warp-synchronous statements; under a guard no thread
+#: holds, a register membermask reads as nothing.
+UNREACHED_SYNC = {
+    "shfl, immediate mask": "shfl.sync.down.b32 %r1, %r2, 1, 31, 0xffffffff;",
+    "shfl, register mask": "shfl.sync.down.b32 %r1, %r2, 1, 31, %r3;",
+    "vote, immediate mask": "vote.sync.ballot.b32 %r1, %p2, 0xffffffff;",
+    "vote, register mask": "vote.sync.ballot.b32 %r1, %p2, %r3;",
+}
+
+
+@pytest.mark.parametrize("engine", ["production", "oracle"])
+@pytest.mark.parametrize("statement", UNREACHED_SYNC.values(),
+                         ids=list(UNREACHED_SYNC))
+def test_a_sync_no_lane_reaches_checks_no_membermask(engine, statement):
+    """``@%p1 shfl.sync``/``vote.sync`` under an always-false ``%p1``
+    only advances the pc: no lane names a membermask to check."""
+    with oracle.oracle_engine() if engine == "oracle" else nullcontext():
+        GpuDevice().launch(module_with("@%p1 " + statement + "\nret;"), "k",
+                           grid=2, block=8, warp_size=4, params={"out": 0})
+
+
 class TestDivergence:
     def test_then_path_executes_first(self):
         # Both paths write a per-thread slot; the else path should not

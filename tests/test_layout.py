@@ -86,3 +86,34 @@ def test_blocks_partition_warps(layout):
 def test_lane_within_warp_size(layout, data):
     tid = data.draw(st.integers(0, layout.total_threads - 1))
     assert 0 <= layout.lane_of(tid) < layout.warp_size
+
+
+def test_bits_by_warp_on_a_partial_last_warp():
+    layout = GridLayout(num_blocks=2, threads_per_block=40, warp_size=32)
+    assert layout.bits_by_warp([0, 31, 32, 39, 40, 79]) == {
+        0: 1 | 1 << 31, 1: 1 | 1 << 7, 2: 1, 3: 1 << 7}
+    assert layout.bits_by_warp(()) == {}
+    assert layout.bits_by_warp(tuple(range(30, 75))) == {
+        0: 0b11 << 30, 1: 0xFF, 2: (1 << 32) - 1, 3: 0b111}
+    assert layout.barrier_complete(1, layout.bits_by_warp(range(40, 80)))
+    assert not layout.barrier_complete(1, layout.bits_by_warp(range(41, 80)))
+    assert layout.barrier_complete(-1, layout.bits_by_warp(range(80)))
+
+
+@given(layouts, st.data())
+def test_bits_by_warp_spells_each_tid_once(layout, data):
+    """Bit ``l`` of warp ``w``'s entry is TID ``warp_span(w)[0] + l``."""
+    lo = data.draw(st.integers(0, layout.total_threads - 1))
+    hi = data.draw(st.integers(lo, layout.total_threads))
+    for tids in (data.draw(st.sets(st.integers(0, layout.total_threads - 1))),
+                 set(range(lo, hi))):
+        spelled = set()
+        by_warp = layout.bits_by_warp(tids)
+        for warp, bits in by_warp.items():
+            first, count = layout.warp_span(warp)
+            assert bits and bits < 1 << count
+            spelled |= {first + lane for lane in range(count)
+                        if bits >> lane & 1}
+        assert spelled == tids
+        # As the pool holds it: consecutive TIDs go warp by warp.
+        assert layout.bits_by_warp(tuple(sorted(tids))) == by_warp

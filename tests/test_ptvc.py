@@ -10,7 +10,6 @@ from repro.core.structured import StructuredVC
 from repro.core.vectorclock import Epoch
 from repro.errors import TraceError
 from repro.trace import GridLayout
-from repro.trace.operations import Else, Fi, If
 from tracegen import feasible_traces
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=6, warp_size=3)
@@ -53,7 +52,7 @@ def test_converged_format_is_one_entry_per_warp():
 def test_branch_divergence_tracks_paths_independently():
     clocks = PTVCManager(LAYOUT)
     then_mask, else_mask = frozenset({0}), frozenset({1, 2})
-    clocks.branch_if(If(warp=0, then_mask=then_mask, else_mask=else_mask))
+    clocks.branch_if(0, 0b001, 0b111)
     assert clocks.active_tids(0) == then_mask
     then_self = clocks.value(0, 0)
     clocks.end_instruction(0)  # then path advances
@@ -63,12 +62,12 @@ def test_branch_divergence_tracks_paths_independently():
     assert clocks.value(1, 1) == 1
     assert clocks.value(0, 1) == 0
 
-    clocks.branch_else(Else(warp=0))
+    clocks.branch_else(0)
     assert clocks.active_tids(0) == else_mask
     # Else path does not see the then path's work.
     assert clocks.value(1, 0) < clocks.value(0, 0)
 
-    clocks.branch_fi(Fi(warp=0))
+    clocks.branch_fi(0)
     assert clocks.active_tids(0) == frozenset({0, 1, 2})
     # After reconvergence everyone has seen everyone.
     for tid in (0, 1, 2):
@@ -80,7 +79,7 @@ def test_branch_divergence_tracks_paths_independently():
 def test_barrier_broadcasts_block_clock():
     clocks = PTVCManager(LAYOUT)
     clocks.end_instruction(0)  # warp 0 ahead
-    clocks.barrier(0, frozenset(LAYOUT.block_tids(0)))
+    clocks.barrier(0, LAYOUT.bits_by_warp(LAYOUT.block_tids(0)))
     # Threads of warp 1 (same block) now see warp 0's pre-barrier work.
     assert clocks.value(3, 0) >= 2
     # The other block is unaffected.
@@ -131,16 +130,16 @@ def test_materialize_is_a_snapshot():
 def test_nested_divergence_format():
     layout = GridLayout(num_blocks=1, threads_per_block=4, warp_size=4)
     clocks = PTVCManager(layout)
-    clocks.branch_if(If(warp=0, then_mask=frozenset({0, 1}), else_mask=frozenset({2, 3})))
+    clocks.branch_if(0, 0b0011, 0b1111)
     clocks.end_instruction(0)
-    clocks.branch_if(If(warp=0, then_mask=frozenset({0}), else_mask=frozenset({1})))
+    clocks.branch_if(0, 0b0001, 0b0011)
     clocks.end_instruction(0)
     assert clocks.format_of(0) in (PTVCFormat.DIVERGED, PTVCFormat.NESTED_DIVERGED)
     # Unwind and verify reconvergence restores a cheap format.
-    clocks.branch_else(Else(warp=0))
-    clocks.branch_fi(Fi(warp=0))
-    clocks.branch_else(Else(warp=0))
-    clocks.branch_fi(Fi(warp=0))
+    clocks.branch_else(0)
+    clocks.branch_fi(0)
+    clocks.branch_else(0)
+    clocks.branch_fi(0)
     assert clocks.active_tids(0) == frozenset({0, 1, 2, 3})
     assert clocks.format_of(0) is PTVCFormat.CONVERGED
 
@@ -151,7 +150,7 @@ def test_stats_compression_ratio_scales_with_threads():
     for warp in layout.all_warps():
         clocks.end_instruction(warp)
     for block in range(layout.num_blocks):
-        clocks.barrier(block, frozenset(layout.block_tids(block)))
+        clocks.barrier(block, layout.bits_by_warp(layout.block_tids(block)))
     stats = clocks.stats()
     assert stats.dense_entries == 512 * 512
     # A few entries represent what would be a 512x512 matrix.
@@ -166,7 +165,7 @@ def test_converged_view_answers_for_a_whole_warp_at_once():
     clocks = PTVCManager(LAYOUT)
     clocks.end_instruction(0)
     clocks.end_instruction(1)
-    clocks.barrier(0, frozenset(range(6)))
+    clocks.barrier(0, {0: 0b111, 1: 0b111})
     clocks.end_instruction(0)  # warp 0 is one step past the barrier
     view = clocks.converged_view(0, 0, 3)
     assert view.uniform_clock() == clocks.epoch(0).clock == clocks.epoch(2).clock
@@ -179,7 +178,7 @@ def test_converged_view_answers_for_a_whole_warp_at_once():
         assert not view.covers_warp(clock, 7)  # block 1: never synchronized
     # A divergent barrier leaves per-lane entries for the participants:
     # the full warp 1 then shares no clock the view could name.
-    clocks.barrier(0, frozenset(range(6)) - {0})
+    clocks.barrier(0, {0: 0b110, 1: 0b111})
     clocks.end_instruction(0)  # re-absorbs warp 0's deviants
     assert clocks.active_tids(1) == frozenset({3, 4, 5})
     assert clocks.converged_view(1, 3, 6).uniform_clock() == 0
@@ -205,15 +204,15 @@ def test_a_partial_last_warp_starts_and_stays_converged():
     assert clocks.format_of(3) is PTVCFormat.CONVERGED
     assert clocks.value(72, 79) == 1 and clocks.value(79, 79) == 2
     then_mask = frozenset({73, 75, 77, 79})
-    clocks.branch_if(If(warp=3, then_mask=then_mask, else_mask=tail - then_mask))
+    clocks.branch_if(3, 0b10101010, 0xFF)
     assert clocks.active_tids(3) == then_mask
     assert clocks.active_mask(3) == 0b10101010
     assert not clocks.active_mask(3) & 1 and clocks.active_mask(3) >> 1 & 1
-    clocks.branch_else(Else(warp=3))
-    clocks.branch_fi(Fi(warp=3))
+    clocks.branch_else(3)
+    clocks.branch_fi(3)
     assert clocks.active_tids(3) == tail
     assert clocks.format_of(3) is PTVCFormat.CONVERGED
-    clocks.barrier(1, frozenset(range(40, 80)))
+    clocks.barrier(1, PARTIAL.bits_by_warp(range(40, 80)))
     assert clocks.value(40, 79) >= 2  # block 1 saw the tail's steps
     assert clocks.format_of(2) is clocks.format_of(3) is PTVCFormat.CONVERGED
 
@@ -221,37 +220,38 @@ def test_a_partial_last_warp_starts_and_stays_converged():
 def test_a_64_lane_warp_keeps_lanes_above_31():
     clocks = PTVCManager(WIDE)
     assert clocks.active_mask(1) == (1 << 64) - 1
-    high = frozenset(range(96, 128))  # lanes 32..63 of warp 1
-    clocks.branch_if(If(warp=1, then_mask=high,
-                        else_mask=frozenset(range(64, 96))))
+    high = ((1 << 32) - 1) << 32  # lanes 32..63 of warp 1: tids 96..127
+    clocks.branch_if(1, high, (1 << 64) - 1)
     assert clocks.active_mask(1) == ((1 << 32) - 1) << 32
     assert clocks.active_mask(1) >> 63 & 1 and not clocks.active_mask(1) & 1
     clocks.end_instruction(1)
     assert clocks.value(127, 127) == clocks.value(96, 96) == 3
-    clocks.branch_else(Else(warp=1))
+    clocks.branch_else(1)
     assert clocks.active_mask(1) == (1 << 32) - 1
     # The else path has not seen the high lanes' steps.
     assert clocks.value(64, 127) == 0 and clocks.value(64, 64) == 2
-    clocks.branch_fi(Fi(warp=1))
+    clocks.branch_fi(1)
     assert clocks.active_tids(1) == frozenset(range(64, 128))
     clocks.end_instruction(1)
     assert clocks.format_of(1) is PTVCFormat.CONVERGED
     # A barrier one lane short is not complete: per-lane entries instead
     # of a block broadcast, and the arrived lanes of the partially
     # arrived warp deviate.
-    clocks.barrier(0, frozenset(range(127)))
+    clocks.barrier(0, WIDE.bits_by_warp(range(127)))
     assert clocks.format_of(0) is PTVCFormat.DIVERGED
     assert clocks.format_of(1) is PTVCFormat.SPARSE
     assert clocks.value(64, 5) == clocks.value(5, 5) - 1
     assert clocks.value(127, 5) == 0
 
 
-@pytest.mark.parametrize("stray", [40, 31], ids=["above", "below"])
-def test_a_split_that_leaves_the_warp_is_refused(stray):
+@pytest.mark.parametrize("then_bits, mask_bits", [
+    (0b1 | 1 << 8, 0x1FF),  # tid 40: a lane above the warp's 8
+    (0b1, 0x7F),            # tid 39 on neither path
+], ids=["above", "short"])
+def test_a_split_that_is_not_the_active_set_is_refused(then_bits, mask_bits):
     clocks = PTVCManager(PARTIAL)  # warp 1 is tids 32..39
     with pytest.raises(TraceError, match="do not split the active set"):
-        clocks.branch_if(If(warp=1, then_mask=frozenset({32, stray}),
-                            else_mask=frozenset(range(33, 40))))
+        clocks.branch_if(1, then_bits, mask_bits)
 
 
 @pytest.mark.parametrize("layout", [PARTIAL, WIDE],

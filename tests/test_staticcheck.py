@@ -18,7 +18,6 @@ from repro.staticcheck import (
     run_lint,
 )
 from repro.staticcheck.addresses import _TID_X
-from repro.staticcheck.dataflow import ReachingDefinitions
 from repro.staticcheck.guards import GuardAnalysis, interval_of
 from repro.staticcheck.lint import KernelContext
 from repro.staticcheck.taint import CTAID, LANE, MEM, TID
@@ -67,23 +66,6 @@ def test_store_defines_nothing():
     chains = build_def_use(module.kernels[0])
     assert "%rd1" not in chains.defs
     assert "%r1" not in chains.defs
-
-
-def test_reaching_definitions_join_over_branch():
-    module = kernel_with(
-        "setp.eq.u32 %p1, %r1, 0;\n"  # 0
-        "@%p1 bra $L_else;\n"  # 1
-        "mov.u32 %r2, 1;\n"  # 2: def a
-        "bra.uni $L_end;\n"  # 3
-        "$L_else:\n"  # 4
-        "mov.u32 %r2, 2;\n"  # 5: def b
-        "$L_end:\n"  # 6
-        "add.u32 %r3, %r2, 0;\n"  # 7: use — both defs reach
-        "ret;"
-    )
-    kernel = module.kernels[0]
-    rd = ReachingDefinitions(kernel, CFG(kernel))
-    assert rd.reaching(7, "%r2") == frozenset({2, 5})
 
 
 # ----------------------------------------------------------------------

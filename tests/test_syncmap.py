@@ -2,7 +2,7 @@
 
 from repro.core.structured import StructuredVC
 from repro.core.syncmap import SyncLocation, SyncLocationMap
-from repro.trace import GridLayout, global_loc
+from repro.trace import GridLayout
 
 LAYOUT = GridLayout(num_blocks=4, threads_per_block=8, warp_size=4)
 
@@ -71,7 +71,7 @@ def test_global_part_is_constant_size():
 
 def test_map_tracks_sync_locations():
     sync_map = SyncLocationMap(LAYOUT)
-    flag = global_loc(64)
+    flag = (-1, 64)  # the global cell at offset 64
     assert not sync_map.is_sync_location(flag)
     sync_map.get(flag)
     assert sync_map.is_sync_location(flag)
