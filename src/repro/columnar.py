@@ -263,8 +263,11 @@ class ColumnarBatch:
         (:meth:`GridLayout.bits_by_warp`): one dict per entry, what the
         detector reads."""
         if layout is not self._bits_layout:
+            # An equal layout (the engine's and the detector's are two
+            # objects) keeps the entries already converted or written.
+            if layout != self._bits_layout:
+                self._mask_bits = {}
             self._bits_layout = layout
-            self._mask_bits = {}
         bits = self._mask_bits.get(mask_id)
         if bits is None:
             bits = self._mask_bits[mask_id] = layout.bits_by_warp(
@@ -558,6 +561,15 @@ class ColumnarBuilder:
         return batch
 
 
+def _key_bits(key) -> Dict[int, int]:
+    """A :class:`RowLog` mask key as ``{warp: lane bits}``."""
+    if key is None:
+        return {}
+    if type(key[0]) is int:
+        return {key[0]: key[1]}
+    return dict(key)
+
+
 class RowLog(ColumnarBuilder):
     """A launch's log records, written as rows of columnar batches.
 
@@ -573,21 +585,30 @@ class RowLog(ColumnarBuilder):
     first.
 
     A mask is interned per batch on a key that names its tid set one way
-    only: ``(first tid of a warp, lane bits)`` for a set inside that
-    warp (the warp of its lowest tid), a tuple of those pairs for a set
-    spanning warps, ``None`` for the empty set.  The pool is then the
-    one :meth:`ColumnarBuilder.append` builds from the same rows.
+    only: ``(warp, lane bits)`` for a set inside that warp (the warp of
+    its lowest tid), a tuple of those pairs for a set spanning warps,
+    ``None`` for the empty set.  The pool is then the one
+    :meth:`ColumnarBuilder.append` builds from the same rows.  A control
+    row's keys are also kept beside their pool entries, as the
+    ``{warp: lane bits}`` :meth:`ColumnarBatch.mask_bits` answers under
+    ``layout`` (the launch's), so the detector converts no tids back.
     """
 
-    def __init__(self, batch_rows: int = DEFAULT_BATCH_RECORDS) -> None:
+    def __init__(self, layout: GridLayout,
+                 batch_rows: int = DEFAULT_BATCH_RECORDS) -> None:
         super().__init__()
         self.batch_rows = batch_rows
+        self.layout = layout
         self._written = 0
         #: Every batch by index; a sealed batch whose rows were all
         #: consumed (:meth:`consumed`) is ``None``.
         self.batches: List[Optional[ColumnarBatch]] = [self._batch]
-        self._batch.checked = True
+        self._open(self._batch)
         self._consumed: List[int] = [0]
+
+    def _open(self, batch: ColumnarBatch) -> None:
+        batch.checked = True
+        batch._bits_layout = self.layout
 
     def _room(self) -> ColumnarBatch:
         """The batch the next row goes in, sealing a full one first."""
@@ -595,7 +616,7 @@ class RowLog(ColumnarBuilder):
         if len(batch.kinds) == self.batch_rows:
             self.flush()
             batch = self._batch
-            batch.checked = True
+            self._open(batch)
             self.batches.append(batch)
             self._consumed.append(0)
         return batch
@@ -641,6 +662,15 @@ class RowLog(ColumnarBuilder):
             if then_id is None:
                 then_id = mask_ids[then_key] = len(masks)
                 masks.append(tuple(then_mask))
+        if code >= KIND_BRANCH_IF:
+            # The detector reads only a control row's masks as lane
+            # bits; keeping them for every memory row's mask too costs a
+            # captured launch memory (4 MiB at 131,072 threads).
+            bits = batch._mask_bits
+            if mask_id not in bits:
+                bits[mask_id] = _key_bits(key)
+            if then_id >= 0 and then_id not in bits:
+                bits[then_id] = _key_bits(then_key)
         batch.kinds.append(code)
         batch.warps.append(warp)
         batch.pcs.append(pc)

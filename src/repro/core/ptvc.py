@@ -218,6 +218,33 @@ class PTVCManager:
     # ------------------------------------------------------------------
     # Join-fork: the engine behind endi / branches / barriers
     # ------------------------------------------------------------------
+    def _stored_high(self, base: StructuredVC, warp: int, first: int,
+                     members: int) -> int:
+        """The highest entry ``base`` stores for a member of ``warp``
+        (lane bits ``members``; ``first`` is the warp's first thread).
+
+        With no member deviant, a member's self clock is one above the
+        max of the layers covering it, and the members share their warp
+        and block entries: one above this value is the members' highest
+        self clock, with no per-lane ``get``."""
+        high = base.warps.get(warp, 0)
+        block_value = base.blocks.get(warp // self._wpb, 0)
+        if block_value > high:
+            high = block_value
+        lanes = base.lanes
+        if lanes:
+            if len(lanes) <= members.bit_length():
+                for tid, clock in lanes.items():
+                    if (clock > high and tid >= first
+                            and members >> (tid - first) & 1):
+                        high = clock
+            else:
+                for lane in mask_lanes(members):
+                    clock = lanes.get(first + lane, 0)
+                    if clock > high:
+                        high = clock
+        return high
+
     def _join_fork(self, warp: int, members: int) -> None:
         """Join the clocks of ``members`` (lane bits) and fork each one
         step ahead.
@@ -233,44 +260,34 @@ class PTVCManager:
         group = self._top(warp)
         base = group.base
         first, count = self.layout.warp_span(warp)
-        end = first + count
         full_warp = members == (1 << count) - 1
-        if full_warp and not self._deviant:
-            # Converged fast path (the paper's ~90% case): with no
-            # deviants, every member's self clock is one above the max
-            # of the layers covering it, and all members share the same
-            # warp/block layer entries — so the join high is one closed-
-            # form max over the *stored* entries instead of a per-lane
-            # ``get`` loop.  Bit-identical to the general path below.
-            high = base.warps.get(warp, 0)
-            block_value = base.blocks.get(warp // self._wpb, 0)
-            if block_value > high:
-                high = block_value
-            lanes = base.lanes
-            if lanes:
-                if len(lanes) <= count:
-                    for tid, clock in lanes.items():
-                        if clock > high and first <= tid < end:
-                            high = clock
-                else:
-                    for tid in range(first, end):
-                        clock = lanes.get(tid, 0)
-                        if clock > high:
-                            high = clock
+        if not self._deviant:
+            # The closed form, for any mask: the join high is one max
+            # over the stored entries (:meth:`_stored_high`).  The base
+            # stays normalized with no re-filter: bases are normalized
+            # inductively, and every new entry is ``high``, strictly
+            # above the warp and block entries covering it, while a full
+            # warp's broadcast dominates exactly the member lanes it
+            # drops.  Bit-identical to the general loop below.
+            high = self._stored_high(base, warp, first, members) + 1
             joined = base.copy()
-            # Targeted normalize: bases are kept normalized inductively,
-            # and the only new entry is this warp's, at ``high + 1`` —
-            # strictly above its block layer (``high`` already took the
-            # max) and above every member's lane entry (same reason), so
-            # the full re-filter reduces to dropping the member lanes.
             lanes = joined.lanes
-            if lanes:
-                for tid in range(first, end):
-                    if tid in lanes:
+            if full_warp:
+                if lanes:
+                    end = first + count
+                    mine = ([t for t in lanes if first <= t < end]
+                            if len(lanes) <= count
+                            else [t for t in range(first, end) if t in lanes])
+                    for tid in mine:
                         del lanes[tid]
-            joined.warps[warp] = high + 1
+                joined.warps[warp] = high
+            else:
+                for lane in mask_lanes(members):
+                    lanes[first + lane] = high
             group.base = joined
             return
+        # Some thread is deviant: its self clock is its private clock,
+        # which the join folds in, so the members go one by one.
         tids = [first + lane for lane in mask_lanes(members)]
         joined = base.copy()
         high = 0
@@ -356,6 +373,9 @@ class PTVCManager:
         self.joins += 1
         layout = self.layout
         full = layout.barrier_complete(block, bits_by_warp)
+        if full and not self._deviant:
+            self._full_barrier(block)
+            return True
         # (group, its first thread, its participating lanes) per warp.
         participants = []
         for warp in layout.barrier_warps(block):
@@ -403,6 +423,47 @@ class PTVCManager:
                     dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
                     self._deviant[tid] = dev
         return full
+
+    def _full_barrier(self, block: int) -> None:
+        """:meth:`barrier` when every covered thread arrived and no
+        thread is deviant, in closed form: each top group's high is one
+        max over its base's stored entries (:meth:`_stored_high`), and
+        each distinct base is joined once — after a barrier, every warp
+        of a block holds the same ``joined``, so a second join of it
+        would add nothing.  Bit-identical to the per-thread loop."""
+        warp_span = self.layout.warp_span
+        stacks = self._stacks
+        groups = []
+        joined = None
+        joined_ids = set()
+        high = 0
+        for warp in self.layout.barrier_warps(block):
+            group = stacks[warp][-1]
+            members = group.mask
+            if not members:
+                continue
+            groups.append(group)
+            base = group.base
+            if id(base) not in joined_ids:
+                joined_ids.add(id(base))
+                if joined is None:
+                    joined = base.copy()
+                else:
+                    joined.join(base)
+            group_high = self._stored_high(
+                base, warp, warp_span(warp)[0], members) + 1
+            if group_high > high:
+                high = group_high
+        if joined is None:
+            return
+        # The §4.3.2 broadcast: one block-layer entry per covered block
+        # at the barrier's high clock.
+        covered = range(self.layout.num_blocks) if block < 0 else (block,)
+        for member in covered:
+            joined.set_block(member, high)
+        joined.normalize()
+        for group in groups:
+            group.base = joined
 
     # ------------------------------------------------------------------
     # Point-to-point synchronization (deviation)

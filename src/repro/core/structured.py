@@ -114,21 +114,26 @@ class StructuredVC:
         """Drop entries dominated by a coarser layer.
 
         Keeps the footprint proportional to the amount of *irregular*
-        synchronization rather than to thread count.
+        synchronization rather than to thread count.  Ids come from the
+        cached shape scalars, one divmod per lane entry, as in
+        :meth:`get`.
         """
-        if self.blocks:
-            self.warps = {
-                w: c
-                for w, c in self.warps.items()
-                if c > self.blocks.get(self.layout.block_of_warp(w), 0)
+        blocks = self.blocks
+        warps = self.warps
+        wpb = self._wpb
+        if blocks:
+            self.warps = warps = {
+                w: c for w, c in warps.items() if c > blocks.get(w // wpb, 0)
             }
-        if self.warps or self.blocks:
-            self.lanes = {
-                t: c
-                for t, c in self.lanes.items()
-                if c > self.warps.get(self.layout.warp_of(t), 0)
-                and c > self.blocks.get(self.layout.block_of(t), 0)
-            }
+        if self.lanes and (warps or blocks):
+            tpb, ws = self._tpb, self._ws
+            kept = {}
+            for t, c in self.lanes.items():
+                block, lane = divmod(t, tpb)
+                if (c > warps.get(block * wpb + lane // ws, 0)
+                        and c > blocks.get(block, 0)):
+                    kept[t] = c
+            self.lanes = kept
 
     def copy(self) -> "StructuredVC":
         clone = StructuredVC(self.layout)

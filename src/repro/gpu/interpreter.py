@@ -414,7 +414,7 @@ class KernelExecution:
         #: The launch's records, one row each; ``None`` when it does not
         #: log (no sink, or a pristine launch), and then no row is written.
         self.rows: Optional[RowLog] = (
-            RowLog() if sink is not None and instrumented else None)
+            RowLog(self.layout) if sink is not None and instrumented else None)
         self.warps: List[WarpState] = []
         for w in self.layout.all_warps():
             first, lanes = self.layout.warp_span(w)
@@ -713,8 +713,8 @@ class KernelExecution:
                 first = warp.first_tid
                 emit(rows.write(
                     KIND_BRANCH_IF, warp.warp, pc, 4, -1,
-                    (first, mask), _tids(warp, lanes),
-                    then_key=(first, not_taken),
+                    (warp.warp, mask), _tids(warp, lanes),
+                    then_key=(warp.warp, not_taken),
                     then_mask=(first + lane for lane in mask_lanes(not_taken))))
             entry.pc = reconv
             stack = warp.frames[-1].stack
@@ -929,7 +929,7 @@ class KernelExecution:
                     column(value_of(regs, warp), warp.lanes, lanes), pc_line)
             if rows is not None:
                 tids = _tids(warp, lanes)
-                key = (warp.first_tid, entry.mask if pred is None
+                key = (warp.warp, entry.mask if pred is None
                        else _lane_bits(lanes, warp.lanes))
                 emit(rows.write(code, warp.warp, pc_line, width, scope_code,
                                 key, tids, tids=tids, space=space,
@@ -1421,7 +1421,7 @@ class KernelExecution:
                     values.append(raw)
                 if rows is not None:
                     tids = _tids(warp, lanes)
-                    key = (warp.first_tid, _lane_bits(lanes, warp.lanes))
+                    key = (warp.warp, _lane_bits(lanes, warp.lanes))
                     emit(rows.write(KIND_LOAD, warp.warp, line, size, -1, key,
                                     tids, tids=tids, space=global_space,
                                     addrs=src_addrs))
@@ -1521,7 +1521,7 @@ class KernelExecution:
         if rows is None:
             return
         tops = [(w, w.frame.stack[-1]) for w in arrived]
-        parts = tuple((w.first_tid, top.mask) for w, top in tops if top.mask)
+        parts = tuple((w.warp, top.mask) for w, top in tops if top.mask)
         key = parts[0] if len(parts) == 1 else parts or None
         self._emit(rows.write(
             KIND_BARRIER, block, -1, 4, -1, key,

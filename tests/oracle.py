@@ -22,6 +22,13 @@ per-byte store (``DictByteStore``) with byte-by-byte store forwarding
 and one queue entry per stored lane is the specification of
 ``GlobalMemory``'s flat extent, one-scan forwarding and queue of runs,
 for every access inside the heap.
+
+``PerThreadPTVCManager``: the join and the barrier computed thread by
+thread — each member's self clock read with ``get``, per-lane entries
+set and the result re-normalized, every participant's base joined — is
+the specification of ``PTVCManager``'s closed forms, which take one max
+over stored entries per warp and keep a base normalized without
+re-filtering it.
 """
 
 import contextlib
@@ -33,6 +40,8 @@ import pytest
 
 from repro.columnar import iter_batches, ops_to_rows, rows_to_ops
 from repro.core.detector import BarracudaDetector
+from repro.core.ptvc import PTVCManager
+from repro.core.structured import StructuredVC
 from repro.core.reference import DetectorConfig
 from repro.errors import DeadlockError, SimulationError, StepLimitExceeded
 from repro.events import GRID_BARRIER_BLOCK, LogRecord, RecordKind
@@ -61,6 +70,7 @@ from repro.ptx.ast import (
     VectorOperand,
 )
 from repro.ptx.isa import FLOAT_TYPES, SIGNED_TYPES, type_width
+from repro.trace.layout import mask_lanes
 from repro.trace.operations import Scope, Space
 
 
@@ -78,6 +88,88 @@ def per_record_oracle(layout, records, config=None) -> BarracudaDetector:
         detector.process_columnar(
             ops_to_rows(ops, layout, granularity), granularity)
     return detector
+
+
+# ----------------------------------------------------------------------
+# The clock-maintenance oracle
+# ----------------------------------------------------------------------
+class PerThreadPTVCManager(PTVCManager):
+    """:class:`PTVCManager` whose joins and barriers go thread by
+    thread, whatever the mask and whoever is deviant."""
+
+    def _join_fork(self, warp: int, members: int) -> None:
+        if not members:
+            return
+        self.joins += 1
+        group = self._top(warp)
+        base = group.base
+        first, count = self.layout.warp_span(warp)
+        tids = [first + lane for lane in mask_lanes(members)]
+        joined = base.copy()
+        high = 0
+        deviants = []
+        for tid in tids:
+            dev = self._deviant.get(tid)
+            if dev is not None:
+                deviants.append((tid, dev))
+                self_clock = dev.get(tid)
+            else:
+                self_clock = base.get(tid) + 1
+            if self_clock > high:
+                high = self_clock
+        for tid, dev in deviants:
+            joined.join(dev)
+            del self._deviant[tid]
+        if members == (1 << count) - 1:
+            joined.set_warp(warp, high)
+        else:
+            for tid in tids:
+                joined.set_lane(tid, max(high, joined.get(tid)))
+        joined.normalize()
+        group.base = joined
+
+    def barrier(self, block: int, bits_by_warp: Dict[int, int]) -> bool:
+        self.joins += 1
+        layout = self.layout
+        full = layout.barrier_complete(block, bits_by_warp)
+        participants = []
+        for warp in layout.barrier_warps(block):
+            group = self._top(warp)
+            lanes = group.mask if full else group.mask & bits_by_warp.get(warp, 0)
+            if lanes:
+                participants.append((group, layout.warp_span(warp)[0], lanes))
+        joined = StructuredVC(layout)
+        high = 0
+        for group, first, lanes in participants:
+            joined.join(group.base)
+            for lane in mask_lanes(lanes):
+                tid = first + lane
+                dev = self._deviant.get(tid)
+                if dev is not None:
+                    joined.join(dev)
+                    self_clock = dev.get(tid)
+                    del self._deviant[tid]
+                else:
+                    self_clock = group.base.get(tid) + 1
+                if self_clock > high:
+                    high = self_clock
+                if not full:
+                    joined.set_lane(tid, max(self_clock, joined.get(tid)))
+        if full:
+            covered = range(layout.num_blocks) if block < 0 else (block,)
+            for member in covered:
+                joined.set_block(member, high)
+        joined.normalize()
+        for group, first, lanes in participants:
+            if lanes == group.mask:
+                group.base = joined
+            else:
+                for lane in mask_lanes(lanes):
+                    tid = first + lane
+                    dev = joined.copy()
+                    dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
+                    self._deviant[tid] = dev
+        return full
 
 
 # ----------------------------------------------------------------------

@@ -1040,8 +1040,30 @@ class TestRowLog:
         assert (f"({count} record(s), binary)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name", [
+        "partial_tail_warp", "barrier_in_divergent_branch",
+        "barrier_in_both_branch_paths", "grid_sync_fixed"])
+    def test_the_engines_masks_reach_the_detector_as_the_keys_bits(
+            self, monkeypatch, name):
+        # A control row's intern key, (warp, lane bits) pairs, is kept
+        # beside its pool entry: a live launch's branch and barrier rows
+        # reach the detector with no tid converted back to bits.
+        spec = {p.name: p for p in ALL_PROGRAMS}[name].spec
+        layout = spec.layout()
+
+        def refuse(self, tids):
+            raise AssertionError("GridLayout.bits_by_warp on the live path")
+
+        monkeypatch.setattr(GridLayout, "bits_by_warp", refuse)
+        launch = launch_spec(spec, capture=True).launch
+        monkeypatch.undo()
+        assert launch.records
+        for batch in launch.captured:
+            for mask_id, bits in batch._mask_bits.items():
+                assert bits == layout.bits_by_warp(batch.masks[mask_id])
+
     def test_drained_numbers_are_ranges_in_commit_order(self, monkeypatch):
-        rows = RowLog(batch_rows=2)
+        rows = RowLog(_DETECT_LAYOUT, batch_rows=2)
         for pc in range(5):
             _store_row(rows, pc)
         host = HostDetector(_DETECT_LAYOUT)
@@ -1059,7 +1081,7 @@ class TestRowLog:
 
     def test_a_consumed_or_closed_batch_is_dropped_unless_a_view_holds_it(
             self):
-        rows = RowLog(batch_rows=2)
+        rows = RowLog(_DETECT_LAYOUT, batch_rows=2)
         host = HostDetector(_DETECT_LAYOUT)
         queues = QueueSet(num_queues=1, capacity=8)
         sink = RecordingSink(RowSink(queues, host))

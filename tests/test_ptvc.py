@@ -10,6 +10,7 @@ from repro.core.structured import StructuredVC
 from repro.core.vectorclock import Epoch
 from repro.errors import TraceError
 from repro.trace import GridLayout
+from oracle import PerThreadPTVCManager
 from tracegen import feasible_traces
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=6, warp_size=3)
@@ -268,3 +269,164 @@ def test_compressed_clocks_give_the_reference_verdicts(layout, data):
             == sorted(map(str, reference.races)))
     assert ([str(report) for report in production.barrier_divergences]
             == [str(report) for report in reference.barrier_divergences])
+
+
+# ----------------------------------------------------------------------
+# The closed forms against the per-thread forms (oracle.py), entry for
+# entry: the same stored lanes, warps and blocks in every group base,
+# paused base and deviant, so the formats and entry counts ptvc_stats()
+# reports cannot drift either.
+# ----------------------------------------------------------------------
+def _entries(vc):
+    return (list(vc.lanes.items()), list(vc.warps.items()),
+            list(vc.blocks.items()))
+
+
+def _stored(clocks):
+    """Every stored clock entry, in order, and the join count."""
+    return (
+        clocks.joins,
+        {warp: [(group.mask, group.phase, _entries(group.base),
+                 [_entries(paused) for paused in group.paused])
+                for group in stack]
+         for warp, stack in clocks._stacks.items()},
+        [(tid, _entries(dev)) for tid, dev in clocks._deviant.items()],
+    )
+
+
+def _assert_normalized(clocks):
+    """No stored entry is dominated by a coarser layer: normalizing a
+    copy of any clock changes nothing."""
+    held = [vc for stack in clocks._stacks.values() for group in stack
+            for vc in (group.base, *group.paused)]
+    for vc in held + list(clocks._deviant.values()):
+        again = vc.copy()
+        again.normalize()
+        assert _entries(again) == _entries(vc)
+
+
+def _lockstep(layout, steps):
+    """Apply each step to a production manager and to the per-thread
+    specification, comparing their stored entries after every one;
+    returns the production manager."""
+    clocks = PTVCManager(layout)
+    spec = PerThreadPTVCManager(layout)
+    for number, step in enumerate(steps):
+        assert step(clocks) == step(spec), number
+        assert _stored(clocks) == _stored(spec), number
+        _assert_normalized(clocks)
+    return clocks
+
+
+def _all(layout, block):
+    return layout.bits_by_warp(layout.barrier_tids(block))
+
+
+@pytest.mark.parametrize("layout", [None, PARTIAL, WIDE],
+                         ids=["small", "partial-last-warp", "64-lanes"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_closed_forms_store_what_the_per_thread_forms_store(layout, data):
+    trace = data.draw(feasible_traces(max_ops=40, layout=layout))
+    production = BarracudaDetector(trace.layout)
+    spec = BarracudaDetector(trace.layout)
+    spec.clocks = PerThreadPTVCManager(trace.layout)
+    for op in trace:
+        production.process(op)
+        spec.process(op)
+        assert _stored(production.clocks) == _stored(spec.clocks)
+        _assert_normalized(production.clocks)
+    assert (sorted(map(str, production.reports.races))
+            == sorted(map(str, spec.reports.races)))
+
+
+def test_a_partial_last_warp_joins_and_meets_barriers_in_closed_form():
+    # Block 1 is warp 2 (tids 40..71) and warp 3 (tids 72..79): its
+    # warps are not the tids // 32 of their first threads.
+    clocks = _lockstep(PARTIAL, [
+        lambda c: c.end_instruction(3),
+        lambda c: c.end_instruction(3),
+        lambda c: c.end_instruction(3),
+        lambda c: c.end_instruction(2),
+        lambda c: c.barrier(1, _all(PARTIAL, 1)),
+        lambda c: c.branch_if(3, 0b10101010, 0xFF),
+        lambda c: c.end_instruction(3),
+        # The barrier is full while warp 3's top group is its then path.
+        lambda c: c.barrier(1, _all(PARTIAL, 1)),
+        lambda c: c.end_instruction(3),
+        lambda c: c.branch_else(3),
+        lambda c: c.end_instruction(3),
+        lambda c: c.branch_fi(3),
+        lambda c: c.barrier(1, _all(PARTIAL, 1)),
+        lambda c: c.branch_if(1, 0b1, 0xFF),
+        lambda c: c.barrier(0, _all(PARTIAL, 0)),
+    ])
+    # Block 1's last barrier is one block entry above warp 3's
+    # reconverged clock (9, after the then lanes' barrier at 7).
+    assert clocks.value(40, 79) == clocks.value(79, 40) == 10
+    assert clocks._top(2).base is clocks._top(3).base
+    assert clocks.format_of(3) is PTVCFormat.CONVERGED
+    # Block 0's barrier met warp 1's then lane (tid 32) alone.
+    assert clocks.value(32, 0) == clocks.value(0, 32) == 2
+
+
+def test_a_64_lane_warp_joins_and_meets_barriers_in_closed_form():
+    high = ((1 << 32) - 1) << 32
+    clocks = _lockstep(WIDE, [
+        lambda c: c.end_instruction(0),
+        lambda c: c.barrier(0, _all(WIDE, 0)),
+        lambda c: c.branch_if(1, high, (1 << 64) - 1),
+        lambda c: c.end_instruction(1),
+        lambda c: c.end_instruction(1),
+        lambda c: c.barrier(0, _all(WIDE, 0)),
+        lambda c: c.branch_else(1),
+        lambda c: c.end_instruction(1),
+        lambda c: c.branch_fi(1),
+        lambda c: c.end_instruction(1),
+        lambda c: c.barrier(0, _all(WIDE, 0)),
+    ])
+    assert clocks.value(0, 127) == clocks.value(127, 127) - 1
+    assert clocks.format_of(1) is PTVCFormat.CONVERGED
+
+
+def test_a_grid_barrier_takes_every_warp_in_closed_form():
+    clocks = _lockstep(PARTIAL, [
+        lambda c: c.end_instruction(0),
+        lambda c: c.end_instruction(3),
+        lambda c: c.end_instruction(3),
+        lambda c: c.branch_if(2, 0b1, (1 << 32) - 1),
+        lambda c: c.end_instruction(2),
+        lambda c: c.barrier(-1, _all(PARTIAL, -1)),
+        lambda c: c.branch_else(2),
+        lambda c: c.branch_fi(2),
+        lambda c: c.barrier(-1, _all(PARTIAL, -1)),
+    ])
+    for tid in PARTIAL.all_tids():
+        assert clocks.value(0, tid) >= clocks.value(79, 72) - 1
+
+
+def test_a_deviant_sends_joins_and_barriers_thread_by_thread():
+    target = StructuredVC(PARTIAL)
+
+    def release(c):
+        target.join(c.materialize(45))
+        c.increment(45)
+
+    # Thread 45 (block 1) publishes; thread 33 (block 0's second warp)
+    # acquires it and is re-absorbed, so block 0's barrier must carry
+    # what warp 1's base, not warp 0's, knows of block 1.
+    clocks = _lockstep(PARTIAL, [
+        lambda c: c.end_instruction(2),
+        release,
+        lambda c: c.barrier(1, _all(PARTIAL, 1)),
+        lambda c: c.end_instruction(2),
+        lambda c: c.acquire_into(33, target),
+        lambda c: c.end_instruction(1),
+        lambda c: c.barrier(0, _all(PARTIAL, 0)),
+        lambda c: c.acquire_into(1, target),
+        lambda c: c.branch_if(0, 0b11, (1 << 32) - 1),
+        lambda c: c.end_instruction(0),
+        lambda c: c.branch_else(0),
+        lambda c: c.branch_fi(0),
+    ])
+    assert clocks.value(0, 45) == clocks.value(32, 45) >= 2
