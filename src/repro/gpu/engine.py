@@ -15,13 +15,17 @@ the cheapest shape the operands allow:
 
 * every operand UNIFORM — one scalar call for the whole warp;
 * AFFINE operands under an affine-preserving opcode (``mov``, ``add``,
-  ``sub``, ``mul.lo``, ``mad.lo``, ``shl``, integer ``cvt``) — the
+  ``sub``, ``mul.lo``, ``mad.lo``, ``shl``, integer ``cvt``, ``neg``
+  and ``not``) — the
   closed form: exact while no lane wraps, modular (an AFFINE with a
   ``ring``) once one does, as long as the opcode is a ring map mod 2ⁿ
   of the n-bit result (:func:`_closed`);
 * AFFINE operands of an integer ``setp`` whose lanes all give one
   answer — that answer (:func:`_compare_closed`);
 * otherwise — one ``map`` over the active lanes.
+
+The step is built for the instruction's operand count, and reads its
+operands by name: no warp step builds a list of operand values.
 
 Adding an arithmetic instruction is one compiler here; its opcode then
 appears in ``KernelExecution._DECODERS`` by construction.  The
@@ -120,44 +124,86 @@ def _lift(
     fast: Optional[Callable] = None,
     closed: Optional[Callable] = None,
 ) -> Callable:
-    """``compute(regs, warp, lanes)`` from per-lane scalar semantics.
+    """``compute(regs, warp, lanes)`` from per-lane scalar semantics,
+    built for the instruction's one, two or three operands.
 
     ``general(*operand_values)`` is the instruction on one lane, wraps
     included — bit-for-bit the value the oracle's per-thread handler
     writes.  ``fast`` is the same function for integer operands only: it
     must raise ``TypeError`` on anything else, and the column is then
-    redone with ``general``.  ``closed`` is the :func:`_closed` form.
+    redone with ``general``.  ``closed`` is the :func:`_closed` form of
+    the same arity.
 
     The result is a UNIFORM or AFFINE value of the whole warp, or a list
     with one entry per *active* lane (every lane when ``lanes`` is None).
     """
+    if len(getters) == 1:
+        (get_a,) = getters
+
+        def compute(regs, warp, lanes):
+            a = get_a(regs, warp)
+            kind = type(a)
+            if kind is not list:
+                if kind is not Affine:
+                    return general(a)
+                if closed is not None:
+                    form = closed(a, warp.lanes)
+                    if form is not None:
+                        return form
+            return _per_lane(general, fast, column(a, warp.lanes, lanes))
+
+        return compute
+
+    if len(getters) == 2:
+        get_a, get_b = getters
+
+        def compute(regs, warp, lanes):
+            a = get_a(regs, warp)
+            b = get_b(regs, warp)
+            kind_a, kind_b = type(a), type(b)
+            if kind_a is not list and kind_b is not list:
+                if kind_a is not Affine and kind_b is not Affine:
+                    return general(a, b)
+                if closed is not None:
+                    form = closed(a, b, warp.lanes)
+                    if form is not None:
+                        return form
+            count = warp.lanes
+            return _per_lane(general, fast, column(a, count, lanes),
+                             column(b, count, lanes))
+
+        return compute
+
+    get_a, get_b, get_c = getters
 
     def compute(regs, warp, lanes):
-        values = [get(regs, warp) for get in getters]
-        per_lane = affine = False
-        for value in values:
-            kind = type(value)
-            if kind is list:
-                per_lane = True
-            elif kind is Affine:
-                affine = True
-        count = warp.lanes
-        if not per_lane:
-            if not affine:
-                return general(*values)
+        a = get_a(regs, warp)
+        b = get_b(regs, warp)
+        c = get_c(regs, warp)
+        kind_a, kind_b, kind_c = type(a), type(b), type(c)
+        if kind_a is not list and kind_b is not list and kind_c is not list:
+            if kind_a is not Affine and kind_b is not Affine and kind_c is not Affine:
+                return general(a, b, c)
             if closed is not None:
-                form = closed(values, count)
+                form = closed(a, b, c, warp.lanes)
                 if form is not None:
                     return form
-        columns = [column(value, count, lanes) for value in values]
-        if fast is not None:
-            try:
-                return list(map(fast, *columns))
-            except TypeError:
-                pass  # a float in an integer instruction
-        return list(map(general, *columns))
+        count = warp.lanes
+        return _per_lane(general, fast, column(a, count, lanes),
+                         column(b, count, lanes), column(c, count, lanes))
 
     return compute
+
+
+def _per_lane(general: Callable, fast: Optional[Callable], *columns) -> list:
+    """One ``map`` over the operands' columns: ``fast`` when every
+    operand is an integer, else ``general``."""
+    if fast is not None:
+        try:
+            return list(map(fast, *columns))
+        except TypeError:
+            pass  # a float in an integer instruction
+    return list(map(general, *columns))
 
 
 @lru_cache(maxsize=None)
@@ -179,13 +225,15 @@ def _closed(
     write_type: str,
     linear: Optional[Callable] = None,
 ) -> Callable:
-    """``closed(values, count)``: the AFFINE (or UNIFORM) result of an
-    opcode whose unwrapped ``fn`` is an integer ring map, affine in its
-    operands, or ``None`` when the lanes have to be computed one by one.
+    """``closed(a[, b[, c]], count)``, one operand per read type: the
+    AFFINE (or UNIFORM) result of an opcode whose unwrapped ``fn`` is an
+    integer ring map, affine in its operands, or ``None`` when the lanes
+    have to be computed one by one.  At least one operand is AFFINE and
+    none is a list.
 
     ``read_types`` are the types the operands are read through (``None``
     reads one raw) and ``write_type`` the integer type of the result.
-    ``linear(*values)`` vetoes operand shapes under which ``fn`` is not
+    ``linear(*operands)`` vetoes operand shapes under which ``fn`` is not
     affine in the lane (a product of two AFFINE values, a shift by one).
 
     Two rules, the exact one first:
@@ -200,54 +248,29 @@ def _closed(
       reader's wrap is the identity or at least n bits wide, and every
       UNIFORM operand is an ``int``.  The result is modular only when
       some lane really wraps.
+
+    Each operand is read where the rule needs it, in operand order, and
+    a rule stops at the first operand that fails it.
     """
     read_wraps, ring = _readers(read_types, write_type)
     wrap = _int_wrap(*_int_range(write_type))
+    mask = ring[0] if ring is not None else 0
 
-    def closed(values, count):
-        if linear is not None and not linear(*values):
-            return None
-        last = count - 1
-        first_lane, last_lane = [], []
-        for value, read in zip(values, read_wraps):
-            if type(value) is Affine:
-                low = value.base
-                high = low + value.stride * last
-                if value.ring is not None or read(low) != low or read(high) != high:
-                    break
-            else:
-                low = high = read(value)
-            first_lane.append(low)
-            last_lane.append(high)
-        else:
-            low, high = fn(*first_lane), fn(*last_lane)
-            if (
-                type(low) is int
-                and type(high) is int
-                and wrap(low) == low
-                and wrap(high) == high
-            ):
-                stride = (high - low) // last
-                return Affine(low, stride) if stride else low
-        if ring is None:
-            return None
-        # The ring rule: ``fn`` at lane 0 and lane 1, mod 2ⁿ.
-        mask = ring[0]
-        first_lane, second_lane = [], []
-        for value, read in zip(values, read_wraps):
-            kind = type(value)
-            if kind is Affine:
-                if value.ring is not None and value.ring[0] < mask:
-                    return None
-                low = value.base
-                high = low + value.stride
-            elif kind is int:
-                low = high = read(value)
-            else:
-                return None
-            first_lane.append(low)
-            second_lane.append(high)
-        low, high = wrap(fn(*first_lane)), wrap(fn(*second_lane))
+    def exact(low, high, last):
+        """The end-lane rule's result from ``fn`` at the end lanes."""
+        if (
+            type(low) is int
+            and type(high) is int
+            and wrap(low) == low
+            and wrap(high) == high
+        ):
+            stride = (high - low) // last
+            return Affine(low, stride) if stride else low
+        return None
+
+    def modular(low, high, last):
+        """The ring rule's result from ``fn`` at lanes 0 and 1."""
+        low, high = wrap(low), wrap(high)
         if low == high:
             return low
         stride = high - low
@@ -256,7 +279,131 @@ def _closed(
             return Affine(low, stride)
         return Affine(low, stride & mask, ring)
 
+    if len(read_wraps) == 1:
+        (read_a,) = read_wraps
+
+        def closed(a, count):
+            last = count - 1
+            a_low = a.base
+            if a.ring is None:
+                a_high = a_low + a.stride * last
+                if read_a(a_low) == a_low and read_a(a_high) == a_high:
+                    form = exact(fn(a_low), fn(a_high), last)
+                    if form is not None:
+                        return form
+            if ring is None or (a.ring is not None and a.ring[0] < mask):
+                return None
+            return modular(fn(a_low), fn(a_low + a.stride), last)
+
+        return closed
+
+    if len(read_wraps) == 2:
+        read_a, read_b = read_wraps
+
+        def closed(a, b, count):
+            if linear is not None and not linear(a, b):
+                return None
+            last = count - 1
+            # The end-lane rule.
+            if type(a) is Affine:
+                a_low = a.base
+                a_high = a_low + a.stride * last
+                fits = (a.ring is None and read_a(a_low) == a_low
+                        and read_a(a_high) == a_high)
+            else:
+                a_low = a_high = read_a(a)
+                fits = True
+            if fits:
+                if type(b) is Affine:
+                    b_low = b.base
+                    b_high = b_low + b.stride * last
+                    fits = (b.ring is None and read_b(b_low) == b_low
+                            and read_b(b_high) == b_high)
+                else:
+                    b_low = b_high = read_b(b)
+                if fits:
+                    form = exact(fn(a_low, b_low), fn(a_high, b_high), last)
+                    if form is not None:
+                        return form
+            if ring is None:
+                return None
+            # The ring rule, at lanes 0 and 1.
+            kind = type(a)
+            if kind is Affine:
+                if a.ring is not None and a.ring[0] < mask:
+                    return None
+                a_low = a.base
+                a_high = a_low + a.stride
+            elif kind is int:
+                a_low = a_high = read_a(a)
+            else:
+                return None
+            kind = type(b)
+            if kind is Affine:
+                if b.ring is not None and b.ring[0] < mask:
+                    return None
+                b_low = b.base
+                b_high = b_low + b.stride
+            elif kind is int:
+                b_low = b_high = read_b(b)
+            else:
+                return None
+            return modular(fn(a_low, b_low), fn(a_high, b_high), last)
+
+        return closed
+
+    read_a, read_b, read_c = read_wraps
+
+    def closed(a, b, c, count):
+        if linear is not None and not linear(a, b, c):
+            return None
+        last = count - 1
+        a_ends = _end_lanes(a, read_a, last)
+        b_ends = a_ends and _end_lanes(b, read_b, last)
+        c_ends = b_ends and _end_lanes(c, read_c, last)
+        if c_ends:
+            form = exact(fn(a_ends[0], b_ends[0], c_ends[0]),
+                         fn(a_ends[1], b_ends[1], c_ends[1]), last)
+            if form is not None:
+                return form
+        if ring is None:
+            return None
+        a_lanes = _first_lanes(a, read_a, mask)
+        b_lanes = a_lanes and _first_lanes(b, read_b, mask)
+        c_lanes = b_lanes and _first_lanes(c, read_c, mask)
+        if not c_lanes:
+            return None
+        return modular(fn(a_lanes[0], b_lanes[0], c_lanes[0]),
+                       fn(a_lanes[1], b_lanes[1], c_lanes[1]), last)
+
     return closed
+
+
+def _end_lanes(value, read: Callable, last: int):
+    """``value`` at lane 0 and at lane ``last`` as the end-lane rule reads
+    it, or ``None`` when it is modular or its reader's wrap moves it."""
+    if type(value) is Affine:
+        low = value.base
+        high = low + value.stride * last
+        if value.ring is not None or read(low) != low or read(high) != high:
+            return None
+        return low, high
+    low = read(value)
+    return low, low
+
+
+def _first_lanes(value, read: Callable, mask: int):
+    """``value`` at lanes 0 and 1 as the ring rule reads it, or ``None``
+    when it is not an ``int`` or AFFINE of at least ``mask``'s bits."""
+    kind = type(value)
+    if kind is Affine:
+        if value.ring is not None and value.ring[0] < mask:
+            return None
+        return value.base, value.base + value.stride
+    if kind is int:
+        low = read(value)
+        return low, low
+    return None
 
 
 def _one_affine_factor(a, b, *_addend) -> bool:
@@ -368,13 +515,25 @@ def _compile_not(exe, insn):
         # not.pred is logical negation, not bitwise complement.
         return _lift(_getters(exe, src), lambda value: 0 if value else 1)
     wrap = _make_wrap(type_name)
-    return _lift(_getters(exe, src), lambda value: wrap(~int(value)))
+    return _lift(_getters(exe, src), lambda value: wrap(~int(value)),
+                 closed=_unary_closed(operator.invert, type_name))
 
 
 def _compile_neg(exe, insn):
     _dst, src = insn.operands
-    wrap = _make_wrap(insn.value_type())
-    return _lift(_getters(exe, src), lambda value: wrap(-value))
+    type_name = insn.value_type()
+    wrap = _make_wrap(type_name)
+    return _lift(_getters(exe, src), lambda value: wrap(-value),
+                 closed=_unary_closed(operator.neg, type_name))
+
+
+def _unary_closed(fn: Callable, type_name: Optional[str]) -> Optional[Callable]:
+    """The :func:`_closed` form of ``fn``, an affine map of the integers
+    (``-x``, ``~x = -1 - x``), on an integer type, the operand read raw;
+    ``None`` on a float or untyped instruction."""
+    if _int_range(type_name) is None:
+        return None
+    return _closed(fn, (None,), type_name)
 
 
 def _compile_abs(exe, insn):
@@ -472,7 +631,7 @@ def _compile_rem(exe, insn):
 
 @lru_cache(maxsize=None)
 def _compare_closed(compare: Callable, wrap: Callable, ordered: bool) -> Callable:
-    """``closed(values, count)`` of an integer ``setp``: the UNIFORM
+    """``closed(a, b, count)`` of an integer ``setp``: the UNIFORM
     answer when every lane gives the same one, else ``None``.
 
     Over exact AFFINE and ``int`` operands whose reader's wrap is the
@@ -483,29 +642,35 @@ def _compare_closed(compare: Callable, wrap: Callable, ordered: bool) -> Callabl
     operand's range) or is the same at both.
     """
 
-    def closed(values, count):
+    def closed(a, b, count):
         last = count - 1
-        first_lane, last_lane = [], []
-        for value in values:
-            kind = type(value)
-            if kind is Affine:
-                low = value.base
-                high = low + value.stride * last
-                if value.ring is not None or wrap(low) != low or wrap(high) != high:
-                    return None
-            elif kind is int:
-                low = high = wrap(value)
-            else:
+        kind = type(a)
+        if kind is Affine:
+            a_low = a.base
+            a_high = a_low + a.stride * last
+            if a.ring is not None or wrap(a_low) != a_low or wrap(a_high) != a_high:
                 return None
-            first_lane.append(low)
-            last_lane.append(high)
-        answer = compare(*first_lane)
+        elif kind is int:
+            a_low = a_high = wrap(a)
+        else:
+            return None
+        kind = type(b)
+        if kind is Affine:
+            b_low = b.base
+            b_high = b_low + b.stride * last
+            if b.ring is not None or wrap(b_low) != b_low or wrap(b_high) != b_high:
+                return None
+        elif kind is int:
+            b_low = b_high = wrap(b)
+        else:
+            return None
+        answer = compare(a_low, b_low)
         if ordered:
-            if answer != compare(*last_lane):
+            if answer != compare(a_high, b_high):
                 return None
         else:
-            low = first_lane[0] - first_lane[1]
-            high = last_lane[0] - last_lane[1]
+            low = a_low - b_low
+            high = a_high - b_high
             if low != high and low * high <= 0:
                 return None
         return 1 if answer else 0

@@ -315,6 +315,54 @@ class TestClosedForm:
         # A product of two AFFINE values is not affine in the lane.
         assert type(_shape_after("mad.lo.s32 %d, %a, %a, 3;", a=signed)) is list
 
+    def test_neg_and_not_keep_affine(self):
+        # -x and ~x = -1 - x are affine maps mod 2ⁿ, read raw.
+        exact = Affine(5, 3)
+        for text, form in (("neg.s32 %d, %a;", (-5, -3)),
+                           ("not.s32 %d, %a;", (-6, -3)),
+                           ("not.b32 %d, %a;", (2**32 - 6, -3)),
+                           # every lane wraps, none crosses: exact again
+                           ("neg.u32 %d, %a;", (2**32 - 5, -3)),
+                           ("neg.s64 %d, %a;", (-5, -3))):
+            shape = _shape_after(text, a=exact)
+            assert _affine(shape) == form, text
+            assert list(column(shape, 32)) == _lanes_after(text, a=exact), text
+        wrapped = Affine(2**31 - 8, 1, S32)  # wraps at lane 8
+        unsigned = Affine(2**32 - 8, 1, U32)  # wraps at lane 8
+        for text, a, ring in (("neg.s32 %d, %a;", wrapped, S32),
+                              ("not.s32 %d, %a;", wrapped, S32),
+                              ("not.b32 %d, %a;", unsigned, U32),
+                              ("neg.s16 %d, %a;", Affine(2**15 - 8, 1),
+                               _int_range("s16"))):
+            shape = _shape_after(text, a=a)
+            assert _modular(shape)[2] == ring, text
+            assert list(column(shape, 32)) == _lanes_after(text, a=a), text
+        # Read as u32, the s32 wrap is no wrap at all.
+        assert _affine(_shape_after("not.b32 %d, %a;", a=wrapped)) == (2**31 + 7, -1)
+        # 32 wrapped bits say nothing about the upper half of 64.
+        for text in ("neg.s64 %d, %a;", "not.b64 %d, %a;"):
+            shape = _shape_after(text, a=wrapped)
+            assert type(shape) is list, text
+            assert shape == _lanes_after(text, a=wrapped), text
+
+    def test_what_is_not_an_integer_affine_map_stays_per_lane(self):
+        tid = Affine(0, 1)
+        for text in ("not.pred %d, %a;", "neg.f32 %d, %a;",
+                     "and.b32 %d, %a, 3;", "xor.b32 %d, %a, 5;"):
+            shape = _shape_after(text, a=tid)
+            assert type(shape) is list, text
+            assert list(map(repr, shape)) == list(map(repr, _lanes_after(
+                text, a=tid))), text
+
+    def test_mad_reads_its_addend_raw(self):
+        # Only the factors go through the type: a float addend joins the
+        # product before the result's wrap rounds it toward zero.
+        text = "mad.lo.s32 %d, %a, 1, 1.5;"
+        shape = _shape_after(text, a=Affine(-16, 1))
+        assert type(shape) is list
+        assert shape == _lanes_after(text, a=Affine(-16, 1))
+        assert shape[:2] == [-14, -13]
+
     def test_a_widening_cvt_of_a_modular_value_goes_per_lane(self):
         # 32 wrapped bits say nothing about the upper half of 64.
         wrapped = Affine(2**31 - 8, 1, S32)
