@@ -301,36 +301,16 @@ class BarracudaDetector:
     # The synchronization lane rules take the lane's cell and the block
     # a block-scoped operation names (-1: global scope).
     def _acquire(self, tid: int, cell: Cell, scope_block: int) -> None:
-        sync = self.sync.get(cell)
-        if scope_block >= 0:
-            sources = sync.acquire_block(scope_block)
-        else:
-            sources = sync.acquire_global()
-        for clock in sources:
+        for clock in self.sync.get(cell).acquire(scope_block):
             self.clocks.acquire_into(tid, clock)
 
     def _release(self, tid: int, cell: Cell, scope_block: int) -> None:
-        sync = self.sync.get(cell)
-        released = self.clocks.materialize(tid)
-        if scope_block >= 0:
-            sync.release_block(scope_block, released)
-        else:
-            sync.release_global(released)
+        self.sync.get(cell).release(scope_block, self.clocks.materialize(tid))
         self.clocks.increment(tid)
 
     def _acqrel(self, tid: int, cell: Cell, scope_block: int) -> None:
-        sync = self.sync.get(cell)
-        if scope_block >= 0:
-            for clock in sync.acquire_block(scope_block):
-                self.clocks.acquire_into(tid, clock)
-            combined = self.clocks.materialize(tid)
-            sync.release_block(scope_block, combined)
-        else:
-            for clock in sync.acquire_global():
-                self.clocks.acquire_into(tid, clock)
-            combined = self.clocks.materialize(tid)
-            sync.release_global(combined)
-        self.clocks.increment(tid)
+        self._acquire(tid, cell, scope_block)
+        self._release(tid, cell, scope_block)
 
     # ------------------------------------------------------------------
     # Driver

@@ -32,13 +32,20 @@ a member issued before the join is ≤ the broadcast value, and every epoch
 issued after is ≥ broadcast + 1, so orderings against outside threads are
 unchanged.  The property-based tests cross-check verdicts against the
 reference detector on random traces.
+
+Each clock rule has one form, whoever is deviant: a join's or a
+complete barrier's high is one max over the stored entries covering the
+non-deviant members, maxed with each deviant's private self clock, and
+each deviant's clock is folded into the new base as it rejoins.  The
+thread-by-thread rules they equal, entry for entry, are
+``tests/oracle.py::PerThreadPTVCManager``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..errors import TraceError
 from ..trace.layout import GridLayout, mask_lanes
@@ -148,8 +155,6 @@ class PTVCManager:
         """``C_owner(tid)``: what ``owner``'s clock records for ``tid``."""
         dev = self._deviant.get(owner)
         if dev is not None:
-            if owner == tid:
-                return self._self_clock(owner)
             return dev.get(tid)
         block, lane = divmod(owner, self._tpb)
         base = self._stacks[block * self._wpb + lane // self._ws][-1].base
@@ -157,16 +162,10 @@ class PTVCManager:
             return base.get(owner) + 1
         return base.get(tid)
 
-    def _self_clock(self, tid: int) -> int:
-        dev = self._deviant.get(tid)
-        if dev is not None:
-            return dev.get(tid)
-        block, lane = divmod(tid, self._tpb)
-        return self._stacks[block * self._wpb + lane // self._ws][-1].base.get(tid) + 1
-
     def epoch(self, tid: int) -> Epoch:
-        """``E(t)``: the current epoch of thread ``tid``
-        (:meth:`_self_clock`, inlined: one per access)."""
+        """``E(t)``: the current epoch of thread ``tid``: its private
+        clock's own entry if it is deviant, else one above what its
+        group base records of it."""
         dev = self._deviant.get(tid)
         if dev is not None:
             return Epoch(dev.get(tid), tid)
@@ -221,12 +220,13 @@ class PTVCManager:
     def _stored_high(self, base: StructuredVC, warp: int, first: int,
                      members: int) -> int:
         """The highest entry ``base`` stores for a member of ``warp``
-        (lane bits ``members``; ``first`` is the warp's first thread).
+        (lane bits ``members``, none of them deviant; ``first`` is the
+        warp's first thread).
 
-        With no member deviant, a member's self clock is one above the
-        max of the layers covering it, and the members share their warp
-        and block entries: one above this value is the members' highest
-        self clock, with no per-lane ``get``."""
+        A non-deviant member's self clock is one above the max of the
+        layers covering it, and the members share their warp and block
+        entries: one above this value is the members' highest self
+        clock, with no per-lane ``get``."""
         high = base.warps.get(warp, 0)
         block_value = base.blocks.get(warp // self._wpb, 0)
         if block_value > high:
@@ -245,75 +245,76 @@ class PTVCManager:
                         high = clock
         return high
 
+    def _fold(self, joined: StructuredVC, base: StructuredVC, warp: int,
+              first: int, members: int) -> Tuple[int, bool]:
+        """Re-absorb the deviants among ``members`` (lane bits of
+        ``warp``, whose group base is ``base``): join their private
+        clocks into ``joined``, in tid order, and drop them from the
+        deviant map.
+
+        Returns the members' highest self clock — a deviant's own
+        private entry, the rest's one above :meth:`_stored_high` — and
+        whether any member was deviant."""
+        # The deviant members in tid order, the order the per-thread
+        # rule folds them in: scan the shorter of the two.
+        deviant = self._deviant
+        candidates = (sorted(deviant) if len(deviant) <= members.bit_length()
+                      else [first + lane for lane in mask_lanes(members)])
+        high = 0
+        steady = members
+        for tid in candidates:
+            bit = tid - first
+            if bit < 0 or not members >> bit & 1 or tid not in deviant:
+                continue
+            dev = deviant.pop(tid)
+            joined.join(dev)
+            clock = dev.get(tid)
+            if clock > high:
+                high = clock
+            steady &= ~(1 << bit)
+        if steady:
+            clock = self._stored_high(base, warp, first, steady) + 1
+            if clock > high:
+                high = clock
+        return high, steady != members
+
     def _join_fork(self, warp: int, members: int) -> None:
         """Join the clocks of ``members`` (lane bits) and fork each one
         step ahead.
 
-        Members must be the current top group of ``warp``.  When the whole
-        warp participates the result is broadcast as a single warp-layer
-        entry (the CONVERGED format); otherwise exact per-lane entries are
-        stored (DIVERGED / NESTEDDIVERGED).
+        Members must be the current top group of ``warp``.  The high is
+        their highest self clock, their deviants folded in
+        (:meth:`_fold`).  A full warp then takes one warp-layer entry at
+        the high (the CONVERGED format), which drops the member lanes it
+        dominates; any other mask takes one lane entry per member at the
+        high (DIVERGED / NESTEDDIVERGED).  Every new entry is strictly
+        above the warp and block entries covering it, so the base stays
+        normalized unless a deviant's clock brought in entries a coarser
+        layer dominates.
         """
         if not members:
             return
         self.joins += 1
-        group = self._top(warp)
+        group = self._stacks[warp][-1]
         base = group.base
         first, count = self.layout.warp_span(warp)
-        full_warp = members == (1 << count) - 1
-        if not self._deviant:
-            # The closed form, for any mask: the join high is one max
-            # over the stored entries (:meth:`_stored_high`).  The base
-            # stays normalized with no re-filter: bases are normalized
-            # inductively, and every new entry is ``high``, strictly
-            # above the warp and block entries covering it, while a full
-            # warp's broadcast dominates exactly the member lanes it
-            # drops.  Bit-identical to the general loop below.
-            high = self._stored_high(base, warp, first, members) + 1
-            joined = base.copy()
-            lanes = joined.lanes
-            if full_warp:
-                if lanes:
-                    end = first + count
-                    mine = ([t for t in lanes if first <= t < end]
-                            if len(lanes) <= count
-                            else [t for t in range(first, end) if t in lanes])
-                    for tid in mine:
-                        del lanes[tid]
-                joined.warps[warp] = high
-            else:
-                for lane in mask_lanes(members):
-                    lanes[first + lane] = high
-            group.base = joined
-            return
-        # Some thread is deviant: its self clock is its private clock,
-        # which the join folds in, so the members go one by one.
-        tids = [first + lane for lane in mask_lanes(members)]
         joined = base.copy()
-        high = 0
-        deviants = []
-        for tid in tids:
-            dev = self._deviant.get(tid)
-            if dev is not None:
-                deviants.append((tid, dev))
-                self_clock = dev.get(tid)
-            else:
-                self_clock = base.get(tid) + 1
-            if self_clock > high:
-                high = self_clock
-        for tid, dev in deviants:
-            joined.join(dev)
-            del self._deviant[tid]
-        if full_warp:
-            # Uniform broadcast: every member issued epochs <= high and
-            # will issue epochs >= high + 1, so one warp entry is exact
-            # for ordering purposes.
-            joined.set_warp(warp, high)
+        high, folded = self._fold(joined, base, warp, first, members)
+        lanes = joined.lanes
+        if members == (1 << count) - 1:
+            if lanes:
+                end = first + count
+                mine = ([t for t in lanes if first <= t < end]
+                        if len(lanes) <= count
+                        else [t for t in range(first, end) if t in lanes])
+                for tid in mine:
+                    del lanes[tid]
+            joined.warps[warp] = high
         else:
-            for tid in tids:
-                dev_clock = joined.get(tid)
-                joined.set_lane(tid, max(high, dev_clock))
-        joined.normalize()
+            for lane in mask_lanes(members):
+                lanes[first + lane] = high
+        if folded:
+            joined.normalize()
         group.base = joined
 
     def end_instruction(self, warp: int) -> None:
@@ -369,43 +370,60 @@ class PTVCManager:
         block, or — ``block < 0``, a cooperative sync — the whole grid.
         ``bits_by_warp`` holds the arrived lanes
         (:meth:`GridLayout.bits_by_warp`).  Whether every covered thread
-        arrived: False is a barrier divergence."""
+        arrived: False is a barrier divergence.
+
+        Each distinct top-group base is joined once (after a barrier
+        every warp of a block holds the same one) and the participants'
+        deviants are folded in.  A complete barrier is the §4.3.2
+        broadcast: one block-layer entry per covered block at the
+        participants' high (:meth:`_fold`).  A divergent one keeps
+        per-lane entries, each participant's own self clock, and a
+        participant whose group is only partly active deviates, so the
+        group's other members keep their view."""
         self.joins += 1
         layout = self.layout
         full = layout.barrier_complete(block, bits_by_warp)
-        if full and not self._deviant:
-            self._full_barrier(block)
-            return True
-        # (group, its first thread, its participating lanes) per warp.
+        warp_span = layout.warp_span
+        deviant = self._deviant
         participants = []
-        for warp in layout.barrier_warps(block):
-            group = self._top(warp)
-            lanes = group.mask if full else group.mask & bits_by_warp.get(warp, 0)
-            if lanes:
-                participants.append((group, layout.warp_span(warp)[0], lanes))
-        joined = StructuredVC(layout)
+        joined = None
+        joined_ids = set()
         high = 0
-        for group, first, lanes in participants:
+        for warp in layout.barrier_warps(block):
+            group = self._stacks[warp][-1]
+            lanes = group.mask if full else group.mask & bits_by_warp.get(warp, 0)
+            if not lanes:
+                continue
+            base = group.base
+            first = warp_span(warp)[0]
+            participants.append((group, first, lanes))
             # The base is knowledge common to every member of the group,
             # so it is below each participant's clock and safe to join.
-            joined.join(group.base)
+            if id(base) not in joined_ids:
+                joined_ids.add(id(base))
+                if joined is None:
+                    joined = base.copy()
+                else:
+                    joined.join(base)
+            if full:
+                group_high = self._fold(joined, base, warp, first, lanes)[0]
+                if group_high > high:
+                    high = group_high
+                continue
+            # Each lane's deviant is folded as its entry is set, so the
+            # entries are stored in the per-thread rule's order.
             for lane in mask_lanes(lanes):
                 tid = first + lane
-                dev = self._deviant.get(tid)
-                if dev is not None:
-                    joined.join(dev)
-                    self_clock = dev.get(tid)
-                    del self._deviant[tid]
+                dev = deviant.pop(tid, None)
+                if dev is None:
+                    clock = base.get(tid) + 1
                 else:
-                    self_clock = group.base.get(tid) + 1
-                if self_clock > high:
-                    high = self_clock
-                if not full:
-                    joined.set_lane(tid, max(self_clock, joined.get(tid)))
+                    joined.join(dev)
+                    clock = dev.get(tid)
+                joined.lanes[tid] = clock
+        if joined is None:
+            return full
         if full:
-            # The §4.3.2 broadcast: one block-layer entry per covered
-            # block at the barrier's high clock (the block layer is the
-            # compression unit) instead of one entry per thread.
             covered = range(layout.num_blocks) if block < 0 else (block,)
             for member in covered:
                 joined.set_block(member, high)
@@ -413,57 +431,16 @@ class PTVCManager:
         for group, first, lanes in participants:
             if lanes == group.mask:
                 group.base = joined
-            else:
-                # A partially-active group at a barrier (only reachable
-                # through malformed traces): deviate the participants so
-                # non-participants keep their old view.
-                for lane in mask_lanes(lanes):
-                    tid = first + lane
-                    dev = joined.copy()
-                    dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
-                    self._deviant[tid] = dev
-        return full
-
-    def _full_barrier(self, block: int) -> None:
-        """:meth:`barrier` when every covered thread arrived and no
-        thread is deviant, in closed form: each top group's high is one
-        max over its base's stored entries (:meth:`_stored_high`), and
-        each distinct base is joined once — after a barrier, every warp
-        of a block holds the same ``joined``, so a second join of it
-        would add nothing.  Bit-identical to the per-thread loop."""
-        warp_span = self.layout.warp_span
-        stacks = self._stacks
-        groups = []
-        joined = None
-        joined_ids = set()
-        high = 0
-        for warp in self.layout.barrier_warps(block):
-            group = stacks[warp][-1]
-            members = group.mask
-            if not members:
                 continue
-            groups.append(group)
-            base = group.base
-            if id(base) not in joined_ids:
-                joined_ids.add(id(base))
-                if joined is None:
-                    joined = base.copy()
-                else:
-                    joined.join(base)
-            group_high = self._stored_high(
-                base, warp, warp_span(warp)[0], members) + 1
-            if group_high > high:
-                high = group_high
-        if joined is None:
-            return
-        # The §4.3.2 broadcast: one block-layer entry per covered block
-        # at the barrier's high clock.
-        covered = range(self.layout.num_blocks) if block < 0 else (block,)
-        for member in covered:
-            joined.set_block(member, high)
-        joined.normalize()
-        for group in groups:
-            group.base = joined
+            # A partially-active group at a barrier (only reachable
+            # through malformed traces): deviate the participants so
+            # non-participants keep their old view.
+            for lane in mask_lanes(lanes):
+                tid = first + lane
+                dev = joined.copy()
+                dev.set_lane(tid, max(dev.get(tid), group.base.get(tid)) + 1)
+                deviant[tid] = dev
+        return full
 
     # ------------------------------------------------------------------
     # Point-to-point synchronization (deviation)

@@ -44,40 +44,34 @@ class SyncLocation:
         self.blocks: Dict[int, StructuredVC] = {}
         self.global_part = StructuredVC(layout)
 
-    # ------------------------------------------------------------------
-    # Releases
-    # ------------------------------------------------------------------
-    def release_block(self, block: int, clock: StructuredVC) -> None:
-        """RELBLOCK: fold ``clock`` into this block's slot.
+    def release(self, block: int, clock: StructuredVC) -> None:
+        """REL: fold ``clock`` into block ``block``'s slot (RELBLOCK), or,
+        for ``block < 0``, into the global part every block's acquires
+        read (RELGLOBAL).
 
         Joining (rather than overwriting) preserves every earlier release,
         matching the declarative §3.2 definition — see the note in
         :mod:`repro.core.reference`.
         """
-        slot = self.blocks.get(block)
-        if slot is None:
-            slot = StructuredVC(self.layout)
-            self.blocks[block] = slot
+        if block < 0:
+            slot = self.global_part
+        else:
+            slot = self.blocks.get(block)
+            if slot is None:
+                slot = StructuredVC(self.layout)
+                self.blocks[block] = slot
         slot.join(clock)
 
-    def release_global(self, clock: StructuredVC) -> None:
-        """RELGLOBAL: make ``clock`` visible to acquires in every block."""
-        self.global_part.join(clock)
-
-    # ------------------------------------------------------------------
-    # Acquires
-    # ------------------------------------------------------------------
-    def acquire_block(self, block: int) -> Iterator[StructuredVC]:
-        """ACQBLOCK: the clocks a block-scoped acquire in ``block`` joins."""
-        slot = self.blocks.get(block)
-        if slot is not None:
-            yield slot
-        if not self.global_part.is_empty():
-            yield self.global_part
-
-    def acquire_global(self) -> Iterator[StructuredVC]:
-        """ACQGLOBAL: the clocks a global-scoped acquire joins (all blocks)."""
-        yield from self.blocks.values()
+    def acquire(self, block: int) -> Iterator[StructuredVC]:
+        """ACQ: the clocks an acquire joins — block ``block``'s slot
+        (ACQBLOCK), or, for ``block < 0``, every block's (ACQGLOBAL) —
+        and the global part."""
+        if block < 0:
+            yield from self.blocks.values()
+        else:
+            slot = self.blocks.get(block)
+            if slot is not None:
+                yield slot
         if not self.global_part.is_empty():
             yield self.global_part
 

@@ -4,13 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import KIND_ACQREL, KIND_ACQUIRE, KIND_BARRIER
 from repro.core import BarracudaDetector, ReferenceDetector
 from repro.core.ptvc import PTVCFormat, PTVCManager
 from repro.core.structured import StructuredVC
 from repro.core.vectorclock import Epoch
 from repro.errors import TraceError
+from repro.jobs import launch_spec
 from repro.trace import GridLayout
 from oracle import PerThreadPTVCManager
+from test_columnar import CAPTURE_CORPUS
 from tracegen import feasible_traces
 
 LAYOUT = GridLayout(num_blocks=2, threads_per_block=6, warp_size=3)
@@ -405,7 +408,7 @@ def test_a_grid_barrier_takes_every_warp_in_closed_form():
         assert clocks.value(0, tid) >= clocks.value(79, 72) - 1
 
 
-def test_a_deviant_sends_joins_and_barriers_thread_by_thread():
+def test_joins_and_barriers_fold_a_deviant_back_into_its_group():
     target = StructuredVC(PARTIAL)
 
     def release(c):
@@ -430,3 +433,133 @@ def test_a_deviant_sends_joins_and_barriers_thread_by_thread():
         lambda c: c.branch_fi(0),
     ])
     assert clocks.value(0, 45) == clocks.value(32, 45) >= 2
+
+
+def _publish(target, tid):
+    """The REL rule by ``tid`` into ``target``, as one lockstep step."""
+    def step(c):
+        _release(c, tid, target)
+    return step
+
+
+def test_a_diverged_join_folds_its_one_deviant_member():
+    # Thread 1 releases twice: its private self clock is two above what
+    # warp 0's base records of it, so the then path's join high is its.
+    target = StructuredVC(LAYOUT)
+    clocks = _lockstep(LAYOUT, [
+        lambda c: c.end_instruction(0),
+        _publish(target, 1),
+        _publish(target, 1),
+        lambda c: c.branch_if(0, 0b011, 0b111),
+        lambda c: c.end_instruction(0),
+        lambda c: c.branch_else(0),
+        lambda c: c.branch_fi(0),
+    ])
+    assert not clocks._deviant
+    assert clocks.value(2, 1) == clocks.value(1, 1) - 1
+
+
+def test_a_full_warp_join_of_deviants_only():
+    # Every member of warp 0 is deviant when it joins, and thread 1 has
+    # acquired block 1's barrier clock: its block entry dominates the
+    # lane entry warp 0's base holds for thread 7, which the fold must
+    # drop.
+    early, late = StructuredVC(LAYOUT), StructuredVC(LAYOUT)
+    clocks = _lockstep(LAYOUT, [
+        _publish(early, 7),
+        lambda c: c.end_instruction(2),
+        lambda c: c.acquire_into(0, early),
+        lambda c: c.end_instruction(0),
+        lambda c: c.barrier(1, _all(LAYOUT, 1)),
+        _publish(late, 6),
+        lambda c: c.end_instruction(2),
+        _publish(early, 0),
+        _publish(early, 0),
+        lambda c: c.acquire_into(1, late),
+        _publish(early, 2),
+        lambda c: c.end_instruction(0),
+    ])
+    assert not clocks._deviant
+    assert 7 not in clocks._top(0).base.lanes
+    assert clocks.value(0, 7) == late.get(7)
+    assert clocks.value(1, 0) == clocks.value(0, 0) - 1
+
+
+def test_a_join_of_one_warp_while_another_warps_thread_is_deviant():
+    target = StructuredVC(LAYOUT)
+    clocks = _lockstep(LAYOUT, [
+        _publish(target, 7),
+        lambda c: c.end_instruction(0),
+        lambda c: c.branch_if(0, 0b100, 0b111),
+        lambda c: c.end_instruction(0),
+        lambda c: c.barrier(0, _all(LAYOUT, 0)),
+        lambda c: c.branch_else(0),
+        lambda c: c.branch_fi(0),
+    ])
+    # Thread 7 stays deviant until its own warp joins.
+    assert list(clocks._deviant) == [7]
+    assert clocks.format_of(2) is PTVCFormat.SPARSE
+    assert clocks.format_of(0) is PTVCFormat.CONVERGED
+
+
+def test_a_complete_barrier_folds_every_groups_deviants():
+    # Deviants in both warps of block 0, the second warp's ahead.
+    target = StructuredVC(LAYOUT)
+    clocks = _lockstep(LAYOUT, [
+        _publish(target, 1),
+        _publish(target, 4),
+        _publish(target, 4),
+        lambda c: c.barrier(0, _all(LAYOUT, 0)),
+    ])
+    assert not clocks._deviant
+    assert clocks._top(0).base is clocks._top(1).base
+    assert clocks.value(0, 4) == clocks.value(4, 4) - 1
+
+
+def test_a_barrier_that_meets_part_of_a_group_deviates_its_lanes():
+    # Lanes 0 and 1 of warp 0 arrive, lane 2 does not: they deviate and
+    # lane 2 keeps its view.  Each arrived lane's entry is its own self
+    # clock, and thread 3's release is folded in.
+    target = StructuredVC(LAYOUT)
+    clocks = _lockstep(LAYOUT, [
+        lambda c: c.end_instruction(0),
+        lambda c: c.end_instruction(0),
+        _publish(target, 1),
+        _publish(target, 3),
+        lambda c: c.barrier(0, {0: 0b011, 1: 0b111}),
+        lambda c: c.end_instruction(1),
+        lambda c: c.end_instruction(0),
+    ])
+    assert not clocks._deviant
+    assert clocks.value(0, 1) == clocks.value(1, 1) - 1
+    assert clocks.value(4, 1) < clocks.value(0, 1)
+
+
+# ----------------------------------------------------------------------
+# Whole programs: every corpus entry's row log through production clocks
+# and through the per-thread rules, in lockstep.
+# ----------------------------------------------------------------------
+_CLOCK_ROWS = frozenset(range(KIND_ACQUIRE, KIND_ACQREL + 1)) | {KIND_BARRIER}
+
+
+@pytest.mark.parametrize("entry", CAPTURE_CORPUS, ids=lambda entry: entry.name)
+def test_every_corpus_row_log_stores_what_the_per_thread_forms_store(entry):
+    """Stored entries after every sync and barrier row, and at the end."""
+    layout = entry.spec.layout()
+    production = BarracudaDetector(layout)
+    spec = BarracudaDetector(layout)
+    spec.clocks = PerThreadPTVCManager(layout)
+    for batch in launch_spec(entry.spec, capture=True).launch.captured:
+        start = 0
+        for index, code in enumerate(batch.kinds):
+            if code in _CLOCK_ROWS:
+                production.process_columnar(batch, start=start, stop=index + 1)
+                spec.process_columnar(batch, start=start, stop=index + 1)
+                assert _stored(production.clocks) == _stored(spec.clocks), index
+                start = index + 1
+        production.process_columnar(batch, start=start)
+        spec.process_columnar(batch, start=start)
+    assert _stored(production.clocks) == _stored(spec.clocks)
+    _assert_normalized(production.clocks)
+    assert (sorted(map(str, production.reports.races))
+            == sorted(map(str, spec.reports.races)))

@@ -23,29 +23,29 @@ def _joined(clocks):
 
 def test_block_release_visible_to_same_block_acquire():
     sync = SyncLocation(LAYOUT)
-    sync.release_block(1, _clock(**{"9": 5}))
-    acquired = _joined(sync.acquire_block(1))
+    sync.release(1, _clock(**{"9": 5}))
+    acquired = _joined(sync.acquire(1))
     assert acquired.get(9) == 5
 
 
 def test_block_release_invisible_to_other_blocks():
     sync = SyncLocation(LAYOUT)
-    sync.release_block(1, _clock(**{"9": 5}))
-    assert _joined(sync.acquire_block(2)).get(9) == 0
+    sync.release(1, _clock(**{"9": 5}))
+    assert _joined(sync.acquire(2)).get(9) == 0
 
 
 def test_global_release_visible_everywhere():
     sync = SyncLocation(LAYOUT)
-    sync.release_global(_clock(**{"3": 7}))
+    sync.release(-1, _clock(**{"3": 7}))
     for block in range(LAYOUT.num_blocks):
-        assert _joined(sync.acquire_block(block)).get(3) == 7
+        assert _joined(sync.acquire(block)).get(3) == 7
 
 
 def test_global_acquire_sees_block_releases_from_any_block():
     sync = SyncLocation(LAYOUT)
-    sync.release_block(0, _clock(**{"1": 2}))
-    sync.release_block(3, _clock(**{"30": 4}))
-    acquired = _joined(sync.acquire_global())
+    sync.release(0, _clock(**{"1": 2}))
+    sync.release(3, _clock(**{"30": 4}))
+    acquired = _joined(sync.acquire(-1))
     assert acquired.get(1) == 2
     assert acquired.get(30) == 4
 
@@ -54,9 +54,9 @@ def test_releases_accumulate_rather_than_overwrite():
     # Two releases by unrelated threads: both must stay visible, which is
     # why the REL* rules join into S_x (see repro.core.reference notes).
     sync = SyncLocation(LAYOUT)
-    sync.release_block(0, _clock(**{"1": 2}))
-    sync.release_block(0, _clock(**{"2": 9}))
-    acquired = _joined(sync.acquire_block(0))
+    sync.release(0, _clock(**{"1": 2}))
+    sync.release(0, _clock(**{"2": 9}))
+    acquired = _joined(sync.acquire(0))
     assert acquired.get(1) == 2
     assert acquired.get(2) == 9
 
@@ -64,7 +64,7 @@ def test_releases_accumulate_rather_than_overwrite():
 def test_global_part_is_constant_size():
     # A global release touches one clock, not one per block of the grid.
     sync = SyncLocation(LAYOUT)
-    sync.release_global(_clock(**{"3": 7}))
+    sync.release(-1, _clock(**{"3": 7}))
     assert len(sync.blocks) == 0
     assert sync.entry_count() == 1
 
